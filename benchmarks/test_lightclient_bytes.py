@@ -25,6 +25,7 @@ from pathlib import Path
 
 from benchmarks.conftest import exchanges_target, print_header, print_row
 from repro.core import BcWANNetwork, NetworkConfig
+from repro.core.config import LightConfig
 
 GATEWAYS = 5  # the paper's deployment size
 SENSORS = 4
@@ -37,18 +38,17 @@ BASE = dict(
 )
 
 MODES = {
-    "full": dict(device_class="full", compact_blocks=False),
-    "compact": dict(device_class="full", compact_blocks=True),
-    "light": dict(device_class="light", compact_blocks=True,
-                  multicast_interval=15.0, light_sync_interval=30.0),
+    "full": LightConfig(device_class="full", compact_blocks=False),
+    "compact": LightConfig(device_class="full", compact_blocks=True),
+    "light": LightConfig(device_class="light", compact_blocks=True,
+                         multicast_interval=15.0, light_sync_interval=30.0),
 }
 
 
 def run_mode(mode: str, num_exchanges: int) -> dict:
-    cfg = NetworkConfig(**BASE, **MODES[mode])
+    cfg = NetworkConfig(**BASE, light=MODES[mode])
     network = BcWANNetwork(cfg)
     report = network.run(num_exchanges=num_exchanges)
-    network.close()
 
     # Recipient-side ingress: in full/compact mode the recipient is the
     # site's own full node; in light mode it is the light-i host.

@@ -18,6 +18,7 @@ Run::
 from __future__ import annotations
 
 from repro.core import BcWANNetwork, NetworkConfig
+from repro.core.config import LightConfig
 
 
 def main() -> None:
@@ -25,15 +26,16 @@ def main() -> None:
         num_gateways=3,
         sensors_per_gateway=2,
         exchange_interval=20.0,
-        device_class="light",       # recipients become SPV hosts
-        compact_blocks=True,        # full nodes gossip sketches
-        multicast_interval=15.0,    # signed header bundles downlink
-        light_sync_interval=30.0,   # unicast poll (stands down while
-        seed=7,                     # the multicast stream is healthy)
+        light=LightConfig(
+            device_class="light",       # recipients become SPV hosts
+            compact_blocks=True,        # full nodes gossip sketches
+            multicast_interval=15.0,    # signed header bundles downlink
+            light_sync_interval=30.0,   # unicast poll (stands down while
+        ),                              # the multicast stream is healthy)
+        seed=7,
     )
     network = BcWANNetwork(config)
     report = network.run(num_exchanges=8)
-    network.close()
 
     print(report.format())
 

@@ -9,7 +9,7 @@ mechanism behind the double-spend attack the paper's section 6 discusses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.blockchain.block import Block
@@ -22,8 +22,8 @@ from repro.blockchain.transaction import (
     TxOutput,
 )
 from repro.blockchain.engine import ValidationEngine, ValidationReport
-from repro.blockchain.utxo import JournaledUTXOSet, UTXOEntry, UTXOSet
-from repro.errors import ConfigurationError, ValidationError
+from repro.blockchain.utxo import UTXOEntry, UTXOSet
+from repro.errors import ValidationError
 from repro.script.builder import op_return
 from repro.script.script import Script
 
@@ -53,10 +53,6 @@ class BlockRecord:
     # Per-transaction undo data; populated while the block is on the
     # active chain, None for side-chain blocks.
     undo: Optional[list[dict[OutPoint, UTXOEntry]]] = None
-    # Journal position *before* this block's UTXO mutations — rewinding
-    # to it disconnects the block in O(changes).  Only set while the
-    # block is active on a journaled store.
-    journal_mark: Optional[int] = None
 
     @property
     def hash(self) -> bytes:
@@ -84,8 +80,7 @@ class Chain:
     """The validated chain of one node."""
 
     def __init__(self, params: Optional[ChainParams] = None,
-                 verify_scripts: Optional[bool] = None,
-                 utxo_store: str = "dict") -> None:
+                 verify_scripts: Optional[bool] = None) -> None:
         self.params = params or ChainParams()
         # The staged validation pipeline plus its script cache; whether
         # connecting blocks re-runs scripts defaults to the chain params'
@@ -93,21 +88,7 @@ class Chain:
         self.engine = ValidationEngine(self.params,
                                        verify_scripts=verify_scripts)
         self.last_report: Optional[ValidationReport] = None
-        # "dict" is the plain mapping; "journal" adds an append-only undo
-        # log (JournaledUTXOSet) so reorg disconnects rewind in
-        # O(changes) instead of replaying per-transaction undo records.
-        # Both stores hold identical mappings at every height.
-        if utxo_store == "dict":
-            self.utxos: UTXOSet = UTXOSet()
-        elif utxo_store == "journal":
-            self.utxos = JournaledUTXOSet()
-        else:
-            raise ConfigurationError(
-                f"unknown utxo_store {utxo_store!r} "
-                f"(expected 'dict' or 'journal')"
-            )
-        self.utxo_store = utxo_store
-        self._journaled = utxo_store == "journal"
+        self.utxos = UTXOSet()
         self._records: dict[bytes, BlockRecord] = {}
         self._active: list[bytes] = []
         # Blocks whose parent we have not seen yet, keyed by parent hash.
@@ -230,132 +211,19 @@ class Chain:
     def add_blocks(self, blocks: list[Block]) -> list[AddBlockResult]:
         """Add a batch of blocks; returns one result per block, in order.
 
-        Behaviourally identical to calling :meth:`add_block` per block
-        with :class:`ValidationError` caught into an ``"invalid"``
-        result — verdicts, error strings, UTXO state, and notifications
-        all match — but a contiguous tip-extending run goes through the
-        pipelined driver: block N+1's contextual walk (and its script
-        dispatch, when a :class:`~repro.parallel.VerifyPool` is
-        attached) overlaps block N's script settlement.  After an
-        invalid block the rest of the run is stashed as orphans, exactly
-        as the sequential path would leave them.
+        Exactly :meth:`add_block` per block, with a
+        :class:`ValidationError` caught into an ``"invalid"`` result.
+        After an invalid block its descendants in the run are stashed as
+        orphans, as their parent was never recorded.
         """
-        blocks = list(blocks)
-        if not self._can_pipeline(blocks):
-            results = []
-            for block in blocks:
-                try:
-                    results.append(self.add_block(block))
-                except ValidationError as exc:
-                    results.append(AddBlockResult(status="invalid",
-                                                  reason=str(exc)))
-            return results
-        return self._add_blocks_pipelined(blocks)
-
-    def _can_pipeline(self, blocks: list[Block]) -> bool:
-        """Whether ``blocks`` is a clean tip-extending run.
-
-        The pipelined driver handles only the common sync shape: two or
-        more new, contiguous blocks extending the current tip, with no
-        orphans waiting (their resolution interleaves arbitrarily) and
-        no checkpoint rules (whose block-scoped staging is ordered
-        against the commit).  Everything else falls back to the
-        sequential path.
-        """
-        if len(blocks) < 2 or self.engine.checkpoint_rules is not None:
-            return False
-        if self._orphans:
-            return False
-        prev = self._active[-1]
-        seen = set()
+        results = []
         for block in blocks:
-            if block.header.prev_hash != prev:
-                return False
-            if block.hash in self._records or block.hash in seen:
-                return False
-            seen.add(block.hash)
-            prev = block.hash
-        return True
-
-    def _add_blocks_pipelined(self, blocks: list[Block]) -> list[AddBlockResult]:
-        results: list[AddBlockResult] = []
-        work = 1 << self.params.pow_bits
-        parent = self.tip
-        base = self.utxos
-        outstanding = None  # (record, PendingConnect) for blocks[i-1]
-        failed = False
-        for block in blocks:
-            if failed:
-                # Sequential semantics after an invalid block: the parent
-                # was never recorded, so the rest of the run is orphaned.
-                self._orphans.setdefault(block.header.prev_hash,
-                                         []).append(block)
-                results.append(AddBlockResult(status="orphan"))
-                continue
             try:
-                self.engine.check_block(block, parent.height)
-                pending = self.engine.begin_connect(block, base,
-                                                    parent.height + 1)
+                results.append(self.add_block(block))
             except ValidationError as exc:
-                if outstanding is not None:
-                    settled = self._settle_pending(outstanding, results)
-                    outstanding = None
-                    if not settled:
-                        failed = True
-                        self._orphans.setdefault(block.header.prev_hash,
-                                                 []).append(block)
-                        results.append(AddBlockResult(status="orphan"))
-                        continue
                 results.append(AddBlockResult(status="invalid",
                                               reason=str(exc)))
-                failed = True
-                continue
-            if outstanding is not None:
-                settled = self._settle_pending(outstanding, results)
-                outstanding = None
-                if not settled:
-                    # This block's overlay was stacked on a discarded
-                    # view; its parent never connected, so it orphans.
-                    failed = True
-                    self._orphans.setdefault(block.header.prev_hash,
-                                             []).append(block)
-                    results.append(AddBlockResult(status="orphan"))
-                    continue
-                # The settled delta now lives in the real set; reads and
-                # the eventual commit go straight through.
-                pending.view.rebase(self.utxos)
-            record = BlockRecord(block=block, height=parent.height + 1,
-                                 total_work=parent.total_work + work)
-            outstanding = (record, pending)
-            base = pending.view
-            parent = record
-        if outstanding is not None:
-            self._settle_pending(outstanding, results)
         return results
-
-    def _settle_pending(self, outstanding, results: list[AddBlockResult]) -> bool:
-        """Finish one pipelined connect: flush scripts, commit, record.
-
-        Appends the block's result (``"active"`` or ``"invalid"``) and
-        returns whether it connected.
-        """
-        record, pending = outstanding
-        try:
-            if self._journaled:
-                record.journal_mark = self.utxos.mark()
-            report = self.engine.finish_connect(pending)
-        except ValidationError as exc:
-            record.journal_mark = None
-            results.append(AddBlockResult(status="invalid", reason=str(exc)))
-            return False
-        self.last_report = report
-        record.undo = [dict(spent) for spent in report.undo]
-        self._records[record.hash] = record
-        self._active.append(record.hash)
-        self._notify(record.block, record.height)
-        results.append(AddBlockResult(status="active",
-                                      connected=(record.hash,)))
-        return True
 
     def _attach(self, block: Block, parent: BlockRecord) -> AddBlockResult:
         self.engine.check_block(block, parent.height)
@@ -365,8 +233,6 @@ class Chain:
 
         extends_tip = parent.hash == self._active[-1]
         if extends_tip:
-            if self._journaled:
-                record.journal_mark = self.utxos.mark()
             report = self.engine.connect_block(block, self.utxos,
                                                record.height)
             self.last_report = report
@@ -394,36 +260,20 @@ class Chain:
         branch.reverse()
         fork_height = cursor.height
 
-        # Disconnect active blocks above the fork point.  On a journaled
-        # store the whole branch disconnects as one journal rewind (to
-        # the deepest disconnected block's pre-connect mark); the dict
-        # store replays per-transaction undo records.
+        # Disconnect active blocks above the fork point by replaying
+        # their per-transaction undo records, newest first.
         disconnected: list[bytes] = []
         rollback: list[BlockRecord] = []
-        fork_mark: Optional[int] = None
         while len(self._active) - 1 > fork_height:
             tip_record = self._records[self._active.pop()]
-            if self._journaled:
-                fork_mark = tip_record.journal_mark
-                tip_record.journal_mark = None
-            else:
-                assert tip_record.undo is not None
-                for tx, spent in zip(reversed(tip_record.block.transactions),
-                                     reversed(tip_record.undo)):
-                    self.utxos.undo_transaction(tx, spent)
-            tip_record.undo = None
+            self._undo_block(tip_record)
             disconnected.append(tip_record.hash)
             rollback.append(tip_record)
-        if self._journaled and fork_mark is not None:
-            self.utxos.rewind(fork_mark)
 
         # Connect the new branch; on failure restore the old chain.
-        branch_mark = self.utxos.mark() if self._journaled else None
         connected: list[bytes] = []
         try:
             for record in branch:
-                if self._journaled:
-                    record.journal_mark = self.utxos.mark()
                 report = self.engine.connect_block(record.block, self.utxos,
                                                    record.height)
                 self.last_report = report
@@ -432,25 +282,10 @@ class Chain:
                 connected.append(record.hash)
         except ValidationError:
             # Roll back whatever connected, then restore the old branch.
-            if self._journaled:
-                self.utxos.rewind(branch_mark)
-                for block_hash in reversed(connected):
-                    failed = self._records[block_hash]
-                    failed.undo = None
-                    failed.journal_mark = None
-                    self._active.pop()
-            else:
-                for block_hash in reversed(connected):
-                    failed = self._records[block_hash]
-                    assert failed.undo is not None
-                    for tx, spent in zip(reversed(failed.block.transactions),
-                                         reversed(failed.undo)):
-                        self.utxos.undo_transaction(tx, spent)
-                    failed.undo = None
-                    self._active.pop()
+            for block_hash in reversed(connected):
+                self._undo_block(self._records[block_hash])
+                self._active.pop()
             for record in reversed(rollback):
-                if self._journaled:
-                    record.journal_mark = self.utxos.mark()
                 report = self.engine.connect_block(
                     record.block, self.utxos, record.height,
                     verify_scripts=False,  # previously validated
@@ -465,6 +300,14 @@ class Chain:
             status="active", reorged=True,
             disconnected=tuple(disconnected), connected=tuple(connected),
         )
+
+    def _undo_block(self, record: BlockRecord) -> None:
+        """Reverse ``record``'s UTXO mutations and drop its undo data."""
+        assert record.undo is not None
+        for tx, spent in zip(reversed(record.block.transactions),
+                             reversed(record.undo)):
+            self.utxos.undo_transaction(tx, spent)
+        record.undo = None
 
     def _notify(self, block: Block, height: int) -> None:
         for listener in self._listeners:

@@ -27,13 +27,11 @@ from repro.blockchain.sigbatch import precompute_verdicts
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
-from repro.parallel.jobs import ERROR_SCRIPT_FAILED, VerifyJob, VerifyResult
 from repro.script.analysis import StandardnessPolicy
 from repro.script.interpreter import ScriptInterpreter
 
 __all__ = [
     "MAX_MONEY",
-    "PendingConnect",
     "ScriptCacheStats",
     "ValidationEngine",
     "ValidationReport",
@@ -82,74 +80,37 @@ class ValidationReport:
     undo: tuple[dict[OutPoint, UTXOEntry], ...] = ()
 
 
-@dataclass
-class PendingConnect:
-    """An in-flight block connect, between ``begin_connect`` and
-    ``finish_connect``.
-
-    Carries the overlay the block applied to, the deferred script batch
-    (possibly already dispatched to the pool), and every number the final
-    :class:`ValidationReport` needs.  The pipelined chain driver stacks
-    the next block's overlay on ``view`` while this one's scripts crunch.
-    """
-
-    block: Block
-    height: int
-    verify_scripts: bool
-    view: UTXOView
-    undo: tuple
-    total_fees: int
-    executions: int
-    hits_before: int
-    batch: Optional["_ScriptBatch"]
-    pending_checkpoints: dict
-    checkpoint_txids: list
-
-
 class _ScriptBatch:
-    """Deferred script verifications, replayed in serial order.
+    """Deferred script verifications for one block or one admission.
 
-    The pooled paths collect one :class:`VerifyJob` per cache-missing
-    input while the parent walks transactions in block order, then flush
-    the whole batch through the engine's :class:`VerifyPool` at the next
-    serialization point.  Determinism contract with the serial engine:
+    The engine queues every cache-missing input while it walks
+    transactions in block order, then :meth:`flush` runs the whole queue
+    through the cross-input batch layer.  Determinism contract with
+    input-at-a-time :meth:`ValidationEngine.verify_input_script`:
 
-    * cache lookups and static prechecks stay in the parent, in serial
+    * cache lookups and static prechecks happen at queue time, in block
       order, so hit/fast-reject accounting is identical;
-    * a flush raises the exact :class:`ValidationError` the serial
-      engine's *first* failing input would have raised (workers return
-      verdicts; the parent rebuilds the message from the entry it kept);
-    * only successes that a serial run would have executed *before* that
-      first failure are cached and counted as misses.
+    * a flush raises the exact :class:`ValidationError` the *first*
+      failing input would have raised;
+    * only successes that precede that first failure are cached and
+      counted as misses.
 
     ``barrier(exc)`` is the ordering glue for non-script errors: any
     contextual or fast-reject failure discovered at position *p* must
     lose to a script failure queued at a position before *p* — exactly
-    what a serial run, which executes scripts as it goes, would report.
+    what a run that executes scripts as it goes would report.
     """
 
     def __init__(self, engine: "ValidationEngine") -> None:
         self.engine = engine
-        self.jobs: list[VerifyJob] = []
-        # (tag, input_index) -> (tx, entry): what the parent needs to
-        # rebuild the serial error message and the cache key.
-        self._meta: dict[tuple[int, int], tuple[Transaction, UTXOEntry]] = {}
-        self._tx_bytes: dict[bytes, bytes] = {}
-        # Wire serialization only matters when jobs cross a process
-        # boundary; the inline executor works from the live objects.
-        self._wire = engine.verify_pool is not None
-        self._pending = None
-        # Per-batch cache-hit counter: pipelined connects interleave their
-        # cache lookups, so per-connect reports cannot difference the
-        # engine-global counter the way the serial path does.
+        # (tx, input_index, entry) in block order.
+        self.queue: list[tuple[Transaction, int, UTXOEntry]] = []
         self.hits = 0
 
-    def add(self, tx: Transaction, index: int, entry: UTXOEntry,
-            tag: int) -> None:
-        """Queue one input, honouring cache and precheck in serial order."""
+    def add(self, tx: Transaction, index: int, entry: UTXOEntry) -> None:
+        """Queue one input, honouring cache and precheck in block order."""
         engine = self.engine
-        key = (tx.txid, index, entry.entry_hash)
-        if key in engine._script_cache:
+        if (tx.txid, index, entry.entry_hash) in engine._script_cache:
             engine.cache_stats.hits += 1
             self.hits += 1
             return
@@ -159,45 +120,17 @@ class _ScriptBatch:
             )
             if reason is not None:
                 engine.policy.stats.fast_rejects += 1
-                # Every queued job precedes this input in serial order, so
-                # an earlier queued *failure* must win — barrier decides.
+                # Every queued input precedes this one, so an earlier
+                # queued *failure* must win — barrier decides.
                 self.barrier(ValidationError(
                     f"script fast-reject for input {index} of "
                     f"{tx.txid.hex()[:16]}..: {reason}"
                 ))
-        if self._wire:
-            tx_bytes = self._tx_bytes.get(tx.txid)
-            if tx_bytes is None:
-                tx_bytes = tx.serialize()
-                self._tx_bytes[tx.txid] = tx_bytes
-        else:
-            tx_bytes = b""
-        self.jobs.append(VerifyJob(
-            txid=tx.txid,
-            input_index=index,
-            tx_bytes=tx_bytes,
-            locking_bytes=entry.output.script_pubkey.to_bytes()
-            if self._wire else b"",
-            tag=tag,
-        ))
-        self._meta[(tag, index)] = (tx, entry)
+        self.queue.append((tx, index, entry))
 
-    def dispatch(self) -> None:
-        """Start pooled execution without waiting for results.
-
-        The pipelined connect path calls this at the end of
-        ``begin_connect`` so workers crunch block N's scripts while the
-        parent walks block N+1; ``flush`` then collects.  A no-op without
-        a pool (the inline executor has no background to run in) or when
-        nothing is queued.
-        """
-        if self.jobs and self._pending is None:
-            pool = self.engine.verify_pool
-            if pool is not None:
-                self._pending = pool.run_async(self.jobs)
-
-    def _execute_inline(self) -> list[VerifyResult]:
-        """Execute queued jobs in-process through the batch layer.
+    def flush(self) -> int:
+        """Run the queue; cache pre-failure successes; raise the first
+        failure in block order.  Returns the executions that succeeded.
 
         One :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
         computes every input's sighash (one serialization per tx) and
@@ -205,75 +138,38 @@ class _ScriptBatch:
         then replays each script pair with those results as pure
         accelerations, so verdicts match the unbatched path bit-for-bit.
         """
-        spends = []
-        for job in self.jobs:
-            tx, entry = self._meta[(job.tag, job.input_index)]
-            spends.append((tx, job.input_index, entry.output.script_pubkey))
-        hints, verdicts = precompute_verdicts(spends)
-        results = []
-        for job in self.jobs:
-            tx, entry = self._meta[(job.tag, job.input_index)]
-            locking = entry.output.script_pubkey
-            context = TransactionContext(
-                tx=tx, input_index=job.input_index, locking_script=locking,
-                sighash_hint=hints.get((job.txid, job.input_index)),
-                verdict_cache=verdicts,
-            )
-            ok = ScriptInterpreter(context=context).verify(
-                tx.inputs[job.input_index].script_sig, locking
-            )
-            results.append(VerifyResult(
-                txid=job.txid, input_index=job.input_index, ok=ok,
-                error_code=None if ok else ERROR_SCRIPT_FAILED, tag=job.tag,
-            ))
-        return results
-
-    def flush(self) -> int:
-        """Run queued jobs; cache pre-failure successes; raise the first
-        failure in serial ``(tag, input_index)`` order.  Returns how many
-        executions a serial run would have performed."""
-        if not self.jobs:
+        queue, self.queue = self.queue, []
+        if not queue:
             return 0
         engine = self.engine
-        if self._pending is not None:
-            results = self._pending.wait()
-            self._pending = None
-        elif engine.verify_pool is not None:
-            results = engine.verify_pool.run(self.jobs)
-        else:
-            results = self._execute_inline()
-        self.jobs = []
-        self._tx_bytes.clear()
-        results.sort(key=lambda result: (result.tag, result.input_index))
-        first_failure = None
+        hints, verdicts = precompute_verdicts(
+            [(tx, index, entry.output.script_pubkey)
+             for tx, index, entry in queue])
         executions = 0
-        for result in results:
-            if not result.ok:
-                first_failure = result
-                break
-            executions += 1
-            engine.cache_stats.misses += 1
-            tx, entry = self._meta[(result.tag, result.input_index)]
-            engine._cache_store((tx.txid, result.input_index,
-                                 entry.entry_hash))
-        if first_failure is not None:
-            tx, entry = self._meta[(first_failure.tag,
-                                    first_failure.input_index)]
-            self._meta.clear()
-            # The serial engine counts the miss before executing, so the
-            # failing run itself is a miss too (never cached).
-            engine.cache_stats.misses += 1
-            raise ValidationError(
-                f"script verification failed for input "
-                f"{first_failure.input_index} of {tx.txid.hex()[:16]}.. "
-                f"(locking: {entry.output.script_pubkey.disassemble()})"
+        for tx, index, entry in queue:
+            locking = entry.output.script_pubkey
+            context = TransactionContext(
+                tx=tx, input_index=index, locking_script=locking,
+                sighash_hint=hints.get((tx.txid, index)),
+                verdict_cache=verdicts,
             )
-        self._meta.clear()
+            # A miss is counted before executing, so the failing run is
+            # a miss too (never cached).
+            engine.cache_stats.misses += 1
+            if not ScriptInterpreter(context=context).verify(
+                    tx.inputs[index].script_sig, locking):
+                raise ValidationError(
+                    f"script verification failed for input {index} of "
+                    f"{tx.txid.hex()[:16]}.. "
+                    f"(locking: {locking.disassemble()})"
+                )
+            executions += 1
+            engine._cache_store((tx.txid, index, entry.entry_hash))
         return executions
 
     def barrier(self, exc: ValidationError) -> None:
         """Flush, then raise ``exc`` — unless an already-queued script
-        failure precedes it in serial order (flush raises that instead)."""
+        failure precedes it in block order (flush raises that instead)."""
         self.flush()
         raise exc
 
@@ -295,20 +191,13 @@ class ValidationEngine:
         fast-reject before each interpreter execution.  The precheck
         only rejects spends whose execution provably fails, so toggling
         it never changes a verdict — only where the cost is paid.
-    :param batch_verify: batch multi-input script work through
-        :mod:`repro.blockchain.sigbatch` even without a pool attached
-        (shared sighash serialization, per-pubkey fixed-base tables,
-        Montgomery-batched inversions).  Verdicts, error strings, and
-        cache accounting are identical either way; ``False`` restores
-        strictly input-at-a-time verification.
     """
 
     def __init__(self, params: ChainParams,
                  verify_scripts: Optional[bool] = None,
                  max_cache_entries: int = 1 << 16,
                  policy: Optional[StandardnessPolicy] = None,
-                 static_precheck: bool = True,
-                 batch_verify: bool = True) -> None:
+                 static_precheck: bool = True) -> None:
         self.params = params
         self.verify_scripts = (
             params.verify_blocks if verify_scripts is None else verify_scripts
@@ -316,11 +205,6 @@ class ValidationEngine:
         self.max_cache_entries = max_cache_entries
         self.policy = StandardnessPolicy() if policy is None else policy
         self.static_precheck = static_precheck
-        # Route multi-input script work through the cross-input batch
-        # layer (sighash_many + ecdsa.verify_batch) even without a pool.
-        # Verdict-identical to the serial path; False reproduces the
-        # pre-batching engine input-by-input (the benchmark baseline).
-        self.batch_verify = batch_verify
         # key -> True; only successful verdicts are cached (failures raise
         # and the offending tx never reaches a later stage twice).
         self._script_cache: dict[tuple[bytes, int, bytes], bool] = {}
@@ -331,11 +215,6 @@ class ValidationEngine:
         # load and branch when profiling is off — the microbench guard in
         # benchmarks/test_obs_overhead.py pins that.
         self.obs = None
-        # Optional repro.parallel.VerifyPool.  None keeps every script
-        # path strictly serial; attach_pool() routes block connection and
-        # multi-input admission through batched (possibly multi-process)
-        # verification with serial-identical verdicts.
-        self.verify_pool = None
         # Optional repro.blockchain.checkpoint.CheckpointRules.  Set only
         # on a settlement-chain engine; gateway sub-chains leave it None
         # and pay a single attribute load per transaction.
@@ -480,21 +359,13 @@ class ValidationEngine:
                              entries: list[UTXOEntry]) -> int:
         """Verify every input against its resolved entry; returns executions.
 
-        The mempool's admission path: with a pool attached the inputs fan
-        out as one batch; without one, ``batch_verify`` routes them
-        through the inline batch executor instead.  Either way the
-        verdict, error message, and cache state are identical to the
-        strictly serial loop.
+        The mempool's admission path: the inputs go through the
+        cross-input batch layer as one batch, with the verdict, error
+        message, and cache state of a :meth:`verify_input_script` loop.
         """
-        if self.verify_pool is None and not self.batch_verify:
-            executions = 0
-            for index, entry in enumerate(entries):
-                if not self.verify_input_script(tx, index, entry):
-                    executions += 1
-            return executions
         batch = _ScriptBatch(self)
         for index, entry in enumerate(entries):
-            batch.add(tx, index, entry, 0)
+            batch.add(tx, index, entry)
         return batch.flush()
 
     def verify_transaction_scripts(self, tx: Transaction,
@@ -585,100 +456,33 @@ class ValidationEngine:
         the chain uses that to skip re-verification when restoring a
         previously validated branch after a failed reorg.
         """
-        pending = self.begin_connect(block, utxos, height,
-                                     verify_scripts=verify_scripts)
-        return self.finish_connect(pending, commit=commit)
-
-    def begin_connect(self, block: Block, utxos: UTXOSource, height: int,
-                      verify_scripts: Optional[bool] = None,
-                      ) -> PendingConnect:
-        """Walk a block — contextual checks, overlay apply, script queue.
-
-        Everything except script execution and the commit: transactions
-        are contextually validated and applied to a fresh overlay in
-        block order, and cache-missing inputs are queued on a script
-        batch (dispatched to the pool, if one is attached, before this
-        returns).  :meth:`finish_connect` settles the batch and commits.
-        ``begin_connect(b); finish_connect(p)`` is exactly
-        ``connect_block(b)`` — the split exists so a pipelined caller can
-        begin block N+1 against the returned overlay while block N's
-        scripts verify in the background.
-        """
         if verify_scripts is None:
             verify_scripts = self.verify_scripts
         view = UTXOView(utxos)
-        hits_before = self.cache_stats.hits
         undo: list[dict[OutPoint, UTXOEntry]] = []
         total_fees = 0
-        executions = 0
-        batch = (_ScriptBatch(self)
-                 if verify_scripts
-                 and (self.verify_pool is not None or self.batch_verify)
-                 else None)
+        batch = _ScriptBatch(self)
         # Block-scoped checkpoint staging: applied to the rules only when
         # the block commits, so speculative and failed connects leave the
         # anchored state untouched.
         pending_checkpoints: dict[int, Checkpoint] = {}
         checkpoint_txids: list[bytes] = []
-        for tag, tx in enumerate(block.transactions):
-            if self.checkpoint_rules is not None:
-                try:
+        for tx in block.transactions:
+            # Script execution is deferred to the flush below.  A
+            # contextual failure must still lose to a script failure
+            # queued before it, hence the barrier.
+            try:
+                if self.checkpoint_rules is not None:
                     self._stage_checkpoints(
                         tx, pending_checkpoints, checkpoint_txids)
-                except ValidationError as exc:
-                    if batch is not None:
-                        batch.barrier(exc)
-                    raise
-            if batch is None:
                 total_fees += self.check_transaction_inputs(tx, view, height)
-                if verify_scripts:
-                    executions += self.verify_transaction_scripts(tx, view)
-            else:
-                # Pooled: collect jobs while walking transactions; defer
-                # execution to the flush below.  A contextual failure must
-                # still lose to a script failure queued before it (that is
-                # what a serial run reports first), hence the barrier.
-                try:
-                    total_fees += self.check_transaction_inputs(
-                        tx, view, height)
-                except ValidationError as exc:
-                    batch.barrier(exc)
-                if not tx.is_coinbase:
-                    for index, tx_input in enumerate(tx.inputs):
-                        entry = view.get(tx_input.outpoint)
-                        assert entry is not None  # checked just above
-                        batch.add(tx, index, entry, tag)
+            except ValidationError as exc:
+                batch.barrier(exc)
+            if verify_scripts and not tx.is_coinbase:
+                for index, tx_input in enumerate(tx.inputs):
+                    batch.add(tx, index, view.get(tx_input.outpoint))
             undo.append(view.apply_transaction(tx, height))
-        if batch is not None:
-            batch.dispatch()
-        return PendingConnect(
-            block=block,
-            height=height,
-            verify_scripts=verify_scripts,
-            view=view,
-            undo=tuple(undo),
-            total_fees=total_fees,
-            executions=executions,
-            hits_before=hits_before,
-            batch=batch,
-            pending_checkpoints=pending_checkpoints,
-            checkpoint_txids=checkpoint_txids,
-        )
-
-    def finish_connect(self, pending: PendingConnect,
-                       commit: bool = True) -> ValidationReport:
-        """Settle a :meth:`begin_connect`: flush scripts, check the
-        coinbase cap, commit the overlay, and report.
-
-        Raises the same :class:`ValidationError` a serial
-        ``connect_block`` would, in the same order; on any failure the
-        overlay is discarded and the base UTXO source stays untouched.
-        """
-        block = pending.block
-        executions = pending.executions
-        if pending.batch is not None:
-            executions = pending.batch.flush()
-        total_fees = pending.total_fees
+        executions = batch.flush()
         coinbase_value = block.coinbase.total_output_value
         max_coinbase = self.params.coinbase_reward + total_fees
         if coinbase_value > max_coinbase:
@@ -686,26 +490,22 @@ class ValidationEngine:
                 f"coinbase claims {coinbase_value}, max is {max_coinbase}"
             )
         if commit:
-            pending.view.commit()
+            view.commit()
             if self.checkpoint_rules is not None:
-                self.checkpoint_rules.apply(pending.pending_checkpoints,
-                                            pending.checkpoint_txids)
-        if pending.batch is not None:
-            cache_hits = pending.batch.hits
-        else:
-            cache_hits = self.cache_stats.hits - pending.hits_before
+                self.checkpoint_rules.apply(pending_checkpoints,
+                                            checkpoint_txids)
         report = ValidationReport(
             block_hash=block.hash,
-            height=pending.height,
+            height=height,
             tx_count=len(block.transactions),
             total_fees=total_fees,
-            scripts_verified=pending.verify_scripts,
+            scripts_verified=verify_scripts,
             script_executions=executions,
-            cache_hits=cache_hits,
+            cache_hits=batch.hits,
             stages=("syntax", "contextual", "scripts", "connect")
-            if pending.verify_scripts
+            if verify_scripts
             else ("syntax", "contextual", "connect"),
-            undo=pending.undo,
+            undo=tuple(undo),
         )
         self.last_report = report
         return report
@@ -742,21 +542,6 @@ class ValidationEngine:
         except ValidationError:
             return True
         return False
-
-    # -- parallel backend ------------------------------------------------------
-
-    def attach_pool(self, pool) -> None:
-        """Route batched script verification through ``pool``.
-
-        The pool is borrowed, not owned: several engines may share one
-        (a federation shares its host's cores), so the engine never shuts
-        it down — :meth:`detach_pool` merely unhooks it.
-        """
-        self.verify_pool = pool
-
-    def detach_pool(self) -> None:
-        """Return to strictly serial script verification."""
-        self.verify_pool = None
 
     # -- cache management ------------------------------------------------------
 

@@ -10,9 +10,7 @@ Admission is a *verdict*, not an exception: :meth:`Mempool.accept` returns
 an :class:`AcceptResult` carrying the outcome, a stable ``reason_code``
 for programmatic flow control (gossip keys orphan handling off
 :data:`REJECT_MISSING_INPUTS`, not string matching), the fee the pool
-recorded, and any transactions evicted to make room.  The pre-redesign
-raise-only signature survives as the deprecated
-:meth:`Mempool.accept_or_raise` shim.
+recorded, and any transactions evicted to make room.
 
 Under sustained overload a :class:`MempoolPolicy` turns the pool into a
 fee market: a minimum fee-rate floor at the door, and size caps enforced
@@ -105,8 +103,8 @@ class AcceptResult:
         ``evicted``.
     :param txid: the subject transaction.
     :param reason: human-readable rejection diagnosis (empty on accept);
-        for :data:`REJECT_SCRIPT` et al. this is the exact
-        :class:`ValidationError` message the raise-only API produced.
+        for :data:`REJECT_SCRIPT` et al. this is the engine's
+        :class:`ValidationError` message.
     :param reason_code: one of the ``REJECT_*`` constants (empty on
         accept) — the field flow control should branch on.
     :param fee: the transaction's fee (inputs minus outputs), 0 when
@@ -208,18 +206,6 @@ class Mempool:
         finally:
             self.obs.observe("mempool.accept", self.obs.clock() - t0)
 
-    def accept_or_raise(self, tx: Transaction) -> None:
-        """Deprecated pre-:class:`AcceptResult` signature.
-
-        Raises :class:`ValidationError` with the result's reason instead
-        of returning the verdict; kept one release for external callers
-        that still use exception flow control.  New code must call
-        :meth:`accept`.
-        """
-        result = self.accept(tx)
-        if not result.accepted:
-            raise ValidationError(result.reason)
-
     def _reject(self, tx: Transaction, code: str, reason: str,
                 **fields) -> AcceptResult:
         return AcceptResult(accepted=False, txid=tx.txid, reason=reason,
@@ -308,8 +294,7 @@ class Mempool:
                 fee=fee, fee_per_kb=fee_per_kb)
 
         # Script execution, through the engine so verdicts land in the
-        # shared cache — and through its VerifyPool when one is attached
-        # (multi-input transactions fan out across workers).
+        # shared cache (all inputs as one cross-input batch).
         try:
             self._engine.verify_input_scripts(tx, resolved)
         except ValidationError as exc:

@@ -45,9 +45,8 @@ class Miner:
     reward_pubkey_hash: bytes
     obs: Optional[object] = None
     # When True, every template is speculatively connected (scripts and
-    # all, commit=False) before mining.  With a VerifyPool attached to
-    # the engine the checks fan out across workers, and the verdicts they
-    # warm into the script cache make the real connect cache-hit clean.
+    # all, commit=False) before mining; the verdicts this warms into the
+    # script cache make the real connect cache-hit clean.
     validate_template: bool = False
 
     def __post_init__(self) -> None:

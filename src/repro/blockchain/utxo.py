@@ -9,7 +9,7 @@ from typing import Iterator, Optional, Protocol, Union
 from repro.blockchain.transaction import OutPoint, Transaction, TxOutput
 from repro.errors import ValidationError
 
-__all__ = ["JournaledUTXOSet", "UTXOEntry", "UTXOSet", "UTXOView"]
+__all__ = ["UTXOEntry", "UTXOSet", "UTXOView"]
 
 
 @dataclass(frozen=True)
@@ -125,87 +125,6 @@ class UTXOSet:
         return dict(self._entries)
 
 
-class JournaledUTXOSet(UTXOSet):
-    """A :class:`UTXOSet` with an append-only undo journal.
-
-    Every mutation appends one ``(was_add, outpoint, entry)`` record —
-    O(1) per spend no matter how large the set grows — and
-    :meth:`rewind` plays records back in reverse, turning a reorg
-    disconnect into a journal rewind instead of per-transaction dict
-    surgery.  The mapping state after any sequence of operations is
-    identical to a plain :class:`UTXOSet` (the journal is pure history),
-    so digests computed over :meth:`items` agree bit-for-bit.
-
-    ``mark()`` values are monotone positions in the journal;
-    :meth:`prune` discards history older than a mark (bounding memory)
-    after which rewinding past it raises.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._journal: list[tuple[bool, OutPoint, UTXOEntry]] = []
-        self._base_mark = 0
-
-    def mark(self) -> int:
-        """The current journal position; pass to :meth:`rewind` later."""
-        return self._base_mark + len(self._journal)
-
-    @property
-    def journal_entries(self) -> int:
-        """Records currently held (post-prune) — telemetry, not state."""
-        return len(self._journal)
-
-    def add(self, outpoint: OutPoint, entry: UTXOEntry) -> None:
-        super().add(outpoint, entry)
-        self._journal.append((True, outpoint, entry))
-
-    def remove(self, outpoint: OutPoint) -> UTXOEntry:
-        entry = super().remove(outpoint)
-        self._journal.append((False, outpoint, entry))
-        return entry
-
-    def rewind(self, mark: int) -> None:
-        """Undo every mutation after ``mark``, newest first.
-
-        The inverse operations edit the mapping directly — they are
-        history being erased, not new history, so the journal shrinks
-        back to exactly ``mark``.
-        """
-        if mark < self._base_mark:
-            raise ValidationError(
-                f"cannot rewind to mark {mark}: journal pruned to "
-                f"{self._base_mark}"
-            )
-        if mark > self.mark():
-            raise ValidationError(
-                f"cannot rewind to future mark {mark} "
-                f"(journal is at {self.mark()})"
-            )
-        while self._base_mark + len(self._journal) > mark:
-            was_add, outpoint, entry = self._journal.pop()
-            if was_add:
-                del self._entries[outpoint]
-            else:
-                self._entries[outpoint] = entry
-
-    def prune(self, mark: int) -> None:
-        """Forget journal history older than ``mark``.
-
-        Reorg depth is bounded (the chain never rewinds past the fork
-        window), so history behind the deepest plausible fork point is
-        dead weight.  Rewinding past a pruned mark raises.
-        """
-        if mark > self.mark():
-            raise ValidationError(
-                f"cannot prune to future mark {mark} "
-                f"(journal is at {self.mark()})"
-            )
-        if mark <= self._base_mark:
-            return
-        del self._journal[:mark - self._base_mark]
-        self._base_mark = mark
-
-
 class UTXOView:
     """A copy-on-write overlay over a :class:`UTXOSet` (or another view).
 
@@ -279,19 +198,6 @@ class UTXOView:
                           is_coinbase=tx.is_coinbase),
             )
         return spent
-
-    def rebase(self, new_base: Union[UTXOSet, "UTXOView"]) -> None:
-        """Point this view's reads and future commit at ``new_base``.
-
-        The pipelined connect driver stacks block N+1's view on block N's
-        *uncommitted* view; once N commits (its delta now lives in the
-        real set), N+1's view must read through the set directly — its
-        old base has been reset and would resolve nothing.  Only the
-        pending delta is kept; rebasing onto a base that does not already
-        contain the old base's committed changes breaks the overlay's
-        invariants, and is the caller's responsibility to avoid.
-        """
-        self._base = new_base
 
     @property
     def dirty(self) -> bool:

@@ -9,7 +9,7 @@ flip ``verify_blocks`` for Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.blockchain.mempool import MempoolPolicy
@@ -157,8 +157,6 @@ class NetworkConfig:
     :param verify_blocks: the Fig. 5 (False) / Fig. 6 (True) toggle.
     :param verification_stall_base / verification_stall_per_tx: the
         modeled Multichain daemon stall per verified block.
-    :param parallel_workers: script-verification worker processes shared
-        by all daemons (0 = serial; verdicts identical either way).
     :param price: satoshi-like units a gateway earns per delivery.
     :param funding_coins / funding_coin_value: how many spendable coins
         each actor is bootstrapped with, and their denomination.
@@ -181,11 +179,8 @@ class NetworkConfig:
 
     Grouped sub-configs:
 
-    :param light: the light-client tier (:class:`LightConfig`).  The old
-        flat kwargs (``device_class`` … ``light_request_timeout``) are
-        deprecated but still accepted and still construct a
-        byte-identical config; they are folded into ``light`` and kept
-        mirrored for legacy readers.
+    :param light: the light-client tier (:class:`LightConfig`); the
+        default is the paper's all-full-node deployment.
     :param mempool: admission policy (:class:`MempoolPolicy`) applied to
         every full node; None keeps the historical unbounded pool.
     """
@@ -207,11 +202,6 @@ class NetworkConfig:
     # proof-of-work anywhere).
     consensus: str = "master"
     verify_blocks: bool = False
-    # Worker processes for script verification (0 = strictly serial, the
-    # default).  When positive, one shared repro.parallel.VerifyPool fans
-    # block-connect and mempool-admission script checks across processes
-    # on every daemon; verdicts are bit-identical to the serial path.
-    parallel_workers: int = 0
     verification_stall_base: float = 8.0
     verification_stall_per_tx: float = 0.055
     coinbase_maturity: int = 1
@@ -259,23 +249,8 @@ class NetworkConfig:
     rsa_bits: int = 512
     wait_for_confirmation: bool = False
 
-    # -- light-client tier -------------------------------------------------
-    # Grouped in :class:`LightConfig`; the default (None) synthesizes the
-    # sub-config from the flat fields below and is byte-identical to runs
-    # predating the grouping.  The light tier requires the flat topology.
-    light: Optional[LightConfig] = None
-    # Deprecated flat aliases for the LightConfig fields.  Passing them
-    # still works — ``__post_init__`` folds them into ``light`` — and
-    # after construction they mirror ``light.*`` exactly; new code should
-    # read/construct ``light`` directly.  Passing both a ``light``
-    # sub-config and a non-default flat kwarg is a configuration error.
-    device_class: str = "full"
-    compact_blocks: bool = False
-    multicast_interval: float = 0.0
-    multicast_verify_every: int = 4
-    multicast_listen_window: float = 2.0
-    light_sync_interval: float = 10.0
-    light_request_timeout: float = 5.0
+    # The light-client tier; requires the flat topology.
+    light: LightConfig = field(default_factory=LightConfig)
 
     # Mempool admission policy shared by every full node the network
     # assembles (None = the unbounded, no-fee-floor default that matches
@@ -340,11 +315,6 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"sync interval cannot be negative: {self.sync_interval}"
             )
-        if self.parallel_workers < 0:
-            raise ConfigurationError(
-                f"parallel worker count cannot be negative: "
-                f"{self.parallel_workers}"
-            )
         if self.num_gateways % self.topology.regions != 0:
             raise ConfigurationError(
                 f"{self.num_gateways} gateways do not divide evenly into "
@@ -357,7 +327,6 @@ class NetworkConfig:
                 f"roaming offset {self.roaming_offset} out of range for "
                 f"{self.gateways_per_region} gateways per region"
             )
-        self._fold_light_config()
         if self.light.device_class == "light" and self.topology.regions > 1:
             raise ConfigurationError(
                 "the light tier requires the flat topology "
@@ -366,32 +335,6 @@ class NetworkConfig:
         # Surface chain-parameter violations (block size floor, etc.) at
         # configuration time rather than at network assembly.
         self.chain_params()
-
-    def _fold_light_config(self) -> None:
-        """Reconcile the ``light`` sub-config with its flat aliases.
-
-        No sub-config given: synthesize one from the flat kwargs (so the
-        deprecated flat spelling keeps constructing the same object).
-        Sub-config given: reject conflicting non-default flat kwargs,
-        then backfill the flat mirrors so legacy readers stay correct.
-        Validation of the grouped fields lives in ``LightConfig``.
-        """
-        light_fields = [f.name for f in fields(LightConfig)]
-        if self.light is None:
-            object.__setattr__(self, "light", LightConfig(
-                **{name: getattr(self, name) for name in light_fields}
-            ))
-            return
-        for spec in fields(LightConfig):
-            flat = getattr(self, spec.name)
-            if flat != spec.default and flat != getattr(self.light, spec.name):
-                raise ConfigurationError(
-                    f"flat kwarg {spec.name}={flat!r} conflicts with the "
-                    f"light sub-config (deprecated flat spelling and "
-                    f"LightConfig are mutually exclusive)"
-                )
-        for name in light_fields:
-            object.__setattr__(self, name, getattr(self.light, name))
 
     def chain_params(self) -> ChainParams:
         """The derived blockchain parameters."""

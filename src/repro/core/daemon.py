@@ -59,8 +59,7 @@ class BlockchainDaemon:
                  node: FullNode, cost_model: CostModel,
                  rng: random.Random,
                  verify_blocks: Optional[bool] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 verify_pool: Optional[Any] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
         self.name = name
         self.network = network
@@ -71,13 +70,6 @@ class BlockchainDaemon:
         self.verify_blocks = (
             node.params.verify_blocks if verify_blocks is None else verify_blocks
         )
-        # Shared script-verification pool (repro.parallel.VerifyPool).
-        # The daemon borrows it for its engine while online; crash()
-        # unhooks it (a dead daemon must not keep dispatching to shared
-        # workers) and restart() re-attaches it to the restored node.
-        self.verify_pool = verify_pool
-        if verify_pool is not None:
-            node.engine.attach_pool(verify_pool)
         self.gossip = GossipNode(node, network, name=name, auto_register=False)
         network.register(name, self.handle_envelope)
         # Registry-backed and callable: read `daemon.stats.jobs_served`
@@ -131,10 +123,6 @@ class BlockchainDaemon:
                 job.span.end("lost", reason="daemon crash")
         self._queue.clear()
         self.network.set_host_down(self.name)
-        if self.verify_pool is not None:
-            # The pool itself is shared federation infrastructure — only
-            # this daemon's engine lets go of it.
-            self.node.engine.detach_pool()
         if self.sync_agent is not None:
             self.sync_agent.reset()
 
@@ -153,8 +141,6 @@ class BlockchainDaemon:
         self.gossip.reset_caches()
         self._seen_txids.clear()
         self._seen_blocks.clear()
-        if self.verify_pool is not None:
-            node.engine.attach_pool(self.verify_pool)
         self.online = True
         self.stats.restarts += 1
         self.network.set_host_up(self.name)

@@ -197,15 +197,6 @@ class BcWANNetwork:
         cfg = self.config
         params = cfg.chain_params()
 
-        # One shared script-verification pool for the whole federation —
-        # the daemons all run on one host here, so one set of worker
-        # processes serves every engine.  None keeps everything serial.
-        self.verify_pool = None
-        if cfg.parallel_workers > 0:
-            from repro.parallel.pool import VerifyPool
-            self.verify_pool = VerifyPool(cfg.parallel_workers,
-                                          registry=self.registry)
-
         if cfg.topology.regions == 1:
             self._build_flat(params)
         else:
@@ -235,7 +226,7 @@ class BcWANNetwork:
         # keys, funded and announced (endpoint = the light host) during
         # bootstrap, so gateways resolve @R straight to the light host.
         light_keys = []
-        if cfg.device_class == "light":
+        if cfg.light.device_class == "light":
             light_keys = [
                 KeyPair.generate(self.rngs.stream(f"light-key-{i}"))
                 for i in range(cfg.num_gateways)
@@ -246,7 +237,7 @@ class BcWANNetwork:
 
         # WAN: sites + master on a PlanetLab-like latency matrix.
         hosts = cfg.site_names + ["master"]
-        if cfg.device_class == "light":
+        if cfg.light.device_class == "light":
             hosts = hosts + cfg.light_names
         latency = PlanetLabLatencyMatrix(
             hosts, seed=cfg.seed ^ 0x5EED,
@@ -259,7 +250,7 @@ class BcWANNetwork:
         self.master_daemon = BlockchainDaemon(
             self.sim, "master", self.wan, master_node, cfg.cost_model,
             self.rngs.stream("daemon-master"), verify_blocks=False,
-            registry=self.registry, verify_pool=self.verify_pool,
+            registry=self.registry,
         )
         if self.profiler is not None:
             self._attach_profiler(master_node)
@@ -278,10 +269,10 @@ class BcWANNetwork:
         daemons = [self.master_daemon] + [site.daemon for site in self.sites]
         self._connect_full_mesh(daemons)
 
-        if cfg.compact_blocks:
+        if cfg.light.compact_blocks:
             self.compact_relays = [CompactBlockRelay(daemon)
                                    for daemon in daemons]
-        if cfg.device_class == "light":
+        if cfg.light.device_class == "light":
             self._build_light_tier(daemons, light_keys, registries,
                                    modulation)
 
@@ -313,7 +304,7 @@ class BcWANNetwork:
             self.sim, name, self.wan, node, cfg.cost_model,
             self.rngs.stream(f"daemon-{name}"),
             verify_blocks=cfg.verify_blocks,
-            registry=self.registry, verify_pool=self.verify_pool,
+            registry=self.registry,
         )
         if self.profiler is not None:
             self._attach_profiler(node)
@@ -377,8 +368,8 @@ class BcWANNetwork:
             spv = SpvClient(
                 self.sim, self.wan, name, tuple(peers),
                 pow_bits=cfg.pow_bits,
-                sync_interval=cfg.light_sync_interval,
-                request_timeout=cfg.light_request_timeout,
+                sync_interval=cfg.light.light_sync_interval,
+                request_timeout=cfg.light.light_request_timeout,
                 tracer=self.tracer,
             )
             wallet = LightWallet(light_keys[i])
@@ -391,20 +382,20 @@ class BcWANNetwork:
             )
             self.light_clients.append(spv)
             self.light_agents.append(agent)
-            if cfg.multicast_interval > 0:
+            if cfg.light.multicast_interval > 0:
                 site = self.sites[i]
                 self.multicasters.append(ChainMulticaster(
                     self.sim, self.wan, site.name, site.wallet.keypair,
-                    site.node.chain, (name,), cfg.multicast_interval,
+                    site.node.chain, (name,), cfg.light.multicast_interval,
                     modulation=modulation,
                     duty_cycle=cfg.gateway_duty_cycle,
                     tracer=self.tracer,
                 ))
                 spv.attach_multicast(
                     site.wallet.keypair.public_key.to_bytes(),
-                    cfg.multicast_interval,
-                    verify_every=cfg.multicast_verify_every,
-                    listen_window=cfg.multicast_listen_window,
+                    cfg.light.multicast_interval,
+                    verify_every=cfg.light.multicast_verify_every,
+                    listen_window=cfg.light.multicast_listen_window,
                 )
 
     @staticmethod
@@ -553,7 +544,7 @@ class BcWANNetwork:
         self.anchor_daemon = BlockchainDaemon(
             self.sim, "anchor", self.wan, anchor_node, cfg.cost_model,
             self.rngs.stream("daemon-anchor"), verify_blocks=False,
-            registry=self.registry, verify_pool=self.verify_pool,
+            registry=self.registry,
         )
         if self.profiler is not None:
             self._attach_profiler(anchor_node)
@@ -586,7 +577,7 @@ class BcWANNetwork:
                 self.sim, master_name, self.wan, master_node, cfg.cost_model,
                 self.rngs.stream(f"daemon-{master_name}"),
                 verify_blocks=False,
-                registry=self.registry, verify_pool=self.verify_pool,
+                registry=self.registry,
             )
             if self.profiler is not None:
                 self._attach_profiler(master_node)
@@ -614,7 +605,7 @@ class BcWANNetwork:
                 self.sim, anchor_names[r], self.wan, anchor_r_node,
                 cfg.cost_model, self.rngs.stream(f"daemon-{anchor_names[r]}"),
                 verify_blocks=cfg.verify_blocks,
-                registry=self.registry, verify_pool=self.verify_pool,
+                registry=self.registry,
             )
             if self.profiler is not None:
                 self._attach_profiler(anchor_r_node)
@@ -1015,21 +1006,6 @@ class BcWANNetwork:
                             )
                     break
         return self.report()
-
-    def close(self) -> None:
-        """Release host resources (the verification worker processes).
-
-        Safe to call repeatedly; a closed network keeps simulating with
-        serial verification.  Simulation state is untouched.
-        """
-        if self.verify_pool is not None:
-            self.verify_pool.shutdown()
-
-    def __enter__(self) -> "BcWANNetwork":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def all_daemons(self) -> dict[str, BlockchainDaemon]:
         """Every daemon in the deployment, by host name."""

@@ -11,7 +11,8 @@ full blocks.  This package provides the three cooperating mechanisms:
 * :mod:`repro.light.multicast` — Danzi-style repeat-authenticate
   broadcast of signed header bundles to duty-cycled Class-A listeners.
 
-Everything here is opt-in: with ``NetworkConfig.device_class == "full"``
+Everything here is opt-in through ``NetworkConfig.light`` (a
+:class:`~repro.core.config.LightConfig`): with ``device_class == "full"``
 and ``compact_blocks`` off, no module in this package is imported into a
 running network and full-node behavior is byte-identical.
 """

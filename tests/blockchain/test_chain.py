@@ -20,6 +20,7 @@ from repro.blockchain.transaction import (
     TxOutput,
 )
 from repro.blockchain.wallet import Wallet
+from repro.chaos.verify import chain_digest, utxo_digest
 from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
@@ -226,3 +227,113 @@ def test_double_spend_across_reorg_resolves_to_one_branch(rng):
     assert result.reorged
     assert node.chain.utxos.get(alice_coin) is None
     assert node.chain.utxos.get(OutPoint(txid=pay_bob.txid, index=0)) is not None
+
+
+# -- add_blocks == the per-block add_block loop --------------------------------
+
+CORPUS_PARAMS = ChainParams(coinbase_maturity=1)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Ten mined blocks carrying signed spends, in chain order."""
+    rng = random.Random(0x5EED)
+    node = FullNode(CORPUS_PARAMS, "builder")
+    wallet = Wallet(node.chain, KeyPair.generate(rng))
+    wallet.watch_chain()
+    miner = Miner(chain=node.chain, mempool=node.mempool,
+                  reward_pubkey_hash=wallet.pubkey_hash)
+    for i in range(10):
+        if i == 2:
+            # Split the first matured coinbase so later blocks can carry
+            # several independent spends each.
+            fanout = wallet.create_fanout(wallet.pubkey_hash, 1_000, 24)
+            assert node.mempool.accept(fanout).accepted
+        elif i >= 3:
+            for _ in range(rng.randint(1, 3)):
+                tx = wallet.create_payment(
+                    KeyPair.generate(rng).pubkey_hash, rng.randint(50, 500))
+                assert node.mempool.accept(tx).accepted
+        miner.mine_and_connect(float(i))
+    return [node.chain.block_at(h) for h in range(1, node.chain.height + 1)]
+
+
+def corrupt_signature(block: Block) -> Block:
+    """Flip one signature bit in the block's first non-coinbase spend."""
+    target = block.transactions[1]
+    sig, pubkey = target.inputs[0].script_sig.elements
+    transactions = list(block.transactions)
+    transactions[1] = target.with_input_script(
+        0, Script([bytes([sig[0] ^ 1]) + sig[1:], pubkey]))
+    return Block.assemble(
+        prev_hash=block.header.prev_hash,
+        timestamp=block.header.timestamp,
+        transactions=transactions,
+        nonce=block.header.nonce,
+    )
+
+
+def assert_add_blocks_equivalent(blocks, verify_scripts):
+    """``add_blocks`` must match a per-block ``add_block`` loop on
+    statuses, error strings, orphan map, and chain/UTXO digests."""
+    looped = Chain(CORPUS_PARAMS, verify_scripts=verify_scripts)
+    outcomes = []
+    for block in blocks:
+        try:
+            result = looped.add_block(block)
+            outcomes.append((result.status, result.reason))
+        except ValidationError as exc:
+            outcomes.append(("invalid", str(exc)))
+    batched = Chain(CORPUS_PARAMS, verify_scripts=verify_scripts)
+    results = batched.add_blocks(blocks)
+    assert [(r.status, r.reason) for r in results] == outcomes
+    assert chain_digest(batched) == chain_digest(looped)
+    assert utxo_digest(batched) == utxo_digest(looped)
+    assert dict(batched._orphans) == dict(looped._orphans)
+    return batched, outcomes
+
+
+def test_add_blocks_clean_chain_equivalence(corpus):
+    _, outcomes = assert_add_blocks_equivalent(corpus, verify_scripts=True)
+    assert all(status == "active" for status, _ in outcomes)
+
+
+def test_add_blocks_clean_chain_equivalence_without_scripts(corpus):
+    assert_add_blocks_equivalent(corpus, verify_scripts=False)
+
+
+@pytest.mark.parametrize("bad_at", [4, 6, 9])
+def test_add_blocks_invalid_block_equivalence(corpus, bad_at):
+    """A bad signature mid-stream: same error string, same orphan stash."""
+    blocks = list(corpus)
+    blocks[bad_at] = corrupt_signature(blocks[bad_at])
+    _, outcomes = assert_add_blocks_equivalent(blocks, verify_scripts=True)
+    assert outcomes[bad_at][0] == "invalid"
+    assert "script verification failed" in outcomes[bad_at][1]
+    for status, _ in outcomes[bad_at + 1:]:
+        assert status == "orphan"
+
+
+def test_add_blocks_invalid_block_not_detected_when_verification_off(corpus):
+    """Fig. 5 config: with scripts off the bad block connects."""
+    blocks = list(corpus)
+    blocks[5] = corrupt_signature(blocks[5])
+    _, outcomes = assert_add_blocks_equivalent(blocks, verify_scripts=False)
+    assert outcomes[5][0] == "active"
+
+
+def test_add_blocks_non_contiguous_batch(corpus):
+    """Out-of-order delivery: the early block is stashed as an orphan and
+    adopted when its parent arrives."""
+    shuffled = [corpus[1], corpus[0], *corpus[2:4]]
+    chain, outcomes = assert_add_blocks_equivalent(shuffled,
+                                                   verify_scripts=True)
+    assert [status for status, _ in outcomes[:2]] == ["orphan", "active"]
+    assert chain.height == 4
+
+
+def test_add_blocks_empty_and_single(corpus):
+    chain = Chain(CORPUS_PARAMS, verify_scripts=True)
+    assert chain.add_blocks([]) == []
+    results = chain.add_blocks(corpus[:1])
+    assert [r.status for r in results] == ["active"]

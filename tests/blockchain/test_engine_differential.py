@@ -1,17 +1,20 @@
-"""Differential conformance suite: parallel vs serial verification.
+"""Differential conformance suite: batch vs unbatched verification.
 
 A module-scoped *bank* pre-signs a zoo of candidate spends — valid and
 invalid P2PKH, high-S malleated twins, RSA key-release claims (good and
 bad eSk), CLTV refunds (rightful and wrong-key), multi-input mixes,
 double-spends, and contextual overspends.  Property-based tests then
 assemble blocks from random subsets/orderings of those candidates and
-assert a serial :class:`ValidationEngine`, a pool-backed one, and the
-two-phase pipelined connect (``begin_connect``/``finish_connect``) all
-return **byte-identical** outcomes: the same accept/reject verdict, the
-same error string, the same cache counters, and the same UTXO digest.
+assert the engine's cross-input batch path (``connect_block``,
+``Mempool.accept``) and a tests-side unbatched reference — a loop over
+``check_transaction_inputs`` + ``verify_input_script`` +
+``view.apply_transaction``, one input straight through the interpreter
+at a time — return **byte-identical** outcomes: the same accept/reject
+verdict, the same error string, the same cache counters, and the same
+UTXO digest.
 
 The ``determinism``-named tests double as the CI flake guard (run under
-``pytest --count=3`` in the ``parallel`` job).
+``pytest --count=3`` in the ``throughput`` job).
 """
 
 from __future__ import annotations
@@ -29,26 +32,19 @@ from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
 from repro.blockchain.transaction import Transaction, TxInput, TxOutput
-from repro.blockchain.utxo import UTXOSet
+from repro.blockchain.utxo import UTXOSet, UTXOView
 from repro.blockchain.wallet import Wallet
-from repro.chaos.verify import utxo_digest
+from repro.chaos.verify import chain_digest, utxo_digest
 from repro.crypto import rsa
 from repro.crypto.ecdsa import CURVE_ORDER, Signature
 from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
-from repro.parallel import VerifyPool
 from repro.script import builder
 from repro.script.script import Script
 
 # Candidate labels are documentation; the differential property only cares
-# that the two engines agree, whatever the verdict.
+# that the two paths agree, whatever the verdict.
 Candidate = tuple[str, Transaction]
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with VerifyPool(2, chunk_size=3) as shared:
-        yield shared
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +210,45 @@ def _replica_utxos(bank) -> UTXOSet:
     return replica
 
 
-def _connect_outcome(bank, engine, txs, two_phase=False) -> tuple:
+def _reference_connect(engine, block, utxos, height) -> tuple:
+    """The unbatched reference for ``connect_block``: contextual check,
+    then every input straight through the interpreter, then apply — one
+    transaction at a time against an overlay, committed at the end."""
+    view = UTXOView(utxos)
+    hits_before = engine.cache_stats.hits
+    total_fees = 0
+    executions = 0
+    for tx in block.transactions:
+        total_fees += engine.check_transaction_inputs(tx, view, height)
+        if not tx.is_coinbase:
+            for index, tx_input in enumerate(tx.inputs):
+                if not engine.verify_input_script(
+                        tx, index, view.get(tx_input.outpoint)):
+                    executions += 1
+        view.apply_transaction(tx, height)
+    max_coinbase = engine.params.coinbase_reward + total_fees
+    if block.coinbase.total_output_value > max_coinbase:
+        raise ValidationError(
+            f"coinbase claims {block.coinbase.total_output_value}, "
+            f"max is {max_coinbase}")
+    view.commit()
+    return (len(block.transactions), total_fees, executions,
+            engine.cache_stats.hits - hits_before)
+
+
+def _unbatch_admission(engine) -> None:
+    """Make ``Mempool.accept`` on this engine verify input-at-a-time."""
+    def verify_input_scripts(tx, entries):
+        return sum(not engine.verify_input_script(tx, index, entry)
+                   for index, entry in enumerate(entries))
+    engine.verify_input_scripts = verify_input_scripts
+
+
+def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
     """Run one block connect and flatten *everything* observable.
 
-    With ``two_phase=True`` the connect runs through the pipelined
-    primitive — ``begin_connect`` then ``finish_connect`` — which must be
-    observation-identical to the one-shot ``connect_block``.
+    ``reference=True`` runs the unbatched reference loop in place of the
+    engine's batch ``connect_block``.
     """
     height = bank.node.chain.height + 1
     block = Block.assemble(
@@ -230,44 +259,34 @@ def _connect_outcome(bank, engine, txs, two_phase=False) -> tuple:
     utxos = _replica_utxos(bank)
     stats = engine.cache_stats
     try:
-        if two_phase:
-            pending = engine.begin_connect(block, utxos, height,
-                                           verify_scripts=True)
-            report = engine.finish_connect(pending, commit=True)
+        if reference:
+            summary = _reference_connect(engine, block, utxos, height)
         else:
             report = engine.connect_block(block, utxos, height,
                                           verify_scripts=True, commit=True)
+            summary = (report.tx_count, report.total_fees,
+                       report.script_executions, report.cache_hits)
     except ValidationError as exc:
         return ("err", str(exc),
                 (stats.hits, stats.misses, stats.evictions),
                 engine.policy.stats.fast_rejects,
                 utxo_digest(SimpleNamespace(utxos=utxos)))
-    return ("ok", report.tx_count, report.total_fees,
-            report.script_executions, report.cache_hits,
+    return ("ok", *summary,
             (stats.hits, stats.misses, stats.evictions),
             engine.policy.stats.fast_rejects,
             utxo_digest(SimpleNamespace(utxos=utxos)))
 
 
-def _differential(bank, pool, txs) -> tuple:
-    serial_engine = ValidationEngine(bank.params)
-    pooled_engine = ValidationEngine(bank.params)
-    pooled_engine.attach_pool(pool)
-    piped_engine = ValidationEngine(bank.params)
-    serial = _connect_outcome(bank, serial_engine, txs)
-    pooled = _connect_outcome(bank, pooled_engine, txs)
-    piped = _connect_outcome(bank, piped_engine, txs, two_phase=True)
-    assert serial == pooled, (
-        f"serial/parallel divergence for "
-        f"{[label for label, _ in bank.candidates]}: "
-        f"\n  serial: {serial}\n  pooled: {pooled}"
+def _differential(bank, txs) -> tuple:
+    batch = _connect_outcome(bank, ValidationEngine(bank.params), txs)
+    unbatched = _connect_outcome(bank, ValidationEngine(bank.params), txs,
+                                 reference=True)
+    assert batch == unbatched, (
+        f"batch/unbatched divergence for "
+        f"{[label for label, tx in bank.candidates if tx in txs]}: "
+        f"\n  batch:     {batch}\n  unbatched: {unbatched}"
     )
-    assert serial == piped, (
-        f"serial/pipelined divergence for "
-        f"{[label for label, _ in bank.candidates]}: "
-        f"\n  serial: {serial}\n  piped:  {piped}"
-    )
-    return serial
+    return batch
 
 
 # -- properties --------------------------------------------------------------
@@ -275,16 +294,16 @@ def _differential(bank, pool, txs) -> tuple:
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_differential_random_blocks(bank, pool, data):
+def test_differential_random_blocks(bank, data):
     """Any subset, in any order: identical verdict, error, and digest."""
     count = len(bank.candidates)
     indices = data.draw(st.lists(st.sampled_from(range(count)),
                                  unique=True, min_size=1, max_size=8))
     txs = [bank.candidates[i][1] for i in indices]
-    _differential(bank, pool, txs)
+    _differential(bank, txs)
 
 
-def test_differential_seeded_sweep(bank, pool):
+def test_differential_seeded_sweep(bank):
     """A further 100 seeded shuffles, pushing total coverage past 200."""
     count = len(bank.candidates)
     verdicts = set()
@@ -293,12 +312,12 @@ def test_differential_seeded_sweep(bank, pool):
         size = rng.randint(1, count)
         indices = rng.sample(range(count), size)
         txs = [bank.candidates[i][1] for i in indices]
-        verdicts.add(_differential(bank, pool, txs)[0])
+        verdicts.add(_differential(bank, txs)[0])
     # The sweep must exercise both accepting and rejecting blocks.
     assert verdicts == {"ok", "err"}
 
 
-def test_differential_named_singletons(bank, pool):
+def test_differential_named_singletons(bank):
     """Every candidate alone in a block: agreement per flavour."""
     expected_ok = {
         "p2pkh-valid-0", "p2pkh-valid-1", "p2pkh-valid-2",
@@ -306,13 +325,13 @@ def test_differential_named_singletons(bank, pool):
         "multi-valid",
     }
     for label, tx in bank.candidates:
-        outcome = _differential(bank, pool, [tx])
+        outcome = _differential(bank, [tx])
         assert (outcome[0] == "ok") == (label in expected_ok), (
             f"{label}: unexpected verdict {outcome}"
         )
 
 
-def test_differential_script_error_beats_later_contextual(bank, pool):
+def test_differential_script_error_beats_later_contextual(bank):
     """Orderings that race a script failure against a contextual one."""
     by_label = dict(bank.candidates)
     valid = by_label["p2pkh-valid-0"]
@@ -322,12 +341,12 @@ def test_differential_script_error_beats_later_contextual(bank, pool):
                 [valid, conflict, badsig],
                 [badsig, valid, conflict],
                 [conflict, valid, badsig]):
-        outcome = _differential(bank, pool, txs)
+        outcome = _differential(bank, txs)
         assert outcome[0] == "err"
 
 
-def test_differential_mempool_admission(bank, pool):
-    """Every candidate through serial vs pooled mempool admission."""
+def test_differential_mempool_admission(bank):
+    """Every candidate through batch vs unbatched mempool admission."""
     params = bank.params
 
     def replay():
@@ -337,60 +356,57 @@ def test_differential_mempool_admission(bank, pool):
             node.chain.add_block(block)
         return node
 
-    serial_node = replay()
-    pooled_node = replay()
-    pooled_node.engine.attach_pool(pool)
-    try:
-        for label, tx in bank.candidates:
-            outcomes = []
-            for node in (serial_node, pooled_node):
-                result = node.mempool.accept(tx)
-                if result.accepted:
-                    outcomes.append(("ok", tx.txid in node.mempool))
-                    node.mempool.remove(tx.txid)
-                else:
-                    outcomes.append(("err", result.reason))
-            assert outcomes[0] == outcomes[1], (
-                f"{label}: mempool divergence {outcomes}"
-            )
-            if label == "p2pkh-highs":
-                assert outcomes[0][0] == "err"
-                assert "high-S" in outcomes[0][1]
-    finally:
-        pooled_node.engine.detach_pool()
+    batch_node = replay()
+    unbatched_node = replay()
+    _unbatch_admission(unbatched_node.engine)
+    for label, tx in bank.candidates:
+        outcomes = []
+        for node in (batch_node, unbatched_node):
+            result = node.mempool.accept(tx)
+            stats = node.engine.cache_stats
+            counters = (stats.hits, stats.misses, stats.evictions,
+                        node.engine.policy.stats.fast_rejects)
+            if result.accepted:
+                outcomes.append(("ok", tx.txid in node.mempool, counters))
+                node.mempool.remove(tx.txid)
+            else:
+                outcomes.append(("err", result.reason, counters))
+        assert outcomes[0] == outcomes[1], (
+            f"{label}: mempool divergence {outcomes}"
+        )
+        if label == "p2pkh-highs":
+            assert outcomes[0][0] == "err"
+            assert "high-S" in outcomes[0][1]
 
 
 # -- determinism guards (run under --count=3 in CI) --------------------------
 
 
-def test_determinism_pooled_repeat(bank, pool):
-    """The same mixed block, pooled, three times: identical outcomes."""
+def test_determinism_batch_repeat(bank):
+    """The same mixed block, three fresh engines: identical outcomes."""
     txs = [tx for _label, tx in bank.candidates[:6]]
-    outcomes = set()
-    for _ in range(3):
-        engine = ValidationEngine(bank.params)
-        engine.attach_pool(pool)
-        outcomes.add(_connect_outcome(bank, engine, txs))
+    outcomes = {
+        _connect_outcome(bank, ValidationEngine(bank.params), txs)
+        for _ in range(3)
+    }
     assert len(outcomes) == 1
 
 
-def test_determinism_full_chain_replay(bank, pool):
-    """Replaying the whole bank chain serial vs pooled: equal digests."""
-    from repro.chaos.verify import chain_digest
-
-    def replay(attach):
-        node = FullNode(bank.params, f"replay-{attach}")
-        if attach:
-            node.engine.attach_pool(pool)
-        for _height, block in bank.node.chain.iter_active_blocks(
-                start_height=1):
-            node.chain.add_block(block)
-        if attach:
-            node.engine.detach_pool()
-        return node
-
-    serial_node = replay(False)
-    pooled_node = replay(True)
-    assert chain_digest(serial_node.chain) == chain_digest(pooled_node.chain)
-    assert utxo_digest(serial_node.chain) == utxo_digest(pooled_node.chain)
-    assert utxo_digest(pooled_node.chain) == utxo_digest(bank.node.chain)
+def test_determinism_full_chain_replay(bank):
+    """Replaying the whole bank chain, batch ``add_block`` vs the
+    unbatched reference from genesis: equal digests and counters."""
+    node = FullNode(bank.params, "replay-batch", verify_scripts=True)
+    reference_engine = ValidationEngine(bank.params)
+    reference_utxos = UTXOSet()
+    for height, block in bank.node.chain.iter_active_blocks(start_height=1):
+        node.chain.add_block(block)
+        _reference_connect(reference_engine, block, reference_utxos, height)
+    assert chain_digest(node.chain) == chain_digest(bank.node.chain)
+    assert utxo_digest(node.chain) == utxo_digest(bank.node.chain)
+    assert utxo_digest(node.chain) == utxo_digest(
+        SimpleNamespace(utxos=reference_utxos))
+    batch_stats = node.engine.cache_stats
+    reference_stats = reference_engine.cache_stats
+    assert (batch_stats.hits, batch_stats.misses) == (
+        reference_stats.hits, reference_stats.misses)
+    assert batch_stats.misses > 0

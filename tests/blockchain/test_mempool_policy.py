@@ -18,7 +18,7 @@ from repro.blockchain.mempool import (
     REJECT_FULL,
 )
 from repro.crypto.keys import KeyPair
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ConfigurationError
 
 
 def _repool(node, policy):
@@ -194,17 +194,6 @@ def test_package_with_invalid_member_reports_per_member(funded_chain, rng):
     results = pool.accept_package([parent, child, parent])
     assert [r.accepted for r in results] == [True, True, False]
     assert results[2].reason_code == "duplicate"
-
-
-# -- the deprecated raise-only shim --------------------------------------------
-
-def test_accept_or_raise_shim_raises_the_reason(funded_chain, rng):
-    node, wallet, _miner = funded_chain
-    tx = _payment(wallet, rng, 100, fee=0)
-    node.mempool.accept_or_raise(tx)  # lint: allow(deprecated-accept)
-    assert tx.txid in node.mempool
-    with pytest.raises(ValidationError, match="already in pool"):
-        node.mempool.accept_or_raise(tx)  # lint: allow(deprecated-accept)
 
 
 def test_accept_result_is_frozen():

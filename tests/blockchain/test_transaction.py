@@ -248,3 +248,18 @@ def test_total_output_value():
                  TxOutput(value=12, script_pubkey=Script())],
     )
     assert tx.total_output_value == 42
+
+
+# -- batched sighash ------------------------------------------------------------
+
+def test_sighash_many_matches_per_input(funded_chain):
+    node, wallet, _miner = funded_chain
+    tx = wallet.create_fanout(wallet.pubkey_hash, 300, 4)
+    spends = []
+    for index, tx_input in enumerate(tx.inputs):
+        entry_spent = node.chain.utxos.get(tx_input.outpoint)
+        assert entry_spent is not None
+        spends.append((index, entry_spent.output.script_pubkey))
+    batched = tx.sighash_many(spends)
+    serial = [tx.sighash(index, locking) for index, locking in spends]
+    assert batched == serial

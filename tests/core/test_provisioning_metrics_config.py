@@ -139,39 +139,13 @@ def test_config_validation(kwargs):
 
 # -- grouped sub-configs -------------------------------------------------------
 
-def test_light_subconfig_synthesized_from_flat_kwargs():
-    from repro.core.config import LightConfig
-    config = NetworkConfig(device_class="light", multicast_interval=15.0)
-    assert config.light == LightConfig(device_class="light",
-                                       multicast_interval=15.0)
-    # The deprecated flat spelling and the grouped spelling are the same
-    # config object, field for field.
-    assert config == NetworkConfig(
-        light=LightConfig(device_class="light", multicast_interval=15.0))
-
-
-def test_light_subconfig_backfills_flat_mirrors():
-    from repro.core.config import LightConfig
-    config = NetworkConfig(light=LightConfig(compact_blocks=True,
-                                             light_sync_interval=30.0))
-    assert config.compact_blocks is True
-    assert config.light_sync_interval == 30.0
-    assert config.device_class == "full"
-
-
 def test_flat_default_is_byte_identical():
     from repro.core.config import LightConfig
     config = NetworkConfig()
     assert config.light == LightConfig()
-    assert config.device_class == "full"
-    assert config.compact_blocks is False
+    assert config.light.device_class == "full"
+    assert config.light.compact_blocks is False
     assert config.mempool is None
-
-
-def test_conflicting_flat_and_grouped_kwargs_rejected():
-    from repro.core.config import LightConfig
-    with pytest.raises(ConfigurationError, match="mutually exclusive"):
-        NetworkConfig(light=LightConfig(), device_class="light")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -186,8 +160,6 @@ def test_light_subconfig_validation(kwargs):
     from repro.core.config import LightConfig
     with pytest.raises(ConfigurationError):
         LightConfig(**kwargs)
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(**kwargs)
 
 
 def test_mempool_policy_threads_into_nodes():

@@ -1,6 +1,6 @@
 """End-to-end light-client tier: SPV recipients over the assembled network.
 
-These run small BcWAN deployments with ``device_class="light"`` — the
+These run small BcWAN deployments with ``LightConfig(device_class="light")`` — the
 recipient role moves off the full nodes onto duty-cycled SPV hosts that
 hold headers, watched transactions, and inclusion proofs, never block
 bodies.
@@ -13,15 +13,19 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from repro.core import BcWANNetwork, NetworkConfig
+from repro.core.config import LightConfig
 
-LIGHT = dict(
-    num_gateways=3,
-    sensors_per_gateway=2,
-    exchange_interval=20.0,
+LIGHT_TIER = LightConfig(
     device_class="light",
     compact_blocks=True,
     multicast_interval=15.0,
     light_sync_interval=30.0,
+)
+LIGHT = dict(
+    num_gateways=3,
+    sensors_per_gateway=2,
+    exchange_interval=20.0,
+    light=LIGHT_TIER,
 )
 
 
@@ -29,7 +33,6 @@ LIGHT = dict(
 def light_run():
     network = BcWANNetwork(NetworkConfig(seed=7, **LIGHT))
     report = network.run(num_exchanges=8)
-    network.close()
     return network, report
 
 
@@ -127,7 +130,6 @@ def test_wan_gauges_exported(light_run):
 def run_fingerprint(seed=11):
     network = BcWANNetwork(NetworkConfig(seed=seed, **LIGHT))
     report = network.run(num_exchanges=6)
-    network.close()
     return (
         report.completed,
         report.failed,
@@ -151,8 +153,8 @@ def test_serving_peer_crash_fails_over():
     """Downing the serving full node mid-run: the SPV client's unicast
     polls time out, score the peer, and the filter re-registers with the
     next one — exchanges keep completing."""
-    unicast_only = dict(LIGHT, multicast_interval=0.0,
-                        light_sync_interval=10.0)
+    unicast_only = dict(LIGHT, light=dc_replace(
+        LIGHT_TIER, multicast_interval=0.0, light_sync_interval=10.0))
     network = BcWANNetwork(NetworkConfig(seed=9, **unicast_only))
     spv = network.light_clients[0]
     first_peer = spv.serving_peer
@@ -165,7 +167,6 @@ def test_serving_peer_crash_fails_over():
 
     network.sim.process(crash_and_restart())
     report = network.run(num_exchanges=12)
-    network.close()
     assert spv.stats()["sync_timeouts"] >= 1
     assert spv.stats()["failovers"] >= 1
     assert spv.serving_peer != first_peer
@@ -181,12 +182,12 @@ def test_dishonest_multicaster_detected_and_survived():
     SPV sync, and the fair exchange still completes."""
     # verify_every=1 checks every bundle's signature immediately, so the
     # forgery is caught from round one even on a short run.
-    paranoid = dict(LIGHT, multicast_verify_every=1)
+    paranoid = dict(LIGHT, light=dc_replace(LIGHT_TIER,
+                                            multicast_verify_every=1))
     network = BcWANNetwork(NetworkConfig(seed=13, **paranoid))
     evil = network.multicasters[0]
     evil.tamper = lambda message: dc_replace(message, signature=b"\x00" * 8)
     report = network.run(num_exchanges=8)
-    network.close()
     victim = network.light_clients[0].multicast
     assert victim.stats()["dishonest_bundles"] > 0
     assert victim.stats()["headers_applied"] == 0  # nothing forged applied

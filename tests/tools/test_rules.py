@@ -1,8 +1,8 @@
-"""The exception-flow and pickle-boundary whole-program rules."""
+"""The exception-flow whole-program rule and the per-file import lints."""
 
 from tests.tools.conftest import load_fixture_project
 from tools.analysis.callgraph import CallGraph
-from tools.analysis.rules import ExceptionFlowRule, PickleBoundaryRule
+from tools.analysis.rules import ExceptionFlowRule
 
 
 def run_rule(rule_cls, *names):
@@ -57,41 +57,6 @@ def test_exception_flow_pragma_suppresses():
     assert "pragma_ok" not in names
 
 
-# -- pickle-boundary -----------------------------------------------------------
-
-def test_lambda_closure_and_bound_method_are_flagged():
-    violations = run_rule(PickleBoundaryRule, "fixpool.py")
-    methods = {violation.qualname.rpartition(".")[2]
-               for violation in violations
-               if "dispatch" in violation.qualname}
-    assert methods == {"dispatch_lambda", "dispatch_closure",
-                       "dispatch_method"}
-
-
-def test_module_level_function_is_clean():
-    violations = run_rule(PickleBoundaryRule, "fixpool.py")
-    assert not any("dispatch_ok" in violation.qualname
-                   for violation in violations)
-
-
-def test_unpicklable_dataclass_field_is_flagged():
-    violations = run_rule(PickleBoundaryRule, "fixpool.py")
-    classes = {violation.qualname.rpartition(".")[2]
-               for violation in violations
-               if "Job" in violation.qualname}
-    assert classes == {"BadJob"}
-    bad = [violation for violation in violations
-           if violation.qualname.endswith("BadJob")][0]
-    assert "Callable" in bad.message
-
-
-def test_pickle_rule_scoped_to_parallel_package():
-    # The same shapes outside src/repro/parallel/ are out of scope.
-    violations = run_rule(PickleBoundaryRule, "exflow.py", "hashsink.py",
-                          "clocksrc.py")
-    assert violations == []
-
-
 # -- per-file deprecated-import lint -------------------------------------------
 
 def _lint(source, path="src/repro/core/somefile.py"):
@@ -114,12 +79,14 @@ def test_deprecated_validation_import_hard_fails_despite_pragma():
     assert "deprecated-validation" in rules
 
 
-def test_deprecated_accept_call_is_flagged_and_pragma_allowed():
-    flagged = _lint("pool.accept_or_raise(tx)\n")
-    assert {v.rule for v in flagged} == {"deprecated-accept"}
-    allowed = _lint("pool.accept_or_raise(tx)  # lint: allow(deprecated-accept)\n")
-    assert not allowed
-
-
 def test_accept_result_call_is_clean():
     assert not _lint("result = pool.accept(tx)\n")
+
+
+def test_multiprocessing_import_is_flagged_anywhere_under_src():
+    for source in ("import multiprocessing\n",
+                   "from multiprocessing.pool import Pool\n"):
+        for path in ("src/repro/core/somefile.py",
+                     "src/repro/parallel/pool.py"):
+            assert {v.rule for v in _lint(source, path)} == {"multiprocessing"}
+    assert not _lint("import multiprocessing\n", "benchmarks/test_x.py")

@@ -10,8 +10,7 @@ the passes that need them:
   sinks (hash preimages, block connection and mempool admission, the
   BCWCP1 checkpoint codec, the deterministic JSONL export);
 * :mod:`tools.analysis.rules` — the exception-flow rule (broad handlers
-  that can swallow consensus errors) and the pickle-boundary rule
-  (payloads crossing the ``repro/parallel`` multiprocessing boundary);
+  that can swallow consensus errors);
 * :mod:`tools.analysis.report` — stable finding fingerprints, the
   ``json``/``sarif`` output formats, and the baseline workflow.
 
@@ -26,13 +25,13 @@ from pathlib import Path
 
 from tools.analysis.callgraph import CallGraph
 from tools.analysis.project import Project
-from tools.analysis.rules import ExceptionFlowRule, PickleBoundaryRule
+from tools.analysis.rules import ExceptionFlowRule
 from tools.analysis.taint import TaintAnalyzer
 from tools.checks import Violation
 
 __all__ = [
     "CallGraph", "Project", "TaintAnalyzer", "ExceptionFlowRule",
-    "PickleBoundaryRule", "run_whole_program", "analyze_project",
+    "run_whole_program", "analyze_project",
 ]
 
 
@@ -42,7 +41,6 @@ def analyze_project(project: Project) -> list[Violation]:
     violations: list[Violation] = []
     violations.extend(TaintAnalyzer(project, graph).run())
     violations.extend(ExceptionFlowRule(project, graph).run())
-    violations.extend(PickleBoundaryRule(project, graph).run())
     return violations
 
 

@@ -7,13 +7,6 @@
   try-body reaches one of them and that never re-raises turns a
   consensus fault into silence — exactly the divergence class the
   per-file ``bare-except`` rule cannot see across calls.
-
-* ``pickle-boundary`` — everything submitted to the multiprocessing
-  pool inside ``repro/parallel`` must survive a pickle round-trip:
-  the mapped callable has to be a module-level function (lambdas,
-  closures, and bound methods break under the ``spawn`` start method
-  even when ``fork`` happens to work), and the dataclasses that cross
-  the boundary must not carry unpicklable-typed fields.
 """
 
 from __future__ import annotations
@@ -27,7 +20,7 @@ from tools.analysis.project import FunctionInfo, Project, dotted_name
 from tools.analysis.taint import _own_nodes
 from tools.checks import Violation
 
-__all__ = ["ExceptionFlowRule", "PickleBoundaryRule"]
+__all__ = ["ExceptionFlowRule"]
 
 _CONSENSUS_ERRORS = frozenset({
     "ValidationError", "ProtocolError", "BcWANError",
@@ -35,7 +28,6 @@ _CONSENSUS_ERRORS = frozenset({
 _BROAD_HANDLERS = frozenset({"Exception", "BaseException"})
 
 EXCEPTION_FLOW_RULE = "exception-flow"
-PICKLE_BOUNDARY_RULE = "pickle-boundary"
 
 
 @dataclass(frozen=True)
@@ -222,130 +214,3 @@ class ExceptionFlowRule:
                                  + inner.chain)
                         return _RaiseInfo(error=inner.error, chain=chain)
         return None
-
-
-_POOL_SUBMIT_ATTRS = frozenset({
-    "map", "map_async", "imap", "imap_unordered", "starmap",
-    "starmap_async", "apply", "apply_async",
-})
-_UNPICKLABLE_ANNOTATIONS = frozenset({
-    "Callable", "Generator", "Iterator", "IO", "TextIO", "BinaryIO",
-    "Lock", "RLock", "Condition", "Queue", "Pool",
-})
-
-
-class PickleBoundaryRule:
-    """Flag unpicklable payloads crossing the repro/parallel boundary."""
-
-    rule = PICKLE_BOUNDARY_RULE
-
-    def __init__(self, project: Project, graph: Optional[CallGraph] = None
-                 ) -> None:
-        self.project = project
-        self.graph = graph or CallGraph(project)
-
-    def _in_scope(self, path: str) -> bool:
-        return path.startswith("src/repro/parallel/")
-
-    def run(self) -> list[Violation]:
-        violations: list[Violation] = []
-        for qualname, fn in self.project.functions.items():
-            if not self._in_scope(fn.path):
-                continue
-            module = self.project.module_for(fn)
-            local_defs = {
-                inner.name for inner in ast.walk(fn.node)
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and inner is not fn.node
-            }
-            for node in _own_nodes(fn.node):
-                if not isinstance(node, ast.Call) \
-                        or not isinstance(node.func, ast.Attribute) \
-                        or node.func.attr not in _POOL_SUBMIT_ATTRS:
-                    continue
-                receiver = dotted_name(node.func.value).lower()
-                if "pool" not in receiver:
-                    continue
-                if not node.args:
-                    continue
-                violations.extend(self._check_callable(
-                    node.args[0], fn, module, local_defs))
-        for module in self.project.modules.values():
-            if self._in_scope(module.path):
-                violations.extend(self._check_dataclasses(module))
-        return violations
-
-    def _violation(self, fn_or_mod, module, node: ast.AST, message: str,
-                   qualname: str) -> list[Violation]:
-        line = getattr(node, "lineno", 1)
-        if 0 < line <= len(module.source_lines) and \
-                f"lint: allow({self.rule})" in module.source_lines[line - 1]:
-            return []
-        snippet = module.source_lines[line - 1].strip() \
-            if 0 < line <= len(module.source_lines) else ""
-        return [Violation(path=module.path, line=line, rule=self.rule,
-                          message=message, qualname=qualname,
-                          snippet=snippet)]
-
-    def _check_callable(self, arg: ast.AST, fn: FunctionInfo, module,
-                        local_defs: set[str]) -> list[Violation]:
-        if isinstance(arg, ast.Lambda):
-            return self._violation(
-                fn, module, arg,
-                "lambda submitted to the worker pool — lambdas do not "
-                "pickle; use a module-level function", fn.qualname)
-        if isinstance(arg, ast.Name):
-            if arg.id in local_defs:
-                return self._violation(
-                    fn, module, arg,
-                    f"closure '{arg.id}' submitted to the worker pool — "
-                    f"nested functions do not pickle; hoist it to module "
-                    f"level", fn.qualname)
-            from tools.analysis.callgraph import resolve_call
-            fake = ast.Call(func=arg, args=[], keywords=[])
-            ast.copy_location(fake, arg)
-            resolved = resolve_call(fake, fn, module, self.project)
-            if resolved.internal and resolved.target:
-                target = self.project.function(resolved.target)
-                if target is not None and not target.is_module_level:
-                    return self._violation(
-                        fn, module, arg,
-                        f"'{arg.id}' submitted to the worker pool resolves "
-                        f"to {resolved.target}, which is not a module-level "
-                        f"function and will not pickle", fn.qualname)
-            return []
-        if isinstance(arg, ast.Attribute):
-            dotted = dotted_name(arg)
-            if dotted.startswith(("self.", "cls.")):
-                return self._violation(
-                    fn, module, arg,
-                    f"bound method '{dotted}' submitted to the worker pool "
-                    f"— bound methods drag their instance through pickle; "
-                    f"use a module-level function", fn.qualname)
-        return []
-
-    def _check_dataclasses(self, module) -> list[Violation]:
-        violations: list[Violation] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            is_dataclass = any(
-                _terminal_name(decorator) == "dataclass"
-                for decorator in node.decorator_list)
-            if not is_dataclass:
-                continue
-            for stmt in node.body:
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                annotation = ast.dump(stmt.annotation)
-                for bad in _UNPICKLABLE_ANNOTATIONS:
-                    if f"'{bad}'" in annotation:
-                        qualname = f"{module.modname}.{node.name}"
-                        violations.extend(self._violation(
-                            node, module, stmt,
-                            f"dataclass field of type {bad} in "
-                            f"'{node.name}' crosses the multiprocessing "
-                            f"boundary — {bad} does not pickle",
-                            qualname))
-                        break
-        return violations

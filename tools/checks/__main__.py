@@ -7,8 +7,8 @@ Two layers run under one command:
    the given paths (default: ``src tests benchmarks tools``);
 2. the **whole-program** pass from :mod:`tools.analysis` — symbol table
    + call graph over ``src/repro``, interprocedural taint from
-   nondeterminism sources into consensus/hash/export sinks, the
-   exception-flow rule, and the pickle-boundary rule.
+   nondeterminism sources into consensus/hash/export sinks, and the
+   exception-flow rule.
 
 Findings carry stable fingerprints (rule + path + qualname + normalized
 snippet — line-drift independent).  ``--baseline FILE`` makes the run

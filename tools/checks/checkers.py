@@ -31,9 +31,8 @@ __all__ = [
     "UnorderedSetIterationChecker",
     "DeprecatedValidationImportChecker",
     "DeprecatedShimImportChecker",
-    "DeprecatedAcceptChecker",
     "AdHocTelemetryChecker",
-    "MultiprocessingOutsideParallelChecker",
+    "MultiprocessingChecker",
 ]
 
 _CONSENSUS_PACKAGES = (
@@ -251,28 +250,6 @@ class DeprecatedShimImportChecker(Checker):
         self.generic_visit(node)
 
 
-class DeprecatedAcceptChecker(Checker):
-    """No new callers of the raise-only ``Mempool.accept_or_raise``.
-
-    Admission is a verdict, not an exception: ``Mempool.accept`` returns
-    an ``AcceptResult`` carrying the reject reason code, fee rate, and
-    eviction list, and every in-repo caller branches on it.  The
-    raise-only spelling survives only as a deprecated shim for external
-    callers; its dedicated coverage test (via pragma) is the one allowed
-    in-repo call site.
-    """
-
-    rule = "deprecated-accept"
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and \
-                func.attr == "accept_or_raise":
-            self.report(node, "call to deprecated Mempool.accept_or_raise — "
-                              "branch on Mempool.accept's AcceptResult")
-        self.generic_visit(node)
-
-
 class AdHocTelemetryChecker(Checker):
     """Telemetry lives in ``repro.obs``, not in scattered counter bags.
 
@@ -339,30 +316,28 @@ class AdHocTelemetryChecker(Checker):
         self.generic_visit(node)
 
 
-class MultiprocessingOutsideParallelChecker(Checker):
-    """Process-level parallelism lives in ``repro.parallel`` only.
+class MultiprocessingChecker(Checker):
+    """No ``multiprocessing`` import anywhere under ``src/repro``.
 
-    The pool's determinism guarantees (ordered aggregation, serial
-    fallback, parent-owned cache) hold because every fan-out goes through
-    :class:`~repro.parallel.pool.VerifyPool`.  A stray ``multiprocessing``
-    import elsewhere in ``repro`` would bypass all of them — and would
-    silently break on platforms whose spawn method can't pickle the
-    object graph.  Tests and benchmarks may orchestrate processes freely.
+    A run is one deterministic process: every result is reproducible
+    from the seed because nothing depends on worker scheduling, and a
+    fan-out would silently break on platforms whose spawn method can't
+    pickle the object graph.  Tests and benchmarks may orchestrate
+    processes freely.
     """
 
-    rule = "multiprocessing-outside-parallel"
+    rule = "multiprocessing"
 
     _MODULE = "multiprocessing"
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
-        return (path.startswith("src/repro/")
-                and not path.startswith("src/repro/parallel/"))
+        return path.startswith("src/repro/")
 
     def _check_module(self, node: ast.AST, name: Optional[str]) -> None:
         if name == self._MODULE or (name or "").startswith(self._MODULE + "."):
-            self.report(node, f"'{name}' import outside repro.parallel — "
-                              f"go through VerifyPool")
+            self.report(node, f"'{name}' import under src/repro — the "
+                              f"simulator is single-process")
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -381,7 +356,6 @@ ALL_CHECKERS: tuple[type[Checker], ...] = (
     UnorderedSetIterationChecker,
     DeprecatedValidationImportChecker,
     DeprecatedShimImportChecker,
-    DeprecatedAcceptChecker,
     AdHocTelemetryChecker,
-    MultiprocessingOutsideParallelChecker,
+    MultiprocessingChecker,
 )

@@ -2,7 +2,7 @@
 
 The shape follows the related LPWAN repo's ``gen_configs.py`` /
 ``run_sweep_local.py`` pair: a JSON grid names axes (fleet size x SF x
-consensus x chaos plan x device_class), :mod:`tools.sweep.grid` expands it
+consensus x chaos plan), :mod:`tools.sweep.grid` expands it
 into pinned-order cells with per-cell derived seeds, and
 :mod:`tools.sweep.runner` fans the cells into per-config JSON result rows
 feeding the ``BENCH_*.json`` trail.  Two runs of the same grid produce

@@ -91,16 +91,13 @@ def run_cell(cell: SweepCell, num_exchanges: int = 40,
     num_exchanges = params.pop("num_exchanges", num_exchanges)
     config = NetworkConfig(seed=cell.seed, **params)
     network = BcWANNetwork(config)
-    try:
-        plan = CHAOS_PLANS[chaos](config, cell.seed)
-        if plan is not None:
-            ChaosInjector(network.sim, network.wan, plan,
-                          daemons=network.all_daemons(),
-                          registry=network.registry).install()
-        report = network.run(num_exchanges=num_exchanges,
-                             max_duration=max_duration)
-    finally:
-        network.close()
+    plan = CHAOS_PLANS[chaos](config, cell.seed)
+    if plan is not None:
+        ChaosInjector(network.sim, network.wan, plan,
+                      daemons=network.all_daemons(),
+                      registry=network.registry).install()
+    report = network.run(num_exchanges=num_exchanges,
+                         max_duration=max_duration)
     launched = report.exchanges_launched
     row = {
         "cell": cell.cell_id,
