@@ -11,7 +11,7 @@ implements the equivalent substrate:
 * :mod:`repro.blockchain.utxo`, :mod:`repro.blockchain.engine`,
   :mod:`repro.blockchain.chain` — state (with copy-on-write overlay
   views), the staged validation engine with its script-verification
-  cache, fork choice, reorgs;
+  cache and crypto-verdict memo, fork choice, reorgs;
 * :mod:`repro.blockchain.mempool`, :mod:`repro.blockchain.miner` —
   unconfirmed pool and block production;
 * :mod:`repro.blockchain.checkpoint` — sub-chain digests anchored on the
@@ -47,6 +47,7 @@ from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode, RelayDecision
 from repro.blockchain.params import COIN, ChainParams
 from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
+from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.store import (
     deserialize_block,
     load_chain,
@@ -85,6 +86,7 @@ __all__ = [
     "ScriptCacheStats",
     "ValidationEngine",
     "ValidationReport",
+    "VerdictMemo",
     "OutPoint",
     "PoSProducer",
     "RelayDecision",

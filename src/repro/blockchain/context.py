@@ -9,11 +9,11 @@ transaction's ``locktime``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.transaction import SEQUENCE_FINAL, Transaction
-from repro.crypto import ecdsa
 from repro.script.script import Script
 
 __all__ = ["TransactionContext", "LOCKTIME_THRESHOLD"]
@@ -26,36 +26,29 @@ LOCKTIME_THRESHOLD = 500_000_000
 class TransactionContext:
     """Execution context for verifying ``tx.inputs[input_index]``.
 
-    The two optional fields are the batch-verification fast path
+    The two optional fields are the engine's fast path
     (:mod:`repro.blockchain.sigbatch`): ``sighash_hint`` is this input's
     precomputed SIGHASH_ALL digest (against ``locking_script``), and
-    ``verdict_cache`` maps ``(pubkey_bytes, digest, sig_bytes)`` to a
-    verdict precomputed by :func:`repro.crypto.ecdsa.verify_batch`.
-    Both are pure accelerations: a missing hint or cache entry falls
-    back to the exact computation they replace.
+    ``verdict_memo`` holds the ``(pubkey_bytes, digest, sig_bytes)``
+    verdicts already computed — by :func:`repro.crypto.ecdsa.verify_batch`
+    for this flush, or by any earlier check through the same memo.
+    Both are pure accelerations: a missing hint or memo entry falls
+    back to the exact computation they replace (whose verdict the memo
+    then keeps); a context built without a memo starts an empty one.
     """
 
     tx: Transaction
     input_index: int
     locking_script: Script
     sighash_hint: Optional[bytes] = None
-    verdict_cache: Optional[dict] = None
+    verdict_memo: VerdictMemo = field(default_factory=VerdictMemo)
 
     def check_ecdsa_signature(self, pubkey: bytes, signature: bytes) -> bool:
         """Verify a compact 64-byte signature over this input's sighash."""
-        try:
-            public_key = ecdsa.PublicKey.from_bytes(pubkey)
-            sig = ecdsa.Signature.from_bytes(signature)
-        except ecdsa.ECDSAError:
-            return False
         digest = self.sighash_hint
         if digest is None:
             digest = self.tx.sighash(self.input_index, self.locking_script)
-        if self.verdict_cache is not None:
-            cached = self.verdict_cache.get((pubkey, digest, signature))
-            if cached is not None:
-                return cached
-        return public_key.verify(digest, sig)
+        return self.verdict_memo.check_ecdsa(pubkey, digest, signature)
 
     def check_locktime(self, required: int) -> bool:
         """BIP-65: the spending tx must itself be locked at least as far.

@@ -23,12 +23,13 @@ from repro.blockchain.block import Block
 from repro.blockchain.checkpoint import Checkpoint, iter_checkpoints
 from repro.blockchain.context import TransactionContext
 from repro.blockchain.params import ChainParams
-from repro.blockchain.sigbatch import precompute_verdicts
+from repro.blockchain.sigbatch import VerdictMemo, precompute_verdicts
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
 from repro.script.analysis import StandardnessPolicy
 from repro.script.interpreter import ScriptInterpreter
+from repro.script.script import Script
 
 __all__ = [
     "MAX_MONEY",
@@ -134,30 +135,27 @@ class _ScriptBatch:
 
         One :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
         computes every input's sighash (one serialization per tx) and
-        batch-verifies all recognizable CHECKSIG spends; the interpreter
-        then replays each script pair with those results as pure
-        accelerations, so verdicts match the unbatched path bit-for-bit.
+        batch-verifies the recognizable CHECKSIG spends the engine's
+        verdict memo does not know yet; the interpreter then replays each
+        script pair with those results as pure accelerations, so verdicts
+        match the unbatched path bit-for-bit.
         """
         queue, self.queue = self.queue, []
         if not queue:
             return 0
         engine = self.engine
-        hints, verdicts = precompute_verdicts(
+        hints = precompute_verdicts(
             [(tx, index, entry.output.script_pubkey)
-             for tx, index, entry in queue])
+             for tx, index, entry in queue], engine.verdict_memo)
         executions = 0
         for tx, index, entry in queue:
             locking = entry.output.script_pubkey
-            context = TransactionContext(
-                tx=tx, input_index=index, locking_script=locking,
-                sighash_hint=hints.get((tx.txid, index)),
-                verdict_cache=verdicts,
-            )
             # A miss is counted before executing, so the failing run is
             # a miss too (never cached).
             engine.cache_stats.misses += 1
-            if not ScriptInterpreter(context=context).verify(
-                    tx.inputs[index].script_sig, locking):
+            interpreter = engine._interpreter(tx, index, locking,
+                                              hints[(tx.txid, index)])
+            if not interpreter.verify(tx.inputs[index].script_sig, locking):
                 raise ValidationError(
                     f"script verification failed for input {index} of "
                     f"{tx.txid.hex()[:16]}.. "
@@ -191,6 +189,12 @@ class ValidationEngine:
         fast-reject before each interpreter execution.  The precheck
         only rejects spends whose execution provably fails, so toggling
         it never changes a verdict — only where the cost is paid.
+
+    ``verdict_memo`` is the engine's
+    :class:`~repro.blockchain.sigbatch.VerdictMemo`: the ECDSA and
+    RSA-pair verdicts its interpreter runs have computed.  Private by
+    default; a deployment that simulates many daemons in one process
+    assigns them all the same memo.
     """
 
     def __init__(self, params: ChainParams,
@@ -209,6 +213,7 @@ class ValidationEngine:
         # and the offending tx never reaches a later stage twice).
         self._script_cache: dict[tuple[bytes, int, bytes], bool] = {}
         self.cache_stats = ScriptCacheStats()
+        self.verdict_memo = VerdictMemo()
         self.last_report: Optional[ValidationReport] = None
         # Optional wall-clock profiler (repro.obs.profile.HotPathProfiler).
         # None by default: the hot paths below pay exactly one attribute
@@ -325,11 +330,8 @@ class ValidationEngine:
                     f"{tx.txid.hex()[:16]}..: {reason}"
                 )
         self.cache_stats.misses += 1
-        context = TransactionContext(
-            tx=tx, input_index=index,
-            locking_script=entry.output.script_pubkey,
-        )
-        interpreter = ScriptInterpreter(context=context)
+        interpreter = self._interpreter(tx, index,
+                                        entry.output.script_pubkey)
         obs = self.obs
         if obs is None:
             verified = interpreter.verify(tx.inputs[index].script_sig,
@@ -347,6 +349,18 @@ class ValidationEngine:
             )
         self._cache_store(key)
         return False
+
+    def _interpreter(self, tx: Transaction, index: int, locking: Script,
+                     sighash_hint: Optional[bytes] = None,
+                     ) -> ScriptInterpreter:
+        """An interpreter for one input, wired to the verdict memo."""
+        memo = self.verdict_memo
+        context = TransactionContext(
+            tx=tx, input_index=index, locking_script=locking,
+            sighash_hint=sighash_hint, verdict_memo=memo,
+        )
+        return ScriptInterpreter(context=context,
+                                 rsa_pair_check=memo.check_rsa_pair)
 
     def _cache_store(self, key: tuple[bytes, int, bytes]) -> None:
         """Record a successful verdict, FIFO-evicting at capacity."""

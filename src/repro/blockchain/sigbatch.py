@@ -1,4 +1,4 @@
-"""Cross-input ECDSA batching: static extraction + precomputed verdicts.
+"""Cross-input ECDSA batching and the crypto-verdict memo.
 
 The throughput engine's batch layer.  Given the ``(tx, input_index,
 locking_script)`` triples a block (or one multi-input admission) is about
@@ -10,17 +10,19 @@ front-loads their expensive work:
 * every input's SIGHASH_ALL digest is computed through
   :meth:`~repro.blockchain.transaction.Transaction.sighash_many`, which
   serializes each transaction once instead of once per input;
-* all recognized ``(pubkey, digest, signature)`` triples go through
+* the recognized ``(pubkey, digest, signature)`` triples the
+  :class:`VerdictMemo` does not know yet go through
   :func:`repro.crypto.ecdsa.verify_batch`, which amortizes fixed-base
   table setup across inputs sharing a pubkey and batches the modular
   inversions.
 
 The interpreter still executes every opcode of every script — the
-precomputed digests and verdicts are handed to
-:class:`~repro.blockchain.context.TransactionContext` as pure
-accelerations, so verdicts, error strings, and side effects are
-bit-identical to the unbatched path (``verify_batch`` itself is
-verdict-identical to ``PublicKey.verify``).
+precomputed digests and memoised verdicts reach it through
+:class:`~repro.blockchain.context.TransactionContext` and the
+``rsa_pair_check`` hook as pure accelerations, so verdicts, error
+strings, and side effects are bit-identical to the unbatched, unmemoised
+path (``verify_batch`` itself is verdict-identical to
+``PublicKey.verify``).
 """
 
 from __future__ import annotations
@@ -34,13 +36,104 @@ from repro.script.analysis import (
     OUTPUT_P2PKH,
     classify_output,
 )
+from repro.script.interpreter import check_rsa_pair
 from repro.script.script import Script
 
-__all__ = ["extract_checksig_spend", "precompute_verdicts"]
+__all__ = ["ECDSA", "RSA_PAIR", "VerdictMemo", "extract_checksig_spend",
+           "precompute_verdicts"]
+
+#: Memo key tags: ``(ECDSA, pubkey_bytes, sighash, signature_bytes)`` and
+#: ``(RSA_PAIR, public_bytes, private_bytes)``.
+ECDSA = "ecdsa"
+RSA_PAIR = "rsa_pair"
 
 #: Locking shapes whose single OP_CHECKSIG consumes exactly the two
 #: pushes of a ``<sig> <pubkey>`` unlocking script.
 _CHECKSIG_SHAPES = (OUTPUT_P2PKH, OUTPUT_CLTV_GUARDED)
+
+
+class VerdictMemo:
+    """FIFO-bounded memo of signature-check verdicts.
+
+    An ECDSA verification and an ``OP_CHECKRSA512PAIR`` match are pure
+    functions of the bytes in their key, so a stored verdict — True or
+    False — is the verdict, whichever engine asks.  Every
+    :class:`~repro.blockchain.engine.ValidationEngine` owns a private
+    memo; :class:`~repro.core.network.BcWANNetwork` hands all its nodes
+    one, so the host verifies each signature of a deployment once
+    instead of once per simulated daemon (whose verification *time* the
+    cost model charges in simulated seconds either way).
+
+    ``misses`` counts verifications executed, ``hits`` interpreter
+    checks answered by an earlier one, ``evictions`` entries dropped at
+    the bound — each per kind.  A verdict the batch layer computes ahead
+    of the interpreter (``prefetched``) is the miss it was; its first
+    read is not a hit.
+    """
+
+    def __init__(self, max_entries: int = 1 << 14) -> None:
+        self.max_entries = max_entries
+        self._verdicts: dict[tuple, bool] = {}
+        self._prefetched: set[tuple] = set()
+        self.hits = {ECDSA: 0, RSA_PAIR: 0}
+        self.misses = {ECDSA: 0, RSA_PAIR: 0}
+        self.evictions = {ECDSA: 0, RSA_PAIR: 0}
+
+    def __len__(self) -> int:
+        return len(self._verdicts)
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._verdicts
+
+    def get(self, key: tuple) -> Optional[bool]:
+        """The stored verdict for ``key``, or None."""
+        verdict = self._verdicts.get(key)
+        if verdict is not None:
+            if key in self._prefetched:
+                self._prefetched.discard(key)
+            else:
+                self.hits[key[0]] += 1
+        return verdict
+
+    def put(self, key: tuple, verdict: bool, prefetched: bool = False) -> None:
+        """Record a verdict just computed, evicting the oldest at the bound."""
+        if len(self._verdicts) >= self.max_entries:
+            oldest = next(iter(self._verdicts))
+            del self._verdicts[oldest]
+            self._prefetched.discard(oldest)
+            self.evictions[oldest[0]] += 1
+        self._verdicts[key] = verdict
+        self.misses[key[0]] += 1
+        if prefetched:
+            self._prefetched.add(key)
+
+    def check_ecdsa(self, pubkey: bytes, digest: bytes,
+                    signature: bytes) -> bool:
+        """Whether compact ``signature`` over ``digest`` verifies under
+        SEC1 ``pubkey``, through the memo.  Unparseable material is False
+        (and not stored: nothing was verified)."""
+        key = (ECDSA, pubkey, digest, signature)
+        verdict = self.get(key)
+        if verdict is None:
+            # A stored verdict was computed from these very bytes, so
+            # only a miss has to parse them.
+            try:
+                public_key = ecdsa.PublicKey.from_bytes(pubkey)
+                parsed = ecdsa.Signature.from_bytes(signature)
+            except ecdsa.ECDSAError:
+                return False
+            verdict = public_key.verify(digest, parsed)
+            self.put(key, verdict)
+        return verdict
+
+    def check_rsa_pair(self, public: bytes, private: bytes) -> bool:
+        """The interpreter's ``rsa_pair_check`` hook, through the memo."""
+        key = (RSA_PAIR, public, private)
+        verdict = self.get(key)
+        if verdict is None:
+            verdict = check_rsa_pair(public, private)
+            self.put(key, verdict)
+        return verdict
 
 
 def extract_checksig_spend(script_sig: Script,
@@ -66,14 +159,14 @@ def extract_checksig_spend(script_sig: Script,
 
 def precompute_verdicts(
     spends: Sequence[tuple[Transaction, int, Script]],
-) -> tuple[dict[tuple[bytes, int], bytes], dict[tuple[bytes, bytes, bytes], bool]]:
+    memo: VerdictMemo,
+) -> dict[tuple[bytes, int], bytes]:
     """Precompute sighash digests and ECDSA verdicts for a spend batch.
 
-    Returns ``(hints, verdicts)``: ``hints`` maps ``(txid, input_index)``
-    to the input's SIGHASH_ALL digest, ``verdicts`` maps
-    ``(pubkey, digest, signature)`` to the batch-verified outcome.  Both
-    feed :class:`~repro.blockchain.context.TransactionContext` fields of
-    the same names' purpose.
+    Returns ``hints``, mapping ``(txid, input_index)`` to the input's
+    SIGHASH_ALL digest, and leaves in ``memo`` the verdict of every
+    recognizable CHECKSIG spend: triples it already holds are skipped,
+    the rest are batch-verified and stored.
     """
     hints: dict[tuple[bytes, int], bytes] = {}
     by_tx: dict[bytes, list[tuple[int, Script]]] = {}
@@ -86,8 +179,8 @@ def precompute_verdicts(
         for (input_index, _), digest in zip(pairs, digests):
             hints[(txid, input_index)] = digest
 
+    keys: list[tuple] = []
     items: list[tuple[ecdsa.PublicKey, bytes, ecdsa.Signature]] = []
-    keys: list[tuple[bytes, bytes, bytes]] = []
     for tx, input_index, locking in spends:
         extracted = extract_checksig_spend(tx.inputs[input_index].script_sig,
                                            locking)
@@ -95,24 +188,19 @@ def precompute_verdicts(
             continue
         pubkey, signature = extracted
         digest = hints[(tx.txid, input_index)]
-        try:
-            public_key = ecdsa.PublicKey.from_bytes(pubkey)
-            sig = ecdsa.Signature.from_bytes(signature)
-        except ecdsa.ECDSAError:
-            # The interpreter's CHECKSIG returns False for unparseable
-            # material; recording that verdict here skips the re-parse.
-            keys.append((pubkey, digest, signature))
-            items.append(None)
+        key = (ECDSA, pubkey, digest, signature)
+        if key in memo:
             continue
-        keys.append((pubkey, digest, signature))
-        items.append((public_key, digest, sig))
-
-    verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
-    parseable = [(i, item) for i, item in enumerate(items) if item is not None]
-    batch_results = ecdsa.verify_batch([item for _, item in parseable])
-    for (slot, _), ok in zip(parseable, batch_results):
-        verdicts[keys[slot]] = ok
-    for slot, item in enumerate(items):
-        if item is None:
-            verdicts[keys[slot]] = False
-    return hints, verdicts
+        try:
+            item = (ecdsa.PublicKey.from_bytes(pubkey), digest,
+                    ecdsa.Signature.from_bytes(signature))
+        except ecdsa.ECDSAError:
+            # The interpreter's CHECKSIG answers False for unparseable
+            # material; nothing to verify, nothing to store.
+            continue
+        keys.append(key)
+        items.append(item)
+    if items:
+        for key, verdict in zip(keys, ecdsa.verify_batch(items)):
+            memo.put(key, verdict, prefetched=True)
+    return hints

@@ -200,6 +200,8 @@ class ChaosInjector:
         else:
             node = FullNode(old_chain.params, name=crash.host,
                             verify_scripts=old_chain.verify_scripts)
+        # Same host process, same deployment: keep its verdict memo.
+        node.engine.verdict_memo = old_chain.engine.verdict_memo
         daemon.restart(node)
         self.telemetry.restarts += 1
         self.telemetry.record_fault(

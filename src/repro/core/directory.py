@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.blockchain.chain import Chain
+from repro.blockchain.sigbatch import VerdictMemo
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, address_from_pubkey
@@ -61,11 +62,15 @@ def build_announcement_payload(keypair: KeyPair, endpoint: str,
     return ANNOUNCEMENT_MAGIC + body + signature
 
 
-def parse_announcement_payload(payload: bytes) -> Optional[tuple[str, str, int]]:
+def parse_announcement_payload(
+        payload: bytes, memo: Optional[VerdictMemo] = None,
+) -> Optional[tuple[str, str, int]]:
     """Parse and authenticate a payload; returns (address, endpoint, port).
 
     Returns None for foreign/invalid OP_RETURN data — the chain carries
     arbitrary application payloads, so parsing is defensive, not raising.
+    The signature check goes through ``memo`` when one is given: every
+    gateway of a deployment scans the same announcements.
     """
     if not payload.startswith(ANNOUNCEMENT_MAGIC):
         return None
@@ -89,7 +94,9 @@ def parse_announcement_payload(payload: bytes) -> Optional[tuple[str, str, int]]
         public_key = ecdsa.PublicKey.from_bytes(pubkey_bytes)
         body = payload[body_start:offset]
         digest = sha256(ANNOUNCEMENT_MAGIC + body)
-        if not public_key.verify(digest, ecdsa.Signature.from_bytes(signature)):
+        if memo is None:
+            memo = VerdictMemo()
+        if not memo.check_ecdsa(pubkey_bytes, digest, signature):
             return None
         address = address_from_pubkey(public_key)
         return address, endpoint_bytes.decode("utf-8"), port
@@ -124,7 +131,8 @@ class DirectoryView:
                 elements = output.script_pubkey.elements
                 if (len(elements) == 2 and elements[0] == OP.OP_RETURN
                         and isinstance(elements[1], bytes)):
-                    parsed = parse_announcement_payload(elements[1])
+                    parsed = parse_announcement_payload(
+                        elements[1], self._chain.engine.verdict_memo)
                     if parsed is None:
                         continue
                     address, endpoint, port = parsed

@@ -38,6 +38,7 @@ from typing import Optional
 from repro.blockchain.checkpoint import CheckpointRules
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
+from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.wallet import Wallet
 from repro.core.config import NetworkConfig
 from repro.core.settlement import CheckpointAgent
@@ -179,6 +180,11 @@ class BcWANNetwork:
                          if self.config.profile_hot_paths else None)
         self.sim.obs = self.profiler
         self.tracker = ExchangeTracker(self.tracer)
+        # Every daemon of the deployment runs in this one host process:
+        # they share one crypto-verdict memo, so the host verifies each
+        # signature once.  What a node spends verifying is simulated time,
+        # charged by the cost model, so no trace depends on it.
+        self.verdict_memo = VerdictMemo()
         self.sites: list[Site] = []
         self.regions: list[Region] = []
         self.sensors: list[NodeAgent] = []
@@ -206,12 +212,7 @@ class BcWANNetwork:
         cfg = self.config
 
         # Master (the AWS EC2 instance): bootstraps and mines.
-        # Script re-verification on block connect is disabled on every
-        # node for CPU economy — scripts are fully verified at mempool
-        # admission on all six nodes; the *timing* of Fig. 6's block
-        # verification is modeled by the daemon stall.
-        master_node = FullNode(params, "master", verify_scripts=False,
-                               mempool_policy=self.config.mempool)
+        master_node = self._new_node(params, "master")
         master_key = KeyPair.generate(self.rngs.stream("master-key"))
         self.master_wallet = Wallet(master_node.chain, master_key)
         self.master_wallet.watch_chain()
@@ -297,8 +298,7 @@ class BcWANNetwork:
         tags the agents with the sub-chain they settle on.
         """
         cfg = self.config
-        node = FullNode(params, name, verify_scripts=False,
-                        mempool_policy=cfg.mempool)
+        node = self._new_node(params, name)
         self._replay_chain(source_node, node)
         daemon = BlockchainDaemon(
             self.sim, name, self.wan, node, cfg.cost_model,
@@ -425,6 +425,19 @@ class BcWANNetwork:
                 for agent in self.sync_agents:
                     agent.obs = self.profiler
 
+    def _new_node(self, params, name: str) -> FullNode:
+        """A full node of this deployment, on the shared verdict memo.
+
+        Script re-verification on block connect is disabled on every
+        node for CPU economy — scripts are fully verified at mempool
+        admission on all nodes; the *timing* of Fig. 6's block
+        verification is modeled by the daemon stall.
+        """
+        node = FullNode(params, name, verify_scripts=False,
+                        mempool_policy=self.config.mempool)
+        node.engine.verdict_memo = self.verdict_memo
+        return node
+
     def _attach_profiler(self, node: FullNode) -> None:
         node.engine.obs = self.profiler
         node.mempool.obs = self.profiler
@@ -526,8 +539,7 @@ class BcWANNetwork:
         # Global settlement chain.  Every settlement engine carries its
         # own CheckpointRules, so each anchor node independently rejects
         # stale or regressing region digests.
-        anchor_node = FullNode(params, "anchor", verify_scripts=False,
-                               mempool_policy=self.config.mempool)
+        anchor_node = self._new_node(params, "anchor")
         anchor_node.engine.checkpoint_rules = CheckpointRules()
         anchor_key = KeyPair.generate(self.rngs.stream("anchor-master-key"))
         self.anchor_wallet = Wallet(anchor_node.chain, anchor_key)
@@ -562,8 +574,7 @@ class BcWANNetwork:
 
             # The region's own master: bootstraps and mines the sub-chain.
             master_name = master_names[r]
-            master_node = FullNode(params, master_name, verify_scripts=False,
-                                   mempool_policy=cfg.mempool)
+            master_node = self._new_node(params, master_name)
             master_key = KeyPair.generate(
                 self.rngs.stream(f"master-key-r{r}"))
             master_wallet = Wallet(master_node.chain, master_key)
@@ -596,9 +607,7 @@ class BcWANNetwork:
                 [master_daemon] + [site.daemon for site in region_sites])
 
             # The region's settlement node + checkpoint agent.
-            anchor_r_node = FullNode(params, anchor_names[r],
-                                     verify_scripts=False,
-                                     mempool_policy=cfg.mempool)
+            anchor_r_node = self._new_node(params, anchor_names[r])
             anchor_r_node.engine.checkpoint_rules = CheckpointRules()
             self._replay_chain(anchor_node, anchor_r_node)
             anchor_r_daemon = BlockchainDaemon(
@@ -1068,6 +1077,7 @@ class BcWANNetwork:
         else:
             chain_height = self.anchor_daemon.node.height
         self._sync_wan_gauges(len(completed), chain_height)
+        self._sync_verdict_memo_counters()
         return RunReport(
             exchanges_launched=self._exchanges_launched,
             completed=len(completed),
@@ -1104,6 +1114,17 @@ class BcWANNetwork:
                               for name in block_types)
             self.registry.gauge("wan.bytes_per_block").set(
                 block_bytes / chain_height)
+
+    def _sync_verdict_memo_counters(self) -> None:
+        """Mirror the shared memo's counters into the registry: ``misses``
+        is how many verifications this deployment's host executed."""
+        memo = self.verdict_memo
+        for name in ("hits", "misses", "evictions"):
+            counter = self.registry.counter(f"crypto.verdict_memo.{name}",
+                                            "kind")
+            for kind, value in getattr(memo, name).items():
+                cell = counter.labels(kind=kind)
+                cell.inc(value - cell.value)
 
     # -- observability exports ----------------------------------------------------
 

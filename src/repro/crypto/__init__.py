@@ -1,15 +1,16 @@
 """Cryptographic substrate for the BcWAN reproduction.
 
-Everything here is implemented from scratch (the only stdlib crypto used is
-``hashlib``'s SHA-256 on hot paths, cross-validated against the pure-Python
-implementation in :mod:`repro.crypto.sha256`):
+Everything here is implemented from scratch except the digests, which go
+through ``hashlib`` (SHA-256 is cross-validated against the pure-Python
+oracle in ``tests/oracles/``; RIPEMD-160 falls back to the in-tree
+:mod:`repro.crypto.ripemd160` where the provider lacks it):
 
 * :mod:`repro.crypto.aes` / :mod:`repro.crypto.modes` — AES-256-CBC for the
   node→recipient payload (paper Fig. 4);
 * :mod:`repro.crypto.rsa` — RSA-512 ephemeral key pairs and node signatures;
 * :mod:`repro.crypto.ecdsa` — secp256k1 transaction signatures;
-* :mod:`repro.crypto.sha256`, :mod:`repro.crypto.ripemd160`,
-  :mod:`repro.crypto.hashing` — hashing (HASH160, double SHA-256);
+* :mod:`repro.crypto.hashing`, :mod:`repro.crypto.ripemd160` — hashing
+  (HASH160, double SHA-256);
 * :mod:`repro.crypto.base58`, :mod:`repro.crypto.keys` — addresses.
 """
 

@@ -1,10 +1,9 @@
 """Hashing facade used by the rest of the repository.
 
-SHA-256 goes through :mod:`hashlib` (C speed) on hot paths; the pure-Python
-implementations in :mod:`repro.crypto.sha256` and
-:mod:`repro.crypto.ripemd160` are the reference implementations the test
-suite validates against.  RIPEMD-160 always uses the pure-Python code since
-OpenSSL 3 dropped it from the default provider.
+Everything goes through :mod:`hashlib` (C speed).  RIPEMD-160 is the one
+digest a provider may lack — OpenSSL 3 moved it out of the default
+provider — so it is probed once at import, and the pure-Python
+:mod:`repro.crypto.ripemd160` is the single fallback.
 """
 
 from __future__ import annotations
@@ -12,9 +11,17 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 
-from repro.crypto.ripemd160 import ripemd160 as _ripemd160_pure
+__all__ = ["sha256", "double_sha256", "ripemd160", "hash160", "hmac_sha256",
+           "tagged_hash"]
 
-__all__ = ["sha256", "double_sha256", "hash160", "hmac_sha256", "tagged_hash"]
+try:
+    hashlib.new("ripemd160")
+except ValueError:
+    from repro.crypto.ripemd160 import ripemd160
+else:
+    def ripemd160(data: bytes) -> bytes:
+        """RIPEMD-160 of ``data``."""
+        return hashlib.new("ripemd160", data).digest()
 
 
 def sha256(data: bytes) -> bytes:
@@ -29,7 +36,7 @@ def double_sha256(data: bytes) -> bytes:
 
 def hash160(data: bytes) -> bytes:
     """RIPEMD160(SHA256(data)) — the Bitcoin-family address hash."""
-    return _ripemd160_pure(hashlib.sha256(data).digest())
+    return ripemd160(hashlib.sha256(data).digest())
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:

@@ -109,9 +109,12 @@ class LoRaRadio:
             frequency, wait = self._pick_channel()
             if wait > 0:
                 yield self.sim.timeout(wait)
-            start = self.sim.now
+            # ``now + (not_before - now)`` can land one ulp short of
+            # ``not_before``; the transmission counts from the permitted
+            # instant, which is ``now`` itself in every other case.
+            limiter = self.limiters[frequency]
             airtime = self.time_on_air(frame)
-            self.limiters[frequency].register(start, airtime)
+            limiter.register(limiter.next_allowed(self.sim.now), airtime)
             transmission = self.channel.transmit(
                 sender=self.name, position=self.position, frame=frame,
                 modulation=self.modulation, frequency_hz=frequency,

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 from repro.crypto import rsa
-from repro.crypto.hashing import double_sha256, sha256
-from repro.crypto.ripemd160 import ripemd160
-from repro.crypto.hashing import hash160
+from repro.crypto.hashing import double_sha256, hash160, ripemd160, sha256
 from repro.script.errors import EvaluationError, ScriptError
 from repro.script.opcodes import OP, opcode_name
 from repro.script.script import Script, decode_number, encode_number
@@ -31,6 +29,7 @@ __all__ = [
     "MAX_STACK_SIZE",
     "NullContext",
     "ScriptInterpreter",
+    "check_rsa_pair",
     "verify_spend",
 ]
 
@@ -98,7 +97,7 @@ class ScriptInterpreter:
 
     def __post_init__(self) -> None:
         if self.rsa_pair_check is None:
-            self.rsa_pair_check = _default_rsa_pair_check
+            self.rsa_pair_check = check_rsa_pair
 
     # -- public API ---------------------------------------------------------
 
@@ -416,7 +415,7 @@ _BINARY_NUMERIC = {
 }
 
 
-def _default_rsa_pair_check(public: bytes, private: bytes) -> bool:
+def check_rsa_pair(public: bytes, private: bytes) -> bool:
     """The paper's OP_CHECKRSA512PAIR semantics (OpenSSL ``VerifyPubKey``).
 
     Malformed keys evaluate to False rather than aborting the script, so a

@@ -13,6 +13,12 @@ at a time — return **byte-identical** outcomes: the same accept/reject
 verdict, the same error string, the same cache counters, and the same
 UTXO digest.
 
+Every comparison then repeats on engines that *share* a
+:class:`~repro.blockchain.sigbatch.VerdictMemo` — one unbounded, one
+bounded to four entries so it evicts constantly — fed batch-first and
+reference-first: whatever an earlier engine, example or test left in the
+memo, the outcome is the private-memo outcome.
+
 The ``determinism``-named tests double as the CI flake guard (run under
 ``pytest --count=3`` in the ``throughput`` job).
 """
@@ -31,12 +37,15 @@ from repro.blockchain.engine import ValidationEngine
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
-from repro.blockchain.transaction import Transaction, TxInput, TxOutput
+from repro.blockchain.sigbatch import ECDSA, RSA_PAIR, VerdictMemo
+from repro.blockchain.transaction import (OutPoint, Transaction, TxInput,
+                                           TxOutput)
 from repro.blockchain.utxo import UTXOSet, UTXOView
 from repro.blockchain.wallet import Wallet
 from repro.chaos.verify import chain_digest, utxo_digest
-from repro.crypto import rsa
+from repro.crypto import ecdsa, rsa
 from repro.crypto.ecdsa import CURVE_ORDER, Signature
+from repro.crypto.hashing import hash160
 from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script import builder
@@ -49,7 +58,7 @@ Candidate = tuple[str, Transaction]
 
 @pytest.fixture(scope="module")
 def bank():
-    """A funded chain plus ~15 pre-signed candidate spends."""
+    """A funded chain plus ~20 pre-signed candidate spends."""
     rng = random.Random(0xD1FF)
     params = ChainParams(coinbase_maturity=1, locktime_grace=3)
     node = FullNode(params, "diff-bank")
@@ -72,10 +81,22 @@ def bank():
     offers = {
         name: buyer.create_key_release_offer(
             rsa_key.public_key.to_bytes(), gateway.pubkey_hash, 300)
-        for name in ("claim", "badclaim", "refund", "wrongkey")
+        for name in ("claim", "badclaim", "refund", "wrongkey", "wrongpair")
     }
     for offer in offers.values():
         node.mempool.accept(offer.transaction)
+    # Coins locked to the hash of 33 bytes that are no curve point: the
+    # spend reaches OP_CHECKSIG and the pubkey fails to parse there.
+    off_curve = next(
+        candidate for candidate in (
+            b"\x02" + x.to_bytes(32, "big") for x in range(1, 50))
+        if _unparseable(candidate))
+    bad_pubkeys = {"badprefix": b"\x05" + bytes(32), "offcurve": off_curve}
+    bad_pubkey_coins = {}
+    for name, pubkey in bad_pubkeys.items():
+        funding = buyer.create_payment(hash160(pubkey), 700)
+        node.mempool.accept(funding)
+        bad_pubkey_coins[name] = funding
     miner.mine_and_connect(11.0)
     # Pass every refund locktime (offers default to height+grace).
     while node.chain.height <= max(o.refund_locktime for o in offers.values()):
@@ -161,6 +182,29 @@ def bank():
     candidates.append(
         ("refund-wrongkey", gateway.refund_key_release(offers["wrongkey"])))
 
+    # A well-formed RSA key that is not the pair: OP_CHECKRSA512PAIR
+    # computes False and the buyer's refund arm is taken.
+    wrongpair = buyer.refund_key_release(offers["wrongpair"])
+    elements = list(wrongpair.inputs[0].script_sig.elements)
+    elements[2] = rsa_wrong.to_bytes()
+    candidates.append(
+        ("refund-wrongpair", wrongpair.with_input_script(0, Script(elements))))
+
+    for name, pubkey in bad_pubkeys.items():
+        funding = bad_pubkey_coins[name]
+        spend = Transaction(
+            inputs=[TxInput(outpoint=OutPoint(txid=funding.txid, index=0))],
+            outputs=[TxOutput(value=600,
+                              script_pubkey=builder.p2pkh_locking(
+                                  gateway.pubkey_hash))],
+        )
+        signature = buyer.sign_input(spend, 0,
+                                     funding.outputs[0].script_pubkey)
+        candidates.append(
+            (f"p2pkh-pubkey-{name}",
+             spend.with_input_script(
+                 0, builder.p2pkh_unlocking(signature, pubkey))))
+
     def multi_input(amounts, corrupt_index=None):
         coins = [take_coin() for _ in amounts]
         tx = Transaction(
@@ -195,9 +239,20 @@ def bank():
         0, builder.p2pkh_unlocking(signature, buyer.pubkey_bytes))
     candidates.append(("overspend", overspend))
 
+    # Shared by every engine the harness builds, across examples and
+    # tests: the bounded one evicts on nearly every block.
+    memos = (VerdictMemo(), VerdictMemo(max_entries=4))
     return SimpleNamespace(params=params, node=node, miner=miner,
                            buyer=buyer, gateway=gateway,
-                           candidates=candidates)
+                           candidates=candidates, memos=memos)
+
+
+def _unparseable(pubkey: bytes) -> bool:
+    try:
+        ecdsa.PublicKey.from_bytes(pubkey)
+    except ecdsa.ECDSAError:
+        return True
+    return False
 
 
 # -- harness -----------------------------------------------------------------
@@ -277,15 +332,34 @@ def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
             utxo_digest(SimpleNamespace(utxos=utxos)))
 
 
+def _engine(bank, memo=None) -> ValidationEngine:
+    """A fresh engine; on ``memo`` when given, else on its private one."""
+    engine = ValidationEngine(bank.params)
+    if memo is not None:
+        engine.verdict_memo = memo
+    return engine
+
+
 def _differential(bank, txs) -> tuple:
-    batch = _connect_outcome(bank, ValidationEngine(bank.params), txs)
-    unbatched = _connect_outcome(bank, ValidationEngine(bank.params), txs,
-                                 reference=True)
+    labels = [label for label, tx in bank.candidates if tx in txs]
+    batch = _connect_outcome(bank, _engine(bank), txs)
+    unbatched = _connect_outcome(bank, _engine(bank), txs, reference=True)
     assert batch == unbatched, (
-        f"batch/unbatched divergence for "
-        f"{[label for label, tx in bank.candidates if tx in txs]}: "
+        f"batch/unbatched divergence for {labels}: "
         f"\n  batch:     {batch}\n  unbatched: {unbatched}"
     )
+    # Shared memos, both feed orders: the second engine of each pair (and
+    # every later example) meets verdicts it did not compute.
+    for memo in bank.memos:
+        for order in ((False, True), (True, False)):
+            for reference in order:
+                shared = _connect_outcome(bank, _engine(bank, memo), txs,
+                                          reference=reference)
+                assert shared == batch, (
+                    f"shared-memo divergence (bound {memo.max_entries}, "
+                    f"reference={reference}) for {labels}: "
+                    f"\n  private: {batch}\n  shared:  {shared}"
+                )
     return batch
 
 
@@ -322,7 +396,7 @@ def test_differential_named_singletons(bank):
     expected_ok = {
         "p2pkh-valid-0", "p2pkh-valid-1", "p2pkh-valid-2",
         "p2pkh-conflict", "p2pkh-highs", "claim-valid", "refund-valid",
-        "multi-valid",
+        "refund-wrongpair", "multi-valid",
     }
     for label, tx in bank.candidates:
         outcome = _differential(bank, [tx])
@@ -346,22 +420,28 @@ def test_differential_script_error_beats_later_contextual(bank):
 
 
 def test_differential_mempool_admission(bank):
-    """Every candidate through batch vs unbatched mempool admission."""
+    """Every candidate through batch vs unbatched mempool admission, on
+    private memos and on each shared memo in both feed orders."""
     params = bank.params
 
-    def replay():
+    def replay(memo=None, unbatched=False):
         node = FullNode(params, "diff-replay")
+        if memo is not None:
+            node.engine.verdict_memo = memo
         for _height, block in bank.node.chain.iter_active_blocks(
                 start_height=1):
             node.chain.add_block(block)
+        if unbatched:
+            _unbatch_admission(node.engine)
         return node
 
-    batch_node = replay()
-    unbatched_node = replay()
-    _unbatch_admission(unbatched_node.engine)
+    nodes = [replay(), replay(unbatched=True)]
+    for memo in bank.memos:
+        nodes += [replay(memo), replay(memo, unbatched=True),
+                  replay(memo, unbatched=True), replay(memo)]
     for label, tx in bank.candidates:
         outcomes = []
-        for node in (batch_node, unbatched_node):
+        for node in nodes:
             result = node.mempool.accept(tx)
             stats = node.engine.cache_stats
             counters = (stats.hits, stats.misses, stats.evictions,
@@ -371,12 +451,110 @@ def test_differential_mempool_admission(bank):
                 node.mempool.remove(tx.txid)
             else:
                 outcomes.append(("err", result.reason, counters))
-        assert outcomes[0] == outcomes[1], (
+        assert outcomes.count(outcomes[0]) == len(outcomes), (
             f"{label}: mempool divergence {outcomes}"
         )
         if label == "p2pkh-highs":
             assert outcomes[0][0] == "err"
             assert "high-S" in outcomes[0][1]
+
+
+# -- the verdict memo itself ---------------------------------------------------
+
+
+def test_shared_memo_verifies_each_signature_once_and_the_bound_evicts(bank):
+    """What the shared runs above rely on, from the memos' own counters."""
+    unbounded, tiny = (VerdictMemo(), VerdictMemo(max_entries=4))
+    txs = [tx for _label, tx in bank.candidates]
+    for memo in (unbounded, tiny):
+        outcomes = {
+            _connect_outcome(bank, _engine(bank, memo), [tx],
+                             reference=reference)
+            for reference in (False, True, False) for tx in txs
+        }
+        # Same outcomes as engines that share nothing.
+        assert outcomes == {_connect_outcome(bank, _engine(bank), [tx])
+                            for tx in txs}
+    # Unbounded: three passes over the zoo, one execution per distinct check
+    # (True and False verdicts alike), everything else answered.
+    assert unbounded.evictions == {ECDSA: 0, RSA_PAIR: 0}
+    assert unbounded.misses[ECDSA] == sum(
+        1 for key in unbounded._verdicts if key[0] == ECDSA)
+    # p2pkh-wrongkey fails at OP_EQUALVERIFY: the batch layer verified its
+    # signature ahead of an OP_CHECKSIG that never ran.
+    assert len(unbounded._prefetched) == 1
+    assert unbounded.hits[ECDSA] == 2 * (unbounded.misses[ECDSA] - 1)
+    # Five key-release spends, three distinct (public, private) pairs —
+    # the right key, the wrong key, the refund placeholder.
+    assert unbounded.misses[RSA_PAIR] == 3
+    assert unbounded.hits[RSA_PAIR] == 5 * 3 - 3
+    assert False in unbounded._verdicts.values()
+    # Bounded to four: it evicted, re-verified, and never grew.
+    assert len(tiny) == 4
+    assert tiny.evictions[ECDSA] > 0 and tiny.evictions[RSA_PAIR] > 0
+    assert tiny.misses[ECDSA] > unbounded.misses[ECDSA]
+
+
+_MEMO_KEYS = [KeyPair.generate(random.Random(seed)) for seed in (1, 2, 3)]
+_FLAVOURS = ("valid", "high-s", "flipped", "random", "other-key",
+             "bad-prefix")
+
+
+def _memo_triple(key_index: int, digest: bytes, flavour: str,
+                 noise: bytes) -> tuple[bytes, bytes, bytes]:
+    """One ``(pubkey_bytes, digest, signature_bytes)`` of a given flavour."""
+    key = _MEMO_KEYS[key_index]
+    pubkey = key.public_key.to_bytes()
+    signature = key.sign(digest)
+    if flavour == "high-s":
+        signature = Signature(r=signature.r, s=CURVE_ORDER - signature.s)
+    sig_bytes = signature.to_bytes()
+    if flavour == "flipped":
+        sig_bytes = bytes([sig_bytes[0] ^ 1]) + sig_bytes[1:]
+    elif flavour == "random":
+        sig_bytes = noise
+    elif flavour == "other-key":
+        other = _MEMO_KEYS[(key_index + 1) % len(_MEMO_KEYS)]
+        pubkey = other.public_key.to_bytes()
+    elif flavour == "bad-prefix":
+        pubkey = b"\x05" + pubkey[1:]
+    return pubkey, digest, sig_bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    draws=st.lists(
+        st.tuples(st.integers(0, len(_MEMO_KEYS) - 1),
+                  st.binary(min_size=32, max_size=32),
+                  st.sampled_from(_FLAVOURS),
+                  st.binary(min_size=64, max_size=64)),
+        min_size=1, max_size=6),
+    repeats=st.lists(st.integers(0, 5), max_size=8),
+    bound=st.integers(1, 8),
+)
+def test_memo_answers_equal_direct_verification(draws, repeats, bound):
+    """Arbitrary triples, asked in any order with repeats, through a memo
+    of any bound: every answer is ``PublicKey.verify``'s and
+    ``verify_batch``'s."""
+    triples = [_memo_triple(*draw) for draw in draws]
+    expected = {}
+    for triple in triples:
+        pubkey, digest, sig_bytes = triple
+        try:
+            parsed = (ecdsa.PublicKey.from_bytes(pubkey), digest,
+                      Signature.from_bytes(sig_bytes))
+        except ecdsa.ECDSAError:
+            expected[triple] = None  # unparseable: False, and not memoised
+            continue
+        expected[triple] = parsed[0].verify(digest, parsed[2])
+        assert ecdsa.verify_batch([parsed]) == [expected[triple]]
+    memo = VerdictMemo(max_entries=bound)
+    asked = triples + [triples[i % len(triples)] for i in repeats]
+    for triple in asked:
+        assert memo.check_ecdsa(*triple) == bool(expected[triple])
+        assert len(memo) <= bound
+    assert memo.hits[ECDSA] + memo.misses[ECDSA] == sum(
+        expected[triple] is not None for triple in asked)
 
 
 # -- determinism guards (run under --count=3 in CI) --------------------------

