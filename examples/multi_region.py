@@ -52,7 +52,7 @@ def main() -> None:
     print(report.format())
 
     cross = sum(site.gateway.cross_region_claims for site in network.sites)
-    relayed = sum(site.recipient.claims_relayed for site in network.sites)
+    relayed = sum(site.recipient.stats()["claims_relayed"] for site in network.sites)
     print(f"\ncross-region exchanges: {cross} claims audited and signed "
           f"across the border, {relayed} relayed claims broadcast on the "
           f"escrow's home sub-chain")

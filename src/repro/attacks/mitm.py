@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from repro.core.gateway_agent import GatewayAgent
 from repro.crypto import rsa
-from repro.lora.frames import DataFrame
-from repro.p2p.message import DeliveryMessage
 
 __all__ = ["MaliciousGatewayAgent"]
 
@@ -40,46 +38,9 @@ class MaliciousGatewayAgent(GatewayAgent):
         super().__init__(*args, **kwargs)
         self.substitutions_attempted = 0
 
-    def _forward(self, frame: DataFrame):
-        record = self.tracker.get(frame.nonce)
-        if record is not None:
-            record.t_data_received = self.sim.now
-        pending = self._ephemeral.get(frame.nonce)
-        if pending is None:
-            if record is not None:
-                record.status = "failed"
-                record.failure_reason = "gateway lost ephemeral key state"
-            return
-        yield self.sim.timeout(self.cost_model.sample(
-            self.cost_model.gateway_frame_handling, self.rng,
-        ))
-        announcement = yield self.daemon.lookup(
-            lambda: self.directory.lookup(frame.recipient_address)
-        )
-        if announcement is None:
-            if record is not None:
-                record.status = "failed"
-                record.failure_reason = (
-                    f"no directory entry for {frame.recipient_address}"
-                )
-            self._ephemeral.pop(frame.nonce, None)
-            return
-
+    def _presented_key(self, pending) -> rsa.RSAPrivateKey:
         # The attack: generate a fresh pair and present ITS public key.
         substitute = rsa.generate_keypair(self.rsa_bits, self.rng)
         pending.ephemeral_key = substitute  # claim with the swapped key
-        pending.recipient_endpoint = announcement.endpoint
-        pending.quoted_price = self.pricing.quote(
-            frame.recipient_address, self.daemon.queue_length,
-        )
         self.substitutions_attempted += 1
-        self.deliveries_forwarded += 1
-        self.wan.send(self.name, announcement.endpoint, DeliveryMessage(
-            delivery_id=frame.nonce,
-            encrypted_message=frame.encrypted_message,
-            ephemeral_pubkey=substitute.public_key.to_bytes(),
-            signature=frame.signature,
-            node_id=frame.sender,
-            gateway_pubkey_hash=self.wallet.pubkey_hash,
-            price=pending.quoted_price,
-        ))
+        return substitute

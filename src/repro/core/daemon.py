@@ -25,6 +25,7 @@ from typing import Any, Callable, Optional
 
 from repro.blockchain.node import FullNode
 from repro.core.costmodel import CostModel
+from repro.errors import BcWANError
 # DaemonStats now lives in the observability layer (registry-backed);
 # re-exported here so the historical import path keeps working.
 from repro.obs.registry import MetricsRegistry
@@ -323,5 +324,11 @@ class BlockchainDaemon:
             self.stats.busy_time += job.service_time
             result = None
             if job.fn is not None:
-                result = job.fn()
+                try:
+                    result = job.fn()
+                except BcWANError as exc:
+                    # The job's own failure (a wallet that cannot fund a
+                    # spend) belongs to its caller, not to the server.
+                    job.completion.fail(exc)
+                    continue
             job.completion.succeed(result)

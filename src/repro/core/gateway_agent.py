@@ -193,6 +193,7 @@ class GatewayAgent:
                 )
             self._ephemeral.pop(frame.nonce, None)
             return
+        presented = self._presented_key(pending)
         pending.recipient_endpoint = announcement.endpoint
         pending.quoted_price = self.pricing.quote(
             frame.recipient_address, self.daemon.queue_length,
@@ -203,13 +204,19 @@ class GatewayAgent:
         self.wan.send(self.name, announcement.endpoint, DeliveryMessage(
             delivery_id=frame.nonce,
             encrypted_message=frame.encrypted_message,
-            ephemeral_pubkey=pending.ephemeral_key.public_key.to_bytes(),
+            ephemeral_pubkey=presented.public_key.to_bytes(),
             signature=frame.signature,
             node_id=frame.sender,
             gateway_pubkey_hash=self.wallet.pubkey_hash,
             price=pending.quoted_price,
             chain_id=self.chain_id,
         ), parent=parent)
+
+    def _presented_key(self, pending: _PendingDelivery) -> rsa.RSAPrivateKey:
+        """The ephemeral pair whose public half the recipient is shown:
+        the one the node was served (the step a dishonest gateway swaps,
+        see :mod:`repro.attacks.mitm`)."""
+        return pending.ephemeral_key
 
     # -- blockchain side ----------------------------------------------------------
 

@@ -24,9 +24,9 @@ intra-region fair exchanges never leave the region.  A global
 receives periodic checkpoint transactions from each region's
 :class:`~repro.core.settlement.CheckpointAgent`; cross-region deliveries
 escrow on the recipient's sub-chain and the claim travels back over the
-WAN (see :mod:`repro.core.recipient`).  ``topology.regions == 1`` (the
-default) takes the exact flat assembly path above and reproduces the
-paper's results bit-for-bit.
+WAN (see :mod:`repro.core.recipient`).  Assembly is one loop over chains:
+``topology.regions == 1`` (the default) is its one-chain case, with no
+settlement chain, and reproduces the paper's results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Optional
 from repro.blockchain.checkpoint import CheckpointRules
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
+from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
 from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.wallet import Wallet
 from repro.core.config import NetworkConfig
@@ -48,8 +49,7 @@ from repro.core.gateway_agent import GatewayAgent
 from repro.obs.exchange import ExchangeTracker
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
-from repro.core.recipient import RecipientAgent
-from repro.core.light_recipient import LightRecipientAgent
+from repro.core.recipient import NodeLedger, RecipientAgent, SpvLedger
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
 from repro.light.compact import CompactBlockRelay
@@ -66,6 +66,7 @@ from repro.obs.tracing import Tracer
 from repro.lora.device import EU868_DOWNLINK_CHANNEL, LoRaRadio
 from repro.lora.phy import LoRaModulation
 from repro.p2p.network import WANetwork
+from repro.p2p.sync import SyncAgent
 from repro.sim.core import Simulator
 from repro.sim.latency import PlanetLabLatencyMatrix
 from repro.sim.rng import RngRegistry
@@ -86,7 +87,9 @@ class Site:
     directory: DirectoryView
     channel: RadioChannel
     gateway: GatewayAgent
-    recipient: RecipientAgent
+    # The actor's only recipient: over its own full node, or — in the
+    # light tier, filled in once the SPV hosts exist — over ``light-i``.
+    recipient: Optional[RecipientAgent]
     registry: RecipientRegistry
     # Hierarchical mode: which region (and sub-chain) this site belongs
     # to.  Flat deployments leave the defaults.
@@ -187,11 +190,25 @@ class BcWANNetwork:
         self.verdict_memo = VerdictMemo()
         self.sites: list[Site] = []
         self.regions: list[Region] = []
+        # chain label -> the daemons following (and gossiping) that chain
+        self._groups: dict[str, dict[str, BlockchainDaemon]] = {}
         self.sensors: list[NodeAgent] = []
+        # The flat deployment's single master (None when hierarchical).
+        self.master_daemon: Optional[BlockchainDaemon] = None
+        self.master_wallet: Optional[Wallet] = None
+        self.miner: Optional[Miner] = None
+        # The settlement chain's master (None when flat).
+        self.anchor_daemon: Optional[BlockchainDaemon] = None
+        self.anchor_wallet: Optional[Wallet] = None
+        self.anchor_miner: Optional[Miner] = None
+        # PoS mode: every site's producer, and the flat deployment's
+        # stake registry.
+        self.pos_producers: list[PoSProducer] = []
+        self.stake_registry: Optional[StakeRegistry] = None
+        self.sync_agents: list[SyncAgent] = []
         # The light tier (empty in the default full-node deployment).
         self.light_servers: list[LightServer] = []
         self.light_clients: list[SpvClient] = []
-        self.light_agents: list[LightRecipientAgent] = []
         self.multicasters: list[ChainMulticaster] = []
         self.compact_relays: list[CompactBlockRelay] = []
         self._exchanges_launched = 0
@@ -200,24 +217,20 @@ class BcWANNetwork:
     # -- construction -----------------------------------------------------------
 
     def _build(self) -> None:
+        """Assemble every chain of the federation, then start its loops.
+
+        One loop over the gateway chains; the flat deployment is the
+        one-chain case (master ``"master"``, chain id ``""``, no
+        settlement chain).  Daemons, agents and loops are constructed in
+        a fixed order per mode — each daemon constructor schedules its
+        serve process and registers its metric series, so the order is
+        part of the trace.
+        """
         cfg = self.config
+        topo = cfg.topology
         params = cfg.chain_params()
-
-        if cfg.topology.regions == 1:
-            self._build_flat(params)
-        else:
-            self._build_hierarchical(params)
-
-    def _build_flat(self, params) -> None:
-        cfg = self.config
-
-        # Master (the AWS EC2 instance): bootstraps and mines.
-        master_node = self._new_node(params, "master")
-        master_key = KeyPair.generate(self.rngs.stream("master-key"))
-        self.master_wallet = Wallet(master_node.chain, master_key)
-        self.master_wallet.watch_chain()
-        self.miner = Miner(chain=master_node.chain, mempool=master_node.mempool,
-                           reward_pubkey_hash=self.master_wallet.pubkey_hash)
+        flat = topo.regions == 1
+        light = cfg.light.device_class == "light"
 
         actor_keys = [
             KeyPair.generate(self.rngs.stream(f"actor-key-{i}"))
@@ -226,20 +239,21 @@ class BcWANNetwork:
         # Light tier: the duty-cycled application hosts hold their own
         # keys, funded and announced (endpoint = the light host) during
         # bootstrap, so gateways resolve @R straight to the light host.
-        light_keys = []
-        if cfg.light.device_class == "light":
-            light_keys = [
-                KeyPair.generate(self.rngs.stream(f"light-key-{i}"))
-                for i in range(cfg.num_gateways)
-            ]
-        self._bootstrap_chain(master_node, actor_keys,
-                              extra_keys=light_keys,
-                              extra_endpoints=cfg.light_names)
+        light_keys = [
+            KeyPair.generate(self.rngs.stream(f"light-key-{i}"))
+            for i in range(cfg.num_gateways)
+        ] if light else []
 
-        # WAN: sites + master on a PlanetLab-like latency matrix.
-        hosts = cfg.site_names + ["master"]
-        if cfg.light.device_class == "light":
-            hosts = hosts + cfg.light_names
+        # WAN: every host — gateway sites, chain masters, the anchor
+        # master and each region's settlement node, light hosts — on one
+        # PlanetLab-like latency matrix; partitions can therefore cut
+        # region or anchor links independently.
+        tags = [""] if flat else [f"-r{r}" for r in range(topo.regions)]
+        hosts = cfg.site_names + [f"master{tag}" for tag in tags]
+        if not flat:
+            hosts += ["anchor"] + [f"anchor{tag}" for tag in tags]
+        if light:
+            hosts += cfg.light_names
         latency = PlanetLabLatencyMatrix(
             hosts, seed=cfg.seed ^ 0x5EED,
             median_range=cfg.wan_median_range, sigma=cfg.wan_sigma,
@@ -248,49 +262,115 @@ class BcWANNetwork:
                              loss_rate=cfg.wan_loss_rate)
         self.wan.tracer = self.tracer
 
-        self.master_daemon = BlockchainDaemon(
-            self.sim, "master", self.wan, master_node, cfg.cost_model,
-            self.rngs.stream("daemon-master"), verify_blocks=False,
-            registry=self.registry,
-        )
-        if self.profiler is not None:
-            self._attach_profiler(master_node)
-            self.miner.obs = self.profiler
+        if not flat:
+            # Global settlement chain: funds each region's settlement
+            # wallet, announces nothing.
+            anchor_node = self._new_settlement_node(params, "anchor")
+            settlement_keys = [
+                KeyPair.generate(self.rngs.stream(f"anchor-key-{r}"))
+                for r in range(topo.regions)
+            ]
+            self.anchor_wallet, self.anchor_miner, self.anchor_daemon = (
+                self._new_master(anchor_node, "anchor-master-key",
+                                 funded=settlement_keys, announced=[]))
+            height_gauge = self.registry.gauge("federation.subchain_height",
+                                               "region")
 
         modulation = LoRaModulation(spreading_factor=cfg.spreading_factor)
-        registries = [RecipientRegistry() for _ in range(cfg.num_gateways)]
+        # Every chain publishes the IP announcement of **every**
+        # recipient in the federation: a gateway resolving ``@R`` for a
+        # globally-roaming sensor looks the foreign recipient up on its
+        # *own* sub-chain.
+        announced = list(zip(actor_keys + light_keys,
+                             cfg.site_names + cfg.light_names))
+        chains = []  # (master daemon, miner, sites, chain id, tag)
 
-        for i, name in enumerate(cfg.site_names):
-            self.sites.append(self._build_site(
-                i, name, params, master_node, actor_keys[i], registries[i],
-                modulation,
+        for r, tag in enumerate(tags):
+            chain_id = "" if flat else f"region-{r}"
+            indices = cfg.region_site_indices(r)
+
+            # The chain's own master (the paper's AWS EC2 instance):
+            # bootstraps, funds this chain's actors, and mines.
+            master_node = self._new_node(params, f"master{tag}")
+            master_wallet, miner, master_daemon = self._new_master(
+                master_node, f"master-key{tag}",
+                funded=[actor_keys[i] for i in indices] + light_keys,
+                announced=announced)
+            sites = [
+                self._build_site(i, cfg.site_names[i], params, master_node,
+                                 actor_keys[i], modulation,
+                                 chain_id=chain_id, region=r)
+                for i in indices
+            ]
+            self.sites.extend(sites)
+            self._mesh(chain_id or "chain",
+                       [master_daemon] + [site.daemon for site in sites])
+            chains.append((master_daemon, miner, sites, chain_id, tag))
+            if flat:
+                self.master_daemon = master_daemon
+                self.master_wallet = master_wallet
+                self.miner = miner
+                continue
+
+            # The region's settlement node + checkpoint agent.  Every
+            # settlement engine carries its own CheckpointRules, so each
+            # anchor node independently rejects stale or regressing
+            # region digests.
+            anchor_r_node = self._new_settlement_node(params, f"anchor{tag}")
+            self._replay_chain(anchor_node, anchor_r_node)
+            anchor_r_daemon = self._new_daemon(anchor_r_node,
+                                               cfg.verify_blocks)
+            anchor_r_wallet = Wallet(anchor_r_node.chain, settlement_keys[r])
+            anchor_r_wallet.watch_chain()
+            checkpoint_agent = CheckpointAgent(
+                self.sim, r, master_daemon, anchor_r_daemon, anchor_r_wallet,
+                cfg.cost_model, self.rngs.stream(f"checkpoint{tag}"),
+                interval=topo.checkpoint_interval, registry=self.registry,
+            )
+            checkpoint_agent.start()
+            height_gauge.labels(region=str(r)).set(master_node.height)
+            self.regions.append(Region(
+                index=r, chain_id=chain_id, master_node=master_node,
+                master_daemon=master_daemon, master_wallet=master_wallet,
+                miner=miner, sites=sites,
+                anchor_daemon=anchor_r_daemon, anchor_wallet=anchor_r_wallet,
+                checkpoint_agent=checkpoint_agent,
             ))
 
-        # Full-mesh gossip.
-        daemons = [self.master_daemon] + [site.daemon for site in self.sites]
-        self._connect_full_mesh(daemons)
-
-        if cfg.light.compact_blocks:
-            self.compact_relays = [CompactBlockRelay(daemon)
-                                   for daemon in daemons]
-        if cfg.light.device_class == "light":
-            self._build_light_tier(daemons, light_keys, registries,
-                                   modulation)
+        if flat:
+            daemons = list(self.all_daemons().values())
+            if cfg.light.compact_blocks:
+                self.compact_relays = [CompactBlockRelay(daemon)
+                                       for daemon in daemons]
+            if light:
+                self._build_light_tier(daemons, light_keys, modulation)
+        else:
+            # Settlement mesh: the anchor master and every region's
+            # settlement node (small by construction — one per region).
+            self._mesh("anchor", [self.anchor_daemon] + [
+                region.anchor_daemon for region in self.regions])
 
         self._deploy_sensors(modulation)
         self._funding_baseline = {
             site.name: site.wallet.balance for site in self.sites
         }
-        if cfg.consensus == "pos":
-            self._setup_pos()
-        else:
-            self.sim.process(self._mining_loop())
+        for master_daemon, miner, sites, chain_id, tag in chains:
+            if cfg.consensus == "pos":
+                registry = self._setup_pos(master_daemon, sites, tag)
+                if flat:
+                    self.stake_registry = registry
+            else:
+                self.sim.process(
+                    self._mining_loop(master_daemon, miner, chain_id))
+        if not flat:
+            # The settlement chain stays master-mined regardless.
+            self.sim.process(self._mining_loop(
+                self.anchor_daemon, self.anchor_miner, "anchor"))
         self._start_common_loops()
 
     def _build_site(self, i: int, name: str, params, source_node: FullNode,
-                    actor_key: KeyPair, registry: RecipientRegistry,
-                    modulation: LoRaModulation, chain_id: str = "",
-                    region: int = 0) -> Site:
+                    actor_key: KeyPair, modulation: LoRaModulation,
+                    chain_id: str = "", region: int = 0) -> Site:
         """One gateway site: node, daemon, wallet, radio, both agents.
 
         ``source_node`` holds the bootstrap chain the site's node replays
@@ -300,14 +380,7 @@ class BcWANNetwork:
         cfg = self.config
         node = self._new_node(params, name)
         self._replay_chain(source_node, node)
-        daemon = BlockchainDaemon(
-            self.sim, name, self.wan, node, cfg.cost_model,
-            self.rngs.stream(f"daemon-{name}"),
-            verify_blocks=cfg.verify_blocks,
-            registry=self.registry,
-        )
-        if self.profiler is not None:
-            self._attach_profiler(node)
+        daemon = self._new_daemon(node, cfg.verify_blocks)
         wallet = Wallet(node.chain, actor_key)
         wallet.watch_chain()
         directory = DirectoryView(node.chain)
@@ -329,13 +402,17 @@ class BcWANNetwork:
             class_a=cfg.class_a_windows,
             chain_id=chain_id,
         )
-        recipient = RecipientAgent(
-            self.sim, name, daemon, wallet, registry, self.wan,
-            cfg.cost_model, self.tracker,
-            self.rngs.stream(f"recipient-{name}"),
-            offer_fee=cfg.offer_fee,
-            chain_id=chain_id,
-        )
+        registry = RecipientRegistry()
+        recipient = None
+        if cfg.light.device_class == "full":
+            recipient = RecipientAgent(
+                self.sim, name,
+                NodeLedger(daemon, wallet, self.tracker,
+                           offer_fee=cfg.offer_fee),
+                registry, self.wan, cfg.cost_model, self.tracker,
+                self.rngs.stream(f"recipient-{name}"),
+                chain_id=chain_id,
+            )
         return Site(
             index=i, name=name, node=node, daemon=daemon, wallet=wallet,
             directory=directory, channel=channel, gateway=gateway,
@@ -345,15 +422,14 @@ class BcWANNetwork:
 
     def _build_light_tier(self, daemons: list[BlockchainDaemon],
                           light_keys: list[KeyPair],
-                          registries: list[RecipientRegistry],
                           modulation: LoRaModulation) -> None:
         """SPV clients, their serving full nodes, and the multicast legs.
 
         Every full daemon serves headers/filters/proofs; each actor's
-        application server becomes a ``light-i`` WAN host whose serving
-        peers are its home gateway, the next site over (failover), and
-        the master.  With ``multicast_interval > 0`` the home gateway
-        additionally multicasts signed header bundles to its light host.
+        recipient runs on a ``light-i`` WAN host whose serving peers are
+        its home gateway, the next site over (failover), and the master.
+        With ``multicast_interval > 0`` the home gateway additionally
+        multicasts signed header bundles to its light host.
         """
         cfg = self.config
         self.light_servers = [LightServer(daemon) for daemon in daemons]
@@ -372,18 +448,17 @@ class BcWANNetwork:
                 request_timeout=cfg.light.light_request_timeout,
                 tracer=self.tracer,
             )
-            wallet = LightWallet(light_keys[i])
-            agent = LightRecipientAgent(
-                self.sim, name, spv, wallet, registries[i],
-                cfg.cost_model, self.tracker,
+            site = self.sites[i]
+            site.recipient = RecipientAgent(
+                self.sim, name,
+                SpvLedger(spv, LightWallet(light_keys[i]),
+                          offer_fee=cfg.offer_fee,
+                          refund_delta=cfg.locktime_grace),
+                site.registry, self.wan, cfg.cost_model, self.tracker,
                 self.rngs.stream(f"light-recipient-{i}"),
-                offer_fee=cfg.offer_fee,
-                refund_delta=cfg.locktime_grace,
             )
             self.light_clients.append(spv)
-            self.light_agents.append(agent)
             if cfg.light.multicast_interval > 0:
-                site = self.sites[i]
                 self.multicasters.append(ChainMulticaster(
                     self.sim, self.wan, site.name, site.wallet.keypair,
                     site.node.chain, (name,), cfg.light.multicast_interval,
@@ -398,8 +473,10 @@ class BcWANNetwork:
                     listen_window=cfg.light.multicast_listen_window,
                 )
 
-    @staticmethod
-    def _connect_full_mesh(daemons: list[BlockchainDaemon]) -> None:
+    def _mesh(self, label: str, daemons: list[BlockchainDaemon]) -> None:
+        """Chain-scoped gossip: full mesh among the daemons following one
+        chain — which is what makes them one convergence group."""
+        self._groups[label] = {daemon.name: daemon for daemon in daemons}
         for daemon in daemons:
             for other in daemons:
                 if other is not daemon:
@@ -409,21 +486,15 @@ class BcWANNetwork:
         """Reclaim sweeps and anti-entropy sync, over every daemon."""
         cfg = self.config
         if cfg.reclaim_interval > 0:
-            if self.light_agents:
-                for agent in self.light_agents:
-                    self.sim.process(self._light_reclaim_loop(agent))
-            else:
-                for site in self.sites:
-                    self.sim.process(self._reclaim_loop(site))
+            for site in self.sites:
+                self.sim.process(self._reclaim_loop(site))
         if cfg.sync_interval > 0:
-            from repro.p2p.sync import SyncAgent
             self.sync_agents = [
                 SyncAgent(self.sim, daemon, interval=cfg.sync_interval)
                 for daemon in self.all_daemons().values()
             ]
-            if self.profiler is not None:
-                for agent in self.sync_agents:
-                    agent.obs = self.profiler
+            for agent in self.sync_agents:
+                agent.obs = self.profiler
 
     def _new_node(self, params, name: str) -> FullNode:
         """A full node of this deployment, on the shared verdict memo.
@@ -438,60 +509,91 @@ class BcWANNetwork:
         node.engine.verdict_memo = self.verdict_memo
         return node
 
-    def _attach_profiler(self, node: FullNode) -> None:
+    def _new_settlement_node(self, params, name: str) -> FullNode:
+        node = self._new_node(params, name)
+        node.engine.checkpoint_rules = CheckpointRules()
+        return node
+
+    def _new_daemon(self, node: FullNode,
+                    verify_blocks: bool) -> BlockchainDaemon:
+        """``node``'s daemon on the WAN, hot-path profiler attached."""
+        daemon = BlockchainDaemon(
+            self.sim, node.name, self.wan, node, self.config.cost_model,
+            self.rngs.stream(f"daemon-{node.name}"),
+            verify_blocks=verify_blocks, registry=self.registry,
+        )
         node.engine.obs = self.profiler
         node.mempool.obs = self.profiler
+        return daemon
 
-    def _bootstrap_chain(self, master_node: FullNode,
-                         actor_keys: list[KeyPair],
-                         extra_keys: tuple[KeyPair, ...] = (),
-                         extra_endpoints: tuple[str, ...] = ()) -> None:
-        """Mine the genesis era: maturity, funding, IP announcements.
+    def _new_master(self, node: FullNode, key_stream: str,
+                    funded: list[KeyPair],
+                    announced: list[tuple[KeyPair, str]]
+                    ) -> tuple[Wallet, Miner, BlockchainDaemon]:
+        """A chain's mining master: wallet, miner, the genesis era, then
+        the daemon (block verification off — it mined every block)."""
+        wallet = Wallet(node.chain,
+                        KeyPair.generate(self.rngs.stream(key_stream)))
+        wallet.watch_chain()
+        miner = Miner(chain=node.chain, mempool=node.mempool,
+                      reward_pubkey_hash=wallet.pubkey_hash)
+        self._bootstrap_chain(node, miner, wallet, funded, announced)
+        daemon = self._new_daemon(node, verify_blocks=False)
+        miner.obs = self.profiler
+        return wallet, miner, daemon
 
-        ``extra_keys``/``extra_endpoints`` fund and announce additional
-        recipients (the light tier's hosts); empty in the default
-        deployment, which keeps this path byte-identical to before.
+    def _bootstrap_chain(self, master_node: FullNode, miner: Miner,
+                         master_wallet: Wallet, funded: list[KeyPair],
+                         announced: list[tuple[KeyPair, str]]) -> None:
+        """Mine one chain's genesis era: maturity, funding, announcements.
+
+        Every key in ``funded`` receives its coin fan-out; every
+        ``(key, endpoint)`` in ``announced`` gets its IP announcement
+        published — the "each recipient ... must create a blockchain
+        transaction containing the information relative to its IP
+        address" step, before t=0.  A key funded on this chain pays for
+        its own announcement; payloads are key-signed, so the master's
+        wallet can carry those of actors who hold no coins here (a
+        region's foreign recipients).
         """
         cfg = self.config
-        # One mature coinbase per funding transaction, plus headroom.
-        for _ in range(cfg.num_gateways + len(extra_keys)
-                       + cfg.coinbase_maturity + 1):
-            self.miner.mine_and_connect(0.0)
-        for key in [*actor_keys, *extra_keys]:
-            funding = self.master_wallet.create_fanout(
+        own = {key.pubkey_hash for key in funded}
+        carried = sum(1 for key, _ in announced
+                      if key.pubkey_hash not in own)
+        # One mature coinbase per transaction the master pays for, plus
+        # headroom.
+        for _ in range(len(funded) + carried + cfg.coinbase_maturity + 1):
+            miner.mine_and_connect(0.0)
+
+        def submit(tx, what: str) -> None:
+            decision = master_node.submit_transaction(tx)
+            if not decision.accepted:
+                raise ConfigurationError(
+                    f"bootstrap {what} rejected: {decision.reason}")
+
+        for key in funded:
+            submit(master_wallet.create_fanout(
                 key.pubkey_hash, cfg.funding_coin_value, cfg.funding_coins,
-            )
-            decision = master_node.submit_transaction(funding)
-            if not decision.accepted:
-                raise ConfigurationError(
-                    f"bootstrap funding rejected: {decision.reason}"
-                )
-        self._mine_until_mempool_empty(master_node)
-        # Every recipient announces its endpoint on-chain before t=0, the
-        # "each recipient ... must create a blockchain transaction
-        # containing the information relative to its IP address" step.
-        endpoints = cfg.site_names + list(extra_endpoints[:len(extra_keys)])
-        for (key, endpoint) in zip([*actor_keys, *extra_keys], endpoints):
-            scratch = Wallet(master_node.chain, key)
-            scratch.refresh_from_utxo_set()
-            payload = build_announcement_payload(key, endpoint)
-            announcement = scratch.create_announcement(payload)
-            decision = master_node.submit_transaction(announcement)
-            if not decision.accepted:
-                raise ConfigurationError(
-                    f"bootstrap announcement rejected: {decision.reason}"
-                )
-        self._mine_until_mempool_empty(master_node)
+            ), "funding")
+        self._mine_until_mempool_empty(master_node, miner)
+        if not announced:
+            return  # the settlement chain: no extra block
+        for key, endpoint in announced:
+            carrier = master_wallet
+            if key.pubkey_hash in own:
+                carrier = Wallet(master_node.chain, key)
+                carrier.refresh_from_utxo_set()
+            submit(carrier.create_announcement(
+                build_announcement_payload(key, endpoint)), "announcement")
+        self._mine_until_mempool_empty(master_node, miner)
 
     def _mine_until_mempool_empty(self, master_node: FullNode,
-                                  miner: Optional[Miner] = None) -> None:
+                                  miner: Miner) -> None:
         """Mine bootstrap blocks until every pending tx confirms.
 
         With small ``max_block_size`` values a single block cannot carry
         all the funding fan-outs, so the bootstrap keeps mining.
         """
-        if miner is None:
-            miner = self.miner
         miner.mine_and_connect(0.0)
         guard = 0
         while len(master_node.mempool):
@@ -509,238 +611,6 @@ class BcWANNetwork:
         for _height, block in source.chain.iter_active_blocks(start_height=1):
             target.chain.add_block(block)
 
-    # -- hierarchical assembly ---------------------------------------------------
-
-    def _build_hierarchical(self, params) -> None:
-        """Regional sub-chains anchored to a global settlement chain."""
-        cfg = self.config
-        topo = cfg.topology
-
-        actor_keys = [
-            KeyPair.generate(self.rngs.stream(f"actor-key-{i}"))
-            for i in range(cfg.num_gateways)
-        ]
-
-        # WAN: every host — gateway sites, region masters, the anchor
-        # master and each region's settlement node — on one latency
-        # matrix; partitions can therefore cut region or anchor links
-        # independently.
-        master_names = [f"master-r{r}" for r in range(topo.regions)]
-        anchor_names = [f"anchor-r{r}" for r in range(topo.regions)]
-        hosts = cfg.site_names + master_names + ["anchor"] + anchor_names
-        latency = PlanetLabLatencyMatrix(
-            hosts, seed=cfg.seed ^ 0x5EED,
-            median_range=cfg.wan_median_range, sigma=cfg.wan_sigma,
-        )
-        self.wan = WANetwork(self.sim, self.rngs.stream("wan"), latency,
-                             loss_rate=cfg.wan_loss_rate)
-        self.wan.tracer = self.tracer
-
-        # Global settlement chain.  Every settlement engine carries its
-        # own CheckpointRules, so each anchor node independently rejects
-        # stale or regressing region digests.
-        anchor_node = self._new_node(params, "anchor")
-        anchor_node.engine.checkpoint_rules = CheckpointRules()
-        anchor_key = KeyPair.generate(self.rngs.stream("anchor-master-key"))
-        self.anchor_wallet = Wallet(anchor_node.chain, anchor_key)
-        self.anchor_wallet.watch_chain()
-        self.anchor_miner = Miner(
-            chain=anchor_node.chain, mempool=anchor_node.mempool,
-            reward_pubkey_hash=self.anchor_wallet.pubkey_hash,
-        )
-        settlement_keys = [
-            KeyPair.generate(self.rngs.stream(f"anchor-key-{r}"))
-            for r in range(topo.regions)
-        ]
-        self._bootstrap_settlement(anchor_node, settlement_keys)
-        self.anchor_daemon = BlockchainDaemon(
-            self.sim, "anchor", self.wan, anchor_node, cfg.cost_model,
-            self.rngs.stream("daemon-anchor"), verify_blocks=False,
-            registry=self.registry,
-        )
-        if self.profiler is not None:
-            self._attach_profiler(anchor_node)
-            self.anchor_miner.obs = self.profiler
-        self.master_daemon = None  # hierarchical: no single flat master
-
-        modulation = LoRaModulation(spreading_factor=cfg.spreading_factor)
-        registries = [RecipientRegistry() for _ in range(cfg.num_gateways)]
-        height_gauge = self.registry.gauge("federation.subchain_height",
-                                           "region")
-
-        for r in range(topo.regions):
-            chain_id = f"region-{r}"
-            region_indices = list(cfg.region_site_indices(r))
-
-            # The region's own master: bootstraps and mines the sub-chain.
-            master_name = master_names[r]
-            master_node = self._new_node(params, master_name)
-            master_key = KeyPair.generate(
-                self.rngs.stream(f"master-key-r{r}"))
-            master_wallet = Wallet(master_node.chain, master_key)
-            master_wallet.watch_chain()
-            miner = Miner(chain=master_node.chain,
-                          mempool=master_node.mempool,
-                          reward_pubkey_hash=master_wallet.pubkey_hash)
-            self._bootstrap_region_chain(master_node, miner, master_wallet,
-                                         actor_keys, region_indices)
-            master_daemon = BlockchainDaemon(
-                self.sim, master_name, self.wan, master_node, cfg.cost_model,
-                self.rngs.stream(f"daemon-{master_name}"),
-                verify_blocks=False,
-                registry=self.registry,
-            )
-            if self.profiler is not None:
-                self._attach_profiler(master_node)
-                miner.obs = self.profiler
-
-            region_sites = [
-                self._build_site(i, cfg.site_names[i], params, master_node,
-                                 actor_keys[i], registries[i], modulation,
-                                 chain_id=chain_id, region=r)
-                for i in region_indices
-            ]
-            self.sites.extend(region_sites)
-
-            # Region-scoped gossip: full mesh inside the region only.
-            self._connect_full_mesh(
-                [master_daemon] + [site.daemon for site in region_sites])
-
-            # The region's settlement node + checkpoint agent.
-            anchor_r_node = self._new_node(params, anchor_names[r])
-            anchor_r_node.engine.checkpoint_rules = CheckpointRules()
-            self._replay_chain(anchor_node, anchor_r_node)
-            anchor_r_daemon = BlockchainDaemon(
-                self.sim, anchor_names[r], self.wan, anchor_r_node,
-                cfg.cost_model, self.rngs.stream(f"daemon-{anchor_names[r]}"),
-                verify_blocks=cfg.verify_blocks,
-                registry=self.registry,
-            )
-            if self.profiler is not None:
-                self._attach_profiler(anchor_r_node)
-            anchor_r_wallet = Wallet(anchor_r_node.chain, settlement_keys[r])
-            anchor_r_wallet.watch_chain()
-            checkpoint_agent = CheckpointAgent(
-                self.sim, r, master_daemon, anchor_r_daemon, anchor_r_wallet,
-                cfg.cost_model, self.rngs.stream(f"checkpoint-r{r}"),
-                interval=topo.checkpoint_interval, registry=self.registry,
-            )
-            checkpoint_agent.start()
-            height_gauge.labels(region=str(r)).set(master_node.height)
-
-            self.regions.append(Region(
-                index=r, chain_id=chain_id, master_node=master_node,
-                master_daemon=master_daemon, master_wallet=master_wallet,
-                miner=miner, sites=region_sites,
-                anchor_daemon=anchor_r_daemon, anchor_wallet=anchor_r_wallet,
-                checkpoint_agent=checkpoint_agent,
-            ))
-
-        # Settlement mesh: the anchor master and every region's
-        # settlement node, fully meshed (small by construction — one node
-        # per region).
-        self._connect_full_mesh(
-            [self.anchor_daemon]
-            + [region.anchor_daemon for region in self.regions])
-
-        self._deploy_sensors(modulation)
-        self._funding_baseline = {
-            site.name: site.wallet.balance for site in self.sites
-        }
-        for region in self.regions:
-            if cfg.consensus == "pos":
-                self._setup_pos_region(region)
-            else:
-                self.sim.process(self._master_mining_loop(
-                    region.master_daemon, region.miner, region.chain_id))
-        self.sim.process(self._master_mining_loop(
-            self.anchor_daemon, self.anchor_miner, "anchor"))
-        self._start_common_loops()
-
-    def _bootstrap_settlement(self, anchor_node: FullNode,
-                              settlement_keys: list[KeyPair]) -> None:
-        """Mine the settlement chain's genesis era; fund region wallets."""
-        cfg = self.config
-        for _ in range(len(settlement_keys) + cfg.coinbase_maturity + 1):
-            self.anchor_miner.mine_and_connect(0.0)
-        for key in settlement_keys:
-            funding = self.anchor_wallet.create_fanout(
-                key.pubkey_hash, cfg.funding_coin_value, cfg.funding_coins,
-            )
-            decision = anchor_node.submit_transaction(funding)
-            if not decision.accepted:
-                raise ConfigurationError(
-                    f"settlement funding rejected: {decision.reason}"
-                )
-        self._mine_until_mempool_empty(anchor_node, self.anchor_miner)
-
-    def _bootstrap_region_chain(self, master_node: FullNode, miner: Miner,
-                                master_wallet: Wallet,
-                                actor_keys: list[KeyPair],
-                                region_indices: list[int]) -> None:
-        """Mine a region sub-chain's genesis era.
-
-        Funds the region's *own* actors, then publishes the IP
-        announcements of **every** actor in the federation: a gateway
-        resolving ``@R`` for a globally-roaming sensor looks the foreign
-        recipient up on its *own* sub-chain.  Announcement payloads are
-        actor-signed, so the region master's wallet can carry foreign
-        actors' announcements — those actors hold no coins here.
-        """
-        cfg = self.config
-        foreign = len(actor_keys) - len(region_indices)
-        # Mature coins: one per funding fan-out + one per foreign
-        # announcement the master carries, plus headroom.
-        for _ in range(len(region_indices) + foreign
-                       + cfg.coinbase_maturity + 1):
-            miner.mine_and_connect(0.0)
-        own = set(region_indices)
-        for i in region_indices:
-            funding = master_wallet.create_fanout(
-                actor_keys[i].pubkey_hash, cfg.funding_coin_value,
-                cfg.funding_coins,
-            )
-            decision = master_node.submit_transaction(funding)
-            if not decision.accepted:
-                raise ConfigurationError(
-                    f"region funding rejected: {decision.reason}"
-                )
-        self._mine_until_mempool_empty(master_node, miner)
-        for i, key in enumerate(actor_keys):
-            payload = build_announcement_payload(key, cfg.site_names[i])
-            if i in own:
-                carrier = Wallet(master_node.chain, key)
-                carrier.refresh_from_utxo_set()
-            else:
-                carrier = master_wallet
-            announcement = carrier.create_announcement(payload)
-            decision = master_node.submit_transaction(announcement)
-            if not decision.accepted:
-                raise ConfigurationError(
-                    f"region announcement rejected: {decision.reason}"
-                )
-        self._mine_until_mempool_empty(master_node, miner)
-
-    def _master_mining_loop(self, daemon: BlockchainDaemon, miner: Miner,
-                            chain_id: str):
-        """A dedicated master mines one chain every ``block_interval``."""
-        while True:
-            yield self.sim.timeout(self.config.block_interval)
-            span = self.tracer.span("block.mine", host=daemon.name,
-                                    region=chain_id)
-            block = yield daemon.rpc(
-                lambda: miner.mine_and_connect(self.sim.now)
-            )
-            span.end("ok", height=daemon.node.height,
-                     txs=len(block.transactions))
-            daemon.gossip.broadcast_block(block, parent=span)
-
-    def _recipient_address(self, actor_index: int) -> str:
-        """The @R sensors of actor ``i`` are provisioned with."""
-        if self.light_agents:
-            return self.light_agents[actor_index].address
-        return self.sites[actor_index].recipient.address
-
     def _deploy_sensors(self, modulation: LoRaModulation) -> None:
         """Provision and place every end device in a foreign cell."""
         cfg = self.config
@@ -754,7 +624,7 @@ class BcWANNetwork:
             for j in range(cfg.sensors_per_gateway):
                 device_id = f"dev-{i}-{j}"
                 credentials = provision_device(
-                    device_id, self._recipient_address(i), home.registry,
+                    device_id, home.recipient.address, home.registry,
                     rng=self.rngs.stream(f"provision-{device_id}"),
                     rsa_bits=cfg.rsa_bits,
                 )
@@ -783,41 +653,46 @@ class BcWANNetwork:
                     class_a=cfg.class_a_windows,
                 ))
 
-    def _mining_loop(self):
-        """The master mines every ``block_interval`` seconds, forever."""
+    def _mining_loop(self, daemon: BlockchainDaemon, miner: Miner,
+                     chain_id: str):
+        """A dedicated master mines one chain every ``block_interval``."""
+        # Sub-chains and the anchor label their blocks; the flat chain's
+        # spans carry no region.
+        region = {"region": chain_id} if chain_id else {}
         while True:
             yield self.sim.timeout(self.config.block_interval)
             # One block = one trace: mining roots it, each gossip hop and
             # per-peer validation nests beneath.
-            span = self.tracer.span("block.mine", host="master")
-            block = yield self.master_daemon.rpc(
-                lambda: self.miner.mine_and_connect(self.sim.now)
+            span = self.tracer.span("block.mine", host=daemon.name, **region)
+            block = yield daemon.rpc(
+                lambda: miner.mine_and_connect(self.sim.now)
             )
-            span.end("ok", height=self.master_daemon.node.height,
+            span.end("ok", height=daemon.node.height,
                      txs=len(block.transactions))
-            self.master_daemon.gossip.broadcast_block(block, parent=span)
+            daemon.gossip.broadcast_block(block, parent=span)
 
     # -- proof-of-stake mode (§6 future work) -----------------------------------
 
-    def _setup_pos(self) -> None:
-        """Gateway sites produce blocks via a stake-weighted slot lottery.
+    def _setup_pos(self, master_daemon: BlockchainDaemon, sites: list[Site],
+                   tag: str) -> StakeRegistry:
+        """One chain's sites produce blocks via a stake-weighted slot lottery.
 
-        Consensus rule enforced by every daemon: a block's coinbase must
-        pay its slot's elected leader.  Bootstrap-era blocks (timestamp 0,
-        mined by the master before the network went live) are exempt.
+        Consensus rule enforced by every daemon of the chain: a block's
+        coinbase must pay its slot's elected leader.  Bootstrap-era blocks
+        (timestamp 0, mined by the master before the network went live)
+        are exempt.  Each chain runs its *own* election — own epoch seed
+        (``tag`` is empty for the flat chain, ``-r<index>`` for a region),
+        own slot schedule.
         """
-        from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
-
         registry = StakeRegistry(
-            epoch_seed=f"bcwan-pos-{self.config.seed}".encode("utf-8"),
+            epoch_seed=f"bcwan-pos-{self.config.seed}{tag}".encode("utf-8"),
             slot_duration=self.config.block_interval,
         )
         leader_reward_hash: dict[str, bytes] = {}
-        for site in self.sites:
+        for site in sites:
             registry.register(site.name, site.wallet.keypair.public_key,
                               stake=100)
             leader_reward_hash[site.name] = site.wallet.pubkey_hash
-        self.stake_registry = registry
 
         def pos_block_valid(block) -> bool:
             if block.header.timestamp <= 0.0:
@@ -831,12 +706,10 @@ class BcWANNetwork:
             return (len(elements) == 5 and isinstance(elements[2], bytes)
                     and elements[2] == expected)
 
-        daemons = [self.master_daemon] + [site.daemon for site in self.sites]
-        for daemon in daemons:
+        for daemon in [master_daemon] + [site.daemon for site in sites]:
             daemon.block_validator = pos_block_valid
 
-        self.pos_producers = []
-        for site in self.sites:
+        for site in sites:
             producer = PoSProducer(
                 name=site.name,
                 registry=registry,
@@ -847,6 +720,7 @@ class BcWANNetwork:
             )
             self.pos_producers.append(producer)
             self.sim.process(self._pos_production_loop(site, producer))
+        return registry
 
     def _pos_production_loop(self, site: Site, producer):
         """Wake at each slot boundary; produce when this site leads.
@@ -873,67 +747,11 @@ class BcWANNetwork:
                      txs=len(block.transactions))
             site.daemon.gossip.broadcast_block(block, parent=span)
 
-    def _setup_pos_region(self, region: Region) -> None:
-        """Per-region stake lottery: the region's sites take turns.
-
-        Each region runs its *own* election (own epoch seed, own slot
-        schedule) over its own sub-chain; the settlement chain stays
-        master-mined by the anchor regardless.
-        """
-        from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
-
-        registry = StakeRegistry(
-            epoch_seed=(f"bcwan-pos-{self.config.seed}-r{region.index}"
-                        .encode("utf-8")),
-            slot_duration=self.config.block_interval,
-        )
-        leader_reward_hash: dict[str, bytes] = {}
-        for site in region.sites:
-            registry.register(site.name, site.wallet.keypair.public_key,
-                              stake=100)
-            leader_reward_hash[site.name] = site.wallet.pubkey_hash
-
-        def pos_block_valid(block) -> bool:
-            if block.header.timestamp <= 0.0:
-                return True  # bootstrap era
-            leader = registry.leader_for_slot(
-                slot_of(block.header.timestamp, registry.slot_duration)
-            )
-            expected = leader_reward_hash[leader]
-            coinbase_script = block.coinbase.outputs[0].script_pubkey
-            elements = coinbase_script.elements
-            return (len(elements) == 5 and isinstance(elements[2], bytes)
-                    and elements[2] == expected)
-
-        daemons = [region.master_daemon] + [s.daemon for s in region.sites]
-        for daemon in daemons:
-            daemon.block_validator = pos_block_valid
-
-        if not hasattr(self, "pos_producers"):
-            self.pos_producers = []
-        for site in region.sites:
-            producer = PoSProducer(
-                name=site.name,
-                registry=registry,
-                chain=site.node.chain,
-                mempool=site.node.mempool,
-                private_key=site.wallet.keypair.private_key,
-                reward_pubkey_hash=site.wallet.pubkey_hash,
-            )
-            self.pos_producers.append(producer)
-            self.sim.process(self._pos_production_loop(site, producer))
-
     def _reclaim_loop(self, site: Site):
         """Periodic sweep of expired, unclaimed key-release offers."""
         while True:
             yield self.sim.timeout(self.config.reclaim_interval)
             yield site.recipient.reclaim_expired()
-
-    def _light_reclaim_loop(self, agent: LightRecipientAgent):
-        """The light tier's refund sweep (synchronous — no daemon)."""
-        while True:
-            yield self.sim.timeout(self.config.reclaim_interval)
-            agent.reclaim_expired()
 
     # -- failure injection --------------------------------------------------------
 
@@ -1018,19 +836,8 @@ class BcWANNetwork:
 
     def all_daemons(self) -> dict[str, BlockchainDaemon]:
         """Every daemon in the deployment, by host name."""
-        if not self.regions:
-            mapping = {"master": self.master_daemon}
-            mapping.update((site.name, site.daemon) for site in self.sites)
-            return mapping
-        mapping = {}
-        for region in self.regions:
-            mapping[region.master_daemon.name] = region.master_daemon
-            mapping.update(
-                (site.name, site.daemon) for site in region.sites)
-        mapping["anchor"] = self.anchor_daemon
-        for region in self.regions:
-            mapping[region.anchor_daemon.name] = region.anchor_daemon
-        return mapping
+        return {name: daemon for group in self._groups.values()
+                for name, daemon in group.items()}
 
     def convergence_groups(self) -> dict[str, dict[str, BlockchainDaemon]]:
         """Daemons grouped by the chain they follow.
@@ -1039,19 +846,7 @@ class BcWANNetwork:
         sub-chain plus the ``"anchor"`` settlement group — the shape
         :func:`repro.chaos.assert_hierarchy_converged` consumes.
         """
-        if not self.regions:
-            return {"chain": self.all_daemons()}
-        groups: dict[str, dict[str, BlockchainDaemon]] = {}
-        for region in self.regions:
-            group = {region.master_daemon.name: region.master_daemon}
-            group.update((site.name, site.daemon) for site in region.sites)
-            groups[region.chain_id] = group
-        anchor_group = {"anchor": self.anchor_daemon}
-        anchor_group.update(
-            (region.anchor_daemon.name, region.anchor_daemon)
-            for region in self.regions)
-        groups["anchor"] = anchor_group
-        return groups
+        return {label: dict(group) for label, group in self._groups.items()}
 
     def report(self) -> RunReport:
         records = self.tracker.records()
@@ -1060,22 +855,14 @@ class BcWANNetwork:
         rewards = {
             site.name: site.gateway.rewards_claimed for site in self.sites
         }
-        if self.light_agents:
-            spend = {
-                agent.name: agent.payments_made * self.config.price
-                for agent in self.light_agents
-            }
-        else:
-            spend = {
-                site.name: site.recipient.payments_made * self.config.price
-                for site in self.sites
-            }
+        spend = {
+            site.recipient.name:
+                site.recipient.payments_made * self.config.price
+            for site in self.sites
+        }
         # Flat: the single chain's height.  Hierarchical: the settlement
         # chain's height — per-region heights live on region.master_node.
-        if not self.regions:
-            chain_height = self.master_daemon.node.height
-        else:
-            chain_height = self.anchor_daemon.node.height
+        chain_height = (self.anchor_daemon or self.master_daemon).node.height
         self._sync_wan_gauges(len(completed), chain_height)
         self._sync_verdict_memo_counters()
         return RunReport(

@@ -6,72 +6,325 @@ On a delivery push from a foreign gateway (Fig. 3 step 7) the recipient:
    key (step 8);
 2. creates and broadcasts the key-release *offer* — payment locked to the
    revelation of ``eSk`` (step 9, Listing 1);
-3. watches the mempool for the gateway's *claim*; the claim's unlocking
-   script contains ``eSk`` in the clear, with which the recipient unwraps
-   ``Em`` and finally AES-decrypts the reading.
+3. watches for a spend of that escrow; the gateway's *claim* carries
+   ``eSk`` in the clear in its unlocking script, with which the recipient
+   unwraps ``Em`` and finally AES-decrypts the reading.
 
-If the gateway never claims, :meth:`reclaim_expired` recovers the locked
-funds through the script's timelocked refund branch.
+If the gateway never claims, :meth:`RecipientAgent.reclaim_expired`
+recovers the locked funds through the script's timelocked refund branch.
+
+:class:`RecipientAgent` is that state machine, once.  What differs
+between device classes is which ledger state the host keeps and how it
+reaches it, and that sits behind the agent's *ledger access*:
+
+* :class:`NodeLedger` — a co-located full node: RPC-timed transaction
+  builds, the local mempool's verdict on every broadcast, a UTXO-checked
+  refund, and the relay of cross-region claims onto this sub-chain;
+* :class:`SpvLedger` — a duty-cycled light host: a wallet fed by proven
+  transactions only (so funding may stall on proofs in flight), the
+  header tip as the only chain clock, the escrow outpoint watched through
+  the serving node's filter, a rebroadcast watchdog in place of a mempool
+  verdict, and payments counted *confirmed* on a verified Merkle proof.
+
+Both offer the same steps: ``attach(on_delivery, on_spend)``, ``height``,
+``lock_payment(message, payment_leg)``, ``refund(offer)`` and ``stats()``; the
+two that may wait are generators the agent delegates to, so a step with
+nothing to wait for adds no simulator event.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.wallet import KeyReleaseOffer, Wallet
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.core.messages import open_message, verify_payload
-from repro.obs.exchange import ExchangeTracker
 from repro.core.provisioning import RecipientRegistry
 from repro.core.rewards import RecipientBudget
-from repro.core import directory as directory_mod
 from repro.crypto import rsa
-from repro.errors import ProtocolError, ValidationError
+from repro.errors import BcWANError, ProtocolError, ValidationError
+from repro.light.messages import TxProofMessage
+from repro.light.spv import SpvClient
+from repro.light.wallet import LightWallet
+from repro.obs.exchange import ExchangeTracker
 from repro.p2p.message import (ClaimMessage, DeliveryAck, DeliveryMessage,
-                               Envelope)
+                               Envelope, TxMessage)
 from repro.p2p.network import WANetwork
+from repro.script.builder import RSA_PAIR_PLACEHOLDER
 from repro.sim.core import Simulator
 
-__all__ = ["RecipientAgent"]
+__all__ = ["RecipientAgent", "NodeLedger", "SpvLedger", "OfferRefused"]
+
+
+class OfferRefused(BcWANError):
+    """A ledger access could not lock the payment; ``str()`` is the reason
+    the gateway is nacked with."""
+
+
+class NodeLedger:
+    """Ledger access through the actor's own full node and its daemon."""
+
+    def __init__(self, daemon: BlockchainDaemon, wallet: Wallet,
+                 tracker: ExchangeTracker, offer_fee: int = 0) -> None:
+        self.daemon = daemon
+        self.wallet = wallet
+        self.tracker = tracker
+        self.offer_fee = offer_fee
+        self.claims_relayed = 0
+
+    def attach(self, on_delivery: Callable[[Envelope], None],
+               on_spend: Callable[[Transaction], None]) -> None:
+        self.daemon.register_protocol(DeliveryMessage, on_delivery)
+        self.daemon.register_protocol(ClaimMessage, self._on_claim)
+        # Claim detection: gossip hands over every transaction the local
+        # mempool admits, our own broadcasts included.
+        self.daemon.gossip.on_transaction.append(on_spend)
+
+    @property
+    def height(self) -> int:
+        return self.daemon.node.chain.height
+
+    def _broadcast(self, tx: Transaction):
+        """The event carrying the local mempool's verdict on ``tx``."""
+        return self.daemon.call(
+            self.daemon.cost_model.daemon_tx_process,
+            lambda: self.daemon.gossip.broadcast_transaction(tx),
+        )
+
+    def lock_payment(self, message: DeliveryMessage, payment_leg):
+        """Build the offer in an RPC job, then take the local mempool's
+        verdict on it; gossip relays an admitted offer."""
+        try:
+            offer = yield self.daemon.rpc(
+                lambda: self.wallet.create_key_release_offer(
+                    rsa_pubkey=message.ephemeral_pubkey,
+                    gateway_pubkey_hash=message.gateway_pubkey_hash,
+                    amount=message.price,
+                    fee=self.offer_fee,
+                )
+            )
+        except ValidationError as exc:
+            raise OfferRefused(f"cannot fund offer: {exc}") from exc
+        accepted = yield self._broadcast(offer.transaction)
+        if not accepted:
+            self.wallet.release_pending(offer.transaction)
+            raise OfferRefused("offer rejected by mempool")
+        return offer
+
+    def refund(self, offer: KeyReleaseOffer):
+        """Whether the refund entered the local mempool."""
+        if self.daemon.node.chain.utxos.get(offer.outpoint) is None:
+            return False  # already spent (claimed late)
+        try:
+            refund_tx = yield self.daemon.rpc(
+                lambda: self.wallet.refund_key_release(offer)
+            )
+        except ValidationError:
+            return False
+        return (yield self._broadcast(refund_tx))
+
+    # -- cross-region claims ---------------------------------------------------
+
+    def _on_claim(self, envelope: Envelope) -> None:
+        message = envelope.payload
+        if isinstance(message, ClaimMessage):
+            self.daemon.sim.process(self._broadcast_claim(message))
+
+    def _broadcast_claim(self, message: ClaimMessage):
+        """Broadcast a foreign gateway's claim on *our* sub-chain.
+
+        The escrow output lives here, so the reveal must happen here; the
+        gateway only signed the claim, it cannot reach this mempool.  The
+        broadcast fires the usual spend watch, which decrypts exactly as
+        in the intra-region flow.
+        """
+        record = self.tracker.get(message.delivery_id)
+        try:
+            claim_tx = Transaction.deserialize(message.claim_tx_bytes)
+        except ValidationError:
+            if record is not None:
+                self.tracker.fail(record, "undecodable cross-region claim")
+            return
+        accepted = yield self._broadcast(claim_tx)
+        if accepted:
+            self.claims_relayed += 1
+        elif record is not None and record.status == "pending":
+            self.tracker.fail(record, "cross-region claim rejected")
+
+    def stats(self) -> dict[str, int]:
+        return {"claims_relayed": self.claims_relayed,
+                "balance": self.wallet.balance}
+
+
+class SpvLedger:
+    """Ledger access through an SPV client and its serving full nodes.
+
+    Everything consensus-critical (block bodies, UTXO bookkeeping, script
+    validation) stays on the full nodes; the light host handles only its
+    own transactions, each at most a few hundred bytes.
+    """
+
+    # Funding proofs may still be in flight to a just-woken device: stall
+    # this many times, this long each, before declaring poverty.
+    FUNDING_RETRIES = 8
+    FUNDING_WAIT = 2.0
+    # A broadcast no filter push echoed within the timeout is resent, at
+    # most this many times.
+    REBROADCAST_TIMEOUT = 15.0
+    REBROADCAST_LIMIT = 3
+
+    def __init__(self, spv: SpvClient, wallet: LightWallet,
+                 offer_fee: int = 0, refund_delta: int = 100) -> None:
+        self.spv = spv
+        self.wallet = wallet
+        self.offer_fee = offer_fee
+        # The refund branch's locktime rides the *header* tip — the only
+        # chain clock a light client has.
+        self.refund_delta = refund_delta
+        self.payments_confirmed = 0
+        self.rebroadcasts = 0
+        self.funding_stalls = 0
+        self._offer_txids: set[bytes] = set()
+        self._echoed: set[bytes] = set()
+        self._confirmed: set[bytes] = set()
+
+    def attach(self, on_delivery: Callable[[Envelope], None],
+               on_spend: Callable[[Transaction], None]) -> None:
+        self._on_spend = on_spend
+        self.spv.register_handler(DeliveryMessage, on_delivery)
+        self.spv.on_match.append(self._on_match)
+        self.spv.on_proof.append(self._on_proof)
+        # Watch own address from genesis: funding coins, change, and
+        # refunds all land back here as proven credits.
+        self.spv.watch(pubkey_hashes=(self.wallet.pubkey_hash,),
+                       from_height=0)
+
+    @property
+    def height(self) -> int:
+        return self.spv.chain.tip_height
+
+    # -- broadcast through the serving peer --------------------------------------
+
+    def _broadcast(self, tx: Transaction, parent=None) -> None:
+        self.spv.watch(txids=(tx.txid,))
+        self._send(tx, attempts=0, parent=parent)
+
+    def _send(self, tx: Transaction, attempts: int, parent=None) -> None:
+        self.spv.network.send(self.spv.name, self.spv.serving_peer,
+                              TxMessage(transaction=tx), parent=parent)
+        self.spv.sim.call_in(self.REBROADCAST_TIMEOUT,
+                             lambda: self._check_echo(tx, attempts + 1))
+
+    def _check_echo(self, tx: Transaction, attempts: int) -> None:
+        """No filter push echoed our broadcast: the peer lost or never
+        accepted it.  Resend — possibly to a new peer after failover."""
+        if tx.txid in self._echoed or tx.txid in self._confirmed:
+            return
+        if attempts > self.REBROADCAST_LIMIT:
+            return  # give up; tracker timeouts handle the exchange
+        self.rebroadcasts += 1
+        self._send(tx, attempts)
+
+    def lock_payment(self, message: DeliveryMessage, payment_leg):
+        """Build the offer from proven coins, then hand it to the serving
+        peer under ``payment_leg()``, the span wire messages hang from."""
+        for _attempt in range(self.FUNDING_RETRIES):
+            try:
+                offer = self.wallet.create_key_release_offer(
+                    rsa_pubkey=message.ephemeral_pubkey,
+                    gateway_pubkey_hash=message.gateway_pubkey_hash,
+                    amount=message.price,
+                    refund_locktime=self.height + self.refund_delta,
+                    fee=self.offer_fee,
+                )
+                break
+            except ValidationError:
+                self.funding_stalls += 1
+                self.spv.catch_up()
+                yield self.spv.sim.timeout(self.FUNDING_WAIT)
+        else:
+            raise OfferRefused("cannot fund offer")
+        self._offer_txids.add(offer.transaction.txid)
+        # Watch the escrow before it exists on the wire: the claim spends
+        # this outpoint, and the filter must already cover it when the
+        # gateway's claim hits the serving node's mempool.
+        self.spv.watch(outpoints=(offer.outpoint,))
+        self._broadcast(offer.transaction, parent=payment_leg())
+        return offer
+
+    def refund(self, offer: KeyReleaseOffer):
+        """Whether the refund was handed to the serving peer.
+
+        A light client cannot consult the UTXO set, so a raced claim is
+        resolved by the full nodes: the refund simply loses the conflict
+        and the claim's filter push decrypts as usual.
+        """
+        yield from ()  # nothing to wait for: no daemon queue on this host
+        try:
+            refund_tx = self.wallet.refund_key_release(offer)
+        except ValidationError:
+            return False
+        self._broadcast(refund_tx)
+        return True
+
+    # -- filter pushes ------------------------------------------------------------
+
+    def _on_match(self, tx: Transaction, height: int) -> None:
+        self._echoed.add(tx.txid)
+        self._on_spend(tx)
+
+    def _on_proof(self, proof: TxProofMessage) -> None:
+        tx = self.spv.matched_txs.get(proof.txid)
+        if tx is None:
+            return  # proof outran its filter push; replayed on the match
+        self._confirmed.add(tx.txid)
+        self.wallet.apply_confirmed_tx(tx)
+        if proof.txid in self._offer_txids:
+            self._offer_txids.discard(proof.txid)
+            self.payments_confirmed += 1
+
+    def stats(self) -> dict[str, int]:
+        return {"payments_confirmed": self.payments_confirmed,
+                "rebroadcasts": self.rebroadcasts,
+                "funding_stalls": self.funding_stalls,
+                "balance": self.wallet.balance}
 
 
 @dataclass
 class _PendingSettlement:
-    """Recipient-side state awaiting the gateway's claim."""
+    """Recipient-side state awaiting a spend of the escrow."""
 
     message: DeliveryMessage
     offer: KeyReleaseOffer
-    source: str
+    refund_sent: bool = False
 
 
 class RecipientAgent:
     """One actor's application-server agent."""
 
     def __init__(self, sim: Simulator, name: str,
-                 daemon: BlockchainDaemon, wallet: Wallet,
+                 ledger: Union[NodeLedger, SpvLedger],
                  registry: RecipientRegistry, wan: WANetwork,
                  cost_model: CostModel, tracker: ExchangeTracker,
-                 rng: random.Random, offer_fee: int = 0,
+                 rng: random.Random,
                  budget: Optional[RecipientBudget] = None,
                  chain_id: str = "") -> None:
         self.sim = sim
         self.name = name
-        self.daemon = daemon
-        self.wallet = wallet
+        self.ledger = ledger
         self.registry = registry
         self.wan = wan
         self.cost_model = cost_model
         self.tracker = tracker
         self.rng = rng
-        self.offer_fee = offer_fee
         # Negotiation guard: quotes above the budget are refused before
         # any money is locked (the gateway keeps an undecryptable blob).
         self.budget = budget or RecipientBudget(max_price=10**9)
-        # Which sub-chain this recipient's daemon follows (empty = flat).
+        # Which sub-chain this recipient settles on (empty = flat).
         self.chain_id = chain_id
 
         self.messages_received = 0
@@ -79,32 +332,14 @@ class RecipientAgent:
         self.messages_decrypted = 0
         self.payments_made = 0
         self.refunds_taken = 0
-        self.claims_relayed = 0
 
         self._pending: dict[OutPoint, _PendingSettlement] = {}
-        daemon.register_protocol(DeliveryMessage, self._on_delivery)
-        daemon.register_protocol(ClaimMessage, self._on_claim)
-        daemon.gossip.on_transaction.append(self._on_transaction)
+        ledger.attach(self._on_delivery, self._on_spend)
 
     @property
     def address(self) -> str:
         """The blockchain address (``@R``) nodes are provisioned with."""
-        return self.wallet.address
-
-    # -- directory ---------------------------------------------------------------
-
-    def announce(self, endpoint: str, port: int = 7264):
-        """Publish this recipient's IP endpoint on-chain (section 4.3)."""
-        payload = directory_mod.build_announcement_payload(
-            self.wallet.keypair, endpoint, port,
-        )
-
-        def build_and_broadcast():
-            tx = self.wallet.create_announcement(payload)
-            self.daemon.gossip.broadcast_transaction(tx)
-            return tx
-
-        return self.daemon.rpc(build_and_broadcast)
+        return self.ledger.wallet.address
 
     # -- the fair exchange ---------------------------------------------------------
 
@@ -144,35 +379,20 @@ class RecipientAgent:
             )
             return
 
-        # Step 9: lock payment to the key revelation.
+        # Step 9: lock payment to the key revelation.  The leg is looked
+        # up when a message is sent, not before the ledger access waited.
+        def payment_leg():
+            return (self.tracker.leg(record, "payment")
+                    if record is not None else None)
         try:
-            offer = yield self.daemon.rpc(
-                lambda: self.wallet.create_key_release_offer(
-                    rsa_pubkey=message.ephemeral_pubkey,
-                    gateway_pubkey_hash=message.gateway_pubkey_hash,
-                    amount=message.price,
-                    fee=self.offer_fee,
-                )
-            )
-        except ValidationError as exc:
-            self._refuse(envelope, record, f"cannot fund offer: {exc}")
-            return
-        accepted = yield self.daemon.call(
-            self.cost_model.daemon_tx_process,
-            lambda: self.daemon.gossip.broadcast_transaction(offer.transaction),
-        )
-        if not accepted:
-            self.wallet.release_pending(offer.transaction)
-            self._refuse(envelope, record, "offer rejected by mempool")
+            offer = yield from self.ledger.lock_payment(message, payment_leg)
+        except OfferRefused as refusal:
+            self._refuse(envelope, record, str(refusal))
             return
         self.payments_made += 1
         if record is not None:
             record.t_offer_sent = self.sim.now
-        self._pending[offer.outpoint] = _PendingSettlement(
-            message=message, offer=offer, source=envelope.source,
-        )
-        parent = (self.tracker.leg(record, "payment")
-                  if record is not None else None)
+        self._pending[offer.outpoint] = _PendingSettlement(message, offer)
         # Cross-region: the gateway's daemon follows a different
         # sub-chain, so the offer rides along serialized — it is the only
         # way the gateway will ever see it.
@@ -184,7 +404,7 @@ class RecipientAgent:
             chain_id=self.chain_id,
             offer_tx_bytes=(offer.transaction.serialize()
                             if cross_region else b""),
-        ), parent=parent)
+        ), parent=payment_leg())
 
     def _refuse(self, envelope: Envelope, record, reason: str) -> None:
         if record is not None:
@@ -196,52 +416,32 @@ class RecipientAgent:
             chain_id=self.chain_id,
         ))
 
-    # -- cross-region claims ---------------------------------------------------
+    # -- escrow spends: the claim, or our own refund -------------------------------
 
-    def _on_claim(self, envelope: Envelope) -> None:
-        message = envelope.payload
-        if isinstance(message, ClaimMessage):
-            self.sim.process(self._broadcast_claim(message))
-
-    def _broadcast_claim(self, message: ClaimMessage):
-        """Broadcast a foreign gateway's claim on *our* sub-chain.
-
-        The escrow output lives here, so the reveal must happen here; the
-        gateway only signed the claim, it cannot reach this mempool.  The
-        broadcast fires the usual spend watch (:meth:`_on_transaction`),
-        which decrypts exactly as in the intra-region flow.
-        """
-        record = self.tracker.get(message.delivery_id)
-        try:
-            claim_tx = Transaction.deserialize(message.claim_tx_bytes)
-        except ValidationError:
-            if record is not None:
-                self.tracker.fail(record, "undecodable cross-region claim")
-            return
-        accepted = yield self.daemon.call(
-            self.cost_model.daemon_tx_process,
-            lambda: self.daemon.gossip.broadcast_transaction(claim_tx),
-        )
-        if accepted:
-            self.claims_relayed += 1
-        elif record is not None and record.status == "pending":
-            self.tracker.fail(record, "cross-region claim rejected")
-
-    # -- claim detection -------------------------------------------------------------
-
-    def _on_transaction(self, tx) -> None:
+    def _on_spend(self, tx: Transaction) -> None:
         for tx_input in tx.inputs:
             settlement = self._pending.get(tx_input.outpoint)
             if settlement is not None:
-                self.sim.process(self._decrypt(tx, tx_input, settlement))
+                self.sim.process(self._decrypt(tx_input, settlement))
                 return
 
-    def _decrypt(self, claim_tx, claim_input, settlement: _PendingSettlement):
-        """The gateway's claim revealed ``eSk``: recover the plaintext."""
+    def _decrypt(self, spend_input, settlement: _PendingSettlement):
+        """The gateway's claim revealed ``eSk``: recover the plaintext.
+
+        A settlement leaves ``_pending`` here and nowhere else — when a
+        spend of its escrow is *seen* — so a refund that loses the race to
+        a late claim still decrypts.
+        """
         record = self.tracker.get(settlement.message.delivery_id)
-        elements = claim_input.script_sig.elements
+        elements = spend_input.script_sig.elements
         if len(elements) != 3 or not isinstance(elements[2], bytes):
-            # The refund path or garbage — not a key revelation.
+            return  # garbage — not a Listing-1 unlocking script
+        if elements[2] == RSA_PAIR_PLACEHOLDER:
+            # The refund branch, which only our own key opens.
+            self._pending.pop(settlement.offer.outpoint, None)
+            self.refunds_taken += 1
+            if record is not None and record.status == "pending":
+                self.tracker.fail(record, "gateway never claimed; refunded")
             return
         try:
             ephemeral_key = rsa.RSAPrivateKey.from_bytes(elements[2])
@@ -282,33 +482,29 @@ class RecipientAgent:
         """Spend the refund branch of every expired, unclaimed offer.
 
         Returns the process; its value is the number of refunds broadcast.
+        Each is counted in ``refunds_taken`` (and its exchange failed)
+        once the refund itself is seen spending the escrow.
         """
         return self.sim.process(self._reclaim())
 
     def _reclaim(self):
-        refunded = 0
-        height = self.daemon.node.chain.height
-        for outpoint, settlement in list(self._pending.items()):
-            if settlement.offer.refund_locktime > height:
+        sent = 0
+        height = self.ledger.height
+        for settlement in list(self._pending.values()):
+            if (settlement.refund_sent
+                    or settlement.offer.refund_locktime > height):
                 continue
-            if self.daemon.node.chain.utxos.get(outpoint) is None:
-                continue  # already spent (claimed late)
-            try:
-                refund_tx = yield self.daemon.rpc(
-                    lambda s=settlement: self.wallet.refund_key_release(s.offer)
-                )
-            except ValidationError:
-                continue
-            accepted = yield self.daemon.call(
-                self.cost_model.daemon_tx_process,
-                lambda tx=refund_tx: self.daemon.gossip.broadcast_transaction(tx),
-            )
-            if accepted:
-                refunded += 1
-                self.refunds_taken += 1
-                self._pending.pop(outpoint, None)
-                record = self.tracker.get(settlement.message.delivery_id)
-                if record is not None and record.status == "pending":
-                    self.tracker.fail(record,
-                                      "gateway never claimed; refunded")
-        return refunded
+            if (yield from self.ledger.refund(settlement.offer)):
+                settlement.refund_sent = True
+                sent += 1
+        return sent
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "messages_received": self.messages_received,
+            "quotes_refused": self.quotes_refused,
+            "messages_decrypted": self.messages_decrypted,
+            "payments_made": self.payments_made,
+            "refunds_taken": self.refunds_taken,
+            **self.ledger.stats(),
+        }

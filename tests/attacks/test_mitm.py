@@ -8,11 +8,10 @@ from repro.attacks.mitm import MaliciousGatewayAgent
 from repro.core import BcWANNetwork, NetworkConfig
 
 
-@pytest.fixture(scope="module")
-def mitm_network():
+def run_with_malicious_gateway(num_exchanges: int, tracing: bool = False):
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=20.0,
-        seed=81,
+        seed=81, tracing=tracing,
     ))
     # Replace site-0's gateway logic with the substituting variant,
     # re-wiring the radio and protocol hooks to the new agent.
@@ -27,8 +26,13 @@ def mitm_network():
     # Detach the honest agent's radio handlers (evil registered its own).
     honest.radio._receive_handlers.remove(honest._on_frame)
     site.gateway = evil
-    report = network.run(num_exchanges=12)
+    report = network.run(num_exchanges=num_exchanges)
     return network, evil, report
+
+
+@pytest.fixture(scope="module")
+def mitm_network():
+    return run_with_malicious_gateway(12)
 
 
 def test_substituted_keys_are_rejected(mitm_network):
@@ -66,3 +70,28 @@ def test_honest_direction_unaffected(mitm_network):
                         if r.node_id.startswith("dev-0-")]
     assert any(r.completed for r in honest_exchanges)
     assert report.completed > 0
+
+
+def test_traced_substitution_fails_the_exchange_and_closes_its_spans():
+    """The substituting gateway runs the honest forwarding step, so a
+    traced run tells the true story: the uplink arrived, the recipient
+    refused at step 8, and nothing is left dangling."""
+    network, evil, _report = run_with_malicious_gateway(6, tracing=True)
+    network.sim.run(until=network.sim.now + 5.0)  # the last nack lands
+    assert evil.substitutions_attempted > 0
+    substituted = [r for r in network.tracker.records()
+                   if r.node_id.startswith("dev-1-")
+                   and r.t_delivered is not None]
+    assert len(substituted) == evil.substitutions_attempted
+    for record in substituted:
+        root = record.trace
+        assert (root.status, root.attrs["reason"]) == ("failed",
+                                                       "bad signature")
+        spans = [span for span in network.tracer.spans
+                 if span.trace_id == root.trace_id]
+        assert not [span for span in spans if span.end_time is None]
+        legs = {span.name: span.status for span in spans
+                if span.name.startswith("leg.")}
+        assert legs["leg.uplink"] == "ok"
+        assert legs["leg.publication"] == "ok"
+        assert legs["leg.payment"] == "lost"

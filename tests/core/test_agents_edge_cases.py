@@ -3,6 +3,8 @@
 A minimal harness (one site's stack + one sensor, no roaming ring) lets
 these tests poke protocol corners that integration runs rarely hit:
 unknown devices, bogus acks, lost ephemeral state, refused offers.
+``tests/core/test_recipient_ledgers.py`` drives the same harness over
+both of the recipient's ledger accesses.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ from repro.core.gateway_agent import GatewayAgent
 from repro.obs.exchange import ExchangeTracker
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
-from repro.core.recipient import RecipientAgent
+from repro.core.recipient import NodeLedger, RecipientAgent, SpvLedger
 from repro.crypto.keys import KeyPair
+from repro.light.server import LightServer
+from repro.light.spv import SpvClient
+from repro.light.wallet import LightWallet
 from repro.lora.channel import Position, RadioChannel
 from repro.lora.device import EU868_DOWNLINK_CHANNEL, LoRaRadio
 from repro.lora.frames import DataFrame, KeyRequestFrame
@@ -35,31 +40,39 @@ from repro.sim.rng import RngRegistry
 
 
 class Harness:
-    """One gateway site + one provisioned sensor, fully wired."""
+    """One gateway site + one provisioned sensor, fully wired.
 
-    def __init__(self, seed: int = 7) -> None:
+    The recipient holds its own key on either ledger access: over the
+    site's full node (``device_class="full"``), or as the SPV host
+    ``"light"`` that the site's node serves (``"light"``).
+    """
+
+    def __init__(self, seed: int = 7, device_class: str = "full") -> None:
         self.rngs = RngRegistry(seed)
         self.sim = Simulator()
         self.tracker = ExchangeTracker()
         cost = CostModel(jitter_sigma=0.0)
-        params = ChainParams(coinbase_maturity=1)
+        params = ChainParams(coinbase_maturity=1, locktime_grace=3)
+        endpoint = "site" if device_class == "full" else "light"
 
         # Bootstrap a funded chain directly.
         boot = FullNode(params, "boot", verify_scripts=False)
         actor_key = KeyPair.generate(self.rngs.stream("actor"))
+        recipient_key = KeyPair.generate(self.rngs.stream("recipient"))
         boot_wallet = Wallet(boot.chain, KeyPair.generate(self.rngs.stream("m")))
         boot_wallet.watch_chain()
         miner = Miner(chain=boot.chain, mempool=boot.mempool,
                       reward_pubkey_hash=boot_wallet.pubkey_hash)
-        for i in range(3):
+        for i in range(4):
             miner.mine_and_connect(0.0)
-        funding = boot_wallet.create_fanout(actor_key.pubkey_hash, 500, 50)
-        assert boot.submit_transaction(funding).accepted
+        for key in (actor_key, recipient_key):
+            funding = boot_wallet.create_fanout(key.pubkey_hash, 500, 50)
+            assert boot.submit_transaction(funding).accepted
         miner.mine_and_connect(0.0)
-        scratch = Wallet(boot.chain, actor_key)
+        scratch = Wallet(boot.chain, recipient_key)
         scratch.refresh_from_utxo_set()
         announcement = scratch.create_announcement(
-            build_announcement_payload(actor_key, "site"))
+            build_announcement_payload(recipient_key, endpoint))
         assert boot.submit_transaction(announcement).accepted
         miner.mine_and_connect(0.0)
 
@@ -69,6 +82,8 @@ class Harness:
         for _h, block in boot.chain.iter_active_blocks(1):
             node.submit_block(block)
         self.node = node
+        self.miner = Miner(chain=node.chain, mempool=node.mempool,
+                           reward_pubkey_hash=boot_wallet.pubkey_hash)
         self.daemon = BlockchainDaemon(
             self.sim, "site", self.wan, node, cost,
             self.rngs.stream("daemon"), verify_blocks=False,
@@ -90,9 +105,19 @@ class Harness:
             self.rngs.stream("gw"), price=100,
         )
         self.registry = RecipientRegistry()
+        if device_class == "full":
+            recipient_wallet = Wallet(node.chain, recipient_key)
+            recipient_wallet.watch_chain()
+            ledger = NodeLedger(self.daemon, recipient_wallet, self.tracker)
+        else:
+            LightServer(self.daemon)
+            spv = SpvClient(self.sim, self.wan, endpoint, ("site",),
+                            sync_interval=2.0)
+            ledger = SpvLedger(spv, LightWallet(recipient_key),
+                               refund_delta=params.locktime_grace)
         self.recipient = RecipientAgent(
-            self.sim, "site", self.daemon, self.wallet, self.registry,
-            self.wan, cost, self.tracker, self.rngs.stream("rcpt"),
+            self.sim, endpoint, ledger, self.registry, self.wan, cost,
+            self.tracker, self.rngs.stream("rcpt"),
         )
         credentials = provision_device(
             "dev-x", self.recipient.address, self.registry,
@@ -104,6 +129,14 @@ class Harness:
             self.sim, credentials, sensor_radio, cost, self.tracker,
             self.rngs.stream("node"), key_response_timeout=8.0,
         )
+
+    def mine_every(self, interval: float) -> None:
+        """The site's node mines (and serves) a block every ``interval``."""
+        def loop():
+            while True:
+                yield self.sim.timeout(interval)
+                self.miner.mine_and_connect(self.sim.now)
+        self.sim.process(loop())
 
 
 @pytest.fixture

@@ -110,7 +110,7 @@ def test_cross_region_delivery_settles_through_the_anchor():
     crossers = [site for site in network.sites
                 if site.gateway.cross_region_claims > 0]
     assert crossers, "no cross-region claim was ever made"
-    relayed = sum(site.recipient.claims_relayed for site in network.sites)
+    relayed = sum(site.recipient.stats()["claims_relayed"] for site in network.sites)
     assert relayed >= sum(s.gateway.cross_region_claims for s in crossers)
     # The cross-region settlements reach the global chain: the recipient
     # regions' anchored checkpoints commit to a non-empty settled set.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BcWANNetwork, NetworkConfig
+from repro.core.config import LightConfig
 
 
 def test_dead_radio_fails_exchanges_without_payment():
@@ -37,11 +38,15 @@ def test_dead_radio_fails_exchanges_without_payment():
     assert any(r.completed for r in live_cell)
 
 
-def test_dead_blockchain_module_triggers_refunds():
+DEVICE_CLASSES = ["full", "light"]
+
+
+@pytest.mark.parametrize("device_class", DEVICE_CLASSES)
+def test_dead_blockchain_module_triggers_refunds(device_class):
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
         seed=62, locktime_grace=4, reclaim_interval=20.0,
-        block_interval=5.0,
+        block_interval=5.0, light=LightConfig(device_class=device_class),
     ))
     network.fail_gateway_claims(0)
     network.run(num_exchanges=8, max_duration=400.0)
@@ -53,21 +58,29 @@ def test_dead_blockchain_module_triggers_refunds():
     assert victim.refunds_taken > 0          # ...and recovered
     assert victim.pending_settlements() == 0 # nothing left at risk
 
-    # Money conservation: the victim's wallet lost nothing to the dead
-    # gateway (refunds returned every locked offer).  The actor's wallet
-    # is shared with its own — still alive — gateway role, so the only
-    # legitimate delta is that gateway's earned rewards.
-    network.sites[1].wallet.refresh_from_utxo_set()
-    baseline = network._funding_baseline["site-1"]
-    earned = network.sites[1].gateway.rewards_claimed
-    assert network.sites[1].wallet.balance == baseline + earned
+    # Money conservation: the wallet the victim spends from lost nothing
+    # to the dead gateway (refunds returned every locked offer).
+    wallet = victim.ledger.wallet
+    if device_class == "full":
+        # The actor's wallet is shared with its own — still alive —
+        # gateway role, so the only legitimate delta is that gateway's
+        # earned rewards.
+        wallet.refresh_from_utxo_set()
+        expected = (network._funding_baseline["site-1"]
+                    + network.sites[1].gateway.rewards_claimed)
+    else:
+        # The light host holds its own key: every proven coin is back.
+        config = network.config
+        expected = config.funding_coins * config.funding_coin_value
+    assert wallet.balance == expected
 
 
-def test_refund_records_mark_failed_exchanges():
+@pytest.mark.parametrize("device_class", DEVICE_CLASSES)
+def test_refund_records_mark_failed_exchanges(device_class):
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
         seed=63, locktime_grace=4, reclaim_interval=20.0,
-        block_interval=5.0,
+        block_interval=5.0, light=LightConfig(device_class=device_class),
     ))
     network.fail_gateway_claims(0)
     network.run(num_exchanges=6, max_duration=400.0)

@@ -54,8 +54,8 @@ def test_decrypted_plaintext_matches_sent(light_run):
 
 def test_every_payment_confirms_via_proof(light_run):
     network, _report = light_run
-    for agent in network.light_agents:
-        stats = agent.stats()
+    for site in network.sites:
+        stats = site.recipient.stats()
         assert stats["payments_confirmed"] == stats["payments_made"]
         assert stats["funding_stalls"] == 0
 
@@ -137,7 +137,7 @@ def run_fingerprint(seed=11):
         network.master_daemon.node.chain.tip.hash,
         network.wan.bytes_modeled,
         tuple(sorted(network.wan.bytes_to.items())),
-        tuple(agent.stats()["balance"] for agent in network.light_agents),
+        tuple(site.recipient.stats()["balance"] for site in network.sites),
         tuple(spv.stats()["proofs_verified"]
               for spv in network.light_clients),
     )
@@ -172,7 +172,7 @@ def test_serving_peer_crash_fails_over():
     assert spv.serving_peer != first_peer
     assert report.completed >= 8
     # The replayed filter keeps payments confirming on the new peer.
-    agent = network.light_agents[0]
+    agent = network.sites[0].recipient
     assert agent.stats()["payments_confirmed"] == agent.stats()["payments_made"]
     assert agent.stats()["payments_confirmed"] >= 1
 
