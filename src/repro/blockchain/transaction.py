@@ -199,7 +199,7 @@ class Transaction:
 
     @cached_property
     def txid(self) -> bytes:
-        return double_sha256(self.serialize())
+        return double_sha256(self._wire)
 
     @property
     def is_coinbase(self) -> bool:
@@ -209,7 +209,10 @@ class Transaction:
     def total_output_value(self) -> int:
         return sum(output.value for output in self.outputs)
 
-    def serialize(self) -> bytes:
+    @cached_property
+    def _wire(self) -> bytes:
+        """The wire form, built once: the transaction is immutable, and
+        gossip sizes it on every send."""
         out = bytearray(struct.pack("<i", self.version))
         out += _write_varint(len(self.inputs))
         for tx_input in self.inputs:
@@ -219,6 +222,9 @@ class Transaction:
             out += tx_output.serialize()
         out += struct.pack("<I", self.locktime)
         return bytes(out)
+
+    def serialize(self) -> bytes:
+        return self._wire
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Transaction":

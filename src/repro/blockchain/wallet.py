@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.blockchain.chain import Chain
 from repro.blockchain.transaction import (
@@ -60,6 +60,9 @@ class SingleKeyWallet:
     the coins come from and which of them are spendable is the
     subclass's business: :class:`Wallet` reads a chain view,
     :class:`repro.light.wallet.LightWallet` SPV-proven transactions.
+
+    Subclasses change the coin set through :meth:`_credit` and
+    :meth:`_debit`, which keep the ranked view of it honest.
     """
 
     def __init__(self, keypair: Optional[KeyPair] = None,
@@ -67,6 +70,9 @@ class SingleKeyWallet:
         self.keypair = keypair or KeyPair.generate(rng)
         self._owned: dict[OutPoint, int] = {}  # outpoint -> value
         self._pending_spends: set[OutPoint] = set()
+        # ``_owned`` largest-first, ranked once per change of the coin set
+        # instead of once per spend; None when stale.
+        self._ranked: Optional[list[tuple[OutPoint, int]]] = None
 
     # -- identity -------------------------------------------------------------
 
@@ -91,15 +97,41 @@ class SingleKeyWallet:
             if outpoint not in self._pending_spends
         )
 
+    def _credit(self, outpoint: OutPoint, value: int) -> None:
+        """Own ``outpoint`` from now on."""
+        self._owned[outpoint] = value
+        self._ranked = None
+
+    def _debit(self, outpoint: OutPoint) -> Optional[int]:
+        """``outpoint`` was spent on chain: forget it and any reservation
+        of it.  Returns its value if it was ours."""
+        self._pending_spends.discard(outpoint)
+        value = self._owned.pop(outpoint, None)
+        if value is not None:
+            self._ranked = None
+        return value
+
+    def _is_spendable(self, outpoint: OutPoint) -> bool:
+        """May this owned coin be spent now?  Subclasses narrow it."""
+        return outpoint not in self._pending_spends
+
+    def _iter_spendable(self) -> Iterator[tuple[OutPoint, int]]:
+        """Spendable coins largest-first, equal values in ``_owned`` order
+        (the sort is stable), tested one at a time as the caller advances."""
+        if self._ranked is None:
+            self._ranked = sorted(self._owned.items(),
+                                  key=lambda item: item[1], reverse=True)
+        return (coin for coin in self._ranked if self._is_spendable(coin[0]))
+
     def spendable_coins(self) -> list[tuple[OutPoint, int]]:
         """Unreserved coins this wallet may spend now, largest-first."""
-        raise NotImplementedError
+        return list(self._iter_spendable())
 
     def _select_coins(self, amount: int) -> tuple[list[tuple[OutPoint, int]], int]:
         """Greedy largest-first coin selection covering ``amount``."""
         selected = []
         total = 0
-        for outpoint, value in self.spendable_coins():
+        for outpoint, value in self._iter_spendable():
             selected.append((outpoint, value))
             total += value
             if total >= amount:
@@ -243,13 +275,12 @@ class Wallet(SingleKeyWallet):
         my_script = builder.p2pkh_locking(self.pubkey_hash).to_bytes()
         for tx in block.transactions:
             for tx_input in tx.inputs:
-                self._owned.pop(tx_input.outpoint, None)
-                self._pending_spends.discard(tx_input.outpoint)
+                self._debit(tx_input.outpoint)
             for index, output in enumerate(tx.outputs):
                 if output.script_pubkey.to_bytes() == my_script:
                     outpoint = OutPoint(txid=tx.txid, index=index)
                     if self.chain.utxos.get(outpoint) is not None:
-                        self._owned[outpoint] = output.value
+                        self._credit(outpoint, output.value)
 
     def refresh_from_utxo_set(self) -> None:
         """Rebuild ownership from the chain's UTXO set (e.g. after reorg)."""
@@ -259,23 +290,19 @@ class Wallet(SingleKeyWallet):
             for outpoint, entry in self.chain.utxos.items()
             if entry.output.script_pubkey.to_bytes() == my_script
         }
+        self._ranked = None
         self._pending_spends &= set(self._owned)
 
-    def spendable_coins(self) -> list[tuple[OutPoint, int]]:
-        """Mature, unreserved coins sorted largest-first."""
-        maturity = self.chain.params.coinbase_maturity
-        coins = []
-        for outpoint, value in self._owned.items():
-            if outpoint in self._pending_spends:
-                continue
-            entry = self.chain.utxos.get(outpoint)
-            if entry is None:
-                continue
-            if entry.is_coinbase and self.chain.height - entry.height < maturity:
-                continue
-            coins.append((outpoint, value))
-        coins.sort(key=lambda item: item[1], reverse=True)
-        return coins
+    def _is_spendable(self, outpoint: OutPoint) -> bool:
+        """Unreserved, still in the UTXO set, and mature if a coinbase."""
+        if not super()._is_spendable(outpoint):
+            return False
+        entry = self.chain.utxos.get(outpoint)
+        if entry is None:
+            return False
+        return not (entry.is_coinbase
+                    and self.chain.height - entry.height
+                    < self.chain.params.coinbase_maturity)
 
     # -- transaction construction ------------------------------------------------
     # Defined here, not hoisted: the benchmark's tracer finds them through

@@ -20,6 +20,7 @@ verifies many signatures (a busy gateway) pays its table once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.crypto.hashing import hmac_sha256
@@ -523,8 +524,10 @@ class PrivateKey:
         if not 0 < self.secret < CURVE_ORDER:
             raise ECDSAError("private key scalar out of range")
 
-    @property
+    @cached_property
     def public_key(self) -> PublicKey:
+        """``secret * G``, derived once per key.  Not a field, so equality,
+        hashing and ``repr`` see the secret only."""
         affine = _to_affine(_generator_multiply(self.secret))
         assert affine is not None  # secret is in (0, order)
         return PublicKey(x=affine[0], y=affine[1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.crypto import base58, ecdsa
@@ -38,7 +39,12 @@ def pubkey_hash_from_address(address: str) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An ECDSA key pair with its derived address, used by wallets."""
+    """An ECDSA key pair with its derived address, used by wallets.
+
+    ``address`` and ``pubkey_hash`` are derived once per instance; like the
+    public key they are caches, not fields, so equality and hashing see
+    the private key only.
+    """
 
     private_key: ecdsa.PrivateKey
 
@@ -46,11 +52,11 @@ class KeyPair:
     def public_key(self) -> ecdsa.PublicKey:
         return self.private_key.public_key
 
-    @property
+    @cached_property
     def address(self) -> str:
         return address_from_pubkey(self.public_key)
 
-    @property
+    @cached_property
     def pubkey_hash(self) -> bytes:
         return hash160(self.public_key.to_bytes())
 

@@ -246,6 +246,13 @@ def generate_keypair(bits: int = 512,
     the deliberate security/payload-size trade-off).  Pass a seeded
     ``random.Random`` for reproducible simulation keys; the default draws
     from the OS CSPRNG.
+
+    The primes come from :func:`repro.crypto.primes.generate_prime`, which
+    tests the candidates it draws at the average-case bound for random
+    numbers (a composite slips through with probability ``<= 2**-80``)
+    rather than at the worst-case one a hostile input would need, and
+    which consumes ``rng`` identically however many rounds that takes --
+    see that module for both regimes and the stream contract.
     """
     if bits < 128 or bits % 2:
         raise ValueError(f"unsupported RSA modulus size: {bits} bits")

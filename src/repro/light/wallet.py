@@ -57,8 +57,7 @@ class LightWallet(SingleKeyWallet):
         my_script = builder.p2pkh_locking(self.pubkey_hash).to_bytes()
         for tx_input in tx.inputs:
             self._spent.add(tx_input.outpoint)
-            value = self._owned.pop(tx_input.outpoint, None)
-            self._pending_spends.discard(tx_input.outpoint)
+            value = self._debit(tx_input.outpoint)
             if value is not None:
                 delta -= value
         for index, output in enumerate(tx.outputs):
@@ -66,16 +65,9 @@ class LightWallet(SingleKeyWallet):
                 outpoint = OutPoint(txid=tx.txid, index=index)
                 if outpoint in self._spent:
                     continue  # credit arrived after its own spend
-                self._owned[outpoint] = output.value
+                self._credit(outpoint, output.value)
                 delta += output.value
         return delta
-
-    def spendable_coins(self) -> list[tuple[OutPoint, int]]:
-        """Unreserved proven coins, largest-first."""
-        coins = [(outpoint, value) for outpoint, value in self._owned.items()
-                 if outpoint not in self._pending_spends]
-        coins.sort(key=lambda item: item[1], reverse=True)
-        return coins
 
     # -- transaction construction ------------------------------------------------
     # Defined here, not hoisted: the benchmark's tracer finds them through

@@ -136,6 +136,28 @@ def test_roundtrip_property(locktime, value):
     assert Transaction.deserialize(tx.serialize()) == tx
 
 
+def test_wire_bytes_are_built_once_and_never_inherited():
+    tx = Transaction(
+        inputs=[TxInput(outpoint=OutPoint(txid=TXID_A, index=0)),
+                TxInput(outpoint=OutPoint(txid=TXID_B, index=1))],
+        outputs=[TxOutput(value=9, script_pubkey=p2pkh_locking(b"\x02" * 20))],
+        locktime=3,
+    )
+    wire = tx.serialize()
+    assert tx.serialize() is wire
+    assert Transaction.deserialize(wire).serialize() == wire
+    assert Transaction.deserialize(wire) == tx
+
+    signed = tx.with_input_script(1, Script([b"sig"]))
+    assert signed.serialize() != wire
+    assert signed.txid != tx.txid
+    assert Transaction.deserialize(signed.serialize()) == signed
+    assert tx.serialize() is wire
+    # A sighash serializes a modified copy, not the transaction itself.
+    tx.sighash(0, p2pkh_locking(b"\x01" * 20))
+    assert tx.serialize() is wire
+
+
 # -- txid ---------------------------------------------------------------------------
 
 def test_txid_is_stable():

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto import base58
+from repro.crypto import base58, ecdsa
 from repro.crypto.hashing import (
     double_sha256,
     hash160,
@@ -93,6 +94,45 @@ def test_distinct_keys_distinct_addresses():
     a = KeyPair.generate(random.Random(1)).address
     b = KeyPair.generate(random.Random(2)).address
     assert a != b
+
+
+# -- derive once per key: caches, not fields ----------------------------------
+
+def test_public_key_is_derived_once_and_correctly():
+    secret = 0xB0C0_4A5E_ED
+    key = ecdsa.PrivateKey(secret)
+    first = key.public_key
+    assert key.public_key is first
+    assert first == ecdsa.PrivateKey(secret).public_key
+    point = ecdsa._to_affine(ecdsa._generator_multiply(secret))
+    assert (first.x, first.y) == point
+
+
+def test_keypair_derivations_are_cached_and_correct():
+    keypair = KeyPair.generate(random.Random(7))
+    assert keypair.pubkey_hash is keypair.pubkey_hash
+    assert keypair.address is keypair.address
+    assert keypair.public_key is keypair.private_key.public_key
+    assert keypair.pubkey_hash == hash160(keypair.public_key.to_bytes())
+    assert keypair.address == address_from_pubkey(keypair.public_key)
+
+
+def test_warm_caches_do_not_leak_into_identity():
+    """``==``, ``hash``, ``repr`` and a pickle round trip see the secret
+    only, whether or not anything was derived from it yet."""
+    warm = KeyPair(ecdsa.PrivateKey(12345))
+    cold = KeyPair(ecdsa.PrivateKey(12345))
+    cold_repr = repr(cold)
+    warm.public_key, warm.pubkey_hash, warm.address
+    assert warm == cold and hash(warm) == hash(cold)
+    assert warm.private_key == cold.private_key
+    assert hash(warm.private_key) == hash(cold.private_key)
+    assert repr(warm) == cold_repr
+    for original in (warm, warm.private_key, cold, cold.private_key):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+        assert copy.public_key == warm.public_key
+    assert pickle.loads(pickle.dumps(warm)).address == warm.address
 
 
 # -- hashing facade -------------------------------------------------------------

@@ -5,6 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
@@ -17,6 +24,10 @@ from repro.errors import ValidationError
 from repro.light.wallet import LightWallet
 from repro.script import builder
 from repro.script.script import Script, encode_number
+from tests.oracles.coin_selection_reference import (
+    assert_selection_matches,
+    light_wallet_spendable,
+)
 
 
 @pytest.fixture
@@ -190,3 +201,91 @@ def test_announcement_spends_one_coin(wallet):
     assert tx.outputs[0].value == 0  # the OP_RETURN carrier
     # Change returns the full coin to the wallet.
     assert any(o.value == 250 for o in tx.outputs[1:])
+
+
+# -- the ranked coin view against the seed's filter-sort ----------------------
+
+class RankedLightWalletMachine(RuleBasedStateMachine):
+    """Proven credits of many equal-valued coins, offers held, released
+    and confirmed, duplicate and reordered proofs: ``spendable_coins`` and
+    the coins ``_select_coins`` picks stay those of the seed's per-call
+    filter-then-sort."""
+
+    @initialize()
+    def setup(self) -> None:
+        self.wallet = LightWallet(rng=random.Random(0x20))
+        self.height = 0
+        self.held: list[Transaction] = []     # built, reserved, unproven
+        self.delayed: list[Transaction] = []  # proofs still in flight
+        self.applied: list[Transaction] = []
+
+    def _apply(self, tx: Transaction) -> None:
+        self.wallet.apply_confirmed_tx(tx)
+        self.applied.append(tx)
+
+    @rule(values=st.lists(st.sampled_from([100, 100, 100, 250, 1_000]),
+                          min_size=1, max_size=8),
+          delay=st.booleans(), spend_first=st.booleans())
+    def credit(self, values, delay: bool, spend_first: bool) -> None:
+        """A funding proof; ``spend_first`` lands a spend of its first
+        output ahead of it (the tombstone case)."""
+        self.height += 1
+        funding = pay_to(self.wallet, values, height=self.height)
+        if spend_first:
+            self._apply(Transaction(
+                inputs=[TxInput(outpoint=OutPoint(txid=funding.txid, index=0))],
+                outputs=[TxOutput(value=values[0], script_pubkey=Script())],
+            ))
+        if delay:
+            self.delayed.append(funding)
+        else:
+            self._apply(funding)
+
+    @rule(choice=st.integers(min_value=0, max_value=99))
+    def deliver_delayed(self, choice: int) -> None:
+        if self.delayed:
+            self._apply(self.delayed.pop(choice % len(self.delayed)))
+
+    @rule(choice=st.integers(min_value=0, max_value=99))
+    def deliver_duplicate(self, choice: int) -> None:
+        if self.applied:
+            tx = self.applied[choice % len(self.applied)]
+            assert self.wallet.apply_confirmed_tx(tx) == 0
+
+    @rule(amount=st.sampled_from([50, 100, 101, 350, 2_000]),
+          fee=st.sampled_from([0, 3]), confirm=st.booleans())
+    def offer(self, amount: int, fee: int, confirm: bool) -> None:
+        try:
+            tx = self.wallet.create_key_release_offer(
+                rsa_pubkey=b"\x01" * 16, gateway_pubkey_hash=b"\x02" * 20,
+                amount=amount, refund_locktime=10, fee=fee,
+            ).transaction
+        except ValidationError as exc:
+            # The invariant re-checks the shortfall amount by amount.
+            assert "insufficient funds" in str(exc)
+            return
+        if confirm:
+            self._apply(tx)
+        else:
+            self.held.append(tx)
+
+    @rule(choice=st.integers(min_value=0, max_value=99),
+          confirm=st.booleans())
+    def settle_held(self, choice: int, confirm: bool) -> None:
+        if self.held:
+            tx = self.held.pop(choice % len(self.held))
+            if confirm:
+                self._apply(tx)
+            else:
+                self.wallet.release_pending(tx)
+
+    @invariant()
+    def ranks_and_selects_as_the_seed_scan(self) -> None:
+        assert_selection_matches(self.wallet,
+                                 light_wallet_spendable(self.wallet))
+
+
+TestRankedLightWallet = RankedLightWalletMachine.TestCase
+TestRankedLightWallet.settings = settings(max_examples=40,
+                                          stateful_step_count=30,
+                                          deadline=None)
