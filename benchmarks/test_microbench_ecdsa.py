@@ -13,6 +13,7 @@ import time
 
 from benchmarks.conftest import print_header, print_row
 from repro.crypto import ecdsa
+from tests.oracles.ecdsa_reference import verify_double_multiply
 
 VERIFY_ROUNDS = 60
 
@@ -36,7 +37,7 @@ def test_shamir_vs_double_multiply():
     pub.verify(digest, sig)  # warm the per-pubkey wNAF table
 
     shamir = _time_verify(lambda p, d, s: p.verify(d, s), pub, digest, sig)
-    naive = _time_verify(ecdsa.verify_double_multiply, pub, digest, sig)
+    naive = _time_verify(verify_double_multiply, pub, digest, sig)
 
     print_header("ECDSA verify: interleaved Shamir vs double-multiply")
     print_row("double-multiply", round(naive * 1e6, 1))

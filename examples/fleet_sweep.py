@@ -2,10 +2,10 @@
 """Fleet sweep walkthrough: grid in, deterministic result rows out.
 
 Expands a small scenario grid (fleet size x spreading factor x consensus
-x chaos plan), runs every cell on the vector channel kernel, and prints
-the per-cell completion table.  Each cell runs with its own derived seed;
-re-running with the same ``--out`` resumes instead of recomputing, and
-the merged ``results.json`` is byte-identical either way.
+x chaos plan), runs every cell, and prints the per-cell completion table.
+Each cell runs with its own derived seed; re-running with the same
+``--out`` resumes instead of recomputing, and the merged ``results.json``
+is byte-identical either way.
 
 Run::
 
@@ -42,7 +42,6 @@ def main() -> None:
         base={
             "sensors_per_gateway": 3,
             "exchange_interval": 20.0,
-            "sim_kernel": "vector",
         },
         base_seed=2026,
     )

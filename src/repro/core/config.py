@@ -167,6 +167,10 @@ class NetworkConfig:
     :param gateway_duty_cycle: downlink budget (EU868 10 % sub-band).
     :param cell_radius: sensors are placed uniformly within this radius.
 
+    Each site's gateway and sensors share one
+    :class:`repro.lora.channel.RadioChannel`; how it evaluates delivery is
+    not configurable.
+
     WAN:
 
     :param wan_median_range: per-site-pair median one-way delay range.
@@ -218,11 +222,6 @@ class NetworkConfig:
     # ADR: assign each sensor the fastest SF its link budget supports
     # instead of the fixed `spreading_factor` (the paper fixes SF7).
     adaptive_data_rate: bool = False
-    # Radio delivery kernel: "scalar" is the seed per-listener loop (the
-    # differential oracle); "vector" batch-evaluates collision/SINR across
-    # all listeners with numpy, bit-identical verdicts and RSSIs (see
-    # repro.lora.channel).  Fleet-scale runs want "vector".
-    sim_kernel: str = "scalar"
     duty_cycle: float = 0.01
     gateway_duty_cycle: float = 0.10
     cell_radius: float = 1500.0
@@ -301,11 +300,6 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"unknown consensus mode: {self.consensus!r} "
                 f"(expected 'master' or 'pos')"
-            )
-        if self.sim_kernel not in ("scalar", "vector"):
-            raise ConfigurationError(
-                f"unknown sim kernel: {self.sim_kernel!r} "
-                f"(expected 'scalar' or 'vector')"
             )
         if not 0 <= self.wan_loss_rate < 1:
             raise ConfigurationError(

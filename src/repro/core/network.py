@@ -385,8 +385,7 @@ class BcWANNetwork:
         wallet.watch_chain()
         directory = DirectoryView(node.chain)
         directory.follow()
-        channel = RadioChannel(self.sim, self.rngs.stream(f"radio-{name}"),
-                               kernel=cfg.sim_kernel)
+        channel = RadioChannel(self.sim, self.rngs.stream(f"radio-{name}"))
         channel.obs = self.profiler
         gateway_radio = LoRaRadio(
             f"gw-{i}", channel, position=Position(0.0, 0.0),

@@ -33,7 +33,6 @@ __all__ = [
     "Signature",
     "generate_private_key",
     "verify_batch",
-    "verify_double_multiply",
 ]
 
 # secp256k1 domain parameters.
@@ -94,19 +93,6 @@ def _jacobian_add(p: tuple[int, int, int],
     ny = (r * (u1hsq - nx) - s1 * hcu) % _P
     nz = (h * z1 * z2) % _P
     return nx, ny, nz
-
-
-def _jacobian_multiply(point: tuple[int, int, int],
-                       scalar: int) -> tuple[int, int, int]:
-    scalar %= CURVE_ORDER
-    result = _INFINITY
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _jacobian_add(result, addend)
-        addend = _jacobian_double(addend)
-        scalar >>= 1
-    return result
 
 
 # Mixed addition: q comes from a precomputed table whose entries are
@@ -578,33 +564,6 @@ def _rfc6979_nonces(secret: int, message_hash: bytes):
             yield candidate
         k = hmac_sha256(k, v + b"\x00")
         v = hmac_sha256(k, v)
-
-
-def verify_double_multiply(public_key: PublicKey, message_hash: bytes,
-                           signature: Signature) -> bool:
-    """The pre-Shamir reference verifier: two independent multiplies.
-
-    Kept as a differential oracle — the edge-vector corpus runs every
-    input through both this and :meth:`PublicKey.verify` and demands
-    identical verdicts — and as the baseline for the Shamir microbench.
-    """
-    if len(message_hash) != 32:
-        raise ECDSAError("message hash must be 32 bytes")
-    r, s = signature.r, signature.s
-    if not (0 < r < CURVE_ORDER and 0 < s < CURVE_ORDER):
-        return False
-    z = int.from_bytes(message_hash, "big") % CURVE_ORDER
-    s_inv = pow(s, -1, CURVE_ORDER)
-    u1 = (z * s_inv) % CURVE_ORDER
-    u2 = (r * s_inv) % CURVE_ORDER
-    point = _jacobian_add(
-        _generator_multiply(u1),
-        _jacobian_multiply((public_key.x, public_key.y, 1), u2),
-    )
-    affine = _to_affine(point)
-    if affine is None:
-        return False
-    return affine[0] % CURVE_ORDER == r
 
 
 def generate_private_key(rng=None) -> PrivateKey:

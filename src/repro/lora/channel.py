@@ -6,25 +6,21 @@ overlapping same-frequency, same-SF transmission is at least
 ``capture_threshold_db`` weaker (the LoRa capture effect); otherwise the
 frame is lost at that listener.
 
-Two delivery kernels implement the same model:
-
-``kernel="scalar"``
-    The seed path: one listener at a time, one interferer at a time.
-    This is the differential oracle.
-
-``kernel="vector"``
-    Batch evaluation across all listeners with numpy — cached path-loss
-    rows, one RSSI vector per completion, a capture-suppression row
-    accumulated across interferers.  Equivalence contract: every
-    per-listener verdict,
-    every delivered RSSI, and every counter is **bit-identical** to the
-    scalar kernel.  That holds because the transcendentals
-    (``math.hypot``/``math.log10``) stay scalar and cached, and numpy is
-    used only for IEEE-754-exact float64 subtract/compare.  Lognormal
-    shadowing (``shadowing_sigma_db > 0``) draws from the channel RNG
-    per listener *conditionally*, which no batch formulation can replay
-    exactly — the vector kernel transparently falls back to the scalar
-    path in that case (the paper configuration uses sigma = 0).
+Delivery is evaluated for all listeners at once when a frame's airtime
+ends: one path-loss row per transmitter position
+(:meth:`PathLossModel.loss_row_db`, kept in a byte-budgeted LRU), one RSSI
+vector per completion, a capture-suppression row accumulated across
+interferers.  The contract, pinned by
+``tests/lora/test_channel_differential.py`` against the per-listener loop
+in ``tests/oracles/channel_reference.py``: every verdict, every RSSI bit,
+every counter, the delivery order and the state of the channel rng are
+the loop's.  That holds because numpy only ever performs float64
+subtract / compare / multiply / add / divide (IEEE-754-exact, as Python
+floats), while ``hypot`` and ``log10`` stay calls into ``math`` — numpy's
+own differ from those in about 1 % of a row's elements and are never used.
+Lognormal shadowing (``shadowing_sigma_db > 0``) draws from the channel
+rng per listener *conditionally*, which no batch form can replay, so such
+channels walk the listeners in order over the same cached rows.
 """
 
 from __future__ import annotations
@@ -32,12 +28,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # numpy is an accelerator, not a hard dependency
-    _np = None
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.lora.frames import LoRaFrame
@@ -82,6 +75,26 @@ class PathLossModel:
             loss += rng.gauss(0.0, self.shadowing_sigma_db)
         return loss
 
+    def loss_row_db(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Unshadowed ``loss_db(math.hypot(dx[i], dy[i]))`` for every ``i``.
+
+        Bit for bit: the same operations in the same association order as
+        :meth:`loss_db`, the transcendentals still ``math.hypot`` and
+        ``math.log10`` (mapped at C level, no Python frame per element).
+        numpy's own ``hypot`` and ``log10`` would be six times faster and
+        differ in about one element of the row in a hundred.
+        """
+        count = len(dx)
+        row = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()),
+                          dtype=np.float64, count=count)
+        np.maximum(row, 1.0, out=row)
+        row /= self.reference_distance
+        row = np.fromiter(map(math.log10, row.tolist()),
+                          dtype=np.float64, count=count)
+        row *= 10 * self.exponent
+        row += self.reference_loss_db
+        return row
+
 
 @dataclass
 class Transmission:
@@ -116,37 +129,48 @@ class Listener:
     half_duplex_owner: Optional[str] = None  # suppress hearing own radio
 
 
+# What one channel may hold in cached path-loss rows (8 bytes per listener
+# per transmitter position); the least recently used row goes first.  At
+# the sizes the deployments use every row fits (31 listeners per paper site,
+# 101 per fleet site: room for 4 228 and 1 297 positions), so each is built
+# once.  A 1001-listener cell keeps 130, and a small cache is enough there
+# because of *when* rows are reused: an interferer's row within the next few
+# completions (the working set is the frames on the air or just ended,
+# about a dozen at most on the benchmark's cell), a sender's own row ~1000
+# rows later, which no cache inside a memory bound catches.  Measured on that
+# cell (EXPERIMENTS.md, PR 21): rows built per completion 2.13 / 0.94 /
+# 0.87 / 0.74 / 0.50 at 64 KiB / 0.5 / 1 / 2 / 4 MiB; frames per second
+# flat from 0.5 to 2 MiB (4-5 k against the per-listener loop's 1 k); peak
+# RSS +2.7 / +4.0 / +6.3 / +10.8 % at 0.5 / 1 / 2 / 4 MiB against a bound
+# of 10 %.  1 MiB is the flat part at under half the bound, and leaves a
+# cell five times denser still holding twice that working set.
+LOSS_ROW_CACHE_BYTES = 1 << 20
+
+
 class RadioChannel:
     """The shared medium all radios of one deployment transmit on.
 
     Set ``verdict_log`` to a list to record, per completion, one
     ``(sender, listener, verdict, rssi_dbm)`` tuple for every listener the
-    delivery loop evaluated (half-duplex-suppressed listeners are skipped,
-    matching the scalar loop) — the differential suite compares these
-    across kernels.  Set ``obs`` to a
-    :class:`repro.obs.profile.HotPathProfiler` to account wall-clock time
-    under the ``lora.channel_complete`` site.
+    frame was evaluated at (the sender's own half-duplex radios are
+    skipped) — the differential suite compares these with the reference
+    loop's.  Set ``obs`` to a :class:`repro.obs.profile.HotPathProfiler`
+    to account wall-clock time under the ``lora.channel_complete`` site.
+    ``loss_rows_built`` / ``loss_row_hits`` count path-loss row cache
+    misses and hits.
     """
 
     def __init__(self, sim: Simulator, rng: random.Random,
                  path_loss: Optional[PathLossModel] = None,
-                 capture_threshold_db: float = 6.0,
-                 kernel: str = "scalar") -> None:
+                 capture_threshold_db: float = 6.0) -> None:
         if capture_threshold_db < 0:
             raise ConfigurationError(
                 f"capture threshold must be non-negative: {capture_threshold_db}"
             )
-        if kernel not in ("scalar", "vector"):
-            raise ConfigurationError(
-                f"unknown channel kernel: {kernel!r} (scalar|vector)"
-            )
-        if kernel == "vector" and _np is None:
-            raise ConfigurationError("vector channel kernel requires numpy")
         self.sim = sim
         self.rng = rng
         self.path_loss = path_loss or PathLossModel()
         self.capture_threshold_db = capture_threshold_db
-        self.kernel = kernel
         self._listeners: dict[str, Listener] = {}
         self._active: list[Transmission] = []
         self._history: list[Transmission] = []
@@ -156,16 +180,17 @@ class RadioChannel:
         self.frames_lost_collision = 0
         self.verdict_log: Optional[list] = None
         self.obs = None  # optional HotPathProfiler
-        # Vector-kernel state: listener arrays + per-position loss rows,
-        # rebuilt whenever the listener set changes.
+        self.loss_rows_built = 0
+        self.loss_row_hits = 0
+        # Listener arrays + per-position loss rows, rebuilt whenever the
+        # listener set changes.
         self._snapshot_version = -1
         self._listener_version = 0
         self._names: list[str] = []
-        self._positions: list[Position] = []
+        self._xs = self._ys = np.empty(0)
         self._delivers: list[Callable[[LoRaFrame, float], None]] = []
         self._owner_indices: dict[str, list[int]] = {}
-        self._loss_rows: dict[Position, "_np.ndarray"] = {}
-        self._eligible_rows: dict[str, "_np.ndarray"] = {}
+        self._loss_rows: dict[Position, np.ndarray] = {}
 
     def add_listener(self, listener: Listener) -> None:
         if listener.name in self._listeners:
@@ -200,9 +225,13 @@ class RadioChannel:
         t0 = obs.clock() if obs is not None else 0
         self._active.remove(transmission)
         self._history.append(transmission)
-        # Keep the history bounded to overlapping-relevant entries.
+        # An ended frame can still overlap only a frame that began before
+        # it ended: this one, or one still on the air (the oldest of which
+        # is first).  Whatever starts later starts after every end here.
         horizon = transmission.start
-        self._history = [t for t in self._history if t.end > horizon - 10.0]
+        if self._active:
+            horizon = min(horizon, self._active[0].start)
+        self._history = [t for t in self._history if t.end > horizon]
 
         interferers = [
             other for other in (self._active + self._history)
@@ -210,96 +239,59 @@ class RadioChannel:
             and transmission.overlaps(other)
             and transmission.interferes_with(other)
         ]
-
-        if self.kernel == "vector" and self.path_loss.shadowing_sigma_db == 0:
-            self._deliver_vector(transmission, interferers)
-        else:
-            self._deliver_scalar(transmission, interferers)
+        self._deliver(transmission, interferers)
         if obs is not None:
             obs.observe("lora.channel_complete", obs.clock() - t0)
 
-    def _deliver_scalar(self, transmission: Transmission,
-                        interferers: list[Transmission]) -> None:
-        """The seed delivery loop — the oracle the vector kernel is pinned to."""
-        log = self.verdict_log
-        for listener in list(self._listeners.values()):
-            if listener.half_duplex_owner == transmission.sender:
-                continue
-            rssi = self._received_power(transmission, listener.position)
-            sf = transmission.modulation.spreading_factor
-            if rssi < SENSITIVITY_DBM[sf]:
-                self.frames_lost_sensitivity += 1
-                if log is not None:
-                    log.append((transmission.sender, listener.name,
-                                "sensitivity", rssi))
-                continue
-            if self._suppressed_by_collision(transmission, interferers,
-                                             listener.position, rssi):
-                self.frames_lost_collision += 1
-                if log is not None:
-                    log.append((transmission.sender, listener.name,
-                                "collision", rssi))
-                continue
-            self.frames_delivered += 1
-            if log is not None:
-                log.append((transmission.sender, listener.name,
-                            "delivered", rssi))
-            listener.deliver(transmission.frame, rssi)
-
-    # -- vector kernel ---------------------------------------------------------
-
     def _rebuild_snapshot(self) -> None:
-        self._names = [ls.name for ls in self._listeners.values()]
-        self._positions = [ls.position for ls in self._listeners.values()]
-        self._delivers = [ls.deliver for ls in self._listeners.values()]
+        listeners = list(self._listeners.values())
+        self._names = [ls.name for ls in listeners]
+        self._xs = np.array([ls.position.x for ls in listeners],
+                            dtype=np.float64)
+        self._ys = np.array([ls.position.y for ls in listeners],
+                            dtype=np.float64)
+        self._delivers = [ls.deliver for ls in listeners]
         owners: dict[str, list[int]] = {}
-        for i, ls in enumerate(self._listeners.values()):
+        for i, ls in enumerate(listeners):
             if ls.half_duplex_owner is not None:
                 owners.setdefault(ls.half_duplex_owner, []).append(i)
         self._owner_indices = owners
         self._loss_rows.clear()
-        self._eligible_rows.clear()
         self._snapshot_version = self._listener_version
 
-    def _loss_row(self, position: Position) -> "_np.ndarray":
-        """Path loss from ``position`` to every listener, cached per position.
-
-        The transcendentals stay in ``math`` (not numpy SIMD paths, which
-        may differ by an ULP from libm), so each element is the exact float
-        the scalar kernel computes.  Shadowing is sigma = 0 on this path,
-        so ``loss_db`` touches no RNG.
-        """
-        row = self._loss_rows.get(position)
+    def _loss_row(self, position: Position) -> np.ndarray:
+        """Unshadowed path loss from ``position`` to every listener."""
+        rows = self._loss_rows
+        row = rows.pop(position, None)
         if row is None:
-            loss = self.path_loss.loss_db
-            row = _np.fromiter(
-                (loss(position.distance_to(at)) for at in self._positions),
-                dtype=_np.float64, count=len(self._positions),
-            )
-            self._loss_rows[position] = row
+            self.loss_rows_built += 1
+            row = self.path_loss.loss_row_db(position.x - self._xs,
+                                             position.y - self._ys)
+        else:
+            self.loss_row_hits += 1
+        rows[position] = row  # most recently used last
+        if len(rows) * row.nbytes > LOSS_ROW_CACHE_BYTES:
+            del rows[next(iter(rows))]
         return row
 
-    def _deliver_vector(self, transmission: Transmission,
-                        interferers: list[Transmission]) -> None:
+    def _deliver(self, transmission: Transmission,
+                 interferers: list[Transmission]) -> None:
         if self._snapshot_version != self._listener_version:
             self._rebuild_snapshot()
         count = len(self._names)
         if count == 0:
             return
         sender = transmission.sender
-        rssi = transmission.power_dbm - self._loss_row(transmission.position)
-        audible = rssi >= SENSITIVITY_DBM[transmission.modulation.spreading_factor]
-        eligible = self._eligible_rows.get(sender)
-        if eligible is None:
-            eligible = _np.ones(count, dtype=bool)
-            excluded = self._owner_indices.get(sender)
-            if excluded is not None:
-                eligible[excluded] = False
-            self._eligible_rows[sender] = eligible
-        audible_e = eligible & audible
-        n_eligible = count - len(self._owner_indices.get(sender, ()))
-        n_audible = int(_np.count_nonzero(audible_e))
-        if interferers:
+        own_radios = self._owner_indices.get(sender, ())
+        sensitivity = SENSITIVITY_DBM[transmission.modulation.spreading_factor]
+        if self.path_loss.shadowing_sigma_db > 0:
+            rssi, audible, suppressed = self._shadowed_verdicts(
+                transmission, interferers, own_radios, sensitivity)
+        else:
+            rssi = transmission.power_dbm - self._loss_row(transmission.position)
+            audible = rssi >= sensitivity
+            if own_radios:
+                audible[own_radios] = False
             # A listener is suppressed if any interferer lands within the
             # capture threshold of the wanted signal; the suppression row
             # accumulates one interferer at a time (no K x L matrix).
@@ -309,53 +301,66 @@ class RadioChannel:
                 close = rssi - (other.power_dbm
                                 - self._loss_row(other.position)) < threshold
                 suppressed = close if suppressed is None else suppressed | close
-            delivered = audible_e & ~suppressed
-            n_delivered = int(_np.count_nonzero(delivered))
-        else:
-            suppressed = None
-            delivered = audible_e
+        n_audible = int(np.count_nonzero(audible))
+        if suppressed is None:
+            delivered = audible
             n_delivered = n_audible
-        # eligible splits into (inaudible | suppressed | delivered), so the
-        # loss counters follow from two popcounts.
-        self.frames_lost_sensitivity += n_eligible - n_audible
+        else:
+            delivered = audible & ~suppressed
+            n_delivered = int(np.count_nonzero(delivered))
+        # The listeners that are not the sender's own split into
+        # (inaudible | suppressed | delivered), so the loss counters follow
+        # from two popcounts.
+        self.frames_lost_sensitivity += count - len(own_radios) - n_audible
         self.frames_lost_collision += n_audible - n_delivered
         self.frames_delivered += n_delivered
-        rssi_floats = None
-        if self.verdict_log is not None:
-            rssi_floats = rssi.tolist()
-            sens = (eligible & ~audible).tolist()
-            coll = ((audible_e & suppressed).tolist() if suppressed is not None
-                    else [False] * count)
+        log = self.verdict_log
+        rssi_floats = rssi.tolist() if n_delivered or log is not None else ()
+        if log is not None:
+            heard = audible.tolist()
             for i, hit in enumerate(delivered.tolist()):
-                if hit:
-                    verdict = "delivered"
-                elif sens[i]:
-                    verdict = "sensitivity"
-                elif coll[i]:
-                    verdict = "collision"
-                else:
-                    continue  # half-duplex: the scalar loop logs nothing
-                self.verdict_log.append((sender, self._names[i],
-                                         verdict, rssi_floats[i]))
+                if i in own_radios:
+                    continue
+                verdict = ("delivered" if hit
+                           else "collision" if heard[i] else "sensitivity")
+                log.append((sender, self._names[i], verdict, rssi_floats[i]))
         if n_delivered:
-            if rssi_floats is None:
-                rssi_floats = rssi.tolist()
             frame = transmission.frame
             delivers = self._delivers
-            for i in _np.nonzero(delivered)[0].tolist():
+            for i in np.nonzero(delivered)[0].tolist():
                 delivers[i](frame, rssi_floats[i])
 
-    def _received_power(self, transmission: Transmission,
-                        at: Position) -> float:
-        distance = transmission.position.distance_to(at)
-        return transmission.power_dbm - self.path_loss.loss_db(distance, self.rng)
+    def _shadowed_verdicts(self, transmission: Transmission,
+                           interferers: list[Transmission],
+                           own_radios: Sequence[int], sensitivity: float):
+        """``(rssi, audible, suppressed)`` under lognormal shadowing.
 
-    def _suppressed_by_collision(self, transmission: Transmission,
-                                 interferers: list[Transmission],
-                                 at: Position, rssi: float) -> bool:
-        """Capture-effect collision resolution at one listener."""
-        for other in interferers:
-            other_rssi = self._received_power(other, at)
-            if rssi - other_rssi < self.capture_threshold_db:
-                return True
-        return False
+        Every link evaluated draws once from the channel rng, and a
+        listener stops drawing at the first interferer that suppresses it,
+        so the listeners are walked in order; ``row[i] + gauss`` is the
+        float add ``PathLossModel.loss_db`` performs.
+        """
+        gauss = self.rng.gauss
+        sigma = self.path_loss.shadowing_sigma_db
+        threshold = self.capture_threshold_db
+        power = transmission.power_dbm
+        own_row = self._loss_row(transmission.position).tolist()
+        others = [(other.power_dbm, self._loss_row(other.position).tolist())
+                  for other in interferers]
+        count = len(own_row)
+        rssi = [0.0] * count
+        audible = [False] * count
+        suppressed = [False] * count
+        for i in range(count):
+            if i in own_radios:
+                continue
+            rssi[i] = level = power - (own_row[i] + gauss(0.0, sigma))
+            if level < sensitivity:
+                continue
+            audible[i] = True
+            for other_power, other_row in others:
+                if level - (other_power
+                            - (other_row[i] + gauss(0.0, sigma))) < threshold:
+                    suppressed[i] = True
+                    break
+        return np.array(rssi), np.array(audible), np.array(suppressed)

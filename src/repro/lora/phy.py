@@ -12,11 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-try:
-    import numpy as _np
-except ImportError:  # numpy is an accelerator, not a hard dependency
-    _np = None
-
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -24,8 +19,6 @@ __all__ = [
     "LoRaModulation",
     "SENSITIVITY_DBM",
     "SNR_THRESHOLD_DB",
-    "sensitivity_vector",
-    "batch_time_on_air",
 ]
 
 # Receiver sensitivity (dBm) per spreading factor at 125 kHz (SX1276 data
@@ -124,47 +117,3 @@ class LoRaModulation:
     def nominal_time_on_air(self, payload_bytes: int) -> float:
         """Airtime under the nominal-bitrate approximation (paper-style)."""
         return payload_bytes * 8 / self.nominal_bitrate
-
-
-def _require_numpy():
-    if _np is None:
-        raise ConfigurationError("batch PHY helpers require numpy")
-    return _np
-
-
-def sensitivity_vector() -> "_np.ndarray":
-    """:data:`SENSITIVITY_DBM` as a float64 array indexed by ``sf - 7``."""
-    np = _require_numpy()
-    return np.array([SENSITIVITY_DBM[sf] for sf in range(7, 13)],
-                    dtype=np.float64)
-
-
-def batch_time_on_air(spreading_factors, payload_bytes,
-                      bandwidth_hz: int = 125_000, coding_rate: int = 1,
-                      preamble_symbols: int = 8, explicit_header: bool = True,
-                      crc: bool = True) -> "_np.ndarray":
-    """Airtimes for parallel arrays of spreading factors and payload sizes.
-
-    Element ``i`` is **bit-identical** to
-    ``LoRaModulation(spreading_factors[i], ...).time_on_air(payload_bytes[i])``:
-    the AN1200.13 formula is pure float64 arithmetic (divide, ceil,
-    multiply-add), which numpy evaluates exactly as the scalar path does.
-    The sweep harness and fleet benchmark use this to stamp airtime
-    overlap matrices without a per-frame Python round trip.
-    """
-    np = _require_numpy()
-    sf = np.asarray(spreading_factors, dtype=np.float64)
-    if sf.size and (sf.min() < 7 or sf.max() > 12):
-        raise ConfigurationError("spreading factor out of range in batch")
-    payload = np.asarray(payload_bytes, dtype=np.float64)
-    if payload.size and payload.min() < 0:
-        raise ConfigurationError("negative payload in batch")
-    symbol_time = np.exp2(sf) / bandwidth_hz
-    preamble_time = (preamble_symbols + 4.25) * symbol_time
-    de = np.where(symbol_time > 0.016, 2.0, 0.0)
-    ih = 0.0 if explicit_header else 1.0
-    crc_bit = 1.0 if crc else 0.0
-    numerator = 8 * payload - 4 * sf + 28 + 16 * crc_bit - 20 * ih
-    denominator = 4 * (sf - de)
-    extra = np.maximum(np.ceil(numerator / denominator), 0.0) * (coding_rate + 4)
-    return preamble_time + (8 + extra) * symbol_time

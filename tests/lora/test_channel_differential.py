@@ -1,19 +1,23 @@
-"""Differential pinning of the vector channel kernel to the scalar oracle.
+"""Differential pinning of ``RadioChannel`` to the per-listener oracle.
 
-Every case builds the same scenario twice — ``kernel="scalar"`` and
-``kernel="vector"`` — and requires *exact* equality of:
+Every case drives the same scenario through the production channel and
+through ``tests/oracles/channel_reference.py`` — the seed loop with a
+brute-force interferer search, no numpy, no cache, no pruning — and
+requires *exact* equality of:
 
 - the per-listener verdict log (delivered / collision / sensitivity),
-  which is the collision-set comparison: two kernels disagreeing on which
+  which is the collision-set comparison: the two disagreeing on which
   interferer suppressed which listener would diverge here;
-- every delivered RSSI, compared as raw float bits (``==``, no tolerance);
+- every RSSI, compared as raw floats (``==``, no tolerance);
 - the channel counters;
-- the delivery call order.
+- the delivery call order;
+- the channel rng's state afterwards (lognormal shadowing draws per link,
+  conditionally, so one draw more or less shows here).
 
 Three layers: a seeded corpus of 200+ random overlapping-transmission
 cases, a hypothesis search over the same space, and a full 5-gateway
 paper-shaped network run whose exported JSONL traces must be
-byte-identical across kernels.
+byte-identical with the oracle installed in every site.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import network as core_network
 from repro.core.config import NetworkConfig
 from repro.core.network import BcWANNetwork
 from repro.lora.channel import Listener, PathLossModel, Position, RadioChannel
 from repro.lora.frames import DataFrame
-from repro.lora.phy import LoRaModulation, batch_time_on_air
+from repro.lora.phy import LoRaModulation
 from repro.sim.core import Simulator
+from tests.oracles.channel_reference import (ReferenceRadioChannel,
+                                             frame_counters)
 
 FREQS = (868_100_000, 868_300_000, 868_500_000)
 # Start times dense enough that airtimes (60 ms at SF7 up to seconds at
@@ -37,14 +44,18 @@ TIME_GRID = (0.0, 0.0, 0.01, 0.02, 0.03, 0.05, 0.1, 0.3, 0.7, 1.5)
 CORPUS_CASES = 220
 
 
-def run_kernel(kernel: str, listeners, transmissions,
-               sigma: float = 0.0, capture_db: float = 6.0):
-    """Replay one scenario on one kernel; return its full observable state."""
+def run_channel(channel_class, listeners, transmissions,
+                sigma: float = 0.0, capture_db: float = 6.0):
+    """Replay one scenario on one channel; return its full observable state.
+
+    A transmission is ``(t, sender, (x, y), sf, freq_idx, power, payload)``
+    plus an optional coding rate.
+    """
     sim = Simulator()
-    channel = RadioChannel(
+    channel = channel_class(
         sim, random.Random(99),
         path_loss=PathLossModel(shadowing_sigma_db=sigma),
-        capture_threshold_db=capture_db, kernel=kernel,
+        capture_threshold_db=capture_db,
     )
     deliveries: list[tuple] = []
     channel.verdict_log = []
@@ -55,30 +66,32 @@ def run_kernel(kernel: str, listeners, transmissions,
                 (n, frame.sender, frame.nonce, rssi)),
             half_duplex_owner=owner,
         ))
-    for i, (t, sender, (x, y), sf, freq_idx, power, payload) in \
+    for i, (t, sender, (x, y), sf, freq_idx, power, payload, *coding_rate) in \
             enumerate(transmissions):
         frame = DataFrame(sender=sender,
                           encrypted_message=b"\xab" * payload, nonce=i)
-        modulation = LoRaModulation(spreading_factor=sf)
+        modulation = LoRaModulation(spreading_factor=sf,
+                                    coding_rate=(coding_rate or [1])[0])
         sim.call_at(t, lambda s=sender, p=Position(x, y), f=frame,
                     m=modulation, fi=freq_idx, pw=power:
                     channel.transmit(s, p, f, m, frequency_hz=FREQS[fi],
                                      power_dbm=pw))
     sim.run()
-    counters = (channel.frames_sent, channel.frames_delivered,
-                channel.frames_lost_sensitivity,
-                channel.frames_lost_collision)
-    return deliveries, channel.verdict_log, counters, channel
+    return deliveries, channel.verdict_log, frame_counters(channel), channel
 
 
-def assert_kernels_agree(listeners, transmissions, sigma=0.0,
-                         capture_db=6.0) -> tuple:
-    scalar = run_kernel("scalar", listeners, transmissions, sigma, capture_db)
-    vector = run_kernel("vector", listeners, transmissions, sigma, capture_db)
-    assert vector[0] == scalar[0], "delivery lists diverge"
-    assert vector[1] == scalar[1], "verdict logs diverge"
-    assert vector[2] == scalar[2], "channel counters diverge"
-    return scalar, vector
+def assert_matches_oracle(listeners, transmissions, sigma=0.0,
+                          capture_db=6.0) -> tuple:
+    oracle = run_channel(ReferenceRadioChannel, listeners, transmissions,
+                         sigma, capture_db)
+    production = run_channel(RadioChannel, listeners, transmissions,
+                             sigma, capture_db)
+    assert production[0] == oracle[0], "delivery lists diverge"
+    assert production[1] == oracle[1], "verdict logs diverge"
+    assert production[2] == oracle[2], "channel counters diverge"
+    assert production[3].rng.getstate() == oracle[3].rng.getstate(), \
+        "channel rng streams diverge"
+    return oracle, production
 
 
 def random_case(rng: random.Random):
@@ -100,21 +113,23 @@ def random_case(rng: random.Random):
             rng.uniform(2.0, 27.0),
             rng.randint(4, 24),
         ))
-    sigma = rng.choice((0.0, 0.0, 0.0, 2.5))  # sometimes force the fallback
+    sigma = rng.choice((0.0, 0.0, 0.0, 2.5))  # sometimes shadowed
     return listeners, transmissions, sigma
 
 
-def test_seeded_corpus_pins_vector_to_scalar():
+def corpus():
     rng = random.Random(0xBC_1A)
-    vector_path_hits = 0
-    for _ in range(CORPUS_CASES):
-        listeners, transmissions, sigma = random_case(rng)
-        _, vector = assert_kernels_agree(listeners, transmissions, sigma)
-        if vector[3]._loss_rows:
-            vector_path_hits += 1
-    # The corpus must actually exercise the batch path, not just the
-    # shadowing fallback: loss rows are cached only by _deliver_vector.
-    assert vector_path_hits > CORPUS_CASES // 2
+    return [random_case(rng) for _ in range(CORPUS_CASES)]
+
+
+def test_seeded_corpus_pins_vector_to_scalar():
+    shadowed = 0
+    for listeners, transmissions, sigma in corpus():
+        _, production = assert_matches_oracle(listeners, transmissions, sigma)
+        assert production[3].loss_rows_built, "no path-loss row was built"
+        shadowed += sigma > 0
+    # Both forms of the one path are exercised: batch and per-listener.
+    assert CORPUS_CASES // 8 < shadowed < CORPUS_CASES // 2
 
 
 def test_exact_tie_and_capture_edge():
@@ -127,31 +142,83 @@ def test_exact_tie_and_capture_edge():
         (0.0, "a", (500.0, 0.0), 7, 0, 14.0, 12),
         (0.0, "b", (500.0, 0.0), 7, 0, 14.0, 12),
     ]
-    scalar, _ = assert_kernels_agree(listeners, transmissions)
-    deliveries, log, counters, _ = scalar
+    oracle, _ = assert_matches_oracle(listeners, transmissions)
+    deliveries, log, counters, _ = oracle
     assert not deliveries
     assert counters[3] == 2  # both frames lost to collision at "gw"
     assert {v for (_, ls, v, _) in log if ls == "far"} == {"sensitivity"}
 
 
+def test_interferer_outlives_a_ten_second_window():
+    # SF12 at CR 4/8 keeps 224 bytes on the air for 12.5 s.  "b" ties with
+    # "a" and is over within a second; when "c" completes on another
+    # channel at t = 11.5, a fixed 10 s look-back (what src/ had) forgets
+    # "b" and then calls "a" delivered although "b" was lost against it.
+    listeners = [("gw", (0.0, 0.0), None)]
+    transmissions = [
+        (0.0, "a", (500.0, 0.0), 12, 0, 14.0, 220, 4),
+        (0.0, "b", (500.0, 0.0), 12, 0, 14.0, 4),
+        (11.5, "c", (500.0, 0.0), 7, 1, 14.0, 4),
+    ]
+    _, production = assert_matches_oracle(listeners, transmissions)
+    _, log, _, channel = production
+    assert channel.sim.now > 12.0  # "a" really was on the air that long
+    assert {sender: verdict for sender, _, verdict, _ in log} == {
+        "a": "collision", "b": "collision", "c": "delivered"}
+
+
+def test_long_frame_remembers_three_generations_of_short_ones():
+    # "long" is still on the air when three generations of short SF12
+    # frames have come and gone.  Only the first ("tie": same place, same
+    # power) is strong enough to cost it the listener; the later two are
+    # captured.  Short frames on the other channels keep completing
+    # meanwhile, each one a chance to forget "tie" too early.
+    listeners = [("gw", (0.0, 0.0), None)]
+    transmissions = [
+        (0.0, "long", (500.0, 0.0), 12, 0, 14.0, 220, 4),
+        (0.1, "tie", (500.0, 0.0), 12, 0, 14.0, 4),
+        (4.0, "weak-1", (2500.0, 0.0), 12, 0, 14.0, 4),
+        (8.0, "weak-2", (0.0, 2500.0), 12, 0, 14.0, 4),
+    ] + [(t, f"other-{i}", (300.0, 300.0), 7, 1 + i % 2, 14.0, 4)
+         for i, t in enumerate((1.5, 5.5, 9.5, 11.3, 11.7, 12.1, 20.0))]
+    _, production = assert_matches_oracle(listeners, transmissions)
+    verdicts = {sender: verdict for sender, _, verdict, _ in production[1]}
+    assert verdicts["long"] == "collision"
+    assert verdicts["tie"] == "collision"
+    assert verdicts["weak-1"] == verdicts["weak-2"] == "collision"
+    assert all(verdicts[f"other-{i}"] == "delivered" for i in range(7))
+    # ...and once nothing is on the air, nothing but the frame that just
+    # ended is remembered.
+    assert len(production[3]._history) == 1
+
+
 def test_half_duplex_suppression_matches():
-    # The sender's own radio must not hear itself on either kernel.
+    # The sender's own radio must not hear itself on either channel.
     listeners = [("self", (0.0, 0.0), "dev-0"), ("other", (100.0, 0.0), None)]
     transmissions = [(0.0, "dev-0", (0.0, 0.0), 7, 0, 14.0, 12)]
-    scalar, _ = assert_kernels_agree(listeners, transmissions)
-    deliveries, log, _, _ = scalar
+    oracle, _ = assert_matches_oracle(listeners, transmissions)
+    deliveries, log, _, _ = oracle
     assert [entry[0] for entry in deliveries] == ["other"]
     assert all(ls != "self" for (_, ls, _, _) in log)
 
 
-def test_shadowing_falls_back_to_scalar_path():
-    # sigma > 0 draws from the channel RNG conditionally; the vector
-    # kernel must take the scalar path and consume identical draws.
-    listeners = [("gw", (0.0, 0.0), None)]
+def test_shadowing_draws_in_the_loop_order():
+    # sigma > 0 draws from the channel rng once per evaluated link and
+    # stops at the first suppressing interferer, so the number of draws
+    # depends on the verdicts.  Three listeners, the middle one the second
+    # sender's own radio, three mutually overlapping frames: the rng must
+    # end where the loop's ends, having actually been drawn from.
+    listeners = [("gw", (0.0, 0.0), None), ("own", (900.0, 0.0), "dev-1"),
+                 ("edge", (2400.0, 0.0), None)]
     transmissions = [(0.0, "dev-0", (800.0, 0.0), 7, 0, 14.0, 12),
-                     (0.01, "dev-1", (900.0, 0.0), 7, 0, 14.0, 12)]
-    _, vector = assert_kernels_agree(listeners, transmissions, sigma=4.0)
-    assert not vector[3]._loss_rows, "vector path ran despite shadowing"
+                     (0.01, "dev-1", (900.0, 0.0), 7, 0, 14.0, 12),
+                     (0.02, "dev-2", (100.0, 50.0), 7, 0, 14.0, 12)]
+    oracle, production = assert_matches_oracle(listeners, transmissions,
+                                               sigma=4.0)
+    assert production[3].rng.getstate() != random.Random(99).getstate()
+    assert {v for (_, _, v, _) in oracle[1]} >= {"collision", "delivered"}
+    # The rows under the draws are the cached, unshadowed ones.
+    assert production[3].loss_rows_built == 3
 
 
 @given(data=st.data())
@@ -178,41 +245,36 @@ def test_hypothesis_search_pins_kernels(data):
         ),
         min_size=2, max_size=6))
     sigma = data.draw(st.sampled_from([0.0, 0.0, 3.0]))
-    assert_kernels_agree(listeners, transmissions, sigma=sigma)
+    assert_matches_oracle(listeners, transmissions, sigma=sigma)
 
 
-def test_batch_time_on_air_matches_scalar():
-    rng = random.Random(7)
-    sfs = [rng.randint(7, 12) for _ in range(300)]
-    payloads = [rng.randint(0, 255) for _ in range(300)]
-    batched = batch_time_on_air(sfs, payloads)
-    for sf, payload, airtime in zip(sfs, payloads, batched.tolist()):
-        assert airtime == LoRaModulation(
-            spreading_factor=sf).time_on_air(payload)
-
-
-def paper_run(kernel: str):
+def paper_run():
     config = NetworkConfig(num_gateways=5, sensors_per_gateway=30, seed=2026,
-                           sim_kernel=kernel, tracing=True)
+                           tracing=True)
     network = BcWANNetwork(config)
     report = network.run(num_exchanges=40)
     return report, network.export_trace(), network
 
 
-def test_full_paper_run_traces_byte_identical():
-    """Same seed, 5 gateways x 30 sensors: vector == scalar end to end."""
-    scalar_report, scalar_trace, scalar_net = paper_run("scalar")
-    vector_report, vector_trace, vector_net = paper_run("vector")
-    assert vector_trace == scalar_trace
-    assert scalar_trace, "trace export must not be empty"
-    assert (vector_report.completed, vector_report.failed,
-            vector_report.frames_lost_collision,
-            vector_report.frames_lost_sensitivity) == \
-           (scalar_report.completed, scalar_report.failed,
-            scalar_report.frames_lost_collision,
-            scalar_report.frames_lost_sensitivity)
-    for scalar_site, vector_site in zip(scalar_net.sites, vector_net.sites):
-        assert vector_site.channel.frames_delivered == \
-            scalar_site.channel.frames_delivered
-    # The run must have exercised the batch path on every site's channel.
-    assert all(site.channel._loss_rows for site in vector_net.sites)
+def test_full_paper_run_traces_byte_identical(monkeypatch):
+    """Same seed, 5 gateways x 30 sensors: production == oracle end to end."""
+    report, trace, net = paper_run()
+    monkeypatch.setattr(core_network, "RadioChannel", ReferenceRadioChannel)
+    oracle_report, oracle_trace, oracle_net = paper_run()
+    assert all(isinstance(site.channel, ReferenceRadioChannel)
+               for site in oracle_net.sites)
+    assert trace == oracle_trace
+    assert trace, "trace export must not be empty"
+    assert (report.completed, report.failed, report.frames_lost_collision,
+            report.frames_lost_sensitivity) == \
+           (oracle_report.completed, oracle_report.failed,
+            oracle_report.frames_lost_collision,
+            oracle_report.frames_lost_sensitivity)
+    for site, oracle_site in zip(net.sites, oracle_net.sites):
+        assert site.channel.frames_delivered == \
+            oracle_site.channel.frames_delivered
+        # At 31 listeners a site caches every position that ever
+        # transmitted: each row is built once and none is evicted.
+        channel = site.channel
+        assert 0 < channel.loss_rows_built == len(channel._loss_rows)
+        assert channel.loss_row_hits > channel.loss_rows_built

@@ -1,0 +1,134 @@
+"""The seed radio channel: the oracle for ``repro.lora.channel``.
+
+The delivery loop (``_deliver_scalar`` in ``src/`` while ``RadioChannel``
+still took ``kernel=``), ``_received_power`` and
+``_suppressed_by_collision`` exactly as they stood there: one listener at a
+time, one interferer at a time, one ``PathLossModel.loss_db`` call (and,
+under shadowing, one rng draw) per link.  Around them this channel knows
+nothing the production one knows — no numpy, no cached path-loss row, no
+listener snapshot, and no pruned interferer window: a completing frame is
+checked against every transmission the channel ever carried.  ``tests/lora/`` and
+``benchmarks/test_scaling_fleet.py`` drive both channels through the same
+public calls and require the same verdict log, RSSI bits, counters,
+delivery order and rng state.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Optional
+
+from repro.errors import ConfigurationError
+from repro.lora.channel import (Listener, PathLossModel, Position,
+                                Transmission)
+from repro.lora.frames import LoRaFrame
+from repro.lora.phy import LoRaModulation, SENSITIVITY_DBM
+from repro.sim.core import Simulator
+
+__all__ = ["ReferenceRadioChannel", "frame_counters"]
+
+
+def frame_counters(channel) -> tuple[int, int, int, int]:
+    """The frame counters of either channel, as one comparable tuple."""
+    return (channel.frames_sent, channel.frames_delivered,
+            channel.frames_lost_sensitivity, channel.frames_lost_collision)
+
+
+class ReferenceRadioChannel:
+    """``RadioChannel``'s public surface over the per-listener loop."""
+
+    def __init__(self, sim: Simulator, rng: random.Random,
+                 path_loss: Optional[PathLossModel] = None,
+                 capture_threshold_db: float = 6.0) -> None:
+        self.sim = sim
+        self.rng = rng
+        self.path_loss = path_loss or PathLossModel()
+        self.capture_threshold_db = capture_threshold_db
+        self._listeners: dict[str, Listener] = {}
+        self._active: list[Transmission] = []
+        self._ended: list[Transmission] = []  # never pruned
+        self.frames_sent = 0
+        self.frames_delivered = 0
+        self.frames_lost_sensitivity = 0
+        self.frames_lost_collision = 0
+        self.verdict_log: Optional[list] = None
+        self.obs = None  # accepted and ignored: the oracle is never timed
+
+    def add_listener(self, listener: Listener) -> None:
+        if listener.name in self._listeners:
+            raise ConfigurationError(f"duplicate listener: {listener.name}")
+        self._listeners[listener.name] = listener
+
+    def remove_listener(self, name: str) -> None:
+        self._listeners.pop(name, None)
+
+    def transmit(self, sender: str, position: Position, frame: LoRaFrame,
+                 modulation: LoRaModulation, frequency_hz: int = 868_100_000,
+                 power_dbm: float = 14.0):
+        airtime = modulation.time_on_air(frame.wire_size())
+        transmission = Transmission(
+            sender=sender, frame=frame, modulation=modulation,
+            frequency_hz=frequency_hz, power_dbm=power_dbm,
+            position=position, start=self.sim.now, end=self.sim.now + airtime,
+        )
+        self._active.append(transmission)
+        self.frames_sent += 1
+        self.sim.call_at(transmission.end, lambda: self._complete(transmission))
+        return transmission
+
+    def _complete(self, transmission: Transmission) -> None:
+        self._active.remove(transmission)
+        self._ended.append(transmission)
+        # Frames on the air first, then ended ones in completion order: the
+        # order the per-interferer shadowing draws are made in.
+        interferers = [
+            other for other in (self._active + self._ended)
+            if other is not transmission
+            and transmission.overlaps(other)
+            and transmission.interferes_with(other)
+        ]
+        self._deliver(transmission, interferers)
+
+    # -- the seed loop, verbatim ------------------------------------------------
+
+    def _deliver(self, transmission: Transmission,
+                 interferers: list[Transmission]) -> None:
+        log = self.verdict_log
+        for listener in list(self._listeners.values()):
+            if listener.half_duplex_owner == transmission.sender:
+                continue
+            rssi = self._received_power(transmission, listener.position)
+            sf = transmission.modulation.spreading_factor
+            if rssi < SENSITIVITY_DBM[sf]:
+                self.frames_lost_sensitivity += 1
+                if log is not None:
+                    log.append((transmission.sender, listener.name,
+                                "sensitivity", rssi))
+                continue
+            if self._suppressed_by_collision(transmission, interferers,
+                                             listener.position, rssi):
+                self.frames_lost_collision += 1
+                if log is not None:
+                    log.append((transmission.sender, listener.name,
+                                "collision", rssi))
+                continue
+            self.frames_delivered += 1
+            if log is not None:
+                log.append((transmission.sender, listener.name,
+                            "delivered", rssi))
+            listener.deliver(transmission.frame, rssi)
+
+    def _received_power(self, transmission: Transmission,
+                        at: Position) -> float:
+        distance = transmission.position.distance_to(at)
+        return transmission.power_dbm - self.path_loss.loss_db(distance, self.rng)
+
+    def _suppressed_by_collision(self, transmission: Transmission,
+                                 interferers: list[Transmission],
+                                 at: Position, rssi: float) -> bool:
+        """Capture-effect collision resolution at one listener."""
+        for other in interferers:
+            other_rssi = self._received_power(other, at)
+            if rssi - other_rssi < self.capture_threshold_db:
+                return True
+        return False

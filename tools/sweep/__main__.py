@@ -4,8 +4,7 @@ Example grid file::
 
     {
       "base_seed": 7,
-      "base": {"num_gateways": 3, "sensors_per_gateway": 5,
-               "sim_kernel": "vector"},
+      "base": {"num_gateways": 3, "sensors_per_gateway": 5},
       "axes": {"spreading_factor": [7, 9],
                "consensus": ["master", "pos"],
                "chaos": ["none", "wan-loss"]}
