@@ -12,8 +12,8 @@ front-loads their expensive work:
   serializes each transaction once instead of once per input;
 * the recognized ``(pubkey, digest, signature)`` triples the
   :class:`VerdictMemo` does not know yet go through
-  :func:`repro.crypto.ecdsa.verify_batch`, which amortizes fixed-base
-  table setup across inputs sharing a pubkey and batches the modular
+  :func:`repro.crypto.ecdsa.verify_batch`, which runs the same
+  verification core as ``PublicKey.verify`` and batches the modular
   inversions.
 
 The interpreter still executes every opcode of every script — the

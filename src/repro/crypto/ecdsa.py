@@ -9,19 +9,24 @@ Points are handled in Jacobian coordinates for speed; signatures are
 low-S normalized (BIP 62) and serialized as the compact 64-byte ``r || s``
 form, which keeps the script interpreter simple compared to DER.
 
-Verification computes ``u1*G + u2*Q`` with Shamir's trick: both scalars
-are recoded to width-w NAF and walked in one interleaved ladder, sharing
-the 256 doublings that the two separate multiplies each paid on their
-own.  The generator's odd multiples are built once at import; each public
-key's odd multiples are kept in a small bounded cache so a key that
-verifies many signatures (a busy gateway) pays its table once.
+Every scalar multiply is one scheme: signed fixed-width digits walked
+over rows of precomputed affine multiples.  ``PublicKey.verify`` and
+``verify_batch`` share one core for ``u1*G + u2*Q``: ``u1*G`` comes from
+the generator's import-time table (no doubling), and ``u2`` is split by
+secp256k1's GLV endomorphism into two 128-bit halves over multiples of
+``Q`` alone.  A key seen for the first few times pays one 128-doubling
+ladder; a key whose cumulative verifications reach the break-even gets a
+full table in a byte-budgeted cache and pays no doubling again.  SEC1
+parsing is memoised, so a key's square root is paid once.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import zip_longest
+from typing import Iterable, Optional
 
 from repro.crypto.hashing import hmac_sha256
 
@@ -95,15 +100,14 @@ def _jacobian_add(p: tuple[int, int, int],
     return nx, ny, nz
 
 
-# Mixed addition: q comes from a precomputed table whose entries are
+# Mixed addition: (x2, y2) comes from a precomputed row whose entries are
 # normalized to affine (z == 1), which drops the z2-dependent work of the
 # generic formula (~30% fewer field multiplications per add).
 def _jacobian_add_affine(p: tuple[int, int, int],
-                         q: tuple[int, int, int]) -> tuple[int, int, int]:
-    if not p[2]:
-        return q
+                         x2: int, y2: int) -> tuple[int, int, int]:
     x1, y1, z1 = p
-    x2, y2, _one = q
+    if not z1:
+        return x2, y2, 1
     z1sq = (z1 * z1) % _P
     u2 = (x2 * z1sq) % _P
     s2 = (y2 * z1sq * z1) % _P
@@ -111,8 +115,8 @@ def _jacobian_add_affine(p: tuple[int, int, int],
         if y1 != s2:
             return _INFINITY
         return _jacobian_double(p)
-    h = (u2 - x1) % _P
-    r = (s2 - y1) % _P
+    h = u2 - x1
+    r = s2 - y1
     hsq = (h * h) % _P
     hcu = (hsq * h) % _P
     u1hsq = (x1 * hsq) % _P
@@ -141,81 +145,6 @@ def _batch_inverse(values: list[int], modulus: int) -> list[int]:
     return out
 
 
-# Fixed-base acceleration: precompute base, 2*base, 3*base, ... for each
-# w-bit window of the scalar, then normalize every table entry to affine
-# so lookups feed the cheap mixed addition above.  A multiply becomes
-# doubling-free — one lookup + one mixed add per nonzero window.  The
-# generator affords a wide 8-bit window (32 windows, 255 entries each,
-# built once at import); per-pubkey tables stay at 4 bits to keep the
-# on-demand build cost amortizable.
-_WINDOW_BITS = 4
-_GENERATOR_WINDOW_BITS = 8
-
-
-def _build_window_tables(base: tuple[int, int, int],
-                         window_bits: int = _WINDOW_BITS,
-                         ) -> list[list[tuple[int, int, int]]]:
-    """Affine per-window multiples: ``tables[w][d] == d * 2**(w*bits) * base``."""
-    windows = (256 + window_bits - 1) // window_bits
-    tables: list[list[tuple[int, int, int]]] = []
-    for _window in range(windows):
-        row = [_INFINITY]
-        current = _INFINITY
-        for _ in range((1 << window_bits) - 1):
-            current = _jacobian_add(current, base)
-            row.append(current)
-        tables.append(row)
-        for _ in range(window_bits):
-            base = _jacobian_double(base)
-    # One Montgomery pass flattens every entry to z == 1.
-    flat = [entry for row in tables for entry in row if entry[2]]
-    inverses = iter(_batch_inverse([entry[2] for entry in flat], _P))
-    normalized = []
-    for row in tables:
-        new_row = []
-        for entry in row:
-            if not entry[2]:
-                new_row.append(entry)
-                continue
-            x, y, _z = entry
-            z_inv = next(inverses)
-            z_inv_sq = (z_inv * z_inv) % _P
-            new_row.append(((x * z_inv_sq) % _P,
-                            (y * z_inv_sq * z_inv) % _P, 1))
-        normalized.append(new_row)
-    return normalized
-
-
-_G_TABLES = _build_window_tables((_GX, _GY, 1), _GENERATOR_WINDOW_BITS)
-
-
-def _windowed_multiply(tables: list[list[tuple[int, int, int]]],
-                       scalar: int) -> tuple[int, int, int]:
-    """``scalar * base`` via ``base``'s precomputed window tables.
-
-    Doubling-free: each window is one table lookup plus one mixed add.
-    The window width is recovered from the table shape, so generator
-    (8-bit) and pubkey (4-bit) tables share this walk.
-    """
-    mask = len(tables[0]) - 1
-    shift = mask.bit_length()
-    scalar %= CURVE_ORDER
-    result = _INFINITY
-    window = 0
-    while scalar:
-        digit = scalar & mask
-        if digit:
-            result = _jacobian_add_affine(result, tables[window][digit])
-        scalar >>= shift
-        window += 1
-    return result
-
-
-def _generator_multiply(scalar: int) -> tuple[int, int, int]:
-    """``scalar * G`` via the precomputed window tables."""
-    return _windowed_multiply(_G_TABLES, scalar)
-
-
 def _to_affine(point: tuple[int, int, int]) -> Optional[tuple[int, int]]:
     x, y, z = point
     if not z:
@@ -229,136 +158,225 @@ def _point_on_curve(x: int, y: int) -> bool:
     return (y * y - x * x * x - _B) % _P == 0
 
 
-_G_JACOBIAN = (_GX, _GY, 1)
-
-
-# --- Shamir's trick: interleaved dual-scalar multiplication ----------------
+# --- Scalar multiplication: signed digits over affine rows ------------------
 #
-# verify() needs u1*G + u2*Q.  Doing the multiplies separately costs two
-# full ladders (~512 doublings); recoding both scalars to width-w NAF and
-# walking them in one interleaved pass shares the ~256 doublings and adds
-# only a sparse stream of table lookups (~256/(w+1) per scalar).
+# A scalar is recoded to signed base-2**w digits in [-2**(w-1), 2**(w-1)],
+# so a row holds only the positive multiples 1 .. 2**(w-1) of its base (a
+# negative digit is a y-flip), and row i of a table holds those multiples
+# of 2**(w*i) * base.  With every row present a multiply is doubling-free,
+# one mixed addition per non-zero digit (_table_walk); with row 0 alone
+# the same digits are walked from the top with w doublings between them
+# (_ladder).  A table is the ladder with its doublings precomputed.
 
-_G_NAF_WIDTH = 6       # generator table is built once, afford a wide window
-_PUBKEY_NAF_WIDTH = 5  # per-key tables are built on demand, keep them small
-
-# Bound on cached per-pubkey tables: FIFO, like the engine's script cache —
-# entries are immutable, so recency tracking buys nothing over FIFO.
-_PUBKEY_TABLE_LIMIT = 256
-
-
-def _wnaf(scalar: int, width: int) -> list[int]:
-    """Width-``w`` non-adjacent form, least-significant digit first.
-
-    Every non-zero digit is odd and within ``(-2**(w-1), 2**(w-1))``, and
-    any two non-zero digits are at least ``width`` positions apart.
-    """
-    digits: list[int] = []
+def _signed_digits(scalar: int, bits: int) -> list[int]:
+    """Signed base-``2**bits`` digits of ``scalar``, least significant
+    first: ``sum(d << (bits * i)) == scalar`` and ``|d| <= 2**(bits-1)``.
+    A negative scalar is the digit-wise negation of its magnitude."""
+    half, base = 1 << (bits - 1), 1 << bits
+    sign = -1 if scalar < 0 else 1
+    scalar = abs(scalar)
+    digits = []
     while scalar:
-        if scalar & 1:
-            digit = scalar & ((1 << width) - 1)
-            if digit >= 1 << (width - 1):
-                digit -= 1 << width
-            scalar -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        scalar >>= 1
+        digit = scalar & (base - 1)
+        scalar >>= bits
+        if digit > half:
+            digit -= base
+            scalar += 1
+        digits.append(sign * digit)
     return digits
 
 
-def _odd_multiples(point: tuple[int, int, int],
-                   count: int) -> list[tuple[int, int, int]]:
-    """``[P, 3P, 5P, ..., (2*count - 1)P]`` in Jacobian coordinates."""
-    table = [point]
-    twice = _jacobian_double(point)
-    for _ in range(count - 1):
-        table.append(_jacobian_add(table[-1], twice))
-    return table
+def _build_rows(base: tuple[int, int, int], bits: int,
+                count: int) -> list[list[tuple[int, int]]]:
+    """``rows[i][m - 1] == m * 2**(bits*i) * base`` as affine ``(x, y)``
+    for ``m`` in ``1 .. 2**(bits-1)``: even multiples by doubling, odd ones
+    by one addition, one Montgomery inversion for the whole table.  No
+    entry is the point at infinity: ``base`` has the (prime) group order."""
+    size = 1 << (bits - 1)
+    points: list[tuple[int, int, int]] = []  # row after row
+    for start in range(0, count * size, size):
+        if start:
+            base = _jacobian_double(points[-1])
+        points.append(base)
+        for multiple in range(2, size + 1):
+            half = points[start + multiple // 2 - 1]
+            points.append(_jacobian_add(points[-1], base) if multiple & 1
+                          else _jacobian_double(half))
+    affine = []
+    for (x, y, _z), z_inv in zip(
+            points, _batch_inverse([z for _, _, z in points], _P)):
+        z_inv_sq = (z_inv * z_inv) % _P
+        affine.append(((x * z_inv_sq) % _P, (y * z_inv_sq * z_inv) % _P))
+    return [affine[start:start + size]
+            for start in range(0, len(affine), size)]
 
 
-_G_NAF_TABLE = _odd_multiples(_G_JACOBIAN, 1 << (_G_NAF_WIDTH - 2))
-
-_pubkey_naf_tables: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-
-
-def _pubkey_naf_table(x: int, y: int) -> list[tuple[int, int, int]]:
-    table = _pubkey_naf_tables.get((x, y))
-    if table is None:
-        table = _odd_multiples((x, y, 1), 1 << (_PUBKEY_NAF_WIDTH - 2))
-        if len(_pubkey_naf_tables) >= _PUBKEY_TABLE_LIMIT:
-            _pubkey_naf_tables.pop(next(iter(_pubkey_naf_tables)))
-        _pubkey_naf_tables[(x, y)] = table
-    return table
+def _table_walk(acc: tuple[int, int, int], rows: list[list[tuple[int, int]]],
+                digits: Iterable[int]) -> tuple[int, int, int]:
+    """``acc + sum(digit * row's base)``, one mixed addition per non-zero
+    digit.  Over a base's full table and a scalar's digits that is
+    ``acc + scalar * base`` with no doubling."""
+    for row, digit in zip(rows, digits):
+        if digit:
+            x, y = row[abs(digit) - 1]
+            acc = _jacobian_add_affine(acc, x, y if digit > 0 else _P - y)
+    return acc
 
 
-def _negate(point: tuple[int, int, int]) -> tuple[int, int, int]:
-    x, y, z = point
-    return (x, (-y) % _P, z)
+def _ladder(bits: int, rows: list[list[tuple[int, int]]],
+            scalars: list[list[int]]) -> tuple[int, int, int]:
+    """``sum(scalar * base)`` given only row 0 of each base: the scalars'
+    digits are walked from the top, one column per position, with ``bits``
+    doublings shared between positions."""
+    acc = _INFINITY
+    for column in reversed(list(zip_longest(*scalars, fillvalue=0))):
+        if acc[2]:
+            for _ in range(bits):
+                acc = _jacobian_double(acc)
+        acc = _table_walk(acc, rows, column)
+    return acc
 
 
-def _shamir_multiply(u1: int, u2: int,
-                     qx: int, qy: int) -> tuple[int, int, int]:
-    """``u1*G + u2*Q`` via one interleaved width-w NAF ladder."""
-    naf_g = _wnaf(u1 % CURVE_ORDER, _G_NAF_WIDTH)
-    naf_q = _wnaf(u2 % CURVE_ORDER, _PUBKEY_NAF_WIDTH)
-    table_q = _pubkey_naf_table(qx, qy) if naf_q else ()
-    result = _INFINITY
-    for i in range(max(len(naf_g), len(naf_q)) - 1, -1, -1):
-        result = _jacobian_double(result)
-        if i < len(naf_g):
-            digit = naf_g[i]
-            if digit > 0:
-                result = _jacobian_add(result, _G_NAF_TABLE[digit >> 1])
-            elif digit < 0:
-                result = _jacobian_add(result, _negate(_G_NAF_TABLE[-digit >> 1]))
-        if i < len(naf_q):
-            digit = naf_q[i]
-            if digit > 0:
-                result = _jacobian_add(result, table_q[digit >> 1])
-            elif digit < 0:
-                result = _jacobian_add(result, _negate(table_q[-digit >> 1]))
-    return result
+# The generator affords 8-bit digits: 32 rows of 128 entries, built once
+# at import.  Folding the scalar into (-n/2, n/2] keeps the top digit's
+# carry inside row 31.
+_G_DIGIT_BITS = 8
+_G_ROWS = _build_rows((_GX, _GY, 1), _G_DIGIT_BITS, 32)
 
 
-# --- Cross-signature batch verification ------------------------------------
+def _generator_multiply(scalar: int, acc: tuple[int, int, int] = _INFINITY
+                        ) -> tuple[int, int, int]:
+    """``acc + scalar * G``: at most 32 mixed additions, no doubling."""
+    scalar %= CURVE_ORDER
+    if scalar > CURVE_ORDER // 2:
+        scalar -= CURVE_ORDER
+    return _table_walk(acc, _G_ROWS, _signed_digits(scalar, _G_DIGIT_BITS))
+
+
+# --- The verification core: u1*G + u2*Q --------------------------------------
 #
-# A block (or a busy mempool window) verifies many signatures at once, and
-# in the BcWAN deployment most of them come from a handful of gateway
-# keys.  verify_batch() exploits both axes:
+# secp256k1 has the endomorphism lambda * (x, y) == (beta * x, y), so u2
+# splits into two 128-bit halves, u2 == k1 + k2 * lambda (mod n), that are
+# both walked over multiples of Q alone, as 4-bit signed digits:
 #
-# * a pubkey seen often enough gets the same doubling-free affine window
-#   tables the generator enjoys, so u1*G + u2*Q drops from ~256 doublings
-#   + ~94 additions (the Shamir ladder) to ~32 + ~64 mixed additions —
-#   the table build (~1.2k point ops) amortizes after about six
-#   signatures;
-# * every modular inversion in the batch (the s**-1 scalars mod n, the
-#   z**-1 affine conversions mod p) collapses into one inversion plus
-#   3(k-1) multiplications via Montgomery's trick.
+# * a key seen for the first few times (cold) holds row 0 only and pays one
+#   128-doubling ladder shared by both halves -- half a plain ladder;
+# * a key whose *cumulative* verifications, single or batched, reach
+#   _PROMOTE_AFTER holds all 33 rows (264 affine points) and pays no
+#   doubling at all: ~31 mixed additions per half beside u1*G's 32.
 #
-# Verdicts are bit-identical to calling PublicKey.verify() per signature:
-# both paths compute the same group element and compare the same affine
-# x coordinate, only the coordinate bookkeeping differs.
+# BcWAN's signers are provisioned actors (gateways, recipients, masters),
+# so nearly every verification is by a key that recurs: docs/PROTOCOL.md
+# "Validation pipeline" has the measured traffic.  Verdicts never depend
+# on what is cached: every path computes the same group element.
 
-#: Signatures a pubkey must contribute to one batch before the fixed-base
-#: window tables are built for it (build cost ~= six Shamir ladders).
-_FIXED_TABLE_THRESHOLD = 6
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# (a1, b1), (a2, b2): a reduced basis of {(a, b): a + b * lambda == 0 (mod n)}.
+# Rounding (u2, 0) to its nearest lattice point leaves |k1| <= (a1 + a2) / 2
+# and |k2| <= (|b1| + b2) / 2, both below 2**128.
+_A1 = _B2 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 
-#: FIFO bound on cached per-pubkey window tables (1024 points each).
-_FIXED_TABLE_LIMIT = 16
-
-_pubkey_fixed_tables: dict[tuple[int, int],
-                           list[list[tuple[int, int, int]]]] = {}
+_KEY_DIGIT_BITS = 4
+_KEY_ROWS = 33  # a half's 32 nibbles plus the recoding's carry
 
 
-def _pubkey_window_tables(x: int, y: int) -> list[list[tuple[int, int, int]]]:
-    tables = _pubkey_fixed_tables.get((x, y))
-    if tables is None:
-        tables = _build_window_tables((x, y, 1))
-        if len(_pubkey_fixed_tables) >= _FIXED_TABLE_LIMIT:
-            _pubkey_fixed_tables.pop(next(iter(_pubkey_fixed_tables)))
-        _pubkey_fixed_tables[(x, y)] = tables
-    return tables
+def _glv_split(scalar: int) -> tuple[int, int]:
+    """Signed ``(k1, k2)`` with ``k1 + k2 * lambda == scalar (mod n)``."""
+    c1 = (_B2 * scalar + CURVE_ORDER // 2) // CURVE_ORDER
+    c2 = (-_B1 * scalar + CURVE_ORDER // 2) // CURVE_ORDER
+    return scalar - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+#: The verification of a key, counted across calls, that builds its table.
+#: Rent or buy: the table costs 1.9 ms to build and saves 0.40 ms per
+#: verification (0.88 ms cold, 0.48 ms hot), so a key has overpaid one
+#: table's worth by its fifth use -- within 2x of the best any rule could
+#: do, whatever the key does next.
+_PROMOTE_AFTER = 5
+
+#: Budget of the per-key rows.  A row is 8 affine points (~1.5 KB), a
+#: table 33 rows (~50 KB): 4 MiB holds 83 promoted keys, three times the
+#: 25 signers of ``regions_lossy``, the most any bench deployment has (its
+#: tables take 1.2 MB; the generator's own table is 0.7 MB).
+_KEY_CACHE_BYTES = 4 << 20
+_ROW_BYTES = (sys.getsizeof([None] * 8)
+              + 8 * (sys.getsizeof((0, 0)) + 2 * sys.getsizeof(_P)))
+
+#: Distinct SEC1 encodings remembered by ``PublicKey.from_bytes`` (~0.4 KB
+#: each): every signer of a deployment, so each square root is paid once.
+_PARSED_KEY_LIMIT = 1024
+
+
+class _KeyCache:
+    """What the module remembers per public key, both parts bounded:
+    ``records`` maps a point to ``[uses, rows]``, least recently verified
+    evicted first once the rows held exceed ``_KEY_CACHE_BYTES`` (eviction
+    forgets the count too, so a returning key starts cold); ``parsed`` maps
+    SEC1 bytes to their validated, immutable :class:`PublicKey`, FIFO."""
+
+    def __init__(self) -> None:
+        self.records: dict[tuple[int, int], list] = {}
+        self.rows_held = 0
+        self.tables_built = 0
+        self.parsed: dict[bytes, "PublicKey"] = {}
+        self.parse_hits = 0
+        self.parse_misses = 0
+
+    def rows_for(self, x: int, y: int) -> list[list[tuple[int, int]]]:
+        """Count one verification by ``(x, y)`` and return its rows: row 0
+        alone while the key is cold, all ``_KEY_ROWS`` once promoted."""
+        record = self.records.pop((x, y), None)
+        if record is None:
+            record = [0, _build_rows((x, y, 1), _KEY_DIGIT_BITS, 1)]
+            self.rows_held += 1
+        record[0] += 1
+        if record[0] == _PROMOTE_AFTER:
+            record[1] = _build_rows((x, y, 1), _KEY_DIGIT_BITS, _KEY_ROWS)
+            self.rows_held += _KEY_ROWS - 1
+            self.tables_built += 1
+        while self.records and self.rows_held * _ROW_BYTES > _KEY_CACHE_BYTES:
+            _uses, rows = self.records.pop(next(iter(self.records)))
+            self.rows_held -= len(rows)
+        self.records[(x, y)] = record
+        return record[1]
+
+
+_key_cache = _KeyCache()
+
+
+def cache_stats() -> dict[str, int]:
+    """Read-only snapshot of the per-key caches.  Plain ints for tests and
+    profiling; not part of any deterministic export."""
+    cache = _key_cache
+    return {
+        "keys": len(cache.records),
+        "tables": sum(len(rows) > 1 for _, rows in cache.records.values()),
+        "table_bytes": cache.rows_held * _ROW_BYTES,
+        "tables_built": cache.tables_built,
+        "parse_hits": cache.parse_hits,
+        "parse_misses": cache.parse_misses,
+    }
+
+
+def _verification_point(u1: int, u2: int,
+                        x: int, y: int) -> tuple[int, int, int]:
+    """``u1*G + u2*Q`` for ``Q = (x, y)``, in Jacobian coordinates."""
+    rows = _key_cache.rows_for(x, y)
+    k1, k2 = _glv_split(u2)
+    digits1 = _signed_digits(k1, _KEY_DIGIT_BITS)
+    digits2 = _signed_digits(k2, _KEY_DIGIT_BITS)
+    if len(rows) > 1:
+        # k2*Q first, then lambda on the accumulator: one multiplication.
+        lx, ly, lz = _table_walk(_INFINITY, rows, digits2)
+        acc = _table_walk(((lx * _BETA) % _P, ly, lz), rows, digits1)
+    else:
+        row = rows[0]
+        lambda_row = [((qx * _BETA) % _P, qy) for qx, qy in row]
+        acc = _ladder(_KEY_DIGIT_BITS, [row, lambda_row], [digits1, digits2])
+    return _generator_multiply(u1, acc)
 
 
 def verify_batch(items: "list[tuple[PublicKey, bytes, Signature]]"
@@ -367,8 +385,10 @@ def verify_batch(items: "list[tuple[PublicKey, bytes, Signature]]"
 
     Returns one verdict per item, bit-identical to
     ``public_key.verify(message_hash, signature)`` (with the default
-    ``require_low_s=False``) — the batch machinery changes where the
-    work happens, never what is accepted.
+    ``require_low_s=False``): both go through the same core, and the batch
+    only collapses its modular inversions (the ``s**-1`` scalars mod n,
+    the ``z**-1`` affine conversions mod p) into one each by Montgomery's
+    trick.
     """
     verdicts: list[bool] = [False] * len(items)
     live: list[tuple[int, "PublicKey", int, int, int]] = []
@@ -382,27 +402,14 @@ def verify_batch(items: "list[tuple[PublicKey, bytes, Signature]]"
         live.append((index, public_key, z, r, s))
 
     s_inverses = _batch_inverse([entry[4] for entry in live], CURVE_ORDER)
+    finite: list[tuple[int, int, tuple[int, int, int]]] = []
+    for (index, public_key, z, r, _s), s_inv in zip(live, s_inverses):
+        point = _verification_point((z * s_inv) % CURVE_ORDER,
+                                    (r * s_inv) % CURVE_ORDER,
+                                    public_key.x, public_key.y)
+        if point[2]:
+            finite.append((index, r, point))
 
-    counts: dict[tuple[int, int], int] = {}
-    for _, public_key, _, _, _ in live:
-        key = (public_key.x, public_key.y)
-        counts[key] = counts.get(key, 0) + 1
-
-    points: list[tuple[int, int, tuple[int, int, int]]] = []
-    for (index, public_key, z, r, s), s_inv in zip(live, s_inverses):
-        u1 = (z * s_inv) % CURVE_ORDER
-        u2 = (r * s_inv) % CURVE_ORDER
-        key = (public_key.x, public_key.y)
-        if counts[key] >= _FIXED_TABLE_THRESHOLD or key in _pubkey_fixed_tables:
-            point = _jacobian_add(
-                _windowed_multiply(_G_TABLES, u1),
-                _windowed_multiply(_pubkey_window_tables(*key), u2),
-            )
-        else:
-            point = _shamir_multiply(u1, u2, public_key.x, public_key.y)
-        points.append((index, r, point))
-
-    finite = [(index, r, point) for index, r, point in points if point[2]]
     z_inverses = _batch_inverse([point[2] for _, _, point in finite], _P)
     for (index, r, point), z_inv in zip(finite, z_inverses):
         x_affine = (point[0] * z_inv * z_inv) % _P
@@ -449,7 +456,10 @@ class PublicKey:
     y: int
 
     def __post_init__(self) -> None:
-        if not _point_on_curve(self.x, self.y):
+        # Canonical coordinates only: an unreduced twin would compare
+        # unequal to the key it verifies as, and tables are keyed by (x, y).
+        if not (0 <= self.x < _P and 0 <= self.y < _P
+                and _point_on_curve(self.x, self.y)):
             raise ECDSAError("public key point is not on secp256k1")
 
     def to_bytes(self) -> bytes:
@@ -459,10 +469,21 @@ class PublicKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise ECDSAError(
+                f"compressed point must be bytes, got {type(data).__name__}"
+            )
         if len(data) != 33 or data[0] not in (2, 3):
             raise ECDSAError(
                 f"expected 33-byte compressed point, got {len(data)} bytes"
             )
+        data = bytes(data)
+        cache = _key_cache
+        known = cache.parsed.get(data)
+        if known is not None:
+            cache.parse_hits += 1
+            return known
+        cache.parse_misses += 1
         x = int.from_bytes(data[1:], "big")
         if x >= _P:
             raise ECDSAError("x coordinate out of field range")
@@ -472,7 +493,11 @@ class PublicKey:
             raise ECDSAError("point has no square root: not on curve")
         if (y & 1) != (data[0] & 1):
             y = _P - y
-        return cls(x=x, y=y)
+        key = cls(x=x, y=y)
+        if len(cache.parsed) >= _PARSED_KEY_LIMIT:
+            del cache.parsed[next(iter(cache.parsed))]
+        cache.parsed[data] = key
+        return key
 
     def verify(self, message_hash: bytes, signature: Signature,
                require_low_s: bool = False) -> bool:
@@ -492,9 +517,9 @@ class PublicKey:
             return False
         z = int.from_bytes(message_hash, "big") % CURVE_ORDER
         s_inv = pow(s, -1, CURVE_ORDER)
-        u1 = (z * s_inv) % CURVE_ORDER
-        u2 = (r * s_inv) % CURVE_ORDER
-        affine = _to_affine(_shamir_multiply(u1, u2, self.x, self.y))
+        affine = _to_affine(_verification_point((z * s_inv) % CURVE_ORDER,
+                                                (r * s_inv) % CURVE_ORDER,
+                                                self.x, self.y))
         if affine is None:
             return False
         return affine[0] % CURVE_ORDER == r

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ecdsa
+from tests.oracles.ecdsa_reference import _jacobian_multiply
 
 
 def _hash(message: bytes) -> bytes:
@@ -31,6 +32,34 @@ def test_generator_scalar_multiplication_known_vector():
     )
 
 
+@pytest.mark.parametrize("scalar", [
+    1, 2, ecdsa.CURVE_ORDER - 1, 1 << 128, ecdsa._LAMBDA,
+    ecdsa.CURVE_ORDER // 2, ecdsa.CURVE_ORDER // 2 + 1,
+])
+def test_generator_table_matches_plain_ladder(scalar):
+    """The signed-digit table walk against double-and-add, at the scalars
+    where the recoding folds, carries or has a single digit."""
+    generator = (ecdsa._GX, ecdsa._GY, 1)
+    assert (ecdsa._to_affine(ecdsa._generator_multiply(scalar))
+            == ecdsa._to_affine(_jacobian_multiply(generator, scalar)))
+
+
+@pytest.mark.parametrize("message, r, s", [
+    (b"Satoshi Nakamoto",
+     "934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8",
+     "2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e5"),
+    (b"All those moments will be lost in time, like tears in rain. "
+     b"Time to die...",
+     "8600dbd41e348fe5c9465ab92d23e3db8b98b873beecd930736488696438cb6b",
+     "547fe64427496db33bf66019dacbf0039c04199abb0122918601db38a72cfc21"),
+])
+def test_sign_published_rfc6979_vectors(message, r, s):
+    """The widely published secp256k1 / RFC 6979 vectors for key 1
+    (SHA-256 of the ASCII message, low-S compact form)."""
+    signature = ecdsa.PrivateKey(secret=1).sign(_hash(message))
+    assert signature.to_bytes().hex() == r + s
+
+
 def test_private_key_range_enforced():
     with pytest.raises(ecdsa.ECDSAError):
         ecdsa.PrivateKey(secret=0)
@@ -41,6 +70,20 @@ def test_private_key_range_enforced():
 def test_public_key_must_be_on_curve():
     with pytest.raises(ecdsa.ECDSAError):
         ecdsa.PublicKey(x=1, y=1)
+
+
+@pytest.mark.parametrize("x, y", [
+    (ecdsa._GX + ecdsa._P, ecdsa._GY),   # on the curve mod p, x unreduced
+    (ecdsa._GX, ecdsa._GY + ecdsa._P),
+    (ecdsa._GX, ecdsa._GY - ecdsa._P),   # negative: parity prefix is wrong
+    (ecdsa._GX - ecdsa._P, ecdsa._GY),
+])
+def test_public_key_coordinates_must_be_reduced(x, y):
+    """An unreduced twin compared unequal to the key it verified as, and
+    ``to_bytes`` died with OverflowError instead of ECDSAError."""
+    assert ecdsa._point_on_curve(x, y)
+    with pytest.raises(ecdsa.ECDSAError):
+        ecdsa.PublicKey(x=x, y=y)
 
 
 def test_sign_verify(key):

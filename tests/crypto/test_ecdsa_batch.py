@@ -2,8 +2,8 @@
 
 ``verify_batch`` must be verdict-identical to per-item
 ``PublicKey.verify`` on every input class — valid, tampered, wrong-key,
-high-S, out-of-range — whether or not the per-pubkey fixed-base window
-tables kick in (six or more signatures under one key).
+high-S, out-of-range — whether a key is still cold or has been promoted
+to its full table (its ``_PROMOTE_AFTER``-th verification, in any call).
 """
 
 from __future__ import annotations
@@ -85,18 +85,22 @@ def test_bad_hash_length_raises():
 
 
 def test_fixed_table_threshold_path_matches_serial():
-    """>= 6 signatures under one key route through the window tables."""
-    key = _KEYS[1]
+    """A batch that carries a fresh key across its promotion: the cold
+    ladder, the table walk and the serial verifier agree item by item."""
+    key = generate_private_key(random.Random(0xF17ED))
     items = []
-    for tag in range(ecdsa._FIXED_TABLE_THRESHOLD + 2):
+    for tag in range(ecdsa._PROMOTE_AFTER + 2):
         digest, signature = _sign(key, b"bulk-%d" % tag)
         if tag == 3:
             signature = Signature(r=signature.r,
                                   s=(signature.s * 2) % CURVE_ORDER or 1)
         items.append((key.public_key, digest, signature))
-    serial = [pk.verify(d, s) for pk, d, s in items]
-    assert verify_batch(items) == serial
-    assert (key.public_key.x, key.public_key.y) in ecdsa._pubkey_fixed_tables
+    built = ecdsa.cache_stats()["tables_built"]
+    batch = verify_batch(items)  # cold up to the threshold, hot after
+    assert ecdsa.cache_stats()["tables_built"] == built + 1
+    serial = [pk.verify(d, s) for pk, d, s in items]  # hot throughout
+    assert batch == serial
+    assert ecdsa.cache_stats()["tables_built"] == built + 1
 
 
 def test_batch_inverse_matches_pow():

@@ -1,0 +1,358 @@
+"""The one ECDSA verification core: its arithmetic, its promotion boundary
+and its bounds.
+
+``repro.crypto.ecdsa`` computes ``u1*G + u2*Q`` in one place, for
+:meth:`PublicKey.verify` and ``verify_batch`` alike: GLV halves of ``u2``
+as signed 4-bit digits, walked over row 0 with doublings while the key is
+cold and over a full table once its cumulative verifications reach
+``_PROMOTE_AFTER``.  What is cached must never change a verdict, so every
+differential here runs cold, hot and after an eviction, against the
+two-multiply oracle.  Bounds are asserted on counts
+(``ecdsa.cache_stats()``), never on clocks.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import ecdsa
+from repro.crypto.ecdsa import (
+    CURVE_ORDER,
+    ECDSAError,
+    PrivateKey,
+    PublicKey,
+    Signature,
+    generate_private_key,
+    verify_batch,
+)
+from tests.oracles.ecdsa_reference import (
+    _jacobian_multiply,
+    verify_double_multiply,
+)
+
+_TABLE_BYTES = ecdsa._KEY_ROWS * ecdsa._ROW_BYTES
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """A private, empty key cache, so counts start from zero whatever the
+    rest of the suite has verified."""
+    monkeypatch.setattr(ecdsa, "_key_cache", ecdsa._KeyCache())
+    return ecdsa.cache_stats
+
+
+@pytest.fixture(params=["cold", "hot"])
+def stage(request, monkeypatch, cache):
+    """Pin every key of the test to one side of the promotion."""
+    monkeypatch.setattr(ecdsa, "_PROMOTE_AFTER",
+                        1 if request.param == "hot" else 1 << 62)
+    return request.param
+
+
+def _agree(public_key: PublicKey, digest: bytes, signature: Signature) -> bool:
+    """One verdict from the oracle, ``verify`` and ``verify_batch``."""
+    expected = verify_double_multiply(public_key, digest, signature)
+    assert public_key.verify(digest, signature) is expected
+    assert verify_batch([(public_key, digest, signature)]) == [expected]
+    return expected
+
+
+def _crafted(u1: int, u2: int) -> tuple[bytes, Signature]:
+    """A (digest, signature) pair whose verification scalars are exactly
+    ``u1`` and ``u2``: with ``s == 1``, ``u1 == z`` and ``u2 == r``."""
+    return (u1 % CURVE_ORDER).to_bytes(32, "big"), Signature(r=u2, s=1)
+
+
+# -- (a) the arithmetic ------------------------------------------------------
+
+def test_endomorphism_constants():
+    assert pow(ecdsa._LAMBDA, 3, CURVE_ORDER) == 1 != ecdsa._LAMBDA
+    assert pow(ecdsa._BETA, 3, ecdsa._P) == 1 != ecdsa._BETA
+    for a, b in ((ecdsa._A1, ecdsa._B1), (ecdsa._A2, ecdsa._B2)):
+        assert (a + b * ecdsa._LAMBDA) % CURVE_ORDER == 0
+    # The halves' bound that _KEY_ROWS is sized for.
+    assert (ecdsa._A1 + ecdsa._A2) // 2 < 1 << 128
+    assert (-ecdsa._B1 + ecdsa._B2) // 2 < 1 << 128
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lambda_times_point_is_beta_times_x(seed):
+    public = generate_private_key(random.Random(seed)).public_key
+    scaled = _jacobian_multiply((public.x, public.y, 1), ecdsa._LAMBDA)
+    assert ecdsa._to_affine(scaled) == (
+        (ecdsa._BETA * public.x) % ecdsa._P, public.y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=CURVE_ORDER - 1))
+def test_split_and_digits_reconstruct_the_scalar(scalar):
+    k1, k2 = ecdsa._glv_split(scalar)
+    assert (k1 + k2 * ecdsa._LAMBDA) % CURVE_ORDER == scalar
+    for half in (k1, k2):
+        assert abs(half) < 1 << 128
+        digits = ecdsa._signed_digits(half, ecdsa._KEY_DIGIT_BITS)
+        assert len(digits) <= ecdsa._KEY_ROWS
+        assert all(-8 <= digit <= 8 for digit in digits)
+        assert sum(digit << (4 * i) for i, digit in enumerate(digits)) == half
+    folded = scalar - CURVE_ORDER if scalar > CURVE_ORDER // 2 else scalar
+    digits = ecdsa._signed_digits(folded, ecdsa._G_DIGIT_BITS)
+    assert len(digits) <= len(ecdsa._G_ROWS)
+    assert all(abs(digit) <= len(ecdsa._G_ROWS[0]) for digit in digits)
+    assert sum(digit << (8 * i) for i, digit in enumerate(digits)) == folded
+
+
+@pytest.mark.parametrize("bits, count", [(4, 1), (4, 3), (8, 2)])
+def test_rows_hold_the_multiples_they_claim(bits, count):
+    public = generate_private_key(random.Random(0xA0)).public_key
+    base = (public.x, public.y, 1)
+    rows = ecdsa._build_rows(base, bits, count)
+    assert [len(row) for row in rows] == [1 << (bits - 1)] * count
+    for index, row in enumerate(rows):
+        for multiple in (1, 2, 3, len(row) - 1, len(row)):
+            expected = _jacobian_multiply(base, multiple << (bits * index))
+            assert row[multiple - 1] == ecdsa._to_affine(expected)
+
+
+# -- (b) verdicts never depend on what is cached -----------------------------
+
+def _cases(key: PrivateKey, tag: bytes):
+    digest = hashlib.sha256(tag).digest()
+    good = key.sign(digest)
+    yield "valid", digest, good, True
+    yield "high-s", digest, Signature(good.r, CURVE_ORDER - good.s), True
+    yield "tampered-r", digest, Signature(good.r ^ 1 or 2, good.s), False
+    yield "tampered-s", digest, Signature(
+        good.r, (good.s + 1) % CURVE_ORDER or 1), False
+    yield "wrong-message", hashlib.sha256(tag + b"!").digest(), good, False
+
+
+def test_one_key_from_first_use_through_promotion_and_eviction(
+        monkeypatch, cache):
+    rng = random.Random(0xC01D)
+    key, other = generate_private_key(rng), generate_private_key(rng)
+    public = key.public_key
+
+    digest = hashlib.sha256(b"first").digest()
+    assert public.verify(digest, key.sign(digest)) is True
+    assert cache()["tables_built"] == 0  # the first use is cold
+
+    built_after = []
+    for stage in ("cold-to-hot", "hot", "evicted", "hot-again"):
+        if stage == "evicted":
+            # A budget of two rows: verifying another key drops the table.
+            with monkeypatch.context() as patch:
+                patch.setattr(ecdsa, "_KEY_CACHE_BYTES", 2 * ecdsa._ROW_BYTES)
+                _agree(other.public_key, *_crafted(5, 7))
+            assert cache()["tables"] == 0
+        for name, case_digest, signature, expected in _cases(key, b"msg"):
+            assert _agree(public, case_digest, signature) is expected, (
+                stage, name)
+            assert public.verify(case_digest, signature,
+                                 require_low_s=True) is (
+                expected and signature.is_low_s), (stage, name)
+        built_after.append(cache()["tables_built"])
+    # Promoted once on the way in, once more after the eviction.
+    assert built_after == [1, 1, 2, 2]
+
+
+def test_batch_and_single_share_the_cumulative_count(cache):
+    """Uses add up across both public verifiers: neither has a threshold
+    of its own, and a batch does not need the uses to arrive together."""
+    key = generate_private_key(random.Random(0x5A4E))
+    for use in range(1, ecdsa._PROMOTE_AFTER + 1):
+        digest = hashlib.sha256(b"use-%d" % use).digest()
+        signature = key.sign(digest)
+        if use % 2:
+            assert verify_batch(
+                [(key.public_key, digest, signature)]) == [True]
+        else:
+            assert key.public_key.verify(digest, signature) is True
+        assert cache()["tables_built"] == (use == ecdsa._PROMOTE_AFTER)
+
+
+def test_out_of_range_scalars_touch_no_table(cache):
+    key = generate_private_key(random.Random(0x0075))
+    digest = hashlib.sha256(b"range").digest()
+    for r, s in ((0, 1), (1, 0), (CURVE_ORDER, 1), (1, CURVE_ORDER)):
+        bad = Signature(r=r, s=s)
+        assert key.public_key.verify(digest, bad) is False
+        assert verify_batch([(key.public_key, digest, bad)]) == [False]
+    assert cache()["keys"] == 0
+
+
+def test_bad_hash_raises_before_any_verdict_of_the_batch(cache):
+    key = generate_private_key(random.Random(0xBAD))
+    digest = hashlib.sha256(b"ok").digest()
+    signature = key.sign(digest)
+    with pytest.raises(ECDSAError, match="32 bytes"):
+        verify_batch([(key.public_key, digest, signature),
+                      (key.public_key, digest[:31], signature)])
+    assert cache()["keys"] == 0  # the good item was not verified either
+
+
+# -- (c) the exceptional additions a walk can hit ----------------------------
+
+_SMALL = (1, 2, 3, 8, 9, 128, 129)
+_EDGE_SCALARS = _SMALL + tuple(CURVE_ORDER - k for k in _SMALL)
+
+
+@pytest.mark.parametrize("secret", [1, CURVE_ORDER - 1], ids=["Q=G", "Q=-G"])
+def test_accumulator_meets_its_own_table_entry(secret, stage, monkeypatch):
+    """With ``Q = +-G`` and small scalars the accumulator reaches the G
+    walk equal to plus or minus the entry it is about to add: the doubling
+    and the infinity branch of the mixed addition."""
+    public = PrivateKey(secret=secret).public_key
+    doublings = []
+    double = ecdsa._jacobian_double
+    monkeypatch.setattr(ecdsa, "_jacobian_double",
+                        lambda point: doublings.append(1) or double(point))
+    cancelled = 0
+    for u1 in (0,) + _EDGE_SCALARS:
+        for u2 in _EDGE_SCALARS:
+            digest, signature = _crafted(u1, u2)
+            doublings.clear()
+            public.verify(digest, signature)
+            if (stage == "hot" and u1 == (u2 * secret) % CURVE_ORDER
+                    and min(u1, CURVE_ORDER - u1) <= 128):  # one G digit
+                assert doublings  # a table walk doubles only on acc == entry
+            verdict = _agree(public, digest, signature)
+            if (u1 + u2 * secret) % CURVE_ORDER == 0:
+                assert verdict is False  # u1*G + u2*Q is infinity
+                cancelled += 1
+    assert cancelled == len(_EDGE_SCALARS)
+
+
+def test_zero_u1_and_infinity_on_an_ordinary_key(stage):
+    key = generate_private_key(random.Random(0x1F))
+    public = key.public_key
+    for u2 in (1, 5, ecdsa._LAMBDA, CURVE_ORDER - 1, 1 << 200):
+        # z == 0 (mod n): u1 == 0, the G walk adds nothing.
+        _agree(public, (0).to_bytes(32, "big"), Signature(r=u2, s=1))
+        _agree(public, CURVE_ORDER.to_bytes(32, "big"), Signature(r=u2, s=1))
+        # u1 == -u2 * d: the sum is the point at infinity.
+        assert _agree(public, *_crafted(-u2 * key.secret, u2)) is False
+
+
+def test_odd_y_key_and_its_even_twin(stage):
+    key = generate_private_key(random.Random(0x0DD))
+    twin = PrivateKey(secret=CURVE_ORDER - key.secret)
+    assert twin.public_key.x == key.public_key.x
+    assert twin.public_key.y == ecdsa._P - key.public_key.y
+    assert {key.public_key.to_bytes()[0],
+            twin.public_key.to_bytes()[0]} == {2, 3}
+    digest = hashlib.sha256(b"twin").digest()
+    for signer, stranger in ((key, twin), (twin, key)):
+        signature = signer.sign(digest)
+        assert _agree(signer.public_key, digest, signature) is True
+        assert _agree(stranger.public_key, digest, signature) is False
+
+
+# -- (d) the bounds ----------------------------------------------------------
+
+def test_row_cache_stays_under_budget_over_three_budgets_of_keys(
+        monkeypatch, cache):
+    budget = 3 * _TABLE_BYTES
+    monkeypatch.setattr(ecdsa, "_KEY_CACHE_BYTES", budget)
+    rng = random.Random(0xB0D6)
+    digest = hashlib.sha256(b"bound").digest()
+    # Recurring keys: three times the tables the budget holds.
+    for _ in range(9):
+        key = generate_private_key(rng)
+        signature = key.sign(digest)
+        for _use in range(ecdsa._PROMOTE_AFTER + 1):
+            assert key.public_key.verify(digest, signature)
+            assert cache()["table_bytes"] <= budget
+    assert cache()["tables"] == 3
+    assert cache()["tables_built"] == 9
+    # One-off keys: three times the rows the budget holds.
+    for _ in range(3 * 3 * ecdsa._KEY_ROWS):
+        generate_private_key(rng).public_key.verify(*_crafted(3, 5))
+        stats = cache()
+        assert stats["table_bytes"] <= budget
+        assert stats["keys"] <= budget // ecdsa._ROW_BYTES
+    assert stats["tables"] == 0  # least recently verified went first
+    assert stats["tables_built"] == 9
+
+
+def test_default_budget_holds_the_largest_bench_deployment():
+    """``regions_lossy`` has 25 signers: their tables fit twice over."""
+    assert 2 * 25 * _TABLE_BYTES <= ecdsa._KEY_CACHE_BYTES
+
+
+def test_round_robin_past_the_budget_never_builds_per_verification(
+        monkeypatch, cache):
+    monkeypatch.setattr(ecdsa, "_KEY_CACHE_BYTES", 4 * _TABLE_BYTES)
+    rng = random.Random(0x7AB1E)
+    digest = hashlib.sha256(b"rr").digest()
+    signers = [(key.public_key, key.sign(digest))
+               for key in (generate_private_key(rng) for _ in range(6))]
+    rounds = 6 * ecdsa._PROMOTE_AFTER
+    for _round in range(rounds):
+        for public, signature in signers:
+            assert public.verify(digest, signature)
+        assert cache()["table_bytes"] <= 4 * _TABLE_BYTES
+    # Eviction restarts a key's count, so every build was paid for by
+    # _PROMOTE_AFTER verifications of that key.
+    uses = rounds * len(signers)
+    assert 4 <= cache()["tables_built"] <= uses // ecdsa._PROMOTE_AFTER
+
+
+def test_parse_memo_returns_the_validated_key(cache):
+    public = generate_private_key(random.Random(0x9A45E)).public_key
+    data = public.to_bytes()
+    first = PublicKey.from_bytes(data)
+    assert first == public
+    assert PublicKey.from_bytes(data) is first
+    assert PublicKey.from_bytes(bytearray(data)) is first
+    assert (cache()["parse_misses"], cache()["parse_hits"]) == (1, 2)
+
+
+@pytest.mark.parametrize("data", [
+    b"\x02" + (5).to_bytes(32, "big"),         # x**3 + 7 is not a square
+    b"\x03" + ecdsa._P.to_bytes(32, "big"),    # x out of field range
+    b"\x04" + (1).to_bytes(32, "big"),         # not a compressed prefix
+    b"\x02" + (1).to_bytes(31, "big"),         # short
+])
+def test_unparseable_bytes_are_never_memoised(data, cache):
+    for _ in range(3):
+        with pytest.raises(ECDSAError):
+            PublicKey.from_bytes(data)
+    assert cache()["parse_hits"] == 0
+
+
+@pytest.mark.parametrize("data", [
+    None, 33, "\x02" + "a" * 32, [2] + [0] * 31 + [1], (2,) * 33,
+])
+def test_parse_checks_type_and_length_before_the_lookup(data, cache):
+    """A list is unhashable and a 33-character str is not a key: neither
+    may reach the memo."""
+    with pytest.raises(ECDSAError):
+        PublicKey.from_bytes(data)
+    assert (cache()["parse_misses"], cache()["parse_hits"]) == (0, 0)
+
+
+def test_parse_memo_is_bounded(monkeypatch, cache):
+    monkeypatch.setattr(ecdsa, "_PARSED_KEY_LIMIT", 4)
+    rng = random.Random(0x11417)
+    encodings = [generate_private_key(rng).public_key.to_bytes()
+                 for _ in range(6)]
+    for data in encodings:
+        PublicKey.from_bytes(data)
+    assert (cache()["parse_misses"], cache()["parse_hits"]) == (6, 0)
+    PublicKey.from_bytes(encodings[-1])   # still held
+    PublicKey.from_bytes(encodings[0])    # pushed out by the fifth
+    assert (cache()["parse_misses"], cache()["parse_hits"]) == (7, 1)
+
+
+def test_cache_stats_is_a_snapshot_of_plain_ints():
+    stats = ecdsa.cache_stats()
+    assert set(stats) == {"keys", "tables", "table_bytes", "tables_built",
+                          "parse_hits", "parse_misses"}
+    assert all(type(value) is int for value in stats.values())
+    stats["keys"] = -1
+    assert ecdsa.cache_stats()["keys"] >= 0

@@ -1,7 +1,7 @@
 """Wycheproof-style edge vectors for ECDSA verification.
 
-Every vector is run through **both** verification paths — the interleaved
-Shamir ladder behind :meth:`PublicKey.verify` and the two-multiply
+Every vector is run through **both** verification structures — the
+signed-digit GLV core behind :meth:`PublicKey.verify` and the two-multiply
 reference ``tests/oracles/ecdsa_reference.py`` — and the suite demands
 identical verdicts.  The corpus covers the classic boundary cases:
 scalars at 0/1/n-1/n, digest wraparound at the group order, the
@@ -37,13 +37,13 @@ _SIG = _KEY.sign(_MSG)
 
 def _both(pub: PublicKey, msg: bytes, sig: Signature) -> bool:
     """Verdict from both paths, asserting they agree."""
-    shamir = pub.verify(msg, sig)
+    core = pub.verify(msg, sig)
     naive = verify_double_multiply(pub, msg, sig)
-    assert shamir == naive, (
-        f"path divergence: shamir={shamir} naive={naive} "
+    assert core == naive, (
+        f"path divergence: core={core} naive={naive} "
         f"r={sig.r:#x} s={sig.s:#x}"
     )
-    return shamir
+    return core
 
 
 def test_valid_signature_accepted_by_both():
@@ -135,7 +135,7 @@ def test_high_s_twin_consensus_vs_standardness():
        r=st.integers(min_value=0, max_value=CURVE_ORDER),
        s=st.integers(min_value=0, max_value=CURVE_ORDER))
 def test_paths_agree_on_arbitrary_inputs(z, r, s):
-    """Shamir and double-multiply agree on *any* (digest, r, s)."""
+    """The core and double-multiply agree on *any* (digest, r, s)."""
     _both(_PUB, z.to_bytes(32, "big"), Signature(r=r, s=s))
 
 
@@ -151,13 +151,14 @@ def test_paths_agree_on_fresh_keys_and_messages(seed):
     _both(key.public_key, msg, flipped)
 
 
-def test_pubkey_table_cache_stays_bounded():
-    """The per-pubkey wNAF table cache evicts FIFO at its limit."""
-    before = len(ecdsa._pubkey_naf_tables)
-    assert before <= ecdsa._PUBKEY_TABLE_LIMIT
+def test_pubkey_table_cache_stays_bounded(monkeypatch):
+    """The per-key row cache evicts once it exceeds its byte budget."""
+    budget = 4 * ecdsa._ROW_BYTES
+    monkeypatch.setattr(ecdsa, "_KEY_CACHE_BYTES", budget)
     rng = random.Random(0xB0)
     for _ in range(12):
         key = ecdsa.generate_private_key(rng)
         msg = rng.getrandbits(256).to_bytes(32, "big")
         assert key.public_key.verify(msg, key.sign(msg))
-    assert len(ecdsa._pubkey_naf_tables) <= ecdsa._PUBKEY_TABLE_LIMIT
+        assert ecdsa.cache_stats()["table_bytes"] <= budget
+    assert ecdsa.cache_stats()["keys"] <= 4

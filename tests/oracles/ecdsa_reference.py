@@ -1,13 +1,16 @@
-"""The pre-Shamir ECDSA verifier: the oracle for ``repro.crypto.ecdsa``.
+"""The two-multiply ECDSA verifier: the oracle for ``repro.crypto.ecdsa``.
 
-``verify_double_multiply`` and the plain double-and-add ladder under it,
-exactly as they stood in ``src/`` beside the interleaved verifier: two
-independent scalar multiplies, one add.  The curve arithmetic itself
-(Jacobian add and double, the generator tables, the affine conversion) is
+``verify_double_multiply`` and the plain double-and-add ladder under it:
+two independent scalar multiplies, one add — no endomorphism, no signed
+digits, no per-key table, nothing cached.  The curve arithmetic itself
+(Jacobian add and double, the generator table, the affine conversion) is
 the production module's; what this file keeps apart is the verification
-*structure*.  ``tests/crypto/test_ecdsa_vectors.py`` runs every edge vector
-through this and :meth:`PublicKey.verify` and demands identical verdicts;
-``benchmarks/test_microbench_ecdsa.py`` times the two against each other.
+*structure*.  ``tests/crypto/test_ecdsa_vectors.py`` and
+``tests/crypto/test_ecdsa_core.py`` run every edge vector through this,
+:meth:`PublicKey.verify` and ``verify_batch`` — cold, promoted and after an
+eviction — and demand identical verdicts; ``_jacobian_multiply`` is also
+the reference for the generator table and the ``lambda`` endomorphism;
+``benchmarks/test_microbench_ecdsa.py`` prints its clock beside the core's.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def _jacobian_multiply(point: tuple[int, int, int],
 
 def verify_double_multiply(public_key: PublicKey, message_hash: bytes,
                            signature: Signature) -> bool:
-    """The pre-Shamir reference verifier: two independent multiplies."""
+    """The reference verifier: two independent multiplies."""
     if len(message_hash) != 32:
         raise ECDSAError("message hash must be 32 bytes")
     r, s = signature.r, signature.s
