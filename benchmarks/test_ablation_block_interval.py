@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_header, print_row
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 
 SCALE = dict(num_gateways=3, sensors_per_gateway=5, exchange_interval=40.0,
@@ -24,7 +25,8 @@ EXCHANGES = 60
 
 def run_once(block_interval: float, verify: bool):
     network = BcWANNetwork(NetworkConfig(
-        block_interval=block_interval, verify_blocks=verify, **SCALE,
+        chain=ChainParams(block_interval=block_interval,
+                          verify_blocks=verify), **SCALE,
     ))
     return network.run(num_exchanges=EXCHANGES)
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_header, print_row
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 
 SCALE = dict(num_gateways=3, sensors_per_gateway=5, exchange_interval=30.0,
-             seed=41, wait_for_confirmation=True, block_interval=10.0,
+             seed=41, wait_for_confirmation=True,
              # The bootstrap funding fan-out must itself fit in the
              # smallest block under test (~2 kB).
              funding_coins=40)
@@ -25,7 +26,8 @@ EXCHANGES = 40
 
 def run_with_block_size(max_block_size: int):
     network = BcWANNetwork(NetworkConfig(
-        max_block_size=max_block_size, **SCALE,
+        chain=ChainParams(block_interval=10.0,
+                          max_block_size=max_block_size), **SCALE,
     ))
     return network.run(num_exchanges=EXCHANGES)
 

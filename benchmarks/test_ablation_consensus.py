@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_header, print_row
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 
 SCALE = dict(num_gateways=3, sensors_per_gateway=5, exchange_interval=40.0,
@@ -61,8 +62,8 @@ def test_pos_with_verification_stalls(benchmark):
     """The §6 tension, measured: with verification on, a leader's own
     stalled daemon delays its block production."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    pos = BcWANNetwork(NetworkConfig(consensus="pos", verify_blocks=True,
-                                     **SCALE))
+    pos = BcWANNetwork(NetworkConfig(
+        consensus="pos", chain=ChainParams(verify_blocks=True), **SCALE))
     report = pos.run(num_exchanges=30)
     intervals = []
     prev = None

@@ -7,13 +7,11 @@ size instead of the federation size (blocks flood their region only; the
 settlement mesh carries checkpoint digests, not traffic).
 
 The sweep runs the same workload per gateway at growing federation sizes
-in both modes and writes ``BENCH_federation.json`` for the CI artifact.
+in both modes; the numbers of record for the federated tier are the
+``regions_lossy`` rows of ``python -m bench``.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from benchmarks.conftest import print_header, print_row
 from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
@@ -70,12 +68,6 @@ def test_federation_scaling_sweep(benchmark):
                 point["mean_latency_s"],
                 point["wan_bytes_per_block"] / 1000,
             )
-    Path("BENCH_federation.json").write_text(json.dumps({
-        "benchmark": "federation_scaling",
-        "gateways_per_region": GATEWAYS_PER_REGION,
-        "exchanges_per_gateway": EXCHANGES_PER_GATEWAY,
-        "series": series,
-    }, indent=2))
 
     flat = {p["size"]: p for p in series if p["mode"] == "flat"}
     sharded = {p["size"]: p for p in series if p["mode"] == "sharded"}

@@ -18,6 +18,7 @@ from benchmarks.conftest import (
     print_histogram,
     print_row,
 )
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 
 PAPER_MEAN = 1.604
@@ -25,7 +26,8 @@ PAPER_MEAN = 1.604
 
 @pytest.fixture(scope="module")
 def report():
-    network = BcWANNetwork(NetworkConfig(seed=5, verify_blocks=False))
+    network = BcWANNetwork(NetworkConfig(
+        seed=5, chain=ChainParams(verify_blocks=False)))
     return network.run(num_exchanges=exchanges_target())
 
 

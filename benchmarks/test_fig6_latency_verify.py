@@ -21,6 +21,7 @@ from benchmarks.conftest import (
     print_histogram,
     print_row,
 )
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 
 PAPER_MEAN = 30.241
@@ -29,7 +30,8 @@ FIG5_PAPER_MEAN = 1.604
 
 @pytest.fixture(scope="module")
 def report():
-    network = BcWANNetwork(NetworkConfig(seed=5, verify_blocks=True))
+    network = BcWANNetwork(NetworkConfig(
+        seed=5, chain=ChainParams(verify_blocks=True)))
     return network.run(num_exchanges=exchanges_target())
 
 

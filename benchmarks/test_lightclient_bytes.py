@@ -5,7 +5,8 @@ transactions, and inclusion proofs (never block bodies) completes the
 same fair exchanges for a small fraction of the WAN ingress a
 co-located full node needs, and compact block relay shaves the
 full-node gossip on top.  The sweep runs the identical workload in
-three modes and writes ``BENCH_lightclient.json`` for the CI artifact.
+three modes; the numbers of record for the light tier are the
+``light_fig5`` rows of ``python -m bench``.
 
 Modes:
 
@@ -19,9 +20,6 @@ Modes:
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from benchmarks.conftest import exchanges_target, print_header, print_row
 from repro.core import BcWANNetwork, NetworkConfig
@@ -108,15 +106,6 @@ def test_lightclient_bytes_sweep(benchmark):
     reduction = (by_mode["full"]["recipient_bytes_per_exchange"]
                  / by_mode["light"]["recipient_bytes_per_exchange"])
     print_row("light vs full reduction", f"{reduction:.1f}x")
-
-    Path("BENCH_lightclient.json").write_text(json.dumps({
-        "benchmark": "lightclient_bytes",
-        "num_gateways": GATEWAYS,
-        "sensors_per_gateway": SENSORS,
-        "num_exchanges": num_exchanges,
-        "recipient_reduction_light_vs_full": reduction,
-        "series": series,
-    }, indent=2))
 
     # The workload settles in every mode (radio losses may fail a few).
     for point in series:

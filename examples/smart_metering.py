@@ -62,7 +62,7 @@ def main() -> None:
     print("-" * 70)
     print(f"settlement: {total_earned}/{total_paid} payments claimed "
           f"on-chain; the rest remain refundable after "
-          f"{config.locktime_grace} blocks (nobody can steal them)")
+          f"{config.chain.locktime_grace} blocks (nobody can steal them)")
 
 
 if __name__ == "__main__":

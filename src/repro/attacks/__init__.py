@@ -2,8 +2,6 @@
 
 * :mod:`repro.attacks.double_spend` — the zero-confirmation race a
   malicious recipient can win;
-* :mod:`repro.attacks.withholding` — both halves of the fair-exchange
-  dilemma, shown loss-free under BcWAN's script;
 * :mod:`repro.attacks.bruteforce` — RSA-512 factoring economics
   (Valenta et al. anchor + GNFS scaling).
 """
@@ -11,26 +9,14 @@
 from repro.attacks.bruteforce import (
     KeySizeEconomics,
     factoring_cost_usd,
-    factoring_time_hours,
     gnfs_work,
-    security_margin,
 )
 from repro.attacks.double_spend import DoubleSpendResult, run_double_spend
-from repro.attacks.withholding import (
-    WithholdingOutcome,
-    run_gateway_withholds_claim,
-    run_recipient_withholds_payment,
-)
 
 __all__ = [
     "DoubleSpendResult",
     "KeySizeEconomics",
-    "WithholdingOutcome",
     "factoring_cost_usd",
-    "factoring_time_hours",
     "gnfs_work",
     "run_double_spend",
-    "run_gateway_withholds_claim",
-    "run_recipient_withholds_payment",
-    "security_margin",
 ]

@@ -27,15 +27,12 @@ from repro.errors import ConfigurationError
 __all__ = [
     "gnfs_work",
     "factoring_cost_usd",
-    "factoring_time_hours",
-    "security_margin",
     "KeySizeEconomics",
 ]
 
 # Calibration anchors from Valenta et al. (FC'16).
 _ANCHOR_BITS = 512
 _ANCHOR_COST_USD = 75.0
-_ANCHOR_HOURS = 4.0
 
 
 def gnfs_work(bits: int) -> float:
@@ -52,23 +49,6 @@ def gnfs_work(bits: int) -> float:
 def factoring_cost_usd(bits: int) -> float:
     """Estimated cloud cost (USD) to factor a ``bits``-bit RSA modulus."""
     return _ANCHOR_COST_USD * gnfs_work(bits) / gnfs_work(_ANCHOR_BITS)
-
-
-def factoring_time_hours(bits: int, parallelism: float = 1.0) -> float:
-    """Estimated wall time at the anchor's fleet size, scaled by GNFS."""
-    if parallelism <= 0:
-        raise ConfigurationError(f"parallelism must be positive: {parallelism}")
-    return (_ANCHOR_HOURS * gnfs_work(bits)
-            / gnfs_work(_ANCHOR_BITS) / parallelism)
-
-
-def security_margin(bits: int, protected_value_usd: float) -> float:
-    """Ratio of attack cost to protected value (> 1 means uneconomical)."""
-    if protected_value_usd <= 0:
-        raise ConfigurationError(
-            f"protected value must be positive: {protected_value_usd}"
-        )
-    return factoring_cost_usd(bits) / protected_value_usd
 
 
 @dataclass(frozen=True)

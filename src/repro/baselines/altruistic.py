@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines.lorawan import BaselineReport
-from repro.core.config import NetworkConfig
+from repro.core.config import CELL_RADIUS, NetworkConfig
 from repro.obs.exchange import ExchangeTracker
 from repro.errors import ConfigurationError
 from repro.lora.channel import Position, RadioChannel
-from repro.lora.device import EU868_DOWNLINK_CHANNEL, LoRaRadio
+from repro.lora.device import (EU868_DOWNLINK_CHANNEL,
+                               EU868_DOWNLINK_DUTY_CYCLE, LoRaRadio)
 from repro.lora.frames import DataFrame
 from repro.lora.phy import LoRaModulation
 from repro.p2p.message import Envelope
@@ -64,7 +65,7 @@ class AltruisticBaseline:
         hosts = cfg.site_names
         latency = PlanetLabLatencyMatrix(
             hosts, seed=cfg.seed ^ 0x5EED,
-            median_range=cfg.wan_median_range, sigma=cfg.wan_sigma,
+            median_range=cfg.wan_median_range,
         )
         self.wan = WANetwork(self.sim, self.rngs.stream("wan"), latency)
         for name in hosts:
@@ -82,7 +83,7 @@ class AltruisticBaseline:
             channel = RadioChannel(self.sim, self.rngs.stream(f"radio-{name}"))
             radio = LoRaRadio(
                 f"gw-{i}", channel, position=Position(0.0, 0.0),
-                modulation=modulation, duty_cycle=cfg.gateway_duty_cycle,
+                modulation=modulation, duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
                 frequencies=(EU868_DOWNLINK_CHANNEL,), power_dbm=27.0,
             )
             radio.on_receive(
@@ -100,12 +101,12 @@ class AltruisticBaseline:
             for j in range(cfg.sensors_per_gateway):
                 device_id = f"dev-{i}-{j}"
                 angle = placement.uniform(0, 2 * math.pi)
-                radius = cfg.cell_radius * math.sqrt(placement.random())
+                radius = CELL_RADIUS * math.sqrt(placement.random())
                 radio = LoRaRadio(
                     device_id, self.channels[host_cell],
                     position=Position(radius * math.cos(angle),
                                       radius * math.sin(angle)),
-                    modulation=modulation, duty_cycle=cfg.duty_cycle,
+                    modulation=modulation,
                 )
                 self.sensor_radios.append((device_id, radio))
 

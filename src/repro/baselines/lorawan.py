@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import NetworkConfig
+from repro.core.config import CELL_RADIUS, NetworkConfig
 from repro.obs.exchange import ExchangeTracker
 from repro.lora.channel import Position, RadioChannel
-from repro.lora.device import EU868_DOWNLINK_CHANNEL, LoRaRadio
+from repro.lora.device import (EU868_DOWNLINK_CHANNEL,
+                               EU868_DOWNLINK_DUTY_CYCLE, LoRaRadio)
 from repro.lora.frames import DataFrame
 from repro.lora.phy import LoRaModulation
 from repro.p2p.message import Envelope
@@ -99,7 +100,7 @@ class LoRaWANBaseline:
                  + [f"app-{i}" for i in range(cfg.num_gateways)])
         latency = PlanetLabLatencyMatrix(
             hosts, seed=cfg.seed ^ 0x5EED,
-            median_range=cfg.wan_median_range, sigma=cfg.wan_sigma,
+            median_range=cfg.wan_median_range,
         )
         self.wan = WANetwork(self.sim, self.rngs.stream("wan"), latency)
         self.wan.register("network-server", self._at_network_server)
@@ -113,7 +114,7 @@ class LoRaWANBaseline:
             channel = RadioChannel(self.sim, self.rngs.stream(f"radio-{name}"))
             radio = LoRaRadio(
                 f"gw-{i}", channel, position=Position(0.0, 0.0),
-                modulation=modulation, duty_cycle=cfg.gateway_duty_cycle,
+                modulation=modulation, duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
                 frequencies=(EU868_DOWNLINK_CHANNEL,), power_dbm=27.0,
             )
             radio.on_receive(
@@ -136,12 +137,12 @@ class LoRaWANBaseline:
             for j in range(cfg.sensors_per_gateway):
                 device_id = f"dev-{i}-{j}"
                 angle = placement.uniform(0, 2 * math.pi)
-                radius = cfg.cell_radius * math.sqrt(placement.random())
+                radius = CELL_RADIUS * math.sqrt(placement.random())
                 radio = LoRaRadio(
                     device_id, self.channels[host_cell],
                     position=Position(radius * math.cos(angle),
                                       radius * math.sin(angle)),
-                    modulation=modulation, duty_cycle=cfg.duty_cycle,
+                    modulation=modulation,
                 )
                 self.sensor_radios.append((device_id, i, radio))
 

@@ -172,9 +172,6 @@ class CheckpointRules:
         self._latest: dict[int, Checkpoint] = {}
         self._applied_txids: set[bytes] = set()
 
-    def latest(self, region_id: int) -> Optional[Checkpoint]:
-        return self._latest.get(region_id)
-
     def check(self, checkpoint: Checkpoint, txid: bytes,
               pending: Optional[dict[int, Checkpoint]] = None) -> None:
         """Raise :class:`ValidationError` unless ``checkpoint`` advances.

@@ -562,6 +562,3 @@ class ValidationEngine:
     @property
     def cache_size(self) -> int:
         return len(self._script_cache)
-
-    def clear_cache(self) -> None:
-        self._script_cache.clear()

@@ -15,14 +15,12 @@ recorded, and any transactions evicted to make room.
 Under sustained overload a :class:`MempoolPolicy` turns the pool into a
 fee market: a minimum fee-rate floor at the door, and size caps enforced
 by evicting the lowest fee-rate transaction (oldest first on ties) along
-with its unconfirmed descendants.  :meth:`Mempool.accept_package` admits
-a parent+child chain on its *aggregate* fee rate (child-pays-for-parent),
-so a zero-fee sensor reading can still ride in behind a paying child.
+with its unconfirmed descendants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.blockchain.chain import Chain
@@ -170,10 +168,6 @@ class Mempool:
         """Summed serialized sizes of every pooled transaction."""
         return self._total_bytes
 
-    def fee_of(self, txid: bytes) -> int:
-        """The fee recorded at admission (0 for unknown txids)."""
-        return self._fees.get(txid, 0)
-
     def package_fee(self, transactions: Iterable[Transaction]) -> int:
         """Summed recorded fees of pooled members of ``transactions``."""
         return sum(self._fees.get(tx.txid, 0) for tx in transactions)
@@ -211,8 +205,7 @@ class Mempool:
         return AcceptResult(accepted=False, txid=tx.txid, reason=reason,
                             reason_code=code, **fields)
 
-    def _accept(self, tx: Transaction,
-                enforce_floor: bool = True) -> AcceptResult:
+    def _accept(self, tx: Transaction) -> AcceptResult:
         if tx.txid in self._transactions:
             return self._reject(
                 tx, REJECT_DUPLICATE,
@@ -286,7 +279,7 @@ class Mempool:
         size = len(tx.serialize())
         fee_per_kb = fee * 1000 // size
         floor = self.policy.min_fee_per_kb
-        if enforce_floor and floor and fee_per_kb < floor:
+        if floor and fee_per_kb < floor:
             return self._reject(
                 tx, REJECT_FEE,
                 f"transaction {tx.txid.hex()[:16]}.. fee rate {fee_per_kb} "
@@ -313,42 +306,6 @@ class Mempool:
                 fee=fee, fee_per_kb=fee_per_kb, evicted=evicted)
         return AcceptResult(accepted=True, txid=tx.txid, fee=fee,
                             fee_per_kb=fee_per_kb, evicted=evicted)
-
-    def accept_package(self,
-                       transactions: Iterable[Transaction],
-                       ) -> list[AcceptResult]:
-        """Admit an ordered package on its aggregate fee rate (CPFP).
-
-        Each member is validated exactly as :meth:`accept` does — except
-        the per-transaction fee floor, which is judged against the
-        *package*: if the members that got in do not jointly clear
-        ``min_fee_per_kb``, they are all backed out and re-reported as
-        :data:`REJECT_FEE`.  A child paying generously can therefore
-        sponsor its zero-fee parent, but cannot sponsor an otherwise
-        invalid one (non-fee rejections stand on their own).
-        """
-        results = [self._accept(tx, enforce_floor=False)
-                   for tx in transactions]
-        floor = self.policy.min_fee_per_kb
-        admitted = [result for result in results if result.accepted]
-        if not floor or not admitted:
-            return results
-        total_fee = sum(result.fee for result in admitted)
-        total_size = sum(self._sizes.get(result.txid, 0)
-                         for result in admitted)
-        if total_size and total_fee * 1000 // total_size >= floor:
-            return results
-        package_rate = total_fee * 1000 // total_size if total_size else 0
-        rejected = {result.txid for result in admitted}
-        for result in admitted:
-            self.remove(result.txid)
-        return [
-            replace(result, accepted=False, reason_code=REJECT_FEE,
-                    reason=(f"package fee rate {package_rate} below floor "
-                            f"{floor} per kB"))
-            if result.txid in rejected else result
-            for result in results
-        ]
 
     def _insert(self, tx: Transaction, fee: int, size: int) -> None:
         self._transactions[tx.txid] = tx

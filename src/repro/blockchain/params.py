@@ -52,7 +52,6 @@ class ChainParams:
     verification_stall_base: float = 8.0
     verification_stall_per_tx: float = 0.055
     locktime_grace: int = 100
-    network_magic: bytes = b"BcWN"
 
     def __post_init__(self) -> None:
         if self.block_interval <= 0:

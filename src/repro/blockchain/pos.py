@@ -14,8 +14,12 @@ Ouroboros spirit (the paper cites Kiayias et al.):
 * the draw is deterministic: a follow-the-stake walk over
   ``H(epoch_seed ‖ slot)``, so every node computes the same leader with
   no communication and no work;
-* a block is only valid in its slot if signed by that slot's leader
-  (checked by :meth:`StakeRegistry.verify_block_signature`).
+* the slot's leader endorses its block with a signature over the block
+  hash (:meth:`StakeRegistry.sign_block`).  **The endorsement is not
+  relayed yet** (ROADMAP item 6): a peer checks only that the block's
+  coinbase pays its slot's leader (``BcWANNetwork._setup_pos``), never
+  :meth:`StakeRegistry.verify_block_signature`, so today any producer's
+  well-formed block that names the leader as payee is adopted.
 
 Fork choice stays longest-chain; with honest leaders and synchronized
 slots there is at most one block per slot, so forks only arise from
@@ -75,9 +79,6 @@ class StakeRegistry:
 
     def stake_of(self, name: str) -> int:
         return self._stakes.get(name, 0)
-
-    def stakeholders(self) -> list[str]:
-        return sorted(self._stakes)
 
     def leader_for_slot(self, slot: int) -> str:
         """Deterministic follow-the-stake leader election for ``slot``."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Protocol, Union
+from typing import Iterator, Optional, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction, TxOutput
 from repro.errors import ValidationError
@@ -36,14 +36,6 @@ class UTXOEntry:
         verdicts cached at mempool admission.
         """
         return hashlib.sha256(self.output.serialize()).digest()
-
-
-class UTXOLike(Protocol):
-    """What validation needs from a UTXO source (set or overlay view)."""
-
-    def get(self, outpoint: OutPoint) -> Optional[UTXOEntry]: ...
-
-    def __contains__(self, outpoint: OutPoint) -> bool: ...
 
 
 class UTXOSet:
@@ -202,10 +194,6 @@ class UTXOView:
     @property
     def dirty(self) -> bool:
         return bool(self._added or self._spent)
-
-    def changes(self) -> tuple[dict[OutPoint, UTXOEntry], set[OutPoint]]:
-        """The pending delta as ``(added, spent)`` copies."""
-        return dict(self._added), set(self._spent)
 
     def commit(self) -> None:
         """Flush the overlay's delta into the base, then reset the overlay.

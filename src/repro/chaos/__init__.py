@@ -23,10 +23,8 @@ from repro.chaos.faults import (
     CorruptedPayload,
     CrashEvent,
     FaultPlan,
-    LatencySpike,
     LinkFault,
     Partition,
-    PeerStall,
 )
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.scenario import Federation, build_federation, topology_mesh
@@ -42,8 +40,6 @@ __all__ = [
     "FaultPlan",
     "LinkFault",
     "Partition",
-    "LatencySpike",
-    "PeerStall",
     "CrashEvent",
     "CorruptedPayload",
     "ChaosInjector",

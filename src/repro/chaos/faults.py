@@ -29,8 +29,6 @@ __all__ = [
     "FaultPlan",
     "LinkFault",
     "Partition",
-    "LatencySpike",
-    "PeerStall",
     "CrashEvent",
     "CorruptedPayload",
 ]
@@ -158,51 +156,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class LatencySpike:
-    """Extra delay on every message *to or from* ``host`` in a window."""
-
-    host: str
-    extra_delay: float
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.extra_delay <= 0:
-            raise ConfigurationError("latency spike needs a positive delay")
-        if self.end <= self.start:
-            raise ConfigurationError("latency spike window is empty")
-
-    def applies(self, source: str, destination: str, now: float) -> bool:
-        if not self.start <= now < self.end:
-            return False
-        return self.host in (source, destination)
-
-
-@dataclass(frozen=True)
-class PeerStall:
-    """A slow peer: its *outbound* messages crawl (GC pause, swap storm).
-
-    Unlike a :class:`LatencySpike` this is asymmetric — the host still
-    hears the network at normal speed but answers late, which is what
-    starves request/response protocols and exercises sync timeouts.
-    """
-
-    host: str
-    extra_delay: float
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.extra_delay <= 0:
-            raise ConfigurationError("peer stall needs a positive delay")
-        if self.end <= self.start:
-            raise ConfigurationError("peer stall window is empty")
-
-    def applies(self, source: str, now: float) -> bool:
-        return self.start <= now < self.end and source == self.host
-
-
-@dataclass(frozen=True)
 class CrashEvent:
     """Fail-stop a gateway at ``at``; optionally restart at ``restart_at``.
 
@@ -231,8 +184,6 @@ class FaultPlan:
     seed: int = 0
     link_faults: list = field(default_factory=list)
     partitions: list = field(default_factory=list)
-    latency_spikes: list = field(default_factory=list)
-    stalls: list = field(default_factory=list)
     crashes: list = field(default_factory=list)
 
     # -- fluent builders ---------------------------------------------------------
@@ -288,18 +239,6 @@ class FaultPlan:
             start=start, heal_at=heal_at))
         return self
 
-    def spike(self, host: str, extra_delay: float, start: float,
-              end: float) -> "FaultPlan":
-        self.latency_spikes.append(LatencySpike(
-            host=host, extra_delay=extra_delay, start=start, end=end))
-        return self
-
-    def stall(self, host: str, extra_delay: float, start: float,
-              end: float) -> "FaultPlan":
-        self.stalls.append(PeerStall(
-            host=host, extra_delay=extra_delay, start=start, end=end))
-        return self
-
     def crash(self, host: str, at: float, restart_at: Optional[float] = None,
               preserve_chain: bool = False) -> "FaultPlan":
         self.crashes.append(CrashEvent(
@@ -324,10 +263,6 @@ class FaultPlan:
             times.append(crash.at)
             if crash.restart_at is not None:
                 times.append(crash.restart_at)
-        for spike in self.latency_spikes:
-            times.append(spike.end)
-        for stall in self.stalls:
-            times.append(stall.end)
         for fault in self.link_faults:
             for bound in (fault.start, fault.end):
                 if math.isfinite(bound):
@@ -336,5 +271,4 @@ class FaultPlan:
 
     @property
     def empty(self) -> bool:
-        return not (self.link_faults or self.partitions
-                    or self.latency_spikes or self.stalls or self.crashes)
+        return not (self.link_faults or self.partitions or self.crashes)

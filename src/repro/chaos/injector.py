@@ -141,17 +141,6 @@ class ChaosInjector:
                 delayed = True
                 self.telemetry.record_fault("link-reorder", detail, now)
 
-        for spike in self.plan.latency_spikes:
-            if spike.applies(source, destination, now):
-                extra_delay += spike.extra_delay
-                delayed = True
-                self.telemetry.record_fault("latency-spike", detail, now)
-        for stall in self.plan.stalls:
-            if stall.applies(source, now):
-                extra_delay += stall.extra_delay
-                delayed = True
-                self.telemetry.record_fault("peer-stall", detail, now)
-
         if delayed:
             self.telemetry.messages_delayed += 1
         if extra_delay == 0.0 and duplicates == 0 and replace_payload is None:

@@ -15,19 +15,16 @@
   :mod:`repro.obs.exchange`).
 """
 
-from repro.core.analysis import LegBreakdown, decompose, format_breakdown
 from repro.core.config import NetworkConfig, RegionTopology
 from repro.core.costmodel import CostModel
-from repro.core.election import MasterElection
 from repro.core.rewards import (
     CongestionPricing,
     FixedPricing,
     PricingPolicy,
     RecipientBudget,
-    RewardLedger,
     VolumeDiscountPricing,
 )
-from repro.core.daemon import BlockchainDaemon, DaemonStats
+from repro.core.daemon import BlockchainDaemon
 from repro.core.directory import (
     Announcement,
     DirectoryView,
@@ -66,15 +63,9 @@ __all__ = [
     "CongestionPricing",
     "CostModel",
     "FixedPricing",
-    "LegBreakdown",
-    "MasterElection",
     "PricingPolicy",
     "RecipientBudget",
-    "RewardLedger",
     "VolumeDiscountPricing",
-    "decompose",
-    "format_breakdown",
-    "DaemonStats",
     "DeviceCredentials",
     "DirectoryView",
     "ExchangeRecord",

@@ -4,7 +4,7 @@ The defaults reproduce the paper's testbed (section 5.2): 5 gateway sites
 (PlanetLab nodes), 30 sensors per site at SF7 and 1 % duty cycle, a master
 node that mines and does not serve exchanges, 128-byte payloads + 4-byte
 header, and block verification *disabled* (the Fig. 5 configuration —
-flip ``verify_blocks`` for Fig. 6).
+``chain=ChainParams(verify_blocks=True)`` is Fig. 6).
 """
 
 from __future__ import annotations
@@ -13,11 +13,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.blockchain.mempool import MempoolPolicy
-from repro.blockchain.params import COIN, ChainParams
-from repro.core.costmodel import CostModel
+from repro.blockchain.params import ChainParams
 from repro.errors import ConfigurationError
 
-__all__ = ["LightConfig", "MempoolPolicy", "NetworkConfig", "RegionTopology"]
+__all__ = ["LightConfig", "MempoolPolicy", "NetworkConfig", "RegionTopology",
+           "CELL_RADIUS", "FUNDING_COIN_VALUE", "OFFER_FEE"]
+
+# What no deployment varies: the radius (m) sensors are placed within
+# around their gateway, the denomination of the coins each actor is
+# bootstrapped with, and the fee a recipient attaches to a key-release offer.
+CELL_RADIUS = 1500.0
+FUNDING_COIN_VALUE = 250
+OFFER_FEE = 0
 
 
 @dataclass(frozen=True)
@@ -40,15 +47,11 @@ class RegionTopology:
         the anchor).
     :param checkpoint_interval: sim-seconds between a region's checkpoint
         commits onto the settlement chain.
-    :param border_peers: cross-region gossip links per region pair on the
-        settlement mesh (and in :func:`repro.chaos.scenario.\
-build_federation`'s topology-aware mesh).
     """
 
     regions: int = 1
     roaming: str = "region"
     checkpoint_interval: float = 60.0
-    border_peers: int = 1
 
     def __post_init__(self) -> None:
         if self.regions < 1:
@@ -64,11 +67,6 @@ build_federation`'s topology-aware mesh).
             raise ConfigurationError(
                 f"checkpoint interval must be positive: "
                 f"{self.checkpoint_interval}"
-            )
-        if self.border_peers < 1:
-            raise ConfigurationError(
-                f"need at least one border peer per region pair, got "
-                f"{self.border_peers}"
             )
 
 
@@ -90,19 +88,14 @@ class LightConfig:
         stream; light clients then rely solely on unicast polling).
     :param multicast_verify_every: aggregate-verify every R-th bundle
         (Danzi et al. repeat-authenticate).
-    :param multicast_listen_window: Class-A listen window after each
-        multicast round fires.
     :param light_sync_interval: light-client unicast header poll period.
-    :param light_request_timeout: per-request deadline for light queries.
     """
 
     device_class: str = "full"
     compact_blocks: bool = False
     multicast_interval: float = 0.0
     multicast_verify_every: int = 4
-    multicast_listen_window: float = 2.0
     light_sync_interval: float = 10.0
-    light_request_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if self.device_class not in ("full", "light"):
@@ -120,20 +113,10 @@ class LightConfig:
                 f"multicast verify-every must be at least 1, got "
                 f"{self.multicast_verify_every}"
             )
-        if self.multicast_listen_window <= 0:
-            raise ConfigurationError(
-                f"multicast listen window must be positive: "
-                f"{self.multicast_listen_window}"
-            )
         if self.light_sync_interval <= 0:
             raise ConfigurationError(
                 f"light sync interval must be positive: "
                 f"{self.light_sync_interval}"
-            )
-        if self.light_request_timeout <= 0:
-            raise ConfigurationError(
-                f"light request timeout must be positive: "
-                f"{self.light_request_timeout}"
             )
 
 
@@ -153,118 +136,82 @@ class NetworkConfig:
 
     Blockchain:
 
-    :param block_interval: master mining period (Multichain default 15 s).
-    :param verify_blocks: the Fig. 5 (False) / Fig. 6 (True) toggle.
-    :param verification_stall_base / verification_stall_per_tx: the
-        modeled Multichain daemon stall per verified block.
+    :param chain: the chain every node of the deployment runs
+        (:class:`~repro.blockchain.params.ChainParams`: block interval,
+        the Fig. 5 / Fig. 6 ``verify_blocks`` toggle and its modeled
+        stall, block size, maturity, lock-time grace).
+    :param consensus: ``"master"`` — the paper's PoC, a dedicated master
+        node mines on a schedule — or ``"pos"``, the §6 future-work
+        variant: gateway sites take turns producing blocks through a
+        deterministic stake-weighted slot lottery.
     :param price: satoshi-like units a gateway earns per delivery.
-    :param funding_coins / funding_coin_value: how many spendable coins
-        each actor is bootstrapped with, and their denomination.
+    :param funding_coins: how many spendable coins (of
+        :data:`FUNDING_COIN_VALUE`) each actor is bootstrapped with.
 
     Radio:
 
-    :param spreading_factor / duty_cycle: paper: SF7, 1 %.
-    :param gateway_duty_cycle: downlink budget (EU868 10 % sub-band).
-    :param cell_radius: sensors are placed uniformly within this radius.
-
-    Each site's gateway and sensors share one
-    :class:`repro.lora.channel.RadioChannel`; how it evaluates delivery is
-    not configurable.
+    :param spreading_factor: paper: SF7.  Sensors transmit at 1 % duty
+        cycle and gateways answer on the EU868 10 % downlink sub-band;
+        each site's gateway and sensors share one
+        :class:`repro.lora.channel.RadioChannel`.
 
     WAN:
 
     :param wan_median_range: per-site-pair median one-way delay range.
-    :param wan_sigma: lognormal jitter shape.
+    :param wan_loss_rate: fraction of WAN messages silently dropped (0
+        models the TCP flows of the paper's testbed).  With loss, enable
+        ``sync_interval`` so the anti-entropy agents repair gossip gaps.
+    :param sync_interval: seconds between anti-entropy sync rounds per
+        daemon; 0 disables.
 
     Workload:
 
     :param exchange_interval: mean seconds between exchanges per sensor.
-    :param payload_bytes: plaintext reading size (≤ 15: one AES block).
+    :param reclaim_interval: seconds between recipient sweeps of expired
+        key-release offers (the Listing-1 refund branch).  0 disables the
+        sweep; enable it in deployments where gateways may vanish
+        mid-exchange.
+    :param wait_for_confirmation: the §6 cautious gateway — reveal the
+        key only once the offer has a confirmation.
 
     Grouped sub-configs:
 
-    :param light: the light-client tier (:class:`LightConfig`); the
-        default is the paper's all-full-node deployment.
+    :param topology: flat (the default, guaranteed to reproduce the
+        paper's deployment exactly) or regional (:class:`RegionTopology`).
+    :param light: the light-client tier (:class:`LightConfig`, requires
+        the flat topology); the default is the paper's all-full-node
+        deployment.
     :param mempool: admission policy (:class:`MempoolPolicy`) applied to
-        every full node; None keeps the historical unbounded pool.
+        every full node; None keeps the unbounded, no-fee-floor pool that
+        matches the paper's Multichain deployment.
+    :param tracing: sim-time span collection (one trace per exchange, one
+        per block); makes the run's JSONL trace export meaningful.
     """
 
     num_gateways: int = 5
     sensors_per_gateway: int = 30
     roaming_offset: int = 1
     seed: int = 0
-    # Hierarchical federation: regions=1 (the default) is the paper's
-    # flat deployment and is guaranteed to reproduce it exactly; see
-    # RegionTopology for the sharded mode.
     topology: RegionTopology = field(default_factory=RegionTopology)
 
-    block_interval: float = 15.0
-    # "master": the paper's PoC — a dedicated master node mines on a
-    # schedule, mining disabled on gateways.  "pos": the §6 future-work
-    # variant — gateway sites take turns producing blocks through a
-    # deterministic stake-weighted slot lottery (no master mining, no
-    # proof-of-work anywhere).
+    chain: ChainParams = field(default_factory=ChainParams)
     consensus: str = "master"
-    verify_blocks: bool = False
-    verification_stall_base: float = 8.0
-    verification_stall_per_tx: float = 0.055
-    coinbase_maturity: int = 1
-    pow_bits: int = 0
-    locktime_grace: int = 100
-    max_block_size: int = 1_000_000
-
     price: int = 100
-    offer_fee: int = 0
     funding_coins: int = 500
-    funding_coin_value: int = 250
 
     spreading_factor: int = 7
-    # ADR: assign each sensor the fastest SF its link budget supports
-    # instead of the fixed `spreading_factor` (the paper fixes SF7).
-    adaptive_data_rate: bool = False
-    duty_cycle: float = 0.01
-    gateway_duty_cycle: float = 0.10
-    cell_radius: float = 1500.0
 
     wan_median_range: tuple[float, float] = (0.040, 0.180)
-    wan_sigma: float = 0.35
-    # Fraction of WAN messages silently dropped (0 models the TCP flows
-    # of the paper's testbed).  With loss, enable `sync_interval` so the
-    # anti-entropy agents repair gossip gaps.
     wan_loss_rate: float = 0.0
-    # Seconds between anti-entropy sync rounds per daemon; 0 disables.
     sync_interval: float = 0.0
 
     exchange_interval: float = 60.0
-    # Seconds between recipient sweeps of expired key-release offers
-    # (the Listing-1 refund branch).  0 disables the sweep; enable it in
-    # deployments where gateways may vanish mid-exchange.
     reclaim_interval: float = 0.0
-    payload_bytes: int = 12
-    key_response_timeout: float = 12.0
-    # Enforce LoRaWAN Class-A receive windows: nodes sleep outside
-    # RX1/RX2 and gateways schedule the ePk downlink into a window.
-    class_a_windows: bool = False
-    rsa_bits: int = 512
     wait_for_confirmation: bool = False
 
-    # The light-client tier; requires the flat topology.
     light: LightConfig = field(default_factory=LightConfig)
-
-    # Mempool admission policy shared by every full node the network
-    # assembles (None = the unbounded, no-fee-floor default that matches
-    # the paper's Multichain deployment).
     mempool: Optional[MempoolPolicy] = None
-
-    # Observability: ``tracing`` turns on sim-time span collection (one
-    # trace per exchange, one per block) and makes the run's JSONL trace
-    # export meaningful; ``profile_hot_paths`` attaches the wall-clock
-    # HotPathProfiler to the engine/mempool/miner/sync hot paths.  Both
-    # default off so headline runs pay only no-op guards.
     tracing: bool = False
-    profile_hot_paths: bool = False
-
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.num_gateways < 1:
@@ -282,15 +229,10 @@ class NetworkConfig:
             )
         if self.price <= 0:
             raise ConfigurationError(f"price must be positive: {self.price}")
-        if self.funding_coin_value < self.price + self.offer_fee:
+        if FUNDING_COIN_VALUE < self.price + OFFER_FEE:
             raise ConfigurationError(
-                "funding coin value must cover at least one offer "
-                f"({self.funding_coin_value} < {self.price + self.offer_fee})"
-            )
-        if not 0 < self.payload_bytes <= 15:
-            raise ConfigurationError(
-                f"payload must be 1-15 bytes (one AES block), "
-                f"got {self.payload_bytes}"
+                "a funding coin must cover at least one offer "
+                f"({FUNDING_COIN_VALUE} < {self.price + OFFER_FEE})"
             )
         if self.exchange_interval <= 0:
             raise ConfigurationError(
@@ -326,22 +268,6 @@ class NetworkConfig:
                 "the light tier requires the flat topology "
                 f"(regions={self.topology.regions})"
             )
-        # Surface chain-parameter violations (block size floor, etc.) at
-        # configuration time rather than at network assembly.
-        self.chain_params()
-
-    def chain_params(self) -> ChainParams:
-        """The derived blockchain parameters."""
-        return ChainParams(
-            block_interval=self.block_interval,
-            verify_blocks=self.verify_blocks,
-            verification_stall_base=self.verification_stall_base,
-            verification_stall_per_tx=self.verification_stall_per_tx,
-            coinbase_maturity=self.coinbase_maturity,
-            pow_bits=self.pow_bits,
-            locktime_grace=self.locktime_grace,
-            max_block_size=self.max_block_size,
-        )
 
     @property
     def site_names(self) -> list[str]:
@@ -361,10 +287,6 @@ class NetworkConfig:
     @property
     def gateways_per_region(self) -> int:
         return self.num_gateways // self.topology.regions
-
-    def region_of_site(self, site_index: int) -> int:
-        """Which region the ``site_index``-th gateway site belongs to."""
-        return site_index // self.gateways_per_region
 
     def region_site_indices(self, region: int) -> range:
         """The global site indices making up ``region``."""

@@ -10,13 +10,12 @@ cost model.
 The defaults are calibrated so that the end-to-end no-verification
 exchange reproduces the paper's Fig. 5 mean of ~1.6 s with the paper's
 workload; they decompose into per-leg costs justified in DESIGN.md.
-Every field can be overridden for ablations.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -91,18 +90,3 @@ class CostModel:
         # Lognormal with the requested mean: mu = ln(mean) - sigma^2/2.
         mu = math.log(mean) - self.jitter_sigma ** 2 / 2
         return rng.lognormvariate(mu, self.jitter_sigma)
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A copy with every mean multiplied by ``factor`` (calibration)."""
-        if factor <= 0:
-            raise ConfigurationError(f"scale factor must be positive: {factor}")
-        fields = {
-            name: getattr(self, name) * factor
-            for name in (
-                "node_aes_encrypt", "node_rsa_encrypt", "node_rsa_sign",
-                "gateway_rsa_keygen", "gateway_frame_handling", "daemon_rpc",
-                "daemon_lookup", "daemon_tx_process", "daemon_block_process",
-                "recipient_rsa_verify", "recipient_unwrap",
-            )
-        }
-        return replace(self, **fields)

@@ -26,8 +26,6 @@ from typing import Any, Callable, Optional
 from repro.blockchain.node import FullNode
 from repro.core.costmodel import CostModel
 from repro.errors import BcWANError
-# DaemonStats now lives in the observability layer (registry-backed);
-# re-exported here so the historical import path keeps working.
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import DaemonStats
 from repro.p2p.dedup import LRUSet
@@ -36,7 +34,7 @@ from repro.p2p.message import BlockMessage, Envelope, TxMessage
 from repro.p2p.network import WANetwork
 from repro.sim.core import Event, Simulator
 
-__all__ = ["BlockchainDaemon", "DaemonStats"]
+__all__ = ["BlockchainDaemon"]
 
 
 @dataclass

@@ -149,8 +149,5 @@ class DirectoryView:
         """Resolve a blockchain address to its announced endpoint."""
         return self._entries.get(address)
 
-    def entries(self) -> list[Announcement]:
-        return sorted(self._entries.values(), key=lambda a: a.address)
-
     def __len__(self) -> int:
         return len(self._entries)

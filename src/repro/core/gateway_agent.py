@@ -32,7 +32,6 @@ from repro.obs.exchange import ExchangeTracker
 from repro.core.rewards import FixedPricing, PricingPolicy
 from repro.crypto import rsa
 from repro.errors import ValidationError
-from repro.lora.class_a import RX1_DELAY, RX2_DELAY, ClassAWindows
 from repro.lora.device import LoRaRadio
 from repro.lora.frames import DataFrame, KeyRequestFrame, KeyResponseFrame
 from repro.p2p.message import (ClaimMessage, DeliveryAck, DeliveryMessage,
@@ -67,8 +66,6 @@ class GatewayAgent:
                  pricing: Optional[PricingPolicy] = None,
                  claim_fee: int = 0,
                  wait_for_confirmation: bool = False,
-                 rsa_bits: int = 512,
-                 class_a: bool = False,
                  chain_id: str = "") -> None:
         self.sim = sim
         self.name = name
@@ -88,11 +85,6 @@ class GatewayAgent:
         # Section 6: waiting for the offer to confirm closes the
         # double-spend window at the cost of block-interval latency.
         self.wait_for_confirmation = wait_for_confirmation
-        self.rsa_bits = rsa_bits
-        # Class-A peers only listen in RX1/RX2; the ePk downlink must be
-        # scheduled into a window rather than fired immediately.
-        self.class_a = class_a
-        self.downlinks_unschedulable = 0
         # Which sub-chain this gateway's daemon follows.  Empty in a flat
         # federation; in a hierarchical one it is the region's chain id,
         # and an ack from a recipient on a different sub-chain switches
@@ -121,7 +113,6 @@ class GatewayAgent:
 
     def _serve_key_request(self, frame: KeyRequestFrame):
         """Steps 1-2: generate an ephemeral pair, downlink ``ePk``."""
-        uplink_end = self.sim.now  # frames deliver at transmission end
         if frame.nonce in self._ephemeral:
             # Duplicate request (retry); resend the same key.
             pending = self._ephemeral[frame.nonce]
@@ -129,7 +120,7 @@ class GatewayAgent:
             yield self.sim.timeout(self.cost_model.sample(
                 self.cost_model.gateway_rsa_keygen, self.rng,
             ))
-            keypair = rsa.generate_keypair(self.rsa_bits, self.rng)
+            keypair = rsa.generate_keypair(rng=self.rng)
             pending = _PendingDelivery(
                 exchange_id=frame.nonce,
                 ephemeral_key=keypair,
@@ -140,19 +131,6 @@ class GatewayAgent:
             if record is not None:
                 record.t_keygen_done = self.sim.now
                 record.gateway = self.name
-        if self.class_a:
-            # Aim the downlink start at the node's RX1 (or RX2) window.
-            windows = ClassAWindows()
-            windows.note_uplink_end(uplink_end)
-            earliest = self.sim.now + self.radio.duty_cycle_wait()
-            target = windows.next_window_start(earliest)
-            if target is None:
-                # Both windows unreachable (duty cycle backlog); the
-                # node will time out and retry.
-                self.downlinks_unschedulable += 1
-                return
-            if target > self.sim.now:
-                yield self.sim.timeout(target - self.sim.now)
         transmission = yield from self.radio.send(KeyResponseFrame(
             sender=self.name,
             target=frame.sender,
@@ -215,7 +193,7 @@ class GatewayAgent:
     def _presented_key(self, pending: _PendingDelivery) -> rsa.RSAPrivateKey:
         """The ephemeral pair whose public half the recipient is shown:
         the one the node was served (the step a dishonest gateway swaps,
-        see :mod:`repro.attacks.mitm`)."""
+        see ``tests/attacks/test_mitm.py``)."""
         return pending.ephemeral_key
 
     # -- blockchain side ----------------------------------------------------------

@@ -41,9 +41,11 @@ from repro.blockchain.node import FullNode
 from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
 from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.wallet import Wallet
-from repro.core.config import NetworkConfig
+from repro.core.config import (CELL_RADIUS, FUNDING_COIN_VALUE,
+                               NetworkConfig)
+from repro.core.costmodel import CostModel
 from repro.core.settlement import CheckpointAgent
-from repro.core.daemon import BlockchainDaemon, DaemonStats
+from repro.core.daemon import BlockchainDaemon
 from repro.core.directory import DirectoryView, build_announcement_payload
 from repro.core.gateway_agent import GatewayAgent
 from repro.obs.exchange import ExchangeTracker
@@ -60,19 +62,25 @@ from repro.light.wallet import LightWallet
 from repro.lora.channel import Position, RadioChannel
 from repro.obs.export import (export_trace_jsonl, format_breakdown,
                               leg_breakdown)
-from repro.obs.profile import HotPathProfiler
 from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import DaemonStats
 from repro.obs.tracing import Tracer
-from repro.lora.device import EU868_DOWNLINK_CHANNEL, LoRaRadio
+from repro.lora.device import (EU868_DOWNLINK_CHANNEL,
+                               EU868_DOWNLINK_DUTY_CYCLE, LoRaRadio)
 from repro.lora.phy import LoRaModulation
 from repro.p2p.network import WANetwork
 from repro.p2p.sync import SyncAgent
 from repro.sim.core import Simulator
 from repro.sim.latency import PlanetLabLatencyMatrix
 from repro.sim.rng import RngRegistry
-from repro.obs.stats import Summary, histogram
+from repro.obs.stats import Summary
 
 __all__ = ["BcWANNetwork", "Region", "Site", "RunReport"]
+
+# The testbed's calibrated processing times (DESIGN.md) and the plaintext
+# reading size (<= 15 bytes: one AES block).  No deployment varies them.
+COST_MODEL = CostModel()
+PAYLOAD_BYTES = 12
 
 
 @dataclass
@@ -145,9 +153,6 @@ class RunReport:
     def summary(self) -> Summary:
         return Summary.of(self.latencies)
 
-    def latency_histogram(self, bins: int = 20):
-        return histogram(self.latencies, bins=bins)
-
     def format(self) -> str:
         lines = [
             f"exchanges: {self.exchanges_launched} launched, "
@@ -179,9 +184,6 @@ class BcWANNetwork:
         # order, so same-seed runs export byte-identical JSONL.
         self.registry = MetricsRegistry()
         self.tracer = Tracer(self.sim, enabled=self.config.tracing)
-        self.profiler = (HotPathProfiler()
-                         if self.config.profile_hot_paths else None)
-        self.sim.obs = self.profiler
         self.tracker = ExchangeTracker(self.tracer)
         # Every daemon of the deployment runs in this one host process:
         # they share one crypto-verdict memo, so the host verifies each
@@ -228,7 +230,7 @@ class BcWANNetwork:
         """
         cfg = self.config
         topo = cfg.topology
-        params = cfg.chain_params()
+        params = cfg.chain
         flat = topo.regions == 1
         light = cfg.light.device_class == "light"
 
@@ -256,7 +258,7 @@ class BcWANNetwork:
             hosts += cfg.light_names
         latency = PlanetLabLatencyMatrix(
             hosts, seed=cfg.seed ^ 0x5EED,
-            median_range=cfg.wan_median_range, sigma=cfg.wan_sigma,
+            median_range=cfg.wan_median_range,
         )
         self.wan = WANetwork(self.sim, self.rngs.stream("wan"), latency,
                              loss_rate=cfg.wan_loss_rate)
@@ -319,12 +321,12 @@ class BcWANNetwork:
             anchor_r_node = self._new_settlement_node(params, f"anchor{tag}")
             self._replay_chain(anchor_node, anchor_r_node)
             anchor_r_daemon = self._new_daemon(anchor_r_node,
-                                               cfg.verify_blocks)
+                                               params.verify_blocks)
             anchor_r_wallet = Wallet(anchor_r_node.chain, settlement_keys[r])
             anchor_r_wallet.watch_chain()
             checkpoint_agent = CheckpointAgent(
                 self.sim, r, master_daemon, anchor_r_daemon, anchor_r_wallet,
-                cfg.cost_model, self.rngs.stream(f"checkpoint{tag}"),
+                COST_MODEL, self.rngs.stream(f"checkpoint{tag}"),
                 interval=topo.checkpoint_interval, registry=self.registry,
             )
             checkpoint_agent.start()
@@ -380,25 +382,22 @@ class BcWANNetwork:
         cfg = self.config
         node = self._new_node(params, name)
         self._replay_chain(source_node, node)
-        daemon = self._new_daemon(node, cfg.verify_blocks)
+        daemon = self._new_daemon(node, cfg.chain.verify_blocks)
         wallet = Wallet(node.chain, actor_key)
         wallet.watch_chain()
         directory = DirectoryView(node.chain)
         directory.follow()
         channel = RadioChannel(self.sim, self.rngs.stream(f"radio-{name}"))
-        channel.obs = self.profiler
         gateway_radio = LoRaRadio(
             f"gw-{i}", channel, position=Position(0.0, 0.0),
-            modulation=modulation, duty_cycle=cfg.gateway_duty_cycle,
+            modulation=modulation, duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
             frequencies=(EU868_DOWNLINK_CHANNEL,), power_dbm=27.0,
         )
         gateway = GatewayAgent(
             self.sim, name, gateway_radio, daemon, wallet, directory,
-            self.wan, cfg.cost_model, self.tracker,
+            self.wan, COST_MODEL, self.tracker,
             self.rngs.stream(f"gateway-{name}"), price=cfg.price,
             wait_for_confirmation=cfg.wait_for_confirmation,
-            rsa_bits=cfg.rsa_bits,
-            class_a=cfg.class_a_windows,
             chain_id=chain_id,
         )
         registry = RecipientRegistry()
@@ -406,9 +405,8 @@ class BcWANNetwork:
         if cfg.light.device_class == "full":
             recipient = RecipientAgent(
                 self.sim, name,
-                NodeLedger(daemon, wallet, self.tracker,
-                           offer_fee=cfg.offer_fee),
-                registry, self.wan, cfg.cost_model, self.tracker,
+                NodeLedger(daemon, wallet, self.tracker),
+                registry, self.wan, COST_MODEL, self.tracker,
                 self.rngs.stream(f"recipient-{name}"),
                 chain_id=chain_id,
             )
@@ -442,18 +440,16 @@ class BcWANNetwork:
             peers.append("master")
             spv = SpvClient(
                 self.sim, self.wan, name, tuple(peers),
-                pow_bits=cfg.pow_bits,
+                pow_bits=cfg.chain.pow_bits,
                 sync_interval=cfg.light.light_sync_interval,
-                request_timeout=cfg.light.light_request_timeout,
                 tracer=self.tracer,
             )
             site = self.sites[i]
             site.recipient = RecipientAgent(
                 self.sim, name,
                 SpvLedger(spv, LightWallet(light_keys[i]),
-                          offer_fee=cfg.offer_fee,
-                          refund_delta=cfg.locktime_grace),
-                site.registry, self.wan, cfg.cost_model, self.tracker,
+                          refund_delta=cfg.chain.locktime_grace),
+                site.registry, self.wan, COST_MODEL, self.tracker,
                 self.rngs.stream(f"light-recipient-{i}"),
             )
             self.light_clients.append(spv)
@@ -462,14 +458,13 @@ class BcWANNetwork:
                     self.sim, self.wan, site.name, site.wallet.keypair,
                     site.node.chain, (name,), cfg.light.multicast_interval,
                     modulation=modulation,
-                    duty_cycle=cfg.gateway_duty_cycle,
+                    duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
                     tracer=self.tracer,
                 ))
                 spv.attach_multicast(
                     site.wallet.keypair.public_key.to_bytes(),
                     cfg.light.multicast_interval,
                     verify_every=cfg.light.multicast_verify_every,
-                    listen_window=cfg.light.multicast_listen_window,
                 )
 
     def _mesh(self, label: str, daemons: list[BlockchainDaemon]) -> None:
@@ -492,8 +487,6 @@ class BcWANNetwork:
                 SyncAgent(self.sim, daemon, interval=cfg.sync_interval)
                 for daemon in self.all_daemons().values()
             ]
-            for agent in self.sync_agents:
-                agent.obs = self.profiler
 
     def _new_node(self, params, name: str) -> FullNode:
         """A full node of this deployment, on the shared verdict memo.
@@ -515,15 +508,12 @@ class BcWANNetwork:
 
     def _new_daemon(self, node: FullNode,
                     verify_blocks: bool) -> BlockchainDaemon:
-        """``node``'s daemon on the WAN, hot-path profiler attached."""
-        daemon = BlockchainDaemon(
-            self.sim, node.name, self.wan, node, self.config.cost_model,
+        """``node``'s daemon on the WAN."""
+        return BlockchainDaemon(
+            self.sim, node.name, self.wan, node, COST_MODEL,
             self.rngs.stream(f"daemon-{node.name}"),
             verify_blocks=verify_blocks, registry=self.registry,
         )
-        node.engine.obs = self.profiler
-        node.mempool.obs = self.profiler
-        return daemon
 
     def _new_master(self, node: FullNode, key_stream: str,
                     funded: list[KeyPair],
@@ -537,9 +527,7 @@ class BcWANNetwork:
         miner = Miner(chain=node.chain, mempool=node.mempool,
                       reward_pubkey_hash=wallet.pubkey_hash)
         self._bootstrap_chain(node, miner, wallet, funded, announced)
-        daemon = self._new_daemon(node, verify_blocks=False)
-        miner.obs = self.profiler
-        return wallet, miner, daemon
+        return wallet, miner, self._new_daemon(node, verify_blocks=False)
 
     def _bootstrap_chain(self, master_node: FullNode, miner: Miner,
                          master_wallet: Wallet, funded: list[KeyPair],
@@ -561,7 +549,8 @@ class BcWANNetwork:
                       if key.pubkey_hash not in own)
         # One mature coinbase per transaction the master pays for, plus
         # headroom.
-        for _ in range(len(funded) + carried + cfg.coinbase_maturity + 1):
+        for _ in range(len(funded) + carried
+                       + cfg.chain.coinbase_maturity + 1):
             miner.mine_and_connect(0.0)
 
         def submit(tx, what: str) -> None:
@@ -572,7 +561,7 @@ class BcWANNetwork:
 
         for key in funded:
             submit(master_wallet.create_fanout(
-                key.pubkey_hash, cfg.funding_coin_value, cfg.funding_coins,
+                key.pubkey_hash, FUNDING_COIN_VALUE, cfg.funding_coins,
             ), "funding")
         self._mine_until_mempool_empty(master_node, miner)
         if not announced:
@@ -625,31 +614,16 @@ class BcWANNetwork:
                 credentials = provision_device(
                     device_id, home.recipient.address, home.registry,
                     rng=self.rngs.stream(f"provision-{device_id}"),
-                    rsa_bits=cfg.rsa_bits,
                 )
                 angle = placement_rng.uniform(0, 2 * math.pi)
-                radius = cfg.cell_radius * math.sqrt(placement_rng.random())
+                radius = CELL_RADIUS * math.sqrt(placement_rng.random())
                 position = Position(radius * math.cos(angle),
                                     radius * math.sin(angle))
-                if cfg.adaptive_data_rate:
-                    from repro.lora.adr import select_spreading_factor
-                    device_modulation = LoRaModulation(
-                        spreading_factor=select_spreading_factor(
-                            position.distance_to(Position(0.0, 0.0)),
-                            host_site.channel.path_loss,
-                        )
-                    )
-                else:
-                    device_modulation = modulation
-                radio = LoRaRadio(
-                    device_id, host_site.channel, position=position,
-                    modulation=device_modulation, duty_cycle=cfg.duty_cycle,
-                )
+                radio = LoRaRadio(device_id, host_site.channel,
+                                  position=position, modulation=modulation)
                 self.sensors.append(NodeAgent(
-                    self.sim, credentials, radio, cfg.cost_model,
+                    self.sim, credentials, radio, COST_MODEL,
                     self.tracker, self.rngs.stream(f"node-{device_id}"),
-                    key_response_timeout=cfg.key_response_timeout,
-                    class_a=cfg.class_a_windows,
                 ))
 
     def _mining_loop(self, daemon: BlockchainDaemon, miner: Miner,
@@ -659,7 +633,7 @@ class BcWANNetwork:
         # spans carry no region.
         region = {"region": chain_id} if chain_id else {}
         while True:
-            yield self.sim.timeout(self.config.block_interval)
+            yield self.sim.timeout(self.config.chain.block_interval)
             # One block = one trace: mining roots it, each gossip hop and
             # per-peer validation nests beneath.
             span = self.tracer.span("block.mine", host=daemon.name, **region)
@@ -685,7 +659,7 @@ class BcWANNetwork:
         """
         registry = StakeRegistry(
             epoch_seed=f"bcwan-pos-{self.config.seed}{tag}".encode("utf-8"),
-            slot_duration=self.config.block_interval,
+            slot_duration=self.config.chain.block_interval,
         )
         leader_reward_hash: dict[str, bytes] = {}
         for site in sites:
@@ -728,7 +702,7 @@ class BcWANNetwork:
         gateway daemon delays its own blocks — the edge-node cost §6
         wants PoS to reduce, observable in the consensus ablation.
         """
-        duration = self.config.block_interval
+        duration = self.config.chain.block_interval
         while True:
             slot_index = int(self.sim.now // duration) + 1
             yield self.sim.timeout(slot_index * duration - self.sim.now + 0.05)
@@ -752,27 +726,6 @@ class BcWANNetwork:
             yield self.sim.timeout(self.config.reclaim_interval)
             yield site.recipient.reclaim_expired()
 
-    # -- failure injection --------------------------------------------------------
-
-    def fail_gateway_radio(self, site_index: int) -> None:
-        """The gateway's LoRa module dies: no more key responses.
-
-        Sensors in its cell retry and give up; their exchanges fail
-        without any money moving.
-        """
-        site = self.sites[site_index]
-        site.channel.remove_listener(site.gateway.radio.name)
-
-    def fail_gateway_claims(self, site_index: int) -> None:
-        """The gateway's blockchain module dies after delivery.
-
-        Deliveries keep flowing, recipients keep locking offers, but no
-        claim ever appears — the scenario the Listing-1 refund branch
-        (and ``reclaim_interval``) exists for.
-        """
-        site = self.sites[site_index]
-        site.gateway._begin_claim = lambda offer_txid: None
-
     # -- workload ------------------------------------------------------------------
 
     def _sensor_loop(self, agent: NodeAgent, budget_check):
@@ -782,7 +735,7 @@ class BcWANNetwork:
         while budget_check():
             self._exchanges_launched += 1
             sequence = self._exchanges_launched
-            reading = f"{sequence:08d}{agent.device_id[-4:]}".encode()[:cfg.payload_bytes]
+            reading = f"{sequence:08d}{agent.device_id[-4:]}".encode()[:PAYLOAD_BYTES]
             agent.start_exchange(reading)
             yield self.sim.timeout(rng.expovariate(1.0 / cfg.exchange_interval))
 
@@ -805,8 +758,8 @@ class BcWANNetwork:
         for agent in self.sensors:
             self.sim.process(self._sensor_loop(agent, budget_check))
 
-        check_interval = max(cfg.block_interval, 5.0)
-        settle_grace = max(120.0, 4 * cfg.block_interval)
+        check_interval = max(cfg.chain.block_interval, 5.0)
+        settle_grace = max(120.0, 4 * cfg.chain.block_interval)
         last_progress_time = 0.0
         last_terminal = -1
         while self.sim.now < max_duration:

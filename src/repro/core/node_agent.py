@@ -24,7 +24,6 @@ from repro.core.messages import seal_message, sign_payload
 from repro.obs.exchange import ExchangeRecord, ExchangeTracker
 from repro.core.provisioning import DeviceCredentials
 from repro.crypto import rsa
-from repro.lora.class_a import ClassAWindows
 from repro.lora.device import LoRaRadio
 from repro.lora.frames import DataFrame, KeyRequestFrame, KeyResponseFrame
 from repro.sim.core import Simulator
@@ -39,8 +38,7 @@ class NodeAgent:
                  radio: LoRaRadio, cost_model: CostModel,
                  tracker: ExchangeTracker, rng: random.Random,
                  key_response_timeout: float = 12.0,
-                 max_attempts: int = 3,
-                 class_a: bool = False) -> None:
+                 max_attempts: int = 3) -> None:
         self.sim = sim
         self.credentials = credentials
         self.radio = radio
@@ -49,10 +47,6 @@ class NodeAgent:
         self.rng = rng
         self.key_response_timeout = key_response_timeout
         self.max_attempts = max_attempts
-        # Class-A discipline: the radio sleeps outside the RX1/RX2
-        # windows that follow each of our own uplinks.
-        self.windows = ClassAWindows() if class_a else None
-        self.downlinks_missed_window = 0
         self.exchanges_started = 0
         self._pending_keys: dict[int, object] = {}  # exchange id -> Event
         radio.on_receive(self._on_frame)
@@ -66,12 +60,6 @@ class NodeAgent:
             return
         if frame.target != self.device_id:
             return
-        if self.windows is not None:
-            start = self.sim.now - self.radio.time_on_air(frame)
-            if not self.windows.accepts_downlink_start(start):
-                # Radio asleep: the downlink fell outside RX1/RX2.
-                self.downlinks_missed_window += 1
-                return
         event = self._pending_keys.pop(frame.nonce, None)
         if event is not None and not event.triggered:
             event.succeed(frame)
@@ -94,12 +82,10 @@ class NodeAgent:
             waiter = self.sim.event()
             self._pending_keys[record.exchange_id] = waiter
             record.t_request = self.sim.now
-            request_tx = yield from self.radio.send(
+            yield from self.radio.send(
                 KeyRequestFrame(sender=self.device_id,
                                 nonce=record.exchange_id)
             )
-            if self.windows is not None:
-                self.windows.note_uplink_end(request_tx.end)
             outcome = yield self.sim.any_of(
                 [waiter, self.sim.timeout(self.key_response_timeout)]
             )
@@ -147,6 +133,4 @@ class NodeAgent:
             nonce=record.exchange_id,
         ))
         record.t_data_sent = transmission.end
-        if self.windows is not None:
-            self.windows.note_uplink_end(transmission.end)
         return record

@@ -75,8 +75,8 @@ class RecipientRegistry:
 
 def provision_device(device_id: str, recipient_address: str,
                      registry: RecipientRegistry,
-                     rng: Optional[random.Random] = None,
-                     rsa_bits: int = 512) -> DeviceCredentials:
+                     rng: Optional[random.Random] = None
+                     ) -> DeviceCredentials:
     """Generate and exchange a device's keys with its recipient.
 
     Returns the credentials to load on the node; the recipient-side
@@ -84,7 +84,7 @@ def provision_device(device_id: str, recipient_address: str,
     """
     rng = rng or random.SystemRandom()
     symmetric_key = bytes(rng.randrange(256) for _ in range(32))
-    signing_key = rsa.generate_keypair(rsa_bits, rng)
+    signing_key = rsa.generate_keypair(rng=rng)
     registry.register(device_id, symmetric_key, signing_key.public_key)
     return DeviceCredentials(
         device_id=device_id,

@@ -40,6 +40,7 @@ from typing import Callable, Optional, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.wallet import KeyReleaseOffer, Wallet
+from repro.core.config import OFFER_FEE
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.core.messages import open_message, verify_payload
@@ -69,11 +70,10 @@ class NodeLedger:
     """Ledger access through the actor's own full node and its daemon."""
 
     def __init__(self, daemon: BlockchainDaemon, wallet: Wallet,
-                 tracker: ExchangeTracker, offer_fee: int = 0) -> None:
+                 tracker: ExchangeTracker) -> None:
         self.daemon = daemon
         self.wallet = wallet
         self.tracker = tracker
-        self.offer_fee = offer_fee
         self.claims_relayed = 0
 
     def attach(self, on_delivery: Callable[[Envelope], None],
@@ -104,7 +104,7 @@ class NodeLedger:
                     rsa_pubkey=message.ephemeral_pubkey,
                     gateway_pubkey_hash=message.gateway_pubkey_hash,
                     amount=message.price,
-                    fee=self.offer_fee,
+                    fee=OFFER_FEE,
                 )
             )
         except ValidationError as exc:
@@ -178,10 +178,9 @@ class SpvLedger:
     REBROADCAST_LIMIT = 3
 
     def __init__(self, spv: SpvClient, wallet: LightWallet,
-                 offer_fee: int = 0, refund_delta: int = 100) -> None:
+                 refund_delta: int = 100) -> None:
         self.spv = spv
         self.wallet = wallet
-        self.offer_fee = offer_fee
         # The refund branch's locktime rides the *header* tip — the only
         # chain clock a light client has.
         self.refund_delta = refund_delta
@@ -239,7 +238,7 @@ class SpvLedger:
                     gateway_pubkey_hash=message.gateway_pubkey_hash,
                     amount=message.price,
                     refund_locktime=self.height + self.refund_delta,
-                    fee=self.offer_fee,
+                    fee=OFFER_FEE,
                 )
                 break
             except ValidationError:
@@ -475,9 +474,6 @@ class RecipientAgent:
 
     # -- refunds ----------------------------------------------------------------------
 
-    def pending_settlements(self) -> int:
-        return len(self._pending)
-
     def reclaim_expired(self):
         """Spend the refund branch of every expired, unclaimed offer.
 
@@ -506,5 +502,6 @@ class RecipientAgent:
             "messages_decrypted": self.messages_decrypted,
             "payments_made": self.payments_made,
             "refunds_taken": self.refunds_taken,
+            "pending_settlements": len(self._pending),
             **self.ledger.stats(),
         }

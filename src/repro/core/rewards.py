@@ -30,7 +30,6 @@ __all__ = [
     "CongestionPricing",
     "VolumeDiscountPricing",
     "RecipientBudget",
-    "RewardLedger",
 ]
 
 
@@ -112,15 +111,12 @@ class VolumeDiscountPricing:
             )
 
     def quote(self, recipient_address: str, queue_length: int) -> int:
+        """This delivery's price; every quote counts towards the next one."""
         count = self._delivered.get(recipient_address, 0)
+        self._delivered[recipient_address] = count + 1
         fraction = max(self.floor_fraction,
                        1.0 - self.discount_per_delivery * count)
         return max(1, int(self.base_price * fraction))
-
-    def record_delivery(self, recipient_address: str) -> None:
-        self._delivered[recipient_address] = (
-            self._delivered.get(recipient_address, 0) + 1
-        )
 
 
 @dataclass(frozen=True)
@@ -137,39 +133,3 @@ class RecipientBudget:
 
     def accepts(self, quoted_price: int) -> bool:
         return 0 < quoted_price <= self.max_price
-
-
-@dataclass
-class RewardLedger:
-    """Federation-wide settlement accounting (for reports and audits)."""
-
-    quotes: list[tuple[str, str, int]] = field(default_factory=list)
-    refusals: list[tuple[str, str, int]] = field(default_factory=list)
-    settlements: list[tuple[str, str, int]] = field(default_factory=list)
-
-    def record_quote(self, gateway: str, recipient: str, price: int) -> None:
-        self.quotes.append((gateway, recipient, price))
-
-    def record_refusal(self, gateway: str, recipient: str, price: int) -> None:
-        self.refusals.append((gateway, recipient, price))
-
-    def record_settlement(self, gateway: str, recipient: str,
-                          price: int) -> None:
-        self.settlements.append((gateway, recipient, price))
-
-    def earned_by(self, gateway: str) -> int:
-        return sum(price for gw, _r, price in self.settlements
-                   if gw == gateway)
-
-    def paid_by(self, recipient: str) -> int:
-        return sum(price for _gw, r, price in self.settlements
-                   if r == recipient)
-
-    def refusal_rate(self) -> float:
-        total = len(self.quotes)
-        return len(self.refusals) / total if total else 0.0
-
-    def mean_settled_price(self) -> float:
-        if not self.settlements:
-            return 0.0
-        return sum(p for _g, _r, p in self.settlements) / len(self.settlements)

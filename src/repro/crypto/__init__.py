@@ -15,7 +15,6 @@ oracle in ``tests/oracles/``; RIPEMD-160 falls back to the in-tree
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.base58 import Base58Error
 from repro.crypto.ecdsa import (
     ECDSAError,
     PrivateKey,
@@ -24,7 +23,7 @@ from repro.crypto.ecdsa import (
     generate_private_key,
 )
 from repro.crypto.hashing import double_sha256, hash160, sha256
-from repro.crypto.keys import KeyPair, address_from_pubkey, pubkey_hash_from_address
+from repro.crypto.keys import KeyPair, address_from_pubkey
 from repro.crypto.modes import (
     PaddingError,
     decrypt_cbc,
@@ -38,13 +37,11 @@ from repro.crypto.rsa import (
     RSAPrivateKey,
     RSAPublicKey,
     generate_keypair,
-    max_plaintext_length,
 )
 
 __all__ = [
     "AES",
     "BLOCK_SIZE",
-    "Base58Error",
     "ECDSAError",
     "KeyPair",
     "PaddingError",
@@ -61,9 +58,7 @@ __all__ = [
     "generate_keypair",
     "generate_private_key",
     "hash160",
-    "max_plaintext_length",
     "pad_pkcs7",
-    "pubkey_hash_from_address",
     "random_iv",
     "sha256",
     "unpad_pkcs7",

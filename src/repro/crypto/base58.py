@@ -1,17 +1,16 @@
-"""Base58 and Base58Check encoding (the Bitcoin-family address alphabet)."""
+"""Base58 and Base58Check encoding (the Bitcoin-family address alphabet).
+
+The system only derives addresses, never parses them: the decoders live
+in ``tests/oracles/base58_reference.py``.
+"""
 
 from __future__ import annotations
 
 from repro.crypto.hashing import double_sha256
 
-__all__ = ["Base58Error", "encode", "decode", "encode_check", "decode_check"]
+__all__ = ["encode", "encode_check"]
 
 _ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_INDEX = {char: i for i, char in enumerate(_ALPHABET)}
-
-
-class Base58Error(Exception):
-    """Raised on invalid characters or checksum failures."""
 
 
 def encode(data: bytes) -> str:
@@ -25,29 +24,6 @@ def encode(data: bytes) -> str:
     return "1" * leading_zeros + "".join(reversed(chars))
 
 
-def decode(text: str) -> bytes:
-    """Decode a Base58 string back to bytes."""
-    value = 0
-    for char in text:
-        if char not in _INDEX:
-            raise Base58Error(f"invalid base58 character: {char!r}")
-        value = value * 58 + _INDEX[char]
-    leading_ones = len(text) - len(text.lstrip("1"))
-    body = value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
-    return b"\x00" * leading_ones + body
-
-
 def encode_check(payload: bytes) -> str:
     """Base58Check: append a 4-byte double-SHA256 checksum, then encode."""
     return encode(payload + double_sha256(payload)[:4])
-
-
-def decode_check(text: str) -> bytes:
-    """Decode Base58Check, verifying the checksum."""
-    raw = decode(text)
-    if len(raw) < 4:
-        raise Base58Error("base58check payload too short")
-    payload, checksum = raw[:-4], raw[-4:]
-    if double_sha256(payload)[:4] != checksum:
-        raise Base58Error("base58check checksum mismatch")
-    return payload

@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 
-__all__ = ["sha256", "double_sha256", "ripemd160", "hash160", "hmac_sha256",
-           "tagged_hash"]
+__all__ = ["sha256", "double_sha256", "ripemd160", "hash160", "hmac_sha256"]
 
 try:
     hashlib.new("ripemd160")
@@ -42,9 +41,3 @@ def hash160(data: bytes) -> bytes:
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256, used by deterministic ECDSA nonces (RFC 6979)."""
     return _hmac.new(key, message, hashlib.sha256).digest()
-
-
-def tagged_hash(tag: str, data: bytes) -> bytes:
-    """BIP-340 style tagged hash; used to domain-separate protocol hashes."""
-    tag_digest = hashlib.sha256(tag.encode("utf-8")).digest()
-    return hashlib.sha256(tag_digest + tag_digest + data).digest()

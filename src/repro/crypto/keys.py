@@ -17,7 +17,7 @@ from typing import Optional
 from repro.crypto import base58, ecdsa
 from repro.crypto.hashing import hash160
 
-__all__ = ["ADDRESS_VERSION", "KeyPair", "address_from_pubkey", "pubkey_hash_from_address"]
+__all__ = ["ADDRESS_VERSION", "KeyPair", "address_from_pubkey"]
 
 # Version byte for addresses; 0x19 keeps BcWAN addresses visually distinct
 # from Bitcoin mainnet ones (they start with 'B').
@@ -27,14 +27,6 @@ ADDRESS_VERSION = 0x19
 def address_from_pubkey(pubkey: ecdsa.PublicKey) -> str:
     """Derive the Base58Check address of a public key."""
     return base58.encode_check(bytes([ADDRESS_VERSION]) + hash160(pubkey.to_bytes()))
-
-
-def pubkey_hash_from_address(address: str) -> bytes:
-    """Extract the 20-byte HASH160 a script locks to from an address."""
-    payload = base58.decode_check(address)
-    if len(payload) != 21 or payload[0] != ADDRESS_VERSION:
-        raise base58.Base58Error(f"not a BcWAN address: {address!r}")
-    return payload[1:]
 
 
 @dataclass(frozen=True)

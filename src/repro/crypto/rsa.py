@@ -33,7 +33,6 @@ __all__ = [
     "RSAPrivateKey",
     "RSAError",
     "generate_keypair",
-    "max_plaintext_length",
 ]
 
 _PUBLIC_EXPONENT = 65537
@@ -271,8 +270,3 @@ def generate_keypair(bits: int = 512,
             continue
         d = primes.modinv(_PUBLIC_EXPONENT, carmichael)
         return RSAPrivateKey(n=n, e=_PUBLIC_EXPONENT, d=d, p=p, q=q)
-
-
-def max_plaintext_length(bits: int) -> int:
-    """Largest PKCS#1 v1.5 plaintext for an RSA modulus of ``bits`` bits."""
-    return (bits + 7) // 8 - 11

@@ -56,9 +56,6 @@ class HeaderChain:
             return self._headers[height]
         return None
 
-    def height_of(self, block_hash: bytes) -> Optional[int]:
-        return self._heights.get(block_hash)
-
     def contains(self, block_hash: bytes) -> bool:
         return block_hash in self._heights
 

@@ -46,6 +46,9 @@ GENESIS_DIGEST = b"\x00" * 32
 #: Max LoRaWAN-style application payload per downlink fragment (DR5).
 FRAGMENT_BYTES = 222
 
+#: Seconds a deployed light host keeps its radio open after a round fires.
+LISTEN_WINDOW = 2.0
+
 
 def bundle_digest(prev_digest: bytes, round_index: int,
                   raw_headers: tuple[bytes, ...]) -> bytes:
@@ -194,7 +197,7 @@ class MulticastListener:
                  apply_headers: Callable[[int, tuple[bytes, ...]], str],
                  on_omission: Callable[[], None],
                  verify_every: int = 4,
-                 listen_window: float = 1.0,
+                 listen_window: float = LISTEN_WINDOW,
                  miss_threshold: int = 2,
                  epoch_start: float = 0.0) -> None:
         self.sim = sim

@@ -200,7 +200,6 @@ class SpvClient:
 
     def attach_multicast(self, gateway_pubkey: bytes, interval: float,
                          verify_every: int = 4,
-                         listen_window: float = 1.0,
                          miss_threshold: int = 2) -> MulticastListener:
         """Listen to a gateway's repeat-authenticate header stream."""
         self.multicast = MulticastListener(
@@ -208,7 +207,6 @@ class SpvClient:
             apply_headers=self._apply_bundle_headers,
             on_omission=self.catch_up,
             verify_every=verify_every,
-            listen_window=listen_window,
             miss_threshold=miss_threshold,
         )
         return self.multicast

@@ -8,11 +8,6 @@
 * :mod:`repro.lora.device` — the per-device radio facade.
 """
 
-from repro.lora.adr import (
-    assign_modulations,
-    link_margin_db,
-    select_spreading_factor,
-)
 from repro.lora.channel import (
     Listener,
     PathLossModel,
@@ -22,6 +17,7 @@ from repro.lora.channel import (
 )
 from repro.lora.device import (
     EU868_DOWNLINK_CHANNEL,
+    EU868_DOWNLINK_DUTY_CYCLE,
     EU868_UPLINK_CHANNELS,
     LoRaRadio,
 )
@@ -44,6 +40,7 @@ __all__ = [
     "DataFrame",
     "DutyCycleLimiter",
     "EU868_DOWNLINK_CHANNEL",
+    "EU868_DOWNLINK_DUTY_CYCLE",
     "EU868_UPLINK_CHANNELS",
     "HEADER_BYTES",
     "KeyRequestFrame",
@@ -59,8 +56,5 @@ __all__ = [
     "SNR_THRESHOLD_DB",
     "SpreadingFactor",
     "Transmission",
-    "assign_modulations",
-    "link_margin_db",
     "max_messages_per_hour",
-    "select_spreading_factor",
 ]

@@ -19,12 +19,14 @@ from repro.lora.dutycycle import DutyCycleLimiter
 from repro.lora.frames import LoRaFrame
 from repro.lora.phy import LoRaModulation
 
-__all__ = ["LoRaRadio", "EU868_UPLINK_CHANNELS", "EU868_DOWNLINK_CHANNEL"]
+__all__ = ["LoRaRadio", "EU868_UPLINK_CHANNELS", "EU868_DOWNLINK_CHANNEL",
+           "EU868_DOWNLINK_DUTY_CYCLE"]
 
 # The three mandatory EU868 LoRaWAN join channels (1 % duty each).
 EU868_UPLINK_CHANNELS = (868_100_000, 868_300_000, 868_500_000)
 # The high-power RX2 downlink channel (10 % duty sub-band).
 EU868_DOWNLINK_CHANNEL = 869_525_000
+EU868_DOWNLINK_DUTY_CYCLE = 0.10
 
 
 class LoRaRadio:
@@ -124,7 +126,3 @@ class LoRaRadio:
         finally:
             self._tx_lock.release()
         return transmission
-
-    def send_process(self, frame: LoRaFrame):
-        """Spawn :meth:`send` as a process; returns the process event."""
-        return self.sim.process(self.send(frame))

@@ -69,9 +69,3 @@ class DutyCycleLimiter:
         self._not_before = start + time_on_air + off_period
         self.total_airtime += time_on_air
         self.transmissions += 1
-
-    def utilization(self, now: float) -> float:
-        """Fraction of elapsed time spent on-air (0 when nothing sent)."""
-        if now <= 0:
-            return 0.0
-        return self.total_airtime / now

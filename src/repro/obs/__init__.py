@@ -27,8 +27,7 @@ from repro.obs.export import (export_trace_jsonl, format_breakdown,
 from repro.obs.profile import HotPathProfiler
 from repro.obs.registry import Instrument, MetricsRegistry, StatsView
 from repro.obs.stats import Summary, histogram
-from repro.obs.telemetry import (ChaosTelemetry, DaemonStats,
-                                 MetricsRecorder, ValidationTelemetry)
+from repro.obs.telemetry import ChaosTelemetry, DaemonStats
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, Tracer
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "ExchangeTracker",
     "HotPathProfiler",
     "Instrument",
-    "MetricsRecorder",
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",
@@ -46,7 +44,6 @@ __all__ = [
     "StatsView",
     "Summary",
     "Tracer",
-    "ValidationTelemetry",
     "export_trace_jsonl",
     "format_breakdown",
     "histogram",

@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.obs.stats import Summary
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 __all__ = ["ExchangeRecord", "ExchangeTracker"]
@@ -165,13 +164,3 @@ class ExchangeTracker:
 
     def latencies(self) -> list[float]:
         return [r.latency for r in self.completed() if r.latency is not None]
-
-    def latency_summary(self) -> Summary:
-        """Latency statistics; the zero-exchange case yields the
-        well-defined empty :class:`Summary` (count 0, NaN-free) so a run
-        that completes nothing still reports instead of crashing."""
-        return Summary.of(self.latencies())
-
-    def completion_rate(self) -> float:
-        total = len(self._records)
-        return len(self.completed()) / total if total else 0.0

@@ -230,9 +230,6 @@ class StatsView(Mapping):
     def __repr__(self) -> str:
         return f"StatsView({self._values!r})"
 
-    def as_dict(self) -> dict[str, object]:
-        return dict(self._values)
-
     def format(self) -> str:
         if not self._values:
             return "(no stats)"

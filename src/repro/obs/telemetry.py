@@ -1,33 +1,24 @@
-"""Registry-backed telemetry surfaces behind their historical APIs.
+"""Registry-backed counter bags: ``DaemonStats`` and ``ChaosTelemetry``.
 
-``DaemonStats``, ``ChaosTelemetry``, ``ValidationTelemetry`` and
-``MetricsRecorder`` predate the observability layer; their attribute
-APIs are load-bearing across the test suite and the experiment CLI.
-This module keeps those APIs intact while moving the *storage* onto a
-:class:`~repro.obs.registry.MetricsRegistry`: every counter read or
-``+=`` resolves to a registry cell, so one ``registry.snapshot()`` sees
-the whole scenario.
-
-Each surface also grows the uniform ``stats()`` accessor returning a
+Both read like plain attribute bags (``stats.jobs_served += 1``) while
+the *storage* is a :class:`~repro.obs.registry.MetricsRegistry`: every
+counter read or ``+=`` resolves to a registry cell, so one
+``registry.snapshot()`` sees the whole scenario.  Calling a bag
+(``daemon.stats()``) returns a
 :class:`~repro.obs.registry.StatsView` — the one blessed read path for
 examples and tooling.
 
-The old import homes (``repro.core.metrics``, ``repro.sim.trace``) have
-been removed outright — the ``tools/checks`` lint hard-fails any import
-of them — and the same lint forbids *new* ad-hoc counter dataclasses
-outside ``repro.obs``.
+The ``ad-hoc-telemetry`` rule of ``tools/analysis`` forbids *new*
+counter dataclasses outside ``repro.obs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.obs.registry import MetricsRegistry, StatsView
-from repro.obs.stats import Summary
 
-__all__ = ["ChaosTelemetry", "DaemonStats", "MetricsRecorder",
-           "ValidationTelemetry"]
+__all__ = ["ChaosTelemetry", "DaemonStats"]
 
 
 class _RegistryCounters:
@@ -36,9 +27,9 @@ class _RegistryCounters:
     Subclasses declare ``_prefix``, ``_counters`` and ``_gauges``
     (tuples of field names).  Each field becomes a property reading and
     writing one registry cell, so both ``stats.x += 1`` and the
-    assignment style ``stats.x = engine_value`` keep working.  When no
-    registry is supplied the instance creates a private one, preserving
-    the historical "independent bag of zeros" construction.
+    assignment style ``stats.x = engine_value`` work.  When no registry
+    is supplied the instance creates a private one (an independent bag
+    of zeros).
     """
 
     _prefix = ""
@@ -80,9 +71,8 @@ class _RegistryCounters:
             def setter(self: "_RegistryCounters", value: float) -> None:
                 cell = self._cells[field_name]
                 if kind == "counter":
-                    # Counters in the old dataclasses were assigned to
-                    # directly (daemon mirrors engine numbers by ``=``),
-                    # so emulate assignment with a delta.
+                    # The daemon mirrors engine numbers by ``=``:
+                    # emulate assignment with a delta.
                     cell.inc(value - cell.value)
                 else:
                     cell.set(value)
@@ -104,8 +94,7 @@ class _RegistryCounters:
 class DaemonStats(_RegistryCounters):
     """Telemetry for one :class:`~repro.core.daemon.BlockchainDaemon`.
 
-    Kept attribute-compatible with the old dataclass; additionally
-    callable — ``daemon.stats()`` — returning a :class:`StatsView`, the
+    Callable — ``daemon.stats()`` — returning a :class:`StatsView`, the
     uniform accessor shared with sync, gossip and chaos.
     """
 
@@ -153,7 +142,7 @@ class DaemonStats(_RegistryCounters):
 class ChaosTelemetry(_RegistryCounters):
     """Everything the chaos injector did to a run, plus the outcome.
 
-    ``fault_log`` keeps its historical deterministic format: one
+    ``fault_log`` has a deterministic format: one
     ``t=<sim time> <kind> <detail>`` line per injected fault,
     byte-identical across same-seed runs (tests pin that).
     """
@@ -207,111 +196,3 @@ class ChaosTelemetry(_RegistryCounters):
         return StatsView(values)
 
     stats = __call__
-
-
-@dataclass(frozen=True)
-class ValidationTelemetry:  # lint: allow(ad-hoc-telemetry) — frozen snapshot, not a live counter bag
-    """A frozen snapshot of one engine's validation counters."""
-
-    script_cache_hits: int = 0
-    script_cache_misses: int = 0
-    script_cache_evictions: int = 0
-    standardness_tx_checked: int = 0
-    standardness_tx_rejected: int = 0
-    spends_prechecked: int = 0
-    script_fast_rejects: int = 0
-    analyses: int = 0
-    analysis_cache_hits: int = 0
-    output_classes: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_engine(cls, engine: Any) -> "ValidationTelemetry":
-        cache = engine.cache_stats
-        policy = engine.policy.stats
-        return cls(
-            script_cache_hits=cache.hits,
-            script_cache_misses=cache.misses,
-            script_cache_evictions=cache.evictions,
-            standardness_tx_checked=policy.tx_checked,
-            standardness_tx_rejected=policy.tx_rejected,
-            spends_prechecked=policy.spends_prechecked,
-            script_fast_rejects=policy.fast_rejects,
-            analyses=policy.analyses,
-            analysis_cache_hits=policy.analysis_cache_hits,
-            output_classes=dict(policy.output_classes),
-        )
-
-    @property
-    def executions_avoided(self) -> int:
-        return self.script_cache_hits + self.script_fast_rejects
-
-    def record_to(self, registry: MetricsRegistry, host: str = "") -> None:
-        """Mirror this snapshot into ``registry`` gauges."""
-        for name in ("script_cache_hits", "script_cache_misses",
-                     "script_cache_evictions", "standardness_tx_checked",
-                     "standardness_tx_rejected", "spends_prechecked",
-                     "script_fast_rejects", "analyses",
-                     "analysis_cache_hits"):
-            gauge = registry.gauge(f"validation.{name}", "host")
-            gauge.labels(host=host).set(getattr(self, name))
-        classes = registry.gauge("validation.output_classes",
-                                 "host", "klass")
-        for klass, count in self.output_classes.items():
-            classes.labels(host=host, klass=klass).set(count)
-
-    def stats(self) -> StatsView:
-        values: dict[str, object] = {
-            name: getattr(self, name)
-            for name in ("script_cache_hits", "script_cache_misses",
-                         "script_cache_evictions", "standardness_tx_checked",
-                         "standardness_tx_rejected", "spends_prechecked",
-                         "script_fast_rejects", "analyses",
-                         "analysis_cache_hits")
-        }
-        values["executions_avoided"] = self.executions_avoided
-        for klass, count in self.output_classes.items():
-            values[f"output_classes.{klass}"] = count
-        return StatsView(values)
-
-
-class MetricsRecorder:
-    """Free-form experiment metrics, now stored in a registry.
-
-    The historical API — ``record``/``mark``/``count``/``summary`` —
-    is preserved; samples additionally feed registry histograms and
-    counts feed registry counters, so ad-hoc experiment numbers appear
-    in the same ``snapshot()`` as everything else.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.samples: dict[str, list[float]] = {}
-        self.events: list[tuple[float, str, dict]] = []
-        self.counters: dict[str, int] = {}
-
-    def record(self, metric: str, value: float) -> None:
-        self.samples.setdefault(metric, []).append(value)
-        self.registry.histogram(f"recorder.{metric}").observe(value)
-
-    def mark(self, time: float, label: str, **details: Any) -> None:
-        self.events.append((time, label, details))
-
-    def count(self, counter: str, delta: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + delta
-        self.registry.counter(f"recorder.{counter}").inc(delta)
-
-    def summary(self, metric: str) -> Summary:
-        series = self.samples.get(metric)
-        if not series:
-            raise KeyError(f"no samples recorded for metric {metric!r}")
-        return Summary.of(series)
-
-    def has(self, metric: str) -> bool:
-        return bool(self.samples.get(metric))
-
-    def stats(self) -> StatsView:
-        values: dict[str, object] = dict(self.counters)
-        for name, samples in self.samples.items():
-            values[f"{name}.count"] = len(samples)
-            values[f"{name}.mean"] = Summary.of(samples).mean
-        return StatsView(values)

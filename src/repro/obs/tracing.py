@@ -139,11 +139,5 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def open_spans(self) -> list[Span]:
-        return [span for span in self.spans if span.end_time is None]
-
-    def by_name(self, name: str) -> list[Span]:
-        return [span for span in self.spans if span.name == name]
-
 
 NULL_TRACER = Tracer(enabled=False)

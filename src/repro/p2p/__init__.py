@@ -21,8 +21,6 @@ from repro.p2p.message import (
     DeliveryAck,
     DeliveryMessage,
     Envelope,
-    GetDataMessage,
-    InvMessage,
     TxMessage,
 )
 from repro.p2p.network import Host, WANetwork
@@ -40,10 +38,8 @@ __all__ = [
     "DeliveryAck",
     "DeliveryMessage",
     "Envelope",
-    "GetDataMessage",
     "GossipNode",
     "Host",
-    "InvMessage",
     "TxMessage",
     "WANetwork",
 ]

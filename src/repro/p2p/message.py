@@ -14,8 +14,6 @@ from typing import Any
 
 __all__ = [
     "Envelope",
-    "InvMessage",
-    "GetDataMessage",
     "TxMessage",
     "BlockMessage",
     "CompactBlockMessage",
@@ -45,22 +43,6 @@ class Envelope:
     sent_at: float
     message_id: int = field(default_factory=lambda: next(_sequence))
     trace: Any = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class InvMessage:
-    """Inventory announcement: 'I have these items'."""
-
-    kind: str  # "tx" or "block"
-    hashes: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class GetDataMessage:
-    """Request for announced items."""
-
-    kind: str
-    hashes: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)

@@ -180,16 +180,6 @@ class WANetwork:
         self._down.discard(name)
         return host
 
-    def unregister(self, name: str) -> None:
-        self._hosts.pop(name, None)
-        self._down.discard(name)
-
-    def hosts(self) -> list[str]:
-        return list(self._hosts)
-
-    def is_registered(self, name: str) -> bool:
-        return name in self._hosts
-
     # -- host liveness (crash/restart lifecycle) -------------------------------
 
     def set_host_down(self, name: str) -> None:
@@ -200,9 +190,6 @@ class WANetwork:
     def set_host_up(self, name: str) -> None:
         """Resume deliveries to a previously-downed host."""
         self._down.discard(name)
-
-    def is_host_up(self, name: str) -> bool:
-        return name in self._hosts and name not in self._down
 
     # -- sending ---------------------------------------------------------------
 

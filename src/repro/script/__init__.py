@@ -36,7 +36,6 @@ from repro.script.interpreter import (
     ExecutionContext,
     NullContext,
     ScriptInterpreter,
-    verify_spend,
 )
 from repro.script.opcodes import OP, opcode_name
 from repro.script.script import Script, decode_number, encode_number
@@ -68,5 +67,4 @@ __all__ = [
     "opcode_name",
     "p2pkh_locking",
     "p2pkh_unlocking",
-    "verify_spend",
 ]

@@ -260,9 +260,6 @@ class ScriptAnalysis:
                 return issue
         return None
 
-    def has(self, code: str) -> bool:
-        return any(issue.code == code for issue in self.issues)
-
 
 # -- the abstract machine -----------------------------------------------------
 
@@ -707,9 +704,6 @@ class StandardnessPolicy:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
 
     # -- mempool policy ------------------------------------------------------
 

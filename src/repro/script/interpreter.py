@@ -30,17 +30,11 @@ __all__ = [
     "NullContext",
     "ScriptInterpreter",
     "check_rsa_pair",
-    "verify_spend",
 ]
 
 MAX_STACK_SIZE = 1_000
 MAX_OPS = 201
 _LOCKTIME_THRESHOLD = 500_000_000  # below: block height; above: unix time
-
-# Backwards-compatible aliases (the static analyzer and external tooling use
-# the public names above).
-_MAX_STACK_SIZE = MAX_STACK_SIZE
-_MAX_OPS = MAX_OPS
 
 
 class ExecutionContext(Protocol):
@@ -428,10 +422,3 @@ def check_rsa_pair(public: bytes, private: bytes) -> bool:
     except rsa.RSAError:
         return False
     return private_key.matches(public_key)
-
-
-def verify_spend(unlocking: Script, locking: Script,
-                 context: Optional[ExecutionContext] = None) -> bool:
-    """Convenience wrapper: verify a spend under ``context``."""
-    interpreter = ScriptInterpreter(context=context or NullContext())
-    return interpreter.verify(unlocking, locking)

@@ -90,17 +90,6 @@ class Script:
                 )
         object.__setattr__(self, "elements", tuple(normalized))
 
-    @staticmethod
-    def push_int(value: int) -> ScriptElement:
-        """The canonical element that pushes integer ``value``."""
-        if value == 0:
-            return int(OP.OP_0)
-        if 1 <= value <= 16:
-            return int(OP.OP_1) + value - 1
-        if value == -1:
-            return int(OP.OP_1NEGATE)
-        return encode_number(value)
-
     def to_bytes(self) -> bytes:
         """Serialize to the Bitcoin wire format."""
         out = bytearray()

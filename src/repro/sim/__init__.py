@@ -2,17 +2,12 @@
 
 * :mod:`repro.sim.core` — the event loop, processes (generators), timeouts;
 * :mod:`repro.sim.rng` — named seeded random streams;
-* :mod:`repro.sim.latency` — wide-area latency models (PlanetLab-like);
-The statistics helpers (``Summary``, ``histogram``) and the
-``MetricsRecorder`` moved to :mod:`repro.obs`; they are re-exported here
-for compatibility.
+* :mod:`repro.sim.latency` — wide-area latency models (PlanetLab-like).
 """
 
 from repro.sim.core import (
-    AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -25,24 +20,17 @@ from repro.sim.latency import (
     PlanetLabLatencyMatrix,
 )
 from repro.sim.rng import RngRegistry
-from repro.obs.stats import Summary, histogram
-from repro.obs.telemetry import MetricsRecorder
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "ConstantLatency",
     "Event",
-    "Interrupt",
     "LatencyModel",
     "LogNormalLatency",
-    "MetricsRecorder",
     "PlanetLabLatencyMatrix",
     "Process",
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "Summary",
     "Timeout",
-    "histogram",
 ]

@@ -21,24 +21,14 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "Simulator",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Kernel-level misuse (double-trigger, yielding a foreign event...)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -49,7 +39,7 @@ class Event:
     event; the simulator runs callbacks when the clock reaches it.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_cancelled")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state")
 
     _PENDING, _TRIGGERED, _PROCESSED = range(3)
 
@@ -59,7 +49,6 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._state = Event._PENDING
-        self._cancelled = False
 
     @property
     def triggered(self) -> bool:
@@ -99,23 +88,6 @@ class Event:
         self.sim._schedule_event(self, delay)
         return self
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> "Event":
-        """Lazily cancel: the queue keeps its entry but skips it on pop.
-
-        A cancelled event never runs its callbacks and never counts toward
-        ``events_processed``.  Cancelling is idempotent; cancelling an
-        already-processed event is a misuse error.  This replaces
-        re-heapifying the queue to excise entries — O(1) instead of O(n).
-        """
-        if self._state == Event._PROCESSED:
-            raise SimulationError("cannot cancel a processed event")
-        self._cancelled = True
-        return self
-
     def _process(self) -> None:
         self._state = Event._PROCESSED
         callbacks, self.callbacks = self.callbacks, []
@@ -145,37 +117,17 @@ class Process(Event):
     the event's value (or the event's exception is thrown in).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Event, Any, Any]) -> None:
         super().__init__(sim)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        bootstrap = Timeout(sim, 0.0)
-        bootstrap.callbacks.append(self._resume)
-        self._waiting_on = bootstrap
+        Timeout(sim, 0.0).callbacks.append(self._resume)
 
     @property
     def is_alive(self) -> bool:
         return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        waiting = self._waiting_on
-        if waiting is not None and not waiting.processed:
-            try:
-                waiting.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        wakeup = Timeout(self.sim, 0.0, value=Interrupt(cause))
-        wakeup.callbacks.append(self._resume_with_interrupt)
-
-    def _resume_with_interrupt(self, event: Event) -> None:
-        self._step(lambda: self._generator.throw(event.value))
 
     def _resume(self, event: Event) -> None:
         if event.ok:
@@ -184,17 +136,11 @@ class Process(Event):
             self._step(lambda: self._generator.throw(event.value))
 
     def _step(self, advance: Callable[[], Event]) -> None:
-        self._waiting_on = None
         try:
             target = advance()
         except StopIteration as stop:
             if not self.triggered:
                 self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as silent termination.
-            if not self.triggered:
-                self.succeed(None)
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -202,7 +148,6 @@ class Process(Event):
             )
         if target.sim is not self.sim:
             raise SimulationError("process yielded an event from another simulator")
-        self._waiting_on = target
         if target.processed:
             # Already fired: resume on the next tick with its value.
             immediate = Timeout(self.sim, 0.0, value=target.value)
@@ -213,34 +158,6 @@ class Process(Event):
                 immediate.callbacks.append(self._resume)
         else:
             target.callbacks.append(self._resume)
-
-
-class AllOf(Event):
-    """Fires when every child event has fired (fails fast on any failure)."""
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        children = list(events)
-        self._remaining = len(children)
-        if not children:
-            self.succeed([])
-            return
-        for child in children:
-            child.callbacks.append(lambda event, c=children: self._on_child(event, c))
-            if child.processed:
-                self._on_child(child, children)
-
-    def _on_child(self, event: Event, children: list[Event]) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([child.value for child in children])
 
 
 class AnyOf(Event):
@@ -365,9 +282,6 @@ class Simulator:
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -405,32 +319,6 @@ class Simulator:
         if len(self._spares) < Simulator._SPARES_MAX:
             self._spares.append(entry)
 
-    def peek(self) -> float:
-        """Time of the next live event, or ``inf`` if the queue is empty.
-
-        Cancelled heads are discarded here so the reported time is one an
-        actual event will fire at.
-        """
-        queue = self._queue
-        while queue and queue[0][2]._cancelled:
-            self._recycle(heapq.heappop(queue))
-        return queue[0][0] if queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one live event (cancelled entries are skipped)."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            time, event = entry[0], entry[2]
-            self._recycle(entry)
-            if event._cancelled:
-                continue
-            self.now = time
-            self.events_processed += 1
-            event._process()
-            return
-        raise SimulationError("step() on an empty event queue")
-
     def run(self, until: Optional[float] = None,
             max_events: int = 50_000_000) -> None:
         """Run until the queue drains or the clock passes ``until``."""
@@ -450,13 +338,7 @@ class Simulator:
         recycle = self._recycle
         remaining = max_events
         while queue:
-            head = queue[0]
-            if head[2]._cancelled:
-                # Dead head: discard without advancing the clock, so a
-                # timestamp holding only cancelled entries is invisible.
-                recycle(pop(queue))
-                continue
-            time = head[0]
+            time = queue[0][0]
             if until is not None and time > until:
                 self.now = until
                 return
@@ -470,8 +352,6 @@ class Simulator:
                 entry = pop(queue)
                 event = entry[2]
                 recycle(entry)
-                if event._cancelled:
-                    continue
                 self.events_processed += 1
                 event._process()
                 remaining -= 1

@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_latency_figure(args, verify_blocks: bool) -> int:
+    from repro.blockchain import ChainParams
     from repro.core import BcWANNetwork, NetworkConfig
 
     tracing = bool(args.trace_out) or args.breakdown
@@ -71,9 +72,11 @@ def _run_latency_figure(args, verify_blocks: bool) -> int:
         num_gateways=args.gateways,
         sensors_per_gateway=args.sensors,
         seed=args.seed,
-        verify_blocks=verify_blocks,
-        block_interval=args.block_interval,
-        verification_stall_base=args.stall_base,
+        chain=ChainParams(
+            verify_blocks=verify_blocks,
+            block_interval=args.block_interval,
+            verification_stall_base=args.stall_base,
+        ),
         tracing=tracing,
     )
     print(f"running {args.exchanges} exchanges "

@@ -1,11 +1,37 @@
-"""Ephemeral-key substitution by a malicious gateway."""
+"""Ephemeral-key substitution by a malicious gateway: why the node signs
+``(Em ‖ ePk)``.
+
+Section 5.1: "Using the shared asymmetric key with the recipient (Sk), we
+insure to the recipient the authenticity of the message and that (ePk)
+was the genuine ephemeral public key used in the process."  A gateway
+that hands the node one key pair but presents a *different* public key to
+the recipient — hoping to be paid for a key that never protected anything
+— invalidates that signature, and the recipient refuses before locking a
+single unit.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.attacks.mitm import MaliciousGatewayAgent
-from repro.core import BcWANNetwork, NetworkConfig
+from repro.core import BcWANNetwork, GatewayAgent, NetworkConfig
+from repro.core.network import COST_MODEL
+from repro.crypto import rsa
+
+
+class MaliciousGatewayAgent(GatewayAgent):
+    """The honest gateway with one step overridden: at step 7 it swaps in
+    a second key pair it generated on the side."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.substitutions_attempted = 0
+
+    def _presented_key(self, pending) -> rsa.RSAPrivateKey:
+        substitute = rsa.generate_keypair(rng=self.rng)
+        pending.ephemeral_key = substitute  # claim with the swapped key
+        self.substitutions_attempted += 1
+        return substitute
 
 
 def run_with_malicious_gateway(num_exchanges: int, tracing: bool = False):
@@ -19,7 +45,7 @@ def run_with_malicious_gateway(num_exchanges: int, tracing: bool = False):
     honest = site.gateway
     evil = MaliciousGatewayAgent(
         network.sim, site.name, honest.radio, site.daemon, site.wallet,
-        site.directory, network.wan, network.config.cost_model,
+        site.directory, network.wan, COST_MODEL,
         network.tracker, network.rngs.stream("evil-gateway"),
         price=network.config.price,
     )
@@ -61,7 +87,7 @@ def test_no_payment_was_locked_for_substitutions(mitm_network):
     # have refused before creating any offer.
     victim = network.sites[1].recipient
     assert victim.payments_made == 0
-    assert victim.pending_settlements() == 0
+    assert victim.stats()["pending_settlements"] == 0
 
 
 def test_honest_direction_unaffected(mitm_network):

@@ -127,7 +127,6 @@ def test_rules_accept_first_and_advancing_checkpoints():
     first = make_checkpoint(epoch=1, height=5)
     rules.check(first, b"\x01" * 32)
     rules.apply({0: first}, [b"\x01" * 32])
-    assert rules.latest(0) == first
     rules.check(make_checkpoint(epoch=2, height=5), b"\x02" * 32)
     rules.check(make_checkpoint(epoch=2, height=9), b"\x02" * 32)
 
@@ -194,7 +193,7 @@ def test_mempool_rejects_stale_checkpoint(funded_chain):
     node, wallet, miner = anchor_node(funded_chain)
     assert node.mempool.accept(checkpoint_tx(wallet, epoch=1)).accepted
     miner.mine_and_connect(10.0)
-    assert node.engine.checkpoint_rules.latest(0).epoch == 1
+    assert latest_checkpoints(node.chain)[0].epoch == 1
     stale = node.mempool.accept(checkpoint_tx(wallet, epoch=1))
     assert not stale.accepted
     assert stale.reason_code == REJECT_CHECKPOINT
@@ -208,7 +207,7 @@ def test_connect_block_commits_checkpoints_atomically(funded_chain):
     node.mempool.accept(checkpoint_tx(wallet, epoch=1, height=3))
     node.mempool.accept(checkpoint_tx(wallet, epoch=2, height=7))
     miner.mine_and_connect(10.0)
-    latest = node.engine.checkpoint_rules.latest(0)
+    latest = latest_checkpoints(node.chain)[0]
     assert latest.epoch == 2 and latest.height == 7
 
 

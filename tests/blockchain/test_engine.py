@@ -257,9 +257,9 @@ def test_overlay_chained_spend_never_touches_base():
     view = UTXOView(base)
     view.apply_transaction(parent, 2)
     view.apply_transaction(child, 2)
-    added, spent = view.changes()
-    assert OutPoint(txid=parent.txid, index=0) not in added
+    assert view.get(OutPoint(txid=parent.txid, index=0)) is None
     view.commit()
+    assert base.get(OutPoint(txid=parent.txid, index=0)) is None
     assert base.get(funding) is None
     assert base.get(OutPoint(txid=child.txid, index=0)) is not None
 

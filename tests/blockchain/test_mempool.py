@@ -31,7 +31,7 @@ def test_accept_valid_payment(funded_chain, rng):
     assert result.accepted
     assert result.txid == tx.txid
     assert result.reason == "" and result.reason_code == ""
-    assert result.fee == node.mempool.fee_of(tx.txid)
+    assert result.fee == node.mempool.package_fee([tx])
     assert tx.txid in node.mempool
     assert node.mempool.get(tx.txid) == tx
 

@@ -144,58 +144,6 @@ def test_byte_cap_enforced(funded_chain, rng):
     assert pool.total_bytes <= size + size // 2
 
 
-# -- package acceptance (CPFP) -------------------------------------------------
-
-def _cpfp_pair(wallet, parent_fee, child_fee):
-    from repro.blockchain.transaction import (
-        OutPoint, Transaction, TxInput, TxOutput,
-    )
-    from repro.script.builder import p2pkh_locking
-    parent = wallet.create_payment(wallet.pubkey_hash, 1000, fee=parent_fee)
-    wallet.release_pending(parent)
-    child = Transaction(
-        inputs=[TxInput(outpoint=OutPoint(txid=parent.txid, index=0))],
-        outputs=[TxOutput(value=1000 - child_fee,
-                          script_pubkey=p2pkh_locking(wallet.pubkey_hash))],
-    )
-    child = wallet._finalize_p2pkh_inputs(child)
-    return parent, child
-
-
-def test_package_child_pays_for_parent(funded_chain, rng):
-    node, wallet, _miner = funded_chain
-    pool = _repool(node, MempoolPolicy(min_fee_per_kb=1000))
-    parent, child = _cpfp_pair(wallet, parent_fee=0, child_fee=700)
-    # Individually the zero-fee parent would bounce off the floor…
-    assert not pool.accept(parent).accepted
-    # …but as a package the child's fee clears the aggregate rate.
-    total_size = len(parent.serialize()) + len(child.serialize())
-    assert 700 * 1000 // total_size >= 1000
-    results = pool.accept_package([parent, child])
-    assert [r.accepted for r in results] == [True, True]
-    assert parent.txid in pool and child.txid in pool
-
-
-def test_package_below_aggregate_floor_backs_out_everything(funded_chain, rng):
-    node, wallet, _miner = funded_chain
-    pool = _repool(node, MempoolPolicy(min_fee_per_kb=10_000))
-    parent, child = _cpfp_pair(wallet, parent_fee=0, child_fee=700)
-    results = pool.accept_package([parent, child])
-    assert all(not r.accepted for r in results)
-    assert all(r.reason_code == REJECT_FEE for r in results)
-    assert any("package fee rate" in r.reason for r in results)
-    assert len(pool) == 0
-
-
-def test_package_with_invalid_member_reports_per_member(funded_chain, rng):
-    node, wallet, _miner = funded_chain
-    pool = _repool(node, MempoolPolicy())
-    parent, child = _cpfp_pair(wallet, parent_fee=5, child_fee=10)
-    results = pool.accept_package([parent, child, parent])
-    assert [r.accepted for r in results] == [True, True, False]
-    assert results[2].reason_code == "duplicate"
-
-
 def test_accept_result_is_frozen():
     result = AcceptResult(accepted=True, txid=b"\x01" * 32)
     with pytest.raises(AttributeError):

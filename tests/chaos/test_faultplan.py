@@ -9,10 +9,8 @@ import pytest
 from repro.chaos.faults import (
     CrashEvent,
     FaultPlan,
-    LatencySpike,
     LinkFault,
     Partition,
-    PeerStall,
 )
 from repro.errors import ConfigurationError
 
@@ -25,13 +23,9 @@ def test_builders_chain_and_accumulate():
             .delay_links(0.5, extra_delay=1.0)
             .reorder_links(0.3, spread=0.4)
             .partition([["a"], ["b"]], start=1.0, heal_at=2.0)
-            .spike("a", extra_delay=0.5, start=0.0, end=1.0)
-            .stall("b", extra_delay=2.0, start=3.0, end=4.0)
             .crash("a", at=5.0, restart_at=6.0))
     assert len(plan.link_faults) == 5
     assert len(plan.partitions) == 1
-    assert len(plan.latency_spikes) == 1
-    assert len(plan.stalls) == 1
     assert len(plan.crashes) == 1
     assert not plan.empty
     assert FaultPlan().empty
@@ -46,8 +40,6 @@ def test_builders_chain_and_accumulate():
     lambda: Partition(groups=(("a",),), start=0.0),
     lambda: Partition(groups=(("a",), ("a",)), start=0.0),
     lambda: Partition(groups=(("a",), ("b",)), start=5.0, heal_at=5.0),
-    lambda: LatencySpike(host="a", extra_delay=-1.0, start=0.0, end=1.0),
-    lambda: PeerStall(host="a", extra_delay=1.0, start=2.0, end=2.0),
     lambda: CrashEvent(host="a", at=5.0, restart_at=5.0),
 ])
 def test_invalid_specs_rejected(bad):
@@ -85,12 +77,6 @@ def test_partition_severs_only_cross_group_during_window():
 def test_unhealed_partition_stays_active():
     part = Partition(groups=(("a",), ("b",)), start=1.0, heal_at=None)
     assert part.severs("a", "b", 1e9)
-
-
-def test_stall_is_asymmetric():
-    stall = PeerStall(host="a", extra_delay=1.0, start=0.0, end=10.0)
-    assert stall.applies("a", 5.0)        # a's outbound crawls
-    assert not stall.applies("b", 5.0)    # traffic toward a is unaffected
 
 
 def test_horizon_covers_scheduled_events_only():

@@ -73,17 +73,13 @@ def test_duplication_inflates_delivery_counts():
             == fed.daemons["gw-0"].node.chain.tip.hash)
 
 
-def test_delay_and_spike_and_stall_accumulate():
-    plan = (FaultPlan(seed=5)
-            .delay_links(1.0, extra_delay=0.2, start=0.0, end=5.0)
-            .spike("gw-1", extra_delay=0.3, start=0.0, end=5.0)
-            .stall("gw-2", extra_delay=0.5, start=0.0, end=5.0))
+def test_delayed_links_are_counted():
+    plan = FaultPlan(seed=5).delay_links(1.0, extra_delay=0.2,
+                                         start=0.0, end=5.0)
     fed = run_with_plan(plan, until=20.0)
     telemetry = fed.injector.telemetry
     assert telemetry.messages_delayed > 0
     assert telemetry.faults_injected["link-delay"] > 0
-    assert telemetry.faults_injected["latency-spike"] > 0
-    assert telemetry.faults_injected["peer-stall"] > 0
 
 
 def test_partition_drop_counters_and_lifecycle_log():

@@ -39,15 +39,6 @@ def test_sample_zero_mean():
     assert CostModel().sample(0.0, random.Random(1)) == 0.0
 
 
-def test_scaled():
-    model = CostModel()
-    double = model.scaled(2.0)
-    assert double.daemon_rpc == pytest.approx(2 * model.daemon_rpc)
-    assert double.jitter_sigma == model.jitter_sigma
-    with pytest.raises(ConfigurationError):
-        model.scaled(0.0)
-
-
 def test_negative_cost_rejected():
     with pytest.raises(ConfigurationError):
         CostModel(daemon_rpc=-1.0)

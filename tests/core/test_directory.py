@@ -114,7 +114,6 @@ def test_rescan_rebuilds_from_history(funded_chain):
     late_view.follow()
     assert late_view.lookup(wallet.address).endpoint == "host-a"
     assert len(late_view) == 1
-    assert late_view.entries()[0].address == wallet.address
 
 
 def test_announcement_checks_go_through_the_chains_verdict_memo(funded_chain):

@@ -23,7 +23,7 @@ from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
 
 def quiesce(network: BcWANNetwork, extra: float = 0.0) -> None:
     """Run past the next block boundary so in-flight gossip lands."""
-    interval = network.config.block_interval
+    interval = network.config.chain.block_interval
     target = ((int(network.sim.now // interval) + 1) * interval
               + extra + 5.0)
     network.sim.run(until=target)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blockchain.params import ChainParams
 from repro.core.config import NetworkConfig
 from repro.obs.exchange import ExchangeTracker
 from repro.core.provisioning import (
@@ -91,14 +92,14 @@ def test_completion_rate():
     bad = tracker.new_exchange("d", b"y")
     bad.status = "failed"
     tracker.new_exchange("d", b"z")  # pending
-    assert tracker.completion_rate() == pytest.approx(1 / 3)
+    assert len(tracker.records()) == 3
     assert len(tracker.completed()) == 1
     assert len(tracker.failed()) == 1
 
 
 def test_empty_tracker():
     tracker = ExchangeTracker()
-    assert tracker.completion_rate() == 0.0
+    assert tracker.completed() == tracker.failed() == []
     assert tracker.latencies() == []
 
 
@@ -110,16 +111,20 @@ def test_default_config_is_the_paper_testbed():
     assert config.sensors_per_gateway == 30
     assert config.total_sensors == 150
     assert config.spreading_factor == 7
-    assert config.duty_cycle == 0.01
-    assert not config.verify_blocks
+    assert not config.chain.verify_blocks
     assert config.site_names == [f"site-{i}" for i in range(5)]
 
 
 def test_chain_params_derivation():
-    config = NetworkConfig(block_interval=30.0, verify_blocks=True)
-    params = config.chain_params()
-    assert params.block_interval == 30.0
-    assert params.verify_blocks
+    """The chain is one grouped field: its values arrive untouched, its
+    violations surface at configuration time, and the flat names are gone."""
+    chain = ChainParams(block_interval=30.0, verify_blocks=True)
+    assert NetworkConfig(chain=chain).chain is chain
+    assert NetworkConfig().chain == ChainParams()
+    with pytest.raises(ConfigurationError):
+        NetworkConfig(chain=ChainParams(max_block_size=10))
+    with pytest.raises(TypeError):
+        NetworkConfig(block_interval=30.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -127,10 +132,10 @@ def test_chain_params_derivation():
     {"sensors_per_gateway": -1},
     {"roaming_offset": 5},
     {"price": 0},
-    {"funding_coin_value": 10, "price": 100},
-    {"payload_bytes": 16},
-    {"payload_bytes": 0},
+    {"price": 251},             # above the funding coin denomination
     {"exchange_interval": 0.0},
+    {"wan_loss_rate": 1.0},
+    {"sync_interval": -1.0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -152,9 +157,7 @@ def test_flat_default_is_byte_identical():
     {"device_class": "hybrid"},
     {"multicast_interval": -1.0},
     {"multicast_verify_every": 0},
-    {"multicast_listen_window": 0.0},
     {"light_sync_interval": 0.0},
-    {"light_request_timeout": 0.0},
 ])
 def test_light_subconfig_validation(kwargs):
     from repro.core.config import LightConfig

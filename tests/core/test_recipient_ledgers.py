@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 from repro.core.config import LightConfig
 from repro.core.costmodel import CostModel
@@ -52,7 +53,7 @@ def refused(harness, record, reason: str, received: int = 1) -> None:
     assert recipient.messages_received == received
     assert recipient.payments_made == 0
     assert recipient.messages_decrypted == 0
-    assert recipient.pending_settlements() == 0
+    assert recipient.stats()["pending_settlements"] == 0
     assert recipient.stats()["balance"] == FUNDING
 
 
@@ -64,7 +65,7 @@ def test_happy_path(harness):
     assert record.recipient == recipient.name
     assert (recipient.messages_received, recipient.payments_made,
             recipient.messages_decrypted, recipient.refunds_taken) == (1, 1, 1, 0)
-    assert recipient.pending_settlements() == 0
+    assert recipient.stats()["pending_settlements"] == 0
     assert harness.gateway.claims_made == 1
     # Offer and claim confirmed: exactly the price left the wallet.
     assert recipient.stats()["balance"] == FUNDING - 100
@@ -124,7 +125,7 @@ def test_gateway_that_never_claims_is_refunded_after_expiry(harness):
     record = run_exchange(harness, duration=5.0)
     recipient = harness.recipient
     assert recipient.payments_made == 1
-    assert recipient.pending_settlements() == 1
+    assert recipient.stats()["pending_settlements"] == 1
     assert record.status == "pending"
 
     # Before the locktime a sweep leaves the escrow alone.
@@ -139,7 +140,7 @@ def test_gateway_that_never_claims_is_refunded_after_expiry(harness):
     assert (first.value, second.value) == (1, 0)
     # ...and is booked once the refund itself is seen spending the escrow.
     assert recipient.refunds_taken == 1
-    assert recipient.pending_settlements() == 0
+    assert recipient.stats()["pending_settlements"] == 0
     assert record.status == "failed"
     assert "refunded" in record.failure_reason
     assert recipient.messages_decrypted == 0
@@ -160,7 +161,7 @@ def test_refund_racing_a_late_claim_still_decrypts(device_class):
     """
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
-        seed=62, locktime_grace=4, block_interval=5.0,
+        seed=62, chain=ChainParams(locktime_grace=4, block_interval=5.0),
         light=LightConfig(device_class=device_class, light_sync_interval=5.0),
     ))
     gateway = network.sites[0].gateway
@@ -169,7 +170,7 @@ def test_refund_racing_a_late_claim_still_decrypts(device_class):
     release = gateway._begin_claim
     gateway._begin_claim = held.append
     network.run(num_exchanges=8, max_duration=90.0)
-    assert len(held) == victim.pending_settlements() == 4
+    assert len(held) == victim.stats()["pending_settlements"] == 4
     network.sim.run(until=network.sim.now + 40.0)  # the offers expire
 
     escrows = set(victim._pending)
@@ -190,7 +191,7 @@ def test_refund_racing_a_late_claim_still_decrypts(device_class):
     assert victim.payments_made == 4
     assert victim.messages_decrypted == 4
     assert victim.refunds_taken == 0
-    assert victim.pending_settlements() == 0
+    assert victim.stats()["pending_settlements"] == 0
     assert gateway.rewards_claimed == 400
     paid_for = [r for r in network.tracker.records()
                 if r.recipient == victim.name and r.t_offer_sent is not None]

@@ -9,7 +9,6 @@ from repro.core.rewards import (
     CongestionPricing,
     FixedPricing,
     RecipientBudget,
-    RewardLedger,
     VolumeDiscountPricing,
 )
 from repro.errors import ConfigurationError
@@ -46,15 +45,13 @@ def test_volume_discount_deepens_with_deliveries():
     policy = VolumeDiscountPricing(base_price=100,
                                    discount_per_delivery=0.02,
                                    floor_fraction=0.5)
-    assert policy.quote("B1", 0) == 100
-    for _ in range(10):
-        policy.record_delivery("B1")
-    assert policy.quote("B1", 0) == 80
+    # Every quote is a delivery forwarded: the eleventh costs 20 % less.
+    assert [policy.quote("B1", 0) for _ in range(11)][::10] == [100, 80]
     # Another recipient still pays full price.
     assert policy.quote("B2", 0) == 100
     # The floor binds eventually.
     for _ in range(100):
-        policy.record_delivery("B1")
+        policy.quote("B1", 0)
     assert policy.quote("B1", 0) == 50
 
 
@@ -73,26 +70,6 @@ def test_budget():
     assert not budget.accepts(0)
     with pytest.raises(ConfigurationError):
         RecipientBudget(max_price=0)
-
-
-def test_ledger_accounting():
-    ledger = RewardLedger()
-    ledger.record_quote("gw-1", "B-a", 100)
-    ledger.record_quote("gw-1", "B-b", 120)
-    ledger.record_refusal("gw-1", "B-b", 120)
-    ledger.record_settlement("gw-1", "B-a", 100)
-    ledger.record_settlement("gw-2", "B-a", 80)
-    assert ledger.earned_by("gw-1") == 100
-    assert ledger.earned_by("gw-2") == 80
-    assert ledger.paid_by("B-a") == 180
-    assert ledger.refusal_rate() == pytest.approx(0.5)
-    assert ledger.mean_settled_price() == pytest.approx(90)
-
-
-def test_ledger_empty():
-    ledger = RewardLedger()
-    assert ledger.refusal_rate() == 0.0
-    assert ledger.mean_settled_price() == 0.0
 
 
 # -- negotiation end to end ------------------------------------------------------

@@ -23,8 +23,6 @@ def test_topology_rejects_bad_fields():
         RegionTopology(roaming="interplanetary")
     with pytest.raises(ConfigurationError):
         RegionTopology(checkpoint_interval=0.0)
-    with pytest.raises(ConfigurationError):
-        RegionTopology(border_peers=0)
 
 
 def test_config_requires_even_region_split():
@@ -49,7 +47,8 @@ def test_config_bounds_region_roaming_offset():
 def test_region_helpers_partition_sites():
     cfg = NetworkConfig(num_gateways=6, topology=RegionTopology(regions=3))
     assert cfg.gateways_per_region == 2
-    assert [cfg.region_of_site(i) for i in range(6)] == [0, 0, 1, 1, 2, 2]
+    assert [list(cfg.region_site_indices(r)) for r in range(3)] == [
+        [0, 1], [2, 3], [4, 5]]
     assert list(cfg.region_site_indices(1)) == [2, 3]
 
 
@@ -61,8 +60,9 @@ def test_recipient_site_flat_matches_classic_rotation():
 def test_recipient_site_region_roaming_stays_home():
     cfg = NetworkConfig(num_gateways=6, roaming_offset=1,
                         topology=RegionTopology(regions=3, roaming="region"))
+    per = cfg.gateways_per_region
     for i in range(6):
-        assert cfg.region_of_site(cfg.recipient_site(i)) == cfg.region_of_site(i)
+        assert cfg.recipient_site(i) // per == i // per
     # Within a region the rotation is the classic one, rebased.
     assert [cfg.recipient_site(i) for i in range(6)] == [1, 0, 3, 2, 5, 4]
 
@@ -72,9 +72,9 @@ def test_recipient_site_global_roaming_crosses_regions():
                         topology=RegionTopology(regions=2, roaming="global"))
     assert [cfg.recipient_site(i) for i in range(4)] == [1, 2, 3, 0]
     # Actors 1 and 3 deliver cross-region.
+    per = cfg.gateways_per_region
     crossers = [i for i in range(4)
-                if cfg.region_of_site(cfg.recipient_site(i))
-                != cfg.region_of_site(i)]
+                if cfg.recipient_site(i) // per != i // per]
     assert crossers == [1, 3]
 
 

@@ -65,11 +65,6 @@ def test_encrypt_is_randomized(keypair):
     assert keypair.decrypt(a) == keypair.decrypt(b) == b"same"
 
 
-def test_max_plaintext_length():
-    assert rsa.max_plaintext_length(512) == 53
-    assert rsa.max_plaintext_length(1024) == 117
-
-
 def test_encrypt_rejects_oversized(keypair):
     with pytest.raises(rsa.RSAError):
         keypair.public_key.encrypt(b"x" * 54)

@@ -94,7 +94,7 @@ def test_payment_conservation_on_chain(small_run):
     total_payments = sum(s.recipient.payments_made for s in network.sites)
     assert total_claims <= total_payments
     unsettled = total_payments - total_claims
-    locked = sum(s.recipient.pending_settlements() for s in network.sites)
+    locked = sum(s.recipient.stats()["pending_settlements"] for s in network.sites)
     assert unsettled <= locked + 2  # in-flight claims may lag
 
 

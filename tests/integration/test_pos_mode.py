@@ -88,6 +88,33 @@ def test_impostor_blocks_rejected():
     assert not victim.node.chain.contains(template.hash)
 
 
+def test_unendorsed_block_naming_the_leader_is_adopted():
+    """The stated gap (``blockchain/pos.py``, ROADMAP item 6): the leader's
+    endorsement is signed but not relayed, so a peer checks only whom the
+    coinbase pays.  A block a *non-leader* assembled in the leader's name
+    is adopted.  Wiring ``StakeRegistry.verify_block_signature`` into the
+    relay flips the last two assertions."""
+    from repro.blockchain.miner import Miner
+    from repro.p2p.message import BlockMessage
+
+    network = BcWANNetwork(NetworkConfig(**POS))
+    network.sim.run(until=5.0)
+    forger, victim = network.sites[0], network.sites[1]
+    registry = network.stake_registry
+    slot = next(s for s in range(2, 50)
+                if registry.leader_for_slot(s) != forger.name)
+    leader = next(site for site in network.sites
+                  if site.name == registry.leader_for_slot(slot))
+    miner = Miner(chain=forger.node.chain, mempool=forger.node.mempool,
+                  reward_pubkey_hash=leader.wallet.pubkey_hash)
+    forged = miner.build_template(slot * registry.slot_duration + 1.0)
+    rejected_before = victim.daemon.blocks_rejected_consensus
+    network.wan.send(forger.name, victim.name, BlockMessage(block=forged))
+    network.sim.run(until=network.sim.now + 10.0)
+    assert victim.daemon.blocks_rejected_consensus == rejected_before
+    assert victim.node.chain.contains(forged.hash)
+
+
 def test_pos_determinism():
     r1 = BcWANNetwork(NetworkConfig(**POS)).run(num_exchanges=10)
     r2 = BcWANNetwork(NetworkConfig(**POS)).run(num_exchanges=10)

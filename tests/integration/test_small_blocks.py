@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 from repro.errors import ConfigurationError
 
 SMALL_BLOCKS = dict(num_gateways=2, sensors_per_gateway=2,
                     exchange_interval=20.0, seed=47,
-                    funding_coins=40, max_block_size=2_000)
+                    funding_coins=40,
+                    chain=ChainParams(max_block_size=2_000))
 
 
 def test_bootstrap_spans_multiple_small_blocks():
@@ -17,7 +19,7 @@ def test_bootstrap_spans_multiple_small_blocks():
     # With one ~1.5 kB fan-out per 2 kB block, the funding era needs at
     # least one block per actor beyond the default bootstrap height.
     baseline = BcWANNetwork(NetworkConfig(
-        **{**SMALL_BLOCKS, "max_block_size": 1_000_000}))
+        **{**SMALL_BLOCKS, "chain": ChainParams()}))
     assert network.master_daemon.node.height > baseline.master_daemon.node.height
     # Every actor still ends up fully funded.
     for site in network.sites:
@@ -35,4 +37,4 @@ def test_exchanges_work_on_small_block_chain():
 
 def test_config_rejects_tiny_block_size():
     with pytest.raises(ConfigurationError):
-        NetworkConfig(max_block_size=500)  # ChainParams floor is 1000
+        NetworkConfig(chain=ChainParams(max_block_size=500))  # floor: 1000

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 
 BASE = dict(num_gateways=3, sensors_per_gateway=4, exchange_interval=30.0,
@@ -17,10 +18,10 @@ BASE = dict(num_gateways=3, sensors_per_gateway=4, exchange_interval=30.0,
 
 @pytest.fixture(scope="module")
 def both_reports():
-    fast = BcWANNetwork(NetworkConfig(verify_blocks=False, **BASE)).run(
-        num_exchanges=20)
-    slow = BcWANNetwork(NetworkConfig(verify_blocks=True, **BASE)).run(
-        num_exchanges=20)
+    fast, slow = (
+        BcWANNetwork(NetworkConfig(chain=ChainParams(verify_blocks=verify),
+                                   **BASE)).run(num_exchanges=20)
+        for verify in (False, True))
     return fast, slow
 
 

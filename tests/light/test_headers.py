@@ -39,7 +39,7 @@ def test_connect_sequence():
         assert chain.connect(header) == "connected"
         assert chain.tip_height == i
     assert chain.tip_hash == headers[-1].hash
-    assert chain.height_of(headers[1].hash) == 1
+    assert chain.header_at(1) == headers[1]
     assert chain.contains(headers[0].hash)
 
 

@@ -34,13 +34,6 @@ def test_back_to_back_transmissions_allowed_after_wait():
     assert limiter.total_airtime == pytest.approx(1.0)
 
 
-def test_utilization():
-    limiter = DutyCycleLimiter(duty_cycle=0.5)
-    limiter.register(start=0.0, time_on_air=1.0)
-    assert limiter.utilization(10.0) == pytest.approx(0.1)
-    assert limiter.utilization(0.0) == 0.0
-
-
 def test_validation():
     with pytest.raises(ConfigurationError):
         DutyCycleLimiter(duty_cycle=0.0)

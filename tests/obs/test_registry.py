@@ -124,7 +124,7 @@ def test_stats_view_is_sorted_readonly_mapping():
     assert list(view) == ["alpha", "zulu"]
     assert view["alpha"] == 1
     assert len(view) == 2
-    assert view.as_dict() == {"alpha": 1, "zulu": 2}
+    assert dict(view) == {"alpha": 1, "zulu": 2}
     with pytest.raises(TypeError):
         view["alpha"] = 9  # type: ignore[index]
 

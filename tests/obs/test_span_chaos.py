@@ -11,6 +11,14 @@ from repro.p2p.network import FaultDecision, WANetwork
 from repro.sim.core import Simulator
 
 
+def by_name(tracer, name):
+    return [span for span in tracer.spans if span.name == name]
+
+
+def open_spans(tracer):
+    return [span for span in tracer.spans if span.end_time is None]
+
+
 def _wan_with_tracer():
     sim = Simulator()
     wan = WANetwork(sim, random.Random(3))
@@ -29,17 +37,17 @@ def test_injected_drop_closes_span_lost():
     sim.run(until=10.0)
     assert receipt.status == "blocked"
     assert received == []
-    (span,) = wan.tracer.by_name("wan.transit")
+    (span,) = by_name(wan.tracer, "wan.transit")
     assert span.status == "lost"
     assert span.attrs["reason"] == "injected drop"
-    assert wan.tracer.open_spans() == []
+    assert open_spans(wan.tracer) == []
 
 
 def test_no_route_closes_span_lost():
     sim, wan, _received = _wan_with_tracer()
     receipt = wan.send("a", "nowhere", "payload")
     assert receipt.status == "no_route"
-    (span,) = wan.tracer.by_name("wan.transit")
+    (span,) = by_name(wan.tracer, "wan.transit")
     assert span.status == "lost"
     assert span.attrs["reason"] == "no_route"
 
@@ -51,10 +59,10 @@ def test_delivery_to_downed_host_closes_span_lost():
     sim.run(until=10.0)
     assert receipt.status == "queued"  # the WAN accepted it...
     assert received == []              # ...but the host was gone
-    (span,) = wan.tracer.by_name("wan.transit")
+    (span,) = by_name(wan.tracer, "wan.transit")
     assert span.status == "lost"
     assert span.attrs["reason"] == "host offline"
-    assert wan.tracer.open_spans() == []
+    assert open_spans(wan.tracer) == []
 
 
 def test_duplicated_copies_share_one_span():
@@ -63,9 +71,9 @@ def test_duplicated_copies_share_one_span():
     wan.send("a", "b", "payload")
     sim.run(until=10.0)
     assert len(received) == 3
-    (span,) = wan.tracer.by_name("wan.transit")
+    (span,) = by_name(wan.tracer, "wan.transit")
     assert span.status == "ok"
-    assert wan.tracer.open_spans() == []
+    assert open_spans(wan.tracer) == []
 
 
 def test_chaos_delay_annotated_on_span():
@@ -74,7 +82,7 @@ def test_chaos_delay_annotated_on_span():
     wan.send("a", "b", "payload")
     sim.run(until=10.0)
     assert len(received) == 1
-    (span,) = wan.tracer.by_name("wan.transit")
+    (span,) = by_name(wan.tracer, "wan.transit")
     assert span.attrs["extra_delay"] == 2.5
     assert span.status == "ok"
 
@@ -95,10 +103,10 @@ def test_daemon_crash_mid_validation_closes_span_lost():
     fed.sim.call_at(2.0, fed.daemons["gw-1"].crash)
     fed.sim.run(until=30.0)
 
-    validate_spans = fed.tracer.by_name("block.validate")
+    validate_spans = by_name(fed.tracer, "block.validate")
     assert validate_spans, "gw-1 should have started validating the block"
     assert all(span.status == "lost" for span in validate_spans)
-    assert fed.tracer.open_spans() == []
+    assert open_spans(fed.tracer) == []
 
 
 def test_crash_sweeps_queued_job_spans():
@@ -118,8 +126,8 @@ def test_crash_sweeps_queued_job_spans():
     fed.sim.call_at(3.0, fed.daemons["gw-1"].crash)
     fed.sim.run(until=30.0)
 
-    validate_spans = fed.tracer.by_name("block.validate")
+    validate_spans = by_name(fed.tracer, "block.validate")
     assert len(validate_spans) == 2
     reasons = {span.attrs.get("reason") for span in validate_spans}
     assert reasons == {"daemon crash mid-service", "daemon crash"}
-    assert fed.tracer.open_spans() == []
+    assert open_spans(fed.tracer) == []

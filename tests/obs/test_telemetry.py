@@ -1,16 +1,11 @@
-"""Registry-backed telemetry behind the historical attribute APIs."""
+"""Registry-backed counter bags: DaemonStats and ChaosTelemetry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs import MetricsRegistry, StatsView
-from repro.obs.telemetry import (
-    ChaosTelemetry,
-    DaemonStats,
-    MetricsRecorder,
-    ValidationTelemetry,
-)
+from repro.obs.telemetry import ChaosTelemetry, DaemonStats
 
 
 # -- deprecated import homes ---------------------------------------------------
@@ -20,11 +15,6 @@ def test_removed_shim_modules_stay_gone():
     for removed in ("repro.core.metrics", "repro.sim.trace"):
         with pytest.raises(ModuleNotFoundError):
             __import__(removed)
-
-
-def test_daemon_stats_import_home():
-    from repro.core.daemon import DaemonStats as from_daemon
-    assert from_daemon is DaemonStats
 
 
 # -- DaemonStats ---------------------------------------------------------------
@@ -107,44 +97,3 @@ def test_chaos_telemetry_stats_view():
     assert view["messages_dropped"] == 4
     assert view["faults_injected.drop"] == 1
     assert view["reconvergence_time"] == 12.5
-
-
-# -- MetricsRecorder -----------------------------------------------------------
-
-def test_recorder_record_and_summary():
-    recorder = MetricsRecorder()
-    recorder.record("latency", 1.0)
-    recorder.record("latency", 3.0)
-    assert recorder.has("latency")
-    assert recorder.summary("latency").mean == 2.0
-
-
-def test_recorder_summary_raises_on_missing():
-    recorder = MetricsRecorder()
-    with pytest.raises(KeyError):
-        recorder.summary("nothing")
-
-
-def test_recorder_feeds_registry():
-    registry = MetricsRegistry()
-    recorder = MetricsRecorder(registry)
-    recorder.record("latency", 2.0)
-    recorder.count("retries", 3)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["recorder.retries"] == 3
-    assert snapshot["histograms"]["recorder.latency"]["count"] == 1
-
-
-# -- ValidationTelemetry -------------------------------------------------------
-
-def test_validation_telemetry_record_to_registry():
-    registry = MetricsRegistry()
-    telemetry = ValidationTelemetry(script_cache_hits=9,
-                                    script_fast_rejects=2,
-                                    output_classes={"p2pkh": 5})
-    telemetry.record_to(registry, host="gw-0")
-    gauges = registry.snapshot()["gauges"]
-    assert gauges["validation.script_cache_hits{host=gw-0}"] == 9
-    assert gauges["validation.output_classes{host=gw-0,klass=p2pkh}"] == 5
-    assert telemetry.executions_avoided == 11
-    assert telemetry.stats()["executions_avoided"] == 11

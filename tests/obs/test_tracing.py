@@ -74,14 +74,6 @@ def test_annotate_merges_attrs():
     assert span.attrs == {"host": "a", "corrupted": True, "outcome": "done"}
 
 
-def test_open_spans_and_by_name():
-    tracer = Tracer()
-    a = tracer.span("x")
-    tracer.span("y").end("ok")
-    assert tracer.open_spans() == [a]
-    assert [s.name for s in tracer.by_name("y")] == ["y"]
-
-
 def test_disabled_tracer_hands_out_null_span():
     tracer = Tracer(enabled=False)
     span = tracer.span("op", attr=1)

@@ -48,6 +48,10 @@ from repro.script.opcodes import OP
 from repro.script.script import Script, encode_number
 
 
+def has(report, code: str) -> bool:
+    return any(issue.code == code for issue in report.issues)
+
+
 class AcceptAllContext:
     """Signature/locktime checks always pass (structural tests only)."""
 
@@ -112,21 +116,21 @@ def test_standard_templates_analyze_clean(rsa_pair):
 
 def test_guaranteed_underflow_is_fatal():
     report = analyze(Script((OP.OP_ADD,)))
-    assert report.fatal and report.has("stack-underflow")
+    assert report.fatal and has(report, "stack-underflow")
 
 
 def test_possible_underflow_is_only_a_warning():
     # Needs two items, starts with up to two: may or may not underflow.
     report = analyze(Script((OP.OP_ADD,)), initial=(0, 2))
     assert not report.fatal
-    assert report.has("possible-underflow")
+    assert has(report, "possible-underflow")
 
 
 def test_op_limit_bound():
     ok = analyze(Script(tuple([OP.OP_NOP] * MAX_OPS)))
     assert not ok.fatal and ok.op_count_max == MAX_OPS
     over = analyze(Script(tuple([OP.OP_NOP] * (MAX_OPS + 1))))
-    assert over.fatal and over.has("op-limit")
+    assert over.fatal and has(over, "op-limit")
 
 
 def test_pushes_are_not_billed_as_ops():
@@ -143,7 +147,7 @@ def test_multisig_worst_case_op_billing():
 
 def test_guaranteed_stack_overflow_is_fatal():
     report = analyze(Script(tuple([b"x"] * (MAX_STACK_SIZE + 1))))
-    assert report.fatal and report.has("stack-overflow")
+    assert report.fatal and has(report, "stack-overflow")
     assert report.max_stack == MAX_STACK_SIZE + 1
 
 
@@ -155,12 +159,12 @@ def test_altstack_round_trip_and_overflow():
         Script((OP.OP_TOALTSTACK, OP.OP_DUP)),
         initial=(MAX_STACK_SIZE, MAX_STACK_SIZE),
     )
-    assert report.fatal and report.has("stack-overflow")
+    assert report.fatal and has(report, "stack-overflow")
 
 
 def test_fromaltstack_on_empty_altstack_is_fatal():
     report = analyze(Script((OP.OP_FROMALTSTACK,)), initial=(5, 5))
-    assert report.fatal and report.has("altstack-underflow")
+    assert report.fatal and has(report, "altstack-underflow")
 
 
 # -- conditionals -------------------------------------------------------------
@@ -197,7 +201,7 @@ def test_all_arms_failing_is_fatal():
     script = Script((b"\x01", OP.OP_IF, OP.OP_ADD,
                      OP.OP_ELSE, OP.OP_RETURN, OP.OP_ENDIF))
     report = analyze(script)
-    assert report.fatal and report.has("all-arms-fail")
+    assert report.fatal and has(report, "all-arms-fail")
 
 
 # -- CLTV audit ---------------------------------------------------------------
@@ -219,28 +223,28 @@ def test_cltv_nonminimal_operand_is_nonstandard():
 
 def test_cltv_negative_operand_is_fatal():
     script = Script((encode_number(-5), OP.OP_CHECKLOCKTIMEVERIFY))
-    assert analyze(script).has("cltv-negative")
+    assert has(analyze(script), "cltv-negative")
     assert analyze(script).fatal
 
 
 def test_cltv_oversize_operand_is_fatal():
     script = Script((b"\x01" * 6, OP.OP_CHECKLOCKTIMEVERIFY))
     report = analyze(script)
-    assert report.fatal and report.has("cltv-bad-operand")
+    assert report.fatal and has(report, "cltv-bad-operand")
 
 
 def test_cltv_dynamic_operand_is_flagged_not_rejected():
     script = Script((OP.OP_CHECKLOCKTIMEVERIFY,), )
     report = analyze(script, initial=(1, 1))
     assert not report.fatal
-    assert report.has("cltv-dynamic-operand")
+    assert has(report, "cltv-dynamic-operand")
 
 
 # -- OP_CHECKRSA512PAIR -------------------------------------------------------
 
 def test_checkrsa512pair_single_operand_is_fatal():
     report = analyze(Script((b"only-one", OP.OP_CHECKRSA512PAIR)))
-    assert report.fatal and report.has("stack-underflow")
+    assert report.fatal and has(report, "stack-underflow")
 
 
 def test_checkrsa512pair_malformed_operands_execute_to_false(rsa_pair):

@@ -359,13 +359,6 @@ def test_op_count_limit(interp):
         run(interp, [num(1)] + [OP.OP_DUP, OP.OP_DROP] * 101)
 
 
-def test_verify_spend_combines_scripts():
-    from repro.script.interpreter import verify_spend
-    locking = Script([OP.OP_EQUAL])
-    assert verify_spend(Script([b"x", b"x"]), locking)
-    assert not verify_spend(Script([b"x", b"y"]), locking)
-
-
 def test_verify_false_on_script_error():
     interp = ScriptInterpreter()
     assert not interp.verify(Script([]), Script([OP.OP_DUP]))

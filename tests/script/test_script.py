@@ -67,14 +67,6 @@ def test_rejects_oversized_push():
         Script([b"\x00" * 521])
 
 
-def test_push_int_small_values():
-    assert Script.push_int(0) == OP.OP_0
-    assert Script.push_int(1) == OP.OP_1
-    assert Script.push_int(16) == OP.OP_16
-    assert Script.push_int(-1) == OP.OP_1NEGATE
-    assert Script.push_int(17) == encode_number(17)
-
-
 # -- wire format -------------------------------------------------------------
 
 @pytest.mark.parametrize("push_len", [1, 75, 76, 255, 256, 520])

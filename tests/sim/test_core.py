@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.core import Interrupt, Lock, SimulationError, Simulator
+from repro.sim.core import Lock, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -118,26 +118,6 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
-def test_all_of_collects_values():
-    sim = Simulator()
-    results = []
-
-    def worker(sim, delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def collector(sim):
-        values = yield sim.all_of([
-            sim.process(worker(sim, 2.0, "a")),
-            sim.process(worker(sim, 1.0, "b")),
-        ])
-        results.append((sim.now, values))
-
-    sim.process(collector(sim))
-    sim.run()
-    assert results == [(2.0, ["a", "b"])]
-
-
 def test_any_of_returns_first():
     sim = Simulator()
     results = []
@@ -186,34 +166,6 @@ def test_lock_waiters_deque_fifo_under_contention():
     assert order == list(range(100))
 
 
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    events = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            events.append((sim.now, interrupt.cause))
-
-    process = sim.process(sleeper(sim))
-    sim.call_in(2.0, lambda: process.interrupt("wake up"))
-    sim.run()
-    assert events == [(2.0, "wake up")]
-
-
-def test_interrupt_after_completion_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    process = sim.process(quick(sim))
-    sim.run()
-    process.interrupt()  # must not raise
-    sim.run()
-
-
 def test_yield_non_event_fails():
     sim = Simulator()
 
@@ -231,18 +183,6 @@ def test_call_at_rejects_past():
     sim.run()
     with pytest.raises(SimulationError):
         sim.call_at(1.0, lambda: None)
-
-
-def test_step_empty_queue_fails():
-    with pytest.raises(SimulationError):
-        Simulator().step()
-
-
-def test_peek():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.call_in(7.0, lambda: None)
-    assert sim.peek() == 7.0
 
 
 def test_runaway_guard():

@@ -240,3 +240,19 @@ def test_equal_time_events_scheduled_mid_drain_keep_insertion_order():
     sim.call_in(2.0, lambda: log.append("later"))
     sim.run()
     assert log == ["a", "b", "a-child", "later"]
+
+
+def test_entry_free_list_stays_bounded_and_pins_no_event():
+    # Queue entries are recycled through a bounded free-list; a burst far
+    # larger than the cap must leave at most the cap behind, none of them
+    # holding on to the Event it carried.
+    sim = Simulator()
+    rng = random.Random(0xDEC0)
+    log = []
+    for i in range(2000):
+        sim.call_in(rng.uniform(0, 50), lambda i=i: log.append(i))
+    sim.run()
+    assert len(log) == 2000
+    assert not sim._queue
+    assert 0 < len(sim._spares) <= Simulator._SPARES_MAX
+    assert all(entry[2] is None for entry in sim._spares)

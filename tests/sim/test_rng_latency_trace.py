@@ -13,7 +13,7 @@ from repro.sim.latency import (
     PlanetLabLatencyMatrix,
 )
 from repro.sim.rng import RngRegistry
-from repro.sim import MetricsRecorder, Summary, histogram
+from repro.obs.stats import Summary, histogram
 
 
 # -- RNG --------------------------------------------------------------------
@@ -44,14 +44,6 @@ def test_stream_identity_preserved():
 def test_distinct_names_distinct_streams():
     registry = RngRegistry(1)
     assert registry.stream("a").random() != registry.stream("b").random()
-
-
-def test_fork_independent():
-    parent = RngRegistry(7)
-    child = parent.fork("worker")
-    assert parent.stream("x").random() != child.stream("x").random()
-    assert RngRegistry(7).fork("worker").stream("x").random() == \
-        RngRegistry(7).fork("worker").stream("x").random()
 
 
 # -- latency ----------------------------------------------------------------------
@@ -168,18 +160,3 @@ def test_histogram_empty():
 def test_histogram_degenerate_range():
     bins = histogram([3.0, 3.0, 3.0], bins=5)
     assert bins == [(3.0, 3.0, 3)]
-
-
-def test_recorder():
-    recorder = MetricsRecorder()
-    recorder.record("latency", 1.0)
-    recorder.record("latency", 2.0)
-    recorder.mark(0.5, "started", actor="gw-1")
-    recorder.count("deliveries")
-    recorder.count("deliveries", 2)
-    assert recorder.summary("latency").count == 2
-    assert recorder.counters["deliveries"] == 3
-    assert recorder.has("latency")
-    assert not recorder.has("missing")
-    with pytest.raises(KeyError):
-        recorder.summary("missing")

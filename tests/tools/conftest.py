@@ -6,14 +6,13 @@ and virtual path, and :func:`load_fixture_project` builds a
 :class:`tools.analysis.project.Project` from their sources.  This keeps
 the deliberately-broken corpus out of the real tree (the default lint
 walk skips ``tests/tools/fixtures/``) while exercising the exact
-path/package scoping the rules use.
+path/package scoping the rules use.  Entries whose virtual path lies
+outside ``src/`` are the *context* of the ``unreachable`` rule: an entry
+point under ``examples/`` and a test module under ``tests/``.
 """
 
 from pathlib import Path
 
-import pytest
-
-from tools.analysis.callgraph import CallGraph
 from tools.analysis.project import Project
 
 FIXDIR = Path(__file__).parent / "fixtures"
@@ -30,6 +29,12 @@ MANIFEST = {
     "fixpool.py": ("repro.parallel.fixpool", "src/repro/parallel/fixpool.py"),
     "pragma_taint.py": ("repro.crypto.pragma_taint", "src/repro/crypto/pragma_taint.py"),
     "exportfix.py": ("repro.obs.exportfix", "src/repro/obs/exportfix.py"),
+    "attrflow.py": ("repro.crypto.attrflow", "src/repro/crypto/attrflow.py"),
+    "reach_pkg_init.py": ("repro.reach", "src/repro/reach/__init__.py"),
+    "reach_lib.py": ("repro.reach.lib", "src/repro/reach/lib.py"),
+    "reach_config.py": ("repro.core.config", "src/repro/core/config.py"),
+    "reach_root.py": ("examples.reach_root", "examples/reach_root.py"),
+    "reach_tests.py": ("tests.test_reach", "tests/test_reach.py"),
 }
 
 
@@ -45,13 +50,3 @@ def analyze(*names):
     from tools.analysis import analyze_project
 
     return analyze_project(load_fixture_project(*names))
-
-
-@pytest.fixture
-def full_project():
-    return load_fixture_project(*MANIFEST)
-
-
-@pytest.fixture
-def full_graph(full_project):
-    return CallGraph(full_project)

@@ -12,8 +12,7 @@ from pathlib import Path
 
 from tests.tools.conftest import FIXDIR, MANIFEST, load_fixture_project
 from tools.analysis import analyze_project
-from tools.checks import check_source
-from tools.checks.checkers import ALL_CHECKERS
+from tools.analysis.perfile import ALL_CHECKERS, check_source
 
 PAIR = ("clocksrc.py", "hashsink.py")
 
@@ -40,7 +39,7 @@ def test_whole_program_pass_reports_the_cross_module_path():
 
 
 def test_fixture_corpus_is_excluded_from_the_default_walk():
-    from tools.checks.__main__ import EXCLUDED_FRAGMENTS, iter_python_files
+    from tools.analysis.__main__ import EXCLUDED_FRAGMENTS, iter_python_files
 
     root = Path(__file__).resolve().parents[2]
     files = iter_python_files(["tests"], root)

@@ -3,10 +3,9 @@
 import json
 
 from tools.analysis.report import (
-    TOOL_NAME, fingerprint, load_baseline, render_json, render_sarif,
-    split_by_baseline, write_baseline,
+    TOOL_NAME, Violation, fingerprint, load_baseline, render_json,
+    render_sarif, split_by_baseline, write_baseline,
 )
-from tools.checks import Violation
 
 
 def make_violation(**overrides):
@@ -130,7 +129,7 @@ def _write_tmp_tree(tmp_path):
 
 
 def test_cli_reports_cross_module_finding(tmp_path, capsys):
-    from tools.checks.__main__ import main
+    from tools.analysis.__main__ import main
 
     _write_tmp_tree(tmp_path)
     code = main(["src", "--root", str(tmp_path), "--format", "json"])
@@ -141,7 +140,7 @@ def test_cli_reports_cross_module_finding(tmp_path, capsys):
 
 
 def test_cli_baseline_gates_only_new_findings(tmp_path, capsys):
-    from tools.checks.__main__ import main
+    from tools.analysis.__main__ import main
 
     _write_tmp_tree(tmp_path)
     baseline = tmp_path / "baseline.json"
@@ -169,7 +168,7 @@ def test_cli_baseline_gates_only_new_findings(tmp_path, capsys):
 
 
 def test_cli_sarif_output_parses(tmp_path, capsys):
-    from tools.checks.__main__ import main
+    from tools.analysis.__main__ import main
 
     _write_tmp_tree(tmp_path)
     code = main(["src", "--root", str(tmp_path), "--format", "sarif"])

@@ -1,7 +1,12 @@
-"""The exception-flow whole-program rule and the per-file import lints."""
+"""The exception-flow and unreachable whole-program rules, and the
+per-file rules."""
 
-from tests.tools.conftest import load_fixture_project
+import pytest
+
+from tests.tools.conftest import (FIXDIR, MANIFEST, analyze,
+                                  load_fixture_project)
 from tools.analysis.callgraph import CallGraph
+from tools.analysis.reach import UnreachableRule, script_targets
 from tools.analysis.rules import ExceptionFlowRule
 
 
@@ -57,26 +62,11 @@ def test_exception_flow_pragma_suppresses():
     assert "pragma_ok" not in names
 
 
-# -- per-file deprecated-import lint -------------------------------------------
+# -- per-file rules ---------------------------------------------------------------
 
 def _lint(source, path="src/repro/core/somefile.py"):
-    from tools.checks import check_source
-    from tools.checks.checkers import ALL_CHECKERS
-    return check_source(source, path, ALL_CHECKERS)
-
-
-def test_deprecated_shim_import_hard_fails_despite_pragma():
-    source = ("from repro.core.metrics import ExchangeTracker"
-              "  # lint: allow(deprecated-shim)\n")
-    rules = {v.rule for v in _lint(source)}
-    assert "deprecated-shim" in rules
-
-
-def test_deprecated_validation_import_hard_fails_despite_pragma():
-    source = ("from repro.blockchain import validation"
-              "  # lint: allow(deprecated-validation)\n")
-    rules = {v.rule for v in _lint(source)}
-    assert "deprecated-validation" in rules
+    from tools.analysis.perfile import check_source
+    return check_source(source, path)
 
 
 def test_accept_result_call_is_clean():
@@ -90,3 +80,90 @@ def test_multiprocessing_import_is_flagged_anywhere_under_src():
                      "src/repro/parallel/pool.py"):
             assert {v.rule for v in _lint(source, path)} == {"multiprocessing"}
     assert not _lint("import multiprocessing\n", "benchmarks/test_x.py")
+
+
+@pytest.mark.parametrize("rule, scope", [
+    ("consensus-wall-clock", "Stamper.arm"),
+    ("consensus-float", "Ratio.arm"),
+    ("unordered-set-iteration", "fold"),
+])
+def test_per_file_ban_catches_what_taint_cannot_follow(rule, scope):
+    """Why the three construct bans survive beside the taint pass: a value
+    parked on ``self`` or fed to ``hasher.update`` reaches the hash where
+    taint (locals, arguments, returns) does not follow."""
+    _modname, path = MANIFEST["attrflow.py"]
+    per_file = _lint((FIXDIR / "attrflow.py").read_text(), path)
+    assert (rule, scope) in {(v.rule, v.qualname) for v in per_file}
+    assert not [v for v in analyze("attrflow.py")
+                if v.rule.startswith("taint-")]
+
+
+# -- unreachable ---------------------------------------------------------------------
+
+REACH = ("reach_pkg_init.py", "reach_lib.py", "reach_config.py")
+
+
+def unreachable_findings():
+    rule = UnreachableRule(load_fixture_project(*REACH),
+                           load_fixture_project("reach_root.py",
+                                                "reach_tests.py"))
+    return {violation.qualname.partition("repro.")[2]: violation.message
+            for violation in rule.run()}
+
+
+@pytest.mark.parametrize("symbol, verdict", [
+    # reached only through the package __init__ re-export
+    ("reach.lib.exported_only", "unreferenced"),
+    # reached only from tests/
+    ("reach.lib.tests_only", "tests-only"),
+    # a method nobody calls, and a class nobody builds (its method is
+    # subsumed, although it shares a name with a live one)
+    ("reach.lib.Service.never_called", "unreferenced"),
+    ("reach.lib.Orphan", "unreferenced"),
+    ("reach.lib.Orphan.by_name", None),
+    # resolved through the re-export, and what that calls
+    ("reach.lib.used", None),
+    ("reach.lib.helper", None),
+    # named only in a "module:Class.method" string of the tracer's form
+    ("reach.lib.Traced.hook", None),
+    # called through an unresolved receiver, by attribute name
+    ("reach.lib.Service.by_name", None),
+    ("reach.lib.Service._inner", None),
+    # dunder / property / dataclass __post_init__ of a reachable class
+    ("reach.lib.Service.__repr__", None),
+    ("reach.lib.Service.size", None),
+    ("reach.lib.Options.__post_init__", None),
+    # config fields: set and read; read but never set; set but never read
+    ("core.config.NetworkConfig.seed", None),
+    ("core.config.NetworkConfig", "no entry point sets read_never_set ("),
+    ("core.config.NetworkConfig.read_never_set", None),
+    ("core.config.NetworkConfig.set_never_read", "read by no reachable code"),
+])
+def test_unreachable_rule(symbol, verdict):
+    findings = unreachable_findings()
+    if verdict is None:
+        assert symbol not in findings
+    else:
+        assert verdict in findings[symbol]
+
+
+def test_unreachable_findings_carry_rule_path_and_definition_line():
+    project = load_fixture_project(*REACH)
+    context = load_fixture_project("reach_root.py", "reach_tests.py")
+    by_name = {v.qualname: v for v in UnreachableRule(project, context).run()}
+    violation = by_name["repro.reach.lib.tests_only"]
+    assert violation.rule == "unreachable"
+    assert violation.path == "src/repro/reach/lib.py"
+    assert violation.snippet == "def tests_only():"
+
+
+def test_console_script_targets_are_roots():
+    project = load_fixture_project(*REACH)
+    context = load_fixture_project("reach_root.py")
+    targets = script_targets('[project.scripts]\n'
+                             'tool = "repro.reach.lib:exported_only"\n')
+    assert targets == ["repro.reach.lib:exported_only"]
+    found = {v.qualname for v in
+             UnreachableRule(project, context, targets).run()}
+    assert "repro.reach.lib.exported_only" not in found
+    assert "repro.reach.lib.tests_only" in found

@@ -1,9 +1,13 @@
-"""Whole-program determinism analysis for the BcWAN reproduction.
+"""The repo's one static analyzer: ``python -m tools.analysis``.
 
-Where :mod:`tools.checks` lints one file at a time, this package builds
-a project-wide symbol table and call graph over ``src/repro`` and runs
-the passes that need them:
+Per-file rules and whole-program passes share one finding type
+(:class:`~tools.analysis.report.Violation`), one pragma
+(``# lint: allow(<rule>)``) and one baseline
+(``tools/analysis/baseline.json``):
 
+* :mod:`tools.analysis.perfile` — the rules one module's AST decides
+  (bare ``except``, banned constructs in consensus packages, ad-hoc
+  telemetry, ``multiprocessing`` under ``src/repro``);
 * :mod:`tools.analysis.taint` — interprocedural taint from
   nondeterminism sources (wall-clock, unseeded RNG, float arithmetic,
   unordered-set iteration, hash-randomized values) into determinism
@@ -11,42 +15,60 @@ the passes that need them:
   BCWCP1 checkpoint codec, the deterministic JSONL export);
 * :mod:`tools.analysis.rules` — the exception-flow rule (broad handlers
   that can swallow consensus errors);
+* :mod:`tools.analysis.reach` — the ``unreachable`` rule: definitions
+  and config fields that no entry point reaches;
 * :mod:`tools.analysis.report` — stable finding fingerprints, the
   ``json``/``sarif`` output formats, and the baseline workflow.
 
-The unified entry point stays ``python -m tools.checks``: it runs the
-per-file checkers *and* this whole-program pass, so CI needs exactly one
-command.  :func:`run_whole_program` is the library-level hook.
+The whole-program passes run over the project model of ``src/repro``
+(:mod:`tools.analysis.project`, :mod:`tools.analysis.callgraph`);
+:func:`run_whole_program` is the library-level hook.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable, Optional
 
 from tools.analysis.callgraph import CallGraph
 from tools.analysis.project import Project
+from tools.analysis.reach import UnreachableRule, script_targets
+from tools.analysis.report import Violation
 from tools.analysis.rules import ExceptionFlowRule
 from tools.analysis.taint import TaintAnalyzer
-from tools.checks import Violation
 
 __all__ = [
     "CallGraph", "Project", "TaintAnalyzer", "ExceptionFlowRule",
-    "run_whole_program", "analyze_project",
+    "UnreachableRule", "Violation", "run_whole_program", "analyze_project",
 ]
 
+#: Where the program is run from; ``tests/`` only marks ``tests-only``.
+ROOT_DIRS = ("bench", "benchmarks", "examples", "tools")
+#: Deliberate-violation corpora for the analyzer's own tests.
+EXCLUDED_FRAGMENTS = ("tests/tools/fixtures/",)
 
-def analyze_project(project: Project) -> list[Violation]:
-    """Run every whole-program pass over an already-built project."""
+
+def analyze_project(project: Project, context: Optional[Project] = None,
+                    targets: Iterable[str] = ()) -> list[Violation]:
+    """Run every whole-program pass over an already-built project.
+
+    ``context`` holds the modules around the program (entry points and
+    tests); without any, reachability cannot be judged and is skipped.
+    """
     graph = CallGraph(project)
     violations: list[Violation] = []
     violations.extend(TaintAnalyzer(project, graph).run())
     violations.extend(ExceptionFlowRule(project, graph).run())
+    if context is not None and context.modules:
+        violations.extend(UnreachableRule(project, context, targets).run())
     return violations
 
 
-def run_whole_program(root: Path,
-                      package_dir: str = "src/repro") -> list[Violation]:
-    """Build the project model for ``root/package_dir`` and analyze it."""
-    if not (root / package_dir).is_dir():
-        return []
-    return analyze_project(Project.load(root, package_dir))
+def run_whole_program(root: Path) -> list[Violation]:
+    """Build the project model of ``root/src/repro`` and analyze it."""
+    pyproject = root / "pyproject.toml"
+    return analyze_project(
+        Project.load(root, "src/repro"),
+        Project.load(root, *ROOT_DIRS, "tests", exclude=EXCLUDED_FRAGMENTS),
+        script_targets(pyproject.read_text(encoding="utf-8"))
+        if pyproject.exists() else ())

@@ -4,9 +4,10 @@ Resolution is purely syntactic, layered from most to least specific:
 
 1. ``self.method()`` / ``cls.method()`` inside a class resolves to the
    method on that class, when it exists;
-2. names the module imported resolve through the import map — either to
-   a project function (**internal** edge) or to a fully-qualified
-   external name (``time.time``, ``hashlib.sha256``);
+2. names the module imported resolve through the import map, package
+   re-exports followed — either to a project function (**internal**
+   edge) or to a fully-qualified external name (``time.time``,
+   ``hashlib.sha256``);
 3. bare names resolve to module-level functions of the same module, and
    ``ClassName.method`` to methods of locally defined or imported
    classes;
@@ -28,7 +29,8 @@ from typing import Optional
 from tools.analysis.project import FunctionInfo, ModuleInfo, Project, \
     dotted_name
 
-__all__ = ["ResolvedCall", "CallGraph", "resolve_call"]
+__all__ = ["ResolvedCall", "CallGraph", "qualify", "resolve_call",
+           "resolve_name"]
 
 
 @dataclass
@@ -42,9 +44,36 @@ class ResolvedCall:
     target: Optional[str] = None   # resolved qualified name
     internal: bool = False         # target is a project function
 
-    @property
-    def line(self) -> int:
-        return self.node.lineno
+
+def qualify(dotted: str, function: Optional[FunctionInfo],
+            module: ModuleInfo) -> str:
+    """The qualified name ``dotted`` would denote inside ``function``
+    (or at module scope), before anyone checks that it exists."""
+    head, _, rest = dotted.partition(".")
+    # self.method / cls.method -> method on the enclosing class.
+    if head in ("self", "cls") and function is not None \
+            and function.class_name is not None and rest:
+        return f"{function.modname}.{function.class_name}.{rest}"
+    # Imported name (module or symbol).
+    if head in module.imports:
+        return module.imports[head] + (f".{rest}" if rest else "")
+    # Module-local function, or method on a locally defined class.
+    return f"{module.modname}.{dotted}"
+
+
+def resolve_name(dotted: str, function: Optional[FunctionInfo],
+                 module: ModuleInfo, project: Project
+                 ) -> tuple[Optional[str], bool]:
+    """``(qualified target, whether it is a project function)``."""
+    candidate = qualify(dotted, function, module)
+    symbol, exact = project.lookup(candidate)
+    if exact and symbol in project.functions:
+        return symbol, True
+    if dotted.partition(".")[0] in module.imports:
+        return candidate, False
+    # Bare builtin / unknown global: keep the text as the target so
+    # source matchers can see e.g. "id", "hash", "float".
+    return (dotted if "." not in dotted else None), False
 
 
 def resolve_call(node: ast.Call, function: Optional[FunctionInfo],
@@ -56,42 +85,9 @@ def resolve_call(node: ast.Call, function: Optional[FunctionInfo],
         if isinstance(node.func, ast.Attribute) else ""
     resolved = ResolvedCall(node=node, dotted=dotted, attr=attr,
                             receiver=receiver)
-    if not dotted:
-        return resolved
-
-    head, _, rest = dotted.partition(".")
-
-    # self.method() / cls.method() -> method on the enclosing class.
-    if head in ("self", "cls") and function is not None \
-            and function.class_name is not None and rest \
-            and "." not in rest:
-        candidate = f"{function.modname}.{function.class_name}.{rest}"
-        if candidate in project.functions:
-            resolved.target = candidate
-            resolved.internal = True
-            return resolved
-
-    # Imported name (module or symbol).
-    if head in module.imports:
-        candidate = module.imports[head] + (f".{rest}" if rest else "")
-        if candidate in project.functions:
-            resolved.target = candidate
-            resolved.internal = True
-        else:
-            resolved.target = candidate
-        return resolved
-
-    # Module-local function, or method on a locally defined class.
-    candidate = f"{module.modname}.{dotted}"
-    if candidate in project.functions:
-        resolved.target = candidate
-        resolved.internal = True
-        return resolved
-
-    # Bare builtin / unknown global: keep the dotted text as the target
-    # so source matchers can see e.g. "id", "hash", "float".
-    if "." not in dotted:
-        resolved.target = dotted
+    if dotted:
+        resolved.target, resolved.internal = resolve_name(
+            dotted, function, module, project)
     return resolved
 
 

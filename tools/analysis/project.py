@@ -1,14 +1,15 @@
 """The whole-program project model: modules, symbols, imports.
 
 :class:`Project` parses every module under a package root once and
-exposes the two tables the interprocedural passes need:
+exposes the tables the interprocedural passes need:
 
 * ``modules`` — per-module AST, source lines, and an import map that
   resolves every local name to a fully-qualified dotted target
   (``sha256`` → ``repro.crypto.hashing.sha256``);
 * ``functions`` — every function and method in the program, keyed by
   qualified name (``repro.blockchain.mempool.Mempool.accept``), with its
-  parameter list and enclosing scope.
+  parameter list and enclosing scope;
+* ``classes`` — every class outside a function body, keyed the same way.
 
 The model is deliberately syntactic: no imports are executed, so the
 analyzer can run on a tree that does not import cleanly (or at all).
@@ -23,7 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-__all__ = ["FunctionInfo", "ModuleInfo", "Project", "dotted_name"]
+from tools.analysis.report import allowed
+
+__all__ = ["ClassInfo", "FunctionInfo", "ModuleInfo", "Project",
+           "dotted_name"]
 
 
 def dotted_name(node: ast.AST) -> str:
@@ -57,6 +61,17 @@ class FunctionInfo:
 
 
 @dataclass
+class ClassInfo:
+    """One class definition (module-level or nested in another class)."""
+
+    qualname: str
+    modname: str
+    path: str
+    node: ast.ClassDef
+    lineno: int = 0
+
+
+@dataclass
 class ModuleInfo:
     """One parsed module plus its name-resolution environment."""
 
@@ -67,8 +82,6 @@ class ModuleInfo:
     is_package: bool = False
     # local name -> fully qualified dotted target ("time", "repro.crypto.hashing.sha256")
     imports: dict[str, str] = field(default_factory=dict)
-    # names of classes defined at module level (for ClassName.method resolution)
-    classes: set[str] = field(default_factory=set)
 
 
 def _collect_imports(module: ModuleInfo) -> None:
@@ -103,9 +116,11 @@ class _SymbolVisitor(ast.NodeVisitor):
     """Collects every function/method with its scoped qualified name."""
 
     def __init__(self, module: ModuleInfo,
-                 functions: dict[str, FunctionInfo]) -> None:
+                 functions: dict[str, FunctionInfo],
+                 classes: dict[str, ClassInfo]) -> None:
         self.module = module
         self.functions = functions
+        self.classes = classes
         self._scope: list[tuple[str, str]] = []  # (kind, name)
 
     def _add_function(self, node) -> None:
@@ -136,8 +151,12 @@ class _SymbolVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _add_function
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if not self._scope:
-            self.module.classes.add(node.name)
+        if all(kind == "class" for kind, _name in self._scope):
+            names = [name for _kind, name in self._scope] + [node.name]
+            qualname = ".".join([self.module.modname] + names)
+            self.classes[qualname] = ClassInfo(
+                qualname=qualname, modname=self.module.modname,
+                path=self.module.path, node=node, lineno=node.lineno)
         self._scope.append(("class", node.name))
         self.generic_visit(node)
         self._scope.pop()
@@ -149,6 +168,7 @@ class Project:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
+        self.classes: dict[str, ClassInfo] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -162,26 +182,30 @@ class Project:
         return project
 
     @classmethod
-    def load(cls, root: Path, package_dir: str = "src/repro") -> "Project":
-        """Parse every ``*.py`` under ``root/package_dir``.
+    def load(cls, root: Path, *package_dirs: str,
+             exclude: tuple[str, ...] = ()) -> "Project":
+        """Parse every ``*.py`` under each ``root/package_dir``.
 
         Module names are derived relative to the last path component's
-        parent, so ``src/repro/x/y.py`` becomes ``repro.x.y``.
+        parent, so ``src/repro/x/y.py`` becomes ``repro.x.y``.  Missing
+        directories and paths containing an ``exclude`` fragment are
+        skipped.
         """
         project = cls()
-        base = root / package_dir
-        src_root = base.parent
-        for path in sorted(base.rglob("*.py")):
-            relative = path.relative_to(src_root).with_suffix("")
-            parts = list(relative.parts)
-            is_package = parts[-1] == "__init__"
-            if is_package:
-                parts = parts[:-1]
-            modname = ".".join(parts)
-            rel_repo = path.relative_to(root).as_posix()
-            project._add_module(modname, rel_repo,
-                                path.read_text(encoding="utf-8"),
-                                is_package=is_package)
+        for package_dir in package_dirs or ("src/repro",):
+            base = root / package_dir
+            for path in sorted(base.rglob("*.py")):
+                rel_repo = path.relative_to(root).as_posix()
+                if any(fragment in rel_repo for fragment in exclude):
+                    continue
+                parts = list(path.relative_to(base.parent)
+                             .with_suffix("").parts)
+                is_package = parts[-1] == "__init__"
+                if is_package:
+                    parts = parts[:-1]
+                project._add_module(".".join(parts), rel_repo,
+                                    path.read_text(encoding="utf-8"),
+                                    is_package=is_package)
         return project
 
     def _add_module(self, modname: str, path: str, source: str,
@@ -194,7 +218,7 @@ class Project:
                             source_lines=source.splitlines(),
                             is_package=is_package)
         _collect_imports(module)
-        _SymbolVisitor(module, self.functions).visit(tree)
+        _SymbolVisitor(module, self.functions, self.classes).visit(tree)
         self.modules[modname] = module
 
     # -- queries ---------------------------------------------------------------
@@ -205,13 +229,35 @@ class Project:
     def module_for(self, function: FunctionInfo) -> ModuleInfo:
         return self.modules[function.modname]
 
+    def lookup(self, dotted: str) -> tuple[Optional[str], bool]:
+        """The function, class or module that ``dotted`` names.
+
+        Package re-exports are followed (``repro.core.NetworkConfig`` is
+        ``repro.core.config.NetworkConfig``); the longest known prefix
+        wins, and the flag says whether it was all of ``dotted`` — a
+        module constant or an inherited method leaves a remainder.
+        """
+        for _hop in range(8):
+            parts = dotted.split(".")
+            for cut in range(len(parts), 0, -1):
+                prefix = ".".join(parts[:cut])
+                if prefix in self.functions or prefix in self.classes:
+                    return prefix, cut == len(parts)
+                module = self.modules.get(prefix)
+                if module is None:
+                    continue
+                if cut == len(parts) or parts[cut] not in module.imports:
+                    return prefix, cut == len(parts)
+                dotted = ".".join([module.imports[parts[cut]]]
+                                  + parts[cut + 1:])
+                break
+            else:
+                return None, False
+        return None, False
+
     def line_has_pragma(self, function_path: str, line: int,
                         rule: str) -> bool:
         """Whether ``# lint: allow(rule)`` sits on ``line`` of the module."""
-        for module in self.modules.values():
-            if module.path == function_path:
-                if 0 < line <= len(module.source_lines):
-                    return f"lint: allow({rule})" in \
-                        module.source_lines[line - 1]
-                return False
-        return False
+        return any(module.path == function_path
+                   and allowed(module.source_lines, line, rule)
+                   for module in self.modules.values())

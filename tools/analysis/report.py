@@ -8,9 +8,11 @@ fingerprint stable; changing the offending line itself produces a new
 finding, which is exactly when a human should look again.
 
 The baseline file is a checked-in JSON object mapping fingerprints to a
-human-readable locator.  ``--baseline`` makes the run fail only on
-findings *not* in the baseline; ``--update-baseline`` rewrites the file
-from the current findings (sorted, so diffs review cleanly).
+human-readable locator and the one-line reason the finding is accepted.
+``--baseline`` makes the run fail only on findings *not* in the
+baseline; ``--update-baseline`` rewrites the file from the current
+findings (sorted, so diffs review cleanly), keeping the reasons of the
+entries that survive.
 """
 
 from __future__ import annotations
@@ -18,19 +20,51 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from tools.checks import Violation
-
 __all__ = [
-    "fingerprint", "normalize_snippet", "render_json", "render_sarif",
-    "render_text", "load_baseline", "write_baseline", "split_by_baseline",
-    "TOOL_NAME",
+    "Violation", "allowed", "line_text", "fingerprint", "normalize_snippet",
+    "render_json", "render_sarif", "render_text", "load_baseline",
+    "write_baseline", "split_by_baseline", "TOOL_NAME",
 ]
 
-TOOL_NAME = "bcwan-checks"
+TOOL_NAME = "bcwan-analysis"
 _WS = re.compile(r"\s+")
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One finding of any rule at a specific source location.
+
+    ``qualname`` (the enclosing or offending definition, dotted),
+    ``snippet`` (the stripped source line) and ``trace`` (the
+    source→sink call chain of a taint finding) feed the stable
+    fingerprints below; line numbers deliberately do not.
+    """
+
+    path: str
+    line: int
+    rule: str
+    message: str
+    qualname: str = ""
+    snippet: str = ""
+    trace: tuple[str, ...] = field(default=())
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+
+def line_text(source_lines: Sequence[str], line: int) -> str:
+    """The stripped text of 1-based ``line`` (a finding's snippet)."""
+    return source_lines[line - 1].strip() \
+        if 0 < line <= len(source_lines) else ""
+
+
+def allowed(source_lines: Sequence[str], line: int, rule: str) -> bool:
+    """Whether ``# lint: allow(rule)`` sits on ``line`` — the one pragma."""
+    return f"lint: allow({rule})" in line_text(source_lines, line)
 
 
 def normalize_snippet(snippet: str) -> str:
@@ -124,8 +158,8 @@ def render_sarif(violations: Sequence[Violation], checked: int,
     return json.dumps(sarif, indent=2, sort_keys=True) + "\n"
 
 
-def load_baseline(path: Path) -> dict[str, str]:
-    """fingerprint -> locator; tolerant of a missing file (empty baseline)."""
+def load_baseline(path: Path) -> dict[str, dict[str, str]]:
+    """fingerprint -> {finding, reason}; a missing file is an empty baseline."""
     if not path.exists():
         return {}
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -133,10 +167,15 @@ def load_baseline(path: Path) -> dict[str, str]:
 
 
 def write_baseline(path: Path, violations: Sequence[Violation]) -> None:
+    """Rewrite ``path`` from ``violations``; surviving entries keep their reason."""
+    reasons = load_baseline(path)
     fingerprints = {
-        fingerprint(violation):
-            f"{violation.rule} @ {violation.path} :: "
-            f"{violation.qualname or '<module>'}"
+        fingerprint(violation): {
+            "finding": f"{violation.rule} @ {violation.path} :: "
+                       f"{violation.qualname or '<module>'} :: "
+                       f"{normalize_snippet(violation.snippet)}",
+            "reason": reasons.get(fingerprint(violation), {}).get("reason", ""),
+        }
         for violation in violations
     }
     payload = {
@@ -148,7 +187,7 @@ def write_baseline(path: Path, violations: Sequence[Violation]) -> None:
 
 
 def split_by_baseline(violations: Sequence[Violation],
-                      baseline: dict[str, str]
+                      baseline: dict[str, dict[str, str]]
                       ) -> tuple[list[Violation], list[Violation]]:
     """(new, baselined) partition of ``violations``."""
     new: list[Violation] = []

@@ -15,10 +15,10 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from tools.analysis.callgraph import CallGraph
+from tools.analysis.callgraph import CallGraph, resolve_call, resolve_name
 from tools.analysis.project import FunctionInfo, Project, dotted_name
+from tools.analysis.report import Violation, allowed, line_text
 from tools.analysis.taint import _own_nodes
-from tools.checks import Violation
 
 __all__ = ["ExceptionFlowRule"]
 
@@ -148,12 +148,9 @@ class ExceptionFlowRule:
                     if reached is None:
                         continue
                     line = handler.lineno
-                    if 0 < line <= len(module.source_lines) and \
-                            f"lint: allow({self.rule})" in \
-                            module.source_lines[line - 1]:
+                    if allowed(module.source_lines, line, self.rule):
                         continue
-                    snippet = module.source_lines[line - 1].strip() \
-                        if 0 < line <= len(module.source_lines) else ""
+                    snippet = line_text(module.source_lines, line)
                     violations.append(Violation(
                         path=fn.path, line=line, rule=self.rule,
                         message=(f"'except {'/'.join(names)}' can swallow "
@@ -172,17 +169,15 @@ class ExceptionFlowRule:
         the ``map`` call site — so for exception flow, a callable
         argument counts as a call.
         """
-        from tools.analysis.callgraph import resolve_call
         module = self.project.module_for(fn)
         targets: list[str] = []
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if not isinstance(arg, (ast.Name, ast.Attribute)):
-                continue
-            fake = ast.Call(func=arg, args=[], keywords=[])
-            ast.copy_location(fake, arg)
-            resolved = resolve_call(fake, fn, module, self.project)
-            if resolved.internal and resolved.target:
-                targets.append(resolved.target)
+            dotted = dotted_name(arg)
+            if dotted:
+                target, internal = resolve_name(dotted, fn, module,
+                                                self.project)
+                if internal:
+                    targets.append(target)
         return targets
 
     def _reachable_raise(self, try_node: ast.Try,
@@ -198,7 +193,6 @@ class ExceptionFlowRule:
                             chain=(f"raise {name} "
                                    f"({fn.path}:{node.lineno})",))
                 if isinstance(node, ast.Call):
-                    from tools.analysis.callgraph import resolve_call
                     module = self.project.module_for(fn)
                     call = resolve_call(node, fn, module, self.project)
                     candidates: list[str] = []

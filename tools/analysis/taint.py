@@ -22,8 +22,8 @@ purpose.
 Precision notes (documented limitations, not bugs): taint is tracked
 through local variables, call arguments, and return values — not through
 object attributes (``self.t = time.time()`` then hashing ``self.t``
-later is invisible here; the per-file rules still ban the read itself in
-consensus packages), and not through container element flow.  Cleansers
+later is invisible here; :mod:`tools.analysis.perfile` still bans the read
+itself in consensus packages), and not through container element flow.  Cleansers
 encode the repo's doctrine: ``sorted()`` launders iteration order,
 ``int()``/``struct.pack()`` launder float representation (but nothing
 launders a wall-clock or RNG *value*).
@@ -35,9 +35,9 @@ import ast
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from tools.analysis.callgraph import CallGraph, ResolvedCall
-from tools.analysis.project import FunctionInfo, Project, dotted_name
-from tools.checks import Violation
+from tools.analysis.callgraph import CallGraph, ResolvedCall, resolve_call
+from tools.analysis.project import FunctionInfo, Project
+from tools.analysis.report import Violation, allowed, line_text
 
 __all__ = [
     "KINDS", "ALLOWED_KINDS", "TaintAnalyzer",
@@ -135,7 +135,6 @@ _SEED_SINKS: dict[str, str] = {
     "repro.crypto.hashing.ripemd160": SINK_HASH,
     "repro.crypto.hashing.hash160": SINK_HASH,
     "repro.crypto.hashing.hmac_sha256": SINK_HASH,
-    "repro.crypto.hashing.tagged_hash": SINK_HASH,
     "repro.crypto.ripemd160.ripemd160": SINK_HASH,
     "repro.blockchain.checkpoint.build_checkpoint_payload": SINK_CHECKPOINT,
     "repro.blockchain.mempool.Mempool.accept": SINK_CONSENSUS,
@@ -515,7 +514,6 @@ class TaintAnalyzer:
     # -- sinks ----------------------------------------------------------------
 
     def _resolve(self, node: ast.Call, ctx: _Ctx) -> ResolvedCall:
-        from tools.analysis.callgraph import resolve_call
         module = self.project.module_for(ctx.fn)
         return resolve_call(node, ctx.fn, module, self.project)
 
@@ -614,26 +612,19 @@ class TaintAnalyzer:
                     if key in seen:
                         continue
                     seen.add(key)
-                    if self._suppressed(module, node.lineno, rule) \
+                    if allowed(module.source_lines, node.lineno, rule) \
                             or self._suppressed_at(origin, rule):
                         continue
                     trace = origin.chain + reach.chain
                     message = (f"{kind} value reaches {reach.sink_kind} "
                                f"sink {reach.desc}: "
                                + " -> ".join(trace))
-                    snippet = ""
-                    if 0 < node.lineno <= len(module.source_lines):
-                        snippet = module.source_lines[node.lineno - 1].strip()
                     violations.append(Violation(
                         path=fn.path, line=node.lineno, rule=rule,
                         message=message, qualname=fn.qualname,
-                        snippet=snippet, trace=trace))
+                        snippet=line_text(module.source_lines, node.lineno),
+                        trace=trace))
         return violations
-
-    def _suppressed(self, module, line: int, rule: str) -> bool:
-        if 0 < line <= len(module.source_lines):
-            return f"lint: allow({rule})" in module.source_lines[line - 1]
-        return False
 
     def _suppressed_at(self, origin: Origin, rule: str) -> bool:
         return self.project.line_has_pragma(origin.path, origin.line, rule)

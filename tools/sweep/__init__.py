@@ -5,8 +5,8 @@ The shape follows the related LPWAN repo's ``gen_configs.py`` /
 consensus x chaos plan), :mod:`tools.sweep.grid` expands it
 into pinned-order cells with per-cell derived seeds, and
 :mod:`tools.sweep.runner` fans the cells into per-config JSON result rows
-feeding the ``BENCH_*.json`` trail.  Two runs of the same grid produce
-byte-identical results.
+(one file per cell plus the merged ``results.json``).  Two runs of the same
+grid produce byte-identical results.
 """
 
 from tools.sweep.grid import (SweepCell, derive_cell_seed, expand_grid,

@@ -49,17 +49,17 @@ def _chaos_partition(cfg: NetworkConfig, seed: int) -> Optional[FaultPlan]:
     if len(names) < 2:
         return None
     half = len(names) // 2
-    start = 2 * cfg.block_interval
+    start = 2 * cfg.chain.block_interval
     return FaultPlan(seed=seed).partition(
         [names[:half], names[half:]], start=start,
-        heal_at=start + 4 * cfg.block_interval)
+        heal_at=start + 4 * cfg.chain.block_interval)
 
 
 def _chaos_gateway_crash(cfg: NetworkConfig, seed: int) -> Optional[FaultPlan]:
     """Crash the last site's daemon mid-run; restart it four intervals on."""
-    at = 2 * cfg.block_interval
+    at = 2 * cfg.chain.block_interval
     return FaultPlan(seed=seed).crash(
-        cfg.site_names[-1], at=at, restart_at=at + 4 * cfg.block_interval)
+        cfg.site_names[-1], at=at, restart_at=at + 4 * cfg.chain.block_interval)
 
 
 CHAOS_PLANS: dict[str, Callable[[NetworkConfig, int], Optional[FaultPlan]]] = {
