@@ -9,7 +9,7 @@
 """
 
 from repro.baselines.altruistic import AltruisticBaseline
-from repro.baselines.lorawan import BaselineReport, LoRaWANBaseline
+from repro.baselines.lorawan import LoRaWANBaseline
 from repro.baselines.reputation import (
     ReputationExchange,
     ReputationOutcome,
@@ -18,7 +18,6 @@ from repro.baselines.reputation import (
 
 __all__ = [
     "AltruisticBaseline",
-    "BaselineReport",
     "LoRaWANBaseline",
     "ReputationExchange",
     "ReputationOutcome",

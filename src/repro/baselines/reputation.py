@@ -61,12 +61,13 @@ class ReputationExchange:
         being paid (1.0 = honest, 0.0 = pure thief).
     :param threshold: recipients refuse to pay gateways scoring below this.
     :param smoothing: EWMA weight of the newest observation.
-    :param optimism: initial reputation for unknown gateways.
     """
+
+    # Initial reputation of a gateway nobody has dealt with yet.
+    OPTIMISM = 1.0
 
     def __init__(self, gateway_honesty: dict[str, float],
                  threshold: float = 0.5, smoothing: float = 0.25,
-                 optimism: float = 1.0,
                  rng: Optional[random.Random] = None) -> None:
         for name, honesty in gateway_honesty.items():
             if not 0 <= honesty <= 1:
@@ -80,10 +81,9 @@ class ReputationExchange:
         self.gateway_honesty = dict(gateway_honesty)
         self.threshold = threshold
         self.smoothing = smoothing
-        self.optimism = optimism
         self.rng = rng or random.Random(0)
         self.reputation: dict[str, float] = {
-            name: optimism for name in gateway_honesty
+            name: self.OPTIMISM for name in gateway_honesty
         }
 
     def attempt(self, gateway: str, report: ReputationReport) -> ReputationOutcome:

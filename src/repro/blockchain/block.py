@@ -108,12 +108,12 @@ class Block:
     @classmethod
     def assemble(cls, prev_hash: bytes, timestamp: float,
                  transactions: Iterable[Transaction],
-                 nonce: int = 0, version: int = 1) -> "Block":
+                 nonce: int = 0) -> "Block":
         """Build a block with a correct Merkle root over ``transactions``."""
         txs = tuple(transactions)
         root = merkle_root([tx.txid for tx in txs])
         header = BlockHeader(prev_hash=prev_hash, merkle_root=root,
-                             timestamp=timestamp, nonce=nonce, version=version)
+                             timestamp=timestamp, nonce=nonce)
         return cls(header=header, transactions=txs)
 
     def __str__(self) -> str:

@@ -182,9 +182,6 @@ class ValidationEngine:
     :param max_cache_entries: cache capacity; oldest verdicts evict first
         (insertion order — entries are never revalidated, so recency
         tracking buys nothing over FIFO here).
-    :param policy: the :class:`~repro.script.analysis.StandardnessPolicy`
-        shared by the mempool (standardness) and this engine (static
-        fast-reject); a default instance is created when omitted.
     :param static_precheck: run the static analyzer's consensus-safe
         fast-reject before each interpreter execution.  The precheck
         only rejects spends whose execution provably fails, so toggling
@@ -200,14 +197,15 @@ class ValidationEngine:
     def __init__(self, params: ChainParams,
                  verify_scripts: Optional[bool] = None,
                  max_cache_entries: int = 1 << 16,
-                 policy: Optional[StandardnessPolicy] = None,
                  static_precheck: bool = True) -> None:
         self.params = params
         self.verify_scripts = (
             params.verify_blocks if verify_scripts is None else verify_scripts
         )
         self.max_cache_entries = max_cache_entries
-        self.policy = StandardnessPolicy() if policy is None else policy
+        # Shared by the mempool (standardness) and this engine (static
+        # fast-reject).
+        self.policy = StandardnessPolicy()
         self.static_precheck = static_precheck
         # key -> True; only successful verdicts are cached (failures raise
         # and the offending tx never reaches a later stage twice).
@@ -400,19 +398,16 @@ class ValidationEngine:
 
     # -- anchor-chain checkpoint rules -----------------------------------------
 
-    def check_checkpoints(self, tx: Transaction,
-                          pending: Optional[dict[int, "Checkpoint"]] = None,
-                          ) -> None:
+    def check_checkpoints(self, tx: Transaction) -> None:
         """Validate any checkpoint commitments ``tx`` carries.
 
         A no-op unless :class:`CheckpointRules` are attached (i.e. this
-        engine validates the settlement chain).  ``pending`` overlays
-        checkpoints staged earlier in the same block.
+        engine validates the settlement chain).
         """
         if self.checkpoint_rules is None:
             return
         for checkpoint in iter_checkpoints(tx):
-            self.checkpoint_rules.check(checkpoint, tx.txid, pending)
+            self.checkpoint_rules.check(checkpoint, tx.txid)
 
     def _stage_checkpoints(self, tx: Transaction,
                            pending: dict[int, "Checkpoint"],

@@ -258,8 +258,7 @@ class Transaction:
         return cls(inputs=inputs, outputs=outputs,
                    locktime=locktime, version=version), offset
 
-    def sighash(self, input_index: int, locking_script: Script,
-                hash_type: int = SIGHASH_ALL) -> bytes:
+    def sighash(self, input_index: int, locking_script: Script) -> bytes:
         """The digest an input's signature commits to (SIGHASH_ALL).
 
         Every input's scriptSig is blanked except the signed input's, which
@@ -280,11 +279,11 @@ class Transaction:
             outputs=self.outputs,
             locktime=self.locktime,
             version=self.version,
-        ).serialize() + struct.pack("<I", hash_type)
+        ).serialize() + struct.pack("<I", SIGHASH_ALL)
         return double_sha256(preimage)
 
-    def sighash_many(self, spends: "list[tuple[int, Script]]",
-                     hash_type: int = SIGHASH_ALL) -> list[bytes]:
+    def sighash_many(self, spends: "list[tuple[int, Script]]"
+                     ) -> list[bytes]:
         """SIGHASH_ALL digests for several inputs, sharing serialization.
 
         ``spends`` pairs each input index with the locking script being
@@ -303,7 +302,7 @@ class Transaction:
             _write_varint(len(self.outputs))
             + b"".join(output.serialize() for output in self.outputs)
             + struct.pack("<I", self.locktime)
-            + struct.pack("<I", hash_type)
+            + struct.pack("<I", SIGHASH_ALL)
         )
         digests: list[bytes] = []
         for input_index, locking_script in spends:

@@ -257,9 +257,9 @@ class Wallet(SingleKeyWallet):
     :meth:`scan_block` manually.
     """
 
-    def __init__(self, chain: Chain, keypair: Optional[KeyPair] = None,
-                 rng: Optional[random.Random] = None) -> None:
-        super().__init__(keypair, rng)
+    def __init__(self, chain: Chain,
+                 keypair: Optional[KeyPair] = None) -> None:
+        super().__init__(keypair)
         self.chain = chain
 
     # -- balance tracking -------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.chaos.faults import (
     Partition,
 )
 from repro.chaos.injector import ChaosInjector
-from repro.chaos.scenario import Federation, build_federation, topology_mesh
+from repro.chaos.scenario import Federation, build_federation
 from repro.chaos.verify import (
     ConvergenceReport,
     assert_converged,
@@ -45,7 +45,6 @@ __all__ = [
     "ChaosInjector",
     "Federation",
     "build_federation",
-    "topology_mesh",
     "ConvergenceReport",
     "assert_converged",
     "assert_hierarchy_converged",

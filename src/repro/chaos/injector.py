@@ -45,14 +45,12 @@ class ChaosInjector:
 
     def __init__(self, sim: Simulator, network: WANetwork, plan: FaultPlan,
                  daemons: Optional[dict[str, "BlockchainDaemon"]] = None,
-                 telemetry: Optional[ChaosTelemetry] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
         self.network = network
         self.plan = plan
         self.daemons: dict[str, "BlockchainDaemon"] = dict(daemons or {})
-        self.telemetry = (telemetry if telemetry is not None
-                          else ChaosTelemetry(registry))
+        self.telemetry = ChaosTelemetry(registry)
         # All chaos randomness hangs off the plan's seed, nothing else.
         self._rng = RngRegistry(plan.seed).stream("chaos-faults")
         # host -> serialized chain snapshot taken at crash time.
@@ -198,7 +196,10 @@ class ChaosInjector:
 
     # -- reconvergence -----------------------------------------------------------
 
-    def watch_reconvergence(self, poll: float = 1.0) -> None:
+    # Seconds between convergence checks once the plan's horizon passed.
+    RECONVERGENCE_POLL = 1.0
+
+    def watch_reconvergence(self) -> None:
         """Record how long past the plan's horizon the mesh takes to agree.
 
         Starts a process that, from the last scheduled fault onward, polls
@@ -209,9 +210,9 @@ class ChaosInjector:
         if self._watcher_running:
             return
         self._watcher_running = True
-        self.sim.process(self._watch(poll))
+        self.sim.process(self._watch())
 
-    def _watch(self, poll: float):
+    def _watch(self):
         horizon = self.plan.horizon()
         if self.sim.now < horizon:
             yield self.sim.timeout(horizon - self.sim.now)
@@ -219,7 +220,7 @@ class ChaosInjector:
             if self._converged():
                 self.telemetry.reconvergence_time = self.sim.now - horizon
                 return
-            yield self.sim.timeout(poll)
+            yield self.sim.timeout(self.RECONVERGENCE_POLL)
 
     def stats(self) -> StatsView:
         """The uniform observability accessor over the shared telemetry."""

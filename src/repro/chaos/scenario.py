@@ -30,7 +30,7 @@ from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Federation", "build_federation", "topology_mesh"]
+__all__ = ["Federation", "build_federation"]
 
 
 @dataclass
@@ -40,7 +40,6 @@ class Federation:
     sim: Simulator
     rngs: RngRegistry
     wan: WANetwork
-    params: ChainParams
     names: list[str]
     daemons: dict[str, BlockchainDaemon]
     agents: dict[str, SyncAgent]
@@ -83,101 +82,47 @@ class Federation:
         return injector
 
 
-def build_federation(size: int = 6, seed: int = 0,
-                     latency: float = 0.05,
-                     loss_rate: float = 0.0,
-                     sync_interval: float = 5.0,
-                     params: Optional[ChainParams] = None,
-                     verify_blocks: bool = False,
-                     verify_scripts: bool = False,
-                     tracing: bool = False,
-                     regions: int = 1,
-                     border_peers: int = 1) -> Federation:
-    """A ``size``-gateway mesh named ``gw-0`` .. ``gw-{size-1}``.
+# Chaos defaults: cheap validation (the faults under test are network and
+# process faults, not script faults), deterministic constant WAN latency.
+WAN_LATENCY = 0.05
+CHAIN_PARAMS = ChainParams(coinbase_maturity=1)
 
-    Defaults favour chaos testing: cheap validation (the faults under
-    test are network/process faults, not script faults), deterministic
-    constant latency, short sync interval so recovery happens within
-    small simulated horizons.  ``tracing=True`` attaches a sim-time
+
+def build_federation(size: int = 6, seed: int = 0,
+                     sync_interval: float = 5.0,
+                     verify_blocks: bool = False,
+                     tracing: bool = False) -> Federation:
+    """A ``size``-gateway full mesh named ``gw-0`` .. ``gw-{size-1}``.
+
+    The short default sync interval lets recovery happen within small
+    simulated horizons.  ``tracing=True`` attaches a sim-time
     :class:`~repro.obs.tracing.Tracer` to the WAN, so envelope transits
     and per-daemon block validation produce spans.
-
-    ``regions=1`` (the default) keeps the historical O(n²) full mesh.
-    With more regions the mesh becomes topology-aware: gateways are split
-    into ``regions`` contiguous groups, each group fully meshed
-    internally, and each region *pair* is bridged by ``border_peers``
-    designated gateways per side — so gossip degree grows with the region
-    size, not the federation size.
     """
     if size < 2:
         raise ConfigurationError("a federation needs at least two gateways")
-    if regions < 1:
-        raise ConfigurationError(f"need at least one region, got {regions}")
-    if size % regions != 0:
-        raise ConfigurationError(
-            f"{size} gateways do not divide evenly into {regions} regions")
-    per_region = size // regions
-    if regions > 1 and border_peers > per_region:
-        raise ConfigurationError(
-            f"{border_peers} border peers exceed the region size "
-            f"{per_region}")
     sim = Simulator()
     rngs = RngRegistry(seed)
     registry = MetricsRegistry()
     tracer = Tracer(sim, enabled=tracing)
     wan = WANetwork(sim, rngs.stream("wan"),
-                    latency=ConstantLatency(delay=latency),
-                    loss_rate=loss_rate)
+                    latency=ConstantLatency(delay=WAN_LATENCY))
     wan.tracer = tracer
-    chain_params = params or ChainParams(coinbase_maturity=1)
     cost = CostModel(jitter_sigma=0.0)
     names = [f"gw-{i}" for i in range(size)]
     daemons: dict[str, BlockchainDaemon] = {}
     agents: dict[str, SyncAgent] = {}
     for name in names:
-        node = FullNode(chain_params, name, verify_scripts=verify_scripts)
+        node = FullNode(CHAIN_PARAMS, name, verify_scripts=False)
         daemons[name] = BlockchainDaemon(
             sim, name, wan, node, cost, rngs.stream(f"daemon-{name}"),
             verify_blocks=verify_blocks, registry=registry)
-    if regions == 1:
-        # Flat: the historical full mesh, preserved exactly.
-        for name in names:
-            for peer in names:
-                if peer != name:
-                    daemons[name].gossip.connect(peer)
-    else:
-        for name, peer in topology_mesh(names, regions, border_peers):
-            daemons[name].gossip.connect(peer)
+    for name in names:
+        for peer in names:
+            if peer != name:
+                daemons[name].gossip.connect(peer)
     for name in names:
         agents[name] = SyncAgent(sim, daemons[name], interval=sync_interval)
-    return Federation(sim=sim, rngs=rngs, wan=wan, params=chain_params,
-                      names=names, daemons=daemons, agents=agents,
+    return Federation(sim=sim, rngs=rngs, wan=wan, names=names,
+                      daemons=daemons, agents=agents,
                       registry=registry, tracer=tracer)
-
-
-def topology_mesh(names: list[str], regions: int,
-                  border_peers: int = 1) -> list[tuple[str, str]]:
-    """The directed edge list of a region-aware gossip mesh.
-
-    Gateways are split into ``regions`` contiguous groups: full mesh
-    within each group, and for every pair of regions the first
-    ``border_peers`` gateways of each side are cross-connected (the
-    designated border gateways).  All edges are emitted in both
-    directions, deterministically ordered.
-    """
-    per_region = len(names) // regions
-    edges: list[tuple[str, str]] = []
-    for r in range(regions):
-        members = names[r * per_region:(r + 1) * per_region]
-        for name in members:
-            for peer in members:
-                if peer != name:
-                    edges.append((name, peer))
-    for a in range(regions):
-        for b in range(a + 1, regions):
-            for k in range(border_peers):
-                left = names[a * per_region + k]
-                right = names[b * per_region + k]
-                edges.append((left, right))
-                edges.append((right, left))
-    return edges

@@ -99,8 +99,7 @@ def assert_converged(daemons, require_online: bool = True) -> ConvergenceReport:
     )
 
 
-def assert_hierarchy_converged(groups, require_online: bool = True
-                               ) -> dict[str, ConvergenceReport]:
+def assert_hierarchy_converged(groups) -> dict[str, ConvergenceReport]:
     """Per-chain convergence for a hierarchical federation.
 
     ``groups`` maps a chain label (``"region-0"``, ``"anchor"``, …) to
@@ -117,8 +116,7 @@ def assert_hierarchy_converged(groups, require_online: bool = True
     reports: dict[str, ConvergenceReport] = {}
     for label, daemons in groups.items():
         try:
-            reports[label] = assert_converged(
-                daemons, require_online=require_online)
+            reports[label] = assert_converged(daemons)
         except AssertionError as exc:
             raise AssertionError(f"[{label}] {exc}") from None
     return reports

@@ -8,7 +8,10 @@
   verification stall behind Figs. 5/6;
 * :mod:`repro.core.node_agent`, :mod:`repro.core.gateway_agent`,
   :mod:`repro.core.recipient` — the three protocol roles of Fig. 3;
-* :mod:`repro.core.network` — the full-testbed assembly;
+* :mod:`repro.core.testbed` — the §5.2 workload every architecture runs
+  on (radio cells, sensor placement, arrivals, the run-until-settled loop);
+* :mod:`repro.core.network` — the BcWAN deployment assembled on it;
+* :mod:`repro.core.report` — what a run reports, on any architecture;
 * :mod:`repro.core.costmodel` — calibrated processing times;
 * :mod:`repro.core.settlement` — regional checkpoint anchoring onto the
   global settlement chain (per-exchange instrumentation moved to
@@ -44,7 +47,8 @@ from repro.core.messages import (
     verify_payload,
 )
 from repro.obs.exchange import ExchangeRecord, ExchangeTracker
-from repro.core.network import BcWANNetwork, Region, RunReport, Site
+from repro.core.network import BcWANNetwork, Region, Site
+from repro.core.report import ExchangeReport, RunReport
 from repro.core.settlement import CheckpointAgent
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import (
@@ -53,6 +57,7 @@ from repro.core.provisioning import (
     provision_device,
 )
 from repro.core.recipient import RecipientAgent
+from repro.core.testbed import Testbed
 
 __all__ = [
     "Announcement",
@@ -69,6 +74,7 @@ __all__ = [
     "DeviceCredentials",
     "DirectoryView",
     "ExchangeRecord",
+    "ExchangeReport",
     "ExchangeTracker",
     "GatewayAgent",
     "MAX_PLAINTEXT",
@@ -81,6 +87,7 @@ __all__ = [
     "RunReport",
     "SealedBundle",
     "Site",
+    "Testbed",
     "build_announcement_payload",
     "decode_bundle",
     "encode_bundle",

@@ -42,6 +42,9 @@ from repro.sim.core import Simulator
 
 __all__ = ["GatewayAgent"]
 
+# The fee a gateway attaches to its claim (no deployment varies it).
+CLAIM_FEE = 0
+
 
 @dataclass
 class _PendingDelivery:
@@ -64,7 +67,6 @@ class GatewayAgent:
                  cost_model: CostModel, tracker: ExchangeTracker,
                  rng: random.Random, price: int = 100,
                  pricing: Optional[PricingPolicy] = None,
-                 claim_fee: int = 0,
                  wait_for_confirmation: bool = False,
                  chain_id: str = "") -> None:
         self.sim = sim
@@ -81,7 +83,6 @@ class GatewayAgent:
         # Step 9's "fixed or negotiated" output: the policy quotes the
         # price carried in each DeliveryMessage.
         self.pricing: PricingPolicy = pricing or FixedPricing(price=price)
-        self.claim_fee = claim_fee
         # Section 6: waiting for the offer to confirm closes the
         # double-spend window at the cost of block-interval latency.
         self.wait_for_confirmation = wait_for_confirmation
@@ -263,7 +264,7 @@ class GatewayAgent:
 
         claim_tx = yield self.daemon.rpc(
             lambda: self.wallet.claim_key_release(
-                offer, pending.ephemeral_key.to_bytes(), fee=self.claim_fee,
+                offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE,
             )
         )
         accepted = yield self.daemon.call(
@@ -272,7 +273,7 @@ class GatewayAgent:
         )
         if accepted:
             self.claims_made += 1
-            self.rewards_claimed += offer.amount - self.claim_fee
+            self.rewards_claimed += offer.amount - CLAIM_FEE
 
     def _claim_remote(self, ack: DeliveryAck, source: str):
         """Cross-region step 10: audit the serialized offer, relay the claim.
@@ -305,7 +306,7 @@ class GatewayAgent:
             return
         claim_tx = yield self.daemon.rpc(
             lambda: self.wallet.claim_key_release(
-                offer, pending.ephemeral_key.to_bytes(), fee=self.claim_fee,
+                offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE,
             )
         )
         self.wan.send(self.name, source, ClaimMessage(
@@ -314,7 +315,7 @@ class GatewayAgent:
         ))
         self.claims_made += 1
         self.cross_region_claims += 1
-        self.rewards_claimed += offer.amount - self.claim_fee
+        self.rewards_claimed += offer.amount - CLAIM_FEE
 
     def _audit_offer(self, offer_tx, pending: _PendingDelivery
                      ) -> Optional[KeyReleaseOffer]:

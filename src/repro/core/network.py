@@ -13,8 +13,12 @@
   gateway's radio cell (the roaming scenario BcWAN exists for);
 * a PlanetLab-like WAN between all sites.
 
-``run(num_exchanges=2000)`` drives the workload of section 5.2 and
-returns a :class:`RunReport` with the latency distribution of Fig. 5/6.
+This module only *assembles*: the §5.2 workload it runs on (radio cells,
+sensor placement, arrivals, ``run()``) is :class:`~repro.core.testbed.Testbed`,
+shared with the baselines, and ``report()`` / the trace exports are
+:class:`~repro.core.report.DeploymentReporter`.  ``run(num_exchanges=2000)``
+returns a :class:`~repro.core.report.RunReport` with the latency
+distribution of Fig. 5/6.
 
 **Hierarchical mode** (``config.topology.regions > 1``): the federation
 is carved into regions, each running its *own* gateway sub-chain — own
@@ -31,8 +35,7 @@ settlement chain, and reproduces the paper's results bit-for-bit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.blockchain.checkpoint import CheckpointRules
@@ -41,17 +44,17 @@ from repro.blockchain.node import FullNode
 from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
 from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.wallet import Wallet
-from repro.core.config import (CELL_RADIUS, FUNDING_COIN_VALUE,
-                               NetworkConfig)
+from repro.core.config import FUNDING_COIN_VALUE, NetworkConfig
 from repro.core.costmodel import CostModel
 from repro.core.settlement import CheckpointAgent
 from repro.core.daemon import BlockchainDaemon
 from repro.core.directory import DirectoryView, build_announcement_payload
 from repro.core.gateway_agent import GatewayAgent
-from repro.obs.exchange import ExchangeTracker
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
 from repro.core.recipient import NodeLedger, RecipientAgent, SpvLedger
+from repro.core.report import DeploymentReporter
+from repro.core.testbed import Testbed
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
 from repro.light.compact import CompactBlockRelay
@@ -59,23 +62,12 @@ from repro.light.multicast import ChainMulticaster
 from repro.light.server import LightServer
 from repro.light.spv import SpvClient
 from repro.light.wallet import LightWallet
-from repro.lora.channel import Position, RadioChannel
-from repro.obs.export import (export_trace_jsonl, format_breakdown,
-                              leg_breakdown)
+from repro.lora.channel import RadioChannel
+from repro.lora.device import EU868_DOWNLINK_DUTY_CYCLE
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import DaemonStats
-from repro.obs.tracing import Tracer
-from repro.lora.device import (EU868_DOWNLINK_CHANNEL,
-                               EU868_DOWNLINK_DUTY_CYCLE, LoRaRadio)
-from repro.lora.phy import LoRaModulation
-from repro.p2p.network import WANetwork
 from repro.p2p.sync import SyncAgent
-from repro.sim.core import Simulator
-from repro.sim.latency import PlanetLabLatencyMatrix
-from repro.sim.rng import RngRegistry
-from repro.obs.stats import Summary
 
-__all__ = ["BcWANNetwork", "Region", "Site", "RunReport"]
+__all__ = ["BcWANNetwork", "Region", "Site"]
 
 # The testbed's calibrated processing times (DESIGN.md) and the plaintext
 # reading size (<= 15 bytes: one AES block).  No deployment varies them.
@@ -122,69 +114,17 @@ class Region:
     checkpoint_agent: CheckpointAgent
 
 
-@dataclass
-class RunReport:
-    """Results of one workload run."""
-
-    exchanges_launched: int
-    completed: int
-    failed: int
-    pending: int
-    duration: float
-    chain_height: int
-    latencies: list[float]
-    gateway_rewards: dict[str, int]
-    recipient_spend: dict[str, int]
-    daemon_stats: dict[str, DaemonStats]
-    frames_lost_collision: int
-    frames_lost_sensitivity: int
-    # Per-leg latency summaries derived from spans (uplink / publication
-    # / payment / decryption / total); empty when tracing was off.
-    legs: dict[str, Summary] = field(default_factory=dict)
-
-    @property
-    def mean_latency(self) -> float:
-        # NaN-free on empty, matching the Summary.of([]) convention.
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    @property
-    def summary(self) -> Summary:
-        return Summary.of(self.latencies)
-
-    def format(self) -> str:
-        lines = [
-            f"exchanges: {self.exchanges_launched} launched, "
-            f"{self.completed} completed, {self.failed} failed, "
-            f"{self.pending} pending",
-            f"simulated duration: {self.duration:.1f} s, "
-            f"chain height: {self.chain_height}",
-        ]
-        if self.latencies:
-            lines.append(f"latency: {self.summary.format()}")
-        if self.legs and self.legs.get("total") and self.legs["total"].count:
-            lines.append("per-leg breakdown (from spans):")
-            for leg in ("uplink", "publication", "payment", "decryption",
-                        "total"):
-                summary = self.legs[leg]
-                lines.append(f"  {leg:<12} {summary.format()}")
-        return "\n".join(lines)
-
-
-class BcWANNetwork:
+class BcWANNetwork(DeploymentReporter, Testbed):
     """A fully-assembled BcWAN federation."""
 
     def __init__(self, config: Optional[NetworkConfig] = None) -> None:
-        self.config = config or NetworkConfig()
-        self.rngs = RngRegistry(self.config.seed)
-        self.sim = Simulator()
-        # The observability spine: one registry and one tracer for the
-        # whole deployment.  Trace/span ids are minted in span-creation
-        # order, so same-seed runs export byte-identical JSONL.
+        super().__init__(config or NetworkConfig())
+        block_interval = self.config.chain.block_interval
+        self.check_interval = max(block_interval, 5.0)
+        self.settle_grace = max(120.0, 4 * block_interval)
+        # The observability spine: one registry (and the testbed's one
+        # tracer) for the whole deployment.
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(self.sim, enabled=self.config.tracing)
-        self.tracker = ExchangeTracker(self.tracer)
         # Every daemon of the deployment runs in this one host process:
         # they share one crypto-verdict memo, so the host verifies each
         # signature once.  What a node spends verifying is simulated time,
@@ -194,7 +134,6 @@ class BcWANNetwork:
         self.regions: list[Region] = []
         # chain label -> the daemons following (and gossiping) that chain
         self._groups: dict[str, dict[str, BlockchainDaemon]] = {}
-        self.sensors: list[NodeAgent] = []
         # The flat deployment's single master (None when hierarchical).
         self.master_daemon: Optional[BlockchainDaemon] = None
         self.master_wallet: Optional[Wallet] = None
@@ -213,7 +152,6 @@ class BcWANNetwork:
         self.light_clients: list[SpvClient] = []
         self.multicasters: list[ChainMulticaster] = []
         self.compact_relays: list[CompactBlockRelay] = []
-        self._exchanges_launched = 0
         self._build()
 
     # -- construction -----------------------------------------------------------
@@ -256,13 +194,7 @@ class BcWANNetwork:
             hosts += ["anchor"] + [f"anchor{tag}" for tag in tags]
         if light:
             hosts += cfg.light_names
-        latency = PlanetLabLatencyMatrix(
-            hosts, seed=cfg.seed ^ 0x5EED,
-            median_range=cfg.wan_median_range,
-        )
-        self.wan = WANetwork(self.sim, self.rngs.stream("wan"), latency,
-                             loss_rate=cfg.wan_loss_rate)
-        self.wan.tracer = self.tracer
+        self.wan = self.build_wan(hosts)
 
         if not flat:
             # Global settlement chain: funds each region's settlement
@@ -278,7 +210,6 @@ class BcWANNetwork:
             height_gauge = self.registry.gauge("federation.subchain_height",
                                                "region")
 
-        modulation = LoRaModulation(spreading_factor=cfg.spreading_factor)
         # Every chain publishes the IP announcement of **every**
         # recipient in the federation: a gateway resolving ``@R`` for a
         # globally-roaming sensor looks the foreign recipient up on its
@@ -300,8 +231,7 @@ class BcWANNetwork:
                 announced=announced)
             sites = [
                 self._build_site(i, cfg.site_names[i], params, master_node,
-                                 actor_keys[i], modulation,
-                                 chain_id=chain_id, region=r)
+                                 actor_keys[i], chain_id=chain_id, region=r)
                 for i in indices
             ]
             self.sites.extend(sites)
@@ -345,14 +275,14 @@ class BcWANNetwork:
                 self.compact_relays = [CompactBlockRelay(daemon)
                                        for daemon in daemons]
             if light:
-                self._build_light_tier(daemons, light_keys, modulation)
+                self._build_light_tier(daemons, light_keys)
         else:
             # Settlement mesh: the anchor master and every region's
             # settlement node (small by construction — one per region).
             self._mesh("anchor", [self.anchor_daemon] + [
                 region.anchor_daemon for region in self.regions])
 
-        self._deploy_sensors(modulation)
+        self._deploy_sensors()
         self._funding_baseline = {
             site.name: site.wallet.balance for site in self.sites
         }
@@ -371,8 +301,8 @@ class BcWANNetwork:
         self._start_common_loops()
 
     def _build_site(self, i: int, name: str, params, source_node: FullNode,
-                    actor_key: KeyPair, modulation: LoRaModulation,
-                    chain_id: str = "", region: int = 0) -> Site:
+                    actor_key: KeyPair, chain_id: str = "",
+                    region: int = 0) -> Site:
         """One gateway site: node, daemon, wallet, radio, both agents.
 
         ``source_node`` holds the bootstrap chain the site's node replays
@@ -387,12 +317,7 @@ class BcWANNetwork:
         wallet.watch_chain()
         directory = DirectoryView(node.chain)
         directory.follow()
-        channel = RadioChannel(self.sim, self.rngs.stream(f"radio-{name}"))
-        gateway_radio = LoRaRadio(
-            f"gw-{i}", channel, position=Position(0.0, 0.0),
-            modulation=modulation, duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
-            frequencies=(EU868_DOWNLINK_CHANNEL,), power_dbm=27.0,
-        )
+        channel, gateway_radio = self.build_cell(i, name)
         gateway = GatewayAgent(
             self.sim, name, gateway_radio, daemon, wallet, directory,
             self.wan, COST_MODEL, self.tracker,
@@ -418,8 +343,7 @@ class BcWANNetwork:
         )
 
     def _build_light_tier(self, daemons: list[BlockchainDaemon],
-                          light_keys: list[KeyPair],
-                          modulation: LoRaModulation) -> None:
+                          light_keys: list[KeyPair]) -> None:
         """SPV clients, their serving full nodes, and the multicast legs.
 
         Every full daemon serves headers/filters/proofs; each actor's
@@ -457,7 +381,7 @@ class BcWANNetwork:
                 self.multicasters.append(ChainMulticaster(
                     self.sim, self.wan, site.name, site.wallet.keypair,
                     site.node.chain, (name,), cfg.light.multicast_interval,
-                    modulation=modulation,
+                    modulation=self.modulation,
                     duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
                     tracer=self.tracer,
                 ))
@@ -599,32 +523,24 @@ class BcWANNetwork:
         for _height, block in source.chain.iter_active_blocks(start_height=1):
             target.chain.add_block(block)
 
-    def _deploy_sensors(self, modulation: LoRaModulation) -> None:
-        """Provision and place every end device in a foreign cell."""
-        cfg = self.config
-        placement_rng = self.rngs.stream("placement")
-        for i in range(cfg.num_gateways):
+    def _deploy_sensors(self) -> None:
+        """Provision every placed end device to its home actor."""
+        for i, radio in self.place_sensors(
+                [site.channel for site in self.sites]):
             home = self.sites[i]
-            # Flat: the classic (i + offset) % n rotation.  Hierarchical:
-            # the topology's roaming policy decides whether the rotation
-            # wraps inside the home region or across the federation.
-            host_site = self.sites[cfg.recipient_site(i)]
-            for j in range(cfg.sensors_per_gateway):
-                device_id = f"dev-{i}-{j}"
-                credentials = provision_device(
-                    device_id, home.recipient.address, home.registry,
-                    rng=self.rngs.stream(f"provision-{device_id}"),
-                )
-                angle = placement_rng.uniform(0, 2 * math.pi)
-                radius = CELL_RADIUS * math.sqrt(placement_rng.random())
-                position = Position(radius * math.cos(angle),
-                                    radius * math.sin(angle))
-                radio = LoRaRadio(device_id, host_site.channel,
-                                  position=position, modulation=modulation)
-                self.sensors.append(NodeAgent(
-                    self.sim, credentials, radio, COST_MODEL,
-                    self.tracker, self.rngs.stream(f"node-{device_id}"),
-                ))
+            device_id = radio.name
+            credentials = provision_device(
+                device_id, home.recipient.address, home.registry,
+                rng=self.rngs.stream(f"provision-{device_id}"),
+            )
+            self.sensors[device_id] = NodeAgent(
+                self.sim, credentials, radio, COST_MODEL,
+                self.tracker, self.rngs.stream(f"node-{device_id}"),
+            )
+
+    def start_exchange(self, agent: NodeAgent) -> None:
+        reading = f"{self.exchanges_launched:08d}{agent.device_id[-4:]}"
+        agent.start_exchange(reading.encode()[:PAYLOAD_BYTES])
 
     def _mining_loop(self, daemon: BlockchainDaemon, miner: Miner,
                      chain_id: str):
@@ -726,66 +642,6 @@ class BcWANNetwork:
             yield self.sim.timeout(self.config.reclaim_interval)
             yield site.recipient.reclaim_expired()
 
-    # -- workload ------------------------------------------------------------------
-
-    def _sensor_loop(self, agent: NodeAgent, budget_check):
-        cfg = self.config
-        rng = self.rngs.stream(f"workload-{agent.device_id}")
-        yield self.sim.timeout(rng.uniform(0, cfg.exchange_interval))
-        while budget_check():
-            self._exchanges_launched += 1
-            sequence = self._exchanges_launched
-            reading = f"{sequence:08d}{agent.device_id[-4:]}".encode()[:PAYLOAD_BYTES]
-            agent.start_exchange(reading)
-            yield self.sim.timeout(rng.expovariate(1.0 / cfg.exchange_interval))
-
-    def run(self, num_exchanges: int = 100,
-            max_duration: Optional[float] = None) -> RunReport:
-        """Drive the workload until ``num_exchanges`` exchanges settle.
-
-        ``max_duration`` (simulated seconds) caps runaway runs; it defaults
-        to a generous multiple of the expected workload duration.
-        """
-        cfg = self.config
-        if max_duration is None:
-            expected = (num_exchanges / max(cfg.total_sensors, 1)
-                        * cfg.exchange_interval)
-            max_duration = max(600.0, expected * 6 + 300.0)
-
-        def budget_check() -> bool:
-            return self._exchanges_launched < num_exchanges
-
-        for agent in self.sensors:
-            self.sim.process(self._sensor_loop(agent, budget_check))
-
-        check_interval = max(cfg.chain.block_interval, 5.0)
-        settle_grace = max(120.0, 4 * cfg.chain.block_interval)
-        last_progress_time = 0.0
-        last_terminal = -1
-        while self.sim.now < max_duration:
-            self.sim.run(until=self.sim.now + check_interval)
-            records = self.tracker.records()
-            terminal = sum(1 for r in records if r.status != "pending")
-            if terminal != last_terminal:
-                last_terminal = terminal
-                last_progress_time = self.sim.now
-            if self._exchanges_launched >= num_exchanges:
-                # Covers num_exchanges=0 (a sweep's empty cell): no records
-                # means nothing to settle, terminate on the first check.
-                if terminal >= len(records):
-                    break
-                # Lost radio frames leave exchanges dangling (BcWAN has no
-                # link-layer ack for the data uplink); give up on them
-                # once nothing has settled for a grace period.
-                if self.sim.now - last_progress_time > settle_grace:
-                    for record in records:
-                        if record.status == "pending":
-                            self.tracker.fail(
-                                record, "unresolved at run end (frame lost?)"
-                            )
-                    break
-        return self.report()
-
     def all_daemons(self) -> dict[str, BlockchainDaemon]:
         """Every daemon in the deployment, by host name."""
         return {name: daemon for group in self._groups.values()
@@ -799,79 +655,3 @@ class BcWANNetwork:
         :func:`repro.chaos.assert_hierarchy_converged` consumes.
         """
         return {label: dict(group) for label, group in self._groups.items()}
-
-    def report(self) -> RunReport:
-        records = self.tracker.records()
-        completed = [r for r in records if r.completed]
-        failed = [r for r in records if r.status == "failed"]
-        rewards = {
-            site.name: site.gateway.rewards_claimed for site in self.sites
-        }
-        spend = {
-            site.recipient.name:
-                site.recipient.payments_made * self.config.price
-            for site in self.sites
-        }
-        # Flat: the single chain's height.  Hierarchical: the settlement
-        # chain's height — per-region heights live on region.master_node.
-        chain_height = (self.anchor_daemon or self.master_daemon).node.height
-        self._sync_wan_gauges(len(completed), chain_height)
-        self._sync_verdict_memo_counters()
-        return RunReport(
-            exchanges_launched=self._exchanges_launched,
-            completed=len(completed),
-            failed=len(failed),
-            pending=len(records) - len(completed) - len(failed),
-            duration=self.sim.now,
-            chain_height=chain_height,
-            latencies=self.tracker.latencies(),
-            gateway_rewards=rewards,
-            recipient_spend=spend,
-            daemon_stats={
-                name: daemon.stats
-                for name, daemon in self.all_daemons().items()
-            },
-            frames_lost_collision=sum(
-                site.channel.frames_lost_collision for site in self.sites
-            ),
-            frames_lost_sensitivity=sum(
-                site.channel.frames_lost_sensitivity for site in self.sites
-            ),
-            legs=leg_breakdown(self.tracer) if self.tracer.enabled else {},
-        )
-
-    def _sync_wan_gauges(self, completed: int, chain_height: int) -> None:
-        """Publish the WAN-economy headline metrics to the registry."""
-        if completed > 0:
-            self.registry.gauge("wan.bytes_per_exchange").set(
-                self.wan.bytes_modeled / completed)
-        if chain_height > 0:
-            block_types = ("BlockMessage", "BlocksMessage",
-                           "CompactBlockMessage", "GetBlockTxnMessage",
-                           "BlockTxnMessage")
-            block_bytes = sum(self.wan.bytes_by_type.get(name, 0)
-                              for name in block_types)
-            self.registry.gauge("wan.bytes_per_block").set(
-                block_bytes / chain_height)
-
-    def _sync_verdict_memo_counters(self) -> None:
-        """Mirror the shared memo's counters into the registry: ``misses``
-        is how many verifications this deployment's host executed."""
-        memo = self.verdict_memo
-        for name in ("hits", "misses", "evictions"):
-            counter = self.registry.counter(f"crypto.verdict_memo.{name}",
-                                            "kind")
-            for kind, value in getattr(memo, name).items():
-                cell = counter.labels(kind=kind)
-                cell.inc(value - cell.value)
-
-    # -- observability exports ----------------------------------------------------
-
-    def export_trace(self, include_metrics: bool = True) -> str:
-        """The run's deterministic JSONL trace (and metrics) export."""
-        return export_trace_jsonl(
-            self.tracer, self.registry if include_metrics else None)
-
-    def format_breakdown(self) -> str:
-        """Human-readable Fig. 5/6-style per-leg latency table."""
-        return format_breakdown(self.tracer)

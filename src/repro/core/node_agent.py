@@ -34,11 +34,13 @@ __all__ = ["NodeAgent"]
 class NodeAgent:
     """Protocol logic for one end device."""
 
+    # Key requests sent before the exchange fails for want of an ePk.
+    MAX_ATTEMPTS = 3
+
     def __init__(self, sim: Simulator, credentials: DeviceCredentials,
                  radio: LoRaRadio, cost_model: CostModel,
                  tracker: ExchangeTracker, rng: random.Random,
-                 key_response_timeout: float = 12.0,
-                 max_attempts: int = 3) -> None:
+                 key_response_timeout: float = 12.0) -> None:
         self.sim = sim
         self.credentials = credentials
         self.radio = radio
@@ -46,7 +48,6 @@ class NodeAgent:
         self.tracker = tracker
         self.rng = rng
         self.key_response_timeout = key_response_timeout
-        self.max_attempts = max_attempts
         self.exchanges_started = 0
         self._pending_keys: dict[int, object] = {}  # exchange id -> Event
         radio.on_receive(self._on_frame)
@@ -78,7 +79,7 @@ class NodeAgent:
         self.exchanges_started += 1
 
         response: Optional[KeyResponseFrame] = None
-        for _attempt in range(self.max_attempts):
+        for _attempt in range(self.MAX_ATTEMPTS):
             waiter = self.sim.event()
             self._pending_keys[record.exchange_id] = waiter
             record.t_request = self.sim.now

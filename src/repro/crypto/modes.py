@@ -38,14 +38,14 @@ def pad_pkcs7(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
     return data + bytes([pad_len]) * pad_len
 
 
-def unpad_pkcs7(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
+def unpad_pkcs7(data: bytes) -> bytes:
     """Remove PKCS#7 padding, raising :class:`PaddingError` if malformed."""
-    if not data or len(data) % block_size:
+    if not data or len(data) % BLOCK_SIZE:
         raise PaddingError(
-            f"padded data length {len(data)} is not a multiple of {block_size}"
+            f"padded data length {len(data)} is not a multiple of {BLOCK_SIZE}"
         )
     pad_len = data[-1]
-    if not 1 <= pad_len <= block_size:
+    if not 1 <= pad_len <= BLOCK_SIZE:
         raise PaddingError(f"invalid padding length byte: {pad_len}")
     if data[-pad_len:] != bytes([pad_len]) * pad_len:
         raise PaddingError("inconsistent padding bytes")

@@ -73,13 +73,14 @@ class ChainMulticaster:
     like a dishonest broadcaster to listeners.
     """
 
+    MAX_HEADERS_PER_ROUND = 16
+
     def __init__(self, sim: Simulator, network: Any, name: str,
                  keypair: Any, chain: Any,
                  subscribers: tuple[str, ...],
                  interval: float,
                  modulation: Optional[Any] = None,
                  duty_cycle: float = 0.10,
-                 max_headers_per_round: int = 16,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.sim = sim
         self.network = network
@@ -90,7 +91,6 @@ class ChainMulticaster:
         self.interval = interval
         self.modulation = modulation
         self.limiter = DutyCycleLimiter(duty_cycle)
-        self.max_headers_per_round = max_headers_per_round
         self.tracer = tracer
         self.tamper: Optional[Callable[[HeaderBundleMessage],
                                        HeaderBundleMessage]] = None
@@ -155,7 +155,7 @@ class ChainMulticaster:
         raw_headers = []
         height = self._next_height
         while (height <= self.chain.height
-               and len(raw_headers) < self.max_headers_per_round):
+               and len(raw_headers) < self.MAX_HEADERS_PER_ROUND):
             block = self.chain.block_at(height)
             if block is None:
                 break
@@ -198,8 +198,7 @@ class MulticastListener:
                  on_omission: Callable[[], None],
                  verify_every: int = 4,
                  listen_window: float = LISTEN_WINDOW,
-                 miss_threshold: int = 2,
-                 epoch_start: float = 0.0) -> None:
+                 miss_threshold: int = 2) -> None:
         self.sim = sim
         self.gateway_pubkey = ecdsa.PublicKey.from_bytes(gateway_pubkey)
         self.interval = interval
@@ -208,7 +207,6 @@ class MulticastListener:
         self.verify_every = verify_every
         self.listen_window = listen_window
         self.miss_threshold = miss_threshold
-        self.epoch_start = epoch_start
         self.bundles_received = 0
         self.bundles_accepted = 0
         self.bundles_late = 0
@@ -231,9 +229,7 @@ class MulticastListener:
 
     def receive(self, message: HeaderBundleMessage) -> None:
         now = self.sim.now
-        deadline = (self.epoch_start
-                    + message.round_index * self.interval
-                    + self.listen_window)
+        deadline = message.round_index * self.interval + self.listen_window
         self.bundles_received += 1
         if now > deadline:
             # Class-A: the radio only listens inside the round's window;
@@ -324,8 +320,7 @@ class MulticastListener:
         grace = 0.25
         while True:
             round_no += 1
-            target = (self.epoch_start + round_no * self.interval
-                      + self.listen_window + grace)
+            target = round_no * self.interval + self.listen_window + grace
             delay = target - self.sim.now
             if delay > 0:
                 yield self.sim.timeout(delay)

@@ -9,7 +9,7 @@ block body.
 
 Failure handling borrows the full-node :class:`~repro.p2p.sync.SyncAgent`
 hardening: every request carries a deadline token, unanswered peers are
-scored, and after ``failover_threshold`` consecutive timeouts the client
+scored, and after ``FAILOVER_THRESHOLD`` consecutive timeouts the client
 rotates to its next serving peer and replays its whole filter there
 (from height 0 — every push is idempotent downstream, so the replayed
 history is harmless).  A proof that fails strict verification also
@@ -66,13 +66,17 @@ class _Pending:
 class SpvClient:
     """Header-first chain tracking plus watch-list proofs for one host."""
 
+    # Seconds before an unanswered request counts against its peer, and
+    # how many consecutive failures move the client to the next peer.
+    REQUEST_TIMEOUT = 5.0
+    FAILOVER_THRESHOLD = 2
+    # Headers asked for per request.
+    BATCH = 64
+
     def __init__(self, sim: Simulator, network: Any, name: str,
                  peers: tuple[str, ...],
                  pow_bits: int = 0,
                  sync_interval: float = 10.0,
-                 request_timeout: float = 5.0,
-                 batch: int = 64,
-                 failover_threshold: int = 2,
                  tracer: Tracer = NULL_TRACER) -> None:
         if not peers:
             raise ValidationError(f"light client {name} needs serving peers")
@@ -82,9 +86,6 @@ class SpvClient:
         self.peers = list(peers)
         self.chain = HeaderChain(pow_bits)
         self.sync_interval = sync_interval
-        self.request_timeout = request_timeout
-        self.batch = batch
-        self.failover_threshold = failover_threshold
         self.tracer = tracer
         # Listener callbacks; agents append.  ``on_match(tx, height)``
         # fires for every watched-filter push, ``on_proof(proof)`` only
@@ -199,15 +200,13 @@ class SpvClient:
     # -- multicast attachment ---------------------------------------------------
 
     def attach_multicast(self, gateway_pubkey: bytes, interval: float,
-                         verify_every: int = 4,
-                         miss_threshold: int = 2) -> MulticastListener:
+                         verify_every: int = 4) -> MulticastListener:
         """Listen to a gateway's repeat-authenticate header stream."""
         self.multicast = MulticastListener(
             self.sim, gateway_pubkey, interval,
             apply_headers=self._apply_bundle_headers,
             on_omission=self.catch_up,
             verify_every=verify_every,
-            miss_threshold=miss_threshold,
         )
         return self.multicast
 
@@ -270,14 +269,14 @@ class SpvClient:
         self._send_request(self.serving_peer,
                            GetHeaderRangeMessage(
                                above_height=self.chain.tip_height,
-                               limit=self.batch),
+                               limit=self.BATCH),
                            kind="headers")
 
     def _send_request(self, peer: str, message: Any, kind: str) -> None:
         token = next(self._tokens)
         self._pending = _Pending(kind=kind, peer=peer, token=token)
         self.network.send(self.name, peer, message)
-        self.sim.call_in(self.request_timeout,
+        self.sim.call_in(self.REQUEST_TIMEOUT,
                          lambda: self._on_deadline(peer, token))
 
     def _on_deadline(self, peer: str, token: int) -> None:
@@ -290,7 +289,7 @@ class SpvClient:
         score.failures += 1
         score.consecutive_failures += 1
         self._end_round("timeout")
-        if score.consecutive_failures >= self.failover_threshold:
+        if score.consecutive_failures >= self.FAILOVER_THRESHOLD:
             self._failover()
             # Retry straight away on the new peer — a light device that
             # just missed its window should not idle a full interval.
@@ -340,10 +339,10 @@ class SpvClient:
                                                reply.headers)
         if status == "unanchored":
             # Fork below the window: walk the request back and re-anchor.
-            above = max(-1, reply.start_height - 1 - self.batch)
+            above = max(-1, reply.start_height - 1 - self.BATCH)
             self._send_request(envelope.source,
                               GetHeaderRangeMessage(above_height=above,
-                                                    limit=self.batch),
+                                                    limit=self.BATCH),
                               kind="headers")
             return
         if added:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["Summary", "histogram"]
 
@@ -81,13 +80,14 @@ class Summary:
                 raise ValueError(f"non-finite summary statistic {key}={value}")
         return row
 
-    def format(self, unit: str = "s") -> str:
+    def format(self) -> str:
+        """One line, in seconds (every summarised metric is a latency)."""
         if self.count == 0:
             return "n=0 (no samples)"
         return (
-            f"n={self.count} mean={self.mean:.3f}{unit} "
-            f"median={self.median:.3f}{unit} p95={self.p95:.3f}{unit} "
-            f"p99={self.p99:.3f}{unit} max={self.maximum:.3f}{unit}"
+            f"n={self.count} mean={self.mean:.3f}s "
+            f"median={self.median:.3f}s p95={self.p95:.3f}s "
+            f"p99={self.p99:.3f}s max={self.maximum:.3f}s"
         )
 
 
@@ -102,14 +102,13 @@ def _quantile(ordered: list[float], q: float) -> float:
     return ordered[lower] * (1 - weight) + ordered[upper] * weight
 
 
-def histogram(samples: list[float], bins: int = 20,
-              lo: Optional[float] = None,
-              hi: Optional[float] = None) -> list[tuple[float, float, int]]:
-    """Fixed-width histogram as ``(bin_lo, bin_hi, count)`` triples."""
+def histogram(samples: list[float],
+              bins: int = 20) -> list[tuple[float, float, int]]:
+    """Fixed-width histogram over the samples' own range, as
+    ``(bin_lo, bin_hi, count)`` triples."""
     if not samples:
         return []
-    lo = min(samples) if lo is None else lo
-    hi = max(samples) if hi is None else hi
+    lo, hi = min(samples), max(samples)
     if hi <= lo:
         return [(lo, hi, len(samples))]
     width = (hi - lo) / bins

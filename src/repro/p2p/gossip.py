@@ -43,18 +43,19 @@ class GossipNode:
     absent, messages are processed at delivery time.
     """
 
+    ORPHAN_POOL_SIZE = 256
+
     def __init__(self, node: FullNode, network: WANetwork,
                  name: Optional[str] = None, auto_register: bool = True,
-                 dedup_cache_size: int = 4096,
-                 orphan_pool_size: int = 256) -> None:
+                 dedup_cache_size: int = 4096) -> None:
         self.node = node
         self.network = network
         self.name = name or node.name
         self.peers: list[str] = []
         self._known_txids: LRUSet = LRUSet(dedup_cache_size)
         self._known_blocks: LRUSet = LRUSet(dedup_cache_size)
-        # Orphan transactions waiting for parents: txid -> (tx, origin).
-        self.orphan_pool_size = orphan_pool_size
+        # Orphan transactions waiting for parents: txid -> (tx, origin),
+        # at most ORPHAN_POOL_SIZE of them.
         self._orphan_txs: OrderedDict[bytes, tuple[Transaction, str]] = (
             OrderedDict()
         )
@@ -182,7 +183,7 @@ class GossipNode:
             self._orphan_txs.move_to_end(tx.txid)
             return
         self._orphan_txs[tx.txid] = (tx, origin)
-        while len(self._orphan_txs) > self.orphan_pool_size:
+        while len(self._orphan_txs) > self.ORPHAN_POOL_SIZE:
             self._orphan_txs.popitem(last=False)
             self.orphans_evicted += 1
 

@@ -281,14 +281,13 @@ class WANetwork:
         host.handler(envelope)
 
     def broadcast(self, source: str, payload: Any,
-                  exclude: tuple[str, ...] = (),
-                  parent: Any = None) -> int:
+                  exclude: tuple[str, ...] = ()) -> int:
         """Send ``payload`` to every other host; returns the send count."""
         count = 0
         for name in self._hosts:
             if name == source or name in exclude:
                 continue
-            self.send(source, name, payload, parent=parent)
+            self.send(source, name, payload)
             count += 1
         return count
 

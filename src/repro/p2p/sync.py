@@ -148,42 +148,32 @@ class SyncAgent:
     """Periodic state reconciliation for one daemon.
 
     :param interval: seconds between tip probes.
-    :param max_blocks_per_round: responder-side cap per ``BlocksMessage``.
-    :param request_timeout: seconds before an unanswered request counts
-        as a failure.
-    :param backoff_base: exponential growth factor of the per-peer
-        backoff (delay = ``interval * backoff_base**(failures-1)``).
-    :param backoff_cap: ceiling on the backoff delay, in seconds; defaults
-        to ``8 * interval``.
-    :param backoff_jitter: relative jitter (+/-) applied to each backoff
-        delay, drawn from the agent's own deterministic stream so thundering
-        retries decorrelate without perturbing any other randomness.
-    :param header_window: headers requested per ``GetHeadersMessage`` while
-        walking back to the fork point.
-    :param session_retries: automatic retransmissions of an unanswered
-        catch-up request before the session is abandoned.
     """
 
+    # Responder-side cap per ``BlocksMessage``.
+    MAX_BLOCKS_PER_ROUND = 50
+    # Seconds before an unanswered request counts as a failure.
+    REQUEST_TIMEOUT = 5.0
+    # Per-peer backoff: delay = ``interval * BACKOFF_BASE**(failures-1)``,
+    # capped at ``BACKOFF_CAP_INTERVALS * interval``, with a relative
+    # jitter (+/-) drawn from the agent's own deterministic stream so
+    # thundering retries decorrelate without perturbing other randomness.
+    BACKOFF_BASE = 2.0
+    BACKOFF_CAP_INTERVALS = 8
+    BACKOFF_JITTER = 0.2
+    # Headers requested per ``GetHeadersMessage`` while walking back to
+    # the fork point, and how far below the local tip the walk starts.
+    HEADER_WINDOW = 32
+    HEADER_OVERLAP = 8
+    # Automatic retransmissions of an unanswered catch-up request before
+    # the session is abandoned.
+    SESSION_RETRIES = 2
+
     def __init__(self, sim: Simulator, daemon: "BlockchainDaemon",
-                 interval: float = 30.0, max_blocks_per_round: int = 50,
-                 request_timeout: float = 5.0,
-                 backoff_base: float = 2.0,
-                 backoff_cap: Optional[float] = None,
-                 backoff_jitter: float = 0.2,
-                 header_window: int = 32,
-                 header_overlap: int = 8,
-                 session_retries: int = 2) -> None:
+                 interval: float = 30.0) -> None:
         self.sim = sim
         self.daemon = daemon
         self.interval = interval
-        self.max_blocks_per_round = max_blocks_per_round
-        self.request_timeout = request_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = (8 * interval) if backoff_cap is None else backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self.header_window = header_window
-        self.header_overlap = header_overlap
-        self.session_retries = session_retries
         # Counters (legacy names kept: experiments read them directly).
         self.rounds = 0
         self.skipped_rounds = 0
@@ -280,7 +270,7 @@ class SyncAgent:
                                        message=message,
                                        retries_left=retries_left)
         self.daemon.gossip.network.send(self.daemon.name, peer, message)
-        self.sim.call_in(self.request_timeout,
+        self.sim.call_in(self.REQUEST_TIMEOUT,
                          lambda: self._on_deadline(peer, token))
 
     def _on_deadline(self, peer: str, token: int) -> None:
@@ -309,10 +299,10 @@ class SyncAgent:
         score.failures += 1
         score.consecutive_failures += 1
         delay = min(
-            self.backoff_cap,
-            self.interval * self.backoff_base ** (score.consecutive_failures - 1),
+            self.BACKOFF_CAP_INTERVALS * self.interval,
+            self.interval * self.BACKOFF_BASE ** (score.consecutive_failures - 1),
         )
-        jitter = 1.0 + self.backoff_jitter * (2 * self._jitter_rng.random() - 1)
+        jitter = 1.0 + self.BACKOFF_JITTER * (2 * self._jitter_rng.random() - 1)
         score.backoff_until = self.sim.now + delay * jitter
 
     def _record_success(self, peer: str) -> None:
@@ -380,7 +370,7 @@ class SyncAgent:
         blocks = []
         for height in range(above + 1,
                             min(chain.height,
-                                above + self.max_blocks_per_round) + 1):
+                                above + self.MAX_BLOCKS_PER_ROUND) + 1):
             block = chain.block_at(height)
             if block is not None:
                 blocks.append(block)
@@ -419,14 +409,14 @@ class SyncAgent:
     def _start_catchup(self, peer: str, target_height: int) -> None:
         self.catchup_sessions += 1
         node = self.daemon.node
-        base = max(0, min(node.height, target_height) - self.header_overlap)
+        base = max(0, min(node.height, target_height) - self.HEADER_OVERLAP)
         self._session = _CatchupSession(peer=peer,
                                         target_height=target_height,
                                         header_base=base)
         self._send_request(peer,
                            GetHeadersMessage(above_height=base,
-                                             limit=self.header_window),
-                           kind="headers", retries_left=self.session_retries)
+                                             limit=self.HEADER_WINDOW),
+                           kind="headers", retries_left=self.SESSION_RETRIES)
 
     def _on_headers(self, envelope: Envelope) -> None:
         solicited = self._resolve_pending(envelope.source, "headers")
@@ -447,12 +437,12 @@ class SyncAgent:
             if session.header_base > 0:
                 # Nothing in this window is ours: the fork is deeper.
                 session.header_base = max(
-                    0, session.header_base - self.header_window)
+                    0, session.header_base - self.HEADER_WINDOW)
                 self._send_request(
                     session.peer,
                     GetHeadersMessage(above_height=session.header_base,
-                                      limit=self.header_window),
-                    kind="headers", retries_left=self.session_retries)
+                                      limit=self.HEADER_WINDOW),
+                    kind="headers", retries_left=self.SESSION_RETRIES)
                 return
             # Window already starts at genesis, which every chain of this
             # network shares: the fork point is height 0.
@@ -465,7 +455,7 @@ class SyncAgent:
         assert session is not None
         self._send_request(session.peer,
                            GetBlocksMessage(above_height=session.next_above),
-                           kind="blocks", retries_left=self.session_retries)
+                           kind="blocks", retries_left=self.SESSION_RETRIES)
 
     def _on_blocks(self, envelope: Envelope) -> None:
         solicited = self._resolve_pending(envelope.source, "blocks")

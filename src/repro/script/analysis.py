@@ -675,9 +675,7 @@ class StandardnessPolicy:
       changing any verdict.
     """
 
-    def __init__(self, require_standard_outputs: bool = True,
-                 max_cache_entries: int = 1 << 14) -> None:
-        self.require_standard_outputs = require_standard_outputs
+    def __init__(self, max_cache_entries: int = 1 << 14) -> None:
         self.max_cache_entries = max_cache_entries
         self._cache: dict[tuple[Script, int, int, bool], ScriptAnalysis] = {}
         self.stats = StandardnessStats()
@@ -716,8 +714,6 @@ class StandardnessPolicy:
             if value != 0:
                 return (f"OP_RETURN output burns {value} into a provably "
                         f"unspendable data carrier")
-            return None
-        if not self.require_standard_outputs:
             return None
         if cls not in STANDARD_OUTPUT_CLASSES:
             return (f"non-standard output class '{cls}': "

@@ -66,17 +66,17 @@ class Event:
     def value(self) -> Any:
         return self._value
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger successfully; callbacks fire after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger successfully; callbacks fire at the current instant."""
         if self.triggered:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
         self._state = Event._TRIGGERED
-        self.sim._schedule_event(self, delay)
+        self.sim._schedule_event(self, 0.0)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger with an exception that propagates into waiting processes."""
         if self.triggered:
             raise SimulationError("event already triggered")
@@ -85,7 +85,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._state = Event._TRIGGERED
-        self.sim._schedule_event(self, delay)
+        self.sim._schedule_event(self, 0.0)
         return self
 
     def _process(self) -> None:

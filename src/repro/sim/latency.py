@@ -80,14 +80,16 @@ class PlanetLabLatencyMatrix:
     RTTs between PlanetLab sites.
     """
 
+    # Lognormal shape of the per-message jitter, and the minimum
+    # physically-possible delay.
+    SIGMA = 0.35
+    FLOOR = 0.004
+
     def __init__(self, sites: list[str], seed: int = 0,
-                 median_range: tuple[float, float] = (0.020, 0.120),
-                 sigma: float = 0.35, floor: float = 0.004) -> None:
+                 median_range: tuple[float, float] = (0.020, 0.120)) -> None:
         if median_range[0] <= 0 or median_range[0] > median_range[1]:
             raise ConfigurationError(f"bad median range: {median_range}")
         self.sites = list(sites)
-        self.sigma = sigma
-        self.floor = floor
         seeder = random.Random(seed)
         self._medians: dict[frozenset[str], float] = {}
         for i, a in enumerate(self.sites):
@@ -110,4 +112,4 @@ class PlanetLabLatencyMatrix:
         if source == destination:
             return 0.0
         median = self.median_for(source, destination)
-        return max(self.floor, rng.lognormvariate(math.log(median), self.sigma))
+        return max(self.FLOOR, rng.lognormvariate(math.log(median), self.SIGMA))

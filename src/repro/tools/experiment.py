@@ -146,16 +146,12 @@ def _run_baselines(args) -> int:
     altruistic = AltruisticBaseline(NetworkConfig(**scale),
                                     participation=0.5).run(args.exchanges)
 
-    def mean(report):
-        return (f"{report.mean_latency:.2f}" if report.latencies else "-")
-
     print(f"{'system':>28} {'delivered':>10} {'mean lat(s)':>12}")
-    print(f"{'legacy LoRaWAN (roaming)':>28} "
-          f"{legacy.completed:>10} {mean(legacy):>12}")
-    print(f"{'altruistic (50% goodwill)':>28} "
-          f"{altruistic.completed:>10} {mean(altruistic):>12}")
-    print(f"{'BcWAN':>28} {bcwan.completed:>10} "
-          f"{bcwan.mean_latency:>12.2f}")
+    for system, report in (("legacy LoRaWAN (roaming)", legacy),
+                           ("altruistic (50% goodwill)", altruistic),
+                           ("BcWAN", bcwan)):
+        latency = f"{report.mean_latency:.2f}" if report.latencies else "-"
+        print(f"{system:>28} {report.completed:>10} {latency:>12}")
     return 0
 
 

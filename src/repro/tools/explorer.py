@@ -77,16 +77,16 @@ def _classify_input(tx: Transaction, index: int) -> str:
     return f"spend of {tx_input.outpoint}"
 
 
-def format_transaction(tx: Transaction, indent: str = "  ") -> str:
+def format_transaction(tx: Transaction) -> str:
     """Multi-line rendering of one transaction."""
-    lines = [f"{indent}tx {tx.txid.hex()[:24]}.. "
+    lines = [f"  tx {tx.txid.hex()[:24]}.. "
              f"({'coinbase, ' if tx.is_coinbase else ''}"
              f"{len(tx.inputs)} in / {len(tx.outputs)} out, "
              f"locktime={tx.locktime})"]
     for index in range(len(tx.inputs)):
-        lines.append(f"{indent}  in[{index}]: {_classify_input(tx, index)}")
+        lines.append(f"    in[{index}]: {_classify_input(tx, index)}")
     for index, output in enumerate(tx.outputs):
-        lines.append(f"{indent}  out[{index}]: {classify_output(output)}")
+        lines.append(f"    out[{index}]: {classify_output(output)}")
     return "\n".join(lines)
 
 

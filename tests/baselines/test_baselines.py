@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.baselines import (
@@ -9,11 +12,56 @@ from repro.baselines import (
     LoRaWANBaseline,
     ReputationExchange,
 )
+from repro.core import BcWANNetwork
 from repro.core.config import NetworkConfig
 from repro.errors import ConfigurationError
 
 SMALL = dict(num_gateways=3, sensors_per_gateway=4, exchange_interval=25.0,
              seed=21)
+# benchmarks/test_baseline_comparison.py's scale.
+SCALE = dict(num_gateways=3, sensors_per_gateway=5, exchange_interval=40.0,
+             seed=17)
+
+
+# -- one workload, three architectures -------------------------------------------
+
+def test_three_architectures_share_placement_and_launches():
+    """The comparison's premise: only the architecture differs.  Every
+    sensor sits at the same position and every exchange is launched by the
+    same device at the same instant, whichever system carries it."""
+    seen = []
+    for build in (BcWANNetwork, LoRaWANBaseline, AltruisticBaseline):
+        testbed = build(NetworkConfig(**SMALL))
+        testbed.run(num_exchanges=20)
+        positions = {device_id: getattr(device, "radio", device).position
+                     for device_id, device in testbed.sensors.items()}
+        launches = [(r.node_id, r.t_request)
+                    for r in testbed.tracker.records()]
+        seen.append((positions, launches))
+    assert len(seen[0][0]) == 12 and len(seen[0][1]) == 20
+    assert seen[0] == seen[1] == seen[2]
+
+
+def _fingerprint(report):
+    digest = hashlib.sha256(json.dumps(report.latencies).encode()).hexdigest()
+    return (report.exchanges_launched, report.completed, report.failed,
+            digest[:12] if report.latencies else None)
+
+
+@pytest.mark.parametrize("scale, exchanges, expected", [
+    (SMALL, 20, [(20, 0, 20, None), (20, 20, 0, "a76661f665a0"),
+                 (20, 20, 0, "4ab79ac432fe"), (20, 14, 6, "54fa018289d6")]),
+    (SCALE, 60, [(60, 0, 60, None), (60, 59, 1, "7bee861ac76e"),
+                 (60, 59, 1, "3071e71751fd"), (60, 19, 41, "ea8327f12a7a")]),
+], ids=["seed21-20", "seed17-60"])
+def test_baseline_reports_pinned(scale, exchanges, expected):
+    """Outcome counts and latency digests of legacy roaming / legacy
+    home / altruistic 1.0 / altruistic 0.5 (ISSUE 24's parent values)."""
+    home = NetworkConfig(**{**scale, "roaming_offset": 0})
+    runs = [LoRaWANBaseline(NetworkConfig(**scale)), LoRaWANBaseline(home),
+            AltruisticBaseline(NetworkConfig(**scale), participation=1.0),
+            AltruisticBaseline(NetworkConfig(**scale), participation=0.5)]
+    assert [_fingerprint(run.run(exchanges)) for run in runs] == expected
 
 
 # -- legacy LoRaWAN ------------------------------------------------------------
@@ -25,6 +73,9 @@ def test_legacy_roaming_delivers_nothing():
     assert report.completed == 0
     assert report.failed >= 15
     assert report.delivery_rate == 0.0
+    # The empty report follows the Summary.of([]) convention: 0.0, no raise.
+    assert report.mean_latency == 0.0
+    assert report.summary.count == 0
 
 
 def test_legacy_home_network_works_and_is_fast():

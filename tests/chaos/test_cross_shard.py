@@ -7,13 +7,10 @@ anchoring, and — after the heal — let the checkpoint agent catch the
 anchor up through its direct re-send path.  Same seed, same fault log,
 byte for byte.
 
-Also pins the topology-aware mesh `build_federation` grows for sharded
-chaos runs (satellite of the same refactor).
+Also pins the full mesh `build_federation` assembles.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.blockchain.checkpoint import latest_checkpoints
 from repro.chaos import (
@@ -22,10 +19,8 @@ from repro.chaos import (
     assert_converged,
     assert_hierarchy_converged,
     build_federation,
-    topology_mesh,
 )
 from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
-from repro.errors import ConfigurationError
 
 # Region 0 plus its infrastructure on one side; region 1, its
 # infrastructure, and the anchor master on the other — the seeded
@@ -103,43 +98,9 @@ def test_same_seed_cross_shard_run_is_byte_identical():
         assert report.utxo_digest == other.utxo_digest
 
 
-# -- the topology-aware chaos mesh ---------------------------------------------
+# -- the chaos scenario mesh ---------------------------------------------------
 
 def test_flat_federation_keeps_full_mesh():
     fed = build_federation(size=4, seed=1)
     for daemon in fed.daemons.values():
         assert len(daemon.gossip.peers) == 3
-
-
-def test_regioned_federation_grows_border_mesh():
-    fed = build_federation(size=6, seed=1, regions=2)
-    degrees = {name: len(d.gossip.peers) for name, d in fed.daemons.items()}
-    # Full mesh inside each region of 3; gw-0/gw-3 are the border pair.
-    assert degrees == {"gw-0": 3, "gw-1": 2, "gw-2": 2,
-                       "gw-3": 3, "gw-4": 2, "gw-5": 2}
-
-
-def test_topology_mesh_edge_count():
-    names = [f"gw-{i}" for i in range(9)]
-    edges = topology_mesh(names, regions=3, border_peers=2)
-    # 3 regions x (3*2 intra edges) + 3 region pairs x 2 borders x 2 dirs.
-    assert len(edges) == 3 * 6 + 3 * 2 * 2
-    assert len(set(edges)) == len(edges)
-
-
-def test_regioned_federation_validates_shape():
-    with pytest.raises(ConfigurationError, match="divide evenly"):
-        build_federation(size=5, regions=2)
-    with pytest.raises(ConfigurationError, match="border peers"):
-        build_federation(size=4, regions=2, border_peers=3)
-
-
-def test_blocks_flood_across_the_border():
-    """Gossip relay carries a block from one region to the other."""
-    fed = build_federation(size=6, seed=3, regions=2)
-    miner = fed.make_miner("gw-1", key_seed=5)  # not a border gateway
-    fed.sim.call_at(1.0, lambda: fed.daemons["gw-1"].gossip.broadcast_block(
-        miner.mine_and_connect(1.0)))
-    fed.sim.run(until=30.0)
-    assert_converged(fed.daemons)
-    assert fed.daemons["gw-5"].node.height == 1

@@ -27,7 +27,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import network as core_network
+from repro.core import testbed as core_testbed
 from repro.core.config import NetworkConfig
 from repro.core.network import BcWANNetwork
 from repro.lora.channel import Listener, PathLossModel, Position, RadioChannel
@@ -259,7 +259,7 @@ def paper_run():
 def test_full_paper_run_traces_byte_identical(monkeypatch):
     """Same seed, 5 gateways x 30 sensors: production == oracle end to end."""
     report, trace, net = paper_run()
-    monkeypatch.setattr(core_network, "RadioChannel", ReferenceRadioChannel)
+    monkeypatch.setattr(core_testbed, "RadioChannel", ReferenceRadioChannel)
     oracle_report, oracle_trace, oracle_net = paper_run()
     assert all(isinstance(site.channel, ReferenceRadioChannel)
                for site in oracle_net.sites)

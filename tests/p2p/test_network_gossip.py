@@ -346,7 +346,7 @@ def test_orphan_pool_is_bounded():
         for block in blocks:
             gossip.node.submit_block(block)
     receiver = nodes[1]
-    receiver.orphan_pool_size = 2
+    receiver.ORPHAN_POOL_SIZE = 2
     orphans = []
     for _ in range(3):
         parent, child = chained_pair(wallet)

@@ -108,7 +108,7 @@ def test_convergence_under_heavy_loss():
 def test_sync_respects_block_batch_limit():
     sim, _wan, daemons, agents, _wallet, miner = build_pair(sync_interval=5.0)
     # The batch limit is enforced by the *responder* ('a' serves blocks).
-    agents[0].max_blocks_per_round = 2
+    agents[0].MAX_BLOCKS_PER_ROUND = 2
     for i in range(5):
         miner.mine_and_connect(float(i))
     sim.run(until=30.0)

@@ -150,8 +150,8 @@ def test_header_first_walkback_heals_deep_fork():
     sim, _wan, daemons, agents, miners = build_mesh(
         n=2, miner_seeds={0: 111, 1: 222})
     for agent in agents:
-        agent.header_window = 2
-        agent.header_overlap = 0
+        agent.HEADER_WINDOW = 2
+        agent.HEADER_OVERLAP = 0
     # Shared history: 3 blocks mined on n0, replicated to n1 by hand.
     shared = [miners[0].mine_and_connect(float(i)) for i in range(3)]
     for block in shared:

@@ -98,18 +98,17 @@ def run_cell(cell: SweepCell, num_exchanges: int = 40,
                       registry=network.registry).install()
     report = network.run(num_exchanges=num_exchanges,
                          max_duration=max_duration)
-    launched = report.exchanges_launched
     row = {
         "cell": cell.cell_id,
         "index": cell.index,
         "seed": cell.seed,
         "params": {**params, "chaos": chaos},
         "num_exchanges": num_exchanges,
-        "launched": launched,
+        "launched": report.exchanges_launched,
         "completed": report.completed,
         "failed": report.failed,
         "pending": report.pending,
-        "completion_rate": report.completed / launched if launched else 0.0,
+        "completion_rate": report.delivery_rate,
         "sim_duration_s": report.duration,
         "chain_height": report.chain_height,
         "frames_lost_collision": report.frames_lost_collision,
