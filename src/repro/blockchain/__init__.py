@@ -46,7 +46,7 @@ from repro.blockchain.merkle import merkle_branch, merkle_root, verify_branch
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode, RelayDecision
 from repro.blockchain.params import COIN, ChainParams
-from repro.blockchain.pos import PoSProducer, StakeRegistry, slot_of
+from repro.blockchain.pos import StakeRegistry, slot_of
 from repro.blockchain.sigbatch import VerdictMemo
 from repro.blockchain.store import (
     deserialize_block,
@@ -88,7 +88,6 @@ __all__ = [
     "ValidationReport",
     "VerdictMemo",
     "OutPoint",
-    "PoSProducer",
     "RelayDecision",
     "StakeRegistry",
     "SEQUENCE_FINAL",

@@ -213,15 +213,13 @@ class ValidationEngine:
         self.cache_stats = ScriptCacheStats()
         self.verdict_memo = VerdictMemo()
         self.last_report: Optional[ValidationReport] = None
-        # Optional wall-clock profiler (repro.obs.profile.HotPathProfiler).
-        # None by default: the hot paths below pay exactly one attribute
-        # load and branch when profiling is off — the microbench guard in
-        # benchmarks/test_obs_overhead.py pins that.
-        self.obs = None
         # Optional repro.blockchain.checkpoint.CheckpointRules.  Set only
         # on a settlement-chain engine; gateway sub-chains leave it None
         # and pay a single attribute load per transaction.
         self.checkpoint_rules = None
+        # Optional repro.blockchain.pos.StakeRegistry: the slot-leader
+        # rule every block of a proof-of-stake chain must pass.
+        self.leader_rule = None
 
     # -- stage 1: syntax -------------------------------------------------------
 
@@ -300,17 +298,6 @@ class ValidationEngine:
         that executed and succeeded; raises :class:`ValidationError` on
         script failure (failures are never cached).
         """
-        if self.obs is None:
-            return self._verify_input_script(tx, index, entry)
-        t0 = self.obs.clock()
-        try:
-            return self._verify_input_script(tx, index, entry)
-        finally:
-            self.obs.observe("engine.verify_input_script",
-                             self.obs.clock() - t0)
-
-    def _verify_input_script(self, tx: Transaction, index: int,
-                             entry: UTXOEntry) -> bool:
         key = (tx.txid, index, entry.entry_hash)
         if key in self._script_cache:
             self.cache_stats.hits += 1
@@ -330,16 +317,8 @@ class ValidationEngine:
         self.cache_stats.misses += 1
         interpreter = self._interpreter(tx, index,
                                         entry.output.script_pubkey)
-        obs = self.obs
-        if obs is None:
-            verified = interpreter.verify(tx.inputs[index].script_sig,
-                                          entry.output.script_pubkey)
-        else:
-            t0 = obs.clock()
-            verified = interpreter.verify(tx.inputs[index].script_sig,
-                                          entry.output.script_pubkey)
-            obs.observe("script.interpreter_verify", obs.clock() - t0)
-        if not verified:
+        if not interpreter.verify(tx.inputs[index].script_sig,
+                                  entry.output.script_pubkey):
             raise ValidationError(
                 f"script verification failed for input {index} of "
                 f"{tx.txid.hex()[:16]}.. "
@@ -441,6 +420,8 @@ class ValidationEngine:
         for tx in block.transactions[1:]:
             if tx.is_coinbase:
                 raise ValidationError("block contains a non-first coinbase")
+        if self.leader_rule is not None:
+            self.leader_rule.check(block, prev_height + 1)
         height = prev_height + 1
         for tx in block.transactions:
             self.check_transaction_syntax(tx)

@@ -21,7 +21,7 @@ with its unconfirmed descendants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.blockchain.chain import Chain
 from repro.blockchain.transaction import OutPoint, Transaction
@@ -147,9 +147,6 @@ class Mempool:
         self._sizes: dict[bytes, int] = {}
         self._total_bytes = 0
         self.evictions = 0
-        # Optional wall-clock profiler; None keeps accept() at one extra
-        # attribute load and branch (see repro.obs.profile).
-        self.obs = None
 
     def __len__(self) -> int:
         return len(self._transactions)
@@ -168,10 +165,6 @@ class Mempool:
         """Summed serialized sizes of every pooled transaction."""
         return self._total_bytes
 
-    def package_fee(self, transactions: Iterable[Transaction]) -> int:
-        """Summed recorded fees of pooled members of ``transactions``."""
-        return sum(self._fees.get(tx.txid, 0) for tx in transactions)
-
     def conflicts_with(self, tx: Transaction) -> list[bytes]:
         """Txids already in the pool that spend any of ``tx``'s inputs."""
         seen = []
@@ -183,6 +176,11 @@ class Mempool:
 
     # -- admission -------------------------------------------------------------
 
+    def _reject(self, tx: Transaction, code: str, reason: str,
+                **fields) -> AcceptResult:
+        return AcceptResult(accepted=False, txid=tx.txid, reason=reason,
+                            reason_code=code, **fields)
+
     def accept(self, tx: Transaction) -> AcceptResult:
         """Validate and admit ``tx``; the verdict is the return value.
 
@@ -192,20 +190,6 @@ class Mempool:
         rejected transaction — branch on ``result.accepted`` and
         ``result.reason_code``.
         """
-        if self.obs is None:
-            return self._accept(tx)
-        t0 = self.obs.clock()
-        try:
-            return self._accept(tx)
-        finally:
-            self.obs.observe("mempool.accept", self.obs.clock() - t0)
-
-    def _reject(self, tx: Transaction, code: str, reason: str,
-                **fields) -> AcceptResult:
-        return AcceptResult(accepted=False, txid=tx.txid, reason=reason,
-                            reason_code=code, **fields)
-
-    def _accept(self, tx: Transaction) -> AcceptResult:
         if tx.txid in self._transactions:
             return self._reject(
                 tx, REJECT_DUPLICATE,

@@ -3,8 +3,9 @@
 The paper's deployment has a single AWS master node that mines on a
 schedule while the PlanetLab gateways only submit transactions — the
 Multichain private-chain pattern.  :class:`Miner` assembles templates from
-a mempool and (optionally trivial) proof-of-work; scheduling lives in the
-simulation layer (:mod:`repro.core.network`).
+a mempool and (optionally trivial) proof-of-work; a proof-of-stake leader's
+miner also endorses them (:func:`repro.blockchain.pos.endorse`).
+Scheduling lives in the simulation layer (:mod:`repro.core.producer`).
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from repro.blockchain.block import Block
 from repro.blockchain.chain import Chain
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.params import ChainParams
+from repro.blockchain.pos import endorse
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
     Transaction,
     TxInput,
     TxOutput,
 )
+from repro.crypto import ecdsa
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
@@ -35,19 +38,14 @@ _MAX_NONCE = 1 << 62
 class Miner:
     """Assembles and mines blocks paying ``reward_pubkey_hash``.
 
-    ``obs`` optionally points at a wall-clock
-    :class:`~repro.obs.profile.HotPathProfiler`; when None (default) the
-    mining path pays one attribute test.
+    With an ``endorsing_key`` (a slot leader's), every template carries
+    that key's endorsement.
     """
 
     chain: Chain
     mempool: Mempool
     reward_pubkey_hash: bytes
-    obs: Optional[object] = None
-    # When True, every template is speculatively connected (scripts and
-    # all, commit=False) before mining; the verdicts this warms into the
-    # script cache make the real connect cache-hit clean.
-    validate_template: bool = False
+    endorsing_key: Optional[ecdsa.PrivateKey] = None
 
     def __post_init__(self) -> None:
         if len(self.reward_pubkey_hash) != 20:
@@ -88,50 +86,25 @@ class Miner:
         # plus slack for a large fee value).
         budget = self.params.max_block_size - 250
         selected = self.mempool.select_for_block(budget)
-        if self.validate_template:
-            # Admission already recorded each member's intrinsic fee
-            # (inputs minus outputs never changes after the fact), and
-            # the full template connect below re-derives and enforces
-            # the same sum — the speculative pre-pass would be a third
-            # redundant walk.
-            fees = self.mempool.package_fee(selected)
-        else:
-            try:
-                fees = self.chain.engine.speculative_fees(
-                    selected, self.chain.utxos, height,
-                )
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"template assembly failed: {exc}") from exc
+        try:
+            fees = self.chain.engine.speculative_fees(
+                selected, self.chain.utxos, height,
+            )
+        except ValidationError as exc:
+            raise ValidationError(
+                f"template assembly failed: {exc}") from exc
         coinbase = self.build_coinbase(height, fees)
         template = Block.assemble(
             prev_hash=self.chain.tip.hash,
             timestamp=timestamp,
             transactions=[coinbase, *selected],
         )
-        if self.validate_template:
-            try:
-                self.chain.engine.connect_block(
-                    template, self.chain.utxos, height,
-                    verify_scripts=True, commit=False,
-                )
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"template validation failed: {exc}"
-                ) from exc
+        if self.endorsing_key is not None:
+            return endorse(template, self.endorsing_key)
         return template
 
     def mine(self, timestamp: float) -> Block:
         """Produce a valid block at ``timestamp`` (grinding nonces if needed)."""
-        if self.obs is None:
-            return self._mine(timestamp)
-        t0 = self.obs.clock()
-        try:
-            return self._mine(timestamp)
-        finally:
-            self.obs.observe("miner.mine", self.obs.clock() - t0)
-
-    def _mine(self, timestamp: float) -> Block:
         template = self.build_template(timestamp)
         if template.header.meets_target(self.params.pow_bits):
             return template

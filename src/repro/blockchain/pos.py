@@ -14,33 +14,34 @@ Ouroboros spirit (the paper cites Kiayias et al.):
 * the draw is deterministic: a follow-the-stake walk over
   ``H(epoch_seed ‖ slot)``, so every node computes the same leader with
   no communication and no work;
-* the slot's leader endorses its block with a signature over the block
-  hash (:meth:`StakeRegistry.sign_block`).  **The endorsement is not
-  relayed yet** (ROADMAP item 6): a peer checks only that the block's
-  coinbase pays its slot's leader (``BcWANNetwork._setup_pos``), never
-  :meth:`StakeRegistry.verify_block_signature`, so today any producer's
-  well-formed block that names the leader as payee is adopted.
+* the slot's leader *endorses* its block (:func:`endorse`): an ECDSA
+  signature over the hash of the unendorsed block, pushed as the last
+  element of the coinbase scriptSig.  :meth:`StakeRegistry.check` is the
+  leader rule every node's :class:`~repro.blockchain.engine.ValidationEngine`
+  applies to every block it attaches, whichever path delivered it.
 
 Fork choice stays longest-chain; with honest leaders and synchronized
 slots there is at most one block per slot, so forks only arise from
 equivocation — which the gossip layer surfaces as a reorg, exactly like
-the PoW path.
+the PoW path.  The endorsement signs the header's nonce, so a PoS chain
+runs with ``pow_bits=0`` (no grinding).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 from repro.blockchain.block import Block
-from repro.blockchain.chain import Chain
-from repro.blockchain.mempool import Mempool
-from repro.blockchain.miner import Miner
+from repro.blockchain.transaction import Transaction
 from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
 from repro.errors import ConfigurationError, ValidationError
+from repro.script.script import Script
 
-__all__ = ["StakeRegistry", "PoSProducer", "slot_of"]
+__all__ = ["StakeRegistry", "endorse", "slot_of"]
+
+# A producer wakes this long after its slot opens.
+_SLOT_LAG = 0.05
 
 
 def slot_of(timestamp: float, slot_duration: float) -> int:
@@ -50,9 +51,36 @@ def slot_of(timestamp: float, slot_duration: float) -> int:
     return int(timestamp // slot_duration)
 
 
+def _with_coinbase_pushes(block: Block, pushes: list) -> Block:
+    """``block`` with its coinbase scriptSig replaced by ``pushes``."""
+    coinbase = block.coinbase
+    rewritten = Transaction(
+        inputs=[replace(coinbase.inputs[0], script_sig=Script(pushes))],
+        outputs=coinbase.outputs, locktime=coinbase.locktime,
+        version=coinbase.version)
+    return Block.assemble(
+        prev_hash=block.header.prev_hash, timestamp=block.header.timestamp,
+        transactions=[rewritten, *block.transactions[1:]],
+        nonce=block.header.nonce)
+
+
+def endorse(template: Block, private_key: ecdsa.PrivateKey) -> Block:
+    """``template`` endorsed by its producer.
+
+    The 64-byte ``r ‖ s`` signature over ``template.hash`` is appended to
+    the coinbase scriptSig.  The block hash covers the coinbase, so the
+    signature cannot sign the endorsed block itself; it signs the block
+    without it — every header field and every transaction, the coinbase's
+    outputs included.
+    """
+    pushes = list(template.coinbase.inputs[0].script_sig.elements)
+    signature = private_key.sign(template.hash).to_bytes()
+    return _with_coinbase_pushes(template, pushes + [signature])
+
+
 @dataclass
 class StakeRegistry:
-    """The stake distribution and the slot-leader lottery.
+    """The stake distribution, the slot-leader lottery and its rule.
 
     Stakeholders register a (name, ECDSA public key, stake) triple; the
     registry is identical on every node (in a production system it would
@@ -62,6 +90,8 @@ class StakeRegistry:
 
     epoch_seed: bytes = b"bcwan-pos-epoch-0"
     slot_duration: float = 15.0
+    # The chain's height when production started: the genesis era.
+    genesis_height: int = 0
     _stakes: dict[str, int] = field(default_factory=dict)
     _pubkeys: dict[str, ecdsa.PublicKey] = field(default_factory=dict)
 
@@ -76,9 +106,6 @@ class StakeRegistry:
     @property
     def total_stake(self) -> int:
         return sum(self._stakes.values())
-
-    def stake_of(self, name: str) -> int:
-        return self._stakes.get(name, 0)
 
     def leader_for_slot(self, slot: int) -> str:
         """Deterministic follow-the-stake leader election for ``slot``."""
@@ -95,70 +122,38 @@ class StakeRegistry:
     def leader_for_time(self, timestamp: float) -> str:
         return self.leader_for_slot(slot_of(timestamp, self.slot_duration))
 
-    # -- block endorsement -----------------------------------------------------
+    def leads(self, name: str, now: float) -> bool:
+        return self.leader_for_time(now) == name
 
-    def sign_block(self, block: Block,
-                   private_key: ecdsa.PrivateKey) -> bytes:
-        """A leader's endorsement over the block hash."""
-        return private_key.sign(block.hash).to_bytes()
+    def wait(self, now: float) -> float:
+        """Seconds from ``now`` until the next slot's producer wakes."""
+        slot = slot_of(now, self.slot_duration) + 1
+        return slot * self.slot_duration - now + _SLOT_LAG
 
-    def verify_block_signature(self, block: Block, producer: str,
-                               signature: bytes) -> bool:
-        """Check that ``block`` was endorsed by its slot's rightful leader."""
-        slot = slot_of(block.header.timestamp, self.slot_duration)
-        if self.leader_for_slot(slot) != producer:
-            return False
-        pubkey = self._pubkeys.get(producer)
-        if pubkey is None:
-            return False
-        try:
-            parsed = ecdsa.Signature.from_bytes(signature)
-        except ecdsa.ECDSAError:
-            return False
-        return pubkey.verify(block.hash, parsed)
+    def check(self, block: Block, height: int) -> None:
+        """The leader rule: raise unless the slot's leader endorsed
+        ``block``, which would sit at ``height``.
 
-
-@dataclass
-class PoSProducer:
-    """One stakeholder's block-production role.
-
-    Wraps the ordinary :class:`Miner` for template assembly, but only
-    produces when this stakeholder leads the current slot — no nonce
-    grinding anywhere (set ``pow_bits=0`` in the chain params).
-    """
-
-    name: str
-    registry: StakeRegistry
-    chain: Chain
-    mempool: Mempool
-    private_key: ecdsa.PrivateKey
-    reward_pubkey_hash: bytes
-
-    def __post_init__(self) -> None:
-        if self.registry.stake_of(self.name) <= 0:
-            raise ConfigurationError(
-                f"{self.name} holds no stake; cannot produce blocks"
-            )
-        self._miner = Miner(chain=self.chain, mempool=self.mempool,
-                            reward_pubkey_hash=self.reward_pubkey_hash)
-
-    def is_leader(self, timestamp: float) -> bool:
-        return self.registry.leader_for_time(timestamp) == self.name
-
-    def try_produce(self, timestamp: float) -> Optional[tuple[Block, bytes]]:
-        """Produce and locally connect a block if we lead this slot.
-
-        Returns ``(block, endorsement_signature)`` or None when another
-        stakeholder leads the slot.
+        The genesis era (heights up to :attr:`genesis_height`, mined by the
+        chain's master before the network went live) is exempt; whatever
+        its timestamp, no block above it is.  The endorsement must be
+        low-S, so a relay cannot re-encode it into a second valid block.
         """
-        if not self.is_leader(timestamp):
-            return None
-        block = self._miner.build_template(timestamp)
-        if not block.header.meets_target(self.chain.params.pow_bits):
+        if height <= self.genesis_height:
+            return
+        timestamp = block.header.timestamp
+        leader = self.leader_for_time(timestamp)
+        pushes = list(block.coinbase.inputs[0].script_sig.elements)
+        signature = None
+        if pushes and isinstance(pushes[-1], bytes):
+            try:
+                signature = ecdsa.Signature.from_bytes(pushes[-1])
+            except ecdsa.ECDSAError:
+                pass
+        if signature is None or not self._pubkeys[leader].verify(
+                _with_coinbase_pushes(block, pushes[:-1]).hash, signature,
+                require_low_s=True):
             raise ValidationError(
-                "PoS chains must run with pow_bits=0 (no grinding)"
-            )
-        signature = self.registry.sign_block(block, self.private_key)
-        self.chain.add_block(block)
-        self.mempool.remove_confirmed(block.transactions)
-        return block, signature
+                f"block {block.hash.hex()[:16]}.. lacks the endorsement of "
+                f"slot {slot_of(timestamp, self.slot_duration)}'s leader "
+                f"{leader}")

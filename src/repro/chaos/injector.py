@@ -187,8 +187,10 @@ class ChaosInjector:
         else:
             node = FullNode(old_chain.params, name=crash.host,
                             verify_scripts=old_chain.verify_scripts)
-        # Same host process, same deployment: keep its verdict memo.
+        # Same host process, same deployment: keep its verdict memo and
+        # its chain's leader rule.
         node.engine.verdict_memo = old_chain.engine.verdict_memo
+        node.engine.leader_rule = old_chain.engine.leader_rule
         daemon.restart(node)
         self.telemetry.restarts += 1
         self.telemetry.record_fault(

@@ -11,6 +11,8 @@
 * :mod:`repro.core.testbed` — the §5.2 workload every architecture runs
   on (radio cells, sensor placement, arrivals, the run-until-settled loop);
 * :mod:`repro.core.network` — the BcWAN deployment assembled on it;
+* :mod:`repro.core.producer` — each chain's bootstrap and block production
+  (the master's interval or the PoS slot lottery);
 * :mod:`repro.core.report` — what a run reports, on any architecture;
 * :mod:`repro.core.costmodel` — calibrated processing times;
 * :mod:`repro.core.settlement` — regional checkpoint anchoring onto the

@@ -483,6 +483,12 @@ class RecipientAgent:
         """
         return self.sim.process(self._reclaim())
 
+    def reclaim_every(self, interval: float):
+        """Sweep for expired, unclaimed offers every ``interval`` seconds."""
+        while True:
+            yield self.sim.timeout(interval)
+            yield self.reclaim_expired()
+
     def _reclaim(self):
         sent = 0
         height = self.ledger.height

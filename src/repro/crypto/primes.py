@@ -55,7 +55,7 @@ _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # use them, because the gateway streams that generate keys are shared with
 # other draws and every committed digest and trace depends on their state.
 # To be lowered to the rounds actually run when the streams are re-keyed
-# (a declared digest change; ROADMAP item 3).
+# (a declared digest change; ROADMAP item 2).
 _WITNESS_DRAWS = 40
 
 # (floor size in bits, rounds): Miller-Rabin rounds that keep the chance of

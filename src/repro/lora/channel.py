@@ -154,9 +154,7 @@ class RadioChannel:
     ``(sender, listener, verdict, rssi_dbm)`` tuple for every listener the
     frame was evaluated at (the sender's own half-duplex radios are
     skipped) — the differential suite compares these with the reference
-    loop's.  Set ``obs`` to a :class:`repro.obs.profile.HotPathProfiler`
-    to account wall-clock time under the ``lora.channel_complete`` site.
-    ``loss_rows_built`` / ``loss_row_hits`` count path-loss row cache
+    loop's.  ``loss_rows_built`` / ``loss_row_hits`` count path-loss row cache
     misses and hits.
     """
 
@@ -179,7 +177,6 @@ class RadioChannel:
         self.frames_lost_sensitivity = 0
         self.frames_lost_collision = 0
         self.verdict_log: Optional[list] = None
-        self.obs = None  # optional HotPathProfiler
         self.loss_rows_built = 0
         self.loss_row_hits = 0
         # Listener arrays + per-position loss rows, rebuilt whenever the
@@ -221,8 +218,6 @@ class RadioChannel:
         return transmission
 
     def _complete(self, transmission: Transmission) -> None:
-        obs = self.obs
-        t0 = obs.clock() if obs is not None else 0
         self._active.remove(transmission)
         self._history.append(transmission)
         # An ended frame can still overlap only a frame that began before
@@ -240,8 +235,6 @@ class RadioChannel:
             and transmission.interferes_with(other)
         ]
         self._deliver(transmission, interferers)
-        if obs is not None:
-            obs.observe("lora.channel_complete", obs.clock() - t0)
 
     def _rebuild_snapshot(self) -> None:
         listeners = list(self._listeners.values())

@@ -1,9 +1,9 @@
-"""Unified observability: sim-time tracing, metrics, export, profiling.
+"""Unified observability: sim-time tracing, metrics, export.
 
-The observability layer has four deliberately separate concerns:
+The observability layer has three deliberately separate concerns:
 
 * :mod:`repro.obs.registry` — a central :class:`MetricsRegistry` of
-  labeled counters, gauges and histograms with one ``snapshot()`` shape.
+  labeled counters and gauges with one ``snapshot()`` shape.
   Every telemetry surface in the repo stores its numbers here.
 * :mod:`repro.obs.tracing` — a sim-clock :class:`Tracer` producing
   nested spans with deterministic ids, used to follow one fair exchange
@@ -11,9 +11,6 @@ The observability layer has four deliberately separate concerns:
 * :mod:`repro.obs.export` — deterministic JSONL export (byte-identical
   for the same seed) plus the human-readable per-leg latency breakdown
   mirroring the paper's Figs. 5/6.
-* :mod:`repro.obs.profile` — *wall-clock* hot-path timing hooks.  These
-  are host-machine measurements and are therefore never part of the
-  deterministic export.
 
 Determinism contract: everything reachable from the JSONL export — span
 ids, trace ids, sim timestamps, metric values — is a pure function of
@@ -24,7 +21,6 @@ identifiers such as ``Envelope.message_id``.
 from repro.obs.exchange import ExchangeRecord, ExchangeTracker
 from repro.obs.export import (export_trace_jsonl, format_breakdown,
                               leg_breakdown)
-from repro.obs.profile import HotPathProfiler
 from repro.obs.registry import Instrument, MetricsRegistry, StatsView
 from repro.obs.stats import Summary, histogram
 from repro.obs.telemetry import ChaosTelemetry, DaemonStats
@@ -35,7 +31,6 @@ __all__ = [
     "DaemonStats",
     "ExchangeRecord",
     "ExchangeTracker",
-    "HotPathProfiler",
     "Instrument",
     "MetricsRegistry",
     "NULL_SPAN",

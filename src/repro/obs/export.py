@@ -68,7 +68,7 @@ def export_trace_jsonl(tracer: Tracer,
         }))
     if registry is not None:
         snapshot = registry.snapshot()
-        for family in ("counters", "gauges", "histograms"):
+        for family in ("counters", "gauges"):
             for series, value in snapshot[family].items():
                 lines.append(_dumps({
                     "kind": "metric",

@@ -1,4 +1,4 @@
-"""The central metrics store: labeled counters, gauges and histograms.
+"""The central metrics store: labeled counters and gauges.
 
 One :class:`MetricsRegistry` per scenario.  Instruments are registered
 by name; labeled instruments fan out into children keyed by their label
@@ -15,7 +15,6 @@ accessors on daemons, sync agents, gossip nodes and the chaos injector.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Mapping
 from typing import Optional
 
@@ -23,26 +22,20 @@ from repro.errors import ConfigurationError
 
 __all__ = ["Instrument", "MetricsRegistry", "StatsView"]
 
-_KINDS = ("counter", "gauge", "histogram")
+_KINDS = ("counter", "gauge")
 _OVERFLOW = "__overflow__"
 
 
 class _Cell:
     """One concrete time series: an instrument at one label set."""
 
-    __slots__ = ("kind", "_value", "_count", "_sum", "_min", "_max")
+    __slots__ = ("kind", "_value")
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._value = 0.0
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
 
     def inc(self, amount: float = 1.0) -> None:
-        if self.kind not in ("counter", "gauge"):
-            raise ConfigurationError("inc() is for counters and gauges")
         self._value += amount
 
     def set(self, value: float) -> None:
@@ -50,32 +43,9 @@ class _Cell:
             raise ConfigurationError("set() is for gauges")
         self._value = value
 
-    def observe(self, value: float) -> None:
-        if self.kind != "histogram":
-            raise ConfigurationError("observe() is for histograms")
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
     @property
     def value(self) -> float:
-        if self.kind == "histogram":
-            raise ConfigurationError("histograms have no scalar value; "
-                                     "use summary()")
         return self._value
-
-    def summary(self) -> dict[str, float]:
-        if self.kind != "histogram":
-            raise ConfigurationError("summary() is for histograms")
-        if self._count == 0:
-            return {"count": 0, "sum": 0.0, "min": 0.0,
-                    "max": 0.0, "mean": 0.0}
-        return {"count": self._count, "sum": self._sum,
-                "min": self._min, "max": self._max,
-                "mean": self._sum / self._count}
 
 
 class Instrument:
@@ -126,15 +96,9 @@ class Instrument:
     def set(self, value: float) -> None:
         self._sole().set(value)
 
-    def observe(self, value: float) -> None:
-        self._sole().observe(value)
-
     @property
     def value(self) -> float:
         return self._sole().value
-
-    def summary(self) -> dict[str, float]:
-        return self._sole().summary()
 
     def series(self) -> Iterator[tuple[str, _Cell]]:
         for key in sorted(self._children):
@@ -183,29 +147,19 @@ class MetricsRegistry:
     def gauge(self, name: str, *labelnames: str) -> Instrument:
         return self._instrument(name, "gauge", labelnames)
 
-    def histogram(self, name: str, *labelnames: str) -> Instrument:
-        return self._instrument(name, "histogram", labelnames)
-
     def get(self, name: str) -> Optional[Instrument]:
         return self._instruments.get(name)
 
     def snapshot(self) -> dict[str, dict[str, object]]:
         """The canonical read shape, fully sorted for determinism."""
-        counters: dict[str, object] = {}
-        gauges: dict[str, object] = {}
-        histograms: dict[str, object] = {}
+        families: dict[str, dict[str, object]] = {"counters": {},
+                                                   "gauges": {}}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
+            family = families[instrument.kind + "s"]
             for series, cell in instrument.series():
-                if instrument.kind == "counter":
-                    counters[series] = _number(cell.value)
-                elif instrument.kind == "gauge":
-                    gauges[series] = _number(cell.value)
-                else:
-                    histograms[series] = {k: _number(v) for k, v
-                                          in cell.summary().items()}
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
+                family[series] = _number(cell.value)
+        return families
 
 
 class StatsView(Mapping):

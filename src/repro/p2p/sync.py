@@ -39,7 +39,6 @@ from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # imported lazily to avoid a p2p <-> core import cycle
     from repro.core.daemon import BlockchainDaemon
-    from repro.obs.profile import HotPathProfiler
 
 __all__ = [
     "SyncAgent",
@@ -195,9 +194,6 @@ class SyncAgent:
         self._jitter_rng = random.Random(f"sync-agent:{daemon.name}")
         # Optional shared ChaosTelemetry, set by a managing injector.
         self.telemetry: Optional[ChaosTelemetry] = None
-        # Optional wall-clock profiler for the batch-apply hot path; the
-        # default None keeps that path a single attribute test.
-        self.obs: Optional["HotPathProfiler"] = None
         daemon.sync_agent = self
         daemon.register_protocol(GetTipMessage, self._on_get_tip)
         daemon.register_protocol(TipMessage, self._on_tip)
@@ -462,14 +458,8 @@ class SyncAgent:
         blocks = envelope.payload.blocks
         self.batches_received += 1
         before = self.daemon.node.height
-        if self.obs is None:
-            for block in blocks:
-                self.daemon.gossip.receive_block(block, origin=envelope.source)
-        else:
-            t0 = self.obs.clock()
-            for block in blocks:
-                self.daemon.gossip.receive_block(block, origin=envelope.source)
-            self.obs.observe("sync.apply_batch", self.obs.clock() - t0)
+        for block in blocks:
+            self.daemon.gossip.receive_block(block, origin=envelope.source)
         self.blocks_recovered += max(0, self.daemon.node.height - before)
         session = self._session
         if (not solicited or session is None

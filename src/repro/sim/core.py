@@ -250,10 +250,6 @@ class Simulator:
     are pure mechanics: pops still come out in strict ``(time, seq)`` order,
     so the seed kernel's equal-time insertion-order tie-break is preserved
     exactly (pinned by ``tests/sim/test_event_order_determinism.py``).
-
-    Set ``obs`` to a :class:`repro.obs.profile.HotPathProfiler` to account
-    wall-clock time under the ``sim.run`` site; disabled cost is one
-    attribute load and a branch.
     """
 
     # Free-list cap: big enough to absorb a gossip burst's entries, small
@@ -266,7 +262,6 @@ class Simulator:
         self._counter = itertools.count()
         self._spares: list[list] = []
         self.events_processed = 0
-        self.obs = None  # optional HotPathProfiler
 
     # -- event factories -----------------------------------------------------
 
@@ -322,17 +317,6 @@ class Simulator:
     def run(self, until: Optional[float] = None,
             max_events: int = 50_000_000) -> None:
         """Run until the queue drains or the clock passes ``until``."""
-        obs = self.obs
-        if obs is None:
-            self._run(until, max_events)
-            return
-        t0 = obs.clock()
-        try:
-            self._run(until, max_events)
-        finally:
-            obs.observe("sim.run", obs.clock() - t0)
-
-    def _run(self, until: Optional[float], max_events: int) -> None:
         queue = self._queue
         pop = heapq.heappop
         recycle = self._recycle

@@ -31,7 +31,9 @@ def test_accept_valid_payment(funded_chain, rng):
     assert result.accepted
     assert result.txid == tx.txid
     assert result.reason == "" and result.reason_code == ""
-    assert result.fee == node.mempool.package_fee([tx])
+    spent = sum(node.chain.utxos.get(tx_input.outpoint).value
+                for tx_input in tx.inputs)
+    assert result.fee == spent - tx.total_output_value
     assert tx.txid in node.mempool
     assert node.mempool.get(tx.txid) == tx
 

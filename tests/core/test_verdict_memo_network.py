@@ -35,8 +35,8 @@ CONFIGS = {
 class _PrivateMemoNetwork(BcWANNetwork):
     """Every engine keeps the memo it was born with."""
 
-    def _new_node(self, params, name):
-        node = super()._new_node(params, name)
+    def _new_node(self, name, **kwargs):
+        node = super()._new_node(name, **kwargs)
         node.engine.verdict_memo = VerdictMemo()
         return node
 

@@ -31,13 +31,13 @@ def test_chain_grows_without_master_mining(pos_run):
     for _height, block in network.master_daemon.node.chain.iter_active_blocks(1):
         if block.header.timestamp > 0:
             payee = block.coinbase.outputs[0].script_pubkey.elements[2]
-            assert payee != network.master_wallet.pubkey_hash
+            assert payee != network.producers["chain"].wallet.pubkey_hash
 
 
 def test_produced_blocks_follow_the_lottery(pos_run):
     from repro.blockchain.pos import slot_of
     network, _report = pos_run
-    registry = network.stake_registry
+    registry = network.producers["chain"].schedule
     reward_of = {site.wallet.pubkey_hash: site.name
                  for site in network.sites}
     runtime_blocks = 0
@@ -60,59 +60,88 @@ def test_all_sites_converge(pos_run):
     assert len(tips) == 1
 
 
-def test_impostor_blocks_rejected():
-    """A block whose coinbase pays a non-leader is refused by peers."""
-    from repro.blockchain.block import Block
+def _forge(network, payee_of_leader: bool):
+    """A block a non-leader assembles on its tip for a slot it does not
+    lead, paying itself or (``payee_of_leader``) the slot's leader."""
     from repro.blockchain.miner import Miner
-    from repro.p2p.message import BlockMessage
 
-    network = BcWANNetwork(NetworkConfig(**POS))
-    network.sim.run(until=5.0)
-    cheater = network.sites[0]
-    victim = network.sites[1]
-    # The cheater mines a block paying itself regardless of the lottery,
-    # stamped inside a slot it does NOT lead.
-    registry = network.stake_registry
-    slot = next(
-        s for s in range(2, 50)
-        if registry.leader_for_slot(s) != cheater.name
-    )
-    timestamp = slot * registry.slot_duration + 1.0
-    miner = Miner(chain=cheater.node.chain, mempool=cheater.node.mempool,
-                  reward_pubkey_hash=cheater.wallet.pubkey_hash)
-    template = miner.build_template(timestamp)
-    rejected_before = victim.daemon.blocks_rejected_consensus
-    network.wan.send(cheater.name, victim.name, BlockMessage(block=template))
-    network.sim.run(until=network.sim.now + 10.0)
-    assert victim.daemon.blocks_rejected_consensus == rejected_before + 1
-    assert not victim.node.chain.contains(template.hash)
-
-
-def test_unendorsed_block_naming_the_leader_is_adopted():
-    """The stated gap (``blockchain/pos.py``, ROADMAP item 6): the leader's
-    endorsement is signed but not relayed, so a peer checks only whom the
-    coinbase pays.  A block a *non-leader* assembled in the leader's name
-    is adopted.  Wiring ``StakeRegistry.verify_block_signature`` into the
-    relay flips the last two assertions."""
-    from repro.blockchain.miner import Miner
-    from repro.p2p.message import BlockMessage
-
-    network = BcWANNetwork(NetworkConfig(**POS))
-    network.sim.run(until=5.0)
-    forger, victim = network.sites[0], network.sites[1]
-    registry = network.stake_registry
+    forger = network.sites[0]
+    registry = network.producers["chain"].schedule
     slot = next(s for s in range(2, 50)
                 if registry.leader_for_slot(s) != forger.name)
-    leader = next(site for site in network.sites
-                  if site.name == registry.leader_for_slot(slot))
+    payee = forger
+    if payee_of_leader:
+        payee = next(site for site in network.sites
+                     if site.name == registry.leader_for_slot(slot))
     miner = Miner(chain=forger.node.chain, mempool=forger.node.mempool,
-                  reward_pubkey_hash=leader.wallet.pubkey_hash)
-    forged = miner.build_template(slot * registry.slot_duration + 1.0)
-    rejected_before = victim.daemon.blocks_rejected_consensus
+                  reward_pubkey_hash=payee.wallet.pubkey_hash)
+    return forger, miner.build_template(slot * registry.slot_duration + 1.0)
+
+
+def test_impostor_blocks_rejected():
+    """A block whose coinbase pays a non-leader is refused by peers."""
+    from repro.p2p.message import BlockMessage
+
+    network = BcWANNetwork(NetworkConfig(**POS))
+    network.sim.run(until=5.0)
+    victim = network.sites[1]
+    forger, forged = _forge(network, payee_of_leader=False)
     network.wan.send(forger.name, victim.name, BlockMessage(block=forged))
     network.sim.run(until=network.sim.now + 10.0)
-    assert victim.daemon.blocks_rejected_consensus == rejected_before
-    assert victim.node.chain.contains(forged.hash)
+    assert not victim.node.chain.contains(forged.hash)
+
+
+def test_unendorsed_block_naming_the_leader_is_rejected():
+    """Paying the leader is not enough: a block a *non-leader* assembled
+    in the leader's name lacks the leader's endorsement and is refused."""
+    from repro.p2p.message import BlockMessage
+
+    network = BcWANNetwork(NetworkConfig(**POS))
+    network.sim.run(until=5.0)
+    victim = network.sites[1]
+    forger, forged = _forge(network, payee_of_leader=True)
+    network.wan.send(forger.name, victim.name, BlockMessage(block=forged))
+    network.sim.run(until=network.sim.now + 10.0)
+    assert not victim.node.chain.contains(forged.hash)
+
+
+def test_non_leader_block_via_sync_is_refused():
+    """Anti-entropy sync hands blocks to gossip without the daemon's
+    block path; the leader rule runs in the engine, so it still holds."""
+    from repro.p2p.sync import BlocksMessage
+
+    network = BcWANNetwork(NetworkConfig(**POS, sync_interval=10.0))
+    network.sim.run(until=5.0)
+    victim = network.sites[1]
+    forger, forged = _forge(network, payee_of_leader=False)
+    network.wan.send(forger.name, victim.name,
+                     BlocksMessage(blocks=(forged,)))
+    network.sim.run(until=network.sim.now + 10.0)
+    assert not victim.node.chain.contains(forged.hash)
+    assert victim.daemon.sync_agent.batches_received >= 1
+
+
+def test_timestamp_zero_block_on_the_live_tip_is_refused():
+    """Only the genesis era is exempt from the leader rule: a block stamped
+    0 that extends the live tip is refused, by gossip and by sync alike."""
+    from repro.blockchain.miner import Miner
+    from repro.p2p.message import BlockMessage
+    from repro.p2p.sync import BlocksMessage
+
+    network = BcWANNetwork(NetworkConfig(**POS, sync_interval=10.0))
+    network.sim.run(until=5.0)
+    forger = network.sites[0]
+    forged = Miner(chain=forger.node.chain, mempool=forger.node.mempool,
+                   reward_pubkey_hash=forger.wallet.pubkey_hash
+                   ).build_template(0.0)
+    by_gossip, by_sync = network.sites[1], network.sites[2]
+    network.wan.send(forger.name, by_gossip.name, BlockMessage(block=forged))
+    network.wan.send(forger.name, by_sync.name,
+                     BlocksMessage(blocks=(forged,)))
+    network.sim.run(until=network.sim.now + 10.0)
+    assert not by_gossip.node.chain.contains(forged.hash)
+    assert not by_sync.node.chain.contains(forged.hash)
+    assert by_sync.daemon.sync_agent.batches_received >= 1
 
 
 def test_pos_determinism():

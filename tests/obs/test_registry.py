@@ -25,26 +25,6 @@ def test_gauge_set_and_inc():
     assert gauge.value == 8.0
 
 
-def test_histogram_summary():
-    registry = MetricsRegistry()
-    hist = registry.histogram("h.latency")
-    for value in (1.0, 2.0, 3.0):
-        hist.observe(value)
-    summary = hist.summary()
-    assert summary["count"] == 3
-    assert summary["sum"] == 6.0
-    assert summary["min"] == 1.0
-    assert summary["max"] == 3.0
-    assert summary["mean"] == 2.0
-
-
-def test_empty_histogram_summary_is_all_zero():
-    registry = MetricsRegistry()
-    summary = registry.histogram("h.empty").summary()
-    assert summary == {"count": 0, "sum": 0.0, "min": 0.0,
-                       "max": 0.0, "mean": 0.0}
-
-
 def test_registering_same_name_same_shape_returns_same_instrument():
     registry = MetricsRegistry()
     a = registry.counter("c.x", "host")
@@ -109,12 +89,10 @@ def test_snapshot_shape_and_sorting():
     registry = MetricsRegistry()
     registry.gauge("b.gauge").set(1.5)
     registry.counter("a.counter").inc(3)
-    registry.histogram("z.hist").observe(2.0)
     snapshot = registry.snapshot()
-    assert set(snapshot) == {"counters", "gauges", "histograms"}
+    assert set(snapshot) == {"counters", "gauges"}
     assert snapshot["counters"] == {"a.counter": 3}
     assert snapshot["gauges"] == {"b.gauge": 1.5}
-    assert list(snapshot["histograms"]) == ["z.hist"]
     # Integral floats render as ints for stable text output.
     assert isinstance(snapshot["counters"]["a.counter"], int)
 

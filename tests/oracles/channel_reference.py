@@ -52,7 +52,6 @@ class ReferenceRadioChannel:
         self.frames_lost_sensitivity = 0
         self.frames_lost_collision = 0
         self.verdict_log: Optional[list] = None
-        self.obs = None  # accepted and ignored: the oracle is never timed
 
     def add_listener(self, listener: Listener) -> None:
         if listener.name in self._listeners:
