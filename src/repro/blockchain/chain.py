@@ -236,7 +236,7 @@ class Chain:
             report = self.engine.connect_block(block, self.utxos,
                                                record.height)
             self.last_report = report
-            record.undo = [dict(spent) for spent in report.undo]
+            record.undo = list(report.undo)
             self._records[block.hash] = record
             self._active.append(block.hash)
             self._notify(block, record.height)
@@ -277,7 +277,7 @@ class Chain:
                 report = self.engine.connect_block(record.block, self.utxos,
                                                    record.height)
                 self.last_report = report
-                record.undo = [dict(spent) for spent in report.undo]
+                record.undo = list(report.undo)
                 self._active.append(record.hash)
                 connected.append(record.hash)
         except ValidationError:
@@ -290,7 +290,7 @@ class Chain:
                     record.block, self.utxos, record.height,
                     verify_scripts=False,  # previously validated
                 )
-                record.undo = [dict(spent) for spent in report.undo]
+                record.undo = list(report.undo)
                 self._active.append(record.hash)
             raise
 

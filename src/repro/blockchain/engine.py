@@ -257,11 +257,19 @@ class ValidationEngine:
 
         Returns the transaction fee.
         """
+        return self._check_resolved_inputs(
+            tx, [utxos.get(tx_input.outpoint) for tx_input in tx.inputs],
+            height)
+
+    def _check_resolved_inputs(self, tx: Transaction,
+                               entries: list[Optional[UTXOEntry]],
+                               height: int) -> int:
+        """:meth:`check_transaction_inputs` over entries already resolved
+        (``None`` where missing), in input order; returns the fee."""
         if tx.is_coinbase:
             return 0
         input_value = 0
-        for tx_input in tx.inputs:
-            entry = utxos.get(tx_input.outpoint)
+        for tx_input, entry in zip(tx.inputs, entries):
             if entry is None:
                 raise ValidationError(
                     f"input {tx_input.outpoint} not in UTXO set "
@@ -458,6 +466,9 @@ class ValidationEngine:
         pending_checkpoints: dict[int, Checkpoint] = {}
         checkpoint_txids: list[bytes] = []
         for tx in block.transactions:
+            # Each spent outpoint is looked up once: the resolved entries
+            # serve the contextual checks, the script batch and the spend.
+            entries = view.resolve(tx)
             # Script execution is deferred to the flush below.  A
             # contextual failure must still lose to a script failure
             # queued before it, hence the barrier.
@@ -465,13 +476,14 @@ class ValidationEngine:
                 if self.checkpoint_rules is not None:
                     self._stage_checkpoints(
                         tx, pending_checkpoints, checkpoint_txids)
-                total_fees += self.check_transaction_inputs(tx, view, height)
+                total_fees += self._check_resolved_inputs(tx, entries,
+                                                          height)
             except ValidationError as exc:
                 batch.barrier(exc)
-            if verify_scripts and not tx.is_coinbase:
-                for index, tx_input in enumerate(tx.inputs):
-                    batch.add(tx, index, view.get(tx_input.outpoint))
-            undo.append(view.apply_transaction(tx, height))
+            if verify_scripts:
+                for index, entry in enumerate(entries):
+                    batch.add(tx, index, entry)
+            undo.append(view.apply_resolved(tx, entries, height))
         executions = batch.flush()
         coinbase_value = block.coinbase.total_output_value
         max_coinbase = self.params.coinbase_reward + total_fees
@@ -513,8 +525,9 @@ class ValidationEngine:
         view = UTXOView(utxos)
         total = 0
         for tx in transactions:
-            total += self.check_transaction_inputs(tx, view, height)
-            view.apply_transaction(tx, height)
+            entries = view.resolve(tx)
+            total += self._check_resolved_inputs(tx, entries, height)
+            view.apply_resolved(tx, entries, height)
         return total
 
     def conflicts(self, first: Transaction, second: Transaction,

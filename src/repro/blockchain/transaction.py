@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.crypto.hashing import double_sha256
 from repro.errors import ValidationError
@@ -74,18 +74,27 @@ def _read_bytes(data: bytes, offset: int, length: int) -> tuple[bytes, int]:
     return data[offset:offset + length], offset + length
 
 
-@dataclass(frozen=True, order=True)
-class OutPoint:
-    """Reference to a transaction output: ``(txid, index)``."""
-
+class _OutPointFields(NamedTuple):
     txid: bytes
     index: int
 
-    def __post_init__(self) -> None:
-        if len(self.txid) != 32:
-            raise ValidationError(f"txid must be 32 bytes, got {len(self.txid)}")
-        if not 0 <= self.index <= SEQUENCE_FINAL:
-            raise ValidationError(f"output index out of range: {self.index}")
+
+class OutPoint(_OutPointFields):
+    """Reference to a transaction output: ``(txid, index)``.
+
+    A tuple record: hashing, equality and ordering are the tuple's, run in
+    C (``hash(op) == hash((txid, index))``), and no instance has a
+    ``__dict__`` -- the UTXO set holds hundreds of thousands of them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, txid: bytes, index: int) -> "OutPoint":
+        if len(txid) != 32:
+            raise ValidationError(f"txid must be 32 bytes, got {len(txid)}")
+        if not 0 <= index <= SEQUENCE_FINAL:
+            raise ValidationError(f"output index out of range: {index}")
+        return tuple.__new__(cls, (txid, index))
 
     @property
     def is_coinbase(self) -> bool:
@@ -201,11 +210,11 @@ class Transaction:
     def txid(self) -> bytes:
         return double_sha256(self._wire)
 
-    @property
+    @cached_property
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 1 and self.inputs[0].outpoint.is_coinbase
 
-    @property
+    @cached_property
     def total_output_value(self) -> int:
         return sum(output.value for output in self.outputs)
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction, TxOutput
 from repro.errors import ValidationError
@@ -12,9 +11,12 @@ from repro.errors import ValidationError
 __all__ = ["UTXOEntry", "UTXOSet", "UTXOView"]
 
 
-@dataclass(frozen=True)
-class UTXOEntry:
-    """An unspent output plus the metadata validation needs."""
+class UTXOEntry(NamedTuple):
+    """An unspent output plus the metadata validation needs.
+
+    A slot-less tuple record, like :class:`OutPoint`: entries are immutable
+    and shared, never copied, between the set, overlays and undo records.
+    """
 
     output: TxOutput
     height: int
@@ -82,26 +84,9 @@ class UTXOSet:
         Raises :class:`ValidationError` (leaving the set unchanged) if any
         input is missing.
         """
-        if not tx.is_coinbase:
-            missing = [
-                tx_input.outpoint for tx_input in tx.inputs
-                if tx_input.outpoint not in self._entries
-            ]
-            if missing:
-                raise ValidationError(
-                    f"transaction {tx.txid.hex()[:16]}.. spends missing "
-                    f"outputs: {', '.join(str(o) for o in missing)}"
-                )
-        spent: dict[OutPoint, UTXOEntry] = {}
-        if not tx.is_coinbase:
-            for tx_input in tx.inputs:
-                spent[tx_input.outpoint] = self.remove(tx_input.outpoint)
-        for index, output in enumerate(tx.outputs):
-            self.add(
-                OutPoint(txid=tx.txid, index=index),
-                UTXOEntry(output=output, height=height,
-                          is_coinbase=tx.is_coinbase),
-            )
+        view = UTXOView(self)
+        spent = view.apply_transaction(tx, height)
+        view.commit()
         return spent
 
     def undo_transaction(self, tx: Transaction,
@@ -166,29 +151,51 @@ class UTXOView:
             self._spent.add(outpoint)
         return entry
 
+    def resolve(self, tx: Transaction) -> list[Optional[UTXOEntry]]:
+        """The entry each input spends (``None`` where missing), one
+        lookup per outpoint; empty for a coinbase.
+
+        The resolved list then serves every later per-input step -- the
+        contextual checks, the script batch and :meth:`apply_resolved` --
+        so none of them looks the outpoint up again.
+        """
+        if tx.is_coinbase:
+            return []
+        get = self.get
+        return [get(tx_input.outpoint) for tx_input in tx.inputs]
+
     def apply_transaction(self, tx: Transaction,
                           height: int) -> dict[OutPoint, UTXOEntry]:
         """Overlay equivalent of :meth:`UTXOSet.apply_transaction`."""
-        if not tx.is_coinbase:
-            missing = [
-                tx_input.outpoint for tx_input in tx.inputs
-                if tx_input.outpoint not in self
-            ]
-            if missing:
-                raise ValidationError(
-                    f"transaction {tx.txid.hex()[:16]}.. spends missing "
-                    f"outputs: {', '.join(str(o) for o in missing)}"
-                )
-        spent: dict[OutPoint, UTXOEntry] = {}
-        if not tx.is_coinbase:
-            for tx_input in tx.inputs:
-                spent[tx_input.outpoint] = self.remove(tx_input.outpoint)
-        for index, output in enumerate(tx.outputs):
-            self.add(
-                OutPoint(txid=tx.txid, index=index),
-                UTXOEntry(output=output, height=height,
-                          is_coinbase=tx.is_coinbase),
+        entries = self.resolve(tx)
+        missing = [tx_input.outpoint
+                   for tx_input, entry in zip(tx.inputs, entries)
+                   if entry is None]
+        if missing:
+            raise ValidationError(
+                f"transaction {tx.txid.hex()[:16]}.. spends missing "
+                f"outputs: {', '.join(str(o) for o in missing)}"
             )
+        return self.apply_resolved(tx, entries, height)
+
+    def apply_resolved(self, tx: Transaction, entries: list[UTXOEntry],
+                       height: int) -> dict[OutPoint, UTXOEntry]:
+        """Spend ``tx``'s inputs, already resolved by :meth:`resolve` and
+        all present, then create its outputs; returns the undo record."""
+        added, spent_here = self._added, self._spent
+        spent: dict[OutPoint, UTXOEntry] = {}
+        for tx_input, entry in zip(tx.inputs, entries):
+            outpoint = tx_input.outpoint
+            if outpoint in spent:
+                # The same outpoint twice in one transaction.
+                raise ValidationError(f"missing UTXO: {outpoint}")
+            if added.pop(outpoint, None) is None:
+                spent_here.add(outpoint)
+            spent[outpoint] = entry
+        txid, is_coinbase = tx.txid, tx.is_coinbase
+        for index, output in enumerate(tx.outputs):
+            self.add(OutPoint(txid, index),
+                     UTXOEntry(output, height, is_coinbase))
         return spent
 
     @property

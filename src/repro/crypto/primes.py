@@ -141,6 +141,42 @@ def _generated_rounds(bits: int) -> int:
     return _WITNESS_DRAWS
 
 
+def _draws_by_getrandbits(rng: random.Random) -> bool:
+    """Whether ``rng.randrange(2, n)`` is :class:`random.Random`'s own:
+    ``2 + _randbelow_with_getrandbits(n - 2)``.  A subclass that supplies
+    only ``random()`` gets ``_randbelow_without_getrandbits`` instead."""
+    cls = type(rng)
+    return (getattr(cls, "randrange", None) is random.Random.randrange
+            and getattr(cls, "_randbelow", None)
+            is random.Random._randbelow_with_getrandbits)
+
+
+def _draw_witnesses(rng: random.Random, candidate: int, rounds: int,
+                    inline: bool) -> list[int]:
+    """Make the ``_WITNESS_DRAWS`` draws ``randrange(2, candidate - 1)``
+    would make, and return the first ``rounds`` as witnesses.
+
+    With ``inline`` (see :func:`_draws_by_getrandbits`) the draws are
+    ``random.Random._randbelow_with_getrandbits`` written out: the same
+    ``getrandbits(k)`` calls with the same rejections, so the same stream,
+    without two Python frames and the argument checks per draw.
+    """
+    if not inline:
+        return [rng.randrange(2, candidate - 1)
+                for _ in range(_WITNESS_DRAWS)][:rounds]
+    width = candidate - 3
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    witnesses = []
+    for drawn in range(_WITNESS_DRAWS):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        if drawn < rounds:
+            witnesses.append(2 + r)
+    return witnesses
+
+
 def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
     """Generate a random prime of exactly ``bits`` bits.
 
@@ -159,15 +195,17 @@ def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
 
     Consumes ``rng`` as ``is_probable_prime(candidate, rng=rng)`` per
     candidate would: one ``getrandbits(bits)``, and after trial division
-    ``_WITNESS_DRAWS`` ``randrange(2, candidate - 1)`` draws.  Only the
-    first ``_generated_rounds(bits)`` of those witnesses are exponentiated,
-    and none when ``_SIEVE_PRODUCT`` already shows a factor.
+    ``_WITNESS_DRAWS`` ``randrange(2, candidate - 1)`` draws (see
+    :func:`_draw_witnesses`).  Only the first ``_generated_rounds(bits)``
+    of those witnesses are exponentiated, and none when ``_SIEVE_PRODUCT``
+    already shows a factor.
     """
     if bits < 8:
         raise ValueError(f"prime size too small: {bits} bits")
     rng = rng or random.SystemRandom()
     top_bits = (1 << (bits - 1)) | (1 << (bits - 2))
     rounds = _generated_rounds(bits)
+    inline_draws = _draws_by_getrandbits(rng)
     while True:
         candidate = rng.getrandbits(bits) | top_bits | 1
         if candidate < _DETERMINISTIC_BOUND:
@@ -179,10 +217,9 @@ def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
             continue
         # Draw first, sieve second: the other order would skip the draws
         # of the candidates the gcd rejects.
-        witnesses = [rng.randrange(2, candidate - 1)
-                     for _ in range(_WITNESS_DRAWS)]
+        witnesses = _draw_witnesses(rng, candidate, rounds, inline_draws)
         if (math.gcd(candidate, _SIEVE_PRODUCT) == 1
-                and _passes_miller_rabin(candidate, witnesses[:rounds])):
+                and _passes_miller_rabin(candidate, witnesses)):
             return candidate
 
 

@@ -105,6 +105,41 @@ def test_generate_prime_matches_oracle_and_its_stream(bits):
             assert rng.getstate() == oracle_rng.getstate(), (bits, seed)
 
 
+@pytest.mark.parametrize("bits,rounds", [(82, 40), (256, 12), (512, 6)])
+def test_inline_witness_draws_are_randranges(bits, rounds):
+    """The inline loop returns the first ``rounds`` of the draws
+    ``randrange(2, candidate - 1)`` makes, and makes all of them."""
+    for seed in range(10):
+        candidate = random.Random(-seed).getrandbits(bits) | 1 << (bits - 1)
+        rng, reference = random.Random(seed), random.Random(seed)
+        drawn = [reference.randrange(2, candidate - 1)
+                 for _ in range(primes._WITNESS_DRAWS)]
+        assert (primes._draw_witnesses(rng, candidate, rounds, True)
+                == drawn[:rounds])
+        assert rng.getstate() == reference.getstate()
+
+
+class _FloatOnlyRandom(random.Random):
+    """Supplies only ``random()``: ``randrange`` then draws through
+    ``_randbelow_without_getrandbits``, so the inline getrandbits loop
+    would change the stream and must not be used."""
+
+    def random(self):
+        return super().random()
+
+
+@pytest.mark.filterwarnings("ignore:Underlying random")
+@pytest.mark.parametrize("bits", [100, 256])
+def test_generator_without_getrandbits_draws_through_randrange(bits):
+    assert not primes._draws_by_getrandbits(_FloatOnlyRandom(0))
+    assert primes._draws_by_getrandbits(random.Random(0))
+    for seed in range(5):
+        rng, oracle_rng = _FloatOnlyRandom(seed), _FloatOnlyRandom(seed)
+        assert (generate_prime(bits, rng)
+                == primes_reference.generate_prime(bits, oracle_rng))
+        assert rng.getstate() == oracle_rng.getstate(), (bits, seed)
+
+
 def test_keypairs_match_oracle_at_under_half_the_exponentiations():
     """100 RSA-512 keys from ``Random(5)``: the oracle's bytes, the
     oracle's next draw, and -- counted, not timed -- at most 5 000
