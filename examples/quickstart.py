@@ -44,7 +44,7 @@ def main() -> None:
               f"received {recipient.messages_decrypted} readings, "
               f"paid {recipient.payments_made * config.price} units")
 
-    # Every component exposes the same registry-backed view: call
+    # Every component exposes the same view the export reads: call
     # ``stats()`` on a daemon (or a sync agent, gossip node, chaos
     # injector) and read it like a dict.
     stats = network.master_daemon.stats()

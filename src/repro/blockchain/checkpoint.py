@@ -172,6 +172,19 @@ class CheckpointRules:
         self._latest: dict[int, Checkpoint] = {}
         self._applied_txids: set[bytes] = set()
 
+    @classmethod
+    def from_chain(cls, chain) -> "CheckpointRules":
+        """The rules state an engine holds after connecting ``chain``'s
+        active blocks — what a restarted anchor node rebuilds from the
+        chain it recovered."""
+        rules = cls()
+        for _height, block in chain.iter_active_blocks(start_height=1):
+            for tx in block.transactions:
+                for checkpoint in iter_checkpoints(tx):
+                    rules._latest[checkpoint.region_id] = checkpoint
+                    rules._applied_txids.add(tx.txid)
+        return rules
+
     def check(self, checkpoint: Checkpoint, txid: bytes,
               pending: Optional[dict[int, Checkpoint]] = None) -> None:
         """Raise :class:`ValidationError` unless ``checkpoint`` advances.

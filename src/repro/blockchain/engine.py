@@ -44,7 +44,7 @@ UTXOSource = Union[UTXOSet, UTXOView]
 
 
 @dataclass
-class ScriptCacheStats:  # lint: allow(ad-hoc-telemetry) — consensus-layer; mirrored into the registry by DaemonStats
+class ScriptCacheStats:
     """Hit/miss counters of one engine's script-verification cache."""
 
     hits: int = 0

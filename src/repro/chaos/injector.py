@@ -1,10 +1,12 @@
 """The chaos injector: interprets a :class:`FaultPlan` against a run.
 
 One :class:`ChaosInjector` owns a network's interception hook plus the
-crash/restart schedule for its managed daemons, and funnels everything it
-does into a single shared :class:`~repro.obs.telemetry.ChaosTelemetry`
-(registry-backed, so a scenario's ``MetricsRegistry.snapshot()`` sees
-every injected fault).
+crash/restart schedule for its managed daemons, and counts everything it
+does in one :class:`~repro.obs.telemetry.ChaosTelemetry` — plain fields,
+registered once with the scenario's registry, so a
+``MetricsRegistry.snapshot()`` reads every injected fault.  Sync
+timeouts, retries and backoff resets are the managed daemons' sync
+agents' own counters, summed at read time.
 
 Determinism contract
 --------------------
@@ -23,12 +25,13 @@ from __future__ import annotations
 import io
 from typing import TYPE_CHECKING, Optional
 
+from repro.blockchain.checkpoint import CheckpointRules
 from repro.blockchain.node import FullNode
 from repro.blockchain.store import load_chain, save_chain
 from repro.chaos.faults import CorruptedPayload, FaultPlan
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry, StatsView
-from repro.obs.telemetry import ChaosTelemetry
+from repro.obs.telemetry import CHAOS_COUNTERS, ChaosTelemetry
 from repro.p2p.message import Envelope
 from repro.p2p.network import FaultDecision, WANetwork
 from repro.sim.core import Simulator
@@ -50,7 +53,12 @@ class ChaosInjector:
         self.network = network
         self.plan = plan
         self.daemons: dict[str, "BlockchainDaemon"] = dict(daemons or {})
-        self.telemetry = ChaosTelemetry(registry)
+        self.telemetry = ChaosTelemetry(self.daemons)
+        if registry is not None:
+            registry.register("chaos", self.telemetry,
+                              counters=CHAOS_COUNTERS)
+            registry.register("chaos", self.telemetry,
+                              counters=("faults_injected",), by="kind")
         # All chaos randomness hangs off the plan's seed, nothing else.
         self._rng = RngRegistry(plan.seed).stream("chaos-faults")
         # host -> serialized chain snapshot taken at crash time.
@@ -59,13 +67,6 @@ class ChaosInjector:
         self._watcher_running = False
 
     # -- wiring ------------------------------------------------------------------
-
-    def manage(self, daemon: "BlockchainDaemon") -> None:
-        """Adopt a daemon: share telemetry with it (and its sync agent)."""
-        self.daemons[daemon.name] = daemon
-        daemon.stats.chaos = self.telemetry
-        if daemon.sync_agent is not None:
-            daemon.sync_agent.telemetry = self.telemetry
 
     def install(self) -> "ChaosInjector":
         """Hook the network and schedule every planned fault.  Idempotent."""
@@ -76,8 +77,6 @@ class ChaosInjector:
                 "network already has an interceptor; one injector per WAN"
             )
         self.network.interceptor = self._intercept
-        for daemon in self.daemons.values():
-            self.manage(daemon)
         for partition in self.plan.partitions:
             self.sim.call_at(partition.start,
                              lambda p=partition: self._partition_started(p))
@@ -188,9 +187,14 @@ class ChaosInjector:
             node = FullNode(old_chain.params, name=crash.host,
                             verify_scripts=old_chain.verify_scripts)
         # Same host process, same deployment: keep its verdict memo and
-        # its chain's leader rule.
+        # its chain's leader rule.  A settlement node's checkpoint rules
+        # are rebuilt from the chain it came back with (restored, or
+        # genesis and then re-synced), never from the dead process's RAM.
         node.engine.verdict_memo = old_chain.engine.verdict_memo
         node.engine.leader_rule = old_chain.engine.leader_rule
+        if old_chain.engine.checkpoint_rules is not None:
+            node.engine.checkpoint_rules = CheckpointRules.from_chain(
+                node.chain)
         daemon.restart(node)
         self.telemetry.restarts += 1
         self.telemetry.record_fault(

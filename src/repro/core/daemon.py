@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.blockchain.node import FullNode
 from repro.core.costmodel import CostModel
 from repro.errors import BcWANError
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import DaemonStats
+from repro.obs.telemetry import DAEMON_COUNTERS, DAEMON_GAUGES, DaemonStats
 from repro.p2p.dedup import LRUSet
 from repro.p2p.gossip import GossipNode
 from repro.p2p.message import BlockMessage, Envelope, TxMessage
@@ -69,18 +69,17 @@ class BlockchainDaemon:
         self.verify_blocks = (
             node.params.verify_blocks if verify_blocks is None else verify_blocks
         )
-        self.gossip = GossipNode(node, network, name=name, auto_register=False)
+        self.gossip = GossipNode(node, network, name=name)
         network.register(name, self.handle_envelope)
-        # Registry-backed and callable: read `daemon.stats.jobs_served`
-        # or take the uniform view via `daemon.stats()`.
-        self.stats = DaemonStats(registry, host=name)
+        # Plain counters, read by the registry at snapshot time: read
+        # `daemon.stats.jobs_served` or take the view via `daemon.stats()`.
+        self.stats = DaemonStats(self)
+        if registry is not None:
+            registry.register("daemon", self.stats, counters=DAEMON_COUNTERS,
+                              gauges=DAEMON_GAUGES, host=name)
         # Handlers for non-gossip payloads (the BcWAN delivery protocol),
         # registered by agents: payload type -> callable(envelope).
         self.protocol_handlers: dict[type, Callable[[Envelope], None]] = {}
-        # Optional consensus-level block check (e.g. PoS leader rule)
-        # applied before a gossiped block enters the chain.
-        self.block_validator: Optional[Callable[[Any], bool]] = None
-        self.blocks_rejected_consensus = 0
         # Crash/restart lifecycle: while offline the daemon refuses all
         # traffic and RPCs; ``_epoch`` fences jobs enqueued before a crash
         # so an in-service job never runs against post-restart state.
@@ -160,12 +159,10 @@ class BlockchainDaemon:
             self._seen_txids.add(tx.txid)
             origin = envelope.source
 
-            def process_tx(tx=tx, origin=origin):
-                self.gossip.receive_transaction(tx, origin=origin)
-                self._sync_validation_telemetry()
-
             self._enqueue(
-                self.cost_model.daemon_tx_process, process_tx, label="tx",
+                self.cost_model.daemon_tx_process,
+                lambda: self.gossip.receive_transaction(tx, origin=origin),
+                label="tx",
             )
         elif isinstance(payload, BlockMessage):
             block = payload.block
@@ -201,10 +198,9 @@ class BlockchainDaemon:
 
         The shared tail of full-block gossip and compact-sketch
         reconstruction: both pay the same verification stall (the
-        section 5.2 behavior this daemon exists to model), run the same
-        optional consensus validator, and adopt via gossip — which
-        re-relays to peers.  Callers are expected to have passed
-        :meth:`mark_block_seen` first.
+        section 5.2 behavior this daemon exists to model) and adopt via
+        gossip — which re-relays to peers.  Callers are expected to have
+        passed :meth:`mark_block_seen` first.
         """
         if self.verify_blocks:
             service = self.node.params.verification_stall(
@@ -222,24 +218,10 @@ class BlockchainDaemon:
             host=self.name, txs=len(block.transactions))
 
         def process_block(block=block, origin=origin, span=span):
-            if (self.block_validator is not None
-                    and not self.block_validator(block)):
-                self.blocks_rejected_consensus += 1
-                span.end("rejected", reason="consensus")
-                return
             self.gossip.receive_block(block, origin=origin, parent=span)
-            self._sync_validation_telemetry()
             span.end("ok")
 
         return self._enqueue(service, process_block, label="block", span=span)
-
-    def _sync_validation_telemetry(self) -> None:
-        """Mirror the engine's script-layer counters into the stats."""
-        engine = self.node.engine
-        self.stats.script_cache_hits = engine.cache_stats.hits
-        self.stats.script_cache_misses = engine.cache_stats.misses
-        self.stats.standardness_rejects = engine.policy.stats.tx_rejected
-        self.stats.script_fast_rejects = engine.policy.stats.fast_rejects
 
     def register_protocol(self, payload_type: type,
                           handler: Callable[[Envelope], None]) -> None:
@@ -289,8 +271,8 @@ class BlockchainDaemon:
             span=span,
         )
         self._queue.append(job)
-        self.stats.max_queue_length = max(self.stats.max_queue_length,
-                                          len(self._queue))
+        if len(self._queue) > self.stats.max_queue_length:
+            self.stats.max_queue_length = len(self._queue)
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
         return job.completion

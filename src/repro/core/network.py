@@ -133,6 +133,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         self.multicasters: list[ChainMulticaster] = []
         self.compact_relays: list[CompactBlockRelay] = []
         self._build()
+        self._register_metrics()
 
     # -- construction -----------------------------------------------------------
 
@@ -182,8 +183,6 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                 "anchor", "anchor-master-key", "anchor",
                 Interval(cfg.chain.block_interval),
                 funded=settlement_keys, announced=[])
-            height_gauge = self.registry.gauge("federation.subchain_height",
-                                               "region")
 
         # Every chain publishes the IP announcement of **every**
         # recipient in the federation: a gateway resolving ``@R`` for a
@@ -226,10 +225,15 @@ class BcWANNetwork(DeploymentReporter, Testbed):
             checkpoint_agent = CheckpointAgent(
                 self.sim, r, master_daemon, anchor_r_daemon, anchor_r_wallet,
                 COST_MODEL, self.rngs.stream(f"checkpoint{tag}"),
-                interval=topo.checkpoint_interval, registry=self.registry,
+                interval=topo.checkpoint_interval,
             )
             checkpoint_agent.start()
-            height_gauge.labels(region=str(r)).set(master_daemon.node.height)
+            self.registry.register(
+                "federation", checkpoint_agent,
+                counters=("checkpoints_committed",), region=str(r))
+            self.registry.register(
+                "federation", master_daemon,
+                gauges={"subchain_height": "node.height"}, region=str(r))
             self.regions.append(Region(
                 index=r, chain_id=chain_id, master_node=master_daemon.node,
                 master_daemon=master_daemon, producer=producer, sites=sites,

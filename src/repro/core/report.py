@@ -13,6 +13,7 @@ run's trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.obs.exchange import ExchangeTracker
 from repro.obs.export import (export_trace_jsonl, format_breakdown,
@@ -105,15 +106,54 @@ class DeploymentReporter:
     ``verdict_memo`` / master daemons it reads.
     """
 
-    def report(self) -> RunReport:
-        records = self.tracker.records()
+    def _register_metrics(self) -> None:
+        """The deployment-wide series, read at snapshot time: the WAN
+        economy, the shared verdict memo (``misses`` is how many
+        verifications this deployment's host executed) and the event
+        queue.  Daemons, checkpoint agents and injectors register their
+        own.
+
+        Two counters stay out of the deterministic export on purpose:
+        ``ecdsa.cache_stats()`` is process-global, so two same-seed
+        deployments in one process would export different numbers; and
+        a channel's ``loss_rows_built`` / ``loss_row_hits`` describe the
+        row cache, which the oracle channel that whole exports are
+        compared against (``tests/lora/test_channel_differential.py``)
+        does not have."""
+        registry = self.registry
+        registry.register("wan", self, gauges={
+            "bytes_per_exchange": DeploymentReporter._bytes_per_exchange,
+            "bytes_per_block": DeploymentReporter._bytes_per_block,
+        })
+        registry.register("crypto.verdict_memo", self.verdict_memo,
+                          counters=("hits", "misses", "evictions"), by="kind")
+        registry.register("crypto.verdict_memo", self.verdict_memo,
+                          gauges={"entries": len})
+        registry.register("sim", self.sim,
+                          gauges={"queue_length": lambda sim: len(sim._queue)})
+
+    def _chain_height(self) -> int:
         # Flat: the single chain's height.  Hierarchical: the settlement
         # chain's height — per-region heights live on region.master_node.
-        chain_height = (self.anchor_daemon or self.master_daemon).node.height
-        report = RunReport.of(
+        return (self.anchor_daemon or self.master_daemon).node.height
+
+    def _bytes_per_exchange(self) -> Optional[float]:
+        completed = len(self.tracker.completed())
+        return self.wan.bytes_modeled / completed if completed else None
+
+    def _bytes_per_block(self) -> Optional[float]:
+        height = self._chain_height()
+        if not height:
+            return None
+        return sum(self.wan.bytes_by_type.get(name, 0)
+                   for name in _BLOCK_MESSAGES) / height
+
+    def report(self) -> RunReport:
+        records = self.tracker.records()
+        return RunReport.of(
             self.tracker, self.exchanges_launched, self.sim.now,
             pending=sum(1 for r in records if r.status == "pending"),
-            chain_height=chain_height,
+            chain_height=self._chain_height(),
             gateway_rewards={
                 site.name: site.gateway.rewards_claimed for site in self.sites
             },
@@ -134,31 +174,6 @@ class DeploymentReporter:
             ),
             legs=leg_breakdown(self.tracer) if self.tracer.enabled else {},
         )
-        self._sync_wan_gauges(report.completed, chain_height)
-        self._sync_verdict_memo_counters()
-        return report
-
-    def _sync_wan_gauges(self, completed: int, chain_height: int) -> None:
-        """Publish the WAN-economy headline metrics to the registry."""
-        if completed > 0:
-            self.registry.gauge("wan.bytes_per_exchange").set(
-                self.wan.bytes_modeled / completed)
-        if chain_height > 0:
-            block_bytes = sum(self.wan.bytes_by_type.get(name, 0)
-                              for name in _BLOCK_MESSAGES)
-            self.registry.gauge("wan.bytes_per_block").set(
-                block_bytes / chain_height)
-
-    def _sync_verdict_memo_counters(self) -> None:
-        """Mirror the shared memo's counters into the registry: ``misses``
-        is how many verifications this deployment's host executed."""
-        memo = self.verdict_memo
-        for name in ("hits", "misses", "evictions"):
-            counter = self.registry.counter(f"crypto.verdict_memo.{name}",
-                                            "kind")
-            for kind, value in getattr(memo, name).items():
-                cell = counter.labels(kind=kind)
-                cell.inc(value - cell.value)
 
     def export_trace(self, include_metrics: bool = True) -> str:
         """The run's deterministic JSONL trace (and metrics) export."""

@@ -59,8 +59,7 @@ class CheckpointAgent:
                  anchor_daemon: BlockchainDaemon,
                  anchor_wallet: Wallet,
                  cost_model: CostModel, rng: random.Random,
-                 interval: float = 60.0,
-                 registry=None) -> None:
+                 interval: float = 60.0) -> None:
         self.sim = sim
         self.region_id = region_id
         self.sub_daemon = sub_daemon
@@ -81,12 +80,6 @@ class CheckpointAgent:
         self.epoch_settled: dict[int, tuple[bytes, ...]] = {}
         # The one checkpoint allowed in flight, until it confirms.
         self._outstanding: Optional[Transaction] = None
-
-        self._counter = None
-        if registry is not None:
-            self._counter = registry.counter(
-                "federation.checkpoints_committed", "region",
-            ).labels(region=str(region_id))
 
         sub_daemon.node.chain.add_connect_listener(self._on_block)
 
@@ -155,8 +148,6 @@ class CheckpointAgent:
         del self._epoch_txids[:len(txids)]
         self._outstanding = tx
         self.checkpoints_committed += 1
-        if self._counter is not None:
-            self._counter.inc()
 
     def _resend(self, tx: Transaction) -> None:
         """Push a stuck checkpoint directly to every anchor peer.

@@ -81,11 +81,12 @@ class CompactBlockRelay:
     queue (so reconstruction competes for daemon time like any message).
     """
 
-    def __init__(self, daemon: "BlockchainDaemon",
-                 fallback_timeout: float = 10.0) -> None:
+    # Seconds a sketch waits for its getblocktxn reply before giving up.
+    FALLBACK_TIMEOUT = 10.0
+
+    def __init__(self, daemon: "BlockchainDaemon") -> None:
         self.daemon = daemon
         self.network = daemon.network
-        self.fallback_timeout = fallback_timeout
         self._partials: dict[bytes, _PartialBlock] = {}
         self._tokens = 0
         # Counters feeding the lightclient benchmark's hit-rate figure.
@@ -197,7 +198,7 @@ class CompactBlockRelay:
         )
         token = partial.token
         self.daemon.sim.call_in(
-            self.fallback_timeout,
+            self.FALLBACK_TIMEOUT,
             lambda: self._on_fallback_deadline(block_hash, token))
 
     def _on_fallback_deadline(self, block_hash: bytes, token: int) -> None:

@@ -2,9 +2,9 @@
 
 The observability layer has three deliberately separate concerns:
 
-* :mod:`repro.obs.registry` — a central :class:`MetricsRegistry` of
-  labeled counters and gauges with one ``snapshot()`` shape.
-  Every telemetry surface in the repo stores its numbers here.
+* :mod:`repro.obs.registry` — a central :class:`MetricsRegistry` that
+  reads every component's counters and gauges where they are counted,
+  at ``snapshot()`` time, into one sorted shape.
 * :mod:`repro.obs.tracing` — a sim-clock :class:`Tracer` producing
   nested spans with deterministic ids, used to follow one fair exchange
   (Fig. 3) or one block's life across daemons and the WAN.
@@ -21,7 +21,7 @@ identifiers such as ``Envelope.message_id``.
 from repro.obs.exchange import ExchangeRecord, ExchangeTracker
 from repro.obs.export import (export_trace_jsonl, format_breakdown,
                               leg_breakdown)
-from repro.obs.registry import Instrument, MetricsRegistry, StatsView
+from repro.obs.registry import MetricsRegistry, StatsView
 from repro.obs.stats import Summary, histogram
 from repro.obs.telemetry import ChaosTelemetry, DaemonStats
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, Tracer
@@ -31,7 +31,6 @@ __all__ = [
     "DaemonStats",
     "ExchangeRecord",
     "ExchangeTracker",
-    "Instrument",
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",

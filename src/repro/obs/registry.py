@@ -1,113 +1,49 @@
-"""The central metrics store: labeled counters and gauges.
+"""The central metrics store: counters read where they are counted.
 
-One :class:`MetricsRegistry` per scenario.  Instruments are registered
-by name; labeled instruments fan out into children keyed by their label
-values, with a hard cardinality bound per instrument — past the bound,
-further label sets collapse into a reserved ``__overflow__`` child so a
-buggy label (say, a txid) can never grow the registry without bound.
+Every counter is a plain attribute of the object that counts it, and
+nothing on a hot path knows the registry exists.  One
+:class:`MetricsRegistry` per scenario holds *sources* instead of values:
+a component registers once — a family prefix, its labels, and for each
+field where to read it — and :meth:`MetricsRegistry.snapshot` reads
+every source through its owner at that moment.  The export is a view of
+live state: a reading cannot go stale, and there is no mirror to keep
+in step.
 
 ``snapshot()`` is the single canonical read shape: a plain dict of
 sorted ``name{k=v,...}`` series, suitable both for tests and for the
-deterministic JSONL export.  :class:`StatsView` wraps one subset of the
-snapshot behind a read-only mapping for the uniform ``stats()``
-accessors on daemons, sync agents, gossip nodes and the chaos injector.
+deterministic JSONL export.  :class:`StatsView` is the read-only mapping
+behind the uniform ``stats()`` accessors on daemons, sync agents, gossip
+nodes and the chaos injector.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from typing import Optional
+from typing import Any, Callable, Union
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Instrument", "MetricsRegistry", "StatsView"]
+__all__ = ["MetricsRegistry", "StatsView", "read"]
 
-_KINDS = ("counter", "gauge")
-_OVERFLOW = "__overflow__"
-
-
-class _Cell:
-    """One concrete time series: an instrument at one label set."""
-
-    __slots__ = ("kind", "_value")
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def set(self, value: float) -> None:
-        if self.kind != "gauge":
-            raise ConfigurationError("set() is for gauges")
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        return self._value
+# Where a field is read: an attribute path from its owner
+# (``"node.engine.cache_stats.hits"``) or a function of the owner.
+Source = Union[str, Callable[[Any], Any]]
 
 
-class Instrument:
-    """A named metric; labeled instruments hold one child per label set."""
+def read(owner: Any, source: Source) -> Any:
+    """One reading of ``source`` off ``owner``.
 
-    __slots__ = ("name", "kind", "labelnames", "_registry", "_children")
-
-    def __init__(self, name: str, kind: str,
-                 labelnames: tuple[str, ...],
-                 registry: "MetricsRegistry") -> None:
-        self.name = name
-        self.kind = kind
-        self.labelnames = labelnames
-        self._registry = registry
-        self._children: dict[tuple[str, ...], _Cell] = {}
-        if not labelnames:
-            self._children[()] = _Cell(kind)
-
-    def labels(self, **label_values: object) -> _Cell:
-        if tuple(sorted(label_values)) != tuple(sorted(self.labelnames)):
-            raise ConfigurationError(
-                f"instrument {self.name!r} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(label_values))}")
-        key = tuple(str(label_values[name]) for name in self.labelnames)
-        cell = self._children.get(key)
-        if cell is None:
-            if len(self._children) >= self._registry.max_label_sets:
-                self._registry.label_overflows += 1
-                key = tuple(_OVERFLOW for _ in self.labelnames)
-                cell = self._children.get(key)
-                if cell is None:
-                    cell = self._children[key] = _Cell(self.kind)
-                return cell
-            cell = self._children[key] = _Cell(self.kind)
-        return cell
-
-    # Unlabeled instruments act directly as their single cell.
-
-    def _sole(self) -> _Cell:
-        if self.labelnames:
-            raise ConfigurationError(
-                f"instrument {self.name!r} is labeled; call .labels() first")
-        return self._children[()]
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._sole().inc(amount)
-
-    def set(self, value: float) -> None:
-        self._sole().set(value)
-
-    @property
-    def value(self) -> float:
-        return self._sole().value
-
-    def series(self) -> Iterator[tuple[str, _Cell]]:
-        for key in sorted(self._children):
-            if self.labelnames:
-                labels = ",".join(f"{name}={value}" for name, value
-                                  in zip(self.labelnames, key))
-                yield f"{self.name}{{{labels}}}", self._children[key]
-            else:
-                yield self.name, self._children[key]
+    A path through an absent component (a daemon without a sync agent)
+    reads 0.
+    """
+    if callable(source):
+        return source(owner)
+    value = owner
+    for name in source.split("."):
+        if value is None:
+            return 0
+        value = getattr(value, name)
+    return value
 
 
 def _number(value: float) -> float | int:
@@ -117,48 +53,87 @@ def _number(value: float) -> float | int:
     return value
 
 
+class _Family:
+    """One metric name: its kind, label names and per-label-set sources."""
+
+    __slots__ = ("kind", "labelnames", "by", "sources")
+
+    def __init__(self, kind: str, labelnames: tuple[str, ...],
+                 by: str) -> None:
+        self.kind = kind
+        self.labelnames = labelnames
+        self.by = by
+        self.sources: dict[tuple[str, ...], tuple[Any, Source]] = {}
+
+    def series(self) -> dict[tuple[str, ...], Any]:
+        """Label values -> reading, for every source present right now."""
+        out: dict[tuple[str, ...], Any] = {}
+        for key, (owner, source) in self.sources.items():
+            value = read(owner, source)
+            if value is None:
+                continue  # nothing to report yet (a zero denominator)
+            if self.by:
+                for label, item in value.items():
+                    out[key + (str(label),)] = item
+            else:
+                out[key] = value
+        return out
+
+
 class MetricsRegistry:
-    """All instruments of one scenario, under one cardinality budget."""
+    """Every counter and gauge of one scenario, read at snapshot time."""
 
-    def __init__(self, max_label_sets: int = 64) -> None:
-        self.max_label_sets = max_label_sets
-        self.label_overflows = 0
-        self._instruments: dict[str, Instrument] = {}
+    def __init__(self) -> None:
+        self._families: dict[str, _Family] = {}
 
-    def _instrument(self, name: str, kind: str,
-                    labelnames: tuple[str, ...]) -> Instrument:
-        if kind not in _KINDS:
-            raise ConfigurationError(f"unknown instrument kind {kind!r}")
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if existing.kind != kind or existing.labelnames != labelnames:
-                raise ConfigurationError(
-                    f"instrument {name!r} already registered as "
-                    f"{existing.kind}{existing.labelnames}, "
-                    f"not {kind}{labelnames}")
-            return existing
-        instrument = Instrument(name, kind, labelnames, self)
-        self._instruments[name] = instrument
-        return instrument
+    def register(self, prefix: str, owner: Any,
+                 counters: Union[Mapping[str, Source], tuple[str, ...]] = (),
+                 gauges: Union[Mapping[str, Source], tuple[str, ...]] = (),
+                 by: str = "", **labels: str) -> None:
+        """Export ``owner``'s fields as ``<prefix>.<field>{labels}``.
 
-    def counter(self, name: str, *labelnames: str) -> Instrument:
-        return self._instrument(name, "counter", labelnames)
-
-    def gauge(self, name: str, *labelnames: str) -> Instrument:
-        return self._instrument(name, "gauge", labelnames)
-
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._instruments.get(name)
+        ``counters`` / ``gauges`` name the fields; a mapping gives each
+        its :data:`Source` (a bare name is its own attribute path).  A
+        reading of None leaves the series out of that snapshot.  With
+        ``by``, each reading is a mapping and every key becomes one
+        series under the extra label ``by`` (``kind=ecdsa``).
+        """
+        labelnames = tuple(labels) + ((by,) if by else ())
+        key = tuple(str(value) for value in labels.values())
+        for kind, fields in (("counter", counters), ("gauge", gauges)):
+            for field in fields:
+                source = fields[field] if isinstance(fields, Mapping) \
+                    else field
+                name = f"{prefix}.{field}"
+                family = self._families.get(name)
+                if family is None:
+                    family = self._families[name] = _Family(
+                        kind, labelnames, by)
+                elif (family.kind, family.labelnames) != (kind, labelnames):
+                    raise ConfigurationError(
+                        f"metric {name!r} already registered as "
+                        f"{family.kind}{family.labelnames}, "
+                        f"not {kind}{labelnames}")
+                if key in family.sources:
+                    raise ConfigurationError(
+                        f"metric {name!r} already has a source for {labels}")
+                family.sources[key] = (owner, source)
 
     def snapshot(self) -> dict[str, dict[str, object]]:
         """The canonical read shape, fully sorted for determinism."""
         families: dict[str, dict[str, object]] = {"counters": {},
                                                    "gauges": {}}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            family = families[instrument.kind + "s"]
-            for series, cell in instrument.series():
-                family[series] = _number(cell.value)
+        for name in sorted(self._families):
+            family = self._families[name]
+            out = families[family.kind + "s"]
+            series = family.series()
+            for key in sorted(series):
+                if family.labelnames:
+                    labels = ",".join(f"{label}={value}" for label, value
+                                      in zip(family.labelnames, key))
+                    out[f"{name}{{{labels}}}"] = _number(series[key])
+                else:
+                    out[name] = _number(series[key])
         return families
 
 

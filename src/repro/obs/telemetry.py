@@ -1,131 +1,75 @@
-"""Registry-backed counter bags: ``DaemonStats`` and ``ChaosTelemetry``.
+"""What a daemon and the chaos injector count: ``DaemonStats`` and
+``ChaosTelemetry``.
 
-Both read like plain attribute bags (``stats.jobs_served += 1``) while
-the *storage* is a :class:`~repro.obs.registry.MetricsRegistry`: every
-counter read or ``+=`` resolves to a registry cell, so one
-``registry.snapshot()`` sees the whole scenario.  Calling a bag
-(``daemon.stats()``) returns a
-:class:`~repro.obs.registry.StatsView` — the one blessed read path for
-examples and tooling.
-
-The ``ad-hoc-telemetry`` rule of ``tools/analysis`` forbids *new*
-counter dataclasses outside ``repro.obs``.
+Both are plain attribute bags kept by the object that counts —
+``stats.jobs_served += 1`` is an int add, nothing more.  Neither knows
+the registry: a :class:`~repro.obs.registry.MetricsRegistry` reads
+their fields at snapshot time (the daemon and the injector each register
+theirs once), and what another component already counts — an engine's
+script cache, a sync agent's timeouts — is read from that component,
+never copied in.  Calling a bag (``daemon.stats()``) returns a
+:class:`~repro.obs.registry.StatsView` of the same readings the export
+carries.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.obs.registry import MetricsRegistry, StatsView
+from repro.obs.registry import StatsView, read
 
-__all__ = ["ChaosTelemetry", "DaemonStats"]
+__all__ = ["CHAOS_COUNTERS", "ChaosTelemetry", "DAEMON_COUNTERS",
+           "DAEMON_GAUGES", "DaemonStats"]
+
+# A daemon's series, ``daemon.<field>{host=…}``, as paths from its
+# DaemonStats.  Engine and sync readings go through ``daemon.node`` /
+# ``daemon.sync_agent``, so a restart's fresh node is followed.
+DAEMON_COUNTERS = {
+    "jobs_served": "jobs_served",
+    "blocks_verified": "blocks_verified",
+    "script_cache_hits": "daemon.node.engine.cache_stats.hits",
+    "script_cache_misses": "daemon.node.engine.cache_stats.misses",
+    "standardness_rejects": "daemon.node.engine.policy.stats.tx_rejected",
+    "script_fast_rejects": "daemon.node.engine.policy.stats.fast_rejects",
+    "crashes": "crashes",
+    "restarts": "restarts",
+    "jobs_lost_to_crash": "jobs_lost_to_crash",
+    "messages_refused_offline": "messages_refused_offline",
+    "sync_timeouts": "daemon.sync_agent.timeouts",
+    "sync_retries": "daemon.sync_agent.retries",
+    "sync_backoff_resets": "daemon.sync_agent.backoff_resets",
+    "max_queue_length": "max_queue_length",
+}
+DAEMON_GAUGES = {
+    "busy_time": "busy_time",
+    "stall_time": "stall_time",
+    "queue_wait_total": "queue_wait_total",
+    "mempool_bytes": "daemon.node.mempool.total_bytes",
+    "orphan_txs": "daemon.gossip.orphan_count",
+}
 
 
-class _RegistryCounters:
-    """Base for counter bags whose fields live in a registry.
+class DaemonStats:
+    """What one :class:`~repro.core.daemon.BlockchainDaemon` counts.
 
-    Subclasses declare ``_prefix``, ``_counters`` and ``_gauges``
-    (tuples of field names).  Each field becomes a property reading and
-    writing one registry cell, so both ``stats.x += 1`` and the
-    assignment style ``stats.x = engine_value`` work.  When no registry
-    is supplied the instance creates a private one (an independent bag
-    of zeros).
+    Callable — ``daemon.stats()`` — returning a :class:`StatsView` of
+    every ``daemon.*`` reading, the uniform accessor shared with sync,
+    gossip and chaos.  Without a ``daemon`` the engine and sync readings
+    are 0.
     """
 
-    _prefix = ""
-    _counters: tuple[str, ...] = ()
-    _gauges: tuple[str, ...] = ()
-    _labelnames: tuple[str, ...] = ()
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 **label_values: str) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._labels = {name: label_values.get(name, "")
-                        for name in self._labelnames}
-        self._cells: dict[str, Any] = {}
-        for name in self._counters:
-            self._cells[name] = self._cell("counter", name)
-        for name in self._gauges:
-            self._cells[name] = self._cell("gauge", name)
-
-    def _cell(self, kind: str, name: str) -> Any:
-        metric = f"{self._prefix}.{name}"
-        if kind == "counter":
-            instrument = self.registry.counter(metric, *self._labelnames)
-        else:
-            instrument = self.registry.gauge(metric, *self._labelnames)
-        if self._labelnames:
-            return instrument.labels(**self._labels)
-        return instrument
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-
-        def make_property(field_name: str, kind: str):
-            def getter(self: "_RegistryCounters") -> float:
-                value = self._cells[field_name].value
-                if kind == "counter" or float(value).is_integer():
-                    return int(value)
-                return value
-
-            def setter(self: "_RegistryCounters", value: float) -> None:
-                cell = self._cells[field_name]
-                if kind == "counter":
-                    # The daemon mirrors engine numbers by ``=``:
-                    # emulate assignment with a delta.
-                    cell.inc(value - cell.value)
-                else:
-                    cell.set(value)
-
-            return property(getter, setter)
-
-        for name in cls._counters:
-            setattr(cls, name, make_property(name, "counter"))
-        for name in cls._gauges:
-            setattr(cls, name, make_property(name, "gauge"))
-
-    def _numbers(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name in (*self._counters, *self._gauges):
-            out[name] = getattr(self, name)
-        return out
-
-
-class DaemonStats(_RegistryCounters):
-    """Telemetry for one :class:`~repro.core.daemon.BlockchainDaemon`.
-
-    Callable — ``daemon.stats()`` — returning a :class:`StatsView`, the
-    uniform accessor shared with sync, gossip and chaos.
-    """
-
-    _prefix = "daemon"
-    _labelnames = ("host",)
-    _counters = (
-        "jobs_served",
-        "blocks_verified",
-        "script_cache_hits",
-        "script_cache_misses",
-        "standardness_rejects",
-        "script_fast_rejects",
-        "crashes",
-        "restarts",
-        "jobs_lost_to_crash",
-        "messages_refused_offline",
-        "sync_timeouts",
-        "sync_retries",
-        "sync_backoff_resets",
-        "max_queue_length",
-    )
-    _gauges = (
-        "busy_time",
-        "stall_time",
-        "queue_wait_total",
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 host: str = "") -> None:
-        super().__init__(registry, host=host)
-        self.chaos: Optional["ChaosTelemetry"] = None
+    def __init__(self, daemon: Any = None) -> None:
+        self.daemon = daemon
+        self.jobs_served = 0
+        self.blocks_verified = 0
+        self.crashes = 0
+        self.restarts = 0
+        self.jobs_lost_to_crash = 0
+        self.messages_refused_offline = 0
+        self.max_queue_length = 0
+        self.busy_time = 0.0
+        self.stall_time = 0.0
+        self.queue_wait_total = 0.0
 
     def mean_wait(self) -> float:
         """Mean queue wait; 0.0 on no jobs (``Summary.of([])`` style)."""
@@ -134,60 +78,68 @@ class DaemonStats(_RegistryCounters):
         return self.queue_wait_total / self.jobs_served
 
     def __call__(self) -> StatsView:
-        values: dict[str, object] = dict(self._numbers())
+        values = {field: read(self, source) for field, source
+                  in {**DAEMON_COUNTERS, **DAEMON_GAUGES}.items()}
         values["mean_wait"] = self.mean_wait()
         return StatsView(values)
 
 
-class ChaosTelemetry(_RegistryCounters):
+# The injector's series, ``chaos.<field>``.  The sync fields are reads of
+# the managed daemons' sync agents, which count each timeout once.
+CHAOS_COUNTERS: dict[str, Any] = {
+    field: field for field in (
+        "messages_dropped", "messages_corrupted", "messages_duplicated",
+        "messages_delayed", "partition_drops", "partitions_started",
+        "partitions_healed", "crashes", "restarts")}
+CHAOS_COUNTERS.update(
+    sync_timeouts=lambda telemetry: telemetry.sync_total("timeouts"),
+    sync_retries=lambda telemetry: telemetry.sync_total("retries"),
+    backoff_resets=lambda telemetry: telemetry.sync_total("backoff_resets"),
+)
+
+
+class ChaosTelemetry:
     """Everything the chaos injector did to a run, plus the outcome.
 
+    ``daemons`` is the injector's live host -> daemon map.
     ``fault_log`` has a deterministic format: one
     ``t=<sim time> <kind> <detail>`` line per injected fault,
     byte-identical across same-seed runs (tests pin that).
     """
 
-    _prefix = "chaos"
-    _counters = (
-        "messages_dropped",
-        "messages_corrupted",
-        "messages_duplicated",
-        "messages_delayed",
-        "partition_drops",
-        "partitions_started",
-        "partitions_healed",
-        "crashes",
-        "restarts",
-        "sync_timeouts",
-        "sync_retries",
-        "backoff_resets",
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(registry)
-        self._faults = self.registry.counter("chaos.faults_injected", "kind")
+    def __init__(self, daemons: Optional[dict[str, Any]] = None) -> None:
+        self.daemons = daemons if daemons is not None else {}
+        self.messages_dropped = 0
+        self.messages_corrupted = 0
+        self.messages_duplicated = 0
+        self.messages_delayed = 0
+        self.partition_drops = 0
+        self.partitions_started = 0
+        self.partitions_healed = 0
+        self.crashes = 0
+        self.restarts = 0
+        # Per-kind injected fault counts.
+        self.faults_injected: dict[str, int] = {}
         self.fault_log: list[str] = []
         self.reconvergence_time: Optional[float] = None
 
-    @property
-    def faults_injected(self) -> dict[str, int]:
-        """Per-kind injected fault counts (a snapshot dict)."""
-        out: dict[str, int] = {}
-        for series, cell in self._faults.series():
-            kind = series[len("chaos.faults_injected{kind="):-1]
-            out[kind] = int(cell.value)
-        return out
-
     def record_fault(self, kind: str, detail: str, now: float) -> None:
-        self._faults.labels(kind=kind).inc()
+        self.faults_injected[kind] = self.faults_injected.get(kind, 0) + 1
         self.fault_log.append(f"t={now:.6f} {kind} {detail}")
 
     @property
     def total_faults(self) -> int:
         return sum(self.faults_injected.values())
 
+    def sync_total(self, field: str) -> int:
+        """``field`` summed over the managed daemons' sync agents."""
+        return sum(read(daemon, f"sync_agent.{field}")
+                   for daemon in self.daemons.values())
+
     def __call__(self) -> StatsView:
-        values: dict[str, object] = dict(self._numbers())
+        values: dict[str, object] = {
+            field: read(self, source)
+            for field, source in CHAOS_COUNTERS.items()}
         values["total_faults"] = self.total_faults
         for kind, count in self.faults_injected.items():
             values[f"faults_injected.{kind}"] = count

@@ -38,22 +38,23 @@ __all__ = ["GossipNode"]
 class GossipNode:
     """P2P relay behaviour for one full node.
 
-    The optional ``inbound_gate`` lets the daemon layer serialize message
-    processing behind a busy server (the Multichain stall model); when
-    absent, messages are processed at delivery time.
+    The node does not register with the network itself: its owner routes
+    envelopes to :meth:`handle_envelope` — the daemon through its service
+    queue (the Multichain stall model), so inbound processing waits
+    behind a busy server.
     """
 
     ORPHAN_POOL_SIZE = 256
+    DEDUP_CACHE_SIZE = 4096
 
     def __init__(self, node: FullNode, network: WANetwork,
-                 name: Optional[str] = None, auto_register: bool = True,
-                 dedup_cache_size: int = 4096) -> None:
+                 name: Optional[str] = None) -> None:
         self.node = node
         self.network = network
         self.name = name or node.name
         self.peers: list[str] = []
-        self._known_txids: LRUSet = LRUSet(dedup_cache_size)
-        self._known_blocks: LRUSet = LRUSet(dedup_cache_size)
+        self._known_txids: LRUSet = LRUSet(self.DEDUP_CACHE_SIZE)
+        self._known_blocks: LRUSet = LRUSet(self.DEDUP_CACHE_SIZE)
         # Orphan transactions waiting for parents: txid -> (tx, origin),
         # at most ORPHAN_POOL_SIZE of them.
         self._orphan_txs: OrderedDict[bytes, tuple[Transaction, str]] = (
@@ -69,10 +70,6 @@ class GossipNode:
         # out as short-txid sketches instead of full BlockMessages; None
         # (the default) keeps full-block gossip byte-identical.
         self.compact_relay: Optional[Any] = None
-        # A daemon wrapper may own the network registration instead, so it
-        # can serialize inbound processing behind its service queue.
-        if auto_register:
-            network.register(self.name, self.handle_envelope)
 
     def connect(self, peer_name: str) -> None:
         if peer_name != self.name and peer_name not in self.peers:

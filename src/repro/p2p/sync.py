@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.registry import StatsView
-from repro.obs.telemetry import ChaosTelemetry
 from repro.p2p.message import Envelope
 from repro.sim.core import Simulator
 
@@ -173,7 +172,8 @@ class SyncAgent:
         self.sim = sim
         self.daemon = daemon
         self.interval = interval
-        # Counters (legacy names kept: experiments read them directly).
+        # Counters, each counted here only: the registry reads the
+        # daemon's ``sync_*`` series and the chaos totals off them.
         self.rounds = 0
         self.skipped_rounds = 0
         self.blocks_recovered = 0
@@ -192,8 +192,6 @@ class SyncAgent:
         # Jitter stream: seeded from the daemon name only, so backoff
         # noise is reproducible and independent of every other stream.
         self._jitter_rng = random.Random(f"sync-agent:{daemon.name}")
-        # Optional shared ChaosTelemetry, set by a managing injector.
-        self.telemetry: Optional[ChaosTelemetry] = None
         daemon.sync_agent = self
         daemon.register_protocol(GetTipMessage, self._on_get_tip)
         daemon.register_protocol(TipMessage, self._on_tip)
@@ -274,14 +272,8 @@ class SyncAgent:
         if pending is None or pending.token != token:
             return  # answered (or superseded) in time
         self.timeouts += 1
-        self.daemon.stats.sync_timeouts += 1
-        if self.telemetry is not None:
-            self.telemetry.sync_timeouts += 1
         if pending.retries_left > 0:
             self.retries += 1
-            self.daemon.stats.sync_retries += 1
-            if self.telemetry is not None:
-                self.telemetry.sync_retries += 1
             self._send_request(peer, pending.message, pending.kind,
                                pending.retries_left - 1)
             return
@@ -306,9 +298,6 @@ class SyncAgent:
         score.successes += 1
         if score.consecutive_failures > 0:
             self.backoff_resets += 1
-            self.daemon.stats.sync_backoff_resets += 1
-            if self.telemetry is not None:
-                self.telemetry.backoff_resets += 1
         score.consecutive_failures = 0
         score.backoff_until = 0.0
 

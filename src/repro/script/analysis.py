@@ -637,7 +637,7 @@ def analyze(script: Script, initial: tuple[int, int] = (0, 0),
 # -- the policy ---------------------------------------------------------------
 
 @dataclass
-class StandardnessStats:  # lint: allow(ad-hoc-telemetry) — script-layer; mirrored into the registry by DaemonStats
+class StandardnessStats:
     """Counters of one policy instance (telemetry-facing)."""
 
     tx_checked: int = 0

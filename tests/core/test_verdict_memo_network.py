@@ -118,7 +118,9 @@ def test_memo_counters_are_mirrored_into_the_registry(pair):
             assert counters[series] == getattr(memo, name)[kind]
     metric_lines = [line for line in shared.export_trace().splitlines()
                     if "crypto.verdict_memo" in line]
-    assert len(metric_lines) == 6
+    assert len(metric_lines) == 7
+    gauges = shared.registry.snapshot()["gauges"]
+    assert gauges["crypto.verdict_memo.entries"] == len(memo)
 
 
 def test_memo_misses_are_the_verifications_the_host_executed(monkeypatch):

@@ -39,8 +39,9 @@ def make_pair(fallback_timeout=10.0):
     a, b = daemons
     a.gossip.connect("b")
     b.gossip.connect("a")
-    relays = [CompactBlockRelay(d, fallback_timeout=fallback_timeout)
-              for d in daemons]
+    relays = [CompactBlockRelay(d) for d in daemons]
+    for relay in relays:
+        relay.FALLBACK_TIMEOUT = fallback_timeout
     wallet = Wallet(a.node.chain, KeyPair.generate(random.Random(7)))
     wallet.watch_chain()
     miner = Miner(chain=a.node.chain, mempool=a.node.mempool,

@@ -1,63 +1,70 @@
-"""The metrics registry: instruments, labels, cardinality, snapshots."""
+"""The metrics registry: sources read at snapshot time, labels, snapshots."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, StatsView
+from repro.obs.registry import MetricsRegistry, StatsView, read
 
 
 def test_counter_inc_and_value():
     registry = MetricsRegistry()
-    counter = registry.counter("c.requests")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
+    owner = SimpleNamespace(requests=0)
+    registry.register("c", owner, counters=("requests",))
+    owner.requests += 1
+    owner.requests += 4
+    assert registry.snapshot()["counters"]["c.requests"] == 5
 
 
 def test_gauge_set_and_inc():
     registry = MetricsRegistry()
-    gauge = registry.gauge("g.depth")
-    gauge.set(7.5)
-    assert gauge.value == 7.5
-    gauge.inc(0.5)
-    assert gauge.value == 8.0
+    owner = SimpleNamespace(depth=0.0)
+    registry.register("g", owner, gauges=("depth",))
+    owner.depth = 7.5
+    assert registry.snapshot()["gauges"]["g.depth"] == 7.5
+    owner.depth += 0.5
+    assert registry.snapshot()["gauges"]["g.depth"] == 8
 
 
-def test_registering_same_name_same_shape_returns_same_instrument():
+def test_registering_same_series_twice_rejected():
     registry = MetricsRegistry()
-    a = registry.counter("c.x", "host")
-    b = registry.counter("c.x", "host")
-    assert a is b
+    registry.register("c", SimpleNamespace(x=1), counters=("x",), host="a")
+    with pytest.raises(ConfigurationError):
+        registry.register("c", SimpleNamespace(x=2), counters=("x",),
+                          host="a")
 
 
 def test_kind_mismatch_rejected():
     registry = MetricsRegistry()
-    registry.counter("c.x")
+    registry.register("c", SimpleNamespace(x=0), counters=("x",))
     with pytest.raises(ConfigurationError):
-        registry.gauge("c.x")
+        registry.register("c", SimpleNamespace(x=0), gauges=("x",))
 
 
 def test_labelnames_mismatch_rejected():
     registry = MetricsRegistry()
-    registry.counter("c.x", "host")
+    registry.register("c", SimpleNamespace(x=0), counters=("x",), host="a")
     with pytest.raises(ConfigurationError):
-        registry.counter("c.x", "peer")
+        registry.register("c", SimpleNamespace(x=0), counters=("x",),
+                          host="b", peer="c")
 
 
 def test_wrong_label_keys_rejected():
     registry = MetricsRegistry()
-    counter = registry.counter("c.x", "host")
+    registry.register("c", SimpleNamespace(x=0), counters=("x",), host="a")
     with pytest.raises(ConfigurationError):
-        counter.labels(peer="a")
+        registry.register("c", SimpleNamespace(x=0), counters=("x",),
+                          peer="a")
 
 
 def test_labeled_series_are_independent():
     registry = MetricsRegistry()
-    counter = registry.counter("c.x", "host")
-    counter.labels(host="a").inc()
-    counter.labels(host="b").inc(2)
+    a, b = SimpleNamespace(x=1), SimpleNamespace(x=2)
+    registry.register("c", a, counters=("x",), host="a")
+    registry.register("c", b, counters=("x",), host="b")
     snapshot = registry.snapshot()
     assert snapshot["counters"]["c.x{host=a}"] == 1
     assert snapshot["counters"]["c.x{host=b}"] == 2
@@ -65,36 +72,59 @@ def test_labeled_series_are_independent():
 
 def test_unlabeled_access_on_labeled_instrument_rejected():
     registry = MetricsRegistry()
-    counter = registry.counter("c.x", "host")
+    registry.register("c", SimpleNamespace(x=0), counters=("x",), host="a")
     with pytest.raises(ConfigurationError):
-        counter.inc()
-
-
-def test_label_cardinality_overflow_collapses():
-    registry = MetricsRegistry(max_label_sets=3)
-    counter = registry.counter("c.x", "txid")
-    for i in range(10):
-        counter.labels(txid=f"tx-{i}").inc()
-    snapshot = registry.snapshot()["counters"]
-    # Three real children plus one overflow bucket absorbing the rest.
-    assert len(snapshot) == 4
-    assert snapshot["c.x{txid=__overflow__}"] == 7
-    assert registry.label_overflows == 7
-    # Pre-existing label sets keep working after the bound is hit.
-    counter.labels(txid="tx-0").inc()
-    assert registry.snapshot()["counters"]["c.x{txid=tx-0}"] == 2
+        registry.register("c", SimpleNamespace(x=0), counters=("x",))
 
 
 def test_snapshot_shape_and_sorting():
     registry = MetricsRegistry()
-    registry.gauge("b.gauge").set(1.5)
-    registry.counter("a.counter").inc(3)
+    registry.register("b", SimpleNamespace(gauge=1.5), gauges=("gauge",))
+    registry.register("a", SimpleNamespace(counter=3.0), counters=("counter",))
     snapshot = registry.snapshot()
     assert set(snapshot) == {"counters", "gauges"}
     assert snapshot["counters"] == {"a.counter": 3}
     assert snapshot["gauges"] == {"b.gauge": 1.5}
     # Integral floats render as ints for stable text output.
     assert isinstance(snapshot["counters"]["a.counter"], int)
+
+
+def test_sources_are_read_through_the_owner_at_snapshot_time():
+    registry = MetricsRegistry()
+    owner = SimpleNamespace(node=SimpleNamespace(height=3), agent=None)
+    registry.register("d", owner, counters={"agent_timeouts":
+                                            "agent.timeouts"},
+                      gauges={"height": "node.height",
+                              "double": lambda o: 2 * o.node.height})
+    owner.node = SimpleNamespace(height=9)  # a restart swaps the node
+    snapshot = registry.snapshot()
+    assert snapshot["gauges"] == {"d.double": 18, "d.height": 9}
+    # A path through an absent component reads 0.
+    assert snapshot["counters"] == {"d.agent_timeouts": 0}
+    assert read(owner, "agent.timeouts") == 0
+
+
+def test_none_reading_leaves_the_series_out():
+    registry = MetricsRegistry()
+    owner = SimpleNamespace(ratio=None)
+    registry.register("w", owner, gauges=("ratio",))
+    assert registry.snapshot()["gauges"] == {}
+    owner.ratio = 0.25
+    assert registry.snapshot()["gauges"] == {"w.ratio": 0.25}
+
+
+def test_mapping_reading_fans_out_by_label():
+    registry = MetricsRegistry()
+    owner = SimpleNamespace(faults={})
+    registry.register("chaos", owner, counters=("faults",), by="kind",
+                      host="h")
+    assert registry.snapshot()["counters"] == {}
+    owner.faults["loss"] = 2
+    owner.faults["delay"] = 1
+    assert list(registry.snapshot()["counters"].items()) == [
+        ("chaos.faults{host=h,kind=delay}", 1),
+        ("chaos.faults{host=h,kind=loss}", 2),
+    ]
 
 
 def test_stats_view_is_sorted_readonly_mapping():

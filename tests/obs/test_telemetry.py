@@ -1,11 +1,12 @@
-"""Registry-backed counter bags: DaemonStats and ChaosTelemetry."""
+"""Plain counter bags read at snapshot time: DaemonStats and ChaosTelemetry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs import MetricsRegistry, StatsView
-from repro.obs.telemetry import ChaosTelemetry, DaemonStats
+from repro.obs.telemetry import (CHAOS_COUNTERS, DAEMON_COUNTERS,
+                                 DAEMON_GAUGES, ChaosTelemetry, DaemonStats)
 
 
 # -- deprecated import homes ---------------------------------------------------
@@ -20,16 +21,16 @@ def test_removed_shim_modules_stay_gone():
 # -- DaemonStats ---------------------------------------------------------------
 
 def test_daemon_stats_attribute_arithmetic():
-    stats = DaemonStats(host="gw-0")
+    stats = DaemonStats()
     stats.jobs_served += 1
     stats.jobs_served += 1
     assert stats.jobs_served == 2
-    # Assignment style (the daemon mirrors engine counters by `=`).
-    stats.script_cache_hits = 17
-    stats.script_cache_hits = 21
-    assert stats.script_cache_hits == 21
     stats.busy_time += 1.5
     assert stats.busy_time == 1.5
+    # Nothing mirrors into the bag: engine and sync readings come from
+    # the daemon, and a detached bag has none.
+    assert stats()["script_cache_hits"] == 0
+    assert stats()["sync_timeouts"] == 0
 
 
 def test_daemon_stats_counters_are_ints():
@@ -40,8 +41,10 @@ def test_daemon_stats_counters_are_ints():
 
 def test_daemon_stats_backed_by_shared_registry():
     registry = MetricsRegistry()
-    a = DaemonStats(registry, host="gw-a")
-    b = DaemonStats(registry, host="gw-b")
+    a, b = DaemonStats(), DaemonStats()
+    for host, stats in (("gw-a", a), ("gw-b", b)):
+        registry.register("daemon", stats, counters=DAEMON_COUNTERS,
+                          gauges=DAEMON_GAUGES, host=host)
     a.jobs_served += 5
     b.jobs_served += 7
     counters = registry.snapshot()["counters"]
@@ -58,12 +61,13 @@ def test_daemon_stats_mean_wait_zero_on_empty():
 
 
 def test_daemon_stats_uniform_accessor():
-    stats = DaemonStats(host="gw-0")
+    stats = DaemonStats()
     stats.jobs_served += 2
     view = stats()
     assert isinstance(view, StatsView)
     assert view["jobs_served"] == 2
     assert view["mean_wait"] == 0.0
+    assert set(view) == {*DAEMON_COUNTERS, *DAEMON_GAUGES, "mean_wait"}
 
 
 # -- ChaosTelemetry ------------------------------------------------------------
@@ -97,3 +101,4 @@ def test_chaos_telemetry_stats_view():
     assert view["messages_dropped"] == 4
     assert view["faults_injected.drop"] == 1
     assert view["reconvergence_time"] == 12.5
+    assert set(CHAOS_COUNTERS) <= set(view)

@@ -10,6 +10,7 @@ from repro.blockchain.miner import Miner
 from repro.blockchain.wallet import Wallet
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
+from repro.p2p.dedup import LRUSet
 from repro.p2p.gossip import GossipNode
 from repro.p2p.message import TxMessage
 from repro.p2p.network import WANetwork
@@ -103,6 +104,8 @@ def make_cluster(n=3):
     params = ChainParams(coinbase_maturity=1)
     nodes = [GossipNode(FullNode(params, f"n{i}"), wan, name=f"n{i}")
              for i in range(n)]
+    for node in nodes:
+        wan.register(node.name, node.handle_envelope)
     for a in nodes:
         for b in nodes:
             if a is not b:
@@ -398,10 +401,10 @@ def test_invalid_transaction_still_permanently_rejected():
 def test_dedup_caches_are_bounded_lru():
     sim, _wan, nodes = make_cluster()
     gossip = nodes[0]
-    assert gossip._known_txids.maxsize == 4096
-    assert gossip._known_blocks.maxsize == 4096
-    small = GossipNode(FullNode(ChainParams(), "tiny"), _wan, name="tiny",
-                       auto_register=False, dedup_cache_size=2)
+    assert gossip._known_txids.maxsize == GossipNode.DEDUP_CACHE_SIZE
+    assert gossip._known_blocks.maxsize == GossipNode.DEDUP_CACHE_SIZE
+    small = GossipNode(FullNode(ChainParams(), "tiny"), _wan, name="tiny")
+    small._known_txids = LRUSet(2)
     small._known_txids.add(b"a")
     small._known_txids.add(b"b")
     small._known_txids.add(b"c")

@@ -73,8 +73,8 @@ def test_unanswered_probe_times_out_and_backs_off():
     # Exponential growth: repeat failures pushed the horizon beyond one
     # plain interval.
     assert score.backoff_until - sim.now > agent.interval * 0.5
-    # Counters mirror into the daemon's stats.
-    assert daemons[0].stats.sync_timeouts == agent.timeouts
+    # The daemon's view reads its sync agent's counters.
+    assert daemons[0].stats()["sync_timeouts"] == agent.timeouts
 
 
 def test_backoff_resets_when_peer_answers_again():
@@ -91,7 +91,7 @@ def test_backoff_resets_when_peer_answers_again():
     sim.run(until=120.0)  # past the backoff horizon
     assert agent.score_for("n1").consecutive_failures == 0
     assert agent.backoff_resets >= 1
-    assert daemons[0].stats.sync_backoff_resets == agent.backoff_resets
+    assert daemons[0].stats()["sync_backoff_resets"] == agent.backoff_resets
     assert daemons[1].node.height == 1  # and sync works again
 
 

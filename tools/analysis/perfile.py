@@ -157,69 +157,6 @@ class UnorderedSetIterationChecker(Checker):
     visit_GeneratorExp = _visit_comprehensions
 
 
-class AdHocTelemetryChecker(Checker):
-    """Telemetry lives in ``repro.obs``, not in scattered counter bags.
-
-    New ``*Stats`` / ``*Telemetry`` dataclasses outside the observability
-    package fragment the metrics surface the registry consolidated; so
-    does mutating another object's telemetry internals directly
-    (``obj.telemetry.faults_injected[...] = ...`` or
-    ``obj.fault_log.append(...)``) instead of going through
-    ``record_fault`` / the registry instruments.  Layers that must keep a
-    local dataclass for consensus-purity reasons carry an explicit
-    ``# lint: allow(ad-hoc-telemetry)`` pragma and mirror their counters
-    into the registry.
-    """
-
-    rule = "ad-hoc-telemetry"
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        return (path.startswith("src/repro/")
-                and not path.startswith("src/repro/obs/"))
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) \
-                else decorator
-            if dotted_name(target).split(".")[-1] == "dataclass":
-                return True
-        return False
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if (node.name.endswith(("Stats", "Telemetry"))
-                and self._is_dataclass(node)):
-            self.report(node, f"ad-hoc telemetry dataclass '{node.name}' — "
-                              f"back it with repro.obs.MetricsRegistry")
-        self.generic_visit(node)
-
-    def _check_target(self, node: ast.AST, target: ast.AST) -> None:
-        if (isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "faults_injected"):
-            self.report(node, "direct faults_injected mutation — use "
-                              "ChaosTelemetry.record_fault()")
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_target(node, target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_target(node, node.target)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr == "append"
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr == "fault_log"):
-            self.report(node, "direct fault_log append — use "
-                              "ChaosTelemetry.record_fault()")
-        self.generic_visit(node)
-
-
 class MultiprocessingChecker(Checker):
     """No ``multiprocessing`` import anywhere under ``src/repro``.
 
@@ -249,7 +186,6 @@ ALL_CHECKERS: tuple[type[Checker], ...] = (
     ConsensusWallClockChecker,
     ConsensusFloatChecker,
     UnorderedSetIterationChecker,
-    AdHocTelemetryChecker,
     MultiprocessingChecker,
 )
 
