@@ -75,14 +75,16 @@ class LightConfig:
     """The light-client tier knobs, grouped.
 
     ``device_class == "full"`` (the default) is the paper's deployment —
-    every actor's recipient runs a co-located full node, and nothing in
-    :mod:`repro.light` is imported.  ``"light"`` swaps each recipient for
-    a duty-cycled SPV host (headers, filters, Merkle proofs) served by
-    the gateway full nodes.
+    every actor's recipient runs a co-located full node.  ``"light"``
+    swaps each recipient for a duty-cycled SPV host (headers, filters,
+    Merkle proofs) served by the full nodes of its home chain.  Every knob
+    composes with both topologies: in a hierarchical federation each
+    sub-chain serves, multicasts to and relays for its own actors.
 
     :param device_class: ``"full"`` or ``"light"``.
-    :param compact_blocks: relay blocks between full nodes as BIP
-        152-style short-txid sketches with mempool reconstruction.
+    :param compact_blocks: relay blocks between the full nodes of every
+        chain (the settlement chain included) as BIP 152-style short-txid
+        sketches with mempool reconstruction, in either device class.
     :param multicast_interval: seconds between a gateway's signed
         header-bundle multicasts to its light recipients (0 disables the
         stream; light clients then rely solely on unicast polling).
@@ -178,9 +180,9 @@ class NetworkConfig:
 
     :param topology: flat (the default, guaranteed to reproduce the
         paper's deployment exactly) or regional (:class:`RegionTopology`).
-    :param light: the light-client tier (:class:`LightConfig`, requires
-        the flat topology); the default is the paper's all-full-node
-        deployment.
+    :param light: the light-client tier (:class:`LightConfig`), on every
+        chain of either topology; the default is the paper's
+        all-full-node deployment.
     :param mempool: admission policy (:class:`MempoolPolicy`) applied to
         every full node; None keeps the unbounded, no-fee-floor pool that
         matches the paper's Multichain deployment.
@@ -262,11 +264,6 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"roaming offset {self.roaming_offset} out of range for "
                 f"{self.gateways_per_region} gateways per region"
-            )
-        if self.light.device_class == "light" and self.topology.regions > 1:
-            raise ConfigurationError(
-                "the light tier requires the flat topology "
-                f"(regions={self.topology.regions})"
             )
 
     @property

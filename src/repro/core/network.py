@@ -16,11 +16,12 @@ arrivals, ``run()``) is :class:`~repro.core.testbed.Testbed`, and
 
 **Hierarchical mode** (``config.topology.regions > 1``): each region runs
 its own gateway sub-chain — own master or slot lottery, own mempool,
-region-scoped gossip — and a global *settlement chain* ("anchor") receives
-each region's :class:`~repro.core.settlement.CheckpointAgent` commitments.
-Assembly is one loop over chains: ``topology.regions == 1`` (the default)
-is its one-chain case, with no settlement chain, and reproduces the
-paper's results bit-for-bit.
+region-scoped gossip, own light tier — and a global *settlement chain*
+("anchor") receives each region's
+:class:`~repro.core.settlement.CheckpointAgent` commitments.  Assembly is
+one loop over chains, whatever the tiers: ``topology.regions == 1`` (the
+default) is its one-chain case, with no settlement chain, and reproduces
+the paper's results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core.report import DeploymentReporter
 from repro.core.testbed import Testbed
 from repro.crypto.keys import KeyPair
 from repro.light.compact import CompactBlockRelay
-from repro.light.multicast import ChainMulticaster
+from repro.light.multicast import ChainMulticaster, MulticastListener
 from repro.light.server import LightServer
 from repro.light.spv import SpvClient
 from repro.light.wallet import LightWallet
@@ -76,8 +77,8 @@ class Site:
     directory: DirectoryView
     channel: RadioChannel
     gateway: GatewayAgent
-    # The actor's only recipient: over its own full node, or — in the
-    # light tier, filled in once the SPV hosts exist — over ``light-i``.
+    # The actor's only recipient, over its own full node or ``light-i``;
+    # built once the site's chain is meshed.
     recipient: Optional[RecipientAgent]
     registry: RecipientRegistry
     # Hierarchical mode: which region (and sub-chain) this site belongs
@@ -138,13 +139,10 @@ class BcWANNetwork(DeploymentReporter, Testbed):
     # -- construction -----------------------------------------------------------
 
     def _build(self) -> None:
-        """Assemble every chain of the federation, then start its loops.
-
-        The flat deployment is the one-chain case (master ``"master"``,
-        chain id ``""``, no settlement chain).  Each daemon constructor
-        schedules its serve process and registers its metric series, so
-        the construction order is part of the trace.
-        """
+        """Assemble every chain — master, sites, mesh, recipients — then
+        compact relay on every daemon, then start the loops.  Flat is the
+        one-chain case (master ``"master"``, chain id ``""``).  The
+        construction order is part of the trace."""
         cfg = self.config
         topo = cfg.topology
         flat = topo.regions == 1
@@ -195,11 +193,12 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         for r, tag in enumerate(tags):
             chain_id = "" if flat else f"region-{r}"
             indices = cfg.region_site_indices(r)
+            home = slice(indices.start, indices.stop)
 
             producer, master_daemon = self._new_master(
                 f"master{tag}", f"master-key{tag}", chain_id,
                 chain_schedule(cfg, tag),
-                funded=[actor_keys[i] for i in indices] + light_keys,
+                funded=actor_keys[home] + light_keys[home],
                 announced=announced)
             self.producers[chain_id or "chain"] = producer
             sites = [
@@ -208,8 +207,9 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                 for i in indices
             ]
             self.sites.extend(sites)
-            self._mesh(chain_id or "chain",
-                       [master_daemon] + [site.daemon for site in sites])
+            daemons = [master_daemon] + [site.daemon for site in sites]
+            self._mesh(chain_id or "chain", daemons)
+            self._build_recipients(daemons, sites, light_keys)
             chains.append((producer, master_daemon, sites))
             if flat:
                 self.master_daemon = master_daemon
@@ -241,37 +241,40 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                 checkpoint_agent=checkpoint_agent,
             ))
 
-        if flat:
-            daemons = list(self.all_daemons().values())
-            if cfg.light.compact_blocks:
-                self.compact_relays = [CompactBlockRelay(daemon)
-                                       for daemon in daemons]
-            if light:
-                self._build_light_tier(daemons, light_keys)
-        else:
+        if not flat:
             # Settlement mesh: the anchor master + one node per region.
             self._mesh("anchor", [self.anchor_daemon] + [
                 region.anchor_daemon for region in self.regions])
             self.producers["anchor"] = anchor
             chains.append((anchor, self.anchor_daemon, []))
+        if cfg.light.compact_blocks:
+            for name, daemon in self.all_daemons().items():
+                relay = CompactBlockRelay(daemon)
+                self.compact_relays.append(relay)
+                self.registry.register("light.compact", relay, host=name,
+                                       counters=CompactBlockRelay.COUNTERS)
 
         self._deploy_sensors()
-        self._funding_baseline = {
-            site.name: site.wallet.balance for site in self.sites
-        }
         for producer, master_daemon, sites in chains:
             producer.start(master_daemon,
                            [(site.daemon, site.wallet) for site in sites])
-        self._start_common_loops()
+        # Reclaim sweeps and anti-entropy sync, over every daemon.
+        if cfg.reclaim_interval > 0:
+            for site in self.sites:
+                self.sim.process(
+                    site.recipient.reclaim_every(cfg.reclaim_interval))
+        if cfg.sync_interval > 0:
+            self.sync_agents = [
+                SyncAgent(self.sim, daemon, interval=cfg.sync_interval)
+                for daemon in self.all_daemons().values()
+            ]
 
     def _build_site(self, i: int, name: str, producer: BlockProducer,
                     actor_key: KeyPair, chain_id: str = "",
                     region: int = 0) -> Site:
-        """One gateway site: node, daemon, wallet, radio, both agents.
-
-        The site's node replays ``producer``'s bootstrap chain;
-        ``chain_id`` tags the agents with the sub-chain they settle on.
-        """
+        """One gateway site: node (replaying ``producer``'s bootstrap
+        chain), daemon, wallet, radio and the gateway agent of the
+        sub-chain ``chain_id``."""
         cfg = self.config
         node = self._new_node(name)
         producer.replay(node)
@@ -288,68 +291,71 @@ class BcWANNetwork(DeploymentReporter, Testbed):
             wait_for_confirmation=cfg.wait_for_confirmation,
             chain_id=chain_id,
         )
-        registry = RecipientRegistry()
-        recipient = None
-        if cfg.light.device_class == "full":
-            recipient = RecipientAgent(
-                self.sim, name,
-                NodeLedger(daemon, wallet, self.tracker),
-                registry, self.wan, COST_MODEL, self.tracker,
-                self.rngs.stream(f"recipient-{name}"),
-                chain_id=chain_id,
-            )
         return Site(
             index=i, name=name, node=node, daemon=daemon, wallet=wallet,
             directory=directory, channel=channel, gateway=gateway,
-            recipient=recipient, registry=registry,
+            recipient=None, registry=RecipientRegistry(),
             region=region, chain_id=chain_id,
         )
 
-    def _build_light_tier(self, daemons: list[BlockchainDaemon],
+    def _build_recipients(self, daemons: list[BlockchainDaemon],
+                          sites: list[Site],
                           light_keys: list[KeyPair]) -> None:
-        """SPV clients, their serving full nodes, and the multicast legs.
-
-        Every full daemon serves headers/filters/proofs; each actor's
-        recipient runs on a ``light-i`` WAN host whose serving peers are
-        its home gateway, the next site over (failover), and the master.
-        With ``multicast_interval > 0`` the home gateway additionally
-        multicasts signed header bundles to its light host.
-        """
+        """One chain's recipients: over each actor's own full node, or —
+        with ``light_keys`` — on ``light-i`` SPV hosts that every daemon of
+        the chain serves, peering with the home site, the chain's next
+        site (failover) and its master, and multicast to by the home site
+        if ``multicast_interval > 0``."""
         cfg = self.config
-        self.light_servers = [LightServer(daemon) for daemon in daemons]
-        n = cfg.num_gateways
-        for i in range(n):
-            name = cfg.light_names[i]
-            peers = tuple(dict.fromkeys(
-                (cfg.site_names[i], cfg.site_names[(i + 1) % n], "master")))
-            spv = SpvClient(
-                self.sim, self.wan, name, peers,
-                pow_bits=cfg.chain.pow_bits,
-                sync_interval=cfg.light.light_sync_interval,
-                tracer=self.tracer,
-            )
-            site = self.sites[i]
+        for daemon in daemons if light_keys else ():
+            server = LightServer(daemon)
+            self.light_servers.append(server)
+            self.registry.register("light.server", server, host=daemon.name,
+                                   counters=LightServer.COUNTERS,
+                                   gauges=("clients",))
+        for k, site in enumerate(sites):
+            if not light_keys:
+                name, stream = site.name, f"recipient-{site.name}"
+                ledger = NodeLedger(site.daemon, site.wallet)
+            else:
+                i, name = site.index, cfg.light_names[site.index]
+                stream = f"light-recipient-{i}"
+                spv = SpvClient(
+                    self.sim, self.wan, name, tuple(dict.fromkeys(
+                        (site.name, sites[(k + 1) % len(sites)].name,
+                         daemons[0].name))),
+                    pow_bits=cfg.chain.pow_bits,
+                    sync_interval=cfg.light.light_sync_interval,
+                    tracer=self.tracer)
+                self.light_clients.append(spv)
+                self.registry.register(
+                    "light.spv", spv, host=name, counters=SpvClient.COUNTERS,
+                    gauges={"tip_height": "chain.tip_height"})
+                ledger = SpvLedger(spv, LightWallet(light_keys[i]),
+                                   refund_delta=cfg.chain.locktime_grace)
             site.recipient = RecipientAgent(
-                self.sim, name,
-                SpvLedger(spv, LightWallet(light_keys[i]),
-                          refund_delta=cfg.chain.locktime_grace),
-                site.registry, self.wan, COST_MODEL, self.tracker,
-                self.rngs.stream(f"light-recipient-{i}"),
-            )
-            self.light_clients.append(spv)
-            if cfg.light.multicast_interval > 0:
-                self.multicasters.append(ChainMulticaster(
+                self.sim, name, ledger, site.registry, self.wan, COST_MODEL,
+                self.tracker, self.rngs.stream(stream),
+                chain_id=site.chain_id)
+            if light_keys and cfg.light.multicast_interval > 0:
+                multicaster = ChainMulticaster(
                     self.sim, self.wan, site.name, site.wallet.keypair,
                     site.node.chain, (name,), cfg.light.multicast_interval,
                     modulation=self.modulation,
                     duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
                     tracer=self.tracer,
-                ))
-                spv.attach_multicast(
+                )
+                self.multicasters.append(multicaster)
+                self.registry.register("light.multicast", multicaster,
+                                       host=site.name,
+                                       counters=ChainMulticaster.COUNTERS)
+                listener = spv.attach_multicast(
                     site.wallet.keypair.public_key.to_bytes(),
                     cfg.light.multicast_interval,
                     verify_every=cfg.light.multicast_verify_every,
                 )
+                self.registry.register("light.multicast", listener, host=name,
+                                       counters=MulticastListener.COUNTERS)
 
     def _mesh(self, label: str, daemons: list[BlockchainDaemon]) -> None:
         """Chain-scoped gossip: full mesh among the daemons following one
@@ -359,19 +365,6 @@ class BcWANNetwork(DeploymentReporter, Testbed):
             for other in daemons:
                 if other is not daemon:
                     daemon.gossip.connect(other.name)
-
-    def _start_common_loops(self) -> None:
-        """Reclaim sweeps and anti-entropy sync, over every daemon."""
-        cfg = self.config
-        if cfg.reclaim_interval > 0:
-            for site in self.sites:
-                self.sim.process(
-                    site.recipient.reclaim_every(cfg.reclaim_interval))
-        if cfg.sync_interval > 0:
-            self.sync_agents = [
-                SyncAgent(self.sim, daemon, interval=cfg.sync_interval)
-                for daemon in self.all_daemons().values()
-            ]
 
     def _new_node(self, name: str, settlement: bool = False) -> FullNode:
         """A full node of this deployment, on the shared verdict memo.

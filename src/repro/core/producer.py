@@ -189,14 +189,23 @@ class BlockProducer:
             # One block = one trace: mining roots it, each gossip hop and
             # per-peer validation nests beneath.
             span = self.tracer.span("block.mine", host=name, **region)
-            block = yield daemon.rpc(
-                lambda: self._mine(daemon, key, endorsing_key))
-            if block is None:
-                span.end("skipped", reason="slot over")
-                continue
-            span.end("ok", height=daemon.node.height,
-                     txs=len(block.transactions))
-            daemon.gossip.broadcast_block(block, parent=span)
+            job = daemon.rpc(lambda: self._mine(daemon, key, endorsing_key))
+            if endorsing_key is None:
+                self._publish(daemon, span, (yield job))
+            else:
+                # A daemon that crashes mid-job never answers it: a
+                # stakeholder does not wait, so it wakes for its next slot
+                # whatever became of this one.
+                job.callbacks.append(lambda done, span=span: self._publish(
+                    daemon, span, done.value))
+
+    def _publish(self, daemon: BlockchainDaemon, span, block) -> None:
+        """Close the ``block.mine`` span; gossip the block it produced."""
+        if block is None:
+            span.end("skipped", reason="slot over")
+            return
+        span.end("ok", height=daemon.node.height, txs=len(block.transactions))
+        daemon.gossip.broadcast_block(block, parent=span)
 
     def _mine(self, daemon: BlockchainDaemon, key: KeyPair,
               endorsing_key: Optional[ecdsa.PrivateKey]):

@@ -18,18 +18,20 @@ between device classes is which ledger state the host keeps and how it
 reaches it, and that sits behind the agent's *ledger access*:
 
 * :class:`NodeLedger` — a co-located full node: RPC-timed transaction
-  builds, the local mempool's verdict on every broadcast, a UTXO-checked
-  refund, and the relay of cross-region claims onto this sub-chain;
+  builds, the local mempool's verdict on every broadcast and a
+  UTXO-checked refund;
 * :class:`SpvLedger` — a duty-cycled light host: a wallet fed by proven
   transactions only (so funding may stall on proofs in flight), the
   header tip as the only chain clock, the escrow outpoint watched through
   the serving node's filter, a rebroadcast watchdog in place of a mempool
   verdict, and payments counted *confirmed* on a verified Merkle proof.
 
-Both offer the same steps: ``attach(on_delivery, on_spend)``, ``height``,
-``lock_payment(message, payment_leg)``, ``refund(offer)`` and ``stats()``; the
-two that may wait are generators the agent delegates to, so a step with
-nothing to wait for adds no simulator event.
+Both offer the same steps: ``attach(handlers, on_spend)``, ``height``,
+``submit(tx)``, ``lock_payment(message, payment_leg)``, ``refund(offer)``
+and ``stats()``; the three that may wait are generators the agent
+delegates to, so a step with nothing to wait for adds no simulator event.
+Relaying a cross-region claim onto the recipient's sub-chain is one
+``submit`` by the agent, whichever access it runs over.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ from repro.sim.core import Simulator
 
 __all__ = ["RecipientAgent", "NodeLedger", "SpvLedger", "OfferRefused"]
 
+# Payload type -> the agent's handler, as an access routes them to it.
+Handlers = dict[type, Callable[[Envelope], None]]
+
 
 class OfferRefused(BcWANError):
     """A ledger access could not lock the payment; ``str()`` is the reason
@@ -69,17 +74,14 @@ class OfferRefused(BcWANError):
 class NodeLedger:
     """Ledger access through the actor's own full node and its daemon."""
 
-    def __init__(self, daemon: BlockchainDaemon, wallet: Wallet,
-                 tracker: ExchangeTracker) -> None:
+    def __init__(self, daemon: BlockchainDaemon, wallet: Wallet) -> None:
         self.daemon = daemon
         self.wallet = wallet
-        self.tracker = tracker
-        self.claims_relayed = 0
 
-    def attach(self, on_delivery: Callable[[Envelope], None],
+    def attach(self, handlers: Handlers,
                on_spend: Callable[[Transaction], None]) -> None:
-        self.daemon.register_protocol(DeliveryMessage, on_delivery)
-        self.daemon.register_protocol(ClaimMessage, self._on_claim)
+        for payload_type, handler in handlers.items():
+            self.daemon.register_protocol(payload_type, handler)
         # Claim detection: gossip hands over every transaction the local
         # mempool admits, our own broadcasts included.
         self.daemon.gossip.on_transaction.append(on_spend)
@@ -88,12 +90,13 @@ class NodeLedger:
     def height(self) -> int:
         return self.daemon.node.chain.height
 
-    def _broadcast(self, tx: Transaction):
-        """The event carrying the local mempool's verdict on ``tx``."""
-        return self.daemon.call(
+    def submit(self, tx: Transaction):
+        """The local mempool's verdict on ``tx``; gossip relays it if
+        admitted."""
+        return (yield self.daemon.call(
             self.daemon.cost_model.daemon_tx_process,
             lambda: self.daemon.gossip.broadcast_transaction(tx),
-        )
+        ))
 
     def lock_payment(self, message: DeliveryMessage, payment_leg):
         """Build the offer in an RPC job, then take the local mempool's
@@ -109,8 +112,7 @@ class NodeLedger:
             )
         except ValidationError as exc:
             raise OfferRefused(f"cannot fund offer: {exc}") from exc
-        accepted = yield self._broadcast(offer.transaction)
-        if not accepted:
+        if not (yield from self.submit(offer.transaction)):
             self.wallet.release_pending(offer.transaction)
             raise OfferRefused("offer rejected by mempool")
         return offer
@@ -125,39 +127,10 @@ class NodeLedger:
             )
         except ValidationError:
             return False
-        return (yield self._broadcast(refund_tx))
-
-    # -- cross-region claims ---------------------------------------------------
-
-    def _on_claim(self, envelope: Envelope) -> None:
-        message = envelope.payload
-        if isinstance(message, ClaimMessage):
-            self.daemon.sim.process(self._broadcast_claim(message))
-
-    def _broadcast_claim(self, message: ClaimMessage):
-        """Broadcast a foreign gateway's claim on *our* sub-chain.
-
-        The escrow output lives here, so the reveal must happen here; the
-        gateway only signed the claim, it cannot reach this mempool.  The
-        broadcast fires the usual spend watch, which decrypts exactly as
-        in the intra-region flow.
-        """
-        record = self.tracker.get(message.delivery_id)
-        try:
-            claim_tx = Transaction.deserialize(message.claim_tx_bytes)
-        except ValidationError:
-            if record is not None:
-                self.tracker.fail(record, "undecodable cross-region claim")
-            return
-        accepted = yield self._broadcast(claim_tx)
-        if accepted:
-            self.claims_relayed += 1
-        elif record is not None and record.status == "pending":
-            self.tracker.fail(record, "cross-region claim rejected")
+        return (yield from self.submit(refund_tx))
 
     def stats(self) -> dict[str, int]:
-        return {"claims_relayed": self.claims_relayed,
-                "balance": self.wallet.balance}
+        return {"balance": self.wallet.balance}
 
 
 class SpvLedger:
@@ -191,10 +164,11 @@ class SpvLedger:
         self._echoed: set[bytes] = set()
         self._confirmed: set[bytes] = set()
 
-    def attach(self, on_delivery: Callable[[Envelope], None],
+    def attach(self, handlers: Handlers,
                on_spend: Callable[[Transaction], None]) -> None:
         self._on_spend = on_spend
-        self.spv.register_handler(DeliveryMessage, on_delivery)
+        for payload_type, handler in handlers.items():
+            self.spv.register_handler(payload_type, handler)
         self.spv.on_match.append(self._on_match)
         self.spv.on_proof.append(self._on_proof)
         # Watch own address from genesis: funding coins, change, and
@@ -208,9 +182,16 @@ class SpvLedger:
 
     # -- broadcast through the serving peer --------------------------------------
 
-    def _broadcast(self, tx: Transaction, parent=None) -> None:
+    def submit(self, tx: Transaction, parent=None):
+        """Hand ``tx`` to the serving peer; a filter push echoes it.
+
+        Nothing to wait for on this host, so the verdict is "sent".
+        ``parent`` is the span the wire messages hang from.
+        """
+        yield from ()
         self.spv.watch(txids=(tx.txid,))
         self._send(tx, attempts=0, parent=parent)
+        return True
 
     def _send(self, tx: Transaction, attempts: int, parent=None) -> None:
         self.spv.network.send(self.spv.name, self.spv.serving_peer,
@@ -252,7 +233,7 @@ class SpvLedger:
         # this outpoint, and the filter must already cover it when the
         # gateway's claim hits the serving node's mempool.
         self.spv.watch(outpoints=(offer.outpoint,))
-        self._broadcast(offer.transaction, parent=payment_leg())
+        yield from self.submit(offer.transaction, parent=payment_leg())
         return offer
 
     def refund(self, offer: KeyReleaseOffer):
@@ -262,13 +243,11 @@ class SpvLedger:
         resolved by the full nodes: the refund simply loses the conflict
         and the claim's filter push decrypts as usual.
         """
-        yield from ()  # nothing to wait for: no daemon queue on this host
         try:
             refund_tx = self.wallet.refund_key_release(offer)
         except ValidationError:
             return False
-        self._broadcast(refund_tx)
-        return True
+        return (yield from self.submit(refund_tx))
 
     # -- filter pushes ------------------------------------------------------------
 
@@ -331,9 +310,11 @@ class RecipientAgent:
         self.messages_decrypted = 0
         self.payments_made = 0
         self.refunds_taken = 0
+        self.claims_relayed = 0
 
         self._pending: dict[OutPoint, _PendingSettlement] = {}
-        ledger.attach(self._on_delivery, self._on_spend)
+        ledger.attach({DeliveryMessage: self._on_delivery,
+                       ClaimMessage: self._on_claim}, self._on_spend)
 
     @property
     def address(self) -> str:
@@ -414,6 +395,31 @@ class RecipientAgent:
             reason=reason,
             chain_id=self.chain_id,
         ))
+
+    # -- cross-region claims ----------------------------------------------------------
+
+    def _on_claim(self, envelope: Envelope) -> None:
+        self.sim.process(self._relay_claim(envelope.payload))
+
+    def _relay_claim(self, message: ClaimMessage):
+        """Submit a foreign gateway's claim on *our* sub-chain.
+
+        The escrow output lives here, so the reveal must happen here; the
+        gateway only signed the claim, it cannot reach this chain.  The
+        claim then reaches the usual spend watch, which decrypts exactly
+        as in the intra-region flow.
+        """
+        record = self.tracker.get(message.delivery_id)
+        try:
+            claim_tx = Transaction.deserialize(message.claim_tx_bytes)
+        except ValidationError:
+            if record is not None:
+                self.tracker.fail(record, "undecodable cross-region claim")
+            return
+        if (yield from self.ledger.submit(claim_tx)):
+            self.claims_relayed += 1
+        elif record is not None and record.status == "pending":
+            self.tracker.fail(record, "cross-region claim rejected")
 
     # -- escrow spends: the claim, or our own refund -------------------------------
 
@@ -508,6 +514,7 @@ class RecipientAgent:
             "messages_decrypted": self.messages_decrypted,
             "payments_made": self.payments_made,
             "refunds_taken": self.refunds_taken,
+            "claims_relayed": self.claims_relayed,
             "pending_settlements": len(self._pending),
             **self.ledger.stats(),
         }

@@ -83,6 +83,10 @@ class CompactBlockRelay:
 
     # Seconds a sketch waits for its getblocktxn reply before giving up.
     FALLBACK_TIMEOUT = 10.0
+    COUNTERS = ("compact_announced", "compact_received",
+                "reconstructed_from_mempool", "reconstructed_after_fallback",
+                "fallback_roundtrips", "reconstruct_failed",
+                "txs_from_mempool", "txs_fetched")
 
     def __init__(self, daemon: "BlockchainDaemon") -> None:
         self.daemon = daemon
@@ -246,13 +250,4 @@ class CompactBlockRelay:
             block, origin=partial.origin, trace=partial.trace)
 
     def stats(self) -> dict[str, int]:
-        return {
-            "compact_announced": self.compact_announced,
-            "compact_received": self.compact_received,
-            "reconstructed_from_mempool": self.reconstructed_from_mempool,
-            "reconstructed_after_fallback": self.reconstructed_after_fallback,
-            "fallback_roundtrips": self.fallback_roundtrips,
-            "reconstruct_failed": self.reconstruct_failed,
-            "txs_from_mempool": self.txs_from_mempool,
-            "txs_fetched": self.txs_fetched,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}

@@ -46,9 +46,6 @@ GENESIS_DIGEST = b"\x00" * 32
 #: Max LoRaWAN-style application payload per downlink fragment (DR5).
 FRAGMENT_BYTES = 222
 
-#: Seconds a deployed light host keeps its radio open after a round fires.
-LISTEN_WINDOW = 2.0
-
 
 def bundle_digest(prev_digest: bytes, round_index: int,
                   raw_headers: tuple[bytes, ...]) -> bytes:
@@ -74,6 +71,7 @@ class ChainMulticaster:
     """
 
     MAX_HEADERS_PER_ROUND = 16
+    COUNTERS = ("rounds_sent", "rounds_delayed")
 
     def __init__(self, sim: Simulator, network: Any, name: str,
                  keypair: Any, chain: Any,
@@ -189,24 +187,29 @@ class MulticastListener:
     verified headers to the owner's chain (the SPV client's); it returns
     ``"gap"`` when the bundle starts above the chain tip, in which case
     the listener requests catch-up.  ``on_omission()`` fires after
-    ``miss_threshold`` consecutive missed/invalid rounds.
+    ``MISS_THRESHOLD`` consecutive missed/invalid rounds.
     """
+
+    # Seconds a deployed light host keeps its radio open after a round
+    # fires, and how many consecutive bad rounds mean omission.
+    LISTEN_WINDOW = 2.0
+    MISS_THRESHOLD = 2
+    COUNTERS = ("bundles_received", "bundles_accepted", "bundles_late",
+                "bundles_invalid", "bundles_discarded", "rounds_missed",
+                "signatures_verified", "signatures_skipped",
+                "dishonest_bundles", "omissions_suspected", "headers_applied")
 
     def __init__(self, sim: Simulator, gateway_pubkey: bytes,
                  interval: float,
                  apply_headers: Callable[[int, tuple[bytes, ...]], str],
                  on_omission: Callable[[], None],
-                 verify_every: int = 4,
-                 listen_window: float = LISTEN_WINDOW,
-                 miss_threshold: int = 2) -> None:
+                 verify_every: int = 4) -> None:
         self.sim = sim
         self.gateway_pubkey = ecdsa.PublicKey.from_bytes(gateway_pubkey)
         self.interval = interval
         self.apply_headers = apply_headers
         self.on_omission = on_omission
         self.verify_every = verify_every
-        self.listen_window = listen_window
-        self.miss_threshold = miss_threshold
         self.bundles_received = 0
         self.bundles_accepted = 0
         self.bundles_late = 0
@@ -225,11 +228,16 @@ class MulticastListener:
         self._consecutive_missed = 0
         self._process = sim.process(self._watchdog())
 
+    @property
+    def streaming(self) -> bool:
+        """Whether rounds keep landing: one has, and none was missed since."""
+        return self._highest_round > 0 and self._consecutive_missed == 0
+
     # -- receive path ----------------------------------------------------------
 
     def receive(self, message: HeaderBundleMessage) -> None:
         now = self.sim.now
-        deadline = message.round_index * self.interval + self.listen_window
+        deadline = message.round_index * self.interval + self.LISTEN_WINDOW
         self.bundles_received += 1
         if now > deadline:
             # Class-A: the radio only listens inside the round's window;
@@ -309,7 +317,7 @@ class MulticastListener:
         self._drop_buffer()
         self._anchored = False
         self._consecutive_missed += 1
-        if self._consecutive_missed >= self.miss_threshold:
+        if self._consecutive_missed >= self.MISS_THRESHOLD:
             self.omissions_suspected += 1
             self.on_omission()
 
@@ -320,7 +328,7 @@ class MulticastListener:
         grace = 0.25
         while True:
             round_no += 1
-            target = round_no * self.interval + self.listen_window + grace
+            target = round_no * self.interval + self.LISTEN_WINDOW + grace
             delay = target - self.sim.now
             if delay > 0:
                 yield self.sim.timeout(delay)
@@ -329,21 +337,9 @@ class MulticastListener:
                 self._consecutive_missed += 1
                 self._drop_buffer()
                 self._anchored = False
-                if self._consecutive_missed >= self.miss_threshold:
+                if self._consecutive_missed >= self.MISS_THRESHOLD:
                     self.omissions_suspected += 1
                     self.on_omission()
 
     def stats(self) -> dict[str, int]:
-        return {
-            "bundles_received": self.bundles_received,
-            "bundles_accepted": self.bundles_accepted,
-            "bundles_late": self.bundles_late,
-            "bundles_invalid": self.bundles_invalid,
-            "bundles_discarded": self.bundles_discarded,
-            "rounds_missed": self.rounds_missed,
-            "signatures_verified": self.signatures_verified,
-            "signatures_skipped": self.signatures_skipped,
-            "dishonest_bundles": self.dishonest_bundles,
-            "omissions_suspected": self.omissions_suspected,
-            "headers_applied": self.headers_applied,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}

@@ -67,6 +67,9 @@ class _ClientFilter:
 class LightServer:
     """Header, filter, and proof service for one full-node daemon."""
 
+    COUNTERS = ("filters_registered", "header_requests", "matches_pushed",
+                "proofs_served")
+
     def __init__(self, daemon: "BlockchainDaemon") -> None:
         self.daemon = daemon
         self.network = daemon.network
@@ -200,11 +203,11 @@ class LightServer:
             self.proofs_served += 1
             self.network.send(self.daemon.name, envelope.source, proof)
 
+    @property
+    def clients(self) -> int:
+        """Light clients with a registered filter."""
+        return len(self._filters)
+
     def stats(self) -> dict[str, int]:
-        return {
-            "clients": len(self._filters),
-            "filters_registered": self.filters_registered,
-            "header_requests": self.header_requests,
-            "matches_pushed": self.matches_pushed,
-            "proofs_served": self.proofs_served,
-        }
+        return {"clients": self.clients,
+                **{name: getattr(self, name) for name in self.COUNTERS}}

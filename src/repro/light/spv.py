@@ -72,6 +72,10 @@ class SpvClient:
     FAILOVER_THRESHOLD = 2
     # Headers asked for per request.
     BATCH = 64
+    COUNTERS = ("sync_rounds", "rounds_skipped", "sync_timeouts",
+                "failovers", "catchups", "headers_synced",
+                "headers_from_multicast", "proofs_verified",
+                "proofs_rejected", "matches_received")
 
     def __init__(self, sim: Simulator, network: Any, name: str,
                  peers: tuple[str, ...],
@@ -222,16 +226,6 @@ class SpvClient:
             self._drain_stashed_proofs()
         return "ok"
 
-    def _multicast_is_fresh(self) -> bool:
-        listener = self.multicast
-        if listener is None:
-            return False
-        # The stream vouches for itself only while rounds keep landing;
-        # headers lag at most verify_every rounds behind (the Danzi
-        # latency/energy trade), which stashed proofs absorb.
-        return (listener._highest_round > 0
-                and listener._consecutive_missed == 0)
-
     # -- the periodic poll ------------------------------------------------------
 
     def _loop(self):
@@ -242,7 +236,10 @@ class SpvClient:
             yield self.sim.timeout(self.sync_interval)
             if self._pending is not None:
                 continue
-            if self._multicast_is_fresh():
+            # The stream vouches for itself only while rounds keep
+            # landing; headers lag at most verify_every rounds behind (the
+            # Danzi latency/energy trade), which stashed proofs absorb.
+            if self.multicast is not None and self.multicast.streaming:
                 self.rounds_skipped += 1
                 continue
             self._begin_round("poll")
@@ -438,16 +435,6 @@ class SpvClient:
     # -- observability ----------------------------------------------------------
 
     def stats(self) -> StatsView:
-        return StatsView({
-            "sync_rounds": self.sync_rounds,
-            "rounds_skipped": self.rounds_skipped,
-            "sync_timeouts": self.sync_timeouts,
-            "failovers": self.failovers,
-            "catchups": self.catchups,
-            "headers_synced": self.headers_synced,
-            "headers_from_multicast": self.headers_from_multicast,
-            "tip_height": self.chain.tip_height,
-            "proofs_verified": self.proofs_verified,
-            "proofs_rejected": self.proofs_rejected,
-            "matches_received": self.matches_received,
-        })
+        return StatsView({**{name: getattr(self, name)
+                             for name in self.COUNTERS},
+                          "tip_height": self.chain.tip_height})

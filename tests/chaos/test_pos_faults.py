@@ -68,6 +68,21 @@ def test_crashed_gateway_recovers_and_leads_again(preserve_chain):
     assert produced_after(network, network.sites[1], after=190.0) > 0
 
 
+def test_gateway_crashed_mid_production_leads_again():
+    # site-1 wakes for its slot 10 at t = 150.05 and queues its mining
+    # RPC; the crash lands while that job is in service, so the job never
+    # answers.  The seat must still lead slots 14 and 15 after restarting.
+    plan = FaultPlan(seed=41).crash("site-1", at=150.06, restart_at=190.0,
+                                    preserve_chain=True)
+    network = run_plan(plan, until=300.0)
+    assert_converged(network.all_daemons())
+    site = network.sites[1]
+    assert network.producers["chain"].schedule.leader_for_slot(10) == \
+        site.name
+    assert produced_after(network, site, after=150.0) == \
+        produced_after(network, site, after=190.0) > 0
+
+
 def test_equivocating_leader_surfaces_as_a_healed_reorg():
     network = BcWANNetwork(NetworkConfig(**POS))
     network.sim.run(until=50.0)

@@ -108,7 +108,7 @@ class Harness:
         if device_class == "full":
             recipient_wallet = Wallet(node.chain, recipient_key)
             recipient_wallet.watch_chain()
-            ledger = NodeLedger(self.daemon, recipient_wallet, self.tracker)
+            ledger = NodeLedger(self.daemon, recipient_wallet)
         else:
             LightServer(self.daemon)
             spv = SpvClient(self.sim, self.wan, endpoint, ("site",),

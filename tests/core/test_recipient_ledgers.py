@@ -1,9 +1,10 @@
 """One recipient state machine, two ledger accesses.
 
-The same scripted deliveries go through :class:`RecipientAgent` over a
-co-located full node (:class:`NodeLedger`) and over an SPV host
-(:class:`SpvLedger`); refusal reasons, tracker outcomes and the agent's
-counters must not depend on which one it is.
+The same scripted deliveries — and a cross-region ``ClaimMessage`` —
+go through :class:`RecipientAgent` over a co-located full node
+(:class:`NodeLedger`) and over an SPV host (:class:`SpvLedger`); refusal
+reasons, tracker outcomes and the agent's counters must not depend on
+which one it is.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 from repro.core.config import LightConfig
 from repro.core.costmodel import CostModel
+from repro.core.gateway_agent import CLAIM_FEE
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
 from repro.core.rewards import RecipientBudget
 from repro.lora.channel import Position
 from repro.lora.device import LoRaRadio
-from repro.p2p.message import DeliveryMessage
+from repro.p2p.message import ClaimMessage, DeliveryMessage
 
 from tests.core.test_agents_edge_cases import Harness
 
@@ -145,6 +147,47 @@ def test_gateway_that_never_claims_is_refunded_after_expiry(harness):
     assert "refunded" in record.failure_reason
     assert recipient.messages_decrypted == 0
     assert recipient.stats()["balance"] == FUNDING
+
+
+def test_a_relayed_cross_region_claim_settles(harness):
+    """A gateway following another sub-chain cannot reach the escrow's
+    chain: it sends its signed claim back as a ``ClaimMessage``, and the
+    recipient submits it on its own chain — to its mempool, or to its
+    serving peer — where the spend watch decrypts as usual."""
+    gateway = harness.gateway
+    held: list[bytes] = []
+    gateway._begin_claim = held.append
+    record = run_exchange(harness, duration=5.0)
+    assert record.status == "pending" and len(held) == 1
+    pending = gateway._ephemeral[record.exchange_id]
+    found = harness.node.chain.find_transaction(held[0])
+    offer_tx = found[0] if found else harness.node.mempool.get(held[0])
+    offer = gateway._audit_offer(offer_tx, pending)
+    claim = gateway.wallet.claim_key_release(
+        offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE)
+
+    harness.wan.register("foreign-gateway", lambda envelope: None)
+    harness.wan.send("foreign-gateway", harness.recipient.name, ClaimMessage(
+        delivery_id=record.exchange_id, claim_tx_bytes=claim.serialize()))
+    harness.sim.run(until=harness.sim.now + 20.0)
+
+    recipient = harness.recipient
+    assert record.completed and record.decrypted == b"reading-1"
+    assert recipient.claims_relayed == 1
+    assert recipient.stats()["pending_settlements"] == 0
+    assert recipient.stats()["balance"] == FUNDING - 100
+
+
+def test_an_undecodable_claim_fails_its_exchange(harness):
+    harness.gateway._begin_claim = lambda offer_txid: None
+    record = run_exchange(harness, duration=5.0)
+    harness.wan.register("foreign-gateway", lambda envelope: None)
+    harness.wan.send("foreign-gateway", harness.recipient.name, ClaimMessage(
+        delivery_id=record.exchange_id, claim_tx_bytes=b"\x00garbage"))
+    harness.sim.run(until=harness.sim.now + 5.0)
+    assert record.status == "failed"
+    assert record.failure_reason == "undecodable cross-region claim"
+    assert harness.recipient.claims_relayed == 0
 
 
 @pytest.mark.parametrize("device_class", DEVICE_CLASSES)

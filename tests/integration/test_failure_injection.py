@@ -65,6 +65,7 @@ def test_dead_blockchain_module_triggers_refunds(device_class):
         chain=ChainParams(block_interval=5.0, locktime_grace=4), light=LightConfig(device_class=device_class),
     ))
     fail_gateway_claims(network, 0)
+    funded = network.sites[1].wallet.balance
     network.run(num_exchanges=8, max_duration=400.0)
     # Give the reclaim sweeps time to fire past the locktimes.
     network.sim.run(until=network.sim.now + 200.0)
@@ -82,8 +83,7 @@ def test_dead_blockchain_module_triggers_refunds(device_class):
         # gateway role, so the only legitimate delta is that gateway's
         # earned rewards.
         wallet.refresh_from_utxo_set()
-        expected = (network._funding_baseline["site-1"]
-                    + network.sites[1].gateway.rewards_claimed)
+        expected = funded + network.sites[1].gateway.rewards_claimed
     else:
         # The light host holds its own key: every proven coin is back.
         expected = network.config.funding_coins * FUNDING_COIN_VALUE

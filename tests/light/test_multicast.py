@@ -64,8 +64,7 @@ class StubNetwork:
                 lambda msg=payload: self.listener.receive(msg))
 
 
-def build(tamper=None, delay=0.05, verify_every=2, miss_threshold=2,
-          deliver=True):
+def build(tamper=None, delay=0.05, verify_every=2, deliver=True):
     sim = Simulator()
     rng = random.Random(0xBC)
     keypair = KeyPair.generate(rng)
@@ -84,9 +83,9 @@ def build(tamper=None, delay=0.05, verify_every=2, miss_threshold=2,
     listener = MulticastListener(
         sim, keypair.public_key.to_bytes(), INTERVAL,
         apply_headers=apply_headers, on_omission=lambda: omissions.append(1),
-        verify_every=verify_every, listen_window=1.0,
-        miss_threshold=miss_threshold,
+        verify_every=verify_every,
     )
+    listener.LISTEN_WINDOW = 1.0
     if deliver:
         network.listener = listener
     return sim, chain, mc, listener, applied, omissions
@@ -209,7 +208,7 @@ def test_silent_gateway_triggers_omission():
     sim.run(until=3 * INTERVAL + 2)
     assert listener.bundles_received == 0
     assert listener.rounds_missed == 3
-    assert len(omissions) >= 1  # fired at miss_threshold=2, then again
+    assert len(omissions) >= 1  # fired at MISS_THRESHOLD = 2, then again
 
 
 def test_gap_bundle_requests_catch_up():
@@ -229,8 +228,9 @@ def test_gap_bundle_requests_catch_up():
     listener = MulticastListener(
         sim, keypair.public_key.to_bytes(), INTERVAL,
         apply_headers=apply_headers, on_omission=lambda: omissions.append(1),
-        verify_every=1, listen_window=1.0,
+        verify_every=1,
     )
+    listener.LISTEN_WINDOW = 1.0
     network.listener = listener
     chain.grow(2)
     sim.run(until=INTERVAL + 2)

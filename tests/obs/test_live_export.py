@@ -5,8 +5,10 @@ crash-and-restart and a settlement-node crash-and-restart: after the
 run, each series of ``registry.snapshot()`` is compared with the value
 read straight off the object that counts it — daemon attributes, engine
 cache and policy stats, sync agents, the chaos telemetry, checkpoint
-agents, the shared verdict memo, the WAN and the event queue.  The
-expectation is spelled out here, independently of the registrations.
+agents, the shared verdict memo, the WAN and the event queue.  A second
+2-region run with light recipients, compact relay and multicast adds the
+light tier's counters.  The expectation is spelled out here,
+independently of the registrations.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
+from repro.core.config import LightConfig
 from repro.core.report import _BLOCK_MESSAGES
 
 
@@ -69,18 +72,20 @@ def owners_view(network, injector, report):
         }.items():
             gauges[f"daemon.{field}{{host={host}}}"] = value
 
-    telemetry = injector.telemetry
-    agents = [daemon.sync_agent for daemon in injector.daemons.values()]
-    for field in ("messages_dropped", "messages_corrupted",
-                  "messages_duplicated", "messages_delayed",
-                  "partition_drops", "partitions_started",
-                  "partitions_healed", "crashes", "restarts"):
-        counters[f"chaos.{field}"] = getattr(telemetry, field)
-    counters["chaos.sync_timeouts"] = sum(a.timeouts for a in agents)
-    counters["chaos.sync_retries"] = sum(a.retries for a in agents)
-    counters["chaos.backoff_resets"] = sum(a.backoff_resets for a in agents)
-    for kind, count in telemetry.faults_injected.items():
-        counters[f"chaos.faults_injected{{kind={kind}}}"] = count
+    if injector is not None:
+        telemetry = injector.telemetry
+        agents = [daemon.sync_agent for daemon in injector.daemons.values()]
+        for field in ("messages_dropped", "messages_corrupted",
+                      "messages_duplicated", "messages_delayed",
+                      "partition_drops", "partitions_started",
+                      "partitions_healed", "crashes", "restarts"):
+            counters[f"chaos.{field}"] = getattr(telemetry, field)
+        counters["chaos.sync_timeouts"] = sum(a.timeouts for a in agents)
+        counters["chaos.sync_retries"] = sum(a.retries for a in agents)
+        counters["chaos.backoff_resets"] = sum(a.backoff_resets
+                                               for a in agents)
+        for kind, count in telemetry.faults_injected.items():
+            counters[f"chaos.faults_injected{{kind={kind}}}"] = count
 
     for region in network.regions:
         label = f"{{region={region.index}}}"
@@ -100,7 +105,46 @@ def owners_view(network, injector, report):
     gauges["wan.bytes_per_block"] = sum(
         wan.bytes_by_type.get(name, 0) for name in _BLOCK_MESSAGES
     ) / network.anchor_daemon.node.height
+
+    # The light tier: SPV hosts, their servers, compact relays and both
+    # ends of every multicast leg.
+    for spv in network.light_clients:
+        stats = dict(spv.stats())
+        gauges[f"light.spv.tip_height{{host={spv.name}}}"] = \
+            stats.pop("tip_height")
+        for field, value in stats.items():
+            counters[f"light.spv.{field}{{host={spv.name}}}"] = value
+        if spv.multicast is not None:
+            for field, value in spv.multicast.stats().items():
+                counters[f"light.multicast.{field}{{host={spv.name}}}"] = \
+                    value
+    for server in network.light_servers:
+        host = server.daemon.name
+        stats = server.stats()
+        gauges[f"light.server.clients{{host={host}}}"] = stats.pop("clients")
+        for field, value in stats.items():
+            counters[f"light.server.{field}{{host={host}}}"] = value
+    for relay in network.compact_relays:
+        for field, value in relay.stats().items():
+            counters[f"light.compact.{field}{{host={relay.daemon.name}}}"] = \
+                value
+    for multicaster in network.multicasters:
+        label = f"{{host={multicaster.name}}}"
+        counters[f"light.multicast.rounds_sent{label}"] = \
+            multicaster.rounds_sent
+        counters[f"light.multicast.rounds_delayed{label}"] = \
+            multicaster.rounds_delayed
     return {"counters": counters, "gauges": gauges}
+
+
+def assert_export_is_the_owners_view(network, injector, report) -> None:
+    snapshot = network.registry.snapshot()
+    expected = owners_view(network, injector, report)
+    assert set(snapshot["counters"]) == set(expected["counters"])
+    assert set(snapshot["gauges"]) == set(expected["gauges"])
+    for family in ("counters", "gauges"):
+        for series, value in expected[family].items():
+            assert snapshot[family][series] == value, series
 
 
 def test_every_series_equals_its_owners_value(run):
@@ -111,14 +155,26 @@ def test_every_series_equals_its_owners_value(run):
     assert daemons["anchor-r0"].stats.restarts == 1
     assert injector.telemetry.messages_dropped > 0
     assert sum(d.sync_agent.timeouts for d in daemons.values()) > 0
+    assert_export_is_the_owners_view(network, injector, report)
 
-    snapshot = network.registry.snapshot()
-    expected = owners_view(network, injector, report)
-    assert set(snapshot["counters"]) == set(expected["counters"])
-    assert set(snapshot["gauges"]) == set(expected["gauges"])
-    for family in ("counters", "gauges"):
-        for series, value in expected[family].items():
-            assert snapshot[family][series] == value, series
+
+def test_every_light_tier_series_equals_its_owners_value():
+    """Light recipients, compact relay and multicast on two regions."""
+    network = BcWANNetwork(NetworkConfig(
+        num_gateways=4, sensors_per_gateway=2, seed=11,
+        exchange_interval=20.0, sync_interval=10.0,
+        topology=RegionTopology(regions=2, roaming="global",
+                                checkpoint_interval=20.0),
+        light=LightConfig(device_class="light", compact_blocks=True,
+                          multicast_interval=15.0, light_sync_interval=30.0)))
+    report = network.run(num_exchanges=8)
+    # Every light-tier object counted something the export must follow.
+    assert len(network.light_clients) == len(network.multicasters) == 4
+    assert len(network.compact_relays) == len(network.all_daemons())
+    assert all(spv.proofs_verified for spv in network.light_clients)
+    assert all(m.rounds_sent for m in network.multicasters)
+    assert sum(relay.compact_received for relay in network.compact_relays)
+    assert_export_is_the_owners_view(network, None, report)
 
 
 def test_sub_chain_height_is_the_live_height(run):
