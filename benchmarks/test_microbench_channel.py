@@ -1,0 +1,116 @@
+"""Radio channel microbenchmark: counted exact path-loss elements, printed clocks.
+
+**Fast rows decide, exact values leave** — ``RadioChannel`` caches path-loss
+rows built by numpy's own ``hypot`` / ``log10`` and computes exact ``math``
+losses (``PathLossModel.loss_row_db``) only where a verdict sits within the
+decision margin of its threshold and for the RSSIs it hands out: the
+delivered listeners'.  When every cached row was exact, the 1000-sensor
+cell of ``python -m bench --workload radio_cell`` computed about 870
+exact elements per completed frame (0.87 rows of 1001 listeners; the
+shorter run here builds 0.895 rows, 896 elements).
+
+The gate is on the *count* of elements that pass through the exact
+builder, which repeats exactly: at most a fifth of those 870.  The
+microseconds are printed for the record only, so the test also runs in
+CI's ``--benchmark-disable`` lane on a host whose clock cannot be trusted.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import time
+
+import numpy as np
+
+from benchmarks.conftest import print_header, print_row
+from repro.lora import DataFrame, LoRaRadio, Position, RadioChannel
+from repro.lora.channel import PathLossModel
+from repro.sim.core import Simulator
+
+SENSORS = 1000
+SIM_SECONDS = 120.0
+# Exact elements per completed frame when every cached row was exact.
+ALL_EXACT_PER_FRAME = 870
+
+
+def _sensor(sim, radio, rng):
+    frame = DataFrame(sender=radio.name, encrypted_message=bytes(64),
+                      signature=bytes(64))
+    while True:
+        yield sim.timeout(rng.expovariate(1.0 / 60.0))
+        wait = radio.duty_cycle_wait()
+        if wait > 0:
+            yield sim.timeout(wait + 1e-6)
+        yield from radio.send(frame)
+
+
+def _cell() -> tuple[Simulator, RadioChannel]:
+    """A gateway and ``SENSORS`` sensors on one channel, each sending about
+    once a minute: the shape of the ``radio_cell`` benchmark workload."""
+    rng = random.Random(11)
+    sim = Simulator()
+    channel = RadioChannel(sim, random.Random(rng.getrandbits(64)))
+    LoRaRadio("gateway", channel, position=Position(0.0, 0.0), duty_cycle=0.1)
+    for index in range(SENSORS):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        distance = rng.uniform(50.0, 4000.0)
+        radio = LoRaRadio(f"sensor-{index}", channel, position=Position(
+            distance * math.cos(angle), distance * math.sin(angle)))
+        sim.process(_sensor(sim, radio, random.Random(rng.getrandbits(64))))
+    return sim, channel
+
+
+def _ms_per_row(build, listeners: int = SENSORS + 1) -> float:
+    rng = np.random.default_rng(7)
+    dx, dy = (rng.uniform(-4000.0, 4000.0, listeners) for _ in range(2))
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(50):
+            build(dx, dy)
+        best = min(best, (time.perf_counter() - start) / 50)
+    return round(best * 1e3, 4)
+
+
+def test_exact_elements_per_frame(monkeypatch):
+    exact_elements = [0]
+    real = PathLossModel.loss_row_db
+
+    def counted(self, dx, dy):
+        exact_elements[0] += len(dx)
+        return real(self, dx, dy)
+
+    monkeypatch.setattr(PathLossModel, "loss_row_db", counted)
+    sim, channel = _cell()
+    start = time.perf_counter()
+    sim.run(until=SIM_SECONDS)
+    elapsed = time.perf_counter() - start
+    evaluated = (channel.frames_delivered + channel.frames_lost_collision
+                 + channel.frames_lost_sensitivity)
+    completed, remainder = divmod(evaluated, SENSORS)
+    assert remainder == 0 and completed > 1000
+    per_frame = exact_elements[0] / completed
+    monkeypatch.undo()
+
+    model = PathLossModel()
+    print_header(f"Radio channel, {SENSORS} sensors + a gateway, "
+                 f"{completed} completed frames")
+    print_row("(columns)", "per frame")
+    print_row("exact elements (gate)", round(per_frame, 1))
+    print_row("  all exact, radio_cell", ALL_EXACT_PER_FRAME)
+    print_row("  all exact, this cell", round(
+        channel.loss_rows_built * (SENSORS + 1) / completed, 1))
+    print_row("delivered listeners",
+              round(channel.frames_delivered / completed, 1))
+    print_row("rows built", round(channel.loss_rows_built / completed, 3))
+    print_row("row look-ups", round((channel.loss_rows_built
+                                     + channel.loss_row_hits) / completed, 2))
+    print_row("us per frame (event loop incl.)",
+              round(elapsed / completed * 1e6, 1))
+    print_row("ms per row, fast builder", _ms_per_row(model.fast_row_db))
+    print_row("ms per row, exact builder", _ms_per_row(model.loss_row_db))
+
+    assert per_frame <= 0.2 * ALL_EXACT_PER_FRAME, (
+        f"{per_frame:.1f} exact elements per frame: more than a fifth of "
+        f"the {ALL_EXACT_PER_FRAME} an all-exact row cache computed")

@@ -7,20 +7,27 @@ overlapping same-frequency, same-SF transmission is at least
 frame is lost at that listener.
 
 Delivery is evaluated for all listeners at once when a frame's airtime
-ends: one path-loss row per transmitter position
-(:meth:`PathLossModel.loss_row_db`, kept in a byte-budgeted LRU), one RSSI
-vector per completion, a capture-suppression row accumulated across
-interferers.  The contract, pinned by
+ends: one path-loss row per transmitter position (kept in a byte-budgeted
+LRU), one RSSI vector per completion, one row of the loudest
+interferer's level.  The contract, pinned by
 ``tests/lora/test_channel_differential.py`` against the per-listener loop
 in ``tests/oracles/channel_reference.py``: every verdict, every RSSI bit,
 every counter, the delivery order and the state of the channel rng are
-the loop's.  That holds because numpy only ever performs float64
-subtract / compare / multiply / add / divide (IEEE-754-exact, as Python
-floats), while ``hypot`` and ``log10`` stay calls into ``math`` — numpy's
-own differ from those in about 1 % of a row's elements and are never used.
-Lognormal shadowing (``shadowing_sigma_db > 0``) draws from the channel
-rng per listener *conditionally*, which no batch form can replay, so such
-channels walk the listeners in order over the same cached rows.
+the loop's.
+
+Two row builders keep that contract at numpy speed.  A *fast* row
+(:meth:`PathLossModel.fast_row_db`, numpy's own ``hypot`` and ``log10``)
+differs from the loop's ``math`` values in about 1 % of its elements, by
+at most one ULP of the result; an *exact* row
+(:meth:`PathLossModel.loss_row_db`) is the loop's, bit for bit.  Cached
+rows are fast, and they decide: a verdict whose margin to its threshold
+is within ``_DECISION_MARGIN_DB`` is decided again on exact values, and
+every float that leaves the channel — the RSSI handed to a delivered
+listener, and every entry of a set ``verdict_log`` — is computed exactly,
+on those listeners only.  Lognormal shadowing (``shadowing_sigma_db > 0``)
+draws from the channel rng per listener *conditionally*, which no batch
+form can replay, so such channels cache exact rows and walk the listeners
+in order over them.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,8 +89,6 @@ class PathLossModel:
         Bit for bit: the same operations in the same association order as
         :meth:`loss_db`, the transcendentals still ``math.hypot`` and
         ``math.log10`` (mapped at C level, no Python frame per element).
-        numpy's own ``hypot`` and ``log10`` would be six times faster and
-        differ in about one element of the row in a hundred.
         """
         count = len(dx)
         row = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()),
@@ -94,6 +100,47 @@ class PathLossModel:
         row *= 10 * self.exponent
         row += self.reference_loss_db
         return row
+
+    def fast_row_db(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """:meth:`loss_row_db` by numpy's own ``hypot`` and ``log10``.
+
+        About ten times faster, and not bit for bit: ``np.hypot`` is the
+        C library's algorithm, not CPython's, and ``np.log10`` is numpy's
+        vector loop, so about one element in a hundred differs from
+        :meth:`loss_row_db`'s — by at most one ULP of the finished loss
+        (see ``_DECISION_MARGIN_DB``).  Fit for deciding at a margin, never
+        for a value that leaves the channel.
+        """
+        row = np.hypot(dx, dy)
+        np.maximum(row, 1.0, out=row)
+        row /= self.reference_distance
+        np.log10(row, out=row)
+        row *= 10 * self.exponent
+        row += self.reference_loss_db
+        return row
+
+
+_DECISION_MARGIN_DB = 1e-9
+"""How close to its threshold a fast-row verdict is decided again exactly.
+
+The bound it must clear, for distances up to 10 000 km: the two ``hypot``
+results differ relatively by ≤ 2**-51 (each within one ULP), the
+division by the reference distance adds ≤ 2**-52, and ``log10`` turns
+that into an absolute gap ≤ 3e-16; the two ``log10`` results differ by
+≤ two ULPs of a value ≤ 4 (2 × 2**-50); × ``10 * exponent`` (23.2) that
+is ≤ 5e-14, and the multiply's and the final add's roundings (one ULP
+each of values below 256 dB: ≤ 2 × 2**-45) bring the loss gap under
+1e-13 dB.  Measured over 300 rows × 1001 listeners on numpy 2.4.6, the
+largest gap is 2.8e-14 dB (one ULP at ~128 dB).  A verdict compares an
+RSSI ``power - loss`` with the sensitivity, or the difference of two
+RSSIs with the capture threshold, so its fast and exact operands differ
+by at most two loss gaps plus three roundings of values below 512 dB:
+under 4e-13 dB.  1e-9 dB is more than 10**4 times the measured loss gap
+and 2 500 times the derived verdict bound, so outside it a fast verdict
+is the exact one.  The channel checks the premise wherever it computes
+an exact value anyway, and raises if a fast element is further than
+this from it.
+"""
 
 
 @dataclass
@@ -138,12 +185,14 @@ class Listener:
 # completions (the working set is the frames on the air or just ended,
 # about a dozen at most on the benchmark's cell), a sender's own row ~1000
 # rows later, which no cache inside a memory bound catches.  Measured on that
-# cell (EXPERIMENTS.md, PR 21): rows built per completion 2.13 / 0.94 /
-# 0.87 / 0.74 / 0.50 at 64 KiB / 0.5 / 1 / 2 / 4 MiB; frames per second
-# flat from 0.5 to 2 MiB (4-5 k against the per-listener loop's 1 k); peak
-# RSS +2.7 / +4.0 / +6.3 / +10.8 % at 0.5 / 1 / 2 / 4 MiB against a bound
-# of 10 %.  1 MiB is the flat part at under half the bound, and leaves a
-# cell five times denser still holding twice that working set.
+# cell (EXPERIMENTS.md, "One radio kernel, bounded" and "Fast rows decide
+# at a margin"): rows built per completion 2.13 / 0.94 / 0.87 / 0.74 / 0.50
+# at 64 KiB / 0.5 / 1 / 2 / 4 MiB.  With fast rows (~0.02 ms each, against
+# ~0.2 ms for an exact one) frames per second read 7.2-8.5 k at 64 KiB and
+# 9-12.5 k from 0.5 to 4 MiB, flat within the run-to-run spread; peak RSS
+# 45.0 / 45.4 / 45.9 / 47.0 / 49.0 MB at the five budgets, against a bound
+# of 10 %.  1 MiB is the flat part at +2 % over the smallest budget, and
+# leaves a cell five times denser still holding twice that working set.
 LOSS_ROW_CACHE_BYTES = 1 << 20
 
 
@@ -154,8 +203,9 @@ class RadioChannel:
     ``(sender, listener, verdict, rssi_dbm)`` tuple for every listener the
     frame was evaluated at (the sender's own half-duplex radios are
     skipped) — the differential suite compares these with the reference
-    loop's.  ``loss_rows_built`` / ``loss_row_hits`` count path-loss row cache
-    misses and hits.
+    loop's.  It costs one exact row per completion: every RSSI it records
+    is exact.  ``loss_rows_built`` / ``loss_row_hits`` count path-loss row
+    cache misses and hits.
     """
 
     def __init__(self, sim: Simulator, rng: random.Random,
@@ -253,13 +303,17 @@ class RadioChannel:
         self._snapshot_version = self._listener_version
 
     def _loss_row(self, position: Position) -> np.ndarray:
-        """Unshadowed path loss from ``position`` to every listener."""
+        """Unshadowed path loss from ``position`` to every listener: fast,
+        or exact on a shadowed channel (the model is frozen, so a channel's
+        cache holds one kind)."""
         rows = self._loss_rows
         row = rows.pop(position, None)
         if row is None:
             self.loss_rows_built += 1
-            row = self.path_loss.loss_row_db(position.x - self._xs,
-                                             position.y - self._ys)
+            model = self.path_loss
+            build = (model.loss_row_db if model.shadowing_sigma_db > 0
+                     else model.fast_row_db)
+            row = build(position.x - self._xs, position.y - self._ys)
         else:
             self.loss_row_hits += 1
         rows[position] = row  # most recently used last
@@ -280,20 +334,42 @@ class RadioChannel:
         if self.path_loss.shadowing_sigma_db > 0:
             rssi, audible, suppressed = self._shadowed_verdicts(
                 transmission, interferers, own_radios, sensitivity)
+            exact_rssi = rssi.__getitem__  # over exact rows: the loop's
         else:
-            rssi = transmission.power_dbm - self._loss_row(transmission.position)
+            # Fast rows decide; a verdict within the margin of its
+            # threshold is decided again on exact values.
+            own_row = self._loss_row(transmission.position)
+            exact_rssi = partial(self._exact_rssi, transmission, own_row)
+            rssi = transmission.power_dbm - own_row
             audible = rssi >= sensitivity
+            near = _near(rssi, sensitivity)
+            if near.size:
+                audible[near] = exact_rssi(near) >= sensitivity
             if own_radios:
                 audible[own_radios] = False
             # A listener is suppressed if any interferer lands within the
-            # capture threshold of the wanted signal; the suppression row
-            # accumulates one interferer at a time (no K x L matrix).
-            threshold = self.capture_threshold_db
+            # capture threshold of the wanted signal, i.e. if the loudest
+            # one does (float subtraction is monotone, so this is the
+            # loop's test exactly); the loudest level accumulates one
+            # interferer at a time (no K x L matrix).
+            others = [(other, self._loss_row(other.position))
+                      for other in interferers]
             suppressed = None
-            for other in interferers:
-                close = rssi - (other.power_dbm
-                                - self._loss_row(other.position)) < threshold
-                suppressed = close if suppressed is None else suppressed | close
+            if others:
+                loudest = None
+                for other, other_row in others:
+                    level = other.power_dbm - other_row
+                    loudest = (level if loudest is None
+                               else np.maximum(loudest, level, out=loudest))
+                gap = rssi - loudest
+                threshold = self.capture_threshold_db
+                suppressed = gap < threshold
+                near = _near(gap, threshold)
+                if near.size:
+                    wanted = exact_rssi(near)
+                    suppressed[near] = np.logical_or.reduce([
+                        wanted - self._exact_rssi(other, other_row, near)
+                        < threshold for other, other_row in others])
         n_audible = int(np.count_nonzero(audible))
         if suppressed is None:
             delivered = audible
@@ -307,21 +383,41 @@ class RadioChannel:
         self.frames_lost_sensitivity += count - len(own_radios) - n_audible
         self.frames_lost_collision += n_audible - n_delivered
         self.frames_delivered += n_delivered
+        # Every RSSI that leaves the channel is exact, computed for the
+        # listeners it leaves to.
         log = self.verdict_log
-        rssi_floats = rssi.tolist() if n_delivered or log is not None else ()
         if log is not None:
+            levels = exact_rssi(slice(None)).tolist()
             heard = audible.tolist()
             for i, hit in enumerate(delivered.tolist()):
                 if i in own_radios:
                     continue
                 verdict = ("delivered" if hit
                            else "collision" if heard[i] else "sensitivity")
-                log.append((sender, self._names[i], verdict, rssi_floats[i]))
+                log.append((sender, self._names[i], verdict, levels[i]))
         if n_delivered:
             frame = transmission.frame
             delivers = self._delivers
-            for i in np.nonzero(delivered)[0].tolist():
-                delivers[i](frame, rssi_floats[i])
+            at = delivered.nonzero()[0]
+            for i, level in zip(at.tolist(), exact_rssi(at).tolist()):
+                delivers[i](frame, level)
+
+    def _exact_rssi(self, transmission: Transmission, fast_row: np.ndarray,
+                    at) -> np.ndarray:
+        """``transmission``'s exact RSSI at the listeners ``at`` (indices or
+        a slice), checking the premise of the decision margin on the way:
+        ``fast_row`` — its cached row — may differ from the exact losses
+        there by no more than ``_DECISION_MARGIN_DB``."""
+        position = transmission.position
+        exact = self.path_loss.loss_row_db(position.x - self._xs[at],
+                                           position.y - self._ys[at])
+        gaps = np.abs(exact - fast_row[at])
+        if (gaps > _DECISION_MARGIN_DB).any():
+            raise AssertionError(
+                f"a fast path-loss row from {position} is {gaps.max()} dB "
+                f"off the exact one, beyond the decision margin "
+                f"{_DECISION_MARGIN_DB} dB")
+        return transmission.power_dbm - exact
 
     def _shadowed_verdicts(self, transmission: Transmission,
                            interferers: list[Transmission],
@@ -330,8 +426,9 @@ class RadioChannel:
 
         Every link evaluated draws once from the channel rng, and a
         listener stops drawing at the first interferer that suppresses it,
-        so the listeners are walked in order; ``row[i] + gauss`` is the
-        float add ``PathLossModel.loss_db`` performs.
+        so the listeners are walked in order, over cached rows that on a
+        shadowed channel are exact; ``row[i] + gauss`` is the float add
+        ``PathLossModel.loss_db`` performs.
         """
         gauss = self.rng.gauss
         sigma = self.path_loss.shadowing_sigma_db
@@ -357,3 +454,9 @@ class RadioChannel:
                     suppressed[i] = True
                     break
         return np.array(rssi), np.array(audible), np.array(suppressed)
+
+
+def _near(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the fast ``values`` within the decision margin of
+    ``threshold``: the verdicts a fast row may not decide."""
+    return (np.abs(values - threshold) <= _DECISION_MARGIN_DB).nonzero()[0]

@@ -14,6 +14,13 @@ requires *exact* equality of:
 - the channel rng's state afterwards (lognormal shadowing draws per link,
   conditionally, so one draw more or less shows here).
 
+The production channel runs each case twice: with a verdict log, which
+makes it compute every listener's RSSI exactly, and without one, as in
+every deployment, where it computes exact RSSIs for the delivered
+listeners only; the second run's deliveries, counters and rng state must
+equal the oracle's too.  ``tests/lora/test_channel_margin.py`` holds the
+cases built to sit exactly on a threshold.
+
 Three layers: a seeded corpus of 200+ random overlapping-transmission
 cases, a hypothesis search over the same space, and a full 5-gateway
 paper-shaped network run whose exported JSONL traces must be
@@ -45,11 +52,14 @@ CORPUS_CASES = 220
 
 
 def run_channel(channel_class, listeners, transmissions,
-                sigma: float = 0.0, capture_db: float = 6.0):
+                sigma: float = 0.0, capture_db: float = 6.0,
+                logged: bool = True):
     """Replay one scenario on one channel; return its full observable state.
 
     A transmission is ``(t, sender, (x, y), sf, freq_idx, power, payload)``
-    plus an optional coding rate.
+    plus an optional coding rate.  ``logged=False`` leaves ``verdict_log``
+    unset, as every deployment does: the production channel then computes
+    exact RSSIs for the delivered listeners only.
     """
     sim = Simulator()
     channel = channel_class(
@@ -58,7 +68,7 @@ def run_channel(channel_class, listeners, transmissions,
         capture_threshold_db=capture_db,
     )
     deliveries: list[tuple] = []
-    channel.verdict_log = []
+    channel.verdict_log = [] if logged else None
     for name, (x, y), owner in listeners:
         channel.add_listener(Listener(
             name=name, position=Position(x, y),
@@ -91,6 +101,13 @@ def assert_matches_oracle(listeners, transmissions, sigma=0.0,
     assert production[2] == oracle[2], "channel counters diverge"
     assert production[3].rng.getstate() == oracle[3].rng.getstate(), \
         "channel rng streams diverge"
+    # The path every deployment takes: no verdict log.
+    unlogged = run_channel(RadioChannel, listeners, transmissions, sigma,
+                           capture_db, logged=False)
+    assert unlogged[0] == oracle[0], "unlogged delivery lists diverge"
+    assert unlogged[2] == oracle[2], "unlogged channel counters diverge"
+    assert unlogged[3].rng.getstate() == oracle[3].rng.getstate(), \
+        "unlogged channel rng streams diverge"
     return oracle, production
 
 

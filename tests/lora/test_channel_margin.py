@@ -1,0 +1,169 @@
+"""Fast rows decide, at a margin: the cases built to sit on a threshold.
+
+``RadioChannel`` caches path-loss rows built by numpy's own ``hypot`` and
+``log10`` (``PathLossModel.fast_row_db``), which differ from the exact
+``math`` rows in about 1 % of their elements.  A verdict within
+``_DECISION_MARGIN_DB`` of its threshold is decided again on exact
+values.  The cases here are found by search so that the fast and the
+exact loss of a link differ *and* the exact RSSI (or capture difference)
+lands exactly on its threshold, or one ULP below it — each a link the
+fast row alone decides wrongly.  Every one must match the per-listener
+oracle, logged and unlogged (``assert_matches_oracle``).
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lora.channel import (_DECISION_MARGIN_DB, Listener,
+                                PathLossModel, Position, RadioChannel)
+from repro.lora.frames import DataFrame
+from repro.lora.phy import SENSITIVITY_DBM, LoRaModulation
+from repro.sim.core import Simulator
+from tests.lora.test_channel_differential import assert_matches_oracle
+
+MODEL = PathLossModel()
+LISTENER = ("gw", (0.0, 0.0), None)
+SF = 7
+CAPTURE_DB = 6.0
+# Every path-loss model a configuration or a test builds: deployments
+# take the defaults, the channel suites add shadowing (which rows ignore).
+MODELS = [PathLossModel()] + [PathLossModel(shadowing_sigma_db=sigma)
+                              for sigma in (2.5, 3.0, 4.0, 6.0)]
+
+
+def losses(position: tuple[float, float]) -> tuple[float, float]:
+    """(fast, exact) loss from ``position`` to the listener at the origin."""
+    dx, dy = np.array([position[0]]), np.array([position[1]])
+    return float(MODEL.fast_row_db(dx, dy)[0]), float(MODEL.loss_row_db(dx, dy)[0])
+
+
+def find_link(rng: random.Random, sign: int):
+    """A transmitter position whose fast loss minus exact loss has ``sign``."""
+    for _ in range(100_000):
+        position = (rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0))
+        fast, exact = losses(position)
+        if np.sign(fast - exact) == sign:
+            return position, fast, exact
+    raise AssertionError(f"no link with fast - exact of sign {sign}")
+
+
+def solve(predicate, guess: float) -> float:
+    """The float nearest ``guess`` (within a few ULPs) that satisfies
+    ``predicate``."""
+    candidates = [guess]
+    up = down = guess
+    for _ in range(8):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        candidates += [up, down]
+    for candidate in candidates:
+        if predicate(candidate):
+            return candidate
+    raise AssertionError(f"no float near {guess} satisfies the predicate")
+
+
+def verdicts(oracle) -> dict[str, str]:
+    return {sender: verdict for sender, _, verdict, _ in oracle[1]}
+
+
+@pytest.mark.parametrize("on_threshold", [True, False],
+                         ids=["rssi-equal-to-sensitivity", "one-ulp-below"])
+def test_rssi_at_the_sensitivity(on_threshold):
+    sensitivity = SENSITIVITY_DBM[SF]
+    target = (sensitivity if on_threshold
+              else math.nextafter(sensitivity, -math.inf))
+    # On the threshold the exact RSSI is audible, so the fast row is wrong
+    # where it is the larger loss; one ULP below, where it is the smaller.
+    position, fast, exact = find_link(random.Random(1),
+                                      1 if on_threshold else -1)
+    power = solve(lambda p: p - exact == target, target + exact)
+    assert (power - fast >= sensitivity) != (power - exact >= sensitivity), \
+        "the fast row alone would decide this link correctly"
+    assert abs((power - fast) - sensitivity) <= _DECISION_MARGIN_DB
+    oracle, _ = assert_matches_oracle(
+        [LISTENER], [(0.0, "dev-0", position, SF, 0, power, 12)])
+    assert verdicts(oracle) == {
+        "dev-0": "delivered" if on_threshold else "sensitivity"}
+    assert oracle[1][0][3] == target
+
+
+@pytest.mark.parametrize("on_threshold", [True, False],
+                         ids=["gap-equal-to-threshold", "one-ulp-below"])
+def test_capture_difference_at_the_threshold(on_threshold):
+    rng = random.Random(2)
+    # The wanted frame's link is off (the sign that makes the fast gap
+    # land on the wrong side); the interferer's fast and exact agree.
+    wanted, fast_wanted, exact_wanted = find_link(rng,
+                                                  1 if on_threshold else -1)
+    interferer, fast_other, exact_other = find_link(rng, 0)
+    power_other = exact_other - 100.0
+    level_other = power_other - exact_other
+    level = solve(lambda r: r - level_other == CAPTURE_DB,
+                  CAPTURE_DB + level_other)
+    if not on_threshold:  # the largest wanted level the capture suppresses
+        level = math.nextafter(level, -math.inf)
+    power = solve(lambda p: p - exact_wanted == level, level + exact_wanted)
+    assert level >= SENSITIVITY_DBM[SF]
+    exact_gap = (power - exact_wanted) - level_other
+    assert (exact_gap == CAPTURE_DB) == on_threshold
+    fast_gap = (power - fast_wanted) - (power_other - fast_other)
+    assert (fast_gap < CAPTURE_DB) != (exact_gap < CAPTURE_DB), \
+        "the fast row alone would decide this capture correctly"
+    assert abs(fast_gap - CAPTURE_DB) <= _DECISION_MARGIN_DB
+    oracle, _ = assert_matches_oracle(
+        [LISTENER], [(0.0, "wanted", wanted, SF, 0, power, 12),
+                     (0.0, "other", interferer, SF, 0, power_other, 12)],
+        capture_db=CAPTURE_DB)
+    assert verdicts(oracle) == {
+        "wanted": "delivered" if on_threshold else "collision",
+        "other": "collision"}
+
+
+@given(model=st.sampled_from(MODELS),
+       links=st.lists(st.tuples(st.floats(0.0, 1e7),
+                                st.floats(0.0, 2.0 * math.pi)),
+                      min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_fast_rows_stay_far_inside_the_margin(model, links):
+    dx = np.array([distance * math.cos(angle) for distance, angle in links])
+    dy = np.array([distance * math.sin(angle) for distance, angle in links])
+    gaps = np.abs(model.fast_row_db(dx, dy) - model.loss_row_db(dx, dy))
+    assert gaps.max() <= _DECISION_MARGIN_DB / 1000
+
+
+def one_frame(path_loss: PathLossModel) -> RadioChannel:
+    sim = Simulator()
+    channel = RadioChannel(sim, random.Random(3), path_loss=path_loss)
+    channel.add_listener(Listener(name="gw", position=Position(0.0, 0.0),
+                                  deliver=lambda frame, rssi: None))
+    frame = DataFrame(sender="dev-0", encrypted_message=b"x" * 12, nonce=0)
+    sim.call_at(0.0, lambda: channel.transmit(
+        "dev-0", Position(300.0, 400.0), frame, LoRaModulation(SF)))
+    sim.run()
+    return channel
+
+
+def test_a_fast_row_beyond_the_margin_raises(monkeypatch):
+    real = PathLossModel.fast_row_db
+
+    def off(self, dx, dy):
+        return real(self, dx, dy) + 10 * _DECISION_MARGIN_DB
+
+    monkeypatch.setattr(PathLossModel, "fast_row_db", off)
+    with pytest.raises(AssertionError, match="beyond the decision margin"):
+        one_frame(MODEL)
+
+
+def test_a_shadowed_channel_caches_exact_rows(monkeypatch):
+    def refused(self, dx, dy):
+        raise AssertionError("a shadowed channel built a fast row")
+
+    monkeypatch.setattr(PathLossModel, "fast_row_db", refused)
+    channel = one_frame(PathLossModel(shadowing_sigma_db=4.0))
+    assert channel.loss_rows_built == 1

@@ -1,0 +1,108 @@
+"""``python -m tools.trajectory pairs``: the protocol, without the runs.
+
+The real command clones two revisions and runs the benchmark in each;
+here the clone and the runner are stubbed, so the test covers what the
+tool decides: which side runs first in every pair, the statistics it
+prints, and that two sides running different programs fail it.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from tools.trajectory import pairs
+
+RATES = {"base": [100.0, 102.0, 98.0, 101.0, 99.0],
+         "change": [150.0, 149.0, 152.0, 97.0, 151.0]}
+SETUPS = {"base": [1.0] * 5, "change": [0.9, 1.1, 0.9, 1.1, 1.0]}
+
+
+class StubRunner:
+    """Hands out the fixed series above, in call order per side and seed;
+    ``moved`` overrides fields of the run ``(side, seed, index)``."""
+
+    def __init__(self, moved=None):
+        self.calls: list[tuple[str, int]] = []
+        self.moved = moved or {}
+
+    def __call__(self, checkout: Path, workload: str, seed: int) -> dict:
+        side = checkout.name
+        index = self.calls.count((side, seed))
+        self.calls.append((side, seed))
+        detail = {"digest": "d", "attempted": 10, "failed": 1,
+                  "metrics": {"frames_per_s": RATES[side][index],
+                              "setup_s": SETUPS[side][index],
+                              "peak_rss_mb": 40.0 + (side == "change")}}
+        detail.update(self.moved.get((side, seed, index), {}))
+        return detail
+
+
+CHECKOUTS = {side: Path(side) for side in pairs.SIDES}
+
+
+def test_the_first_side_alternates_every_pair():
+    runner = StubRunner()
+    rows = pairs.run_pairs(runner, CHECKOUTS, "radio_cell", [11, 23], 3)
+    assert [row["first"] for row in rows] == ["base", "change"] * 3
+    assert runner.calls == [
+        ("base", 11), ("change", 11), ("change", 11), ("base", 11),
+        ("base", 11), ("change", 11),
+        ("change", 23), ("base", 23), ("base", 23), ("change", 23),
+        ("change", 23), ("base", 23)]
+    # Each row holds both sides' run of the same pair.
+    assert [row["seed"] for row in rows] == [11] * 3 + [23] * 3
+
+
+def test_wins_medians_quartiles_and_ratio():
+    rows = pairs.run_pairs(StubRunner(), CHECKOUTS, "radio_cell", [11], 5)
+    summary = {entry["metric"]: entry for entry in pairs.summarise(rows)}
+    rate = summary["frames_per_s"]
+    assert (rate["better"], rate["wins"], rate["pairs"]) == ("higher", 4, 5)
+    assert rate["base"] == (98.5, 100.0, 101.5)       # (q1, median, q3)
+    assert rate["change"] == (123.0, 150.0, 151.5)
+    assert rate["ratio"] == 1.5
+    setup = summary["setup_s"]
+    assert (setup["better"], setup["wins"]) == ("lower", 2)
+    assert summary["peak_rss_mb"]["wins"] == 0
+    assert summary["peak_rss_mb"]["ratio"] == pytest.approx(41.0 / 40.0)
+
+
+@pytest.mark.parametrize("field,value", [("digest", "moved"),
+                                         ("attempted", 11), ("failed", 0)])
+def test_sides_running_different_programs_fail(capsys, field, value):
+    runner = StubRunner(moved={("change", 23, 1): {field: value}})
+    rows = pairs.run_pairs(runner, CHECKOUTS, "radio_cell", [11, 23], 2)
+    assert pairs.report(rows) == 1
+    out = capsys.readouterr().out
+    assert f"MISMATCH seed 23 pair 2 {field}" in out
+    assert "equal on both sides in all 2 pairs" in out     # seed 11
+
+
+def test_the_command_prints_the_claim_table(monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "resolve", lambda revision: revision * 3)
+    cloned = []
+
+    def checkout(sha, destination):
+        cloned.append(sha)
+        return Path(destination.name)
+
+    code = pairs.pairs_command("abcd", "ef01", "radio_cell", [11], 5,
+                               runner=StubRunner(), checkout=checkout)
+    assert code == 0
+    assert cloned == ["abcdabcdabcd", "ef01ef01ef01"]
+    out = capsys.readouterr().out
+    assert "base abcdabcdabcd  change ef01ef01ef01" in out
+    assert "4/5" in out and "100 [98.5, 101.5]" in out
+    assert "digest d attempted 10 failed 1: equal on both sides" in out
+
+
+def test_an_unknown_revision_fails_before_anything_runs(capsys):
+    runner = StubRunner()
+    code = pairs.pairs_command("no-such-revision", "HEAD", "radio_cell",
+                               [11], 1, runner=runner)
+    assert code == 1
+    assert "FAILED: no commit named 'no-such-revision'" in \
+        capsys.readouterr().out
+    assert runner.calls == []

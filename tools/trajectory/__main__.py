@@ -1,4 +1,4 @@
-"""CLI: ``python -m tools.trajectory pins [--update]``.
+"""CLI: ``python -m tools.trajectory pins [--update]`` and ``pairs``.
 
 ``pins`` runs every workload ``BENCHMARK.json`` declares at ``--smoke``
 sizes on each pinned seed and compares each run's output digest,
@@ -6,6 +6,13 @@ attempted and failed counts with ``tools/trajectory/pins.json``.  Exit 0
 when every run matches, 1 when one differs or fails its checks.
 ``--update`` rewrites the file from this checkout instead: a declared
 behaviour change re-pins here, in one place.
+
+``pairs --base REV [--change REV] --workload W [--seeds 11,23]
+[--pairs N]`` measures a timing claim: N alternating base/change pairs
+per seed, each side in a fresh local clone (``tools/trajectory/pairs.py``).
+``--change`` defaults to ``HEAD``, so commit what is to be measured.
+Clones go under the system temporary directory (``TMPDIR``).  Exit 0
+when every pair ran the same program on both sides, 1 otherwise.
 
 Run from the repo root (the benchmark runs from the checkout it sits in).
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from tools.trajectory.pairs import pairs_command
 from tools.trajectory.pins import check_pins, update_pins
 
 
@@ -26,7 +34,20 @@ def main(argv: list[str] | None = None) -> int:
         "pins", help="check (or --update) the smoke-size digest pins")
     pins.add_argument("--update", action="store_true",
                       help="rewrite the pin file from this checkout")
+    pairs = commands.add_parser(
+        "pairs", help="alternating base/change pairs from fresh clones")
+    pairs.add_argument("--base", required=True, help="the base revision")
+    pairs.add_argument("--change", default="HEAD",
+                       help="the changed revision (default HEAD)")
+    pairs.add_argument("--workload", required=True)
+    pairs.add_argument("--seeds", default="11,23",
+                       type=lambda text: [int(s) for s in text.split(",")])
+    pairs.add_argument("--pairs", type=int, default=10,
+                       help="pairs per seed (default 10)")
     args = parser.parse_args(argv)
+    if args.command == "pairs":
+        return pairs_command(args.base, args.change, args.workload,
+                             args.seeds, args.pairs)
     if args.update:
         update_pins()
         return 0

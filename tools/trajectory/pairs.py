@@ -1,0 +1,168 @@
+"""Alternating base/change pairs from fresh clones: how a timing claim is made.
+
+One workload is run ``pairs`` times per seed in each of two fresh local
+``git clone``s — the base revision and the change — one untraced
+``python -m bench --workload W --seed S`` at a time.  The side that runs
+first alternates every pair, so neither side always meets the host warmer
+(or quieter) than the other, and a clone, not the working tree, is what is
+measured: a working tree has read a few per cent off a clone of the same
+files.  Per seed it prints every pair, then per end-to-end metric the
+change's wins, both medians with their quartiles and the ratio of the
+medians.  Timings are only comparable between runs of one program, so any
+pair whose sides differ in digest, attempted or failed is flagged, and the
+command exits 1.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any, Callable
+
+from tools.trajectory.pins import PINNED, ROOT
+
+SIDES = ("base", "change")
+Runner = Callable[[Path, str, int], dict[str, Any]]
+
+
+def resolve(revision: str) -> str:
+    """The commit sha ``revision`` names in this repository."""
+    completed = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{revision}^{{commit}}"], cwd=ROOT,
+        capture_output=True, text=True)
+    if completed.returncode != 0:
+        raise ValueError(f"no commit named {revision!r} in {ROOT}")
+    return completed.stdout.strip()
+
+
+def clone(sha: str, destination: Path) -> Path:
+    """A fresh local clone of this repository, checked out at ``sha``."""
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(ROOT),
+                    str(destination)], check=True)
+    subprocess.run(["git", "checkout", "--quiet", "--detach", sha],
+                   cwd=destination, check=True)
+    return destination
+
+
+def bench_run(checkout: Path, workload: str, seed: int) -> dict[str, Any]:
+    """One untraced benchmark run in ``checkout``; its detail record."""
+    from bench.__main__ import DETAIL_PREFIX
+
+    completed = subprocess.run(
+        [sys.executable, "-m", "bench", "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True)
+    for line in completed.stdout.splitlines():
+        if completed.returncode == 0 and line.startswith(DETAIL_PREFIX):
+            return json.loads(line[len(DETAIL_PREFIX):])
+    raise RuntimeError(f"{workload} seed {seed} failed in {checkout} "
+                       f"(exit {completed.returncode})")
+
+
+def run_pairs(runner: Runner, checkouts: dict[str, Path], workload: str,
+              seeds: list[int], pairs: int) -> list[dict[str, Any]]:
+    """``pairs`` pairs per seed; the first side alternates every pair."""
+    rows = []
+    for seed in seeds:
+        for pair in range(1, pairs + 1):
+            order = SIDES if len(rows) % 2 == 0 else SIDES[::-1]
+            runs = {side: runner(checkouts[side], workload, seed)
+                    for side in order}
+            rows.append({"seed": seed, "pair": pair, "first": order[0],
+                         **runs})
+    return rows
+
+
+def summarise(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Per end-to-end metric of a seed's pairs: wins, medians, ratio."""
+    from bench.metrics import END_TO_END
+    from bench.results import quartiles
+
+    better = {metric.name: metric.better for metric in END_TO_END}
+    summaries = []
+    for name in rows[0]["base"]["metrics"]:
+        values = {side: [row[side]["metrics"][name] for row in rows]
+                  for side in SIDES}
+        sign = 1.0 if better[name] == "higher" else -1.0
+        wins = sum(sign * (change - base) > 0
+                   for base, change in zip(values["base"], values["change"]))
+        base_q, change_q = quartiles(values["base"]), quartiles(values["change"])
+        summaries.append({
+            "metric": name, "better": better[name],
+            "wins": wins, "pairs": len(rows),
+            "base": base_q, "change": change_q,
+            "ratio": change_q[1] / base_q[1]})
+    return summaries
+
+
+def mismatches(rows: list[dict[str, Any]]) -> list[str]:
+    """One line per pair and pinned field where the two sides differ."""
+    return [f"MISMATCH seed {row['seed']} pair {row['pair']} {field}: "
+            f"base {row['base'][field]}, change {row['change'][field]}"
+            for row in rows for field in PINNED
+            if row["base"][field] != row["change"][field]]
+
+
+def _quartile_cell(q: tuple[float, float, float]) -> str:
+    q1, median, q3 = q
+    return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def report(rows: list[dict[str, Any]]) -> int:
+    """Print the pair tables and summaries; the exit code."""
+    flagged = mismatches(rows)
+    for seed in dict.fromkeys(row["seed"] for row in rows):
+        of_seed = [row for row in rows if row["seed"] == seed]
+        names = list(of_seed[0]["base"]["metrics"])
+        print(f"\nseed {seed}")
+        print(f"  {'pair':<6}{'first':<8}" + "".join(
+            f"{name + ' base/change':>36}" for name in names))
+        for row in of_seed:
+            cells = "".join(
+                f"{row['base']['metrics'][name]:>17.6g} /"
+                f"{row['change']['metrics'][name]:>17.6g}" for name in names)
+            print(f"  {row['pair']:<6}{row['first']:<8}{cells}")
+        print(f"  {'metric':<26}{'better':<8}{'wins':<8}"
+              f"{'base median [q1, q3]':<38}{'change median [q1, q3]':<38}"
+              f"ratio")
+        for summary in summarise(of_seed):
+            print(f"  {summary['metric']:<26}{summary['better']:<8}"
+                  f"{summary['wins']}/{summary['pairs']:<6}"
+                  f"{_quartile_cell(summary['base']):<38}"
+                  f"{_quartile_cell(summary['change']):<38}"
+                  f"{summary['ratio']:.4f}")
+        if mismatches(of_seed):
+            print("  the sides ran different programs: see MISMATCH below")
+        else:
+            first = of_seed[0]["base"]
+            print("  " + " ".join(f"{field} {first[field]}"
+                                  for field in PINNED)
+                  + f": equal on both sides in all {len(of_seed)} pairs")
+    for line in flagged:
+        print(line)
+    return 1 if flagged else 0
+
+
+def pairs_command(base: str, change: str, workload: str, seeds: list[int],
+                  pairs: int, runner: Runner = bench_run,
+                  checkout: Callable[[str, Path], Path] = clone) -> int:
+    try:
+        shas = {"base": resolve(base), "change": resolve(change)}
+    except ValueError as unknown:
+        print(f"FAILED: {unknown}")
+        return 1
+    print(f"pairs: base {shas['base'][:12]}  change {shas['change'][:12]}  "
+          f"workload {workload}  seeds {','.join(map(str, seeds))}  "
+          f"{pairs} pairs per seed, fresh clones, first side alternating")
+    with tempfile.TemporaryDirectory(prefix="trajectory-pairs-") as scratch:
+        checkouts = {side: checkout(shas[side], Path(scratch) / side)
+                     for side in SIDES}
+        try:
+            rows = run_pairs(runner, checkouts, workload, seeds, pairs)
+        except RuntimeError as failure:
+            print(f"FAILED: {failure}")
+            return 1
+    return report(rows)
