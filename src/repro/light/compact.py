@@ -15,7 +15,7 @@ verification work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.blockchain.block import Block, BlockHeader
@@ -27,6 +27,7 @@ from repro.p2p.message import (
     Envelope,
     GetBlockTxnMessage,
 )
+from repro.p2p.sync import Requests
 
 if TYPE_CHECKING:  # avoid a light <-> core import cycle
     from repro.core.daemon import BlockchainDaemon
@@ -65,11 +66,8 @@ class _PartialBlock:
 
     header: BlockHeader
     slots: list[Optional[Transaction]]
-    missing: tuple[int, ...]
-    origin: str
     trace: Any = None
-    token: int = 0
-    requested_all: bool = field(default=False)
+    requested_all: bool = False
 
 
 class CompactBlockRelay:
@@ -91,8 +89,9 @@ class CompactBlockRelay:
     def __init__(self, daemon: "BlockchainDaemon") -> None:
         self.daemon = daemon
         self.network = daemon.network
-        self._partials: dict[bytes, _PartialBlock] = {}
-        self._tokens = 0
+        # Fallback requests in flight, by block hash.
+        self.requests = Requests(daemon.sim, daemon.network, daemon.name,
+                                 self._on_expire)
         # Counters feeding the lightclient benchmark's hit-rate figure.
         self.compact_announced = 0
         self.compact_received = 0
@@ -182,46 +181,36 @@ class CompactBlockRelay:
                 return
             # A short-id collision picked the wrong tx: refetch everything.
             missing = open_indexes
-        partial = _PartialBlock(
-            header=header, slots=slots, missing=tuple(missing),
-            origin=envelope.source, trace=envelope.trace,
-            requested_all=missing == open_indexes,
-        )
-        self._request_missing(block_hash, partial)
+        partial = _PartialBlock(header=header, slots=slots,
+                                trace=envelope.trace,
+                                requested_all=missing == open_indexes)
+        self._request_missing(block_hash, envelope.source, tuple(missing),
+                              partial)
 
-    def _request_missing(self, block_hash: bytes,
+    def _request_missing(self, block_hash: bytes, origin: str,
+                         missing: tuple[int, ...],
                          partial: _PartialBlock) -> None:
-        self._tokens += 1
-        partial.token = self._tokens
-        self._partials[block_hash] = partial
+        """Ask ``origin`` for the ``missing`` positions; a reply counts
+        only if it carries exactly those."""
         self.fallback_roundtrips += 1
-        self.network.send(
-            self.daemon.name, partial.origin,
-            GetBlockTxnMessage(block_hash=block_hash,
-                               indexes=partial.missing),
-        )
-        token = partial.token
-        self.daemon.sim.call_in(
-            self.FALLBACK_TIMEOUT,
-            lambda: self._on_fallback_deadline(block_hash, token))
+        self.requests.ask(block_hash, origin,
+                          GetBlockTxnMessage(block_hash=block_hash,
+                                             indexes=missing),
+                          self.FALLBACK_TIMEOUT, kind=missing,
+                          context=partial)
 
-    def _on_fallback_deadline(self, block_hash: bytes, token: int) -> None:
-        partial = self._partials.get(block_hash)
-        if partial is None or partial.token != token:
-            return  # answered in time (or superseded)
-        del self._partials[block_hash]
+    def _on_expire(self, request: Any) -> None:
         # Give up on the sketch; the periodic SyncAgent round will fetch
         # the full block if gossip never re-offers it.
         self.reconstruct_failed += 1
 
     def _on_block_txn(self, envelope: Envelope) -> None:
         message = envelope.payload
-        partial = self._partials.get(message.block_hash)
-        if partial is None:
-            return  # late reply after deadline, or never asked
-        if message.indexes != partial.missing:
-            return  # stale or mismatched reply; keep waiting
-        del self._partials[message.block_hash]
+        request = self.requests.answer(message.block_hash, envelope.source,
+                                       message.indexes)
+        if request is None:
+            return  # late, never asked, or other positions: keep waiting
+        partial = request.context
         for index, raw in zip(message.indexes, message.transactions):
             partial.slots[index] = Transaction.deserialize(raw)
             self.txs_fetched += 1
@@ -235,19 +224,16 @@ class CompactBlockRelay:
                 self.reconstruct_failed += 1
                 return
             # Mempool collision on a slot we thought we had: refetch all.
-            refetch = _PartialBlock(
-                header=partial.header,
-                slots=[None] * len(partial.slots),
-                missing=tuple(range(len(partial.slots))),
-                origin=partial.origin,
-                trace=partial.trace,
-                requested_all=True,
-            )
-            self._request_missing(partial.header.hash, refetch)
+            count = len(partial.slots)
+            refetch = _PartialBlock(header=partial.header,
+                                    slots=[None] * count,
+                                    trace=partial.trace, requested_all=True)
+            self._request_missing(partial.header.hash, request.peer,
+                                  tuple(range(count)), refetch)
             return
         self.reconstructed_after_fallback += 1
         self.daemon.enqueue_network_block(
-            block, origin=partial.origin, trace=partial.trace)
+            block, origin=request.peer, trace=partial.trace)
 
     def stats(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.COUNTERS}

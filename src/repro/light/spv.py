@@ -7,14 +7,15 @@ nodes, and confirms the transactions it cares about through Merkle
 inclusion proofs — never downloading, deserializing, or validating a
 block body.
 
-Failure handling borrows the full-node :class:`~repro.p2p.sync.SyncAgent`
-hardening: every request carries a deadline token, unanswered peers are
-scored, and after ``FAILOVER_THRESHOLD`` consecutive timeouts the client
-rotates to its next serving peer and replays its whole filter there
-(from height 0 — every push is idempotent downstream, so the replayed
-history is harmless).  A proof that fails strict verification also
-counts against the server: dishonest proof service is detectable, not
-just dishonest omission.
+Header requests go through the full node's request layer,
+:class:`~repro.p2p.sync.Requests`: a deadline token, reply matching and
+per-peer scores.  A failure is a request that expires *or* a proof that
+fails strict verification, charged to the peer that sent it; after
+``FAILOVER_THRESHOLD`` consecutive failures of the serving peer, of
+either kind, the client rotates to its next serving peer and replays its
+whole filter there (from height 0 — every push is idempotent downstream,
+so the replayed history is harmless).  Dishonest proof service is
+therefore failed over, like dishonest omission.
 
 When a :class:`~repro.light.multicast.MulticastListener` is attached,
 the periodic unicast poll stands down while the broadcast stream is
@@ -24,8 +25,6 @@ bundle gaps — the Danzi et al. recovery path.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.blockchain.block import BlockHeader
@@ -46,21 +45,14 @@ from repro.light.multicast import MulticastListener
 from repro.obs.registry import StatsView
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.p2p.message import Envelope
-from repro.p2p.sync import PeerScore
+from repro.p2p.sync import Requests
 from repro.sim.core import Simulator
 
 __all__ = ["SpvClient"]
 
 _MAX_STASHED_PROOFS = 128
-
-
-@dataclass
-class _Pending:
-    """One in-flight request awaiting a reply or its deadline."""
-
-    kind: str
-    peer: str
-    token: int
+# The client's one request in flight is always a header request.
+_HEADERS = "headers"
 
 
 class SpvClient:
@@ -110,11 +102,11 @@ class SpvClient:
         # filter push (independent WAN latency per message) can be
         # replayed to on_proof consumers once the match arrives.
         self._proof_by_txid: dict[bytes, TxProofMessage] = {}
-        self._stashed_proofs: dict[tuple[bytes, bytes], TxProofMessage] = {}
+        # Proofs waiting for their header, each with the peer it came from.
+        self._stashed_proofs: dict[tuple[bytes, bytes],
+                                   tuple[TxProofMessage, str]] = {}
         self._serving_index = 0
-        self.peer_scores: dict[str, PeerScore] = {}
-        self._pending: Optional[_Pending] = None
-        self._tokens = itertools.count(1)
+        self.requests = Requests(sim, network, name, self._on_expire)
         self._round_span: Any = None
         self.multicast: Optional[MulticastListener] = None
         # Every payload type this host ever received — the "no block
@@ -139,13 +131,6 @@ class SpvClient:
     @property
     def serving_peer(self) -> str:
         return self.peers[self._serving_index]
-
-    def score_for(self, peer: str) -> PeerScore:
-        score = self.peer_scores.get(peer)
-        if score is None:
-            score = PeerScore()
-            self.peer_scores[peer] = score
-        return score
 
     def register_handler(self, payload_type: type,
                          handler: Callable[[Envelope], None]) -> None:
@@ -234,7 +219,7 @@ class SpvClient:
         self._begin_round("bootstrap")
         while True:
             yield self.sim.timeout(self.sync_interval)
-            if self._pending is not None:
+            if self.requests:
                 continue
             # The stream vouches for itself only while rounds keep
             # landing; headers lag at most verify_every rounds behind (the
@@ -247,7 +232,7 @@ class SpvClient:
     def catch_up(self) -> None:
         """Unicast recovery: missed multicast windows, proof gaps."""
         self.catchups += 1
-        if self._pending is None:
+        if not self.requests:
             self._begin_round("catchup")
 
     def _begin_round(self, reason: str) -> None:
@@ -255,54 +240,40 @@ class SpvClient:
         self._round_span = self.tracer.span(
             "light.header_sync", host=self.name, reason=reason,
             peer=self.serving_peer, above=self.chain.tip_height)
-        self._request_headers()
+        self._request_headers(self.chain.tip_height)
 
     def _end_round(self, status: str) -> None:
         if self._round_span is not None:
             self._round_span.end(status, tip=self.chain.tip_height)
             self._round_span = None
 
-    def _request_headers(self) -> None:
-        self._send_request(self.serving_peer,
-                           GetHeaderRangeMessage(
-                               above_height=self.chain.tip_height,
-                               limit=self.BATCH),
-                           kind="headers")
+    def _request_headers(self, above: int) -> None:
+        self.requests.ask(_HEADERS, self.serving_peer,
+                          GetHeaderRangeMessage(above_height=above,
+                                                limit=self.BATCH),
+                          self.REQUEST_TIMEOUT)
 
-    def _send_request(self, peer: str, message: Any, kind: str) -> None:
-        token = next(self._tokens)
-        self._pending = _Pending(kind=kind, peer=peer, token=token)
-        self.network.send(self.name, peer, message)
-        self.sim.call_in(self.REQUEST_TIMEOUT,
-                         lambda: self._on_deadline(peer, token))
-
-    def _on_deadline(self, peer: str, token: int) -> None:
-        pending = self._pending
-        if pending is None or pending.token != token:
-            return  # answered in time
-        self._pending = None
+    def _on_expire(self, request: Any) -> None:
         self.sync_timeouts += 1
-        score = self.score_for(peer)
-        score.failures += 1
-        score.consecutive_failures += 1
         self._end_round("timeout")
-        if score.consecutive_failures >= self.FAILOVER_THRESHOLD:
-            self._failover()
-            # Retry straight away on the new peer — a light device that
-            # just missed its window should not idle a full interval.
-            self._begin_round("failover")
+        self._fail_over_if_due(request.peer)
 
-    def _failover(self) -> None:
+    def _fail_over_if_due(self, peer: str) -> None:
+        """After ``FAILOVER_THRESHOLD`` consecutive failures of the
+        serving peer, rotate to the next one and replay the filter."""
+        if (peer != self.serving_peer
+                or self.requests.scores[peer].consecutive_failures
+                < self.FAILOVER_THRESHOLD):
+            return
+        self._end_round("failover")  # a forged proof may land mid-round
         self.failovers += 1
         self._serving_index = (self._serving_index + 1) % len(self.peers)
         # The new server knows nothing of our filter: replay it whole,
         # with a genesis rescan so no historical match is lost.
         self._replay_filter(self.serving_peer)
-
-    def _record_success(self, peer: str) -> None:
-        score = self.score_for(peer)
-        score.successes += 1
-        score.consecutive_failures = 0
+        # Retry straight away on the new peer — a light device that
+        # just missed its window should not idle a full interval.
+        self._begin_round("failover")
 
     # -- inbound dispatch -------------------------------------------------------
 
@@ -315,7 +286,7 @@ class SpvClient:
         elif isinstance(payload, FilterMatchMessage):
             self._on_filter_match(envelope)
         elif isinstance(payload, TxProofMessage):
-            self._on_tx_proof(envelope)
+            self._handle_proof(payload, envelope.source)
         elif isinstance(payload, HeaderBundleMessage):
             if self.multicast is not None:
                 self.multicast.receive(payload)
@@ -325,29 +296,23 @@ class SpvClient:
                 handler(envelope)
 
     def _on_header_range(self, envelope: Envelope) -> None:
-        pending = self._pending
-        if (pending is None or pending.kind != "headers"
-                or pending.peer != envelope.source):
+        if self.requests.answer(_HEADERS, envelope.source) is None:
             return  # unsolicited or stale
-        self._pending = None
-        self._record_success(envelope.source)
         reply = envelope.payload
         added, status = self.chain.apply_range(reply.start_height,
                                                reply.headers)
         if status == "unanchored":
             # Fork below the window: walk the request back and re-anchor.
-            above = max(-1, reply.start_height - 1 - self.BATCH)
-            self._send_request(envelope.source,
-                              GetHeaderRangeMessage(above_height=above,
-                                                    limit=self.BATCH),
-                              kind="headers")
+            self._request_headers(max(-1, reply.start_height - 1 - self.BATCH))
             return
         if added:
             self.headers_synced += added
             self._drain_stashed_proofs()
+            if envelope.source != self.serving_peer:
+                return  # a stashed proof was forged: failed over mid-round
         if reply.tip_height > self.chain.tip_height and reply.headers:
             # Mid-catch-up: keep streaming without waiting an interval.
-            self._request_headers()
+            self._request_headers(self.chain.tip_height)
             return
         self._end_round("ok")
 
@@ -369,20 +334,17 @@ class SpvClient:
             for listener in self.on_proof:
                 listener(proof)
 
-    def _on_tx_proof(self, envelope: Envelope) -> None:
-        self._handle_proof(envelope.payload)
-
-    def _handle_proof(self, proof: TxProofMessage) -> None:
+    def _handle_proof(self, proof: TxProofMessage, peer: str) -> None:
         key = (proof.txid, proof.block_hash)
         if key in self._verified_proofs:
             return
         try:
             header = BlockHeader.deserialize(proof.header_bytes)
         except ValidationError:
-            self.proofs_rejected += 1
+            self._reject_proof(peer)
             return
         if header.hash != proof.block_hash:
-            self.proofs_rejected += 1
+            self._reject_proof(peer)
             return
         anchored = self.chain.header_at(proof.height)
         if anchored is None or anchored.hash != header.hash:
@@ -391,7 +353,7 @@ class SpvClient:
             # ahead waits for sync.
             if not (proof.height == self.chain.tip_height + 1
                     and self.chain.connect(header) == "connected"):
-                self._stash_proof(key, proof)
+                self._stash_proof(key, proof, peer)
                 return
         span = self.tracer.span("light.proof_verify", host=self.name,
                                 height=proof.height, txs=proof.tx_count)
@@ -405,20 +367,22 @@ class SpvClient:
             for listener in self.on_proof:
                 listener(proof)
         else:
-            # A bad proof is active dishonesty, not mere silence: score
-            # the serving peer so failover routes around it.
-            self.proofs_rejected += 1
-            score = self.score_for(self.serving_peer)
-            score.failures += 1
-            score.consecutive_failures += 1
             span.end("rejected")
+            self._reject_proof(peer)
 
-    def _stash_proof(self, key: tuple[bytes, bytes],
-                     proof: TxProofMessage) -> None:
+    def _reject_proof(self, peer: str) -> None:
+        """A bad proof is active dishonesty, not mere silence: it fails
+        the peer that sent it, on the same path as a timeout."""
+        self.proofs_rejected += 1
+        self.requests.fail(peer)
+        self._fail_over_if_due(peer)
+
+    def _stash_proof(self, key: tuple[bytes, bytes], proof: TxProofMessage,
+                     peer: str) -> None:
         if (key not in self._stashed_proofs
                 and len(self._stashed_proofs) >= _MAX_STASHED_PROOFS):
             return  # bounded; sync will re-deliver via re-request
-        self._stashed_proofs[key] = proof
+        self._stashed_proofs[key] = (proof, peer)
         self.catch_up()
 
     def _drain_stashed_proofs(self) -> None:
@@ -426,11 +390,12 @@ class SpvClient:
             return
         stashed = list(self._stashed_proofs.values())
         self._stashed_proofs.clear()
-        for proof in stashed:
+        for proof, peer in stashed:
             if proof.height <= self.chain.tip_height + 1:
-                self._handle_proof(proof)
+                self._handle_proof(proof, peer)
             else:
-                self._stashed_proofs[(proof.txid, proof.block_hash)] = proof
+                self._stashed_proofs[(proof.txid, proof.block_hash)] = (
+                    proof, peer)
 
     # -- observability ----------------------------------------------------------
 

@@ -7,9 +7,10 @@ implements the equivalent, hardened for partitions and churn:
 
 * every ``interval`` seconds a :class:`SyncAgent` probes one peer
   (round-robin over peers that are not backing off) for its tip;
-* every request is guarded by a **timeout** — a peer that fails to
-  answer is scored, and repeat offenders are skipped with **jittered
-  exponential backoff** until they answer again;
+* every request is guarded by a **timeout** (:class:`Requests`, shared
+  with the light tier) — a peer that fails to answer is scored, and
+  repeat offenders are skipped with **jittered exponential backoff**
+  until they answer again;
 * a peer that is ahead (or on a different branch at the same height)
   triggers a **header-first catch-up session**: the requester fetches
   header inventories, walks back to the last common block (the fork
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
 from repro.obs.registry import StatsView
 from repro.p2p.message import Envelope
@@ -42,6 +44,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a p2p <-> core import cycle
 __all__ = [
     "SyncAgent",
     "PeerScore",
+    "Requests",
     "GetTipMessage",
     "TipMessage",
     "GetHeadersMessage",
@@ -122,14 +125,87 @@ class PeerScore:
 
 
 @dataclass
-class _Pending:
-    """One in-flight request awaiting a reply (or its deadline)."""
+class _Request:
+    """One request in flight: what was asked of whom, and its token."""
 
-    kind: str  # "tip" | "headers" | "blocks"
     peer: str
-    token: int
     message: Any
-    retries_left: int = 0
+    timeout: float
+    kind: Any
+    retries_left: int
+    context: Any
+    token: int
+
+
+class Requests:
+    """Every ask-and-wait of one WAN client, and its peers' scores.
+
+    A request in flight is filed under a *key* (a peer, a block hash);
+    asking again under a key supersedes it.  A reply counts only from
+    the asked peer, of the asked *kind*, while its request is in flight.
+    An expired request is asked again while retries are left, else it
+    fails its peer; ``on_expire(request)`` runs after every expiry.
+    """
+
+    def __init__(self, sim: Simulator, network: Any, sender: str,
+                 on_expire: Callable[[_Request], None]) -> None:
+        self.sim = sim
+        self.network = network
+        self.sender = sender
+        self.on_expire = on_expire
+        self.scores: defaultdict[str, PeerScore] = defaultdict(PeerScore)
+        self._in_flight: dict[Hashable, _Request] = {}
+        self._tokens = itertools.count(1)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._in_flight
+
+    def __len__(self) -> int:
+        return len(self._in_flight)
+
+    def ask(self, key: Hashable, peer: str, message: Any, timeout: float,
+            kind: Any = None, retries: int = 0, context: Any = None) -> None:
+        """Send ``message`` to ``peer`` and arm its deadline."""
+        token = next(self._tokens)
+        self._in_flight[key] = _Request(peer, message, timeout, kind,
+                                        retries, context, token)
+        self.network.send(self.sender, peer, message)
+        self.sim.call_in(timeout, lambda: self._expire(key, token))
+
+    def answer(self, key: Hashable, peer: str,
+               kind: Any = None) -> Optional[_Request]:
+        """The request a reply of ``kind`` from ``peer`` answers, scored
+        as a success — or None: the reply is stale or unsolicited."""
+        request = self._in_flight.get(key)
+        if request is None or request.peer != peer or request.kind != kind:
+            return None
+        del self._in_flight[key]
+        score = self.scores[peer]
+        score.successes += 1
+        score.consecutive_failures = 0
+        return request
+
+    def fail(self, peer: str) -> None:
+        """Score one failure — an expiry, or a reply that proved false."""
+        score = self.scores[peer]
+        score.failures += 1
+        score.consecutive_failures += 1
+
+    def clear(self) -> None:
+        """Void every request in flight; their deadlines find nothing."""
+        self._in_flight.clear()
+
+    def _expire(self, key: Hashable, token: int) -> None:
+        request = self._in_flight.get(key)
+        if request is None or request.token != token:
+            return  # answered, superseded or voided in time
+        if request.retries_left:
+            self.ask(key, request.peer, request.message, request.timeout,
+                     request.kind, request.retries_left - 1, request.context)
+        else:
+            del self._in_flight[key]
+            self.fail(request.peer)
+        self.on_expire(request)
 
 
 @dataclass
@@ -184,11 +260,11 @@ class SyncAgent:
         self.catchup_sessions = 0
         self.batches_received = 0
         self.headers_received = 0
-        self.peer_scores: dict[str, PeerScore] = {}
         self._peer_cursor = 0
-        self._pending: dict[str, _Pending] = {}
         self._session: Optional[_CatchupSession] = None
-        self._tokens = itertools.count(1)
+        # One request in flight per peer, filed under the peer's name.
+        self.requests = Requests(sim, daemon.gossip.network, daemon.name,
+                                 self._on_expire)
         # Jitter stream: seeded from the daemon name only, so backoff
         # noise is reproducible and independent of every other stream.
         self._jitter_rng = random.Random(f"sync-agent:{daemon.name}")
@@ -207,15 +283,8 @@ class SyncAgent:
 
     def reset(self) -> None:
         """Drop in-flight request state (the owning daemon crashed)."""
-        self._pending.clear()
+        self.requests.clear()
         self._session = None
-
-    def score_for(self, peer: str) -> PeerScore:
-        score = self.peer_scores.get(peer)
-        if score is None:
-            score = PeerScore()
-            self.peer_scores[peer] = score
-        return score
 
     # -- the periodic probe -----------------------------------------------------
 
@@ -237,77 +306,50 @@ class SyncAgent:
             return
         self.rounds += 1
         node = self.daemon.node
-        self._send_request(peer, GetTipMessage(
+        self.requests.ask(peer, peer, GetTipMessage(
             height=node.height,
             mempool_txids=tuple(tx.txid for tx in node.mempool.transactions()),
-        ), kind="tip")
+        ), self.REQUEST_TIMEOUT, kind="tip")
 
     def _pick_peer(self, peers: list[str]) -> Optional[str]:
         """Round-robin over peers that are neither backing off nor busy."""
         now = self.sim.now
         for offset in range(len(peers)):
             peer = peers[(self._peer_cursor + offset) % len(peers)]
-            if peer in self._pending:
+            if peer in self.requests:
                 continue
-            if self.score_for(peer).backoff_until > now:
+            if self.requests.scores[peer].backoff_until > now:
                 continue
             self._peer_cursor = (self._peer_cursor + offset + 1) % len(peers)
             return peer
         return None
 
-    # -- request/timeout machinery ----------------------------------------------
+    # -- retry and backoff policy -----------------------------------------------
 
-    def _send_request(self, peer: str, message: Any, kind: str,
-                      retries_left: int = 0) -> None:
-        token = next(self._tokens)
-        self._pending[peer] = _Pending(kind=kind, peer=peer, token=token,
-                                       message=message,
-                                       retries_left=retries_left)
-        self.daemon.gossip.network.send(self.daemon.name, peer, message)
-        self.sim.call_in(self.REQUEST_TIMEOUT,
-                         lambda: self._on_deadline(peer, token))
-
-    def _on_deadline(self, peer: str, token: int) -> None:
-        pending = self._pending.get(peer)
-        if pending is None or pending.token != token:
-            return  # answered (or superseded) in time
+    def _on_expire(self, request: _Request) -> None:
         self.timeouts += 1
-        if pending.retries_left > 0:
-            self.retries += 1
-            self._send_request(peer, pending.message, pending.kind,
-                               pending.retries_left - 1)
+        if request.retries_left:
+            self.retries += 1  # the request layer asked again
             return
-        del self._pending[peer]
-        self._record_failure(peer)
-        if self._session is not None and self._session.peer == peer:
-            self._session = None  # abandoned; a later probe restarts it
-
-    def _record_failure(self, peer: str) -> None:
-        score = self.score_for(peer)
-        score.failures += 1
-        score.consecutive_failures += 1
+        score = self.requests.scores[request.peer]
         delay = min(
             self.BACKOFF_CAP_INTERVALS * self.interval,
             self.interval * self.BACKOFF_BASE ** (score.consecutive_failures - 1),
         )
         jitter = 1.0 + self.BACKOFF_JITTER * (2 * self._jitter_rng.random() - 1)
         score.backoff_until = self.sim.now + delay * jitter
+        if self._session is not None and self._session.peer == request.peer:
+            self._session = None  # abandoned; a later probe restarts it
 
-    def _record_success(self, peer: str) -> None:
-        score = self.score_for(peer)
-        score.successes += 1
-        if score.consecutive_failures > 0:
+    def _answered(self, peer: str, kind: str) -> bool:
+        """Whether a reply answers the request in flight to ``peer``; a
+        peer that answers stops backing off."""
+        if self.requests.answer(peer, peer, kind) is None:
+            return False
+        score = self.requests.scores[peer]
+        if score.backoff_until:  # every failure sets it: the peer had failed
             self.backoff_resets += 1
-        score.consecutive_failures = 0
-        score.backoff_until = 0.0
-
-    def _resolve_pending(self, peer: str, kind: str) -> bool:
-        """Match a reply against the in-flight request; score the peer."""
-        pending = self._pending.get(peer)
-        if pending is None or pending.kind != kind:
-            return False  # unsolicited (stale retransmit, duplicate)
-        del self._pending[peer]
-        self._record_success(peer)
+            score.backoff_until = 0.0
         return True
 
     # -- responder side ------------------------------------------------------------
@@ -381,7 +423,7 @@ class SyncAgent:
     # -- requester side ----------------------------------------------------------
 
     def _on_tip(self, envelope: Envelope) -> None:
-        self._resolve_pending(envelope.source, "tip")
+        self._answered(envelope.source, "tip")
         payload = envelope.payload
         node = self.daemon.node
         behind = payload.height > node.height
@@ -398,13 +440,12 @@ class SyncAgent:
         self._session = _CatchupSession(peer=peer,
                                         target_height=target_height,
                                         header_base=base)
-        self._send_request(peer,
-                           GetHeadersMessage(above_height=base,
-                                             limit=self.HEADER_WINDOW),
-                           kind="headers", retries_left=self.SESSION_RETRIES)
+        self._ask_session(GetHeadersMessage(above_height=base,
+                                            limit=self.HEADER_WINDOW),
+                          "headers")
 
     def _on_headers(self, envelope: Envelope) -> None:
-        solicited = self._resolve_pending(envelope.source, "headers")
+        solicited = self._answered(envelope.source, "headers")
         session = self._session
         if (not solicited or session is None
                 or session.peer != envelope.source):
@@ -423,27 +464,25 @@ class SyncAgent:
                 # Nothing in this window is ours: the fork is deeper.
                 session.header_base = max(
                     0, session.header_base - self.HEADER_WINDOW)
-                self._send_request(
-                    session.peer,
+                self._ask_session(
                     GetHeadersMessage(above_height=session.header_base,
                                       limit=self.HEADER_WINDOW),
-                    kind="headers", retries_left=self.SESSION_RETRIES)
+                    "headers")
                 return
             # Window already starts at genesis, which every chain of this
             # network shares: the fork point is height 0.
             fork_height = 0
         session.next_above = fork_height
-        self._request_next_batch()
+        self._ask_session(GetBlocksMessage(above_height=fork_height), "blocks")
 
-    def _request_next_batch(self) -> None:
-        session = self._session
-        assert session is not None
-        self._send_request(session.peer,
-                           GetBlocksMessage(above_height=session.next_above),
-                           kind="blocks", retries_left=self.SESSION_RETRIES)
+    def _ask_session(self, message: Any, kind: str) -> None:
+        """A catch-up request to the session's peer, with retries."""
+        peer = self._session.peer
+        self.requests.ask(peer, peer, message, self.REQUEST_TIMEOUT, kind=kind,
+                          retries=self.SESSION_RETRIES)
 
     def _on_blocks(self, envelope: Envelope) -> None:
-        solicited = self._resolve_pending(envelope.source, "blocks")
+        solicited = self._answered(envelope.source, "blocks")
         blocks = envelope.payload.blocks
         self.batches_received += 1
         before = self.daemon.node.height
@@ -459,7 +498,8 @@ class SyncAgent:
         if blocks and session.next_above < session.target_height:
             # Pipelined batching: keep streaming within this session
             # instead of waiting a full poll interval per batch.
-            self._request_next_batch()
+            self._ask_session(
+                GetBlocksMessage(above_height=session.next_above), "blocks")
         else:
             self._session = None
 

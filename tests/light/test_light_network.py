@@ -177,6 +177,35 @@ def test_serving_peer_crash_fails_over():
     assert agent.stats()["payments_confirmed"] >= 1
 
 
+def test_forged_proofs_fail_the_server_over():
+    """A server that answers headers but forges every proof: each bad
+    proof fails it like a timeout, so the client rotates to an honest
+    peer, replays its filter there, and its recipient pays."""
+    unicast_only = dict(LIGHT, light=dc_replace(
+        LIGHT_TIER, multicast_interval=0.0, light_sync_interval=10.0))
+    network = BcWANNetwork(NetworkConfig(seed=9, **unicast_only))
+    spv = network.light_clients[0]
+    first_peer = spv.serving_peer
+    server = next(server for server in network.light_servers
+                  if server.daemon.name == first_peer)
+    honest = server._build_proof
+
+    def forge(*args):
+        proof = honest(*args)
+        head, *rest = proof.branch
+        return dc_replace(proof, branch=(bytes([head[0] ^ 1]) + head[1:],
+                                         *rest))
+
+    server._build_proof = forge
+    network.run(num_exchanges=12)
+    stats = spv.stats()
+    assert stats["proofs_rejected"] >= 1
+    assert stats["failovers"] >= 1
+    assert spv.serving_peer != first_peer
+    assert stats["proofs_verified"] > 0
+    assert network.sites[0].recipient.stats()["payments_made"] >= 1
+
+
 def test_dishonest_multicaster_detected_and_survived():
     """A gateway signing garbage: listeners flag it, fall back to unicast
     SPV sync, and the fair exchange still completes."""

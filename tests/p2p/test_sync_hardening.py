@@ -67,7 +67,7 @@ def test_unanswered_probe_times_out_and_backs_off():
     sim.run(until=31.0)
     agent = agents[0]
     assert agent.timeouts >= 2
-    score = agent.score_for("n1")
+    score = agent.requests.scores["n1"]
     assert score.consecutive_failures >= 2
     assert score.backoff_until > sim.now  # still backing off
     # Exponential growth: repeat failures pushed the horizon beyond one
@@ -85,11 +85,11 @@ def test_backoff_resets_when_peer_answers_again():
         if mute["on"] and env.destination == "n1" else None)
     sim.run(until=16.0)
     agent = agents[0]
-    assert agent.score_for("n1").consecutive_failures >= 1
+    assert agent.requests.scores["n1"].consecutive_failures >= 1
     mute["on"] = False
     miners[0].mine_and_connect(16.0)
     sim.run(until=120.0)  # past the backoff horizon
-    assert agent.score_for("n1").consecutive_failures == 0
+    assert agent.requests.scores["n1"].consecutive_failures == 0
     assert agent.backoff_resets >= 1
     assert daemons[0].stats()["sync_backoff_resets"] == agent.backoff_resets
     assert daemons[1].node.height == 1  # and sync works again
@@ -201,8 +201,8 @@ def test_round_robin_skips_backing_off_peer():
     block = miners[1].mine_and_connect(1.0)
     sim.run(until=100.0)
     agent = agents[0]
-    assert agent.score_for("n2").failures >= 1
-    assert agent.score_for("n1").successes >= 1
+    assert agent.requests.scores["n2"].failures >= 1
+    assert agent.requests.scores["n1"].successes >= 1
     # Catch-up from the healthy peer still happened.
     assert daemons[0].node.height == 1
     assert daemons[0].node.chain.tip.hash == block.hash
@@ -217,7 +217,7 @@ def test_crash_resets_inflight_requests():
     # Let a probe go out, then crash the prober mid-flight.
     sim.run(until=5.02)
     daemons[1].crash()
-    assert agents[1]._pending == {}
+    assert len(agents[1].requests) == 0
     daemons[1].restart(daemons[1].node)
     sim.run(until=40.0)
     assert daemons[1].node.height == 2

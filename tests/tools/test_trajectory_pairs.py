@@ -3,15 +3,18 @@
 The real command clones two revisions and runs the benchmark in each;
 here the clone and the runner are stubbed, so the test covers what the
 tool decides: which side runs first in every pair, the statistics it
-prints, and that two sides running different programs fail it.
+prints, that two sides running different programs fail it, and the
+result files ``--out`` writes for ``python -m bench.compare``.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from bench import compare
 from tools.trajectory import pairs
 
 RATES = {"base": [100.0, 102.0, 98.0, 101.0, 99.0],
@@ -31,10 +34,15 @@ class StubRunner:
         side = checkout.name
         index = self.calls.count((side, seed))
         self.calls.append((side, seed))
-        detail = {"digest": "d", "attempted": 10, "failed": 1,
+        detail = {"workload": workload, "seed": seed, "derived_seed": 7,
+                  "seconds": 10, "smoke": False, "sizes": {"frames": 9},
+                  "host": {"nproc": 1},
+                  "digest": "d", "attempted": 10, "failed": 1,
                   "metrics": {"frames_per_s": RATES[side][index],
                               "setup_s": SETUPS[side][index],
-                              "peak_rss_mb": 40.0 + (side == "change")}}
+                              "peak_rss_mb": 40.0 + (side == "change")},
+                  "units": {"frames_per_s": "1/s", "setup_s": "s",
+                            "peak_rss_mb": "MB"}}
         detail.update(self.moved.get((side, seed, index), {}))
         return detail
 
@@ -106,3 +114,32 @@ def test_an_unknown_revision_fails_before_anything_runs(capsys):
     assert "FAILED: no commit named 'no-such-revision'" in \
         capsys.readouterr().out
     assert runner.calls == []
+
+
+def test_out_writes_results_that_bench_compare_judges(monkeypatch, tmp_path,
+                                                      capsys):
+    monkeypatch.setattr(pairs, "resolve", lambda revision: revision * 3)
+    monkeypatch.setattr(pairs, "bench_hash", lambda checkout: "h")
+    out = tmp_path / "pairs"
+    code = pairs.pairs_command(
+        "abcd", "ef01", "radio_cell", [11, 23], 5, runner=StubRunner(),
+        checkout=lambda sha, destination: Path(destination.name), out=out)
+    assert code == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "base-11.json", "base-23.json", "change-11.json", "change-23.json"]
+    base, change = (json.loads((out / f"{side}-11.json").read_text())
+                    for side in pairs.SIDES)
+    assert (base["git_sha"], base["seed"], base["repeats"]) == (
+        "abcdabcdabcd", 11, 5)
+    entry = base["workloads"]["radio_cell"]
+    assert (entry["digest"], entry["attempted"], entry["failed"]) == (
+        "d", 10, 1)
+    rate = entry["metrics"]["frames_per_s"]
+    assert rate["values"] == RATES["base"]
+    assert (rate["q1"], rate["median"], rate["q3"], rate["n"]) == (
+        98.5, 100.0, 101.5, 5)
+    capsys.readouterr()
+    assert compare.compare(base, change) == 0
+    assert "regressions: none" in capsys.readouterr().out
+    # Read the other way round, the faster side is a regression.
+    assert compare.compare(change, base) == 1

@@ -8,8 +8,11 @@ when every run matches, 1 when one differs or fails its checks.
 behaviour change re-pins here, in one place.
 
 ``pairs --base REV [--change REV] --workload W [--seeds 11,23]
-[--pairs N]`` measures a timing claim: N alternating base/change pairs
-per seed, each side in a fresh local clone (``tools/trajectory/pairs.py``).
+[--pairs N] [--out DIR]`` measures a timing claim: N alternating
+base/change pairs per seed, each side in a fresh local clone
+(``tools/trajectory/pairs.py``).  ``--out`` also writes
+``DIR/base-<seed>.json`` and ``DIR/change-<seed>.json`` for
+``python -m bench.compare``.
 ``--change`` defaults to ``HEAD``, so commit what is to be measured.
 Clones go under the system temporary directory (``TMPDIR``).  Exit 0
 when every pair ran the same program on both sides, 1 otherwise.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from tools.trajectory.pairs import pairs_command
 from tools.trajectory.pins import check_pins, update_pins
@@ -44,10 +48,13 @@ def main(argv: list[str] | None = None) -> int:
                        type=lambda text: [int(s) for s in text.split(",")])
     pairs.add_argument("--pairs", type=int, default=10,
                        help="pairs per seed (default 10)")
+    pairs.add_argument("--out", type=Path,
+                       help="write base-<seed>.json / change-<seed>.json "
+                            "results here")
     args = parser.parse_args(argv)
     if args.command == "pairs":
         return pairs_command(args.base, args.change, args.workload,
-                             args.seeds, args.pairs)
+                             args.seeds, args.pairs, out=args.out)
     if args.update:
         update_pins()
         return 0

@@ -10,7 +10,10 @@ files.  Per seed it prints every pair, then per end-to-end metric the
 change's wins, both medians with their quartiles and the ratio of the
 medians.  Timings are only comparable between runs of one program, so any
 pair whose sides differ in digest, attempted or failed is flagged, and the
-command exits 1.
+command exits 1.  With ``out``, each side's runs of each seed are also
+written as the result ``python -m bench`` writes (``base-<seed>.json``,
+``change-<seed>.json``), so ``python -m bench.compare`` can hold the pairs
+to the bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from tools.trajectory.pins import PINNED, ROOT
 
@@ -62,6 +65,15 @@ def bench_run(checkout: Path, workload: str, seed: int) -> dict[str, Any]:
                        f"(exit {completed.returncode})")
 
 
+def bench_hash(checkout: Path) -> str:
+    """The checkout's own ``bench.results.bench_hash()``."""
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "from bench.results import bench_hash; print(bench_hash())"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return completed.stdout.strip()
+
+
 def run_pairs(runner: Runner, checkouts: dict[str, Path], workload: str,
               seeds: list[int], pairs: int) -> list[dict[str, Any]]:
     """``pairs`` pairs per seed; the first side alternates every pair."""
@@ -96,6 +108,36 @@ def summarise(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
             "base": base_q, "change": change_q,
             "ratio": change_q[1] / base_q[1]})
     return summaries
+
+
+def results(rows: list[dict[str, Any]], shas: dict[str, str],
+            hashes: dict[str, str]) -> dict[str, dict[str, Any]]:
+    """``{"<side>-<seed>": result}``: each side's runs of a seed as the
+    result file of ``python -m bench`` (untraced, so no layers)."""
+    from bench.results import quartiles
+
+    files = {}
+    for seed in dict.fromkeys(row["seed"] for row in rows):
+        for side in SIDES:
+            runs = [row[side] for row in rows if row["seed"] == seed]
+            first = runs[0]
+            metrics = {}
+            for name, unit in first["units"].items():
+                values = [run["metrics"][name] for run in runs]
+                q1, median, q3 = quartiles(values)
+                metrics[name] = {"unit": unit, "n": len(values),
+                                 "median": median, "q1": q1, "q3": q3,
+                                 "values": values}
+            entry = {key: first[key] for key in (
+                "sizes", "derived_seed", "attempted", "failed", "digest")}
+            files[f"{side}-{seed}"] = {
+                "schema": 1, "git_sha": shas[side][:12], "seed": seed,
+                "seconds": first["seconds"], "smoke": first["smoke"],
+                "repeats": len(runs), "bench_hash": hashes[side],
+                "host": first["host"],
+                "workloads": {first["workload"]: {**entry,
+                                                  "metrics": metrics}}}
+    return files
 
 
 def mismatches(rows: list[dict[str, Any]]) -> list[str]:
@@ -148,7 +190,8 @@ def report(rows: list[dict[str, Any]]) -> int:
 
 def pairs_command(base: str, change: str, workload: str, seeds: list[int],
                   pairs: int, runner: Runner = bench_run,
-                  checkout: Callable[[str, Path], Path] = clone) -> int:
+                  checkout: Callable[[str, Path], Path] = clone,
+                  out: Optional[Path] = None) -> int:
     try:
         shas = {"base": resolve(base), "change": resolve(change)}
     except ValueError as unknown:
@@ -165,4 +208,12 @@ def pairs_command(base: str, change: str, workload: str, seeds: list[int],
         except RuntimeError as failure:
             print(f"FAILED: {failure}")
             return 1
+        if out is not None:
+            hashes = {side: bench_hash(checkouts[side]) for side in SIDES}
+            out.mkdir(parents=True, exist_ok=True)
+            for name, result in results(rows, shas, hashes).items():
+                path = out / f"{name}.json"
+                path.write_text(json.dumps(result, indent=1, sort_keys=True)
+                                + "\n")
+                print(f"wrote {path}")
     return report(rows)
