@@ -42,7 +42,7 @@ from repro.blockchain.engine import (
     ValidationReport,
 )
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.merkle import merkle_branch, merkle_root, verify_branch
+from repro.blockchain.merkle import merkle_branch, merkle_root
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode, RelayDecision
 from repro.blockchain.params import COIN, ChainParams
@@ -113,6 +113,5 @@ __all__ = [
     "serialize_block",
     "settlement_proof",
     "slot_of",
-    "verify_branch",
     "verify_settlement",
 ]

@@ -9,8 +9,9 @@ mechanism behind the double-spend attack the paper's section 6 discusses.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.blockchain.block import Block
 from repro.blockchain.params import ChainParams
@@ -87,18 +88,20 @@ class Chain:
         # verify_blocks flag (the Fig. 5 / Fig. 6 toggle).
         self.engine = ValidationEngine(self.params,
                                        verify_scripts=verify_scripts)
+        self._listeners: list[Callable[[Block, int], None]] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to genesis: every block, orphan and UTXO goes; the engine
+        and the connect listeners stay."""
         self.last_report: Optional[ValidationReport] = None
         self.utxos = UTXOSet()
-        self._records: dict[bytes, BlockRecord] = {}
-        self._active: list[bytes] = []
+        genesis = create_genesis_block(self.params)
+        self._records: dict[bytes, BlockRecord] = {genesis.hash: BlockRecord(
+            block=genesis, height=0, total_work=1, undo=[])}
+        self._active: list[bytes] = [genesis.hash]
         # Blocks whose parent we have not seen yet, keyed by parent hash.
         self._orphans: dict[bytes, list[Block]] = {}
-        self._listeners: list[Callable[[Block, int], None]] = []
-
-        genesis = create_genesis_block(self.params)
-        record = BlockRecord(block=genesis, height=0, total_work=1, undo=[])
-        self._records[genesis.hash] = record
-        self._active.append(genesis.hash)
         # Genesis coinbase output is an OP_RETURN: deliberately not added
         # to the UTXO set (unspendable).
 
@@ -168,6 +171,16 @@ class Chain:
     def add_connect_listener(self, listener: Callable[[Block, int], None]) -> None:
         """Register a callback invoked for each block connected to the tip."""
         self._listeners.append(listener)
+
+    @contextmanager
+    def silenced(self) -> Iterator[None]:
+        """Connect blocks without telling the listeners (a replay of
+        blocks they have already seen)."""
+        listeners, self._listeners = self._listeners, []
+        try:
+            yield
+        finally:
+            self._listeners = listeners
 
     # -- mutation --------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.blockchain.merkle import merkle_branch, verify_branch
+from repro.blockchain.merkle import merkle_branch, verify_proof
 from repro.blockchain.transaction import Transaction
 from repro.errors import ValidationError
 from repro.script.opcodes import OP
@@ -144,10 +144,13 @@ def settlement_proof(txids: list[bytes], txid: bytes) -> tuple[list[bytes], int]
 
 def verify_settlement(txid: bytes, branch: list[bytes], index: int,
                       checkpoint: Checkpoint) -> bool:
-    """Whether ``txid`` is committed by ``checkpoint``'s settled root."""
-    if checkpoint.tx_count == 0:
-        return False
-    return verify_branch(txid, branch, index, checkpoint.settled_root)
+    """Whether ``txid`` is committed by ``checkpoint``'s settled root.
+
+    The proof's shape is pinned by the checkpoint's ``tx_count``, so an
+    internal node of the tree cannot pass for a settled txid.
+    """
+    return verify_proof(txid, branch, index, checkpoint.tx_count,
+                        checkpoint.settled_root)
 
 
 # -- anchor-side consensus ------------------------------------------------------
@@ -171,19 +174,6 @@ class CheckpointRules:
     def __init__(self) -> None:
         self._latest: dict[int, Checkpoint] = {}
         self._applied_txids: set[bytes] = set()
-
-    @classmethod
-    def from_chain(cls, chain) -> "CheckpointRules":
-        """The rules state an engine holds after connecting ``chain``'s
-        active blocks — what a restarted anchor node rebuilds from the
-        chain it recovered."""
-        rules = cls()
-        for _height, block in chain.iter_active_blocks(start_height=1):
-            for tx in block.transactions:
-                for checkpoint in iter_checkpoints(tx):
-                    rules._latest[checkpoint.region_id] = checkpoint
-                    rules._applied_txids.add(tx.txid)
-        return rules
 
     def check(self, checkpoint: Checkpoint, txid: bytes,
               pending: Optional[dict[int, Checkpoint]] = None) -> None:

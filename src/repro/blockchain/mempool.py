@@ -139,6 +139,11 @@ class Mempool:
         self._chain = chain
         self._engine = chain.engine
         self.policy = MempoolPolicy() if policy is None else policy
+        self.evictions = 0
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every pooled transaction; the policy stays."""
         self._transactions: dict[bytes, Transaction] = {}
         # outpoint -> txid of the pool transaction spending it.
         self._spends: dict[OutPoint, bytes] = {}
@@ -146,7 +151,6 @@ class Mempool:
         self._fees: dict[bytes, int] = {}
         self._sizes: dict[bytes, int] = {}
         self._total_bytes = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._transactions)
@@ -327,17 +331,16 @@ class Mempool:
                     order[txid],
                 ),
             )
-            # A victim's unconfirmed descendants lose their ancestry and
-            # must go with it — eviction never leaves dangling chains.
-            for txid in self._descendants(victim):
-                if self.remove(txid) is not None:
-                    evicted.append(txid)
-                    self.evictions += 1
+            dropped = self._remove_with_descendants(victim)
+            evicted.extend(dropped)
+            self.evictions += len(dropped)
         return tuple(evicted)
 
-    def _descendants(self, txid: bytes) -> list[bytes]:
-        """``txid`` plus every pool transaction depending on it, parents
-        before children (insertion order is already topological)."""
+    def _remove_with_descendants(self, txid: bytes) -> list[bytes]:
+        """Drop ``txid`` and every pool transaction depending on it,
+        parents before children (insertion order is already
+        topological): a transaction that leaves the pool takes its
+        unconfirmed descendants along, so no chain is left dangling."""
         selected = {txid}
         for candidate, tx in self._transactions.items():
             if candidate in selected:
@@ -345,8 +348,11 @@ class Mempool:
             if any(tx_input.outpoint.txid in selected
                    for tx_input in tx.inputs):
                 selected.add(candidate)
-        return [candidate for candidate in self._transactions
-                if candidate in selected]
+        dropped = [candidate for candidate in self._transactions
+                   if candidate in selected]
+        for candidate in dropped:
+            self.remove(candidate)
+        return dropped
 
     # -- resolution and removal --------------------------------------------------
 
@@ -381,7 +387,8 @@ class Mempool:
 
         Returns how many entries were removed.  A confirmed transaction
         also invalidates any pool transaction spending the same inputs
-        (the loser of a double-spend race).
+        (the loser of a double-spend race), and with it that loser's
+        pooled descendants.
         """
         removed = 0
         for tx in transactions:
@@ -390,8 +397,8 @@ class Mempool:
             for tx_input in tx.inputs:
                 conflicting = self._spends.get(tx_input.outpoint)
                 if conflicting is not None:
-                    self.remove(conflicting)
-                    removed += 1
+                    removed += len(
+                        self._remove_with_descendants(conflicting))
         return removed
 
     def select_for_block(self, max_bytes: int) -> list[Transaction]:

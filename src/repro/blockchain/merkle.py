@@ -7,8 +7,7 @@ from typing import Sequence
 from repro.crypto.hashing import double_sha256
 from repro.errors import ValidationError
 
-__all__ = ["merkle_root", "merkle_branch", "verify_branch", "branch_depth",
-           "verify_proof"]
+__all__ = ["merkle_root", "merkle_branch", "branch_depth", "verify_proof"]
 
 
 def merkle_root(txids: Sequence[bytes]) -> bytes:
@@ -48,24 +47,6 @@ def merkle_branch(txids: Sequence[bytes], index: int) -> list[bytes]:
     return branch
 
 
-def verify_branch(txid: bytes, branch: Sequence[bytes], index: int,
-                  root: bytes) -> bool:
-    """Check an authentication path against a Merkle ``root``.
-
-    Trusting-context helper only: without the tree's leaf count it cannot
-    pin the proof depth or reject duplicate-leaf mutations.  Anything
-    consuming proofs from the network must use :func:`verify_proof`.
-    """
-    current = txid
-    for sibling in branch:
-        if index & 1:
-            current = double_sha256(sibling + current)
-        else:
-            current = double_sha256(current + sibling)
-        index //= 2
-    return current == root
-
-
 def branch_depth(tx_count: int) -> int:
     """Authentication-path length of a tree over ``tx_count`` leaves."""
     if tx_count < 1:
@@ -87,7 +68,7 @@ def verify_proof(txid: bytes, branch: Sequence[bytes], index: int,
 
     * ``index`` must lie inside a ``tx_count``-leaf tree and the branch
       must have exactly that tree's depth (rejects truncated or padded
-      paths, which :func:`verify_branch` would happily fold);
+      paths, which a bare re-hash of the path would happily fold);
     * the duplicate-last-on-odd rule is enforced positionally, closing
       the CVE-2012-2459 ambiguity: a node may only be paired with itself
       at the mandated odd-row position, and there it *must* be — so a

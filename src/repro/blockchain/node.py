@@ -9,14 +9,17 @@ Fig. 6 — is layered on by :class:`repro.core.daemon.BlockchainDaemon`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import AddBlockResult, Chain
+from repro.blockchain.checkpoint import CheckpointRules
 from repro.blockchain.engine import ValidationEngine, ValidationReport
 from repro.blockchain.mempool import Mempool, MempoolPolicy
 from repro.blockchain.params import ChainParams
+from repro.blockchain.store import load_chain
 from repro.blockchain.transaction import Transaction
 from repro.errors import ValidationError
 
@@ -44,17 +47,30 @@ class FullNode:
     def __init__(self, params: Optional[ChainParams] = None,
                  name: str = "node",
                  verify_scripts: Optional[bool] = None,
-                 chain: Optional[Chain] = None,
                  mempool_policy: Optional[MempoolPolicy] = None) -> None:
         self.name = name
-        # A pre-built chain (e.g. restored from a snapshot via
-        # repro.blockchain.store after a crash) takes precedence; the
-        # params/verify_scripts arguments only seed a fresh chain.
-        self.chain = chain if chain is not None else Chain(
-            params, verify_scripts=verify_scripts)
+        self.chain = Chain(params, verify_scripts=verify_scripts)
         self.mempool = Mempool(self.chain, policy=mempool_policy)
         self.blocks_processed = 0
         self.transactions_processed = 0
+
+    def restart(self, store: Optional[str] = None) -> None:
+        """Come back from a crash in place, from what survived on disk.
+
+        The mempool empties (its policy stays), the chain goes back to
+        genesis and the engine gets fresh checkpoint rules; its verify
+        flag, verdict memo and leader rule stay.  Then ``store`` — a
+        :func:`~repro.blockchain.store.save_chain` snapshot, ``None``
+        for total state loss — is replayed under those rules
+        (:func:`~repro.blockchain.store.load_chain`).  Everything built
+        on this node keeps following it.
+        """
+        self.mempool.clear()
+        self.chain.reset()
+        if self.engine.checkpoint_rules is not None:
+            self.engine.checkpoint_rules = CheckpointRules()
+        if store is not None:
+            load_chain(io.StringIO(store), self.chain)
 
     @property
     def params(self) -> ChainParams:

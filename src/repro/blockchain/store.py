@@ -1,12 +1,13 @@
 """Chain persistence: export and replay.
 
-Stores the active chain as JSON-lines of hex-encoded wire blocks — a
-portable snapshot a new node can bootstrap from (the paper's "on
+Stores the active chain as JSON-lines of hex-encoded wire blocks — the
+store a restarting node replays (``FullNode.restart``; the paper's "on
 start-up, each node retrieves the recent blocks" without a live peer),
 and the explorer can open offline.
 
-Loading *replays* every block through full validation, so a tampered
-snapshot fails exactly where a tampered peer would.
+Loading *replays* every block through the receiving chain's own
+validation — its engine, checkpoint rules and leader rule — so a
+tampered snapshot fails exactly where a tampered peer would.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import json
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Union
 
 from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.chain import Chain
-from repro.blockchain.params import ChainParams
 from repro.blockchain.transaction import Transaction
 from repro.errors import ValidationError
 
@@ -106,15 +106,15 @@ def save_chain(chain: Chain, path: Destination) -> int:
     return count
 
 
-def load_chain(path: Destination,
-               params: Optional[ChainParams] = None,
-               verify_scripts: Optional[bool] = None) -> Chain:
-    """Rebuild a chain from a snapshot, re-validating every block.
+def load_chain(path: Destination, chain: Chain) -> None:
+    """Replay a snapshot into ``chain`` (at genesis), re-validating every
+    block under the chain's own engine and its rules.
 
-    ``path`` may be a filesystem path or any readable text stream.
+    ``path`` may be a filesystem path or any readable text stream.  The
+    chain's connect listeners stay silent: the replayed blocks are ones
+    they have already seen.
     """
-    chain = Chain(params, verify_scripts=verify_scripts)
-    with _opened(path, "r") as handle:
+    with _opened(path, "r") as handle, chain.silenced():
         header_line = handle.readline()
         if not header_line:
             raise ValidationError(f"empty chain snapshot: {path}")
@@ -141,4 +141,3 @@ def load_chain(path: Destination,
             f"snapshot tip mismatch: expected {expected_tip[:16]}.., "
             f"got {chain.tip.hash.hex()[:16]}.."
         )
-    return chain

@@ -160,9 +160,9 @@ class CrashEvent:
     """Fail-stop a gateway at ``at``; optionally restart at ``restart_at``.
 
     ``preserve_chain=True`` models a daemon whose block store survived
-    (the chain is snapshotted via :mod:`repro.blockchain.store` and
-    replayed on restart); ``False`` is total state loss — the gateway
-    returns at genesis and must re-sync everything.
+    (the daemon writes it at the crash and replays it into the same node
+    on restart); ``False`` is total state loss — the gateway returns at
+    genesis and must re-sync everything.
     """
 
     host: str

@@ -22,12 +22,8 @@ ids), so two runs of the same scenario and plan produce **byte-identical**
 
 from __future__ import annotations
 
-import io
 from typing import TYPE_CHECKING, Optional
 
-from repro.blockchain.checkpoint import CheckpointRules
-from repro.blockchain.node import FullNode
-from repro.blockchain.store import load_chain, save_chain
 from repro.chaos.faults import CorruptedPayload, FaultPlan
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry, StatsView
@@ -61,8 +57,6 @@ class ChaosInjector:
                               counters=("faults_injected",), by="kind")
         # All chaos randomness hangs off the plan's seed, nothing else.
         self._rng = RngRegistry(plan.seed).stream("chaos-faults")
-        # host -> serialized chain snapshot taken at crash time.
-        self._snapshots: dict[str, str] = {}
         self._installed = False
         self._watcher_running = False
 
@@ -162,11 +156,7 @@ class ChaosInjector:
         daemon = self.daemons.get(crash.host)
         if daemon is None or not daemon.online:
             return
-        if crash.preserve_chain:
-            snapshot = io.StringIO()
-            save_chain(daemon.node.chain, snapshot)
-            self._snapshots[crash.host] = snapshot.getvalue()
-        daemon.crash()
+        daemon.crash(preserve_chain=crash.preserve_chain)
         self.telemetry.crashes += 1
         mode = "preserve-chain" if crash.preserve_chain else "state-loss"
         self.telemetry.record_fault("crash", f"{crash.host} {mode}",
@@ -176,29 +166,11 @@ class ChaosInjector:
         daemon = self.daemons.get(crash.host)
         if daemon is None or daemon.online:
             return
-        old_chain = daemon.node.chain
-        snapshot = self._snapshots.pop(crash.host, None)
-        if crash.preserve_chain and snapshot is not None:
-            chain = load_chain(io.StringIO(snapshot),
-                               params=old_chain.params,
-                               verify_scripts=old_chain.verify_scripts)
-            node = FullNode(name=crash.host, chain=chain)
-        else:
-            node = FullNode(old_chain.params, name=crash.host,
-                            verify_scripts=old_chain.verify_scripts)
-        # Same host process, same deployment: keep its verdict memo and
-        # its chain's leader rule.  A settlement node's checkpoint rules
-        # are rebuilt from the chain it came back with (restored, or
-        # genesis and then re-synced), never from the dead process's RAM.
-        node.engine.verdict_memo = old_chain.engine.verdict_memo
-        node.engine.leader_rule = old_chain.engine.leader_rule
-        if old_chain.engine.checkpoint_rules is not None:
-            node.engine.checkpoint_rules = CheckpointRules.from_chain(
-                node.chain)
-        daemon.restart(node)
+        daemon.restart()
         self.telemetry.restarts += 1
         self.telemetry.record_fault(
-            "restart", f"{crash.host} height={node.height}", self.sim.now)
+            "restart", f"{crash.host} height={daemon.node.height}",
+            self.sim.now)
 
     # -- reconvergence -----------------------------------------------------------
 

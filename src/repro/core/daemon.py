@@ -18,12 +18,14 @@ empty.
 
 from __future__ import annotations
 
+import io
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.blockchain.node import FullNode
+from repro.blockchain.store import save_chain
 from repro.core.costmodel import CostModel
 from repro.errors import BcWANError
 from repro.obs.registry import MetricsRegistry
@@ -85,6 +87,8 @@ class BlockchainDaemon:
         # so an in-service job never runs against post-restart state.
         self.online = True
         self._epoch = 0
+        # The chain store a crash left for the restart (None: state loss).
+        self._store: Optional[str] = None
         # Set by a SyncAgent when one attaches; crash() resets its
         # in-flight request state alongside the daemon's own queue.
         self.sync_agent: Optional[Any] = None
@@ -101,15 +105,21 @@ class BlockchainDaemon:
 
     # -- crash/restart lifecycle -------------------------------------------------
 
-    def crash(self) -> None:
+    def crash(self, preserve_chain: bool = False) -> None:
         """Fail-stop: drop the queue, refuse traffic, go dark on the WAN.
 
         Everything in RAM is lost — queued jobs, dedup memories, and (on
-        restart) the mempool.  Whether *chain* state survives depends on
-        what the operator restores via :meth:`restart`.
+        restart) the mempool.  With ``preserve_chain`` the chain store
+        survives: it is written now and :meth:`restart` replays it;
+        otherwise the daemon comes back at genesis.
         """
         if not self.online:
             return
+        self._store = None
+        if preserve_chain:
+            store = io.StringIO()
+            save_chain(self.node.chain, store)
+            self._store = store.getvalue()
         self.online = False
         self._epoch += 1
         self.stats.crashes += 1
@@ -124,18 +134,13 @@ class BlockchainDaemon:
         if self.sync_agent is not None:
             self.sync_agent.reset()
 
-    def restart(self, node: FullNode) -> None:
-        """Come back up serving ``node`` (fresh or restored from a store).
-
-        The caller decides the recovery mode: a brand-new
-        :class:`FullNode` models total state loss (re-sync from genesis),
-        one rebuilt via :func:`repro.blockchain.store.load_chain` models a
-        gateway whose chain store survived the crash.
-        """
+    def restart(self) -> None:
+        """Come back up on the same node, restored from the store the
+        crash left (:meth:`FullNode.restart`)."""
         if self.online:
             return
-        self.node = node
-        self.gossip.node = node
+        self.node.restart(self._store)
+        self._store = None
         self.gossip.reset_caches()
         self._seen_txids.clear()
         self._seen_blocks.clear()

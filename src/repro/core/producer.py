@@ -209,8 +209,8 @@ class BlockProducer:
 
     def _mine(self, daemon: BlockchainDaemon, key: KeyPair,
               endorsing_key: Optional[ecdsa.PrivateKey]):
-        """Mine on the daemon's node as it is now (a restarted daemon
-        serves a new one), unless the job is served after its slot."""
+        """Mine on the daemon's node, unless the job is served after its
+        slot."""
         now = self.sim.now
         if not self.schedule.leads(daemon.name, now):
             return None

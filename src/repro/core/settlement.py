@@ -18,10 +18,10 @@ Two delivery details matter on a lossy, partitionable WAN:
   checkpoint after the heal.
 * **Stuck checkpoints are re-sent directly.**  Gossip never re-relays a
   transaction its dedup cache already knows, and the anti-entropy sync
-  agents repair *blocks* only — so a checkpoint dropped by a partition
-  would otherwise never reach the anchor master.  The agent re-sends the
-  raw :class:`~repro.p2p.message.TxMessage` to its anchor peers every
-  interval until the checkpoint confirms.
+  agents carry mempool contents only when sync runs — so with sync off a
+  checkpoint dropped by a partition would never reach the anchor master.
+  The agent re-sends the raw :class:`~repro.p2p.message.TxMessage` to its
+  anchor peers every interval until the checkpoint confirms.
 """
 
 from __future__ import annotations
@@ -152,9 +152,11 @@ class CheckpointAgent:
     def _resend(self, tx: Transaction) -> None:
         """Push a stuck checkpoint directly to every anchor peer.
 
-        The gossip dedup cache will not re-relay it and block sync will
-        not carry mempool contents, so after a healed partition this
-        direct push is the only road to the anchor master.
+        The gossip dedup cache will not re-relay it.  Block sync carries
+        mempool contents only when it runs (``sync_interval > 0``: the
+        tip probe sends the mempool inventory), so with sync off this
+        direct push is the only road to the anchor master after a healed
+        partition.
         """
         gossip = self.anchor_daemon.gossip
         for peer in gossip.peers:

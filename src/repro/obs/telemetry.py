@@ -23,7 +23,7 @@ __all__ = ["CHAOS_COUNTERS", "ChaosTelemetry", "DAEMON_COUNTERS",
 
 # A daemon's series, ``daemon.<field>{host=…}``, as paths from its
 # DaemonStats.  Engine and sync readings go through ``daemon.node`` /
-# ``daemon.sync_agent``, so a restart's fresh node is followed.
+# ``daemon.sync_agent``.
 DAEMON_COUNTERS = {
     "jobs_served": "jobs_served",
     "blocks_verified": "blocks_verified",

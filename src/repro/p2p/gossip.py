@@ -76,7 +76,7 @@ class GossipNode:
             self.peers.append(peer_name)
 
     def reset_caches(self) -> None:
-        """Forget dedup and orphan state (crash with state loss)."""
+        """Forget dedup and orphan state (a restart: they lived in RAM)."""
         self._known_txids.clear()
         self._known_blocks.clear()
         self._orphan_txs.clear()

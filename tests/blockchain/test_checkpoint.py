@@ -24,6 +24,7 @@ from repro.blockchain.checkpoint import (
 )
 from repro.blockchain.mempool import REJECT_CHECKPOINT
 from repro.blockchain.merkle import merkle_root
+from repro.crypto.hashing import double_sha256
 from repro.errors import ValidationError
 
 
@@ -113,6 +114,17 @@ def test_settlement_proof_unknown_txid_raises():
     txids = [bytes([i]) * 32 for i in range(3)]
     with pytest.raises(ValidationError):
         settlement_proof(txids, b"\xff" * 32)
+
+
+def test_internal_node_does_not_prove_settled():
+    """``H(a‖b)`` with the one-sibling branch ``[H(c‖d)]`` folds to a
+    4-leaf epoch's root, but it is no settled txid: the checkpoint's
+    ``tx_count`` pins the branch depth at two."""
+    a, b, c, d = (bytes([i]) * 32 for i in range(4))
+    checkpoint = make_checkpoint(root=merkle_root([a, b, c, d]), tx_count=4)
+    internal, sibling = double_sha256(a + b), double_sha256(c + d)
+    assert double_sha256(internal + sibling) == checkpoint.settled_root
+    assert not verify_settlement(internal, [sibling], 0, checkpoint)
 
 
 def test_empty_epoch_proves_nothing():

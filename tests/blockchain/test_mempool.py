@@ -11,6 +11,8 @@ from repro.blockchain.mempool import (
     REJECT_SCRIPT,
     REJECT_VALUE,
 )
+from repro.blockchain.miner import Miner
+from repro.blockchain.node import FullNode
 from repro.blockchain.transaction import (
     OutPoint,
     SEQUENCE_FINAL,
@@ -193,3 +195,48 @@ def test_remove_returns_transaction(funded_chain, rng):
     assert node.mempool.remove(tx.txid) == tx
     assert node.mempool.remove(tx.txid) is None
     assert len(node.mempool) == 0
+
+
+def _spend_output(parent, index, key, to_pubkey_hash, value):
+    """A one-input spend of ``parent``'s output ``index``, owned by ``key``."""
+    child = Transaction(
+        inputs=[TxInput(outpoint=OutPoint(txid=parent.txid, index=index))],
+        outputs=[TxOutput(value=value,
+                          script_pubkey=p2pkh_locking(to_pubkey_hash))],
+    )
+    digest = child.sighash(0, p2pkh_locking(key.pubkey_hash))
+    return child.with_input_script(
+        0, Script([key.sign(digest).to_bytes(), key.public_key.to_bytes()]))
+
+
+def test_remove_confirmed_drops_the_losers_descendants(funded_chain, rng):
+    """The loser of a double spend leaves the pool with its pooled
+    children, so the next template never carries an orphaned child."""
+    node, wallet, miner = funded_chain
+    middle = KeyPair.generate(rng)
+    loser = wallet.create_payment(middle.pubkey_hash, 1000)
+    assert node.mempool.accept(loser).accepted
+    child = _spend_output(loser, 0, middle,
+                          KeyPair.generate(rng).pubkey_hash, 900)
+    assert loser.outputs[0].value == 1000
+    assert node.mempool.accept(child).accepted
+    wallet.release_pending(loser)
+    winner = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 1500)
+    assert ({i.outpoint for i in winner.inputs}
+            & {i.outpoint for i in loser.inputs})
+
+    # The winner confirms in a block mined on a twin of the node's chain.
+    twin = FullNode(node.params, "twin")
+    for _height, block in node.chain.iter_active_blocks(start_height=1):
+        twin.submit_block(block)
+    assert twin.mempool.accept(winner).accepted
+    block = Miner(chain=twin.chain, mempool=twin.mempool,
+                  reward_pubkey_hash=wallet.pubkey_hash).mine_and_connect(50.0)
+    decision, _result = node.submit_block(block)
+    assert decision.accepted
+
+    assert loser.txid not in node.mempool
+    assert child.txid not in node.mempool
+    assert len(node.mempool) == 0
+    miner.mine_and_connect(60.0)
+    assert node.chain.tip.block.header.prev_hash == block.hash

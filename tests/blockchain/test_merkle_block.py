@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blockchain.block import Block, BlockHeader
-from repro.blockchain.merkle import merkle_branch, merkle_root, verify_branch
+from repro.blockchain.merkle import merkle_branch, merkle_root, verify_proof
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
     Transaction,
@@ -71,14 +71,14 @@ def test_branch_verifies_every_position(n):
     root = merkle_root(txids)
     for index, txid in enumerate(txids):
         branch = merkle_branch(txids, index)
-        assert verify_branch(txid, branch, index, root)
+        assert verify_proof(txid, branch, index, n, root)
 
 
 def test_branch_rejects_wrong_txid():
     txids = make_txids(8)
     root = merkle_root(txids)
     branch = merkle_branch(txids, 3)
-    assert not verify_branch(txids[4], branch, 3, root)
+    assert not verify_proof(txids[4], branch, 3, 8, root)
 
 
 def test_branch_rejects_bad_index():

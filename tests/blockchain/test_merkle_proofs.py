@@ -1,11 +1,10 @@
 """Strict SPV proof verification: shape pinning and CVE-2012-2459.
 
 :func:`repro.blockchain.merkle.verify_proof` is the light client's only
-defense against a dishonest proof server — unlike
-:func:`~repro.blockchain.merkle.verify_branch` it pins the tree depth
-from ``tx_count`` and enforces the odd-row duplicate rule positionally,
-so a prover can neither truncate/pad the path nor exploit the
-duplicate-leaf root collision (CVE-2012-2459).
+defense against a dishonest proof server — unlike a bare re-hash of the
+path it pins the tree depth from ``tx_count`` and enforces the odd-row
+duplicate rule positionally, so a prover can neither truncate/pad the
+path nor exploit the duplicate-leaf root collision (CVE-2012-2459).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.blockchain.merkle import (
     branch_depth,
     merkle_branch,
     merkle_root,
-    verify_branch,
     verify_proof,
 )
 from repro.crypto.hashing import double_sha256
@@ -62,7 +60,7 @@ def test_single_leaf_proof_is_empty_branch():
 def test_single_leaf_rejects_nonempty_branch():
     txid = make_txids(1)[0]
     sibling = double_sha256(b"padding")
-    # verify_branch folds the extra sibling into a different root, but
+    # A bare re-hash folds the extra sibling into a different root, but
     # verify_proof must refuse the shape outright.
     assert not verify_proof(txid, [sibling], 0, 1,
                             double_sha256(txid + sibling))
@@ -162,15 +160,14 @@ def test_cve_2012_2459_fake_duplicate_proof_rejected():
     Under ``tx_count=4`` the duplicated leaf ``c`` at index 3 pairs with
     an identical sibling at an *even* row — which the positional
     duplicate rule forbids (self-pairing is only legal at the mandated
-    odd-row last position).  The lenient ``verify_branch`` accepts
-    exactly this proof, which is the vulnerability.
+    odd-row last position).  A bare re-hash of the path accepts exactly
+    this proof, which is the vulnerability.
     """
     a, b, c = make_txids(3)
     root = merkle_root([a, b, c])
     fake = [a, b, c, c]
     for index in (2, 3):
         branch = merkle_branch(fake, index)
-        assert verify_branch(c, branch, index, root)  # the historical hole
         assert not verify_proof(c, branch, index, 4, root)
 
 

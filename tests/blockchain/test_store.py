@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.blockchain.chain import Chain
 from repro.blockchain.store import (
     deserialize_block,
     load_chain,
@@ -50,7 +51,8 @@ def test_save_load_roundtrip(funded_chain, tmp_path, rng):
     written = save_chain(node.chain, path)
     assert written == node.chain.height
 
-    restored = load_chain(path, node.params)
+    restored = Chain(node.params)
+    load_chain(path, restored)
     assert restored.height == node.chain.height
     assert restored.tip.hash == node.chain.tip.hash
     assert restored.utxos.snapshot() == node.chain.utxos.snapshot()
@@ -64,8 +66,10 @@ def test_load_validates_scripts(funded_chain, tmp_path, rng):
     miner.mine_and_connect(99.0)
     path = tmp_path / "chain.jsonl"
     save_chain(node.chain, path)
-    restored = load_chain(path, node.params, verify_scripts=True)
+    restored = Chain(node.params, verify_scripts=True)
+    load_chain(path, restored)
     assert restored.height == node.chain.height
+    assert restored.engine.cache_stats.executions > 0
 
 
 def test_tampered_snapshot_rejected(funded_chain, tmp_path):
@@ -80,7 +84,7 @@ def test_tampered_snapshot_rejected(funded_chain, tmp_path):
     lines[2] = json.dumps(entry)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError):
-        load_chain(path, node.params)
+        load_chain(path, Chain(node.params))
 
 
 def test_truncated_snapshot_fails_tip_check(funded_chain, tmp_path):
@@ -90,18 +94,18 @@ def test_truncated_snapshot_fails_tip_check(funded_chain, tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop the tip block
     with pytest.raises(ValidationError):
-        load_chain(path, node.params)
+        load_chain(path, Chain(node.params))
 
 
 def test_empty_snapshot_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(ValidationError):
-        load_chain(path)
+        load_chain(path, Chain())
 
 
 def test_wrong_format_version_rejected(tmp_path):
     path = tmp_path / "future.jsonl"
     path.write_text(json.dumps({"format": 99, "height": 0, "tip": ""}) + "\n")
     with pytest.raises(ValidationError):
-        load_chain(path)
+        load_chain(path, Chain())

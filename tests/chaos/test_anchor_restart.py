@@ -2,9 +2,9 @@
 
 ``anchor-r0`` crashes mid-run and comes back either with its chain store
 (``preserve_chain``) or with nothing (state loss, re-synced from its
-peers).  Either way its engine must rebuild ``CheckpointRules`` from the
-chain it recovered and go on refusing a checkpoint that does not advance
-its region's anchored epoch.
+peers).  Either way its engine's fresh ``CheckpointRules`` are rebuilt by
+the blocks it replays or re-syncs, and it must go on refusing a
+checkpoint that does not advance its region's anchored epoch.
 """
 
 from __future__ import annotations

@@ -49,15 +49,16 @@ def test_crash_with_preserved_chain_restarts_at_height():
 
 
 @pytest.mark.parametrize("preserve_chain", [False, True])
-def test_rebuilt_node_inherits_its_predecessors_verdict_memo(preserve_chain):
+def test_restart_keeps_the_node_and_its_verdict_memo(preserve_chain):
     plan = FaultPlan(seed=21).crash("gw-1", at=6.0, restart_at=10.0,
                                     preserve_chain=preserve_chain)
     fed = fed_with_blocks(plan=plan)
-    old_node = fed.daemons["gw-1"].node
+    node = fed.daemons["gw-1"].node
+    chain, engine, memo = node.chain, node.engine, node.engine.verdict_memo
     fed.sim.run(until=10.1)
-    new_node = fed.daemons["gw-1"].node
-    assert new_node is not old_node
-    assert new_node.engine.verdict_memo is old_node.engine.verdict_memo
+    assert fed.daemons["gw-1"].node is node
+    assert node.chain is chain and node.engine is engine
+    assert engine.verdict_memo is memo
 
 
 def test_offline_daemon_refuses_everything():
@@ -94,9 +95,8 @@ def test_double_crash_and_restart_are_noops():
     daemon.crash()
     daemon.crash()
     assert daemon.stats.crashes == 1
-    node = daemon.node
-    daemon.restart(node)
-    daemon.restart(node)
+    daemon.restart()
+    daemon.restart()
     assert daemon.stats.restarts == 1
 
 

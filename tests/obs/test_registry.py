@@ -96,7 +96,7 @@ def test_sources_are_read_through_the_owner_at_snapshot_time():
                                             "agent.timeouts"},
                       gauges={"height": "node.height",
                               "double": lambda o: 2 * o.node.height})
-    owner.node = SimpleNamespace(height=9)  # a restart swaps the node
+    owner.node = SimpleNamespace(height=9)  # the owner's part is replaced
     snapshot = registry.snapshot()
     assert snapshot["gauges"] == {"d.double": 18, "d.height": 9}
     # A path through an absent component reads 0.

@@ -218,6 +218,6 @@ def test_crash_resets_inflight_requests():
     sim.run(until=5.02)
     daemons[1].crash()
     assert len(agents[1].requests) == 0
-    daemons[1].restart(daemons[1].node)
+    daemons[1].restart()
     sim.run(until=40.0)
     assert daemons[1].node.height == 2
