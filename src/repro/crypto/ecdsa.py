@@ -5,19 +5,22 @@ Bitcoin/Multichain do (paper section 2 describes scripting around "ECDSA
 signatures and keys").  Nonces are deterministic per RFC 6979 so that
 signing is reproducible in simulation and never reuses a nonce.
 
-Points are handled in Jacobian coordinates for speed; signatures are
-low-S normalized (BIP 62) and serialized as the compact 64-byte ``r || s``
-form, which keeps the script interpreter simple compared to DER.
+Signatures are low-S normalized (BIP 62) and serialized as the compact
+64-byte ``r || s`` form, which keeps the script interpreter simple
+compared to DER.
 
-Every scalar multiply is one scheme: signed fixed-width digits walked
-over rows of precomputed affine multiples.  ``PublicKey.verify`` and
+Every scalar multiply is one scheme: signed fixed-width digits over rows
+of precomputed affine multiples.  ``PublicKey.verify`` and
 ``verify_batch`` share one core for ``u1*G + u2*Q``: ``u1*G`` comes from
 the generator's import-time table (no doubling), and ``u2`` is split by
 secp256k1's GLV endomorphism into two 128-bit halves over multiples of
 ``Q`` alone.  A key seen for the first few times pays one 128-doubling
-ladder; a key whose cumulative verifications reach the break-even gets a
-full table in a byte-budgeted cache and pays no doubling again.  SEC1
-parsing is memoised, so a key's square root is paid once.
+ladder in Jacobian coordinates.  A key whose cumulative verifications
+reach the break-even gets a full table in a byte-budgeted cache; its
+verification is then a sum of ~92 table points with no doubling, added
+pairwise in affine coordinates, where each level of the pairwise sums of
+every item of the call shares one modular inversion.  SEC1 parsing is
+memoised, so a key's square root is paid once.
 """
 
 from __future__ import annotations
@@ -145,6 +148,47 @@ def _batch_inverse(values: list[int], modulus: int) -> list[int]:
     return out
 
 
+def _affine_sums(groups: list[list[tuple[int, int]]]
+                 ) -> list[Optional[tuple[int, int]]]:
+    """The sum of each group of affine points, ``None`` for infinity.
+
+    Every group is summed pairwise, level by level, in affine coordinates,
+    and the slope denominators of one level, across every group, share one
+    Montgomery inversion: an addition costs ~6 field multiplications where
+    a mixed Jacobian one costs ~11, and groups of up to ``k`` points cost
+    ``ceil(log2 k)`` inversions for the whole call.  Equal points double
+    (slope ``3x**2 / 2y``, in the same batch); opposite points cancel, and
+    the infinity they make is dropped.
+    """
+    level = groups
+    while any(len(points) > 1 for points in level):
+        denominators = []
+        for points in level:
+            pairs = iter(points)
+            for (x1, y1), (x2, y2) in zip(pairs, pairs):
+                if x1 != x2:
+                    denominators.append(x2 - x1)
+                elif y1 == y2:  # y != 0: secp256k1 has no point of order 2
+                    denominators.append(y1 + y1)
+        inverses = iter(_batch_inverse(denominators, _P))
+        summed_level = []
+        for points in level:
+            summed = [points[-1]] if len(points) & 1 else []
+            pairs = iter(points)
+            for (x1, y1), (x2, y2) in zip(pairs, pairs):
+                if x1 != x2:
+                    slope = (y2 - y1) * next(inverses) % _P
+                elif y1 == y2:
+                    slope = 3 * x1 * x1 * next(inverses) % _P
+                else:
+                    continue
+                x3 = (slope * slope - x1 - x2) % _P
+                summed.append((x3, (slope * (x1 - x3) - y1) % _P))
+            summed_level.append(summed)
+        level = summed_level
+    return [points[0] if points else None for points in level]
+
+
 def _to_affine(point: tuple[int, int, int]) -> Optional[tuple[int, int]]:
     x, y, z = point
     if not z:
@@ -164,8 +208,9 @@ def _point_on_curve(x: int, y: int) -> bool:
 # so a row holds only the positive multiples 1 .. 2**(w-1) of its base (a
 # negative digit is a y-flip), and row i of a table holds those multiples
 # of 2**(w*i) * base.  With every row present a multiply is doubling-free,
-# one mixed addition per non-zero digit (_table_walk); with row 0 alone
-# the same digits are walked from the top with w doublings between them
+# a sum of one table point per non-zero digit (_table_points), added one at
+# a time by _table_walk or pairwise by _affine_sums; with row 0 alone the
+# same digits are walked from the top with w doublings between them
 # (_ladder).  A table is the ladder with its doublings precomputed.
 
 def _signed_digits(scalar: int, bits: int) -> list[int]:
@@ -211,15 +256,27 @@ def _build_rows(base: tuple[int, int, int], bits: int,
             for start in range(0, len(affine), size)]
 
 
+def _table_points(rows: list[list[tuple[int, int]]],
+                  digits: Iterable[int]) -> list[tuple[int, int]]:
+    """The affine points ``digit * row's base``, one per non-zero digit
+    (a negative digit flips ``y``).  Over a base's full table and a
+    scalar's digits they sum to ``scalar * base``."""
+    points = []
+    for row, digit in zip(rows, digits):
+        if digit > 0:
+            points.append(row[digit - 1])
+        elif digit:
+            x, y = row[-digit - 1]
+            points.append((x, _P - y))
+    return points
+
+
 def _table_walk(acc: tuple[int, int, int], rows: list[list[tuple[int, int]]],
                 digits: Iterable[int]) -> tuple[int, int, int]:
     """``acc + sum(digit * row's base)``, one mixed addition per non-zero
-    digit.  Over a base's full table and a scalar's digits that is
-    ``acc + scalar * base`` with no doubling."""
-    for row, digit in zip(rows, digits):
-        if digit:
-            x, y = row[abs(digit) - 1]
-            acc = _jacobian_add_affine(acc, x, y if digit > 0 else _P - y)
+    digit."""
+    for x, y in _table_points(rows, digits):
+        acc = _jacobian_add_affine(acc, x, y)
     return acc
 
 
@@ -244,13 +301,18 @@ _G_DIGIT_BITS = 8
 _G_ROWS = _build_rows((_GX, _GY, 1), _G_DIGIT_BITS, 32)
 
 
-def _generator_multiply(scalar: int, acc: tuple[int, int, int] = _INFINITY
-                        ) -> tuple[int, int, int]:
-    """``acc + scalar * G``: at most 32 mixed additions, no doubling."""
+def _generator_digits(scalar: int) -> list[int]:
+    """``scalar``'s signed digits over ``_G_ROWS``."""
     scalar %= CURVE_ORDER
     if scalar > CURVE_ORDER // 2:
         scalar -= CURVE_ORDER
-    return _table_walk(acc, _G_ROWS, _signed_digits(scalar, _G_DIGIT_BITS))
+    return _signed_digits(scalar, _G_DIGIT_BITS)
+
+
+def _generator_multiply(scalar: int, acc: tuple[int, int, int] = _INFINITY
+                        ) -> tuple[int, int, int]:
+    """``acc + scalar * G``: at most 32 mixed additions, no doubling."""
+    return _table_walk(acc, _G_ROWS, _generator_digits(scalar))
 
 
 # --- The verification core: u1*G + u2*Q --------------------------------------
@@ -263,7 +325,8 @@ def _generator_multiply(scalar: int, acc: tuple[int, int, int] = _INFINITY
 #   128-doubling ladder shared by both halves -- half a plain ladder;
 # * a key whose *cumulative* verifications, single or batched, reach
 #   _PROMOTE_AFTER holds all 33 rows (264 affine points) and pays no
-#   doubling at all: ~31 mixed additions per half beside u1*G's 32.
+#   doubling at all: ~31 table points per half beside u1*G's 32, all
+#   summed by _affine_sums together with the other hot items of the call.
 #
 # BcWAN's signers are provisioned actors (gateways, recipients, masters),
 # so nearly every verification is by a key that recurs: docs/PROTOCOL.md
@@ -291,10 +354,16 @@ def _glv_split(scalar: int) -> tuple[int, int]:
 
 
 #: The verification of a key, counted across calls, that builds its table.
-#: Rent or buy: the table costs 1.9 ms to build and saves 0.40 ms per
-#: verification (0.88 ms cold, 0.48 ms hot), so a key has overpaid one
-#: table's worth by its fifth use -- within 2x of the best any rule could
-#: do, whatever the key does next.
+#: Rent or buy: the table costs 2.4 ms to build, and a hot verification
+#: saves 0.48 ms over a cold one when it is alone in its call (1.05 ms
+#: cold, 0.57 ms hot), 0.63 ms in a batch of four or more (0.41 ms hot:
+#: the batch shares the affine sums' inversions).  Alone, a key has
+#: overpaid one table's worth by its fifth use (4.9 uses' savings); in
+#: batches, by its fourth (3.8).  Promoting at the fifth use costs at most
+#: 1.8x (alone) / 2.05x (batched) of the best any rule could do, whatever
+#: the key does next, and at the fourth 2.0x / 1.8x: the worse case is 2x
+#: either way, within this host's noise, so the fifth stays -- most calls
+#: of a simulated deployment verify one item.
 _PROMOTE_AFTER = 5
 
 #: Budget of the per-key rows.  A row is 8 affine points (~1.5 KB), a
@@ -361,22 +430,62 @@ def cache_stats() -> dict[str, int]:
     }
 
 
-def _verification_point(u1: int, u2: int,
-                        x: int, y: int) -> tuple[int, int, int]:
-    """``u1*G + u2*Q`` for ``Q = (x, y)``, in Jacobian coordinates."""
-    rows = _key_cache.rows_for(x, y)
-    k1, k2 = _glv_split(u2)
-    digits1 = _signed_digits(k1, _KEY_DIGIT_BITS)
-    digits2 = _signed_digits(k2, _KEY_DIGIT_BITS)
-    if len(rows) > 1:
-        # k2*Q first, then lambda on the accumulator: one multiplication.
-        lx, ly, lz = _table_walk(_INFINITY, rows, digits2)
-        acc = _table_walk(((lx * _BETA) % _P, ly, lz), rows, digits1)
-    else:
-        row = rows[0]
-        lambda_row = [((qx * _BETA) % _P, qy) for qx, qy in row]
-        acc = _ladder(_KEY_DIGIT_BITS, [row, lambda_row], [digits1, digits2])
-    return _generator_multiply(u1, acc)
+def _message_scalar(message_hash: bytes) -> int:
+    if len(message_hash) != 32:
+        raise ECDSAError("message hash must be 32 bytes")
+    return int.from_bytes(message_hash, "big") % CURVE_ORDER
+
+
+def _verdicts(entries: "list[tuple[PublicKey, int, int, int]]"
+              ) -> list[bool]:
+    """Whether ``x(u1*G + u2*Q) == r (mod n)`` for each ``(Q, z, r, s)``,
+    with ``u1 = z/s`` and ``u2 = r/s``; ``False`` if ``r`` or ``s`` is out
+    of range or the sum is infinity.
+
+    A hot key's sum is a group of ~92 affine table points -- ``k1``'s over
+    ``Q``'s rows, ``k2``'s over the same rows mapped through
+    ``(beta*x, y)``, ``u1``'s over ``G``'s -- and one ``_affine_sums``
+    adds up every hot group of the call; its ``x`` is the verdict's, with
+    no ``z**-1``.  A cold key walks its ladder in Jacobian coordinates, and
+    the cold points share one ``z**-1``.  The ``s**-1`` scalars share one
+    inversion too.
+    """
+    verdicts = [False] * len(entries)
+    live = [(index, key, z, r, s)
+            for index, (key, z, r, s) in enumerate(entries)
+            if 0 < r < CURVE_ORDER and 0 < s < CURVE_ORDER]
+    s_inverses = _batch_inverse([entry[4] for entry in live], CURVE_ORDER)
+    hot: list[tuple[int, int]] = []
+    groups: list[list[tuple[int, int]]] = []
+    cold: list[tuple[int, int, tuple[int, int, int]]] = []
+    for (index, key, z, r, _s), s_inv in zip(live, s_inverses):
+        rows = _key_cache.rows_for(key.x, key.y)
+        k1, k2 = _glv_split((r * s_inv) % CURVE_ORDER)
+        digits1 = _signed_digits(k1, _KEY_DIGIT_BITS)
+        digits2 = _signed_digits(k2, _KEY_DIGIT_BITS)
+        u1 = (z * s_inv) % CURVE_ORDER
+        if len(rows) > 1:
+            group = _table_points(rows, digits1)
+            group += [((x * _BETA) % _P, y)
+                      for x, y in _table_points(rows, digits2)]
+            group += _table_points(_G_ROWS, _generator_digits(u1))
+            hot.append((index, r))
+            groups.append(group)
+        else:
+            row = rows[0]
+            lambda_row = [((qx * _BETA) % _P, qy) for qx, qy in row]
+            point = _generator_multiply(u1, _ladder(
+                _KEY_DIGIT_BITS, [row, lambda_row], [digits1, digits2]))
+            if point[2]:
+                cold.append((index, r, point))
+
+    for (index, r), total in zip(hot, _affine_sums(groups)):
+        verdicts[index] = total is not None and total[0] % CURVE_ORDER == r
+    z_inverses = _batch_inverse([point[2] for _, _, point in cold], _P)
+    for (index, r, point), z_inv in zip(cold, z_inverses):
+        x_affine = (point[0] * z_inv * z_inv) % _P
+        verdicts[index] = x_affine % CURVE_ORDER == r
+    return verdicts
 
 
 def verify_batch(items: "list[tuple[PublicKey, bytes, Signature]]"
@@ -385,36 +494,15 @@ def verify_batch(items: "list[tuple[PublicKey, bytes, Signature]]"
 
     Returns one verdict per item, bit-identical to
     ``public_key.verify(message_hash, signature)`` (with the default
-    ``require_low_s=False``): both go through the same core, and the batch
-    only collapses its modular inversions (the ``s**-1`` scalars mod n,
-    the ``z**-1`` affine conversions mod p) into one each by Montgomery's
-    trick.
+    ``require_low_s=False``): both go through the same core, which shares
+    each modular inversion among every item of the call -- the ``s**-1``
+    scalars mod n, each level of the hot items' affine sums and the cold
+    items' ``z**-1`` -- by Montgomery's trick.  Every hash is checked
+    before any item is verified.
     """
-    verdicts: list[bool] = [False] * len(items)
-    live: list[tuple[int, "PublicKey", int, int, int]] = []
-    for index, (public_key, message_hash, signature) in enumerate(items):
-        if len(message_hash) != 32:
-            raise ECDSAError("message hash must be 32 bytes")
-        r, s = signature.r, signature.s
-        if not (0 < r < CURVE_ORDER and 0 < s < CURVE_ORDER):
-            continue  # verdict stays False, as verify() would return
-        z = int.from_bytes(message_hash, "big") % CURVE_ORDER
-        live.append((index, public_key, z, r, s))
-
-    s_inverses = _batch_inverse([entry[4] for entry in live], CURVE_ORDER)
-    finite: list[tuple[int, int, tuple[int, int, int]]] = []
-    for (index, public_key, z, r, _s), s_inv in zip(live, s_inverses):
-        point = _verification_point((z * s_inv) % CURVE_ORDER,
-                                    (r * s_inv) % CURVE_ORDER,
-                                    public_key.x, public_key.y)
-        if point[2]:
-            finite.append((index, r, point))
-
-    z_inverses = _batch_inverse([point[2] for _, _, point in finite], _P)
-    for (index, r, point), z_inv in zip(finite, z_inverses):
-        x_affine = (point[0] * z_inv * z_inv) % _P
-        verdicts[index] = x_affine % CURVE_ORDER == r
-    return verdicts
+    return _verdicts([(public_key, _message_scalar(message_hash),
+                       signature.r, signature.s)
+                      for public_key, message_hash, signature in items])
 
 
 # --- Key and signature types ----------------------------------------------
@@ -508,21 +596,10 @@ class PublicKey:
         a *standardness* knob: consensus verification leaves it False so
         historical blocks carrying either encoding stay valid.
         """
-        if len(message_hash) != 32:
-            raise ECDSAError("message hash must be 32 bytes")
-        r, s = signature.r, signature.s
-        if not (0 < r < CURVE_ORDER and 0 < s < CURVE_ORDER):
-            return False
+        z = _message_scalar(message_hash)
         if require_low_s and not signature.is_low_s:
             return False
-        z = int.from_bytes(message_hash, "big") % CURVE_ORDER
-        s_inv = pow(s, -1, CURVE_ORDER)
-        affine = _to_affine(_verification_point((z * s_inv) % CURVE_ORDER,
-                                                (r * s_inv) % CURVE_ORDER,
-                                                self.x, self.y))
-        if affine is None:
-            return False
-        return affine[0] % CURVE_ORDER == r
+        return _verdicts([(self, z, signature.r, signature.s)])[0]
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ block body.
 Header requests go through the full node's request layer,
 :class:`~repro.p2p.sync.Requests`: a deadline token, reply matching and
 per-peer scores.  A failure is a request that expires *or* a proof that
-fails strict verification, charged to the peer that sent it; after
-``FAILOVER_THRESHOLD`` consecutive failures of the serving peer, of
-either kind, the client rotates to its next serving peer and replays its
-whole filter there (from height 0 — every push is idempotent downstream,
-so the replayed history is harmless).  Dishonest proof service is
-therefore failed over, like dishonest omission.
+fails strict verification, charged to the peer that sent it.  Silence may
+be the WAN's fault, so the client rotates to its next serving peer after
+``FAILOVER_THRESHOLD`` consecutive expiries of the serving peer; a forged
+proof is proven dishonesty, so one from the serving peer rotates it at
+once.  Either way the client replays its whole filter on the new peer
+(from height 0 — every push is idempotent downstream, so the replayed
+history is harmless).
 
 When a :class:`~repro.light.multicast.MulticastListener` is attached,
 the periodic unicast poll stands down while the broadcast stream is
@@ -256,15 +257,13 @@ class SpvClient:
     def _on_expire(self, request: Any) -> None:
         self.sync_timeouts += 1
         self._end_round("timeout")
-        self._fail_over_if_due(request.peer)
+        if (request.peer == self.serving_peer
+                and self.requests.scores[request.peer].consecutive_failures
+                >= self.FAILOVER_THRESHOLD):
+            self._fail_over()
 
-    def _fail_over_if_due(self, peer: str) -> None:
-        """After ``FAILOVER_THRESHOLD`` consecutive failures of the
-        serving peer, rotate to the next one and replay the filter."""
-        if (peer != self.serving_peer
-                or self.requests.scores[peer].consecutive_failures
-                < self.FAILOVER_THRESHOLD):
-            return
+    def _fail_over(self) -> None:
+        """Rotate to the next serving peer and replay the filter there."""
         self._end_round("failover")  # a forged proof may land mid-round
         self.failovers += 1
         self._serving_index = (self._serving_index + 1) % len(self.peers)
@@ -371,11 +370,13 @@ class SpvClient:
             self._reject_proof(peer)
 
     def _reject_proof(self, peer: str) -> None:
-        """A bad proof is active dishonesty, not mere silence: it fails
-        the peer that sent it, on the same path as a timeout."""
+        """A bad proof is proven dishonesty, not silence: it fails the peer
+        that sent it, and one from the serving peer rotates the client at
+        once, however many header rounds it answered in between."""
         self.proofs_rejected += 1
         self.requests.fail(peer)
-        self._fail_over_if_due(peer)
+        if peer == self.serving_peer:
+            self._fail_over()
 
     def _stash_proof(self, key: tuple[bytes, bytes], proof: TxProofMessage,
                      peer: str) -> None:

@@ -4,8 +4,10 @@ and its bounds.
 ``repro.crypto.ecdsa`` computes ``u1*G + u2*Q`` in one place, for
 :meth:`PublicKey.verify` and ``verify_batch`` alike: GLV halves of ``u2``
 as signed 4-bit digits, walked over row 0 with doublings while the key is
-cold and over a full table once its cumulative verifications reach
-``_PROMOTE_AFTER``.  What is cached must never change a verdict, so every
+cold; once its cumulative verifications reach ``_PROMOTE_AFTER``, one
+point of a full table per digit, summed with ``u1*G``'s points in affine
+coordinates by ``_affine_sums`` (checked here against one-at-a-time
+Jacobian sums).  What is cached must never change a verdict, so every
 differential here runs cold, hot and after an eviction, against the
 two-multiply oracle.  Bounds are asserted on counts
 (``ecdsa.cache_stats()``), never on clocks.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,8 @@ from tests.oracles.ecdsa_reference import (
     _jacobian_multiply,
     verify_double_multiply,
 )
+
+_G = (ecdsa._GX, ecdsa._GY, 1)
 
 _TABLE_BYTES = ecdsa._KEY_ROWS * ecdsa._ROW_BYTES
 
@@ -62,10 +67,14 @@ def _agree(public_key: PublicKey, digest: bytes, signature: Signature) -> bool:
     return expected
 
 
-def _crafted(u1: int, u2: int) -> tuple[bytes, Signature]:
+def _crafted(u1: int, u2: int, r: Optional[int] = None
+             ) -> tuple[bytes, Signature]:
     """A (digest, signature) pair whose verification scalars are exactly
-    ``u1`` and ``u2``: with ``s == 1``, ``u1 == z`` and ``u2 == r``."""
-    return (u1 % CURVE_ORDER).to_bytes(32, "big"), Signature(r=u2, s=1)
+    ``u1`` and ``u2``, claiming ``r``: ``s == r/u2`` and ``z == u1*s``, so
+    with the default ``r == u2``, ``s == 1`` and ``z == u1``."""
+    r = u2 if r is None else r
+    s = (r * pow(u2, -1, CURVE_ORDER)) % CURVE_ORDER
+    return ((u1 * s) % CURVE_ORDER).to_bytes(32, "big"), Signature(r=r, s=s)
 
 
 # -- (a) the arithmetic ------------------------------------------------------
@@ -116,6 +125,63 @@ def test_rows_hold_the_multiples_they_claim(bits, count):
         for multiple in (1, 2, 3, len(row) - 1, len(row)):
             expected = _jacobian_multiply(base, multiple << (bits * index))
             assert row[multiple - 1] == ecdsa._to_affine(expected)
+
+
+# The affine sums a hot verification adds its table points with, against
+# the oracle's Jacobian arithmetic: one point at a time, no shared slope.
+
+_LARGE = tuple(random.Random(0xAFF1).randrange(1, CURVE_ORDER)
+               for _ in range(6))
+_MULTIPLES: dict[int, tuple[int, int]] = {}
+
+
+def _multiple(k: int) -> tuple[int, int]:
+    """``k*G`` for ``k != 0 (mod n)``, affine, by the oracle's ladder."""
+    k %= CURVE_ORDER
+    if k not in _MULTIPLES:
+        _MULTIPLES[k] = ecdsa._to_affine(_jacobian_multiply(_G, k))
+    return _MULTIPLES[k]
+
+
+def _jacobian_sum(points: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    total = ecdsa._INFINITY
+    for x, y in points:
+        total = ecdsa._jacobian_add(total, (x, y, 1))
+    return ecdsa._to_affine(total)
+
+
+# Small multiples and their negations recur, so groups hold duplicates,
+# opposite pairs and whole runs that cancel.
+_SCALARS = st.one_of(st.integers(1, 12), st.integers(-12, -1),
+                     st.sampled_from(_LARGE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_SCALARS, max_size=100), max_size=5))
+def test_affine_sums_match_one_point_at_a_time(scalars):
+    groups = [[_multiple(k) for k in group] for group in scalars]
+    assert ecdsa._affine_sums(groups) == [_jacobian_sum(group)
+                                          for group in groups]
+
+
+def test_affine_sums_exceptional_pairs_share_one_level():
+    """One call whose first level holds a doubling, two cancellations and
+    ordinary additions, beside a group that cancels one level up."""
+    p, q = _multiple(5), _multiple(11)
+    minus_p = (p[0], ecdsa._P - p[1])
+    groups = [
+        [p, p],                       # doubles
+        [p, minus_p],                 # cancels: infinity
+        [p, minus_p, q],              # cancels, q is carried
+        [p, q, _multiple(-16)],       # p + q, then cancels
+        [_multiple(k) for k in (3, 8, 200, -7, *_LARGE)],
+        [q],
+        [],
+    ]
+    sums = ecdsa._affine_sums(groups)
+    assert sums == [_jacobian_sum(group) for group in groups]
+    assert sums[:4] == [_multiple(10), None, q, None]
+    assert sums[5:] == [q, None]
 
 
 # -- (b) verdicts never depend on what is cached -----------------------------
@@ -202,29 +268,31 @@ _EDGE_SCALARS = _SMALL + tuple(CURVE_ORDER - k for k in _SMALL)
 
 
 @pytest.mark.parametrize("secret", [1, CURVE_ORDER - 1], ids=["Q=G", "Q=-G"])
-def test_accumulator_meets_its_own_table_entry(secret, stage, monkeypatch):
-    """With ``Q = +-G`` and small scalars the accumulator reaches the G
-    walk equal to plus or minus the entry it is about to add: the doubling
-    and the infinity branch of the mixed addition."""
+def test_accumulator_meets_its_own_table_entry(secret, stage):
+    """With ``Q = +-G`` and small scalars, a hot sum meets a point and
+    itself or its negation -- the doubling and the infinity branch of the
+    affine sums -- and a cold ladder's accumulator meets the entry it is
+    about to add, those of the mixed addition.  Each case is verified
+    claiming ``r == u2`` and, when the sum is finite, claiming its own
+    ``x``: only an exact sum accepts that one."""
     public = PrivateKey(secret=secret).public_key
-    doublings = []
-    double = ecdsa._jacobian_double
-    monkeypatch.setattr(ecdsa, "_jacobian_double",
-                        lambda point: doublings.append(1) or double(point))
-    cancelled = 0
+    cancelled = accepted = 0
     for u1 in (0,) + _EDGE_SCALARS:
         for u2 in _EDGE_SCALARS:
-            digest, signature = _crafted(u1, u2)
-            doublings.clear()
-            public.verify(digest, signature)
-            if (stage == "hot" and u1 == (u2 * secret) % CURVE_ORDER
-                    and min(u1, CURVE_ORDER - u1) <= 128):  # one G digit
-                assert doublings  # a table walk doubles only on acc == entry
-            verdict = _agree(public, digest, signature)
-            if (u1 + u2 * secret) % CURVE_ORDER == 0:
-                assert verdict is False  # u1*G + u2*Q is infinity
+            total = ecdsa._to_affine(_jacobian_multiply(
+                _G, u1 + u2 * secret))
+            claims = {u2} if total is None else {u2, total[0] % CURVE_ORDER}
+            for r in claims:
+                verdict = _agree(public, *_crafted(u1, u2, r))
+                assert verdict is (total is not None
+                                   and total[0] % CURVE_ORDER == r)
+                accepted += verdict
+            if total is None:
                 cancelled += 1
     assert cancelled == len(_EDGE_SCALARS)
+    # Every finite sum was accepted under its own x.
+    cases = (1 + len(_EDGE_SCALARS)) * len(_EDGE_SCALARS)
+    assert accepted + cancelled == cases
 
 
 def test_zero_u1_and_infinity_on_an_ordinary_key(stage):

@@ -178,9 +178,9 @@ def test_serving_peer_crash_fails_over():
 
 
 def test_forged_proofs_fail_the_server_over():
-    """A server that answers headers but forges every proof: each bad
-    proof fails it like a timeout, so the client rotates to an honest
-    peer, replays its filter there, and its recipient pays."""
+    """A server that answers headers but forges every proof: its first
+    bad proof rotates the client to an honest peer, which gets the
+    replayed filter, and the recipient pays."""
     unicast_only = dict(LIGHT, light=dc_replace(
         LIGHT_TIER, multicast_interval=0.0, light_sync_interval=10.0))
     network = BcWANNetwork(NetworkConfig(seed=9, **unicast_only))
@@ -199,6 +199,41 @@ def test_forged_proofs_fail_the_server_over():
     server._build_proof = forge
     network.run(num_exchanges=12)
     stats = spv.stats()
+    assert stats["proofs_rejected"] >= 1
+    assert stats["failovers"] >= 1
+    assert spv.serving_peer != first_peer
+    assert stats["proofs_verified"] > 0
+    assert network.sites[0].recipient.stats()["payments_made"] >= 1
+
+
+def test_a_server_forging_one_proof_per_header_round_is_failed_over():
+    """A server that forges only the first proof after each header range
+    it serves: every honest header reply in between would reset a count
+    of consecutive failures, so only a rotation on the first forged proof
+    ever moves the client off it."""
+    unicast_only = dict(LIGHT, light=dc_replace(
+        LIGHT_TIER, multicast_interval=0.0, light_sync_interval=10.0))
+    network = BcWANNetwork(NetworkConfig(seed=9, **unicast_only))
+    spv = network.light_clients[0]
+    first_peer = spv.serving_peer
+    server = next(server for server in network.light_servers
+                  if server.daemon.name == first_peer)
+    honest = server._build_proof
+    forged_in_rounds = set()
+
+    def forge_once_per_round(*args):
+        proof = honest(*args)
+        if server.header_requests in forged_in_rounds:
+            return proof
+        forged_in_rounds.add(server.header_requests)
+        head, *rest = proof.branch
+        return dc_replace(proof, branch=(bytes([head[0] ^ 1]) + head[1:],
+                                         *rest))
+
+    server._build_proof = forge_once_per_round
+    network.run(num_exchanges=12)
+    stats = spv.stats()
+    assert forged_in_rounds
     assert stats["proofs_rejected"] >= 1
     assert stats["failovers"] >= 1
     assert spv.serving_peer != first_peer
