@@ -14,6 +14,10 @@ whose service time is the chain params' ``verification_stall`` — so while
 a block verifies, every RPC of every in-flight exchange waits.  Disabling
 verification (Fig. 5) makes block jobs cheap and the queue effectively
 empty.
+
+A crash fails every job it drops — queued, in service, or submitted while
+offline — with :class:`~repro.errors.DaemonDown`: a job ends with its
+result or a typed error, never in silence.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any, Callable, Optional
 from repro.blockchain.node import FullNode
 from repro.blockchain.store import save_chain
 from repro.core.costmodel import CostModel
-from repro.errors import BcWANError
+from repro.errors import BcWANError, DaemonDown
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import DAEMON_COUNTERS, DAEMON_GAUGES, DaemonStats
 from repro.p2p.dedup import LRUSet
@@ -41,16 +45,13 @@ __all__ = ["BlockchainDaemon"]
 
 @dataclass
 class _Job:
-    service_time: float
     fn: Optional[Callable[[], Any]]
     completion: Event
     enqueued_at: float
-    label: str = ""
-    epoch: int = 0
-    # The job's tracing span (e.g. a block's ``block.validate``).  The
-    # daemon owns its lifecycle: ended ``ok`` when served, ``lost`` when
-    # the queue dies with a crash or the epoch fence voids the job.
+    # The job's tracing span (e.g. a block's ``block.validate``), which
+    # the daemon ends: ``ok`` when served, ``lost`` when dropped.
     span: Any = None
+    service_time: float = 0.0
 
 
 class BlockchainDaemon:
@@ -82,11 +83,8 @@ class BlockchainDaemon:
         # Handlers for non-gossip payloads (the BcWAN delivery protocol),
         # registered by agents: payload type -> callable(envelope).
         self.protocol_handlers: dict[type, Callable[[Envelope], None]] = {}
-        # Crash/restart lifecycle: while offline the daemon refuses all
-        # traffic and RPCs; ``_epoch`` fences jobs enqueued before a crash
-        # so an in-service job never runs against post-restart state.
+        # While offline the daemon refuses all traffic and RPCs.
         self.online = True
-        self._epoch = 0
         # The chain store a crash left for the restart (None: state loss).
         self._store: Optional[str] = None
         # Set by a SyncAgent when one attaches; crash() resets its
@@ -94,6 +92,8 @@ class BlockchainDaemon:
         self.sync_agent: Optional[Any] = None
 
         self._queue: deque[_Job] = deque()
+        # The job last taken into service (a crash drops it if unanswered).
+        self._serving: Optional[_Job] = None
         self._wakeup: Optional[Event] = None
         # Items already queued or processed; the inv/getdata pattern means
         # a real daemon never downloads (or verifies) the same item twice.
@@ -121,14 +121,13 @@ class BlockchainDaemon:
             save_chain(self.node.chain, store)
             self._store = store.getvalue()
         self.online = False
-        self._epoch += 1
         self.stats.crashes += 1
         self.stats.jobs_lost_to_crash += len(self._queue)
-        # Spans riding on queued jobs die with the queue: close them as
-        # lost so a crash never leaks an open span.
+        serving = self._serving
+        if serving is not None and not serving.completion.triggered:
+            self._drop(serving, "daemon crash mid-service")
         for job in self._queue:
-            if job.span is not None:
-                job.span.end("lost", reason="daemon crash")
+            self._drop(job, "daemon crash")
         self._queue.clear()
         self.network.set_host_down(self.name)
         if self.sync_agent is not None:
@@ -167,7 +166,6 @@ class BlockchainDaemon:
             self._enqueue(
                 self.cost_model.daemon_tx_process,
                 lambda: self.gossip.receive_transaction(tx, origin=origin),
-                label="tx",
             )
         elif isinstance(payload, BlockMessage):
             block = payload.block
@@ -183,7 +181,6 @@ class BlockchainDaemon:
                 self._enqueue(
                     self.cost_model.gateway_frame_handling,
                     lambda: handler(envelope),
-                    label="protocol",
                 )
 
     def mark_block_seen(self, block_hash: bytes) -> bool:
@@ -226,7 +223,7 @@ class BlockchainDaemon:
             self.gossip.receive_block(block, origin=origin, parent=span)
             span.end("ok")
 
-        return self._enqueue(service, process_block, label="block", span=span)
+        return self._enqueue(service, process_block, span=span)
 
     def register_protocol(self, payload_type: type,
                           handler: Callable[[Envelope], None]) -> None:
@@ -236,15 +233,14 @@ class BlockchainDaemon:
     # -- local RPC ---------------------------------------------------------------
 
     def call(self, service_mean: float,
-             fn: Optional[Callable[[], Any]] = None,
-             label: str = "rpc") -> Event:
-        """Submit a local operation; the returned event fires with its result.
+             fn: Optional[Callable[[], Any]] = None) -> Event:
+        """Submit a local operation; the returned event ends it.
 
         Use for anything that touches the Multichain API: creating, signing
         and sending transactions, directory scans.  The event's value is
-        ``fn()``'s return value.
+        ``fn()``'s return value; it fails with what :meth:`_enqueue` says.
         """
-        return self._enqueue(service_mean, fn, label=label)
+        return self._enqueue(service_mean, fn)
 
     def rpc(self, fn: Optional[Callable[[], Any]] = None) -> Event:
         """A standard-cost JSON-RPC round (create/sign/send)."""
@@ -252,35 +248,37 @@ class BlockchainDaemon:
 
     def lookup(self, fn: Optional[Callable[[], Any]] = None) -> Event:
         """A directory lookup against the local chain view."""
-        return self.call(self.cost_model.daemon_lookup, fn, label="lookup")
+        return self.call(self.cost_model.daemon_lookup, fn)
 
     # -- queueing ----------------------------------------------------------------
 
     def _enqueue(self, service_mean: float,
-                 fn: Optional[Callable[[], Any]], label: str = "",
+                 fn: Optional[Callable[[], Any]],
                  span: Any = None) -> Event:
+        """Queue one job.  Its completion succeeds with ``fn()``'s result or
+        fails: with the ``BcWANError`` ``fn`` raised, or with ``DaemonDown``
+        — at once when offline, at the crash instant when a crash drops it.
+        """
+        job = _Job(fn=fn, completion=self.sim.event(),
+                   enqueued_at=self.sim.now, span=span)
         if not self.online:
-            # A dead daemon answers nothing: the caller's event simply
-            # never fires, like an RPC against a crashed process.
             self.stats.messages_refused_offline += 1
-            if span is not None:
-                span.end("lost", reason="daemon offline")
-            return self.sim.event()
-        job = _Job(
-            service_time=self.cost_model.sample(service_mean, self.rng),
-            fn=fn,
-            completion=self.sim.event(),
-            enqueued_at=self.sim.now,
-            label=label,
-            epoch=self._epoch,
-            span=span,
-        )
+            self._drop(job, "daemon offline")
+            return job.completion
+        job.service_time = self.cost_model.sample(service_mean, self.rng)
         self._queue.append(job)
         if len(self._queue) > self.stats.max_queue_length:
             self.stats.max_queue_length = len(self._queue)
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
         return job.completion
+
+    def _drop(self, job: _Job, reason: str) -> None:
+        """Answer a job this daemon will not serve: its span ends ``lost``
+        and its completion fails with :class:`DaemonDown`."""
+        if job.span is not None:
+            job.span.end("lost", reason=reason)
+        job.completion.fail(DaemonDown(reason))
 
     @property
     def queue_length(self) -> int:
@@ -293,18 +291,12 @@ class BlockchainDaemon:
                 yield self._wakeup
                 self._wakeup = None
                 continue
-            job = self._queue.popleft()
+            job = self._serving = self._queue.popleft()
             self.stats.queue_wait_total += self.sim.now - job.enqueued_at
             if job.service_time > 0:
                 yield self.sim.timeout(job.service_time)
-            if job.epoch != self._epoch:
-                # The daemon crashed while this job was in service: its
-                # work (and its caller's completion) died with the
-                # process.  The completion event deliberately never
-                # fires — a lost RPC looks exactly like this.
-                if job.span is not None:
-                    job.span.end("lost", reason="daemon crash mid-service")
-                continue
+            if job.completion.triggered:
+                continue  # a crash dropped it in service
             self.stats.jobs_served += 1
             self.stats.busy_time += job.service_time
             result = None

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.blockchain.transaction import OutPoint, Transaction
+from repro.blockchain.transaction import Transaction
 from repro.blockchain.wallet import KeyReleaseOffer, Wallet
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
@@ -31,7 +31,7 @@ from repro.core.directory import DirectoryView
 from repro.obs.exchange import ExchangeTracker
 from repro.core.rewards import FixedPricing, PricingPolicy
 from repro.crypto import rsa
-from repro.errors import ValidationError
+from repro.errors import DaemonDown, ProtocolError, ValidationError
 from repro.lora.device import LoRaRadio
 from repro.lora.frames import DataFrame, KeyRequestFrame, KeyResponseFrame
 from repro.p2p.message import (ClaimMessage, DeliveryAck, DeliveryMessage,
@@ -53,8 +53,6 @@ class _PendingDelivery:
     exchange_id: int
     ephemeral_key: rsa.RSAPrivateKey
     node_id: str
-    recipient_endpoint: str = ""
-    offer_txid: bytes = b""
     quoted_price: int = 0
 
 
@@ -155,25 +153,22 @@ class GatewayAgent:
             self.tracker.begin_leg(record, "publication")
         pending = self._ephemeral.get(frame.nonce)
         if pending is None:
-            if record is not None:
-                self.tracker.fail(record, "gateway lost ephemeral key state")
+            self.tracker.fail(record, "gateway lost ephemeral key state")
             return
         yield self.sim.timeout(self.cost_model.sample(
             self.cost_model.gateway_frame_handling, self.rng,
         ))
-        announcement = yield self.daemon.lookup(
-            lambda: self.directory.lookup(frame.recipient_address)
-        )
+        try:
+            announcement = yield self.daemon.lookup(
+                lambda: self.directory.lookup(frame.recipient_address))
+            reason = f"no directory entry for {frame.recipient_address}"
+        except DaemonDown:
+            announcement, reason = None, "gateway daemon down"
         if announcement is None:
-            if record is not None:
-                self.tracker.fail(
-                    record,
-                    f"no directory entry for {frame.recipient_address}",
-                )
+            self.tracker.fail(record, reason)
             self._ephemeral.pop(frame.nonce, None)
             return
         presented = self._presented_key(pending)
-        pending.recipient_endpoint = announcement.endpoint
         pending.quoted_price = self.pricing.quote(
             frame.recipient_address, self.daemon.queue_length,
         )
@@ -201,24 +196,21 @@ class GatewayAgent:
 
     def _on_ack(self, envelope: Envelope) -> None:
         ack = envelope.payload
-        if not isinstance(ack, DeliveryAck):
-            return
         record = self.tracker.get(ack.delivery_id)
         if not ack.accepted:
             self._ephemeral.pop(ack.delivery_id, None)
-            if record is not None:
-                self.tracker.fail(record, f"recipient refused: {ack.reason}")
+            self.tracker.fail(record, f"recipient refused: {ack.reason}")
             return
-        pending = self._ephemeral.get(ack.delivery_id)
-        if pending is None:
+        if ack.delivery_id not in self._ephemeral:
             return
         if ack.chain_id != self.chain_id and ack.offer_tx_bytes:
             # The recipient settles on a different sub-chain: the offer
             # will never reach this daemon's mempool, so it travelled
             # serialized inside the ack instead.
-            self.sim.process(self._claim_remote(ack, envelope.source))
+            self.sim.process(self._claim(ack.delivery_id,
+                                         self._remote_offer(ack),
+                                         relay_to=envelope.source))
             return
-        pending.offer_txid = ack.offer_txid
         self._awaiting_offer[ack.offer_txid] = ack.delivery_id
         # The offer may have reached our mempool before the ack did.
         if (ack.offer_txid in self.daemon.node.mempool
@@ -233,89 +225,76 @@ class GatewayAgent:
         exchange_id = self._awaiting_offer.pop(offer_txid, None)
         if exchange_id is None:
             return
-        self.sim.process(self._claim(offer_txid, exchange_id))
+        self.sim.process(self._claim(exchange_id,
+                                     self._local_offer(offer_txid)))
 
-    def _claim(self, offer_txid: bytes, exchange_id: int):
-        """Step 10: audit the offer, then spend it, revealing ``eSk``."""
-        pending = self._ephemeral.pop(exchange_id, None)
-        record = self.tracker.get(exchange_id)
-        if pending is None:
-            return
+    def _local_offer(self, offer_txid: bytes):
+        """The offer from this daemon's mempool or chain."""
         offer_tx = self.daemon.node.mempool.get(offer_txid)
         if offer_tx is None:
             found = self.daemon.node.chain.find_transaction(offer_txid)
             if found is None:
-                if record is not None:
-                    self.tracker.fail(record, "offer transaction vanished")
-                return
+                raise ProtocolError("offer transaction vanished")
             offer_tx = found[0]
-
         if self.wait_for_confirmation:
             # Section 6's safe variant: poll until the offer is buried.
             while not self.daemon.node.chain.confirmations(offer_txid):
                 yield self.sim.timeout(1.0)
+        return offer_tx
 
-        # Audit the offer before revealing anything.
-        offer = self._audit_offer(offer_tx, pending)
-        if offer is None:
-            if record is not None:
-                self.tracker.fail(record, "offer failed gateway audit")
-            return
-
-        claim_tx = yield self.daemon.rpc(
-            lambda: self.wallet.claim_key_release(
-                offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE,
-            )
-        )
-        accepted = yield self.daemon.call(
-            self.cost_model.daemon_tx_process,
-            lambda: self.daemon.gossip.broadcast_transaction(claim_tx),
-        )
-        if accepted:
-            self.claims_made += 1
-            self.rewards_claimed += offer.amount - CLAIM_FEE
-
-    def _claim_remote(self, ack: DeliveryAck, source: str):
-        """Cross-region step 10: audit the serialized offer, relay the claim.
-
-        The escrow lives on the recipient's sub-chain, which this daemon
-        does not follow, so the usual mempool watch cannot work.  Both
-        the audit and the claim construction are chain-state-free; the
-        signed claim goes back over the WAN and the *recipient* broadcasts
-        it where the coin lives.  ``wait_for_confirmation`` is necessarily
-        skipped — this gateway has no view of the foreign chain to poll.
-        """
-        pending = self._ephemeral.pop(ack.delivery_id, None)
-        record = self.tracker.get(ack.delivery_id)
-        if pending is None:
-            return
+    def _remote_offer(self, ack: DeliveryAck):
+        """The offer serialized inside a cross-region ack, unconfirmed:
+        this gateway has no view of the foreign chain to poll."""
+        yield from ()
         try:
             offer_tx = Transaction.deserialize(ack.offer_tx_bytes)
         except (ValidationError, ValueError, IndexError):
-            if record is not None:
-                self.tracker.fail(record, "undecodable cross-region offer")
-            return
+            raise ProtocolError("undecodable cross-region offer") from None
         if offer_tx.txid != ack.offer_txid:
-            if record is not None:
-                self.tracker.fail(record, "cross-region offer txid mismatch")
+            raise ProtocolError("cross-region offer txid mismatch")
+        return offer_tx
+
+    def _claim(self, exchange_id: int, find_offer, relay_to: str = ""):
+        """Step 10: audit the offer ``find_offer`` yields, then spend it,
+        revealing ``eSk``.  The claim is broadcast through this daemon or,
+        cross-region, sent to the recipient at ``relay_to``, which
+        broadcasts it on the sub-chain the escrow lives on.
+        """
+        pending = self._ephemeral.pop(exchange_id, None)
+        record = self.tracker.get(exchange_id)
+        if pending is None:
             return
-        offer = self._audit_offer(offer_tx, pending)
-        if offer is None:
-            if record is not None:
-                self.tracker.fail(record, "offer failed gateway audit")
-            return
-        claim_tx = yield self.daemon.rpc(
-            lambda: self.wallet.claim_key_release(
-                offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE,
+        try:
+            # Audit the offer before revealing anything.
+            offer = self._audit_offer((yield from find_offer), pending)
+            if offer is None:
+                raise ProtocolError("offer failed gateway audit")
+            claim_tx = yield self.daemon.rpc(
+                lambda: self.wallet.claim_key_release(
+                    offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE,
+                )
             )
-        )
-        self.wan.send(self.name, source, ClaimMessage(
-            delivery_id=ack.delivery_id,
-            claim_tx_bytes=claim_tx.serialize(),
-        ))
-        self.claims_made += 1
-        self.cross_region_claims += 1
-        self.rewards_claimed += offer.amount - CLAIM_FEE
+            if relay_to:
+                self.wan.send(self.name, relay_to, ClaimMessage(
+                    delivery_id=exchange_id,
+                    claim_tx_bytes=claim_tx.serialize(),
+                ))
+                self.cross_region_claims += 1
+                made = True
+            else:
+                made = yield self.daemon.call(
+                    self.cost_model.daemon_tx_process,
+                    lambda: self.daemon.gossip.broadcast_transaction(claim_tx),
+                )
+        except ProtocolError as exc:
+            self.tracker.fail(record, str(exc))
+            return
+        except DaemonDown:
+            self.tracker.fail(record, "gateway daemon down")
+            return
+        if made:
+            self.claims_made += 1
+            self.rewards_claimed += offer.amount - CLAIM_FEE
 
     def _audit_offer(self, offer_tx, pending: _PendingDelivery
                      ) -> Optional[KeyReleaseOffer]:

@@ -20,6 +20,7 @@ daemon delays its own blocks — the edge-node cost §6 wants PoS to reduce.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -32,9 +33,9 @@ from repro.core.daemon import BlockchainDaemon
 from repro.core.directory import build_announcement_payload
 from repro.crypto import ecdsa
 from repro.crypto.keys import KeyPair
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DaemonDown
 from repro.obs.tracing import Tracer
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 
 __all__ = ["BlockProducer", "Interval", "Schedule", "chain_schedule"]
 
@@ -184,23 +185,28 @@ class BlockProducer:
         region = {"region": self.chain_id} if self.chain_id else {}
         while True:
             yield self.sim.timeout(self.schedule.wait(self.sim.now))
-            if not (daemon.online and self.schedule.leads(name, self.sim.now)):
+            if not self.schedule.leads(name, self.sim.now):
                 continue
             # One block = one trace: mining roots it, each gossip hop and
             # per-peer validation nests beneath.
             span = self.tracer.span("block.mine", host=name, **region)
             job = daemon.rpc(lambda: self._mine(daemon, key, endorsing_key))
+            job.callbacks.append(lambda done, span=span: self._publish(
+                daemon, span, done))
             if endorsing_key is None:
-                self._publish(daemon, span, (yield job))
-            else:
-                # A daemon that crashes mid-job never answers it: a
-                # stakeholder does not wait, so it wakes for its next slot
-                # whatever became of this one.
-                job.callbacks.append(lambda done, span=span: self._publish(
-                    daemon, span, done.value))
+                # The master counts its next interval from the end of its
+                # job, served or dropped.  A stakeholder does not wait, so
+                # its slot clock never falls behind a busy daemon.
+                with suppress(DaemonDown):
+                    yield job
 
-    def _publish(self, daemon: BlockchainDaemon, span, block) -> None:
-        """Close the ``block.mine`` span; gossip the block it produced."""
+    def _publish(self, daemon: BlockchainDaemon, span, done: Event) -> None:
+        """Close the ``block.mine`` span; gossip the block its job
+        produced."""
+        if not done.ok:
+            span.end("lost", reason=str(done.value))
+            return
+        block = done.value
         if block is None:
             span.end("skipped", reason="slot over")
             return

@@ -49,7 +49,8 @@ from repro.core.messages import open_message, verify_payload
 from repro.core.provisioning import RecipientRegistry
 from repro.core.rewards import RecipientBudget
 from repro.crypto import rsa
-from repro.errors import BcWANError, ProtocolError, ValidationError
+from repro.errors import (BcWANError, DaemonDown, ProtocolError,
+                          ValidationError)
 from repro.light.messages import TxProofMessage
 from repro.light.spv import SpvClient
 from repro.light.wallet import LightWallet
@@ -92,7 +93,8 @@ class NodeLedger:
 
     def submit(self, tx: Transaction):
         """The local mempool's verdict on ``tx``; gossip relays it if
-        admitted."""
+        admitted.  A daemon that will not serve the job raises
+        :class:`~repro.errors.DaemonDown`."""
         return (yield self.daemon.call(
             self.daemon.cost_model.daemon_tx_process,
             lambda: self.daemon.gossip.broadcast_transaction(tx),
@@ -112,7 +114,12 @@ class NodeLedger:
             )
         except ValidationError as exc:
             raise OfferRefused(f"cannot fund offer: {exc}") from exc
-        if not (yield from self.submit(offer.transaction)):
+        try:
+            admitted = yield from self.submit(offer.transaction)
+        except DaemonDown:
+            self.wallet.release_pending(offer.transaction)
+            raise
+        if not admitted:
             self.wallet.release_pending(offer.transaction)
             raise OfferRefused("offer rejected by mempool")
         return offer
@@ -125,9 +132,9 @@ class NodeLedger:
             refund_tx = yield self.daemon.rpc(
                 lambda: self.wallet.refund_key_release(offer)
             )
-        except ValidationError:
+            return (yield from self.submit(refund_tx))
+        except (ValidationError, DaemonDown):
             return False
-        return (yield from self.submit(refund_tx))
 
     def stats(self) -> dict[str, int]:
         return {"balance": self.wallet.balance}
@@ -369,6 +376,10 @@ class RecipientAgent:
         except OfferRefused as refusal:
             self._refuse(envelope, record, str(refusal))
             return
+        except DaemonDown:
+            # A dead host sends no nack.
+            self.tracker.fail(record, "recipient daemon down")
+            return
         self.payments_made += 1
         if record is not None:
             record.t_offer_sent = self.sim.now
@@ -387,8 +398,7 @@ class RecipientAgent:
         ), parent=payment_leg())
 
     def _refuse(self, envelope: Envelope, record, reason: str) -> None:
-        if record is not None:
-            self.tracker.fail(record, reason)
+        self.tracker.fail(record, reason)
         self.wan.send(self.name, envelope.source, DeliveryAck(
             delivery_id=envelope.payload.delivery_id,
             accepted=False,
@@ -413,13 +423,17 @@ class RecipientAgent:
         try:
             claim_tx = Transaction.deserialize(message.claim_tx_bytes)
         except ValidationError:
-            if record is not None:
-                self.tracker.fail(record, "undecodable cross-region claim")
+            self.tracker.fail(record, "undecodable cross-region claim")
             return
-        if (yield from self.ledger.submit(claim_tx)):
+        try:
+            relayed = yield from self.ledger.submit(claim_tx)
+            reason = "cross-region claim rejected"
+        except DaemonDown:
+            relayed, reason = False, "recipient daemon down"
+        if relayed:
             self.claims_relayed += 1
         elif record is not None and record.status == "pending":
-            self.tracker.fail(record, "cross-region claim rejected")
+            self.tracker.fail(record, reason)
 
     # -- escrow spends: the claim, or our own refund -------------------------------
 
@@ -468,8 +482,7 @@ class RecipientAgent:
                 ephemeral_key,
             )
         except ProtocolError as exc:
-            if record is not None:
-                self.tracker.fail(record, f"decryption failed: {exc}")
+            self.tracker.fail(record, f"decryption failed: {exc}")
             return
         self.messages_decrypted += 1
         if record is not None:

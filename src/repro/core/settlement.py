@@ -36,7 +36,7 @@ from repro.blockchain.transaction import Transaction
 from repro.blockchain.wallet import Wallet
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
-from repro.errors import ValidationError
+from repro.errors import DaemonDown, ValidationError
 from repro.p2p.message import TxMessage
 from repro.sim.core import Simulator
 
@@ -75,6 +75,9 @@ class CheckpointAgent:
         # txids settled on the sub-chain since the last committed epoch,
         # in connect order (the preimage of the next settled root).
         self._epoch_txids: list[bytes] = []
+        # Every txid pending or settled: a block connected again (a
+        # re-sync after a state-loss restart) settles nothing twice.
+        self._entered: set[bytes] = set()
         # epoch -> the txids its settled root commits to, kept so
         # settlement proofs (Merkle branches) can be produced later.
         self.epoch_settled: dict[int, tuple[bytes, ...]] = {}
@@ -87,13 +90,9 @@ class CheckpointAgent:
 
     def _on_block(self, block, height: int) -> None:
         for tx in block.transactions:
-            if not tx.is_coinbase:
+            if not tx.is_coinbase and tx.txid not in self._entered:
+                self._entered.add(tx.txid)
                 self._epoch_txids.append(tx.txid)
-
-    @property
-    def pending_txids(self) -> int:
-        """Settled transactions waiting for the next checkpoint."""
-        return len(self._epoch_txids)
 
     # -- the commit loop -------------------------------------------------------
 
@@ -131,15 +130,18 @@ class CheckpointAgent:
             tx = yield self.anchor_daemon.rpc(
                 lambda: self.anchor_wallet.create_announcement(payload)
             )
-        except ValidationError:
+        except (ValidationError, DaemonDown):
             # Anchor wallet momentarily out of spendable coins (e.g. the
-            # previous carrier's change not yet confirmed): retry next
-            # tick, the epoch has not advanced.
+            # previous carrier's change not yet confirmed), or its daemon
+            # down: retry next tick, the epoch has not advanced.
             return
-        accepted = yield self.anchor_daemon.call(
-            self.cost_model.daemon_tx_process,
-            lambda: self.anchor_daemon.gossip.broadcast_transaction(tx),
-        )
+        try:
+            accepted = yield self.anchor_daemon.call(
+                self.cost_model.daemon_tx_process,
+                lambda: self.anchor_daemon.gossip.broadcast_transaction(tx),
+            )
+        except DaemonDown:
+            accepted = False
         if not accepted:
             self.anchor_wallet.release_pending(tx)
             return

@@ -13,6 +13,7 @@ __all__ = [
     "ProtocolError",
     "ValidationError",
     "ConfigurationError",
+    "DaemonDown",
 ]
 
 
@@ -30,3 +31,7 @@ class ValidationError(BcWANError):
 
 class ConfigurationError(BcWANError):
     """Inconsistent or out-of-range configuration."""
+
+
+class DaemonDown(BcWANError):
+    """A daemon will not serve a job: offline, or a crash dropped it."""

@@ -134,8 +134,11 @@ class ExchangeTracker:
         record.status = "completed"
         self._close(record, leg_status="ok", root_status="ok")
 
-    def fail(self, record: ExchangeRecord, reason: str) -> None:
-        """Mark failed; any leg still in flight is closed ``lost``."""
+    def fail(self, record: Optional[ExchangeRecord], reason: str) -> None:
+        """Mark failed; any leg still in flight is closed ``lost``.  An
+        untracked exchange (``record`` None) has nothing to mark."""
+        if record is None:
+            return
         record.status = "failed"
         record.failure_reason = reason
         self._close(record, leg_status="lost", root_status="failed",

@@ -1,10 +1,11 @@
-"""Crash/restart lifecycle: state loss, persistence, and queue fencing."""
+"""Crash/restart lifecycle: state loss, persistence, and dropped jobs."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.chaos import FaultPlan, assert_converged, build_federation
+from repro.errors import DaemonDown
 
 
 def fed_with_blocks(size=3, seed=21, blocks=3, plan=None):
@@ -68,10 +69,12 @@ def test_offline_daemon_refuses_everything():
     daemon.crash()
     assert not daemon.online
     refused_before = daemon.stats.messages_refused_offline
-    # Direct RPC against a crashed daemon: the completion never fires.
+    # Direct RPC against a crashed daemon: the completion fails at once.
     event = daemon.rpc(lambda: "never")
     fed.sim.run(until=10.0)
-    assert not event.triggered
+    assert event.processed and not event.ok
+    assert isinstance(event.value, DaemonDown)
+    assert str(event.value) == "daemon offline"
     assert daemon.stats.messages_refused_offline > refused_before
 
 
@@ -79,13 +82,19 @@ def test_jobs_in_flight_die_with_the_crash():
     fed = fed_with_blocks()
     fed.sim.run(until=5.0)
     daemon = fed.daemons["gw-1"]
-    ran = []
-    daemon.call(1.0, lambda: ran.append("served"))
+    ran, answered = [], []
+    job = daemon.call(1.0, lambda: ran.append("served"))
+    job.callbacks.append(lambda done: answered.append(fed.sim.now))
     # Crash strictly inside the job's service window.
-    fed.sim.call_at(fed.sim.now + 0.5, daemon.crash)
+    crash_at = fed.sim.now + 0.5
+    fed.sim.call_at(crash_at, daemon.crash)
     fed.sim.run(until=10.0)
     assert ran == []
     assert daemon.stats.crashes == 1
+    # The completion failed at the crash instant, not never.
+    assert answered == [crash_at]
+    assert isinstance(job.value, DaemonDown)
+    assert str(job.value) == "daemon crash mid-service"
 
 
 def test_double_crash_and_restart_are_noops():

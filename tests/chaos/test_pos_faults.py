@@ -70,8 +70,9 @@ def test_crashed_gateway_recovers_and_leads_again(preserve_chain):
 
 def test_gateway_crashed_mid_production_leads_again():
     # site-1 wakes for its slot 10 at t = 150.05 and queues its mining
-    # RPC; the crash lands while that job is in service, so the job never
-    # answers.  The seat must still lead slots 14 and 15 after restarting.
+    # RPC; the crash lands while that job is in service and fails it with
+    # DaemonDown.  The seat must still lead slots 14 and 15 after
+    # restarting.
     plan = FaultPlan(seed=41).crash("site-1", at=150.06, restart_at=190.0,
                                     preserve_chain=True)
     network = run_plan(plan, until=300.0)

@@ -15,9 +15,9 @@ Afterwards every wallet, directory view, multicaster, site and region
 must read its daemon's node and chain.  The restarted host's light server
 must go on pushing proofs for blocks connected after the restart, and
 region 0's checkpoints must cover every transaction its sub-chain
-connected.  The crash lands between two of the master's mining jobs: a
-crash during one leaves the master seat waiting for an answer that never
-comes (ROADMAP item 7).
+connected, each in one epoch only.  The crash lands between two of the
+master's mining jobs; ``test_crash_mid_job.py`` crashes daemons inside
+one.
 """
 
 from __future__ import annotations
@@ -174,6 +174,18 @@ def test_checkpoints_cover_every_transaction_the_subchain_connected(
         for tx in block.transactions[1:]]
     assert connected
     assert set(connected) <= covered
+
+
+@pytest.mark.parametrize("preserve_chain", [True, False])
+def test_a_txid_enters_at_most_one_checkpoint_epoch(cells, preserve_chain):
+    """Blocks re-synced after a state-loss restart reach the checkpoint
+    agent again; what it already settled or holds stays put."""
+    agent = cells("regions", preserve_chain).network.regions[0] \
+        .checkpoint_agent
+    entered = [txid for txids in agent.epoch_settled.values()
+               for txid in txids] + agent._epoch_txids
+    assert entered
+    assert len(entered) == len(set(entered))
 
 
 @pytest.mark.parametrize("topology", ["flat-light-multicast", "regions"])

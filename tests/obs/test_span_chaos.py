@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import random
 
+from repro.chaos import ChaosInjector, FaultPlan
 from repro.chaos.scenario import build_federation
+from repro.core import BcWANNetwork, NetworkConfig
 from repro.obs.tracing import Tracer
 from repro.p2p.network import FaultDecision, WANetwork
 from repro.sim.core import Simulator
@@ -131,3 +133,27 @@ def test_crash_sweeps_queued_job_spans():
     reasons = {span.attrs.get("reason") for span in validate_spans}
     assert reasons == {"daemon crash mid-service", "daemon crash"}
     assert open_spans(fed.tracer) == []
+
+
+def test_network_crash_mid_production_closes_every_span():
+    """A deployment's crash run: the stakeholder's ``block.mine`` span
+    ends ``lost`` with the job the crash dropped, like every other span
+    of the run (messages sent at its last instant are still in flight).
+    """
+    network = BcWANNetwork(NetworkConfig(
+        num_gateways=4, sensors_per_gateway=0, seed=41, consensus="pos",
+        sync_interval=10.0, tracing=True))
+    # site-1 is serving its slot-10 mining job at t = 150.06.
+    plan = FaultPlan(seed=41).crash("site-1", at=150.06, restart_at=190.0,
+                                    preserve_chain=True)
+    ChaosInjector(network.sim, network.wan, plan,
+                  daemons=network.all_daemons(),
+                  registry=network.registry).install()
+    network.sim.run(until=300.0)
+
+    assert [span for span in open_spans(network.tracer)
+            if span.start < network.sim.now] == []
+    (dropped,) = [span for span in by_name(network.tracer, "block.mine")
+                  if span.attrs.get("reason") == "daemon crash mid-service"]
+    assert dropped.status == "lost"
+    assert dropped.attrs["host"] == "site-1"
