@@ -62,6 +62,11 @@ def test_bench_build_key_release_offer(benchmark, stack):
     benchmark(build)
 
 
+def _entries(tx, utxos):
+    """The entries ``tx``'s inputs spend, in input order."""
+    return [utxos.get(tx_input.outpoint) for tx_input in tx.inputs]
+
+
 def test_bench_script_verification_p2pkh(benchmark, stack):
     _rng, node, wallet, _miner, gateway, _ephemeral = stack
     tx = wallet.create_payment(gateway.pubkey_hash, 100)
@@ -69,7 +74,7 @@ def test_bench_script_verification_p2pkh(benchmark, stack):
     # A fresh engine per round keeps this a pure interpreter benchmark
     # (no cache hits), matching what the old shim measured.
     benchmark(lambda: ValidationEngine(node.params)
-              .verify_transaction_scripts(tx, node.chain.utxos))
+              .verify_input_scripts(tx, _entries(tx, node.chain.utxos)))
 
 
 def test_bench_claim_script_verification(benchmark, stack):
@@ -81,7 +86,8 @@ def test_bench_claim_script_verification(benchmark, stack):
     miner.mine_and_connect(100.0)
     claim = gateway.claim_key_release(offer, ephemeral.to_bytes())
     benchmark(lambda: ValidationEngine(node.params)
-              .verify_transaction_scripts(claim, node.chain.utxos))
+              .verify_input_scripts(claim,
+                                    _entries(claim, node.chain.utxos)))
 
 
 def test_bench_script_verification_cold_cache(benchmark, stack):
@@ -96,7 +102,7 @@ def test_bench_script_verification_cold_cache(benchmark, stack):
 
     def cold():
         engine = ValidationEngine(node.params)
-        engine.verify_transaction_scripts(tx, node.chain.utxos)
+        engine.verify_input_scripts(tx, _entries(tx, node.chain.utxos))
 
     benchmark(cold)
 
@@ -107,9 +113,10 @@ def test_bench_script_verification_warm_cache(benchmark, stack):
     tx = wallet.create_payment(gateway.pubkey_hash, 100)
     wallet.release_pending(tx)
     engine = ValidationEngine(node.params)
-    engine.verify_transaction_scripts(tx, node.chain.utxos)  # warm it
+    entries = _entries(tx, node.chain.utxos)
+    engine.verify_input_scripts(tx, entries)  # warm it
 
-    benchmark(lambda: engine.verify_transaction_scripts(tx, node.chain.utxos))
+    benchmark(lambda: engine.verify_input_scripts(tx, entries))
     # Only the warm-up paid the interpreter; every benchmarked round hit.
     assert engine.cache_stats.misses == len(tx.inputs)
     assert engine.cache_stats.hits >= len(tx.inputs)

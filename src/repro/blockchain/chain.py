@@ -100,6 +100,11 @@ class Chain:
         self._records: dict[bytes, BlockRecord] = {genesis.hash: BlockRecord(
             block=genesis, height=0, total_work=1, undo=[])}
         self._active: list[bytes] = [genesis.hash]
+        # txid -> heights of the active blocks carrying it, ascending, for
+        # active heights 0.._indexed.  A lookup first indexes up to the
+        # tip, so a chain nobody asks pays nothing per block.
+        self._tx_heights: dict[bytes, list[int]] = {}
+        self._indexed = -1
         # Blocks whose parent we have not seen yet, keyed by parent hash.
         self._orphans: dict[bytes, list[Block]] = {}
         # Genesis coinbase output is an OP_RETURN: deliberately not added
@@ -148,20 +153,18 @@ class Chain:
 
     def confirmations(self, txid: bytes) -> int:
         """How many blocks deep a transaction is (0 = unconfirmed)."""
-        for height in range(len(self._active) - 1, -1, -1):
-            block = self._records[self._active[height]].block
-            if any(tx.txid == txid for tx in block.transactions):
-                return len(self._active) - height
-        return 0
+        heights = self._heights(txid)
+        return len(self._active) - heights[-1] if heights else 0
 
     def find_transaction(self, txid: bytes) -> Optional[tuple[Transaction, int]]:
-        """Locate a transaction on the active chain; returns (tx, height)."""
-        for height in range(len(self._active) - 1, -1, -1):
-            block = self._records[self._active[height]].block
-            for tx in block.transactions:
-                if tx.txid == txid:
-                    return tx, height
-        return None
+        """Locate a transaction on the active chain; returns (tx, height)
+        at the highest height that carries it."""
+        heights = self._heights(txid)
+        if not heights:
+            return None
+        height = heights[-1]
+        block = self._records[self._active[height]].block
+        return next(tx for tx in block.transactions if tx.txid == txid), height
 
     def iter_active_blocks(self, start_height: int = 0):
         """Yield ``(height, block)`` along the active chain."""
@@ -278,7 +281,7 @@ class Chain:
         disconnected: list[bytes] = []
         rollback: list[BlockRecord] = []
         while len(self._active) - 1 > fork_height:
-            tip_record = self._records[self._active.pop()]
+            tip_record = self._pop()
             self._undo_block(tip_record)
             disconnected.append(tip_record.hash)
             rollback.append(tip_record)
@@ -295,9 +298,8 @@ class Chain:
                 connected.append(record.hash)
         except ValidationError:
             # Roll back whatever connected, then restore the old branch.
-            for block_hash in reversed(connected):
-                self._undo_block(self._records[block_hash])
-                self._active.pop()
+            for _ in connected:
+                self._undo_block(self._pop())
             for record in reversed(rollback):
                 report = self.engine.connect_block(
                     record.block, self.utxos, record.height,
@@ -313,6 +315,28 @@ class Chain:
             status="active", reorged=True,
             disconnected=tuple(disconnected), connected=tuple(connected),
         )
+
+    def _heights(self, txid: bytes) -> Optional[list[int]]:
+        """The active heights carrying ``txid``, indexing up to the tip."""
+        tx_heights = self._tx_heights
+        for height in range(self._indexed + 1, len(self._active)):
+            for tx in self._records[self._active[height]].block.transactions:
+                tx_heights.setdefault(tx.txid, []).append(height)
+        self._indexed = len(self._active) - 1
+        return tx_heights.get(txid)
+
+    def _pop(self) -> BlockRecord:
+        """Take the tip off the active chain, and out of the index if it
+        is in it."""
+        record = self._records[self._active.pop()]
+        if record.height <= self._indexed:
+            for tx in record.block.transactions:
+                heights = self._tx_heights[tx.txid]
+                heights.pop()
+                if not heights:
+                    del self._tx_heights[tx.txid]
+            self._indexed = record.height - 1
+        return record
 
     def _undo_block(self, record: BlockRecord) -> None:
         """Reverse ``record``'s UTXO mutations and drop its undo data."""

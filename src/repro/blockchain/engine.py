@@ -2,11 +2,13 @@
 
 One :class:`ValidationEngine` instance serves one chain view.  It runs the
 three validation stages — *syntax* (context-free), *contextual* (against a
-UTXO source and chain position), *scripts* (interpreter execution) — and
-owns the script-verification cache that makes the paper's Fig. 6 regime
-affordable: a transaction whose scripts were executed at mempool admission
-is never re-executed when its block connects, because both stages share
-the cache keyed by ``(txid, input_index, utxo_entry_hash)``.
+UTXO source and chain position), *scripts* (interpreter execution).  An
+input's script verdict is kept in the engine's
+:class:`~repro.blockchain.sigbatch.VerdictMemo` under
+``(SCRIPT, txid, input_index, utxo_entry_hash)``, successes only: a
+transaction whose scripts ran at mempool admission is not run again when
+its block connects (the paper's Fig. 6 regime), and on a memo a
+deployment shares, a script one daemon has run is not run by the next.
 
 Block connection validates against a copy-on-write
 :class:`~repro.blockchain.utxo.UTXOView` instead of mutating the live set:
@@ -16,14 +18,14 @@ there is no undo path to run and nothing to roll back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.blockchain.block import Block
 from repro.blockchain.checkpoint import Checkpoint, iter_checkpoints
 from repro.blockchain.context import TransactionContext
 from repro.blockchain.params import ChainParams
-from repro.blockchain.sigbatch import VerdictMemo, precompute_verdicts
+from repro.blockchain.sigbatch import SCRIPT, VerdictMemo, precompute_verdicts
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
@@ -45,11 +47,11 @@ UTXOSource = Union[UTXOSet, UTXOView]
 
 @dataclass
 class ScriptCacheStats:
-    """Hit/miss counters of one engine's script-verification cache."""
+    """One engine's own script-verdict lookups: ``hits`` answered by the
+    verdict memo, ``misses`` that ran the interpreter (failures too)."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
     @property
     def executions(self) -> int:
@@ -57,8 +59,7 @@ class ScriptCacheStats:
         return self.misses
 
     def snapshot(self) -> "ScriptCacheStats":
-        return ScriptCacheStats(hits=self.hits, misses=self.misses,
-                                evictions=self.evictions)
+        return ScriptCacheStats(hits=self.hits, misses=self.misses)
 
 
 @dataclass(frozen=True)
@@ -84,17 +85,22 @@ class ValidationReport:
 class _ScriptBatch:
     """Deferred script verifications for one block or one admission.
 
-    The engine queues every cache-missing input while it walks
-    transactions in block order, then :meth:`flush` runs the whole queue
-    through the cross-input batch layer.  Determinism contract with
-    input-at-a-time :meth:`ValidationEngine.verify_input_script`:
+    The engine queues every input the verdict memo does not hold as a
+    success while it walks transactions in block order, then
+    :meth:`flush` runs the whole queue through the cross-input batch
+    layer.  Determinism contract with verifying one input at a time,
+    straight through the interpreter (``tests/oracles/engine_reference.py``):
 
-    * cache lookups and static prechecks happen at queue time, in block
+    * memo lookups and static prechecks happen at queue time, in block
       order, so hit/fast-reject accounting is identical;
     * a flush raises the exact :class:`ValidationError` the *first*
       failing input would have raised;
-    * only successes that precede that first failure are cached and
-      counted as misses.
+    * only successes that precede that first failure are stored, and
+      every execution before it, the failing one included, is a miss.
+
+    On a memo no other engine writes, hits and misses equal the
+    reference's; on a shared one a hit may be another engine's success,
+    which is the verdict this engine's interpreter would reach.
 
     ``barrier(exc)`` is the ordering glue for non-script errors: any
     contextual or fast-reject failure discovered at position *p* must
@@ -109,9 +115,10 @@ class _ScriptBatch:
         self.hits = 0
 
     def add(self, tx: Transaction, index: int, entry: UTXOEntry) -> None:
-        """Queue one input, honouring cache and precheck in block order."""
+        """Queue one input, honouring memo and precheck in block order."""
         engine = self.engine
-        if (tx.txid, index, entry.entry_hash) in engine._script_cache:
+        if engine.verdict_memo.get((SCRIPT, tx.txid, index,
+                                    entry.entry_hash)):
             engine.cache_stats.hits += 1
             self.hits += 1
             return
@@ -130,7 +137,7 @@ class _ScriptBatch:
         self.queue.append((tx, index, entry))
 
     def flush(self) -> int:
-        """Run the queue; cache pre-failure successes; raise the first
+        """Run the queue; store pre-failure successes; raise the first
         failure in block order.  Returns the executions that succeeded.
 
         One :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
@@ -144,14 +151,15 @@ class _ScriptBatch:
         if not queue:
             return 0
         engine = self.engine
+        memo = engine.verdict_memo
         hints = precompute_verdicts(
             [(tx, index, entry.output.script_pubkey)
-             for tx, index, entry in queue], engine.verdict_memo)
+             for tx, index, entry in queue], memo)
         executions = 0
         for tx, index, entry in queue:
             locking = entry.output.script_pubkey
             # A miss is counted before executing, so the failing run is
-            # a miss too (never cached).
+            # a miss too (never stored).
             engine.cache_stats.misses += 1
             interpreter = engine._interpreter(tx, index, locking,
                                               hints[(tx.txid, index)])
@@ -162,7 +170,7 @@ class _ScriptBatch:
                     f"(locking: {locking.disassemble()})"
                 )
             executions += 1
-            engine._cache_store((tx.txid, index, entry.entry_hash))
+            memo.put((SCRIPT, tx.txid, index, entry.entry_hash), True)
         return executions
 
     def barrier(self, exc: ValidationError) -> None:
@@ -173,43 +181,36 @@ class _ScriptBatch:
 
 
 class ValidationEngine:
-    """Staged validation with a shared script-verification cache.
+    """Staged validation whose script verdicts live in its verdict memo.
 
     :param params: consensus parameters of the chain being validated.
     :param verify_scripts: whether block connection re-checks scripts
         (the Fig. 5 / Fig. 6 toggle); defaults to
         ``params.verify_blocks``.  Mempool admission always verifies.
-    :param max_cache_entries: cache capacity; oldest verdicts evict first
-        (insertion order — entries are never revalidated, so recency
-        tracking buys nothing over FIFO here).
     :param static_precheck: run the static analyzer's consensus-safe
         fast-reject before each interpreter execution.  The precheck
         only rejects spends whose execution provably fails, so toggling
         it never changes a verdict — only where the cost is paid.
 
     ``verdict_memo`` is the engine's
-    :class:`~repro.blockchain.sigbatch.VerdictMemo`: the ECDSA and
-    RSA-pair verdicts its interpreter runs have computed.  Private by
-    default; a deployment that simulates many daemons in one process
-    assigns them all the same memo.
+    :class:`~repro.blockchain.sigbatch.VerdictMemo`: the script successes
+    and the ECDSA and RSA-pair verdicts its interpreter runs have
+    computed.  Private by default; a deployment that simulates many
+    daemons in one process assigns them all the same memo.
+    ``cache_stats`` counts this engine's own lookups in it.
     """
 
     def __init__(self, params: ChainParams,
                  verify_scripts: Optional[bool] = None,
-                 max_cache_entries: int = 1 << 16,
                  static_precheck: bool = True) -> None:
         self.params = params
         self.verify_scripts = (
             params.verify_blocks if verify_scripts is None else verify_scripts
         )
-        self.max_cache_entries = max_cache_entries
         # Shared by the mempool (standardness) and this engine (static
         # fast-reject).
         self.policy = StandardnessPolicy()
         self.static_precheck = static_precheck
-        # key -> True; only successful verdicts are cached (failures raise
-        # and the offending tx never reaches a later stage twice).
-        self._script_cache: dict[tuple[bytes, int, bytes], bool] = {}
         self.cache_stats = ScriptCacheStats()
         self.verdict_memo = VerdictMemo()
         self.last_report: Optional[ValidationReport] = None
@@ -298,43 +299,6 @@ class ValidationEngine:
 
     # -- stage 3: scripts ------------------------------------------------------
 
-    def verify_input_script(self, tx: Transaction, index: int,
-                            entry: UTXOEntry) -> bool:
-        """Verify one input against its resolved entry, through the cache.
-
-        Returns True on a cache hit (no interpreter run), False on a miss
-        that executed and succeeded; raises :class:`ValidationError` on
-        script failure (failures are never cached).
-        """
-        key = (tx.txid, index, entry.entry_hash)
-        if key in self._script_cache:
-            self.cache_stats.hits += 1
-            return True
-        if self.static_precheck:
-            reason = self.policy.precheck_spend(
-                tx.inputs[index].script_sig, entry.output.script_pubkey
-            )
-            if reason is not None:
-                # Consensus-safe: the interpreter would fail too, so the
-                # execution (and its miss) is skipped entirely.
-                self.policy.stats.fast_rejects += 1
-                raise ValidationError(
-                    f"script fast-reject for input {index} of "
-                    f"{tx.txid.hex()[:16]}..: {reason}"
-                )
-        self.cache_stats.misses += 1
-        interpreter = self._interpreter(tx, index,
-                                        entry.output.script_pubkey)
-        if not interpreter.verify(tx.inputs[index].script_sig,
-                                  entry.output.script_pubkey):
-            raise ValidationError(
-                f"script verification failed for input {index} of "
-                f"{tx.txid.hex()[:16]}.. "
-                f"(locking: {entry.output.script_pubkey.disassemble()})"
-            )
-        self._cache_store(key)
-        return False
-
     def _interpreter(self, tx: Transaction, index: int, locking: Script,
                      sighash_hint: Optional[bytes] = None,
                      ) -> ScriptInterpreter:
@@ -347,41 +311,18 @@ class ValidationEngine:
         return ScriptInterpreter(context=context,
                                  rsa_pair_check=memo.check_rsa_pair)
 
-    def _cache_store(self, key: tuple[bytes, int, bytes]) -> None:
-        """Record a successful verdict, FIFO-evicting at capacity."""
-        if len(self._script_cache) >= self.max_cache_entries:
-            self._script_cache.pop(next(iter(self._script_cache)))
-            self.cache_stats.evictions += 1
-        self._script_cache[key] = True
-
     def verify_input_scripts(self, tx: Transaction,
                              entries: list[UTXOEntry]) -> int:
         """Verify every input against its resolved entry; returns executions.
 
         The mempool's admission path: the inputs go through the
         cross-input batch layer as one batch, with the verdict, error
-        message, and cache state of a :meth:`verify_input_script` loop.
+        message and memo state of verifying them one at a time.
         """
         batch = _ScriptBatch(self)
         for index, entry in enumerate(entries):
             batch.add(tx, index, entry)
         return batch.flush()
-
-    def verify_transaction_scripts(self, tx: Transaction,
-                                   utxos: UTXOSource) -> int:
-        """Run (or recall) every input's script pair; returns executions."""
-        if tx.is_coinbase:
-            return 0
-        executions = 0
-        for index, tx_input in enumerate(tx.inputs):
-            entry = utxos.get(tx_input.outpoint)
-            if entry is None:
-                raise ValidationError(
-                    f"input {tx_input.outpoint} not in UTXO set"
-                )
-            if not self.verify_input_script(tx, index, entry):
-                executions += 1
-        return executions
 
     # -- anchor-chain checkpoint rules -----------------------------------------
 
@@ -545,9 +486,3 @@ class ValidationEngine:
         except ValidationError:
             return True
         return False
-
-    # -- cache management ------------------------------------------------------
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._script_cache)

@@ -1,4 +1,4 @@
-"""Cross-input ECDSA batching and the crypto-verdict memo.
+"""Cross-input ECDSA batching and the deployment's verdict memo.
 
 The throughput engine's batch layer.  Given the ``(tx, input_index,
 locking_script)`` triples a block (or one multi-input admission) is about
@@ -16,13 +16,14 @@ front-loads their expensive work:
   verification core as ``PublicKey.verify`` and batches the modular
   inversions.
 
-The interpreter still executes every opcode of every script — the
-precomputed digests and memoised verdicts reach it through
+The interpreter still executes every opcode of every script it runs —
+the precomputed digests and memoised verdicts reach it through
 :class:`~repro.blockchain.context.TransactionContext` and the
 ``rsa_pair_check`` hook as pure accelerations, so verdicts, error
 strings, and side effects are bit-identical to the unbatched, unmemoised
 path (``verify_batch`` itself is verdict-identical to
-``PublicKey.verify``).
+``PublicKey.verify``).  Which inputs it runs at all is the memo's third
+kind: an input whose script pair already succeeded is not run again.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ from repro.script.analysis import (
 from repro.script.interpreter import check_rsa_pair
 from repro.script.script import Script
 
-__all__ = ["ECDSA", "RSA_PAIR", "VerdictMemo", "extract_checksig_spend",
-           "precompute_verdicts"]
+__all__ = ["ECDSA", "RSA_PAIR", "SCRIPT", "VerdictMemo",
+           "extract_checksig_spend", "precompute_verdicts"]
 
-#: Memo key tags: ``(ECDSA, pubkey_bytes, sighash, signature_bytes)`` and
-#: ``(RSA_PAIR, public_bytes, private_bytes)``.
+#: Memo key tags: ``(ECDSA, pubkey_bytes, sighash, signature_bytes)``,
+#: ``(RSA_PAIR, public_bytes, private_bytes)`` and
+#: ``(SCRIPT, txid, input_index, entry_hash)``.
 ECDSA = "ecdsa"
 RSA_PAIR = "rsa_pair"
+SCRIPT = "script"
 
 #: Locking shapes whose single OP_CHECKSIG consumes exactly the two
 #: pushes of a ``<sig> <pubkey>`` unlocking script.
@@ -53,31 +56,37 @@ _CHECKSIG_SHAPES = (OUTPUT_P2PKH, OUTPUT_CLTV_GUARDED)
 
 
 class VerdictMemo:
-    """FIFO-bounded memo of signature-check verdicts.
+    """FIFO-bounded memo of pure verification verdicts, three kinds.
 
     An ECDSA verification and an ``OP_CHECKRSA512PAIR`` match are pure
     functions of the bytes in their key, so a stored verdict — True or
-    False — is the verdict, whichever engine asks.  Every
+    False — is the verdict, whichever engine asks.  A script verdict is a
+    pure function of the transaction's bytes (its txid), the input index
+    and the spent output (its ``entry_hash``); only successes are stored,
+    so a spend that fails runs, and is refused with the same message, on
+    every engine that meets it.  Every
     :class:`~repro.blockchain.engine.ValidationEngine` owns a private
     memo; :class:`~repro.core.network.BcWANNetwork` hands all its nodes
-    one, so the host verifies each signature of a deployment once
-    instead of once per simulated daemon (whose verification *time* the
-    cost model charges in simulated seconds either way).
+    one, so the host runs each script, and verifies each signature, once
+    per deployment instead of once per simulated daemon (whose
+    verification *time* the cost model charges in simulated seconds
+    either way).
 
-    ``misses`` counts verifications executed, ``hits`` interpreter
-    checks answered by an earlier one, ``evictions`` entries dropped at
-    the bound — each per kind.  A verdict the batch layer computes ahead
-    of the interpreter (``prefetched``) is the miss it was; its first
-    read is not a hit.
+    ``misses`` counts verdicts computed and stored (for scripts: the
+    successful executions), ``hits`` lookups answered by an earlier one,
+    ``evictions`` entries dropped at the bound — each per kind; the
+    bound is shared by all three.  A verdict the batch layer computes
+    ahead of the interpreter (``prefetched``) is the miss it was; its
+    first read is not a hit.
     """
 
     def __init__(self, max_entries: int = 1 << 14) -> None:
         self.max_entries = max_entries
         self._verdicts: dict[tuple, bool] = {}
         self._prefetched: set[tuple] = set()
-        self.hits = {ECDSA: 0, RSA_PAIR: 0}
-        self.misses = {ECDSA: 0, RSA_PAIR: 0}
-        self.evictions = {ECDSA: 0, RSA_PAIR: 0}
+        self.hits = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
+        self.misses = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
+        self.evictions = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
 
     def __len__(self) -> int:
         return len(self._verdicts)

@@ -114,9 +114,12 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         # One registry (and the testbed's one tracer) for the deployment.
         self.registry = MetricsRegistry()
         # Every daemon runs in this one host process and shares one
-        # crypto-verdict memo, so the host verifies each signature once;
-        # verification time is simulated (the cost model), not measured.
+        # verdict memo, so the host runs each script and verifies each
+        # signature once; verification time is simulated (the cost
+        # model), not measured.  Their standardness policies share one
+        # analysis cache the same way.
         self.verdict_memo = VerdictMemo()
+        self._script_analyses: dict = {}
         self.sites: list[Site] = []
         self.regions: list[Region] = []
         # chain label -> the daemons following (and gossiping) that chain
@@ -367,7 +370,8 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                     daemon.gossip.connect(other.name)
 
     def _new_node(self, name: str, settlement: bool = False) -> FullNode:
-        """A full node of this deployment, on the shared verdict memo.
+        """A full node of this deployment, on the shared verdict memo and
+        analysis cache.
 
         Script re-verification on block connect is disabled on every
         node for CPU economy — scripts are fully verified at mempool
@@ -379,6 +383,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         node = FullNode(self.config.chain, name, verify_scripts=False,
                         mempool_policy=self.config.mempool)
         node.engine.verdict_memo = self.verdict_memo
+        node.engine.policy.analyses = self._script_analyses
         if settlement:
             node.engine.checkpoint_rules = CheckpointRules()
         return node

@@ -661,7 +661,7 @@ class StandardnessStats:
 
 
 class StandardnessPolicy:
-    """Pre-execution script vetting with a bounded verdict cache.
+    """Pre-execution script vetting with a bounded analysis cache.
 
     Two distinct duties, with different authority:
 
@@ -673,11 +673,17 @@ class StandardnessPolicy:
       spends whose execution provably fails, so the validation engine
       may skip the interpreter for both mempool and block paths without
       changing any verdict.
+
+    ``analyses`` maps ``(script, lo, hi, assume_unknown_input)`` to its
+    :class:`ScriptAnalysis`, a pure function of the key: policies may
+    share one dict (a deployment's engines do), while ``stats`` stays
+    each policy's own count of the checks it made.
     """
 
     def __init__(self, max_cache_entries: int = 1 << 14) -> None:
         self.max_cache_entries = max_cache_entries
-        self._cache: dict[tuple[Script, int, int, bool], ScriptAnalysis] = {}
+        self.analyses: dict[tuple[Script, int, int, bool],
+                            ScriptAnalysis] = {}
         self.stats = StandardnessStats()
 
     # -- cached analysis -----------------------------------------------------
@@ -687,21 +693,22 @@ class StandardnessPolicy:
                      assume_unknown_input: bool = False) -> ScriptAnalysis:
         """The (cached) analysis of ``script`` from ``initial`` depth."""
         key = (script, initial[0], initial[1], assume_unknown_input)
-        cached = self._cache.get(key)
+        analyses = self.analyses
+        cached = analyses.get(key)
         if cached is not None:
             self.stats.analysis_cache_hits += 1
             return cached
         self.stats.analyses += 1
         result = analyze(script, initial=initial,
                          assume_unknown_input=assume_unknown_input)
-        if len(self._cache) >= self.max_cache_entries:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = result
+        if len(analyses) >= self.max_cache_entries:
+            analyses.pop(next(iter(analyses)))
+        analyses[key] = result
         return result
 
     @property
     def cache_size(self) -> int:
-        return len(self._cache)
+        return len(self.analyses)
 
     # -- mempool policy ------------------------------------------------------
 

@@ -9,6 +9,7 @@ from repro.blockchain.engine import MAX_MONEY, ValidationEngine
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
+from repro.blockchain.sigbatch import ECDSA, SCRIPT, VerdictMemo
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
     OutPoint,
@@ -95,7 +96,13 @@ def test_coinbase_maturity_exact_boundary():
     assert engine.check_transaction_inputs(spend, utxos, 100 + maturity) == 0
 
 
-# -- script cache --------------------------------------------------------------
+# -- script verdicts ------------------------------------------------------------
+
+def verify_scripts(engine, tx, utxos):
+    """Every input of ``tx`` against its entry in ``utxos``."""
+    return engine.verify_input_scripts(
+        tx, [utxos.get(tx_input.outpoint) for tx_input in tx.inputs])
+
 
 def test_same_tx_validated_twice_executes_once(funded_chain, rng):
     node, wallet, _miner = funded_chain
@@ -104,12 +111,12 @@ def test_same_tx_validated_twice_executes_once(funded_chain, rng):
     wallet.release_pending(tx)
 
     before = engine.cache_stats.snapshot()
-    engine.verify_transaction_scripts(tx, node.chain.utxos)
+    verify_scripts(engine, tx, node.chain.utxos)
     after_first = engine.cache_stats.snapshot()
     assert after_first.misses - before.misses == len(tx.inputs)
     assert after_first.hits == before.hits
 
-    engine.verify_transaction_scripts(tx, node.chain.utxos)
+    verify_scripts(engine, tx, node.chain.utxos)
     after_second = engine.cache_stats.snapshot()
     assert after_second.misses == after_first.misses  # zero new executions
     assert after_second.hits - after_first.hits == len(tx.inputs)
@@ -125,21 +132,23 @@ def test_script_failures_are_not_cached(funded_chain, rng):
     )
     for _ in range(2):
         with pytest.raises(ValidationError, match="script verification"):
-            engine.verify_transaction_scripts(forged, node.chain.utxos)
+            verify_scripts(engine, forged, node.chain.utxos)
     assert engine.cache_stats.hits == 0  # a failure never becomes a hit
 
 
 def test_cache_eviction_is_bounded(funded_chain, rng):
+    """Script verdicts share the verdict memo's bound with signatures."""
     node, wallet, _miner = funded_chain
-    engine = ValidationEngine(node.params, max_cache_entries=1)
+    engine = ValidationEngine(node.params)
+    engine.verdict_memo = memo = VerdictMemo(max_entries=1)
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     wallet.release_pending(tx)
     tx2 = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     wallet.release_pending(tx2)
-    engine.verify_transaction_scripts(tx, node.chain.utxos)
-    engine.verify_transaction_scripts(tx2, node.chain.utxos)
-    assert engine.cache_size <= 1
-    assert engine.cache_stats.evictions >= 1
+    verify_scripts(engine, tx, node.chain.utxos)
+    verify_scripts(engine, tx2, node.chain.utxos)
+    assert len(memo) <= 1
+    assert memo.evictions[SCRIPT] >= 1 and memo.evictions[ECDSA] >= 1
 
 
 # -- the acceptance criterion: admission → connect with zero executions --------

@@ -6,18 +6,21 @@ bad eSk), CLTV refunds (rightful and wrong-key), multi-input mixes,
 double-spends, and contextual overspends.  Property-based tests then
 assemble blocks from random subsets/orderings of those candidates and
 assert the engine's cross-input batch path (``connect_block``,
-``Mempool.accept``) and a tests-side unbatched reference — a loop over
-``check_transaction_inputs`` + ``verify_input_script`` +
-``view.apply_transaction``, one input straight through the interpreter
-at a time — return **byte-identical** outcomes: the same accept/reject
-verdict, the same error string, the same cache counters, and the same
+``Mempool.accept``) and the unbatched reference in
+``tests/oracles/engine_reference.py`` — ``check_transaction_inputs``, then
+one input straight through the interpreter at a time, then
+``view.apply_transaction``, with no verdict memo — return
+**byte-identical** outcomes: the same accept/reject verdict, the same
+error string, the same script lookups (hits and misses), and the same
 UTXO digest.
 
 Every comparison then repeats on engines that *share* a
 :class:`~repro.blockchain.sigbatch.VerdictMemo` — one unbounded, one
-bounded to four entries so it evicts constantly — fed batch-first and
-reference-first: whatever an earlier engine, example or test left in the
-memo, the outcome is the private-memo outcome.
+bounded to four entries so it evicts constantly — two engines in a row:
+whatever an earlier engine, example or test left in the memo, the verdict,
+error string and digest are the private-memo ones, and the engine runs no
+more scripts than a private one does (a script success another engine
+stored is a hit).
 
 The ``determinism``-named tests double as the CI flake guard (run under
 ``pytest --count=3`` in the ``throughput`` job).
@@ -37,10 +40,10 @@ from repro.blockchain.engine import ValidationEngine
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
-from repro.blockchain.sigbatch import ECDSA, RSA_PAIR, VerdictMemo
+from repro.blockchain.sigbatch import ECDSA, RSA_PAIR, SCRIPT, VerdictMemo
 from repro.blockchain.transaction import (OutPoint, Transaction, TxInput,
                                            TxOutput)
-from repro.blockchain.utxo import UTXOSet, UTXOView
+from repro.blockchain.utxo import UTXOSet
 from repro.blockchain.wallet import Wallet
 from repro.chaos.verify import chain_digest, utxo_digest
 from repro.crypto import ecdsa, rsa
@@ -50,6 +53,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script import builder
 from repro.script.script import Script
+from tests.oracles.engine_reference import EngineReference
 
 # Candidate labels are documentation; the differential property only cares
 # that the two paths agree, whatever the verdict.
@@ -265,44 +269,17 @@ def _replica_utxos(bank) -> UTXOSet:
     return replica
 
 
-def _reference_connect(engine, block, utxos, height) -> tuple:
-    """The unbatched reference for ``connect_block``: contextual check,
-    then every input straight through the interpreter, then apply — one
-    transaction at a time against an overlay, committed at the end."""
-    view = UTXOView(utxos)
-    hits_before = engine.cache_stats.hits
-    total_fees = 0
-    executions = 0
-    for tx in block.transactions:
-        total_fees += engine.check_transaction_inputs(tx, view, height)
-        if not tx.is_coinbase:
-            for index, tx_input in enumerate(tx.inputs):
-                if not engine.verify_input_script(
-                        tx, index, view.get(tx_input.outpoint)):
-                    executions += 1
-        view.apply_transaction(tx, height)
-    max_coinbase = engine.params.coinbase_reward + total_fees
-    if block.coinbase.total_output_value > max_coinbase:
-        raise ValidationError(
-            f"coinbase claims {block.coinbase.total_output_value}, "
-            f"max is {max_coinbase}")
-    view.commit()
-    return (len(block.transactions), total_fees, executions,
-            engine.cache_stats.hits - hits_before)
-
-
 def _unbatch_admission(engine) -> None:
     """Make ``Mempool.accept`` on this engine verify input-at-a-time."""
-    def verify_input_scripts(tx, entries):
-        return sum(not engine.verify_input_script(tx, index, entry)
-                   for index, entry in enumerate(entries))
-    engine.verify_input_scripts = verify_input_scripts
+    engine.verify_input_scripts = EngineReference(engine).verify_input_scripts
 
 
 def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
-    """Run one block connect and flatten *everything* observable.
+    """Run one block connect and flatten *everything* observable into
+    ``(verdict, lookups)``: what the chain sees, and the host work of the
+    script stage (``cache_stats`` and the report's executions / hits).
 
-    ``reference=True`` runs the unbatched reference loop in place of the
+    ``reference=True`` runs the unbatched reference in place of the
     engine's batch ``connect_block``.
     """
     height = bank.node.chain.height + 1
@@ -315,21 +292,20 @@ def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
     stats = engine.cache_stats
     try:
         if reference:
-            summary = _reference_connect(engine, block, utxos, height)
+            summary = EngineReference(engine).connect_block(block, utxos,
+                                                            height)
         else:
             report = engine.connect_block(block, utxos, height,
                                           verify_scripts=True, commit=True)
             summary = (report.tx_count, report.total_fees,
                        report.script_executions, report.cache_hits)
     except ValidationError as exc:
-        return ("err", str(exc),
-                (stats.hits, stats.misses, stats.evictions),
-                engine.policy.stats.fast_rejects,
-                utxo_digest(SimpleNamespace(utxos=utxos)))
-    return ("ok", *summary,
-            (stats.hits, stats.misses, stats.evictions),
-            engine.policy.stats.fast_rejects,
-            utxo_digest(SimpleNamespace(utxos=utxos)))
+        verdict, work = ("err", str(exc)), ()
+    else:
+        verdict, work = ("ok", *summary[:2]), summary[2:]
+    digest = utxo_digest(SimpleNamespace(utxos=utxos))
+    return ((*verdict, engine.policy.stats.fast_rejects, digest),
+            (stats.hits, stats.misses, *work))
 
 
 def _engine(bank, memo=None) -> ValidationEngine:
@@ -341,6 +317,8 @@ def _engine(bank, memo=None) -> ValidationEngine:
 
 
 def _differential(bank, txs) -> tuple:
+    """Batch vs reference on private memos, then batch on each shared
+    memo twice; returns the verdict."""
     labels = [label for label, tx in bank.candidates if tx in txs]
     batch = _connect_outcome(bank, _engine(bank), txs)
     unbatched = _connect_outcome(bank, _engine(bank), txs, reference=True)
@@ -348,19 +326,18 @@ def _differential(bank, txs) -> tuple:
         f"batch/unbatched divergence for {labels}: "
         f"\n  batch:     {batch}\n  unbatched: {unbatched}"
     )
-    # Shared memos, both feed orders: the second engine of each pair (and
-    # every later example) meets verdicts it did not compute.
+    verdict, (_hits, misses, *_work) = batch
+    # Shared memos: the second engine of each pair (and every later
+    # example) meets verdicts it did not compute.
     for memo in bank.memos:
-        for order in ((False, True), (True, False)):
-            for reference in order:
-                shared = _connect_outcome(bank, _engine(bank, memo), txs,
-                                          reference=reference)
-                assert shared == batch, (
-                    f"shared-memo divergence (bound {memo.max_entries}, "
-                    f"reference={reference}) for {labels}: "
-                    f"\n  private: {batch}\n  shared:  {shared}"
-                )
-    return batch
+        for _ in range(2):
+            shared, lookups = _connect_outcome(bank, _engine(bank, memo), txs)
+            assert shared == verdict, (
+                f"shared-memo divergence (bound {memo.max_entries}) for "
+                f"{labels}: \n  private: {verdict}\n  shared:  {shared}"
+            )
+            assert lookups[1] <= misses, (labels, lookups, batch)
+    return verdict
 
 
 # -- properties --------------------------------------------------------------
@@ -420,8 +397,10 @@ def test_differential_script_error_beats_later_contextual(bank):
 
 
 def test_differential_mempool_admission(bank):
-    """Every candidate through batch vs unbatched mempool admission, on
-    private memos and on each shared memo in both feed orders."""
+    """Every candidate through batch vs unbatched mempool admission on
+    private memos, then through nodes on each shared memo: one verdict
+    and reason everywhere, equal lookups on the private nodes, and no
+    more scripts run on a shared one."""
     params = bank.params
 
     def replay(memo=None, unbatched=False):
@@ -435,25 +414,28 @@ def test_differential_mempool_admission(bank):
             _unbatch_admission(node.engine)
         return node
 
-    nodes = [replay(), replay(unbatched=True)]
-    for memo in bank.memos:
-        nodes += [replay(memo), replay(memo, unbatched=True),
-                  replay(memo, unbatched=True), replay(memo)]
+    private = [replay(), replay(unbatched=True)]
+    shared = [replay(memo, unbatched=unbatched) for memo in bank.memos
+              for unbatched in (False, True, False)]
     for label, tx in bank.candidates:
-        outcomes = []
-        for node in nodes:
+        outcomes, lookups = [], []
+        for node in private + shared:
             result = node.mempool.accept(tx)
             stats = node.engine.cache_stats
-            counters = (stats.hits, stats.misses, stats.evictions,
-                        node.engine.policy.stats.fast_rejects)
+            lookups.append((stats.hits, stats.misses))
+            fast_rejects = node.engine.policy.stats.fast_rejects
             if result.accepted:
-                outcomes.append(("ok", tx.txid in node.mempool, counters))
+                outcomes.append(("ok", tx.txid in node.mempool,
+                                 fast_rejects))
                 node.mempool.remove(tx.txid)
             else:
-                outcomes.append(("err", result.reason, counters))
+                outcomes.append(("err", result.reason, fast_rejects))
         assert outcomes.count(outcomes[0]) == len(outcomes), (
             f"{label}: mempool divergence {outcomes}"
         )
+        assert lookups[0] == lookups[1], (label, lookups)
+        assert all(misses <= lookups[0][1]
+                   for _hits, misses in lookups[2:]), (label, lookups)
         if label == "p2pkh-highs":
             assert outcomes[0][0] == "err"
             assert "high-S" in outcomes[0][1]
@@ -466,32 +448,41 @@ def test_shared_memo_verifies_each_signature_once_and_the_bound_evicts(bank):
     """What the shared runs above rely on, from the memos' own counters."""
     unbounded, tiny = (VerdictMemo(), VerdictMemo(max_entries=4))
     txs = [tx for _label, tx in bank.candidates]
+    private = {tx.txid: _connect_outcome(bank, _engine(bank), [tx])[0]
+               for tx in txs}
     for memo in (unbounded, tiny):
-        outcomes = {
-            _connect_outcome(bank, _engine(bank, memo), [tx],
-                             reference=reference)
-            for reference in (False, True, False) for tx in txs
-        }
-        # Same outcomes as engines that share nothing.
-        assert outcomes == {_connect_outcome(bank, _engine(bank), [tx])
-                            for tx in txs}
-    # Unbounded: three passes over the zoo, one execution per distinct check
-    # (True and False verdicts alike), everything else answered.
-    assert unbounded.evictions == {ECDSA: 0, RSA_PAIR: 0}
+        for _ in range(2):
+            for tx in txs:
+                verdict, _lookups = _connect_outcome(
+                    bank, _engine(bank, memo), [tx])
+                # Same verdicts as engines that share nothing.
+                assert verdict == private[tx.txid]
+    # Unbounded: two passes over the zoo.  Every script that succeeded
+    # ran once and was answered the second time; a failing one ran
+    # both times and was never stored.
+    assert unbounded.evictions == {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
+    scripts = [key for key in unbounded._verdicts if key[0] == SCRIPT]
+    assert len(scripts) == unbounded.misses[SCRIPT] \
+        == unbounded.hits[SCRIPT] > 0
+    assert all(unbounded._verdicts[key] is True for key in scripts)
+    # One execution per distinct signature check, True and False alike.
     assert unbounded.misses[ECDSA] == sum(
         1 for key in unbounded._verdicts if key[0] == ECDSA)
     # p2pkh-wrongkey fails at OP_EQUALVERIFY: the batch layer verified its
     # signature ahead of an OP_CHECKSIG that never ran.
     assert len(unbounded._prefetched) == 1
-    assert unbounded.hits[ECDSA] == 2 * (unbounded.misses[ECDSA] - 1)
+    # The second pass runs only the failing spends again, so its only
+    # signature reads are theirs: the False verdicts.
+    assert unbounded.hits[ECDSA] == sum(
+        1 for key, verdict in unbounded._verdicts.items()
+        if key[0] == ECDSA and verdict is False)
     # Five key-release spends, three distinct (public, private) pairs —
     # the right key, the wrong key, the refund placeholder.
     assert unbounded.misses[RSA_PAIR] == 3
-    assert unbounded.hits[RSA_PAIR] == 5 * 3 - 3
     assert False in unbounded._verdicts.values()
     # Bounded to four: it evicted, re-verified, and never grew.
     assert len(tiny) == 4
-    assert tiny.evictions[ECDSA] > 0 and tiny.evictions[RSA_PAIR] > 0
+    assert all(tiny.evictions[kind] > 0 for kind in (ECDSA, RSA_PAIR, SCRIPT))
     assert tiny.misses[ECDSA] > unbounded.misses[ECDSA]
 
 
@@ -575,10 +566,11 @@ def test_determinism_full_chain_replay(bank):
     unbatched reference from genesis: equal digests and counters."""
     node = FullNode(bank.params, "replay-batch", verify_scripts=True)
     reference_engine = ValidationEngine(bank.params)
+    reference = EngineReference(reference_engine)
     reference_utxos = UTXOSet()
     for height, block in bank.node.chain.iter_active_blocks(start_height=1):
         node.chain.add_block(block)
-        _reference_connect(reference_engine, block, reference_utxos, height)
+        reference.connect_block(block, reference_utxos, height)
     assert chain_digest(node.chain) == chain_digest(bank.node.chain)
     assert utxo_digest(node.chain) == utxo_digest(bank.node.chain)
     assert utxo_digest(node.chain) == utxo_digest(

@@ -100,7 +100,7 @@ def test_engine_fast_rejects_provably_failing_spend(funded_chain, rng):
     misses_before = engine.cache_stats.misses
     rejects_before = engine.policy.stats.fast_rejects
     with pytest.raises(ValidationError, match="fast-reject"):
-        engine.verify_input_script(tx, 0, bad_entry(Script((OP.OP_IF,))))
+        engine.verify_input_scripts(tx, [bad_entry(Script((OP.OP_IF,)))])
     # No interpreter run: the miss counter (== executions) is untouched.
     assert engine.cache_stats.misses == misses_before
     assert engine.policy.stats.fast_rejects == rejects_before + 1
@@ -111,7 +111,7 @@ def test_engine_fast_rejects_op_return_spend(funded_chain, rng):
     from repro.crypto.keys import KeyPair
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     with pytest.raises(ValidationError, match="fast-reject"):
-        node.engine.verify_input_script(tx, 0, bad_entry(op_return(b"x")))
+        node.engine.verify_input_scripts(tx, [bad_entry(op_return(b"x"))])
 
 
 def test_precheck_disabled_pays_the_interpreter(funded_chain, rng):
@@ -120,7 +120,7 @@ def test_precheck_disabled_pays_the_interpreter(funded_chain, rng):
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     engine = ValidationEngine(node.params, static_precheck=False)
     with pytest.raises(ValidationError, match="script verification failed"):
-        engine.verify_input_script(tx, 0, bad_entry(Script((OP.OP_2DROP,))))
+        engine.verify_input_scripts(tx, [bad_entry(Script((OP.OP_2DROP,)))])
     # Same verdict, but this engine executed the script to reach it.
     assert engine.cache_stats.misses == 1
     assert engine.policy.stats.fast_rejects == 0

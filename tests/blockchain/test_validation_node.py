@@ -80,8 +80,9 @@ def test_script_verification_catches_forgery(funded_chain, rng):
         0, Script([b"\x01" * 64, thief.public_key.to_bytes()]),
     )
     with pytest.raises(ValidationError):
-        ValidationEngine(node.params).verify_transaction_scripts(
-            forged, node.chain.utxos)
+        ValidationEngine(node.params).verify_input_scripts(
+            forged, [node.chain.utxos.get(tx_input.outpoint)
+                     for tx_input in forged.inputs])
 
 
 # -- block checks -----------------------------------------------------------------

@@ -2,17 +2,19 @@
 what the deployment does.
 
 Same-seed runs of a flat, a light-tier and a two-region federation, once
-as built (every daemon on ``network.verdict_memo``) and once through a
-tests-side variant that gives every engine a private memo — the host-side
-behaviour of one process per daemon.  Everything the run exports must be
-byte-identical; only the number of verifications executed differs.
+as built (every daemon on ``network.verdict_memo`` and one standardness
+analysis cache) and once through a tests-side variant that gives every
+engine a private memo and cache — the host-side behaviour of one process
+per daemon.  Everything the run exports must be byte-identical; only the
+host work differs: verifications and scripts executed, and with them
+each engine's script lookups (``cache_stats``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.blockchain.sigbatch import ECDSA, RSA_PAIR, VerdictMemo
+from repro.blockchain.sigbatch import ECDSA, RSA_PAIR, SCRIPT, VerdictMemo
 from repro.chaos.verify import chain_digest, utxo_digest
 from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
 from repro.core.config import LightConfig
@@ -33,18 +35,20 @@ CONFIGS = {
 
 
 class _PrivateMemoNetwork(BcWANNetwork):
-    """Every engine keeps the memo it was born with."""
+    """Every engine keeps the memo and analysis cache it was born with."""
 
     def _new_node(self, name, **kwargs):
         node = super()._new_node(name, **kwargs)
         node.engine.verdict_memo = VerdictMemo()
+        node.engine.policy.analyses = {}
         return node
 
 
-def _observe(network: BcWANNetwork) -> dict:
+def _observe(network: BcWANNetwork) -> tuple[dict, dict]:
+    """What the run exports, and the host work it took."""
     report = network.run(num_exchanges=8)
     daemons = network.all_daemons()
-    return {
+    exported = {
         "report": (report.exchanges_launched, report.completed,
                    report.failed, report.duration, report.chain_height),
         "latencies": repr(report.latencies),
@@ -53,11 +57,14 @@ def _observe(network: BcWANNetwork) -> dict:
         "digests": {name: (chain_digest(daemon.node.chain),
                            utxo_digest(daemon.node.chain))
                     for name, daemon in daemons.items()},
+        "wan": (network.wan.bytes_modeled, network.wan.messages_sent),
+    }
+    host = {
         "script_cache": {name: (daemon.node.engine.cache_stats.hits,
                                 daemon.node.engine.cache_stats.misses)
                          for name, daemon in daemons.items()},
-        "wan": (network.wan.bytes_modeled, network.wan.messages_sent),
     }
+    return exported, host
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -70,11 +77,20 @@ def pair(request):
 
 
 def test_shared_and_private_memo_runs_are_byte_identical(pair):
-    _shared, seen_shared, _private, seen_private = pair
+    _shared, (seen_shared, host_shared), _private, (seen_private,
+                                                    host_private) = pair
     assert seen_shared["report"][1] > 0
     assert seen_shared["spans"], "a traced run exports spans"
     for aspect in seen_shared:
         assert seen_shared[aspect] == seen_private[aspect], aspect
+    # Host work: every daemon looks each input up either way, and the
+    # shared run executes strictly fewer scripts.
+    shared, private = host_shared["script_cache"], host_private["script_cache"]
+    assert shared.keys() == private.keys()
+    for name in shared:
+        assert sum(shared[name]) == sum(private[name]), name
+    assert (sum(misses for _hits, misses in shared.values())
+            < sum(misses for _hits, misses in private.values()))
 
 
 def test_every_node_of_a_deployment_is_on_the_one_memo(pair):
@@ -91,12 +107,13 @@ def test_every_node_of_a_deployment_is_on_the_one_memo(pair):
 def test_a_deployment_verifies_each_signature_about_once(pair):
     shared, _seen, private, _ = pair
     memo = shared.verdict_memo
-    assert memo.evictions == {ECDSA: 0, RSA_PAIR: 0}
+    assert memo.evictions == {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
     assert len(memo) < memo.max_entries
-    for kind in (ECDSA, RSA_PAIR):
+    for kind in (ECDSA, RSA_PAIR, SCRIPT):
         distinct = sum(1 for key in memo._verdicts if key[0] == kind)
         assert distinct > 0
-        # Executed verifications per distinct signature.
+        # Executed verifications (stored script successes) per distinct
+        # key.
         assert memo.misses[kind] / distinct <= 1.1
         # Without sharing, the same run executes them once per daemon that
         # checks them.
@@ -104,8 +121,19 @@ def test_a_deployment_verifies_each_signature_about_once(pair):
             daemon.node.engine.verdict_memo.misses[kind]
             for daemon in private.all_daemons().values())
         assert executed_privately >= 2 * memo.misses[kind]
-        assert (executed_privately
-                == memo.misses[kind] + memo.hits[kind])
+        if kind == SCRIPT:
+            # Shared, each of those lookups is a hit or the one run.
+            assert (executed_privately
+                    == memo.misses[kind] + memo.hits[kind])
+        else:
+            # A daemon that takes a script's success from the memo makes
+            # none of its signature checks.
+            assert (executed_privately
+                    > memo.misses[kind] + memo.hits[kind])
+    # The engines' script hits are the memo's.
+    assert sum(daemon.node.engine.cache_stats.hits
+               for daemon in shared.all_daemons().values()) \
+        == memo.hits[SCRIPT]
 
 
 def test_memo_counters_are_mirrored_into_the_registry(pair):
@@ -113,12 +141,12 @@ def test_memo_counters_are_mirrored_into_the_registry(pair):
     counters = shared.registry.snapshot()["counters"]
     memo = shared.verdict_memo
     for name in ("hits", "misses", "evictions"):
-        for kind in (ECDSA, RSA_PAIR):
+        for kind in (ECDSA, RSA_PAIR, SCRIPT):
             series = f"crypto.verdict_memo.{name}{{kind={kind}}}"
             assert counters[series] == getattr(memo, name)[kind]
     metric_lines = [line for line in shared.export_trace().splitlines()
                     if "crypto.verdict_memo" in line]
-    assert len(metric_lines) == 7
+    assert len(metric_lines) == 10
     gauges = shared.registry.snapshot()["gauges"]
     assert gauges["crypto.verdict_memo.entries"] == len(memo)
 

@@ -1,0 +1,94 @@
+"""Input-at-a-time script verification: the reference for the batch engine.
+
+:class:`~repro.blockchain.engine.ValidationEngine` verifies a block's (or
+an admission's) inputs as one batch over its verdict memo.  This reference
+verifies them the plain way: every input straight through the
+interpreter, one at a time, in block order, remembering its own successes
+in a private set.  It reads no :class:`~repro.blockchain.sigbatch.VerdictMemo`
+(each interpreter context starts an empty one) and no batch-layer hint, so
+none of its answers can come from the machinery it is compared against.
+
+It keeps the engine's counters: lookups go to ``engine.cache_stats``
+(``hits`` answered by the set, ``misses`` that ran the interpreter) and a
+static fast-reject to ``engine.policy.stats``, with the same error texts.
+"""
+
+from __future__ import annotations
+
+from repro.blockchain.block import Block
+from repro.blockchain.context import TransactionContext
+from repro.blockchain.engine import ValidationEngine
+from repro.blockchain.transaction import Transaction
+from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
+from repro.errors import ValidationError
+from repro.script.interpreter import ScriptInterpreter
+
+
+class EngineReference:
+    """One engine's reference verifier, with its own set of successes."""
+
+    def __init__(self, engine: ValidationEngine) -> None:
+        self.engine = engine
+        self._verified: set[tuple[bytes, int, bytes]] = set()
+
+    def verify_input_script(self, tx: Transaction, index: int,
+                            entry: UTXOEntry) -> bool:
+        """True on a remembered success, False on a run that succeeded;
+        raises :class:`ValidationError` on failure (never remembered)."""
+        engine = self.engine
+        key = (tx.txid, index, entry.entry_hash)
+        if key in self._verified:
+            engine.cache_stats.hits += 1
+            return True
+        unlocking = tx.inputs[index].script_sig
+        locking = entry.output.script_pubkey
+        if engine.static_precheck:
+            reason = engine.policy.precheck_spend(unlocking, locking)
+            if reason is not None:
+                engine.policy.stats.fast_rejects += 1
+                raise ValidationError(
+                    f"script fast-reject for input {index} of "
+                    f"{tx.txid.hex()[:16]}..: {reason}")
+        engine.cache_stats.misses += 1
+        interpreter = ScriptInterpreter(context=TransactionContext(
+            tx=tx, input_index=index, locking_script=locking))
+        if not interpreter.verify(unlocking, locking):
+            raise ValidationError(
+                f"script verification failed for input {index} of "
+                f"{tx.txid.hex()[:16]}.. "
+                f"(locking: {locking.disassemble()})")
+        self._verified.add(key)
+        return False
+
+    def verify_input_scripts(self, tx: Transaction,
+                             entries: list[UTXOEntry]) -> int:
+        """Every input in order; returns the executions that succeeded."""
+        return sum(not self.verify_input_script(tx, index, entry)
+                   for index, entry in enumerate(entries))
+
+    def connect_block(self, block: Block, utxos: UTXOSet,
+                      height: int) -> tuple[int, int, int, int]:
+        """``connect_block`` the plain way: per transaction, the
+        contextual check, then every input's scripts, then apply, against
+        an overlay committed at the end.  Returns ``(tx_count,
+        total_fees, script_executions, cache_hits)``."""
+        engine = self.engine
+        view = UTXOView(utxos)
+        hits_before = engine.cache_stats.hits
+        total_fees = 0
+        executions = 0
+        for tx in block.transactions:
+            total_fees += engine.check_transaction_inputs(tx, view, height)
+            if not tx.is_coinbase:
+                executions += self.verify_input_scripts(
+                    tx, [view.get(tx_input.outpoint)
+                         for tx_input in tx.inputs])
+            view.apply_transaction(tx, height)
+        max_coinbase = engine.params.coinbase_reward + total_fees
+        if block.coinbase.total_output_value > max_coinbase:
+            raise ValidationError(
+                f"coinbase claims {block.coinbase.total_output_value}, "
+                f"max is {max_coinbase}")
+        view.commit()
+        return (len(block.transactions), total_fees, executions,
+                engine.cache_stats.hits - hits_before)

@@ -24,14 +24,16 @@ SETUPS = {"base": [1.0] * 5, "change": [0.9, 1.1, 0.9, 1.1, 1.0]}
 
 class StubRunner:
     """Hands out the fixed series above, in call order per side and seed;
-    ``moved`` overrides fields of the run ``(side, seed, index)``."""
+    ``moved`` overrides fields of the run ``(side, seed, index)``.  A
+    checkout is told apart by its directory name: the side itself, or
+    the side's ``pairs.CLONE_DIRS`` name."""
 
     def __init__(self, moved=None):
         self.calls: list[tuple[str, int]] = []
         self.moved = moved or {}
 
     def __call__(self, checkout: Path, workload: str, seed: int) -> dict:
-        side = checkout.name
+        side = SIDE_OF_DIR.get(checkout.name, checkout.name)
         index = self.calls.count((side, seed))
         self.calls.append((side, seed))
         detail = {"workload": workload, "seed": seed, "derived_seed": 7,
@@ -48,6 +50,7 @@ class StubRunner:
 
 
 CHECKOUTS = {side: Path(side) for side in pairs.SIDES}
+SIDE_OF_DIR = {name: side for side, name in pairs.CLONE_DIRS.items()}
 
 
 def test_the_first_side_alternates_every_pair():
@@ -104,6 +107,23 @@ def test_the_command_prints_the_claim_table(monkeypatch, capsys):
     assert "base abcdabcdabcd  change ef01ef01ef01" in out
     assert "4/5" in out and "100 [98.5, 101.5]" in out
     assert "digest d attempted 10 failed 1: equal on both sides" in out
+
+
+def test_the_clones_sit_at_paths_of_one_length(monkeypatch):
+    """Whatever the sides are called, neither clone's path is longer:
+    the benchmark's peak RSS followed the clone's name when it did."""
+    monkeypatch.setattr(pairs, "resolve", lambda revision: revision * 3)
+    destinations = {}
+
+    def checkout(sha, destination):
+        destinations[sha] = destination
+        return Path(destination.name)
+
+    assert pairs.pairs_command("abcd", "ef01", "radio_cell", [11], 1,
+                               runner=StubRunner(), checkout=checkout) == 0
+    base, change = destinations["abcdabcdabcd"], destinations["ef01ef01ef01"]
+    assert base.parent == change.parent and base != change
+    assert len(str(base)) == len(str(change))
 
 
 def test_an_unknown_revision_fails_before_anything_runs(capsys):

@@ -6,14 +6,17 @@ One workload is run ``pairs`` times per seed in each of two fresh local
 first alternates every pair, so neither side always meets the host warmer
 (or quieter) than the other, and a clone, not the working tree, is what is
 measured: a working tree has read a few per cent off a clone of the same
-files.  Per seed it prints every pair, then per end-to-end metric the
-change's wins, both medians with their quartiles and the ratio of the
-medians.  Timings are only comparable between runs of one program, so any
-pair whose sides differ in digest, attempted or failed is flagged, and the
-command exits 1.  With ``out``, each side's runs of each seed are also
-written as the result ``python -m bench`` writes (``base-<seed>.json``,
-``change-<seed>.json``), so ``python -m bench.compare`` can hold the pairs
-to the bounds.
+files.  The two clones sit at paths of one length (``CLONE_DIRS``): with
+the clones named after their sides, rounds of one revision against itself
+read ~0.15 MB more peak RSS in the clone named ``change`` in 42 of 48
+pairs, whichever side it held (EXPERIMENTS.md, "The A/A rounds").  Per
+seed it prints every pair, then per end-to-end metric the change's wins,
+both medians with their quartiles and the ratio of the medians.  Timings
+are only comparable between runs of one program, so any pair whose sides
+differ in digest, attempted or failed is flagged, and the command exits 1.
+With ``out``, each side's runs of each seed are also written as the result
+``python -m bench`` writes (``base-<seed>.json``, ``change-<seed>.json``),
+so ``python -m bench.compare`` can hold the pairs to the bounds.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from typing import Any, Callable, Optional
 from tools.trajectory.pins import PINNED, ROOT
 
 SIDES = ("base", "change")
+#: Each side's clone directory: equal lengths, so neither side's program
+#: sees longer paths than the other's.
+CLONE_DIRS = {"base": "side-a", "change": "side-b"}
 Runner = Callable[[Path, str, int], dict[str, Any]]
 
 
@@ -201,7 +207,8 @@ def pairs_command(base: str, change: str, workload: str, seeds: list[int],
           f"workload {workload}  seeds {','.join(map(str, seeds))}  "
           f"{pairs} pairs per seed, fresh clones, first side alternating")
     with tempfile.TemporaryDirectory(prefix="trajectory-pairs-") as scratch:
-        checkouts = {side: checkout(shas[side], Path(scratch) / side)
+        checkouts = {side: checkout(shas[side],
+                                    Path(scratch) / CLONE_DIRS[side])
                      for side in SIDES}
         try:
             rows = run_pairs(runner, checkouts, workload, seeds, pairs)
