@@ -23,8 +23,11 @@ at most one ULP of the result; an *exact* row
 rows are fast, and they decide: a verdict whose margin to its threshold
 is within ``_DECISION_MARGIN_DB`` is decided again on exact values, and
 every float that leaves the channel — the RSSI handed to a delivered
-listener, and every entry of a set ``verdict_log`` — is computed exactly,
-on those listeners only.  Lognormal shadowing (``shadowing_sigma_db > 0``)
+listener that has a receiver, and every entry of a set ``verdict_log`` —
+is computed exactly, on those listeners only.  A listener whose
+``deliver`` is ``None`` (a radio nobody reads, such as a sensor that only
+transmits) gets its verdict and counts in the counters, and costs no
+exact RSSI and no call.  Lognormal shadowing (``shadowing_sigma_db > 0``)
 draws from the channel rng per listener *conditionally*, which no batch
 form can replay, so such channels cache exact rows and walk the listeners
 in order over them.
@@ -166,13 +169,21 @@ class Transmission:
                 == other.modulation.spreading_factor)
 
 
+Deliver = Callable[[LoRaFrame, float], None]  # (frame, rssi_dbm)
+
+
 @dataclass
 class Listener:
-    """A registered receiver on the medium."""
+    """A registered receiver on the medium.
+
+    ``deliver(frame, rssi_dbm)`` receives every frame delivered here; with
+    ``deliver=None`` the listener is counted, not delivered to, until
+    :meth:`RadioChannel.set_deliver` gives it a receiver.
+    """
 
     name: str
     position: Position
-    deliver: Callable[[LoRaFrame, float], None]  # (frame, rssi_dbm)
+    deliver: Optional[Deliver] = None
     half_duplex_owner: Optional[str] = None  # suppress hearing own radio
 
 
@@ -204,8 +215,10 @@ class RadioChannel:
     frame was evaluated at (the sender's own half-duplex radios are
     skipped) — the differential suite compares these with the reference
     loop's.  It costs one exact row per completion: every RSSI it records
-    is exact.  ``loss_rows_built`` / ``loss_row_hits`` count path-loss row
-    cache misses and hits.
+    is exact.  Without it, exact RSSIs are computed only for the delivered
+    listeners that have a ``deliver`` callback, and only those are called,
+    in listener registration order.  ``loss_rows_built`` /
+    ``loss_row_hits`` count path-loss row cache misses and hits.
     """
 
     def __init__(self, sim: Simulator, rng: random.Random,
@@ -235,7 +248,8 @@ class RadioChannel:
         self._listener_version = 0
         self._names: list[str] = []
         self._xs = self._ys = np.empty(0)
-        self._delivers: list[Callable[[LoRaFrame, float], None]] = []
+        self._delivers: list[Optional[Deliver]] = []
+        self._receiving = np.empty(0, dtype=bool)  # deliver is not None
         self._owner_indices: dict[str, list[int]] = {}
         self._loss_rows: dict[Position, np.ndarray] = {}
 
@@ -248,6 +262,16 @@ class RadioChannel:
     def remove_listener(self, name: str) -> None:
         self._listeners.pop(name, None)
         self._listener_version += 1
+
+    def set_deliver(self, name: str, deliver: Optional[Deliver]) -> None:
+        """Hand the frames delivered at listener ``name`` to ``deliver``
+        (``None``: count them only) from the next completed frame on.  The
+        listener keeps its place, so the delivery order is unchanged."""
+        self._listeners[name].deliver = deliver
+        if self._snapshot_version == self._listener_version:
+            index = self._names.index(name)
+            self._delivers[index] = deliver
+            self._receiving[index] = deliver is not None
 
     def transmit(self, sender: str, position: Position, frame: LoRaFrame,
                  modulation: LoRaModulation, frequency_hz: int = 868_100_000,
@@ -294,6 +318,8 @@ class RadioChannel:
         self._ys = np.array([ls.position.y for ls in listeners],
                             dtype=np.float64)
         self._delivers = [ls.deliver for ls in listeners]
+        self._receiving = np.array([d is not None for d in self._delivers],
+                                   dtype=bool)
         owners: dict[str, list[int]] = {}
         for i, ls in enumerate(listeners):
             if ls.half_duplex_owner is not None:
@@ -384,7 +410,8 @@ class RadioChannel:
         self.frames_lost_collision += n_audible - n_delivered
         self.frames_delivered += n_delivered
         # Every RSSI that leaves the channel is exact, computed for the
-        # listeners it leaves to.
+        # listeners it leaves to: every one into a verdict log, and
+        # otherwise the delivered listeners that have a receiver.
         log = self.verdict_log
         if log is not None:
             levels = exact_rssi(slice(None)).tolist()
@@ -396,11 +423,12 @@ class RadioChannel:
                            else "collision" if heard[i] else "sensitivity")
                 log.append((sender, self._names[i], verdict, levels[i]))
         if n_delivered:
-            frame = transmission.frame
-            delivers = self._delivers
-            at = delivered.nonzero()[0]
-            for i, level in zip(at.tolist(), exact_rssi(at).tolist()):
-                delivers[i](frame, level)
+            at = (delivered & self._receiving).nonzero()[0]
+            if at.size:
+                frame = transmission.frame
+                delivers = self._delivers
+                for i, level in zip(at.tolist(), exact_rssi(at).tolist()):
+                    delivers[i](frame, level)
 
     def _exact_rssi(self, transmission: Transmission, fast_row: np.ndarray,
                     at) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Radio endpoints: the device-side API over the shared channel.
 
 :class:`LoRaRadio` wraps the medium with per-device state — position,
-modulation, per-channel duty-cycle limiters, and a receive callback list —
-and exposes a blocking ``send`` process that picks the uplink channel with
-the shortest regulatory wait (EU868 devices hop across sub-band channels,
-each with its own duty budget) before keying the transmitter.  Both end
-devices (nodes) and gateways hold one; gateways typically configure a
-single high-duty downlink channel (869.525 MHz, 10 %).
+modulation, per-channel duty-cycle limiters, and a receive callback list
+(the channel calls a radio only once that list has a handler) — and
+exposes a blocking ``send`` process that picks the uplink channel with the
+shortest regulatory wait (EU868 devices hop across sub-band channels, each
+with its own duty budget) before keying the transmitter.  Both end devices
+(nodes) and gateways hold one; gateways typically configure a single
+high-duty downlink channel (869.525 MHz, 10 %).
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ class LoRaRadio:
         # same device serialize their sends.
         self._tx_lock = channel.sim.lock()
         self._receive_handlers: list[Callable[[LoRaFrame, float], None]] = []
+        # No receiver until the first handler: a radio nobody reads is
+        # counted by the channel, not called.
         channel.add_listener(Listener(
             name=name,
             position=self.position,
-            deliver=self._on_frame,
             half_duplex_owner=name,
         ))
 
@@ -74,7 +76,10 @@ class LoRaRadio:
         return sum(l.transmissions for l in self.limiters.values())
 
     def on_receive(self, handler: Callable[[LoRaFrame, float], None]) -> None:
-        """Register a callback for every frame this radio demodulates."""
+        """Register a callback for every frame this radio demodulates,
+        from the next completed frame on."""
+        if not self._receive_handlers:
+            self.channel.set_deliver(self.name, self._on_frame)
         self._receive_handlers.append(handler)
 
     def _on_frame(self, frame: LoRaFrame, rssi: float) -> None:

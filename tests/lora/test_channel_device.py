@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -56,7 +58,6 @@ def test_path_loss_clamps_tiny_distance():
 
 
 def test_shadowing_adds_variance():
-    import random
     model = PathLossModel(shadowing_sigma_db=6.0)
     rng = random.Random(0)
     samples = {round(model.loss_db(1000, rng), 4) for _ in range(10)}
@@ -175,6 +176,133 @@ def test_non_overlapping_frames_both_arrive():
     sim.process(sequenced())
     sim.run()
     assert sorted(received) == ["a", "b"]
+
+
+# -- radios nobody reads --------------------------------------------------------------
+
+def count_exact_elements(monkeypatch) -> list[int]:
+    """Count the elements that pass through the exact path-loss builder."""
+    counted = [0]
+    real = PathLossModel.loss_row_db
+
+    def loss_row_db(self, dx, dy):
+        counted[0] += len(dx)
+        return real(self, dx, dy)
+
+    monkeypatch.setattr(PathLossModel, "loss_row_db", loss_row_db)
+    return counted
+
+
+def test_radio_without_handler_is_counted_not_delivered(monkeypatch):
+    exact_elements = count_exact_elements(monkeypatch)
+    sim, channel = make_channel()
+    LoRaRadio("gw", channel, position=Position(0, 0))
+    peer = LoRaRadio("peer", channel, position=Position(0, 100))
+    node = LoRaRadio("n", channel, position=Position(500, 0))
+    received = []
+    peer.on_receive(lambda frame, rssi: received.append(rssi))
+    sim.process(node.send(data_frame()))
+    sim.run()
+    assert channel.frames_delivered == 2  # at "gw" and at "peer"
+    assert len(received) == 1
+    # One exact element: the peer's RSSI.  None for "gw".
+    assert exact_elements[0] == 1
+
+
+def sensor_cell(silent_handler: bool, sensors: int = 40,
+                seconds: float = 120.0):
+    """A gateway that receives and ``sensors`` radios that only send, each
+    about once a minute; with ``silent_handler`` every sensor also has a
+    handler that does nothing."""
+    sim, channel = make_channel(seed=5)
+    heard = []
+    gateway = LoRaRadio("gateway", channel, position=Position(0, 0))
+    gateway.on_receive(lambda frame, rssi: heard.append((frame.nonce, rssi)))
+    rng = random.Random(17)
+
+    def sensor(radio, gaps):
+        for nonce in range(1000):
+            yield sim.timeout(gaps.expovariate(1.0 / 60.0))
+            wait = radio.duty_cycle_wait()
+            if wait > 0:
+                yield sim.timeout(wait + 1e-6)
+            yield from radio.send(data_frame(radio.name, nonce))
+
+    for index in range(sensors):
+        radio = LoRaRadio(f"s-{index}", channel, position=Position(
+            rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)))
+        if silent_handler:
+            radio.on_receive(lambda frame, rssi: None)
+        sim.process(sensor(radio, random.Random(rng.getrandbits(64))))
+    sim.run(until=seconds)
+    return channel, heard
+
+
+def test_counters_identical_to_a_twin_whose_sensors_have_handlers():
+    channel, heard = sensor_cell(silent_handler=False)
+    twin, twin_heard = sensor_cell(silent_handler=True)
+    counters = (channel.frames_sent, channel.frames_delivered,
+                channel.frames_lost_sensitivity, channel.frames_lost_collision)
+    assert counters == (twin.frames_sent, twin.frames_delivered,
+                        twin.frames_lost_sensitivity,
+                        twin.frames_lost_collision)
+    assert channel.rng.getstate() == twin.rng.getstate()
+    assert heard == twin_heard
+    # Sensors heard each other: there were deliveries that went uncalled.
+    assert channel.frames_delivered > 2 * len(heard) > 0
+
+
+def test_handler_attached_mid_run_receives_from_the_next_frame():
+    sim, channel = make_channel()
+    gw = LoRaRadio("gw", channel, position=Position(0, 0))
+    node = LoRaRadio("n", channel, position=Position(500, 0))
+    ends, received = [], []
+
+    def three_frames():
+        for nonce in (1, 2, 3):
+            transmission = yield from node.send(data_frame(nonce=nonce))
+            ends.append(transmission.end)
+
+    def attach():
+        # The first frame has been delivered (and counted), uncalled.
+        assert channel.frames_delivered == 1
+        gw.on_receive(lambda frame, rssi: received.append(frame.nonce))
+
+    sim.process(three_frames())
+    # After the first frame's end, before the second one's.
+    first_end = node.time_on_air(data_frame())
+    sim.call_at(first_end * 1.5, attach)
+    sim.run()
+    assert ends[0] < first_end * 1.5 < ends[1]
+    assert received == [2, 3]
+    assert channel.frames_delivered == 3
+
+
+def test_delivery_order_is_registration_order_not_attach_order():
+    sim, channel = make_channel()
+    radios = [LoRaRadio(f"r-{i}", channel, position=Position(100 * i, 0))
+              for i in range(4)]
+    node = LoRaRadio("n", channel, position=Position(0, 300))
+    received = []
+
+    def handler_for(name):
+        return lambda frame, rssi: received.append((frame.nonce, name))
+
+    # r-3 and r-1 before any frame, r-2 between the two frames, r-0 never.
+    for index in (3, 1):
+        radios[index].on_receive(handler_for(f"r-{index}"))
+    sim.call_at(1.0, lambda: radios[2].on_receive(handler_for("r-2")))
+
+    def two_frames():
+        yield from node.send(data_frame(nonce=1))
+        yield sim.timeout(2.0)
+        yield from node.send(data_frame(nonce=2))
+
+    sim.process(two_frames())
+    sim.run()
+    assert received == [(1, "r-1"), (1, "r-3"),
+                        (2, "r-1"), (2, "r-2"), (2, "r-3")]
+    assert channel.frames_delivered == 8
 
 
 # -- the radio facade ---------------------------------------------------------------

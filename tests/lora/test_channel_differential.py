@@ -14,11 +14,14 @@ requires *exact* equality of:
 - the channel rng's state afterwards (lognormal shadowing draws per link,
   conditionally, so one draw more or less shows here).
 
+Some listeners have no receiver (``deliver=None``): both channels evaluate
+and count them like any other and make no call.
+
 The production channel runs each case twice: with a verdict log, which
 makes it compute every listener's RSSI exactly, and without one, as in
 every deployment, where it computes exact RSSIs for the delivered
-listeners only; the second run's deliveries, counters and rng state must
-equal the oracle's too.  ``tests/lora/test_channel_margin.py`` holds the
+listeners with a receiver only; the second run's deliveries, counters and
+rng state must equal the oracle's too.  ``tests/lora/test_channel_margin.py`` holds the
 cases built to sit exactly on a threshold.
 
 Three layers: a seeded corpus of 200+ random overlapping-transmission
@@ -56,10 +59,12 @@ def run_channel(channel_class, listeners, transmissions,
                 logged: bool = True):
     """Replay one scenario on one channel; return its full observable state.
 
-    A transmission is ``(t, sender, (x, y), sf, freq_idx, power, payload)``
-    plus an optional coding rate.  ``logged=False`` leaves ``verdict_log``
-    unset, as every deployment does: the production channel then computes
-    exact RSSIs for the delivered listeners only.
+    A listener is ``(name, (x, y), owner)`` plus an optional ``receives``
+    flag: ``False`` registers it with ``deliver=None``.  A transmission is
+    ``(t, sender, (x, y), sf, freq_idx, power, payload)`` plus an optional
+    coding rate.  ``logged=False`` leaves ``verdict_log`` unset, as every
+    deployment does: the production channel then computes exact RSSIs for
+    the delivered listeners with a receiver only.
     """
     sim = Simulator()
     channel = channel_class(
@@ -69,11 +74,13 @@ def run_channel(channel_class, listeners, transmissions,
     )
     deliveries: list[tuple] = []
     channel.verdict_log = [] if logged else None
-    for name, (x, y), owner in listeners:
+    for name, (x, y), owner, *receives in listeners:
+        deliver = None
+        if (receives or [True])[0]:
+            def deliver(frame, rssi, n=name):
+                deliveries.append((n, frame.sender, frame.nonce, rssi))
         channel.add_listener(Listener(
-            name=name, position=Position(x, y),
-            deliver=lambda frame, rssi, n=name: deliveries.append(
-                (n, frame.sender, frame.nonce, rssi)),
+            name=name, position=Position(x, y), deliver=deliver,
             half_duplex_owner=owner,
         ))
     for i, (t, sender, (x, y), sf, freq_idx, power, payload, *coding_rate) in \
@@ -118,7 +125,7 @@ def random_case(rng: random.Random):
         owner = f"dev-{li}" if rng.random() < 0.5 else None
         listeners.append((f"ls-{li}",
                           (rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)),
-                          owner))
+                          owner, rng.random() < 0.7))
     transmissions = []
     for _ in range(rng.randint(2, 8)):
         transmissions.append((
@@ -140,13 +147,18 @@ def corpus():
 
 
 def test_seeded_corpus_pins_vector_to_scalar():
-    shadowed = 0
+    shadowed = counted_only = 0
     for listeners, transmissions, sigma in corpus():
         _, production = assert_matches_oracle(listeners, transmissions, sigma)
         assert production[3].loss_rows_built, "no path-loss row was built"
         shadowed += sigma > 0
+        silent = {name for name, _, _, receives in listeners if not receives}
+        counted_only += sum(verdict == "delivered" and listener in silent
+                            for _, listener, verdict, _ in production[1])
     # Both forms of the one path are exercised: batch and per-listener.
     assert CORPUS_CASES // 8 < shadowed < CORPUS_CASES // 2
+    # ...and frames were delivered at listeners with no receiver.
+    assert counted_only > CORPUS_CASES // 4
 
 
 def test_exact_tie_and_capture_edge():
@@ -247,6 +259,7 @@ def test_hypothesis_search_pins_kernels(data):
             st.tuples(st.floats(-5000, 5000, allow_nan=False),
                       st.floats(-5000, 5000, allow_nan=False)),
             st.sampled_from([None, "dev-0", "dev-1"]),
+            st.booleans(),  # has a receiver
         ),
         min_size=1, max_size=4, unique_by=lambda ls: ls[0]))
     transmissions = data.draw(st.lists(

@@ -10,7 +10,8 @@ listener snapshot, and no pruned interferer window: a completing frame is
 checked against every transmission the channel ever carried.  ``tests/lora/`` and
 ``benchmarks/test_scaling_fleet.py`` drive both channels through the same
 public calls and require the same verdict log, RSSI bits, counters,
-delivery order and rng state.
+delivery order and rng state.  A listener whose ``deliver`` is ``None`` is
+evaluated and counted like any other; only the call is skipped.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class ReferenceRadioChannel:
 
     def remove_listener(self, name: str) -> None:
         self._listeners.pop(name, None)
+
+    def set_deliver(self, name: str, deliver) -> None:
+        self._listeners[name].deliver = deliver
 
     def transmit(self, sender: str, position: Position, frame: LoRaFrame,
                  modulation: LoRaModulation, frequency_hz: int = 868_100_000,
@@ -115,7 +119,8 @@ class ReferenceRadioChannel:
             if log is not None:
                 log.append((transmission.sender, listener.name,
                             "delivered", rssi))
-            listener.deliver(transmission.frame, rssi)
+            if listener.deliver is not None:  # counted, not delivered
+                listener.deliver(transmission.frame, rssi)
 
     def _received_power(self, transmission: Transmission,
                         at: Position) -> float:
