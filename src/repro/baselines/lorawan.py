@@ -24,7 +24,6 @@ from repro.core.config import NetworkConfig
 from repro.core.testbed import Testbed
 from repro.lora.device import LoRaRadio
 from repro.lora.frames import DataFrame
-from repro.obs.exchange import ExchangeRecord
 from repro.p2p.message import Envelope
 
 __all__ = ["LoRaWANBaseline", "UplinkBaseline", "owner_of"]
@@ -64,8 +63,11 @@ class UplinkBaseline(Testbed):
         channels = []
         for i, name in enumerate(self.config.site_names):
             channel, radio = self.build_cell(i, name)
+            # A process: it runs after the sender's own step at the
+            # frame's end, so the uplink's instants arrive in order.
             radio.on_receive(
-                lambda frame, rssi, index=i: self._at_gateway(index, frame)
+                lambda frame, rssi, index=i:
+                self.sim.process(self._at_gateway(index, frame))
             )
             channels.append(channel)
         self.sensors = {radio.name: radio
@@ -73,20 +75,19 @@ class UplinkBaseline(Testbed):
 
     def start_exchange(self, radio: LoRaRadio) -> None:
         record = self.tracker.new_exchange(radio.name, b"reading")
-        record.t_request = self.sim.now
-        self.sim.process(self._uplink(record, radio))
+        self.sim.process(self._uplink(record.exchange_id, radio))
 
-    def _uplink(self, record: ExchangeRecord, radio: LoRaRadio):
+    def _uplink(self, exchange_id: int, radio: LoRaRadio):
         transmission = yield from radio.send(DataFrame(
             sender=radio.name,
             encrypted_message=b"\x00" * 64,
             signature=b"\x00" * 64,
             recipient_address="",
-            nonce=record.exchange_id,
+            nonce=exchange_id,
         ))
         # Legacy latency clock: start of the single data uplink.
-        record.t_epk_sent = transmission.start
-        record.t_data_sent = transmission.end
+        self.tracker.reach(exchange_id, "epk_sent", at=transmission.start)
+        self.tracker.reach(exchange_id, "data_sent", at=transmission.end)
 
 
 class LoRaWANBaseline(UplinkBaseline):
@@ -108,30 +109,24 @@ class LoRaWANBaseline(UplinkBaseline):
             self.wan.register(f"app-{i}", self._at_app_server)
             self.wan.register(name, lambda envelope: None)
 
-    def _at_gateway(self, gateway_index: int, frame) -> None:
+    def _at_gateway(self, gateway_index: int, frame):
         """A gateway only serves its own operator's devices."""
         if not isinstance(frame, DataFrame):
             return
-        record = self.tracker.get(frame.nonce)
         if owner_of(frame.sender) != gateway_index:
             # Foreign device: the legacy gateway has no session keys for it
             # and the network server would reject its MIC.  Dropped.
-            if record is not None and record.status == "pending":
-                self.tracker.fail(record,
-                                  "foreign gateway: no roaming agreement")
+            self.tracker.fail(frame.nonce,
+                              "foreign gateway: no roaming agreement")
             return
-        if record is not None:
-            record.t_data_received = self.sim.now
-            record.gateway = f"gw-{gateway_index}"
-
-        def forward():
-            yield self.sim.timeout(_GW_FORWARDING)
-            self.wan.send(
-                self.config.site_names[gateway_index], "network-server",
-                _UplinkReport(frame=frame, gateway=f"gw-{gateway_index}",
-                              received_at=self.sim.now),
-            )
-        self.sim.process(forward())
+        self.tracker.reach(frame.nonce, "data_received",
+                           gateway=f"gw-{gateway_index}")
+        yield self.sim.timeout(_GW_FORWARDING)
+        self.wan.send(
+            self.config.site_names[gateway_index], "network-server",
+            _UplinkReport(frame=frame, gateway=f"gw-{gateway_index}",
+                          received_at=self.sim.now),
+        )
 
     def _at_network_server(self, envelope: Envelope) -> None:
         report = envelope.payload
@@ -148,7 +143,4 @@ class LoRaWANBaseline(UplinkBaseline):
         report = envelope.payload
         if not isinstance(report, _UplinkReport):
             return
-        record = self.tracker.get(report.frame.nonce)
-        if record is not None:
-            record.t_decrypted = self.sim.now
-            self.tracker.complete(record)
+        self.tracker.reach(report.frame.nonce, "decrypted")

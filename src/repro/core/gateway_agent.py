@@ -126,34 +126,22 @@ class GatewayAgent:
                 node_id=frame.sender,
             )
             self._ephemeral[frame.nonce] = pending
-            record = self.tracker.get(frame.nonce)
-            if record is not None:
-                record.t_keygen_done = self.sim.now
-                record.gateway = self.name
+            self.tracker.reach(frame.nonce, "keygen_done", gateway=self.name)
         transmission = yield from self.radio.send(KeyResponseFrame(
             sender=self.name,
             target=frame.sender,
             ephemeral_pubkey=pending.ephemeral_key.public_key.to_bytes(),
             nonce=frame.nonce,
         ))
-        record = self.tracker.get(frame.nonce)
-        if record is not None and record.t_epk_sent is None:
-            # The paper's clock starts at "the first message from the
-            # gateway": the start of the ePk downlink.  The uplink leg of
-            # the trace starts at the same instant.
-            record.t_epk_sent = transmission.start
-            self.tracker.begin_leg(record, "uplink", start=transmission.start)
+        # "The first message from the gateway" starts the paper's clock.
+        self.tracker.reach(frame.nonce, "epk_sent", at=transmission.start)
 
     def _forward(self, frame: DataFrame):
         """Steps 6-7: resolve ``@R`` on-chain, push the data over TCP/IP."""
-        record = self.tracker.get(frame.nonce)
-        if record is not None:
-            record.t_data_received = self.sim.now
-            self.tracker.end_leg(record, "uplink")
-            self.tracker.begin_leg(record, "publication")
+        self.tracker.reach(frame.nonce, "data_received")
         pending = self._ephemeral.get(frame.nonce)
         if pending is None:
-            self.tracker.fail(record, "gateway lost ephemeral key state")
+            self.tracker.fail(frame.nonce, "gateway lost ephemeral key state")
             return
         yield self.sim.timeout(self.cost_model.sample(
             self.cost_model.gateway_frame_handling, self.rng,
@@ -165,7 +153,7 @@ class GatewayAgent:
         except DaemonDown:
             announcement, reason = None, "gateway daemon down"
         if announcement is None:
-            self.tracker.fail(record, reason)
+            self.tracker.fail(frame.nonce, reason)
             self._ephemeral.pop(frame.nonce, None)
             return
         presented = self._presented_key(pending)
@@ -173,8 +161,6 @@ class GatewayAgent:
             frame.recipient_address, self.daemon.queue_length,
         )
         self.deliveries_forwarded += 1
-        parent = (self.tracker.leg(record, "publication")
-                  if record is not None else None)
         self.wan.send(self.name, announcement.endpoint, DeliveryMessage(
             delivery_id=frame.nonce,
             encrypted_message=frame.encrypted_message,
@@ -184,7 +170,7 @@ class GatewayAgent:
             gateway_pubkey_hash=self.wallet.pubkey_hash,
             price=pending.quoted_price,
             chain_id=self.chain_id,
-        ), parent=parent)
+        ), parent=self.tracker.leg(frame.nonce, "publication"))
 
     def _presented_key(self, pending: _PendingDelivery) -> rsa.RSAPrivateKey:
         """The ephemeral pair whose public half the recipient is shown:
@@ -196,10 +182,9 @@ class GatewayAgent:
 
     def _on_ack(self, envelope: Envelope) -> None:
         ack = envelope.payload
-        record = self.tracker.get(ack.delivery_id)
         if not ack.accepted:
+            # The recipient failed the exchange when it refused.
             self._ephemeral.pop(ack.delivery_id, None)
-            self.tracker.fail(record, f"recipient refused: {ack.reason}")
             return
         if ack.delivery_id not in self._ephemeral:
             return
@@ -261,7 +246,6 @@ class GatewayAgent:
         broadcasts it on the sub-chain the escrow lives on.
         """
         pending = self._ephemeral.pop(exchange_id, None)
-        record = self.tracker.get(exchange_id)
         if pending is None:
             return
         try:
@@ -287,10 +271,10 @@ class GatewayAgent:
                     lambda: self.daemon.gossip.broadcast_transaction(claim_tx),
                 )
         except ProtocolError as exc:
-            self.tracker.fail(record, str(exc))
+            self.tracker.fail(exchange_id, str(exc))
             return
         except DaemonDown:
-            self.tracker.fail(record, "gateway daemon down")
+            self.tracker.fail(exchange_id, "gateway daemon down")
             return
         if made:
             self.claims_made += 1

@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.costmodel import CostModel
 from repro.core.messages import seal_message, sign_payload
-from repro.obs.exchange import ExchangeRecord, ExchangeTracker
+from repro.obs.exchange import ExchangeTracker
 from repro.core.provisioning import DeviceCredentials
 from repro.crypto import rsa
 from repro.lora.device import LoRaRadio
@@ -48,7 +48,6 @@ class NodeAgent:
         self.tracker = tracker
         self.rng = rng
         self.key_response_timeout = key_response_timeout
-        self.exchanges_started = 0
         self._pending_keys: dict[int, object] = {}  # exchange id -> Event
         radio.on_receive(self._on_frame)
 
@@ -66,26 +65,20 @@ class NodeAgent:
             event.succeed(frame)
 
     def start_exchange(self, plaintext: bytes):
-        """Spawn the exchange as a process; returns the process event.
-
-        The process result is the :class:`ExchangeRecord` (whose ``status``
-        tells whether the node-side protocol completed).
-        """
+        """Spawn the exchange as a process; returns the process event."""
         return self.sim.process(self.exchange(plaintext))
 
     def exchange(self, plaintext: bytes):
         """Generator implementing one node-side exchange."""
-        record = self.tracker.new_exchange(self.device_id, plaintext)
-        self.exchanges_started += 1
+        exchange_id = self.tracker.new_exchange(self.device_id,
+                                                plaintext).exchange_id
 
         response: Optional[KeyResponseFrame] = None
         for _attempt in range(self.MAX_ATTEMPTS):
             waiter = self.sim.event()
-            self._pending_keys[record.exchange_id] = waiter
-            record.t_request = self.sim.now
+            self._pending_keys[exchange_id] = waiter
             yield from self.radio.send(
-                KeyRequestFrame(sender=self.device_id,
-                                nonce=record.exchange_id)
+                KeyRequestFrame(sender=self.device_id, nonce=exchange_id)
             )
             outcome = yield self.sim.any_of(
                 [waiter, self.sim.timeout(self.key_response_timeout)]
@@ -93,19 +86,19 @@ class NodeAgent:
             if isinstance(outcome, KeyResponseFrame):
                 response = outcome
                 break
-            self._pending_keys.pop(record.exchange_id, None)
+            self._pending_keys.pop(exchange_id, None)
         if response is None:
-            self.tracker.fail(record, "no ePk response from gateway")
-            return record
-        record.t_epk_received = self.sim.now
+            self.tracker.fail(exchange_id, "no ePk response from gateway")
+            return
+        self.tracker.reach(exchange_id, "epk_received")
 
         try:
             ephemeral_pubkey = rsa.RSAPublicKey.from_bytes(
                 response.ephemeral_pubkey
             )
         except rsa.RSAError as exc:
-            self.tracker.fail(record, f"malformed ePk: {exc}")
-            return record
+            self.tracker.fail(exchange_id, f"malformed ePk: {exc}")
+            return
 
         # Step 3: K-encrypt then ePk-wrap (STM32-class cost).
         yield self.sim.timeout(self.cost_model.sample(
@@ -131,7 +124,6 @@ class NodeAgent:
             encrypted_message=encrypted_message,
             signature=signature,
             recipient_address=self.credentials.recipient_address,
-            nonce=record.exchange_id,
+            nonce=exchange_id,
         ))
-        record.t_data_sent = transmission.end
-        return record
+        self.tracker.reach(exchange_id, "data_sent", at=transmission.end)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction
@@ -320,6 +321,7 @@ class RecipientAgent:
         self.claims_relayed = 0
 
         self._pending: dict[OutPoint, _PendingSettlement] = {}
+        self._deliveries: set[tuple[str, int]] = set()  # (gateway, id)
         ledger.attach({DeliveryMessage: self._on_delivery,
                        ClaimMessage: self._on_claim}, self._on_spend)
 
@@ -331,58 +333,55 @@ class RecipientAgent:
     # -- the fair exchange ---------------------------------------------------------
 
     def _on_delivery(self, envelope: Envelope) -> None:
-        self.sim.process(self._settle(envelope))
+        # The WAN may hand over one push twice: a delivery already being
+        # settled (or settled) locks no second payment.
+        delivery = (envelope.source, envelope.payload.delivery_id)
+        if delivery not in self._deliveries:
+            self._deliveries.add(delivery)
+            self.sim.process(self._settle(envelope))
 
     def _settle(self, envelope: Envelope):
         message = envelope.payload
         assert isinstance(message, DeliveryMessage)
         self.messages_received += 1
-        record = self.tracker.get(message.delivery_id)
-        if record is not None:
-            record.t_delivered = self.sim.now
-            record.recipient = self.name
-            record.price = message.price
-            self.tracker.end_leg(record, "publication")
-            self.tracker.begin_leg(record, "payment")
+        self.tracker.reach(message.delivery_id, "delivered",
+                           recipient=self.name, price=message.price)
 
         # Step 8: authenticate the payload.
         yield self.sim.timeout(self.cost_model.sample(
             self.cost_model.recipient_rsa_verify, self.rng,
         ))
         if not self.registry.knows(message.node_id):
-            self._refuse(envelope, record, "unknown device")
+            self._refuse(envelope, "unknown device")
             return
         node_pubkey = self.registry.pubkey_for(message.node_id)
         if not verify_payload(message.encrypted_message,
                               message.ephemeral_pubkey,
                               message.signature, node_pubkey):
-            self._refuse(envelope, record, "bad signature")
+            self._refuse(envelope, "bad signature")
             return
         if not self.budget.accepts(message.price):
             self.quotes_refused += 1
             self._refuse(
-                envelope, record,
+                envelope,
                 f"quote {message.price} above budget {self.budget.max_price}",
             )
             return
 
         # Step 9: lock payment to the key revelation.  The leg is looked
         # up when a message is sent, not before the ledger access waited.
-        def payment_leg():
-            return (self.tracker.leg(record, "payment")
-                    if record is not None else None)
+        payment_leg = partial(self.tracker.leg, message.delivery_id, "payment")
         try:
             offer = yield from self.ledger.lock_payment(message, payment_leg)
         except OfferRefused as refusal:
-            self._refuse(envelope, record, str(refusal))
+            self._refuse(envelope, str(refusal))
             return
         except DaemonDown:
             # A dead host sends no nack.
-            self.tracker.fail(record, "recipient daemon down")
+            self.tracker.fail(message.delivery_id, "recipient daemon down")
             return
         self.payments_made += 1
-        if record is not None:
-            record.t_offer_sent = self.sim.now
+        self.tracker.reach(message.delivery_id, "offer_sent")
         self._pending[offer.outpoint] = _PendingSettlement(message, offer)
         # Cross-region: the gateway's daemon follows a different
         # sub-chain, so the offer rides along serialized — it is the only
@@ -397,8 +396,8 @@ class RecipientAgent:
                             if cross_region else b""),
         ), parent=payment_leg())
 
-    def _refuse(self, envelope: Envelope, record, reason: str) -> None:
-        self.tracker.fail(record, reason)
+    def _refuse(self, envelope: Envelope, reason: str) -> None:
+        self.tracker.fail(envelope.payload.delivery_id, reason)
         self.wan.send(self.name, envelope.source, DeliveryAck(
             delivery_id=envelope.payload.delivery_id,
             accepted=False,
@@ -419,11 +418,11 @@ class RecipientAgent:
         claim then reaches the usual spend watch, which decrypts exactly
         as in the intra-region flow.
         """
-        record = self.tracker.get(message.delivery_id)
         try:
             claim_tx = Transaction.deserialize(message.claim_tx_bytes)
         except ValidationError:
-            self.tracker.fail(record, "undecodable cross-region claim")
+            self.tracker.fail(message.delivery_id,
+                              "undecodable cross-region claim")
             return
         try:
             relayed = yield from self.ledger.submit(claim_tx)
@@ -432,8 +431,8 @@ class RecipientAgent:
             relayed, reason = False, "recipient daemon down"
         if relayed:
             self.claims_relayed += 1
-        elif record is not None and record.status == "pending":
-            self.tracker.fail(record, reason)
+        else:
+            self.tracker.fail(message.delivery_id, reason)
 
     # -- escrow spends: the claim, or our own refund -------------------------------
 
@@ -451,7 +450,7 @@ class RecipientAgent:
         spend of its escrow is *seen* — so a refund that loses the race to
         a late claim still decrypts.
         """
-        record = self.tracker.get(settlement.message.delivery_id)
+        exchange_id = settlement.message.delivery_id
         elements = spend_input.script_sig.elements
         if len(elements) != 3 or not isinstance(elements[2], bytes):
             return  # garbage — not a Listing-1 unlocking script
@@ -459,17 +458,13 @@ class RecipientAgent:
             # The refund branch, which only our own key opens.
             self._pending.pop(settlement.offer.outpoint, None)
             self.refunds_taken += 1
-            if record is not None and record.status == "pending":
-                self.tracker.fail(record, "gateway never claimed; refunded")
+            self.tracker.fail(exchange_id, "gateway never claimed; refunded")
             return
         try:
             ephemeral_key = rsa.RSAPrivateKey.from_bytes(elements[2])
         except rsa.RSAError:
             return
-        if record is not None:
-            record.t_claim_seen = self.sim.now
-            self.tracker.end_leg(record, "payment")
-            self.tracker.begin_leg(record, "decryption")
+        self.tracker.reach(exchange_id, "claim_seen")
         self._pending.pop(settlement.offer.outpoint, None)
 
         yield self.sim.timeout(self.cost_model.sample(
@@ -482,14 +477,10 @@ class RecipientAgent:
                 ephemeral_key,
             )
         except ProtocolError as exc:
-            self.tracker.fail(record, f"decryption failed: {exc}")
+            self.tracker.fail(exchange_id, f"decryption failed: {exc}")
             return
         self.messages_decrypted += 1
-        if record is not None:
-            record.decrypted = plaintext
-            record.t_decrypted = self.sim.now
-            self.tracker.end_leg(record, "decryption")
-            self.tracker.complete(record)
+        self.tracker.reach(exchange_id, "decrypted", decrypted=plaintext)
 
     # -- refunds ----------------------------------------------------------------------
 

@@ -149,10 +149,9 @@ class DeploymentReporter:
                    for name in _BLOCK_MESSAGES) / height
 
     def report(self) -> RunReport:
-        records = self.tracker.records()
         return RunReport.of(
             self.tracker, self.exchanges_launched, self.sim.now,
-            pending=sum(1 for r in records if r.status == "pending"),
+            pending=len(self.tracker.pending()),
             chain_height=self._chain_height(),
             gateway_rewards={
                 site.name: site.gateway.rewards_claimed for site in self.sites

@@ -147,25 +147,24 @@ class Testbed:
         last_terminal = -1
         while self.sim.now < max_duration:
             self.sim.run(until=self.sim.now + self.check_interval)
-            records = self.tracker.records()
-            terminal = sum(1 for r in records if r.status != "pending")
+            pending = self.tracker.pending()
+            terminal = len(self.tracker.records()) - len(pending)
             if terminal != last_terminal:
                 last_terminal = terminal
                 last_progress_time = self.sim.now
             if self.exchanges_launched >= num_exchanges:
                 # Covers num_exchanges=0 (a sweep's empty cell): no records
                 # means nothing to settle, terminate on the first check.
-                if terminal >= len(records):
+                if not pending:
                     break
                 # Lost radio frames leave exchanges dangling (no link-layer
                 # ack for the data uplink); give up on them once nothing
                 # has settled for a grace period.
                 if self.sim.now - last_progress_time > self.settle_grace:
-                    for record in records:
-                        if record.status == "pending":
-                            self.tracker.fail(
-                                record, "unresolved at run end (frame lost?)"
-                            )
+                    for record in pending:
+                        self.tracker.fail(
+                            record.exchange_id,
+                            "unresolved at run end (frame lost?)")
                     break
         return self.report()
 

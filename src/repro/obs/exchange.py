@@ -1,18 +1,16 @@
-"""Per-exchange instrumentation.
+"""Per-exchange instrumentation: the Fig. 3 exchange as one table.
 
-An :class:`ExchangeRecord` tracks one Fig. 3 exchange through every leg;
-the :class:`ExchangeTracker` is the shared registry agents stamp as the
-protocol progresses.  The paper's headline metric is
-``t_decrypted - t_epk_sent`` — "from the first message from the gateway to
-the decryption of the message by the recipient" (section 5.2).
+:data:`STEPS` names section 4.4's ten instants in protocol order.  An
+:class:`ExchangeRecord` logs one exchange's instants; the parties report
+each step with one :meth:`ExchangeTracker.reach`.  The paper's headline
+metric is ``t_decrypted - t_epk_sent`` — "from the first message from
+the gateway to the decryption of the message by the recipient" (§5.2).
 
 When the tracker is given a :class:`~repro.obs.tracing.Tracer`, each
 exchange also becomes one *trace*: a root ``exchange`` span plus four
-contiguous ``leg.*`` child spans (uplink / publication / payment /
-decryption) that the breakdown in :mod:`repro.obs.export` summarises.
-
-Historically this lived in ``repro.core.metrics``; that shim has been
-removed and the observability layer is the one home.
+contiguous ``leg.*`` child spans (:data:`LEGS`), opened and closed by
+the table alone, that the breakdown in :mod:`repro.obs.export`
+summarises.
 """
 
 from __future__ import annotations
@@ -21,14 +19,30 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.obs.tracing import NULL_TRACER, Span, Tracer
+from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, Tracer
 
-__all__ = ["ExchangeRecord", "ExchangeTracker"]
+__all__ = ["LEGS", "STEPS", "ExchangeRecord", "ExchangeTracker"]
+
+# step -> (leg it closes, leg it opens); ``reach`` stamps ``t_<step>``.
+STEPS: dict[str, tuple[Optional[str], Optional[str]]] = {
+    "request": (None, None),                     # node uplinks the key request
+    "keygen_done": (None, None),                 # gateway made the ePk pair
+    "epk_sent": (None, "uplink"),                # ePk downlink starts
+    "epk_received": (None, None),                # node has ePk
+    "data_sent": (None, None),                   # data uplink ends
+    "data_received": ("uplink", "publication"),  # gateway has (Em, Sig, @R)
+    "delivered": ("publication", "payment"),     # recipient has the delivery
+    "offer_sent": (None, None),                  # offer tx broadcast (step 9)
+    "claim_seen": ("payment", "decryption"),     # recipient saw the claim tx
+    "decrypted": ("decryption", None),           # plaintext recovered (end)
+}
+
+LEGS = tuple(opens for _closes, opens in STEPS.values() if opens)
 
 
 @dataclass
 class ExchangeRecord:
-    """Timestamps (simulation seconds) for one exchange; None = not reached."""
+    """One exchange's :data:`STEPS` instants (sim seconds); None = not yet."""
 
     exchange_id: int
     node_id: str
@@ -36,16 +50,16 @@ class ExchangeRecord:
     recipient: str = ""
     plaintext: bytes = b""
 
-    t_request: Optional[float] = None        # node uplinks the key request
-    t_keygen_done: Optional[float] = None    # gateway has the ephemeral pair
-    t_epk_sent: Optional[float] = None       # gateway starts the ePk downlink
-    t_epk_received: Optional[float] = None   # node has ePk
-    t_data_sent: Optional[float] = None      # node finishes the data uplink
-    t_data_received: Optional[float] = None  # gateway has (Em, Sig, @R)
-    t_delivered: Optional[float] = None      # recipient got the TCP delivery
-    t_offer_sent: Optional[float] = None     # offer tx broadcast (step 9)
-    t_claim_seen: Optional[float] = None     # recipient saw the claim tx
-    t_decrypted: Optional[float] = None      # plaintext recovered (end)
+    t_request: Optional[float] = None
+    t_keygen_done: Optional[float] = None
+    t_epk_sent: Optional[float] = None
+    t_epk_received: Optional[float] = None
+    t_data_sent: Optional[float] = None
+    t_data_received: Optional[float] = None
+    t_delivered: Optional[float] = None
+    t_offer_sent: Optional[float] = None
+    t_claim_seen: Optional[float] = None
+    t_decrypted: Optional[float] = None
 
     status: str = "pending"                  # pending/completed/failed
     failure_reason: str = ""
@@ -68,28 +82,14 @@ class ExchangeRecord:
             return None
         return self.t_decrypted - self.t_epk_sent
 
-    @property
-    def radio_time(self) -> Optional[float]:
-        if self.t_epk_sent is None or self.t_data_received is None:
-            return None
-        return self.t_data_received - self.t_epk_sent
-
-    @property
-    def settlement_time(self) -> Optional[float]:
-        """Delivery → decryption: the blockchain fair-exchange leg."""
-        if self.t_delivered is None or self.t_decrypted is None:
-            return None
-        return self.t_decrypted - self.t_delivered
-
 
 class ExchangeTracker:
-    """Registry of all exchanges in a run.
+    """Registry of all exchanges in a run, and owner of their spans.
 
-    With a tracer attached, the tracker doubles as the span lifecycle
-    owner for exchange traces: agents call :meth:`begin_leg` /
-    :meth:`end_leg` at the protocol steps, and :meth:`complete` /
-    :meth:`fail` guarantee no leg span outlives its exchange — a failed
-    exchange closes its open legs with ``status="lost"``.
+    :meth:`reach`, :meth:`fail` and :meth:`leg` take an exchange id and
+    do nothing for an untracked id or a completed or failed exchange.
+    Stamps read the tracer's clock (0.0 without a simulator).  No leg
+    span outlives its exchange: a failure closes open legs ``lost``.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
@@ -98,45 +98,43 @@ class ExchangeTracker:
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def new_exchange(self, node_id: str, plaintext: bytes) -> ExchangeRecord:
+        """Launch an exchange: its first step, ``request``, is now."""
         record = ExchangeRecord(
             exchange_id=next(self._ids), node_id=node_id, plaintext=plaintext,
         )
         record.trace = self.tracer.span(
             "exchange", exchange_id=record.exchange_id, node=node_id)
         self._records[record.exchange_id] = record
+        self.reach(record.exchange_id, "request")
         return record
 
-    # -- span lifecycle ----------------------------------------------------------
+    # -- the parties' calls ------------------------------------------------------
 
-    def begin_leg(self, record: ExchangeRecord, leg: str,
-                  start: Optional[float] = None, **attrs: Any) -> Span:
-        """Open ``leg.<leg>`` under the exchange's root span.  Idempotent:
-        a duplicate frame re-entering a step reuses the open span."""
-        existing = record.legs.get(leg)
-        if existing is not None:
-            return existing
-        span = self.tracer.span(f"leg.{leg}", parent=record.trace,
-                                start=start, **attrs)
-        record.legs[leg] = span
-        return span
+    def reach(self, exchange_id: int, step: str, at: Optional[float] = None,
+              **fields: Any) -> None:
+        """Stamp ``step`` at ``at`` (default: now), set ``fields`` on the
+        record, and move the legs by :data:`STEPS`; ``decrypted``
+        completes the exchange.  The first stamp wins: a step re-entered
+        (a key request retried) moves nothing."""
+        record = self._pending(exchange_id)
+        if record is None or getattr(record, f"t_{step}") is not None:
+            return
+        when = self.tracer.now() if at is None else at
+        setattr(record, f"t_{step}", when)
+        for name, value in fields.items():
+            setattr(record, name, value)
+        closes, opens = STEPS[step]
+        record.legs.pop(closes, NULL_SPAN).end("ok", at=when)
+        if opens is not None:
+            record.legs[opens] = self.tracer.span(
+                f"leg.{opens}", parent=record.trace, start=when)
+        if step == "decrypted":
+            record.status = "completed"
+            self._close(record, leg_status="ok", root_status="ok")
 
-    def end_leg(self, record: ExchangeRecord, leg: str,
-                status: str = "ok", at: Optional[float] = None,
-                **attrs: Any) -> None:
-        span = record.legs.pop(leg, None)
-        if span is not None:
-            span.end(status, at=at, **attrs)
-
-    def leg(self, record: ExchangeRecord, leg: str) -> Optional[Span]:
-        return record.legs.get(leg)
-
-    def complete(self, record: ExchangeRecord) -> None:
-        record.status = "completed"
-        self._close(record, leg_status="ok", root_status="ok")
-
-    def fail(self, record: Optional[ExchangeRecord], reason: str) -> None:
-        """Mark failed; any leg still in flight is closed ``lost``.  An
-        untracked exchange (``record`` None) has nothing to mark."""
+    def fail(self, exchange_id: int, reason: str) -> None:
+        """Mark failed; any leg still in flight is closed ``lost``."""
+        record = self._pending(exchange_id)
         if record is None:
             return
         record.status = "failed"
@@ -144,12 +142,23 @@ class ExchangeTracker:
         self._close(record, leg_status="lost", root_status="failed",
                     reason=reason)
 
+    def leg(self, exchange_id: int, name: str) -> Optional[Span]:
+        """The open ``leg.<name>`` span, to parent a wire message on."""
+        record = self._records.get(exchange_id)
+        return record.legs.get(name) if record is not None else None
+
+    def _pending(self, exchange_id: int) -> Optional[ExchangeRecord]:
+        record = self._records.get(exchange_id)
+        if record is not None and record.status == "pending":
+            return record
+        return None
+
     def _close(self, record: ExchangeRecord, leg_status: str,
                root_status: str, **attrs: Any) -> None:
-        for leg in list(record.legs):
-            self.end_leg(record, leg, status=leg_status, **attrs)
-        if record.trace is not None:
-            record.trace.end(root_status, **attrs)
+        for span in record.legs.values():
+            span.end(leg_status, **attrs)
+        record.legs.clear()
+        record.trace.end(root_status, **attrs)
 
     # -- queries -----------------------------------------------------------------
 
@@ -158,6 +167,9 @@ class ExchangeTracker:
 
     def records(self) -> list[ExchangeRecord]:
         return list(self._records.values())
+
+    def pending(self) -> list[ExchangeRecord]:
+        return [r for r in self._records.values() if r.status == "pending"]
 
     def completed(self) -> list[ExchangeRecord]:
         return [r for r in self._records.values() if r.completed]

@@ -24,15 +24,13 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from repro.obs.exchange import LEGS
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.obs.stats import Summary
 
 __all__ = ["LEGS", "export_trace_jsonl", "format_breakdown",
            "leg_breakdown"]
-
-LEGS = ("uplink", "publication", "payment", "decryption")
-
 
 def _clean(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:

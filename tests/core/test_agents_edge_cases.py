@@ -22,6 +22,7 @@ from repro.core.daemon import BlockchainDaemon
 from repro.core.directory import DirectoryView, build_announcement_payload
 from repro.core.gateway_agent import GatewayAgent
 from repro.obs.exchange import ExchangeTracker
+from repro.obs.tracing import Tracer
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
 from repro.core.recipient import NodeLedger, RecipientAgent, SpvLedger
@@ -50,7 +51,7 @@ class Harness:
     def __init__(self, seed: int = 7, device_class: str = "full") -> None:
         self.rngs = RngRegistry(seed)
         self.sim = Simulator()
-        self.tracker = ExchangeTracker()
+        self.tracker = ExchangeTracker(Tracer(self.sim, enabled=False))
         cost = CostModel(jitter_sigma=0.0)
         params = ChainParams(coinbase_maturity=1, locktime_grace=3)
         endpoint = "site" if device_class == "full" else "light"
@@ -200,6 +201,26 @@ def test_unknown_recipient_address_fails(harness):
     record = harness.tracker.get(1)
     assert record.status == "failed"
     assert "no directory entry" in record.failure_reason
+
+
+def test_lost_key_request_keeps_the_launch_instant(harness):
+    """The gateway never hears the first key request; the node retries
+    after its timeout, and the record's ``t_request`` stays the instant
+    the exchange was launched, as in both baselines."""
+    serve, lost = harness.gateway._serve_key_request, []
+
+    def lossy(frame):
+        if not lost:
+            lost.append(frame)
+            return
+        yield from serve(frame)
+    harness.gateway._serve_key_request = lossy
+    harness.sim.call_at(5.0, lambda: harness.sensor.start_exchange(b"late"))
+    harness.sim.run(until=60.0)
+    record = harness.tracker.get(1)
+    assert len(lost) == 1 and record.completed
+    assert record.t_request == 5.0
+    assert record.t_keygen_done > 5.0 + harness.sensor.key_response_timeout
 
 
 def test_bogus_ack_is_ignored(harness):

@@ -7,6 +7,7 @@ import pytest
 from repro.blockchain.params import ChainParams
 from repro.core.config import NetworkConfig
 from repro.obs.exchange import ExchangeTracker
+from repro.obs.tracing import Tracer
 from repro.core.provisioning import (
     RecipientRegistry,
     provision_device,
@@ -75,14 +76,19 @@ def test_latency_is_paper_metric():
 
 
 def test_leg_metrics():
-    tracker = ExchangeTracker()
+    """The radio time is the uplink leg and the settlement time (delivery
+    to decryption) the payment and decryption legs."""
+    tracker = ExchangeTracker(Tracer())
     record = tracker.new_exchange("d", b"x")
-    record.t_epk_sent = 1.0
-    record.t_data_received = 1.5
-    record.t_delivered = 1.6
-    record.t_decrypted = 2.0
-    assert record.radio_time == pytest.approx(0.5)
-    assert record.settlement_time == pytest.approx(0.4)
+    for step, at in (("epk_sent", 1.0), ("data_received", 1.5),
+                     ("delivered", 1.6), ("claim_seen", 1.9),
+                     ("decrypted", 2.0)):
+        tracker.reach(record.exchange_id, step, at=at)
+    legs = {span.name: span.duration for span in tracker.tracer.spans
+            if span.name.startswith("leg.")}
+    assert legs["leg.uplink"] == pytest.approx(0.5)
+    assert legs["leg.payment"] + legs["leg.decryption"] == pytest.approx(0.4)
+    assert record.latency == pytest.approx(sum(legs.values()))
 
 
 def test_completion_rate():
