@@ -67,13 +67,6 @@ class BlockHeader:
     def hash(self) -> bytes:
         return double_sha256(self.serialize())
 
-    def meets_target(self, pow_bits: int) -> bool:
-        """True if the header hash has at least ``pow_bits`` leading zero bits."""
-        if pow_bits == 0:
-            return True
-        value = int.from_bytes(self.hash, "big")
-        return value < (1 << (256 - pow_bits))
-
 
 @dataclass(frozen=True)
 class Block:

@@ -1,7 +1,7 @@
 """Chain state: block storage, fork choice, and reorganization.
 
-Fork choice is cumulative work (with constant per-block work this reduces
-to longest-chain, first-seen-wins on ties), matching Bitcoin/Multichain.
+Fork choice is longest chain, first seen winning on ties: every block
+carries the same work on a scheduled chain, as on Multichain.
 The UTXO set always reflects the active tip; side-chain blocks are stored
 and can trigger a reorg when their branch overtakes the active one — the
 mechanism behind the double-spend attack the paper's section 6 discusses.
@@ -50,7 +50,6 @@ class BlockRecord:
 
     block: Block
     height: int
-    total_work: int
     # Per-transaction undo data; populated while the block is on the
     # active chain, None for side-chain blocks.
     undo: Optional[list[dict[OutPoint, UTXOEntry]]] = None
@@ -98,7 +97,7 @@ class Chain:
         self.utxos = UTXOSet()
         genesis = create_genesis_block(self.params)
         self._records: dict[bytes, BlockRecord] = {genesis.hash: BlockRecord(
-            block=genesis, height=0, total_work=1, undo=[])}
+            block=genesis, height=0, undo=[])}
         self._active: list[bytes] = [genesis.hash]
         # txid -> heights of the active blocks carrying it, ascending, for
         # active heights 0.._indexed.  A lookup first indexes up to the
@@ -243,9 +242,7 @@ class Chain:
 
     def _attach(self, block: Block, parent: BlockRecord) -> AddBlockResult:
         self.engine.check_block(block, parent.height)
-        work = 1 << self.params.pow_bits
-        record = BlockRecord(block=block, height=parent.height + 1,
-                             total_work=parent.total_work + work)
+        record = BlockRecord(block=block, height=parent.height + 1)
 
         extends_tip = parent.hash == self._active[-1]
         if extends_tip:
@@ -259,7 +256,7 @@ class Chain:
             return AddBlockResult(status="active", connected=(block.hash,))
 
         self._records[block.hash] = record
-        if record.total_work > self.tip.total_work:
+        if record.height > self.tip.height:
             return self._reorganize(record)
         return AddBlockResult(status="side")
 

@@ -352,11 +352,6 @@ class ValidationEngine:
 
     def check_block(self, block: Block, prev_height: int) -> None:
         """Structural block checks (independent of the UTXO set)."""
-        if not block.header.meets_target(self.params.pow_bits):
-            raise ValidationError(
-                f"block {block.hash.hex()[:16]}.. does not meet the "
-                f"{self.params.pow_bits}-bit proof-of-work target"
-            )
         if block.serialized_size() > self.params.max_block_size:
             raise ValidationError(
                 f"block size {block.serialized_size()} exceeds limit "

@@ -1,4 +1,4 @@
-"""The unconfirmed-transaction pool and its fee-market admission policy.
+"""The unconfirmed-transaction pool.
 
 Accepts transactions after full validation against the chain tip plus the
 pool itself (chained unconfirmed spends are allowed, conflicting spends are
@@ -9,13 +9,11 @@ the first transaction, until a block proves otherwise).
 Admission is a *verdict*, not an exception: :meth:`Mempool.accept` returns
 an :class:`AcceptResult` carrying the outcome, a stable ``reason_code``
 for programmatic flow control (gossip keys orphan handling off
-:data:`REJECT_MISSING_INPUTS`, not string matching), the fee the pool
-recorded, and any transactions evicted to make room.
+:data:`REJECT_MISSING_INPUTS`, not string matching).
 
-Under sustained overload a :class:`MempoolPolicy` turns the pool into a
-fee market: a minimum fee-rate floor at the door, and size caps enforced
-by evicting the lowest fee-rate transaction (oldest first on ties) along
-with its unconfirmed descendants.
+The pool has no fee floor and no cap, as the paper's Multichain has
+none: every valid transaction waits in it until a block confirms it or a
+confirmed conflict displaces it.
 """
 
 from __future__ import annotations
@@ -26,18 +24,15 @@ from typing import Iterator, Optional
 from repro.blockchain.chain import Chain
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ValidationError
 
 __all__ = [
     "AcceptResult",
     "Mempool",
-    "MempoolPolicy",
     "REJECT_CHECKPOINT",
     "REJECT_COINBASE",
     "REJECT_CONFLICT",
     "REJECT_DUPLICATE",
-    "REJECT_FEE",
-    "REJECT_FULL",
     "REJECT_IMMATURE",
     "REJECT_MISSING_INPUTS",
     "REJECT_NONSTANDARD",
@@ -60,65 +55,25 @@ REJECT_IMMATURE = "immature"
 REJECT_VALUE = "value"
 REJECT_NON_FINAL = "non-final"
 REJECT_SCRIPT = "script"
-REJECT_FEE = "fee"
-REJECT_FULL = "full"
-
-
-@dataclass(frozen=True)
-class MempoolPolicy:
-    """Fee-market knobs; the all-zero default disables every mechanism
-    (unlimited pool, no floor — the pre-policy behaviour, bit for bit).
-
-    :param max_transactions: pool entry cap; ``0`` = unlimited.
-    :param max_bytes: cap on summed serialized sizes; ``0`` = unlimited.
-    :param min_fee_per_kb: admission floor in value-units per 1000 bytes
-        of serialized transaction; ``0`` = no floor.  Integer fee-rate
-        arithmetic throughout (``fee * 1000 // size``) — consensus-adjacent
-        code never touches floats.
-    """
-
-    max_transactions: int = 0
-    max_bytes: int = 0
-    min_fee_per_kb: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("max_transactions", "max_bytes", "min_fee_per_kb"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(
-                    f"{name} cannot be negative: {value}"
-                )
 
 
 @dataclass(frozen=True)
 class AcceptResult:
     """The verdict of one admission attempt.
 
-    :param accepted: whether ``txid`` is now in the pool.  Note a
-        transaction can be admitted and immediately evicted by its own
-        arrival pushing the pool over a cap — that reports
-        ``accepted=False`` with :data:`REJECT_FULL` and lists itself in
-        ``evicted``.
+    :param accepted: whether ``txid`` is now in the pool.
     :param txid: the subject transaction.
     :param reason: human-readable rejection diagnosis (empty on accept);
         for :data:`REJECT_SCRIPT` et al. this is the engine's
         :class:`ValidationError` message.
     :param reason_code: one of the ``REJECT_*`` constants (empty on
         accept) — the field flow control should branch on.
-    :param fee: the transaction's fee (inputs minus outputs), 0 when
-        rejected before fee computation.
-    :param fee_per_kb: integer fee rate over the serialized size.
-    :param evicted: txids removed from the pool as a consequence of this
-        admission (fee-market eviction cascades).
     """
 
     accepted: bool
     txid: bytes
     reason: str = ""
     reason_code: str = ""
-    fee: int = 0
-    fee_per_kb: int = 0
-    evicted: tuple[bytes, ...] = ()
 
 
 class Mempool:
@@ -130,25 +85,19 @@ class Mempool:
     transaction's scripts.
 
     :param chain: the chain whose tip admission validates against.
-    :param policy: fee/eviction knobs; omitted means the all-zero
-        :class:`MempoolPolicy` (unlimited, floorless).
     """
 
-    def __init__(self, chain: Chain,
-                 policy: Optional[MempoolPolicy] = None) -> None:
+    def __init__(self, chain: Chain) -> None:
         self._chain = chain
         self._engine = chain.engine
-        self.policy = MempoolPolicy() if policy is None else policy
-        self.evictions = 0
         self.clear()
 
     def clear(self) -> None:
-        """Drop every pooled transaction; the policy stays."""
+        """Drop every pooled transaction."""
         self._transactions: dict[bytes, Transaction] = {}
         # outpoint -> txid of the pool transaction spending it.
         self._spends: dict[OutPoint, bytes] = {}
-        # Fee-market bookkeeping, maintained by admission and removal.
-        self._fees: dict[bytes, int] = {}
+        # Serialized sizes, for ``total_bytes``.
         self._sizes: dict[bytes, int] = {}
         self._total_bytes = 0
 
@@ -180,10 +129,10 @@ class Mempool:
 
     # -- admission -------------------------------------------------------------
 
-    def _reject(self, tx: Transaction, code: str, reason: str,
-                **fields) -> AcceptResult:
+    def _reject(self, tx: Transaction, code: str,
+                reason: str) -> AcceptResult:
         return AcceptResult(accepted=False, txid=tx.txid, reason=reason,
-                            reason_code=code, **fields)
+                            reason_code=code)
 
     def accept(self, tx: Transaction) -> AcceptResult:
         """Validate and admit ``tx``; the verdict is the return value.
@@ -263,96 +212,20 @@ class Mempool:
                 f"transaction {tx.txid.hex()[:16]}.. is not final at "
                 f"height {next_height}")
 
-        fee = input_value - tx.total_output_value
-        size = len(tx.serialize())
-        fee_per_kb = fee * 1000 // size
-        floor = self.policy.min_fee_per_kb
-        if floor and fee_per_kb < floor:
-            return self._reject(
-                tx, REJECT_FEE,
-                f"transaction {tx.txid.hex()[:16]}.. fee rate {fee_per_kb} "
-                f"below floor {floor} per kB",
-                fee=fee, fee_per_kb=fee_per_kb)
-
         # Script execution, through the engine so verdicts land in the
         # shared cache (all inputs as one cross-input batch).
         try:
             self._engine.verify_input_scripts(tx, resolved)
         except ValidationError as exc:
-            return self._reject(tx, REJECT_SCRIPT, str(exc),
-                                fee=fee, fee_per_kb=fee_per_kb)
+            return self._reject(tx, REJECT_SCRIPT, str(exc))
 
-        self._insert(tx, fee, size)
-        evicted = self._enforce_limits()
-        if tx.txid not in self._transactions:
-            # The pool was so full of better-paying traffic that the
-            # newcomer itself was the cheapest thing to shed.
-            return self._reject(
-                tx, REJECT_FULL,
-                f"transaction {tx.txid.hex()[:16]}.. evicted on arrival: "
-                f"pool is full of higher fee-rate transactions",
-                fee=fee, fee_per_kb=fee_per_kb, evicted=evicted)
-        return AcceptResult(accepted=True, txid=tx.txid, fee=fee,
-                            fee_per_kb=fee_per_kb, evicted=evicted)
-
-    def _insert(self, tx: Transaction, fee: int, size: int) -> None:
         self._transactions[tx.txid] = tx
         for tx_input in tx.inputs:
             self._spends[tx_input.outpoint] = tx.txid
-        self._fees[tx.txid] = fee
+        size = len(tx.serialize())
         self._sizes[tx.txid] = size
         self._total_bytes += size
-
-    # -- fee-market eviction -----------------------------------------------------
-
-    def _over_limits(self) -> bool:
-        policy = self.policy
-        if (policy.max_transactions
-                and len(self._transactions) > policy.max_transactions):
-            return True
-        if policy.max_bytes and self._total_bytes > policy.max_bytes:
-            return True
-        return False
-
-    def _enforce_limits(self) -> tuple[bytes, ...]:
-        """Shed lowest fee-rate transactions (plus descendants) until the
-        pool fits its policy caps again.  Oldest loses fee-rate ties —
-        stale cheap traffic goes before fresh cheap traffic."""
-        if not self._over_limits():
-            return ()
-        evicted: list[bytes] = []
-        while self._over_limits():
-            order = {txid: position
-                     for position, txid in enumerate(self._transactions)}
-            victim = min(
-                self._transactions,
-                key=lambda txid: (
-                    self._fees[txid] * 1000 // self._sizes[txid],
-                    order[txid],
-                ),
-            )
-            dropped = self._remove_with_descendants(victim)
-            evicted.extend(dropped)
-            self.evictions += len(dropped)
-        return tuple(evicted)
-
-    def _remove_with_descendants(self, txid: bytes) -> list[bytes]:
-        """Drop ``txid`` and every pool transaction depending on it,
-        parents before children (insertion order is already
-        topological): a transaction that leaves the pool takes its
-        unconfirmed descendants along, so no chain is left dangling."""
-        selected = {txid}
-        for candidate, tx in self._transactions.items():
-            if candidate in selected:
-                continue
-            if any(tx_input.outpoint.txid in selected
-                   for tx_input in tx.inputs):
-                selected.add(candidate)
-        dropped = [candidate for candidate in self._transactions
-                   if candidate in selected]
-        for candidate in dropped:
-            self.remove(candidate)
-        return dropped
+        return AcceptResult(accepted=True, txid=tx.txid)
 
     # -- resolution and removal --------------------------------------------------
 
@@ -378,9 +251,26 @@ class Mempool:
         for tx_input in tx.inputs:
             if self._spends.get(tx_input.outpoint) == txid:
                 del self._spends[tx_input.outpoint]
-        self._fees.pop(txid, None)
         self._total_bytes -= self._sizes.pop(txid, 0)
         return tx
+
+    def _remove_with_descendants(self, txid: bytes) -> list[bytes]:
+        """Drop ``txid`` and every pool transaction depending on it,
+        parents before children (insertion order is already
+        topological): a transaction that leaves the pool takes its
+        unconfirmed descendants along, so no chain is left dangling."""
+        selected = {txid}
+        for candidate, tx in self._transactions.items():
+            if candidate in selected:
+                continue
+            if any(tx_input.outpoint.txid in selected
+                   for tx_input in tx.inputs):
+                selected.add(candidate)
+        dropped = [candidate for candidate in self._transactions
+                   if candidate in selected]
+        for candidate in dropped:
+            self.remove(candidate)
+        return dropped
 
     def remove_confirmed(self, transactions) -> int:
         """Evict transactions that made it into a block, plus conflicts.

@@ -2,8 +2,9 @@
 
 The paper's deployment has a single AWS master node that mines on a
 schedule while the PlanetLab gateways only submit transactions — the
-Multichain private-chain pattern.  :class:`Miner` assembles templates from
-a mempool and (optionally trivial) proof-of-work; a proof-of-stake leader's
+Multichain private-chain pattern.  :class:`Miner` assembles blocks from a
+mempool, with no proof-of-work: a block is valid by its contents, and who
+may produce one is the schedule's business.  A proof-of-stake leader's
 miner also endorses them (:func:`repro.blockchain.pos.endorse`).
 Scheduling lives in the simulation layer (:mod:`repro.core.producer`).
 """
@@ -31,12 +32,10 @@ from repro.script.script import Script, encode_number
 
 __all__ = ["Miner"]
 
-_MAX_NONCE = 1 << 62
-
 
 @dataclass
 class Miner:
-    """Assembles and mines blocks paying ``reward_pubkey_hash``.
+    """Assembles blocks paying ``reward_pubkey_hash``.
 
     With an ``endorsing_key`` (a slot leader's), every template carries
     that key's endorsement.
@@ -74,7 +73,7 @@ class Miner:
         )
 
     def build_template(self, timestamp: float) -> Block:
-        """Assemble an unmined block on the current tip.
+        """Assemble a block on the current tip.
 
         Fee accounting is speculative validation: the selected batch is
         applied to a copy-on-write overlay of the live UTXO set, which
@@ -104,20 +103,8 @@ class Miner:
         return template
 
     def mine(self, timestamp: float) -> Block:
-        """Produce a valid block at ``timestamp`` (grinding nonces if needed)."""
-        template = self.build_template(timestamp)
-        if template.header.meets_target(self.params.pow_bits):
-            return template
-        for nonce in range(1, _MAX_NONCE):
-            candidate = Block.assemble(
-                prev_hash=template.header.prev_hash,
-                timestamp=timestamp,
-                transactions=template.transactions,
-                nonce=nonce,
-            )
-            if candidate.header.meets_target(self.params.pow_bits):
-                return candidate
-        raise ValidationError("nonce space exhausted")  # pragma: no cover
+        """Produce a valid block at ``timestamp``: the template itself."""
+        return self.build_template(timestamp)
 
     def mine_and_connect(self, timestamp: float) -> Block:
         """Mine a block, connect it locally, and clear its pool entries."""

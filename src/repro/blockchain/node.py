@@ -17,7 +17,7 @@ from repro.blockchain.block import Block
 from repro.blockchain.chain import AddBlockResult, Chain
 from repro.blockchain.checkpoint import CheckpointRules
 from repro.blockchain.engine import ValidationEngine, ValidationReport
-from repro.blockchain.mempool import Mempool, MempoolPolicy
+from repro.blockchain.mempool import Mempool
 from repro.blockchain.params import ChainParams
 from repro.blockchain.store import load_chain
 from repro.blockchain.transaction import Transaction
@@ -46,18 +46,17 @@ class FullNode:
 
     def __init__(self, params: Optional[ChainParams] = None,
                  name: str = "node",
-                 verify_scripts: Optional[bool] = None,
-                 mempool_policy: Optional[MempoolPolicy] = None) -> None:
+                 verify_scripts: Optional[bool] = None) -> None:
         self.name = name
         self.chain = Chain(params, verify_scripts=verify_scripts)
-        self.mempool = Mempool(self.chain, policy=mempool_policy)
+        self.mempool = Mempool(self.chain)
         self.blocks_processed = 0
         self.transactions_processed = 0
 
     def restart(self, store: Optional[str] = None) -> None:
         """Come back from a crash in place, from what survived on disk.
 
-        The mempool empties (its policy stays), the chain goes back to
+        The mempool empties, the chain goes back to
         genesis and the engine gets fresh checkpoint rules; its verify
         flag, verdict memo and leader rule stay.  Then ``store`` — a
         :func:`~repro.blockchain.store.save_chain` snapshot, ``None``

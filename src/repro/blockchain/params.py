@@ -27,9 +27,6 @@ class ChainParams:
     :param max_block_size: serialized block size limit in bytes.
     :param coinbase_reward: subsidy per block, in base units.
     :param coinbase_maturity: blocks before a coinbase output is spendable.
-    :param pow_bits: leading zero *bits* required of a block hash.  Private
-        Multichain-like chains run with trivial difficulty; 0 disables the
-        check entirely (scheduled/permissioned mining).
     :param verify_blocks: whether nodes re-verify every script in incoming
         blocks.  The paper disables this to isolate BcWAN's own latency
         (Fig. 5) and enables it for Fig. 6.
@@ -47,7 +44,6 @@ class ChainParams:
     max_block_size: int = 1_000_000
     coinbase_reward: int = 50 * COIN
     coinbase_maturity: int = 1
-    pow_bits: int = 0
     verify_blocks: bool = False
     verification_stall_base: float = 8.0
     verification_stall_per_tx: float = 0.055
@@ -62,8 +58,6 @@ class ChainParams:
             raise ConfigurationError(
                 f"max block size too small: {self.max_block_size}"
             )
-        if not 0 <= self.pow_bits <= 32:
-            raise ConfigurationError(f"pow_bits out of range: {self.pow_bits}")
         if self.coinbase_maturity < 0:
             raise ConfigurationError(
                 f"coinbase maturity must be non-negative: {self.coinbase_maturity}"

@@ -23,8 +23,8 @@ Ouroboros spirit (the paper cites Kiayias et al.):
 Fork choice stays longest-chain; with honest leaders and synchronized
 slots there is at most one block per slot, so forks only arise from
 equivocation — which the gossip layer surfaces as a reorg, exactly like
-the PoW path.  The endorsement signs the header's nonce, so a PoS chain
-runs with ``pow_bits=0`` (no grinding).
+a fork on the scheduled chain.  No chain grinds nonces (there is no
+proof-of-work), so the endorsement also covers the header's nonce.
 """
 
 from __future__ import annotations

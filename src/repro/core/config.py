@@ -10,13 +10,11 @@ header, and block verification *disabled* (the Fig. 5 configuration —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.blockchain.mempool import MempoolPolicy
 from repro.blockchain.params import ChainParams
 from repro.errors import ConfigurationError
 
-__all__ = ["LightConfig", "MempoolPolicy", "NetworkConfig", "RegionTopology",
+__all__ = ["LightConfig", "NetworkConfig", "RegionTopology",
            "CELL_RADIUS", "FUNDING_COIN_VALUE", "OFFER_FEE"]
 
 # What no deployment varies: the radius (m) sensors are placed within
@@ -183,9 +181,6 @@ class NetworkConfig:
     :param light: the light-client tier (:class:`LightConfig`), on every
         chain of either topology; the default is the paper's
         all-full-node deployment.
-    :param mempool: admission policy (:class:`MempoolPolicy`) applied to
-        every full node; None keeps the unbounded, no-fee-floor pool that
-        matches the paper's Multichain deployment.
     :param tracing: sim-time span collection (one trace per exchange, one
         per block); makes the run's JSONL trace export meaningful.
     """
@@ -212,7 +207,6 @@ class NetworkConfig:
     wait_for_confirmation: bool = False
 
     light: LightConfig = field(default_factory=LightConfig)
-    mempool: Optional[MempoolPolicy] = None
     tracing: bool = False
 
     def __post_init__(self) -> None:

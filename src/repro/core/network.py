@@ -327,7 +327,6 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                     self.sim, self.wan, name, tuple(dict.fromkeys(
                         (site.name, sites[(k + 1) % len(sites)].name,
                          daemons[0].name))),
-                    pow_bits=cfg.chain.pow_bits,
                     sync_interval=cfg.light.light_sync_interval,
                     tracer=self.tracer)
                 self.light_clients.append(spv)
@@ -380,8 +379,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         engine carries its own CheckpointRules, so each anchor node
         independently rejects stale or regressing region digests.
         """
-        node = FullNode(self.config.chain, name, verify_scripts=False,
-                        mempool_policy=self.config.mempool)
+        node = FullNode(self.config.chain, name, verify_scripts=False)
         node.engine.verdict_memo = self.verdict_memo
         node.engine.policy.analyses = self._script_analyses
         if settlement:

@@ -3,9 +3,8 @@
 A :class:`HeaderChain` stores the active chain as a height-indexed list
 of validated :class:`~repro.blockchain.block.BlockHeader` objects — no
 bodies, no UTXO set, ~84 bytes per block.  Validation is the header
-subset of consensus: previous-hash linkage and the PoW target (with
-``pow_bits == 0``, the repo's PoS-style default, the target check is
-vacuous and linkage is the whole story, matching full-node behavior).
+subset of consensus, which with no proof-of-work is previous-hash
+linkage alone, matching full-node behavior.
 
 Fork handling mirrors longest-chain fork choice: an incoming range that
 conflicts with the stored suffix replaces it only when the result is
@@ -29,8 +28,7 @@ GENESIS_PREV_HASH = b"\x00" * 32
 class HeaderChain:
     """The active header chain of one light client."""
 
-    def __init__(self, pow_bits: int = 0) -> None:
-        self.pow_bits = pow_bits
+    def __init__(self) -> None:
         self._headers: list[BlockHeader] = []
         self._heights: dict[bytes, int] = {}
         self.headers_connected = 0
@@ -62,12 +60,8 @@ class HeaderChain:
     # -- growth ----------------------------------------------------------------
 
     def connect(self, header: BlockHeader) -> str:
-        """Append one header; returns ``"connected"``, ``"duplicate"``,
-        ``"invalid"`` (failed the PoW target) or ``"disconnected"``
-        (``prev_hash`` is not our tip)."""
-        if not header.meets_target(self.pow_bits):
-            self.headers_rejected += 1
-            return "invalid"
+        """Append one header; returns ``"connected"``, ``"duplicate"`` or
+        ``"disconnected"`` (``prev_hash`` is not our tip)."""
         if header.hash in self._heights:
             return "duplicate"
         if header.prev_hash != self.tip_hash:
@@ -86,8 +80,8 @@ class HeaderChain:
         the caller should re-request from lower), ``"unanchored"``
         (``headers[0]`` does not link onto our header at
         ``start_height-1`` — a fork below the requested window), or
-        ``"invalid"`` (malformed/target-failing header; nothing past it
-        is applied).
+        ``"invalid"`` (a malformed header, or a break in the linkage past
+        the first; nothing is applied).
         """
         if not raw_headers:
             return 0, "empty"
@@ -98,9 +92,6 @@ class HeaderChain:
             try:
                 header = BlockHeader.deserialize(raw)
             except ValidationError:
-                self.headers_rejected += 1
-                return 0, "invalid"
-            if not header.meets_target(self.pow_bits):
                 self.headers_rejected += 1
                 return 0, "invalid"
             headers.append(header)

@@ -72,7 +72,6 @@ class SpvClient:
 
     def __init__(self, sim: Simulator, network: Any, name: str,
                  peers: tuple[str, ...],
-                 pow_bits: int = 0,
                  sync_interval: float = 10.0,
                  tracer: Tracer = NULL_TRACER) -> None:
         if not peers:
@@ -81,7 +80,7 @@ class SpvClient:
         self.network = network
         self.name = name
         self.peers = list(peers)
-        self.chain = HeaderChain(pow_bits)
+        self.chain = HeaderChain()
         self.sync_interval = sync_interval
         self.tracer = tracer
         # Listener callbacks; agents append.  ``on_match(tx, height)``

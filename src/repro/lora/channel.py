@@ -12,8 +12,7 @@ LRU), one RSSI vector per completion, one row of the loudest
 interferer's level.  The contract, pinned by
 ``tests/lora/test_channel_differential.py`` against the per-listener loop
 in ``tests/oracles/channel_reference.py``: every verdict, every RSSI bit,
-every counter, the delivery order and the state of the channel rng are
-the loop's.
+every counter and the delivery order are the loop's.
 
 Two row builders keep that contract at numpy speed.  A *fast* row
 (:meth:`PathLossModel.fast_row_db`, numpy's own ``hypot`` and ``log10``)
@@ -27,10 +26,7 @@ listener that has a receiver, and every entry of a set ``verdict_log`` —
 is computed exactly, on those listeners only.  A listener whose
 ``deliver`` is ``None`` (a radio nobody reads, such as a sensor that only
 transmits) gets its verdict and counts in the counters, and costs no
-exact RSSI and no call.  Lognormal shadowing (``shadowing_sigma_db > 0``)
-draws from the channel rng per listener *conditionally*, which no batch
-form can replay, so such channels cache exact rows and walk the listeners
-in order over them.
+exact RSSI and no call.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,7 +60,7 @@ class Position:
 
 @dataclass(frozen=True)
 class PathLossModel:
-    """Log-distance path loss with optional lognormal shadowing.
+    """Log-distance path loss.
 
     Defaults follow the LoRa channel-attenuation measurements of
     Petäjäjärvi et al. (the paper's reference [6]): ~129 dB at 1 km with a
@@ -75,19 +71,15 @@ class PathLossModel:
     reference_distance: float = 1000.0
     reference_loss_db: float = 128.95
     exponent: float = 2.32
-    shadowing_sigma_db: float = 0.0
 
-    def loss_db(self, distance: float, rng: Optional[random.Random] = None) -> float:
+    def loss_db(self, distance: float) -> float:
         distance = max(distance, 1.0)
-        loss = self.reference_loss_db + 10 * self.exponent * math.log10(
+        return self.reference_loss_db + 10 * self.exponent * math.log10(
             distance / self.reference_distance
         )
-        if self.shadowing_sigma_db > 0 and rng is not None:
-            loss += rng.gauss(0.0, self.shadowing_sigma_db)
-        return loss
 
     def loss_row_db(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Unshadowed ``loss_db(math.hypot(dx[i], dy[i]))`` for every ``i``.
+        """``loss_db(math.hypot(dx[i], dy[i]))`` for every ``i``.
 
         Bit for bit: the same operations in the same association order as
         :meth:`loss_db`, the transcendentals still ``math.hypot`` and
@@ -218,7 +210,8 @@ class RadioChannel:
     is exact.  Without it, exact RSSIs are computed only for the delivered
     listeners that have a ``deliver`` callback, and only those are called,
     in listener registration order.  ``loss_rows_built`` /
-    ``loss_row_hits`` count path-loss row cache misses and hits.
+    ``loss_row_hits`` count path-loss row cache misses and hits.  The
+    medium draws nothing: ``rng`` is accepted and unused.
     """
 
     def __init__(self, sim: Simulator, rng: random.Random,
@@ -229,7 +222,6 @@ class RadioChannel:
                 f"capture threshold must be non-negative: {capture_threshold_db}"
             )
         self.sim = sim
-        self.rng = rng
         self.path_loss = path_loss or PathLossModel()
         self.capture_threshold_db = capture_threshold_db
         self._listeners: dict[str, Listener] = {}
@@ -329,17 +321,13 @@ class RadioChannel:
         self._snapshot_version = self._listener_version
 
     def _loss_row(self, position: Position) -> np.ndarray:
-        """Unshadowed path loss from ``position`` to every listener: fast,
-        or exact on a shadowed channel (the model is frozen, so a channel's
-        cache holds one kind)."""
+        """The fast path loss from ``position`` to every listener."""
         rows = self._loss_rows
         row = rows.pop(position, None)
         if row is None:
             self.loss_rows_built += 1
-            model = self.path_loss
-            build = (model.loss_row_db if model.shadowing_sigma_db > 0
-                     else model.fast_row_db)
-            row = build(position.x - self._xs, position.y - self._ys)
+            row = self.path_loss.fast_row_db(position.x - self._xs,
+                                             position.y - self._ys)
         else:
             self.loss_row_hits += 1
         rows[position] = row  # most recently used last
@@ -357,45 +345,40 @@ class RadioChannel:
         sender = transmission.sender
         own_radios = self._owner_indices.get(sender, ())
         sensitivity = SENSITIVITY_DBM[transmission.modulation.spreading_factor]
-        if self.path_loss.shadowing_sigma_db > 0:
-            rssi, audible, suppressed = self._shadowed_verdicts(
-                transmission, interferers, own_radios, sensitivity)
-            exact_rssi = rssi.__getitem__  # over exact rows: the loop's
-        else:
-            # Fast rows decide; a verdict within the margin of its
-            # threshold is decided again on exact values.
-            own_row = self._loss_row(transmission.position)
-            exact_rssi = partial(self._exact_rssi, transmission, own_row)
-            rssi = transmission.power_dbm - own_row
-            audible = rssi >= sensitivity
-            near = _near(rssi, sensitivity)
+        # Fast rows decide; a verdict within the margin of its
+        # threshold is decided again on exact values.
+        own_row = self._loss_row(transmission.position)
+        exact_rssi = partial(self._exact_rssi, transmission, own_row)
+        rssi = transmission.power_dbm - own_row
+        audible = rssi >= sensitivity
+        near = _near(rssi, sensitivity)
+        if near.size:
+            audible[near] = exact_rssi(near) >= sensitivity
+        if own_radios:
+            audible[own_radios] = False
+        # A listener is suppressed if any interferer lands within the
+        # capture threshold of the wanted signal, i.e. if the loudest
+        # one does (float subtraction is monotone, so this is the
+        # loop's test exactly); the loudest level accumulates one
+        # interferer at a time (no K x L matrix).
+        others = [(other, self._loss_row(other.position))
+                  for other in interferers]
+        suppressed = None
+        if others:
+            loudest = None
+            for other, other_row in others:
+                level = other.power_dbm - other_row
+                loudest = (level if loudest is None
+                           else np.maximum(loudest, level, out=loudest))
+            gap = rssi - loudest
+            threshold = self.capture_threshold_db
+            suppressed = gap < threshold
+            near = _near(gap, threshold)
             if near.size:
-                audible[near] = exact_rssi(near) >= sensitivity
-            if own_radios:
-                audible[own_radios] = False
-            # A listener is suppressed if any interferer lands within the
-            # capture threshold of the wanted signal, i.e. if the loudest
-            # one does (float subtraction is monotone, so this is the
-            # loop's test exactly); the loudest level accumulates one
-            # interferer at a time (no K x L matrix).
-            others = [(other, self._loss_row(other.position))
-                      for other in interferers]
-            suppressed = None
-            if others:
-                loudest = None
-                for other, other_row in others:
-                    level = other.power_dbm - other_row
-                    loudest = (level if loudest is None
-                               else np.maximum(loudest, level, out=loudest))
-                gap = rssi - loudest
-                threshold = self.capture_threshold_db
-                suppressed = gap < threshold
-                near = _near(gap, threshold)
-                if near.size:
-                    wanted = exact_rssi(near)
-                    suppressed[near] = np.logical_or.reduce([
-                        wanted - self._exact_rssi(other, other_row, near)
-                        < threshold for other, other_row in others])
+                wanted = exact_rssi(near)
+                suppressed[near] = np.logical_or.reduce([
+                    wanted - self._exact_rssi(other, other_row, near)
+                    < threshold for other, other_row in others])
         n_audible = int(np.count_nonzero(audible))
         if suppressed is None:
             delivered = audible
@@ -446,42 +429,6 @@ class RadioChannel:
                 f"off the exact one, beyond the decision margin "
                 f"{_DECISION_MARGIN_DB} dB")
         return transmission.power_dbm - exact
-
-    def _shadowed_verdicts(self, transmission: Transmission,
-                           interferers: list[Transmission],
-                           own_radios: Sequence[int], sensitivity: float):
-        """``(rssi, audible, suppressed)`` under lognormal shadowing.
-
-        Every link evaluated draws once from the channel rng, and a
-        listener stops drawing at the first interferer that suppresses it,
-        so the listeners are walked in order, over cached rows that on a
-        shadowed channel are exact; ``row[i] + gauss`` is the float add
-        ``PathLossModel.loss_db`` performs.
-        """
-        gauss = self.rng.gauss
-        sigma = self.path_loss.shadowing_sigma_db
-        threshold = self.capture_threshold_db
-        power = transmission.power_dbm
-        own_row = self._loss_row(transmission.position).tolist()
-        others = [(other.power_dbm, self._loss_row(other.position).tolist())
-                  for other in interferers]
-        count = len(own_row)
-        rssi = [0.0] * count
-        audible = [False] * count
-        suppressed = [False] * count
-        for i in range(count):
-            if i in own_radios:
-                continue
-            rssi[i] = level = power - (own_row[i] + gauss(0.0, sigma))
-            if level < sensitivity:
-                continue
-            audible[i] = True
-            for other_power, other_row in others:
-                if level - (other_power
-                            - (other_row[i] + gauss(0.0, sigma))) < threshold:
-                    suppressed[i] = True
-                    break
-        return np.array(rssi), np.array(audible), np.array(suppressed)
 
 
 def _near(values: np.ndarray, threshold: float) -> np.ndarray:

@@ -10,10 +10,13 @@ Robustness notes (the lessons a lossy, partitioned WAN teaches):
 * Dedup memories are bounded :class:`~repro.p2p.dedup.LRUSet`\\ s, not
   unbounded sets — a gateway that relays for months keeps a fixed
   footprint.
-* A transaction rejected only because its parents are unknown (orphan)
-  is *not* marked known: it is parked in a bounded buffer and re-tried
+* A transaction rejected only for now — its parents are unknown (an
+  orphan), it is not final yet, or it spends an immature coinbase — is
+  *not* marked known: it is parked in a bounded buffer and re-tried
   whenever a new transaction or block lands, so a child that raced ahead
-  of its parent on a reordering WAN is recovered instead of blackholed.
+  of its parent on a reordering WAN, or a refund gossiped before its
+  lock-time, is recovered instead of blackholed (Bitcoin Core resets its
+  reject filter on every new tip for the same reason).
 """
 
 from __future__ import annotations
@@ -27,12 +30,18 @@ from repro.blockchain.block import Block
 from repro.blockchain.node import FullNode
 from repro.blockchain.transaction import Transaction
 from repro.obs.registry import StatsView
-from repro.blockchain.mempool import REJECT_MISSING_INPUTS
+from repro.blockchain.mempool import (REJECT_IMMATURE, REJECT_MISSING_INPUTS,
+                                      REJECT_NON_FINAL)
 from repro.p2p.dedup import LRUSet
 from repro.p2p.message import BlockMessage, Envelope, TxMessage
 from repro.p2p.network import WANetwork
 
 __all__ = ["GossipNode"]
+
+# Refusals a later transaction or block can lift: such a transaction
+# waits with the orphans instead of being remembered as known.
+_NOT_YET = frozenset({REJECT_MISSING_INPUTS, REJECT_NON_FINAL,
+                      REJECT_IMMATURE})
 
 
 class GossipNode:
@@ -135,14 +144,15 @@ class GossipNode:
             if decision.relay:
                 self._relay(TxMessage(transaction=tx), exclude=(origin,))
             self._retry_orphans()
-        elif decision.reason_code == REJECT_MISSING_INPUTS:
-            # Parents unknown — park it; a later parent (via gossip or
-            # sync) re-triggers evaluation.  Deliberately NOT marked
-            # known: a re-gossip after eviction must get a fresh chance.
+        elif decision.reason_code in _NOT_YET:
+            # Not yet valid — park it; a later parent (via gossip or
+            # sync) or block re-triggers evaluation.  Deliberately NOT
+            # marked known: a re-gossip after eviction must get a fresh
+            # chance.
             self._stash_orphan(tx, origin)
         else:
-            # Permanent verdict (invalid, duplicate, conflicting spend):
-            # remember it so repeats are dropped cheaply.
+            # Permanent verdict (invalid, duplicate, conflicting spend,
+            # nonstandard): remember it so repeats are dropped cheaply.
             self._known_txids.add(tx.txid)
 
     def receive_block(self, block: Block, origin: str = "",
@@ -214,7 +224,7 @@ class GossipNode:
                         if decision.relay:
                             self._relay(TxMessage(transaction=tx),
                                         exclude=(origin,))
-                    elif decision.reason_code != REJECT_MISSING_INPUTS:
+                    elif decision.reason_code not in _NOT_YET:
                         # Now permanently decided (e.g. parent confirmed
                         # and the orphan double-spends, or it confirmed
                         # itself): stop retrying.

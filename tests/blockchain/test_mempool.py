@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.blockchain.mempool import (
+    AcceptResult,
     REJECT_COINBASE,
     REJECT_CONFLICT,
     REJECT_DUPLICATE,
@@ -33,9 +36,6 @@ def test_accept_valid_payment(funded_chain, rng):
     assert result.accepted
     assert result.txid == tx.txid
     assert result.reason == "" and result.reason_code == ""
-    spent = sum(node.chain.utxos.get(tx_input.outpoint).value
-                for tx_input in tx.inputs)
-    assert result.fee == spent - tx.total_output_value
     assert tx.txid in node.mempool
     assert node.mempool.get(tx.txid) == tx
 
@@ -240,3 +240,9 @@ def test_remove_confirmed_drops_the_losers_descendants(funded_chain, rng):
     assert len(node.mempool) == 0
     miner.mine_and_connect(60.0)
     assert node.chain.tip.block.header.prev_hash == block.hash
+
+
+def test_accept_result_is_frozen():
+    result = AcceptResult(accepted=True, txid=b"\x01" * 32)
+    with pytest.raises(AttributeError):
+        result.accepted = False

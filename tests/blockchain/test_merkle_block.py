@@ -117,20 +117,6 @@ def test_header_validation():
         header(nonce=-1)
 
 
-def test_meets_target_zero_bits_always():
-    assert header().meets_target(0)
-
-
-def test_meets_target_requires_leading_zeros():
-    h = header()
-    leading_zero_bits = 0
-    value = int.from_bytes(h.hash, "big")
-    while value < (1 << (256 - leading_zero_bits - 1)):
-        leading_zero_bits += 1
-    assert h.meets_target(leading_zero_bits)
-    assert not h.meets_target(leading_zero_bits + 1)
-
-
 def test_deserialize_rejects_bad_length():
     with pytest.raises(ValidationError):
         BlockHeader.deserialize(b"\x00" * 83)

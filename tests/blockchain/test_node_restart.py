@@ -14,7 +14,7 @@ import pytest
 
 from repro.blockchain.checkpoint import (EMPTY_EPOCH_ROOT, CheckpointRules,
                                          build_checkpoint_payload)
-from repro.blockchain.mempool import REJECT_CHECKPOINT, MempoolPolicy
+from repro.blockchain.mempool import REJECT_CHECKPOINT
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
@@ -74,18 +74,11 @@ def test_state_loss_returns_at_genesis_with_the_engine(funded_chain):
     assert node.height == 1
 
 
-def test_restart_keeps_the_mempool_policy():
-    policy = MempoolPolicy(max_transactions=7, min_fee_per_kb=10)
-    node = FullNode(ChainParams(), "policed", mempool_policy=policy)
-    node.restart()
-    assert node.mempool.policy is policy
-
-
 def test_store_with_an_unendorsed_block_is_refused(rng):
     registry = StakeRegistry(slot_duration=10.0)
     registry.register("alice", ecdsa.generate_private_key(rng).public_key, 1)
     registry.genesis_height = 1
-    params = ChainParams(pow_bits=0)
+    params = ChainParams()
     # A node without the leader rule takes blocks nobody endorsed.
     lax = FullNode(params, "lax")
     miner = Miner(chain=lax.chain, mempool=lax.mempool,

@@ -78,7 +78,7 @@ def _leader_miner(node, keys, name):
 
 
 def _pos_node(reg):
-    node = FullNode(ChainParams(pow_bits=0), "pos")
+    node = FullNode(ChainParams(), "pos")
     node.engine.leader_rule = reg
     return node
 

@@ -203,17 +203,6 @@ def test_miner_requires_20_byte_reward_hash(funded_chain):
               reward_pubkey_hash=b"\x01" * 19)
 
 
-def test_pow_mining_grinds_nonce(rng):
-    params = ChainParams(pow_bits=8)
-    node = FullNode(params, "pow-node")
-    wallet = Wallet(node.chain, KeyPair.generate(rng))
-    miner = Miner(chain=node.chain, mempool=node.mempool,
-                  reward_pubkey_hash=wallet.pubkey_hash)
-    block = miner.mine(1.0)
-    assert block.header.meets_target(8)
-    assert node.chain.add_block(block).status == "active"
-
-
 def test_mempool_cleared_after_mining(funded_chain, rng):
     node, wallet, miner = funded_chain
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
-from repro.blockchain.mempool import MempoolPolicy
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
 from repro.core.config import LightConfig
@@ -34,11 +33,9 @@ from repro.light.messages import TxProofMessage
 
 CRASH_AT, RESTART_AT = 40.0, 60.0
 EXCHANGES = 24
-# Never binding at this scale; a restart must keep it all the same.
-POLICY = MempoolPolicy(max_transactions=10_000)
 
 BASE = dict(num_gateways=3, sensors_per_gateway=2, seed=5,
-            exchange_interval=20.0, sync_interval=10.0, mempool=POLICY)
+            exchange_interval=20.0, sync_interval=10.0)
 TOPOLOGIES = {
     "flat-full": (NetworkConfig(**BASE), "site-1"),
     "flat-light-multicast": (NetworkConfig(**BASE, light=LightConfig(
@@ -144,8 +141,6 @@ def test_everything_built_on_the_node_reads_its_chain(restarted):
         assert region.anchor_wallet.chain is region.anchor_daemon.node.chain
     for multicaster in network.multicasters:
         assert multicaster.chain is daemons[multicaster.name].node.chain
-    for daemon in daemons.values():
-        assert daemon.node.mempool.policy is POLICY
 
 
 @pytest.mark.parametrize("preserve_chain", [True, False])

@@ -156,7 +156,6 @@ def test_flat_default_is_byte_identical():
     assert config.light == LightConfig()
     assert config.light.device_class == "full"
     assert config.light.compact_blocks is False
-    assert config.mempool is None
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -169,9 +168,3 @@ def test_light_subconfig_validation(kwargs):
     from repro.core.config import LightConfig
     with pytest.raises(ConfigurationError):
         LightConfig(**kwargs)
-
-
-def test_mempool_policy_threads_into_nodes():
-    from repro.core.config import MempoolPolicy
-    config = NetworkConfig(mempool=MempoolPolicy(max_transactions=64))
-    assert config.mempool.max_transactions == 64

@@ -10,9 +10,7 @@ requires *exact* equality of:
   interferer suppressed which listener would diverge here;
 - every RSSI, compared as raw floats (``==``, no tolerance);
 - the channel counters;
-- the delivery call order;
-- the channel rng's state afterwards (lognormal shadowing draws per link,
-  conditionally, so one draw more or less shows here).
+- the delivery call order.
 
 Some listeners have no receiver (``deliver=None``): both channels evaluate
 and count them like any other and make no call.
@@ -20,8 +18,8 @@ and count them like any other and make no call.
 The production channel runs each case twice: with a verdict log, which
 makes it compute every listener's RSSI exactly, and without one, as in
 every deployment, where it computes exact RSSIs for the delivered
-listeners with a receiver only; the second run's deliveries, counters and
-rng state must equal the oracle's too.  ``tests/lora/test_channel_margin.py`` holds the
+listeners with a receiver only; the second run's deliveries and counters
+must equal the oracle's too.  ``tests/lora/test_channel_margin.py`` holds the
 cases built to sit exactly on a threshold.
 
 Three layers: a seeded corpus of 200+ random overlapping-transmission
@@ -40,7 +38,7 @@ from hypothesis import strategies as st
 from repro.core import testbed as core_testbed
 from repro.core.config import NetworkConfig
 from repro.core.network import BcWANNetwork
-from repro.lora.channel import Listener, PathLossModel, Position, RadioChannel
+from repro.lora.channel import Listener, Position, RadioChannel
 from repro.lora.frames import DataFrame
 from repro.lora.phy import LoRaModulation
 from repro.sim.core import Simulator
@@ -55,8 +53,7 @@ CORPUS_CASES = 220
 
 
 def run_channel(channel_class, listeners, transmissions,
-                sigma: float = 0.0, capture_db: float = 6.0,
-                logged: bool = True):
+                capture_db: float = 6.0, logged: bool = True):
     """Replay one scenario on one channel; return its full observable state.
 
     A listener is ``(name, (x, y), owner)`` plus an optional ``receives``
@@ -68,10 +65,7 @@ def run_channel(channel_class, listeners, transmissions,
     """
     sim = Simulator()
     channel = channel_class(
-        sim, random.Random(99),
-        path_loss=PathLossModel(shadowing_sigma_db=sigma),
-        capture_threshold_db=capture_db,
-    )
+        sim, random.Random(99), capture_threshold_db=capture_db)
     deliveries: list[tuple] = []
     channel.verdict_log = [] if logged else None
     for name, (x, y), owner, *receives in listeners:
@@ -97,24 +91,20 @@ def run_channel(channel_class, listeners, transmissions,
     return deliveries, channel.verdict_log, frame_counters(channel), channel
 
 
-def assert_matches_oracle(listeners, transmissions, sigma=0.0,
+def assert_matches_oracle(listeners, transmissions,
                           capture_db=6.0) -> tuple:
     oracle = run_channel(ReferenceRadioChannel, listeners, transmissions,
-                         sigma, capture_db)
+                         capture_db)
     production = run_channel(RadioChannel, listeners, transmissions,
-                             sigma, capture_db)
+                             capture_db)
     assert production[0] == oracle[0], "delivery lists diverge"
     assert production[1] == oracle[1], "verdict logs diverge"
     assert production[2] == oracle[2], "channel counters diverge"
-    assert production[3].rng.getstate() == oracle[3].rng.getstate(), \
-        "channel rng streams diverge"
     # The path every deployment takes: no verdict log.
-    unlogged = run_channel(RadioChannel, listeners, transmissions, sigma,
+    unlogged = run_channel(RadioChannel, listeners, transmissions,
                            capture_db, logged=False)
     assert unlogged[0] == oracle[0], "unlogged delivery lists diverge"
     assert unlogged[2] == oracle[2], "unlogged channel counters diverge"
-    assert unlogged[3].rng.getstate() == oracle[3].rng.getstate(), \
-        "unlogged channel rng streams diverge"
     return oracle, production
 
 
@@ -137,8 +127,7 @@ def random_case(rng: random.Random):
             rng.uniform(2.0, 27.0),
             rng.randint(4, 24),
         ))
-    sigma = rng.choice((0.0, 0.0, 0.0, 2.5))  # sometimes shadowed
-    return listeners, transmissions, sigma
+    return listeners, transmissions
 
 
 def corpus():
@@ -147,17 +136,14 @@ def corpus():
 
 
 def test_seeded_corpus_pins_vector_to_scalar():
-    shadowed = counted_only = 0
-    for listeners, transmissions, sigma in corpus():
-        _, production = assert_matches_oracle(listeners, transmissions, sigma)
+    counted_only = 0
+    for listeners, transmissions in corpus():
+        _, production = assert_matches_oracle(listeners, transmissions)
         assert production[3].loss_rows_built, "no path-loss row was built"
-        shadowed += sigma > 0
         silent = {name for name, _, _, receives in listeners if not receives}
         counted_only += sum(verdict == "delivered" and listener in silent
                             for _, listener, verdict, _ in production[1])
-    # Both forms of the one path are exercised: batch and per-listener.
-    assert CORPUS_CASES // 8 < shadowed < CORPUS_CASES // 2
-    # ...and frames were delivered at listeners with no receiver.
+    # Frames were delivered at listeners with no receiver.
     assert counted_only > CORPUS_CASES // 4
 
 
@@ -231,25 +217,6 @@ def test_half_duplex_suppression_matches():
     assert all(ls != "self" for (_, ls, _, _) in log)
 
 
-def test_shadowing_draws_in_the_loop_order():
-    # sigma > 0 draws from the channel rng once per evaluated link and
-    # stops at the first suppressing interferer, so the number of draws
-    # depends on the verdicts.  Three listeners, the middle one the second
-    # sender's own radio, three mutually overlapping frames: the rng must
-    # end where the loop's ends, having actually been drawn from.
-    listeners = [("gw", (0.0, 0.0), None), ("own", (900.0, 0.0), "dev-1"),
-                 ("edge", (2400.0, 0.0), None)]
-    transmissions = [(0.0, "dev-0", (800.0, 0.0), 7, 0, 14.0, 12),
-                     (0.01, "dev-1", (900.0, 0.0), 7, 0, 14.0, 12),
-                     (0.02, "dev-2", (100.0, 50.0), 7, 0, 14.0, 12)]
-    oracle, production = assert_matches_oracle(listeners, transmissions,
-                                               sigma=4.0)
-    assert production[3].rng.getstate() != random.Random(99).getstate()
-    assert {v for (_, _, v, _) in oracle[1]} >= {"collision", "delivered"}
-    # The rows under the draws are the cached, unshadowed ones.
-    assert production[3].loss_rows_built == 3
-
-
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_hypothesis_search_pins_kernels(data):
@@ -274,8 +241,7 @@ def test_hypothesis_search_pins_kernels(data):
             st.integers(4, 24),
         ),
         min_size=2, max_size=6))
-    sigma = data.draw(st.sampled_from([0.0, 0.0, 3.0]))
-    assert_matches_oracle(listeners, transmissions, sigma=sigma)
+    assert_matches_oracle(listeners, transmissions)
 
 
 def paper_run():

@@ -32,10 +32,6 @@ MODEL = PathLossModel()
 LISTENER = ("gw", (0.0, 0.0), None)
 SF = 7
 CAPTURE_DB = 6.0
-# Every path-loss model a configuration or a test builds: deployments
-# take the defaults, the channel suites add shadowing (which rows ignore).
-MODELS = [PathLossModel()] + [PathLossModel(shadowing_sigma_db=sigma)
-                              for sigma in (2.5, 3.0, 4.0, 6.0)]
 
 
 def losses(position: tuple[float, float]) -> tuple[float, float]:
@@ -125,21 +121,20 @@ def test_capture_difference_at_the_threshold(on_threshold):
         "other": "collision"}
 
 
-@given(model=st.sampled_from(MODELS),
-       links=st.lists(st.tuples(st.floats(0.0, 1e7),
+@given(links=st.lists(st.tuples(st.floats(0.0, 1e7),
                                 st.floats(0.0, 2.0 * math.pi)),
                       min_size=1, max_size=64))
 @settings(max_examples=200, deadline=None)
-def test_fast_rows_stay_far_inside_the_margin(model, links):
+def test_fast_rows_stay_far_inside_the_margin(links):
     dx = np.array([distance * math.cos(angle) for distance, angle in links])
     dy = np.array([distance * math.sin(angle) for distance, angle in links])
-    gaps = np.abs(model.fast_row_db(dx, dy) - model.loss_row_db(dx, dy))
+    gaps = np.abs(MODEL.fast_row_db(dx, dy) - MODEL.loss_row_db(dx, dy))
     assert gaps.max() <= _DECISION_MARGIN_DB / 1000
 
 
-def one_frame(path_loss: PathLossModel) -> RadioChannel:
+def one_frame() -> RadioChannel:
     sim = Simulator()
-    channel = RadioChannel(sim, random.Random(3), path_loss=path_loss)
+    channel = RadioChannel(sim, random.Random(3))
     channel.add_listener(Listener(name="gw", position=Position(0.0, 0.0),
                                   deliver=lambda frame, rssi: None))
     frame = DataFrame(sender="dev-0", encrypted_message=b"x" * 12, nonce=0)
@@ -157,13 +152,4 @@ def test_a_fast_row_beyond_the_margin_raises(monkeypatch):
 
     monkeypatch.setattr(PathLossModel, "fast_row_db", off)
     with pytest.raises(AssertionError, match="beyond the decision margin"):
-        one_frame(MODEL)
-
-
-def test_a_shadowed_channel_caches_exact_rows(monkeypatch):
-    def refused(self, dx, dy):
-        raise AssertionError("a shadowed channel built a fast row")
-
-    monkeypatch.setattr(PathLossModel, "fast_row_db", refused)
-    channel = one_frame(PathLossModel(shadowing_sigma_db=4.0))
-    assert channel.loss_rows_built == 1
+        one_frame()

@@ -62,8 +62,8 @@ def test_corpus_verdicts_survive_a_cache_that_always_evicts(monkeypatch):
     # One float: a single listener's channel holds one row, any other none,
     # and every corpus case has at least two transmitter positions.
     monkeypatch.setattr(channel_module, "LOSS_ROW_CACHE_BYTES", 8)
-    for listeners, transmissions, sigma in corpus():
-        _, production = assert_matches_oracle(listeners, transmissions, sigma)
+    for listeners, transmissions in corpus():
+        _, production = assert_matches_oracle(listeners, transmissions)
         channel = production[3]
         assert cached_bytes(channel) <= 8
         assert channel.loss_rows_built > len(channel._loss_rows), \

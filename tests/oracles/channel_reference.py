@@ -3,14 +3,14 @@
 The delivery loop (``_deliver_scalar`` in ``src/`` while ``RadioChannel``
 still took ``kernel=``), ``_received_power`` and
 ``_suppressed_by_collision`` exactly as they stood there: one listener at a
-time, one interferer at a time, one ``PathLossModel.loss_db`` call (and,
-under shadowing, one rng draw) per link.  Around them this channel knows
+time, one interferer at a time, one ``PathLossModel.loss_db`` call per
+link.  Around them this channel knows
 nothing the production one knows — no numpy, no cached path-loss row, no
 listener snapshot, and no pruned interferer window: a completing frame is
 checked against every transmission the channel ever carried.  ``tests/lora/`` and
 ``benchmarks/test_scaling_fleet.py`` drive both channels through the same
-public calls and require the same verdict log, RSSI bits, counters,
-delivery order and rng state.  A listener whose ``deliver`` is ``None`` is
+public calls and require the same verdict log, RSSI bits, counters and
+delivery order.  A listener whose ``deliver`` is ``None`` is
 evaluated and counted like any other; only the call is skipped.
 """
 
@@ -42,7 +42,6 @@ class ReferenceRadioChannel:
                  path_loss: Optional[PathLossModel] = None,
                  capture_threshold_db: float = 6.0) -> None:
         self.sim = sim
-        self.rng = rng
         self.path_loss = path_loss or PathLossModel()
         self.capture_threshold_db = capture_threshold_db
         self._listeners: dict[str, Listener] = {}
@@ -82,8 +81,7 @@ class ReferenceRadioChannel:
     def _complete(self, transmission: Transmission) -> None:
         self._active.remove(transmission)
         self._ended.append(transmission)
-        # Frames on the air first, then ended ones in completion order: the
-        # order the per-interferer shadowing draws are made in.
+        # Frames on the air first, then ended ones in completion order.
         interferers = [
             other for other in (self._active + self._ended)
             if other is not transmission
@@ -125,7 +123,7 @@ class ReferenceRadioChannel:
     def _received_power(self, transmission: Transmission,
                         at: Position) -> float:
         distance = transmission.position.distance_to(at)
-        return transmission.power_dbm - self.path_loss.loss_db(distance, self.rng)
+        return transmission.power_dbm - self.path_loss.loss_db(distance)
 
     def _suppressed_by_collision(self, transmission: Transmission,
                                  interferers: list[Transmission],

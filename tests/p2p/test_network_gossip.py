@@ -410,3 +410,32 @@ def test_dedup_caches_are_bounded_lru():
     small._known_txids.add(b"c")
     assert len(small._known_txids) == 2
     assert b"a" not in small._known_txids
+
+
+def test_refund_gossiped_before_its_locktime_enters_the_pool_later():
+    """Non-final is "not yet", not "never": the refund waits with the
+    orphans and is admitted by the block that makes it final."""
+    import random
+
+    from repro.blockchain.mempool import REJECT_NON_FINAL
+    from repro.crypto import rsa
+
+    _sim, _wan, (a, b) = make_cluster(2)
+    wallet, miner = funded(a)
+    for i in range(4):
+        b.node.submit_block(miner.mine_and_connect(float(i)))
+    offer = wallet.create_key_release_offer(
+        rsa.generate_keypair(512, random.Random(1)).public_key.to_bytes(),
+        b"\x07" * 20, amount=500, refund_locktime=6)
+    b.receive_transaction(offer.transaction, origin="n0")
+    refund = wallet.refund_key_release(offer)
+    assert (b.node.submit_transaction(refund).reason_code
+            == REJECT_NON_FINAL)  # at height 4, the next block is 5
+    b.receive_transaction(refund, origin="n0")
+    assert refund.txid not in b.node.mempool
+    assert refund.txid not in b._known_txids
+    assert b.orphan_count == 1
+    # Block 5 confirms the offer; at height 5 the refund is final.
+    b.receive_block(miner.mine_and_connect(4.0), origin="n0")
+    assert refund.txid in b.node.mempool
+    assert b.orphan_count == 0

@@ -4,7 +4,7 @@ import json
 
 from tools.analysis.report import (
     TOOL_NAME, Violation, fingerprint, load_baseline, render_json,
-    render_sarif, split_by_baseline, write_baseline,
+    render_sarif, split_by_baseline, stale_entries, write_baseline,
 )
 
 
@@ -106,6 +106,15 @@ def test_baseline_survives_line_drift(tmp_path):
     assert baselined == [drifted]
 
 
+def test_stale_entries_are_the_fingerprints_nothing_matches(tmp_path):
+    kept, fixed = make_violation(), make_violation(rule="taint-wall-clock")
+    baseline_path = tmp_path / "baseline.json"
+    write_baseline(baseline_path, [kept, fixed])
+    baseline = load_baseline(baseline_path)
+    assert stale_entries([kept, fixed], baseline) == []
+    assert stale_entries([kept], baseline) == [fingerprint(fixed)]
+
+
 # -- CLI end-to-end ------------------------------------------------------------
 
 def _write_tmp_tree(tmp_path):
@@ -165,6 +174,38 @@ def test_cli_baseline_gates_only_new_findings(tmp_path, capsys):
     )
     assert main(["src", "--root", str(tmp_path),
                  "--baseline", str(baseline)]) == 1
+
+
+def test_cli_baseline_fails_on_a_stale_entry(tmp_path, capsys):
+    from tools.analysis.__main__ import main
+
+    _write_tmp_tree(tmp_path)
+    baseline = tmp_path / "baseline.json"
+    assert main(["src", "--root", str(tmp_path),
+                 "--baseline", str(baseline), "--update-baseline"]) == 0
+    waived = set(load_baseline(baseline))
+    capsys.readouterr()
+
+    # The finding is fixed, its waiver stays: the run names it and fails.
+    (tmp_path / "src" / "repro" / "blockchain" / "seal.py").write_text(
+        "import hashlib\n"
+        "\n"
+        "def seal(data):\n"
+        "    return hashlib.sha256(data).digest()\n"
+    )
+    assert main(["src", "--root", str(tmp_path),
+                 "--baseline", str(baseline)]) == 1
+    captured = capsys.readouterr()
+    assert "nothing new" not in captured.out
+    stale = [line.split()[3] for line in captured.err.splitlines()
+             if line.startswith("stale baseline entry")]
+    assert stale and set(stale) <= waived
+
+    # Rewriting the baseline drops the stale entry and the run passes.
+    assert main(["src", "--root", str(tmp_path),
+                 "--baseline", str(baseline), "--update-baseline"]) == 0
+    assert main(["src", "--root", str(tmp_path),
+                 "--baseline", str(baseline)]) == 0
 
 
 def test_cli_sarif_output_parses(tmp_path, capsys):

@@ -10,11 +10,12 @@ Two layers run under one command:
 
 Findings carry stable fingerprints (rule + path + qualname + normalized
 snippet — line-drift independent).  ``--baseline FILE`` makes the run
-fail only on findings whose fingerprint is not in the baseline;
+fail on findings whose fingerprint is not in the baseline and on stale
+baseline entries, which no finding matches any more;
 ``--update-baseline`` rewrites it, keeping each surviving entry's
 reason.  ``--format json|sarif`` emits machine-readable reports (SARIF
 uploads as a CI artifact).  Exit status is 1 when any unbaselined
-finding exists.
+finding or stale entry exists.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from tools.analysis import EXCLUDED_FRAGMENTS, run_whole_program
 from tools.analysis.perfile import ALL_CHECKERS, check_source
 from tools.analysis.report import (
     Violation, load_baseline, render_json, render_sarif, render_text,
-    split_by_baseline, write_baseline,
+    split_by_baseline, stale_entries, write_baseline,
 )
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "tools")
@@ -62,7 +63,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="report format (default: text)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="baseline file of accepted finding "
-                             "fingerprints; only new findings fail the run")
+                             "fingerprints; new findings and stale entries "
+                             "fail the run")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the --baseline file from the current "
                              "findings and exit 0")
@@ -88,6 +90,7 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = load_baseline(args.baseline) if args.baseline else {}
     new, known = split_by_baseline(violations, baseline)
+    stale = stale_entries(violations, baseline)
 
     if args.output_format == "json":
         sys.stdout.write(render_json(new, len(files), len(known)))
@@ -98,12 +101,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{len(new)} new finding(s) "
               f"({len(known)} baselined) in {len(files)} file(s)",
               file=sys.stderr)
-    else:
+    elif not stale:
         print(f"ok: {len(files)} file(s), {len(ALL_CHECKERS)} per-file "
               f"rule(s) + whole-program passes, "
-              f"{len(known)} baselined finding(s), nothing new")
-    return 1 if new else 0
-
+              f"{len(known)} baselined finding(s), nothing new, nothing "
+              f"stale")
+    for entry in stale:
+        print(f"stale baseline entry {entry} (no finding matches it): "
+              f"{baseline[entry].get('finding', '')}", file=sys.stderr)
+    return 1 if new or stale else 0
 
 if __name__ == "__main__":
     raise SystemExit(main())

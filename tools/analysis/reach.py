@@ -44,7 +44,7 @@ __all__ = ["CONFIG_CLASSES", "UnreachableRule", "script_targets"]
 RULE = "unreachable"
 CONFIG_CLASSES = frozenset({
     "NetworkConfig", "LightConfig", "RegionTopology", "ChainParams",
-    "MempoolPolicy", "CostModel",
+    "CostModel",
 })
 _TARGET = re.compile(r"^([A-Za-z_][\w.]*):([A-Za-z_][\w.]*)$")
 _PROPERTY_DECORATORS = frozenset({"property", "cached_property", "setter"})

@@ -9,8 +9,9 @@ finding, which is exactly when a human should look again.
 
 The baseline file is a checked-in JSON object mapping fingerprints to a
 human-readable locator and the one-line reason the finding is accepted.
-``--baseline`` makes the run fail only on findings *not* in the
-baseline; ``--update-baseline`` rewrites the file from the current
+``--baseline`` makes the run fail on findings *not* in the baseline and
+on baseline entries no finding matches any more (a fixed finding's
+waiver must go with it); ``--update-baseline`` rewrites the file from the current
 findings (sorted, so diffs review cleanly), keeping the reasons of the
 entries that survive.
 """
@@ -27,7 +28,7 @@ from typing import Sequence
 __all__ = [
     "Violation", "allowed", "line_text", "fingerprint", "normalize_snippet",
     "render_json", "render_sarif", "render_text", "load_baseline",
-    "write_baseline", "split_by_baseline", "TOOL_NAME",
+    "write_baseline", "split_by_baseline", "stale_entries", "TOOL_NAME",
 ]
 
 TOOL_NAME = "bcwan-analysis"
@@ -198,3 +199,10 @@ def split_by_baseline(violations: Sequence[Violation],
         else:
             new.append(violation)
     return new, known
+
+
+def stale_entries(violations: Sequence[Violation],
+                  baseline: dict[str, dict[str, str]]) -> list[str]:
+    """The baseline fingerprints no finding in ``violations`` matches."""
+    current = {fingerprint(violation) for violation in violations}
+    return sorted(set(baseline) - current)
