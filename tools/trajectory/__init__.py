@@ -1,1 +1,1 @@
-"""The benchmark's committed record: digest pins checked in CI."""
+"""The benchmark's committed record: digest and work pins checked in CI."""

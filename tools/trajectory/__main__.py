@@ -1,9 +1,13 @@
 """CLI: ``python -m tools.trajectory pins [--update]`` and ``pairs``.
 
 ``pins`` runs every workload ``BENCHMARK.json`` declares at ``--smoke``
-sizes on each pinned seed and compares each run's output digest,
-attempted and failed counts with ``tools/trajectory/pins.json``.  Exit 0
-when every run matches, 1 when one differs or fails its checks.
+sizes on each pinned seed, untraced and traced, and compares each run's
+output digest, attempted and failed counts, and the traced run's work
+counts (every declared ``count`` metric, each span's ``.calls``
+included, plus ``verifications_per_tx`` and the script-cache hit
+ratio), with ``tools/trajectory/pins.json``.  Exit 0 when every run
+matches, 1 when one differs or fails its checks; a mismatch names the
+field or count and both values.
 ``--update`` rewrites the file from this checkout instead: a declared
 behaviour change re-pins here, in one place.
 
@@ -35,7 +39,8 @@ def main(argv: list[str] | None = None) -> int:
                                      description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
     pins = commands.add_parser(
-        "pins", help="check (or --update) the smoke-size digest pins")
+        "pins",
+        help="check (or --update) the smoke-size digest and work pins")
     pins.add_argument("--update", action="store_true",
                       help="rewrite the pin file from this checkout")
     pairs = commands.add_parser(
