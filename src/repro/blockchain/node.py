@@ -126,8 +126,10 @@ class FullNode:
                 if record is not None:
                     self.mempool.remove_confirmed(record.block.transactions)
             # A reorg puts disconnected transactions back in play; real
-            # nodes resurrect them.  We do too (best effort).
-            for block_hash in result.disconnected:
+            # nodes resurrect them.  We do too (best effort), oldest
+            # block first (``disconnected`` is tip first), so a child
+            # from a later block finds its parent back in the pool.
+            for block_hash in reversed(result.disconnected):
                 record = self.chain.record_for(block_hash)
                 if record is None:
                     continue

@@ -15,6 +15,7 @@ from repro.blockchain.transaction import (
     TxInput,
     TxOutput,
 )
+from repro.blockchain.wallet import Wallet
 from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
@@ -196,3 +197,32 @@ def test_node_rejects_invalid_block(funded_chain):
                            transactions=[greedy])
     decision, result = node.submit_block(block)
     assert not decision.accepted and result.status == "rejected"
+
+
+def test_reorg_resurrects_a_child_after_its_parent(funded_chain, rng):
+    """A reorg offers disconnected transactions oldest block first, so a
+    transaction spending one from an earlier disconnected block finds
+    its parent back in the pool."""
+    node, wallet, miner = funded_chain
+    fork, fork_height = node.chain.tip.hash, node.chain.height
+    bob = Wallet(node.chain, KeyPair.generate(rng))
+    bob.watch_chain()
+    parent = wallet.create_payment(bob.pubkey_hash, 1_000)
+    assert node.submit_transaction(parent).accepted
+    assert node.submit_block(miner.mine(10.0))[1].status == "active"
+    child = bob.create_payment(KeyPair.generate(rng).pubkey_hash, 500)
+    assert child.inputs[0].outpoint == OutPoint(parent.txid, 0)
+    assert node.submit_transaction(child).accepted
+    assert node.submit_block(miner.mine(11.0))[1].status == "active"
+    assert node.mempool.get(parent.txid) is None
+    assert node.mempool.get(child.txid) is None
+
+    prev = fork
+    for height in range(fork_height + 1, fork_height + 4):
+        rival = Block.assemble(prev_hash=prev, timestamp=20.0 + height,
+                               transactions=[make_coinbase(height)])
+        _decision, result = node.submit_block(rival)
+        prev = rival.hash
+    assert result.status == "active" and len(result.disconnected) == 2
+    assert node.mempool.get(parent.txid) is parent
+    assert node.mempool.get(child.txid) is child
