@@ -215,6 +215,14 @@ class Transaction:
         return len(self.inputs) == 1 and self.inputs[0].outpoint.is_coinbase
 
     @cached_property
+    def outpoints(self) -> tuple[OutPoint, ...]:
+        """``OutPoint(txid, i)`` for each output, built once: connect,
+        undo and the wallets' block scans all read these."""
+        txid = self.txid
+        return tuple(OutPoint(txid, index)
+                     for index in range(len(self.outputs)))
+
+    @cached_property
     def total_output_value(self) -> int:
         return sum(output.value for output in self.outputs)
 

@@ -276,9 +276,8 @@ class Wallet(SingleKeyWallet):
         for tx in block.transactions:
             for tx_input in tx.inputs:
                 self._debit(tx_input.outpoint)
-            for index, output in enumerate(tx.outputs):
+            for outpoint, output in zip(tx.outpoints, tx.outputs):
                 if output.script_pubkey.to_bytes() == my_script:
-                    outpoint = OutPoint(txid=tx.txid, index=index)
                     if self.chain.utxos.get(outpoint) is not None:
                         self._credit(outpoint, output.value)
 

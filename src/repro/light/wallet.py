@@ -60,9 +60,8 @@ class LightWallet(SingleKeyWallet):
             value = self._debit(tx_input.outpoint)
             if value is not None:
                 delta -= value
-        for index, output in enumerate(tx.outputs):
+        for outpoint, output in zip(tx.outpoints, tx.outputs):
             if output.script_pubkey.to_bytes() == my_script:
-                outpoint = OutPoint(txid=tx.txid, index=index)
                 if outpoint in self._spent:
                     continue  # credit arrived after its own spend
                 self._credit(outpoint, output.value)

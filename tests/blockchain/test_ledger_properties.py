@@ -13,7 +13,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Chain
@@ -25,7 +25,7 @@ from repro.blockchain.transaction import (
     TxInput,
     TxOutput,
 )
-from repro.blockchain.utxo import UTXOEntry, UTXOView
+from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.chaos.verify import utxo_digest
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
@@ -105,7 +105,8 @@ def test_outpoint_constructor_validates_keywords_and_positionals():
 def test_transaction_facts_are_computed_once():
     tx = coinbase(1, 0)
     assert tx.is_coinbase and tx.total_output_value == 50
-    assert {"is_coinbase", "total_output_value"} <= set(vars(tx))
+    assert tx.outpoints == (OutPoint(tx.txid, 0),)
+    assert {"is_coinbase", "total_output_value", "outpoints"} <= set(vars(tx))
 
 
 # -- transactions and blocks for the ledger properties ---------------------------
@@ -300,6 +301,61 @@ def test_failed_connect_leaves_the_base_set_bit_for_bit(failure, position,
     after = dict(utxos.items())
     assert after == before
     assert all(after[op] is before[op] for op in before)
+
+
+# -- an overlay commits what it shows, or nothing -----------------------------------
+
+VIEW_POOL = [OutPoint(bytes([k]) * 32, 0) for k in range(1, 7)]
+view_steps = st.lists(
+    st.tuples(st.sampled_from(("add", "remove", "base-add", "base-remove")),
+              st.integers(min_value=0, max_value=len(VIEW_POOL) - 1)),
+    max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(view_steps)
+# A base outpoint removed, then re-created, inside the overlay.
+@example([("remove", 1), ("remove", 0), ("add", 0)])
+# A stale view: the set gains an outpoint the overlay already added.
+@example([("remove", 1), ("add", 3), ("base-add", 3)])
+def test_commit_writes_what_the_view_shows_or_nothing(plan):
+    """Adds and removes on a view over a set -- and on the set itself
+    after the view was built, which makes the view stale.  A commit
+    leaves the set holding exactly what the view showed at every
+    outpoint the view touched, and the rest as it was; or it raises
+    :class:`ValidationError` and leaves the set bit-for-bit unchanged."""
+    utxos = UTXOSet()
+    for op in VIEW_POOL[:3]:
+        utxos.add(op, UTXOEntry(TxOutput(1, LOCK), 0, False))
+    view = UTXOView(utxos)
+    touched: set[OutPoint] = set()
+    for serial, (action, pick) in enumerate(plan):
+        op = VIEW_POOL[pick]
+        ledger = utxos if action.startswith("base-") else view
+        try:
+            if action.endswith("add"):
+                ledger.add(op, UTXOEntry(TxOutput(serial, LOCK), serial,
+                                         False))
+            else:
+                ledger.remove(op)
+        except ValidationError:
+            continue
+        if ledger is view:
+            touched.add(op)
+    shown = {op: view.get(op) for op in VIEW_POOL}
+    before = list(utxos.items())
+    try:
+        view.commit()
+    except ValidationError:
+        after = list(utxos.items())
+        assert after == before
+        assert all(a[1] is b[1] for a, b in zip(after, before))
+        return
+    untouched = dict(before)
+    for op in VIEW_POOL:
+        expected = shown[op] if op in touched else untouched.get(op)
+        assert utxos.get(op) is expected
+    assert len(utxos) == sum(utxos.get(op) is not None for op in VIEW_POOL)
 
 
 # -- the error text, pinned -------------------------------------------------------
