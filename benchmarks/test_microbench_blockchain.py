@@ -25,7 +25,7 @@ from repro.crypto.keys import KeyPair
 def stack():
     rng = random.Random(0xBEEF)
     params = ChainParams(coinbase_maturity=1)
-    node = FullNode(params, "bench", verify_scripts=False)
+    node = FullNode(params, "bench")
     wallet = Wallet(node.chain, KeyPair.generate(rng))
     wallet.watch_chain()
     miner = Miner(chain=node.chain, mempool=node.mempool,

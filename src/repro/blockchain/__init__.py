@@ -44,7 +44,7 @@ from repro.blockchain.engine import (
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import merkle_branch, merkle_root
 from repro.blockchain.miner import Miner
-from repro.blockchain.node import FullNode, RelayDecision
+from repro.blockchain.node import FullNode
 from repro.blockchain.params import COIN, ChainParams
 from repro.blockchain.pos import StakeRegistry, slot_of
 from repro.blockchain.sigbatch import VerdictMemo
@@ -88,7 +88,6 @@ __all__ = [
     "ValidationReport",
     "VerdictMemo",
     "OutPoint",
-    "RelayDecision",
     "StakeRegistry",
     "SEQUENCE_FINAL",
     "SIGHASH_ALL",

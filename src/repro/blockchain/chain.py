@@ -112,15 +112,6 @@ class Chain:
     # -- inspection -----------------------------------------------------------
 
     @property
-    def verify_scripts(self) -> bool:
-        """Whether block connection re-runs scripts (engine-owned flag)."""
-        return self.engine.verify_scripts
-
-    @verify_scripts.setter
-    def verify_scripts(self, value: bool) -> None:
-        self.engine.verify_scripts = value
-
-    @property
     def height(self) -> int:
         return len(self._active) - 1
 

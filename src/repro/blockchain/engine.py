@@ -35,12 +35,39 @@ from repro.script.script import Script
 
 __all__ = [
     "MAX_MONEY",
+    "REJECT_CHECKPOINT",
+    "REJECT_COINBASE",
+    "REJECT_CONFLICT",
+    "REJECT_DUPLICATE",
+    "REJECT_IMMATURE",
+    "REJECT_MISSING_INPUTS",
+    "REJECT_NONSTANDARD",
+    "REJECT_NON_FINAL",
+    "REJECT_SCRIPT",
+    "REJECT_SYNTAX",
+    "REJECT_VALUE",
     "ScriptCacheStats",
     "ValidationEngine",
     "ValidationReport",
 ]
 
 MAX_MONEY = 21_000_000 * 100_000_000
+
+# Stable machine-readable rejection codes of transaction admission
+# (``AcceptResult.reason_code``).  Callers branch on these; the reason
+# text stays human-diagnostic prose.  The contextual stage raises its
+# three on ``ValidationError.code``.
+REJECT_DUPLICATE = "duplicate"
+REJECT_COINBASE = "coinbase"
+REJECT_SYNTAX = "syntax"
+REJECT_CHECKPOINT = "checkpoint"
+REJECT_CONFLICT = "conflict"
+REJECT_NONSTANDARD = "nonstandard"
+REJECT_MISSING_INPUTS = "missing-inputs"
+REJECT_IMMATURE = "immature"
+REJECT_VALUE = "value"
+REJECT_NON_FINAL = "non-final"
+REJECT_SCRIPT = "script"
 
 UTXOSource = Union[UTXOSet, UTXOView]
 
@@ -64,7 +91,7 @@ class ScriptCacheStats:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """What one block connect (or speculative validation) did.
+    """What one block connect did.
 
     Consumed by the chain (undo data for reorgs), the node and daemon
     (cache telemetry), and the benchmarks (script-execution accounting).
@@ -252,50 +279,37 @@ class ValidationEngine:
 
     # -- stage 2: contextual ---------------------------------------------------
 
-    def check_transaction_inputs(self, tx: Transaction, utxos: UTXOSource,
-                                 height: int) -> int:
-        """Contextual checks: inputs exist, maturity, value balance.
-
-        Returns the transaction fee.
-        """
-        return self._check_resolved_inputs(
-            tx, [utxos.get(tx_input.outpoint) for tx_input in tx.inputs],
-            height)
-
     def _check_resolved_inputs(self, tx: Transaction,
                                entries: list[Optional[UTXOEntry]],
                                height: int) -> int:
-        """:meth:`check_transaction_inputs` over entries already resolved
-        (``None`` where missing), in input order; returns the fee."""
+        """Contextual checks of ``tx`` at ``height`` over its inputs'
+        entries, resolved by the caller (block connect: its overlay;
+        admission: chain plus pool; ``None`` where missing).  Per input,
+        missing before maturity; then the value balance.  Returns the
+        fee; each refusal carries its ``REJECT_*`` code."""
         if tx.is_coinbase:
             return 0
+        maturity = self.params.coinbase_maturity
         input_value = 0
         for tx_input, entry in zip(tx.inputs, entries):
             if entry is None:
                 raise ValidationError(
                     f"input {tx_input.outpoint} not in UTXO set "
-                    f"(spent or never existed)"
+                    f"(spent or never existed)", code=REJECT_MISSING_INPUTS
                 )
-            input_value += self._check_entry_spendable(
-                tx_input.outpoint, entry, height
-            )
+            if entry.is_coinbase and height - entry.height < maturity:
+                raise ValidationError(
+                    f"coinbase output {tx_input.outpoint} spent at height "
+                    f"{height}, matures at {entry.height + maturity}",
+                    code=REJECT_IMMATURE
+                )
+            input_value += entry.value
         if input_value < tx.total_output_value:
             raise ValidationError(
                 f"outputs ({tx.total_output_value}) exceed inputs "
-                f"({input_value})"
+                f"({input_value})", code=REJECT_VALUE
             )
         return input_value - tx.total_output_value
-
-    def _check_entry_spendable(self, outpoint: OutPoint, entry: UTXOEntry,
-                               height: int) -> int:
-        """Maturity check for one resolved entry; returns its value."""
-        if (entry.is_coinbase
-                and height - entry.height < self.params.coinbase_maturity):
-            raise ValidationError(
-                f"coinbase output {outpoint} spent at height {height}, "
-                f"matures at {entry.height + self.params.coinbase_maturity}"
-            )
-        return entry.value
 
     # -- stage 3: scripts ------------------------------------------------------
 
@@ -376,15 +390,13 @@ class ValidationEngine:
                 )
 
     def connect_block(self, block: Block, utxos: UTXOSource, height: int,
-                      verify_scripts: Optional[bool] = None,
-                      commit: bool = True) -> ValidationReport:
+                      verify_scripts: Optional[bool] = None
+                      ) -> ValidationReport:
         """Validate and apply a block's transactions atomically.
 
         All work happens against a :class:`UTXOView` overlay; ``utxos`` is
         only touched by the final commit, so any :class:`ValidationError`
-        leaves it bit-for-bit untouched with no rollback work.  Pass
-        ``commit=False`` for purely speculative validation (the overlay is
-        discarded even on success).
+        leaves it bit-for-bit untouched with no rollback work.
 
         ``verify_scripts`` overrides the engine default for this call —
         the chain uses that to skip re-verification when restoring a
@@ -397,8 +409,8 @@ class ValidationEngine:
         total_fees = 0
         batch = _ScriptBatch(self)
         # Block-scoped checkpoint staging: applied to the rules only when
-        # the block commits, so speculative and failed connects leave the
-        # anchored state untouched.
+        # the block commits, so a failed connect leaves the anchored state
+        # untouched.
         pending_checkpoints: dict[int, Checkpoint] = {}
         checkpoint_txids: list[bytes] = []
         for tx in block.transactions:
@@ -427,11 +439,9 @@ class ValidationEngine:
             raise ValidationError(
                 f"coinbase claims {coinbase_value}, max is {max_coinbase}"
             )
-        if commit:
-            view.commit()
-            if self.checkpoint_rules is not None:
-                self.checkpoint_rules.apply(pending_checkpoints,
-                                            checkpoint_txids)
+        view.commit()
+        if self.checkpoint_rules is not None:
+            self.checkpoint_rules.apply(pending_checkpoints, checkpoint_txids)
         report = ValidationReport(
             block_hash=block.hash,
             height=height,
@@ -447,37 +457,3 @@ class ValidationEngine:
         )
         self.last_report = report
         return report
-
-    # -- speculative helpers ---------------------------------------------------
-
-    def speculative_fees(self, transactions: list[Transaction],
-                         utxos: UTXOSource, height: int) -> int:
-        """Total fees of an ordered batch, validated against an overlay.
-
-        The miner's template assembly: dependencies inside the batch
-        resolve through the overlay as each transaction applies, and the
-        live set is never touched.
-        """
-        view = UTXOView(utxos)
-        total = 0
-        for tx in transactions:
-            entries = view.resolve(tx)
-            total += self._check_resolved_inputs(tx, entries, height)
-            view.apply_resolved(tx, entries, height)
-        return total
-
-    def conflicts(self, first: Transaction, second: Transaction,
-                  utxos: UTXOSource, height: int) -> bool:
-        """Whether ``second`` becomes unspendable once ``first`` applies.
-
-        The double-spend probe: both orders of a conflicting pair fail the
-        contextual stage on whichever transaction comes second, and the
-        probe costs one overlay, not a UTXO-set clone.
-        """
-        view = UTXOView(utxos)
-        view.apply_transaction(first, height)
-        try:
-            self.check_transaction_inputs(second, view, height)
-        except ValidationError:
-            return True
-        return False

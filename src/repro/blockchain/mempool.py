@@ -22,6 +22,19 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.blockchain.chain import Chain
+from repro.blockchain.engine import (
+    REJECT_CHECKPOINT,
+    REJECT_COINBASE,
+    REJECT_CONFLICT,
+    REJECT_DUPLICATE,
+    REJECT_IMMATURE,
+    REJECT_MISSING_INPUTS,
+    REJECT_NON_FINAL,
+    REJECT_NONSTANDARD,
+    REJECT_SCRIPT,
+    REJECT_SYNTAX,
+    REJECT_VALUE,
+)
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry
 from repro.errors import ValidationError
@@ -42,20 +55,6 @@ __all__ = [
     "REJECT_VALUE",
 ]
 
-# Stable machine-readable rejection codes.  Callers branch on these;
-# ``AcceptResult.reason`` stays human-diagnostic prose.
-REJECT_DUPLICATE = "duplicate"
-REJECT_COINBASE = "coinbase"
-REJECT_SYNTAX = "syntax"
-REJECT_CHECKPOINT = "checkpoint"
-REJECT_CONFLICT = "conflict"
-REJECT_NONSTANDARD = "nonstandard"
-REJECT_MISSING_INPUTS = "missing-inputs"
-REJECT_IMMATURE = "immature"
-REJECT_VALUE = "value"
-REJECT_NON_FINAL = "non-final"
-REJECT_SCRIPT = "script"
-
 
 @dataclass(frozen=True)
 class AcceptResult:
@@ -66,8 +65,9 @@ class AcceptResult:
     :param reason: human-readable rejection diagnosis (empty on accept);
         for :data:`REJECT_SCRIPT` et al. this is the engine's
         :class:`ValidationError` message.
-    :param reason_code: one of the ``REJECT_*`` constants (empty on
-        accept) — the field flow control should branch on.
+    :param reason_code: one of the ``REJECT_*`` constants of
+        :mod:`repro.blockchain.engine` (empty on accept) — the field flow
+        control should branch on.
     """
 
     accepted: bool
@@ -79,10 +79,11 @@ class AcceptResult:
 class Mempool:
     """Validated unconfirmed transactions, keyed by txid.
 
-    Admission runs the chain engine's full staged pipeline — including
-    script execution — so every verdict lands in the shared script cache
-    and the eventual block connect never re-executes an admitted
-    transaction's scripts.
+    Admission runs the chain engine's stages — syntax, the contextual
+    stage over pool-aware resolution, scripts — so every verdict lands
+    in the shared script cache and the eventual block connect never
+    re-executes an admitted transaction's scripts.  The fee the
+    contextual stage returns is recorded for the miner.
 
     :param chain: the chain whose tip admission validates against.
     """
@@ -97,8 +98,9 @@ class Mempool:
         self._transactions: dict[bytes, Transaction] = {}
         # outpoint -> txid of the pool transaction spending it.
         self._spends: dict[OutPoint, bytes] = {}
-        # Serialized sizes, for ``total_bytes``.
+        # Serialized sizes (``total_bytes``, block templates) and fees.
         self._sizes: dict[bytes, int] = {}
+        self._fees: dict[bytes, int] = {}
         self._total_bytes = 0
 
     def __len__(self) -> int:
@@ -117,6 +119,10 @@ class Mempool:
     def total_bytes(self) -> int:
         """Summed serialized sizes of every pooled transaction."""
         return self._total_bytes
+
+    def fee(self, txid: bytes) -> int:
+        """The fee admission computed for pooled ``txid``."""
+        return self._fees[txid]
 
     def conflicts_with(self, tx: Transaction) -> list[bytes]:
         """Txids already in the pool that spend any of ``tx``'s inputs."""
@@ -181,28 +187,15 @@ class Mempool:
                 f"transaction {tx.txid.hex()[:16]}.. is not standard: "
                 f"{standardness}")
 
+        # The engine's contextual stage, over pool-aware resolution.
         next_height = self._chain.height + 1
-        input_value = 0
-        resolved: list[UTXOEntry] = []
-        for tx_input in tx.inputs:
-            entry = self._resolve(tx_input.outpoint)
-            if entry is None:
-                return self._reject(
-                    tx, REJECT_MISSING_INPUTS,
-                    f"input {tx_input.outpoint} not found in chain or pool")
-            if (entry.is_coinbase
-                    and next_height - entry.height
-                    < self._chain.params.coinbase_maturity):
-                return self._reject(
-                    tx, REJECT_IMMATURE,
-                    f"immature coinbase input {tx_input.outpoint}")
-            input_value += entry.value
-            resolved.append(entry)
-        if input_value < tx.total_output_value:
-            return self._reject(
-                tx, REJECT_VALUE,
-                f"outputs ({tx.total_output_value}) exceed inputs "
-                f"({input_value})")
+        resolved = [self._resolve(tx_input.outpoint)
+                    for tx_input in tx.inputs]
+        try:
+            fee = self._engine._check_resolved_inputs(tx, resolved,
+                                                      next_height)
+        except ValidationError as exc:
+            return self._reject(tx, exc.code, str(exc))
 
         # Mempool policy mirrors Bitcoin: non-final transactions wait.
         if not tx.is_final(next_height,
@@ -224,6 +217,7 @@ class Mempool:
             self._spends[tx_input.outpoint] = tx.txid
         size = len(tx.serialize())
         self._sizes[tx.txid] = size
+        self._fees[tx.txid] = fee
         self._total_bytes += size
         return AcceptResult(accepted=True, txid=tx.txid)
 
@@ -251,7 +245,8 @@ class Mempool:
         for tx_input in tx.inputs:
             if self._spends.get(tx_input.outpoint) == txid:
                 del self._spends[tx_input.outpoint]
-        self._total_bytes -= self._sizes.pop(txid, 0)
+        self._total_bytes -= self._sizes.pop(txid)
+        del self._fees[txid]
         return tx
 
     def _remove_with_descendants(self, txid: bytes) -> list[bytes]:
@@ -301,8 +296,8 @@ class Mempool:
         selected: list[Transaction] = []
         used = 0
         included: set[bytes] = set()
-        for tx in self._transactions.values():
-            size = len(tx.serialize())
+        for txid, tx in self._transactions.items():
+            size = self._sizes[txid]
             if used + size > max_bytes:
                 continue
             # Parents must be confirmed or already included.
@@ -314,6 +309,6 @@ class Mempool:
             if not depends_ok:
                 continue
             selected.append(tx)
-            included.add(tx.txid)
+            included.add(txid)
             used += size
         return selected

@@ -75,23 +75,15 @@ class Miner:
     def build_template(self, timestamp: float) -> Block:
         """Assemble a block on the current tip.
 
-        Fee accounting is speculative validation: the selected batch is
-        applied to a copy-on-write overlay of the live UTXO set, which
-        both resolves in-batch dependencies and guarantees the template
-        connects — without cloning or mutating chain state.
+        The coinbase claims the fees admission recorded for the selected
+        transactions; connecting the block validates them again.
         """
         height = self.chain.height + 1
         # Reserve room for the header (84 B) and the coinbase (~90 B,
         # plus slack for a large fee value).
         budget = self.params.max_block_size - 250
         selected = self.mempool.select_for_block(budget)
-        try:
-            fees = self.chain.engine.speculative_fees(
-                selected, self.chain.utxos, height,
-            )
-        except ValidationError as exc:
-            raise ValidationError(
-                f"template assembly failed: {exc}") from exc
+        fees = sum(self.mempool.fee(tx.txid) for tx in selected)
         coinbase = self.build_coinbase(height, fees)
         template = Block.assemble(
             prev_hash=self.chain.tip.hash,

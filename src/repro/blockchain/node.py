@@ -1,54 +1,38 @@
 """A full node: chain + mempool + relay hooks.
 
 :class:`FullNode` is the pure (simulation-agnostic) state machine one
-BcWAN daemon runs: it validates and stores blocks, admits transactions,
-and reports what should be relayed.  Timing behaviour — in particular the
-Multichain-style *block verification stall* that produces the paper's
-Fig. 6 — is layered on by :class:`repro.core.daemon.BlockchainDaemon`.
+BcWAN daemon runs: it validates and stores blocks and admits
+transactions, and gossip relays what its verdicts accept.  Timing
+behaviour — in particular the Multichain-style *block verification
+stall* that produces the paper's Fig. 6 — is layered on by
+:class:`repro.core.daemon.BlockchainDaemon`.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import AddBlockResult, Chain
 from repro.blockchain.checkpoint import CheckpointRules
 from repro.blockchain.engine import ValidationEngine, ValidationReport
-from repro.blockchain.mempool import Mempool
+from repro.blockchain.mempool import REJECT_DUPLICATE, AcceptResult, Mempool
 from repro.blockchain.params import ChainParams
 from repro.blockchain.store import load_chain
 from repro.blockchain.transaction import Transaction
 from repro.errors import ValidationError
 
-__all__ = ["FullNode", "RelayDecision"]
-
-
-@dataclass(frozen=True)
-class RelayDecision:
-    """What a node should do after processing an incoming item.
-
-    ``reason_code`` carries the mempool's stable ``REJECT_*`` code for
-    transaction rejections (empty for block decisions and acceptances);
-    relay policy branches on it instead of parsing ``reason`` prose.
-    """
-
-    accepted: bool
-    relay: bool
-    reason: str = ""
-    reason_code: str = ""
+__all__ = ["FullNode"]
 
 
 class FullNode:
     """Chain state plus mempool for one network participant."""
 
     def __init__(self, params: Optional[ChainParams] = None,
-                 name: str = "node",
-                 verify_scripts: Optional[bool] = None) -> None:
+                 name: str = "node") -> None:
         self.name = name
-        self.chain = Chain(params, verify_scripts=verify_scripts)
+        self.chain = Chain(params)
         self.mempool = Mempool(self.chain)
         self.blocks_processed = 0
         self.transactions_processed = 0
@@ -89,37 +73,31 @@ class FullNode:
     def height(self) -> int:
         return self.chain.height
 
-    def submit_transaction(self, tx: Transaction) -> RelayDecision:
-        """Validate a transaction into the mempool."""
+    def submit_transaction(self, tx: Transaction) -> AcceptResult:
+        """Validate a transaction into the mempool; the verdict is the
+        mempool's, after two cheap duplicate checks of the node's own."""
         self.transactions_processed += 1
         if tx.txid in self.mempool:
-            return RelayDecision(accepted=False, relay=False,
-                                 reason="already in mempool")
+            return AcceptResult(accepted=False, txid=tx.txid,
+                                reason="already in mempool",
+                                reason_code=REJECT_DUPLICATE)
         if self.chain.confirmations(tx.txid):
-            return RelayDecision(accepted=False, relay=False,
-                                 reason="already confirmed")
-        result = self.mempool.accept(tx)
-        if not result.accepted:
-            return RelayDecision(accepted=False, relay=False,
-                                 reason=result.reason,
-                                 reason_code=result.reason_code)
-        return RelayDecision(accepted=True, relay=True)
+            return AcceptResult(accepted=False, txid=tx.txid,
+                                reason="already confirmed",
+                                reason_code=REJECT_DUPLICATE)
+        return self.mempool.accept(tx)
 
-    def submit_block(self, block: Block) -> tuple[RelayDecision, AddBlockResult]:
-        """Validate a block into the chain; evicts confirmed pool entries."""
+    def submit_block(self, block: Block) -> AddBlockResult:
+        """Validate a block into the chain; evicts confirmed pool entries.
+
+        A :class:`ValidationError` comes back as an ``"invalid"`` result
+        carrying its message, as from :meth:`Chain.add_blocks`.
+        """
         self.blocks_processed += 1
         try:
             result = self.chain.add_block(block)
         except ValidationError as exc:
-            return (
-                RelayDecision(accepted=False, relay=False, reason=str(exc)),
-                AddBlockResult(status="rejected"),
-            )
-        if result.status == "duplicate":
-            return (
-                RelayDecision(accepted=False, relay=False, reason="duplicate"),
-                result,
-            )
+            return AddBlockResult(status="invalid", reason=str(exc))
         if result.status == "active":
             for block_hash in result.connected:
                 record = self.chain.record_for(block_hash)
@@ -139,4 +117,4 @@ class FullNode:
                         # transaction that no longer resolves simply
                         # stays out of the pool.
                         self.mempool.accept(tx)
-        return RelayDecision(accepted=True, relay=True), result
+        return result

@@ -113,7 +113,7 @@ def build_federation(size: int = 6, seed: int = 0,
     daemons: dict[str, BlockchainDaemon] = {}
     agents: dict[str, SyncAgent] = {}
     for name in names:
-        node = FullNode(CHAIN_PARAMS, name, verify_scripts=False)
+        node = FullNode(CHAIN_PARAMS, name)
         daemons[name] = BlockchainDaemon(
             sim, name, wan, node, cost, rngs.stream(f"daemon-{name}"),
             verify_blocks=verify_blocks, registry=registry)

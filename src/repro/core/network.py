@@ -372,14 +372,14 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         """A full node of this deployment, on the shared verdict memo and
         analysis cache.
 
-        Script re-verification on block connect is disabled on every
-        node for CPU economy — scripts are fully verified at mempool
-        admission on all nodes; the *timing* of Fig. 6's block
+        Block connect re-verifies scripts as the chain's
+        ``verify_blocks`` says; the shared memo answers every script
+        admission already ran, and the *timing* of Fig. 6's block
         verification is modeled by the daemon stall.  Every settlement
         engine carries its own CheckpointRules, so each anchor node
         independently rejects stale or regressing region digests.
         """
-        node = FullNode(self.config.chain, name, verify_scripts=False)
+        node = FullNode(self.config.chain, name)
         node.engine.verdict_memo = self.verdict_memo
         node.engine.policy.analyses = self._script_analyses
         if settlement:

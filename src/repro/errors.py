@@ -26,7 +26,15 @@ class ProtocolError(BcWANError):
 
 
 class ValidationError(BcWANError):
-    """A transaction, block, or message failed validation rules."""
+    """A transaction, block, or message failed validation rules.
+
+    ``code`` is the stable ``REJECT_*`` code of the refusal where the
+    raising stage has one (:mod:`repro.blockchain.engine`), else empty.
+    """
+
+    def __init__(self, message: str = "", code: str = "") -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class ConfigurationError(BcWANError):

@@ -16,7 +16,13 @@ Robustness notes (the lessons a lossy, partitioned WAN teaches):
   whenever a new transaction or block lands, so a child that raced ahead
   of its parent on a reordering WAN, or a refund gossiped before its
   lock-time, is recovered instead of blackholed (Bitcoin Core resets its
-  reject filter on every new tip for the same reason).
+  reject filter on every new tip for the same reason).  An orphan
+  evicted from the buffer is not marked known either, but behind a
+  :class:`~repro.core.daemon.BlockchainDaemon` a second gossiped copy
+  does not get here: the daemon marks every txid it receives as seen (a
+  bounded memory, cleared on restart) before handing the envelope over.
+  Only a direct :meth:`GossipNode.receive_transaction` call (sync's
+  path) gives an evicted orphan a fresh chance.
 """
 
 from __future__ import annotations
@@ -141,14 +147,14 @@ class GossipNode:
             self._known_txids.add(tx.txid)
             for listener in self.on_transaction:
                 listener(tx)
-            if decision.relay:
-                self._relay(TxMessage(transaction=tx), exclude=(origin,))
+            self._relay(TxMessage(transaction=tx), exclude=(origin,))
             self._retry_orphans()
         elif decision.reason_code in _NOT_YET:
             # Not yet valid — park it; a later parent (via gossip or
-            # sync) or block re-triggers evaluation.  Deliberately NOT
-            # marked known: a re-gossip after eviction must get a fresh
-            # chance.
+            # sync) or block re-triggers evaluation.  Not marked known,
+            # so a direct re-delivery after eviction (sync) is evaluated
+            # again; the daemon drops a re-gossiped copy before it gets
+            # here.
             self._stash_orphan(tx, origin)
         else:
             # Permanent verdict (invalid, duplicate, conflicting spend,
@@ -162,17 +168,15 @@ class GossipNode:
         self._known_blocks.add(block.hash)
         span = self.network.tracer.span("block.adopt", parent=parent,
                                         host=self.name)
-        decision, result = self.node.submit_block(block)
-        if decision.accepted:
-            span.end("ok", outcome=result.status)
-            if result.status in ("active", "side", "orphan"):
-                for listener in self.on_block:
-                    listener(block)
-            if decision.relay:
-                self._relay_block(block, exclude=(origin,), parent=span)
-            self._retry_orphans()
-        else:
-            span.end("rejected", reason=decision.reason)
+        result = self.node.submit_block(block)
+        if result.status in ("invalid", "duplicate"):
+            span.end("rejected", reason=result.reason or result.status)
+            return
+        span.end("ok", outcome=result.status)
+        for listener in self.on_block:
+            listener(block)
+        self._relay_block(block, exclude=(origin,), parent=span)
+        self._retry_orphans()
 
     def _relay_block(self, block: Block, exclude: tuple[str, ...] = (),
                      parent: Any = None) -> None:
@@ -221,9 +225,8 @@ class GossipNode:
                         progress = True
                         for listener in self.on_transaction:
                             listener(tx)
-                        if decision.relay:
-                            self._relay(TxMessage(transaction=tx),
-                                        exclude=(origin,))
+                        self._relay(TxMessage(transaction=tx),
+                                    exclude=(origin,))
                     elif decision.reason_code not in _NOT_YET:
                         # Now permanently decided (e.g. parent confirmed
                         # and the orphan double-spends, or it confirmed

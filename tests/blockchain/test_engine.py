@@ -38,7 +38,7 @@ def make_coinbase(height, value=50):
 def verifying_node(rng):
     """A script-verifying node with a funded wallet (Fig. 6 regime)."""
     params = ChainParams(coinbase_maturity=1, verify_blocks=True)
-    node = FullNode(params, "verify-node", verify_scripts=True)
+    node = FullNode(params, "verify-node")
     wallet = Wallet(node.chain, KeyPair.generate(rng))
     wallet.watch_chain()
     miner = Miner(chain=node.chain, mempool=node.mempool,
@@ -91,9 +91,11 @@ def test_coinbase_maturity_exact_boundary():
         inputs=[TxInput(outpoint=outpoint)],
         outputs=[TxOutput(value=50, script_pubkey=Script())],
     )
+    entries = [utxos.get(outpoint)]
     with pytest.raises(ValidationError, match="matures at"):
-        engine.check_transaction_inputs(spend, utxos, 100 + maturity - 1)
-    assert engine.check_transaction_inputs(spend, utxos, 100 + maturity) == 0
+        engine._check_resolved_inputs(spend, entries, 100 + maturity - 1)
+    assert engine._check_resolved_inputs(spend, entries,
+                                         100 + maturity) == 0
 
 
 # -- script verdicts ------------------------------------------------------------
@@ -164,8 +166,8 @@ def test_block_connect_reuses_mempool_verdicts(verifying_node, rng):
     assert misses_after_admission >= 3  # admission executed the scripts
 
     block = miner.mine(100.0)
-    decision, result = node.submit_block(block)
-    assert decision.accepted and result.status == "active"
+    result = node.submit_block(block)
+    assert result.status == "active"
 
     report = node.last_block_report
     assert report is not None
@@ -182,12 +184,11 @@ def test_unseen_block_still_executes_scripts(verifying_node, rng):
     assert node.submit_transaction(tx).accepted
     block = miner.mine(100.0)
 
-    other = FullNode(node.params, "cold", verify_scripts=True)
+    other = FullNode(node.params, "cold")
     for _height, past in node.chain.iter_active_blocks(1):
         if past.hash != block.hash:
             other.submit_block(past)
-    decision, _result = other.submit_block(block)
-    assert decision.accepted
+    assert other.submit_block(block).status == "active"
     report = other.last_block_report
     assert report.script_executions == len(tx.inputs)
     assert report.cache_hits == 0
@@ -273,17 +274,6 @@ def test_overlay_chained_spend_never_touches_base():
     assert base.get(OutPoint(txid=child.txid, index=0)) is not None
 
 
-def test_speculative_connect_discards_on_success(funded_chain):
-    node, _wallet, miner = funded_chain
-    block = miner.mine(50.0)
-    before = node.chain.utxos.snapshot()
-    report = node.engine.connect_block(
-        block, node.chain.utxos, node.chain.height + 1, commit=False,
-    )
-    assert node.chain.utxos.snapshot() == before
-    assert report.tx_count == len(block.transactions)
-
-
 def test_miner_template_fees_match_connected_fees(funded_chain, rng):
     node, wallet, miner = funded_chain
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100,
@@ -293,6 +283,5 @@ def test_miner_template_fees_match_connected_fees(funded_chain, rng):
     assert block.coinbase.total_output_value == (
         node.params.coinbase_reward + 321
     )
-    decision, result = node.submit_block(block)
-    assert decision.accepted and result.status == "active"
+    assert node.submit_block(block).status == "active"
     assert node.last_block_report.total_fees == 321

@@ -7,7 +7,7 @@ double-spends, and contextual overspends.  Property-based tests then
 assemble blocks from random subsets/orderings of those candidates and
 assert the engine's cross-input batch path (``connect_block``,
 ``Mempool.accept``) and the unbatched reference in
-``tests/oracles/engine_reference.py`` — ``check_transaction_inputs``, then
+``tests/oracles/engine_reference.py`` — the contextual stage, then
 one input straight through the interpreter at a time, then
 ``view.apply_transaction``, with no verdict memo — return
 **byte-identical** outcomes: the same accept/reject verdict, the same
@@ -29,6 +29,7 @@ The ``determinism``-named tests double as the CI flake guard (run under
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -296,7 +297,7 @@ def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
                                                             height)
         else:
             report = engine.connect_block(block, utxos, height,
-                                          verify_scripts=True, commit=True)
+                                          verify_scripts=True)
             summary = (report.tx_count, report.total_fees,
                        report.script_executions, report.cache_hits)
     except ValidationError as exc:
@@ -564,7 +565,8 @@ def test_determinism_batch_repeat(bank):
 def test_determinism_full_chain_replay(bank):
     """Replaying the whole bank chain, batch ``add_block`` vs the
     unbatched reference from genesis: equal digests and counters."""
-    node = FullNode(bank.params, "replay-batch", verify_scripts=True)
+    node = FullNode(replace(bank.params, verify_blocks=True),
+                    "replay-batch")
     reference_engine = ValidationEngine(bank.params)
     reference = EngineReference(reference_engine)
     reference_utxos = UTXOSet()

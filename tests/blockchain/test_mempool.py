@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blockchain.mempool import (
     AcceptResult,
     REJECT_COINBASE,
     REJECT_CONFLICT,
     REJECT_DUPLICATE,
+    REJECT_IMMATURE,
     REJECT_MISSING_INPUTS,
+    REJECT_NONSTANDARD,
     REJECT_NON_FINAL,
     REJECT_SCRIPT,
     REJECT_VALUE,
 )
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
+from repro.blockchain.params import ChainParams
 from repro.blockchain.transaction import (
     OutPoint,
     SEQUENCE_FINAL,
@@ -23,9 +30,15 @@ from repro.blockchain.transaction import (
     TxInput,
     TxOutput,
 )
+from repro.blockchain.wallet import Wallet
 from repro.crypto.keys import KeyPair
+from repro.p2p.gossip import GossipNode
+from repro.p2p.network import WANetwork
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script
+from repro.sim.core import Simulator
+from repro.sim.latency import ConstantLatency
+from repro.sim.rng import RngRegistry
 
 
 def test_accept_valid_payment(funded_chain, rng):
@@ -83,7 +96,7 @@ def test_reject_missing_input(funded_chain):
     result = node.mempool.accept(tx)
     assert not result.accepted
     assert result.reason_code == REJECT_MISSING_INPUTS
-    assert "not found in chain or pool" in result.reason
+    assert "not in UTXO set" in result.reason
 
 
 def test_reject_value_inflation(funded_chain, rng):
@@ -232,8 +245,7 @@ def test_remove_confirmed_drops_the_losers_descendants(funded_chain, rng):
     assert twin.mempool.accept(winner).accepted
     block = Miner(chain=twin.chain, mempool=twin.mempool,
                   reward_pubkey_hash=wallet.pubkey_hash).mine_and_connect(50.0)
-    decision, _result = node.submit_block(block)
-    assert decision.accepted
+    assert node.submit_block(block).status == "active"
 
     assert loser.txid not in node.mempool
     assert child.txid not in node.mempool
@@ -246,3 +258,153 @@ def test_accept_result_is_frozen():
     result = AcceptResult(accepted=True, txid=b"\x01" * 32)
     with pytest.raises(AttributeError):
         result.accepted = False
+
+
+# -- one path: fees and verdicts ------------------------------------------------
+
+def _node(params, rng, blocks):
+    """A node whose wallet owns ``blocks`` coinbases; returns
+    ``(node, key, wallet, miner)``."""
+    node = FullNode(params, "one-path")
+    key = KeyPair.generate(rng)
+    wallet = Wallet(node.chain, key)
+    wallet.watch_chain()
+    miner = Miner(chain=node.chain, mempool=node.mempool,
+                  reward_pubkey_hash=wallet.pubkey_hash)
+    for i in range(blocks):
+        miner.mine_and_connect(float(i))
+    return node, key, wallet, miner
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 1_000)),
+                min_size=1, max_size=6))
+def test_template_claims_the_fees_admission_recorded(spends):
+    """Confirmed-funded spends and chains of unconfirmed ones, each with
+    its own fee: the template's coinbase claims the subsidy plus exactly
+    their fees, and connecting it computes the same total."""
+    rng = random.Random(41)
+    node, _key, wallet, miner = _node(ChainParams(coinbase_maturity=1),
+                                      rng, blocks=7)
+    middle = KeyPair.generate(rng)
+    fees, last = [], None
+    for chained, fee in spends:
+        if chained and last is not None:
+            tx = _spend_output(last, 0, middle, middle.pubkey_hash,
+                               last.outputs[0].value - fee)
+        else:
+            tx = wallet.create_payment(middle.pubkey_hash, 10_000, fee=fee)
+        assert node.submit_transaction(tx).accepted
+        fees.append(fee)
+        last = tx
+    block = miner.mine(100.0)
+    assert len(block.transactions) == 1 + len(spends)
+    claimed = block.coinbase.total_output_value - node.params.coinbase_reward
+    assert claimed == sum(fees)
+    assert node.submit_block(block).status == "active"
+    assert node.last_block_report.total_fees == claimed
+
+
+def _orphan(node, key, wallet, miner, rng):
+    middle = KeyPair.generate(rng)
+    parent = wallet.create_payment(middle.pubkey_hash, 1_000)
+    return _spend_output(parent, 0, middle, middle.pubkey_hash, 900)
+
+
+def _immature(node, key, wallet, miner, rng):
+    coinbase = node.chain.tip.block.coinbase
+    return _spend_output(coinbase, 0, key, key.pubkey_hash,
+                         coinbase.outputs[0].value)
+
+
+def _overspend(node, key, wallet, miner, rng):
+    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
+    return Transaction(inputs=tx.inputs,
+                       outputs=[TxOutput(value=10**15,
+                                         script_pubkey=p2pkh_locking(
+                                             b"\x07" * 20))])
+
+
+def _non_final(node, key, wallet, miner, rng):
+    coin, value = wallet.spendable_coins()[0]
+    tx = Transaction(
+        inputs=[TxInput(outpoint=coin, sequence=0)],
+        outputs=[TxOutput(value=value,
+                          script_pubkey=p2pkh_locking(key.pubkey_hash))],
+        locktime=node.chain.height + 50,
+    )
+    return tx.with_input_script(
+        0, Script([wallet.sign_input(tx, 0, p2pkh_locking(key.pubkey_hash)),
+                   wallet.pubkey_bytes]))
+
+
+def _pooled(node, key, wallet, miner, rng):
+    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
+    assert node.submit_transaction(tx).accepted
+    return tx
+
+
+def _confirmed(node, key, wallet, miner, rng):
+    tx = _pooled(node, key, wallet, miner, rng)
+    miner.mine_and_connect(50.0)
+    return tx
+
+
+def _conflicting(node, key, wallet, miner, rng):
+    first = _pooled(node, key, wallet, miner, rng)
+    wallet.release_pending(first)
+    return wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 200)
+
+
+def _nonstandard(node, key, wallet, miner, rng):
+    return wallet._build_spend(
+        [TxOutput(value=5, script_pubkey=Script((b"",)))], fee=0)
+
+
+def _bad_script(node, key, wallet, miner, rng):
+    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
+    return tx.with_input_script(0, Script([b"\x00" * 64,
+                                           wallet.pubkey_bytes]))
+
+
+# (build, reason_code, what gossip does with it).  "parked" waits with
+# the orphans for a later block or parent; "known" is remembered and
+# dropped on repeat.
+REFUSALS = {
+    "missing-parent": (_orphan, REJECT_MISSING_INPUTS, "parked"),
+    "immature-coinbase": (_immature, REJECT_IMMATURE, "parked"),
+    "value-overflow": (_overspend, REJECT_VALUE, "known"),
+    "non-final": (_non_final, REJECT_NON_FINAL, "parked"),
+    "duplicate": (_pooled, REJECT_DUPLICATE, "known"),
+    "already-confirmed": (_confirmed, REJECT_DUPLICATE, "known"),
+    "conflict": (_conflicting, REJECT_CONFLICT, "known"),
+    "nonstandard": (_nonstandard, REJECT_NONSTANDARD, "known"),
+    "bad-script": (_bad_script, REJECT_SCRIPT, "known"),
+}
+
+
+def gossip_fate(name):
+    """``(reason_code, fate)`` of the ``name`` refusal: the node's verdict,
+    then where a gossip relay over the same node puts the transaction."""
+    build = REFUSALS[name][0]
+    rng = random.Random(name)
+    node, key, wallet, miner = _node(ChainParams(coinbase_maturity=3),
+                                     rng, blocks=6)
+    tx = build(node, key, wallet, miner, rng)
+    verdict = node.submit_transaction(tx)
+    assert not verdict.accepted and verdict.txid == tx.txid
+    sim = Simulator()
+    wan = WANetwork(sim, RngRegistry(0).stream("wan"),
+                    latency=ConstantLatency(delay=0.05))
+    gossip = GossipNode(node, wan)
+    gossip.receive_transaction(tx, origin="peer")
+    parked = gossip.orphan_count == 1
+    known = tx.txid in gossip._known_txids
+    assert parked != known
+    return verdict.reason_code, "parked" if parked else "known"
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_has_one_code_and_one_gossip_fate(name):
+    _build, code, fate = REFUSALS[name]
+    assert gossip_fate(name) == (code, fate)

@@ -67,8 +67,10 @@ def test_fee_computation(funded_chain, rng):
     node, wallet, _miner = funded_chain
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100,
                                fee=777)
-    fee = ValidationEngine(node.params).check_transaction_inputs(
-        tx, node.chain.utxos, node.chain.height + 1,
+    fee = ValidationEngine(node.params)._check_resolved_inputs(
+        tx, [node.chain.utxos.get(tx_input.outpoint)
+             for tx_input in tx.inputs],
+        node.chain.height + 1,
     )
     assert fee == 777
 
@@ -159,7 +161,7 @@ def test_node_accepts_and_relays_new_tx(funded_chain, rng):
     node, wallet, _miner = funded_chain
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     decision = node.submit_transaction(tx)
-    assert decision.accepted and decision.relay
+    assert decision.accepted and decision.txid == tx.txid
 
 
 def test_node_rejects_known_tx(funded_chain, rng):
@@ -183,10 +185,8 @@ def test_node_rejects_confirmed_tx(funded_chain, rng):
 def test_node_block_flow(funded_chain):
     node, _wallet, miner = funded_chain
     block = miner.mine(200.0)
-    decision, result = node.submit_block(block)
-    assert decision.accepted and result.status == "active"
-    decision, result = node.submit_block(block)
-    assert not decision.accepted and result.status == "duplicate"
+    assert node.submit_block(block).status == "active"
+    assert node.submit_block(block).status == "duplicate"
 
 
 def test_node_rejects_invalid_block(funded_chain):
@@ -195,8 +195,8 @@ def test_node_rejects_invalid_block(funded_chain):
     greedy = make_coinbase(height, value=10**12)
     block = Block.assemble(prev_hash=node.chain.tip.hash, timestamp=5.0,
                            transactions=[greedy])
-    decision, result = node.submit_block(block)
-    assert not decision.accepted and result.status == "rejected"
+    result = node.submit_block(block)
+    assert result.status == "invalid" and "coinbase claims" in result.reason
 
 
 def test_reorg_resurrects_a_child_after_its_parent(funded_chain, rng):
@@ -209,11 +209,11 @@ def test_reorg_resurrects_a_child_after_its_parent(funded_chain, rng):
     bob.watch_chain()
     parent = wallet.create_payment(bob.pubkey_hash, 1_000)
     assert node.submit_transaction(parent).accepted
-    assert node.submit_block(miner.mine(10.0))[1].status == "active"
+    assert node.submit_block(miner.mine(10.0)).status == "active"
     child = bob.create_payment(KeyPair.generate(rng).pubkey_hash, 500)
     assert child.inputs[0].outpoint == OutPoint(parent.txid, 0)
     assert node.submit_transaction(child).accepted
-    assert node.submit_block(miner.mine(11.0))[1].status == "active"
+    assert node.submit_block(miner.mine(11.0)).status == "active"
     assert node.mempool.get(parent.txid) is None
     assert node.mempool.get(child.txid) is None
 
@@ -221,7 +221,7 @@ def test_reorg_resurrects_a_child_after_its_parent(funded_chain, rng):
     for height in range(fork_height + 1, fork_height + 4):
         rival = Block.assemble(prev_hash=prev, timestamp=20.0 + height,
                                transactions=[make_coinbase(height)])
-        _decision, result = node.submit_block(rival)
+        result = node.submit_block(rival)
         prev = rival.hash
     assert result.status == "active" and len(result.disconnected) == 2
     assert node.mempool.get(parent.txid) is parent

@@ -57,7 +57,7 @@ class Harness:
         endpoint = "site" if device_class == "full" else "light"
 
         # Bootstrap a funded chain directly.
-        boot = FullNode(params, "boot", verify_scripts=False)
+        boot = FullNode(params, "boot")
         actor_key = KeyPair.generate(self.rngs.stream("actor"))
         recipient_key = KeyPair.generate(self.rngs.stream("recipient"))
         boot_wallet = Wallet(boot.chain, KeyPair.generate(self.rngs.stream("m")))
@@ -79,7 +79,7 @@ class Harness:
 
         self.wan = WANetwork(self.sim, self.rngs.stream("wan"),
                              latency=ConstantLatency(delay=0.01))
-        node = FullNode(params, "site", verify_scripts=False)
+        node = FullNode(params, "site")
         for _h, block in boot.chain.iter_active_blocks(1):
             node.submit_block(block)
         self.node = node

@@ -58,7 +58,7 @@ def make_daemon(verify_blocks=False, cost_model=None,
         coinbase_maturity=1, verification_stall_base=2.0,
         verification_stall_per_tx=0.1,
     )
-    node = FullNode(params, "d", verify_scripts=False)
+    node = FullNode(params, "d")
     daemon = BlockchainDaemon(
         sim, "d", wan, node,
         cost_model or CostModel(jitter_sigma=0.0),
@@ -93,7 +93,7 @@ def test_stall_delays_rpc():
     """An RPC issued while a block verifies waits out the stall."""
     sim, wan, node, daemon = make_daemon(verify_blocks=True)
     miner_wallet = Wallet(node.chain, KeyPair.generate(random.Random(1)))
-    miner = Miner(chain=FullNode(node.params, "m", verify_scripts=False).chain,
+    miner = Miner(chain=FullNode(node.params, "m").chain,
                   mempool=FullNode(node.params, "m2").mempool,
                   reward_pubkey_hash=miner_wallet.pubkey_hash)
     block = miner.mine(1.0)
@@ -118,7 +118,7 @@ def test_stall_delays_rpc():
 def test_no_stall_without_verification():
     sim, wan, node, daemon = make_daemon(verify_blocks=False)
     miner_wallet = Wallet(node.chain, KeyPair.generate(random.Random(1)))
-    helper = FullNode(node.params, "m", verify_scripts=False)
+    helper = FullNode(node.params, "m")
     miner = Miner(chain=helper.chain, mempool=helper.mempool,
                   reward_pubkey_hash=miner_wallet.pubkey_hash)
     block = miner.mine(1.0)
@@ -140,7 +140,7 @@ def test_no_stall_without_verification():
 
 def test_duplicate_blocks_not_reverified():
     sim, wan, node, daemon = make_daemon(verify_blocks=True)
-    helper = FullNode(node.params, "m", verify_scripts=False)
+    helper = FullNode(node.params, "m")
     miner = Miner(chain=helper.chain, mempool=helper.mempool,
                   reward_pubkey_hash=b"\x01" * 20)
     block = miner.mine(1.0)

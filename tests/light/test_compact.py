@@ -32,7 +32,7 @@ def make_pair(fallback_timeout=10.0):
     cost = CostModel(jitter_sigma=0.0)
     daemons = []
     for name in ("a", "b"):
-        node = FullNode(params, name, verify_scripts=False)
+        node = FullNode(params, name)
         daemon = BlockchainDaemon(sim, name, wan, node, cost,
                                   rngs.stream(f"daemon-{name}"))
         daemons.append(daemon)

@@ -78,7 +78,9 @@ class EngineReference:
         total_fees = 0
         executions = 0
         for tx in block.transactions:
-            total_fees += engine.check_transaction_inputs(tx, view, height)
+            total_fees += engine._check_resolved_inputs(
+                tx, [view.get(tx_input.outpoint) for tx_input in tx.inputs],
+                height)
             if not tx.is_coinbase:
                 executions += self.verify_input_scripts(
                     tx, [view.get(tx_input.outpoint)

@@ -32,7 +32,7 @@ def build_pair(loss_rate=0.0, sync_interval=5.0):
     cost = CostModel(jitter_sigma=0.0)
     daemons = []
     for name in ("a", "b"):
-        node = FullNode(params, name, verify_scripts=False)
+        node = FullNode(params, name)
         daemon = BlockchainDaemon(sim, name, wan, node, cost,
                                   rngs.stream(f"d-{name}"),
                                   verify_blocks=False)

@@ -36,7 +36,7 @@ def build_mesh(n=2, seed=0, loss_rate=0.0, sync_interval=5.0,
     names = [f"n{i}" for i in range(n)]
     daemons = []
     for name in names:
-        node = FullNode(params, name, verify_scripts=False)
+        node = FullNode(params, name)
         daemons.append(BlockchainDaemon(sim, name, wan, node, cost,
                                         rngs.stream(f"d-{name}"),
                                         verify_blocks=False))
