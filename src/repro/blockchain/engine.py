@@ -118,7 +118,7 @@ class _ScriptBatch:
     layer.  Determinism contract with verifying one input at a time,
     straight through the interpreter (``tests/oracles/engine_reference.py``):
 
-    * memo lookups and static prechecks happen at queue time, in block
+    * memo lookups and fast-reject prechecks happen at queue time, in block
       order, so hit/fast-reject accounting is identical;
     * a flush raises the exact :class:`ValidationError` the *first*
       failing input would have raised;
@@ -149,18 +149,16 @@ class _ScriptBatch:
             engine.cache_stats.hits += 1
             self.hits += 1
             return
-        if engine.static_precheck:
-            reason = engine.policy.precheck_spend(
-                tx.inputs[index].script_sig, entry.output.script_pubkey
-            )
-            if reason is not None:
-                engine.policy.stats.fast_rejects += 1
-                # Every queued input precedes this one, so an earlier
-                # queued *failure* must win — barrier decides.
-                self.barrier(ValidationError(
-                    f"script fast-reject for input {index} of "
-                    f"{tx.txid.hex()[:16]}..: {reason}"
-                ))
+        reason = engine.policy.precheck_spend(
+            tx.inputs[index].script_sig, entry.output.script_pubkey
+        )
+        if reason is not None:
+            # Every queued input precedes this one, so an earlier
+            # queued *failure* must win — barrier decides.
+            self.barrier(ValidationError(
+                f"script fast-reject for input {index} of "
+                f"{tx.txid.hex()[:16]}..: {reason}"
+            ))
         self.queue.append((tx, index, entry))
 
     def flush(self) -> int:
@@ -214,10 +212,11 @@ class ValidationEngine:
     :param verify_scripts: whether block connection re-checks scripts
         (the Fig. 5 / Fig. 6 toggle); defaults to
         ``params.verify_blocks``.  Mempool admission always verifies.
-    :param static_precheck: run the static analyzer's consensus-safe
-        fast-reject before each interpreter execution.  The precheck
-        only rejects spends whose execution provably fails, so toggling
-        it never changes a verdict — only where the cost is paid.
+
+    ``policy`` is the mempool's standardness check and, before each
+    interpreter execution, the consensus-safe fast-reject: it only
+    rejects spends whose execution fails whatever the data, so it
+    changes where the cost is paid, never a verdict.
 
     ``verdict_memo`` is the engine's
     :class:`~repro.blockchain.sigbatch.VerdictMemo`: the script successes
@@ -228,16 +227,12 @@ class ValidationEngine:
     """
 
     def __init__(self, params: ChainParams,
-                 verify_scripts: Optional[bool] = None,
-                 static_precheck: bool = True) -> None:
+                 verify_scripts: Optional[bool] = None) -> None:
         self.params = params
         self.verify_scripts = (
             params.verify_blocks if verify_scripts is None else verify_scripts
         )
-        # Shared by the mempool (standardness) and this engine (static
-        # fast-reject).
         self.policy = StandardnessPolicy()
-        self.static_precheck = static_precheck
         self.cache_stats = ScriptCacheStats()
         self.verdict_memo = VerdictMemo()
         self.last_report: Optional[ValidationReport] = None

@@ -176,10 +176,10 @@ class Mempool:
                 f"pool transaction(s) "
                 f"{', '.join(c.hex()[:16] + '..' for c in conflicts)}")
 
-        # Standardness pre-pass: purely static, so it runs before input
-        # resolution — a provably-unspendable output or a non-push
-        # unlocking script is turned away without touching the UTXO set
-        # or executing a single opcode.
+        # Standardness pre-pass: a template check, so it runs before
+        # input resolution — an output that fits no template or a
+        # non-push unlocking script is turned away without touching the
+        # UTXO set or executing a single opcode.
         standardness = self._engine.policy.check_transaction(tx)
         if standardness is not None:
             return self._reject(

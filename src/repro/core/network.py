@@ -116,10 +116,8 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         # Every daemon runs in this one host process and shares one
         # verdict memo, so the host runs each script and verifies each
         # signature once; verification time is simulated (the cost
-        # model), not measured.  Their standardness policies share one
-        # analysis cache the same way.
+        # model), not measured.
         self.verdict_memo = VerdictMemo()
-        self._script_analyses: dict = {}
         self.sites: list[Site] = []
         self.regions: list[Region] = []
         # chain label -> the daemons following (and gossiping) that chain
@@ -369,8 +367,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                     daemon.gossip.connect(other.name)
 
     def _new_node(self, name: str, settlement: bool = False) -> FullNode:
-        """A full node of this deployment, on the shared verdict memo and
-        analysis cache.
+        """A full node of this deployment, on the shared verdict memo.
 
         Block connect re-verifies scripts as the chain's
         ``verify_blocks`` says; the shared memo answers every script
@@ -381,7 +378,6 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         """
         node = FullNode(self.config.chain, name)
         node.engine.verdict_memo = self.verdict_memo
-        node.engine.policy.analyses = self._script_analyses
         if settlement:
             node.engine.checkpoint_rules = CheckpointRules()
         return node

@@ -7,15 +7,14 @@
 * :mod:`repro.script.interpreter` — the stack machine;
 * :mod:`repro.script.builder` — standard templates (P2PKH, OP_RETURN) and
   the paper's Listing 1 ephemeral-key-release script;
-* :mod:`repro.script.analysis` — static analyzer: abstract stack-depth
-  interpretation, output classification, and the mempool/engine
+* :mod:`repro.script.analysis` — what a script's text decides: output
+  templates (:func:`classify_output`), the fast-reject scan
+  (:func:`analyze`) and the mempool/engine
   :class:`~repro.script.analysis.StandardnessPolicy`.
 """
 
 from repro.script.analysis import (
     STANDARD_OUTPUT_CLASSES,
-    ScriptAnalysis,
-    ScriptIssue,
     StandardnessPolicy,
     StandardnessStats,
     analyze,
@@ -48,10 +47,8 @@ __all__ = [
     "RSA_PAIR_PLACEHOLDER",
     "STANDARD_OUTPUT_CLASSES",
     "Script",
-    "ScriptAnalysis",
     "ScriptError",
     "ScriptInterpreter",
-    "ScriptIssue",
     "SerializationError",
     "StandardnessPolicy",
     "StandardnessStats",

@@ -7,7 +7,7 @@
 """
 
 from repro.tools.explorer import (
-    classify_output,
+    describe_output,
     format_block,
     format_chain_summary,
     format_transaction,
@@ -15,7 +15,7 @@ from repro.tools.explorer import (
 )
 
 __all__ = [
-    "classify_output",
+    "describe_output",
     "format_block",
     "format_chain_summary",
     "format_transaction",

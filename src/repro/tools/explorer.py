@@ -19,12 +19,16 @@ from repro.blockchain.chain import Chain
 from repro.blockchain.transaction import Transaction, TxOutput
 from repro.core.directory import parse_announcement_payload
 from repro.crypto import rsa
-from repro.script.builder import parse_ephemeral_key_release
-from repro.script.opcodes import OP
-from repro.script.script import Script
+from repro.script.analysis import (
+    OUTPUT_KEY_RELEASE,
+    OUTPUT_OP_RETURN,
+    OUTPUT_P2PKH,
+    classify_output,
+)
+from repro.script.builder import RSA_PAIR_PLACEHOLDER, parse_ephemeral_key_release
 
 __all__ = [
-    "classify_output",
+    "describe_output",
     "format_transaction",
     "format_block",
     "format_chain_summary",
@@ -33,10 +37,13 @@ __all__ = [
 ]
 
 
-def classify_output(output: TxOutput) -> str:
-    """A one-line human description of an output's locking script."""
-    elements = output.script_pubkey.elements
-    if (len(elements) == 2 and elements[0] == OP.OP_RETURN
+def describe_output(output: TxOutput) -> str:
+    """A one-line human description of an output's locking script, by
+    its template class (:func:`repro.script.classify_output`)."""
+    script = output.script_pubkey
+    elements = script.elements
+    cls = classify_output(script)
+    if (cls == OUTPUT_OP_RETURN and len(elements) == 2
             and isinstance(elements[1], bytes)):
         parsed = parse_announcement_payload(elements[1])
         if parsed is not None:
@@ -44,16 +51,14 @@ def classify_output(output: TxOutput) -> str:
             return (f"directory announcement: {address} -> "
                     f"{endpoint}:{port}")
         return f"OP_RETURN data ({len(elements[1])} bytes)"
-    release = parse_ephemeral_key_release(output.script_pubkey)
-    if release is not None:
-        _rsa_pubkey, gateway_hash, _buyer_hash, locktime = release
+    if cls == OUTPUT_KEY_RELEASE:
+        _rsa_pubkey, gateway_hash, _buyer_hash, locktime = \
+            parse_ephemeral_key_release(script)
         return (f"key-release offer: {output.value} to gateway "
                 f"{gateway_hash.hex()[:12]}.., refund at height {locktime}")
-    if (len(elements) == 5 and elements[0] == OP.OP_DUP
-            and elements[1] == OP.OP_HASH160
-            and isinstance(elements[2], bytes) and len(elements[2]) == 20):
+    if cls == OUTPUT_P2PKH:
         return f"P2PKH: {output.value} to {elements[2].hex()[:12]}.."
-    return f"script: {output.script_pubkey.disassemble()[:60]}"
+    return f"script: {script.disassemble()[:60]}"
 
 
 def _classify_input(tx: Transaction, index: int) -> str:
@@ -70,7 +75,7 @@ def _classify_input(tx: Transaction, index: int) -> str:
             fingerprint = key.public_key.fingerprint().hex()[:12]
             return (f"KEY-RELEASE CLAIM spending {tx_input.outpoint} — "
                     f"reveals eSk (ePk fingerprint {fingerprint}..)")
-        if elements[2] == b"\x00":
+        if elements[2] == RSA_PAIR_PLACEHOLDER:
             return f"key-release REFUND spending {tx_input.outpoint}"
     if len(elements) == 2:
         return f"P2PKH spend of {tx_input.outpoint}"
@@ -86,7 +91,7 @@ def format_transaction(tx: Transaction) -> str:
     for index in range(len(tx.inputs)):
         lines.append(f"    in[{index}]: {_classify_input(tx, index)}")
     for index, output in enumerate(tx.outputs):
-        lines.append(f"    out[{index}]: {classify_output(output)}")
+        lines.append(f"    out[{index}]: {describe_output(output)}")
     return "\n".join(lines)
 
 
@@ -142,7 +147,7 @@ def scan_key_releases(chain: Chain) -> list[dict]:
                         "epk_fingerprint":
                             key.public_key.fingerprint().hex()[:16],
                     })
-                elif elements[2] == b"\x00":
+                elif elements[2] == RSA_PAIR_PLACEHOLDER:
                     events.append({
                         "height": height,
                         "txid": tx.txid.hex(),

@@ -1,23 +1,28 @@
-"""Standardness policy and static fast-reject in the validation pipeline.
+"""Template standardness and the fast-reject in the validation pipeline.
 
-The acceptance property from the issue: a provably-unspendable or
-non-standard transaction is turned away by the mempool *without
-executing its scripts*, and both the rejection and the skipped
-executions are visible in telemetry counters.
+A transaction that fits no template is turned away by the mempool
+*without executing its scripts*; a spend whose text dooms it is
+rejected by the engine without running the interpreter.  Both the
+rejection and the skipped executions are visible in telemetry counters.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.blockchain.engine import ValidationEngine
+from repro.blockchain.checkpoint import build_checkpoint_payload
 from repro.blockchain.mempool import REJECT_NONSTANDARD
 from repro.blockchain.transaction import TxOutput
 from repro.blockchain.utxo import UTXOEntry
+from repro.blockchain.wallet import Wallet
+from repro.core.directory import build_announcement_payload
+from repro.crypto import rsa
+from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
-from repro.script.builder import op_return
+from repro.script.analysis import StandardnessPolicy
+from repro.script.builder import ephemeral_key_release, op_return, p2pkh_locking
 from repro.script.opcodes import OP
-from repro.script.script import Script
+from repro.script.script import Script, encode_number
 
 
 def unspendable_output_tx(wallet, value=5):
@@ -114,16 +119,19 @@ def test_engine_fast_rejects_op_return_spend(funded_chain, rng):
         node.engine.verify_input_scripts(tx, [bad_entry(op_return(b"x"))])
 
 
-def test_precheck_disabled_pays_the_interpreter(funded_chain, rng):
+def test_unprovable_failure_pays_the_interpreter(funded_chain, rng):
+    """A failure the text scan cannot prove (an underflow depends on what
+    the unlocking script pushes) is the interpreter's to find."""
     node, wallet, _miner = funded_chain
-    from repro.crypto.keys import KeyPair
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
-    engine = ValidationEngine(node.params, static_precheck=False)
+    engine = node.engine
+    misses_before = engine.cache_stats.misses
     with pytest.raises(ValidationError, match="script verification failed"):
         engine.verify_input_scripts(tx, [bad_entry(Script((OP.OP_2DROP,)))])
-    # Same verdict, but this engine executed the script to reach it.
-    assert engine.cache_stats.misses == 1
+    # Prechecked, not fast-rejected: the engine executed it to decide.
+    assert engine.cache_stats.misses == misses_before + 1
     assert engine.policy.stats.fast_rejects == 0
+    assert engine.policy.stats.spends_prechecked >= 1
 
 
 def test_precheck_never_blocks_valid_spends(funded_chain, rng):
@@ -198,3 +206,95 @@ def test_consensus_still_accepts_high_s_signature(funded_chain):
     node.chain.add_block(block)
     assert node.chain.height == height
     assert node.chain.utxos.get(tx.inputs[0].outpoint) is None
+
+
+# -- the template policy, as a table -------------------------------------------
+
+def _listing1(operand: bytes) -> Script:
+    """A Listing-1 offer script with its refund locktime operand replaced."""
+    elements = list(ephemeral_key_release(b"\x01" * 64, b"\x11" * 20,
+                                          b"\x22" * 20, 500).elements)
+    elements[8] = operand
+    return Script(elements)
+
+
+def _cltv_guarded(operand: bytes) -> Script:
+    return Script((operand, OP.OP_CHECKLOCKTIMEVERIFY, OP.OP_DROP)
+                  + p2pkh_locking(b"\x11" * 20).elements)
+
+
+def test_everything_the_wallets_and_producers_build_is_standard(
+        funded_chain, rng):
+    node, wallet, miner = funded_chain
+    for i in range(3):  # one coin per built transaction
+        miner.mine_and_connect(10.0 + i)
+    gateway = Wallet(node.chain, KeyPair.generate(rng))
+    ephemeral = rsa.generate_keypair(512, rng)
+    claimed = wallet.create_key_release_offer(
+        ephemeral.public_key.to_bytes(), gateway.pubkey_hash, amount=100)
+    refunded = wallet.create_key_release_offer(
+        ephemeral.public_key.to_bytes(), gateway.pubkey_hash, amount=100,
+        refund_locktime=node.chain.height + 1)
+    checkpoint = build_checkpoint_payload(
+        region_id=1, epoch=1, height=node.chain.height,
+        tip_hash=node.chain.tip.hash, settled_root=b"\x00" * 32,
+        tx_count=0)
+    built = {
+        "payment": wallet.create_payment(gateway.pubkey_hash, 100),
+        "fan-out": wallet.create_fanout(gateway.pubkey_hash, 10, count=4),
+        "announcement": wallet.create_announcement(
+            build_announcement_payload(wallet.keypair, "10.0.0.1", 7264)),
+        "Listing-1 offer": claimed.transaction,
+        "claim": gateway.claim_key_release(claimed, ephemeral.to_bytes()),
+        "refund": wallet.refund_key_release(refunded),
+        "checkpoint carrier": wallet.create_announcement(checkpoint),
+    }
+    policy = StandardnessPolicy()
+    for label, tx in built.items():
+        assert policy.check_transaction(tx) is None, label
+    assert policy.stats.tx_rejected == 0
+    assert set(policy.stats.output_classes) == {"p2pkh", "op-return",
+                                                "rsa-pair-locked"}
+    # The minimal CLTV templates are standard too.
+    for script in (_listing1(encode_number(500)),
+                   _cltv_guarded(encode_number(500))):
+        assert policy.check_output(1, script) is None, script.disassemble()
+
+
+@pytest.mark.parametrize("refusal, expected", [
+    ("non-template output", "non-standard output class"),
+    ("value-bearing OP_RETURN", "OP_RETURN output burns"),
+    ("non-push scriptSig", "not push-only"),
+    ("high-S signature", "high-S"),
+    ("negative Listing-1 locktime", "negative locktime"),
+    ("non-minimal Listing-1 locktime", "not minimally encoded"),
+    ("negative cltv-guarded locktime", "negative locktime"),
+    ("non-minimal cltv-guarded locktime", "not minimally encoded"),
+])
+def test_each_template_refusal_keeps_its_reason(funded_chain, rng, refusal,
+                                                expected):
+    node, wallet, _miner = funded_chain
+    payee = KeyPair.generate(rng).pubkey_hash
+    outputs = {
+        "non-template output": Script((OP.OP_ADD,)),
+        "value-bearing OP_RETURN": op_return(b"data"),
+        "negative Listing-1 locktime": _listing1(encode_number(-5)),
+        "non-minimal Listing-1 locktime": _listing1(b"\x05\x00"),
+        "negative cltv-guarded locktime": _cltv_guarded(encode_number(-5)),
+        "non-minimal cltv-guarded locktime": _cltv_guarded(b"\x05\x00"),
+    }
+    if refusal in outputs:
+        tx = wallet._build_spend(
+            [TxOutput(value=5, script_pubkey=outputs[refusal])], fee=0)
+    elif refusal == "non-push scriptSig":
+        tx = wallet.create_payment(payee, 100).with_input_script(
+            0, Script((b"sig", OP.OP_DUP)))
+    else:
+        tx = _malleate_high_s(wallet.create_payment(payee, 100))
+    misses_before = node.engine.cache_stats.misses
+    result = node.mempool.accept(tx)
+    assert not result.accepted
+    assert result.reason_code == REJECT_NONSTANDARD
+    assert expected in result.reason, result.reason
+    assert node.engine.cache_stats.misses == misses_before
+    assert node.engine.policy.stats.tx_rejected == 1

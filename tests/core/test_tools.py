@@ -10,7 +10,7 @@ from repro.crypto import rsa
 from repro.crypto.keys import KeyPair
 from repro.tools.experiment import build_parser, main
 from repro.tools.explorer import (
-    classify_output,
+    describe_output,
     format_block,
     format_chain_summary,
     format_transaction,
@@ -23,7 +23,7 @@ from repro.tools.explorer import (
 def test_classify_p2pkh(funded_chain, rng):
     node, wallet, _miner = funded_chain
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
-    assert classify_output(tx.outputs[0]).startswith("P2PKH: 100")
+    assert describe_output(tx.outputs[0]).startswith("P2PKH: 100")
 
 
 def test_classify_announcement(funded_chain):
@@ -31,7 +31,7 @@ def test_classify_announcement(funded_chain):
     _node, wallet, _miner = funded_chain
     tx = wallet.create_announcement(
         build_announcement_payload(wallet.keypair, "10.1.2.3", 7264))
-    description = classify_output(tx.outputs[0])
+    description = describe_output(tx.outputs[0])
     assert "directory announcement" in description
     assert "10.1.2.3:7264" in description
 
@@ -39,7 +39,7 @@ def test_classify_announcement(funded_chain):
 def test_classify_raw_op_return(funded_chain):
     _node, wallet, _miner = funded_chain
     tx = wallet.create_announcement(b"arbitrary-data")
-    assert "OP_RETURN data (14 bytes)" in classify_output(tx.outputs[0])
+    assert "OP_RETURN data (14 bytes)" in describe_output(tx.outputs[0])
 
 
 def test_classify_key_release_offer(funded_chain, rng):
@@ -47,7 +47,7 @@ def test_classify_key_release_offer(funded_chain, rng):
     ephemeral = rsa.generate_keypair(512, rng)
     offer = wallet.create_key_release_offer(
         ephemeral.public_key.to_bytes(), b"\x11" * 20, amount=250)
-    description = classify_output(offer.transaction.outputs[0])
+    description = describe_output(offer.transaction.outputs[0])
     assert "key-release offer: 250" in description
     assert "refund at height" in description
 

@@ -2,12 +2,12 @@
 what the deployment does.
 
 Same-seed runs of a flat, a light-tier and a two-region federation, once
-as built (every daemon on ``network.verdict_memo`` and one standardness
-analysis cache) and once through a tests-side variant that gives every
-engine a private memo and cache — the host-side behaviour of one process
-per daemon.  Everything the run exports must be byte-identical; only the
-host work differs: verifications and scripts executed, and with them
-each engine's script lookups (``cache_stats``).
+as built (every daemon on ``network.verdict_memo``) and once through a
+tests-side variant that gives every engine a private memo — the
+host-side behaviour of one process per daemon.  Everything the run
+exports must be byte-identical; only the host work differs:
+verifications and scripts executed, and with them each engine's script
+lookups (``cache_stats``).
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ CONFIGS = {
 
 
 class _PrivateMemoNetwork(BcWANNetwork):
-    """Every engine keeps the memo and analysis cache it was born with."""
+    """Every engine keeps the memo it was born with."""
 
     def _new_node(self, name, **kwargs):
         node = super()._new_node(name, **kwargs)
         node.engine.verdict_memo = VerdictMemo()
-        node.engine.policy.analyses = {}
         return node
 
 

@@ -9,8 +9,9 @@ in a private set.  It reads no :class:`~repro.blockchain.sigbatch.VerdictMemo`
 none of its answers can come from the machinery it is compared against.
 
 It keeps the engine's counters: lookups go to ``engine.cache_stats``
-(``hits`` answered by the set, ``misses`` that ran the interpreter) and a
-static fast-reject to ``engine.policy.stats``, with the same error texts.
+(``hits`` answered by the set, ``misses`` that ran the interpreter), and it
+runs the engine's fast-reject (``engine.policy.precheck_spend``, which
+counts its rejections) with the same error texts.
 """
 
 from __future__ import annotations
@@ -42,13 +43,11 @@ class EngineReference:
             return True
         unlocking = tx.inputs[index].script_sig
         locking = entry.output.script_pubkey
-        if engine.static_precheck:
-            reason = engine.policy.precheck_spend(unlocking, locking)
-            if reason is not None:
-                engine.policy.stats.fast_rejects += 1
-                raise ValidationError(
-                    f"script fast-reject for input {index} of "
-                    f"{tx.txid.hex()[:16]}..: {reason}")
+        reason = engine.policy.precheck_spend(unlocking, locking)
+        if reason is not None:
+            raise ValidationError(
+                f"script fast-reject for input {index} of "
+                f"{tx.txid.hex()[:16]}..: {reason}")
         engine.cache_stats.misses += 1
         interpreter = ScriptInterpreter(context=TransactionContext(
             tx=tx, input_index=index, locking_script=locking))
