@@ -1,27 +1,33 @@
 """ECDSA microbenchmark: counted point operations, printed clocks.
 
-**One verification core, cold and hot, against the two-multiply oracle** —
-``repro.crypto.ecdsa`` computes ``u1*G + u2*Q`` in one place: ``u1*G`` from
-the generator's table, ``u2`` as two GLV halves over multiples of ``Q``.
-A key's first verifications (cold) pay one 128-doubling ladder over a
-single row, in Jacobian coordinates; once promoted (hot) it pays no
-doubling at all, and its ~92 table points are summed in affine
-coordinates by ``_affine_sums``, one modular inversion per level of the
-pairwise sum for every item of the call.
+**One verification core, cold, hot and wide, against the two-multiply
+oracle** — ``repro.crypto.ecdsa`` computes ``u1*G + u2*Q`` in one place:
+``u1*G`` from the generator's table, ``u2`` as two GLV halves over
+multiples of ``Q``.  A key's first verifications (cold) pay one
+128-doubling ladder over a single row, in Jacobian coordinates; once
+promoted (hot) it pays no doubling at all, and its ~92 points over a 4-bit
+table are summed in affine coordinates by ``_affine_sums``, one modular
+inversion per level of the pairwise sum for every item of the call; once
+widened (wide) the same sum runs over an 8-bit table, ~64 points.
 
 The gate is on *counts* of point doublings, additions and modular
 inversions, which repeat exactly; the microseconds are printed for the
 record only, so the test also runs in CI's ``--benchmark-disable`` lane
-on a host whose clock cannot be trusted.  This is also the only place the
-cold path is held: every ``python -m bench`` workload signs with a
-handful of recurring keys (98-100 % of their verifications are by a
-promoted key), so no benchmark workload covers a one-off key and the
-halved ladder is pinned here, by count, not there.
+on a host whose clock cannot be trusted.  The printout ends with one
+rent-or-buy row per tier — the table's build time, what it saves per
+verification alone and in a batch of 32, and the uses that repay it — from
+which ``_PROMOTE_AFTER`` and ``_WIDEN_AFTER`` are derived.  This is also
+the only place the cold path is held: every ``python -m bench`` workload
+signs with a handful of recurring keys (nearly all of their verifications
+are by a promoted key, and the ledger workloads' by a widened one), so no
+benchmark workload covers a one-off key and the halved ladder is pinned
+here, by count, not there.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from collections import Counter
 
@@ -32,6 +38,7 @@ from repro.crypto import ecdsa
 from tests.oracles.ecdsa_reference import verify_double_multiply
 
 SIGNATURES = 32
+ROUNDS = 7
 _POINT_OPS = {"_jacobian_double": "doublings", "_jacobian_add": "additions",
               "_jacobian_add_affine": "additions"}
 
@@ -81,17 +88,18 @@ def _counted(monkeypatch, call) -> Counter:
     return spent
 
 
-def _us_per_item(call, items: int = SIGNATURES) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return round(best / items * 1e6, 1)
+def _clock(call) -> float:
+    """Seconds ``call()`` takes, once."""
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
 
 
 def _fresh_cache(monkeypatch) -> None:
     monkeypatch.setattr(ecdsa, "_key_cache", ecdsa._KeyCache())
+
+
+_NEVER = 1 << 62
 
 
 def test_verification_core_point_operations(monkeypatch, signed):
@@ -114,50 +122,121 @@ def test_verification_core_point_operations(monkeypatch, signed):
     def verify_all():
         assert all(ecdsa.verify_batch(items))
 
+    def per_item(call):
+        return [_counted(monkeypatch, lambda item=item: call(item))
+                for item in items]
+
     # Cold: every verification is the key's first, its row build included.
     cold = _counted(monkeypatch, verify_each_as_first_use)
-    cold_us = _us_per_item(verify_each_as_first_use)
 
-    # Hot: promote the key, then count.
+    # Hot: the key's _PROMOTE_AFTER-th use builds its 4-bit table, and the
+    # count then stops short of the widening.
     _fresh_cache(monkeypatch)
-    for _ in range(ecdsa._PROMOTE_AFTER):
-        verify_each()
+    for item in items[:ecdsa._PROMOTE_AFTER]:
+        verify_one(item)
     assert ecdsa.cache_stats()["tables_built"] == 1
-    hot_each = [_counted(monkeypatch, lambda item=item: verify_one(item))
-                for item in items]
-    hot = sum(hot_each, Counter())
-    hot_us = _us_per_item(verify_each)
-    batch = _counted(monkeypatch, verify_all)
-    batch_us = _us_per_item(verify_all)
+    hot_cache = ecdsa._key_cache
+    with monkeypatch.context() as patch:
+        patch.setattr(ecdsa, "_WIDEN_AFTER", _NEVER)
+        hot_each = per_item(verify_one)
+        batch = _counted(monkeypatch, verify_all)
+    assert ecdsa.cache_stats()["wide_tables"] == 0
+
+    # Wide: the key's _WIDEN_AFTER-th use builds its 8-bit table.
+    _fresh_cache(monkeypatch)
+    for use in range(ecdsa._WIDEN_AFTER):
+        verify_one(items[use % SIGNATURES])
+    assert ecdsa.cache_stats()["tables_built"] == 2
+    assert ecdsa.cache_stats()["wide_tables"] == 1
+    wide_cache = ecdsa._key_cache
+    wide_each = per_item(verify_one)
+    wide_batch = _counted(monkeypatch, verify_all)
 
     sign = _counted(monkeypatch, lambda: [
         key.sign(digest) for _public, digest, _signature in items])
-    sign_us = _us_per_item(lambda: [
-        key.sign(digest) for _public, digest, _signature in items])
 
-    oracle_us = _us_per_item(lambda: [
-        verify_double_multiply(*item) for item in items])
-    start = time.perf_counter()
-    ecdsa._build_rows((public.x, public.y, 1),
-                      ecdsa._KEY_DIGIT_BITS, ecdsa._KEY_ROWS)
-    build_ms = (time.perf_counter() - start) * 1e3
+    # The clock: every call once per round, rounds interleaved, medians.
+    # Each tier runs over its own cache with its thresholds held, so a
+    # timed call never crosses into the next tier.
+    _fresh_cache(monkeypatch)
+    verify_one(items[0])
+    tiers = {"cold": (ecdsa._key_cache, _NEVER, _NEVER),
+             "hot": (hot_cache, ecdsa._PROMOTE_AFTER, _NEVER),
+             "wide": (wide_cache, ecdsa._PROMOTE_AFTER, ecdsa._WIDEN_AFTER)}
+
+    def in_tier(tier, call):
+        held, promote, widen = tiers[tier]
+        with monkeypatch.context() as patch:
+            patch.setattr(ecdsa, "_key_cache", held)
+            patch.setattr(ecdsa, "_PROMOTE_AFTER", promote)
+            patch.setattr(ecdsa, "_WIDEN_AFTER", widen)
+            return _clock(call)
+
+    base = (public.x, public.y, 1)
+    calls = {
+        "first": lambda: _clock(verify_each_as_first_use),
+        **{tier: lambda tier=tier: in_tier(tier, verify_each)
+           for tier in tiers},
+        **{f"{tier} batch": lambda tier=tier: in_tier(tier, verify_all)
+           for tier in tiers},
+        "sign": lambda: _clock(lambda: [
+            key.sign(digest) for _public, digest, _signature in items]),
+        "oracle": lambda: _clock(lambda: [
+            verify_double_multiply(*item) for item in items]),
+        "hot build": lambda: _clock(lambda: ecdsa._build_rows(
+            base, ecdsa._KEY_DIGIT_BITS, ecdsa._KEY_ROWS)),
+        "wide build": lambda: _clock(lambda: ecdsa._build_rows(
+            base, ecdsa._WIDE_DIGIT_BITS, ecdsa._WIDE_ROWS)),
+    }
+    samples: dict[str, list[float]] = {name: [] for name in calls}
+    for _round in range(ROUNDS):
+        for name, call in calls.items():
+            samples[name].append(call())
+    us = {name: round(statistics.median(values) / SIGNATURES * 1e6, 1)
+          for name, values in samples.items()}
+    build_ms = {tier: round(statistics.median(samples[f"{tier} build"])
+                            * 1e3, 2) for tier in ("hot", "wide")}
 
     print_header(f"ECDSA, {SIGNATURES} signatures under one key: "
-                 "point operations per call, and the clock")
+                 "point operations per call, and the clock "
+                 f"(median of {ROUNDS} interleaved rounds)")
     print_row("(columns)", "doublings", "additions", "inversions",
               "us/call")
-    for label, spent, micros in (("verify, first use (cold)", cold, cold_us),
-                                 ("verify, promoted (hot)", hot, hot_us),
-                                 (f"verify_batch of {SIGNATURES} (hot)",
-                                  batch, batch_us),
-                                 ("sign", sign, sign_us)):
+    for label, spent, micros in (
+            ("verify, first use (cold)", cold, us["first"]),
+            ("verify, promoted (hot)", sum(hot_each, Counter()), us["hot"]),
+            (f"verify_batch of {SIGNATURES} (hot)", batch, us["hot batch"]),
+            ("verify, widened (wide)", sum(wide_each, Counter()),
+             us["wide"]),
+            (f"verify_batch of {SIGNATURES} (wide)", wide_batch,
+             us["wide batch"]),
+            ("sign", sign, us["sign"])):
         print_row(label, round(spent["doublings"] / SIGNATURES, 1),
                   round(spent["additions"] / SIGNATURES, 1),
                   round(spent["inversions"] / SIGNATURES, 2), micros)
-    print_row("two-multiply oracle", "", "", "", oracle_us)
-    print_row("key table", f"{build_ms:.2f} ms",
-              f"{ecdsa._KEY_ROWS * ecdsa._ROW_BYTES} B",
-              f"x{ecdsa._PROMOTE_AFTER} uses", "")
+    print_row("verify, a later cold use", "", "", "", us["cold"])
+    print_row(f"verify_batch of {SIGNATURES} (cold)", "", "", "",
+              us["cold batch"])
+    print_row("two-multiply oracle", "", "", "", us["oracle"])
+
+    # Rent or buy: a tier's table repays its build once the uses it
+    # serves have saved as much against the tier below.
+    print_header("rent or buy: a tier's build (ms), its saving per use over "
+                 "the tier below (us), and the uses that repay it")
+    print_row("(columns)", "build ms", "save alone", "save batch",
+              "repaid alone", "repaid batch", "constant")
+    for tier, below, rows, threshold in (
+            ("hot", "cold", f"4-bit, {ecdsa._KEY_ROWS} rows",
+             ecdsa._PROMOTE_AFTER),
+            ("wide", "hot", f"8-bit, {ecdsa._WIDE_ROWS} rows",
+             ecdsa._WIDEN_AFTER)):
+        savings = (us[below] - us[tier],
+                   us[f"{below} batch"] - us[f"{tier} batch"])
+        print_row(f"{tier}: {rows}", build_ms[tier],
+                  *(round(saving, 1) for saving in savings),
+                  *(round(build_ms[tier] * 1e3 / saving, 1) if saving > 0
+                    else "-" for saving in savings),
+                  threshold)
 
     # A plain ladder is 256 doublings; the parent's interleaved one paid
     # 256 and ~80 full additions.
@@ -165,15 +244,18 @@ def test_verification_core_point_operations(monkeypatch, signed):
     assert cold["additions"] <= 110 * SIGNATURES
     # A hot verification: all its additions affine, s**-1, then one
     # inversion per level of its ~92 points' pairwise sum (7 levels), and
-    # no z**-1.
-    for spent in hot_each:
-        assert spent["doublings"] == 0
-        assert spent["additions"] == spent["affine additions"] <= 105
-        assert spent["inversions"] <= 8
+    # no z**-1.  A wide one sums ~64 points in as many levels.
+    for spent_each, additions in ((hot_each, 105), (wide_each, 70)):
+        for spent in spent_each:
+            assert spent["doublings"] == 0
+            assert spent["additions"] == spent["affine additions"]
+            assert spent["additions"] <= additions
+            assert spent["inversions"] <= 8
     # A batch shares each of those inversions among all its items.
-    assert batch["doublings"] == 0
-    assert batch["additions"] == batch["affine additions"]
-    assert batch["additions"] <= 105 * SIGNATURES
-    assert batch["inversions"] <= 10
+    for spent, additions in ((batch, 105), (wide_batch, 70)):
+        assert spent["doublings"] == 0
+        assert spent["additions"] == spent["affine additions"]
+        assert spent["additions"] <= additions * SIGNATURES
+        assert spent["inversions"] <= 10
     assert sign["doublings"] == 0
     assert sign["additions"] <= 34 * SIGNATURES

@@ -276,40 +276,24 @@ class Transaction:
                    locktime=locktime, version=version), offset
 
     def sighash(self, input_index: int, locking_script: Script) -> bytes:
-        """The digest an input's signature commits to (SIGHASH_ALL).
-
-        Every input's scriptSig is blanked except the signed input's, which
-        is replaced by the locking script being spent — the classic Bitcoin
-        construction, which binds the signature to the entire transaction.
-        """
-        if not 0 <= input_index < len(self.inputs):
-            raise ValidationError(
-                f"input index {input_index} out of range "
-                f"(transaction has {len(self.inputs)} inputs)"
-            )
-        modified_inputs = []
-        for i, tx_input in enumerate(self.inputs):
-            script = locking_script if i == input_index else Script()
-            modified_inputs.append(replace(tx_input, script_sig=script))
-        preimage = Transaction(
-            inputs=modified_inputs,
-            outputs=self.outputs,
-            locktime=self.locktime,
-            version=self.version,
-        ).serialize() + struct.pack("<I", SIGHASH_ALL)
-        return double_sha256(preimage)
+        """The digest an input's signature commits to (SIGHASH_ALL): one
+        spend of :meth:`sighash_many`."""
+        return self.sighash_many([(input_index, locking_script)])[0]
 
     def sighash_many(self, spends: "list[tuple[int, Script]]"
                      ) -> list[bytes]:
-        """SIGHASH_ALL digests for several inputs, sharing serialization.
+        """SIGHASH_ALL digests, one per ``(input index, locking script
+        being spent)`` pair.
 
-        ``spends`` pairs each input index with the locking script being
-        spent.  Byte-identical to calling :meth:`sighash` per input, but
-        the unsigned inputs' wire forms are serialized once for the whole
-        batch instead of once per requested digest — an ``n``-input
-        transaction's full digest set drops from ``O(n**2)`` script
-        serializations to ``O(n)`` (the preimage byte joins and hashes
-        remain, as they must).
+        The preimage is the classic Bitcoin construction, which binds the
+        signature to the entire transaction: every input's scriptSig is
+        blanked except the signed input's, which becomes the locking script
+        being spent.  Here the blanked inputs' wire forms are serialized
+        once per call and only the signed input's is rebuilt per digest, so
+        an ``n``-input transaction's full digest set costs ``O(n)`` script
+        serializations, not ``O(n**2)`` (the preimage byte joins and hashes
+        remain, as they must).  ``tests/oracles/sighash_reference.py``
+        builds each preimage the classic way.
         """
         blank = Script()
         blank_parts = [replace(tx_input, script_sig=blank).serialize()

@@ -16,10 +16,12 @@ the generator's import-time table (no doubling), and ``u2`` is split by
 secp256k1's GLV endomorphism into two 128-bit halves over multiples of
 ``Q`` alone.  A key seen for the first few times pays one 128-doubling
 ladder in Jacobian coordinates.  A key whose cumulative verifications
-reach the break-even gets a full table in a byte-budgeted cache; its
-verification is then a sum of ~92 table points with no doubling, added
-pairwise in affine coordinates, where each level of the pairwise sums of
-every item of the call shares one modular inversion.  SEC1 parsing is
+reach the break-even gets a full table of 4-bit digits in a byte-budgeted
+cache; its verification is then a sum of ~92 table points with no
+doubling, added pairwise in affine coordinates, where each level of the
+pairwise sums of every item of the call shares one modular inversion.  A
+key that keeps recurring past a second break-even trades that table for
+one of 8-bit digits, and its sums shrink to ~64 points.  SEC1 parsing is
 memoised, so a key's square root is paid once.
 """
 
@@ -326,7 +328,10 @@ def _generator_multiply(scalar: int, acc: tuple[int, int, int] = _INFINITY
 # * a key whose *cumulative* verifications, single or batched, reach
 #   _PROMOTE_AFTER holds all 33 rows (264 affine points) and pays no
 #   doubling at all: ~31 table points per half beside u1*G's 32, all
-#   summed by _affine_sums together with the other hot items of the call.
+#   summed by _affine_sums together with the other hot items of the call;
+# * a key whose verifications reach _WIDEN_AFTER trades those rows for 17
+#   rows of 8-bit digits (2176 affine points): ~16 table points per half.
+#   The digit width is read off the rows, so both tables take one path.
 #
 # BcWAN's signers are provisioned actors (gateways, recipients, masters),
 # so nearly every verification is by a key that recurs: docs/PROTOCOL.md
@@ -344,6 +349,8 @@ _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 
 _KEY_DIGIT_BITS = 4
 _KEY_ROWS = 33  # a half's 32 nibbles plus the recoding's carry
+_WIDE_DIGIT_BITS = 8
+_WIDE_ROWS = 17  # a half's 16 bytes plus the carry
 
 
 def _glv_split(scalar: int) -> tuple[int, int]:
@@ -366,51 +373,79 @@ def _glv_split(scalar: int) -> tuple[int, int]:
 #: of a simulated deployment verify one item.
 _PROMOTE_AFTER = 5
 
-#: Budget of the per-key rows.  A row is 8 affine points (~1.5 KB), a
-#: table 33 rows (~50 KB): 4 MiB holds 83 promoted keys, three times the
-#: 25 signers of ``regions_lossy``, the most any bench deployment has (its
-#: tables take 1.2 MB; the generator's own table is 0.7 MB).
+#: The verification of a key, counted across calls, that trades its
+#: 4-bit table for an 8-bit one.  Rent or buy again, against the 4-bit
+#: tier: the wide table costs 36 ms to build (a 4-bit one 4.2 ms), and a
+#: wide verification saves 0.23 ms over a 4-bit one alone in its call
+#: (0.98 -> 0.75 ms), 0.22 ms in a batch of 32 (0.73 -> 0.51 ms per item;
+#: medians of six runs of ``benchmarks/test_microbench_ecdsa.py``, which
+#: prints these rows, on a 2-vCPU host).  A key has repaid the build by
+#: its 157th use alone, its 164th batched, so it widens at its 160th, and
+#: pays at most ~2x the best offline choice whatever it does next.  No
+#: key of a simulated deployment comes near it (at most ~69 uses); the
+#: ledger workloads' one recurring key passes it in their first second.
+_WIDEN_AFTER = 160
+
+#: Budget of the per-key tables, counted in affine points: a 4-bit table
+#: is 264 points (~49 KB), an 8-bit one 2176 (~0.4 MB), a cold key's row
+#: 8.  4 MiB holds 86 4-bit tables, three times the 25 signers of
+#: ``regions_lossy``, the most any bench deployment has (its tables take
+#: 1.2 MB; the generator's own table is 0.7 MB), or ten 8-bit ones.
 _KEY_CACHE_BYTES = 4 << 20
-_ROW_BYTES = (sys.getsizeof([None] * 8)
-              + 8 * (sys.getsizeof((0, 0)) + 2 * sys.getsizeof(_P)))
+#: One held point: its list slot and an affine tuple of two field elements.
+_POINT_BYTES = 8 + sys.getsizeof((0, 0)) + 2 * sys.getsizeof(_P)
 
 #: Distinct SEC1 encodings remembered by ``PublicKey.from_bytes`` (~0.4 KB
 #: each): every signer of a deployment, so each square root is paid once.
 _PARSED_KEY_LIMIT = 1024
 
 
+def _points(rows: list[list[tuple[int, int]]]) -> int:
+    return len(rows) * len(rows[0])
+
+
 class _KeyCache:
     """What the module remembers per public key, both parts bounded:
-    ``records`` maps a point to ``[uses, rows]``, least recently verified
-    evicted first once the rows held exceed ``_KEY_CACHE_BYTES`` (eviction
-    forgets the count too, so a returning key starts cold); ``parsed`` maps
-    SEC1 bytes to their validated, immutable :class:`PublicKey`, FIFO."""
+    ``records`` maps a point to ``[uses, rows]`` -- row 0 alone while the
+    key is cold, a 33-row 4-bit table once promoted, a 17-row 8-bit table
+    once widened -- least recently verified evicted first once the points
+    held exceed ``_KEY_CACHE_BYTES`` (eviction forgets the count too, so a
+    returning key starts cold); ``parsed`` maps SEC1 bytes to their
+    validated, immutable :class:`PublicKey`, FIFO."""
 
     def __init__(self) -> None:
         self.records: dict[tuple[int, int], list] = {}
-        self.rows_held = 0
+        self.points_held = 0
         self.tables_built = 0
         self.parsed: dict[bytes, "PublicKey"] = {}
         self.parse_hits = 0
         self.parse_misses = 0
 
     def rows_for(self, x: int, y: int) -> list[list[tuple[int, int]]]:
-        """Count one verification by ``(x, y)`` and return its rows: row 0
-        alone while the key is cold, all ``_KEY_ROWS`` once promoted."""
+        """Count one verification by ``(x, y)`` and return its rows, built
+        when the count reaches a tier's threshold."""
         record = self.records.pop((x, y), None)
         if record is None:
             record = [0, _build_rows((x, y, 1), _KEY_DIGIT_BITS, 1)]
-            self.rows_held += 1
+            self.points_held += _points(record[1])
         record[0] += 1
-        if record[0] == _PROMOTE_AFTER:
-            record[1] = _build_rows((x, y, 1), _KEY_DIGIT_BITS, _KEY_ROWS)
-            self.rows_held += _KEY_ROWS - 1
-            self.tables_built += 1
-        while self.records and self.rows_held * _ROW_BYTES > _KEY_CACHE_BYTES:
+        if record[0] == _WIDEN_AFTER:
+            self._rebuild(record, x, y, _WIDE_DIGIT_BITS, _WIDE_ROWS)
+        elif record[0] == _PROMOTE_AFTER:
+            self._rebuild(record, x, y, _KEY_DIGIT_BITS, _KEY_ROWS)
+        while (self.records
+               and self.points_held * _POINT_BYTES > _KEY_CACHE_BYTES):
             _uses, rows = self.records.pop(next(iter(self.records)))
-            self.rows_held -= len(rows)
+            self.points_held -= _points(rows)
         self.records[(x, y)] = record
         return record[1]
+
+    def _rebuild(self, record: list, x: int, y: int,
+                 bits: int, count: int) -> None:
+        self.points_held -= _points(record[1])
+        record[1] = _build_rows((x, y, 1), bits, count)
+        self.points_held += _points(record[1])
+        self.tables_built += 1
 
 
 _key_cache = _KeyCache()
@@ -420,10 +455,12 @@ def cache_stats() -> dict[str, int]:
     """Read-only snapshot of the per-key caches.  Plain ints for tests and
     profiling; not part of any deterministic export."""
     cache = _key_cache
+    tables = [rows for _, rows in cache.records.values() if len(rows) > 1]
     return {
         "keys": len(cache.records),
-        "tables": sum(len(rows) > 1 for _, rows in cache.records.values()),
-        "table_bytes": cache.rows_held * _ROW_BYTES,
+        "tables": len(tables),
+        "wide_tables": sum(len(rows) == _WIDE_ROWS for rows in tables),
+        "table_bytes": cache.points_held * _POINT_BYTES,
         "tables_built": cache.tables_built,
         "parse_hits": cache.parse_hits,
         "parse_misses": cache.parse_misses,
@@ -442,11 +479,12 @@ def _verdicts(entries: "list[tuple[PublicKey, int, int, int]]"
     with ``u1 = z/s`` and ``u2 = r/s``; ``False`` if ``r`` or ``s`` is out
     of range or the sum is infinity.
 
-    A hot key's sum is a group of ~92 affine table points -- ``k1``'s over
+    A hot key's sum is a group of affine table points -- ``k1``'s over
     ``Q``'s rows, ``k2``'s over the same rows mapped through
-    ``(beta*x, y)``, ``u1``'s over ``G``'s -- and one ``_affine_sums``
-    adds up every hot group of the call; its ``x`` is the verdict's, with
-    no ``z**-1``.  A cold key walks its ladder in Jacobian coordinates, and
+    ``(beta*x, y)``, ``u1``'s over ``G``'s; ~92 over a 4-bit table, ~64
+    over an 8-bit one, the digit width read off the rows -- and one
+    ``_affine_sums`` adds up every hot group of the call; its ``x`` is the
+    verdict's, with no ``z**-1``.  A cold key walks its ladder in Jacobian coordinates, and
     the cold points share one ``z**-1``.  The ``s**-1`` scalars share one
     inversion too.
     """
@@ -460,9 +498,10 @@ def _verdicts(entries: "list[tuple[PublicKey, int, int, int]]"
     cold: list[tuple[int, int, tuple[int, int, int]]] = []
     for (index, key, z, r, _s), s_inv in zip(live, s_inverses):
         rows = _key_cache.rows_for(key.x, key.y)
+        bits = len(rows[0]).bit_length()
         k1, k2 = _glv_split((r * s_inv) % CURVE_ORDER)
-        digits1 = _signed_digits(k1, _KEY_DIGIT_BITS)
-        digits2 = _signed_digits(k2, _KEY_DIGIT_BITS)
+        digits1 = _signed_digits(k1, bits)
+        digits2 = _signed_digits(k2, bits)
         u1 = (z * s_inv) % CURVE_ORDER
         if len(rows) > 1:
             group = _table_points(rows, digits1)
@@ -475,7 +514,7 @@ def _verdicts(entries: "list[tuple[PublicKey, int, int, int]]"
             row = rows[0]
             lambda_row = [((qx * _BETA) % _P, qy) for qx, qy in row]
             point = _generator_multiply(u1, _ladder(
-                _KEY_DIGIT_BITS, [row, lambda_row], [digits1, digits2]))
+                bits, [row, lambda_row], [digits1, digits2]))
             if point[2]:
                 cold.append((index, r, point))
 

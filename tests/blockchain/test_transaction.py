@@ -16,6 +16,7 @@ from repro.blockchain.transaction import (
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script
+from tests.oracles.sighash_reference import classic_sighash
 
 TXID_A = b"\xaa" * 32
 TXID_B = b"\xbb" * 32
@@ -274,14 +275,45 @@ def test_total_output_value():
 
 # -- batched sighash ------------------------------------------------------------
 
+def _three_input_tx() -> Transaction:
+    """Three inputs, two already signed, so the blanking is exercised."""
+    return Transaction(
+        inputs=[TxInput(outpoint=OutPoint(txid=TXID_A, index=0),
+                        script_sig=Script([b"sig-a", b"pub-a"])),
+                TxInput(outpoint=OutPoint(txid=TXID_B, index=2), sequence=7),
+                TxInput(outpoint=OutPoint(txid=TXID_A, index=5),
+                        script_sig=Script([b"sig-c"]))],
+        outputs=[TxOutput(value=4, script_pubkey=p2pkh_locking(b"\x03" * 20)),
+                 TxOutput(value=5, script_pubkey=Script())],
+        locktime=9, version=2,
+    )
+
+
 def test_sighash_many_matches_per_input(funded_chain):
+    """Every digest, batched or one at a time, is the classic
+    construction's: a copy of the transaction per input."""
     node, wallet, _miner = funded_chain
-    tx = wallet.create_fanout(wallet.pubkey_hash, 300, 4)
+    fanout = wallet.create_fanout(wallet.pubkey_hash, 300, 4)
     spends = []
-    for index, tx_input in enumerate(tx.inputs):
+    for index, tx_input in enumerate(fanout.inputs):
         entry_spent = node.chain.utxos.get(tx_input.outpoint)
         assert entry_spent is not None
         spends.append((index, entry_spent.output.script_pubkey))
-    batched = tx.sighash_many(spends)
-    serial = [tx.sighash(index, locking) for index, locking in spends]
-    assert batched == serial
+    three = _three_input_tx()
+    lockings = [p2pkh_locking(bytes([i]) * 20) for i in range(3)]
+    cases = [(fanout, spends),
+             (three, list(enumerate(lockings))),
+             (three, [(2, lockings[0]), (0, lockings[0]), (2, Script())])]
+    for tx, tx_spends in cases:
+        expected = [classic_sighash(tx, index, locking)
+                    for index, locking in tx_spends]
+        assert tx.sighash_many(tx_spends) == expected
+        assert [tx.sighash(index, locking)
+                for index, locking in tx_spends] == expected
+    assert len(set(three.sighash_many(list(enumerate(lockings))))) == 3
+    for index in (-1, 3):
+        with pytest.raises(ValidationError) as classic:
+            classic_sighash(three, index, Script())
+        with pytest.raises(ValidationError) as batched:
+            three.sighash_many([(0, Script()), (index, Script())])
+        assert str(batched.value) == str(classic.value)
