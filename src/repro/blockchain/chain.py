@@ -93,6 +93,7 @@ class Chain:
     def reset(self) -> None:
         """Back to genesis: every block, orphan and UTXO goes; the engine
         and the connect listeners stay."""
+        # The last block connect's report: its fees and undo record.
         self.last_report: Optional[ValidationReport] = None
         self.utxos = UTXOSet()
         genesis = create_genesis_block(self.params)

@@ -91,21 +91,12 @@ class ScriptCacheStats:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """What one block connect did.
+    """What one block connect produced that nothing else holds: the fees
+    the coinbase may claim, and the undo record the chain keeps for
+    reorgs.  The script work is ``cache_stats``' to count."""
 
-    Consumed by the chain (undo data for reorgs), the node and daemon
-    (cache telemetry), and the benchmarks (script-execution accounting).
-    """
-
-    block_hash: bytes
-    height: int
-    tx_count: int
     total_fees: int
-    scripts_verified: bool
-    script_executions: int
-    cache_hits: int
-    stages: tuple[str, ...]
-    # Per-transaction spent entries, in block order (the undo record).
+    # Per-transaction spent entries, in block order.
     undo: tuple[dict[OutPoint, UTXOEntry], ...] = ()
 
 
@@ -139,7 +130,6 @@ class _ScriptBatch:
         self.engine = engine
         # (tx, input_index, entry) in block order.
         self.queue: list[tuple[Transaction, int, UTXOEntry]] = []
-        self.hits = 0
 
     def add(self, tx: Transaction, index: int, entry: UTXOEntry) -> None:
         """Queue one input, honouring memo and precheck in block order."""
@@ -147,7 +137,6 @@ class _ScriptBatch:
         if engine.verdict_memo.get((SCRIPT, tx.txid, index,
                                     entry.entry_hash)):
             engine.cache_stats.hits += 1
-            self.hits += 1
             return
         reason = engine.policy.precheck_spend(
             tx.inputs[index].script_sig, entry.output.script_pubkey
@@ -235,7 +224,6 @@ class ValidationEngine:
         self.policy = StandardnessPolicy()
         self.cache_stats = ScriptCacheStats()
         self.verdict_memo = VerdictMemo()
-        self.last_report: Optional[ValidationReport] = None
         # Optional repro.blockchain.checkpoint.CheckpointRules.  Set only
         # on a settlement-chain engine; gateway sub-chains leave it None
         # and pay a single attribute load per transaction.
@@ -427,7 +415,7 @@ class ValidationEngine:
                 for index, entry in enumerate(entries):
                     batch.add(tx, index, entry)
             undo.append(view.apply_resolved(tx, entries, height))
-        executions = batch.flush()
+        batch.flush()
         coinbase_value = block.coinbase.total_output_value
         max_coinbase = self.params.coinbase_reward + total_fees
         if coinbase_value > max_coinbase:
@@ -437,18 +425,4 @@ class ValidationEngine:
         view.commit()
         if self.checkpoint_rules is not None:
             self.checkpoint_rules.apply(pending_checkpoints, checkpoint_txids)
-        report = ValidationReport(
-            block_hash=block.hash,
-            height=height,
-            tx_count=len(block.transactions),
-            total_fees=total_fees,
-            scripts_verified=verify_scripts,
-            script_executions=executions,
-            cache_hits=batch.hits,
-            stages=("syntax", "contextual", "scripts", "connect")
-            if verify_scripts
-            else ("syntax", "contextual", "connect"),
-            undo=tuple(undo),
-        )
-        self.last_report = report
-        return report
+        return ValidationReport(total_fees=total_fees, undo=tuple(undo))

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.blockchain.block import Block
 from repro.blockchain.chain import AddBlockResult, Chain
 from repro.blockchain.checkpoint import CheckpointRules
-from repro.blockchain.engine import ValidationEngine, ValidationReport
+from repro.blockchain.engine import ValidationEngine
 from repro.blockchain.mempool import REJECT_DUPLICATE, AcceptResult, Mempool
 from repro.blockchain.params import ChainParams
 from repro.blockchain.store import load_chain
@@ -34,7 +34,6 @@ class FullNode:
         self.name = name
         self.chain = Chain(params)
         self.mempool = Mempool(self.chain)
-        self.blocks_processed = 0
         self.transactions_processed = 0
 
     def restart(self, store: Optional[str] = None) -> None:
@@ -65,11 +64,6 @@ class FullNode:
         return self.chain.engine
 
     @property
-    def last_block_report(self) -> Optional[ValidationReport]:
-        """Telemetry of the most recent block connect (cache hits etc.)."""
-        return self.chain.last_report
-
-    @property
     def height(self) -> int:
         return self.chain.height
 
@@ -93,7 +87,6 @@ class FullNode:
         A :class:`ValidationError` comes back as an ``"invalid"`` result
         carrying its message, as from :meth:`Chain.add_blocks`.
         """
-        self.blocks_processed += 1
         try:
             result = self.chain.add_block(block)
         except ValidationError as exc:

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 from repro.blockchain.transaction import Transaction
 from repro.crypto import ecdsa
+from repro.obs.registry import Counted, Keyed
 from repro.script.analysis import (
     OUTPUT_CLTV_GUARDED,
     OUTPUT_P2PKH,
@@ -55,7 +56,7 @@ SCRIPT = "script"
 _CHECKSIG_SHAPES = (OUTPUT_P2PKH, OUTPUT_CLTV_GUARDED)
 
 
-class VerdictMemo:
+class VerdictMemo(Counted):
     """FIFO-bounded memo of pure verification verdicts, three kinds.
 
     An ECDSA verification and an ``OP_CHECKRSA512PAIR`` match are pure
@@ -79,6 +80,10 @@ class VerdictMemo:
     ahead of the interpreter (``prefetched``) is the miss it was; its
     first read is not a hit.
     """
+
+    COUNTERS = {field: Keyed(field, "kind")
+                for field in ("hits", "misses", "evictions")}
+    GAUGES = {"entries": len}
 
     def __init__(self, max_entries: int = 1 << 14) -> None:
         self.max_entries = max_entries

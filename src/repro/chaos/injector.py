@@ -15,9 +15,9 @@ Every random draw comes from one stream derived from ``plan.seed`` (via
 its own :class:`~repro.sim.rng.RngRegistry`, independent of the
 scenario's registry), and draws happen in network send order — which the
 simulator already makes deterministic.  Fault-log lines contain only
-times, host names and payload type names (never process-global message
-ids), so two runs of the same scenario and plan produce **byte-identical**
-``telemetry.fault_log`` contents.  Tests pin exactly that.
+times, host names and payload type names, so two runs of the same
+scenario and plan produce **byte-identical** ``telemetry.fault_log``
+contents.  Tests pin exactly that.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.chaos.faults import CorruptedPayload, FaultPlan
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, StatsView
-from repro.obs.telemetry import CHAOS_COUNTERS, ChaosTelemetry
+from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import ChaosTelemetry
 from repro.p2p.message import Envelope
 from repro.p2p.network import FaultDecision, WANetwork
 from repro.sim.core import Simulator
@@ -51,10 +51,7 @@ class ChaosInjector:
         self.daemons: dict[str, "BlockchainDaemon"] = dict(daemons or {})
         self.telemetry = ChaosTelemetry(self.daemons)
         if registry is not None:
-            registry.register("chaos", self.telemetry,
-                              counters=CHAOS_COUNTERS)
-            registry.register("chaos", self.telemetry,
-                              counters=("faults_injected",), by="kind")
+            registry.register("chaos", self.telemetry)
         # All chaos randomness hangs off the plan's seed, nothing else.
         self._rng = RngRegistry(plan.seed).stream("chaos-faults")
         self._installed = False
@@ -199,10 +196,6 @@ class ChaosInjector:
                 self.telemetry.reconvergence_time = self.sim.now - horizon
                 return
             yield self.sim.timeout(self.RECONVERGENCE_POLL)
-
-    def stats(self) -> StatsView:
-        """The uniform observability accessor over the shared telemetry."""
-        return self.telemetry.stats()
 
     def _converged(self) -> bool:
         daemons = list(self.daemons.values())

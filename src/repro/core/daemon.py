@@ -33,7 +33,7 @@ from repro.blockchain.store import save_chain
 from repro.core.costmodel import CostModel
 from repro.errors import BcWANError, DaemonDown
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import DAEMON_COUNTERS, DAEMON_GAUGES, DaemonStats
+from repro.obs.telemetry import DaemonStats
 from repro.p2p.dedup import LRUSet
 from repro.p2p.gossip import GossipNode
 from repro.p2p.message import BlockMessage, Envelope, TxMessage
@@ -78,8 +78,7 @@ class BlockchainDaemon:
         # `daemon.stats.jobs_served` or take the view via `daemon.stats()`.
         self.stats = DaemonStats(self)
         if registry is not None:
-            registry.register("daemon", self.stats, counters=DAEMON_COUNTERS,
-                              gauges=DAEMON_GAUGES, host=name)
+            registry.register("daemon", self.stats, host=name)
         # Handlers for non-gossip payloads (the BcWAN delivery protocol),
         # registered by agents: payload type -> callable(envelope).
         self.protocol_handlers: dict[type, Callable[[Envelope], None]] = {}

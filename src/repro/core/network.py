@@ -48,7 +48,7 @@ from repro.core.report import DeploymentReporter
 from repro.core.testbed import Testbed
 from repro.crypto.keys import KeyPair
 from repro.light.compact import CompactBlockRelay
-from repro.light.multicast import ChainMulticaster, MulticastListener
+from repro.light.multicast import ChainMulticaster
 from repro.light.server import LightServer
 from repro.light.spv import SpvClient
 from repro.light.wallet import LightWallet
@@ -229,12 +229,8 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                 interval=topo.checkpoint_interval,
             )
             checkpoint_agent.start()
-            self.registry.register(
-                "federation", checkpoint_agent,
-                counters=("checkpoints_committed",), region=str(r))
-            self.registry.register(
-                "federation", master_daemon,
-                gauges={"subchain_height": "node.height"}, region=str(r))
+            self.registry.register("federation", checkpoint_agent,
+                                   region=str(r))
             self.regions.append(Region(
                 index=r, chain_id=chain_id, master_node=master_daemon.node,
                 master_daemon=master_daemon, producer=producer, sites=sites,
@@ -252,8 +248,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
             for name, daemon in self.all_daemons().items():
                 relay = CompactBlockRelay(daemon)
                 self.compact_relays.append(relay)
-                self.registry.register("light.compact", relay, host=name,
-                                       counters=CompactBlockRelay.COUNTERS)
+                self.registry.register("light.compact", relay, host=name)
 
         self._deploy_sensors()
         for producer, master_daemon, sites in chains:
@@ -311,9 +306,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         for daemon in daemons if light_keys else ():
             server = LightServer(daemon)
             self.light_servers.append(server)
-            self.registry.register("light.server", server, host=daemon.name,
-                                   counters=LightServer.COUNTERS,
-                                   gauges=("clients",))
+            self.registry.register("light.server", server, host=daemon.name)
         for k, site in enumerate(sites):
             if not light_keys:
                 name, stream = site.name, f"recipient-{site.name}"
@@ -328,9 +321,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                     sync_interval=cfg.light.light_sync_interval,
                     tracer=self.tracer)
                 self.light_clients.append(spv)
-                self.registry.register(
-                    "light.spv", spv, host=name, counters=SpvClient.COUNTERS,
-                    gauges={"tip_height": "chain.tip_height"})
+                self.registry.register("light.spv", spv, host=name)
                 ledger = SpvLedger(spv, LightWallet(light_keys[i]),
                                    refund_delta=cfg.chain.locktime_grace)
             site.recipient = RecipientAgent(
@@ -347,15 +338,13 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                 )
                 self.multicasters.append(multicaster)
                 self.registry.register("light.multicast", multicaster,
-                                       host=site.name,
-                                       counters=ChainMulticaster.COUNTERS)
+                                       host=site.name)
                 listener = spv.attach_multicast(
                     site.wallet.keypair.public_key.to_bytes(),
                     cfg.light.multicast_interval,
                     verify_every=cfg.light.multicast_verify_every,
                 )
-                self.registry.register("light.multicast", listener, host=name,
-                                       counters=MulticastListener.COUNTERS)
+                self.registry.register("light.multicast", listener, host=name)
 
     def _mesh(self, label: str, daemons: list[BlockchainDaemon]) -> None:
         """Chain-scoped gossip: full mesh among the daemons following one

@@ -56,6 +56,7 @@ from repro.light.messages import TxProofMessage
 from repro.light.spv import SpvClient
 from repro.light.wallet import LightWallet
 from repro.obs.exchange import ExchangeTracker
+from repro.obs.registry import Counted, StatsView, attrs
 from repro.p2p.message import (ClaimMessage, DeliveryAck, DeliveryMessage,
                                Envelope, TxMessage)
 from repro.p2p.network import WANetwork
@@ -73,8 +74,10 @@ class OfferRefused(BcWANError):
     the gateway is nacked with."""
 
 
-class NodeLedger:
+class NodeLedger(Counted):
     """Ledger access through the actor's own full node and its daemon."""
+
+    GAUGES = {"balance": "wallet.balance"}
 
     def __init__(self, daemon: BlockchainDaemon, wallet: Wallet) -> None:
         self.daemon = daemon
@@ -137,11 +140,8 @@ class NodeLedger:
         except (ValidationError, DaemonDown):
             return False
 
-    def stats(self) -> dict[str, int]:
-        return {"balance": self.wallet.balance}
 
-
-class SpvLedger:
+class SpvLedger(Counted):
     """Ledger access through an SPV client and its serving full nodes.
 
     Everything consensus-critical (block bodies, UTXO bookkeeping, script
@@ -157,6 +157,8 @@ class SpvLedger:
     # most this many times.
     REBROADCAST_TIMEOUT = 15.0
     REBROADCAST_LIMIT = 3
+    COUNTERS = attrs("payments_confirmed", "rebroadcasts", "funding_stalls")
+    GAUGES = {"balance": "wallet.balance"}
 
     def __init__(self, spv: SpvClient, wallet: LightWallet,
                  refund_delta: int = 100) -> None:
@@ -165,19 +167,13 @@ class SpvLedger:
         # The refund branch's locktime rides the *header* tip — the only
         # chain clock a light client has.
         self.refund_delta = refund_delta
-        self.payments_confirmed = 0
-        self.rebroadcasts = 0
-        self.funding_stalls = 0
         self._offer_txids: set[bytes] = set()
-        self._echoed: set[bytes] = set()
-        self._confirmed: set[bytes] = set()
 
     def attach(self, handlers: Handlers,
                on_spend: Callable[[Transaction], None]) -> None:
-        self._on_spend = on_spend
         for payload_type, handler in handlers.items():
             self.spv.register_handler(payload_type, handler)
-        self.spv.on_match.append(self._on_match)
+        self.spv.on_match.append(lambda tx, _height: on_spend(tx))
         self.spv.on_proof.append(self._on_proof)
         # Watch own address from genesis: funding coins, change, and
         # refunds all land back here as proven credits.
@@ -210,8 +206,8 @@ class SpvLedger:
     def _check_echo(self, tx: Transaction, attempts: int) -> None:
         """No filter push echoed our broadcast: the peer lost or never
         accepted it.  Resend — possibly to a new peer after failover."""
-        if tx.txid in self._echoed or tx.txid in self._confirmed:
-            return
+        if tx.txid in self.spv.matched_txs:
+            return  # echoed by a filter push (a confirmation is one too)
         if attempts > self.REBROADCAST_LIMIT:
             return  # give up; tracker timeouts handle the exchange
         self.rebroadcasts += 1
@@ -259,25 +255,14 @@ class SpvLedger:
 
     # -- filter pushes ------------------------------------------------------------
 
-    def _on_match(self, tx: Transaction, height: int) -> None:
-        self._echoed.add(tx.txid)
-        self._on_spend(tx)
-
     def _on_proof(self, proof: TxProofMessage) -> None:
         tx = self.spv.matched_txs.get(proof.txid)
         if tx is None:
             return  # proof outran its filter push; replayed on the match
-        self._confirmed.add(tx.txid)
         self.wallet.apply_confirmed_tx(tx)
         if proof.txid in self._offer_txids:
             self._offer_txids.discard(proof.txid)
             self.payments_confirmed += 1
-
-    def stats(self) -> dict[str, int]:
-        return {"payments_confirmed": self.payments_confirmed,
-                "rebroadcasts": self.rebroadcasts,
-                "funding_stalls": self.funding_stalls,
-                "balance": self.wallet.balance}
 
 
 @dataclass
@@ -289,8 +274,16 @@ class _PendingSettlement:
     refund_sent: bool = False
 
 
-class RecipientAgent:
-    """One actor's application-server agent."""
+class RecipientAgent(Counted):
+    """One actor's application-server agent.
+
+    ``stats()`` shows its own readings and its ledger access's.
+    """
+
+    COUNTERS = attrs(
+        "messages_received", "quotes_refused", "messages_decrypted",
+        "payments_made", "refunds_taken", "claims_relayed")
+    GAUGES = {"pending_settlements": lambda agent: len(agent._pending)}
 
     def __init__(self, sim: Simulator, name: str,
                  ledger: Union[NodeLedger, SpvLedger],
@@ -312,13 +305,6 @@ class RecipientAgent:
         self.budget = budget or RecipientBudget(max_price=10**9)
         # Which sub-chain this recipient settles on (empty = flat).
         self.chain_id = chain_id
-
-        self.messages_received = 0
-        self.quotes_refused = 0
-        self.messages_decrypted = 0
-        self.payments_made = 0
-        self.refunds_taken = 0
-        self.claims_relayed = 0
 
         self._pending: dict[OutPoint, _PendingSettlement] = {}
         self._deliveries: set[tuple[str, int]] = set()  # (gateway, id)
@@ -511,14 +497,5 @@ class RecipientAgent:
                 sent += 1
         return sent
 
-    def stats(self) -> dict[str, int]:
-        return {
-            "messages_received": self.messages_received,
-            "quotes_refused": self.quotes_refused,
-            "messages_decrypted": self.messages_decrypted,
-            "payments_made": self.payments_made,
-            "refunds_taken": self.refunds_taken,
-            "claims_relayed": self.claims_relayed,
-            "pending_settlements": len(self._pending),
-            **self.ledger.stats(),
-        }
+    def stats(self) -> StatsView:
+        return StatsView({**super().stats(), **self.ledger.stats()})

@@ -125,10 +125,7 @@ class DeploymentReporter:
             "bytes_per_exchange": DeploymentReporter._bytes_per_exchange,
             "bytes_per_block": DeploymentReporter._bytes_per_block,
         })
-        registry.register("crypto.verdict_memo", self.verdict_memo,
-                          counters=("hits", "misses", "evictions"), by="kind")
-        registry.register("crypto.verdict_memo", self.verdict_memo,
-                          gauges={"entries": len})
+        registry.register("crypto.verdict_memo", self.verdict_memo)
         registry.register("sim", self.sim,
                           gauges={"queue_length": lambda sim: len(sim._queue)})
 

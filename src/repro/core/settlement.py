@@ -37,13 +37,14 @@ from repro.blockchain.wallet import Wallet
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.errors import DaemonDown, ValidationError
+from repro.obs.registry import Counted, attrs
 from repro.p2p.message import TxMessage
 from repro.sim.core import Simulator
 
 __all__ = ["CheckpointAgent"]
 
 
-class CheckpointAgent:
+class CheckpointAgent(Counted):
     """Commits one region's sub-chain digests onto the settlement chain.
 
     :param sub_daemon: the daemon following the region's gateway
@@ -53,6 +54,10 @@ class CheckpointAgent:
     :param anchor_wallet: a funded wallet on the settlement chain that
         carries the OP_RETURN commitments.
     """
+
+    COUNTERS = attrs("checkpoints_committed")
+    # The live height of the sub-chain this agent anchors.
+    GAUGES = {"subchain_height": "sub_daemon.node.height"}
 
     def __init__(self, sim: Simulator, region_id: int,
                  sub_daemon: BlockchainDaemon,
@@ -70,7 +75,6 @@ class CheckpointAgent:
         self.interval = interval
 
         self.epoch = 0
-        self.checkpoints_committed = 0
         self.resends = 0
         # txids settled on the sub-chain since the last committed epoch,
         # in connect order (the preimage of the next settled root).

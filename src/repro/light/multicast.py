@@ -34,6 +34,7 @@ from repro.crypto.ecdsa import ECDSAError
 from repro.crypto.hashing import sha256
 from repro.light.messages import HeaderBundleMessage
 from repro.lora.dutycycle import DutyCycleLimiter
+from repro.obs.registry import Counted, attrs
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sim.core import Simulator
 
@@ -61,7 +62,7 @@ def bundle_wire_size(message: HeaderBundleMessage) -> int:
             + sum(len(raw) for raw in message.headers))
 
 
-class ChainMulticaster:
+class ChainMulticaster(Counted):
     """One gateway's periodic signed header broadcast.
 
     ``tamper`` is a test hook: called with each outgoing bundle, its
@@ -71,7 +72,7 @@ class ChainMulticaster:
     """
 
     MAX_HEADERS_PER_ROUND = 16
-    COUNTERS = ("rounds_sent", "rounds_delayed")
+    COUNTERS = attrs("rounds_sent", "rounds_delayed")
 
     def __init__(self, sim: Simulator, network: Any, name: str,
                  keypair: Any, chain: Any,
@@ -92,10 +93,6 @@ class ChainMulticaster:
         self.tracer = tracer
         self.tamper: Optional[Callable[[HeaderBundleMessage],
                                        HeaderBundleMessage]] = None
-        self.rounds_sent = 0
-        self.headers_broadcast = 0
-        self.rounds_delayed = 0
-        self.airtime_total = 0.0
         self._round = 0
         self._prev_digest = GENESIS_DIGEST
         # Listeners bootstrap their history by unicast SPV sync; the
@@ -137,7 +134,6 @@ class ChainMulticaster:
                 yield self.sim.timeout(wait)
             if airtime > 0:
                 self.limiter.register(self.sim.now, airtime)
-                self.airtime_total += airtime
                 yield self.sim.timeout(airtime)
             span = self.tracer.span(
                 "multicast.round", host=self.name,
@@ -147,7 +143,6 @@ class ChainMulticaster:
                                   parent=span)
             span.end("ok")
             self.rounds_sent += 1
-            self.headers_broadcast += len(message.headers)
 
     def _build_bundle(self) -> HeaderBundleMessage:
         raw_headers = []
@@ -180,7 +175,7 @@ class ChainMulticaster:
         return message
 
 
-class MulticastListener:
+class MulticastListener(Counted):
     """The Class-A receiver side of the repeat-authenticate stream.
 
     ``apply_headers(start_height, raw_headers) -> status`` commits
@@ -194,10 +189,11 @@ class MulticastListener:
     # fires, and how many consecutive bad rounds mean omission.
     LISTEN_WINDOW = 2.0
     MISS_THRESHOLD = 2
-    COUNTERS = ("bundles_received", "bundles_accepted", "bundles_late",
-                "bundles_invalid", "bundles_discarded", "rounds_missed",
-                "signatures_verified", "signatures_skipped",
-                "dishonest_bundles", "omissions_suspected", "headers_applied")
+    COUNTERS = attrs(
+        "bundles_received", "bundles_accepted", "bundles_late",
+        "bundles_invalid", "bundles_discarded", "rounds_missed",
+        "signatures_verified", "signatures_skipped", "dishonest_bundles",
+        "omissions_suspected", "headers_applied")
 
     def __init__(self, sim: Simulator, gateway_pubkey: bytes,
                  interval: float,
@@ -210,17 +206,6 @@ class MulticastListener:
         self.apply_headers = apply_headers
         self.on_omission = on_omission
         self.verify_every = verify_every
-        self.bundles_received = 0
-        self.bundles_accepted = 0
-        self.bundles_late = 0
-        self.bundles_invalid = 0
-        self.bundles_discarded = 0
-        self.rounds_missed = 0
-        self.signatures_verified = 0
-        self.signatures_skipped = 0
-        self.dishonest_bundles = 0
-        self.omissions_suspected = 0
-        self.headers_applied = 0
         self._buffer: list[HeaderBundleMessage] = []
         self._last_digest = GENESIS_DIGEST
         self._anchored = True
@@ -340,6 +325,3 @@ class MulticastListener:
                 if self._consecutive_missed >= self.MISS_THRESHOLD:
                     self.omissions_suspected += 1
                     self.on_omission()
-
-    def stats(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.COUNTERS}

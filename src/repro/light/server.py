@@ -13,8 +13,11 @@ and answers three things a light client needs:
   nothing but its header chain.
 
 Serving is push-first: a registered client never polls for its own
-transactions.  All state here is soft — a crashed server forgets its
-filters, which is exactly why clients replay them on failover.
+transactions.  The filters live in memory and nothing clears them: they
+outlast the daemon's ``crash()`` and restart, and a server a client
+failed over from keeps its filter and keeps pushing (ROADMAP item 7(d)).
+A client replays its whole filter on failover, so its new serving peer
+has it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.light.messages import (
     RegisterFilterMessage,
     TxProofMessage,
 )
+from repro.obs.registry import Counted, attrs
 from repro.p2p.message import Envelope
 from repro.script import builder
 
@@ -64,20 +68,19 @@ class _ClientFilter:
         return False
 
 
-class LightServer:
+class LightServer(Counted):
     """Header, filter, and proof service for one full-node daemon."""
 
-    COUNTERS = ("filters_registered", "header_requests", "matches_pushed",
-                "proofs_served")
+    COUNTERS = attrs(
+        "filters_registered", "header_requests", "matches_pushed",
+        "proofs_served")
+    # Light clients with a registered filter.
+    GAUGES = {"clients": lambda server: len(server._filters)}
 
     def __init__(self, daemon: "BlockchainDaemon") -> None:
         self.daemon = daemon
         self.network = daemon.network
         self._filters: dict[str, _ClientFilter] = {}
-        self.filters_registered = 0
-        self.header_requests = 0
-        self.matches_pushed = 0
-        self.proofs_served = 0
         daemon.register_protocol(GetHeaderRangeMessage, self._on_get_headers)
         daemon.register_protocol(RegisterFilterMessage, self._on_register)
         daemon.register_protocol(GetTxProofMessage, self._on_get_proof)
@@ -202,12 +205,3 @@ class LightServer:
         if proof is not None:
             self.proofs_served += 1
             self.network.send(self.daemon.name, envelope.source, proof)
-
-    @property
-    def clients(self) -> int:
-        """Light clients with a registered filter."""
-        return len(self._filters)
-
-    def stats(self) -> dict[str, int]:
-        return {"clients": self.clients,
-                **{name: getattr(self, name) for name in self.COUNTERS}}

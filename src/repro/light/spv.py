@@ -43,7 +43,7 @@ from repro.light.messages import (
     TxProofMessage,
 )
 from repro.light.multicast import MulticastListener
-from repro.obs.registry import StatsView
+from repro.obs.registry import Counted, attrs
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.p2p.message import Envelope
 from repro.p2p.sync import Requests
@@ -56,7 +56,7 @@ _MAX_STASHED_PROOFS = 128
 _HEADERS = "headers"
 
 
-class SpvClient:
+class SpvClient(Counted):
     """Header-first chain tracking plus watch-list proofs for one host."""
 
     # Seconds before an unanswered request counts against its peer, and
@@ -65,10 +65,11 @@ class SpvClient:
     FAILOVER_THRESHOLD = 2
     # Headers asked for per request.
     BATCH = 64
-    COUNTERS = ("sync_rounds", "rounds_skipped", "sync_timeouts",
-                "failovers", "catchups", "headers_synced",
-                "headers_from_multicast", "proofs_verified",
-                "proofs_rejected", "matches_received")
+    COUNTERS = attrs(
+        "sync_rounds", "rounds_skipped", "sync_timeouts", "failovers",
+        "catchups", "headers_synced", "headers_from_multicast",
+        "proofs_verified", "proofs_rejected", "matches_received")
+    GAUGES = {"tip_height": "chain.tip_height"}
 
     def __init__(self, sim: Simulator, network: Any, name: str,
                  peers: tuple[str, ...],
@@ -112,17 +113,6 @@ class SpvClient:
         # Every payload type this host ever received — the "no block
         # bodies" acceptance check reads this.
         self.payload_counts: dict[str, int] = {}
-        # Counters.
-        self.sync_rounds = 0
-        self.rounds_skipped = 0
-        self.sync_timeouts = 0
-        self.failovers = 0
-        self.catchups = 0
-        self.headers_synced = 0
-        self.headers_from_multicast = 0
-        self.proofs_verified = 0
-        self.proofs_rejected = 0
-        self.matches_received = 0
         network.register(name, self._handle)
         self._process = sim.process(self._loop())
 
@@ -396,10 +386,3 @@ class SpvClient:
             else:
                 self._stashed_proofs[(proof.txid, proof.block_hash)] = (
                     proof, peer)
-
-    # -- observability ----------------------------------------------------------
-
-    def stats(self) -> StatsView:
-        return StatsView({**{name: getattr(self, name)
-                             for name in self.COUNTERS},
-                          "tip_height": self.chain.tip_height})

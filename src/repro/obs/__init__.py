@@ -14,8 +14,7 @@ The observability layer has three deliberately separate concerns:
 
 Determinism contract: everything reachable from the JSONL export — span
 ids, trace ids, sim timestamps, metric values — is a pure function of
-the scenario seed.  In particular spans never record process-global
-identifiers such as ``Envelope.message_id``.
+the scenario seed.
 """
 
 from repro.obs.exchange import ExchangeRecord, ExchangeTracker

@@ -9,25 +9,50 @@ every source through its owner at that moment.  The export is a view of
 live state: a reading cannot go stale, and there is no mirror to keep
 in step.
 
+One table per component: a counting component is :class:`Counted`, and
+its ``COUNTERS`` / ``GAUGES`` tables are the only place its readings are
+named.  Its registration (``registry.register(prefix, component,
+**labels)``) and its ``stats()`` both read those tables, so the export
+and the view cannot disagree, and a counter is otherwise named only
+where it is incremented.
+
 ``snapshot()`` is the single canonical read shape: a plain dict of
 sorted ``name{k=v,...}`` series, suitable both for tests and for the
 deterministic JSONL export.  :class:`StatsView` is the read-only mapping
-behind the uniform ``stats()`` accessors on daemons, sync agents, gossip
-nodes and the chaos injector.
+every ``stats()`` returns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from typing import Any, Callable, Union
+from typing import Any, Callable, ClassVar, NamedTuple, Union
 
 from repro.errors import ConfigurationError
 
-__all__ = ["MetricsRegistry", "StatsView", "read"]
+__all__ = ["Counted", "Keyed", "MetricsRegistry", "StatsView", "attrs",
+           "read"]
 
 # Where a field is read: an attribute path from its owner
 # (``"node.engine.cache_stats.hits"``) or a function of the owner.
 Source = Union[str, Callable[[Any], Any]]
+
+
+class Keyed(NamedTuple):
+    """A reading that is a mapping: one series per key, under the extra
+    label ``label`` in the export (``hits{kind=ecdsa}``) and as
+    ``<field>.<key>`` in a :class:`StatsView`."""
+
+    source: Source
+    label: str
+
+
+# A component's table: field -> where to read it.
+Table = Mapping[str, Union[Source, Keyed]]
+
+
+def attrs(*fields: str) -> dict[str, str]:
+    """Table entries for fields read from the attribute of their name."""
+    return {field: field for field in fields}
 
 
 def read(owner: Any, source: Source) -> Any:
@@ -87,23 +112,28 @@ class MetricsRegistry:
         self._families: dict[str, _Family] = {}
 
     def register(self, prefix: str, owner: Any,
-                 counters: Union[Mapping[str, Source], tuple[str, ...]] = (),
-                 gauges: Union[Mapping[str, Source], tuple[str, ...]] = (),
-                 by: str = "", **labels: str) -> None:
+                 counters: Union[Table, tuple[str, ...], None] = None,
+                 gauges: Union[Table, tuple[str, ...], None] = None,
+                 **labels: str) -> None:
         """Export ``owner``'s fields as ``<prefix>.<field>{labels}``.
 
-        ``counters`` / ``gauges`` name the fields; a mapping gives each
-        its :data:`Source` (a bare name is its own attribute path).  A
-        reading of None leaves the series out of that snapshot.  With
-        ``by``, each reading is a mapping and every key becomes one
-        series under the extra label ``by`` (``kind=ecdsa``).
+        ``counters`` / ``gauges`` default to a :class:`Counted` owner's
+        ``COUNTERS`` / ``GAUGES`` tables; given, a mapping gives each
+        field its :data:`Source` or :class:`Keyed` (a bare name is its
+        own attribute path).  A reading of None leaves the series out of
+        that snapshot.
         """
-        labelnames = tuple(labels) + ((by,) if by else ())
+        if counters is None and gauges is None:
+            counters, gauges = owner.COUNTERS, owner.GAUGES
         key = tuple(str(value) for value in labels.values())
         for kind, fields in (("counter", counters), ("gauge", gauges)):
-            for field in fields:
+            for field in fields or ():
                 source = fields[field] if isinstance(fields, Mapping) \
                     else field
+                by = ""
+                if isinstance(source, Keyed):
+                    source, by = source
+                labelnames = tuple(labels) + ((by,) if by else ())
                 name = f"{prefix}.{field}"
                 family = self._families.get(name)
                 if family is None:
@@ -171,3 +201,45 @@ class StatsView(Mapping):
                 rendered = str(value)
             lines.append(f"{key:<{width}}  {rendered}")
         return "\n".join(lines)
+
+
+class Counted:
+    """A component that counts, each reading named once, in its tables.
+
+    ``COUNTERS`` and ``GAUGES`` map a field to where it is read
+    (:data:`Source` or :class:`Keyed`).  ``registry.register(prefix,
+    component, **labels)`` exports both; :meth:`stats` shows both, plus
+    ``VIEW_ONLY`` — readings a person asks for that the export leaves
+    out (a mean or a total of exported series, a time not every run
+    stamps).  A reading of None is left out of the view as of the
+    export.
+
+    A field read from the attribute of its own name is a plain int
+    attribute that starts at 0 on the class: the component only ever
+    writes ``self.field += 1``.
+    """
+
+    COUNTERS: ClassVar[Table] = {}
+    GAUGES: ClassVar[Table] = {}
+    VIEW_ONLY: ClassVar[Table] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for table in (cls.COUNTERS, cls.GAUGES):
+            for field, source in table.items():
+                if source == field and not hasattr(cls, field):
+                    setattr(cls, field, 0)
+
+    def stats(self) -> StatsView:
+        """Every reading of this component's tables, right now."""
+        values: dict[str, object] = {}
+        for table in (self.COUNTERS, self.GAUGES, self.VIEW_ONLY):
+            for field, source in table.items():
+                if isinstance(source, Keyed):
+                    for key, value in read(self, source.source).items():
+                        values[f"{field}.{key}"] = value
+                    continue
+                value = read(self, source)
+                if value is not None:
+                    values[field] = value
+        return StatsView(values)

@@ -35,7 +35,7 @@ from typing import Any
 from repro.blockchain.block import Block
 from repro.blockchain.node import FullNode
 from repro.blockchain.transaction import Transaction
-from repro.obs.registry import StatsView
+from repro.obs.registry import Counted, attrs
 from repro.blockchain.mempool import (REJECT_IMMATURE, REJECT_MISSING_INPUTS,
                                       REJECT_NON_FINAL)
 from repro.p2p.dedup import LRUSet
@@ -50,7 +50,7 @@ _NOT_YET = frozenset({REJECT_MISSING_INPUTS, REJECT_NON_FINAL,
                       REJECT_IMMATURE})
 
 
-class GossipNode:
+class GossipNode(Counted):
     """P2P relay behaviour for one full node.
 
     The node does not register with the network itself: its owner routes
@@ -61,6 +61,9 @@ class GossipNode:
 
     ORPHAN_POOL_SIZE = 256
     DEDUP_CACHE_SIZE = 4096
+    COUNTERS = attrs("orphans_resolved", "orphans_evicted")
+    GAUGES = {"peers": lambda node: len(node.peers),
+              "orphans_pooled": "orphan_count"}
 
     def __init__(self, node: FullNode, network: WANetwork,
                  name: Optional[str] = None) -> None:
@@ -76,8 +79,6 @@ class GossipNode:
             OrderedDict()
         )
         self._retrying_orphans = False
-        self.orphans_resolved = 0
-        self.orphans_evicted = 0
         # Listeners called when a tx/block is newly accepted locally.
         self.on_transaction: list[Callable[[Transaction], None]] = []
         self.on_block: list[Callable[[Block], None]] = []
@@ -242,12 +243,3 @@ class GossipNode:
             if peer in exclude:
                 continue
             self.network.send(self.name, peer, message, parent=parent)
-
-    def stats(self) -> StatsView:
-        """The uniform observability accessor (same shape as daemons')."""
-        return StatsView({
-            "peers": len(self.peers),
-            "orphans_pooled": len(self._orphan_txs),
-            "orphans_resolved": self.orphans_resolved,
-            "orphans_evicted": self.orphans_evicted,
-        })

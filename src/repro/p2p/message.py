@@ -8,7 +8,6 @@ and ``Sig`` to the recipient it resolved from the chain).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,24 +23,19 @@ __all__ = [
     "ClaimMessage",
 ]
 
-_sequence = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class Envelope:
     """Routing wrapper: who sent what to whom, when.
 
     ``trace`` carries the in-flight ``wan.transit`` span (if tracing is
-    on) so a handler can parent its own spans under the delivery;
-    ``message_id`` is process-global and must never enter a span —
-    exports are keyed on deterministic per-tracer ids only.
+    on) so a handler can parent its own spans under the delivery.
     """
 
     source: str
     destination: str
     payload: Any
     sent_at: float
-    message_id: int = field(default_factory=lambda: next(_sequence))
     trace: Any = field(default=None, compare=False, repr=False)
 
 

@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
-from repro.obs.registry import StatsView
+from repro.obs.registry import Counted, attrs
 from repro.p2p.message import Envelope
 from repro.sim.core import Simulator
 
@@ -218,7 +218,7 @@ class _CatchupSession:
     next_above: int = 0
 
 
-class SyncAgent:
+class SyncAgent(Counted):
     """Periodic state reconciliation for one daemon.
 
     :param interval: seconds between tip probes.
@@ -242,24 +242,18 @@ class SyncAgent:
     # Automatic retransmissions of an unanswered catch-up request before
     # the session is abandoned.
     SESSION_RETRIES = 2
+    # Counted here only: the registry reads the daemon's ``sync_*``
+    # series and the chaos totals off them.
+    COUNTERS = attrs(
+        "rounds", "skipped_rounds", "blocks_recovered", "txs_recovered",
+        "timeouts", "retries", "backoff_resets", "catchup_sessions",
+        "batches_received", "headers_received")
 
     def __init__(self, sim: Simulator, daemon: "BlockchainDaemon",
                  interval: float = 30.0) -> None:
         self.sim = sim
         self.daemon = daemon
         self.interval = interval
-        # Counters, each counted here only: the registry reads the
-        # daemon's ``sync_*`` series and the chaos totals off them.
-        self.rounds = 0
-        self.skipped_rounds = 0
-        self.blocks_recovered = 0
-        self.txs_recovered = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.backoff_resets = 0
-        self.catchup_sessions = 0
-        self.batches_received = 0
-        self.headers_received = 0
         self._peer_cursor = 0
         self._session: Optional[_CatchupSession] = None
         # One request in flight per peer, filed under the peer's name.
@@ -508,20 +502,3 @@ class SyncAgent:
         for tx in envelope.payload.transactions:
             self.daemon.gossip.receive_transaction(tx, origin=envelope.source)
         self.txs_recovered += max(0, len(self.daemon.node.mempool) - before)
-
-    # -- observability ------------------------------------------------------------
-
-    def stats(self) -> StatsView:
-        """The uniform observability accessor (same shape as daemons')."""
-        return StatsView({
-            "rounds": self.rounds,
-            "skipped_rounds": self.skipped_rounds,
-            "blocks_recovered": self.blocks_recovered,
-            "txs_recovered": self.txs_recovered,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "backoff_resets": self.backoff_resets,
-            "catchup_sessions": self.catchup_sessions,
-            "batches_received": self.batches_received,
-            "headers_received": self.headers_received,
-        })

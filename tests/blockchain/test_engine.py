@@ -164,17 +164,16 @@ def test_block_connect_reuses_mempool_verdicts(verifying_node, rng):
 
     misses_after_admission = engine.cache_stats.misses
     assert misses_after_admission >= 3  # admission executed the scripts
+    hits_after_admission = engine.cache_stats.hits
 
     block = miner.mine(100.0)
     result = node.submit_block(block)
     assert result.status == "active"
 
-    report = node.last_block_report
-    assert report is not None
-    assert report.scripts_verified
-    assert report.script_executions == 0  # every verdict came from cache
-    assert report.cache_hits >= 3
+    assert engine.verify_scripts
+    # Every verdict came from cache: no execution, a hit per input.
     assert engine.cache_stats.misses == misses_after_admission
+    assert engine.cache_stats.hits - hits_after_admission >= 3
 
 
 def test_unseen_block_still_executes_scripts(verifying_node, rng):
@@ -188,10 +187,11 @@ def test_unseen_block_still_executes_scripts(verifying_node, rng):
     for _height, past in node.chain.iter_active_blocks(1):
         if past.hash != block.hash:
             other.submit_block(past)
+    before = other.engine.cache_stats.snapshot()
     assert other.submit_block(block).status == "active"
-    report = other.last_block_report
-    assert report.script_executions == len(tx.inputs)
-    assert report.cache_hits == 0
+    after = other.engine.cache_stats
+    assert after.misses - before.misses == len(tx.inputs)
+    assert after.hits == before.hits
 
 
 # -- overlay semantics ---------------------------------------------------------
@@ -284,4 +284,4 @@ def test_miner_template_fees_match_connected_fees(funded_chain, rng):
         node.params.coinbase_reward + 321
     )
     assert node.submit_block(block).status == "active"
-    assert node.last_block_report.total_fees == 321
+    assert node.chain.last_report.total_fees == 321

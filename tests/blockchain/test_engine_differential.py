@@ -278,7 +278,7 @@ def _unbatch_admission(engine) -> None:
 def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
     """Run one block connect and flatten *everything* observable into
     ``(verdict, lookups)``: what the chain sees, and the host work of the
-    script stage (``cache_stats`` and the report's executions / hits).
+    script stage (the connect's ``cache_stats`` hits and misses).
 
     ``reference=True`` runs the unbatched reference in place of the
     engine's batch ``connect_block``.
@@ -290,23 +290,22 @@ def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
         transactions=[bank.miner.build_coinbase(height, 0), *txs],
     )
     utxos = _replica_utxos(bank)
-    stats = engine.cache_stats
+    before = engine.cache_stats.snapshot()
     try:
         if reference:
-            summary = EngineReference(engine).connect_block(block, utxos,
-                                                            height)
+            total_fees = EngineReference(engine).connect_block(block, utxos,
+                                                               height)
         else:
-            report = engine.connect_block(block, utxos, height,
-                                          verify_scripts=True)
-            summary = (report.tx_count, report.total_fees,
-                       report.script_executions, report.cache_hits)
+            total_fees = engine.connect_block(block, utxos, height,
+                                              verify_scripts=True).total_fees
     except ValidationError as exc:
-        verdict, work = ("err", str(exc)), ()
+        verdict = ("err", str(exc))
     else:
-        verdict, work = ("ok", *summary[:2]), summary[2:]
+        verdict = ("ok", total_fees)
     digest = utxo_digest(SimpleNamespace(utxos=utxos))
+    stats = engine.cache_stats
     return ((*verdict, engine.policy.stats.fast_rejects, digest),
-            (stats.hits, stats.misses, *work))
+            (stats.hits - before.hits, stats.misses - before.misses))
 
 
 def _engine(bank, memo=None) -> ValidationEngine:
@@ -327,7 +326,7 @@ def _differential(bank, txs) -> tuple:
         f"batch/unbatched divergence for {labels}: "
         f"\n  batch:     {batch}\n  unbatched: {unbatched}"
     )
-    verdict, (_hits, misses, *_work) = batch
+    verdict, (_hits, misses) = batch
     # Shared memos: the second engine of each pair (and every later
     # example) meets verdicts it did not compute.
     for memo in bank.memos:

@@ -302,7 +302,7 @@ def test_template_claims_the_fees_admission_recorded(spends):
     claimed = block.coinbase.total_output_value - node.params.coinbase_reward
     assert claimed == sum(fees)
     assert node.submit_block(block).status == "active"
-    assert node.last_block_report.total_fees == claimed
+    assert node.chain.last_report.total_fees == claimed
 
 
 def _orphan(node, key, wallet, miner, rng):

@@ -120,7 +120,7 @@ def owners_view(network, injector, report):
                     value
     for server in network.light_servers:
         host = server.daemon.name
-        stats = server.stats()
+        stats = dict(server.stats())
         gauges[f"light.server.clients{{host={host}}}"] = stats.pop("clients")
         for field, value in stats.items():
             counters[f"light.server.{field}{{host={host}}}"] = value

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, StatsView, read
+from repro.obs.registry import (Counted, Keyed, MetricsRegistry, StatsView,
+                                 read)
 
 
 def test_counter_inc_and_value():
@@ -116,8 +117,8 @@ def test_none_reading_leaves_the_series_out():
 def test_mapping_reading_fans_out_by_label():
     registry = MetricsRegistry()
     owner = SimpleNamespace(faults={})
-    registry.register("chaos", owner, counters=("faults",), by="kind",
-                      host="h")
+    registry.register("chaos", owner,
+                      counters={"faults": Keyed("faults", "kind")}, host="h")
     assert registry.snapshot()["counters"] == {}
     owner.faults["loss"] = 2
     owner.faults["delay"] = 1
@@ -125,6 +126,38 @@ def test_mapping_reading_fans_out_by_label():
         ("chaos.faults{host=h,kind=delay}", 1),
         ("chaos.faults{host=h,kind=loss}", 2),
     ]
+
+
+class _Relay(Counted):
+    COUNTERS = {"sent": "sent",
+                "faults": Keyed("faults", "kind")}
+    GAUGES = {"depth": lambda relay: len(relay.queue)}
+    VIEW_ONLY = {"settled_at": "settled_at"}
+
+    def __init__(self) -> None:
+        self.queue: list[int] = []
+        self.faults: dict[str, int] = {}
+        self.settled_at = None
+
+
+def test_counted_tables_feed_both_the_export_and_the_view():
+    relay = _Relay()
+    assert relay.sent == 0  # a field read from its own name starts at 0
+    registry = MetricsRegistry()
+    registry.register("relay", relay, host="h")
+    relay.sent += 2
+    relay.queue.append(1)
+    relay.faults["loss"] = 1
+    assert registry.snapshot() == {
+        "counters": {"relay.faults{host=h,kind=loss}": 1,
+                     "relay.sent{host=h}": 2},
+        "gauges": {"relay.depth{host=h}": 1}}
+    # The view shows the same tables; a None reading is left out.
+    assert dict(relay.stats()) == {"depth": 1, "faults.loss": 1, "sent": 2}
+    relay.settled_at = 4.5
+    assert relay.stats()["settled_at"] == 4.5
+    assert "settled_at" not in str(registry.snapshot())
+    assert _Relay().sent == 0  # each instance counts for itself
 
 
 def test_stats_view_is_sorted_readonly_mapping():

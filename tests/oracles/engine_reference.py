@@ -66,22 +66,20 @@ class EngineReference:
                    for index, entry in enumerate(entries))
 
     def connect_block(self, block: Block, utxos: UTXOSet,
-                      height: int) -> tuple[int, int, int, int]:
+                      height: int) -> int:
         """``connect_block`` the plain way: per transaction, the
         contextual check, then every input's scripts, then apply, against
-        an overlay committed at the end.  Returns ``(tx_count,
-        total_fees, script_executions, cache_hits)``."""
+        an overlay committed at the end.  Returns the block's fees; the
+        script work is in ``engine.cache_stats``."""
         engine = self.engine
         view = UTXOView(utxos)
-        hits_before = engine.cache_stats.hits
         total_fees = 0
-        executions = 0
         for tx in block.transactions:
             total_fees += engine._check_resolved_inputs(
                 tx, [view.get(tx_input.outpoint) for tx_input in tx.inputs],
                 height)
             if not tx.is_coinbase:
-                executions += self.verify_input_scripts(
+                self.verify_input_scripts(
                     tx, [view.get(tx_input.outpoint)
                          for tx_input in tx.inputs])
             view.apply_transaction(tx, height)
@@ -91,5 +89,4 @@ class EngineReference:
                 f"coinbase claims {block.coinbase.total_output_value}, "
                 f"max is {max_coinbase}")
         view.commit()
-        return (len(block.transactions), total_fees, executions,
-                engine.cache_stats.hits - hits_before)
+        return total_fees
