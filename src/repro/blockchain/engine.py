@@ -80,11 +80,6 @@ class ScriptCacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def executions(self) -> int:
-        """Scripts actually run (every miss executes the interpreter)."""
-        return self.misses
-
     def snapshot(self) -> "ScriptCacheStats":
         return ScriptCacheStats(hits=self.hits, misses=self.misses)
 
@@ -150,9 +145,9 @@ class _ScriptBatch:
             ))
         self.queue.append((tx, index, entry))
 
-    def flush(self) -> int:
+    def flush(self) -> None:
         """Run the queue; store pre-failure successes; raise the first
-        failure in block order.  Returns the executions that succeeded.
+        failure in block order.
 
         One :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
         computes every input's sighash (one serialization per tx) and
@@ -163,13 +158,12 @@ class _ScriptBatch:
         """
         queue, self.queue = self.queue, []
         if not queue:
-            return 0
+            return
         engine = self.engine
         memo = engine.verdict_memo
         hints = precompute_verdicts(
             [(tx, index, entry.output.script_pubkey)
              for tx, index, entry in queue], memo)
-        executions = 0
         for tx, index, entry in queue:
             locking = entry.output.script_pubkey
             # A miss is counted before executing, so the failing run is
@@ -183,9 +177,7 @@ class _ScriptBatch:
                     f"{tx.txid.hex()[:16]}.. "
                     f"(locking: {locking.disassemble()})"
                 )
-            executions += 1
             memo.put((SCRIPT, tx.txid, index, entry.entry_hash), True)
-        return executions
 
     def barrier(self, exc: ValidationError) -> None:
         """Flush, then raise ``exc`` — unless an already-queued script
@@ -309,8 +301,8 @@ class ValidationEngine:
                                  rsa_pair_check=memo.check_rsa_pair)
 
     def verify_input_scripts(self, tx: Transaction,
-                             entries: list[UTXOEntry]) -> int:
-        """Verify every input against its resolved entry; returns executions.
+                             entries: list[UTXOEntry]) -> None:
+        """Verify every input against its resolved entry.
 
         The mempool's admission path: the inputs go through the
         cross-input batch layer as one batch, with the verdict, error
@@ -319,7 +311,7 @@ class ValidationEngine:
         batch = _ScriptBatch(self)
         for index, entry in enumerate(entries):
             batch.add(tx, index, entry)
-        return batch.flush()
+        batch.flush()
 
     # -- anchor-chain checkpoint rules -----------------------------------------
 

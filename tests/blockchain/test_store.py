@@ -69,7 +69,7 @@ def test_load_validates_scripts(funded_chain, tmp_path, rng):
     restored = Chain(node.params, verify_scripts=True)
     load_chain(path, restored)
     assert restored.height == node.chain.height
-    assert restored.engine.cache_stats.executions > 0
+    assert restored.engine.cache_stats.misses > 0
 
 
 def test_tampered_snapshot_rejected(funded_chain, tmp_path):

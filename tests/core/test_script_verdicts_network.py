@@ -44,13 +44,12 @@ def run(request):
 
     def recording(engine, tx, entries):
         try:
-            executions = real(engine, tx, entries)
+            real(engine, tx, entries)
         except ValidationError:
             failed.append(tx.txid)
             raise
         admitted.extend((tx.txid, index, entry.entry_hash)
                         for index, entry in enumerate(entries))
-        return executions
 
     patch = pytest.MonkeyPatch()
     patch.setattr(ValidationEngine, "verify_input_scripts", recording)

@@ -2,8 +2,8 @@
 
 ``verify_batch`` must be verdict-identical to per-item
 ``PublicKey.verify`` on every input class — valid, tampered, wrong-key,
-high-S, out-of-range — whether a key is still cold or has been promoted
-to its full table (its ``_PROMOTE_AFTER``-th verification, in any call).
+high-S, out-of-range — whether the item is its key's first use, which
+builds the key's table, or a later one, in any call.
 """
 
 from __future__ import annotations
@@ -85,18 +85,19 @@ def test_bad_hash_length_raises():
 
 
 def test_fixed_table_threshold_path_matches_serial():
-    """A batch that carries a fresh key across its promotion: the cold
-    ladder, the table walk and the serial verifier agree item by item."""
+    """A batch whose first item is a fresh key's first use: the table is
+    built once, at that item, and the batch and the serial verifier agree
+    item by item."""
     key = generate_private_key(random.Random(0xF17ED))
     items = []
-    for tag in range(ecdsa._PROMOTE_AFTER + 2):
+    for tag in range(7):
         digest, signature = _sign(key, b"bulk-%d" % tag)
         if tag == 3:
             signature = Signature(r=signature.r,
                                   s=(signature.s * 2) % CURVE_ORDER or 1)
         items.append((key.public_key, digest, signature))
     built = ecdsa.cache_stats()["tables_built"]
-    batch = verify_batch(items)  # cold up to the threshold, hot after
+    batch = verify_batch(items)  # the first item builds the table
     assert ecdsa.cache_stats()["tables_built"] == built + 1
     serial = [pk.verify(d, s) for pk, d, s in items]  # hot throughout
     assert batch == serial

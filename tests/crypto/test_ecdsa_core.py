@@ -3,15 +3,14 @@ and its bounds.
 
 ``repro.crypto.ecdsa`` computes ``u1*G + u2*Q`` in one place, for
 :meth:`PublicKey.verify` and ``verify_batch`` alike: GLV halves of ``u2``
-as signed 4-bit digits, walked over row 0 with doublings while the key is
-cold; once its cumulative verifications reach ``_PROMOTE_AFTER``, one
-point of a full 4-bit table per digit, and once they reach
+as signed digits, one point of a full 4-bit table per digit from the
+key's first verification, and once its cumulative verifications reach
 ``_WIDEN_AFTER``, one point of an 8-bit table per digit, summed with
 ``u1*G``'s points in affine coordinates by ``_affine_sums`` (checked here
 against one-at-a-time Jacobian sums).  What is cached must never change a
-verdict, so every differential here runs cold, hot, wide and after an
-eviction, against the two-multiply oracle.  Bounds are asserted on counts
-(``ecdsa.cache_stats()``), never on clocks.
+verdict, so every differential here runs at a first use, hot, wide and
+after an eviction, against the two-multiply oracle.  Bounds are asserted
+on counts (``ecdsa.cache_stats()``), never on clocks.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from tests.oracles.ecdsa_reference import (
 
 _G = (ecdsa._GX, ecdsa._GY, 1)
 
-_ROW_BYTES = 8 * ecdsa._POINT_BYTES  # a cold key's one row
-_TABLE_BYTES = ecdsa._KEY_ROWS * _ROW_BYTES
+_TABLE_BYTES = ecdsa._KEY_ROWS * 8 * ecdsa._POINT_BYTES  # 264 points
 _WIDE_BYTES = ecdsa._WIDE_ROWS * 128 * ecdsa._POINT_BYTES  # 2176 points
 
 
@@ -57,13 +55,11 @@ def cache(monkeypatch):
 _NEVER = 1 << 62
 
 
-@pytest.fixture(params=["cold", "hot", "wide"])
+@pytest.fixture(params=["hot", "wide"])
 def stage(request, monkeypatch, cache):
     """Pin every key of the test to one tier from its first use."""
-    promote, widen = {"cold": (_NEVER, _NEVER), "hot": (1, _NEVER),
-                      "wide": (_NEVER, 1)}[request.param]
-    monkeypatch.setattr(ecdsa, "_PROMOTE_AFTER", promote)
-    monkeypatch.setattr(ecdsa, "_WIDEN_AFTER", widen)
+    monkeypatch.setattr(ecdsa, "_WIDEN_AFTER",
+                        {"hot": _NEVER, "wide": 1}[request.param])
     return request.param
 
 
@@ -73,8 +69,7 @@ def _tier(public_key: PublicKey) -> str:
     if record is None:
         return "absent"
     rows = record[1]
-    return {1: "cold", ecdsa._KEY_ROWS: "hot",
-            ecdsa._WIDE_ROWS: "wide"}[len(rows)]
+    return {ecdsa._KEY_ROWS: "hot", ecdsa._WIDE_ROWS: "wide"}[len(rows)]
 
 
 def _agree(public_key: PublicKey, digest: bytes, signature: Signature) -> bool:
@@ -217,6 +212,8 @@ def _cases(key: PrivateKey, tag: bytes):
     yield "tampered-s", digest, Signature(
         good.r, (good.s + 1) % CURVE_ORDER or 1), False
     yield "wrong-message", hashlib.sha256(tag + b"!").digest(), good, False
+    yield "r-out-of-range", digest, Signature(CURVE_ORDER, good.s), False
+    yield "s-out-of-range", digest, Signature(good.r, 0), False
 
 
 def _pad(key: PrivateKey, uses: int) -> None:
@@ -229,49 +226,52 @@ def _pad(key: PrivateKey, uses: int) -> None:
 
 def test_one_key_from_first_use_through_promotion_and_eviction(
         monkeypatch, cache):
-    """Cold, hot, wide, then evicted: an evicted wide key starts cold."""
+    """First use, hot, wide, then evicted: the first verification builds
+    the 4-bit table, and an evicted wide key comes back with a new one."""
     rng = random.Random(0xC01D)
     key, other = generate_private_key(rng), generate_private_key(rng)
     public = key.public_key
 
-    digest = hashlib.sha256(b"first").digest()
-    assert public.verify(digest, key.sign(digest)) is True
-    assert cache()["tables_built"] == 0  # the first use is cold
-
     seen = []
-    for stage in ("cold-to-hot", "hot", "hot-to-wide", "wide", "evicted"):
+    for stage in ("first-use", "hot", "hot-to-wide", "wide", "evicted"):
         if stage == "hot-to-wide":  # the stage's third use widens
             uses, _rows = ecdsa._key_cache.records[(public.x, public.y)]
             _pad(key, ecdsa._WIDEN_AFTER - 3 - uses)
         if stage == "evicted":
-            # A budget of two rows: verifying another key drops the table.
+            # A budget of one 4-bit table: verifying another key drops
+            # the wide one.
             with monkeypatch.context() as patch:
-                patch.setattr(ecdsa, "_KEY_CACHE_BYTES", 2 * _ROW_BYTES)
+                patch.setattr(ecdsa, "_KEY_CACHE_BYTES", _TABLE_BYTES)
                 _agree(other.public_key, *_crafted(5, 7))
-            assert (cache()["tables"], _tier(public)) == (0, "absent")
+            assert (cache()["keys"], _tier(public)) == (1, "absent")
         for name, case_digest, signature, expected in _cases(key, b"msg"):
-            assert _agree(public, case_digest, signature) is expected, (
-                stage, name)
+            built = cache()["tables_built"]
             assert public.verify(case_digest, signature,
                                  require_low_s=True) is (
                 expected and signature.is_low_s), (stage, name)
-            if stage == "evicted" and name == "valid":
-                assert _tier(public) == "cold"  # the count restarted
+            if stage in ("first-use", "evicted") and name == "valid":
+                # The key's first verification builds one 4-bit table,
+                # and its count toward the widening starts there.
+                assert cache()["tables_built"] == built + 1
+                assert ecdsa._key_cache.records[(public.x, public.y)][0] == 1
+                assert _tier(public) == "hot"
+            assert _agree(public, case_digest, signature) is expected, (
+                stage, name)
         seen.append((_tier(public), cache()["tables_built"],
                      cache()["wide_tables"]))
-    # Promoted on the way in, widened once, promoted again after the
-    # eviction: an evicted wide key starts cold.
+    # Built at the first use, widened once, built again after the
+    # eviction (the other key's table is the third build).
     assert seen == [("hot", 1, 0), ("hot", 1, 0), ("wide", 2, 1),
-                    ("wide", 2, 1), ("hot", 3, 0)]
+                    ("wide", 2, 1), ("hot", 4, 0)]
 
 
 def test_one_batch_mixes_every_tier_and_every_refusal(cache):
-    """Cold, hot and wide items of one call share each inversion; the
-    verdicts must still be the oracle's, item by item."""
+    """A key's first use, hot and wide items of one call share each
+    inversion; the verdicts must still be the oracle's, item by item."""
     rng = random.Random(0x3715)
     keys = [generate_private_key(rng) for _ in range(3)]
-    cold, hot, wide = keys
-    _pad(hot, ecdsa._PROMOTE_AFTER)
+    _fresh, hot, wide = keys
+    _pad(hot, 1)
     _pad(wide, ecdsa._WIDEN_AFTER)
     items = []
     for key in keys:
@@ -286,10 +286,12 @@ def test_one_batch_mixes_every_tier_and_every_refusal(cache):
                       good))
     rng.shuffle(items)
     expected = [verify_double_multiply(*item) for item in items]
+    built = cache()["tables_built"]
     assert verify_batch(items) == expected
     assert sum(expected) == 6  # each key's valid and high-S twin
-    # Three in-range items each: the cold key stayed cold.
-    assert [_tier(key.public_key) for key in keys] == ["cold", "hot", "wide"]
+    # Three in-range items each: only the fresh key built a table.
+    assert cache()["tables_built"] == built + 1
+    assert [_tier(key.public_key) for key in keys] == ["hot", "hot", "wide"]
     for public, digest, signature in items:
         assert public.verify(digest, signature, require_low_s=True) is (
             verify_double_multiply(public, digest, signature)
@@ -299,8 +301,9 @@ def test_one_batch_mixes_every_tier_and_every_refusal(cache):
 def test_batch_and_single_share_the_cumulative_count(cache):
     """Uses add up across both public verifiers: neither has a threshold
     of its own, and a batch does not need the uses to arrive together.
-    Each tier's table is built exactly once, at its threshold, and the
-    bytes held are counted by point whatever the width."""
+    Each table is built exactly once, the 4-bit one at the first use and
+    the 8-bit one at ``_WIDEN_AFTER``, and the bytes held are counted by
+    point whatever the width."""
     key = generate_private_key(random.Random(0x5A4E))
     for use in range(1, ecdsa._WIDEN_AFTER + 4):
         digest = hashlib.sha256(b"use-%d" % use).digest()
@@ -311,13 +314,10 @@ def test_batch_and_single_share_the_cumulative_count(cache):
         else:
             assert key.public_key.verify(digest, signature) is True
         stats = cache()
-        assert stats["tables_built"] == ((use >= ecdsa._PROMOTE_AFTER)
-                                         + (use >= ecdsa._WIDEN_AFTER))
+        assert stats["tables_built"] == 1 + (use >= ecdsa._WIDEN_AFTER)
         assert stats["wide_tables"] == (use >= ecdsa._WIDEN_AFTER)
         assert stats["table_bytes"] == (
-            _WIDE_BYTES if use >= ecdsa._WIDEN_AFTER
-            else _TABLE_BYTES if use >= ecdsa._PROMOTE_AFTER
-            else _ROW_BYTES)
+            _WIDE_BYTES if use >= ecdsa._WIDEN_AFTER else _TABLE_BYTES)
 
 
 def test_out_of_range_scalars_touch_no_table(cache):
@@ -350,8 +350,7 @@ _EDGE_SCALARS = _SMALL + tuple(CURVE_ORDER - k for k in _SMALL)
 def test_accumulator_meets_its_own_table_entry(secret, stage):
     """With ``Q = +-G`` and small scalars, a hot sum meets a point and
     itself or its negation -- the doubling and the infinity branch of the
-    affine sums -- and a cold ladder's accumulator meets the entry it is
-    about to add, those of the mixed addition.  Each case is verified
+    affine sums.  Each case is verified
     claiming ``r == u2`` and, when the sum is finite, claiming its own
     ``x``: only an exact sum accepts that one."""
     public = PrivateKey(secret=secret).public_key
@@ -403,61 +402,47 @@ def test_odd_y_key_and_its_even_twin(stage):
 
 def test_row_cache_stays_under_budget_over_three_budgets_of_keys(
         monkeypatch, cache):
-    budget = 3 * _TABLE_BYTES
+    budget = 3 * _TABLE_BYTES  # three 4-bit tables
     monkeypatch.setattr(ecdsa, "_KEY_CACHE_BYTES", budget)
     rng = random.Random(0xB0D6)
     digest = hashlib.sha256(b"bound").digest()
     # Recurring keys: three times the tables the budget holds.
+    recurring = []
     for _ in range(9):
         key = generate_private_key(rng)
+        recurring.append(key.public_key)
         signature = key.sign(digest)
-        for _use in range(ecdsa._PROMOTE_AFTER + 1):
+        for _use in range(3):
             assert key.public_key.verify(digest, signature)
             assert cache()["table_bytes"] <= budget
-    assert cache()["tables"] == 3
+    assert cache()["keys"] == 3
     assert cache()["tables_built"] == 9
-    # One-off keys: three times the rows the budget holds.
-    for _ in range(3 * 3 * ecdsa._KEY_ROWS):
+    # One-off keys: three budgets more, a table each.
+    for _ in range(9):
         generate_private_key(rng).public_key.verify(*_crafted(3, 5))
         stats = cache()
         assert stats["table_bytes"] <= budget
-        assert stats["keys"] <= budget // _ROW_BYTES
-    assert stats["tables"] == 0  # least recently verified went first
-    assert stats["tables_built"] == 9
+        assert stats["keys"] <= 3
+    # Least recently verified went first.
+    assert {_tier(public) for public in recurring} == {"absent"}
+    assert stats["tables_built"] == 18
 
 
 def test_default_budget_holds_the_largest_bench_deployment(cache):
-    """``regions_lossy``'s 25 signers hold 4-bit tables, and two keys as
-    busy as the ledger workloads' hold 8-bit ones, all at once: nothing
-    is evicted, and the bytes are counted by point whatever the width."""
+    """The fleet suite's 101 signers (``benchmarks/test_scaling_fleet.py``
+    at 100 gateways, the largest signer set in the repo) hold 4-bit
+    tables, and two keys as busy as the ledger workloads' hold 8-bit
+    ones, all at once: nothing is evicted, and the bytes are counted by
+    point whatever the width."""
     rng = random.Random(0x25)
-    for index in range(27):
+    for index in range(103):
         key = generate_private_key(rng)
-        _pad(key, ecdsa._PROMOTE_AFTER if index < 25 else ecdsa._WIDEN_AFTER)
+        _pad(key, 1 if index < 101 else ecdsa._WIDEN_AFTER)
     stats = cache()
-    assert (stats["keys"], stats["tables"], stats["wide_tables"]) == (
-        27, 27, 2)
-    assert stats["tables_built"] == 29
-    assert stats["table_bytes"] == 25 * _TABLE_BYTES + 2 * _WIDE_BYTES
+    assert (stats["keys"], stats["wide_tables"]) == (103, 2)
+    assert stats["tables_built"] == 105
+    assert stats["table_bytes"] == 101 * _TABLE_BYTES + 2 * _WIDE_BYTES
     assert stats["table_bytes"] <= ecdsa._KEY_CACHE_BYTES
-
-
-def test_round_robin_past_the_budget_never_builds_per_verification(
-        monkeypatch, cache):
-    monkeypatch.setattr(ecdsa, "_KEY_CACHE_BYTES", 4 * _TABLE_BYTES)
-    rng = random.Random(0x7AB1E)
-    digest = hashlib.sha256(b"rr").digest()
-    signers = [(key.public_key, key.sign(digest))
-               for key in (generate_private_key(rng) for _ in range(6))]
-    rounds = 6 * ecdsa._PROMOTE_AFTER
-    for _round in range(rounds):
-        for public, signature in signers:
-            assert public.verify(digest, signature)
-        assert cache()["table_bytes"] <= 4 * _TABLE_BYTES
-    # Eviction restarts a key's count, so every build was paid for by
-    # _PROMOTE_AFTER verifications of that key.
-    uses = rounds * len(signers)
-    assert 4 <= cache()["tables_built"] <= uses // ecdsa._PROMOTE_AFTER
 
 
 def test_parse_memo_returns_the_validated_key(cache):
@@ -509,7 +494,7 @@ def test_parse_memo_is_bounded(monkeypatch, cache):
 
 def test_cache_stats_is_a_snapshot_of_plain_ints():
     stats = ecdsa.cache_stats()
-    assert set(stats) == {"keys", "tables", "wide_tables", "table_bytes",
+    assert set(stats) == {"keys", "wide_tables", "table_bytes",
                           "tables_built", "parse_hits", "parse_misses"}
     assert all(type(value) is int for value in stats.values())
     stats["keys"] = -1

@@ -152,8 +152,8 @@ def test_paths_agree_on_fresh_keys_and_messages(seed):
 
 
 def test_pubkey_table_cache_stays_bounded(monkeypatch):
-    """The per-key row cache evicts once it exceeds its byte budget."""
-    budget = 4 * 8 * ecdsa._POINT_BYTES  # four cold keys' rows
+    """The per-key table cache evicts once it exceeds its byte budget."""
+    budget = 4 * ecdsa._KEY_ROWS * 8 * ecdsa._POINT_BYTES  # four tables
     monkeypatch.setattr(ecdsa, "_KEY_CACHE_BYTES", budget)
     rng = random.Random(0xB0)
     for _ in range(12):

@@ -33,14 +33,14 @@ class EngineReference:
         self._verified: set[tuple[bytes, int, bytes]] = set()
 
     def verify_input_script(self, tx: Transaction, index: int,
-                            entry: UTXOEntry) -> bool:
-        """True on a remembered success, False on a run that succeeded;
-        raises :class:`ValidationError` on failure (never remembered)."""
+                            entry: UTXOEntry) -> None:
+        """Run one input, unless its success is remembered; raises
+        :class:`ValidationError` on failure (never remembered)."""
         engine = self.engine
         key = (tx.txid, index, entry.entry_hash)
         if key in self._verified:
             engine.cache_stats.hits += 1
-            return True
+            return
         unlocking = tx.inputs[index].script_sig
         locking = entry.output.script_pubkey
         reason = engine.policy.precheck_spend(unlocking, locking)
@@ -57,13 +57,13 @@ class EngineReference:
                 f"{tx.txid.hex()[:16]}.. "
                 f"(locking: {locking.disassemble()})")
         self._verified.add(key)
-        return False
 
     def verify_input_scripts(self, tx: Transaction,
-                             entries: list[UTXOEntry]) -> int:
-        """Every input in order; returns the executions that succeeded."""
-        return sum(not self.verify_input_script(tx, index, entry)
-                   for index, entry in enumerate(entries))
+                             entries: list[UTXOEntry]) -> None:
+        """Every input in order; the executions are
+        ``engine.cache_stats.misses``."""
+        for index, entry in enumerate(entries):
+            self.verify_input_script(tx, index, entry)
 
     def connect_block(self, block: Block, utxos: UTXOSet,
                       height: int) -> int:
