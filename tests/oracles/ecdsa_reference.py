@@ -7,8 +7,8 @@ digits, no per-key table, nothing cached.  The curve arithmetic itself
 the production module's; what this file keeps apart is the verification
 *structure*.  ``tests/crypto/test_ecdsa_vectors.py`` and
 ``tests/crypto/test_ecdsa_core.py`` run every edge vector through this,
-:meth:`PublicKey.verify` and ``verify_batch`` — cold, promoted and after an
-eviction — and demand identical verdicts; ``_jacobian_multiply`` is also
+:meth:`PublicKey.verify` and ``verify_batch`` — at a first use, hot,
+wide and after an eviction — and demand identical verdicts; ``_jacobian_multiply`` is also
 the reference for the generator table, the ``lambda`` endomorphism and
 the points ``_affine_sums`` is checked on;
 ``benchmarks/test_microbench_ecdsa.py`` prints its clock beside the core's.
