@@ -24,7 +24,7 @@ from typing import Optional, Union
 from repro.blockchain.block import Block
 from repro.blockchain.checkpoint import Checkpoint, iter_checkpoints
 from repro.blockchain.context import TransactionContext
-from repro.blockchain.params import ChainParams
+from repro.blockchain.params import COINBASE_REWARD, ChainParams
 from repro.blockchain.sigbatch import SCRIPT, VerdictMemo, precompute_verdicts
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
@@ -409,7 +409,7 @@ class ValidationEngine:
             undo.append(view.apply_resolved(tx, entries, height))
         batch.flush()
         coinbase_value = block.coinbase.total_output_value
-        max_coinbase = self.params.coinbase_reward + total_fees
+        max_coinbase = COINBASE_REWARD + total_fees
         if coinbase_value > max_coinbase:
             raise ValidationError(
                 f"coinbase claims {coinbase_value}, max is {max_coinbase}"

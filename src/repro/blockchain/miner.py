@@ -17,7 +17,7 @@ from typing import Optional
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Chain
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.params import ChainParams
+from repro.blockchain.params import COINBASE_REWARD, ChainParams
 from repro.blockchain.pos import endorse
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
@@ -67,7 +67,7 @@ class Miner:
             inputs=[TxInput(outpoint=COINBASE_OUTPOINT,
                             script_sig=Script([encode_number(height)]))],
             outputs=[TxOutput(
-                value=self.params.coinbase_reward + fees,
+                value=COINBASE_REWARD + fees,
                 script_pubkey=p2pkh_locking(self.reward_pubkey_hash),
             )],
         )

@@ -3,19 +3,25 @@
 The paper picked Multichain precisely because it exposes "the average
 mining time, the size of a block or the consensus" as parameters (section
 5.1), and its evaluation hinges on one more: whether block verification is
-enabled (Figs. 5 vs 6).  All of those are first-class fields here.
+enabled (Figs. 5 vs 6).  All of those are first-class fields here.  The
+block subsidy is not: every chain of the deployment pays the same one,
+:data:`COINBASE_REWARD`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ChainParams", "COIN"]
+__all__ = ["ChainParams", "COIN", "COINBASE_REWARD"]
 
 # Smallest currency unit multiplier (like satoshi per coin).
 COIN = 100_000_000
+
+# Subsidy per block, in base units: what the miner pays itself and the
+# engine's ceiling on a coinbase, fees aside.
+COINBASE_REWARD = 50 * COIN
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,6 @@ class ChainParams:
     :param block_interval: target seconds between blocks (the paper's AWS
         master mines on a schedule; Multichain default is 15 s).
     :param max_block_size: serialized block size limit in bytes.
-    :param coinbase_reward: subsidy per block, in base units.
     :param coinbase_maturity: blocks before a coinbase output is spendable.
     :param verify_blocks: whether nodes re-verify every script in incoming
         blocks.  The paper disables this to isolate BcWAN's own latency
@@ -42,7 +47,6 @@ class ChainParams:
 
     block_interval: float = 15.0
     max_block_size: int = 1_000_000
-    coinbase_reward: int = 50 * COIN
     coinbase_maturity: int = 1
     verify_blocks: bool = False
     verification_stall_base: float = 8.0

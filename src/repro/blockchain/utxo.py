@@ -43,8 +43,10 @@ class UTXOEntry(NamedTuple):
 class UTXOSet:
     """Mapping of :class:`OutPoint` to :class:`UTXOEntry` with undo support.
 
-    ``apply_transaction`` returns the spent entries so the chain layer can
-    undo a block during reorgs.
+    Blocks reach the set through a :class:`UTXOView` committed with one
+    :meth:`apply_delta`; the view's :meth:`UTXOView.apply_resolved`
+    returns each transaction's spent entries, which
+    :meth:`undo_transaction` puts back when a reorg disconnects the block.
     """
 
     def __init__(self) -> None:
@@ -96,23 +98,11 @@ class UTXOSet:
             del entries[outpoint]
         entries.update(added)
 
-    def apply_transaction(self, tx: Transaction,
-                          height: int) -> dict[OutPoint, UTXOEntry]:
-        """Spend ``tx``'s inputs and create its outputs.
-
-        Returns the spent entries keyed by outpoint (the undo record).
-        Raises :class:`ValidationError` (leaving the set unchanged) if any
-        input is missing.
-        """
-        view = UTXOView(self)
-        spent = view.apply_transaction(tx, height)
-        view.commit()
-        return spent
-
     def undo_transaction(self, tx: Transaction,
                          spent: dict[OutPoint, UTXOEntry]) -> None:
-        """Reverse :meth:`apply_transaction` during a reorg: drop the
-        outputs, then put back the very entries that were spent."""
+        """Reverse ``tx``'s committed :meth:`UTXOView.apply_resolved`
+        during a reorg: drop its outputs, then put back the very entries
+        that were spent (its undo record)."""
         entries = self._entries
         pop = entries.pop
         for outpoint in tx.outpoints:
@@ -188,20 +178,6 @@ class UTXOView:
             return []
         get = self.get
         return [get(tx_input.outpoint) for tx_input in tx.inputs]
-
-    def apply_transaction(self, tx: Transaction,
-                          height: int) -> dict[OutPoint, UTXOEntry]:
-        """Overlay equivalent of :meth:`UTXOSet.apply_transaction`."""
-        entries = self.resolve(tx)
-        missing = [tx_input.outpoint
-                   for tx_input, entry in zip(tx.inputs, entries)
-                   if entry is None]
-        if missing:
-            raise ValidationError(
-                f"transaction {tx.txid.hex()[:16]}.. spends missing "
-                f"outputs: {', '.join(str(o) for o in missing)}"
-            )
-        return self.apply_resolved(tx, entries, height)
 
     def apply_resolved(self, tx: Transaction, entries: list[UTXOEntry],
                        height: int) -> dict[OutPoint, UTXOEntry]:

@@ -123,10 +123,6 @@ class SingleKeyWallet:
                                   key=lambda item: item[1], reverse=True)
         return (coin for coin in self._ranked if self._is_spendable(coin[0]))
 
-    def spendable_coins(self) -> list[tuple[OutPoint, int]]:
-        """Unreserved coins this wallet may spend now, largest-first."""
-        return list(self._iter_spendable())
-
     def _select_coins(self, amount: int) -> tuple[list[tuple[OutPoint, int]], int]:
         """Greedy largest-first coin selection covering ``amount``."""
         selected = []

@@ -86,15 +86,12 @@ class LightConfig:
     :param multicast_interval: seconds between a gateway's signed
         header-bundle multicasts to its light recipients (0 disables the
         stream; light clients then rely solely on unicast polling).
-    :param multicast_verify_every: aggregate-verify every R-th bundle
-        (Danzi et al. repeat-authenticate).
     :param light_sync_interval: light-client unicast header poll period.
     """
 
     device_class: str = "full"
     compact_blocks: bool = False
     multicast_interval: float = 0.0
-    multicast_verify_every: int = 4
     light_sync_interval: float = 10.0
 
     def __post_init__(self) -> None:
@@ -107,11 +104,6 @@ class LightConfig:
             raise ConfigurationError(
                 f"multicast interval cannot be negative: "
                 f"{self.multicast_interval}"
-            )
-        if self.multicast_verify_every < 1:
-            raise ConfigurationError(
-                f"multicast verify-every must be at least 1, got "
-                f"{self.multicast_verify_every}"
             )
         if self.light_sync_interval <= 0:
             raise ConfigurationError(

@@ -86,9 +86,11 @@ class BlockchainDaemon:
         self.online = True
         # The chain store a crash left for the restart (None: state loss).
         self._store: Optional[str] = None
-        # Set by a SyncAgent when one attaches; crash() resets its
-        # in-flight request state alongside the daemon's own queue.
+        # Set by a SyncAgent / LightServer when one attaches; crash()
+        # resets the agent's in-flight request state and clears the
+        # server's light-client filters alongside the daemon's own queue.
         self.sync_agent: Optional[Any] = None
+        self.light_server: Optional[Any] = None
 
         self._queue: deque[_Job] = deque()
         # The job last taken into service (a crash drops it if unanswered).
@@ -107,10 +109,11 @@ class BlockchainDaemon:
     def crash(self, preserve_chain: bool = False) -> None:
         """Fail-stop: drop the queue, refuse traffic, go dark on the WAN.
 
-        Everything in RAM is lost — queued jobs, dedup memories, and (on
-        restart) the mempool.  With ``preserve_chain`` the chain store
-        survives: it is written now and :meth:`restart` replays it;
-        otherwise the daemon comes back at genesis.
+        Everything in RAM is lost — queued jobs, dedup memories, light
+        clients' filters and (on restart) the mempool.  With
+        ``preserve_chain`` the chain store survives: it is written now and
+        :meth:`restart` replays it; otherwise the daemon comes back at
+        genesis.
         """
         if not self.online:
             return
@@ -131,6 +134,8 @@ class BlockchainDaemon:
         self.network.set_host_down(self.name)
         if self.sync_agent is not None:
             self.sync_agent.reset()
+        if self.light_server is not None:
+            self.light_server.reset()
 
     def restart(self) -> None:
         """Come back up on the same node, restored from the store the

@@ -64,7 +64,6 @@ class GatewayAgent:
                  directory: DirectoryView, wan: WANetwork,
                  cost_model: CostModel, tracker: ExchangeTracker,
                  rng: random.Random, price: int = 100,
-                 pricing: Optional[PricingPolicy] = None,
                  wait_for_confirmation: bool = False,
                  chain_id: str = "") -> None:
         self.sim = sim
@@ -79,8 +78,9 @@ class GatewayAgent:
         self.rng = rng
         self.price = price
         # Step 9's "fixed or negotiated" output: the policy quotes the
-        # price carried in each DeliveryMessage.
-        self.pricing: PricingPolicy = pricing or FixedPricing(price=price)
+        # price carried in each DeliveryMessage (a deployment that
+        # negotiates assigns another policy after build).
+        self.pricing: PricingPolicy = FixedPricing(price=price)
         # Section 6: waiting for the offer to confirm closes the
         # double-spend window at the cost of block-interval latency.
         self.wait_for_confirmation = wait_for_confirmation

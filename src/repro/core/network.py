@@ -341,9 +341,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                                        host=site.name)
                 listener = spv.attach_multicast(
                     site.wallet.keypair.public_key.to_bytes(),
-                    cfg.light.multicast_interval,
-                    verify_every=cfg.light.multicast_verify_every,
-                )
+                    cfg.light.multicast_interval)
                 self.registry.register("light.multicast", listener, host=name)
 
     def _mesh(self, label: str, daemons: list[BlockchainDaemon]) -> None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.wallet import KeyReleaseOffer, Wallet
@@ -289,9 +289,7 @@ class RecipientAgent(Counted):
                  ledger: Union[NodeLedger, SpvLedger],
                  registry: RecipientRegistry, wan: WANetwork,
                  cost_model: CostModel, tracker: ExchangeTracker,
-                 rng: random.Random,
-                 budget: Optional[RecipientBudget] = None,
-                 chain_id: str = "") -> None:
+                 rng: random.Random, chain_id: str = "") -> None:
         self.sim = sim
         self.name = name
         self.ledger = ledger
@@ -302,7 +300,8 @@ class RecipientAgent(Counted):
         self.rng = rng
         # Negotiation guard: quotes above the budget are refused before
         # any money is locked (the gateway keeps an undecryptable blob).
-        self.budget = budget or RecipientBudget(max_price=10**9)
+        # Unbounded unless a deployment assigns a tighter one after build.
+        self.budget = RecipientBudget(max_price=10**9)
         # Which sub-chain this recipient settles on (empty = flat).
         self.chain_id = chain_id
 

@@ -13,11 +13,12 @@ and answers three things a light client needs:
   nothing but its header chain.
 
 Serving is push-first: a registered client never polls for its own
-transactions.  The filters live in memory and nothing clears them: they
-outlast the daemon's ``crash()`` and restart, and a server a client
-failed over from keeps its filter and keeps pushing (ROADMAP item 7(d)).
-A client replays its whole filter on failover, so its new serving peer
-has it.
+transactions.  The filters live in memory: the daemon's ``crash()``
+clears them with the rest of its RAM, so a restarted server pushes to
+nobody until a client registers again.  A server a client failed over
+from, but that never crashed, keeps its filter and keeps pushing
+(ROADMAP item 7(d)).  A client replays its whole filter on failover, so
+its new serving peer has it.
 """
 
 from __future__ import annotations
@@ -81,11 +82,16 @@ class LightServer(Counted):
         self.daemon = daemon
         self.network = daemon.network
         self._filters: dict[str, _ClientFilter] = {}
+        daemon.light_server = self
         daemon.register_protocol(GetHeaderRangeMessage, self._on_get_headers)
         daemon.register_protocol(RegisterFilterMessage, self._on_register)
         daemon.register_protocol(GetTxProofMessage, self._on_get_proof)
         daemon.gossip.on_transaction.append(self._on_mempool_tx)
         daemon.node.chain.add_connect_listener(self._on_block_connected)
+
+    def reset(self) -> None:
+        """Forget every registered filter (the daemon crashed)."""
+        self._filters.clear()
 
     # -- header service ---------------------------------------------------------
 

@@ -178,14 +178,13 @@ class SpvClient(Counted):
 
     # -- multicast attachment ---------------------------------------------------
 
-    def attach_multicast(self, gateway_pubkey: bytes, interval: float,
-                         verify_every: int = 4) -> MulticastListener:
+    def attach_multicast(self, gateway_pubkey: bytes,
+                         interval: float) -> MulticastListener:
         """Listen to a gateway's repeat-authenticate header stream."""
         self.multicast = MulticastListener(
             self.sim, gateway_pubkey, interval,
             apply_headers=self._apply_bundle_headers,
             on_omission=self.catch_up,
-            verify_every=verify_every,
         )
         return self.multicast
 

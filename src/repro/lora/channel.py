@@ -18,22 +18,23 @@ Two row builders keep that contract at numpy speed.  A *fast* row
 (:meth:`PathLossModel.fast_row_db`, numpy's own ``hypot`` and ``log10``)
 differs from the loop's ``math`` values in about 1 % of its elements, by
 at most one ULP of the result; an *exact* row
-(:meth:`PathLossModel.loss_row_db`) is the loop's, bit for bit.  Cached
-rows are fast, and they decide: a verdict whose margin to its threshold
-is within ``_DECISION_MARGIN_DB`` is decided again on exact values, and
-every float that leaves the channel — the RSSI handed to a delivered
-listener that has a receiver, and every entry of a set ``verdict_log`` —
-is computed exactly, on those listeners only.  A listener whose
-``deliver`` is ``None`` (a radio nobody reads, such as a sensor that only
-transmits) gets its verdict and counts in the counters, and costs no
-exact RSSI and no call.
+(:meth:`PathLossModel.loss_row_db`) is the loop's, bit for bit.  Nothing
+here computes one link at a time: the scalar distance and path loss are
+the oracle's own functions.  Cached rows are fast, and they decide: a
+verdict whose margin to its threshold is within ``_DECISION_MARGIN_DB``
+is decided again on exact values, and every float that leaves the
+channel — the RSSI handed to a delivered listener that has a receiver,
+and every entry of a set ``verdict_log`` — is computed exactly, on those
+listeners only.  A listener whose ``deliver`` is ``None`` (a radio
+nobody reads, such as a sensor that only transmits) gets its verdict and
+counts in the counters, and costs no exact RSSI and no call.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -54,9 +55,6 @@ class Position:
     x: float = 0.0
     y: float = 0.0
 
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class PathLossModel:
@@ -72,18 +70,16 @@ class PathLossModel:
     reference_loss_db: float = 128.95
     exponent: float = 2.32
 
-    def loss_db(self, distance: float) -> float:
-        distance = max(distance, 1.0)
-        return self.reference_loss_db + 10 * self.exponent * math.log10(
-            distance / self.reference_distance
-        )
-
     def loss_row_db(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """``loss_db(math.hypot(dx[i], dy[i]))`` for every ``i``.
+        """The loss at distance ``math.hypot(dx[i], dy[i])``, clamped to
+        at least 1 m, for every ``i``: ``reference_loss_db + 10 *
+        exponent * log10(distance / reference_distance)``.
 
-        Bit for bit: the same operations in the same association order as
-        :meth:`loss_db`, the transcendentals still ``math.hypot`` and
-        ``math.log10`` (mapped at C level, no Python frame per element).
+        Bit for bit the scalar formula of the per-listener oracle
+        (``tests/oracles/channel_reference.py``): the same operations in
+        the same association order, the transcendentals still
+        ``math.hypot`` and ``math.log10`` (mapped at C level, no Python
+        frame per element).
         """
         count = len(dx)
         row = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()),
@@ -215,14 +211,13 @@ class RadioChannel:
     """
 
     def __init__(self, sim: Simulator, rng: random.Random,
-                 path_loss: Optional[PathLossModel] = None,
                  capture_threshold_db: float = 6.0) -> None:
         if capture_threshold_db < 0:
             raise ConfigurationError(
                 f"capture threshold must be non-negative: {capture_threshold_db}"
             )
         self.sim = sim
-        self.path_loss = path_loss or PathLossModel()
+        self.path_loss = PathLossModel()
         self.capture_threshold_db = capture_threshold_db
         self._listeners: dict[str, Listener] = {}
         self._active: list[Transmission] = []
@@ -249,10 +244,6 @@ class RadioChannel:
         if listener.name in self._listeners:
             raise ConfigurationError(f"duplicate listener: {listener.name}")
         self._listeners[listener.name] = listener
-        self._listener_version += 1
-
-    def remove_listener(self, name: str) -> None:
-        self._listeners.pop(name, None)
         self._listener_version += 1
 
     def set_deliver(self, name: str, deliver: Optional[Deliver]) -> None:

@@ -34,6 +34,7 @@ from repro.blockchain.transaction import (
 from repro.blockchain.utxo import UTXOSet
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
+from tests.oracles.utxo_reference import apply_transaction
 
 
 def make_coinbase(height: int, tag: int) -> Transaction:
@@ -101,7 +102,7 @@ class ChainMachine(RuleBasedStateMachine):
         replay = UTXOSet()
         for height, block in self.chain.iter_active_blocks(start_height=1):
             for tx in block.transactions:
-                replay.apply_transaction(tx, height)
+                apply_transaction(replay, tx, height)
         assert replay.snapshot() == self.chain.utxos.snapshot()
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Chain
-from repro.blockchain.params import ChainParams
+from repro.blockchain.params import COINBASE_REWARD, ChainParams
 from repro.blockchain.store import load_chain, save_chain
 from repro.blockchain.transaction import (COINBASE_OUTPOINT, OutPoint,
                                            Transaction, TxInput, TxOutput)
@@ -90,7 +90,7 @@ class Tree:
         parent = self.blocks[parent_pick % len(self.blocks)]
         height = self.heights[parent.hash] + 1
         live = self.twin_live[parent.hash]
-        transactions = [_coinbase(height, tag, PARAMS.coinbase_reward
+        transactions = [_coinbase(height, tag, COINBASE_REWARD
                                   + greedy)]
         if twin and live:
             transactions.append(_twin_spend(height, tag))

@@ -8,7 +8,7 @@ from repro.blockchain.block import Block
 from repro.blockchain.engine import MAX_MONEY, ValidationEngine
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
-from repro.blockchain.params import ChainParams
+from repro.blockchain.params import COINBASE_REWARD, ChainParams
 from repro.blockchain.sigbatch import ECDSA, SCRIPT, VerdictMemo
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
@@ -23,6 +23,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
+from tests.oracles.utxo_reference import apply_transaction
 
 
 def make_coinbase(height, value=50):
@@ -265,8 +266,8 @@ def test_overlay_chained_spend_never_touches_base():
         outputs=[TxOutput(value=10, script_pubkey=Script())],
     )
     view = UTXOView(base)
-    view.apply_transaction(parent, 2)
-    view.apply_transaction(child, 2)
+    apply_transaction(view, parent, 2)
+    apply_transaction(view, child, 2)
     assert view.get(OutPoint(txid=parent.txid, index=0)) is None
     view.commit()
     assert base.get(OutPoint(txid=parent.txid, index=0)) is None
@@ -281,7 +282,7 @@ def test_miner_template_fees_match_connected_fees(funded_chain, rng):
     assert node.submit_transaction(tx).accepted
     block = miner.mine(60.0)
     assert block.coinbase.total_output_value == (
-        node.params.coinbase_reward + 321
+        COINBASE_REWARD + 321
     )
     assert node.submit_block(block).status == "active"
     assert node.chain.last_report.total_fees == 321

@@ -9,7 +9,8 @@ assert the engine's cross-input batch path (``connect_block``,
 ``Mempool.accept``) and the unbatched reference in
 ``tests/oracles/engine_reference.py`` — the contextual stage, then
 one input straight through the interpreter at a time, then
-``view.apply_transaction``, with no verdict memo — return
+``tests/oracles/utxo_reference.py``'s ``apply_transaction`` on the view,
+with no verdict memo — return
 **byte-identical** outcomes: the same accept/reject verdict, the same
 error string, the same script lookups (hits and misses), and the same
 UTXO digest.
@@ -55,6 +56,7 @@ from repro.errors import ValidationError
 from repro.script import builder
 from repro.script.script import Script
 from tests.oracles.engine_reference import EngineReference
+from tests.oracles.coin_selection_reference import spendable
 
 # Candidate labels are documentation; the differential property only cares
 # that the two paths agree, whatever the verdict.
@@ -111,7 +113,7 @@ def bank():
 
     def take_coin():
         """Claim an unused buyer coin for a hand-rolled transaction."""
-        outpoint, value = buyer.spendable_coins()[0]
+        outpoint, value = spendable(buyer)[0]
         buyer._pending_spends.add(outpoint)
         return outpoint, value
 

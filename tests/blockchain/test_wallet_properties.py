@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 from repro.blockchain.block import Block
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
-from repro.blockchain.params import ChainParams
+from repro.blockchain.params import COINBASE_REWARD, ChainParams
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
     Transaction,
@@ -31,6 +31,7 @@ from repro.script.script import Script, encode_number
 from tests.oracles.coin_selection_reference import (
     assert_selection_matches,
     full_wallet_spendable,
+    spendable,
 )
 
 
@@ -67,7 +68,7 @@ def test_value_conservation_across_payments(amounts, fee):
             break
         sent += amount
     miner.mine_and_connect(100.0)
-    total_issued = node.chain.height * node.params.coinbase_reward
+    total_issued = node.chain.height * COINBASE_REWARD
     assert node.chain.utxos.total_value() == total_issued
     assert bob.balance == sent
 
@@ -80,14 +81,14 @@ def test_fanout_value_exact(count):
     assert node.submit_transaction(tx).accepted
     miner.mine_and_connect(50.0)
     assert bob.balance == 100 * count
-    assert len(bob.spendable_coins()) == count
+    assert len(spendable(bob)) == count
 
 
 @given(st.integers(min_value=0, max_value=6))
 @settings(max_examples=10, deadline=None)
 def test_balance_never_negative_and_never_inflates(spend_rounds):
     node, alice, bob, miner = fresh_stack(3)
-    issued_before = node.chain.height * node.params.coinbase_reward
+    issued_before = node.chain.height * COINBASE_REWARD
     for i in range(spend_rounds):
         try:
             tx = alice.create_payment(bob.pubkey_hash, 10**9)
@@ -97,7 +98,7 @@ def test_balance_never_negative_and_never_inflates(spend_rounds):
         miner.mine_and_connect(10.0 + i)
     assert alice.balance >= 0
     assert bob.balance >= 0
-    issued_now = node.chain.height * node.params.coinbase_reward
+    issued_now = node.chain.height * COINBASE_REWARD
     # alice mined every block, so alice + bob <= everything ever issued.
     assert alice.balance + bob.balance <= issued_now
     assert issued_now >= issued_before
@@ -188,7 +189,7 @@ class RankedWalletMachine(RuleBasedStateMachine):
     def pay_bob(self, amount, then, to_alice) -> None:
         """``None`` sweeps: every spendable coin in, no change out."""
         if amount is None:
-            amount = sum(v for _, v in self.alice.spendable_coins()) or 1
+            amount = sum(v for _, v in spendable(self.alice)) or 1
         self._spend(lambda: self.alice.create_payment(self.bob_hash, amount),
                     then, to_alice)
 
@@ -210,7 +211,7 @@ class RankedWalletMachine(RuleBasedStateMachine):
                 inputs=[TxInput(outpoint=COINBASE_OUTPOINT,
                                 script_sig=Script([encode_number(height),
                                                    encode_number(7)]))],
-                outputs=[TxOutput(value=chain.params.coinbase_reward,
+                outputs=[TxOutput(value=COINBASE_REWARD,
                                   script_pubkey=p2pkh_locking(self.bob_hash))],
             )
             block = Block.assemble(prev_hash=parent, timestamp=self.clock,
@@ -248,13 +249,13 @@ def test_ranked_view_follows_a_spend_that_a_reorg_takes_back():
     machine = RankedWalletMachine()
     machine.setup()
     alice = machine.alice
-    swept = alice.spendable_coins()
+    swept = spendable(alice)
     assert len(swept) >= 2
     machine.pay_bob(amount=None, then="confirm", to_alice=False)
-    assert not set(swept) & set(alice.spendable_coins())
+    assert not set(swept) & set(spendable(alice))
     machine.reorg(depth=1, refresh=False)
     machine.ranks_and_selects_as_the_seed_scan()
-    assert not set(swept) & set(alice.spendable_coins())
+    assert not set(swept) & set(spendable(alice))
     machine.refresh()
     machine.ranks_and_selects_as_the_seed_scan()
-    assert set(swept) <= set(alice.spendable_coins())
+    assert set(swept) <= set(spendable(alice))

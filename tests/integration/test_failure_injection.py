@@ -17,9 +17,10 @@ from repro.core.config import FUNDING_COIN_VALUE, LightConfig
 
 def fail_gateway_radio(network, site_index):
     """The gateway's LoRa module dies: no more key responses.  Sensors in
-    its cell retry and give up, without any money moving."""
+    its cell retry and give up, without any money moving.  The channel
+    still counts the frames that reach the dead radio; nothing reads them."""
     site = network.sites[site_index]
-    site.channel.remove_listener(site.gateway.radio.name)
+    site.channel.set_deliver(site.gateway.radio.name, None)
 
 
 def fail_gateway_claims(network, site_index):

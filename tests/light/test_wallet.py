@@ -27,6 +27,7 @@ from repro.script.script import Script, encode_number
 from tests.oracles.coin_selection_reference import (
     assert_selection_matches,
     light_wallet_spendable,
+    spendable,
 )
 
 
@@ -53,7 +54,7 @@ def test_credit_and_balance(wallet):
     tx = pay_to(wallet, [100, 250])
     assert wallet.apply_confirmed_tx(tx) == 350
     assert wallet.balance == 350
-    assert len(wallet.spendable_coins()) == 2
+    assert len(spendable(wallet)) == 2
 
 
 def test_apply_is_idempotent(wallet):
@@ -96,7 +97,7 @@ def test_out_of_order_spend_then_fund(wallet):
     assert wallet.apply_confirmed_tx(spend) == 0  # debit of an unknown coin
     assert wallet.apply_confirmed_tx(funding) == 200  # only output 1 credits
     assert wallet.balance == 200
-    assert [v for _, v in wallet.spendable_coins()] == [200]
+    assert [v for _, v in spendable(wallet)] == [200]
 
 
 def test_change_output_credits_back(wallet):
@@ -207,7 +208,7 @@ def test_announcement_spends_one_coin(wallet):
 
 class RankedLightWalletMachine(RuleBasedStateMachine):
     """Proven credits of many equal-valued coins, offers held, released
-    and confirmed, duplicate and reordered proofs: ``spendable_coins`` and
+    and confirmed, duplicate and reordered proofs: :func:`spendable` and
     the coins ``_select_coins`` picks stay those of the seed's per-call
     filter-then-sort."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -22,6 +23,7 @@ from repro.lora.frames import DataFrame, KeyRequestFrame, KeyResponseFrame
 from repro.lora.phy import LoRaModulation
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
+from tests.oracles.channel_reference import distance
 
 
 def data_frame(sender="n", nonce=1):
@@ -38,23 +40,28 @@ def make_channel(seed=0):
 
 # -- positions & path loss --------------------------------------------------------
 
+def loss_row(*distances):
+    """``loss_row_db`` at each distance along the x axis."""
+    return PathLossModel().loss_row_db(np.array(distances, dtype=float),
+                                       np.zeros(len(distances))).tolist()
+
+
 def test_distance():
-    assert Position(0, 0).distance_to(Position(3, 4)) == 5.0
+    assert distance(Position(0, 0), Position(3, 4)) == 5.0
 
 
 def test_path_loss_increases_with_distance():
-    model = PathLossModel()
-    assert model.loss_db(100) < model.loss_db(1000) < model.loss_db(5000)
+    near, reference, far = loss_row(100, 1000, 5000)
+    assert near < reference < far
 
 
 def test_path_loss_reference_point():
-    model = PathLossModel()
-    assert model.loss_db(1000) == pytest.approx(128.95)
+    assert loss_row(1000) == [pytest.approx(128.95)]
 
 
 def test_path_loss_clamps_tiny_distance():
-    model = PathLossModel()
-    assert model.loss_db(0.0) == model.loss_db(1.0)
+    at_zero, at_one = loss_row(0.0, 1.0)
+    assert at_zero == at_one
 
 
 # -- delivery ---------------------------------------------------------------------

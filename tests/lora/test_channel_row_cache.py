@@ -143,24 +143,31 @@ def test_overloaded_cell_builds_at_most_one_row_per_completion():
 
 
 def listener_churn(channel_class, probe=lambda channel: None):
-    """The chaos crash path between frames: a radio dies, then comes back.
+    """Radios joining between frames: two late listeners, one after each
+    of the first two frames.
 
     Returns the channel counters and, after each of the three frames, what
-    every radio has heard so far and what ``probe`` says of the channel.
+    every radio (the late ones last) has heard so far and what ``probe``
+    says of the channel.
     """
     sim, channel, positions, heard = build_cell(channel_class, 6, radius=300.0)
+    heard.extend([0, 0])
     seen = []
     for index, at in enumerate((0.0, 2.0, 4.0)):
         send(sim, channel, at, "r-0", positions[0], nonce=index)
         sim.call_at(at + 1.0,
                     lambda: seen.append((list(heard), probe(channel))))
 
-    def count_for_radio_3(frame, rssi):
-        heard[3] += 1
+    def join(index):
+        def count(frame, rssi):
+            heard[index] += 1
 
-    sim.call_at(1.5, lambda: channel.remove_listener("r-3"))
-    sim.call_at(3.5, lambda: channel.add_listener(Listener(
-        name="r-3", position=Position(10.0, 10.0), deliver=count_for_radio_3)))
+        channel.add_listener(Listener(
+            name=f"r-{index}", position=Position(10.0 * index, 10.0),
+            deliver=count))
+
+    sim.call_at(1.5, lambda: join(6))
+    sim.call_at(3.5, lambda: join(7))
     sim.run()
     return frame_counters(channel), seen
 
@@ -173,9 +180,10 @@ def test_listener_churn_drops_every_cached_row():
     assert production == oracle
     heard_after = [heard for heard, _ in seen]
     assert heard_after == [heard for heard, _ in oracle_seen]
-    assert [heard[3] for heard in heard_after] == [1, 1, 2]
+    assert [heard[6] for heard in heard_after] == [0, 1, 2]
+    assert [heard[7] for heard in heard_after] == [0, 0, 1]
     assert [heard[1] for heard in heard_after] == [1, 2, 3]
     # One position, three frames: without churn the row would be built
     # once.  Each change of the listener set costs a rebuild, at the new
     # listener count.
-    assert [probed for _, probed in seen] == [(1, [6]), (2, [5]), (3, [6])]
+    assert [probed for _, probed in seen] == [(1, [6]), (2, [7]), (3, [8])]

@@ -17,11 +17,18 @@ import pytest
 from repro.errors import ValidationError
 
 __all__ = [
+    "spendable",
     "full_wallet_spendable",
     "light_wallet_spendable",
     "select_coins",
     "assert_selection_matches",
 ]
+
+
+def spendable(wallet) -> list:
+    """The wallet's own ranking: the coins it may spend now, largest-first,
+    as its coin selection walks them."""
+    return list(wallet._iter_spendable())
 
 
 def full_wallet_spendable(wallet) -> list:
@@ -62,8 +69,8 @@ def select_coins(coins: list, amount: int) -> Optional[tuple[list, int]]:
 
 
 def assert_selection_matches(wallet, expected):
-    """``spendable_coins`` and ``_select_coins`` against a reference list."""
-    assert wallet.spendable_coins() == expected
+    """:func:`spendable` and ``_select_coins`` against a reference list."""
+    assert spendable(wallet) == expected
     total = sum(value for _, value in expected)
     amounts = {1, total // 3, total // 2, total, total + 1}
     # Boundaries of the greedy walk: exactly the top one, two, three coins.

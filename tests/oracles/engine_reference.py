@@ -19,10 +19,12 @@ from __future__ import annotations
 from repro.blockchain.block import Block
 from repro.blockchain.context import TransactionContext
 from repro.blockchain.engine import ValidationEngine
+from repro.blockchain.params import COINBASE_REWARD
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.utxo import UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
 from repro.script.interpreter import ScriptInterpreter
+from tests.oracles.utxo_reference import apply_transaction
 
 
 class EngineReference:
@@ -82,8 +84,8 @@ class EngineReference:
                 self.verify_input_scripts(
                     tx, [view.get(tx_input.outpoint)
                          for tx_input in tx.inputs])
-            view.apply_transaction(tx, height)
-        max_coinbase = engine.params.coinbase_reward + total_fees
+            apply_transaction(view, tx, height)
+        max_coinbase = COINBASE_REWARD + total_fees
         if block.coinbase.total_output_value > max_coinbase:
             raise ValidationError(
                 f"coinbase claims {block.coinbase.total_output_value}, "

@@ -17,6 +17,9 @@ Per-file rules and whole-program passes share one finding type
   that can swallow consensus errors);
 * :mod:`tools.analysis.reach` — the ``unreachable`` rule: definitions
   and config fields that no entry point reaches;
+* :mod:`tools.analysis.docrefs` — the ``doc-reference`` rule: every
+  backticked ``path.py:N`` and ``repro.…`` name of the living docs
+  points at code that exists;
 * :mod:`tools.analysis.report` — stable finding fingerprints, the
   ``json``/``sarif`` output formats, and the baseline workflow.
 
@@ -31,6 +34,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from tools.analysis.callgraph import CallGraph
+from tools.analysis.docrefs import DocReferenceRule, read_docs
 from tools.analysis.project import Project
 from tools.analysis.reach import UnreachableRule, script_targets
 from tools.analysis.report import Violation
@@ -39,7 +43,8 @@ from tools.analysis.taint import TaintAnalyzer
 
 __all__ = [
     "CallGraph", "Project", "TaintAnalyzer", "ExceptionFlowRule",
-    "UnreachableRule", "Violation", "run_whole_program", "analyze_project",
+    "UnreachableRule", "DocReferenceRule", "Violation", "run_whole_program",
+    "analyze_project",
 ]
 
 #: Where the program is run from; ``tests/`` only marks ``tests-only``.
@@ -65,10 +70,19 @@ def analyze_project(project: Project, context: Optional[Project] = None,
 
 
 def run_whole_program(root: Path) -> list[Violation]:
-    """Build the project model of ``root/src/repro`` and analyze it."""
+    """Build the project model of ``root/src/repro`` and analyze it, then
+    hold the living docs under ``root`` to it."""
     pyproject = root / "pyproject.toml"
-    return analyze_project(
-        Project.load(root, "src/repro"),
-        Project.load(root, *ROOT_DIRS, "tests", exclude=EXCLUDED_FRAGMENTS),
+    project = Project.load(root, "src/repro")
+    context = Project.load(root, *ROOT_DIRS, "tests",
+                           exclude=EXCLUDED_FRAGMENTS)
+    violations = analyze_project(
+        project, context,
         script_targets(pyproject.read_text(encoding="utf-8"))
         if pyproject.exists() else ())
+    line_counts = {module.path: len(module.source_lines)
+                   for model in (project, context)
+                   for module in model.modules.values()}
+    violations.extend(
+        DocReferenceRule(project, read_docs(root), line_counts).run())
+    return violations

@@ -5,8 +5,9 @@ Two layers run under one command:
 1. the **per-file** rules of :mod:`tools.analysis.perfile`, over every
    ``*.py`` in the given paths (default: ``src tests benchmarks tools``);
 2. the **whole-program** passes over ``src/repro`` — interprocedural
-   taint into consensus/hash/export sinks, the exception-flow rule, and
-   the ``unreachable`` rule (what no entry point reaches).
+   taint into consensus/hash/export sinks, the exception-flow rule, the
+   ``unreachable`` rule (what no entry point reaches) and the
+   ``doc-reference`` rule (what the living docs cite must exist).
 
 Findings carry stable fingerprints (rule + path + qualname + normalized
 snippet — line-drift independent).  ``--baseline FILE`` makes the run
