@@ -213,13 +213,13 @@ def test_failed_connect_leaves_base_untouched_without_undo(
     )
 
     undo_calls = []
-    original_undo = UTXOSet.undo_transaction
+    original_undo = UTXOSet.revert_delta
 
-    def counting_undo(self, tx, spent):
-        undo_calls.append(tx.txid)
-        return original_undo(self, tx, spent)
+    def counting_undo(self, spent, added):
+        undo_calls.append(len(added))
+        return original_undo(self, spent, added)
 
-    monkeypatch.setattr(UTXOSet, "undo_transaction", counting_undo)
+    monkeypatch.setattr(UTXOSet, "revert_delta", counting_undo)
     before = node.chain.utxos.snapshot()
     with pytest.raises(ValidationError):
         node.engine.connect_block(block, node.chain.utxos, height)
