@@ -216,8 +216,8 @@ class Transaction:
 
     @cached_property
     def outpoints(self) -> tuple[OutPoint, ...]:
-        """``OutPoint(txid, i)`` for each output, built once: connect,
-        undo and the wallets' block scans all read these."""
+        """``OutPoint(txid, i)`` for each output, built once: connect
+        and the wallets' block scans read these."""
         txid = self.txid
         return tuple(OutPoint(txid, index)
                      for index in range(len(self.outputs)))
