@@ -32,6 +32,10 @@ __all__ = ["Chain", "BlockRecord", "create_genesis_block", "AddBlockResult"]
 
 GENESIS_TAG = b"BcWAN genesis: no core network, no trusted third party"
 
+# Blocks held while their parent is unknown (a refused block's children
+# never attach): past this many, the oldest parent's children all go.
+ORPHAN_POOL_SIZE = 256
+
 
 def create_genesis_block(params: ChainParams) -> Block:
     """The deterministic genesis block shared by all nodes of a chain."""
@@ -185,14 +189,17 @@ class Chain:
         """Validate and store ``block``, reorganizing if it wins fork choice.
 
         Raises :class:`ValidationError` only for blocks that are provably
-        invalid; unknown-parent blocks are held as orphans and connected
-        when the parent arrives.
+        invalid; unknown-parent blocks are held as orphans (at most
+        :data:`ORPHAN_POOL_SIZE`) and connected when the parent arrives.
         """
         if block.hash in self._records:
             return AddBlockResult(status="duplicate")
         parent = self._records.get(block.header.prev_hash)
         if parent is None:
-            self._orphans.setdefault(block.header.prev_hash, []).append(block)
+            orphans = self._orphans
+            orphans.setdefault(block.header.prev_hash, []).append(block)
+            if sum(map(len, orphans.values())) > ORPHAN_POOL_SIZE:
+                del orphans[next(iter(orphans))]
             return AddBlockResult(status="orphan")
 
         result = self._attach(block, parent)

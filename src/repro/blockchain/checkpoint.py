@@ -32,7 +32,7 @@ from typing import Iterator, Optional
 from repro.blockchain.merkle import merkle_branch, verify_proof
 from repro.blockchain.transaction import Transaction
 from repro.errors import ValidationError
-from repro.script.opcodes import OP
+from repro.script.builder import op_return_data
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -117,12 +117,10 @@ def parse_checkpoint_payload(payload: bytes) -> Optional[Checkpoint]:
 def iter_checkpoints(tx: Transaction) -> Iterator[Checkpoint]:
     """Yield every checkpoint committed by ``tx``'s OP_RETURN outputs."""
     for output in tx.outputs:
-        elements = output.script_pubkey.elements
-        if (len(elements) == 2 and elements[0] == OP.OP_RETURN
-                and isinstance(elements[1], bytes)):
-            checkpoint = parse_checkpoint_payload(elements[1])
-            if checkpoint is not None:
-                yield checkpoint
+        data = op_return_data(output.script_pubkey)
+        checkpoint = None if data is None else parse_checkpoint_payload(data)
+        if checkpoint is not None:
+            yield checkpoint
 
 
 # -- settlement proofs ---------------------------------------------------------

@@ -19,7 +19,7 @@ failure it is discarded — there is nothing to roll back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.blockchain.block import Block
 from repro.blockchain.checkpoint import Checkpoint, iter_checkpoints
@@ -68,9 +68,6 @@ REJECT_IMMATURE = "immature"
 REJECT_VALUE = "value"
 REJECT_NON_FINAL = "non-final"
 REJECT_SCRIPT = "script"
-
-UTXOSource = Union[UTXOSet, UTXOView]
-
 
 @dataclass
 class ScriptCacheStats:
@@ -364,7 +361,7 @@ class ValidationEngine:
                     f"height {height}"
                 )
 
-    def connect_block(self, block: Block, utxos: UTXOSource,
+    def connect_block(self, block: Block, utxos: UTXOSet,
                       height: int) -> ValidationReport:
         """Validate and apply a block's transactions atomically.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from repro.blockchain.transaction import OutPoint, Transaction, TxOutput
 from repro.errors import ValidationError
@@ -132,52 +132,28 @@ class UTXOSet:
 
 
 class UTXOView:
-    """A copy-on-write overlay over a :class:`UTXOSet` (or another view).
+    """A copy-on-write overlay over a :class:`UTXOSet`, for the block
+    :meth:`~repro.blockchain.engine.ValidationEngine.connect_block` checks.
 
-    All mutations land in the overlay; the base is never touched until
-    :meth:`commit`.  Validating a block against a view means a failure
-    needs no undo path at all — the overlay is simply discarded — and a
-    speculative workload (miner template assembly, double-spend probing)
-    costs two small dicts instead of a full UTXO-set clone.
+    Every change lands in the overlay; the set is never touched until
+    :meth:`commit`, so a block that fails needs no undo path at all — the
+    view is simply dropped.
 
     The overlay is ``_added`` (created here) and ``_spent`` (the base
     entries spent here).  A base outpoint spent and then created again
     is in both, and the created entry is what the view shows.
-
-    Views nest for reading: ``UTXOView(UTXOView(utxos))`` works, but
-    only a view over the :class:`UTXOSet` itself can commit.
     """
 
-    def __init__(self, base: Union[UTXOSet, "UTXOView"]) -> None:
+    def __init__(self, base: UTXOSet) -> None:
         self._base = base
         self._added: dict[OutPoint, UTXOEntry] = {}
         self._spent: dict[OutPoint, UTXOEntry] = {}
-
-    @property
-    def base(self) -> Union[UTXOSet, "UTXOView"]:
-        return self._base
-
-    def __contains__(self, outpoint: OutPoint) -> bool:
-        return self.get(outpoint) is not None
 
     def get(self, outpoint: OutPoint) -> Optional[UTXOEntry]:
         entry = self._added.get(outpoint)
         if entry is not None or outpoint in self._spent:
             return entry
         return self._base.get(outpoint)
-
-    def add(self, outpoint: OutPoint, entry: UTXOEntry) -> None:
-        if self.get(outpoint) is not None:
-            raise ValidationError(f"duplicate UTXO: {outpoint}")
-        self._added[outpoint] = entry
-
-    def remove(self, outpoint: OutPoint) -> UTXOEntry:
-        entry = self.get(outpoint)
-        if entry is None:
-            raise ValidationError(f"missing UTXO: {outpoint}")
-        if self._added.pop(outpoint, None) is None:
-            self._spent[outpoint] = entry
-        return entry
 
     def resolve(self, tx: Transaction) -> list[Optional[UTXOEntry]]:
         """The entry each input spends (``None`` where missing), one
@@ -213,10 +189,6 @@ class UTXOView:
                 raise ValidationError(f"duplicate UTXO: {outpoint}")
             added[outpoint] = UTXOEntry(output, height, is_coinbase)
 
-    @property
-    def dirty(self) -> bool:
-        return bool(self._added or self._spent)
-
     def commit(self) -> UTXODelta:
         """Write the overlay's delta into the base set, hand it to the
         caller and start an empty overlay.
@@ -230,8 +202,3 @@ class UTXOView:
         self._base.apply_delta(*delta)
         self._spent, self._added = {}, {}
         return delta
-
-    def discard(self) -> None:
-        """Drop the pending delta (the failure path: no undo needed)."""
-        self._added.clear()
-        self._spent.clear()

@@ -131,7 +131,8 @@ class NetworkConfig:
     :param chain: the chain every node of the deployment runs
         (:class:`~repro.blockchain.params.ChainParams`: block interval,
         the Fig. 5 / Fig. 6 ``verify_blocks`` toggle and its modeled
-        stall, block size, maturity, lock-time grace).
+        stall, block size, maturity, lock-time grace).  A recipient refunds
+        an unclaimed offer at the first block to reach its lock-time.
     :param consensus: ``"master"`` — the paper's PoC, a dedicated master
         node mines on a schedule — or ``"pos"``, the §6 future-work
         variant: gateway sites take turns producing blocks through a
@@ -159,10 +160,6 @@ class NetworkConfig:
     Workload:
 
     :param exchange_interval: mean seconds between exchanges per sensor.
-    :param reclaim_interval: seconds between recipient sweeps of expired
-        key-release offers (the Listing-1 refund branch).  0 disables the
-        sweep; enable it in deployments where gateways may vanish
-        mid-exchange.
     :param wait_for_confirmation: the §6 cautious gateway — reveal the
         key only once the offer has a confirmation.
 
@@ -195,7 +192,6 @@ class NetworkConfig:
     sync_interval: float = 0.0
 
     exchange_interval: float = 60.0
-    reclaim_interval: float = 0.0
     wait_for_confirmation: bool = False
 
     light: LightConfig = field(default_factory=LightConfig)

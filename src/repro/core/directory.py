@@ -24,7 +24,7 @@ from repro.crypto import ecdsa
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, address_from_pubkey
 from repro.errors import ProtocolError
-from repro.script.opcodes import OP
+from repro.script.builder import op_return_data
 
 __all__ = ["Announcement", "DirectoryView", "build_announcement_payload",
            "parse_announcement_payload", "ANNOUNCEMENT_MAGIC"]
@@ -128,21 +128,19 @@ class DirectoryView:
     def _scan_block(self, block, height: int) -> None:
         for tx in block.transactions:
             for output in tx.outputs:
-                elements = output.script_pubkey.elements
-                if (len(elements) == 2 and elements[0] == OP.OP_RETURN
-                        and isinstance(elements[1], bytes)):
-                    parsed = parse_announcement_payload(
-                        elements[1], self._chain.engine.verdict_memo)
-                    if parsed is None:
-                        continue
-                    address, endpoint, port = parsed
-                    current = self._entries.get(address)
-                    # Later announcements supersede earlier ones.
-                    if current is None or height >= current.height:
-                        self._entries[address] = Announcement(
-                            address=address, endpoint=endpoint, port=port,
-                            height=height, txid=tx.txid,
-                        )
+                data = op_return_data(output.script_pubkey)
+                parsed = None if data is None else parse_announcement_payload(
+                    data, self._chain.engine.verdict_memo)
+                if parsed is None:
+                    continue
+                address, endpoint, port = parsed
+                current = self._entries.get(address)
+                # Later announcements supersede earlier ones.
+                if current is None or height >= current.height:
+                    self._entries[address] = Announcement(
+                        address=address, endpoint=endpoint, port=port,
+                        height=height, txid=tx.txid,
+                    )
         self._scanned_height = max(self._scanned_height, height)
 
     def lookup(self, address: str) -> Optional[Announcement]:

@@ -254,11 +254,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
         for producer, master_daemon, sites in chains:
             producer.start(master_daemon,
                            [(site.daemon, site.wallet) for site in sites])
-        # Reclaim sweeps and anti-entropy sync, over every daemon.
-        if cfg.reclaim_interval > 0:
-            for site in self.sites:
-                self.sim.process(
-                    site.recipient.reclaim_every(cfg.reclaim_interval))
+        # Anti-entropy sync, over every daemon.
         if cfg.sync_interval > 0:
             self.sync_agents = [
                 SyncAgent(self.sim, daemon, interval=cfg.sync_interval)

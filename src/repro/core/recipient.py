@@ -6,30 +6,32 @@ On a delivery push from a foreign gateway (Fig. 3 step 7) the recipient:
    key (step 8);
 2. creates and broadcasts the key-release *offer* — payment locked to the
    revelation of ``eSk`` (step 9, Listing 1);
-3. watches for a spend of that escrow; the gateway's *claim* carries
-   ``eSk`` in the clear in its unlocking script, with which the recipient
-   unwraps ``Em`` and finally AES-decrypts the reading.
+3. watches mempool and blocks for a spend of that escrow; the gateway's
+   *claim* carries ``eSk`` in the clear in its unlocking script, with
+   which the recipient unwraps ``Em`` and finally AES-decrypts the reading.
 
-If the gateway never claims, :meth:`RecipientAgent.reclaim_expired`
-recovers the locked funds through the script's timelocked refund branch.
+If the gateway never claims, the first block to reach the offer's
+lock-time starts :meth:`RecipientAgent.reclaim_expired`, which recovers
+the locked funds through the script's timelocked refund branch.
 
 :class:`RecipientAgent` is that state machine, once.  What differs
 between device classes is which ledger state the host keeps and how it
 reaches it, and that sits behind the agent's *ledger access*:
 
 * :class:`NodeLedger` — a co-located full node: RPC-timed transaction
-  builds, the local mempool's verdict on every broadcast and a
-  UTXO-checked refund;
+  builds, the local mempool's verdict on every broadcast, its chain's
+  blocks as spend watch and clock, and a UTXO-checked refund;
 * :class:`SpvLedger` — a duty-cycled light host: a wallet fed by proven
   transactions only (so funding may stall on proofs in flight), the
   header tip as the only chain clock, the escrow outpoint watched through
   the serving node's filter, a rebroadcast watchdog in place of a mempool
   verdict, and payments counted *confirmed* on a verified Merkle proof.
 
-Both offer the same steps: ``attach(handlers, on_spend)``, ``height``,
-``submit(tx)``, ``lock_payment(message, payment_leg)``, ``refund(offer)``
-and ``stats()``; the three that may wait are generators the agent
-delegates to, so a step with nothing to wait for adds no simulator event.
+Both offer the same steps: ``attach(handlers, on_spend, on_tip)``,
+``height``, ``submit(tx)``, ``lock_payment(message, payment_leg)``,
+``refund(offer)`` and ``stats()``; the three that may wait are generators
+the agent delegates to, so a step with nothing to wait for adds no
+simulator event.
 Relaying a cross-region claim onto the recipient's sub-chain is one
 ``submit`` by the agent, whichever access it runs over.
 """
@@ -84,12 +86,20 @@ class NodeLedger(Counted):
         self.wallet = wallet
 
     def attach(self, handlers: Handlers,
-               on_spend: Callable[[Transaction], None]) -> None:
+               on_spend: Callable[[Transaction], None],
+               on_tip: Callable[[int], None]) -> None:
         for payload_type, handler in handlers.items():
             self.daemon.register_protocol(payload_type, handler)
-        # Claim detection: gossip hands over every transaction the local
-        # mempool admits, our own broadcasts included.
+        # Claim detection: every transaction the local mempool admits, our
+        # own broadcasts included, and every one of each connected block.
         self.daemon.gossip.on_transaction.append(on_spend)
+
+        def on_block(block, height: int) -> None:
+            for tx in block.transactions[1:]:
+                on_spend(tx)
+            on_tip(height)
+
+        self.daemon.node.chain.add_connect_listener(on_block)
 
     @property
     def height(self) -> int:
@@ -170,11 +180,13 @@ class SpvLedger(Counted):
         self._offer_txids: set[bytes] = set()
 
     def attach(self, handlers: Handlers,
-               on_spend: Callable[[Transaction], None]) -> None:
+               on_spend: Callable[[Transaction], None],
+               on_tip: Callable[[int], None]) -> None:
         for payload_type, handler in handlers.items():
             self.spv.register_handler(payload_type, handler)
         self.spv.on_match.append(lambda tx, _height: on_spend(tx))
         self.spv.on_proof.append(self._on_proof)
+        self.spv.on_tip.append(on_tip)
         # Watch own address from genesis: funding coins, change, and
         # refunds all land back here as proven credits.
         self.spv.watch(pubkey_hashes=(self.wallet.pubkey_hash,),
@@ -308,7 +320,8 @@ class RecipientAgent(Counted):
         self._pending: dict[OutPoint, _PendingSettlement] = {}
         self._deliveries: set[tuple[str, int]] = set()  # (gateway, id)
         ledger.attach({DeliveryMessage: self._on_delivery,
-                       ClaimMessage: self._on_claim}, self._on_spend)
+                       ClaimMessage: self._on_claim},
+                      self._on_spend, self._on_tip)
 
     @property
     def address(self) -> str:
@@ -439,6 +452,8 @@ class RecipientAgent(Counted):
         elements = spend_input.script_sig.elements
         if len(elements) != 3 or not isinstance(elements[2], bytes):
             return  # garbage — not a Listing-1 unlocking script
+        if settlement.offer.outpoint not in self._pending:
+            return  # seen twice before this ran: mempool, then block
         if elements[2] == RSA_PAIR_PLACEHOLDER:
             # The refund branch, which only our own key opens.
             self._pending.pop(settlement.offer.outpoint, None)
@@ -469,31 +484,35 @@ class RecipientAgent(Counted):
 
     # -- refunds ----------------------------------------------------------------------
 
+    def _on_tip(self, height: int) -> None:
+        """A block connected: sweep if some refund may now go out."""
+        if any(self._due(height)):
+            self.reclaim_expired()
+
+    def _due(self, height: int):
+        """Pending offers whose refund may go out at ``height``."""
+        return (settlement for settlement in self._pending.values()
+                if not settlement.refund_sent
+                and settlement.offer.refund_locktime <= height)
+
     def reclaim_expired(self):
         """Spend the refund branch of every expired, unclaimed offer.
 
         Returns the process; its value is the number of refunds broadcast.
         Each is counted in ``refunds_taken`` (and its exchange failed)
-        once the refund itself is seen spending the escrow.
+        once the refund itself is seen spending the escrow.  A refund in
+        flight is not sent again; one that did not go out is, next block.
         """
         return self.sim.process(self._reclaim())
 
-    def reclaim_every(self, interval: float):
-        """Sweep for expired, unclaimed offers every ``interval`` seconds."""
-        while True:
-            yield self.sim.timeout(interval)
-            yield self.reclaim_expired()
-
     def _reclaim(self):
         sent = 0
-        height = self.ledger.height
-        for settlement in list(self._pending.values()):
-            if (settlement.refund_sent
-                    or settlement.offer.refund_locktime > height):
-                continue
+        for settlement in list(self._due(self.ledger.height)):
+            settlement.refund_sent = True
             if (yield from self.ledger.refund(settlement.offer)):
-                settlement.refund_sent = True
                 sent += 1
+            else:
+                settlement.refund_sent = False
         return sent
 
     def stats(self) -> StatsView:

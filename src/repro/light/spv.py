@@ -86,9 +86,11 @@ class SpvClient(Counted):
         self.tracer = tracer
         # Listener callbacks; agents append.  ``on_match(tx, height)``
         # fires for every watched-filter push, ``on_proof(proof)`` only
-        # after strict verification against the header chain.
+        # after strict verification against the header chain, and
+        # ``on_tip(height)`` whenever headers connect.
         self.on_match: list[Callable[[Transaction, int], None]] = []
         self.on_proof: list[Callable[[TxProofMessage], None]] = []
+        self.on_tip: list[Callable[[int], None]] = []
         # Non-light payloads (the BcWAN delivery handshake) dispatch here.
         self._extra_handlers: dict[type, Callable[[Envelope], None]] = {}
         # The standing filter, kept whole for failover replay.
@@ -198,6 +200,7 @@ class SpvClient(Counted):
         if added:
             self.headers_from_multicast += added
             self._drain_stashed_proofs()
+            self._tip_moved()
         return "ok"
 
     # -- the periodic poll ------------------------------------------------------
@@ -295,6 +298,7 @@ class SpvClient(Counted):
         if added:
             self.headers_synced += added
             self._drain_stashed_proofs()
+            self._tip_moved()
             if envelope.source != self.serving_peer:
                 return  # a stashed proof was forged: failed over mid-round
         if reply.tip_height > self.chain.tip_height and reply.headers:
@@ -321,6 +325,10 @@ class SpvClient(Counted):
             for listener in self.on_proof:
                 listener(proof)
 
+    def _tip_moved(self) -> None:
+        for listener in self.on_tip:
+            listener(self.chain.tip_height)
+
     def _handle_proof(self, proof: TxProofMessage, peer: str) -> None:
         key = (proof.txid, proof.block_hash)
         if key in self._verified_proofs:
@@ -342,6 +350,7 @@ class SpvClient(Counted):
                     and self.chain.connect(header) == "connected"):
                 self._stash_proof(key, proof, peer)
                 return
+            self._tip_moved()
         span = self.tracer.span("light.proof_verify", host=self.name,
                                 height=proof.height, txs=proof.tx_count)
         if verify_proof(proof.txid, proof.branch, proof.index,

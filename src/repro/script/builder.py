@@ -30,6 +30,7 @@ __all__ = [
     "p2pkh_locking",
     "p2pkh_unlocking",
     "op_return",
+    "op_return_data",
     "ephemeral_key_release",
     "parse_ephemeral_key_release",
     "key_release_claim",
@@ -65,6 +66,15 @@ def op_return(data: bytes) -> Script:
     "We used the OP_RETURN script operator to [broadcast the node IP]").
     """
     return Script([OP.OP_RETURN, data])
+
+
+def op_return_data(script: Script) -> bytes | None:
+    """The data an :func:`op_return` script carries, else ``None``."""
+    elements = script.elements
+    if (len(elements) == 2 and elements[0] == OP.OP_RETURN
+            and isinstance(elements[1], bytes)):
+        return elements[1]
+    return None
 
 
 def ephemeral_key_release(rsa_pubkey: bytes, gateway_pubkey_hash: bytes,

@@ -21,11 +21,11 @@ from repro.core.directory import parse_announcement_payload
 from repro.crypto import rsa
 from repro.script.analysis import (
     OUTPUT_KEY_RELEASE,
-    OUTPUT_OP_RETURN,
     OUTPUT_P2PKH,
     classify_output,
 )
-from repro.script.builder import RSA_PAIR_PLACEHOLDER, parse_ephemeral_key_release
+from repro.script.builder import (RSA_PAIR_PLACEHOLDER, op_return_data,
+                                  parse_ephemeral_key_release)
 
 __all__ = [
     "describe_output",
@@ -41,23 +41,22 @@ def describe_output(output: TxOutput) -> str:
     """A one-line human description of an output's locking script, by
     its template class (:func:`repro.script.classify_output`)."""
     script = output.script_pubkey
-    elements = script.elements
-    cls = classify_output(script)
-    if (cls == OUTPUT_OP_RETURN and len(elements) == 2
-            and isinstance(elements[1], bytes)):
-        parsed = parse_announcement_payload(elements[1])
+    data = op_return_data(script)
+    if data is not None:
+        parsed = parse_announcement_payload(data)
         if parsed is not None:
             address, endpoint, port = parsed
             return (f"directory announcement: {address} -> "
                     f"{endpoint}:{port}")
-        return f"OP_RETURN data ({len(elements[1])} bytes)"
+        return f"OP_RETURN data ({len(data)} bytes)"
+    cls = classify_output(script)
     if cls == OUTPUT_KEY_RELEASE:
         _rsa_pubkey, gateway_hash, _buyer_hash, locktime = \
             parse_ephemeral_key_release(script)
         return (f"key-release offer: {output.value} to gateway "
                 f"{gateway_hash.hex()[:12]}.., refund at height {locktime}")
     if cls == OUTPUT_P2PKH:
-        return f"P2PKH: {output.value} to {elements[2].hex()[:12]}.."
+        return f"P2PKH: {output.value} to {script.elements[2].hex()[:12]}.."
     return f"script: {script.disassemble()[:60]}"
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.blockchain.block import Block
-from repro.blockchain.chain import Chain, create_genesis_block
+from repro.blockchain.chain import ORPHAN_POOL_SIZE, Chain, create_genesis_block
 from repro.blockchain.miner import Miner
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.node import FullNode
@@ -82,6 +82,32 @@ def test_orphan_block_connected_when_parent_arrives():
     assert result.status == "active"
     assert chain.height == 2
     assert chain.tip.hash == child.hash
+
+
+def test_children_of_a_refused_block_stay_within_the_orphan_bound():
+    """A refused block is never stored, so its children never attach:
+    twice the bound of them leaves the pool at the bound, and an honest
+    child that arrives before its parent still attaches."""
+    chain = Chain()
+    refused = Block.assemble(
+        prev_hash=chain.tip.hash, timestamp=1.0,
+        transactions=[make_coinbase(1), make_coinbase(1, tag=1)])
+    with pytest.raises(ValidationError):
+        chain.add_block(refused)
+    for tag in range(2 * ORPHAN_POOL_SIZE):
+        child = Block.assemble(prev_hash=refused.hash, timestamp=2.0,
+                               transactions=[make_coinbase(2, tag)])
+        assert chain.add_block(child).status == "orphan"
+        assert sum(map(len, chain._orphans.values())) <= ORPHAN_POOL_SIZE
+
+    parent = Block.assemble(prev_hash=chain.tip.hash, timestamp=1.0,
+                            transactions=[make_coinbase(1)])
+    honest = Block.assemble(prev_hash=parent.hash, timestamp=2.0,
+                            transactions=[make_coinbase(2)])
+    assert chain.add_block(honest).status == "orphan"
+    assert sum(map(len, chain._orphans.values())) == ORPHAN_POOL_SIZE
+    assert chain.add_block(parent).status == "active"
+    assert chain.height == 2 and chain.tip.hash == honest.hash
 
 
 def test_side_chain_then_reorg():

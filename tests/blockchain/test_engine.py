@@ -229,24 +229,26 @@ def test_failed_connect_leaves_base_untouched_without_undo(
 
 def test_overlay_view_isolation():
     base = UTXOSet()
-    outpoint = OutPoint(txid=b"\x03" * 32, index=0)
+    funding = OutPoint(txid=b"\x03" * 32, index=0)
     entry = UTXOEntry(output=TxOutput(value=7, script_pubkey=Script()),
                       height=1, is_coinbase=False)
-    base.add(outpoint, entry)
+    base.add(funding, entry)
+    spend = Transaction(
+        inputs=[TxInput(outpoint=funding)],
+        outputs=[TxOutput(value=7, script_pubkey=Script())],
+    )
+    fresh = OutPoint(txid=spend.txid, index=0)
 
     view = UTXOView(base)
-    assert view.get(outpoint) == entry
-    view.remove(outpoint)
-    assert view.get(outpoint) is None
-    assert base.get(outpoint) == entry  # base untouched until commit
-
-    fresh = OutPoint(txid=b"\x04" * 32, index=0)
-    view.add(fresh, entry)
-    assert fresh in view and fresh not in base
+    assert view.get(funding) == entry
+    apply_transaction(view, spend, 2)
+    assert view.get(funding) is None
+    assert base.get(funding) == entry  # base untouched until commit
+    assert view.get(fresh) is not None and base.get(fresh) is None
 
     view.commit()
-    assert base.get(outpoint) is None
-    assert base.get(fresh) == entry
+    assert base.get(funding) is None
+    assert base.get(fresh) == UTXOEntry(spend.outputs[0], 2, False)
 
 
 def test_overlay_chained_spend_never_touches_base():

@@ -333,7 +333,11 @@ def test_failed_connect_leaves_the_base_set_bit_for_bit(failure, position,
 
 # -- an overlay commits what it shows, or nothing -----------------------------------
 
-VIEW_POOL = [OutPoint(bytes([k]) * 32, 0) for k in range(1, 7)]
+# The transaction creating each pool outpoint.
+MAKERS = [Transaction(
+    inputs=[TxInput(COINBASE_OUTPOINT, Script([bytes([k])]))],
+    outputs=[TxOutput(1, LOCK)]) for k in range(1, 7)]
+VIEW_POOL = [maker.outpoints[0] for maker in MAKERS]
 view_steps = st.lists(
     st.tuples(st.sampled_from(("add", "remove", "base-add", "base-remove")),
               st.integers(min_value=0, max_value=len(VIEW_POOL) - 1)),
@@ -347,30 +351,37 @@ view_steps = st.lists(
 # A stale view: the set gains an outpoint the overlay already added.
 @example([("remove", 1), ("add", 3), ("base-add", 3)])
 def test_commit_writes_what_the_view_shows_or_nothing(plan):
-    """Adds and removes on a view over a set -- and on the set itself
-    after the view was built, which makes the view stale.  A commit
-    leaves the set holding exactly what the view showed at every
+    """Transactions applied to a view over a set -- a pool outpoint's own
+    creating transaction, or a spend of it -- and adds and removes on the
+    set itself after the view was built, which make the view stale.  A
+    commit leaves the set holding exactly what the view showed at every
     outpoint the view touched, and the rest as it was; or it raises
     :class:`ValidationError` and leaves the set bit-for-bit unchanged."""
     utxos = UTXOSet()
     for op in VIEW_POOL[:3]:
         utxos.add(op, UTXOEntry(TxOutput(1, LOCK), 0, False))
     view = UTXOView(utxos)
+    watched = list(VIEW_POOL)
     touched: set[OutPoint] = set()
     for serial, (action, pick) in enumerate(plan):
         op = VIEW_POOL[pick]
-        ledger = utxos if action.startswith("base-") else view
         try:
-            if action.endswith("add"):
-                ledger.add(op, UTXOEntry(TxOutput(serial, LOCK), serial,
-                                         False))
+            if action == "base-add":
+                utxos.add(op, UTXOEntry(TxOutput(serial, LOCK), serial,
+                                        False))
+            elif action == "base-remove":
+                utxos.remove(op)
             else:
-                ledger.remove(op)
+                tx = MAKERS[pick] if action == "add" else Transaction(
+                    inputs=[TxInput(op)], outputs=[TxOutput(serial, LOCK)])
+                apply_transaction(view, tx, serial)
+                touched.add(op)
+                touched.update(tx.outpoints)
+                watched.extend(new for new in tx.outpoints
+                               if new not in watched)
         except ValidationError:
             continue
-        if ledger is view:
-            touched.add(op)
-    shown = {op: view.get(op) for op in VIEW_POOL}
+    shown = {op: view.get(op) for op in watched}
     before = list(utxos.items())
     try:
         view.commit()
@@ -380,10 +391,10 @@ def test_commit_writes_what_the_view_shows_or_nothing(plan):
         assert all(a[1] is b[1] for a, b in zip(after, before))
         return
     untouched = dict(before)
-    for op in VIEW_POOL:
+    for op in watched:
         expected = shown[op] if op in touched else untouched.get(op)
         assert utxos.get(op) is expected
-    assert len(utxos) == sum(utxos.get(op) is not None for op in VIEW_POOL)
+    assert len(utxos) == sum(utxos.get(op) is not None for op in watched)
 
 
 # -- the error text, pinned -------------------------------------------------------

@@ -40,9 +40,9 @@ HORIZON = 400.0
 BASE = dict(num_gateways=3, sensors_per_gateway=2, seed=5,
             exchange_interval=20.0, sync_interval=10.0)
 FLAT = NetworkConfig(**BASE)
-# Recipients sweep every 10 s for offers expired after 3 blocks.
-REFUNDING = NetworkConfig(**BASE, reclaim_interval=10.0,
-                          chain=ChainParams(locktime_grace=3))
+# Offers expire after 3 blocks; the block that reaches a lock-time
+# starts the recipient's refund sweep.
+REFUNDING = NetworkConfig(**BASE, chain=ChainParams(locktime_grace=3))
 LIGHT = NetworkConfig(**BASE, light=LightConfig(
     device_class="light", multicast_interval=15.0, light_sync_interval=30.0))
 REGIONS = NetworkConfig(**dict(BASE, num_gateways=4), topology=RegionTopology(

@@ -10,6 +10,7 @@ which one it is.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,10 +21,13 @@ from repro.core.costmodel import CostModel
 from repro.core.gateway_agent import CLAIM_FEE
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
+from repro.core.recipient import SpvLedger
 from repro.core.rewards import RecipientBudget
 from repro.lora.channel import Position
 from repro.lora.device import LoRaRadio
-from repro.p2p.message import ClaimMessage, DeliveryMessage
+from repro.p2p.message import ClaimMessage, DeliveryMessage, TxMessage
+from repro.p2p.network import FaultDecision
+from repro.script.builder import RSA_PAIR_PLACEHOLDER
 
 from tests.core.test_agents_edge_cases import Harness
 
@@ -122,24 +126,57 @@ def test_wallet_that_cannot_fund_the_offer(harness):
     assert harness.recipient.stats().get("funding_stalls", 8) == 8
 
 
+def record_sweeps(recipient) -> list:
+    """Record every refund sweep the recipient starts: ``(height,
+    refunds_taken, process)`` at the instant it starts."""
+    sweeps: list = []
+    start = recipient.reclaim_expired
+
+    def recorded():
+        process = start()
+        sweeps.append((recipient.ledger.height, recipient.refunds_taken,
+                       process))
+        return process
+
+    recipient.reclaim_expired = recorded
+    return sweeps
+
+
+def run_to_height(harness, height: int) -> None:
+    """Step the simulation until the recipient's chain clock reads
+    ``height``."""
+    while harness.recipient.ledger.height < height:
+        harness.sim.run(until=harness.sim.now + 0.5)
+
+
 def test_gateway_that_never_claims_is_refunded_after_expiry(harness):
     harness.gateway._begin_claim = lambda offer_txid: None
-    record = run_exchange(harness, duration=5.0)
     recipient = harness.recipient
+    sweeps = record_sweeps(recipient)
+    record = run_exchange(harness, duration=5.0)
     assert recipient.payments_made == 1
     assert recipient.stats()["pending_settlements"] == 1
     assert record.status == "pending"
+    (settlement,) = recipient._pending.values()
+    locktime = settlement.offer.refund_locktime
+    # A full host's refund now takes longer to build than a block takes
+    # to come, so blocks connect while it is in flight.
+    harness.daemon.cost_model = replace(harness.daemon.cost_model,
+                                        daemon_rpc=12.0)
 
-    # Before the locktime a sweep leaves the escrow alone.
-    early = recipient.reclaim_expired()
+    # The blocks below the lock-time start no sweep.
+    run_to_height(harness, locktime - 1)
     harness.sim.run(until=harness.sim.now + 1.0)
-    assert early.value == 0 and recipient.refunds_taken == 0
+    assert sweeps == [] and recipient.refunds_taken == 0
+    assert recipient.stats()["pending_settlements"] == 1
 
-    harness.sim.run(until=harness.sim.now + 25.0)  # 3 blocks of grace pass
-    first, second = recipient.reclaim_expired(), recipient.reclaim_expired()
+    # The block that reaches it does, with nothing booked yet...
+    run_to_height(harness, locktime + 3)
     harness.sim.run(until=harness.sim.now + 15.0)
-    # One refund goes out, however often the sweep runs meanwhile...
-    assert (first.value, second.value) == (1, 0)
+    assert [(height, booked) for height, booked, _ in sweeps] == [
+        (locktime, 0)]
+    # ...one refund goes out, however many blocks connect after it...
+    assert [process.value for _, _, process in sweeps] == [1]
     # ...and is booked once the refund itself is seen spending the escrow.
     assert recipient.refunds_taken == 1
     assert recipient.stats()["pending_settlements"] == 0
@@ -147,6 +184,32 @@ def test_gateway_that_never_claims_is_refunded_after_expiry(harness):
     assert "refunded" in record.failure_reason
     assert recipient.messages_decrypted == 0
     assert recipient.stats()["balance"] == FUNDING
+
+
+def test_a_claim_seen_in_the_mempool_and_in_its_block_at_once_decrypts_once():
+    """The mempool sighting and the block sighting of one claim land in
+    the same instant, before either decryption ran: one decrypts."""
+    harness = Harness()
+    harness.sim.run(until=3.0)
+    gateway = harness.gateway
+    held: list[bytes] = []
+    gateway._begin_claim = held.append
+    record = run_exchange(harness, duration=5.0)
+    assert record.status == "pending" and len(held) == 1
+    pending = gateway._ephemeral[record.exchange_id]
+    offer = gateway._audit_offer(harness.node.mempool.get(held[0]), pending)
+    claim = gateway.wallet.claim_key_release(
+        offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE)
+
+    assert harness.daemon.gossip.broadcast_transaction(claim)
+    block = harness.miner.mine_and_connect(harness.sim.now)
+    assert claim in block.transactions
+    harness.sim.run(until=harness.sim.now + 5.0)
+
+    recipient = harness.recipient
+    assert record.completed and record.decrypted == b"reading-1"
+    assert recipient.messages_decrypted == 1
+    assert recipient.stats()["pending_settlements"] == 0
 
 
 def test_a_relayed_cross_region_claim_settles(harness):
@@ -190,17 +253,28 @@ def test_an_undecodable_claim_fails_its_exchange(harness):
     assert harness.recipient.claims_relayed == 0
 
 
+def at_clock(recipient, listener) -> None:
+    """Call ``listener(height)`` on each tick of the recipient's chain
+    clock, after the recipient's own sweep check."""
+    ledger = recipient.ledger
+    if isinstance(ledger, SpvLedger):
+        ledger.spv.on_tip.append(listener)
+    else:
+        ledger.daemon.node.chain.add_connect_listener(
+            lambda block, height: listener(height))
+
+
 @pytest.mark.parametrize("device_class", DEVICE_CLASSES)
 def test_refund_racing_a_late_claim_still_decrypts(device_class):
     """The refund loses the conflict and the claim decrypts as usual.
 
-    Gateway 0 holds its claims until the offers have expired, then
-    releases them; the victim sweeps at the very instant each claim
-    enters its serving node's mempool — the claim's push is in flight,
-    so an SPV host still believes the escrow unspent and sends a refund
-    the full nodes then reject.  The settlement must stay pending until a
-    spend of the escrow is *seen*: paid, delivered, and never booked as
-    refunded.
+    Gateway 0 holds each claim until the block that reaches its offer's
+    lock-time, then releases it: the victim's sweep for that offer starts
+    at the same block.  The victim's side of the race is slow — its
+    daemon takes a second to build a refund, or its uplink a second to
+    carry one — so the claim reaches the full nodes first and the refund
+    is refused there.  The settlement must stay pending until a spend of
+    the escrow is *seen*: paid, delivered, and never booked as refunded.
     """
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
@@ -209,28 +283,36 @@ def test_refund_racing_a_late_claim_still_decrypts(device_class):
     ))
     gateway = network.sites[0].gateway
     victim = network.sites[1].recipient  # pays gateway 0
+    if device_class == "full":
+        daemon = victim.ledger.daemon
+        daemon.cost_model = replace(daemon.cost_model, daemon_rpc=1.0)
+    else:
+        network.wan.interceptor = lambda envelope: (
+            FaultDecision(extra_delay=1.0)
+            if envelope.source == victim.name
+            and isinstance(envelope.payload, TxMessage) else None)
     held: list[bytes] = []
     release = gateway._begin_claim
     gateway._begin_claim = held.append
+    sweeps = record_sweeps(victim)
+
+    def release_expired(height: int) -> None:
+        locktimes = {settlement.offer.transaction.txid:
+                     settlement.offer.refund_locktime
+                     for settlement in victim._pending.values()}
+        for offer_txid in list(held):
+            if locktimes.get(offer_txid, height + 1) <= height:
+                held.remove(offer_txid)
+                release(offer_txid)
+
+    at_clock(victim, release_expired)
     network.run(num_exchanges=8, max_duration=90.0)
-    assert len(held) == victim.stats()["pending_settlements"] == 4
-    network.sim.run(until=network.sim.now + 40.0)  # the offers expire
-
-    escrows = set(victim._pending)
-    sweeps = []
-
-    def sweep_on_claim(tx) -> None:
-        if any(tx_input.outpoint in escrows for tx_input in tx.inputs):
-            sweeps.append(victim.reclaim_expired())
-
-    network.sites[1].daemon.gossip.on_transaction.append(sweep_on_claim)
-    for offer_txid in held:
-        release(offer_txid)
     network.sim.run(until=network.sim.now + 120.0)
 
-    assert len(sweeps) == 4
-    if device_class == "light":
-        assert sum(sweep.value for sweep in sweeps) == 4  # refunds did go out
+    assert held == [] and sweeps
+    refunds_sent = sum(process.value for _, _, process in sweeps)
+    # A light host cannot see the claim coming: its refunds did go out.
+    assert refunds_sent == (4 if device_class == "light" else 0)
     assert victim.payments_made == 4
     assert victim.messages_decrypted == 4
     assert victim.refunds_taken == 0
@@ -239,3 +321,64 @@ def test_refund_racing_a_late_claim_still_decrypts(device_class):
     paid_for = [r for r in network.tracker.records()
                 if r.recipient == victim.name and r.t_offer_sent is not None]
     assert len(paid_for) == 4 and all(r.completed for r in paid_for)
+
+
+def test_a_withholding_gateways_payer_is_refunded_by_default():
+    """A default deployment, lock-time shortened so it passes in a short
+    run: the payer of a gateway that never claims gets every offer back,
+    with no sweep to switch on."""
+    network = BcWANNetwork(NetworkConfig(
+        seed=64, chain=ChainParams(locktime_grace=4)))
+    gateway = network.sites[0].gateway
+    held: list[bytes] = []
+    gateway._begin_claim = held.append
+    network.run(num_exchanges=15, max_duration=120.0)
+    network.sim.run(until=network.sim.now + 120.0)
+
+    withheld = [r for r in network.tracker.records()
+                if r.gateway == gateway.name and r.t_offer_sent is not None]
+    assert held and len(withheld) == len(held)
+    assert all(r.status == "failed" and "refunded" in r.failure_reason
+               for r in withheld)
+    payers = {r.recipient for r in withheld}
+    refunded = sum(site.recipient.refunds_taken for site in network.sites
+                   if site.recipient.name in payers)
+    assert refunded == len(held)
+    assert all(site.recipient.stats()["pending_settlements"] == 0
+               for site in network.sites if site.recipient.name in payers)
+
+
+def test_a_claim_first_seen_in_a_block_decrypts():
+    """The recipient's daemon never admits the claim to its mempool (every
+    transaction gossiped to it is lost): it meets the claim only in the
+    block that confirms it, and decrypts there."""
+    network = BcWANNetwork(NetworkConfig(
+        num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
+        seed=62, chain=ChainParams(block_interval=5.0)))
+    victim = network.sites[1].recipient  # pays gateway 0
+    lost: list[TxMessage] = []
+
+    def lose_gossip(envelope):
+        if (envelope.destination == victim.name
+                and isinstance(envelope.payload, TxMessage)):
+            lost.append(envelope.payload)
+            return FaultDecision(drop=True)
+        return None
+
+    network.wan.interceptor = lose_gossip
+    network.run(num_exchanges=8, max_duration=90.0)
+    network.sim.run(until=network.sim.now + 30.0)
+
+    escrows = {settlement.offer.outpoint
+               for settlement in victim._pending.values()}
+    assert not escrows
+    assert any(tx_input.script_sig.elements[-1] != RSA_PAIR_PLACEHOLDER
+               for message in lost for tx_input in message.transaction.inputs
+               if len(tx_input.script_sig.elements) == 3)
+    assert victim.payments_made > 0
+    assert victim.messages_decrypted == victim.payments_made
+    assert victim.refunds_taken == 0
+    paid_for = [r for r in network.tracker.records()
+                if r.recipient == victim.name and r.t_offer_sent is not None]
+    assert len(paid_for) == victim.payments_made
+    assert all(r.completed for r in paid_for)

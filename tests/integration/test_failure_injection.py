@@ -26,8 +26,7 @@ def fail_gateway_radio(network, site_index):
 def fail_gateway_claims(network, site_index):
     """The gateway's blockchain module dies after delivery: deliveries keep
     flowing, recipients keep locking offers, but no claim ever appears —
-    the scenario the Listing-1 refund branch (and ``reclaim_interval``)
-    exists for."""
+    the scenario the Listing-1 refund branch exists for."""
     network.sites[site_index].gateway._begin_claim = lambda offer_txid: None
 
 
@@ -62,13 +61,13 @@ DEVICE_CLASSES = ["full", "light"]
 def test_dead_blockchain_module_triggers_refunds(device_class):
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
-        seed=62, reclaim_interval=20.0,
+        seed=62,
         chain=ChainParams(block_interval=5.0, locktime_grace=4), light=LightConfig(device_class=device_class),
     ))
     fail_gateway_claims(network, 0)
     funded = network.sites[1].wallet.balance
     network.run(num_exchanges=8, max_duration=400.0)
-    # Give the reclaim sweeps time to fire past the locktimes.
+    # Give the blocks past the locktimes time to connect.
     network.sim.run(until=network.sim.now + 200.0)
 
     victim = network.sites[1].recipient  # pays gateway 0
@@ -95,7 +94,7 @@ def test_dead_blockchain_module_triggers_refunds(device_class):
 def test_refund_records_mark_failed_exchanges(device_class):
     network = BcWANNetwork(NetworkConfig(
         num_gateways=2, sensors_per_gateway=2, exchange_interval=15.0,
-        seed=63, reclaim_interval=20.0,
+        seed=63,
         chain=ChainParams(block_interval=5.0, locktime_grace=4), light=LightConfig(device_class=device_class),
     ))
     fail_gateway_claims(network, 0)
