@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.blockchain.sigbatch import VerdictMemo
-from repro.blockchain.transaction import SEQUENCE_FINAL, Transaction
+from repro.blockchain.transaction import (LOCKTIME_THRESHOLD, SEQUENCE_FINAL,
+                                          Transaction)
 from repro.script.script import Script
 
-__all__ = ["TransactionContext", "LOCKTIME_THRESHOLD"]
-
-# Locktime values below this are block heights; above, unix timestamps.
-LOCKTIME_THRESHOLD = 500_000_000
+__all__ = ["TransactionContext"]
 
 
 @dataclass

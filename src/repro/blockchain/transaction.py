@@ -32,11 +32,14 @@ __all__ = [
     "TxOutput",
     "Transaction",
     "SEQUENCE_FINAL",
+    "LOCKTIME_THRESHOLD",
     "COINBASE_OUTPOINT",
     "SIGHASH_ALL",
 ]
 
 SEQUENCE_FINAL = 0xFFFFFFFF
+# Locktime values below this are block heights; above, unix timestamps.
+LOCKTIME_THRESHOLD = 500_000_000
 SIGHASH_ALL = 0x01
 
 _NULL_TXID = b"\x00" * 32
@@ -331,8 +334,8 @@ class Transaction:
         """BIP-113-style finality: may this tx be included at this point?"""
         if self.locktime == 0:
             return True
-        threshold = 500_000_000
-        reference = block_height if self.locktime < threshold else block_time
+        reference = (block_height if self.locktime < LOCKTIME_THRESHOLD
+                     else block_time)
         if self.locktime <= reference:
             return True
         return all(tx_input.sequence == SEQUENCE_FINAL for tx_input in self.inputs)

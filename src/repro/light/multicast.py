@@ -133,7 +133,8 @@ class ChainMulticaster(Counted):
                 self.rounds_delayed += 1
                 yield self.sim.timeout(wait)
             if airtime > 0:
-                self.limiter.register(self.sim.now, airtime)
+                self.limiter.register(
+                    self.limiter.next_allowed(self.sim.now), airtime)
                 yield self.sim.timeout(airtime)
             span = self.tracer.span(
                 "multicast.round", host=self.name,

@@ -23,7 +23,7 @@ from repro.p2p.message import (
     Envelope,
     TxMessage,
 )
-from repro.p2p.network import Host, WANetwork
+from repro.p2p.network import WANetwork
 
 __all__ = [
     "BlockMessage",
@@ -39,7 +39,6 @@ __all__ = [
     "DeliveryMessage",
     "Envelope",
     "GossipNode",
-    "Host",
     "TxMessage",
     "WANetwork",
 ]

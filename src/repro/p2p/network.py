@@ -5,11 +5,13 @@ destination's handler after a sampled one-way latency.  The latency model
 defaults to PlanetLab-like per-pair lognormal distributions — the
 substrate standing in for the paper's 5-node PlanetLab deployment.
 
-Every send returns a :class:`SendReceipt` naming the verdict: queued for
-delivery, lost to the sampled loss process, refused for lack of a route,
-or blocked by an injected fault.  Drops are never silent — each kind has
-its own counter, and an optional interceptor (the chaos engine's hook)
-can drop, delay, duplicate, or corrupt any message in flight.
+A send returns nothing; its fate is recorded, never silent.  Each kind
+of drop — lost to the sampled loss process, refused for lack of a route,
+blocked by an injected fault, or arriving at a host that is down — has
+its own ``drops_*`` counter (``messages_lost`` is their sum) and ends the
+message's ``wan.transit`` span ``lost`` with a reason.  An optional
+interceptor (the chaos engine's hook) can drop, delay, duplicate, or
+corrupt any message in flight.
 """
 
 from __future__ import annotations
@@ -24,38 +26,7 @@ from repro.p2p.message import Envelope
 from repro.sim.core import Simulator
 from repro.sim.latency import LatencyModel, LogNormalLatency
 
-__all__ = ["WANetwork", "Host", "SendReceipt", "FaultDecision",
-           "estimate_wire_size"]
-
-
-@dataclass
-class Host:
-    """A network endpoint: a name plus a message handler."""
-
-    name: str
-    handler: Callable[[Envelope], None]
-
-
-@dataclass(frozen=True)
-class SendReceipt:
-    """The delivery verdict for one :meth:`WANetwork.send` call.
-
-    ``status`` is one of:
-
-    * ``"queued"`` — scheduled for delivery after a sampled latency (the
-      destination may still be down by the time it arrives);
-    * ``"lost"`` — consumed by the baseline sampled-loss process;
-    * ``"no_route"`` — the destination name was never registered;
-    * ``"blocked"`` — dropped by an injected fault (chaos engine).
-    """
-
-    envelope: Envelope
-    status: str
-    reason: str = ""
-
-    @property
-    def queued(self) -> bool:
-        return self.status == "queued"
+__all__ = ["WANetwork", "FaultDecision", "estimate_wire_size"]
 
 
 @dataclass(frozen=True)
@@ -144,7 +115,8 @@ class WANetwork:
         self.rng = rng
         self.latency = latency or LogNormalLatency()
         self.loss_rate = loss_rate
-        self._hosts: dict[str, Host] = {}
+        # Host name -> its message handler.
+        self._hosts: dict[str, Callable[[Envelope], None]] = {}
         self._down: set[str] = set()
         # Chaos hook: consulted once per send, after the baseline loss
         # sample, so injected faults compose with (rather than replace)
@@ -155,11 +127,9 @@ class WANetwork:
         self.tracer: Tracer = NULL_TRACER
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.messages_lost = 0
         self.messages_duplicated = 0
         self.messages_corrupted = 0
-        # Breakdown of messages_lost by cause; the sum of these four
-        # always equals messages_lost.
+        # Drops by cause; messages_lost is their sum.
         self.drops_sampled_loss = 0
         self.drops_unknown_destination = 0
         self.drops_offline = 0
@@ -172,13 +142,17 @@ class WANetwork:
         self.bytes_to: dict[str, int] = {}
         self.bytes_by_type: dict[str, int] = {}
 
-    def register(self, name: str, handler: Callable[[Envelope], None]) -> Host:
+    @property
+    def messages_lost(self) -> int:
+        """Messages dropped for any cause: the four ``drops_*`` counters."""
+        return (self.drops_sampled_loss + self.drops_unknown_destination
+                + self.drops_offline + self.drops_injected)
+
+    def register(self, name: str, handler: Callable[[Envelope], None]) -> None:
         if name in self._hosts:
             raise ConfigurationError(f"duplicate host name: {name}")
-        host = Host(name=name, handler=handler)
-        self._hosts[name] = host
+        self._hosts[name] = handler
         self._down.discard(name)
-        return host
 
     # -- host liveness (crash/restart lifecycle) -------------------------------
 
@@ -194,14 +168,14 @@ class WANetwork:
     # -- sending ---------------------------------------------------------------
 
     def send(self, source: str, destination: str, payload: Any,
-             parent: Any = None) -> SendReceipt:
-        """Queue ``payload`` for delivery; returns the delivery verdict.
+             parent: Any = None) -> None:
+        """Queue ``payload`` for delivery after a sampled latency.
 
         Nothing is dropped invisibly: an unknown destination, a sampled
-        loss, and an injected fault each return a distinct verdict and
-        bump a dedicated counter.  ``queued`` only promises the message
-        entered the WAN — the destination can still crash before the
-        latency elapses (counted as ``drops_offline`` at delivery time).
+        loss, and an injected fault each bump a dedicated counter at
+        once.  A queued message can still be lost at delivery time: the
+        destination may go down before the latency elapses
+        (``drops_offline``).
 
         With tracing on, every send opens a ``wan.transit`` span (under
         ``parent`` when given) that ends ``ok`` at handler dispatch or
@@ -222,16 +196,13 @@ class WANetwork:
         self.bytes_by_type[type_name] = (
             self.bytes_by_type.get(type_name, 0) + size)
         if destination not in self._hosts:
-            self.messages_lost += 1
             self.drops_unknown_destination += 1
             span.end("lost", reason="no_route")
-            return SendReceipt(envelope, "no_route",
-                               reason=f"unknown destination: {destination}")
+            return
         if self.loss_rate > 0 and self.rng.random() < self.loss_rate:
-            self.messages_lost += 1
             self.drops_sampled_loss += 1
             span.end("lost", reason="sampled loss")
-            return SendReceipt(envelope, "lost", reason="sampled loss")
+            return
 
         decision = None
         if self.interceptor is not None:
@@ -239,11 +210,9 @@ class WANetwork:
         if decision is None:
             decision = _NO_FAULT
         if decision.drop:
-            self.messages_lost += 1
             self.drops_injected += 1
             span.end("lost", reason=decision.reason or "injected drop")
-            return SendReceipt(envelope, "blocked",
-                               reason=decision.reason or "injected drop")
+            return
         if decision.replace_payload is not None:
             envelope = replace(envelope, payload=decision.replace_payload)
             self.messages_corrupted += 1
@@ -257,18 +226,15 @@ class WANetwork:
             delay = (self.latency.sample(source, destination, self.rng)
                      + decision.extra_delay)
             self.sim.call_in(delay, lambda env=envelope: self._deliver(env))
-        return SendReceipt(envelope, "queued", reason=decision.reason)
 
     def _deliver(self, envelope: Envelope) -> None:
-        host = self._hosts.get(envelope.destination)
-        if host is None:
-            self.messages_lost += 1
+        handler = self._hosts.get(envelope.destination)
+        if handler is None:
             self.drops_unknown_destination += 1
             if envelope.trace is not None:
                 envelope.trace.end("lost", reason="unregistered")
             return
         if envelope.destination in self._down:
-            self.messages_lost += 1
             self.drops_offline += 1
             if envelope.trace is not None:
                 envelope.trace.end("lost", reason="host offline")
@@ -278,7 +244,7 @@ class WANetwork:
         # (Span.end is idempotent), matching the receiver's dedup view.
         if envelope.trace is not None:
             envelope.trace.end("ok")
-        host.handler(envelope)
+        handler(envelope)
 
     def broadcast(self, source: str, payload: Any,
                   exclude: tuple[str, ...] = ()) -> int:

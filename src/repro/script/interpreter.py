@@ -34,7 +34,6 @@ __all__ = [
 
 MAX_STACK_SIZE = 1_000
 MAX_OPS = 201
-_LOCKTIME_THRESHOLD = 500_000_000  # below: block height; above: unix time
 
 
 class ExecutionContext(Protocol):

@@ -130,14 +130,11 @@ class Process(Event):
         return not self.triggered
 
     def _resume(self, event: Event) -> None:
-        if event.ok:
-            self._step(lambda: self._generator.send(event.value))
-        else:
-            self._step(lambda: self._generator.throw(event.value))
-
-    def _step(self, advance: Callable[[], Event]) -> None:
         try:
-            target = advance()
+            if event._ok:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             if not self.triggered:
                 self.succeed(stop.value)
@@ -149,13 +146,10 @@ class Process(Event):
         if target.sim is not self.sim:
             raise SimulationError("process yielded an event from another simulator")
         if target.processed:
-            # Already fired: resume on the next tick with its value.
-            immediate = Timeout(self.sim, 0.0, value=target.value)
-            if target.ok:
-                immediate.callbacks.append(self._resume)
-            else:
-                immediate._ok = False
-                immediate.callbacks.append(self._resume)
+            # Already fired: resume on the next tick with its outcome.
+            immediate = Timeout(self.sim, 0.0, value=target._value)
+            immediate._ok = target._ok
+            immediate.callbacks.append(self._resume)
         else:
             target.callbacks.append(self._resume)
 
@@ -243,24 +237,17 @@ class Lock:
 class Simulator:
     """The event loop: a clock plus a priority queue of triggered events.
 
-    Queue entries are mutable ``[time, seq, event]`` lists recycled through
-    a bounded free-list (``_spares``), so steady-state scheduling allocates
-    nothing.  ``run()`` drains all entries sharing one timestamp in a tight
-    inner loop, re-checking ``until`` only when the clock advances.  Both
-    are pure mechanics: pops still come out in strict ``(time, seq)`` order,
-    so the seed kernel's equal-time insertion-order tie-break is preserved
-    exactly (pinned by ``tests/sim/test_event_order_determinism.py``).
+    The queue is a heap of ``(time, seq, event)`` tuples; ``seq`` counts
+    insertions, so equal-time events fire in the order they were
+    scheduled.  ``run()`` pops one entry and processes one event per step,
+    checking ``until`` before each — the seed loop that
+    ``tests/sim/test_event_order_determinism.py`` keeps as its oracle.
     """
-
-    # Free-list cap: big enough to absorb a gossip burst's entries, small
-    # enough that a transient spike doesn't pin memory forever.
-    _SPARES_MAX = 1024
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[list] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
-        self._spares: list[list] = []
         self.events_processed = 0
 
     # -- event factories -----------------------------------------------------
@@ -299,49 +286,26 @@ class Simulator:
     def _schedule_event(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        spares = self._spares
-        if spares:
-            entry = spares.pop()
-            entry[0] = self.now + delay
-            entry[1] = next(self._counter)
-            entry[2] = event
-        else:
-            entry = [self.now + delay, next(self._counter), event]
-        heapq.heappush(self._queue, entry)
-
-    def _recycle(self, entry: list) -> None:
-        entry[2] = None  # drop the Event reference immediately
-        if len(self._spares) < Simulator._SPARES_MAX:
-            self._spares.append(entry)
+        heapq.heappush(self._queue,
+                       (self.now + delay, next(self._counter), event))
 
     def run(self, until: Optional[float] = None,
             max_events: int = 50_000_000) -> None:
         """Run until the queue drains or the clock passes ``until``."""
         queue = self._queue
         pop = heapq.heappop
-        recycle = self._recycle
         remaining = max_events
         while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return
-            self.now = time
-            # Batched same-sim-time delivery: drain every entry stamped
-            # `time` without touching `until`/`now` again.  Events scheduled
-            # *during* the drain at this same timestamp carry later seqs, so
-            # the heap hands them back within this inner loop in exactly the
-            # order the seed kernel would have.
-            while queue and queue[0][0] == time:
-                entry = pop(queue)
-                event = entry[2]
-                recycle(entry)
-                self.events_processed += 1
-                event._process()
-                remaining -= 1
-                if remaining <= 0:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; runaway simulation?"
-                    )
+            self.now, _seq, event = pop(queue)
+            self.events_processed += 1
+            event._process()
+            remaining -= 1
+            if remaining <= 0:
+                raise SimulationError(
+                    f"exceeded {max_events} events; runaway simulation?"
+                )
         if until is not None:
             self.now = max(self.now, until)

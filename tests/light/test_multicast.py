@@ -251,3 +251,27 @@ def test_rounds_fire_on_absolute_schedule():
     assert mc.rounds_delayed == 0
     assert listener.rounds_missed == 0
     assert listener.bundles_late == 0
+
+
+def test_round_survives_waking_one_ulp_before_the_duty_boundary():
+    """``now + (not_before - now)`` can round to just below ``not_before``;
+    the delayed round must still register its airtime at the permitted
+    instant instead of raising mid-run."""
+    now, not_before = 0.25 + 2.0 ** -53, 1.5 + 2.0 ** -52
+    assert now + (not_before - now) < not_before  # the float premise
+    sim = Simulator()
+    keypair = KeyPair.generate(random.Random(0xBC))
+    chain = StubChain()
+    chain.grow(1)
+    network = StubNetwork(sim)
+    # The first round fires at 1 * interval = ``now``.
+    mc = ChainMulticaster(sim, network, "gw", keypair, chain, ("light",),
+                          interval=now)
+    mc.modulation = SimpleNamespace(time_on_air=lambda size: 0.1)
+    mc.limiter._not_before = not_before
+    sim.run(until=not_before + 0.2)
+    assert mc.rounds_delayed >= 1
+    assert mc.rounds_sent == mc.limiter.transmissions == 1
+    # The off-period counts from the permitted instant, not the wake-up.
+    assert mc.limiter.next_allowed(0.0) == not_before + 0.1 + (
+        0.1 / mc.limiter.duty_cycle - 0.1)

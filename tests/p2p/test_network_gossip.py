@@ -204,15 +204,17 @@ def test_connect_ignores_self_and_duplicates():
 
 # -- delivery verdicts and loss accounting ------------------------------------
 
-def test_send_returns_receipt_with_verdict():
+def test_send_records_each_verdict_in_its_own_counter():
     sim, wan = make_wan()
     wan.register("a", lambda env: None)
     wan.register("b", lambda env: None)
-    queued = wan.send("a", "b", "x")
-    assert queued.queued and queued.status == "queued"
-    no_route = wan.send("a", "ghost", "x")
-    assert not no_route.queued
-    assert no_route.status == "no_route"
+    assert wan.send("a", "b", "x") is None
+    assert (wan.messages_sent, wan.messages_lost) == (1, 0)
+    wan.send("a", "ghost", "x")
+    assert wan.drops_unknown_destination == 1
+    assert (wan.messages_sent, wan.messages_lost) == (2, 1)
+    sim.run()
+    assert wan.messages_delivered == 1
 
 
 def test_unknown_destination_counted_separately_from_loss():
@@ -220,12 +222,13 @@ def test_unknown_destination_counted_separately_from_loss():
     wan.register("a", lambda env: None)
     wan.register("b", lambda env: None)
     wan.send("a", "ghost", "x")
-    receipts = [wan.send("a", "b", "x") for _ in range(100)]
+    for _ in range(100):
+        wan.send("a", "b", "x")
     sim.run()
-    sampled = sum(1 for r in receipts if r.status == "lost")
+    sampled = wan.drops_sampled_loss
     assert sampled > 0
     assert wan.drops_unknown_destination == 1
-    assert wan.drops_sampled_loss == sampled
+    assert wan.messages_delivered == 100 - sampled
     # The aggregate is still the sum of its parts.
     assert wan.messages_lost == (wan.drops_sampled_loss
                                  + wan.drops_unknown_destination
@@ -239,8 +242,8 @@ def test_down_host_drops_at_delivery_time():
     wan.register("a", lambda env: None)
     wan.register("b", received.append)
     wan.set_host_down("b")
-    receipt = wan.send("a", "b", "x")
-    assert receipt.queued  # the sender cannot know yet
+    wan.send("a", "b", "x")
+    assert wan.messages_lost == 0  # the sender cannot know yet
     sim.run()
     assert received == []
     assert wan.drops_offline == 1
@@ -266,8 +269,8 @@ def test_interceptor_can_drop_delay_duplicate_and_corrupt():
     }
     wan.interceptor = lambda env: decisions.get(env.payload)
 
-    blocked = wan.send("a", "b", "drop-me")
-    assert blocked.status == "blocked"
+    wan.send("a", "b", "drop-me")
+    assert wan.drops_injected == 1
     wan.send("a", "b", "slow-me")
     wan.send("a", "b", "copy-me")
     wan.send("a", "b", "garble-me")

@@ -143,15 +143,16 @@ def test_rerun_with_same_seed_is_byte_identical(blocks):
 
 # -- tie-break pin against the seed queue ------------------------------------
 #
-# The tightened Simulator (recycled heap entries, batched same-time drain,
-# lazy cancellation) must pop events in exactly the seed kernel's order:
-# strictly increasing (time, insertion-seq).  ReferenceSimulator below *is*
-# the seed algorithm — immutable tuple entries, one pop per step, `until`
-# re-checked before every event — so any drift in the production kernel's
-# equal-time tie-break shows up as a diverging firing log.
+# The production Simulator must pop events in exactly the seed kernel's
+# order: strictly increasing (time, insertion-seq).  ReferenceSimulator
+# below *is* the seed algorithm — immutable tuple entries, one pop per
+# step, `until` re-checked before every event — so any drift in the
+# production kernel's equal-time tie-break shows up as a diverging firing
+# log.
 
 import heapq
 import itertools
+import weakref
 
 
 class ReferenceSimulator:
@@ -242,17 +243,34 @@ def test_equal_time_events_scheduled_mid_drain_keep_insertion_order():
     assert log == ["a", "b", "a-child", "later"]
 
 
-def test_entry_free_list_stays_bounded_and_pins_no_event():
-    # Queue entries are recycled through a bounded free-list; a burst far
-    # larger than the cap must leave at most the cap behind, none of them
-    # holding on to the Event it carried.
+class _Token:
+    """A timeout value that can be weakly referenced."""
+
+
+def test_a_drained_queue_holds_no_event_or_callback():
+    # Once run() has drained the queue, the simulator keeps nothing alive
+    # that it fired: not a callback, not an event's value, not a finished
+    # process's generator.
     sim = Simulator()
     rng = random.Random(0xDEC0)
     log = []
+    refs = []
+
+    def process(index):
+        yield sim.timeout(rng.uniform(0, 50))
+        log.append(("process", index))
+
     for i in range(2000):
-        sim.call_in(rng.uniform(0, 50), lambda i=i: log.append(i))
+        callback = lambda i=i: log.append(i)
+        token = _Token()
+        generator = process(i)
+        refs += [weakref.ref(callback), weakref.ref(token),
+                 weakref.ref(generator)]
+        sim.call_in(rng.uniform(0, 50), callback)
+        sim.timeout(rng.uniform(0, 50), value=token)
+        sim.process(generator)
+    del callback, token, generator
     sim.run()
-    assert len(log) == 2000
+    assert len(log) == 4000
     assert not sim._queue
-    assert 0 < len(sim._spares) <= Simulator._SPARES_MAX
-    assert all(entry[2] is None for entry in sim._spares)
+    assert [ref for ref in refs if ref() is not None] == []
