@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -60,15 +59,18 @@ class ReputationExchange:
     :param gateway_honesty: per-gateway probability of delivering after
         being paid (1.0 = honest, 0.0 = pure thief).
     :param threshold: recipients refuse to pay gateways scoring below this.
-    :param smoothing: EWMA weight of the newest observation.
+
+    Deliveries are drawn from ``rng``, seeded 0; a test that wants another
+    draw sets it on the instance.
     """
 
-    # Initial reputation of a gateway nobody has dealt with yet.
+    # Initial reputation of a gateway nobody has dealt with yet, and the
+    # EWMA weight of the newest observation.
     OPTIMISM = 1.0
+    SMOOTHING = 0.25
 
     def __init__(self, gateway_honesty: dict[str, float],
-                 threshold: float = 0.5, smoothing: float = 0.25,
-                 rng: Optional[random.Random] = None) -> None:
+                 threshold: float = 0.5) -> None:
         for name, honesty in gateway_honesty.items():
             if not 0 <= honesty <= 1:
                 raise ConfigurationError(
@@ -76,12 +78,12 @@ class ReputationExchange:
                 )
         if not 0 <= threshold <= 1:
             raise ConfigurationError(f"threshold out of range: {threshold}")
-        if not 0 < smoothing <= 1:
-            raise ConfigurationError(f"smoothing out of range: {smoothing}")
+        if not 0 < self.SMOOTHING <= 1:
+            raise ConfigurationError(
+                f"smoothing out of range: {self.SMOOTHING}")
         self.gateway_honesty = dict(gateway_honesty)
         self.threshold = threshold
-        self.smoothing = smoothing
-        self.rng = rng or random.Random(0)
+        self.rng = random.Random(0)
         self.reputation: dict[str, float] = {
             name: self.OPTIMISM for name in gateway_honesty
         }
@@ -104,7 +106,7 @@ class ReputationExchange:
         report.paid += 1
         delivered = self.rng.random() < self.gateway_honesty[gateway]
         observation = 1.0 if delivered else 0.0
-        score = (1 - self.smoothing) * score + self.smoothing * observation
+        score = (1 - self.SMOOTHING) * score + self.SMOOTHING * observation
         self.reputation[gateway] = score
         if delivered:
             report.delivered += 1

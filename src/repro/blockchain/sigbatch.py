@@ -84,9 +84,11 @@ class VerdictMemo(Counted):
     COUNTERS = {field: Keyed(field, "kind")
                 for field in ("hits", "misses", "evictions")}
     GAUGES = {"entries": len}
+    # Verdicts held before the oldest is evicted; a test that needs a
+    # tighter bound sets it on the instance.
+    MAX_ENTRIES = 1 << 14
 
-    def __init__(self, max_entries: int = 1 << 14) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._verdicts: dict[tuple, bool] = {}
         self._prefetched: set[tuple] = set()
         self.hits = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
@@ -111,7 +113,7 @@ class VerdictMemo(Counted):
 
     def put(self, key: tuple, verdict: bool, prefetched: bool = False) -> None:
         """Record a verdict just computed, evicting the oldest at the bound."""
-        if len(self._verdicts) >= self.max_entries:
+        if len(self._verdicts) >= self.MAX_ENTRIES:
             oldest = next(iter(self._verdicts))
             del self._verdicts[oldest]
             self._prefetched.discard(oldest)

@@ -11,7 +11,6 @@ plain payments it builds the three transaction shapes the protocol needs:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -65,9 +64,12 @@ class SingleKeyWallet:
     :meth:`_debit`, which keep the ranked view of it honest.
     """
 
-    def __init__(self, keypair: Optional[KeyPair] = None,
-                 rng: Optional[random.Random] = None) -> None:
-        self.keypair = keypair or KeyPair.generate(rng)
+    # The fee every spend leaves to the miner: BcWAN's Multichain charges
+    # none.  A test that needs a fee-paying spend sets it on the instance.
+    FEE = 0
+
+    def __init__(self, keypair: KeyPair) -> None:
+        self.keypair = keypair
         self._owned: dict[OutPoint, int] = {}  # outpoint -> value
         self._pending_spends: set[OutPoint] = set()
         # ``_owned`` largest-first, ranked once per change of the coin set
@@ -159,8 +161,8 @@ class SingleKeyWallet:
             )
         return tx
 
-    def _build_spend(self, outputs: list[TxOutput], fee: int) -> Transaction:
-        amount = sum(output.value for output in outputs) + fee
+    def _build_spend(self, outputs: list[TxOutput]) -> Transaction:
+        amount = sum(output.value for output in outputs) + self.FEE
         coins, total = self._select_coins(amount)
         change = total - amount
         final_outputs = list(outputs)
@@ -178,15 +180,13 @@ class SingleKeyWallet:
             self._pending_spends.add(outpoint)
         return tx
 
-    def _announcement(self, payload: bytes, fee: int) -> Transaction:
+    def _announcement(self, payload: bytes) -> Transaction:
         return self._build_spend(
-            [TxOutput(value=0, script_pubkey=builder.op_return(payload))],
-            fee=fee,
-        )
+            [TxOutput(value=0, script_pubkey=builder.op_return(payload))])
 
     def _key_release_offer(self, rsa_pubkey: bytes,
                            gateway_pubkey_hash: bytes, amount: int,
-                           refund_locktime: int, fee: int) -> KeyReleaseOffer:
+                           refund_locktime: int) -> KeyReleaseOffer:
         if amount <= 0:
             raise ValidationError(f"offer amount must be positive: {amount}")
         locking = builder.ephemeral_key_release(
@@ -195,9 +195,7 @@ class SingleKeyWallet:
             buyer_pubkey_hash=self.pubkey_hash,
             refund_locktime=refund_locktime,
         )
-        tx = self._build_spend(
-            [TxOutput(value=amount, script_pubkey=locking)], fee=fee,
-        )
+        tx = self._build_spend([TxOutput(value=amount, script_pubkey=locking)])
         return KeyReleaseOffer(
             transaction=tx,
             output_index=0,
@@ -207,16 +205,16 @@ class SingleKeyWallet:
             refund_locktime=refund_locktime,
         )
 
-    def _spend_key_release(self, offer: KeyReleaseOffer, fee: int,
+    def _spend_key_release(self, offer: KeyReleaseOffer,
                            unlocking: Callable[[bytes], Script],
                            sequence: int = SEQUENCE_FINAL,
                            locktime: int = 0) -> Transaction:
         """Spend ``offer`` to this wallet through one Listing-1 branch;
         ``unlocking`` turns our signature into that branch's scriptSig."""
-        value = offer.amount - fee
+        value = offer.amount - self.FEE
         if value <= 0:
             raise ValidationError(
-                f"fee {fee} consumes the whole offer of {offer.amount}"
+                f"fee {self.FEE} consumes the whole offer of {offer.amount}"
             )
         tx = Transaction(
             inputs=[TxInput(outpoint=offer.outpoint, sequence=sequence)],
@@ -235,10 +233,9 @@ class SingleKeyWallet:
         return tx.with_input_script(
             0, unlocking(self.sign_input(tx, 0, locking)))
 
-    def _key_release_refund(self, offer: KeyReleaseOffer,
-                            fee: int) -> Transaction:
+    def _key_release_refund(self, offer: KeyReleaseOffer) -> Transaction:
         return self._spend_key_release(
-            offer, fee,
+            offer,
             lambda signature: builder.key_release_refund(
                 signature, self.pubkey_bytes),
             sequence=SEQUENCE_FINAL - 1, locktime=offer.refund_locktime,
@@ -253,8 +250,7 @@ class Wallet(SingleKeyWallet):
     :meth:`scan_block` manually.
     """
 
-    def __init__(self, chain: Chain,
-                 keypair: Optional[KeyPair] = None) -> None:
+    def __init__(self, chain: Chain, keypair: KeyPair) -> None:
         super().__init__(keypair)
         self.chain = chain
 
@@ -303,19 +299,17 @@ class Wallet(SingleKeyWallet):
     # Defined here, not hoisted: the benchmark's tracer finds them through
     # ``Wallet.__dict__``.
 
-    def create_payment(self, to_pubkey_hash: bytes, amount: int,
-                       fee: int = 0) -> Transaction:
+    def create_payment(self, to_pubkey_hash: bytes,
+                       amount: int) -> Transaction:
         """A plain P2PKH payment."""
         if amount <= 0:
             raise ValidationError(f"payment amount must be positive: {amount}")
         return self._build_spend(
             [TxOutput(value=amount,
-                      script_pubkey=builder.p2pkh_locking(to_pubkey_hash))],
-            fee=fee,
-        )
+                      script_pubkey=builder.p2pkh_locking(to_pubkey_hash))])
 
     def create_fanout(self, to_pubkey_hash: bytes, amount: int,
-                      count: int, fee: int = 0) -> Transaction:
+                      count: int) -> Transaction:
         """Pay ``count`` equal outputs of ``amount`` to one address.
 
         Bootstrap helper: an actor funded with many small coins can issue
@@ -332,15 +326,15 @@ class Wallet(SingleKeyWallet):
                      script_pubkey=builder.p2pkh_locking(to_pubkey_hash))
             for _ in range(count)
         ]
-        return self._build_spend(outputs, fee=fee)
+        return self._build_spend(outputs)
 
-    def create_announcement(self, payload: bytes, fee: int = 0) -> Transaction:
+    def create_announcement(self, payload: bytes) -> Transaction:
         """An OP_RETURN data-carrier transaction (gateway IP directory)."""
-        return self._announcement(payload, fee)
+        return self._announcement(payload)
 
     def create_key_release_offer(self, rsa_pubkey: bytes,
                                  gateway_pubkey_hash: bytes,
-                                 amount: int, fee: int = 0,
+                                 amount: int,
                                  refund_locktime: Optional[int] = None
                                  ) -> KeyReleaseOffer:
         """Step 9 of Fig. 3: lock ``amount`` to the ephemeral key revelation.
@@ -350,22 +344,21 @@ class Wallet(SingleKeyWallet):
         if refund_locktime is None:
             refund_locktime = self.chain.height + self.chain.params.locktime_grace
         return self._key_release_offer(rsa_pubkey, gateway_pubkey_hash,
-                                       amount, refund_locktime, fee)
+                                       amount, refund_locktime)
 
     def claim_key_release(self, offer: KeyReleaseOffer,
-                          rsa_private_key: bytes, fee: int = 0) -> Transaction:
+                          rsa_private_key: bytes) -> Transaction:
         """Step 10 of Fig. 3: spend the offer by revealing ``eSk``.
 
         The output pays this wallet ("the output ... should be intended to
         the gateway itself", paper step 10).
         """
         return self._spend_key_release(
-            offer, fee,
+            offer,
             lambda signature: builder.key_release_claim(
                 signature, self.pubkey_bytes, rsa_private_key),
         )
 
-    def refund_key_release(self, offer: KeyReleaseOffer,
-                           fee: int = 0) -> Transaction:
+    def refund_key_release(self, offer: KeyReleaseOffer) -> Transaction:
         """Reclaim an unclaimed offer after its locktime expires."""
-        return self._key_release_refund(offer, fee)
+        return self._key_release_refund(offer)

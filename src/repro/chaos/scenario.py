@@ -69,15 +69,14 @@ class Federation:
     def wallet(self, name: str) -> Wallet:
         return self._wallets[name]
 
-    def run_plan(self, plan: FaultPlan,
-                 watch_reconvergence: bool = True) -> ChaosInjector:
-        """Install ``plan`` over this federation (before ``sim.run``)."""
+    def run_plan(self, plan: FaultPlan) -> ChaosInjector:
+        """Install ``plan`` over this federation (before ``sim.run``) and
+        watch for the mesh to reconverge after it."""
         injector = ChaosInjector(self.sim, self.wan, plan,
                                  daemons=self.daemons,
                                  registry=self.registry)
         injector.install()
-        if watch_reconvergence:
-            injector.watch_reconvergence()
+        injector.watch_reconvergence()
         self.injector = injector
         return injector
 
@@ -89,22 +88,20 @@ CHAIN_PARAMS = ChainParams(coinbase_maturity=1)
 
 
 def build_federation(size: int = 6, seed: int = 0,
-                     sync_interval: float = 5.0,
-                     verify_blocks: bool = False,
-                     tracing: bool = False) -> Federation:
+                     sync_interval: float = 5.0) -> Federation:
     """A ``size``-gateway full mesh named ``gw-0`` .. ``gw-{size-1}``.
 
     The short default sync interval lets recovery happen within small
-    simulated horizons.  ``tracing=True`` attaches a sim-time
-    :class:`~repro.obs.tracing.Tracer` to the WAN, so envelope transits
-    and per-daemon block validation produce spans.
+    simulated horizons.  The WAN carries a disabled sim-time
+    :class:`~repro.obs.tracing.Tracer`: setting ``federation.tracer.enabled``
+    makes envelope transits and per-daemon block validation produce spans.
     """
     if size < 2:
         raise ConfigurationError("a federation needs at least two gateways")
     sim = Simulator()
     rngs = RngRegistry(seed)
     registry = MetricsRegistry()
-    tracer = Tracer(sim, enabled=tracing)
+    tracer = Tracer(sim, enabled=False)
     wan = WANetwork(sim, rngs.stream("wan"),
                     latency=ConstantLatency(delay=WAN_LATENCY))
     wan.tracer = tracer
@@ -116,7 +113,7 @@ def build_federation(size: int = 6, seed: int = 0,
         node = FullNode(CHAIN_PARAMS, name)
         daemons[name] = BlockchainDaemon(
             sim, name, wan, node, cost, rngs.stream(f"daemon-{name}"),
-            verify_blocks=verify_blocks, registry=registry)
+            registry=registry)
     for name in names:
         for peer in names:
             if peer != name:

@@ -53,7 +53,7 @@ class ConvergenceReport:
     participants: tuple[str, ...]
 
 
-def assert_converged(daemons, require_online: bool = True) -> ConvergenceReport:
+def assert_converged(daemons) -> ConvergenceReport:
     """Assert every daemon agrees on chain state; return the agreed state.
 
     ``daemons`` is an iterable of :class:`~repro.core.daemon.BlockchainDaemon`
@@ -70,11 +70,10 @@ def assert_converged(daemons, require_online: bool = True) -> ConvergenceReport:
 
     rows = []
     for daemon in daemons:
-        if require_online and not daemon.online:
+        if not daemon.online:
             raise AssertionError(
                 f"daemon {daemon.name!r} is offline; a crashed gateway "
-                f"cannot have converged (pass require_online=False to "
-                f"check survivors only)"
+                f"cannot have converged (pass the survivors only)"
             )
         chain = daemon.node.chain
         rows.append((daemon.name, chain.height, chain.tip.hash,

@@ -15,14 +15,13 @@ from repro.blockchain.params import ChainParams
 from repro.errors import ConfigurationError
 
 __all__ = ["LightConfig", "NetworkConfig", "RegionTopology",
-           "CELL_RADIUS", "FUNDING_COIN_VALUE", "OFFER_FEE"]
+           "CELL_RADIUS", "FUNDING_COIN_VALUE"]
 
 # What no deployment varies: the radius (m) sensors are placed within
-# around their gateway, the denomination of the coins each actor is
-# bootstrapped with, and the fee a recipient attaches to a key-release offer.
+# around their gateway, and the denomination of the coins each actor is
+# bootstrapped with.
 CELL_RADIUS = 1500.0
 FUNDING_COIN_VALUE = 250
-OFFER_FEE = 0
 
 
 @dataclass(frozen=True)
@@ -213,10 +212,10 @@ class NetworkConfig:
             )
         if self.price <= 0:
             raise ConfigurationError(f"price must be positive: {self.price}")
-        if FUNDING_COIN_VALUE < self.price + OFFER_FEE:
+        if FUNDING_COIN_VALUE < self.price:
             raise ConfigurationError(
                 "a funding coin must cover at least one offer "
-                f"({FUNDING_COIN_VALUE} < {self.price + OFFER_FEE})"
+                f"({FUNDING_COIN_VALUE} < {self.price})"
             )
         if self.exchange_interval <= 0:
             raise ConfigurationError(

@@ -30,6 +30,8 @@ __all__ = ["Announcement", "DirectoryView", "build_announcement_payload",
            "parse_announcement_payload", "ANNOUNCEMENT_MAGIC"]
 
 ANNOUNCEMENT_MAGIC = b"BCWIP1"
+# The port every recipient announces: one per deployment.
+ANNOUNCEMENT_PORT = 7264
 
 
 @dataclass(frozen=True)
@@ -43,18 +45,17 @@ class Announcement:
     txid: bytes
 
 
-def build_announcement_payload(keypair: KeyPair, endpoint: str,
-                               port: int = 7264) -> bytes:
+def build_announcement_payload(keypair: KeyPair, endpoint: str) -> bytes:
     """Serialize and sign an IP announcement for ``keypair``'s address."""
     endpoint_bytes = endpoint.encode("utf-8")
     if len(endpoint_bytes) > 64:
         raise ProtocolError(f"endpoint too long: {len(endpoint_bytes)} bytes")
-    if not 0 < port <= 0xFFFF:
-        raise ProtocolError(f"port out of range: {port}")
+    if not 0 < ANNOUNCEMENT_PORT <= 0xFFFF:
+        raise ProtocolError(f"port out of range: {ANNOUNCEMENT_PORT}")
     pubkey = keypair.public_key.to_bytes()
     body = (
         pubkey
-        + struct.pack("<H", port)
+        + struct.pack("<H", ANNOUNCEMENT_PORT)
         + bytes([len(endpoint_bytes)])
         + endpoint_bytes
     )

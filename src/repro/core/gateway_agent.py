@@ -42,9 +42,6 @@ from repro.sim.core import Simulator
 
 __all__ = ["GatewayAgent"]
 
-# The fee a gateway attaches to its claim (no deployment varies it).
-CLAIM_FEE = 0
-
 
 @dataclass
 class _PendingDelivery:
@@ -76,7 +73,6 @@ class GatewayAgent:
         self.cost_model = cost_model
         self.tracker = tracker
         self.rng = rng
-        self.price = price
         # Step 9's "fixed or negotiated" output: the policy quotes the
         # price carried in each DeliveryMessage (a deployment that
         # negotiates assigns another policy after build).
@@ -255,8 +251,7 @@ class GatewayAgent:
                 raise ProtocolError("offer failed gateway audit")
             claim_tx = yield self.daemon.rpc(
                 lambda: self.wallet.claim_key_release(
-                    offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE,
-                )
+                    offer, pending.ephemeral_key.to_bytes())
             )
             if relay_to:
                 self.wan.send(self.name, relay_to, ClaimMessage(
@@ -278,7 +273,7 @@ class GatewayAgent:
             return
         if made:
             self.claims_made += 1
-            self.rewards_claimed += offer.amount - CLAIM_FEE
+            self.rewards_claimed += offer.amount
 
     def _audit_offer(self, offer_tx, pending: _PendingDelivery
                      ) -> Optional[KeyReleaseOffer]:

@@ -53,7 +53,6 @@ from repro.light.server import LightServer
 from repro.light.spv import SpvClient
 from repro.light.wallet import LightWallet
 from repro.lora.channel import RadioChannel
-from repro.lora.device import EU868_DOWNLINK_DUTY_CYCLE
 from repro.obs.registry import MetricsRegistry
 from repro.p2p.sync import SyncAgent
 
@@ -328,10 +327,7 @@ class BcWANNetwork(DeploymentReporter, Testbed):
                 multicaster = ChainMulticaster(
                     self.sim, self.wan, site.name, site.wallet.keypair,
                     site.node.chain, (name,), cfg.light.multicast_interval,
-                    modulation=self.modulation,
-                    duty_cycle=EU868_DOWNLINK_DUTY_CYCLE,
-                    tracer=self.tracer,
-                )
+                    self.modulation, tracer=self.tracer)
                 self.multicasters.append(multicaster)
                 self.registry.register("light.multicast", multicaster,
                                        host=site.name)

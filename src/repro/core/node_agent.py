@@ -34,20 +34,20 @@ __all__ = ["NodeAgent"]
 class NodeAgent:
     """Protocol logic for one end device."""
 
-    # Key requests sent before the exchange fails for want of an ePk.
+    # Key requests sent before the exchange fails for want of an ePk,
+    # and the seconds each one waits for the ePk downlink.
     MAX_ATTEMPTS = 3
+    KEY_RESPONSE_TIMEOUT = 12.0
 
     def __init__(self, sim: Simulator, credentials: DeviceCredentials,
                  radio: LoRaRadio, cost_model: CostModel,
-                 tracker: ExchangeTracker, rng: random.Random,
-                 key_response_timeout: float = 12.0) -> None:
+                 tracker: ExchangeTracker, rng: random.Random) -> None:
         self.sim = sim
         self.credentials = credentials
         self.radio = radio
         self.cost_model = cost_model
         self.tracker = tracker
         self.rng = rng
-        self.key_response_timeout = key_response_timeout
         self._pending_keys: dict[int, object] = {}  # exchange id -> Event
         radio.on_receive(self._on_frame)
 
@@ -81,7 +81,7 @@ class NodeAgent:
                 KeyRequestFrame(sender=self.device_id, nonce=exchange_id)
             )
             outcome = yield self.sim.any_of(
-                [waiter, self.sim.timeout(self.key_response_timeout)]
+                [waiter, self.sim.timeout(self.KEY_RESPONSE_TIMEOUT)]
             )
             if isinstance(outcome, KeyResponseFrame):
                 response = outcome

@@ -45,7 +45,6 @@ from typing import Callable, Union
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.wallet import KeyReleaseOffer, Wallet
-from repro.core.config import OFFER_FEE
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.core.messages import open_message, verify_payload
@@ -123,7 +122,6 @@ class NodeLedger(Counted):
                     rsa_pubkey=message.ephemeral_pubkey,
                     gateway_pubkey_hash=message.gateway_pubkey_hash,
                     amount=message.price,
-                    fee=OFFER_FEE,
                 )
             )
         except ValidationError as exc:
@@ -242,7 +240,6 @@ class SpvLedger(Counted):
                     gateway_pubkey_hash=message.gateway_pubkey_hash,
                     amount=message.price,
                     refund_locktime=self.height + self.refund_delta,
-                    fee=OFFER_FEE,
                 )
                 break
             except ValidationError:

@@ -171,10 +171,9 @@ class DeploymentReporter:
             legs=leg_breakdown(self.tracer) if self.tracer.enabled else {},
         )
 
-    def export_trace(self, include_metrics: bool = True) -> str:
-        """The run's deterministic JSONL trace (and metrics) export."""
-        return export_trace_jsonl(
-            self.tracer, self.registry if include_metrics else None)
+    def export_trace(self) -> str:
+        """The run's deterministic JSONL trace and metrics export."""
+        return export_trace_jsonl(self.tracer, self.registry)
 
     def format_breakdown(self) -> str:
         """Human-readable Fig. 5/6-style per-leg latency table."""

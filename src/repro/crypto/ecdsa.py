@@ -293,10 +293,9 @@ def _generator_digits(scalar: int) -> list[int]:
     return _signed_digits(scalar, _G_DIGIT_BITS)
 
 
-def _generator_multiply(scalar: int, acc: tuple[int, int, int] = _INFINITY
-                        ) -> tuple[int, int, int]:
-    """``acc + scalar * G``: at most 32 mixed additions, no doubling."""
-    return _table_walk(acc, _G_ROWS, _generator_digits(scalar))
+def _generator_multiply(scalar: int) -> tuple[int, int, int]:
+    """``scalar * G``: at most 32 mixed additions, no doubling."""
+    return _table_walk(_INFINITY, _G_ROWS, _generator_digits(scalar))
 
 
 # --- The verification core: u1*G + u2*Q --------------------------------------

@@ -33,6 +33,7 @@ from repro.crypto import ecdsa
 from repro.crypto.ecdsa import ECDSAError
 from repro.crypto.hashing import sha256
 from repro.light.messages import HeaderBundleMessage
+from repro.lora.device import EU868_DOWNLINK_DUTY_CYCLE
 from repro.lora.dutycycle import DutyCycleLimiter
 from repro.obs.registry import Counted, attrs
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -77,9 +78,7 @@ class ChainMulticaster(Counted):
     def __init__(self, sim: Simulator, network: Any, name: str,
                  keypair: Any, chain: Any,
                  subscribers: tuple[str, ...],
-                 interval: float,
-                 modulation: Optional[Any] = None,
-                 duty_cycle: float = 0.10,
+                 interval: float, modulation: Any,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.sim = sim
         self.network = network
@@ -89,7 +88,7 @@ class ChainMulticaster(Counted):
         self.subscribers = tuple(subscribers)
         self.interval = interval
         self.modulation = modulation
-        self.limiter = DutyCycleLimiter(duty_cycle)
+        self.limiter = DutyCycleLimiter(EU868_DOWNLINK_DUTY_CYCLE)
         self.tracer = tracer
         self.tamper: Optional[Callable[[HeaderBundleMessage],
                                        HeaderBundleMessage]] = None
@@ -101,8 +100,6 @@ class ChainMulticaster(Counted):
         self._process = sim.process(self._loop())
 
     def _downlink_airtime(self, size: int) -> float:
-        if self.modulation is None:
-            return 0.0
         airtime = 0.0
         remaining = size
         while remaining > 0:
@@ -187,9 +184,11 @@ class MulticastListener(Counted):
     """
 
     # Seconds a deployed light host keeps its radio open after a round
-    # fires, and how many consecutive bad rounds mean omission.
+    # fires, how many consecutive bad rounds mean omission, and the
+    # repeat-authenticate period R: one signature check per R bundles.
     LISTEN_WINDOW = 2.0
     MISS_THRESHOLD = 2
+    VERIFY_EVERY = 4
     COUNTERS = attrs(
         "bundles_received", "bundles_accepted", "bundles_late",
         "bundles_invalid", "bundles_discarded", "rounds_missed",
@@ -199,14 +198,12 @@ class MulticastListener(Counted):
     def __init__(self, sim: Simulator, gateway_pubkey: bytes,
                  interval: float,
                  apply_headers: Callable[[int, tuple[bytes, ...]], str],
-                 on_omission: Callable[[], None],
-                 verify_every: int = 4) -> None:
+                 on_omission: Callable[[], None]) -> None:
         self.sim = sim
         self.gateway_pubkey = ecdsa.PublicKey.from_bytes(gateway_pubkey)
         self.interval = interval
         self.apply_headers = apply_headers
         self.on_omission = on_omission
-        self.verify_every = verify_every
         self._buffer: list[HeaderBundleMessage] = []
         self._last_digest = GENESIS_DIGEST
         self._anchored = True
@@ -241,8 +238,8 @@ class MulticastListener(Counted):
         if self._anchored and message.prev_digest == self._last_digest:
             self._buffer.append(message)
             self._last_digest = message.digest
-            if (message.round_index % self.verify_every == 0
-                    or len(self._buffer) >= self.verify_every):
+            if (message.round_index % self.VERIFY_EVERY == 0
+                    or len(self._buffer) >= self.VERIFY_EVERY):
                 self._verify_and_commit()
             return
         # Chain break (restart, missed round, or divergent prev): the

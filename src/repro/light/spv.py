@@ -214,7 +214,7 @@ class SpvClient(Counted):
             if self.requests:
                 continue
             # The stream vouches for itself only while rounds keep
-            # landing; headers lag at most verify_every rounds behind (the
+            # landing; headers lag at most VERIFY_EVERY rounds behind (the
             # Danzi latency/energy trade), which stashed proofs absorb.
             if self.multicast is not None and self.multicast.streaming:
                 self.rounds_skipped += 1

@@ -15,9 +15,6 @@ device is by definition not one.
 
 from __future__ import annotations
 
-import random
-from typing import Optional
-
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.blockchain.wallet import KeyReleaseOffer, SingleKeyWallet
 from repro.crypto.keys import KeyPair
@@ -30,9 +27,8 @@ __all__ = ["LightWallet"]
 class LightWallet(SingleKeyWallet):
     """A single-key wallet whose balance is proven, not validated."""
 
-    def __init__(self, keypair: Optional[KeyPair] = None,
-                 rng: Optional[random.Random] = None) -> None:
-        super().__init__(keypair, rng)
+    def __init__(self, keypair: KeyPair) -> None:
+        super().__init__(keypair)
         self._applied_txids: set[bytes] = set()
         # Outpoints ever seen spent.  Proof pushes can arrive reordered
         # (independent WAN latency per message), so a spend may be
@@ -72,14 +68,14 @@ class LightWallet(SingleKeyWallet):
     # Defined here, not hoisted: the benchmark's tracer finds them through
     # ``LightWallet.__dict__``.
 
-    def create_announcement(self, payload: bytes, fee: int = 0) -> Transaction:
+    def create_announcement(self, payload: bytes) -> Transaction:
         """An OP_RETURN data-carrier transaction (IP directory entry)."""
-        return self._announcement(payload, fee)
+        return self._announcement(payload)
 
     def create_key_release_offer(self, rsa_pubkey: bytes,
                                  gateway_pubkey_hash: bytes,
-                                 amount: int, refund_locktime: int,
-                                 fee: int = 0) -> KeyReleaseOffer:
+                                 amount: int,
+                                 refund_locktime: int) -> KeyReleaseOffer:
         """The Listing-1 offer, with an explicit (header-tip-derived) locktime."""
         if refund_locktime <= 0:
             raise ValidationError(
@@ -87,9 +83,8 @@ class LightWallet(SingleKeyWallet):
                 f"got {refund_locktime}"
             )
         return self._key_release_offer(rsa_pubkey, gateway_pubkey_hash,
-                                       amount, refund_locktime, fee)
+                                       amount, refund_locktime)
 
-    def refund_key_release(self, offer: KeyReleaseOffer,
-                           fee: int = 0) -> Transaction:
+    def refund_key_release(self, offer: KeyReleaseOffer) -> Transaction:
         """Reclaim an unclaimed offer after its locktime expires."""
-        return self._key_release_refund(offer, fee)
+        return self._key_release_refund(offer)

@@ -3,7 +3,7 @@
 A LoRaSim-style model: a transmission reaches a listener if its received
 power clears the per-SF sensitivity, and survives interference if every
 overlapping same-frequency, same-SF transmission is at least
-``capture_threshold_db`` weaker (the LoRa capture effect); otherwise the
+``CAPTURE_THRESHOLD_DB`` weaker (the LoRa capture effect); otherwise the
 frame is lost at that listener.
 
 Delivery is evaluated for all listeners at once when a frame's airtime
@@ -194,6 +194,10 @@ class Listener:
 # leaves a cell five times denser still holding twice that working set.
 LOSS_ROW_CACHE_BYTES = 1 << 20
 
+# How much louder (dB) a frame must be than every overlapping same-SF,
+# same-frequency transmission to survive them (the LoRa capture effect).
+CAPTURE_THRESHOLD_DB = 6.0
+
 
 class RadioChannel:
     """The shared medium all radios of one deployment transmit on.
@@ -210,15 +214,9 @@ class RadioChannel:
     medium draws nothing: ``rng`` is accepted and unused.
     """
 
-    def __init__(self, sim: Simulator, rng: random.Random,
-                 capture_threshold_db: float = 6.0) -> None:
-        if capture_threshold_db < 0:
-            raise ConfigurationError(
-                f"capture threshold must be non-negative: {capture_threshold_db}"
-            )
+    def __init__(self, sim: Simulator, rng: random.Random) -> None:
         self.sim = sim
         self.path_loss = PathLossModel()
-        self.capture_threshold_db = capture_threshold_db
         self._listeners: dict[str, Listener] = {}
         self._active: list[Transmission] = []
         self._history: list[Transmission] = []
@@ -362,7 +360,7 @@ class RadioChannel:
                 loudest = (level if loudest is None
                            else np.maximum(loudest, level, out=loudest))
             gap = rssi - loudest
-            threshold = self.capture_threshold_db
+            threshold = CAPTURE_THRESHOLD_DB
             suppressed = gap < threshold
             near = _near(gap, threshold)
             if near.size:

@@ -228,12 +228,6 @@ class WANetwork:
             self.sim.call_in(delay, lambda env=envelope: self._deliver(env))
 
     def _deliver(self, envelope: Envelope) -> None:
-        handler = self._hosts.get(envelope.destination)
-        if handler is None:
-            self.drops_unknown_destination += 1
-            if envelope.trace is not None:
-                envelope.trace.end("lost", reason="unregistered")
-            return
         if envelope.destination in self._down:
             self.drops_offline += 1
             if envelope.trace is not None:
@@ -244,14 +238,13 @@ class WANetwork:
         # (Span.end is idempotent), matching the receiver's dedup view.
         if envelope.trace is not None:
             envelope.trace.end("ok")
-        handler(envelope)
+        self._hosts[envelope.destination](envelope)
 
-    def broadcast(self, source: str, payload: Any,
-                  exclude: tuple[str, ...] = ()) -> int:
+    def broadcast(self, source: str, payload: Any) -> int:
         """Send ``payload`` to every other host; returns the send count."""
         count = 0
         for name in self._hosts:
-            if name == source or name in exclude:
+            if name == source:
                 continue
             self.send(source, name, payload)
             count += 1

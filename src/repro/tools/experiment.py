@@ -155,8 +155,8 @@ def _run_baselines(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def main() -> int:
+    args = build_parser().parse_args()
     if args.command == "fig5":
         return _run_latency_figure(args, verify_blocks=False)
     if args.command == "fig6":

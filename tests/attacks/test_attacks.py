@@ -10,6 +10,7 @@ from repro.attacks import (
     gnfs_work,
     run_double_spend,
 )
+from repro.attacks import double_spend
 from repro.errors import ConfigurationError
 
 
@@ -37,9 +38,10 @@ def test_deeper_confirmation_also_safe(confirmations):
     assert not result.attack_succeeded
 
 
-def test_double_spend_deterministic():
-    a = run_double_spend(confirmations_required=0, seed=5)
-    b = run_double_spend(confirmations_required=0, seed=5)
+def test_double_spend_deterministic(monkeypatch):
+    monkeypatch.setattr(double_spend, "SEED", 5)
+    a = run_double_spend(confirmations_required=0)
+    b = run_double_spend(confirmations_required=0)
     assert a == b
 
 

@@ -133,8 +133,7 @@ def test_honest_gateways_keep_reputation():
 def test_thief_steals_before_detection():
     """Reputation 'reduces the probability of misbehavior but does not
     eliminate the problem' (section 4.4): the thief keeps early payments."""
-    exchange = ReputationExchange({"gw-thief": 0.0}, threshold=0.5,
-                                  smoothing=0.25)
+    exchange = ReputationExchange({"gw-thief": 0.0}, threshold=0.5)
     report = exchange.simulate(40)
     assert report.stolen_payments > 0          # money lost — unlike BcWAN
     assert report.refused_low_reputation > 0   # eventually blacklisted
@@ -150,13 +149,14 @@ def test_intermittent_cheater_evades_blacklist_longer():
     assert sneaky_report.stolen_payments > 0
 
 
-def test_reputation_validation():
+def test_reputation_validation(monkeypatch):
     with pytest.raises(ConfigurationError):
         ReputationExchange({"gw": 1.5})
     with pytest.raises(ConfigurationError):
         ReputationExchange({"gw": 1.0}, threshold=2.0)
-    with pytest.raises(ConfigurationError):
-        ReputationExchange({"gw": 1.0}, smoothing=0.0)
+    with monkeypatch.context() as patch, pytest.raises(ConfigurationError):
+        patch.setattr(ReputationExchange, "SMOOTHING", 0.0)
+        ReputationExchange({"gw": 1.0})
     exchange = ReputationExchange({"gw": 1.0})
     from repro.baselines.reputation import ReputationReport
     with pytest.raises(ConfigurationError):
@@ -165,7 +165,8 @@ def test_reputation_validation():
 
 def test_reputation_deterministic_with_rng():
     import random
-    a = ReputationExchange({"gw": 0.5}, rng=random.Random(3)).simulate(30)
-    b = ReputationExchange({"gw": 0.5}, rng=random.Random(3)).simulate(30)
+    a, b = ReputationExchange({"gw": 0.5}), ReputationExchange({"gw": 0.5})
+    a.rng, b.rng = random.Random(3), random.Random(3)
+    a, b = a.simulate(30), b.simulate(30)
     assert a.stolen_payments == b.stolen_payments
     assert a.delivered == b.delivered

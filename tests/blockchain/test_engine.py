@@ -23,6 +23,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
+from tests.oracles.fees import paying_fee
 from tests.oracles.utxo_reference import apply_transaction
 
 
@@ -143,7 +144,8 @@ def test_cache_eviction_is_bounded(funded_chain, rng):
     """Script verdicts share the verdict memo's bound with signatures."""
     node, wallet, _miner = funded_chain
     engine = ValidationEngine(node.params)
-    engine.verdict_memo = memo = VerdictMemo(max_entries=1)
+    engine.verdict_memo = memo = VerdictMemo()
+    memo.MAX_ENTRIES = 1
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     wallet.release_pending(tx)
     tx2 = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
@@ -279,8 +281,8 @@ def test_overlay_chained_spend_never_touches_base():
 
 def test_miner_template_fees_match_connected_fees(funded_chain, rng):
     node, wallet, miner = funded_chain
-    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100,
-                               fee=321)
+    with paying_fee(wallet, 321):
+        tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     assert node.submit_transaction(tx).accepted
     block = miner.mine(60.0)
     assert block.coinbase.total_output_value == (

@@ -248,7 +248,7 @@ def bank():
 
     # Shared by every engine the harness builds, across examples and
     # tests: the bounded one evicts on nearly every block.
-    memos = (VerdictMemo(), VerdictMemo(max_entries=4))
+    memos = (VerdictMemo(), bounded_memo(4))
     return SimpleNamespace(params=params, node=node, miner=miner,
                            buyer=buyer, gateway=gateway,
                            candidates=candidates, memos=memos)
@@ -335,7 +335,7 @@ def _differential(bank, txs) -> tuple:
         for _ in range(2):
             shared, lookups = _connect_outcome(bank, _engine(bank, memo), txs)
             assert shared == verdict, (
-                f"shared-memo divergence (bound {memo.max_entries}) for "
+                f"shared-memo divergence (bound {memo.MAX_ENTRIES}) for "
                 f"{labels}: \n  private: {verdict}\n  shared:  {shared}"
             )
             assert lookups[1] <= misses, (labels, lookups, batch)
@@ -446,9 +446,16 @@ def test_differential_mempool_admission(bank):
 # -- the verdict memo itself ---------------------------------------------------
 
 
+def bounded_memo(bound):
+    """A verdict memo that evicts past ``bound`` entries."""
+    memo = VerdictMemo()
+    memo.MAX_ENTRIES = bound
+    return memo
+
+
 def test_shared_memo_verifies_each_signature_once_and_the_bound_evicts(bank):
     """What the shared runs above rely on, from the memos' own counters."""
-    unbounded, tiny = (VerdictMemo(), VerdictMemo(max_entries=4))
+    unbounded, tiny = (VerdictMemo(), bounded_memo(4))
     txs = [tx for _label, tx in bank.candidates]
     private = {tx.txid: _connect_outcome(bank, _engine(bank), [tx])[0]
                for tx in txs}
@@ -541,7 +548,7 @@ def test_memo_answers_equal_direct_verification(draws, repeats, bound):
             continue
         expected[triple] = parsed[0].verify(digest, parsed[2])
         assert ecdsa.verify_batch([parsed]) == [expected[triple]]
-    memo = VerdictMemo(max_entries=bound)
+    memo = bounded_memo(bound)
     asked = triples + [triples[i % len(triples)] for i in repeats]
     for triple in asked:
         assert memo.check_ecdsa(*triple) == bool(expected[triple])

@@ -40,6 +40,7 @@ from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
 from tests.oracles.coin_selection_reference import spendable
+from tests.oracles.fees import paying_fee
 
 
 def test_accept_valid_payment(funded_chain, rng):
@@ -294,7 +295,8 @@ def test_template_claims_the_fees_admission_recorded(spends):
             tx = _spend_output(last, 0, middle, middle.pubkey_hash,
                                last.outputs[0].value - fee)
         else:
-            tx = wallet.create_payment(middle.pubkey_hash, 10_000, fee=fee)
+            with paying_fee(wallet, fee):
+                tx = wallet.create_payment(middle.pubkey_hash, 10_000)
         assert node.submit_transaction(tx).accepted
         fees.append(fee)
         last = tx
@@ -359,7 +361,7 @@ def _conflicting(node, key, wallet, miner, rng):
 
 def _nonstandard(node, key, wallet, miner, rng):
     return wallet._build_spend(
-        [TxOutput(value=5, script_pubkey=Script((b"",)))], fee=0)
+        [TxOutput(value=5, script_pubkey=Script((b"",)))])
 
 
 def _bad_script(node, key, wallet, miner, rng):

@@ -23,13 +23,13 @@ from repro.script.analysis import StandardnessPolicy
 from repro.script.builder import ephemeral_key_release, op_return, p2pkh_locking
 from repro.script.opcodes import OP
 from repro.script.script import Script, encode_number
+from tests.oracles.fees import paying_fee
 
 
 def unspendable_output_tx(wallet, value=5):
     """A correctly signed payment whose output is a constant-false lock."""
     return wallet._build_spend(
-        [TxOutput(value=value, script_pubkey=Script((b"",)))], fee=0,
-    )
+        [TxOutput(value=value, script_pubkey=Script((b"",)))])
 
 
 # -- mempool standardness ------------------------------------------------------
@@ -53,8 +53,7 @@ def test_mempool_rejects_unspendable_output_without_execution(funded_chain):
 def test_mempool_rejects_value_bearing_op_return(funded_chain):
     node, wallet, _miner = funded_chain
     tx = wallet._build_spend(
-        [TxOutput(value=7, script_pubkey=op_return(b"data"))], fee=0,
-    )
+        [TxOutput(value=7, script_pubkey=op_return(b"data"))])
     result = node.mempool.accept(tx)
     assert not result.accepted
     assert result.reason_code == REJECT_NONSTANDARD
@@ -63,7 +62,8 @@ def test_mempool_rejects_value_bearing_op_return(funded_chain):
 
 def test_mempool_accepts_zero_value_op_return(funded_chain):
     node, wallet, _miner = funded_chain
-    announcement = wallet.create_announcement(b"gateway 10.0.0.1", fee=1)
+    with paying_fee(wallet, 1):
+        announcement = wallet.create_announcement(b"gateway 10.0.0.1")
     assert node.mempool.accept(announcement).accepted
     assert announcement.txid in node.mempool
 
@@ -243,7 +243,7 @@ def test_everything_the_wallets_and_producers_build_is_standard(
         "payment": wallet.create_payment(gateway.pubkey_hash, 100),
         "fan-out": wallet.create_fanout(gateway.pubkey_hash, 10, count=4),
         "announcement": wallet.create_announcement(
-            build_announcement_payload(wallet.keypair, "10.0.0.1", 7264)),
+            build_announcement_payload(wallet.keypair, "10.0.0.1")),
         "Listing-1 offer": claimed.transaction,
         "claim": gateway.claim_key_release(claimed, ephemeral.to_bytes()),
         "refund": wallet.refund_key_release(refunded),
@@ -285,7 +285,7 @@ def test_each_template_refusal_keeps_its_reason(funded_chain, rng, refusal,
     }
     if refusal in outputs:
         tx = wallet._build_spend(
-            [TxOutput(value=5, script_pubkey=outputs[refusal])], fee=0)
+            [TxOutput(value=5, script_pubkey=outputs[refusal])])
     elif refusal == "non-push scriptSig":
         tx = wallet.create_payment(payee, 100).with_input_script(
             0, Script((b"sig", OP.OP_DUP)))

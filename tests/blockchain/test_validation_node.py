@@ -20,6 +20,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
+from tests.oracles.fees import paying_fee
 
 
 def make_coinbase(height, value=50):
@@ -65,8 +66,8 @@ def test_oversized_value_rejected():
 
 def test_fee_computation(funded_chain, rng):
     node, wallet, _miner = funded_chain
-    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100,
-                               fee=777)
+    with paying_fee(wallet, 777):
+        tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     fee = ValidationEngine(node.params)._check_resolved_inputs(
         tx, [node.chain.utxos.get(tx_input.outpoint)
              for tx_input in tx.inputs],

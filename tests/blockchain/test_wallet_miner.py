@@ -15,6 +15,7 @@ from repro.errors import ValidationError
 from repro.script.builder import parse_ephemeral_key_release
 from tests.oracles.coin_selection_reference import spendable
 import random
+from tests.oracles.fees import paying_fee
 
 
 def test_wallet_tracks_coinbase_rewards(funded_chain):
@@ -41,7 +42,8 @@ def test_payment_roundtrip(funded_chain, rng):
     node, wallet, miner = funded_chain
     receiver = Wallet(node.chain, KeyPair.generate(rng))
     receiver.watch_chain()
-    tx = wallet.create_payment(receiver.pubkey_hash, 3 * COIN, fee=1000)
+    with paying_fee(wallet, 1000):
+        tx = wallet.create_payment(receiver.pubkey_hash, 3 * COIN)
     assert node.submit_transaction(tx).accepted
     miner.mine_and_connect(10.0)
     assert receiver.balance == 3 * COIN
@@ -50,7 +52,8 @@ def test_payment_roundtrip(funded_chain, rng):
 def test_payment_includes_change(funded_chain, rng):
     node, wallet, _miner = funded_chain
     before = wallet.balance
-    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100, fee=10)
+    with paying_fee(wallet, 10):
+        tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     change = [o for o in tx.outputs
               if o.script_pubkey.elements[2] == wallet.pubkey_hash]
     assert change
@@ -172,8 +175,8 @@ def test_offer_fee_cannot_consume_amount(funded_chain, rng):
     offer = wallet.create_key_release_offer(
         ephemeral.public_key.to_bytes(), gateway.pubkey_hash, amount=10,
     )
-    with pytest.raises(ValidationError):
-        gateway.claim_key_release(offer, ephemeral.to_bytes(), fee=10)
+    with pytest.raises(ValidationError), paying_fee(gateway, 10):
+        gateway.claim_key_release(offer, ephemeral.to_bytes())
 
 
 # -- miner ------------------------------------------------------------------------
@@ -188,8 +191,8 @@ def test_coinbase_txids_unique_per_height(funded_chain):
 
 def test_miner_collects_fees(funded_chain, rng):
     node, wallet, miner = funded_chain
-    tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100,
-                               fee=5000)
+    with paying_fee(wallet, 5000):
+        tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     assert node.submit_transaction(tx).accepted
     block = miner.mine_and_connect(60.0)
     assert block.coinbase.total_output_value == (

@@ -33,6 +33,7 @@ from tests.oracles.coin_selection_reference import (
     full_wallet_spendable,
     spendable,
 )
+from tests.oracles.fees import paying_fee
 
 
 def fresh_stack(seed: int):
@@ -60,7 +61,8 @@ def test_value_conservation_across_payments(amounts, fee):
     sent = 0
     for amount in amounts:
         try:
-            tx = alice.create_payment(bob.pubkey_hash, amount, fee=fee)
+            with paying_fee(alice, fee):
+                tx = alice.create_payment(bob.pubkey_hash, amount)
         except ValidationError:
             break  # out of spendable coins: acceptable
         if not node.submit_transaction(tx).accepted:
@@ -180,8 +182,11 @@ class RankedWalletMachine(RuleBasedStateMachine):
           then=st.sampled_from(["hold", "submit", "confirm"]),
           to_alice=st.booleans())
     def fan_out_to_self(self, count, amount, fee, then, to_alice) -> None:
-        self._spend(lambda: self.alice.create_fanout(
-            self.alice.pubkey_hash, amount, count, fee=fee), then, to_alice)
+        def fan_out():
+            with paying_fee(self.alice, fee):
+                return self.alice.create_fanout(
+                    self.alice.pubkey_hash, amount, count)
+        self._spend(fan_out, then, to_alice)
 
     @rule(amount=st.sampled_from([1_000, 2_000, 3_333, None]),
           then=st.sampled_from(["hold", "submit", "confirm"]),

@@ -11,7 +11,7 @@ from repro.errors import DaemonDown
 def fed_with_blocks(size=3, seed=21, blocks=3, plan=None):
     fed = build_federation(size=size, seed=seed)
     if plan is not None:
-        fed.run_plan(plan, watch_reconvergence=False)
+        fed.run_plan(plan)
     miner = fed.make_miner("gw-0", key_seed=4)
     for i in range(blocks):
         def job(i=i):

@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError
 
 def run_with_plan(plan, size=3, seed=11, until=30.0, mine=2):
     fed = build_federation(size=size, seed=seed)
-    fed.run_plan(plan, watch_reconvergence=False)
+    fed.run_plan(plan)
     miner = fed.make_miner("gw-0", key_seed=1)
     for i in range(mine):
         def job(i=i):

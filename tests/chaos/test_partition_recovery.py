@@ -47,7 +47,7 @@ def run_acceptance(seed: int = 7):
 
 def test_sides_diverge_during_partition():
     fed = build_federation(size=6, seed=7)
-    fed.run_plan(acceptance_plan(), watch_reconvergence=False)
+    fed.run_plan(acceptance_plan())
     minority_miner = fed.make_miner("gw-0", key_seed=100)
     majority_miner = fed.make_miner("gw-2", key_seed=200)
     fed.sim.call_at(5.0, lambda: fed.daemons["gw-0"].gossip.broadcast_block(
@@ -121,7 +121,7 @@ def test_partition_without_heal_never_converges():
     fed = build_federation(size=4, seed=3)
     plan = FaultPlan(seed=3).partition(
         [["gw-0", "gw-1"], ["gw-2", "gw-3"]], start=1.0, heal_at=None)
-    fed.run_plan(plan, watch_reconvergence=False)
+    fed.run_plan(plan)
     miner = fed.make_miner("gw-0", key_seed=9)
     fed.sim.call_at(2.0, lambda: fed.daemons["gw-0"].gossip.broadcast_block(
         miner.mine_and_connect(2.0)))

@@ -55,7 +55,7 @@ def test_offline_daemon_fails_unless_excused():
     with pytest.raises(AssertionError, match="offline"):
         assert_converged(fed.daemons)
     survivors = [d for d in fed.daemons.values() if d.online]
-    report = assert_converged(survivors, require_online=False)
+    report = assert_converged(survivors)
     assert report.participants == ("gw-0", "gw-2")
 
 

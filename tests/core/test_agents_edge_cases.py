@@ -128,8 +128,9 @@ class Harness:
                                  position=Position(400, 0))
         self.sensor = NodeAgent(
             self.sim, credentials, sensor_radio, cost, self.tracker,
-            self.rngs.stream("node"), key_response_timeout=8.0,
+            self.rngs.stream("node"),
         )
+        self.sensor.KEY_RESPONSE_TIMEOUT = 8.0
 
     def mine_every(self, interval: float) -> None:
         """The site's node mines (and serves) a block every ``interval``."""
@@ -220,7 +221,7 @@ def test_lost_key_request_keeps_the_launch_instant(harness):
     record = harness.tracker.get(1)
     assert len(lost) == 1 and record.completed
     assert record.t_request == 5.0
-    assert record.t_keygen_done > 5.0 + harness.sensor.key_response_timeout
+    assert record.t_keygen_done > 5.0 + harness.sensor.KEY_RESPONSE_TIMEOUT
 
 
 def test_bogus_ack_is_ignored(harness):

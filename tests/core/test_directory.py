@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core import directory
 from repro.core.directory import (
     ANNOUNCEMENT_MAGIC,
     DirectoryView,
@@ -22,7 +23,7 @@ def keypair(rng):
 
 
 def test_payload_roundtrip(keypair):
-    payload = build_announcement_payload(keypair, "site-3", 7264)
+    payload = build_announcement_payload(keypair, "site-3")
     parsed = parse_announcement_payload(payload)
     assert parsed == (keypair.address, "site-3", 7264)
 
@@ -53,20 +54,22 @@ def test_foreign_op_return_ignored():
     assert parse_announcement_payload(b"") is None
 
 
-def test_build_validation(keypair):
+def test_build_validation(keypair, monkeypatch):
     with pytest.raises(ProtocolError):
         build_announcement_payload(keypair, "x" * 65)
+    monkeypatch.setattr(directory, "ANNOUNCEMENT_PORT", 0)
     with pytest.raises(ProtocolError):
-        build_announcement_payload(keypair, "host", port=0)
+        build_announcement_payload(keypair, "host")
+    monkeypatch.setattr(directory, "ANNOUNCEMENT_PORT", 70_000)
     with pytest.raises(ProtocolError):
-        build_announcement_payload(keypair, "host", port=70_000)
+        build_announcement_payload(keypair, "host")
 
 
 def test_directory_view_resolves_announcement(funded_chain, rng):
     node, wallet, miner = funded_chain
     view = DirectoryView(node.chain)
     view.follow()
-    payload = build_announcement_payload(wallet.keypair, "10.0.0.5", 7264)
+    payload = build_announcement_payload(wallet.keypair, "10.0.0.5")
     tx = wallet.create_announcement(payload)
     assert node.submit_transaction(tx).accepted
     miner.mine_and_connect(100.0)

@@ -18,7 +18,6 @@ from repro.blockchain import ChainParams
 from repro.core import BcWANNetwork, NetworkConfig
 from repro.core.config import LightConfig
 from repro.core.costmodel import CostModel
-from repro.core.gateway_agent import CLAIM_FEE
 from repro.core.node_agent import NodeAgent
 from repro.core.provisioning import RecipientRegistry, provision_device
 from repro.core.recipient import SpvLedger
@@ -30,6 +29,7 @@ from repro.p2p.network import FaultDecision
 from repro.script.builder import RSA_PAIR_PLACEHOLDER
 
 from tests.core.test_agents_edge_cases import Harness
+from tests.oracles.fees import paying_fee
 
 DEVICE_CLASSES = ["full", "light"]
 FUNDING = 50 * 500  # what the harness bootstraps the recipient's key with
@@ -118,7 +118,8 @@ def test_quote_above_budget(harness):
 def test_wallet_that_cannot_fund_the_offer(harness):
     # Every coin is reserved by a spend that was never broadcast.
     wallet = harness.recipient.ledger.wallet
-    hoard = wallet.create_announcement(b"hoard", fee=wallet.balance)
+    with paying_fee(wallet, wallet.balance):
+        hoard = wallet.create_announcement(b"hoard")
     record = run_exchange(harness, duration=40.0)
     wallet.release_pending(hoard)
     refused(harness, record, "cannot fund offer")
@@ -199,7 +200,7 @@ def test_a_claim_seen_in_the_mempool_and_in_its_block_at_once_decrypts_once():
     pending = gateway._ephemeral[record.exchange_id]
     offer = gateway._audit_offer(harness.node.mempool.get(held[0]), pending)
     claim = gateway.wallet.claim_key_release(
-        offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE)
+        offer, pending.ephemeral_key.to_bytes())
 
     assert harness.daemon.gossip.broadcast_transaction(claim)
     block = harness.miner.mine_and_connect(harness.sim.now)
@@ -227,7 +228,7 @@ def test_a_relayed_cross_region_claim_settles(harness):
     offer_tx = found[0] if found else harness.node.mempool.get(held[0])
     offer = gateway._audit_offer(offer_tx, pending)
     claim = gateway.wallet.claim_key_release(
-        offer, pending.ephemeral_key.to_bytes(), fee=CLAIM_FEE)
+        offer, pending.ephemeral_key.to_bytes())
 
     harness.wan.register("foreign-gateway", lambda envelope: None)
     harness.wan.send("foreign-gateway", harness.recipient.name, ClaimMessage(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -30,7 +31,7 @@ def test_classify_announcement(funded_chain):
     from repro.core.directory import build_announcement_payload
     _node, wallet, _miner = funded_chain
     tx = wallet.create_announcement(
-        build_announcement_payload(wallet.keypair, "10.1.2.3", 7264))
+        build_announcement_payload(wallet.keypair, "10.1.2.3"))
     description = describe_output(tx.outputs[0])
     assert "directory announcement" in description
     assert "10.1.2.3:7264" in description
@@ -125,27 +126,33 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_capacity_command(capsys):
-    assert main(["capacity"]) == 0
+def run_cli(monkeypatch, *arguments):
+    """``bcwan-experiment <arguments>``: the exit code."""
+    monkeypatch.setattr(sys, "argv", ["bcwan-experiment", *arguments])
+    return main()
+
+
+def test_capacity_command(capsys, monkeypatch):
+    assert run_cli(monkeypatch, "capacity") == 0
     out = capsys.readouterr().out
     assert "SF 7" in out and "183" in out
 
 
-def test_doublespend_command(capsys):
-    assert main(["doublespend", "--confirmations", "0", "1"]) == 0
+def test_doublespend_command(capsys, monkeypatch):
+    assert run_cli(monkeypatch, "doublespend", "--confirmations", "0",
+                   "1") == 0
     out = capsys.readouterr().out
     assert "True" in out and "False" in out
 
 
-def test_fig5_command_small(capsys):
-    assert main(["fig5", "--exchanges", "6", "--seed", "3",
-                 "--gateways", "2", "--sensors", "2",
-                 "--histogram"]) == 0
+def test_fig5_command_small(capsys, monkeypatch):
+    assert run_cli(monkeypatch, "fig5", "--exchanges", "6", "--seed", "3",
+                   "--gateways", "2", "--sensors", "2", "--histogram") == 0
     out = capsys.readouterr().out
     assert "measured mean" in out
 
 
-def test_baselines_command(capsys):
-    assert main(["baselines", "--exchanges", "12"]) == 0
+def test_baselines_command(capsys, monkeypatch):
+    assert run_cli(monkeypatch, "baselines", "--exchanges", "12") == 0
     out = capsys.readouterr().out
     assert "BcWAN" in out and "legacy" in out

@@ -107,7 +107,7 @@ def test_a_deployment_verifies_each_signature_about_once(pair):
     shared, _seen, private, _ = pair
     memo = shared.verdict_memo
     assert memo.evictions == {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
-    assert len(memo) < memo.max_entries
+    assert len(memo) < memo.MAX_ENTRIES
     for kind in (ECDSA, RSA_PAIR, SCRIPT):
         distinct = sum(1 for key in memo._verdicts if key[0] == kind)
         assert distinct > 0

@@ -111,7 +111,7 @@ def test_full_nodes_converge_with_light_tier(light_run):
     master_chain = network.master_daemon.node.chain
     for spv in network.light_clients:
         tip_height = spv.chain.tip_height
-        # Repeat-authenticate buffers up to verify_every-1 rounds of
+        # Repeat-authenticate buffers up to VERIFY_EVERY-1 rounds of
         # growth unverified, so the header tip may trail the full nodes
         # at run end — but never diverge from the active chain.
         assert master_chain.height - tip_height <= 8
@@ -249,7 +249,7 @@ def test_dishonest_multicaster_detected_and_survived():
     # caught from round one.  Each listener hears one bundle in this short
     # run, which the deployment's R = 4 would buffer unverified.
     for spv in network.light_clients:
-        spv.multicast.verify_every = 1
+        spv.multicast.VERIFY_EVERY = 1
     evil = network.multicasters[0]
     evil.tamper = lambda message: dc_replace(message, signature=b"\x00" * 8)
     report = network.run(num_exchanges=8)

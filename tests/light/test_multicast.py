@@ -18,6 +18,8 @@ from repro.light.multicast import (
 from repro.sim.core import Simulator
 
 INTERVAL = 10.0
+#: A downlink that takes no airtime: the stream's logic without the radio.
+NO_AIRTIME = SimpleNamespace(time_on_air=lambda size: 0.0)
 
 
 class StubChain:
@@ -71,7 +73,7 @@ def build(tamper=None, delay=0.05, verify_every=2, deliver=True):
     chain = StubChain()
     network = StubNetwork(sim, delay=delay)
     mc = ChainMulticaster(sim, network, "gw", keypair, chain, ("light",),
-                          INTERVAL)
+                          INTERVAL, NO_AIRTIME)
     mc.tamper = tamper
     applied = []
     omissions = []
@@ -83,9 +85,9 @@ def build(tamper=None, delay=0.05, verify_every=2, deliver=True):
     listener = MulticastListener(
         sim, keypair.public_key.to_bytes(), INTERVAL,
         apply_headers=apply_headers, on_omission=lambda: omissions.append(1),
-        verify_every=verify_every,
     )
     listener.LISTEN_WINDOW = 1.0
+    listener.VERIFY_EVERY = verify_every
     if deliver:
         network.listener = listener
     return sim, chain, mc, listener, applied, omissions
@@ -219,7 +221,7 @@ def test_gap_bundle_requests_catch_up():
     chain = StubChain()
     network = StubNetwork(sim)
     mc = ChainMulticaster(sim, network, "gw", keypair, chain, ("light",),
-                          INTERVAL)
+                          INTERVAL, NO_AIRTIME)
     omissions = []
 
     def apply_headers(start_height, raw_headers):
@@ -228,9 +230,9 @@ def test_gap_bundle_requests_catch_up():
     listener = MulticastListener(
         sim, keypair.public_key.to_bytes(), INTERVAL,
         apply_headers=apply_headers, on_omission=lambda: omissions.append(1),
-        verify_every=1,
     )
     listener.LISTEN_WINDOW = 1.0
+    listener.VERIFY_EVERY = 1
     network.listener = listener
     chain.grow(2)
     sim.run(until=INTERVAL + 2)
@@ -266,8 +268,9 @@ def test_round_survives_waking_one_ulp_before_the_duty_boundary():
     network = StubNetwork(sim)
     # The first round fires at 1 * interval = ``now``.
     mc = ChainMulticaster(sim, network, "gw", keypair, chain, ("light",),
-                          interval=now)
-    mc.modulation = SimpleNamespace(time_on_air=lambda size: 0.1)
+                          interval=now,
+                          modulation=SimpleNamespace(
+                              time_on_air=lambda size: 0.1))
     mc.limiter._not_before = not_before
     sim.run(until=not_before + 0.2)
     assert mc.rounds_delayed >= 1

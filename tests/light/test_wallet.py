@@ -20,6 +20,7 @@ from repro.blockchain.transaction import (
     TxInput,
     TxOutput,
 )
+from repro.crypto.keys import KeyPair
 from repro.errors import ValidationError
 from repro.light.wallet import LightWallet
 from repro.script import builder
@@ -29,11 +30,12 @@ from tests.oracles.coin_selection_reference import (
     light_wallet_spendable,
     spendable,
 )
+from tests.oracles.fees import paying_fee
 
 
 @pytest.fixture
 def wallet():
-    return LightWallet(rng=random.Random(0xBC))
+    return LightWallet(KeyPair.generate(random.Random(0xBC)))
 
 
 def pay_to(wallet, values, height=1):
@@ -65,7 +67,7 @@ def test_apply_is_idempotent(wallet):
 
 
 def test_foreign_outputs_ignored(wallet):
-    other = LightWallet(rng=random.Random(1))
+    other = LightWallet(KeyPair.generate(random.Random(1)))
     tx = pay_to(other, [500])
     assert wallet.apply_confirmed_tx(tx) == 0
     assert wallet.balance == 0
@@ -191,8 +193,8 @@ def test_refund_fee_cannot_consume_offer(wallet):
         rsa_pubkey=b"\x01" * 16, gateway_pubkey_hash=b"\x02" * 20,
         amount=250, refund_locktime=10,
     )
-    with pytest.raises(ValidationError):
-        wallet.refund_key_release(offer, fee=250)
+    with pytest.raises(ValidationError), paying_fee(wallet, 250):
+        wallet.refund_key_release(offer)
 
 
 def test_announcement_spends_one_coin(wallet):
@@ -214,7 +216,7 @@ class RankedLightWalletMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self) -> None:
-        self.wallet = LightWallet(rng=random.Random(0x20))
+        self.wallet = LightWallet(KeyPair.generate(random.Random(0x20)))
         self.height = 0
         self.held: list[Transaction] = []     # built, reserved, unproven
         self.delayed: list[Transaction] = []  # proofs still in flight
@@ -257,10 +259,11 @@ class RankedLightWalletMachine(RuleBasedStateMachine):
           fee=st.sampled_from([0, 3]), confirm=st.booleans())
     def offer(self, amount: int, fee: int, confirm: bool) -> None:
         try:
-            tx = self.wallet.create_key_release_offer(
-                rsa_pubkey=b"\x01" * 16, gateway_pubkey_hash=b"\x02" * 20,
-                amount=amount, refund_locktime=10, fee=fee,
-            ).transaction
+            with paying_fee(self.wallet, fee):
+                tx = self.wallet.create_key_release_offer(
+                    rsa_pubkey=b"\x01" * 16, gateway_pubkey_hash=b"\x02" * 20,
+                    amount=amount, refund_locktime=10,
+                ).transaction
         except ValidationError as exc:
             # The invariant re-checks the shortfall amount by amount.
             assert "insufficient funds" in str(exc)

@@ -53,7 +53,7 @@ CORPUS_CASES = 220
 
 
 def run_channel(channel_class, listeners, transmissions,
-                capture_db: float = 6.0, logged: bool = True):
+                logged: bool = True):
     """Replay one scenario on one channel; return its full observable state.
 
     A listener is ``(name, (x, y), owner)`` plus an optional ``receives``
@@ -64,8 +64,7 @@ def run_channel(channel_class, listeners, transmissions,
     the delivered listeners with a receiver only.
     """
     sim = Simulator()
-    channel = channel_class(
-        sim, random.Random(99), capture_threshold_db=capture_db)
+    channel = channel_class(sim, random.Random(99))
     deliveries: list[tuple] = []
     channel.verdict_log = [] if logged else None
     for name, (x, y), owner, *receives in listeners:
@@ -91,18 +90,15 @@ def run_channel(channel_class, listeners, transmissions,
     return deliveries, channel.verdict_log, frame_counters(channel), channel
 
 
-def assert_matches_oracle(listeners, transmissions,
-                          capture_db=6.0) -> tuple:
-    oracle = run_channel(ReferenceRadioChannel, listeners, transmissions,
-                         capture_db)
-    production = run_channel(RadioChannel, listeners, transmissions,
-                             capture_db)
+def assert_matches_oracle(listeners, transmissions) -> tuple:
+    oracle = run_channel(ReferenceRadioChannel, listeners, transmissions)
+    production = run_channel(RadioChannel, listeners, transmissions)
     assert production[0] == oracle[0], "delivery lists diverge"
     assert production[1] == oracle[1], "verdict logs diverge"
     assert production[2] == oracle[2], "channel counters diverge"
     # The path every deployment takes: no verdict log.
     unlogged = run_channel(RadioChannel, listeners, transmissions,
-                           capture_db, logged=False)
+                           logged=False)
     assert unlogged[0] == oracle[0], "unlogged delivery lists diverge"
     assert unlogged[2] == oracle[2], "unlogged channel counters diverge"
     return oracle, production

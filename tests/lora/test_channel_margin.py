@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lora.channel import (_DECISION_MARGIN_DB, Listener,
-                                PathLossModel, Position, RadioChannel)
+from repro.lora.channel import (_DECISION_MARGIN_DB, CAPTURE_THRESHOLD_DB,
+                                Listener, PathLossModel, Position,
+                                RadioChannel)
 from repro.lora.frames import DataFrame
 from repro.lora.phy import SENSITIVITY_DBM, LoRaModulation
 from repro.sim.core import Simulator
@@ -31,7 +32,7 @@ from tests.lora.test_channel_differential import assert_matches_oracle
 MODEL = PathLossModel()
 LISTENER = ("gw", (0.0, 0.0), None)
 SF = 7
-CAPTURE_DB = 6.0
+CAPTURE_DB = CAPTURE_THRESHOLD_DB
 
 
 def losses(position: tuple[float, float]) -> tuple[float, float]:
@@ -114,8 +115,7 @@ def test_capture_difference_at_the_threshold(on_threshold):
     assert abs(fast_gap - CAPTURE_DB) <= _DECISION_MARGIN_DB
     oracle, _ = assert_matches_oracle(
         [LISTENER], [(0.0, "wanted", wanted, SF, 0, power, 12),
-                     (0.0, "other", interferer, SF, 0, power_other, 12)],
-        capture_db=CAPTURE_DB)
+                     (0.0, "other", interferer, SF, 0, power_other, 12)])
     assert verdicts(oracle) == {
         "wanted": "delivered" if on_threshold else "collision",
         "other": "collision"}

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.core import BcWANNetwork, NetworkConfig
-from repro.obs.export import LEGS, leg_breakdown
+from repro.obs.export import LEGS, export_trace_jsonl, leg_breakdown
 
 
 def _traced_run():
@@ -84,4 +84,4 @@ def test_untraced_run_exports_nothing_and_reports_no_legs():
     network = BcWANNetwork(config)
     report = network.run(num_exchanges=2)
     assert report.legs == {}
-    assert network.export_trace(include_metrics=False) == ""
+    assert export_trace_jsonl(network.tracer) == ""

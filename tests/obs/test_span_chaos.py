@@ -90,10 +90,19 @@ def test_chaos_delay_annotated_on_span():
     assert span.status == "ok"
 
 
+def verifying_traced_federation():
+    """Two gateways that verify every block (the ~8 s stall a crash can
+    land in), with the federation's tracer on."""
+    fed = build_federation(size=2, seed=9, sync_interval=120.0)
+    fed.tracer.enabled = True
+    for daemon in fed.daemons.values():
+        daemon.verify_blocks = True
+    return fed
+
+
 def test_daemon_crash_mid_validation_closes_span_lost():
     """A block verifying on a daemon that crashes dies with its span."""
-    fed = build_federation(size=2, seed=9, sync_interval=120.0,
-                           verify_blocks=True, tracing=True)
+    fed = verifying_traced_federation()
     miner = fed.make_miner("gw-0", key_seed=4)
 
     def mine_and_broadcast():
@@ -114,8 +123,7 @@ def test_daemon_crash_mid_validation_closes_span_lost():
 
 def test_crash_sweeps_queued_job_spans():
     """Jobs still *queued* at crash time close ``lost`` too."""
-    fed = build_federation(size=2, seed=9, sync_interval=120.0,
-                           verify_blocks=True, tracing=True)
+    fed = verifying_traced_federation()
     miner = fed.make_miner("gw-0", key_seed=4)
 
     def mine_two():

