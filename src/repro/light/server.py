@@ -38,6 +38,7 @@ from repro.light.messages import (
     RegisterFilterMessage,
     TxProofMessage,
 )
+from repro.light.spv import SpvClient
 from repro.obs.registry import Counted, attrs
 from repro.p2p.message import Envelope
 from repro.script import builder
@@ -100,7 +101,9 @@ class LightServer(Counted):
         chain = self.daemon.node.chain
         self.header_requests += 1
         start = request.above_height + 1
-        top = min(chain.height, request.above_height + request.limit)
+        # The client picks the limit: serve at most one of its batches.
+        top = min(chain.height,
+                  request.above_height + min(request.limit, SpvClient.BATCH))
         headers = []
         for height in range(start, top + 1):
             block = chain.block_at(height)

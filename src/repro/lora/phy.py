@@ -30,6 +30,16 @@ SENSITIVITY_DBM = {7: -123.0, 8: -126.0, 9: -129.0, 10: -132.0,
 SNR_THRESHOLD_DB = {7: -7.5, 8: -10.0, 9: -12.5, 10: -15.0,
                     11: -17.5, 12: -20.0}
 
+# The one radio setting of the paper's testbed (§5.2, EU868), in
+# AN1200.13's terms: 125 kHz bandwidth, coding rate CR = 1 (4/5), an
+# 8-symbol programmed preamble, an explicit PHY header (IH = 0) and the
+# payload CRC on (CRC = 1).
+BANDWIDTH_HZ = 125_000
+CODING_RATE = 1
+PREAMBLE_SYMBOLS = 8
+IMPLICIT_HEADER = 0
+CRC_ON = 1
+
 
 class SpreadingFactor(int):
     """A LoRa spreading factor in [7, 12]."""
@@ -42,39 +52,23 @@ class SpreadingFactor(int):
 
 @dataclass(frozen=True)
 class LoRaModulation:
-    """A LoRa modulation configuration.
+    """A LoRa modulation at the testbed's fixed PHY setting.
 
-    :param spreading_factor: 7-12 (the paper uses SF7).
-    :param bandwidth_hz: 125000, 250000 or 500000.
-    :param coding_rate: 1-4, meaning 4/(4+CR).
-    :param preamble_symbols: programmed preamble length (8 default).
-    :param explicit_header: LoRa PHY header present (True for uplinks).
-    :param crc: payload CRC present.
-    :param low_data_rate_optimize: forced on for SF11/12 at 125 kHz.
+    :param spreading_factor: 7-12 (the paper uses SF7).  Everything else
+        is a module constant: ``BANDWIDTH_HZ``, ``CODING_RATE``,
+        ``PREAMBLE_SYMBOLS``, ``IMPLICIT_HEADER`` and ``CRC_ON``; low data
+        rate optimisation is on for SF11/12.
     """
 
     spreading_factor: int = 7
-    bandwidth_hz: int = 125_000
-    coding_rate: int = 1
-    preamble_symbols: int = 8
-    explicit_header: bool = True
-    crc: bool = True
 
     def __post_init__(self) -> None:
         SpreadingFactor(self.spreading_factor)
-        if self.bandwidth_hz not in (125_000, 250_000, 500_000):
-            raise ConfigurationError(f"unsupported bandwidth: {self.bandwidth_hz}")
-        if not 1 <= self.coding_rate <= 4:
-            raise ConfigurationError(f"coding rate out of range: {self.coding_rate}")
-        if self.preamble_symbols < 6:
-            raise ConfigurationError(
-                f"preamble too short: {self.preamble_symbols} symbols"
-            )
 
     @property
     def symbol_time(self) -> float:
         """Seconds per symbol: ``2^SF / BW``."""
-        return (1 << self.spreading_factor) / self.bandwidth_hz
+        return (1 << self.spreading_factor) / BANDWIDTH_HZ
 
     @property
     def low_data_rate_optimize(self) -> bool:
@@ -84,7 +78,7 @@ class LoRaModulation:
     @property
     def preamble_time(self) -> float:
         """Preamble duration: ``(n_preamble + 4.25) * T_sym``."""
-        return (self.preamble_symbols + 4.25) * self.symbol_time
+        return (PREAMBLE_SYMBOLS + 4.25) * self.symbol_time
 
     def payload_symbols(self, payload_bytes: int) -> int:
         """Symbol count of the payload part (AN1200.13 formula)."""
@@ -92,11 +86,10 @@ class LoRaModulation:
             raise ConfigurationError(f"negative payload: {payload_bytes}")
         sf = self.spreading_factor
         de = 2 if self.low_data_rate_optimize else 0
-        ih = 0 if self.explicit_header else 1
-        crc = 1 if self.crc else 0
-        numerator = 8 * payload_bytes - 4 * sf + 28 + 16 * crc - 20 * ih
+        numerator = (8 * payload_bytes - 4 * sf + 28 + 16 * CRC_ON
+                     - 20 * IMPLICIT_HEADER)
         denominator = 4 * (sf - de)
-        extra = max(math.ceil(numerator / denominator), 0) * (self.coding_rate + 4)
+        extra = max(math.ceil(numerator / denominator), 0) * (CODING_RATE + 4)
         return 8 + extra
 
     def time_on_air(self, payload_bytes: int) -> float:
@@ -111,8 +104,8 @@ class LoRaModulation:
         SF7/125 kHz/CR4/5 gives the familiar 5469 bit/s figure.
         """
         sf = self.spreading_factor
-        cr_ratio = 4 / (4 + self.coding_rate)
-        return sf * (self.bandwidth_hz / (1 << sf)) * cr_ratio
+        cr_ratio = 4 / (4 + CODING_RATE)
+        return sf * (BANDWIDTH_HZ / (1 << sf)) * cr_ratio
 
     def nominal_time_on_air(self, payload_bytes: int) -> float:
         """Airtime under the nominal-bitrate approximation (paper-style)."""

@@ -26,7 +26,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Envelope:
-    """Routing wrapper: who sent what to whom, when.
+    """Routing wrapper: who sent what to whom.
 
     ``trace`` carries the in-flight ``wan.transit`` span (if tracing is
     on) so a handler can parent its own spans under the delivery.
@@ -35,7 +35,6 @@ class Envelope:
     source: str
     destination: str
     payload: Any
-    sent_at: float
     trace: Any = field(default=None, compare=False, repr=False)
 
 

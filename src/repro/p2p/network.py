@@ -1,9 +1,10 @@
 """The simulated wide-area network between gateways and servers.
 
 Hosts register by name; :meth:`WANetwork.send` delivers a payload to the
-destination's handler after a sampled one-way latency.  The latency model
-defaults to PlanetLab-like per-pair lognormal distributions — the
-substrate standing in for the paper's 5-node PlanetLab deployment.
+destination's handler after a one-way latency sampled from the model it
+is built with: the testbed's PlanetLab-like per-pair lognormal matrix —
+the substrate standing in for the paper's 5-node PlanetLab deployment —
+or a constant delay.
 
 A send returns nothing; its fate is recorded, never silent.  Each kind
 of drop — lost to the sampled loss process, refused for lack of a route,
@@ -24,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.p2p.message import Envelope
 from repro.sim.core import Simulator
-from repro.sim.latency import LatencyModel, LogNormalLatency
+from repro.sim.latency import LatencyModel
 
 __all__ = ["WANetwork", "FaultDecision", "estimate_wire_size"]
 
@@ -107,13 +108,12 @@ class WANetwork:
     """Latency-modeled message passing between named hosts."""
 
     def __init__(self, sim: Simulator, rng: random.Random,
-                 latency: Optional[LatencyModel] = None,
-                 loss_rate: float = 0.0) -> None:
+                 latency: LatencyModel, loss_rate: float = 0.0) -> None:
         if not 0 <= loss_rate < 1:
             raise ConfigurationError(f"loss rate out of range: {loss_rate}")
         self.sim = sim
         self.rng = rng
-        self.latency = latency or LogNormalLatency()
+        self.latency = latency
         self.loss_rate = loss_rate
         # Host name -> its message handler.
         self._hosts: dict[str, Callable[[Envelope], None]] = {}
@@ -186,8 +186,7 @@ class WANetwork:
                                 source=source, destination=destination,
                                 payload=type(payload).__name__)
         envelope = Envelope(source=source, destination=destination,
-                            payload=payload, sent_at=self.sim.now,
-                            trace=span if span else None)
+                            payload=payload, trace=span if span else None)
         self.messages_sent += 1
         size = estimate_wire_size(payload)
         self.bytes_modeled += size

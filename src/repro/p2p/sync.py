@@ -374,9 +374,12 @@ class SyncAgent(Counted):
     def _on_get_headers(self, envelope: Envelope) -> None:
         request = envelope.payload
         chain = self.daemon.node.chain
-        top = min(chain.height, request.above_height + request.limit)
+        # A peer picks both numbers: read at most one window, from genesis up.
+        top = min(chain.height,
+                  request.above_height + min(request.limit,
+                                             self.HEADER_WINDOW))
         headers = []
-        for height in range(request.above_height + 1, top + 1):
+        for height in range(max(0, request.above_height + 1), top + 1):
             block = chain.block_at(height)
             if block is not None:
                 headers.append((height, block.hash))

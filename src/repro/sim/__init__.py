@@ -16,7 +16,6 @@ from repro.sim.core import (
 from repro.sim.latency import (
     ConstantLatency,
     LatencyModel,
-    LogNormalLatency,
     PlanetLabLatencyMatrix,
 )
 from repro.sim.rng import RngRegistry
@@ -26,7 +25,6 @@ __all__ = [
     "ConstantLatency",
     "Event",
     "LatencyModel",
-    "LogNormalLatency",
     "PlanetLabLatencyMatrix",
     "Process",
     "RngRegistry",

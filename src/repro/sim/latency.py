@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "LogNormalLatency",
     "PlanetLabLatencyMatrix",
 ]
 
@@ -41,34 +40,6 @@ class ConstantLatency:
     def sample(self, source: str, destination: str,
                rng: random.Random) -> float:
         return 0.0 if source == destination else self.delay
-
-
-@dataclass(frozen=True)
-class LogNormalLatency:
-    """Lognormal one-way delay with a propagation floor.
-
-    :param median: median one-way delay in seconds.
-    :param sigma: lognormal shape (0.3-0.6 matches wide-area measurements).
-    :param floor: minimum physically-possible delay.
-    """
-
-    median: float = 0.040
-    sigma: float = 0.45
-    floor: float = 0.004
-
-    def __post_init__(self) -> None:
-        if self.median <= 0 or self.sigma < 0 or self.floor < 0:
-            raise ConfigurationError(
-                f"invalid lognormal latency: median={self.median}, "
-                f"sigma={self.sigma}, floor={self.floor}"
-            )
-
-    def sample(self, source: str, destination: str,
-               rng: random.Random) -> float:
-        if source == destination:
-            return 0.0
-        mu = math.log(self.median)
-        return max(self.floor, rng.lognormvariate(mu, self.sigma))
 
 
 class PlanetLabLatencyMatrix:

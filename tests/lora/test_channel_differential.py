@@ -58,10 +58,10 @@ def run_channel(channel_class, listeners, transmissions,
 
     A listener is ``(name, (x, y), owner)`` plus an optional ``receives``
     flag: ``False`` registers it with ``deliver=None``.  A transmission is
-    ``(t, sender, (x, y), sf, freq_idx, power, payload)`` plus an optional
-    coding rate.  ``logged=False`` leaves ``verdict_log`` unset, as every
-    deployment does: the production channel then computes exact RSSIs for
-    the delivered listeners with a receiver only.
+    ``(t, sender, (x, y), sf, freq_idx, power, payload)``.
+    ``logged=False`` leaves ``verdict_log`` unset, as every deployment
+    does: the production channel then computes exact RSSIs for the
+    delivered listeners with a receiver only.
     """
     sim = Simulator()
     channel = channel_class(sim, random.Random(99))
@@ -76,12 +76,11 @@ def run_channel(channel_class, listeners, transmissions,
             name=name, position=Position(x, y), deliver=deliver,
             half_duplex_owner=owner,
         ))
-    for i, (t, sender, (x, y), sf, freq_idx, power, payload, *coding_rate) in \
+    for i, (t, sender, (x, y), sf, freq_idx, power, payload) in \
             enumerate(transmissions):
         frame = DataFrame(sender=sender,
                           encrypted_message=b"\xab" * payload, nonce=i)
-        modulation = LoRaModulation(spreading_factor=sf,
-                                    coding_rate=(coding_rate or [1])[0])
+        modulation = LoRaModulation(spreading_factor=sf)
         sim.call_at(t, lambda s=sender, p=Position(x, y), f=frame,
                     m=modulation, fi=freq_idx, pw=power:
                     channel.transmit(s, p, f, m, frequency_hz=FREQS[fi],
@@ -161,13 +160,15 @@ def test_exact_tie_and_capture_edge():
 
 
 def test_interferer_outlives_a_ten_second_window():
-    # SF12 at CR 4/8 keeps 224 bytes on the air for 12.5 s.  "b" ties with
+    # SF12 keeps 356 bytes on the air for 12.5 s (past LoRa's 255-byte
+    # frame limit, which the channel does not check: its interferer
+    # window is what is under test, not the radio).  "b" ties with
     # "a" and is over within a second; when "c" completes on another
     # channel at t = 11.5, a fixed 10 s look-back (what src/ had) forgets
     # "b" and then calls "a" delivered although "b" was lost against it.
     listeners = [("gw", (0.0, 0.0), None)]
     transmissions = [
-        (0.0, "a", (500.0, 0.0), 12, 0, 14.0, 220, 4),
+        (0.0, "a", (500.0, 0.0), 12, 0, 14.0, 352),
         (0.0, "b", (500.0, 0.0), 12, 0, 14.0, 4),
         (11.5, "c", (500.0, 0.0), 7, 1, 14.0, 4),
     ]
@@ -186,7 +187,7 @@ def test_long_frame_remembers_three_generations_of_short_ones():
     # meanwhile, each one a chance to forget "tie" too early.
     listeners = [("gw", (0.0, 0.0), None)]
     transmissions = [
-        (0.0, "long", (500.0, 0.0), 12, 0, 14.0, 220, 4),
+        (0.0, "long", (500.0, 0.0), 12, 0, 14.0, 352),
         (0.1, "tie", (500.0, 0.0), 12, 0, 14.0, 4),
         (4.0, "weak-1", (2500.0, 0.0), 12, 0, 14.0, 4),
         (8.0, "weak-2", (0.0, 2500.0), 12, 0, 14.0, 4),

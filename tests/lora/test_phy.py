@@ -24,7 +24,7 @@ def test_spreading_factor_range():
 
 
 def test_symbol_time_sf7():
-    modulation = LoRaModulation(spreading_factor=7, bandwidth_hz=125_000)
+    modulation = LoRaModulation(spreading_factor=7)
     assert modulation.symbol_time == pytest.approx(1.024e-3)
 
 
@@ -86,44 +86,38 @@ def test_toa_monotone_in_sf():
 def test_ldro_only_at_sf11_sf12_125k():
     assert not LoRaModulation(spreading_factor=10).low_data_rate_optimize
     assert LoRaModulation(spreading_factor=11).low_data_rate_optimize
-    assert not LoRaModulation(spreading_factor=11,
-                              bandwidth_hz=250_000).low_data_rate_optimize
-
-
-def test_implicit_header_never_longer_and_sometimes_shorter():
-    explicit = LoRaModulation(spreading_factor=7, explicit_header=True)
-    implicit = LoRaModulation(spreading_factor=7, explicit_header=False)
-    times = [(implicit.time_on_air(n), explicit.time_on_air(n))
-             for n in range(0, 128)]
-    assert all(i <= e for i, e in times)
-    # The 20-bit saving crosses a symbol-group boundary somewhere.
-    assert any(i < e for i, e in times)
-
-
-def test_crc_never_shorter_and_sometimes_longer():
-    with_crc = LoRaModulation(spreading_factor=7, crc=True)
-    without = LoRaModulation(spreading_factor=7, crc=False)
-    times = [(without.time_on_air(n), with_crc.time_on_air(n))
-             for n in range(0, 128)]
-    assert all(w <= c for w, c in times)
-    assert any(w < c for w, c in times)
-
-
-def test_coding_rate_increases_toa():
-    cr1 = LoRaModulation(spreading_factor=7, coding_rate=1)
-    cr4 = LoRaModulation(spreading_factor=7, coding_rate=4)
-    assert cr4.time_on_air(64) > cr1.time_on_air(64)
 
 
 def test_validation():
     with pytest.raises(ConfigurationError):
-        LoRaModulation(bandwidth_hz=100_000)
-    with pytest.raises(ConfigurationError):
-        LoRaModulation(coding_rate=0)
-    with pytest.raises(ConfigurationError):
-        LoRaModulation(preamble_symbols=3)
+        LoRaModulation(spreading_factor=6)
     with pytest.raises(ConfigurationError):
         LoRaModulation().payload_symbols(-1)
+
+
+# Read from the seed's settable modulation at its defaults (125 kHz,
+# CR 4/5, 8-symbol preamble, explicit header, CRC on): the constants that
+# replaced those fields must give every airtime bit for bit.
+TIME_ON_AIR = {
+    7: (0.102656, 0.220416),
+    8: (0.184832, 0.389632),
+    9: (0.328704, 0.697344),
+    10: (0.616448, 1.271808),
+    11: (1.314816, 2.789376),
+    12: (2.465792, 5.087232),
+}
+
+
+@pytest.mark.parametrize("sf", sorted(TIME_ON_AIR))
+def test_airtime_bits_are_pinned(sf):
+    modulation = LoRaModulation(spreading_factor=sf)
+    assert (modulation.time_on_air(51),
+            modulation.time_on_air(132)) == TIME_ON_AIR[sf]
+
+
+def test_nominal_airtime_bits_are_pinned():
+    assert LoRaModulation(spreading_factor=7).nominal_time_on_air(132) \
+        == 0.19309714285714286
 
 
 def test_sensitivity_tables_cover_all_sfs():

@@ -11,6 +11,7 @@ from repro.core import BcWANNetwork, NetworkConfig
 from repro.obs.tracing import Tracer
 from repro.p2p.network import FaultDecision, WANetwork
 from repro.sim.core import Simulator
+from repro.sim.latency import ConstantLatency
 
 
 def by_name(tracer, name):
@@ -23,7 +24,7 @@ def open_spans(tracer):
 
 def _wan_with_tracer():
     sim = Simulator()
-    wan = WANetwork(sim, random.Random(3))
+    wan = WANetwork(sim, random.Random(3), ConstantLatency())
     wan.tracer = Tracer(sim)
     received: list[object] = []
     wan.register("a", received.append)

@@ -42,8 +42,8 @@ def distance(a: Position, b: Position) -> float:
 def loss_db(model: PathLossModel, metres: float) -> float:
     """``model``'s log-distance loss at ``metres``, clamped to 1 m."""
     metres = max(metres, 1.0)
-    return model.reference_loss_db + 10 * model.exponent * math.log10(
-        metres / model.reference_distance
+    return model.REFERENCE_LOSS_DB + 10 * model.EXPONENT * math.log10(
+        metres / model.REFERENCE_DISTANCE
     )
 
 

@@ -82,7 +82,8 @@ def test_broadcast_excludes_source_and_excluded():
 def test_loss_rate_validation():
     sim = Simulator()
     with pytest.raises(ConfigurationError):
-        WANetwork(sim, RngRegistry(0).stream("x"), loss_rate=1.0)
+        WANetwork(sim, RngRegistry(0).stream("x"), ConstantLatency(),
+                  loss_rate=1.0)
 
 
 def test_envelope_metadata():
@@ -94,7 +95,7 @@ def test_envelope_metadata():
     sim.run()
     env = captured[0]
     assert env.source == "a" and env.destination == "b"
-    assert env.payload == 123 and env.sent_at == 0.0
+    assert env.payload == 123
 
 
 # -- gossip -------------------------------------------------------------------------

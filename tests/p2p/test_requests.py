@@ -125,8 +125,7 @@ def test_sync_reset_voids_everything_in_flight():
     assert len(agent.requests) == 0
     # The late reply is unsolicited and the deadline finds nothing.
     daemon.handlers[TipMessage](Envelope(source=peer, destination="n0",
-                                         payload=TipMessage(height=0),
-                                         sent_at=sim.now))
+                                         payload=TipMessage(height=0)))
     sim.run(until=10.5)
     assert agent.timeouts == 0
     assert agent.requests.scores[peer].successes == 0

@@ -17,7 +17,8 @@ from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.crypto.keys import KeyPair
 from repro.p2p.network import FaultDecision, WANetwork
-from repro.p2p.sync import HeadersMessage, SyncAgent, TipMessage
+from repro.p2p.sync import (GetHeadersMessage, HeadersMessage, SyncAgent,
+                             TipMessage)
 from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
@@ -221,3 +222,34 @@ def test_crash_resets_inflight_requests():
     daemons[1].restart()
     sim.run(until=40.0)
     assert daemons[1].node.height == 2
+
+
+def test_a_hostile_header_range_reads_one_window():
+    """A peer picks ``above_height`` and ``limit``; the responder reads
+    at most ``HEADER_WINDOW`` heights from genesis up, however far below
+    genesis or past the tip the request reaches."""
+    sim, wan, daemons, _agents, miners = build_mesh(sync_interval=50.0)
+    for i in range(40):
+        miners[0].mine_and_connect(float(i))
+    chain = daemons[0].node.chain
+    reads, replies = [], []
+    block_at = chain.block_at
+
+    def counted(height):
+        reads.append(height)
+        return block_at(height)
+
+    def watch(env):
+        if isinstance(env.payload, HeadersMessage):
+            replies.append(env.payload)
+
+    chain.block_at = counted
+    wan.interceptor = watch
+    wan.send("n1", "n0", GetHeadersMessage(above_height=-10**6,
+                                           limit=10**6 + 32))
+    wan.send("n1", "n0", GetHeadersMessage(above_height=0, limit=10**6))
+    sim.run(until=1.0)
+    window = SyncAgent.HEADER_WINDOW
+    assert reads == list(range(1, window + 1))
+    assert [len(reply.headers) for reply in replies] == [0, window]
+    assert replies[1].headers[-1] == (window, chain.block_at(window).hash)

@@ -40,6 +40,12 @@ MANIFEST = {
                              "examples/reach_params_root.py"),
     "reach_params_tests.py": ("tests.test_reach_params",
                               "tests/test_reach_params.py"),
+    "reach_settings.py": ("repro.reach.settings",
+                          "src/repro/reach/settings.py"),
+    "reach_settings_root.py": ("examples.reach_settings_root",
+                               "examples/reach_settings_root.py"),
+    "reach_settings_tests.py": ("tests.test_reach_settings",
+                                "tests/test_reach_settings.py"),
 }
 
 

@@ -240,6 +240,45 @@ def test_a_planted_one_value_parameter_fails_until_baselined():
     assert split_by_baseline([planted], baseline) == ([], [planted])
 
 
+# -- unreachable: fields of every settings class -----------------------------
+
+def settings_findings():
+    """qualname -> finding, for the fields of the frozen dataclasses."""
+    rule = UnreachableRule(load_fixture_project("reach_settings.py"),
+                           load_fixture_project("reach_settings_root.py",
+                                                "reach_settings_tests.py"))
+    return {violation.qualname.partition("repro.reach.settings.")[2]:
+            violation for violation in rule.run()}
+
+
+def test_a_planted_settings_field_fails_until_baselined():
+    """Any frozen dataclass with a default is checked, whatever its name."""
+    planted = settings_findings()["Planted"]
+    assert planted.snippet == "knob"
+    assert "no entry point sets knob* (*: tests do)" in planted.message
+    new, known = split_by_baseline([planted], {})
+    assert new == [planted] and not known
+    baseline = {fingerprint(planted): {"reason": "a knob to retire"}}
+    assert split_by_baseline([planted], baseline) == ([], [planted])
+
+
+def test_positional_arguments_set_fields_in_order():
+    findings = settings_findings()
+    # Point(1.0) sets x, not y; cls(*bounds) sets every field of Span
+    assert findings["Point"].snippet == "y"
+    assert "Span" not in findings
+
+
+def test_a_settings_field_nothing_reads_is_reported():
+    findings = settings_findings()
+    assert "read by no reachable code" in findings["Letter.stamp"].message
+    assert findings["Letter.stamp"].line == 31
+    # a field the constructor does not take is not a setting; a class
+    # with no default, or not frozen, is not a settings class
+    assert "Letter" not in findings and "Letter.cache" not in findings
+    assert "Record.unread" not in findings and "Loose" not in findings
+
+
 # -- doc-reference ---------------------------------------------------------------
 
 def test_doc_references_must_point_at_code_that_exists():

@@ -19,12 +19,14 @@ names.  A reached class brings its bases, dunders, properties and
 ``__post_init__``; a reached method brings every override of its name.
 The rule therefore under-reports rather than misreports.
 
-The same walk records which config-dataclass fields some root or reached
-code *sets* (constructor keyword, ``replace(...)`` / ``dict(...)`` keyword
-or dict-literal key on its way to ``Config(**params)``) and which it *reads* (attribute
-load outside the class's own ``__post_init__`` validation).  A field no
-root sets has one value in use and should be a constant; a field nothing
-reads should not exist.
+The same walk records which fields of a *settings class* — every
+``@dataclass(frozen=True)`` with a defaulted field — some root or reached
+code *sets* (constructor keyword or positional argument, in field order,
+``replace(...)`` / ``dict(...)`` keyword or dict-literal key on its way to
+``Config(**params)``) and which it *reads* (attribute load outside the
+class's own ``__post_init__`` validation).  A defaulted field no root sets
+has one value in use and should be a constant; a field nothing reads
+should not exist.
 
 It also records which parameters each reached call *binds*: a keyword, a
 positional index (``self`` skipped), a ``*args`` from its index on, a
@@ -50,13 +52,9 @@ from tools.analysis.project import FunctionInfo, ModuleInfo, Project, \
 from tools.analysis.report import Violation, line_text
 from tools.analysis.taint import _own_nodes
 
-__all__ = ["CONFIG_CLASSES", "UnreachableRule", "script_targets"]
+__all__ = ["UnreachableRule", "script_targets"]
 
 RULE = "unreachable"
-CONFIG_CLASSES = frozenset({
-    "NetworkConfig", "LightConfig", "RegionTopology", "ChainParams",
-    "CostModel",
-})
 ALL = "*"       # a binding of every parameter: an escape, a **mapping
 _TARGET = re.compile(r"^([A-Za-z_][\w.]*):([A-Za-z_][\w.]*)$")
 _PROPERTY_DECORATORS = frozenset({"property", "cached_property", "setter"})
@@ -83,6 +81,36 @@ def _defaulted(node: ast.AST) -> list[str]:
         if default is not None]
 
 
+def _fields(node: ast.ClassDef) -> dict[str, tuple[int, bool]]:
+    """``name -> (line, defaulted)`` for each constructor field of a
+    frozen dataclass, in order; empty for any other class."""
+    frozen = any(isinstance(d, ast.Call)
+                 and dotted_name(d.func).rpartition(".")[2] == "dataclass"
+                 and any(kw.arg == "frozen" and isinstance(kw.value,
+                                                           ast.Constant)
+                         and kw.value.value is True for kw in d.keywords)
+                 for d in node.decorator_list)
+    found = {}
+    for stmt in node.body if frozen else ():
+        if not isinstance(stmt, ast.AnnAssign) \
+                or not isinstance(stmt.target, ast.Name) \
+                or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        options = {kw.arg: kw.value for kw in value.keywords} \
+            if isinstance(value, ast.Call) and dotted_name(
+                value.func).rpartition(".")[2] == "field" else None
+        if options is None:
+            defaulted = value is not None
+        elif isinstance(options.get("init"), ast.Constant) \
+                and options["init"].value is False:
+            continue
+        else:
+            defaulted = "default" in options or "default_factory" in options
+        found[stmt.target.id] = (stmt.lineno, defaulted)
+    return found
+
+
 def _implicit(node: ast.AST) -> bool:
     """A method nobody calls by name: a dunder or a property."""
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -106,6 +134,12 @@ class _Closure:
         self._pending: list[str] = []
         self._by_name: dict[str, list[str]] = {}
         self._bases: dict[str, list[str]] = {}
+        # settings classes: frozen dataclasses with a defaulted field
+        self.fields: dict[str, dict[str, tuple[int, bool]]] = {}
+        for qualname, info in project.classes.items():
+            fields = _fields(info.node)
+            if any(defaulted for _line, defaulted in fields.values()):
+                self.fields[qualname] = fields
         for qualname, fn in project.functions.items():
             if fn.class_name is not None and not fn.nested:
                 self._by_name.setdefault(fn.node.name, []).append(qualname)
@@ -173,7 +207,7 @@ class _Closure:
             elif not fn.nested:
                 self._name(fn.node.name)      # every override of a method
             reads = not (fn.node.name == "__post_init__"
-                         and fn.class_name in CONFIG_CLASSES)
+                         and symbol.rpartition(".")[0] in self.fields)
             self._scan(ast.walk(fn.node), project.module_for(fn), fn,
                        reads=reads)
         elif symbol in project.classes:
@@ -228,12 +262,21 @@ class _Closure:
         dotted = dotted_name(node.func)
         if not dotted:
             return
-        owner = "*" if dotted.rpartition(".")[2] in ("replace", "dict") else (
-            self.project.lookup(qualify(dotted, fn, module))[0] or ""
-        ).rpartition(".")[2]
-        if owner == "*" or owner in CONFIG_CLASSES:
-            self.sets.update((owner, keyword.arg) for keyword in node.keywords
-                             if keyword.arg is not None)
+        if dotted.rpartition(".")[2] in ("replace", "dict"):
+            owner = "*"
+        elif dotted == "cls" and fn is not None and fn.class_name:
+            owner = fn.qualname.rpartition(".")[0]
+        else:
+            owner = self.project.lookup(qualify(dotted, fn, module))[0]
+        if owner != "*" and owner not in self.fields:
+            return
+        self.sets.update((owner, keyword.arg) for keyword in node.keywords
+                         if keyword.arg is not None)
+        if owner != "*":
+            starred = [i for i, arg in enumerate(node.args)
+                       if isinstance(arg, ast.Starred)]
+            self.sets.update((owner, name) for name in list(
+                self.fields[owner])[:None if starred else len(node.args)])
 
     # -- parameter bindings --------------------------------------------------
 
@@ -350,8 +393,8 @@ class _Closure:
         return [name for name in _defaulted(self.project.functions[qualname]
                                            .node) if name not in bound]
 
-    def is_set(self, class_name: str, field: str) -> bool:
-        return (class_name, field) in self.sets or ("*", field) in self.sets
+    def is_set(self, qualname: str, field: str) -> bool:
+        return (qualname, field) in self.sets or ("*", field) in self.sets
 
 
 class UnreachableRule:
@@ -423,31 +466,30 @@ class UnreachableRule:
 
     def _config_fields(self, live: _Closure,
                        tested: _Closure) -> list[Violation]:
-        """Per field: nothing reads it.  Per class: the fields no entry
-        point sets — one finding whose snippet is their names, so a new
-        never-set field is a new finding."""
+        """Per field of a reached settings class: nothing reads it.  Per
+        class: the defaulted fields no entry point sets — one finding whose
+        snippet is their names, so a new never-set field is a new
+        finding."""
         found: list[Violation] = []
-        for qualname, info in sorted(self.project.classes.items()):
-            name = info.node.name
-            if name not in CONFIG_CLASSES or qualname not in live.reached:
+        for qualname, fields in sorted(live.fields.items()):
+            if qualname not in live.reached:
                 continue
-            fields = [stmt for stmt in info.node.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and isinstance(stmt.target, ast.Name)]
+            info = self.project.classes[qualname]
+            name = info.node.name
             found.extend(
-                self._violation(info.modname,
-                                f"{qualname}.{stmt.target.id}", stmt.lineno,
-                                f"config field {name}.{stmt.target.id} is "
-                                f"read by no reachable code")
-                for stmt in fields if stmt.target.id not in live.reads)
-            unset = [stmt.target.id for stmt in fields
-                     if not live.is_set(name, stmt.target.id)]
+                self._violation(info.modname, f"{qualname}.{field}", line,
+                                f"field {name}.{field} is read by no "
+                                f"reachable code")
+                for field, (line, _default) in fields.items()
+                if field not in live.reads)
+            unset = [field for field, (_line, defaulted) in fields.items()
+                     if defaulted and not live.is_set(qualname, field)]
             if unset:
-                shown = ", ".join(field + "*" * tested.is_set(name, field)
+                shown = ", ".join(field + "*" * tested.is_set(qualname, field)
                                   for field in unset)
                 found.append(self._violation(
                     info.modname, qualname, info.lineno,
-                    f"config class {name}: no entry point sets {shown} "
+                    f"settings class {name}: no entry point sets {shown} "
                     f"(*: tests do) — one value in use, make each a "
                     f"constant beside its reader", snippet=", ".join(unset)))
         return found
