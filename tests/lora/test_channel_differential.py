@@ -22,10 +22,12 @@ listeners with a receiver only; the second run's deliveries and counters
 must equal the oracle's too.  ``tests/lora/test_channel_margin.py`` holds the
 cases built to sit exactly on a threshold.
 
-Three layers: a seeded corpus of 200+ random overlapping-transmission
-cases, a hypothesis search over the same space, and a full 5-gateway
-paper-shaped network run whose exported JSONL traces must be
-byte-identical with the oracle installed in every site.
+Three layers: seeded corpora — 200+ random overlapping-transmission
+cases, and a family whose interferers share the deployments' two power
+levels and a few positions (the per-power loudest-interferer reduction,
+over shared cached rows) — a hypothesis search over the first space,
+and a full 5-gateway paper-shaped network run whose exported JSONL
+traces must be byte-identical with the oracle installed in every site.
 """
 
 from __future__ import annotations
@@ -140,6 +142,62 @@ def test_seeded_corpus_pins_vector_to_scalar():
                             for _, listener, verdict, _ in production[1])
     # Frames were delivered at listeners with no receiver.
     assert counted_only > CORPUS_CASES // 4
+
+
+# The sensor and the RX2-downlink power of the deployments (dBm).
+SHARED_POWERS = (14.0, 27.0)
+SHARED_POWER_CASES = 120
+
+
+def shared_power_case(rng: random.Random):
+    """One scenario whose interferers share power levels and positions.
+
+    Powers come from ``SHARED_POWERS`` and transmitters from three spots,
+    on one spreading factor and two channels, so a completing frame often
+    has several interferers at one power, some of them sharing a cached
+    row: the per-power reduction of the loudest interferer is exercised.
+    """
+    spots = [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000))
+             for _ in range(3)]
+    listeners = []
+    for li in range(rng.randint(1, 5)):
+        owner = f"dev-{li}" if rng.random() < 0.5 else None
+        listeners.append((f"ls-{li}",
+                          (rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)),
+                          owner, rng.random() < 0.7))
+    transmissions = []
+    for _ in range(rng.randint(3, 9)):
+        transmissions.append((
+            rng.choice(TIME_GRID[:7]),
+            f"dev-{rng.randint(0, 5)}",
+            rng.choice(spots),
+            7,
+            rng.randint(0, 1),
+            rng.choice(SHARED_POWERS),
+            rng.randint(4, 24),
+        ))
+    return listeners, transmissions
+
+
+def test_shared_power_corpus_pins_per_power_reduction(monkeypatch):
+    seen = []
+    real = RadioChannel._deliver
+
+    def recorded(self, transmission, interferers):
+        seen.append([(other.power_dbm, other.position)
+                     for other in interferers])
+        return real(self, transmission, interferers)
+
+    monkeypatch.setattr(RadioChannel, "_deliver", recorded)
+    rng = random.Random(0xBC_2B)
+    for _ in range(SHARED_POWER_CASES):
+        assert_matches_oracle(*shared_power_case(rng))
+    # Completions with two interferers at one power, and with two at one
+    # power and one position (one cached row object for both).
+    powers = sum(len(others) > len({p for p, _ in others})
+                 for others in seen)
+    rows = sum(len(others) > len(set(others)) for others in seen)
+    assert powers > 300 and rows > 150, (powers, rows)
 
 
 def test_exact_tie_and_capture_edge():
