@@ -1,7 +1,7 @@
 """Event-loop microbenchmark: a fixed kernel mix, counted events, printed clocks.
 
 Every simulated workload runs on ``repro.sim.core.Simulator``: one heap
-pop and one ``_process()`` per event.  The mix here exercises each kind
+pop and one event processed per step.  The mix here exercises each kind
 of event the program schedules — ``WORKERS`` processes, each looping
 ``ROUNDS`` times over a timeout, a ``call_in`` callback that fires a
 plain event, an ``AnyOf`` race between that event and a timeout, and a
@@ -13,7 +13,9 @@ The gate is on the *count* of events processed, which repeats exactly:
 a kernel that schedules one event more or less per step changes it.  The
 microseconds per event are printed for the record only, so the test also
 runs in CI's ``--benchmark-disable`` lane on a host whose clock cannot be
-trusted.
+trusted.  Beside them, on the record too, the same mix on the layered
+kernel the flat per-event path replaced (``tests/oracles/sim_reference.py``),
+the two run alternately.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import random
 import time
 
 from benchmarks.conftest import print_header, print_row
-from repro.sim.core import Simulator
+from repro.sim import core
+from tests.oracles import sim_reference
 
 WORKERS = 200
 ROUNDS = 50
@@ -49,9 +52,9 @@ def _worker(sim, rng, finished):
     finished.append(sim.now)
 
 
-def _run_mix() -> tuple[Simulator, list[float], float]:
+def _run_mix(kernel=core) -> tuple[core.Simulator, list[float], float]:
     rng = random.Random(11)
-    sim = Simulator()
+    sim = kernel.Simulator()
     finished: list[float] = []
     for _ in range(WORKERS):
         sim.process(_worker(sim, random.Random(rng.getrandbits(64)),
@@ -62,9 +65,13 @@ def _run_mix() -> tuple[Simulator, list[float], float]:
 
 
 def test_event_loop_mix_counts_and_clock():
-    runs = [_run_mix() for _ in range(3)]
+    runs, earlier = [], []
+    for _ in range(3):
+        earlier.append(_run_mix(sim_reference))
+        runs.append(_run_mix())
     sim, finished, _elapsed = runs[0]
     best = min(elapsed for _sim, _finished, elapsed in runs)
+    best_earlier = min(elapsed for _sim, _finished, elapsed in earlier)
     events = sim.events_processed
 
     print_header(f"Event loop, {WORKERS} processes x {ROUNDS} rounds "
@@ -74,9 +81,12 @@ def test_event_loop_mix_counts_and_clock():
     print_row("events per round", round(events / (WORKERS * ROUNDS), 3))
     print_row("simulated seconds", round(sim.now, 3))
     print_row("us per event (best of 3)", round(best / events * 1e6, 3))
+    print_row("  earlier kernel (record)",
+              round(best_earlier / events * 1e6, 3))
 
     assert len(finished) == WORKERS
-    assert all(other.events_processed == events for other, _f, _e in runs)
+    assert all(other.events_processed == events
+               for other, _f, _e in runs + earlier)
     assert events == EVENTS, (
         f"{events} events for the fixed mix, not {EVENTS}: the kernel "
         f"schedules a different number of events per step")

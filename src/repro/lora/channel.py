@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,9 +50,14 @@ from repro.sim.core import Simulator
 __all__ = ["Position", "PathLossModel", "RadioChannel", "Transmission", "Listener"]
 
 
-@dataclass(frozen=True)
-class Position:
-    """A planar position in meters."""
+class Position(NamedTuple):
+    """A planar position in meters.
+
+    A tuple record: hashing and equality are the tuple's, run in C
+    (``hash(p) == hash((x, y))``), which matters because every completed
+    frame looks its sender's and each interferer's position up in the
+    path-loss row cache.
+    """
 
     x: float = 0.0
     y: float = 0.0
@@ -182,7 +187,7 @@ def _split(values: np.ndarray, bounds: tuple[float, float]):
     return high, (low ^ high).nonzero()[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """One frame in flight on the medium."""
 
@@ -195,14 +200,9 @@ class Transmission:
     start: float
     end: float
 
-    def overlaps(self, other: "Transmission") -> bool:
-        return self.start < other.end and other.start < self.end
 
-    def interferes_with(self, other: "Transmission") -> bool:
-        """Same channel and spreading factor (orthogonal SFs ignored)."""
-        return (self.frequency_hz == other.frequency_hz
-                and self.modulation.spreading_factor
-                == other.modulation.spreading_factor)
+_END = attrgetter("end")
+_NO_INDICES = np.empty(0, dtype=np.intp)
 
 
 Deliver = Callable[[LoRaFrame, float], None]  # (frame, rssi_dbm)
@@ -289,7 +289,7 @@ class RadioChannel:
         self._xs = self._ys = np.empty(0)
         self._delivers: list[Optional[Deliver]] = []
         self._receivers = np.empty(0, dtype=np.intp)  # deliver is not None
-        self._owner_indices: dict[str, list[int]] = {}
+        self._owner_indices: dict[str, np.ndarray] = {}
         self._loss_rows: dict[Position, np.ndarray] = {}
 
     def add_listener(self, listener: Listener) -> None:
@@ -315,32 +315,40 @@ class RadioChannel:
         Delivery decisions are evaluated when the frame's airtime ends.
         """
         airtime = modulation.time_on_air(frame.wire_size())
-        transmission = Transmission(
-            sender=sender, frame=frame, modulation=modulation,
-            frequency_hz=frequency_hz, power_dbm=power_dbm,
-            position=position, start=self.sim.now, end=self.sim.now + airtime,
-        )
+        now = self.sim.now
+        transmission = Transmission(sender, frame, modulation, frequency_hz,
+                                    power_dbm, position, now, now + airtime)
         self._active.append(transmission)
         self.frames_sent += 1
         self.sim.call_at(transmission.end, lambda: self._complete(transmission))
         return transmission
 
     def _complete(self, transmission: Transmission) -> None:
-        self._active.remove(transmission)
-        self._history.append(transmission)
+        active, history = self._active, self._history
+        active.remove(transmission)
+        history.append(transmission)
         # An ended frame can still overlap only a frame that began before
         # it ended: this one, or one still on the air (the oldest of which
-        # is first).  Whatever starts later starts after every end here.
-        horizon = transmission.start
-        if self._active:
-            horizon = min(horizon, self._active[0].start)
-        self._history = [t for t in self._history if t.end > horizon]
+        # is first).  Whatever starts later starts after every end here;
+        # the history is rebuilt only when an entry has ended by then.
+        start, end = transmission.start, transmission.end
+        horizon = start
+        if active and active[0].start < horizon:
+            horizon = active[0].start
+        if min(map(_END, history)) <= horizon:
+            self._history = history = [t for t in history if t.end > horizon]
 
+        # The interferers: the frames on the air, then the ended ones,
+        # that overlap this one in time on its frequency and spreading
+        # factor (orthogonal spreading factors are ignored).
+        frequency = transmission.frequency_hz
+        spreading_factor = transmission.modulation.spreading_factor
         interferers = [
-            other for other in (self._active + self._history)
+            other for other in active + history
             if other is not transmission
-            and transmission.overlaps(other)
-            and transmission.interferes_with(other)
+            and start < other.end and other.start < end
+            and other.frequency_hz == frequency
+            and other.modulation.spreading_factor == spreading_factor
         ]
         self._deliver(transmission, interferers)
 
@@ -357,7 +365,8 @@ class RadioChannel:
         for i, ls in enumerate(listeners):
             if ls.half_duplex_owner is not None:
                 owners.setdefault(ls.half_duplex_owner, []).append(i)
-        self._owner_indices = owners
+        self._owner_indices = {owner: np.array(indices, dtype=np.intp)
+                               for owner, indices in owners.items()}
         self._loss_rows.clear()
         self._snapshot_version = self._listener_version
 
@@ -371,13 +380,16 @@ class RadioChannel:
         """The fast path loss from ``position`` to every listener."""
         rows = self._loss_rows
         row = rows.pop(position, None)
-        if row is None:
-            self.loss_rows_built += 1
-            row = self.path_loss.fast_row_db(position.x - self._xs,
-                                             position.y - self._ys)
-        else:
+        if row is not None:
+            # A hit moves the row last and leaves the cache's size as it
+            # was, within the budget.
             self.loss_row_hits += 1
-        rows[position] = row  # most recently used last
+            rows[position] = row  # most recently used last
+            return row
+        self.loss_rows_built += 1
+        row = self.path_loss.fast_row_db(position.x - self._xs,
+                                         position.y - self._ys)
+        rows[position] = row
         if len(rows) * row.nbytes > LOSS_ROW_CACHE_BYTES:
             del rows[next(iter(rows))]
         return row
@@ -390,19 +402,17 @@ class RadioChannel:
         if count == 0:
             return
         sender = transmission.sender
-        own_radios = self._owner_indices.get(sender, ())
+        own_radios = self._owner_indices.get(sender, _NO_INDICES)
         spreading_factor = transmission.modulation.spreading_factor
         # Fast rows decide; a verdict within the margin of its
         # threshold is decided again on exact values.
         own_row = self._loss_row(transmission.position)
-        exact_rssi = partial(self._exact_rssi, transmission, own_row)
         rssi = transmission.power_dbm - own_row
         audible, near = _split(rssi, _SENSITIVITY_BOUNDS[spreading_factor])
         if near is not None:
-            audible[near] = (exact_rssi(near)
+            audible[near] = (self._exact_rssi(transmission, own_row, near)
                              >= SENSITIVITY_DBM[spreading_factor])
-        if own_radios:
-            audible[own_radios] = False
+        audible[own_radios] = False
         delivered = audible
         if interferers:
             # A listener is suppressed if any interferer lands within the
@@ -429,7 +439,7 @@ class RadioChannel:
             survives, near = _split(np.subtract(rssi, loudest, out=loudest),
                                     _CAPTURE_BOUNDS)
             if near is not None:
-                wanted = exact_rssi(near)
+                wanted = self._exact_rssi(transmission, own_row, near)
                 survives[near] = np.logical_and.reduce([
                     wanted - self._exact_rssi(other, other_row, near)
                     >= CAPTURE_THRESHOLD_DB for other, other_row in others])
@@ -448,10 +458,12 @@ class RadioChannel:
         # otherwise the delivered listeners that have a receiver.
         log = self.verdict_log
         if log is not None:
-            levels = exact_rssi(slice(None)).tolist()
+            levels = self._exact_rssi(transmission, own_row,
+                                      slice(None)).tolist()
             heard = audible.tolist()
+            own = set(own_radios.tolist())
             for i, hit in enumerate(delivered.tolist()):
-                if i in own_radios:
+                if i in own:
                     continue
                 verdict = ("delivered" if hit
                            else "collision" if heard[i] else "sensitivity")
@@ -462,7 +474,8 @@ class RadioChannel:
             if at.size:
                 frame = transmission.frame
                 delivers = self._delivers
-                for i, level in zip(at.tolist(), exact_rssi(at).tolist()):
+                levels = self._exact_rssi(transmission, own_row, at).tolist()
+                for i, level in zip(at.tolist(), levels):
                     delivers[i](frame, level)
 
     def _exact_rssi(self, transmission: Transmission, fast_row: np.ndarray,

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError
 from repro.lora.channel import Listener, Position, RadioChannel, Transmission
 from repro.lora.dutycycle import DutyCycleLimiter
 from repro.lora.frames import LoRaFrame
-from repro.lora.phy import LoRaModulation
+from repro.lora.phy import MAX_PAYLOAD_BYTES, LoRaModulation
 
 __all__ = ["LoRaRadio", "EU868_UPLINK_CHANNELS", "EU868_DOWNLINK_CHANNEL",
            "EU868_DOWNLINK_DUTY_CYCLE"]
@@ -86,9 +86,6 @@ class LoRaRadio:
         for handler in self._receive_handlers:
             handler(frame, rssi)
 
-    def time_on_air(self, frame: LoRaFrame) -> float:
-        return self.modulation.time_on_air(frame.wire_size())
-
     def duty_cycle_wait(self) -> float:
         """Seconds until some channel permits the next transmission."""
         now = self.sim.now
@@ -109,25 +106,32 @@ class LoRaRadio:
         """A simulation process: wait for duty cycle, transmit, wait airtime.
 
         Yields until the frame's airtime completes; returns the
-        :class:`Transmission` record.
+        :class:`Transmission` record.  A frame longer than one LoRa PHY
+        payload (``MAX_PAYLOAD_BYTES``) is refused with
+        :class:`ConfigurationError` before the radio books anything.
         """
+        size = frame.wire_size()
+        if size > MAX_PAYLOAD_BYTES:
+            raise ConfigurationError(
+                f"{type(frame).__name__} of {size} bytes exceeds the "
+                f"{MAX_PAYLOAD_BYTES}-byte LoRa payload")
+        channel = self.channel
+        sim = channel.sim
         yield self._tx_lock.acquire()
         try:
             frequency, wait = self._pick_channel()
             if wait > 0:
-                yield self.sim.timeout(wait)
+                yield sim.timeout(wait)
             # ``now + (not_before - now)`` can land one ulp short of
             # ``not_before``; the transmission counts from the permitted
             # instant, which is ``now`` itself in every other case.
             limiter = self.limiters[frequency]
-            airtime = self.time_on_air(frame)
-            limiter.register(limiter.next_allowed(self.sim.now), airtime)
-            transmission = self.channel.transmit(
-                sender=self.name, position=self.position, frame=frame,
-                modulation=self.modulation, frequency_hz=frequency,
-                power_dbm=self.power_dbm,
-            )
-            yield self.sim.timeout(airtime)
+            airtime = self.modulation.time_on_air(size)
+            limiter.register(limiter.next_allowed(sim.now), airtime)
+            transmission = channel.transmit(
+                self.name, self.position, frame, self.modulation, frequency,
+                self.power_dbm)
+            yield sim.timeout(airtime)
         finally:
             self._tx_lock.release()
         return transmission

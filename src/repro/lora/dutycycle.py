@@ -50,7 +50,8 @@ class DutyCycleLimiter:
 
     def wait_time(self, now: float) -> float:
         """Seconds until transmission is permitted (0 if allowed now)."""
-        return max(0.0, self._not_before - now)
+        wait = self._not_before - now
+        return wait if wait > 0.0 else 0.0  # max(0.0, wait), with no call
 
     def register(self, start: float, time_on_air: float) -> None:
         """Account a transmission beginning at ``start``.

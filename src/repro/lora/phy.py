@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "SpreadingFactor",
     "LoRaModulation",
+    "MAX_PAYLOAD_BYTES",
     "SENSITIVITY_DBM",
     "SNR_THRESHOLD_DB",
 ]
@@ -39,6 +40,16 @@ CODING_RATE = 1
 PREAMBLE_SYMBOLS = 8
 IMPLICIT_HEADER = 0
 CRC_ON = 1
+
+# The most payload one LoRa PHY frame carries: its explicit header counts
+# the payload in one byte (SX1276 data sheet, ``RegPayloadLength``).
+MAX_PAYLOAD_BYTES = 255
+
+# ``(spreading factor, payload bytes) -> time on air``: a frame's airtime
+# is computed once per size, then looked up (a radio asks for it once to
+# book its duty cycle and the channel once more to schedule the frame's
+# end).
+_AIRTIMES: dict[tuple[int, int], float] = {}
 
 
 class SpreadingFactor(int):
@@ -94,8 +105,13 @@ class LoRaModulation:
 
     def time_on_air(self, payload_bytes: int) -> float:
         """Total frame airtime in seconds for ``payload_bytes`` of payload."""
-        return (self.preamble_time
+        key = (self.spreading_factor, payload_bytes)
+        airtime = _AIRTIMES.get(key)
+        if airtime is None:
+            airtime = _AIRTIMES[key] = (
+                self.preamble_time
                 + self.payload_symbols(payload_bytes) * self.symbol_time)
+        return airtime
 
     @property
     def nominal_bitrate(self) -> float:

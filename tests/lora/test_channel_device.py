@@ -20,7 +20,7 @@ from repro.lora.device import (
     LoRaRadio,
 )
 from repro.lora.frames import DataFrame, KeyRequestFrame, KeyResponseFrame
-from repro.lora.phy import LoRaModulation
+from repro.lora.phy import MAX_PAYLOAD_BYTES, LoRaModulation
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 from tests.oracles.channel_reference import distance
@@ -269,7 +269,7 @@ def test_handler_attached_mid_run_receives_from_the_next_frame():
 
     sim.process(three_frames())
     # After the first frame's end, before the second one's.
-    first_end = node.time_on_air(data_frame())
+    first_end = node.modulation.time_on_air(data_frame().wire_size())
     sim.call_at(first_end * 1.5, attach)
     sim.run()
     assert ends[0] < first_end * 1.5 < ends[1]
@@ -388,7 +388,7 @@ def test_send_survives_waking_one_ulp_before_the_duty_boundary():
     sim.run()
     assert limiter.transmissions == 1
     # The off-period counts from the permitted instant, not the wake-up.
-    airtime = node.time_on_air(data_frame())
+    airtime = node.modulation.time_on_air(data_frame().wire_size())
     assert limiter.next_allowed(0.0) == not_before + airtime + (
         airtime / limiter.duty_cycle - airtime)
 
@@ -404,6 +404,35 @@ def test_total_airtime_and_count():
     sim.run()
     assert node.transmissions == 1
     assert node.total_airtime > 0
+
+
+def test_send_refuses_a_frame_past_the_lora_payload_before_booking_it():
+    sim, channel = make_channel()
+    node = LoRaRadio("n", channel)
+    largest = DataFrame(sender="n", encrypted_message=bytes(187),
+                        signature=bytes(64))
+    oversized = DataFrame(sender="n", encrypted_message=bytes(188),
+                          signature=bytes(64))
+    assert largest.wire_size() == MAX_PAYLOAD_BYTES == 255
+    assert oversized.wire_size() == 256
+    refused = []
+
+    def run():
+        try:
+            yield from node.send(oversized)
+        except ConfigurationError as error:
+            refused.append(str(error))
+        # Nothing was booked: no duty cycle spent, the lock free, no frame
+        # on the air.
+        assert (node.transmissions, node.total_airtime) == (0, 0.0)
+        assert not node._tx_lock.locked and channel.frames_sent == 0
+        yield from node.send(largest)
+
+    sim.process(run())
+    sim.run()
+    assert refused == ["DataFrame of 256 bytes exceeds the 255-byte LoRa "
+                       "payload"]
+    assert node.transmissions == channel.frames_sent == 1
 
 
 def test_frames_wire_sizes():

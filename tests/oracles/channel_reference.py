@@ -4,9 +4,12 @@ The delivery loop (``_deliver_scalar`` in ``src/`` while ``RadioChannel``
 still took ``kernel=``), ``_received_power`` and
 ``_suppressed_by_collision`` exactly as they stood there: one listener at a
 time, one interferer at a time, one :func:`loss_db` call per link.  The
-scalar path loss, :func:`distance` and :func:`loss_db`, is the seed's
-``Position.distance_to`` and ``PathLossModel.loss_db``; the production
-``PathLossModel.loss_row_db`` is these two, bit for bit, over a row.
+interferer tests, :func:`overlaps` and :func:`interferes_with`, are the
+seed's ``Transmission`` methods of those names (the production channel
+inlines them).  The scalar path loss, :func:`distance` and
+:func:`loss_db`, is the seed's ``Position.distance_to`` and
+``PathLossModel.loss_db``; the production ``PathLossModel.loss_row_db``
+is these two, bit for bit, over a row.
 Around them this channel knows nothing the production one knows — no
 numpy, no cached path-loss row, no listener snapshot, and no pruned
 interferer window: a completing frame is checked against every
@@ -45,6 +48,18 @@ def loss_db(model: PathLossModel, metres: float) -> float:
     return model.REFERENCE_LOSS_DB + 10 * model.EXPONENT * math.log10(
         metres / model.REFERENCE_DISTANCE
     )
+
+
+def overlaps(a: Transmission, b: Transmission) -> bool:
+    """The two frames share some instant on the air."""
+    return a.start < b.end and b.start < a.end
+
+
+def interferes_with(a: Transmission, b: Transmission) -> bool:
+    """Same channel and spreading factor (orthogonal SFs ignored)."""
+    return (a.frequency_hz == b.frequency_hz
+            and a.modulation.spreading_factor
+            == b.modulation.spreading_factor)
 
 
 def frame_counters(channel) -> tuple[int, int, int, int]:
@@ -99,8 +114,8 @@ class ReferenceRadioChannel:
         interferers = [
             other for other in (self._active + self._ended)
             if other is not transmission
-            and transmission.overlaps(other)
-            and transmission.interferes_with(other)
+            and overlaps(transmission, other)
+            and interferes_with(transmission, other)
         ]
         self._deliver(transmission, interferers)
 

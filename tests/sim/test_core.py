@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.core import Lock, SimulationError, Simulator
+from repro.sim.core import Lock, SimulationError, Simulator, Timeout
 
 
 def test_timeout_advances_clock():
@@ -64,7 +64,7 @@ def test_process_receives_timeout_value():
     got = []
 
     def worker(sim):
-        value = yield sim.timeout(1.0, value="payload")
+        value = yield Timeout(sim, 1.0, value="payload")
         got.append(value)
 
     sim.process(worker(sim))
@@ -124,8 +124,8 @@ def test_any_of_returns_first():
 
     def collector(sim):
         value = yield sim.any_of([
-            sim.timeout(5.0, value="slow"),
-            sim.timeout(1.0, value="fast"),
+            Timeout(sim, 5.0, value="slow"),
+            Timeout(sim, 1.0, value="fast"),
         ])
         results.append((sim.now, value))
 

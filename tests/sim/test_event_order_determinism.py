@@ -30,7 +30,7 @@ from repro.obs.export import export_trace_jsonl
 from repro.obs.tracing import Tracer
 from repro.script.builder import p2pkh_locking
 from repro.script.script import Script, encode_number
-from repro.sim.core import Simulator
+from repro.sim.core import AnyOf, Simulator, Timeout
 
 NODES = ("gw-0", "gw-1", "gw-2")
 BLOCKS = 5
@@ -267,10 +267,33 @@ def test_a_drained_queue_holds_no_event_or_callback():
         refs += [weakref.ref(callback), weakref.ref(token),
                  weakref.ref(generator)]
         sim.call_in(rng.uniform(0, 50), callback)
-        sim.timeout(rng.uniform(0, 50), value=token)
+        Timeout(sim, rng.uniform(0, 50), value=token)
         sim.process(generator)
     del callback, token, generator
     sim.run()
     assert len(log) == 4000
     assert not sim._queue
     assert [ref for ref in refs if ref() is not None] == []
+
+
+class _Race(AnyOf):
+    """An ``AnyOf`` that can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("fired_first", [True, False])
+def test_an_any_of_over_a_fired_child_is_not_kept_alive_by_it(fired_first):
+    # A child that has already fired wins the race at once; it must not be
+    # handed the composite's callback, which would never fire and never go.
+    sim = Simulator()
+    fired = sim.event().succeed("done")
+    sim.run()
+    waiting = sim.event()
+    race = _Race(sim, [fired, waiting] if fired_first else [waiting, fired])
+    winner = weakref.ref(race)
+    sim.run()
+    assert race.processed and race.value == "done"
+    del race
+    assert winner() is None
+    assert fired.callbacks == [] and waiting.callbacks == []
