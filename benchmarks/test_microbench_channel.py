@@ -1,23 +1,25 @@
 """Radio channel microbenchmark: counted exact path-loss elements and rows
 built, printed clocks.
 
-**Fast rows decide, exact values leave, and only to a receiver** —
-``RadioChannel`` caches path-loss rows built by numpy's ``log10`` of the
-squared distance and computes exact ``math`` losses
+**Squared distances decide, exact values leave, and only to a receiver**
+— ``RadioChannel`` caches rows of clamped squared distances ``max(dx**2
++ dy**2, 1)`` (``_squared_row``: two subtractions, two in-place squares,
+one add and one clamp; no logarithm) and decides both tests on them
+against memoised bounds.  It computes exact ``math`` losses
 (``PathLossModel.loss_row_db``) only where a verdict sits within the
-decision margin of its threshold and for the RSSIs it hands out: those of
-the delivered listeners that have a receive handler.  In the 1000-sensor
-cell of ``python -m bench --workload radio_cell`` only the gateway has
-one, so a completed frame costs 0.15 exact elements (one per frame the
-gateway hears; 0.148 in the shorter run here).  Computed for every
-delivered listener, as when a radio with no handler was still called, it
-was ≈ 92 (91.7 delivered listeners per frame here); when every cached row
-was exact, ≈ 870 (0.87 rows of 1001 listeners; the run here builds 0.895
-rows, 896 elements).
+decision margin of its threshold and for the RSSIs it hands out: those
+of the delivered listeners that have a receive handler.  In the
+1000-sensor cell of ``python -m bench --workload radio_cell`` only the
+gateway has one, so a completed frame costs 0.15 exact elements (one per
+frame the gateway hears; 0.148 in the shorter run here).  Computed for
+every delivered listener, as when a radio with no handler was still
+called, it was ≈ 92 (91.7 delivered listeners per frame here); when
+every cached row was exact, ≈ 870 (0.87 rows of 1001 listeners; the run
+here builds 0.895 rows, 896 elements).
 
 The gates are on counts, which repeat exactly: the elements that pass
 through the exact builder, at most ``EXACT_PER_FRAME_GATE`` per completed
-frame, and the fast rows built, at most ``ROWS_PER_FRAME_GATE`` per
+frame, and the rows built, at most ``ROWS_PER_FRAME_GATE`` per
 completed frame, so a faster kernel cannot hide a cache that keeps fewer
 rows.  The microseconds per completion, at 31, 101 and 1001 listeners (a
 paper site, a fleet site, this cell), are printed for the record only,
@@ -37,7 +39,7 @@ import numpy as np
 from benchmarks.conftest import print_header, print_row
 from repro.lora import (DataFrame, LoRaFrame, LoRaRadio, Position,
                         RadioChannel)
-from repro.lora.channel import PathLossModel
+from repro.lora.channel import PathLossModel, _squared_row
 from repro.sim.core import Simulator
 
 SENSORS = 1000
@@ -47,7 +49,7 @@ ALL_EXACT_PER_FRAME = 870
 # Exact elements per completed frame, at most: measured 0.148, the frames
 # the gateway heard (no verdict in this run sat within the margin).
 EXACT_PER_FRAME_GATE = 0.2
-# Fast rows built per completed frame, at most: 1784 rows over the 1993
+# Rows built per completed frame, at most: 1784 rows over the 1993
 # frames of this run, what the row cache of 1 MiB builds here.
 ROWS_PER_FRAME_GATE = 1784 / 1993
 # The cells whose clock is printed: a paper site, a fleet site, this cell.
@@ -156,12 +158,14 @@ def test_exact_elements_per_frame(monkeypatch):
     for sensors in CLOCKED_CELLS:
         print_row(f"us per frame, {sensors + 1} listeners",
                   _us_per_completion(sensors))
-    print_row("ms per row, fast builder", _ms_per_row(model.fast_row_db))
+    origin = Position(0.0, 0.0)
+    print_row("ms per row, squared distances", _ms_per_row(
+        lambda xs, ys: _squared_row(xs, ys, origin)))
     print_row("ms per row, exact builder", _ms_per_row(model.loss_row_db))
 
     assert per_frame <= EXACT_PER_FRAME_GATE, (
         f"{per_frame:.3f} exact elements per frame, more than "
         f"{EXACT_PER_FRAME_GATE}: exact RSSIs for radios nobody reads?")
     assert rows_per_frame <= ROWS_PER_FRAME_GATE, (
-        f"{rows_per_frame:.4f} fast rows built per frame, more than "
+        f"{rows_per_frame:.4f} rows built per frame, more than "
         f"{ROWS_PER_FRAME_GATE:.4f}: the row cache keeps fewer rows?")

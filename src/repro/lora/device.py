@@ -88,19 +88,21 @@ class LoRaRadio:
 
     def duty_cycle_wait(self) -> float:
         """Seconds until some channel permits the next transmission."""
-        now = self.sim.now
-        return min(l.wait_time(now) for l in self.limiters.values())
+        return self._pick_channel()[1]
 
     def _pick_channel(self) -> tuple[int, float]:
-        """The frequency with the shortest regulatory wait (stable tie)."""
+        """The frequency with the shortest regulatory wait (the first one
+        on a tie) and that wait, in one pass over the limiters that stops
+        at the first channel free now."""
         now = self.sim.now
-        best_frequency = self.frequencies[0]
-        best_wait = self.limiters[best_frequency].wait_time(now)
-        for frequency in self.frequencies[1:]:
-            wait = self.limiters[frequency].wait_time(now)
-            if wait < best_wait:
-                best_frequency, best_wait = frequency, wait
-        return best_frequency, best_wait
+        best = None
+        for frequency, limiter in self.limiters.items():
+            wait = limiter.wait_time(now)
+            if not wait:
+                return frequency, wait
+            if best is None or wait < best[1]:
+                best = frequency, wait
+        return best
 
     def send(self, frame: LoRaFrame):
         """A simulation process: wait for duty cycle, transmit, wait airtime.

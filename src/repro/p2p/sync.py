@@ -239,6 +239,8 @@ class SyncAgent(Counted):
     # the fork point, and how far below the local tip the walk starts.
     HEADER_WINDOW = 32
     HEADER_OVERLAP = 8
+    # Responder-side cap on the txids of one ``GetTxsMessage`` looked up.
+    MAX_TXS_PER_REQUEST = 1024
     # Automatic retransmissions of an unanswered catch-up request before
     # the session is abandoned.
     SESSION_RETRIES = 2
@@ -407,7 +409,8 @@ class SyncAgent(Counted):
     def _on_get_txs(self, envelope: Envelope) -> None:
         node = self.daemon.node
         found = []
-        for txid in envelope.payload.txids:
+        # A peer picks the list: look up at most one request's worth of it.
+        for txid in envelope.payload.txids[:self.MAX_TXS_PER_REQUEST]:
             tx = node.mempool.get(txid)
             if tx is not None:
                 found.append(tx)

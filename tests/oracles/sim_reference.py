@@ -299,7 +299,11 @@ class Simulator:
 
     def run(self, until: Optional[float] = None,
             max_events: int = 50_000_000) -> None:
-        """Run until the queue drains or the clock passes ``until``."""
+        """Run until the queue drains or the clock passes ``until``, which
+        may not lie before ``now``: the clock never runs back."""
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is at {self.now}")
         queue = self._queue
         pop = heapq.heappop
         remaining = max_events

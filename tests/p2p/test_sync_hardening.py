@@ -17,8 +17,8 @@ from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.crypto.keys import KeyPair
 from repro.p2p.network import FaultDecision, WANetwork
-from repro.p2p.sync import (GetHeadersMessage, HeadersMessage, SyncAgent,
-                             TipMessage)
+from repro.p2p.sync import (GetHeadersMessage, GetTxsMessage, HeadersMessage,
+                             SyncAgent, TipMessage, TxsMessage)
 from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
@@ -253,3 +253,28 @@ def test_a_hostile_header_range_reads_one_window():
     assert reads == list(range(1, window + 1))
     assert [len(reply.headers) for reply in replies] == [0, window]
     assert replies[1].headers[-1] == (window, chain.block_at(window).hash)
+
+
+def test_a_hostile_txid_list_is_looked_up_one_request_at_a_time():
+    """A peer picks the txids of a ``GetTxsMessage``; the responder looks
+    up at most ``MAX_TXS_PER_REQUEST`` of them, and has nothing to send
+    for txids it does not hold."""
+    sim, wan, daemons, _agents, _miners = build_mesh(sync_interval=50.0)
+    mempool = daemons[0].node.mempool
+    lookups, replies = [0], []
+    get = mempool.get
+
+    def counted(txid):
+        lookups[0] += 1
+        return get(txid)
+
+    def watch(env):
+        if isinstance(env.payload, TxsMessage):
+            replies.append(env.payload)
+
+    mempool.get = counted
+    wan.interceptor = watch
+    wan.send("n1", "n0", GetTxsMessage(txids=(bytes(32),) * 10**6))
+    sim.run(until=1.0)
+    assert lookups[0] == SyncAgent.MAX_TXS_PER_REQUEST
+    assert replies == []

@@ -46,6 +46,21 @@ def test_run_until_stops_clock():
     assert fired == [1]
 
 
+def test_run_until_an_earlier_instant_is_refused():
+    sim = Simulator()
+    fired = []
+    sim.call_in(10.0, lambda: fired.append(sim.now))
+    sim.call_in(20.0, lambda: fired.append(sim.now))
+    sim.run(until=15.0)
+    with pytest.raises(SimulationError, match="clock is at 15.0"):
+        sim.run(until=5.0)
+    assert sim.now == 15.0
+    # What is scheduled next counts from 15.0, not from 5.0.
+    sim.call_in(1.0, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [10.0, 16.0, 20.0]
+
+
 def test_process_returns_value():
     sim = Simulator()
 

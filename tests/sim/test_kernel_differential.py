@@ -185,3 +185,22 @@ def test_every_misuse_raises_on_both_kernels():
         assert error[0] == ("ValueError" if misuse == "child_raises"
                             else "SimulationError"), (misuse, error)
         assert _execute(core, program, None) == reference
+
+
+def test_both_kernels_refuse_to_run_the_clock_back():
+    observed = []
+    for kernel in (core, sim_reference):
+        sim = kernel.Simulator()
+        sim.call_in(10.0, lambda: None)
+        sim.call_in(20.0, lambda: None)
+        sim.run(until=15.0)
+        try:
+            sim.run(until=5.0)
+            error = None
+        except kernel.SimulationError as exc:
+            error = str(exc)
+        observed.append((error, sim.now, sim.events_processed,
+                         len(sim._queue)))
+    assert observed[0] == observed[1]
+    assert observed[0][:2] == ("cannot run until 5.0: the clock is at 15.0",
+                               15.0)
