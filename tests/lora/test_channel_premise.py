@@ -1,8 +1,9 @@
 """The decision margin's premise, checked at every listener of a dense cell.
 
-``RadioChannel`` decides verdicts on fast path-loss rows and checks that a
-fast element lies within ``_DECISION_MARGIN_DB`` of the exact one wherever
-it computes an exact value (``RadioChannel._exact_rssi``).  In a
+``RadioChannel`` decides verdicts on cached rows of squared distances and
+checks that the loss of a cached element lies within
+``_DECISION_MARGIN_DB`` of the exact one wherever it computes an exact
+value (``RadioChannel._exact_rssi``).  In a
 deployment it computes exact values only for the delivered listeners that
 have a receiver, which in a cell of sensors that only send is the gateway.
 With a ``verdict_log`` set it computes them at every listener of every
@@ -60,9 +61,9 @@ def test_premise_checked_at_every_listener_of_a_dense_cell(monkeypatch):
     checked = [0]
     real = RadioChannel._exact_rssi
 
-    def exact_rssi(self, transmission, fast_row, at):
+    def exact_rssi(self, transmission, squared_row, at):
         checked[0] += len(self._xs[at])
-        return real(self, transmission, fast_row, at)
+        return real(self, transmission, squared_row, at)
 
     monkeypatch.setattr(RadioChannel, "_exact_rssi", exact_rssi)
     channel, heard = logged_cell()
