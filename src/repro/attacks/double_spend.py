@@ -49,7 +49,7 @@ class DoubleSpendResult:
         return self.attacker_got_data
 
 
-def run_double_spend(confirmations_required: int = 0) -> DoubleSpendResult:
+def run_double_spend(confirmations_required: int) -> DoubleSpendResult:
     """Stage the §6 race under a given gateway confirmation policy.
 
     The attacker (a malicious recipient) holds a miner's ear: their

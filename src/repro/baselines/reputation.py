@@ -48,10 +48,6 @@ class ReputationReport:
         """Fraction of payments made that bought no delivery."""
         return self.stolen_payments / self.paid if self.paid else 0.0
 
-    @property
-    def delivery_rate(self) -> float:
-        return self.delivered / self.attempts if self.attempts else 0.0
-
 
 class ReputationExchange:
     """Pay-first exchanges guarded only by an EWMA reputation score.
@@ -119,7 +115,7 @@ class ReputationExchange:
         report.outcomes.append(outcome)
         return outcome
 
-    def simulate(self, exchanges_per_gateway: int = 100) -> ReputationReport:
+    def simulate(self, exchanges_per_gateway: int) -> ReputationReport:
         """Round-robin exchanges across all gateways."""
         report = ReputationReport()
         gateways = sorted(self.gateway_honesty)

@@ -108,9 +108,3 @@ class Block:
         header = BlockHeader(prev_hash=prev_hash, merkle_root=root,
                              timestamp=timestamp, nonce=nonce)
         return cls(header=header, transactions=txs)
-
-    def __str__(self) -> str:
-        return (
-            f"Block({self.hash.hex()[:16]}.., {len(self.transactions)} txs, "
-            f"t={self.header.timestamp:.3f})"
-        )

@@ -208,11 +208,10 @@ class Chain:
         pending = self._orphans.pop(block.hash, [])
         while pending:
             child = pending.pop()
-            child_parent = self._records.get(child.header.prev_hash)
-            if child_parent is None:  # pragma: no cover - defensive
-                continue
             try:
-                child_result = self._attach(child, child_parent)
+                # a pending child's parent attached just before it
+                child_result = self._attach(
+                    child, self._records[child.header.prev_hash])
             except ValidationError:
                 continue
             if child_result.status == "active":
@@ -263,18 +262,17 @@ class Chain:
     def _reorganize(self, new_tip: BlockRecord) -> AddBlockResult:
         """Switch the active chain to the branch ending at ``new_tip``."""
         # Collect the new branch back to the fork point.
+        # Every record's parent is a record, back to the active genesis.
         branch: list[BlockRecord] = []
-        cursor: Optional[BlockRecord] = new_tip
-        while cursor is not None and not self.is_active(cursor.hash):
+        cursor = new_tip
+        while not self.is_active(cursor.hash):
             if cursor.invalid:  # a side branch stored before it failed
                 for record in branch:
                     record.invalid = True
                 raise ValidationError(f"block {new_tip.hash.hex()[:16]}.. "
                                       f"descends from an invalid block")
             branch.append(cursor)
-            cursor = self._records.get(cursor.block.header.prev_hash)
-        if cursor is None:
-            raise ValidationError("side branch does not connect to the chain")
+            cursor = self._records[cursor.block.header.prev_hash]
         branch.reverse()
         fork_height = cursor.height
 

@@ -77,9 +77,6 @@ class ScriptCacheStats:
     hits: int = 0
     misses: int = 0
 
-    def snapshot(self) -> "ScriptCacheStats":
-        return ScriptCacheStats(hits=self.hits, misses=self.misses)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -286,7 +283,7 @@ class ValidationEngine:
     # -- stage 3: scripts ------------------------------------------------------
 
     def _interpreter(self, tx: Transaction, index: int, locking: Script,
-                     sighash_hint: Optional[bytes] = None,
+                     sighash_hint: Optional[bytes],
                      ) -> ScriptInterpreter:
         """An interpreter for one input, wired to the verdict memo."""
         memo = self.verdict_memo

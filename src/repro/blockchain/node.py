@@ -29,8 +29,7 @@ __all__ = ["FullNode"]
 class FullNode:
     """Chain state plus mempool for one network participant."""
 
-    def __init__(self, params: Optional[ChainParams] = None,
-                 name: str = "node") -> None:
+    def __init__(self, params: Optional[ChainParams], name: str) -> None:
         self.name = name
         self.chain = Chain(params)
         self.mempool = Mempool(self.chain)

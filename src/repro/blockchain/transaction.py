@@ -339,10 +339,3 @@ class Transaction:
         if self.locktime <= reference:
             return True
         return all(tx_input.sequence == SEQUENCE_FINAL for tx_input in self.inputs)
-
-    def __str__(self) -> str:
-        return (
-            f"Transaction({self.txid.hex()[:16]}.., "
-            f"{len(self.inputs)} in, {len(self.outputs)} out, "
-            f"locktime={self.locktime})"
-        )

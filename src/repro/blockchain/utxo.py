@@ -61,9 +61,6 @@ class UTXOSet:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, outpoint: OutPoint) -> bool:
-        return outpoint in self._entries
-
     def get(self, outpoint: OutPoint) -> Optional[UTXOEntry]:
         return self._entries.get(outpoint)
 
@@ -77,12 +74,6 @@ class UTXOSet:
         if outpoint in self._entries:
             raise ValidationError(f"duplicate UTXO: {outpoint}")
         self._entries[outpoint] = entry
-
-    def remove(self, outpoint: OutPoint) -> UTXOEntry:
-        entry = self._entries.pop(outpoint, None)
-        if entry is None:
-            raise ValidationError(f"missing UTXO: {outpoint}")
-        return entry
 
     def apply_delta(self, spent: dict[OutPoint, UTXOEntry],
                     added: dict[OutPoint, UTXOEntry]) -> None:
@@ -125,10 +116,6 @@ class UTXOSet:
             del entries[outpoint]
         entries.update(reversed(spent.items()))
         return added
-
-    def snapshot(self) -> dict[OutPoint, UTXOEntry]:
-        """A shallow copy of the current set (entries are immutable)."""
-        return dict(self._entries)
 
 
 class UTXOView:

@@ -268,7 +268,3 @@ class FaultPlan:
                 if math.isfinite(bound):
                     times.append(bound)
         return max(times)
-
-    @property
-    def empty(self) -> bool:
-        return not (self.link_faults or self.partitions or self.crashes)

@@ -48,9 +48,6 @@ class Federation:
     injector: Optional[ChaosInjector] = None
     _wallets: dict[str, Wallet] = field(default_factory=dict)
 
-    def daemon(self, name: str) -> BlockchainDaemon:
-        return self.daemons[name]
-
     def make_miner(self, name: str, key_seed: int) -> Miner:
         """A miner on ``name``'s chain with its own reward key.
 
@@ -65,9 +62,6 @@ class Federation:
         self._wallets[name] = wallet
         return Miner(chain=daemon.node.chain, mempool=daemon.node.mempool,
                      reward_pubkey_hash=wallet.pubkey_hash)
-
-    def wallet(self, name: str) -> Wallet:
-        return self._wallets[name]
 
     def run_plan(self, plan: FaultPlan) -> ChaosInjector:
         """Install ``plan`` over this federation (before ``sim.run``) and
@@ -87,7 +81,7 @@ WAN_LATENCY = 0.05
 CHAIN_PARAMS = ChainParams(coinbase_maturity=1)
 
 
-def build_federation(size: int = 6, seed: int = 0,
+def build_federation(size: int, seed: int,
                      sync_interval: float = 5.0) -> Federation:
     """A ``size``-gateway full mesh named ``gw-0`` .. ``gw-{size-1}``.
 

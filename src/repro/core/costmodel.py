@@ -80,7 +80,7 @@ class CostModel:
                 f"jitter sigma must be non-negative: {self.jitter_sigma}"
             )
 
-    def sample(self, mean: float, rng: Optional[random.Random] = None) -> float:
+    def sample(self, mean: float, rng: Optional[random.Random]) -> float:
         """One sampled duration around ``mean``."""
         if mean <= 0:
             return 0.0

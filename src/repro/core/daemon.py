@@ -198,8 +198,8 @@ class BlockchainDaemon:
         self._seen_blocks.add(block_hash)
         return True
 
-    def enqueue_network_block(self, block: Any, origin: str = "",
-                              trace: Any = None) -> Event:
+    def enqueue_network_block(self, block: Any, origin: str,
+                              trace: Any) -> Event:
         """Queue a network-received block for verification and adoption.
 
         The shared tail of full-block gossip and compact-sketch
@@ -246,11 +246,11 @@ class BlockchainDaemon:
         """
         return self._enqueue(service_mean, fn)
 
-    def rpc(self, fn: Optional[Callable[[], Any]] = None) -> Event:
+    def rpc(self, fn: Callable[[], Any]) -> Event:
         """A standard-cost JSON-RPC round (create/sign/send)."""
         return self.call(self.cost_model.daemon_rpc, fn)
 
-    def lookup(self, fn: Optional[Callable[[], Any]] = None) -> Event:
+    def lookup(self, fn: Callable[[], Any]) -> Event:
         """A directory lookup against the local chain view."""
         return self.call(self.cost_model.daemon_lookup, fn)
 

@@ -147,6 +147,3 @@ class DirectoryView:
     def lookup(self, address: str) -> Optional[Announcement]:
         """Resolve a blockchain address to its announced endpoint."""
         return self._entries.get(address)
-
-    def __len__(self) -> int:
-        return len(self._entries)

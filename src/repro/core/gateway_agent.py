@@ -60,7 +60,7 @@ class GatewayAgent:
                  daemon: BlockchainDaemon, wallet: Wallet,
                  directory: DirectoryView, wan: WANetwork,
                  cost_model: CostModel, tracker: ExchangeTracker,
-                 rng: random.Random, price: int = 100,
+                 rng: random.Random, price: int,
                  wait_for_confirmation: bool = False,
                  chain_id: str = "") -> None:
         self.sim = sim

@@ -261,8 +261,8 @@ class BcWANNetwork(DeploymentReporter, Testbed):
             ]
 
     def _build_site(self, i: int, name: str, producer: BlockProducer,
-                    actor_key: KeyPair, chain_id: str = "",
-                    region: int = 0) -> Site:
+                    actor_key: KeyPair, chain_id: str,
+                    region: int) -> Site:
         """One gateway site: node (replaying ``producer``'s bootstrap
         chain), daemon, wallet, radio and the gateway agent of the
         sub-chain ``chain_id``."""

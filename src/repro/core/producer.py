@@ -83,7 +83,7 @@ class BlockProducer:
     """
 
     def __init__(self, sim: Simulator, tracer: Tracer, master: FullNode,
-                 key: KeyPair, schedule: Schedule, chain_id: str = "") -> None:
+                 key: KeyPair, schedule: Schedule, chain_id: str) -> None:
         self.sim = sim
         self.tracer = tracer
         self.master = master

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.crypto import rsa
 from repro.errors import ConfigurationError
@@ -75,14 +74,12 @@ class RecipientRegistry:
 
 def provision_device(device_id: str, recipient_address: str,
                      registry: RecipientRegistry,
-                     rng: Optional[random.Random] = None
-                     ) -> DeviceCredentials:
+                     rng: random.Random) -> DeviceCredentials:
     """Generate and exchange a device's keys with its recipient.
 
     Returns the credentials to load on the node; the recipient-side
     material is entered into ``registry``.
     """
-    rng = rng or random.SystemRandom()
     symmetric_key = bytes(rng.randrange(256) for _ in range(32))
     signing_key = rsa.generate_keypair(rng=rng)
     registry.register(device_id, symmetric_key, signing_key.public_key)

@@ -169,7 +169,7 @@ class SpvLedger(Counted):
     GAUGES = {"balance": "wallet.balance"}
 
     def __init__(self, spv: SpvClient, wallet: LightWallet,
-                 refund_delta: int = 100) -> None:
+                 refund_delta: int) -> None:
         self.spv = spv
         self.wallet = wallet
         # The refund branch's locktime rides the *header* tip — the only

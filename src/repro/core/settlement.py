@@ -64,7 +64,7 @@ class CheckpointAgent(Counted):
                  anchor_daemon: BlockchainDaemon,
                  anchor_wallet: Wallet,
                  cost_model: CostModel, rng: random.Random,
-                 interval: float = 60.0) -> None:
+                 interval: float) -> None:
         self.sim = sim
         self.region_id = region_id
         self.sub_daemon = sub_daemon

@@ -98,10 +98,6 @@ class AES:
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
 
-    @property
-    def rounds(self) -> int:
-        return self._rounds
-
     def _expand_key(self, key: bytes) -> list[list[int]]:
         """Key schedule: expand to 4*(rounds+1) words, return round matrices."""
         nk = len(key) // 4

@@ -653,10 +653,8 @@ def _rfc6979_nonces(secret: int, message_hash: bytes):
         v = hmac_sha256(k, v)
 
 
-def generate_private_key(rng=None) -> PrivateKey:
-    """Generate a private key; pass a seeded RNG for reproducible keys."""
-    import random as _random
-    rng = rng or _random.SystemRandom()
+def generate_private_key(rng) -> PrivateKey:
+    """Generate a private key; a seeded RNG gives reproducible keys."""
     while True:
         secret = rng.getrandbits(256)
         if 0 < secret < CURVE_ORDER:

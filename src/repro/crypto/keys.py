@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from repro.crypto import base58, ecdsa
 from repro.crypto.hashing import hash160
@@ -53,7 +52,7 @@ class KeyPair:
         return hash160(self.public_key.to_bytes())
 
     @classmethod
-    def generate(cls, rng: Optional[random.Random] = None) -> "KeyPair":
+    def generate(cls, rng: random.Random) -> "KeyPair":
         return cls(private_key=ecdsa.generate_private_key(rng))
 
     def sign(self, message_hash: bytes) -> ecdsa.Signature:

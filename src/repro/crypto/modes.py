@@ -52,7 +52,7 @@ def unpad_pkcs7(data: bytes) -> bytes:
     return data[:-pad_len]
 
 
-def random_iv(rng: Optional[random.Random] = None) -> bytes:
+def random_iv(rng: Optional[random.Random]) -> bytes:
     """A fresh 16-byte CBC initialization vector."""
     rng = rng or random.SystemRandom()
     return bytes(rng.randrange(256) for _ in range(BLOCK_SIZE))

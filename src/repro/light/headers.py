@@ -35,9 +35,6 @@ class HeaderChain:
         self.headers_rejected = 0
         self.reorgs = 0
 
-    def __len__(self) -> int:
-        return len(self._headers)
-
     @property
     def tip_height(self) -> int:
         """Height of the best header; ``-1`` before genesis arrives."""
@@ -53,9 +50,6 @@ class HeaderChain:
         if 0 <= height < len(self._headers):
             return self._headers[height]
         return None
-
-    def contains(self, block_hash: bytes) -> bool:
-        return block_hash in self._heights
 
     # -- growth ----------------------------------------------------------------
 

@@ -73,7 +73,7 @@ class SpvClient(Counted):
 
     def __init__(self, sim: Simulator, network: Any, name: str,
                  peers: tuple[str, ...],
-                 sync_interval: float = 10.0,
+                 sync_interval: float,
                  tracer: Tracer = NULL_TRACER) -> None:
         if not peers:
             raise ValidationError(f"light client {name} needs serving peers")

@@ -67,14 +67,6 @@ class LoRaRadio:
     def sim(self):
         return self.channel.sim
 
-    @property
-    def total_airtime(self) -> float:
-        return sum(l.total_airtime for l in self.limiters.values())
-
-    @property
-    def transmissions(self) -> int:
-        return sum(l.transmissions for l in self.limiters.values())
-
     def on_receive(self, handler: Callable[[LoRaFrame, float], None]) -> None:
         """Register a callback for every frame this radio demodulates,
         from the next completed frame on."""

@@ -162,9 +162,6 @@ class ExchangeTracker:
 
     # -- queries -----------------------------------------------------------------
 
-    def get(self, exchange_id: int) -> Optional[ExchangeRecord]:
-        return self._records.get(exchange_id)
-
     def records(self) -> list[ExchangeRecord]:
         return list(self._records.values())
 

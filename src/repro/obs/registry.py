@@ -170,8 +170,7 @@ class MetricsRegistry:
 class StatsView(Mapping):
     """A read-only, sorted view of one component's stats.
 
-    The uniform return type of every ``stats()`` accessor: behaves as a
-    mapping, renders as an aligned table via :meth:`format`.
+    The uniform return type of every ``stats()`` accessor.
     """
 
     def __init__(self, values: Mapping[str, object]) -> None:
@@ -185,22 +184,6 @@ class StatsView(Mapping):
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def __repr__(self) -> str:
-        return f"StatsView({self._values!r})"
-
-    def format(self) -> str:
-        if not self._values:
-            return "(no stats)"
-        width = max(len(key) for key in self._values)
-        lines = []
-        for key, value in self._values.items():
-            if isinstance(value, float):
-                rendered = f"{value:.6g}"
-            else:
-                rendered = str(value)
-            lines.append(f"{key:<{width}}  {rendered}")
-        return "\n".join(lines)
 
 
 class Counted:

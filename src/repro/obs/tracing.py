@@ -66,10 +66,6 @@ class Span:
             return None
         return self.end_time - self.start
 
-    def __repr__(self) -> str:
-        return (f"Span({self.name!r}, trace={self.trace_id}, "
-                f"span={self.span_id}, status={self.status!r})")
-
 
 class _NullSpan:
     """The do-nothing span handed out by disabled tracers."""
@@ -84,19 +80,12 @@ class _NullSpan:
     status = "disabled"
     duration = 0.0
 
-    @property
-    def attrs(self) -> dict[str, Any]:
-        return {}
-
     def annotate(self, **attrs: Any) -> "_NullSpan":
         return self
 
     def end(self, status: str = "ok", at: Optional[float] = None,
             **attrs: Any) -> None:
         return None
-
-    def __repr__(self) -> str:
-        return "NULL_SPAN"
 
     def __bool__(self) -> bool:
         return False

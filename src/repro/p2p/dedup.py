@@ -11,7 +11,7 @@ old item — which validation dedups anyway).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterator
+from typing import Hashable
 
 from repro.errors import ConfigurationError
 
@@ -25,18 +25,12 @@ class LRUSet:
     relay keeps encountering stays cached, while one-shot items age out.
     """
 
-    def __init__(self, maxsize: int = 4096) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize <= 0:
             raise ConfigurationError(f"LRUSet maxsize must be positive: {maxsize}")
         self.maxsize = maxsize
         self.evictions = 0
         self._entries: OrderedDict[Hashable, None] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
         if key in self._entries:
@@ -52,9 +46,6 @@ class LRUSet:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def discard(self, key: Hashable) -> None:
-        self._entries.pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()

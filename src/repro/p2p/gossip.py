@@ -140,7 +140,7 @@ class GossipNode(Counted):
             self.receive_block(payload.block, origin=envelope.source,
                                parent=envelope.trace)
 
-    def receive_transaction(self, tx: Transaction, origin: str = "") -> None:
+    def receive_transaction(self, tx: Transaction, origin: str) -> None:
         if tx.txid in self._known_txids:
             return
         decision = self.node.submit_transaction(tx)
@@ -179,8 +179,8 @@ class GossipNode(Counted):
         self._relay_block(block, exclude=(origin,), parent=span)
         self._retry_orphans()
 
-    def _relay_block(self, block: Block, exclude: tuple[str, ...] = (),
-                     parent: Any = None) -> None:
+    def _relay_block(self, block: Block, parent: Any,
+                     exclude: tuple[str, ...] = ()) -> None:
         """Fan a block out to peers — compact sketch when relay is attached."""
         if self.compact_relay is not None:
             self.compact_relay.announce(block, exclude=exclude, parent=parent)

@@ -252,7 +252,7 @@ class SyncAgent(Counted):
         "batches_received", "headers_received")
 
     def __init__(self, sim: Simulator, daemon: "BlockchainDaemon",
-                 interval: float = 30.0) -> None:
+                 interval: float) -> None:
         self.sim = sim
         self.daemon = daemon
         self.interval = interval
@@ -364,9 +364,11 @@ class SyncAgent(Counted):
         if missing:
             network.send(self.daemon.name, envelope.source,
                          TxsMessage(transactions=tuple(missing)))
-        # And fetch what they have that we lack.
+        # And fetch what they have that we lack: one request's worth, the
+        # most the peer's reply would be read for.
         ours = {tx.txid for tx in node.mempool.transactions()}
-        wanted = tuple(txid for txid in request.mempool_txids
+        wanted = tuple(txid for txid
+                       in request.mempool_txids[:self.MAX_TXS_PER_REQUEST]
                        if txid not in ours
                        and not node.chain.confirmations(txid))
         if wanted:

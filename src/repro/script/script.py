@@ -166,12 +166,6 @@ class Script:
             )
         return data[offset:offset + length]
 
-    def __add__(self, other: "Script") -> "Script":
-        return Script(self.elements + other.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def disassemble(self) -> str:
         """Readable one-line form, e.g. ``OP_DUP OP_HASH160 <20:ab..> ...``."""
         parts = []

@@ -133,10 +133,6 @@ class Process(Event):
         self._generator = generator
         Timeout(sim, 0.0).callbacks.append(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def _resume(self, event: Event) -> None:
         try:
             if event._ok:
@@ -221,10 +217,6 @@ class Lock:
         # deque: release() hands off to the oldest waiter in O(1);
         # a list's pop(0) is O(n) under contention.
         self._waiters: deque[Event] = deque()
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
 
     def acquire(self) -> Event:
         event = self._sim.event()

@@ -17,7 +17,7 @@ __all__ = ["RngRegistry"]
 class RngRegistry:
     """A factory of independent ``random.Random`` streams."""
 
-    def __init__(self, master_seed: int = 0) -> None:
+    def __init__(self, master_seed: int) -> None:
         self.master_seed = master_seed
         self._streams: dict[str, random.Random] = {}
 

@@ -12,8 +12,6 @@ walks its chain.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Chain
 from repro.blockchain.transaction import Transaction, TxOutput
@@ -94,9 +92,9 @@ def format_transaction(tx: Transaction) -> str:
     return "\n".join(lines)
 
 
-def format_block(block: Block, height: Optional[int] = None) -> str:
+def format_block(block: Block, height: int) -> str:
     """Multi-line rendering of one block."""
-    head = (f"block {'#' + str(height) + ' ' if height is not None else ''}"
+    head = (f"block #{height} "
             f"{block.hash.hex()[:24]}.. "
             f"t={block.header.timestamp:.3f} "
             f"({len(block.transactions)} txs, "

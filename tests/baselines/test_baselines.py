@@ -126,7 +126,7 @@ def test_honest_gateways_keep_reputation():
     exchange = ReputationExchange({"gw-0": 1.0, "gw-1": 1.0})
     report = exchange.simulate(50)
     assert report.stolen_payments == 0
-    assert report.delivery_rate == 1.0
+    assert report.delivered == report.attempts
     assert all(score == 1.0 for score in exchange.reputation.values())
 
 

@@ -103,7 +103,7 @@ class ChainMachine(RuleBasedStateMachine):
         for height, block in self.chain.iter_active_blocks(start_height=1):
             for tx in block.transactions:
                 apply_transaction(replay, tx, height)
-        assert replay.snapshot() == self.chain.utxos.snapshot()
+        assert dict(replay.items()) == dict(self.chain.utxos.items())
 
 
 ChainMachine.TestCase.settings = settings(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 import pytest
 
 from repro.blockchain.block import Block
@@ -9,7 +10,8 @@ from repro.blockchain.engine import MAX_MONEY, ValidationEngine
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import COINBASE_REWARD, ChainParams
-from repro.blockchain.sigbatch import ECDSA, SCRIPT, VerdictMemo
+from repro.blockchain.sigbatch import (ECDSA, SCRIPT, VerdictMemo,
+                                      extract_checksig_spend)
 from repro.blockchain.transaction import (
     COINBASE_OUTPOINT,
     OutPoint,
@@ -114,14 +116,14 @@ def test_same_tx_validated_twice_executes_once(funded_chain, rng):
     tx = wallet.create_payment(KeyPair.generate(rng).pubkey_hash, 100)
     wallet.release_pending(tx)
 
-    before = engine.cache_stats.snapshot()
+    before = replace(engine.cache_stats)
     verify_scripts(engine, tx, node.chain.utxos)
-    after_first = engine.cache_stats.snapshot()
+    after_first = replace(engine.cache_stats)
     assert after_first.misses - before.misses == len(tx.inputs)
     assert after_first.hits == before.hits
 
     verify_scripts(engine, tx, node.chain.utxos)
-    after_second = engine.cache_stats.snapshot()
+    after_second = replace(engine.cache_stats)
     assert after_second.misses == after_first.misses  # zero new executions
     assert after_second.hits - after_first.hits == len(tx.inputs)
 
@@ -190,7 +192,7 @@ def test_unseen_block_still_executes_scripts(verifying_node, rng):
     for _height, past in node.chain.iter_active_blocks(1):
         if past.hash != block.hash:
             other.submit_block(past)
-    before = other.engine.cache_stats.snapshot()
+    before = replace(other.engine.cache_stats)
     assert other.submit_block(block).status == "active"
     after = other.engine.cache_stats
     assert after.misses - before.misses == len(tx.inputs)
@@ -222,10 +224,10 @@ def test_failed_connect_leaves_base_untouched_without_undo(
         return original_undo(self, spent, added)
 
     monkeypatch.setattr(UTXOSet, "revert_delta", counting_undo)
-    before = node.chain.utxos.snapshot()
+    before = dict(node.chain.utxos.items())
     with pytest.raises(ValidationError):
         node.engine.connect_block(block, node.chain.utxos, height)
-    assert node.chain.utxos.snapshot() == before
+    assert dict(node.chain.utxos.items()) == before
     assert undo_calls == []
 
 
@@ -290,3 +292,16 @@ def test_miner_template_fees_match_connected_fees(funded_chain, rng):
     )
     assert node.submit_block(block).status == "active"
     assert node.chain.last_report.total_fees == 321
+
+
+def test_a_checksig_spend_of_the_wrong_push_lengths_is_not_extracted(rng):
+    key = KeyPair.generate(rng)
+    locking = p2pkh_locking(key.pubkey_hash)
+    signature, pubkey = b"\x01" * 64, key.public_key.to_bytes()
+    assert extract_checksig_spend(Script([signature, pubkey]), locking) \
+        == (pubkey, signature)
+    for sig_script in (Script([signature + b"\x01", pubkey]),
+                       Script([signature[:-1], pubkey]),
+                       Script([signature, pubkey + b"\x01"]),
+                       Script([signature, pubkey[:-1]])):
+        assert extract_checksig_spend(sig_script, locking) is None

@@ -292,7 +292,7 @@ def _connect_outcome(bank, engine, txs, reference=False) -> tuple:
         transactions=[bank.miner.build_coinbase(height, 0), *txs],
     )
     utxos = _replica_utxos(bank)
-    before = engine.cache_stats.snapshot()
+    before = replace(engine.cache_stats)
     try:
         if reference:
             total_fees = EngineReference(engine).connect_block(block, utxos,

@@ -370,7 +370,7 @@ def test_commit_writes_what_the_view_shows_or_nothing(plan):
                 utxos.add(op, UTXOEntry(TxOutput(serial, LOCK), serial,
                                         False))
             elif action == "base-remove":
-                utxos.remove(op)
+                utxos.apply_delta({op: utxos.get(op)}, {})
             else:
                 tx = MAKERS[pick] if action == "add" else Transaction(
                     inputs=[TxInput(op)], outputs=[TxOutput(serial, LOCK)])
@@ -460,5 +460,5 @@ def test_missing_and_double_spent_inputs_raise_the_same_text():
 
     # Spending from a set that no longer holds the output.
     with pytest.raises(ValidationError) as error:
-        chain.utxos.remove(ghost)
+        chain.utxos.apply_delta({ghost: None}, {})
     assert str(error.value) == "missing UTXO: abababababababab..:1"

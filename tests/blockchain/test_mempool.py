@@ -18,6 +18,7 @@ from repro.blockchain.mempool import (
     REJECT_NONSTANDARD,
     REJECT_NON_FINAL,
     REJECT_SCRIPT,
+    REJECT_SYNTAX,
     REJECT_VALUE,
 )
 from repro.blockchain.miner import Miner
@@ -194,6 +195,44 @@ def test_select_for_block_respects_dependencies(funded_chain, rng):
     assert node.mempool.accept(parent).accepted
     selected = node.mempool.select_for_block(1_000_000)
     assert parent in selected
+
+
+def test_reject_a_transaction_spending_one_output_twice(funded_chain, rng):
+    node, wallet, _miner = funded_chain
+    outpoint = spendable(wallet)[0][0]
+    tx = Transaction(
+        inputs=[TxInput(outpoint=outpoint), TxInput(outpoint=outpoint)],
+        outputs=[TxOutput(value=1, script_pubkey=p2pkh_locking(
+            KeyPair.generate(rng).pubkey_hash))],
+    )
+    result = node.mempool.accept(tx)
+    assert not result.accepted
+    assert result.reason_code == REJECT_SYNTAX
+    assert "duplicate input" in result.reason
+
+
+def test_select_for_block_skips_a_child_whose_parent_does_not_fit(
+        funded_chain, rng):
+    node, wallet, _miner = funded_chain
+    middle = KeyPair.generate(rng)
+    parent = wallet.create_payment(middle.pubkey_hash, 1000)
+    assert node.mempool.accept(parent).accepted
+    index = next(i for i, out in enumerate(parent.outputs)
+                 if out.script_pubkey == p2pkh_locking(middle.pubkey_hash))
+    child = Transaction(
+        inputs=[TxInput(outpoint=OutPoint(txid=parent.txid, index=index))],
+        outputs=[TxOutput(value=900, script_pubkey=p2pkh_locking(
+            KeyPair.generate(rng).pubkey_hash))],
+    )
+    child = child.with_input_script(0, Script([
+        middle.sign(child.sighash(0, p2pkh_locking(middle.pubkey_hash)))
+        .to_bytes(), middle.public_key.to_bytes()]))
+    assert node.mempool.accept(child).accepted
+    child_size = len(child.serialize())
+    assert len(parent.serialize()) > child_size
+    # the parent is too big for the template; the child fits, but not
+    # ahead of its parent
+    assert node.mempool.select_for_block(child_size) == []
 
 
 def test_select_for_block_respects_size(funded_chain, rng):

@@ -55,7 +55,7 @@ def test_save_load_roundtrip(funded_chain, tmp_path, rng):
     load_chain(path, restored)
     assert restored.height == node.chain.height
     assert restored.tip.hash == node.chain.tip.hash
-    assert restored.utxos.snapshot() == node.chain.utxos.snapshot()
+    assert dict(restored.utxos.items()) == dict(node.chain.utxos.items())
     assert restored.confirmations(tx.txid) == 1
 
 

@@ -12,6 +12,8 @@ from repro.blockchain.transaction import (
     Transaction,
     TxInput,
     TxOutput,
+    _read_varint,
+    _write_varint,
 )
 from repro.errors import ValidationError
 from repro.script.builder import p2pkh_locking
@@ -123,6 +125,27 @@ def test_deserialize_rejects_truncation():
     data = simple_tx().serialize()
     with pytest.raises(ValidationError):
         Transaction.deserialize(data[:-2])
+
+
+@pytest.mark.parametrize("value, width", [
+    (0xFC, 1), (0xFD, 3), (0xFFFF, 3), (0x10000, 5), (2**32 - 1, 5),
+    (2**32, 9),
+])
+def test_varint_round_trips_at_each_width_edge(value, width):
+    wire = _write_varint(value)
+    assert len(wire) == width
+    assert _read_varint(wire + b"\x00", 0) == (value, width)
+    with pytest.raises(ValidationError, match="truncated varint"):
+        _read_varint(wire[:-1], 0)
+
+
+def test_deserialize_names_a_truncated_sequence_and_output_value():
+    tx = simple_tx()
+    inputs = tx.inputs[0].serialize()
+    with pytest.raises(ValidationError, match="truncated sequence"):
+        TxInput.deserialize(inputs[:-1], 0)
+    with pytest.raises(ValidationError, match="truncated output value"):
+        TxOutput.deserialize(tx.outputs[0].serialize()[:7], 0)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

@@ -109,7 +109,8 @@ def test_revert_takes_back_what_the_set_holds_of_the_created_outputs():
 
 def test_remove_missing_raises():
     with pytest.raises(ValidationError):
-        UTXOSet().remove(OutPoint(txid=b"\x01" * 32, index=0))
+        UTXOSet().apply_delta({OutPoint(txid=b"\x01" * 32, index=0): None},
+                              {})
 
 
 def test_duplicate_add_raises():
@@ -143,7 +144,7 @@ def test_apply_delta_checks_everything_before_it_writes():
     with pytest.raises(ValidationError, match=r"^duplicate UTXO: 0202"):
         utxos.apply_delta({outpoint(1): old[outpoint(1)]},
                           {outpoint(4): entry(4), outpoint(2): entry(5)})
-    assert utxos.snapshot() == old
+    assert dict(utxos.items()) == old
     assert all(utxos.get(op) is held for op, held in old.items())
 
 
@@ -204,7 +205,7 @@ def test_contains_and_len():
     utxos = UTXOSet()
     cb = coinbase(1)
     apply_transaction(utxos, cb, height=1)
-    assert OutPoint(txid=cb.txid, index=0) in utxos
+    assert utxos.get(OutPoint(txid=cb.txid, index=0)) is not None
     assert len(utxos) == 1
 
 

@@ -113,6 +113,21 @@ def test_block_rejects_second_coinbase():
         ValidationEngine(params).check_block(block, prev_height=0)
 
 
+def test_block_rejects_a_non_final_transaction():
+    params = ChainParams()
+    locked = Transaction(
+        inputs=[TxInput(outpoint=OutPoint(txid=b"\x01" * 32, index=0),
+                        sequence=0)],
+        outputs=[TxOutput(value=1, script_pubkey=Script())],
+        locktime=2,
+    )
+    block = Block.assemble(prev_hash=b"\x00" * 32, timestamp=0.0,
+                           transactions=[make_coinbase(1), locked])
+    with pytest.raises(ValidationError, match="is not final at height 1"):
+        ValidationEngine(params).check_block(block, prev_height=0)
+    ValidationEngine(params).check_block(block, prev_height=1)
+
+
 def test_block_rejects_merkle_mismatch():
     params = ChainParams()
     good = Block.assemble(prev_hash=b"\x00" * 32, timestamp=0.0,
@@ -148,12 +163,12 @@ def test_connect_block_rolls_back_on_failure(funded_chain, rng):
         prev_hash=node.chain.tip.hash, timestamp=99.0,
         transactions=[make_coinbase(height), good, bogus],
     )
-    before = node.chain.utxos.snapshot()
+    before = dict(node.chain.utxos.items())
     with pytest.raises(ValidationError):
         ValidationEngine(node.params).connect_block(
             block, node.chain.utxos, height,
         )
-    assert node.chain.utxos.snapshot() == before
+    assert dict(node.chain.utxos.items()) == before
 
 
 # -- full node --------------------------------------------------------------------

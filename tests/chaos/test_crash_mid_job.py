@@ -31,6 +31,8 @@ from repro.chaos import ChaosInjector, FaultPlan
 from repro.core import BcWANNetwork, NetworkConfig, RegionTopology
 from repro.core.config import LightConfig
 
+from tests.oracles.exchanges import record_of
+
 DOWNTIME = 14.0
 EXCHANGES = 24
 # Every run is driven to this instant, so twin and crash run compare
@@ -286,7 +288,7 @@ def test_the_interrupted_exchange_fails_naming_the_daemon(crashed):
         elif record.failure_reason == "recipient daemon down":
             assert record.recipient == host
     if crashed.exchange is not None:
-        record = crashed.network.tracker.get(crashed.exchange)
+        record = record_of(crashed.network.tracker, crashed.exchange)
         role = EXCHANGE_STEPS[crashed.cell.job]
         assert record.status == "failed"
         assert record.failure_reason == f"{role} daemon down"

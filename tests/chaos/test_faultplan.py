@@ -27,8 +27,6 @@ def test_builders_chain_and_accumulate():
     assert len(plan.link_faults) == 5
     assert len(plan.partitions) == 1
     assert len(plan.crashes) == 1
-    assert not plan.empty
-    assert FaultPlan().empty
 
 
 @pytest.mark.parametrize("bad", [

@@ -89,7 +89,7 @@ def test_minority_side_actually_reorged():
     # gw-0 mined 2 blocks that are no longer on the active chain.
     chain = fed.daemons["gw-0"].node.chain
     active = {chain.block_at(h).hash for h in range(chain.height + 1)}
-    minority_wallet = fed.wallet("gw-0")
+    minority_wallet = fed._wallets["gw-0"]
     # Its coinbase rewards were orphaned along with the branch: the
     # wallet's outputs are not in the (post-reorg) UTXO set.
     spendable = minority_wallet.refresh_from_utxo_set

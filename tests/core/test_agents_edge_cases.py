@@ -39,6 +39,8 @@ from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
 
+from tests.oracles.exchanges import record_of
+
 
 class Harness:
     """One gateway site + one provisioned sensor, fully wired.
@@ -149,7 +151,7 @@ def harness():
 def test_single_exchange_settles(harness):
     process = harness.sensor.start_exchange(b"reading-1")
     harness.sim.run(until=30.0)
-    record = harness.tracker.get(1)
+    record = record_of(harness.tracker, 1)
     assert record.completed
     assert record.decrypted == b"reading-1"
     assert harness.gateway.claims_made == 1
@@ -168,7 +170,7 @@ def test_unknown_device_refused(harness):
                       random.Random(2))
     rogue.start_exchange(b"sneaky")
     harness.sim.run(until=30.0)
-    record = harness.tracker.get(1)
+    record = record_of(harness.tracker, 1)
     assert record.status == "failed"
     assert "unknown device" in record.failure_reason
     assert harness.recipient.payments_made == 0
@@ -199,7 +201,7 @@ def test_unknown_recipient_address_fails(harness):
                      random.Random(4))
     lost.start_exchange(b"where")
     harness.sim.run(until=30.0)
-    record = harness.tracker.get(1)
+    record = record_of(harness.tracker, 1)
     assert record.status == "failed"
     assert "no directory entry" in record.failure_reason
 
@@ -218,7 +220,7 @@ def test_lost_key_request_keeps_the_launch_instant(harness):
     harness.gateway._serve_key_request = lossy
     harness.sim.call_at(5.0, lambda: harness.sensor.start_exchange(b"late"))
     harness.sim.run(until=60.0)
-    record = harness.tracker.get(1)
+    record = record_of(harness.tracker, 1)
     assert len(lost) == 1 and record.completed
     assert record.t_request == 5.0
     assert record.t_keygen_done > 5.0 + harness.sensor.KEY_RESPONSE_TIMEOUT
@@ -244,7 +246,7 @@ def test_duplicate_key_request_reuses_ephemeral(harness):
     pending = harness.gateway._ephemeral.get(record.exchange_id)
     assert pending is not None
     # Exactly one pending entry; both downlinks carried the same key.
-    assert harness.tracker.get(record.exchange_id) is record
+    assert record_of(harness.tracker, record.exchange_id) is record
 
 
 def test_delivery_with_wrong_signature_refused(harness):

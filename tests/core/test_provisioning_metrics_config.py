@@ -14,6 +14,8 @@ from repro.core.provisioning import (
 )
 from repro.errors import ConfigurationError
 
+from tests.oracles.exchanges import record_of
+
 
 # -- provisioning ----------------------------------------------------------------
 
@@ -60,8 +62,8 @@ def test_tracker_assigns_sequential_ids():
     a = tracker.new_exchange("dev-1", b"x")
     b = tracker.new_exchange("dev-2", b"y")
     assert (a.exchange_id, b.exchange_id) == (1, 2)
-    assert tracker.get(1) is a
-    assert tracker.get(99) is None
+    assert record_of(tracker, 1) is a
+    assert record_of(tracker, 99) is None
 
 
 def test_latency_is_paper_metric():

@@ -29,6 +29,7 @@ from repro.p2p.network import FaultDecision
 from repro.script.builder import RSA_PAIR_PLACEHOLDER
 
 from tests.core.test_agents_edge_cases import Harness
+from tests.oracles.exchanges import record_of
 from tests.oracles.fees import paying_fee
 
 DEVICE_CLASSES = ["full", "light"]
@@ -48,7 +49,7 @@ def harness(request):
 def run_exchange(harness, duration: float = 30.0):
     harness.sensor.start_exchange(b"reading-1")
     harness.sim.run(until=harness.sim.now + duration)
-    return harness.tracker.get(1)
+    return record_of(harness.tracker, 1)
 
 
 def refused(harness, record, reason: str, received: int = 1) -> None:
@@ -89,7 +90,7 @@ def test_unknown_device(harness):
                       random.Random(2))
     rogue.start_exchange(b"sneaky")
     harness.sim.run(until=harness.sim.now + 30.0)
-    refused(harness, harness.tracker.get(1), "unknown device")
+    refused(harness, record_of(harness.tracker, 1), "unknown device")
 
 
 def test_bad_signature(harness):

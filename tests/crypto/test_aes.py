@@ -45,7 +45,7 @@ def test_fips197_appendix_c():
 
 @pytest.mark.parametrize("key_len,rounds", [(16, 10), (24, 12), (32, 14)])
 def test_round_counts(key_len, rounds):
-    assert AES(bytes(key_len)).rounds == rounds
+    assert AES(bytes(key_len))._rounds == rounds
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=16, max_size=16))

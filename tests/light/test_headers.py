@@ -29,7 +29,6 @@ def test_empty_chain_state():
     assert chain.tip_height == -1
     assert chain.tip_hash == GENESIS_PREV_HASH
     assert chain.header_at(0) is None
-    assert len(chain) == 0
 
 
 def test_connect_sequence():
@@ -40,7 +39,7 @@ def test_connect_sequence():
         assert chain.tip_height == i
     assert chain.tip_hash == headers[-1].hash
     assert chain.header_at(1) == headers[1]
-    assert chain.contains(headers[0].hash)
+    assert chain.header_at(0) == headers[0]
 
 
 def test_connect_duplicate_and_disconnected():
@@ -132,8 +131,10 @@ def test_longer_fork_replaces_suffix():
     assert chain.tip_height == 4
     assert chain.reorgs == 1
     assert chain.header_at(2).hash == fork[0].hash
-    assert not chain.contains(main[2].hash)
-    assert not chain.contains(main[3].hash)
+    active = {chain.header_at(height).hash for height in range(5)}
+    assert main[2].hash not in active and main[3].hash not in active
+    # a header the reorg dropped connects again as new, not a duplicate
+    assert chain.connect(main[2]) != "duplicate"
 
 
 def test_shorter_fork_first_seen_wins():

@@ -17,6 +17,8 @@ from repro.core.config import NetworkConfig
 from repro.obs.exchange import LEGS, STEPS, ExchangeRecord, ExchangeTracker
 from repro.obs.tracing import Tracer
 
+from tests.oracles.exchanges import record_of
+
 
 def traced_tracker():
     return ExchangeTracker(Tracer())
@@ -52,7 +54,7 @@ def test_reach_stamps_once_and_moves_the_legs():
     tracker.reach(exchange_id, "request", at=9.0)  # a retried request
     tracker.reach(exchange_id, "epk_sent", at=2.0)
     tracker.reach(exchange_id, "epk_sent", at=3.0)  # a resent ePk
-    record = tracker.get(exchange_id)
+    record = record_of(tracker, exchange_id)
     assert (record.t_request, record.t_epk_sent) == (0.0, 2.0)
     assert tracker.leg(exchange_id, "uplink").start == 2.0
     tracker.reach(exchange_id, "data_received", at=2.5)
@@ -68,7 +70,7 @@ def test_decrypted_completes_and_closes_every_span():
     for at, step in enumerate(STEPS):
         tracker.reach(exchange_id, step, at=float(at),
                       **({"decrypted": b"x"} if step == "decrypted" else {}))
-    record = tracker.get(exchange_id)
+    record = record_of(tracker, exchange_id)
     assert record.completed and record.decrypted == b"x"
     assert record.latency == 9.0 - 2.0
     assert all(span.status == "ok" for span in tracker.tracer.spans)
@@ -83,7 +85,7 @@ def test_terminal_exchange_ignores_every_call():
     tracker.fail(exchange_id, "recipient refused: bad signature")
     tracker.reach(exchange_id, "data_received", at=2.0)
     tracker.reach(exchange_id, "decrypted", at=3.0)
-    record = tracker.get(exchange_id)
+    record = record_of(tracker, exchange_id)
     assert (record.status, record.failure_reason) == ("failed",
                                                       "bad signature")
     assert record.t_data_received is None and record.t_decrypted is None

@@ -168,11 +168,3 @@ def test_stats_view_is_sorted_readonly_mapping():
     assert dict(view) == {"alpha": 1, "zulu": 2}
     with pytest.raises(TypeError):
         view["alpha"] = 9  # type: ignore[index]
-
-
-def test_stats_view_format_alignment():
-    view = StatsView({"long_key_name": 1, "x": 2.5})
-    lines = view.format().splitlines()
-    assert lines[0].startswith("long_key_name")
-    assert "2.5" in lines[1]
-    assert StatsView({}).format() == "(no stats)"

@@ -60,7 +60,7 @@ def undo_transaction(utxos: UTXOSet, tx: Transaction,
     """Reverse one :func:`apply_transaction` on a set: drop ``tx``'s
     outputs, then put back the very entries it spent, in input order."""
     for outpoint in tx.outpoints:
-        utxos.remove(outpoint)
+        utxos.apply_delta({outpoint: utxos.get(outpoint)}, {})
     for outpoint, entry in spent.items():
         utxos.add(outpoint, entry)
 

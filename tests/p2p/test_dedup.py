@@ -14,9 +14,10 @@ def test_basic_set_semantics():
     cache.add(b"b")
     assert b"a" in cache and b"b" in cache
     assert b"c" not in cache
-    assert len(cache) == 2
-    cache.add(b"a")  # re-add is a no-op
-    assert len(cache) == 2
+    cache.add(b"a")  # re-add is a no-op: two more keys fit
+    cache.add(b"c")
+    cache.add(b"d")
+    assert cache.evictions == 0
 
 
 def test_eviction_is_least_recently_used():
@@ -39,25 +40,15 @@ def test_lookup_refreshes_recency():
     assert b"b" not in cache
 
 
-def test_discard_and_clear():
+def test_clear_forgets_every_key():
     cache = LRUSet(3)
-    cache.add(b"a")
-    cache.discard(b"a")
-    cache.discard(b"missing")  # silent, like set.discard
-    assert len(cache) == 0
     cache.add(b"x")
     cache.add(b"y")
     cache.clear()
-    assert len(cache) == 0
-    assert b"x" not in cache
-
-
-def test_iteration_yields_oldest_first():
-    cache = LRUSet(3)
+    assert b"x" not in cache and b"y" not in cache
     for key in (b"a", b"b", b"c"):
         cache.add(key)
-    assert b"a" in cache  # refresh a
-    assert list(cache) == [b"b", b"c", b"a"]
+    assert cache.evictions == 0
 
 
 def test_invalid_maxsize_rejected():

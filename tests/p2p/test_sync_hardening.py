@@ -17,8 +17,9 @@ from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.crypto.keys import KeyPair
 from repro.p2p.network import FaultDecision, WANetwork
-from repro.p2p.sync import (GetHeadersMessage, GetTxsMessage, HeadersMessage,
-                             SyncAgent, TipMessage, TxsMessage)
+from repro.p2p.sync import (GetHeadersMessage, GetTipMessage, GetTxsMessage,
+                             HeadersMessage, SyncAgent, TipMessage,
+                             TxsMessage)
 from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import RngRegistry
@@ -278,3 +279,29 @@ def test_a_hostile_txid_list_is_looked_up_one_request_at_a_time():
     sim.run(until=1.0)
     assert lookups[0] == SyncAgent.MAX_TXS_PER_REQUEST
     assert replies == []
+
+
+def test_a_hostile_mempool_inventory_is_checked_one_request_at_a_time():
+    """A peer picks the ``mempool_txids`` of its ``GetTipMessage``; the
+    responder checks at most ``MAX_TXS_PER_REQUEST`` of them against its
+    chain, and asks back for no more than that."""
+    sim, wan, daemons, _agents, _miners = build_mesh(sync_interval=50.0)
+    chain = daemons[0].node.chain
+    checks, asks = [0], []
+    confirmations = chain.confirmations
+
+    def counted(txid):
+        checks[0] += 1
+        return confirmations(txid)
+
+    def watch(env):
+        if isinstance(env.payload, GetTxsMessage):
+            asks.append(env.payload)
+
+    chain.confirmations = counted
+    wan.interceptor = watch
+    txids = tuple(i.to_bytes(32, "big") for i in range(10**5))
+    wan.send("n1", "n0", GetTipMessage(height=0, mempool_txids=txids))
+    sim.run(until=1.0)
+    assert checks[0] <= SyncAgent.MAX_TXS_PER_REQUEST
+    assert [len(ask.txids) for ask in asks] == [SyncAgent.MAX_TXS_PER_REQUEST]

@@ -125,15 +125,6 @@ def test_arbitrary_roundtrip(elements):
     assert Script.from_bytes(script.to_bytes()).elements == script.elements
 
 
-def test_concatenation():
-    combined = Script([OP.OP_1]) + Script([OP.OP_2])
-    assert combined.elements == (int(OP.OP_1), int(OP.OP_2))
-
-
-def test_len():
-    assert len(Script([OP.OP_1, b"\x02", OP.OP_ADD])) == 3
-
-
 def test_disassemble():
     text = Script([OP.OP_DUP, b"\xab" * 20]).disassemble()
     assert "OP_DUP" in text

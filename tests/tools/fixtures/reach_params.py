@@ -85,3 +85,18 @@ class Factory:
         """Called on the class, the instance passed explicitly: the root's
         two positionals are ``self``, ``tag``."""
         self.tag = tag.upper() if upper else tag
+
+
+def dead_default(reading, scale=2):
+    """Every call, the root's and the test's, passes ``scale``."""
+    return reading * scale
+
+
+def live_default(reading, scale=2):
+    """The root passes ``scale``; a test leaves it to its default."""
+    return reading * scale
+
+
+class Built:
+    def __init__(self, size=1):
+        self.size = size

@@ -17,4 +17,7 @@ def drive(thing, args, settings, on_event):
     params.Factory.make()
     thing.scale(1, 3)
     params.Factory.rename(thing, "y")
+    params.dead_default(1, scale=3)
+    params.live_default(1, 3)
+    params.Built(size=2)
     return thing.resize(3)

@@ -240,6 +240,46 @@ def test_a_planted_one_value_parameter_fails_until_baselined():
     assert split_by_baseline([planted], baseline) == ([], [planted])
 
 
+# -- unreachable: defaults no call uses ----------------------------------------
+
+def dead_default_findings():
+    """qualname -> finding, for the dead-default part of the rule."""
+    rule = UnreachableRule(load_fixture_project("reach_params.py"),
+                           load_fixture_project("reach_params_root.py",
+                                                "reach_params_tests.py"))
+    return {violation.qualname.partition("repro.reach.params.")[2]: violation
+            for violation in rule.run()
+            if "every call passes" in violation.message}
+
+
+@pytest.mark.parametrize("function, dead", [
+    # the root and the test both pass it
+    ("dead_default", "scale"),
+    # the root passes it; a test leaves it to its default
+    ("live_default", None),
+    # positional arguments bind in order, keywords by name
+    ("by_position", "b, c"),
+    ("by_keyword", "c"),
+    ("Widget.__init__", "width"),
+    # a *args, a **mapping or a forwarded **kwargs may leave any unbound
+    ("by_star", None),
+    ("by_mapping", None),
+    ("forwarded", None),
+    # a function or class handed out as a value escapes
+    ("callback", None),
+    ("Built.__init__", None),
+    # no call passes it at all: the one-value check's case
+    ("planted", None),
+])
+def test_dead_defaults(function, dead):
+    findings = dead_default_findings()
+    if dead is None:
+        assert function not in findings
+    else:
+        assert findings[function].snippet == dead
+        assert "a default never used" in findings[function].message
+
+
 # -- unreachable: fields of every settings class -----------------------------
 
 def settings_findings():

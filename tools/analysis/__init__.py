@@ -16,8 +16,8 @@ Per-file rules and whole-program passes share one finding type
 * :mod:`tools.analysis.rules` — the exception-flow rule (broad handlers
   that can swallow consensus errors);
 * :mod:`tools.analysis.reach` — the ``unreachable`` rule: definitions
-  no entry point reaches, and config fields and defaulted parameters
-  no entry point sets;
+  no entry point reaches, config fields and defaulted parameters no
+  entry point sets, and defaulted parameters every call sets;
 * :mod:`tools.analysis.docrefs` — the ``doc-reference`` rule: every
   backticked ``path.py:N`` and ``repro.…`` name of the living docs
   points at code that exists;

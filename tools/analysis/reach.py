@@ -36,8 +36,15 @@ not name.  ``Class(...)`` calls the ``__init__`` its bases give it,
 ``super().name(...)`` the first base's ``name``, a resolved method its
 overrides too, and an unresolved ``.name(...)`` every method called
 ``name``.  A function used as a value (a callback) escapes: its callers
-are unknown, so every parameter counts as bound.  A defaulted parameter
-no root binds has one value in use and should be a constant too.
+are unknown, so every parameter counts as bound; so does a class used as
+a value (its ``__init__``), but not one named as a base, an annotation,
+an ``except`` clause or ``isinstance``'s second argument.  A defaulted
+parameter no root binds has one value in use and should be a constant
+too.  Its mirror, a *dead default*, is a defaulted parameter of a
+reached function that every call — a root's or a test's — passes: its
+default is never used, and the parameter should be required.  A call
+through a ``*args`` or ``**mapping`` may leave any parameter it does not
+name unbound, so it never makes a default dead.
 """
 
 from __future__ import annotations
@@ -120,6 +127,27 @@ def _implicit(node: ast.AST) -> bool:
         for d in node.decorator_list)
 
 
+def _type_positions(node: ast.AST) -> list[int]:
+    """The ids of the nodes under ``node`` that name a type without
+    calling it: bases, annotations, ``except`` clauses and the second
+    argument of ``isinstance`` / ``issubclass``."""
+    if isinstance(node, ast.ClassDef):
+        parts = node.bases
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        parts = [node.returns]
+    elif isinstance(node, (ast.arg, ast.AnnAssign)):
+        parts = [node.annotation]
+    elif isinstance(node, ast.ExceptHandler):
+        parts = [node.type]
+    elif isinstance(node, ast.Call) and dotted_name(node.func) in (
+            "isinstance", "issubclass"):
+        parts = node.args[1:]
+    else:
+        return []
+    return [id(child) for part in parts if part is not None
+            for child in ast.walk(part)]
+
+
 class _Closure:
     """Everything reachable from a set of root modules."""
 
@@ -130,6 +158,9 @@ class _Closure:
         self.sets: set[tuple[str, str]] = set()   # (class or "*", field)
         self.reads: set[str] = set()
         self.binds: dict[str, set[str]] = {}      # function -> parameters
+        self.called: set[str] = set()             # functions some call binds
+        # function -> defaulted parameters some call may leave unbound
+        self.leaves: dict[str, set[str]] = {}
         self._forwards: list[tuple[str, str]] = []   # (caller, callee)
         self._pending: list[str] = []
         self._by_name: dict[str, list[str]] = {}
@@ -226,8 +257,9 @@ class _Closure:
     def _scan(self, nodes: Iterable[ast.AST], module: ModuleInfo,
               fn: Optional[FunctionInfo], *, strings: bool = False,
               reads: bool = True) -> None:
-        held: set[int] = set()    # callees and receivers: not values
+        held: set[int] = set()    # callees, receivers, types: not values
         for node in nodes:
+            held.update(_type_positions(node))
             if isinstance(node, (ast.Name, ast.Attribute)):
                 dotted = dotted_name(node)
                 symbol, exact = self.project.lookup(
@@ -284,8 +316,11 @@ class _Closure:
         self.binds.setdefault(qualname, set()).update(names)
 
     def _escape(self, node: ast.AST, symbol: Optional[str]) -> None:
-        """A function used as a value: whoever calls it may pass anything."""
+        """A function or class used as a value: whoever calls it may pass
+        anything."""
         if symbol is not None:
+            if symbol in self.project.classes:
+                symbol = self._method(symbol, "__init__")
             if symbol in self.project.functions:
                 self._bind(symbol, ALL)
         elif isinstance(node, ast.Attribute):
@@ -378,12 +413,18 @@ class _Closure:
         if mappings and not forwards:
             names.add(ALL)
         for qualname, skip in callees:
-            args = self.project.functions[qualname].node.args
+            callee = self.project.functions[qualname].node
+            args = callee.args
             positional = [a.arg for a in args.posonlyargs + args.args][skip:]
             self._bind(qualname, names.union(
                 positional if starred else positional[:count]))
             if forwards:
                 self._forwards.append((fn.qualname, qualname))
+            # what this call surely binds: a *args or **mapping may not
+            certain = names.union(positional[:count]) - {ALL}
+            self.called.add(qualname)
+            self.leaves.setdefault(qualname, set()).update(
+                name for name in _defaulted(callee) if name not in certain)
 
     def unbound(self, qualname: str) -> list[str]:
         """The defaulted parameters of ``qualname`` no call binds."""
@@ -392,6 +433,16 @@ class _Closure:
             return []
         return [name for name in _defaulted(self.project.functions[qualname]
                                            .node) if name not in bound]
+
+    def dead_defaults(self, qualname: str) -> list[str]:
+        """The defaulted parameters of ``qualname`` that every call seen
+        passes: none if nothing calls it or it escapes."""
+        if qualname not in self.called \
+                or ALL in self.binds.get(qualname, set()):
+            return []
+        leaves = self.leaves.get(qualname, set())
+        return [name for name in _defaulted(self.project.functions[qualname]
+                                           .node) if name not in leaves]
 
     def is_set(self, qualname: str, field: str) -> bool:
         return (qualname, field) in self.sets or ("*", field) in self.sets
@@ -426,6 +477,7 @@ class UnreachableRule:
         violations = self._definitions(live, tested)
         violations.extend(self._config_fields(live, tested))
         violations.extend(self._parameters(live, tested))
+        violations.extend(self._dead_defaults(live, tested))
         return violations
 
     def _violation(self, modname: str, qualname: str, line: int,
@@ -513,4 +565,23 @@ class UnreachableRule:
                     f"passes {shown} (*: tests do) — one value in use, "
                     f"make each a constant beside its reader",
                     snippet=", ".join(unbound)))
+        return found
+
+    def _dead_defaults(self, live: _Closure,
+                       tested: _Closure) -> list[Violation]:
+        """Per reached function nothing hands out as a value: the defaulted
+        parameters every call, from a root or a test, passes — one finding
+        whose snippet is their names."""
+        found: list[Violation] = []
+        for qualname, info in sorted(self.project.functions.items()):
+            if info.nested or qualname not in live.reached or (
+                    _implicit(info.node) and info.node.name != "__init__"):
+                continue
+            dead = tested.dead_defaults(qualname)
+            if dead:
+                found.append(self._violation(
+                    info.modname, qualname, info.lineno,
+                    f"{qualname[len(info.modname) + 1:]}: every call passes "
+                    f"{', '.join(dead)} — a default never used, make each "
+                    f"required", snippet=", ".join(dead)))
         return found
