@@ -213,6 +213,10 @@ class Chain:
                 child_result = self._attach(
                     child, self._records[child.header.prev_hash])
             except ValidationError:
+                # Never stored, so its waiting descendants cannot attach.
+                dropped = [child]
+                while dropped:
+                    dropped.extend(self._orphans.pop(dropped.pop().hash, []))
                 continue
             if child_result.status == "active":
                 final = AddBlockResult(

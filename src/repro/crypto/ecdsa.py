@@ -605,15 +605,6 @@ class PrivateKey:
         assert affine is not None  # secret is in (0, order)
         return PublicKey(x=affine[0], y=affine[1])
 
-    def to_bytes(self) -> bytes:
-        return self.secret.to_bytes(32, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PrivateKey":
-        if len(data) != 32:
-            raise ECDSAError(f"private key must be 32 bytes, got {len(data)}")
-        return cls(secret=int.from_bytes(data, "big"))
-
     def sign(self, message_hash: bytes) -> Signature:
         """Sign a 32-byte ``message_hash`` with an RFC 6979 nonce."""
         if len(message_hash) != 32:

@@ -1,35 +1,27 @@
 """Prime generation and modular arithmetic for the RSA substrate.
 
-Miller-Rabin runs under two error regimes, and the module keeps them
-apart:
-
-* :func:`is_probable_prime` answers for an *arbitrary* ``n``, possibly
-  chosen by an adversary to have as many strong liars as a composite can
-  (a quarter of the bases).  Its bound is the worst-case ``4**-rounds``,
-  so the default stays at 40 rounds (``2**-80``), and below ~3.3e24 a
-  fixed witness set makes the answer exact.
-* :func:`generate_prime` tests candidates *it drew uniformly at random*,
-  and a random odd ``k``-bit number that passes ``t`` random-base rounds
-  is composite with a probability far below ``4**-t`` (Damgard, Landrock
-  & Pomerance; Handbook of Applied Cryptography Fact 4.48).
-  ``_GENERATED_ROUNDS`` is HAC Table 4.4 -- the rounds that keep that
-  probability under ``2**-80`` at each size, which is also what
-  OpenSSL's ``BN_prime_checks_for_size`` applied in the legacy RSA API
-  the paper's PoC used: 12 rounds, not 40, for the 256-bit primes of an
-  RSA-512 key.
+The module has one primality predicate, :func:`is_probable_prime`:
+Baillie-PSW, which is one strong Miller-Rabin round to base 2 followed by
+one strong Lucas test with Selfridge's parameters (Baillie & Wagstaff
+1980; the Lucas test as FIPS 186-4 App. C.3.3 specifies it).  The two
+tests fail on unrelated composites, and no composite is known to pass
+both.  None below ``2**64`` does: every base-2 strong pseudoprime up to
+there has been checked.  So the answer is exact wherever an exhaustive
+check reaches, and above that its error is BPSW's record, not a proved
+bound.  The repository's key sizes draw 256-bit and larger primes.
 
 Prime generation draws candidates *and witnesses* from a caller-supplied
 RNG so that simulations are bit-for-bit reproducible (see
 :mod:`repro.sim.rng`).  What it draws is a contract with every seeded
-stream that generates keys (``_WITNESS_DRAWS``); what it spends on
-modular exponentiations is not.
+stream that generates keys (``_WITNESS_DRAWS``).  What it spends on
+testing a candidate is not: the drawn witnesses go unused.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "is_probable_prime",
@@ -38,34 +30,16 @@ __all__ = [
     "lcm",
 ]
 
-# Small primes used to cheaply reject most composite candidates before the
-# Miller-Rabin rounds.
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-    139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
-)
-
-# Deterministic witness set for n < 3.3 * 10^24 (Sorenson & Webster).
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-
-# The seeded-stream contract: generate_prime draws this many witnesses for
-# every candidate that survives _SMALL_PRIMES, whether or not it goes on to
-# use them, because the gateway streams that generate keys are shared with
-# other draws and every committed digest and trace depends on their state.
-# To be lowered to the rounds actually run when the streams are re-keyed
-# (a declared digest change; ROADMAP item 2).
+# The seeded-stream contract: generate_prime draws this many witnesses
+# randrange(2, candidate - 1) for every candidate that survives trial
+# division, and uses none of them.  The gateway streams that generate keys
+# are shared with other draws, and every committed digest and trace
+# depends on their state.  Dropping the draws needs those streams re-keyed,
+# and the re-key is parked: measured, it raised the failed exchanges on
+# regions_lossy seed 11 (6 -> 8) and light_fig5 seed 23 (11 -> 14)
+# whichever generator drew from the new streams (EXPERIMENTS.md, "ROADMAP
+# item 2, measured"; ROADMAP 2).
 _WITNESS_DRAWS = 40
-
-# (floor size in bits, rounds): Miller-Rabin rounds that keep the chance of
-# returning a composite at or below 2**-80 for a uniformly random odd
-# candidate of at least that size (HAC Table 4.4; descending, first match).
-# Sizes under the last floor run every drawn witness.
-_GENERATED_ROUNDS = (
-    (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
-    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
-)
 
 
 def _primes_between(low: int, high: int) -> list[int]:
@@ -77,68 +51,110 @@ def _primes_between(low: int, high: int) -> list[int]:
     return [n for n in range(low + 1, high + 1) if sieve[n]]
 
 
-# Product of the primes between _SMALL_PRIMES and 2**13: one gcd (about
-# ten microseconds) settles what a 256-bit exponentiation (over a hundred)
+# Trial division by the 46 primes up to 199, as one gcd against their
+# product: it rejects what dividing by each would, and draws nothing.
+_TRIAL_PRODUCT = math.prod(_primes_between(1, 199))
+
+# Product of the primes from 211 to 2**13: one gcd (about ten
+# microseconds) settles what a 256-bit exponentiation (over a hundred)
 # would otherwise be spent on for two in five of the composite survivors.
 # The saving is flat from 2**11 to 2**14 and gone by 2**16 (EXPERIMENTS.md,
 # PR 20), so the bound is a constant, not a setting.
-_SIEVE_PRODUCT = math.prod(_primes_between(_SMALL_PRIMES[-1], 1 << 13))
+_SIEVE_PRODUCT = math.prod(_primes_between(199, 1 << 13))
+
+# The least size whose candidates (at least 3 * 2**(bits - 2)) all exceed
+# 2**13.  Below it every prime a candidate can be divides one of the two
+# products, so no candidate would ever be returned.
+_MIN_BITS = 14
 
 
-def _miller_rabin_witness(n: int, a: int, d: int, r: int) -> bool:
-    """Return True if ``a`` witnesses that ``n`` is composite, where
-    ``n - 1 == d << r`` with ``d`` odd.  One modular exponentiation."""
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return False
-    for _ in range(r - 1):
-        x = (x * x) % n
-        if x == n - 1:
-            return False
-    return True
-
-
-def _passes_miller_rabin(n: int, witnesses: Iterable[int]) -> bool:
-    """True if no base in ``witnesses`` proves the odd ``n > 2`` composite."""
+def _passes_base_2(n: int) -> bool:
+    """One strong Miller-Rabin round to base 2 for the odd ``n > 2``.
+    One modular exponentiation."""
     d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    return not any(_miller_rabin_witness(n, a, d, r) for a in witnesses)
-
-
-def is_probable_prime(n: int, rounds: int = 40,
-                      rng: Optional[random.Random] = None) -> bool:
-    """Miller-Rabin primality test for an arbitrary ``n``.
-
-    Deterministic (no false positives) for ``n`` below ~3.3e24; otherwise
-    probabilistic with error probability at most ``4**-rounds`` whatever
-    ``n`` is -- the worst-case bound, which is the one that applies to
-    input the caller did not draw itself.  The bases are random so that
-    no composite can be prepared against them.
-    """
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
+    s = (d & -d).bit_length() - 1
+    x = pow(2, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
             return True
-        if n % p == 0:
-            return False
-
-    if n < _DETERMINISTIC_BOUND:
-        witnesses = [a for a in _DETERMINISTIC_WITNESSES if a < n]
-    else:
-        rng = rng or random
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
-
-    return _passes_miller_rabin(n, witnesses)
+    return False
 
 
-def _generated_rounds(bits: int) -> int:
-    """Rounds ``generate_prime`` runs on a ``bits``-bit random candidate."""
-    for floor, rounds in _GENERATED_ROUNDS:
-        if bits >= floor:
-            return rounds
-    return _WITNESS_DRAWS
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a / n)`` for odd ``n > 0``."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _passes_strong_lucas(n: int) -> bool:
+    """The strong Lucas test for the odd ``n > 2`` (FIPS 186-4 C.3.3).
+
+    Selfridge's method A picks ``D`` as the first of 5, -7, 9, -11, ...
+    with Jacobi symbol ``(D / n) = -1``, and ``P = 1, Q = (1 - D) / 4``.
+    ``n`` passes if, with ``n + 1 = d * 2**s`` and ``d`` odd,
+    ``U_d = 0`` or ``V_(d * 2**r) = 0 (mod n)`` for some ``r < s``.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has symbol -1: the search would not end
+    D = 5
+    while (symbol := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if symbol == 0:
+        # |D| shares a factor with n.  That |D| is n itself only if n is
+        # prime: a composite's least prime factor >= 5 comes earlier in
+        # the sequence, and 3**k is a square or has (5 / 3**k) = -1.
+        return n == abs(D)
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k and Q**k from k = 1 along the bits of d: a doubling for
+    # every bit, then k + 1 for a set one (halving mod n, P = 1).
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, V + D * U
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U >>= 1
+            V >>= 1
+            Qk = Qk * Q % n
+    if U % n == 0:
+        return True
+    V %= n
+    for _ in range(s):
+        if V == 0:
+            return True
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: whether ``n`` passes a strong base-2 round and a strong
+    Lucas test.  Exact below ``2**64``; no composite above is known to
+    pass."""
+    if n < 3 or not n & 1:
+        return n == 2
+    return _passes_base_2(n) and _passes_strong_lucas(n)
 
 
 def _draws_by_getrandbits(rng: random.Random) -> bool:
@@ -151,10 +167,10 @@ def _draws_by_getrandbits(rng: random.Random) -> bool:
             is random.Random._randbelow_with_getrandbits)
 
 
-def _draw_witnesses(rng: random.Random, candidate: int, rounds: int,
-                    inline: bool) -> list[int]:
+def _draw_witnesses(rng: random.Random, candidate: int,
+                    inline: bool) -> None:
     """Make the ``_WITNESS_DRAWS`` draws ``randrange(2, candidate - 1)``
-    would make, and return the first ``rounds`` as witnesses.
+    would make, and keep none of them.
 
     With ``inline`` (see :func:`_draws_by_getrandbits`) the draws are
     ``random.Random._randbelow_with_getrandbits`` written out: the same
@@ -162,19 +178,15 @@ def _draw_witnesses(rng: random.Random, candidate: int, rounds: int,
     without two Python frames and the argument checks per draw.
     """
     if not inline:
-        return [rng.randrange(2, candidate - 1)
-                for _ in range(_WITNESS_DRAWS)][:rounds]
+        for _ in range(_WITNESS_DRAWS):
+            rng.randrange(2, candidate - 1)
+        return
     width = candidate - 3
     k = width.bit_length()
     getrandbits = rng.getrandbits
-    witnesses = []
-    for drawn in range(_WITNESS_DRAWS):
-        r = getrandbits(k)
-        while r >= width:
-            r = getrandbits(k)
-        if drawn < rounds:
-            witnesses.append(2 + r)
-    return witnesses
+    for _ in range(_WITNESS_DRAWS):
+        while getrandbits(k) >= width:
+            pass
 
 
 def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
@@ -184,42 +196,30 @@ def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
     has exactly ``2 * bits`` bits (standard RSA practice), and the low bit is
     forced to 1 so candidates are odd.
 
-    A returned number is composite with probability about ``2**-80`` or
-    less.  ``_GENERATED_ROUNDS`` bounds it by ``2**-80`` for uniform odd
-    ``bits``-bit numbers; forcing the second-highest bit halves that
-    population and so at most doubles the bound.  The prime sizes of the
-    RSA moduli this repository generates keep more than four bits of
-    slack over that by HAC Fact 4.48 (256 bits: ``2**-84.6``, 384:
-    ``2**-87.5``, 512: ``2**-88.6``, 1024: ``2**-89.6``); the tests derive
-    the table from the Fact rather than trust it.
+    A candidate that no prime up to ``2**13`` divides is returned if it
+    passes :func:`is_probable_prime`: one exponentiation to base 2, and
+    one strong Lucas test for each candidate that passes that.
 
-    Consumes ``rng`` as ``is_probable_prime(candidate, rng=rng)`` per
-    candidate would: one ``getrandbits(bits)``, and after trial division
-    ``_WITNESS_DRAWS`` ``randrange(2, candidate - 1)`` draws (see
-    :func:`_draw_witnesses`).  Only the first ``_generated_rounds(bits)``
-    of those witnesses are exponentiated, and none when ``_SIEVE_PRODUCT``
-    already shows a factor.
+    Consumes ``rng`` as the 40-round Miller-Rabin generator it replaced
+    did per candidate: one ``getrandbits(bits)``, and after trial division
+    by the primes up to 199, ``_WITNESS_DRAWS`` ``randrange(2,
+    candidate - 1)`` draws (see :func:`_draw_witnesses`), whether or not
+    the candidate goes on to the test.
     """
-    if bits < 8:
+    if bits < _MIN_BITS:
         raise ValueError(f"prime size too small: {bits} bits")
     rng = rng or random.SystemRandom()
     top_bits = (1 << (bits - 1)) | (1 << (bits - 2))
-    rounds = _generated_rounds(bits)
     inline_draws = _draws_by_getrandbits(rng)
     while True:
         candidate = rng.getrandbits(bits) | top_bits | 1
-        if candidate < _DETERMINISTIC_BOUND:
-            # Exact, and draws no witnesses.
-            if is_probable_prime(candidate):
-                return candidate
-            continue
-        if not all(candidate % p for p in _SMALL_PRIMES):
+        if math.gcd(candidate, _TRIAL_PRODUCT) != 1:
             continue
         # Draw first, sieve second: the other order would skip the draws
         # of the candidates the gcd rejects.
-        witnesses = _draw_witnesses(rng, candidate, rounds, inline_draws)
+        _draw_witnesses(rng, candidate, inline_draws)
         if (math.gcd(candidate, _SIEVE_PRODUCT) == 1
-                and _passes_miller_rabin(candidate, witnesses)):
+                and is_probable_prime(candidate)):
             return candidate
 
 

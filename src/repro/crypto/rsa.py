@@ -247,11 +247,13 @@ def generate_keypair(bits: int = 512,
     from the OS CSPRNG.
 
     The primes come from :func:`repro.crypto.primes.generate_prime`, which
-    tests the candidates it draws at the average-case bound for random
-    numbers (a composite slips through with probability ``<= 2**-80``)
-    rather than at the worst-case one a hostile input would need, and
-    which consumes ``rng`` identically however many rounds that takes --
-    see that module for both regimes and the stream contract.
+    tests each candidate with Baillie-PSW (one base-2 Miller-Rabin round,
+    then one strong Lucas test; no composite is known to pass both) and
+    consumes ``rng`` exactly as the 40-round generator it replaced did:
+    it still draws the 40 witnesses per candidate and uses none.  Those
+    draws stay until the key-generating streams are re-keyed, which is
+    parked because a measured re-key raised the failed exchanges on two
+    benchmark runs -- see that module for the stream contract.
     """
     if bits < 128 or bits % 2:
         raise ValueError(f"unsupported RSA modulus size: {bits} bits")

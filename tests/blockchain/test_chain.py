@@ -110,6 +110,31 @@ def test_children_of_a_refused_block_stay_within_the_orphan_bound():
     assert chain.height == 2 and chain.tip.hash == honest.hash
 
 
+def test_an_orphan_refused_as_its_parent_arrives_takes_its_descendants():
+    """An orphan that fails validation once its parent attaches is never
+    stored, so its own waiting children, and theirs, can never attach:
+    they leave the pool with it, and its valid sibling still attaches."""
+    chain = Chain()
+    parent = Block.assemble(prev_hash=chain.tip.hash, timestamp=1.0,
+                            transactions=[make_coinbase(1)])
+    refused = Block.assemble(
+        prev_hash=parent.hash, timestamp=2.0,
+        transactions=[make_coinbase(2), make_coinbase(2, tag=1)])
+    child = Block.assemble(prev_hash=refused.hash, timestamp=3.0,
+                           transactions=[make_coinbase(3)])
+    grandchild = Block.assemble(prev_hash=child.hash, timestamp=4.0,
+                                transactions=[make_coinbase(4)])
+    sibling = Block.assemble(prev_hash=parent.hash, timestamp=2.0,
+                             transactions=[make_coinbase(2, tag=2)])
+    for block in (grandchild, child, refused, sibling):
+        assert chain.add_block(block).status == "orphan"
+
+    assert chain.add_block(parent).status == "active"
+    assert chain.height == 2 and chain.tip.hash == sibling.hash
+    assert not chain.contains(refused.hash)
+    assert chain._orphans == {}
+
+
 def test_side_chain_then_reorg():
     chain = Chain()
     genesis_hash = chain.tip.hash

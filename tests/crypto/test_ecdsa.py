@@ -185,10 +185,6 @@ def test_pubkey_rejects_not_on_curve():
         pytest.fail("expected at least one non-residue x below 50")
 
 
-def test_private_key_bytes_roundtrip(key):
-    assert ecdsa.PrivateKey.from_bytes(key.to_bytes()) == key
-
-
 def test_generate_deterministic():
     a = ecdsa.generate_private_key(random.Random(3))
     b = ecdsa.generate_private_key(random.Random(3))

@@ -275,7 +275,8 @@ def test_one_batch_mixes_every_tier_and_every_refusal(cache):
     _pad(wide, ecdsa._WIDEN_AFTER)
     items = []
     for key in keys:
-        digest = hashlib.sha256(b"mixed" + key.to_bytes()).digest()
+        secret = key.secret.to_bytes(32, "big")
+        digest = hashlib.sha256(b"mixed" + secret).digest()
         good = key.sign(digest)
         for signature in (good,
                           Signature(good.r, CURVE_ORDER - good.s),  # high-S

@@ -1,17 +1,18 @@
-"""Miller-Rabin and prime generation.
+"""Baillie-PSW and prime generation.
 
-``generate_prime`` is held to two contracts here: it consumes its rng and
-returns its primes exactly as the seed generator kept in
-``tests/oracles/primes_reference.py`` does, and the Miller-Rabin rounds
-it runs instead of that generator's 40 are derived from the published
-error bound, not asserted.
+``is_probable_prime`` is held to the published pseudoprime lists below
+10**5, where each of its two tests has composites that pass it and none
+pass both.  ``generate_prime`` is held to the seed generator kept in
+``tests/oracles/primes_reference.py``: it consumes its rng and returns its
+primes exactly as that one does, at one base-2 exponentiation per
+candidate it tests and one Lucas test per prime.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,31 @@ from tests.oracles import primes_reference
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 7919, 104729, (1 << 89) - 1, (1 << 127) - 1]
 KNOWN_COMPOSITES = [1, 0, -7, 4, 100, 7917, 104730, (1 << 89) + 1]
-# Carmichael numbers fool Fermat tests; Miller-Rabin must reject them.
+# Carmichael numbers fool Fermat tests; Baillie-PSW must reject them.
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+
+LIMIT = 10**5
+# OEIS A217255: the strong Lucas pseudoprimes (Selfridge's method A).
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                             25199, 40309, 58519, 75077, 97439]
+# OEIS A001262: the strong pseudoprimes to base 2.
+STRONG_BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 15841, 29341,
+                              42799, 49141, 52633, 65281, 74665, 80581,
+                              85489, 88357, 90751]
+
+
+def _is_prime_below_limit() -> bytearray:
+    sieve = bytearray([1]) * LIMIT
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, LIMIT, i)))
+    return sieve
+
+
+IS_PRIME = _is_prime_below_limit()
+ODD_PRIMES = [n for n in range(3, LIMIT, 2) if IS_PRIME[n]]
+ODD_COMPOSITES = [n for n in range(9, LIMIT, 2) if not IS_PRIME[n]]
 
 
 @pytest.mark.parametrize("n", KNOWN_PRIMES)
@@ -42,14 +66,62 @@ def test_carmichael_numbers_rejected(n):
 
 
 def test_deterministic_below_bound_matches_sympy_free_check():
-    """Cross-check small range against trial division."""
-    def trial(n):
-        if n < 2:
-            return False
-        return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-    for n in range(2, 2000):
-        assert is_probable_prime(n) == trial(n), n
+    """Cross-check every n below the limit against a sieve (Baillie-PSW
+    is exact below 2**64)."""
+    for n in range(LIMIT):
+        assert is_probable_prime(n) == IS_PRIME[n], n
 
+
+# -- the two tests, against the published pseudoprime lists -------------------
+
+def test_every_odd_prime_below_the_limit_passes_both_tests():
+    assert all(primes._passes_base_2(p) for p in ODD_PRIMES)
+    assert all(primes._passes_strong_lucas(p) for p in ODD_PRIMES)
+
+
+def test_composites_passing_the_lucas_test_are_a217255():
+    assert [n for n in ODD_COMPOSITES
+            if primes._passes_strong_lucas(n)] == STRONG_LUCAS_PSEUDOPRIMES
+
+
+def test_composites_passing_the_base_2_round_are_a001262():
+    assert [n for n in ODD_COMPOSITES
+            if primes._passes_base_2(n)] == STRONG_BASE_2_PSEUDOPRIMES
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES
+                         + STRONG_BASE_2_PSEUDOPRIMES)
+def test_each_pseudoprime_fails_the_other_test(n):
+    assert (primes._passes_base_2(n)
+            != primes._passes_strong_lucas(n))
+    assert not is_probable_prime(n)
+
+
+@pytest.mark.parametrize("p", [1093, 3511])
+def test_wieferich_squares_pass_base_2_and_fail_the_square_check(p):
+    """The square of a Wieferich prime is a strong base-2 pseudoprime;
+    the perfect-square check, not the Jacobi search, turns it away (no
+    ``D`` has symbol -1 against a square)."""
+    assert primes._passes_base_2(p * p)
+    assert not primes._passes_strong_lucas(p * p)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_perfect_squares_rejected(bits):
+    p = generate_prime(bits, random.Random(bits))
+    assert not is_probable_prime(p * p)
+    assert not primes._passes_strong_lucas(p * p)
+
+
+def test_jacobi_symbol_is_eulers_criterion_at_primes():
+    for p in ODD_PRIMES[:200]:
+        for a in range(-30, 30):
+            euler = pow(a, (p - 1) // 2, p)
+            expected = {0: 0, 1: 1, p - 1: -1}[euler]
+            assert primes._jacobi(a, p) == expected, (a, p)
+
+
+# -- generate_prime -----------------------------------------------------------
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_generate_prime_bit_length(bits):
@@ -67,6 +139,15 @@ def test_generate_prime_deterministic_with_seed():
 def test_generate_prime_rejects_tiny():
     with pytest.raises(ValueError):
         generate_prime(4)
+
+
+def test_smallest_size_is_the_first_whose_candidates_pass_the_sieve():
+    """Below 14 bits every prime of the size divides one of the two
+    products, so no candidate could ever be returned."""
+    with pytest.raises(ValueError):
+        generate_prime(primes._MIN_BITS - 1)
+    p = generate_prime(primes._MIN_BITS, random.Random(0))
+    assert IS_PRIME[p] and p > 1 << 13
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -90,13 +171,12 @@ def test_lcm(a, b, expected):
     assert lcm(a, b) == expected
 
 
-# -- the seeded-stream contract: same primes, same rng state --------------------
+# -- the seeded-stream contract: same primes, same rng state ----------------
 
-@pytest.mark.parametrize("bits", [64, 82, 100, 128, 256, 512])
+@pytest.mark.parametrize("bits", [82, 100, 128, 256, 512])
 def test_generate_prime_matches_oracle_and_its_stream(bits):
-    """64 exercises the deterministic-witness path, 82 the smallest size
-    that draws witnesses (no table row: all 40 run), the rest one table
-    row each."""
+    """From 82 bits up the seed generator draws 40 witnesses for every
+    candidate that survives trial division; so does the current one."""
     for seed in range(20):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         for _ in range(3):
@@ -105,17 +185,16 @@ def test_generate_prime_matches_oracle_and_its_stream(bits):
             assert rng.getstate() == oracle_rng.getstate(), (bits, seed)
 
 
-@pytest.mark.parametrize("bits,rounds", [(82, 40), (256, 12), (512, 6)])
-def test_inline_witness_draws_are_randranges(bits, rounds):
-    """The inline loop returns the first ``rounds`` of the draws
-    ``randrange(2, candidate - 1)`` makes, and makes all of them."""
+@pytest.mark.parametrize("bits", [82, 256, 512])
+def test_inline_witness_draws_are_randranges(bits):
+    """The inline loop makes the draws ``randrange(2, candidate - 1)``
+    makes, all ``_WITNESS_DRAWS`` of them."""
     for seed in range(10):
         candidate = random.Random(-seed).getrandbits(bits) | 1 << (bits - 1)
         rng, reference = random.Random(seed), random.Random(seed)
-        drawn = [reference.randrange(2, candidate - 1)
-                 for _ in range(primes._WITNESS_DRAWS)]
-        assert (primes._draw_witnesses(rng, candidate, rounds, True)
-                == drawn[:rounds])
+        for _ in range(primes._WITNESS_DRAWS):
+            reference.randrange(2, candidate - 1)
+        primes._draw_witnesses(rng, candidate, True)
         assert rng.getstate() == reference.getstate()
 
 
@@ -140,78 +219,34 @@ def test_generator_without_getrandbits_draws_through_randrange(bits):
         assert rng.getstate() == oracle_rng.getstate(), (bits, seed)
 
 
+KEY_SEEDS = range(200)
+
+
 def test_keypairs_match_oracle_at_under_half_the_exponentiations():
-    """100 RSA-512 keys from ``Random(5)``: the oracle's bytes, the
-    oracle's next draw, and -- counted, not timed -- at most 5 000
-    Miller-Rabin exponentiations where the oracle spends 11 846."""
-    keys, spent = primes_reference.counted_keypairs(
-        primes, 100, random.Random(5))
-    oracle_keys, oracle_spent = primes_reference.counted_keypairs(
-        primes_reference, 100, random.Random(5))
-    assert keys == oracle_keys
-    assert 0 < spent <= 5000
-    assert oracle_spent >= 2 * spent
-
-
-# -- the error bound: the round table is derived, not asserted -----------------
-
-def _log2_sum(*terms):
-    top = max(terms)
-    return top + math.log2(sum(2 ** (term - top) for term in terms))
-
-
-def _log2_error_bound(k, t):
-    """log2 of the best applicable bound of HAC Fact 4.48 on p(k, t): the
-    probability that a uniformly random odd ``k``-bit integer which passes
-    ``t`` random-base Miller-Rabin rounds is composite."""
-    lg = math.log2
-    bounds = []
-    if t == 1 and k >= 2:                                           # (i)
-        bounds.append(2 * lg(k) + 2 * (2 - math.sqrt(k)))
-    if (t == 2 and k >= 88) or (3 <= t <= k / 9 and k >= 21):       # (ii)
-        bounds.append(1.5 * lg(k) + t - 0.5 * lg(t)
-                      + 2 * (2 - math.sqrt(t * k)))
-    if k / 9 <= t <= k / 4 and k >= 21:                             # (iii)
-        bounds.append(_log2_sum(lg(7 / 20 * k) - 5 * t,
-                                lg(1 / 7) + 3.75 * lg(k) - k / 2 - 2 * t,
-                                lg(12 * k) - k / 4 - 3 * t))
-    if t >= k / 4 and k >= 21:                                      # (iv)
-        bounds.append(lg(1 / 7) + 3.75 * lg(k) - k / 2 - 2 * t)
-    return min(bounds)
-
-
-@pytest.mark.parametrize("floor,rounds", primes._GENERATED_ROUNDS)
-def test_round_table_is_the_least_that_meets_two_to_minus_eighty(floor, rounds):
-    """Every row of HAC Table 4.4, re-derived at the row's smallest size
-    (the bound only improves with size): the rounds reach 2**-80 and one
-    round fewer would not."""
-    assert _log2_error_bound(floor, rounds) <= -80
-    assert _log2_error_bound(floor, rounds - 1) > -80
-
-
-@pytest.mark.parametrize("bits,expected", [(256, 12), (384, 8), (512, 6),
-                                           (1024, 3)])
-def test_generated_sizes_keep_four_bits_of_slack(bits, expected):
-    """Candidates have their top two bits forced, not just the top one:
-    half the population the bound is stated for, so at most twice the
-    bound (one bit).  The prime sizes of every RSA modulus the repo
-    generates (512, 768, 1024, 2048) sit more than four bits under 2**-80
-    -- 256: -84.6, 384: -87.5, 512: -88.6, 1024: -89.6."""
-    assert primes._generated_rounds(bits) == expected
-    assert _log2_error_bound(bits, expected) < -84
-
-
-def test_rounds_outside_the_table_and_the_worst_case_default():
-    assert primes._WITNESS_DRAWS == 40
-    assert max(rounds for _, rounds in primes._GENERATED_ROUNDS) <= 40
-    floors = [floor for floor, _ in primes._GENERATED_ROUNDS]
-    assert floors == sorted(floors, reverse=True)
-    # 82..99 bits draw witnesses but have no row: every drawn one runs.
-    assert {primes._generated_rounds(bits) for bits in range(82, 100)} == {40}
-    assert primes._generated_rounds(100) == 27
-    assert primes._generated_rounds(4096) == 2
-    assert inspect.signature(
-        is_probable_prime).parameters["rounds"].default == 40
+    """One RSA-512 key from each of 200 seeds: the oracle's bytes and the
+    oracle's next draw.  Counted, not timed: one base-2 exponentiation at
+    most per composite survivor of trial division and one per prime,
+    where the oracle spends at least one and forty; and one Lucas test
+    per candidate that passes base 2, each of them a prime."""
+    work, oracle_work = Counter(), Counter()
+    for seed in KEY_SEEDS:
+        keys, spent = primes_reference.counted_keypairs(
+            primes, 1, random.Random(seed))
+        oracle_keys, oracle_spent = primes_reference.counted_keypairs(
+            primes_reference, 1, random.Random(seed))
+        assert keys == oracle_keys, seed
+        work += spent
+        oracle_work += oracle_spent
+    found = primes_reference.calls(work, "primes")
+    assert found == primes_reference.calls(oracle_work, "primes")
+    assert found >= 2 * len(KEY_SEEDS)
+    lucas = primes_reference.calls(work, "_passes_strong_lucas")
+    assert lucas == work["_passes_base_2", True] == found
+    assert work["_passes_strong_lucas", True] == found
+    pows = primes_reference.calls(work, "_passes_base_2")
+    oracle_pows = primes_reference.calls(oracle_work, "_miller_rabin_witness")
+    assert 0 < pows <= oracle_pows - 39 * found
+    assert oracle_pows >= 2 * pows
 
 
 def test_sieve_product_is_the_primes_from_211_to_8192():
@@ -221,18 +256,27 @@ def test_sieve_product_is_the_primes_from_211_to_8192():
     assert primes._SIEVE_PRODUCT == math.prod(expected)
 
 
-# -- hostile input: why the bases stay random ----------------------------------
+def test_trial_product_rejects_what_trial_division_by_46_primes_did():
+    small = [n for n in range(2, 200)
+             if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert len(small) == 46 and primes._TRIAL_PRODUCT == math.prod(small)
+    rng = random.Random(46)
+    for _ in range(2000):
+        candidate = rng.getrandbits(256) | 3 << 254 | 1
+        assert ((math.gcd(candidate, primes._TRIAL_PRODUCT) == 1)
+                == all(candidate % p for p in small))
+
+
+# -- composites built to fool Miller-Rabin ----------------------------------
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_many_liar_composites_rejected(bits):
     """n = p(2p - 1) with both factors prime has about n/8 strong liars,
-    near the most a composite can have, so a fixed base set could be
-    prepared against; forty random bases still reject it."""
+    near the most a composite can have; Baillie-PSW rejects it."""
     rng = random.Random(bits)
     while True:
         p = generate_prime(bits // 2, rng)
-        if is_probable_prime(2 * p - 1, rng=rng):
+        if is_probable_prime(2 * p - 1):
             break
     n = p * (2 * p - 1)
-    for seed in range(20):
-        assert not is_probable_prime(n, rng=random.Random(seed))
+    assert not is_probable_prime(n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
@@ -11,11 +12,13 @@ from repro.blockchain.wallet import Wallet
 from repro.core.costmodel import CostModel
 from repro.core.daemon import BlockchainDaemon
 from repro.crypto.keys import KeyPair
+from repro.light import compact
 from repro.light.compact import (
     CompactBlockRelay,
     make_compact_block,
     short_txid,
 )
+from repro.p2p.message import BlockTxnMessage
 from repro.p2p.network import WANetwork
 from repro.sim.core import Simulator
 from repro.sim.latency import ConstantLatency
@@ -154,3 +157,130 @@ def test_reconstructed_block_connects_chain():
     # 2 genesis-sync blocks + 4 payment blocks, all without a roundtrip.
     assert stats["reconstructed_from_mempool"] == 6
     assert stats["reconstruct_failed"] == 0
+
+
+# -- the fallback's failure paths --------------------------------------------
+
+def _block_with_unsent_payments(sim, a, wallet, miner, count=2):
+    """A block on A carrying ``count`` payments that only A's mempool had."""
+    txs = []
+    for _ in range(count):
+        tx = wallet.create_payment(wallet.pubkey_hash, 5)
+        assert a.node.submit_transaction(tx).accepted
+        txs.append(tx)
+    block = miner.mine_and_connect(sim.now)
+    assert [tx.txid for tx in block.transactions[1:]] == [
+        tx.txid for tx in txs]
+    return block, txs
+
+
+def _collide(monkeypatch, impostor, victim):
+    """Give ``impostor`` the short id of ``victim`` in every block."""
+    real = compact.short_txid
+    monkeypatch.setattr(
+        compact, "short_txid",
+        lambda block_hash, txid: real(
+            block_hash, victim.txid if txid == impostor.txid else txid))
+
+
+def _colliding_sketch(monkeypatch, sim, a, b, wallet, miner):
+    """B holds an impostor under the short id of the block's first
+    payment and lacks the second: the sketch fills one slot wrongly and
+    asks A for the other."""
+    sync_genesis(sim, a, b, miner)
+    sync_genesis(sim, a, b, miner)  # four mature coins
+    impostor = wallet.create_payment(wallet.pubkey_hash, 7)
+    assert b.node.submit_transaction(impostor).accepted
+    block, (victim, _absent) = _block_with_unsent_payments(
+        sim, a, wallet, miner)
+    _collide(monkeypatch, impostor, victim)
+    return block, impostor
+
+
+def test_colliding_slot_refetches_every_position_once(monkeypatch):
+    """The rebuilt block's Merkle root is wrong: one refetch of every
+    position from the same peer, whose honest reply rebuilds it."""
+    sim, a, b, relays, wallet, miner = make_pair()
+    block, _impostor = _colliding_sketch(monkeypatch, sim, a, b, wallet,
+                                         miner)
+    relays[0].announce(block)
+    sim.run(until=sim.now + 5)
+    relay_b = relays[1]
+    assert relay_b.txs_from_mempool >= 1
+    assert relay_b.fallback_roundtrips == 2
+    assert relay_b.txs_fetched == 1 + len(block.transactions)
+    assert relay_b.reconstructed_after_fallback == 1
+    assert relay_b.reconstruct_failed == 0
+    assert b.node.chain.tip.hash == block.hash
+
+
+def test_refetched_block_still_wrong_gives_up(monkeypatch):
+    """The peer answers the refetch of every position with the same
+    colliding transaction: the relay gives up, and asks no third time."""
+    sim, a, b, relays, wallet, miner = make_pair()
+    block, impostor = _colliding_sketch(monkeypatch, sim, a, b, wallet,
+                                        miner)
+    served = SimpleNamespace(block=SimpleNamespace(
+        transactions=[block.transactions[0], impostor,
+                      *block.transactions[2:]]))
+    monkeypatch.setattr(a.node.chain, "record_for", lambda _hash: served)
+    relays[0].announce(block)
+    sim.run(until=sim.now + 2)  # both replies in, no deadline reached
+    relay_b = relays[1]
+    assert relay_b.fallback_roundtrips == 2
+    assert relay_b.reconstruct_failed == 1
+    sim.run(until=sim.now + 2 * relay_b.FALLBACK_TIMEOUT)
+    assert relay_b.fallback_roundtrips == 2
+    assert relay_b.reconstruct_failed == 1
+    assert relay_b.reconstructed_after_fallback == 0
+    assert b.node.chain.tip.hash != block.hash
+
+
+def _silent_holder(monkeypatch, sim, a, b, wallet, miner):
+    """A block B must fetch one payment of, from an A that never serves
+    it: the test plays A's reply."""
+    sync_genesis(sim, a, b, miner)
+    block, _txs = _block_with_unsent_payments(sim, a, wallet, miner, count=1)
+    monkeypatch.setattr(a.node.chain, "record_for", lambda _hash: None)
+    return block
+
+
+def test_reply_leaving_a_slot_empty_fails_the_sketch(monkeypatch):
+    sim, a, b, relays, wallet, miner = make_pair()
+    block = _silent_holder(monkeypatch, sim, a, b, wallet, miner)
+    relays[0].announce(block)
+    sim.run(until=sim.now + 1)
+    relay_b = relays[1]
+    assert relay_b.fallback_roundtrips == 1
+    # The asked position, and no transaction for it.
+    a.network.send("a", "b", BlockTxnMessage(
+        block_hash=block.hash, indexes=(1,), transactions=()))
+    sim.run(until=sim.now + 1)
+    assert relay_b.reconstruct_failed == 1
+    assert relay_b.txs_fetched == 0
+    # Answered: the deadline finds nothing to fail a second time.
+    sim.run(until=sim.now + 2 * relay_b.FALLBACK_TIMEOUT)
+    assert relay_b.reconstruct_failed == 1
+    assert relay_b.reconstructed_after_fallback == 0
+    assert b.node.chain.tip.hash != block.hash
+
+
+def test_replies_nobody_asked_for_are_ignored():
+    sim, a, b, relays, wallet, miner = make_pair()
+    sync_genesis(sim, a, b, miner)
+    block, (tx,) = _block_with_unsent_payments(sim, a, wallet, miner, count=1)
+    relays[0].announce(block)
+    raw = (block.transactions[0].serialize(), tx.serialize())
+    # Behind the sketch: a block B never saw, then the right block but
+    # positions B did not ask for.
+    a.network.send("a", "b", BlockTxnMessage(
+        block_hash=b"\x42" * 32, indexes=(0, 1), transactions=raw))
+    a.network.send("a", "b", BlockTxnMessage(
+        block_hash=block.hash, indexes=(0, 1), transactions=raw))
+    sim.run(until=sim.now + 5)
+    relay_b = relays[1]
+    assert relay_b.fallback_roundtrips == 1
+    assert relay_b.txs_fetched == 1  # A's own reply, and only that
+    assert relay_b.reconstructed_after_fallback == 1
+    assert relay_b.reconstruct_failed == 0
+    assert b.node.chain.tip.hash == block.hash

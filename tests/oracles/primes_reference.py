@@ -1,24 +1,27 @@
 """The seed prime generator: the oracle for ``repro.crypto.primes``.
 
-``is_probable_prime`` and ``generate_prime`` exactly as they stood before
-``src/`` started spending Miller-Rabin rounds by candidate size: every
-candidate that survives the 46-prime trial division gets the full block
-of 40 random-base rounds.  ``tests/crypto/test_primes.py`` and
-``benchmarks/test_microbench_keygen.py`` require the current generator
-to return this one's primes and to leave the rng in this one's state,
-and count both generators' work with :func:`counted_keypairs`.
+``is_probable_prime`` and ``generate_prime`` exactly as the seed wrote
+them: every candidate that survives the 46-prime trial division gets the
+full block of 40 random-base Miller-Rabin rounds, and a candidate under
+3.3e24 is tested against a fixed witness set instead, drawing nothing.
+``tests/crypto/test_primes.py`` and ``benchmarks/test_microbench_keygen.py``
+require the current generator to return this one's primes and to leave
+the rng in this one's state at every size from 82 bits up (the sizes at
+which this one draws witnesses), and count both generators' work with
+:func:`counted_keypairs`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Optional
 
 import pytest
 
 from repro.crypto import primes, rsa
 
-__all__ = ["is_probable_prime", "generate_prime", "counted_keypairs"]
+__all__ = ["is_probable_prime", "generate_prime", "counted_keypairs", "calls"]
 
 # Small primes used to cheaply reject most composite candidates before the
 # Miller-Rabin rounds.
@@ -91,27 +94,45 @@ def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
             return candidate
 
 
+# The steps counted in a generator's test: the seed's Miller-Rabin
+# exponentiation, the current module's base-2 round and Lucas test.
+COUNTED_STEPS = ("_miller_rabin_witness", "_passes_base_2",
+                 "_passes_strong_lucas")
+
+
 def counted_keypairs(module, count: int,
-                     rng: random.Random) -> tuple[list[bytes], int]:
+                     rng: random.Random) -> tuple[list[bytes], Counter]:
     """``count`` RSA-512 keys from ``rng`` with ``module``'s generator (this
     module or ``repro.crypto.primes``) behind ``rsa.generate_keypair``.
 
     Returns the serialized keys followed by the stream's next draw, and
-    the Miller-Rabin exponentiations spent -- a count, so it repeats
-    exactly where a timing would not.
+    the work: ``(step, result)`` -> calls, for each of ``COUNTED_STEPS``
+    that ``module`` has and for ``"primes"``, whose result is the prime
+    ``generate_prime`` returned (:func:`calls` sums a step's results).
+    Counts, so they repeat exactly where a timing would not.
     """
-    spent = 0
-    step = module._miller_rabin_witness
+    work: Counter = Counter()
 
-    def counted_step(*args) -> bool:
-        nonlocal spent
-        spent += 1
-        return step(*args)
+    def counted(name, step):
+        def counted_step(*args):
+            result = step(*args)
+            work[name, result] += 1
+            return result
+        return counted_step
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_miller_rabin_witness", counted_step)
-        patch.setattr(primes, "generate_prime", module.generate_prime)
+        for name in COUNTED_STEPS:
+            if hasattr(module, name):
+                patch.setattr(module, name,
+                              counted(name, getattr(module, name)))
+        patch.setattr(primes, "generate_prime",
+                      counted("primes", module.generate_prime))
         keys = [rsa.generate_keypair(512, rng).to_bytes()
                 for _ in range(count)]
     keys.append(rng.getrandbits(64).to_bytes(8, "big"))
-    return keys, spent
+    return keys, work
+
+
+def calls(work: Counter, step: str) -> int:
+    """How many times ``step`` ran, whatever it returned."""
+    return sum(n for (name, _), n in work.items() if name == step)
