@@ -4,11 +4,11 @@ One :class:`ValidationEngine` instance serves one chain view.  It runs the
 three validation stages — *syntax* (context-free), *contextual* (against a
 UTXO source and chain position), *scripts* (interpreter execution).  An
 input's script verdict is kept in the engine's
-:class:`~repro.blockchain.sigbatch.VerdictMemo` under
-``(SCRIPT, txid, input_index, utxo_entry_hash)``, successes only: a
-transaction whose scripts ran at mempool admission is not run again when
-its block connects (the paper's Fig. 6 regime), and on a memo a
-deployment shares, a script one daemon has run is not run by the next.
+:class:`~repro.blockchain.sigbatch.VerdictMemo`, keyed by ``(txid,
+input_index, utxo_entry_hash)``, successes only: a transaction whose
+scripts ran at mempool admission is not run again when its block connects
+(the paper's Fig. 6 regime), and on a memo a deployment shares, a script
+one daemon has run is not run by the next.
 
 Block connection validates against a copy-on-write
 :class:`~repro.blockchain.utxo.UTXOView` instead of mutating the live set:
@@ -25,7 +25,7 @@ from repro.blockchain.block import Block
 from repro.blockchain.checkpoint import Checkpoint, iter_checkpoints
 from repro.blockchain.context import TransactionContext
 from repro.blockchain.params import COINBASE_REWARD, ChainParams
-from repro.blockchain.sigbatch import SCRIPT, VerdictMemo, precompute_verdicts
+from repro.blockchain.sigbatch import VerdictMemo, precompute_verdicts
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.utxo import UTXODelta, UTXOEntry, UTXOSet, UTXOView
 from repro.errors import ValidationError
@@ -123,8 +123,8 @@ class _ScriptBatch:
     def add(self, tx: Transaction, index: int, entry: UTXOEntry) -> None:
         """Queue one input, honouring memo and precheck in block order."""
         engine = self.engine
-        if engine.verdict_memo.get((SCRIPT, tx.txid, index,
-                                    entry.entry_hash)):
+        if engine.verdict_memo.script_succeeded(tx.txid, index,
+                                                entry.entry_hash):
             engine.cache_stats.hits += 1
             return
         reason = engine.policy.precheck_spend(
@@ -144,11 +144,11 @@ class _ScriptBatch:
         failure in block order.
 
         One :func:`~repro.blockchain.sigbatch.precompute_verdicts` pass
-        computes every input's sighash (one serialization per tx) and
-        batch-verifies the recognizable CHECKSIG spends the engine's
-        verdict memo does not know yet; the interpreter then replays each
-        script pair with those results as pure accelerations, so verdicts
-        match the unbatched path bit-for-bit.
+        computes every input's sighash and batch-verifies the recognizable
+        CHECKSIG spends the engine's verdict memo does not know yet; the
+        interpreter then replays each script pair with those results as
+        pure accelerations, so verdicts match the unbatched path
+        bit-for-bit.
         """
         queue, self.queue = self.queue, []
         if not queue:
@@ -171,7 +171,7 @@ class _ScriptBatch:
                     f"{tx.txid.hex()[:16]}.. "
                     f"(locking: {locking.disassemble()})"
                 )
-            memo.put((SCRIPT, tx.txid, index, entry.entry_hash), True)
+            memo.store_script_success(tx.txid, index, entry.entry_hash)
 
     def barrier(self, exc: ValidationError) -> None:
         """Flush, then raise ``exc`` — unless an already-queued script
@@ -195,9 +195,9 @@ class ValidationEngine:
 
     ``verdict_memo`` is the engine's
     :class:`~repro.blockchain.sigbatch.VerdictMemo`: the script successes
-    and the ECDSA and RSA-pair verdicts its interpreter runs have
-    computed.  Private by default; a deployment that simulates many
-    daemons in one process assigns them all the same memo.
+    and the ECDSA verdicts its interpreter runs have computed.  Private
+    by default; a deployment that simulates many daemons in one process
+    assigns them all the same memo.
     ``cache_stats`` counts this engine's own lookups in it.
     """
 
@@ -286,13 +286,10 @@ class ValidationEngine:
                      sighash_hint: Optional[bytes],
                      ) -> ScriptInterpreter:
         """An interpreter for one input, wired to the verdict memo."""
-        memo = self.verdict_memo
-        context = TransactionContext(
+        return ScriptInterpreter(context=TransactionContext(
             tx=tx, input_index=index, locking_script=locking,
-            sighash_hint=sighash_hint, verdict_memo=memo,
-        )
-        return ScriptInterpreter(context=context,
-                                 rsa_pair_check=memo.check_rsa_pair)
+            sighash_hint=sighash_hint, verdict_memo=self.verdict_memo,
+        ))
 
     def verify_input_scripts(self, tx: Transaction,
                              entries: list[UTXOEntry]) -> None:

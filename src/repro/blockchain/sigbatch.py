@@ -7,9 +7,8 @@ check is a plain ECDSA verify — a p2pkh or CLTV-guarded-p2pkh locking
 script spent by a push-only ``<sig> <pubkey>`` unlocking script — and
 front-loads their expensive work:
 
-* every input's SIGHASH_ALL digest is computed through
-  :meth:`~repro.blockchain.transaction.Transaction.sighash_many`, which
-  serializes each transaction once instead of once per input;
+* every input's SIGHASH_ALL digest is computed once, through
+  :meth:`~repro.blockchain.transaction.Transaction.sighash`;
 * the recognized ``(pubkey, digest, signature)`` triples the
   :class:`VerdictMemo` does not know yet go through
   :func:`repro.crypto.ecdsa.verify_batch`, which runs the same
@@ -18,12 +17,12 @@ front-loads their expensive work:
 
 The interpreter still executes every opcode of every script it runs —
 the precomputed digests and memoised verdicts reach it through
-:class:`~repro.blockchain.context.TransactionContext` and the
-``rsa_pair_check`` hook as pure accelerations, so verdicts, error
-strings, and side effects are bit-identical to the unbatched, unmemoised
-path (``verify_batch`` itself is verdict-identical to
-``PublicKey.verify``).  Which inputs it runs at all is the memo's third
-kind: an input whose script pair already succeeded is not run again.
+:class:`~repro.blockchain.context.TransactionContext` as pure
+accelerations, so verdicts, error strings, and side effects are
+bit-identical to the unbatched, unmemoised path (``verify_batch`` itself
+is verdict-identical to ``PublicKey.verify``).  Which inputs it runs at
+all is the memo's second kind: an input whose script pair already
+succeeded is not run again.
 """
 
 from __future__ import annotations
@@ -38,17 +37,14 @@ from repro.script.analysis import (
     OUTPUT_P2PKH,
     classify_output,
 )
-from repro.script.interpreter import check_rsa_pair
 from repro.script.script import Script
 
-__all__ = ["ECDSA", "RSA_PAIR", "SCRIPT", "VerdictMemo",
-           "extract_checksig_spend", "precompute_verdicts"]
+__all__ = ["ECDSA", "SCRIPT", "VerdictMemo", "extract_checksig_spend",
+           "precompute_verdicts"]
 
-#: Memo key tags: ``(ECDSA, pubkey_bytes, sighash, signature_bytes)``,
-#: ``(RSA_PAIR, public_bytes, private_bytes)`` and
+#: Memo key tags: ``(ECDSA, pubkey_bytes, sighash, signature_bytes)`` and
 #: ``(SCRIPT, txid, input_index, entry_hash)``.
 ECDSA = "ecdsa"
-RSA_PAIR = "rsa_pair"
 SCRIPT = "script"
 
 #: Locking shapes whose single OP_CHECKSIG consumes exactly the two
@@ -57,28 +53,27 @@ _CHECKSIG_SHAPES = (OUTPUT_P2PKH, OUTPUT_CLTV_GUARDED)
 
 
 class VerdictMemo(Counted):
-    """FIFO-bounded memo of pure verification verdicts, three kinds.
+    """FIFO-bounded memo of pure verification verdicts, two kinds.
 
-    An ECDSA verification and an ``OP_CHECKRSA512PAIR`` match are pure
-    functions of the bytes in their key, so a stored verdict — True or
-    False — is the verdict, whichever engine asks.  A script verdict is a
-    pure function of the transaction's bytes (its txid), the input index
-    and the spent output (its ``entry_hash``); only successes are stored,
-    so a spend that fails runs, and is refused with the same message, on
-    every engine that meets it.  Every
-    :class:`~repro.blockchain.engine.ValidationEngine` owns a private
-    memo; :class:`~repro.core.network.BcWANNetwork` hands all its nodes
-    one, so the host runs each script, and verifies each signature, once
-    per deployment instead of once per simulated daemon (whose
-    verification *time* the cost model charges in simulated seconds
-    either way).
+    An ECDSA verification is a pure function of the bytes in its key, so
+    a stored verdict — True or False — is the verdict, whichever engine
+    asks.  A script verdict is a pure function of the transaction's bytes
+    (its txid), the input index and the spent output (its
+    ``entry_hash``); only successes are stored, so a spend that fails
+    runs, and is refused with the same message, on every engine that
+    meets it.  Every :class:`~repro.blockchain.engine.ValidationEngine`
+    owns a private memo; :class:`~repro.core.network.BcWANNetwork` hands
+    all its nodes one, so the host runs each script, and verifies each
+    signature, once per deployment instead of once per simulated daemon
+    (whose verification *time* the cost model charges in simulated
+    seconds either way).
 
     ``misses`` counts verdicts computed and stored (for scripts: the
     successful executions), ``hits`` lookups answered by an earlier one,
     ``evictions`` entries dropped at the bound — each per kind; the
-    bound is shared by all three.  A verdict the batch layer computes
-    ahead of the interpreter (``prefetched``) is the miss it was; its
-    first read is not a hit.
+    bound is shared by both.  A verdict the batch layer computes ahead of
+    the interpreter (``prefetched``) is the miss it was; its first read
+    is not a hit.
     """
 
     COUNTERS = {field: Keyed(field, "kind")
@@ -91,9 +86,9 @@ class VerdictMemo(Counted):
     def __init__(self) -> None:
         self._verdicts: dict[tuple, bool] = {}
         self._prefetched: set[tuple] = set()
-        self.hits = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
-        self.misses = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
-        self.evictions = {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
+        self.hits = {ECDSA: 0, SCRIPT: 0}
+        self.misses = {ECDSA: 0, SCRIPT: 0}
+        self.evictions = {ECDSA: 0, SCRIPT: 0}
 
     def __len__(self) -> int:
         return len(self._verdicts)
@@ -142,14 +137,16 @@ class VerdictMemo(Counted):
             self.put(key, verdict)
         return verdict
 
-    def check_rsa_pair(self, public: bytes, private: bytes) -> bool:
-        """The interpreter's ``rsa_pair_check`` hook, through the memo."""
-        key = (RSA_PAIR, public, private)
-        verdict = self.get(key)
-        if verdict is None:
-            verdict = check_rsa_pair(public, private)
-            self.put(key, verdict)
-        return verdict
+    def script_succeeded(self, txid: bytes, input_index: int,
+                         entry_hash: bytes) -> bool:
+        """Whether input ``input_index`` of ``txid``, spending the output
+        ``entry_hash`` digests, is a stored script success."""
+        return bool(self.get((SCRIPT, txid, input_index, entry_hash)))
+
+    def store_script_success(self, txid: bytes, input_index: int,
+                             entry_hash: bytes) -> None:
+        """Record that the input's script pair just succeeded."""
+        self.put((SCRIPT, txid, input_index, entry_hash), True)
 
 
 def extract_checksig_spend(script_sig: Script,
@@ -184,17 +181,8 @@ def precompute_verdicts(
     recognizable CHECKSIG spend: triples it already holds are skipped,
     the rest are batch-verified and stored.
     """
-    hints: dict[tuple[bytes, int], bytes] = {}
-    by_tx: dict[bytes, list[tuple[int, Script]]] = {}
-    tx_for: dict[bytes, Transaction] = {}
-    for tx, input_index, locking in spends:
-        by_tx.setdefault(tx.txid, []).append((input_index, locking))
-        tx_for[tx.txid] = tx
-    for txid, pairs in by_tx.items():
-        digests = tx_for[txid].sighash_many(pairs)
-        for (input_index, _), digest in zip(pairs, digests):
-            hints[(txid, input_index)] = digest
-
+    hints = {(tx.txid, input_index): tx.sighash(input_index, locking)
+             for tx, input_index, locking in spends}
     keys: list[tuple] = []
     items: list[tuple[ecdsa.PublicKey, bytes, ecdsa.Signature]] = []
     for tx, input_index, locking in spends:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.crypto.hashing import double_sha256
 from repro.errors import ValidationError
@@ -233,9 +233,13 @@ class Transaction:
     def _wire(self) -> bytes:
         """The wire form, built once: the transaction is immutable, and
         gossip sizes it on every send."""
+        return self._serialize(self.inputs)
+
+    def _serialize(self, inputs: Sequence[TxInput]) -> bytes:
+        """The wire form with ``inputs`` in place of the transaction's."""
         out = bytearray(struct.pack("<i", self.version))
-        out += _write_varint(len(self.inputs))
-        for tx_input in self.inputs:
+        out += _write_varint(len(inputs))
+        for tx_input in inputs:
             out += tx_input.serialize()
         out += _write_varint(len(self.outputs))
         for tx_output in self.outputs:
@@ -279,48 +283,26 @@ class Transaction:
                    locktime=locktime, version=version), offset
 
     def sighash(self, input_index: int, locking_script: Script) -> bytes:
-        """The digest an input's signature commits to (SIGHASH_ALL): one
-        spend of :meth:`sighash_many`."""
-        return self.sighash_many([(input_index, locking_script)])[0]
-
-    def sighash_many(self, spends: "list[tuple[int, Script]]"
-                     ) -> list[bytes]:
-        """SIGHASH_ALL digests, one per ``(input index, locking script
-        being spent)`` pair.
+        """The digest input ``input_index``'s signature commits to
+        (SIGHASH_ALL), against the ``locking_script`` it spends.
 
         The preimage is the classic Bitcoin construction, which binds the
         signature to the entire transaction: every input's scriptSig is
         blanked except the signed input's, which becomes the locking script
-        being spent.  Here the blanked inputs' wire forms are serialized
-        once per call and only the signed input's is rebuilt per digest, so
-        an ``n``-input transaction's full digest set costs ``O(n)`` script
-        serializations, not ``O(n**2)`` (the preimage byte joins and hashes
-        remain, as they must).  ``tests/oracles/sighash_reference.py``
-        builds each preimage the classic way.
+        being spent.  ``tests/oracles/sighash_reference.py`` builds it as a
+        whole copy of the transaction.
         """
+        if not 0 <= input_index < len(self.inputs):
+            raise ValidationError(
+                f"input index {input_index} out of range "
+                f"(transaction has {len(self.inputs)} inputs)"
+            )
         blank = Script()
-        blank_parts = [replace(tx_input, script_sig=blank).serialize()
-                       for tx_input in self.inputs]
-        head = struct.pack("<i", self.version) + _write_varint(len(self.inputs))
-        tail = (
-            _write_varint(len(self.outputs))
-            + b"".join(output.serialize() for output in self.outputs)
-            + struct.pack("<I", self.locktime)
-            + struct.pack("<I", SIGHASH_ALL)
-        )
-        digests: list[bytes] = []
-        for input_index, locking_script in spends:
-            if not 0 <= input_index < len(self.inputs):
-                raise ValidationError(
-                    f"input index {input_index} out of range "
-                    f"(transaction has {len(self.inputs)} inputs)"
-                )
-            signed = replace(self.inputs[input_index],
-                             script_sig=locking_script).serialize()
-            parts = list(blank_parts)
-            parts[input_index] = signed
-            digests.append(double_sha256(head + b"".join(parts) + tail))
-        return digests
+        inputs = [replace(tx_input, script_sig=locking_script
+                          if index == input_index else blank)
+                  for index, tx_input in enumerate(self.inputs)]
+        return double_sha256(self._serialize(inputs)
+                             + struct.pack("<I", SIGHASH_ALL))
 
     def with_input_script(self, input_index: int, script_sig: Script) -> "Transaction":
         """A copy of this transaction with one input's scriptSig replaced."""

@@ -198,6 +198,13 @@ class CompactBlockRelay(Counted):
         # the full block if gossip never re-offers it.
         self.reconstruct_failed += 1
 
+    def _reject_reply(self, peer: str) -> None:
+        """A reply that leaves a slot empty, or a refetch of every position
+        that still rebuilds the wrong Merkle root, is a false answer: the
+        sketch is given up and the peer that sent it scores a failure."""
+        self.reconstruct_failed += 1
+        self.requests.fail(peer)
+
     def _on_block_txn(self, envelope: Envelope) -> None:
         message = envelope.payload
         request = self.requests.answer(message.block_hash, envelope.source,
@@ -209,13 +216,13 @@ class CompactBlockRelay(Counted):
             partial.slots[index] = Transaction.deserialize(raw)
             self.txs_fetched += 1
         if any(slot is None for slot in partial.slots):
-            self.reconstruct_failed += 1
+            self._reject_reply(request.peer)
             return
         block = Block(header=partial.header,
                       transactions=list(partial.slots))
         if block.compute_merkle_root() != partial.header.merkle_root:
             if partial.requested_all:
-                self.reconstruct_failed += 1
+                self._reject_reply(request.peer)
                 return
             # Mempool collision on a slot we thought we had: refetch all.
             count = len(partial.slots)

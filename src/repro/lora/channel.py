@@ -252,7 +252,6 @@ def _audible_bounds(power_dbm: float,
             squared_range * _MARGIN_FACTORS[1])
 
 
-@lru_cache(maxsize=1024)
 def _capture_factor(delta_db: float) -> float:
     """``c``: a frame survives an interferer sent ``delta_db`` louder than
     itself where the interferer's squared distance is at least ``c`` times

@@ -15,7 +15,7 @@ ephemeral private key on-chain in order to collect its payment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.crypto import rsa
 from repro.crypto.hashing import double_sha256, hash160, ripemd160, sha256
@@ -86,11 +86,6 @@ class ScriptInterpreter:
     """
 
     context: ExecutionContext = field(default_factory=NullContext)
-    rsa_pair_check: Callable[[bytes, bytes], bool] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.rsa_pair_check is None:
-            self.rsa_pair_check = check_rsa_pair
 
     # -- public API ---------------------------------------------------------
 
@@ -315,7 +310,7 @@ class ScriptInterpreter:
         elif opcode == OP.OP_CHECKRSA512PAIR:
             public = self._pop(stack, "OP_CHECKRSA512PAIR")
             private = self._pop(stack, "OP_CHECKRSA512PAIR")
-            stack.append(_bool_bytes(self.rsa_pair_check(public, private)))
+            stack.append(_bool_bytes(check_rsa_pair(public, private)))
         else:
             raise EvaluationError(f"unknown or disabled opcode {opcode_name(opcode)}")
         return 0

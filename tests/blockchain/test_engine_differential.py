@@ -42,7 +42,7 @@ from repro.blockchain.engine import ValidationEngine
 from repro.blockchain.miner import Miner
 from repro.blockchain.node import FullNode
 from repro.blockchain.params import ChainParams
-from repro.blockchain.sigbatch import ECDSA, RSA_PAIR, SCRIPT, VerdictMemo
+from repro.blockchain.sigbatch import ECDSA, SCRIPT, VerdictMemo
 from repro.blockchain.transaction import (OutPoint, Transaction, TxInput,
                                            TxOutput)
 from repro.blockchain.utxo import UTXOSet
@@ -469,7 +469,7 @@ def test_shared_memo_verifies_each_signature_once_and_the_bound_evicts(bank):
     # Unbounded: two passes over the zoo.  Every script that succeeded
     # ran once and was answered the second time; a failing one ran
     # both times and was never stored.
-    assert unbounded.evictions == {ECDSA: 0, RSA_PAIR: 0, SCRIPT: 0}
+    assert unbounded.evictions == {ECDSA: 0, SCRIPT: 0}
     scripts = [key for key in unbounded._verdicts if key[0] == SCRIPT]
     assert len(scripts) == unbounded.misses[SCRIPT] \
         == unbounded.hits[SCRIPT] > 0
@@ -485,13 +485,10 @@ def test_shared_memo_verifies_each_signature_once_and_the_bound_evicts(bank):
     assert unbounded.hits[ECDSA] == sum(
         1 for key, verdict in unbounded._verdicts.items()
         if key[0] == ECDSA and verdict is False)
-    # Five key-release spends, three distinct (public, private) pairs —
-    # the right key, the wrong key, the refund placeholder.
-    assert unbounded.misses[RSA_PAIR] == 3
     assert False in unbounded._verdicts.values()
     # Bounded to four: it evicted, re-verified, and never grew.
     assert len(tiny) == 4
-    assert all(tiny.evictions[kind] > 0 for kind in (ECDSA, RSA_PAIR, SCRIPT))
+    assert all(tiny.evictions[kind] > 0 for kind in (ECDSA, SCRIPT))
     assert tiny.misses[ECDSA] > unbounded.misses[ECDSA]
 
 

@@ -296,7 +296,7 @@ def test_total_output_value():
     assert tx.total_output_value == 42
 
 
-# -- batched sighash ------------------------------------------------------------
+# -- sighash against the classic construction ---------------------------------
 
 def _three_input_tx() -> Transaction:
     """Three inputs, two already signed, so the blanking is exercised."""
@@ -312,31 +312,34 @@ def _three_input_tx() -> Transaction:
     )
 
 
-def test_sighash_many_matches_per_input(funded_chain):
-    """Every digest, batched or one at a time, is the classic
-    construction's: a copy of the transaction per input."""
+def test_sighash_matches_the_classic_construction(funded_chain):
+    """Every input's digest, of one-, two- and three-input transactions,
+    is the classic construction's: a copy of the transaction per input."""
     node, wallet, _miner = funded_chain
     fanout = wallet.create_fanout(wallet.pubkey_hash, 300, 4)
-    spends = []
-    for index, tx_input in enumerate(fanout.inputs):
-        entry_spent = node.chain.utxos.get(tx_input.outpoint)
-        assert entry_spent is not None
-        spends.append((index, entry_spent.output.script_pubkey))
+    fanout_lockings = [node.chain.utxos.get(tx_input.outpoint)
+                       .output.script_pubkey for tx_input in fanout.inputs]
     three = _three_input_tx()
+    two = Transaction(inputs=three.inputs[1:], outputs=three.outputs,
+                      locktime=three.locktime, version=three.version)
     lockings = [p2pkh_locking(bytes([i]) * 20) for i in range(3)]
-    cases = [(fanout, spends),
-             (three, list(enumerate(lockings))),
-             (three, [(2, lockings[0]), (0, lockings[0]), (2, Script())])]
-    for tx, tx_spends in cases:
-        expected = [classic_sighash(tx, index, locking)
-                    for index, locking in tx_spends]
-        assert tx.sighash_many(tx_spends) == expected
-        assert [tx.sighash(index, locking)
-                for index, locking in tx_spends] == expected
-    assert len(set(three.sighash_many(list(enumerate(lockings))))) == 3
+    cases = [(fanout, fanout_lockings),
+             (simple_tx(), lockings[:1]),
+             (two, lockings[:2]),
+             (three, lockings),
+             (three, [lockings[0]] * 3),
+             (three, [Script()] * 3)]
+    assert {len(tx.inputs) for tx, _lockings in cases} == {1, 2, 3}
+    for tx, tx_lockings in cases:
+        assert len(tx_lockings) == len(tx.inputs)
+        for index, locking in enumerate(tx_lockings):
+            assert tx.sighash(index, locking) \
+                == classic_sighash(tx, index, locking)
+    assert len({three.sighash(index, locking)
+                for index, locking in enumerate(lockings)}) == 3
     for index in (-1, 3):
         with pytest.raises(ValidationError) as classic:
             classic_sighash(three, index, Script())
-        with pytest.raises(ValidationError) as batched:
-            three.sighash_many([(0, Script()), (index, Script())])
-        assert str(batched.value) == str(classic.value)
+        with pytest.raises(ValidationError) as refused:
+            three.sighash(index, Script())
+        assert str(refused.value) == str(classic.value)

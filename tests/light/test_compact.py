@@ -229,6 +229,9 @@ def test_refetched_block_still_wrong_gives_up(monkeypatch):
     relay_b = relays[1]
     assert relay_b.fallback_roundtrips == 2
     assert relay_b.reconstruct_failed == 1
+    # A refetch of every position that still rebuilds the wrong root is a
+    # false answer, scored against the peer that sent it.
+    assert relay_b.requests.scores["a"].failures == 1
     sim.run(until=sim.now + 2 * relay_b.FALLBACK_TIMEOUT)
     assert relay_b.fallback_roundtrips == 2
     assert relay_b.reconstruct_failed == 1
@@ -258,6 +261,7 @@ def test_reply_leaving_a_slot_empty_fails_the_sketch(monkeypatch):
     sim.run(until=sim.now + 1)
     assert relay_b.reconstruct_failed == 1
     assert relay_b.txs_fetched == 0
+    assert relay_b.requests.scores["a"].failures == 1
     # Answered: the deadline finds nothing to fail a second time.
     sim.run(until=sim.now + 2 * relay_b.FALLBACK_TIMEOUT)
     assert relay_b.reconstruct_failed == 1

@@ -41,7 +41,7 @@ SPV_LEDGER = ("balance", "funding_stalls", "payments_confirmed",
               "rebroadcasts")
 # New: the verdict memo had no stats() before; its registered series.
 MEMO = tuple(f"{field}.{kind}" for field in ("evictions", "hits", "misses")
-             for kind in ("ecdsa", "rsa_pair", "script")) + ("entries",)
+             for kind in ("ecdsa", "script")) + ("entries",)
 
 PINNED = {
     "light": {

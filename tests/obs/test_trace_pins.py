@@ -35,11 +35,11 @@ DEPLOYMENTS = {
 
 PINS = {
     "flat":
-        "d2fbba658ae9228541a11ef2066cb4a13f7974bf0420fb44ade2a1cc12158b6b",
+        "4ae2679d7bfa66d47d1ca78e3be71568b08d681acc8832e7ae4b78966e1a70f4",
     "light-compact-multicast":
-        "3925f8c8533f7e2fbb5b68b5532f9464d83a49f26e0ea0a8702b79e66e1ea53a",
+        "b25b456e663724fbcb73b23fe299549309d0866f57ca25070c4c5429ca401230",
     "regions":
-        "3391aa43d1439d129eeb944fd81ad835cf460f9f9488a4f56fc9720e813ea374",
+        "669e48bb6da8f7c7f31103929ae276501605b1bf2b291f32bb515af1d7672bdb",
 }
 
 

@@ -1,12 +1,12 @@
 """The classic SIGHASH_ALL construction: the reference for
-:meth:`~repro.blockchain.transaction.Transaction.sighash_many`.
+:meth:`~repro.blockchain.transaction.Transaction.sighash`.
 
 A copy of the transaction is built with every input's scriptSig blanked
 except the signed input's, which is replaced by the locking script being
 spent; the digest is the double SHA-256 of that copy's wire form followed
-by the 4-byte hash type.  One full copy per digest: nothing is shared
-between inputs, so no answer can come from the sharing it is compared
-against.
+by the 4-byte hash type.  The method serializes the modified inputs into
+the preimage without building a transaction; this builds one, through
+the constructor's checks and its own wire form.
 """
 
 from __future__ import annotations

@@ -100,3 +100,18 @@ def live_default(reading, scale=2):
 class Built:
     def __init__(self, size=1):
         self.size = size
+
+
+class Request:
+    def timeout(self, value=1.0):
+        """Read as data through a receiver nothing resolves
+        (``request.timeout``): that load binds none of its parameters."""
+        return value
+
+    def expire(self, late=False):
+        """Passed to a call through an unresolved receiver: escapes."""
+        return late
+
+    def retry(self, wait=0.5):
+        """Bound to a name the root then calls: escapes."""
+        return wait

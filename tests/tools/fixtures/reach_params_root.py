@@ -20,4 +20,8 @@ def drive(thing, args, settings, on_event):
     params.dead_default(1, scale=3)
     params.live_default(1, 3)
     params.Built(size=2)
+    on_event(thing.timeout > 0)
+    on_event(thing.expire)
+    again = thing.retry
+    again()
     return thing.resize(3)

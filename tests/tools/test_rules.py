@@ -210,6 +210,12 @@ def parameter_findings():
     ("Factory.rename", "upper"),
     # a function handed out as a value escapes: anything may be passed
     ("callback", None),
+    # an unresolved attribute load escapes every method of its name only
+    # when its value is passed to a call, or bound to a name that is
+    # called; read as data (``thing.timeout > 0``) it binds nothing
+    ("Request.timeout", "value"),
+    ("Request.expire", None),
+    ("Request.retry", None),
     ("planted", "knob"),
     ("tested", "knob"),
 ])

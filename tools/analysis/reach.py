@@ -38,13 +38,18 @@ overrides too, and an unresolved ``.name(...)`` every method called
 ``name``.  A function used as a value (a callback) escapes: its callers
 are unknown, so every parameter counts as bound; so does a class used as
 a value (its ``__init__``), but not one named as a base, an annotation,
-an ``except`` clause or ``isinstance``'s second argument.  A defaulted
-parameter no root binds has one value in use and should be a constant
-too.  Its mirror, a *dead default*, is a defaulted parameter of a
-reached function that every call — a root's or a test's — passes: its
-default is never used, and the parameter should be required.  A call
-through a ``*args`` or ``**mapping`` may leave any parameter it does not
-name unbound, so it never makes a default dead.
+an ``except`` clause or ``isinstance``'s second argument.  An attribute
+load through an unresolved receiver escapes every method of its name only
+when its value is passed to a call or bound to a name the same scope
+calls: ``request.timeout`` read as data binds nothing, and a method
+handed out some other way (stored in a container, returned) reads as
+unbound, a finding to baseline.  A defaulted parameter no root binds has
+one value in use and should be a constant too.  Its mirror, a *dead
+default*, is a defaulted parameter of a reached function that every call
+— a root's or a test's — passes: its default is never used, and the
+parameter should be required.  A call through a ``*args`` or
+``**mapping`` may leave any parameter it does not name unbound, so it
+never makes a default dead.
 """
 
 from __future__ import annotations
@@ -257,7 +262,11 @@ class _Closure:
     def _scan(self, nodes: Iterable[ast.AST], module: ModuleInfo,
               fn: Optional[FunctionInfo], *, strings: bool = False,
               reads: bool = True) -> None:
+        nodes = list(nodes)
+        called = {node.func.id for node in nodes if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
         held: set[int] = set()    # callees, receivers, types: not values
+        handed: set[int] = set()  # passed to a call, or named and called
         for node in nodes:
             held.update(_type_positions(node))
             if isinstance(node, (ast.Name, ast.Attribute)):
@@ -274,12 +283,21 @@ class _Closure:
                         self._name(node.attr)
                         if reads and isinstance(node.ctx, ast.Load):
                             self.reads.add(node.attr)
-                if id(node) not in held and isinstance(node.ctx, ast.Load):
+                if id(node) not in held and isinstance(node.ctx, ast.Load) \
+                        and (exact or id(node) in handed):
                     self._escape(node, symbol if exact else None)
             elif isinstance(node, ast.Call):
                 held.add(id(node.func))
+                handed.update(id(arg.value if isinstance(arg, ast.Starred)
+                                 else arg) for arg in node.args)
+                handed.update(id(keyword.value) for keyword in node.keywords)
                 self._record_sets(node, module, fn)
                 self._record_binds(node, module, fn)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                targets = getattr(node, "targets", None) or [node.target]
+                if any(isinstance(target, ast.Name) and target.id in called
+                       for target in targets):
+                    handed.add(id(node.value))
             elif isinstance(node, ast.Dict):
                 self.sets.update(
                     ("*", key.value) for key in node.keys
